@@ -3,9 +3,18 @@ package repro
 import (
 	"context"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"net/url"
+	"os"
 	"testing"
+	"time"
 
+	"repro/internal/colorsql"
 	"repro/internal/core"
+	"repro/internal/sky"
+	"repro/internal/table"
+	"repro/internal/vizhttp"
 )
 
 // BenchmarkTopKQuery measures the streaming statement pipeline's
@@ -85,6 +94,104 @@ func BenchmarkLimitPushdown(b *testing.B) {
 				pages = rep.DiskReads + rep.CacheHits
 			}
 			b.ReportMetric(float64(pages), "pages/query")
+		})
+	}
+}
+
+// BenchmarkRowEncoder is the serialisation layer's own number: one
+// SELECT * row encoded into an already-grown buffer by the compiled
+// per-statement encoder. ns/op is ns/row.
+func BenchmarkRowEncoder(b *testing.B) {
+	recs, err := sky.Generate(sky.DefaultParams(1024, 42))
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, proj := range []struct {
+		name string
+		cols []colorsql.Column
+	}{
+		{"star", colorsql.StarColumns()},
+		{"objid+r", []colorsql.Column{colorsql.StarColumns()[0], colorsql.StarColumns()[3]}},
+	} {
+		b.Run(proj.name, func(b *testing.B) {
+			enc := core.NewRowEncoder(proj.cols)
+			buf := make([]byte, 0, 512)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				buf = enc.AppendRow(buf[:0], &recs[i%len(recs)])
+			}
+			b.SetBytes(int64(len(buf)))
+		})
+	}
+}
+
+// discardResponse is an http.ResponseWriter for measuring a handler
+// without a socket: it flushes and takes deadlines like a connection
+// and throws the body away.
+type discardResponse struct {
+	hdr   http.Header
+	bytes int64
+}
+
+func (w *discardResponse) Header() http.Header { return w.hdr }
+func (w *discardResponse) WriteHeader(int)     {}
+func (w *discardResponse) Flush()              {}
+
+func (w *discardResponse) SetWriteDeadline(time.Time) error { return nil }
+
+func (w *discardResponse) Write(p []byte) (int, error) {
+	w.bytes += int64(len(p))
+	return len(p), nil
+}
+
+// BenchmarkStreamNDJSON measures the NDJSON wire path through the real
+// /query handler into a discarding writer, as rows/s. "cached" serves
+// a result-cache hit — a slice cursor, so parse, encode and batched
+// writes are all there is; "scan100k" streams a 100 000-row
+// single-clause cut, adding the cursor pipeline beneath (page reads,
+// strip decode, predicate) and no dedup set.
+func BenchmarkStreamNDJSON(b *testing.B) {
+	dir, err := os.MkdirTemp("", "repro-stream-*")
+	if err != nil {
+		b.Fatal(err)
+	}
+	registerBenchDir(dir)
+	db, err := core.Open(core.Config{Dir: dir, ResultCacheBytes: 8 << 20})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer db.Close()
+	if err := db.IngestSynthetic(sky.DefaultParams(100_000, 42)); err != nil {
+		b.Fatal(err)
+	}
+	h := vizhttp.New(db, vizhttp.Config{}).Handler()
+
+	for _, tc := range []struct {
+		name, q string
+		rows    int64
+	}{
+		{"cached", "SELECT * WHERE r < 90 LIMIT 4096", 4096},
+		{"scan100k", "SELECT * WHERE r < 90", 100_000},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			target := "/query?format=ndjson&q=" + url.QueryEscape(tc.q)
+			serve := func() *discardResponse {
+				w := &discardResponse{hdr: http.Header{}}
+				h.ServeHTTP(w, httptest.NewRequest("GET", target, nil))
+				return w
+			}
+			w := serve() // warm the pool, and the result cache where it applies
+			if w.bytes < tc.rows*int64(table.RecordSize) {
+				b.Fatalf("%d body bytes for %d rows", w.bytes, tc.rows)
+			}
+			b.ReportAllocs()
+			b.SetBytes(w.bytes)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				serve()
+			}
+			b.ReportMetric(float64(tc.rows)*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
 		})
 	}
 }

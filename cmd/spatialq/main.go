@@ -209,8 +209,9 @@ func runStatement(db *core.SpatialDB, src, plan, format string) {
 	defer cur.Close()
 
 	cols := stmt.OutputColumns()
+	enc := core.NewRowEncoder(cols)
 	for cur.Next() {
-		printStatementRow(format, cols, cur.Record())
+		printStatementRow(format, cols, enc, cur.Record())
 	}
 	rep := cur.Stats()
 	if err := cur.Err(); err != nil {
@@ -233,18 +234,18 @@ func runStatement(db *core.SpatialDB, src, plan, format string) {
 
 // printStatementRow writes one row in the chosen format: an NDJSON
 // object of the projected columns, or an aligned name=value line.
-// Column values render through core.AppendColumnValue, the same
-// serializer vizserver's NDJSON uses.
-func printStatementRow(format string, cols []colorsql.Column, rec *table.Record) {
+// Column values render through the statement's core.RowEncoder, the
+// same serializer vizserver's NDJSON uses.
+func printStatementRow(format string, cols []colorsql.Column, enc *core.RowEncoder, rec *table.Record) {
 	if format == "ndjson" {
-		out := core.AppendRowJSON(make([]byte, 0, 128), cols, rec)
+		out := enc.AppendRow(make([]byte, 0, 128), rec)
 		out = append(out, '\n')
 		os.Stdout.Write(out)
 		return
 	}
 	parts := make([]string, len(cols))
 	for i, c := range cols {
-		parts[i] = fmt.Sprintf("%s=%s", c.Name, string(core.AppendColumnValue(nil, c, rec)))
+		parts[i] = fmt.Sprintf("%s=%s", c.Name, enc.AppendValue(nil, i, rec))
 	}
 	fmt.Println(strings.Join(parts, " "))
 }

@@ -256,14 +256,17 @@ func (db *SpatialDB) polyhedronCursorSnap(ctx context.Context, sn *dbSnap, q vec
 	}, nil
 }
 
-// unionCursor streams a DNF union clause by clause, deduplicating by
-// object identity exactly like the eager QueryUnion: a row is
-// emitted the first time its ObjID appears. Clause cursors are built
-// lazily, so an early Close never plans or scans the remaining
-// clauses. All clauses share one store snapshot, captured at
-// construction — a compaction between clauses cannot make the union
-// see a row twice (paged in one clause, memtable in another) or miss
-// it.
+// unionCursor streams a DNF union clause by clause, deduplicating
+// across clauses by object identity exactly like the eager
+// QueryUnion: a row is emitted the first time its ObjID appears. A
+// single clause visits each physical row once and nothing can repeat,
+// so it keeps no seen set and emits every matching row — rows are
+// never merged, two rows sharing an ObjID both come back. Clause
+// cursors are built lazily, so an early Close never plans or scans
+// the remaining clauses. All clauses share one store snapshot,
+// captured at construction — a compaction between clauses cannot
+// make the union see a row twice (paged in one clause, memtable in
+// another) or miss it.
 type unionCursor struct {
 	db    *SpatialDB
 	ctx   context.Context
@@ -280,7 +283,7 @@ type unionCursor struct {
 
 	idx     int
 	cur     Cursor
-	seen    map[int64]bool
+	seen    map[int64]bool // nil for a single clause: nothing to dedup
 	agg     Report
 	emitted int64
 	err     error
@@ -288,9 +291,13 @@ type unionCursor struct {
 }
 
 func (db *SpatialDB) newUnionCursor(ctx context.Context, u colorsql.Union, plan Plan, opts cursorOpts) *unionCursor {
-	// Dedup needs the object identity decoded whatever the
-	// projection asked for.
-	opts.cols |= table.ColObjID
+	var seen map[int64]bool
+	if len(u.Polys) > 1 {
+		// Dedup needs the object identity decoded whatever the
+		// projection asked for.
+		opts.cols |= table.ColObjID
+		seen = make(map[int64]bool)
+	}
 	// The tier-1 plan cache holds (or builds) the per-clause planner
 	// verdicts and pre-compiled zone-map predicates for this union's
 	// canonical text. A union that cannot plan (no catalog) just
@@ -302,8 +309,7 @@ func (db *SpatialDB) newUnionCursor(ctx context.Context, u colorsql.Union, plan 
 	}
 	c := &unionCursor{
 		db: db, ctx: ctx, polys: u.Polys, preds: preds, choices: choices,
-		plan: plan, opts: opts,
-		seen: make(map[int64]bool),
+		plan: plan, opts: opts, seen: seen,
 	}
 	// One snapshot for every clause; a snapshot failure (no catalog)
 	// surfaces on the first Next like any clause error would.
@@ -336,11 +342,13 @@ func (c *unionCursor) Next() bool {
 			c.cur = cur
 		}
 		for c.cur.Next() {
-			rec := c.cur.Record()
-			if c.seen[rec.ObjID] {
-				continue
+			if c.seen != nil {
+				id := c.cur.Record().ObjID
+				if c.seen[id] {
+					continue
+				}
+				c.seen[id] = true
 			}
-			c.seen[rec.ObjID] = true
 			c.emitted++
 			return true
 		}

@@ -279,9 +279,18 @@ func TestProjectionPushdown(t *testing.T) {
 	if r0.ObjID != 0 || r0.Ra != 0 || r0.Dec != 0 || r0.Class != 0 || r0.LeafID != 0 {
 		t.Errorf("unprojected columns were decoded: %+v", r0)
 	}
-	// With a WHERE the dedup layer decodes ObjID as well — but still
-	// not the rest.
+	// A single-clause WHERE has no dedup layer, so it decodes nothing
+	// beyond the projection either.
 	recs, _ = collectStatement(t, db, "SELECT g WHERE r < 30 LIMIT 5", PlanAuto)
+	if len(recs) != 5 {
+		t.Fatalf("returned %d rows", len(recs))
+	}
+	if recs[0].ObjID != 0 || recs[1].ObjID != 0 {
+		t.Errorf("single clause decoded object ids it has no use for: %+v", recs[:2])
+	}
+	// Under a multi-clause WHERE the dedup layer decodes ObjID as well
+	// — but still not the rest.
+	recs, _ = collectStatement(t, db, "SELECT g WHERE r < 30 OR g < 30 LIMIT 5", PlanAuto)
 	if len(recs) != 5 {
 		t.Fatalf("returned %d rows", len(recs))
 	}

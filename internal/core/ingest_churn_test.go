@@ -169,15 +169,18 @@ func TestInsertWhileServingChurn(t *testing.T) {
 					return
 				default:
 				}
-				// IDs handed out by the time the cursor opens bound the
-				// inserted rows it may see (some may not be committed yet;
-				// none beyond the bound can appear).
-				bound := nextID.Load()
 				cur, err := db.ExecStatement(context.Background(), stmt, PlanAuto)
 				if err != nil {
 					fail("exec: %v", err)
 					return
 				}
+				// The snapshot is taken at cursor construction, so the IDs
+				// handed out by the time ExecStatement returns bound the
+				// inserted rows it may see (some may not be committed yet;
+				// none beyond the bound can appear). Loaded before the
+				// call, the bound would race an insert numbered and
+				// acknowledged between the load and the snapshot.
+				bound := nextID.Load()
 				seen := make(map[int64]bool)
 				for cur.Next() {
 					id := cur.Record().ObjID

@@ -34,10 +34,11 @@ import (
 //     against brute force) instead of a catalog-wide sort.
 //   - Projection is pushed to the page bytes: only the selected
 //     columns are decoded (plus magnitudes when a filter or ordering
-//     needs them, and the object id under a union's dedup).
+//     needs them, and the object id under a multi-clause union's
+//     dedup).
 //
-// LIMIT pushdown assumes the catalog invariant that ObjIDs are
-// unique (dedup can then never shrink a convex clause's output).
+// A convex (single-clause) statement passes through no dedup, so the
+// pushed-down LIMIT is exact whether or not ObjIDs are unique.
 
 // QueryStatement parses and executes a full colorsql statement,
 // returning a streaming cursor. The context cancels the query
@@ -260,44 +261,111 @@ func orderKey(o *colorsql.OrderBy) func(*table.Record) float64 {
 	}
 }
 
-// AppendColumnValue renders one projected column of a record as its
-// JSON value. It is the single serializer behind vizserver's NDJSON
-// rows and spatialq's statement output, so the CLI and HTTP answers
-// for the same statement can never disagree per column. Float32
-// fields format at float32 precision (shortest round-tripping
-// decimal).
-func AppendColumnValue(dst []byte, c colorsql.Column, rec *table.Record) []byte {
-	switch c.Kind {
-	case colorsql.ColMag:
-		return strconv.AppendFloat(dst, float64(rec.Mags[c.Axis]), 'g', -1, 32)
-	case colorsql.ColObjID:
-		return strconv.AppendInt(dst, rec.ObjID, 10)
-	case colorsql.ColRa:
-		return strconv.AppendFloat(dst, float64(rec.Ra), 'g', -1, 32)
-	case colorsql.ColDec:
-		return strconv.AppendFloat(dst, float64(rec.Dec), 'g', -1, 32)
-	case colorsql.ColRedshift:
-		return strconv.AppendFloat(dst, float64(rec.Redshift), 'g', -1, 32)
-	case colorsql.ColClass:
-		return strconv.AppendQuote(dst, rec.Class.String())
-	}
-	return dst
+// RowEncoder serialises records as JSON objects holding exactly one
+// statement's projected columns, in projection order. It is compiled
+// once per statement — quoted keys with their separators, one append
+// function per column — so encoding a row re-derives nothing from the
+// column list, and it is the only row serialiser: vizserver's NDJSON
+// and JSON rows and spatialq's statement output all go through it, so
+// the CLI and HTTP answers for one statement can never disagree per
+// column. Float32 fields format at float32 precision (shortest
+// round-tripping decimal).
+type RowEncoder struct {
+	cols []encColumn
 }
 
-// AppendRowJSON encodes one record as a JSON object holding exactly
-// the projected columns, in projection order — the row shape shared
-// by vizserver's NDJSON stream and spatialq's statement output.
-func AppendRowJSON(dst []byte, cols []colorsql.Column, rec *table.Record) []byte {
-	dst = append(dst, '{')
+type encColumn struct {
+	key  []byte // `"name":` for the first column, `,"name":` after
+	axis int    // magnitude axis for appendMag
+	val  func(dst []byte, rec *table.Record, axis int) []byte
+}
+
+// NewRowEncoder compiles the encoder for one projection
+// (stmt.OutputColumns()).
+func NewRowEncoder(cols []colorsql.Column) *RowEncoder {
+	e := &RowEncoder{cols: make([]encColumn, len(cols))}
+	var keys []byte
+	ends := make([]int, len(cols))
 	for i, c := range cols {
 		if i > 0 {
-			dst = append(dst, ',')
+			keys = append(keys, ',')
 		}
-		dst = strconv.AppendQuote(dst, c.Name)
-		dst = append(dst, ':')
-		dst = AppendColumnValue(dst, c, rec)
+		keys = strconv.AppendQuote(keys, c.Name)
+		keys = append(keys, ':')
+		ends[i] = len(keys)
+		e.cols[i].axis = c.Axis
+		e.cols[i].val = columnAppenders[c.Kind]
+	}
+	start := 0
+	for i, end := range ends {
+		e.cols[i].key = keys[start:end]
+		start = end
+	}
+	return e
+}
+
+// AppendRow appends rec as one JSON object.
+func (e *RowEncoder) AppendRow(dst []byte, rec *table.Record) []byte {
+	dst = append(dst, '{')
+	for i := range e.cols {
+		c := &e.cols[i]
+		dst = append(dst, c.key...)
+		dst = c.val(dst, rec, c.axis)
 	}
 	return append(dst, '}')
+}
+
+// AppendValue appends column i of rec as its bare JSON value.
+func (e *RowEncoder) AppendValue(dst []byte, i int, rec *table.Record) []byte {
+	return e.cols[i].val(dst, rec, e.cols[i].axis)
+}
+
+func appendFloat32(dst []byte, v float32) []byte {
+	return strconv.AppendFloat(dst, float64(v), 'g', -1, 32)
+}
+
+func appendMag(dst []byte, rec *table.Record, axis int) []byte {
+	return appendFloat32(dst, rec.Mags[axis])
+}
+func appendObjID(dst []byte, rec *table.Record, _ int) []byte {
+	return strconv.AppendInt(dst, rec.ObjID, 10)
+}
+func appendRa(dst []byte, rec *table.Record, _ int) []byte  { return appendFloat32(dst, rec.Ra) }
+func appendDec(dst []byte, rec *table.Record, _ int) []byte { return appendFloat32(dst, rec.Dec) }
+func appendRedshift(dst []byte, rec *table.Record, _ int) []byte {
+	return appendFloat32(dst, rec.Redshift)
+}
+
+// columnAppenders maps each colorsql.ColumnKind to its value
+// serialiser.
+var columnAppenders = [...]func(dst []byte, rec *table.Record, axis int) []byte{
+	colorsql.ColMag:      appendMag,
+	colorsql.ColObjID:    appendObjID,
+	colorsql.ColRa:       appendRa,
+	colorsql.ColDec:      appendDec,
+	colorsql.ColRedshift: appendRedshift,
+	colorsql.ColClass:    appendClass,
+}
+
+// classJSON holds the quoted literal of every named class.
+var classJSON = func() (lits [table.NumClasses][]byte) {
+	for c := range lits {
+		lits[c] = strconv.AppendQuote(nil, table.Class(c).String())
+	}
+	return lits
+}()
+
+func appendClass(dst []byte, rec *table.Record, _ int) []byte {
+	if int(rec.Class) < len(classJSON) {
+		return append(dst, classJSON[rec.Class]...)
+	}
+	return strconv.AppendQuote(dst, rec.Class.String())
+}
+
+// AppendRowJSON encodes one record under a throw-away encoder; loops
+// compile a RowEncoder once instead.
+func AppendRowJSON(dst []byte, cols []colorsql.Column, rec *table.Record) []byte {
+	return NewRowEncoder(cols).AppendRow(dst, rec)
 }
 
 // QueryPolyhedronCursor streams one convex polyhedron query under

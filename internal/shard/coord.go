@@ -74,7 +74,7 @@ type subPlan struct {
 	query   string
 	targets []int
 	order   *colorsql.OrderBy
-	hasDed  bool // dedup across shards (statement has a WHERE clause)
+	hasDed  bool // dedup across shards (WHERE is a multi-clause union)
 	limit   int
 }
 
@@ -145,7 +145,7 @@ func (c *Coordinator) planStatement(stmt colorsql.Statement) *subPlan {
 	sp := &subPlan{
 		query:  sub.String(),
 		order:  stmt.Order,
-		hasDed: stmt.HasWhere,
+		hasDed: stmt.HasWhere && len(stmt.Where.Polys) > 1,
 		limit:  stmt.Limit,
 	}
 	if stmt.HasWhere {

@@ -96,6 +96,12 @@ type cluster struct {
 // Everything is torn down via t.Cleanup.
 func startCluster(t *testing.T, cfg Config) *cluster {
 	t.Helper()
+	return startClusterAt(t, clusterDir, cfg)
+}
+
+// startClusterAt is startCluster over any BuildCluster output.
+func startClusterAt(t *testing.T, clusterDir string, cfg Config) *cluster {
+	t.Helper()
 	rt, err := LoadRoutingTable(clusterDir)
 	if err != nil {
 		t.Fatal(err)

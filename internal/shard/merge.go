@@ -14,10 +14,11 @@ import (
 // single-store execution exactly:
 //
 //   - scan merge: unordered statements concatenate the shard streams
-//     in shard order. With a WHERE clause the single store dedups by
-//     ObjID across union clauses, so the merge dedups by ObjID across
-//     shard boundaries too; a no-WHERE full-catalog scan does not
-//     dedup in the single store, so neither does the merge.
+//     in shard order. Under a multi-clause WHERE the single store
+//     dedups by ObjID across union clauses, so the merge dedups by
+//     ObjID across shard boundaries too; a single clause or a
+//     no-WHERE full-catalog scan visits each physical row once and
+//     does not dedup in the single store, so neither does the merge.
 //   - order merge: ORDER BY statements arrive locally sorted from
 //     each shard (each with the LIMIT pushed down), and a k-way merge
 //     on the recomputed ordering key — the same float64 key the
@@ -75,8 +76,8 @@ type scatterCursor struct {
 	streams []*shardStream
 	c       *Coordinator
 
-	// dedup is non-nil for WHERE statements (mirrors the single
-	// store's union dedup); limit < 0 means unbounded.
+	// dedup is non-nil for multi-clause WHERE statements (mirrors the
+	// single store's union dedup); limit < 0 means unbounded.
 	dedup map[int64]bool
 	limit int64
 

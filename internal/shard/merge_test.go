@@ -2,10 +2,13 @@ package shard
 
 import (
 	"context"
+	"path/filepath"
+	"slices"
 	"sort"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/sky"
 	"repro/internal/table"
 	"repro/internal/vec"
 )
@@ -72,6 +75,78 @@ func TestScatterEquivalence(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestScatterDuplicateObjID pins the one place the merge's dedup rule
+// is observable: a catalog holding two physical rows with one ObjID.
+// Rows are never merged — with no WHERE or a single-clause WHERE the
+// single store returns both and so must the coordinator, whichever
+// shards the copies landed on; only a multi-clause union dedups by
+// ObjID, on both sides.
+func TestScatterDuplicateObjID(t *testing.T) {
+	p := sky.DefaultParams(900, 23)
+	recs, err := sky.Generate(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One copy next to its original, one far across magnitude space
+	// (another routing unit, so very likely another shard).
+	near, far := recs[10], recs[20]
+	near.Mags[2] += 0.01
+	for d := range far.Mags {
+		far.Mags[d] = 40 - far.Mags[d]
+	}
+	recs = append(recs, near, far)
+
+	root := t.TempDir()
+	single, err := core.Open(core.Config{Dir: filepath.Join(root, "single")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { single.Close() })
+	if err := single.IngestRecords(recs); err != nil {
+		t.Fatal(err)
+	}
+	if err := single.BuildKdIndex(0); err != nil {
+		t.Fatal(err)
+	}
+	dir := filepath.Join(root, "cluster")
+	if _, err := BuildCluster(dir, recs, BuildParams{Shards: fixtureShards, Seed: 23}); err != nil {
+		t.Fatal(err)
+	}
+	cl := startClusterAt(t, dir, Config{})
+
+	ctx := context.Background()
+	for _, tc := range []struct {
+		src  string
+		rows int
+	}{
+		{"SELECT *", 902},
+		{"SELECT * WHERE r < 90", 902},
+		{"SELECT objid, r WHERE r < 90 ORDER BY r", 902},
+		// Which copy a union keeps depends on physical order, so compare
+		// identities only.
+		{"SELECT objid WHERE r < 90 OR g < 90", 900},
+	} {
+		stmt := mustParse(t, tc.src)
+		render := func(cur core.Cursor, err error) []string {
+			t.Helper()
+			if err != nil {
+				t.Fatal(err)
+			}
+			rows := renderRows(t, stmt, cur)
+			sort.Strings(rows)
+			return rows
+		}
+		want := render(single.ExecStatement(ctx, stmt, core.PlanAuto))
+		got := render(cl.coord.ExecStatement(ctx, stmt, core.PlanAuto))
+		if len(want) != tc.rows {
+			t.Errorf("%q: single store returned %d rows, want %d", tc.src, len(want), tc.rows)
+		}
+		if !slices.Equal(got, want) {
+			t.Errorf("%q: coordinator (%d rows) and single store (%d rows) disagree", tc.src, len(got), len(want))
+		}
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/colorsql"
@@ -213,19 +214,20 @@ func (s *Server) writeQueryResponse(w http.ResponseWriter, r *http.Request, stmt
 		w.Header().Set("X-Cache", "miss")
 	}
 
-	cols := stmt.OutputColumns()
+	enc := core.NewRowEncoder(stmt.OutputColumns())
 	if r.URL.Query().Get("format") == "ndjson" {
-		s.streamNDJSON(w, cur, cols)
+		s.streamNDJSON(w, cur, enc)
 		return
 	}
 
-	rows := make([]json.RawMessage, 0, 64)
+	rows := []byte(`,"rows":[`)
 	points := []pointJSON{}
-	var buf []byte
-	for cur.Next() {
+	for n := 0; cur.Next(); n++ {
 		rec := cur.Record()
-		buf = core.AppendRowJSON(buf[:0], cols, rec)
-		rows = append(rows, json.RawMessage(append([]byte(nil), buf...)))
+		if n > 0 {
+			rows = append(rows, ',')
+		}
+		rows = enc.AppendRow(rows, rec)
 		if stmt.Star {
 			// Legacy pointJSON view for SELECT * responses, built
 			// straight from the record so values match the old endpoint
@@ -252,93 +254,94 @@ func (s *Server) writeQueryResponse(w http.ResponseWriter, r *http.Request, stmt
 	s.countZoneStats(rep)
 
 	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(map[string]any{
-		"plan":                 rep.Plan.String(),
-		"planReason":           rep.PlanReason,
-		"estimatedSelectivity": rep.EstimatedSelectivity,
-		"rowsReturned":         rep.RowsReturned,
-		"rowsExamined":         rep.RowsExamined,
-		"diskReads":            rep.DiskReads,
-		"pagesSkipped":         rep.PagesSkipped,
-		"pagesScanned":         rep.PagesScanned,
-		"stripsDecoded":        rep.StripsDecoded,
-		"fromCache":            rep.FromCache,
-		"rows":                 rows,
-		"points":               points,
-	})
+	rows = append(rows, ']')
+	pts, _ := json.Marshal(points) // finite floats and class names: cannot fail
+	body := make([]byte, 0, len(pts)+len(rows)+1024)
+	body = appendSummary(body, rep, false, []byte(`,"points":`), pts, rows)
+	w.Write(append(body, '\n'))
 }
 
-// streamNDJSON writes one JSON object per row, flushing as it goes
-// so first-row latency is decoupled from result cardinality, then a
-// final summary line with the cursor's exact stats.
+// The NDJSON flush policy. The first row goes out at once (first-row
+// latency is independent of result cardinality); later rows when
+// streamFlushBytes are pending or the oldest pending row has waited
+// streamFlushInterval — the clock is read every streamClockRows-th
+// row, since one read costs a tenth of a row — and whatever is
+// pending at the end leaves in one write with the summary line.
+const (
+	streamFlushBytes    = 32 << 10
+	streamFlushInterval = 4 * time.Millisecond
+	streamClockRows     = 16
+)
+
+// streamBufs recycles streamNDJSON's pending-rows buffers: a buffer
+// grows on demand to about streamFlushBytes, so a small answer
+// neither allocates a batch-sized buffer nor regrows a pooled one.
+var streamBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// streamNDJSON writes one JSON object per row, batched per the flush
+// policy above, then a final summary line with the cursor's exact
+// stats (or an error line, after the rows that preceded the failure).
 //
-// Backpressure contract: every write refreshes a rolling deadline of
-// Config.StreamWriteTimeout. A consumer that stops reading makes the
-// next Write fail when the deadline fires, the handler returns, and
-// the deferred cursor Close releases the scan's pins — a stalled
-// client holds an admission slot and pool pages for at most one
-// deadline, not forever. (The per-request http.Server.WriteTimeout
-// cannot express this: it caps the whole response, killing legitimate
-// long streams, while saying nothing about per-write progress.)
-func (s *Server) streamNDJSON(w http.ResponseWriter, cur core.Cursor, cols []colorsql.Column) {
+// Backpressure contract: the rolling deadline Config.StreamWriteTimeout
+// is armed before every call that can block — each batch's Write and
+// Flush, and through the last Write the flush net/http does when the
+// handler returns. A consumer that stops reading makes that call fail
+// when the deadline fires, the handler returns, and the deferred
+// cursor Close releases the scan's pins — a stalled client holds an
+// admission slot and pool pages for at most one deadline, not forever.
+// Arming it also overrides the server-wide absolute write timeout
+// for this response (http.Server.WriteTimeout caps the whole
+// response, killing legitimate long streams, while saying nothing
+// about per-write progress). Recorders and exotic writers may not
+// support deadlines; the stream then simply runs without them.
+func (s *Server) streamNDJSON(w http.ResponseWriter, cur core.Cursor, enc *core.RowEncoder) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.Header().Set("X-Content-Type-Options", "nosniff")
 	flusher, _ := w.(http.Flusher)
 	rc := http.NewResponseController(w)
-	// Clear the server-wide absolute write timeout for this response:
-	// the stream's progress guarantee is the rolling per-write
-	// deadline. Recorders and exotic writers may not support
-	// deadlines; the stream then simply runs without them.
-	deadline := func() {
+	bp := streamBufs.Get().(*[]byte)
+	buf := (*bp)[:0]
+	defer func() {
+		*bp = buf
+		streamBufs.Put(bp)
+	}()
+	write := func() error {
 		if s.cfg.StreamWriteTimeout > 0 {
 			rc.SetWriteDeadline(time.Now().Add(s.cfg.StreamWriteTimeout))
 		}
+		_, err := w.Write(buf)
+		buf = buf[:0]
+		return err
 	}
-	deadline()
-	var buf []byte
-	n := 0
-	for cur.Next() {
-		buf = core.AppendRowJSON(buf[:0], cols, cur.Record())
-		buf = append(buf, '\n')
-		if _, err := w.Write(buf); err != nil {
-			// Client went away or stalled past the write deadline; the
-			// deferred Close cancels the scan.
-			return
+
+	var flushed time.Time
+	for n := 0; cur.Next(); n++ {
+		buf = append(enc.AppendRow(buf, cur.Record()), '\n')
+		if n == 0 || len(buf) >= streamFlushBytes ||
+			n%streamClockRows == 0 && time.Since(flushed) >= streamFlushInterval {
+			if write() != nil {
+				// Client went away or stalled past the write deadline; the
+				// deferred Close cancels the scan.
+				return
+			}
+			if flusher != nil {
+				flusher.Flush()
+			}
+			flushed = time.Now()
 		}
-		n++
-		if flusher != nil && (n <= 16 || n%64 == 0) {
-			// Early rows flush individually (first-row latency); later
-			// ones in batches.
-			flusher.Flush()
-		}
-		deadline()
 	}
 	rep := cur.Stats()
 	if err := cur.Err(); err != nil {
-		fmt.Fprintf(w, "{\"error\":%q}\n", err.Error())
+		buf = appendJSONString(append(buf, `{"error":`...), err.Error())
+		buf = append(buf, "}\n"...)
+		write()
 		return
 	}
 	s.countRequest(rep.RowsReturned)
 	s.countZoneStats(rep)
-	summary, _ := json.Marshal(map[string]any{
-		"summary": map[string]any{
-			"plan":                 rep.Plan.String(),
-			"planReason":           rep.PlanReason,
-			"estimatedSelectivity": rep.EstimatedSelectivity,
-			"rowsReturned":         rep.RowsReturned,
-			"rowsExamined":         rep.RowsExamined,
-			"diskReads":            rep.DiskReads,
-			"cacheHits":            rep.CacheHits,
-			"pagesSkipped":         rep.PagesSkipped,
-			"pagesScanned":         rep.PagesScanned,
-			"stripsDecoded":        rep.StripsDecoded,
-			"fromCache":            rep.FromCache,
-		},
-	})
-	w.Write(append(summary, '\n'))
-	if flusher != nil {
-		flusher.Flush()
-	}
+	buf = appendSummary(append(buf, `{"summary":`...), rep, true)
+	buf = append(buf, "}\n"...)
+	write()
 }
 
 // parseMags parses one "m1,m2,m3,m4,m5" magnitude vector.
