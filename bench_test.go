@@ -16,7 +16,7 @@
 //	§4.2  BenchmarkSpectra{PCA,Similarity}
 //	§5    BenchmarkVizPipeline, BenchmarkAdaptiveLOD
 //	§3.5  BenchmarkVectorCodec*
-//	plan  BenchmarkPlanner*, BenchmarkParallelKdQuery, BenchmarkConcurrentReaders
+//	plan  BenchmarkPlannerPlan (end-to-end plan/scan numbers: bench/baseline.json)
 package repro
 
 import (
@@ -24,7 +24,6 @@ import (
 	"math/rand"
 	"os"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -656,7 +655,7 @@ func BenchmarkAblationGridStream(b *testing.B) {
 	})
 }
 
-// --- cost-based planner + concurrent executor ---------------------------
+// --- cost-based planner --------------------------------------------------
 
 // BenchmarkPlannerPlan measures the cost of one planning decision
 // across the Figure 5 selectivity sweep — the overhead PlanAuto adds
@@ -673,100 +672,6 @@ func BenchmarkPlannerPlan(b *testing.B) {
 				sel = pl.Plan(q).Est.Selectivity
 			}
 			b.ReportMetric(sel, "estSel")
-		})
-	}
-}
-
-// BenchmarkPlannerAutoVsForced runs the same selectivity sweep under
-// the planner's choice and under each forced plan; auto should track
-// the cheaper envelope of the forced curves (Figure 5's two regimes).
-func BenchmarkPlannerAutoVsForced(b *testing.B) {
-	f := sharedFixture(b)
-	pl := &planner.Planner{Catalog: f.catalog, Kd: f.tree, KdTable: f.kdTable, Domain: sky.Domain()}
-	exec := &planner.Executor{Workers: 1}
-	run := func(b *testing.B, q vec.Polyhedron, path planner.Path) {
-		var err error
-		switch path {
-		case planner.PathKdTree:
-			_, _, err = exec.KdQuery(f.tree, f.kdTable, q)
-		default:
-			_, _, err = exec.FullScan(f.catalog, q)
-		}
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, half := range []float64{0.2, 0.8, 3.2, 12.8} {
-		q := fig5Query(f, half)
-		for _, mode := range []string{"auto", "kdtree", "fullscan"} {
-			b.Run(fmt.Sprintf("half=%.1f/%s", half, mode), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					switch mode {
-					case "auto":
-						run(b, q, pl.Plan(q).Path)
-					case "kdtree":
-						run(b, q, planner.PathKdTree)
-					default:
-						run(b, q, planner.PathFullScan)
-					}
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkParallelKdQuery measures one large kd-tree query as the
-// executor's worker pool grows: candidate subtree ranges scanned
-// concurrently against one shared buffer pool.
-func BenchmarkParallelKdQuery(b *testing.B) {
-	f := sharedFixture(b)
-	q := fig5Query(f, 3.2)
-	for _, workers := range []int{1, 2, 4, 8} {
-		exec := &planner.Executor{Workers: workers}
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, _, err := exec.KdQuery(f.tree, f.kdTable, q); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkConcurrentReaders measures aggregate query throughput as
-// the number of concurrent reader goroutines grows — the N-readers
-// contract behind the ROADMAP's "heavy concurrent traffic" goal.
-// Each reader runs the same mixed query workload; the metric is
-// queries per second summed over readers.
-func BenchmarkConcurrentReaders(b *testing.B) {
-	f := sharedFixture(b)
-	queries := []vec.Polyhedron{
-		fig5Query(f, 0.8),
-		fig5Query(f, 1.6),
-		fig5Query(f, 3.2),
-	}
-	exec := &planner.Executor{Workers: 1} // parallelism across readers, not within a query
-	for _, clients := range []int{1, 2, 8} {
-		b.Run(fmt.Sprintf("clients=%d", clients), func(b *testing.B) {
-			var total atomic.Int64
-			start := time.Now()
-			var wg sync.WaitGroup
-			for c := 0; c < clients; c++ {
-				wg.Add(1)
-				go func(c int) {
-					defer wg.Done()
-					for i := 0; i < b.N; i++ {
-						q := queries[(c+i)%len(queries)]
-						if _, _, err := exec.KdQuery(f.tree, f.kdTable, q); err != nil {
-							b.Error(err)
-							return
-						}
-						total.Add(1)
-					}
-				}(c)
-			}
-			wg.Wait()
-			b.ReportMetric(float64(total.Load())/time.Since(start).Seconds(), "queries/s")
 		})
 	}
 }

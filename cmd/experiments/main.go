@@ -23,8 +23,10 @@ import (
 	"repro/internal/delaunay"
 	"repro/internal/engine"
 	"repro/internal/grid"
+	"repro/internal/hull"
 	"repro/internal/kdtree"
 	"repro/internal/knn"
+	"repro/internal/outlier"
 	"repro/internal/pagestore"
 	"repro/internal/photoz"
 	"repro/internal/sky"
@@ -749,7 +751,13 @@ func expClass(n int, seed int64) error {
 	})
 	fmt.Printf("training set: %d confirmed quasars (of %d in catalog)\n", len(training), totalQuasars)
 	for _, margin := range []float64{0.1, 0.5, 1.0} {
-		recs, rep, err := db.FindSimilar(training, margin, core.PlanKdTree)
+		hp := hull.DefaultParams(table.Dim)
+		hp.Margin = margin
+		h, err := hull.Build(training, hp)
+		if err != nil {
+			return err
+		}
+		recs, rep, err := db.QueryPolyhedron(h, core.PlanKdTree)
 		if err != nil {
 			return err
 		}
@@ -787,8 +795,14 @@ func expOutlier(n int, seed int64) error {
 		return err
 	}
 	fmt.Printf("%9s %9s %10s %8s %12s\n", "fraction", "flagged", "precision", "recall", "enrichment")
+	vor := db.Voronoi()
+	vols := vor.MonteCarloVolumes(20*vor.NumCells(), seed)
 	for _, fraction := range []float64{0.02, 0.05, 0.10, 0.20} {
-		_, ev, err := db.DetectOutliers(fraction, 0, seed)
+		res, err := outlier.Detect(vor, vols, fraction)
+		if err != nil {
+			return err
+		}
+		ev, err := outlier.Evaluate(vor, res)
 		if err != nil {
 			return err
 		}

@@ -17,6 +17,8 @@ import (
 
 	"repro/internal/bst"
 	"repro/internal/core"
+	"repro/internal/hull"
+	"repro/internal/outlier"
 	"repro/internal/sky"
 	"repro/internal/table"
 	"repro/internal/vec"
@@ -61,7 +63,13 @@ func main() {
 		}
 		return true
 	})
-	recs, rep, err := db.FindSimilar(training, 0.2, core.PlanKdTree)
+	hp := hull.DefaultParams(table.Dim)
+	hp.Margin = 0.2
+	h, err := hull.Build(training, hp)
+	if err != nil {
+		log.Fatal(err)
+	}
+	recs, rep, err := db.QueryPolyhedron(h, core.PlanKdTree)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -97,19 +105,23 @@ func main() {
 		100*ev.Accuracy, ev.Objects)
 
 	// --- 3. Outliers from cell volumes (§4) ---------------------------
-	flagged, oev, err := db.DetectOutliers(0.03, 0, 13)
+	res, err := outlier.Detect(ix, ix.MonteCarloVolumes(20*ix.NumCells(), 13), 0.03)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("3. outlier detection (sparsest 3%% of cells): flagged %d objects\n", len(flagged))
+	oev, err := outlier.Evaluate(ix, res)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("3. outlier detection (sparsest 3%% of cells): flagged %d objects\n", len(res.Rows))
 	fmt.Printf("   precision %.2f, recall %.2f, enrichment %.0fx over the base rate\n",
 		oev.Precision, oev.Recall, oev.Enrichment)
-	show := len(flagged)
-	if show > 3 {
-		show = 3
-	}
-	for _, r := range flagged[:show] {
+	err = ix.Table().GetMany(res.Rows[:min(len(res.Rows), 3)], func(_ table.RowID, r *table.Record) bool {
 		fmt.Printf("   e.g. obj %-8d mags=(%.1f %.1f %.1f %.1f %.1f) true class: %s\n",
 			r.ObjID, r.Mags[0], r.Mags[1], r.Mags[2], r.Mags[3], r.Mags[4], r.Class)
+		return true
+	})
+	if err != nil {
+		log.Fatal(err)
 	}
 }

@@ -12,7 +12,6 @@ import (
 	"strings"
 
 	"repro/internal/core"
-	"repro/internal/engine"
 	"repro/internal/photoz"
 	"repro/internal/sky"
 	"repro/internal/vec"
@@ -79,14 +78,13 @@ func main() {
 	fmt.Printf("average error reduced by %.0f%% (paper: \"more than 50%%\")\n",
 		100*(1-km.MAE/tm.MAE))
 
-	// The engine's stored-procedure interface, as remote astronomers
-	// would use it against the archive.
-	out, err := db.Engine().Call("EstimateRedshift", sky.GalaxyColors(0.25, 18.5))
+	// One call of the procedure remote astronomers would issue against
+	// the archive.
+	z, err := db.EstimateRedshift(sky.GalaxyColors(0.25, 18.5))
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\nstored procedure EstimateRedshift(z=0.25 colors) = %.3f\n", out.(float64))
-	_ = engine.QueryStats{}
+	fmt.Printf("\nEstimateRedshift(z=0.25 colors) = %.3f\n", z)
 }
 
 // scatter renders true (x) vs estimated (y) redshift as an ASCII

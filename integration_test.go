@@ -122,15 +122,6 @@ func TestEndToEndSystem(t *testing.T) {
 	if math.Abs(z-0.2) > 0.08 {
 		t.Errorf("photo-z = %v, want ~0.2", z)
 	}
-
-	// Stored procedures mirror the direct API.
-	out, err := db.Engine().Call("NearestNeighbors", sky.GalaxyColors(0.12, 18.5), 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := out.([]table.Record); len(got) != 10 || got[0].ObjID != nbs[0].ObjID {
-		t.Error("stored procedure disagrees with direct call")
-	}
 }
 
 // buildPersistedDB builds a small catalog with every serving index

@@ -233,37 +233,61 @@ func (db *SpatialDB) photoZUnitCost() float64 {
 	return v.(float64)
 }
 
-// statementCacheKey builds the tier-2 identity of a statement:
-// canonical statement text plus the plan-relevant config that could
-// change the answer's provenance (forced plan, worker count — worker
-// counts never change answers, but they are part of the execution
-// config the entry was observed under, and keying on them is free).
-// ok is false for statements tier 2 must not materialize: unbounded
-// (no LIMIT) or wider than maxCacheableLimit.
-func (db *SpatialDB) statementCacheKey(stmt colorsql.Statement, plan Plan) (string, bool) {
-	if stmt.Limit < 0 || stmt.Limit > maxCacheableLimit {
-		return "", false
+// cached is a tier-2 entry: a materialized answer and the Report of
+// the execution that produced it. val is shared read-only by every
+// request served from the entry.
+type cached[T any] struct {
+	val T
+	rep Report
+}
+
+// rowsBytes is the budget charge of a materialized row set.
+func rowsBytes(recs []table.Record) int64 { return int64(len(recs)) * cachedRowBytes }
+
+// do is the one tier-2 execute path: serve key from the result cache,
+// or run fill — at most once per epoch across concurrent identical
+// callers (singleflight) — and cache its answer, charged payload(val)
+// plus the fixed entry overhead. The Report is fill's own for the
+// caller that executed, and the cache-served form (cachedReport) for a
+// hit or a shared answer: those requests did no I/O of their own.
+func do[T any](db *SpatialDB, ns, key string, payload func(T) int64, fill func() (T, Report, error)) (T, Report, error) {
+	v, out, err := db.qc.Do(ns, key, db.cacheEpoch(), func() (any, int64, error) {
+		val, rep, err := fill()
+		if err != nil {
+			return nil, 0, err
+		}
+		return &cached[T]{val: val, rep: rep}, payload(val) + cachedEntryOverheadBytes, nil
+	})
+	if err != nil {
+		var zero T
+		return zero, Report{}, err
 	}
-	return "w" + strconv.Itoa(db.exec.Workers) + "|" + plan.String() + "|" + stmt.String(), true
+	e := v.(*cached[T])
+	if out == qcache.Miss {
+		return e.val, e.rep, nil
+	}
+	return e.val, cachedReport(e.rep), nil
 }
 
-// cachedResult is a tier-2 entry: the fully materialized answer and
-// the Report of the execution that produced it. recs is shared
-// read-only by every cursor served from the entry.
-type cachedResult struct {
-	recs []table.Record
-	rep  Report
-}
-
-func (r *cachedResult) sizeBytes() int64 {
-	return int64(len(r.recs))*cachedRowBytes + cachedEntryOverheadBytes
+// lookup is the one tier-2 probe path: serve key if an entry exists,
+// without executing or queuing anything. A miss counts nothing (the
+// follow-up do accounts it), so admission layers can probe before
+// pricing without double-counting.
+func lookup[T any](db *SpatialDB, ns, key string) (T, Report, bool) {
+	v, ok := db.qc.Lookup(ns, key, db.cacheEpoch())
+	if !ok {
+		var zero T
+		return zero, Report{}, false
+	}
+	e := v.(*cached[T])
+	return e.val, cachedReport(e.rep), true
 }
 
 // cachedReport converts an entry's execution Report into the Report
 // a cache-served answer must present: exact about this request —
 // FromCache set, zero I/O and scan counters (this request read
-// nothing) — while keeping the plan identity and selectivity
-// estimate of the execution that filled the entry.
+// nothing) — while keeping the plan identity, row count and
+// selectivity estimate of the execution that filled the entry.
 func cachedReport(rep Report) Report {
 	rep.FromCache = true
 	rep.RowsExamined = 0
@@ -282,47 +306,65 @@ func cachedReport(rep Report) Report {
 	return rep
 }
 
+// statementCacheKey builds the tier-2 identity of a statement:
+// canonical statement text plus the plan-relevant config that could
+// change the answer's provenance (forced plan, worker count — worker
+// counts never change answers, but they are part of the execution
+// config the entry was observed under, and keying on them is free).
+// ok is false for statements tier 2 must not materialize: unbounded
+// (no LIMIT), LIMIT 0 (answered before any cache), or wider than
+// maxCacheableLimit.
+func (db *SpatialDB) statementCacheKey(stmt colorsql.Statement, plan Plan) (string, bool) {
+	if stmt.Limit <= 0 || stmt.Limit > maxCacheableLimit {
+		return "", false
+	}
+	return "w" + strconv.Itoa(db.exec.Workers) + "|" + plan.String() + "|" + stmt.String(), true
+}
+
 // ExecStatementCached serves a statement from the result cache if an
-// entry exists, without executing or queuing anything. The boolean
-// reports whether it hit; a miss counts nothing (the follow-up
-// ExecStatement accounts it), so admission layers can probe before
-// pricing without double-counting. Tier 2 disabled always misses.
+// entry exists; see lookup for the probe contract. Tier 2 disabled
+// always misses.
 func (db *SpatialDB) ExecStatementCached(stmt colorsql.Statement, plan Plan) (Cursor, bool) {
-	if !db.ResultCacheEnabled() || stmt.Limit == 0 {
+	if !db.ResultCacheEnabled() {
 		return nil, false
 	}
 	key, ok := db.statementCacheKey(stmt, plan)
 	if !ok {
 		return nil, false
 	}
-	v, ok := db.qc.Lookup(nsQuery, key, db.cacheEpoch())
+	recs, rep, ok := lookup[[]table.Record](db, nsQuery, key)
 	if !ok {
 		return nil, false
 	}
-	res := v.(*cachedResult)
-	return &sliceCursor{recs: res.recs, rep: cachedReport(res.rep)}, true
+	return &sliceCursor{recs: recs, rep: rep}, true
 }
 
-// knnCacheKey is the tier-2 identity of a single-point kNN probe.
-func knnCacheKey(p vec.Point, k int) string {
+// knnCacheKey is the tier-2 identity of a kNN batch. Only the
+// interactive point-probe shape — one point, bounded k — is cacheable.
+func knnCacheKey(ps []vec.Point, k int) (string, bool) {
+	if len(ps) != 1 || k <= 0 || k > maxCacheableLimit {
+		return "", false
+	}
 	buf := make([]byte, 0, 96)
 	buf = append(buf, 'k')
 	buf = strconv.AppendInt(buf, int64(k), 10)
-	for _, v := range p {
+	for _, v := range ps[0] {
 		buf = append(buf, '|')
 		buf = strconv.AppendFloat(buf, v, 'g', -1, 64)
 	}
-	return string(buf)
+	return string(buf), true
 }
 
-// knnCached is a tier-2 entry for a single-point kNN probe.
-type knnCached struct {
-	recs []table.Record
-	rep  Report
-}
+// maxCacheablePhotoZBatch bounds which photo-z batches tier 2
+// materializes: interactive point probes, not bulk estimation.
+const maxCacheablePhotoZBatch = 8
 
-// photoZCacheKey is the tier-2 identity of a small photo-z batch.
-func photoZCacheKey(mags []vec.Point) string {
+// photoZCacheKey is the tier-2 identity of a photo-z batch; ok is
+// false for bulk estimation, which always executes.
+func photoZCacheKey(mags []vec.Point) (string, bool) {
+	if len(mags) < 1 || len(mags) > maxCacheablePhotoZBatch {
+		return "", false
+	}
 	buf := make([]byte, 0, 256)
 	buf = append(buf, 'z')
 	for _, p := range mags {
@@ -332,51 +374,30 @@ func photoZCacheKey(mags []vec.Point) string {
 		}
 		buf = append(buf, ';')
 	}
-	return string(buf)
-}
-
-// maxCacheablePhotoZBatch bounds which photo-z batches tier 2
-// materializes: interactive point probes, not bulk estimation.
-const maxCacheablePhotoZBatch = 8
-
-// photoZCached is a tier-2 entry for a photo-z batch.
-type photoZCached struct {
-	zs  []float64
-	rep Report
+	return string(buf), true
 }
 
 // NearestNeighborsBatchCached serves a single-point kNN probe from
-// the result cache if an entry exists, without executing or queuing.
-// A miss counts nothing (the follow-up NearestNeighborsBatch
-// accounts it). Only the cacheable shape — one point, bounded k —
-// can hit.
+// the result cache if an entry exists; see lookup for the probe
+// contract.
 func (db *SpatialDB) NearestNeighborsBatchCached(ps []vec.Point, k int) ([][]table.Record, []Report, bool) {
-	if !db.ResultCacheEnabled() || len(ps) != 1 || k <= 0 || k > maxCacheableLimit {
+	key, ok := knnCacheKey(ps, k)
+	if !ok || !db.ResultCacheEnabled() {
 		return nil, nil, false
 	}
-	v, ok := db.qc.Lookup(nsKNN, knnCacheKey(ps[0], k), db.cacheEpoch())
+	recs, rep, ok := lookup[[]table.Record](db, nsKNN, key)
 	if !ok {
 		return nil, nil, false
 	}
-	e := v.(*knnCached)
-	rep := cachedReport(e.rep)
-	rep.RowsReturned = int64(len(e.recs))
-	return [][]table.Record{e.recs}, []Report{rep}, true
+	return [][]table.Record{recs}, []Report{rep}, true
 }
 
 // EstimateRedshiftBatchCached serves a small photo-z batch from the
-// result cache if an entry exists; same contract as
-// NearestNeighborsBatchCached.
+// result cache if an entry exists; see lookup for the probe contract.
 func (db *SpatialDB) EstimateRedshiftBatchCached(mags []vec.Point) ([]float64, Report, bool) {
-	if !db.ResultCacheEnabled() || len(mags) < 1 || len(mags) > maxCacheablePhotoZBatch {
+	key, ok := photoZCacheKey(mags)
+	if !ok || !db.ResultCacheEnabled() {
 		return nil, Report{}, false
 	}
-	v, ok := db.qc.Lookup(nsPhotoZ, photoZCacheKey(mags), db.cacheEpoch())
-	if !ok {
-		return nil, Report{}, false
-	}
-	e := v.(*photoZCached)
-	rep := cachedReport(e.rep)
-	rep.RowsReturned = int64(len(e.zs))
-	return e.zs, rep, true
+	return lookup[[]float64](db, nsPhotoZ, key)
 }

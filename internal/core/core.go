@@ -2,9 +2,15 @@
 // magnitude table inside a database engine, the three spatial
 // indexes built over it — layered uniform grid (§3.1), kd-tree
 // (§3.2) and sampled Voronoi tessellation (§3.4) — and the
-// server-side "stored procedures" the scientific applications call:
-// polyhedron queries, k-nearest-neighbour search, adaptive region
-// sampling and photometric redshift estimation.
+// server-side procedures the scientific applications call, as typed
+// methods: polyhedron queries, k-nearest-neighbour search, adaptive
+// region sampling and photometric redshift estimation. Applications
+// built from those (similarity hulls, outlier detection, spectral
+// search) live above this package and call it.
+//
+// Every read is snapshot → tier-1 plan → [result tier] → stream,
+// written once: the eager Query* methods are collect-all over the same
+// cursors the server streams.
 //
 // Access paths are chosen per query by the cost-based planner
 // (internal/planner): PlanAuto estimates the query's selectivity and
@@ -30,11 +36,9 @@ import (
 	"repro/internal/colorsql"
 	"repro/internal/engine"
 	"repro/internal/grid"
-	"repro/internal/hull"
 	"repro/internal/kdtree"
 	"repro/internal/knn"
 	"repro/internal/memtable"
-	"repro/internal/outlier"
 	"repro/internal/pagestore"
 	"repro/internal/parallel"
 	"repro/internal/photoz"
@@ -213,12 +217,6 @@ type SpatialDB struct {
 	compactions     atomic.Int64
 	fullCompactions atomic.Int64
 	compactedRows   atomic.Int64
-
-	// hot-statement log (hotlog.go): statement texts with execution
-	// counts, persisted on Close and used to warm the tier-1 plan
-	// cache on the next cold open.
-	hotMu    sync.Mutex
-	hotStmts map[string]int64
 }
 
 // buildParams records index build parameters for deterministic
@@ -253,7 +251,6 @@ func Open(cfg Config) (*SpatialDB, error) {
 		dir:    cfg.Dir,
 	}
 	db.initCache(cfg)
-	db.registerProcs()
 	if err := db.openIngest(); err != nil {
 		eng.Close()
 		return nil, err
@@ -266,7 +263,6 @@ func Open(cfg Config) (*SpatialDB, error) {
 // compacted stay durable in the WAL and are replayed on the next open.
 func (db *SpatialDB) Close() error {
 	db.StopCompactor()
-	db.saveHotLog()
 	var err error
 	if db.wal != nil {
 		err = db.wal.Close()
@@ -277,8 +273,8 @@ func (db *SpatialDB) Close() error {
 	return err
 }
 
-// Engine exposes the underlying database engine (stored procedure
-// registry, catalog, statistics).
+// Engine exposes the underlying database engine (catalog, page store,
+// statistics).
 func (db *SpatialDB) Engine() *engine.DB { return db.eng }
 
 // Domain returns the 5-D magnitude domain box.
@@ -444,12 +440,18 @@ func (db *SpatialDB) BuildPhotoZ(k, degree int) error {
 	if err != nil {
 		return err
 	}
+	return db.installPhotoZ(ref, k, degree)
+}
+
+// installPhotoZ builds the estimator over a reference table and
+// registers both reference tables, so the persisted catalog covers
+// them and a reopened process can reassemble the estimator. Caller
+// holds db.mu.
+func (db *SpatialDB) installPhotoZ(ref *table.Table, k, degree int) error {
 	est, err := photoz.NewEstimator(ref, refKdTableName, k, degree)
 	if err != nil {
 		return err
 	}
-	// Register the reference tables so the persisted catalog covers
-	// them and a reopened process can reassemble the estimator.
 	if err := db.eng.RegisterTable(ref); err != nil {
 		return err
 	}
@@ -493,19 +495,7 @@ func (db *SpatialDB) BuildPhotoZFromRecords(refs []table.Record, k, degree int) 
 		}
 	}
 	a.Close()
-	est, err := photoz.NewEstimator(ref, refKdTableName, k, degree)
-	if err != nil {
-		return err
-	}
-	if err := db.eng.RegisterTable(ref); err != nil {
-		return err
-	}
-	if err := db.eng.RegisterClusteredTable(est.Searcher().Tb, engine.ClusteredKdLeaf); err != nil {
-		return err
-	}
-	db.photoZ = est
-	db.bumpPlanGen()
-	return nil
+	return db.installPhotoZ(ref, k, degree)
 }
 
 // EstimateRedshift runs the kNN polynomial redshift estimator.
@@ -526,25 +516,10 @@ func (db *SpatialDB) EstimateRedshift(mags vec.Point) (float64, error) {
 func (db *SpatialDB) EstimateRedshiftBatch(mags []vec.Point) ([]float64, Report, error) {
 	// Small interactive batches cache like point probes; bulk
 	// estimation always executes.
-	if db.ResultCacheEnabled() && len(mags) >= 1 && len(mags) <= maxCacheablePhotoZBatch {
-		v, out, err := db.qc.Do(nsPhotoZ, photoZCacheKey(mags), db.cacheEpoch(), func() (any, int64, error) {
-			zs, rep, err := db.estimateRedshiftBatchUncached(mags)
-			if err != nil {
-				return nil, 0, err
-			}
-			e := &photoZCached{zs: zs, rep: rep}
-			return e, int64(len(zs))*8 + cachedEntryOverheadBytes, nil
+	if key, ok := photoZCacheKey(mags); ok && db.ResultCacheEnabled() {
+		return do(db, nsPhotoZ, key, func(zs []float64) int64 { return int64(len(zs)) * 8 }, func() ([]float64, Report, error) {
+			return db.estimateRedshiftBatchUncached(mags)
 		})
-		if err != nil {
-			return nil, Report{}, err
-		}
-		e := v.(*photoZCached)
-		rep := e.rep
-		if out != qcache.Miss {
-			rep = cachedReport(rep)
-			rep.RowsReturned = int64(len(e.zs))
-		}
-		return e.zs, rep, nil
 	}
 	return db.estimateRedshiftBatchUncached(mags)
 }
@@ -608,17 +583,13 @@ func (db *SpatialDB) QueryWhere(where string, plan Plan) ([]table.Record, Report
 // (vizserver validates queries before accepting them) pass the union
 // here instead of paying a second parse through QueryWhere.
 //
-// It is a collect-all wrapper over QueryUnionCursor. The Report
-// describes the union: row and page counters sum over clauses,
-// EstimatedSelectivity is the clamped sum of per-clause estimates
-// (an upper bound ignoring overlap), Plan is the last clause's plan,
-// and PlanReason joins the per-clause reasons.
+// It is collect-all over the union cursor statements stream through.
+// The Report describes the union: row and page counters sum over
+// clauses, EstimatedSelectivity is the clamped sum of per-clause
+// estimates (an upper bound ignoring overlap), Plan is the last
+// clause's plan, and PlanReason joins the per-clause reasons.
 func (db *SpatialDB) QueryUnion(u colorsql.Union, plan Plan) ([]table.Record, Report, error) {
-	cur, err := db.QueryUnionCursor(context.Background(), u, plan)
-	if err != nil {
-		return nil, Report{}, err
-	}
-	return Collect(cur)
+	return Collect(db.newUnionCursor(context.Background(), u, plan, cursorOpts{cols: table.ColAll, stopAfter: -1}))
 }
 
 // Planner returns a cost-based planner over the currently built
@@ -644,14 +615,13 @@ func (db *SpatialDB) Planner() (*planner.Planner, error) {
 }
 
 // QueryPolyhedron executes one convex polyhedron query under the
-// chosen plan and returns the matching records — a collect-all
-// wrapper over QueryPolyhedronCursor. PlanAuto consults the
-// cost-based planner; every path streams through the executor's
-// exchange sized by Config.Workers, emitting records in a single
-// pass over the candidate ranges (the old materialize-by-rowid
-// second sweep is gone).
+// chosen plan and returns the matching records with full columns and
+// no union dedup layer — collect-all over the polyhedron cursor.
+// PlanAuto consults the cost-based planner; every path streams
+// through the executor's exchange sized by Config.Workers, emitting
+// records in a single pass over the candidate ranges.
 func (db *SpatialDB) QueryPolyhedron(q vec.Polyhedron, plan Plan) ([]table.Record, Report, error) {
-	cur, err := db.QueryPolyhedronCursor(context.Background(), q, plan)
+	cur, err := db.polyhedronCursor(context.Background(), q, plan, cursorOpts{cols: table.ColAll, stopAfter: -1})
 	if err != nil {
 		return nil, Report{}, err
 	}
@@ -740,51 +710,19 @@ func mergeMemNeighbors(nbs []knn.Neighbor, mem []memtable.Row, p vec.Point, k in
 	return out
 }
 
-// knnReport converts search stats into a Report.
-func knnReport(plan Plan, reason string, stats knn.Stats, returned int) Report {
-	return Report{
-		Plan:           plan,
-		RowsReturned:   int64(returned),
-		RowsExamined:   stats.RowsExamined,
-		LeavesExamined: int64(stats.LeavesExamined),
-		DiskReads:      stats.Pages.DiskReads,
-		CacheHits:      stats.Pages.Hits,
-		PlanReason:     reason,
-	}
-}
-
 // NearestNeighbors returns the k catalog records closest to p in
-// color space (§3.3), with a Report of the query's exact cost. The
-// access path — region-growing through the kd-tree versus brute
-// force — is chosen by the cost-based planner: for k approaching N
-// the grown region covers most leaves at scattered-page prices and
-// the sequential scan wins, mirroring the Figure 5 crossover.
+// color space (§3.3), with a Report of the query's exact cost — the
+// batch of one, executed on the caller's goroutine. The access path —
+// region-growing through the kd-tree versus brute force — is chosen
+// by the cost-based planner: for k approaching N the grown region
+// covers most leaves at scattered-page prices and the sequential scan
+// wins, mirroring the Figure 5 crossover.
 func (db *SpatialDB) NearestNeighbors(p vec.Point, k int) ([]table.Record, Report, error) {
-	searcher, catalog, mem, choice, err := db.knnPlan(k)
+	recs, reports, err := db.nearestNeighborsBatchUncached([]vec.Point{p}, k)
 	if err != nil {
 		return nil, Report{}, err
 	}
-	var nbs []knn.Neighbor
-	var stats knn.Stats
-	plan := PlanFullScan
-	if choice.UseIndex && searcher != nil {
-		plan = PlanKdTree
-		nbs, stats, err = searcher.Search(p, k)
-	} else {
-		// No kd-tree, or the planner priced the scan cheaper: serve
-		// the query anyway through the brute-force path.
-		nbs, stats, err = knn.BruteForce(catalog, p, k)
-	}
-	if err != nil {
-		return nil, Report{}, err
-	}
-	nbs = mergeMemNeighbors(nbs, mem, p, k)
-	stats.RowsExamined += int64(len(mem))
-	out := make([]table.Record, len(nbs))
-	for i, nb := range nbs {
-		out[i] = nb.Rec
-	}
-	return out, knnReport(plan, choice.Reason, stats, len(out)), nil
+	return recs[0], reports[0], nil
 }
 
 // NearestNeighborsBatch answers many kNN queries on the batched
@@ -797,25 +735,14 @@ func (db *SpatialDB) NearestNeighborsBatch(ps []vec.Point, k int) ([][]table.Rec
 	// A single-point batch is the interactive point-probe shape; with
 	// tier 2 enabled it is cached (and singleflighted) like a repeated
 	// statement. The cached record slice is shared read-only.
-	if db.ResultCacheEnabled() && len(ps) == 1 && k > 0 && k <= maxCacheableLimit {
-		v, out, err := db.qc.Do(nsKNN, knnCacheKey(ps[0], k), db.cacheEpoch(), func() (any, int64, error) {
-			recs, reports, err := db.nearestNeighborsBatchUncached(ps, k)
-			if err != nil {
-				return nil, 0, err
-			}
-			e := &knnCached{recs: recs[0], rep: reports[0]}
-			return e, int64(len(e.recs))*cachedRowBytes + cachedEntryOverheadBytes, nil
+	if key, ok := knnCacheKey(ps, k); ok && db.ResultCacheEnabled() {
+		recs, rep, err := do(db, nsKNN, key, rowsBytes, func() ([]table.Record, Report, error) {
+			return db.NearestNeighbors(ps[0], k)
 		})
 		if err != nil {
 			return nil, nil, err
 		}
-		e := v.(*knnCached)
-		rep := e.rep
-		if out != qcache.Miss {
-			rep = cachedReport(rep)
-			rep.RowsReturned = int64(len(e.recs))
-		}
-		return [][]table.Record{e.recs}, []Report{rep}, nil
+		return [][]table.Record{recs}, []Report{rep}, nil
 	}
 	return db.nearestNeighborsBatchUncached(ps, k)
 }
@@ -827,47 +754,54 @@ func (db *SpatialDB) nearestNeighborsBatchUncached(ps []vec.Point, k int) ([][]t
 	}
 	recs := make([][]table.Record, len(ps))
 	reports := make([]Report, len(ps))
-	if !choice.UseIndex || searcher == nil {
-		if err := db.bruteForceBatch(catalog, mem, ps, k, choice.Reason, recs, reports); err != nil {
-			return nil, nil, err
+	// finish folds the memtable candidates into query i's paged answer
+	// and files its records and Report. Workers call it concurrently,
+	// each for its own i.
+	finish := func(plan Plan) func(int, []knn.Neighbor, knn.Stats) error {
+		return func(i int, nbs []knn.Neighbor, stats knn.Stats) error {
+			nbs = mergeMemNeighbors(nbs, mem, ps[i], k)
+			recs[i] = make([]table.Record, len(nbs))
+			for j, nb := range nbs {
+				recs[i][j] = nb.Rec
+			}
+			reports[i] = Report{
+				Plan:           plan,
+				RowsReturned:   int64(len(nbs)),
+				RowsExamined:   stats.RowsExamined + int64(len(mem)),
+				LeavesExamined: int64(stats.LeavesExamined),
+				DiskReads:      stats.Pages.DiskReads,
+				CacheHits:      stats.Pages.Hits,
+				PlanReason:     choice.Reason,
+			}
+			return nil
 		}
-		return recs, reports, nil
 	}
-	nbsAll, statsAll, err := searcher.SearchBatch(ps, k, db.exec.Workers)
+	if choice.UseIndex && searcher != nil {
+		err = searcher.SearchBatchFunc(ps, k, db.exec.Workers, finish(PlanKdTree))
+	} else {
+		// No kd-tree, or the planner priced the scan cheaper: serve the
+		// queries anyway through the brute-force path.
+		err = db.bruteForceBatch(catalog, ps, k, finish(PlanFullScan))
+	}
 	if err != nil {
 		return nil, nil, err
-	}
-	for i, nbs := range nbsAll {
-		nbs = mergeMemNeighbors(nbs, mem, ps[i], k)
-		statsAll[i].RowsExamined += int64(len(mem))
-		recs[i] = make([]table.Record, len(nbs))
-		for j, nb := range nbs {
-			recs[i][j] = nb.Rec
-		}
-		reports[i] = knnReport(PlanKdTree, choice.Reason, statsAll[i], len(nbs))
 	}
 	return recs, reports, nil
 }
 
 // bruteForceBatch answers the queries by whole-table scans fanned
-// over the worker pool, filling recs/reports in input order.
-func (db *SpatialDB) bruteForceBatch(catalog *table.Table, mem []memtable.Row, ps []vec.Point, k int, reason string, recs [][]table.Record, reports []Report) error {
+// over the worker pool, handing each query's answer to fn — the same
+// contract as knn.Searcher.SearchBatchFunc.
+func (db *SpatialDB) bruteForceBatch(catalog *table.Table, ps []vec.Point, k int, fn func(i int, nbs []knn.Neighbor, stats knn.Stats) error) error {
 	return parallel.ForChunks(len(ps), db.exec.Workers, func(lo, hi int, stopped func() bool) error {
-		for i := lo; i < hi; i++ {
-			if stopped() {
-				return nil
-			}
+		for i := lo; i < hi && !stopped(); i++ {
 			nbs, stats, err := knn.BruteForce(catalog, ps[i], k)
 			if err != nil {
 				return err
 			}
-			nbs = mergeMemNeighbors(nbs, mem, ps[i], k)
-			stats.RowsExamined += int64(len(mem))
-			recs[i] = make([]table.Record, len(nbs))
-			for j, nb := range nbs {
-				recs[i][j] = nb.Rec
+			if err := fn(i, nbs, stats); err != nil {
+				return err
 			}
-			reports[i] = knnReport(PlanFullScan, reason, stats, len(nbs))
 		}
 		return nil
 	})
@@ -896,143 +830,4 @@ func (db *SpatialDB) SampleRegion(view vec.Box, n int) ([]table.Record, Report, 
 			st.LayersUsed, st.CellsScanned),
 	}
 	return recs, rep, err
-}
-
-// FindSimilar implements the §2.2 "convex hull around the training
-// set" search: build a support hull around the training points
-// (with the given outward margin in training-spread units) and
-// return every catalog object inside it, using the best available
-// index.
-func (db *SpatialDB) FindSimilar(training []vec.Point, margin float64, plan Plan) ([]table.Record, Report, error) {
-	p := hull.DefaultParams(table.Dim)
-	if margin > 0 {
-		p.Margin = margin
-	}
-	h, err := hull.Build(training, p)
-	if err != nil {
-		return nil, Report{}, err
-	}
-	return db.QueryPolyhedron(h, plan)
-}
-
-// DetectOutliers flags the objects living in the sparsest fraction
-// of Voronoi cells (§4's volume-based outlier detection), returning
-// the flagged records and the evaluation against ground truth.
-// Requires BuildVoronoiIndex; mcSamples sizes the Monte-Carlo volume
-// estimate (0 = 20 per cell).
-func (db *SpatialDB) DetectOutliers(fraction float64, mcSamples int, seed int64) ([]table.Record, outlier.Evaluation, error) {
-	db.mu.RLock()
-	vor := db.vor
-	db.mu.RUnlock()
-	if vor == nil {
-		return nil, outlier.Evaluation{}, fmt.Errorf("core: voronoi index not built")
-	}
-	if mcSamples <= 0 {
-		mcSamples = 20 * vor.NumCells()
-	}
-	vols := vor.MonteCarloVolumes(mcSamples, seed)
-	res, err := outlier.Detect(vor, vols, fraction)
-	if err != nil {
-		return nil, outlier.Evaluation{}, err
-	}
-	ev, err := outlier.Evaluate(vor, res)
-	if err != nil {
-		return nil, ev, err
-	}
-	recs, err := materialize(vor.Table(), res.Rows)
-	return recs, ev, err
-}
-
-// materialize fetches the records for a list of row ids.
-func materialize(tb *table.Table, ids []table.RowID) ([]table.Record, error) {
-	out := make([]table.Record, 0, len(ids))
-	err := tb.GetMany(ids, func(_ table.RowID, r *table.Record) bool {
-		out = append(out, *r)
-		return true
-	})
-	return out, err
-}
-
-// registerProcs installs the public operations in the engine's
-// stored procedure registry, making the Figure 3 architecture
-// inspectable (engine.ProcNames lists them like a database catalog).
-func (db *SpatialDB) registerProcs() {
-	must := func(err error) {
-		if err != nil {
-			panic(err)
-		}
-	}
-	must(db.eng.RegisterProc("SpatialQuery", func(args ...any) (any, error) {
-		if len(args) != 1 {
-			return nil, fmt.Errorf("SpatialQuery(where string)")
-		}
-		where, ok := args[0].(string)
-		if !ok {
-			return nil, fmt.Errorf("SpatialQuery: want string, got %T", args[0])
-		}
-		recs, _, err := db.QueryWhere(where, PlanAuto)
-		return recs, err
-	}))
-	must(db.eng.RegisterProc("NearestNeighbors", func(args ...any) (any, error) {
-		if len(args) != 2 {
-			return nil, fmt.Errorf("NearestNeighbors(p vec.Point, k int)")
-		}
-		p, ok := args[0].(vec.Point)
-		if !ok {
-			return nil, fmt.Errorf("NearestNeighbors: want vec.Point, got %T", args[0])
-		}
-		k, ok := args[1].(int)
-		if !ok {
-			return nil, fmt.Errorf("NearestNeighbors: want int, got %T", args[1])
-		}
-		recs, _, err := db.NearestNeighbors(p, k)
-		return recs, err
-	}))
-	must(db.eng.RegisterProc("SampleRegion", func(args ...any) (any, error) {
-		if len(args) != 2 {
-			return nil, fmt.Errorf("SampleRegion(view vec.Box, n int)")
-		}
-		view, ok := args[0].(vec.Box)
-		if !ok {
-			return nil, fmt.Errorf("SampleRegion: want vec.Box, got %T", args[0])
-		}
-		n, ok := args[1].(int)
-		if !ok {
-			return nil, fmt.Errorf("SampleRegion: want int, got %T", args[1])
-		}
-		recs, _, err := db.SampleRegion(view, n)
-		return recs, err
-	}))
-	must(db.eng.RegisterProc("EstimateRedshift", func(args ...any) (any, error) {
-		if len(args) != 1 {
-			return nil, fmt.Errorf("EstimateRedshift(p vec.Point)")
-		}
-		p, ok := args[0].(vec.Point)
-		if !ok {
-			return nil, fmt.Errorf("EstimateRedshift: want vec.Point, got %T", args[0])
-		}
-		return db.EstimateRedshift(p)
-	}))
-	must(db.eng.RegisterProc("FindSimilar", func(args ...any) (any, error) {
-		if len(args) != 1 {
-			return nil, fmt.Errorf("FindSimilar(training []vec.Point)")
-		}
-		training, ok := args[0].([]vec.Point)
-		if !ok {
-			return nil, fmt.Errorf("FindSimilar: want []vec.Point, got %T", args[0])
-		}
-		recs, _, err := db.FindSimilar(training, 0, PlanAuto)
-		return recs, err
-	}))
-	must(db.eng.RegisterProc("DetectOutliers", func(args ...any) (any, error) {
-		if len(args) != 1 {
-			return nil, fmt.Errorf("DetectOutliers(fraction float64)")
-		}
-		fraction, ok := args[0].(float64)
-		if !ok {
-			return nil, fmt.Errorf("DetectOutliers: want float64, got %T", args[0])
-		}
-		recs, _, err := db.DetectOutliers(fraction, 0, 1)
-		return recs, err
-	}))
 }

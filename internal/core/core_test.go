@@ -353,98 +353,6 @@ func TestPhotoZThroughFacade(t *testing.T) {
 	}
 }
 
-func TestStoredProcedures(t *testing.T) {
-	db := openDB(t, 3000)
-	if err := db.BuildKdIndex(0); err != nil {
-		t.Fatal(err)
-	}
-	names := db.Engine().ProcNames()
-	want := []string{"DetectOutliers", "EstimateRedshift", "FindSimilar", "NearestNeighbors", "SampleRegion", "SpatialQuery"}
-	if len(names) != len(want) {
-		t.Fatalf("procs = %v", names)
-	}
-	for i := range want {
-		if names[i] != want[i] {
-			t.Fatalf("procs = %v", names)
-		}
-	}
-	out, err := db.Engine().Call("SpatialQuery", "r < 18")
-	if err != nil {
-		t.Fatal(err)
-	}
-	recs := out.([]table.Record)
-	for i := range recs {
-		if recs[i].Mags[2] >= 18 {
-			t.Fatalf("SpatialQuery returned r=%v", recs[i].Mags[2])
-		}
-	}
-	// Arg validation.
-	if _, err := db.Engine().Call("SpatialQuery", 42); err == nil {
-		t.Error("bad arg type should fail")
-	}
-	if _, err := db.Engine().Call("NearestNeighbors", vec.Point{1, 2, 3, 4, 5}); err == nil {
-		t.Error("missing arg should fail")
-	}
-}
-
-func TestFindSimilarThroughFacade(t *testing.T) {
-	db := openDB(t, 10000)
-	if err := db.BuildKdIndex(0); err != nil {
-		t.Fatal(err)
-	}
-	cat, _ := db.Catalog()
-	var training []vec.Point
-	cat.Scan(func(id table.RowID, r *table.Record) bool {
-		if r.Class == table.Quasar && len(training) < 30 {
-			training = append(training, r.Point())
-		}
-		return true
-	})
-	recs, rep, err := db.FindSimilar(training, 0.4, PlanAuto)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Plan != PlanKdTree && rep.Plan != PlanPrunedScan {
-		t.Errorf("plan = %v", rep.Plan)
-	}
-	if len(recs) < len(training) {
-		t.Fatalf("hull retrieved %d < %d training points", len(recs), len(training))
-	}
-	quasars := 0
-	for i := range recs {
-		if recs[i].Class == table.Quasar {
-			quasars++
-		}
-	}
-	if frac := float64(quasars) / float64(len(recs)); frac < 0.5 {
-		t.Errorf("quasar fraction %.2f among %d retrieved", frac, len(recs))
-	}
-	// Too-small training set errors.
-	if _, _, err := db.FindSimilar(training[:1], 0, PlanAuto); err == nil {
-		t.Error("single training point should fail")
-	}
-}
-
-func TestDetectOutliersThroughFacade(t *testing.T) {
-	db := openDB(t, 10000)
-	if _, _, err := db.DetectOutliers(0.1, 0, 1); err == nil {
-		t.Error("outlier detection without voronoi index should fail")
-	}
-	if err := db.BuildVoronoiIndex(700, 7); err != nil {
-		t.Fatal(err)
-	}
-	recs, ev, err := db.DetectOutliers(0.1, 0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != ev.Flagged {
-		t.Errorf("returned %d records, evaluation says %d", len(recs), ev.Flagged)
-	}
-	if ev.Enrichment < 3 {
-		t.Errorf("enrichment %.1fx too low", ev.Enrichment)
-	}
-}
-
 func TestQueryWhereParseError(t *testing.T) {
 	db := openDB(t, 100)
 	if _, _, err := db.QueryWhere("r <", PlanFullScan); err == nil {

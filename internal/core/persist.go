@@ -106,7 +106,6 @@ func OpenExisting(cfg Config) (*SpatialDB, error) {
 		dir:    cfg.Dir,
 	}
 	db.initCache(cfg)
-	db.registerProcs()
 	fail := func(err error) (*SpatialDB, error) {
 		eng.Close()
 		return nil, err
@@ -176,8 +175,5 @@ func OpenExisting(cfg Config) (*SpatialDB, error) {
 	if err := db.openIngest(); err != nil {
 		return fail(err)
 	}
-	// Warm the tier-1 plan cache from the previous process's
-	// hot-statement log (best-effort; see hotlog.go).
-	db.warmFromHotLog()
 	return db, nil
 }

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/colorsql"
+	"repro/internal/engine"
 	"repro/internal/pagestore"
 	"repro/internal/sky"
 	"repro/internal/table"
@@ -70,48 +71,55 @@ var stmtQueries = []string{
 	"SELECT objid, g, r WHERE g - r > 0.2 AND r < 18",
 }
 
-// eagerPolyhedron is the legacy materialize-everything execution —
-// the executor's eager parallel range scan plus row-id
-// materialization — kept as the byte-equivalence reference for the
-// streaming cursor.
-func eagerPolyhedron(db *SpatialDB, q vec.Polyhedron, plan Plan) ([]table.Record, error) {
+// serialReference runs the serial per-index implementation of plan —
+// kdtree.Tree.QueryPolyhedron, voronoi.Index.QueryPolyhedron or
+// engine.FullScanPolyhedron, which share nothing with Executor.Stream
+// but the page decoder — and returns the matching row ids, the table
+// they address and the page requests the reference made (exact only
+// when nothing else touches the store meanwhile). The reference for
+// the pruned scan is an unpruned full scan over the same zone-mapped
+// source table: pruning must be invisible in the answer.
+func serialReference(db *SpatialDB, q vec.Polyhedron, plan Plan) ([]table.RowID, *table.Table, pagestore.Stats, error) {
 	switch plan {
 	case PlanKdTree:
-		ids, _, err := db.exec.KdQuery(db.kd, db.kdTable, q)
-		if err != nil {
-			return nil, err
-		}
-		return materialize(db.kdTable, ids)
+		ids, st, err := db.kd.QueryPolyhedron(db.kdTable, q)
+		return ids, db.kdTable, st.Pages, err
 	case PlanVoronoi:
-		ids, _, err := db.exec.VoronoiQuery(db.vor, q)
-		if err != nil {
-			return nil, err
-		}
-		return materialize(db.vor.Table(), ids)
-	case PlanPrunedScan:
-		// The eager reference for the pruned scan is an unpruned full
-		// scan over the same zone-mapped source table: pruning must be
-		// invisible in the answer.
+		ids, st, err := db.vor.QueryPolyhedron(q)
+		return ids, db.vor.Table(), st.Pages, err
+	}
+	src := db.catalog
+	if plan == PlanPrunedScan {
 		pl, err := db.Planner()
 		if err != nil {
-			return nil, err
+			return nil, nil, pagestore.Stats{}, err
 		}
-		src := pl.PrunedScanSource()
-		if src == nil {
-			return nil, fmt.Errorf("no zone-mapped table for pruned scan")
+		if src = pl.PrunedScanSource(); src == nil {
+			return nil, nil, pagestore.Stats{}, fmt.Errorf("no zone-mapped table for pruned scan")
 		}
-		ids, _, err := db.exec.FullScan(src, q)
-		if err != nil {
-			return nil, err
-		}
-		return materialize(src.ScanClassed(), ids)
-	default:
-		ids, _, err := db.exec.FullScan(db.catalog, q)
-		if err != nil {
-			return nil, err
-		}
-		return materialize(db.catalog.ScanClassed(), ids)
 	}
+	ids, st, err := engine.FullScanPolyhedron(src, q)
+	return ids, src.ScanClassed(), st.Pages, err
+}
+
+// eagerPolyhedron is the byte-equivalence reference for the streaming
+// cursor: the serial reference's row ids, materialized.
+func eagerPolyhedron(db *SpatialDB, q vec.Polyhedron, plan Plan) ([]table.Record, error) {
+	ids, tb, _, err := serialReference(db, q, plan)
+	if err != nil {
+		return nil, err
+	}
+	return materialize(tb, ids)
+}
+
+// materialize fetches the records for a list of row ids.
+func materialize(tb *table.Table, ids []table.RowID) ([]table.Record, error) {
+	out := make([]table.Record, 0, len(ids))
+	err := tb.GetMany(ids, func(_ table.RowID, r *table.Record) bool {
+		out = append(out, *r)
+		return true
+	})
+	return out, err
 }
 
 func collectAnswers(t testing.TB, db *SpatialDB) queryAnswers {
@@ -124,10 +132,10 @@ func collectAnswers(t testing.TB, db *SpatialDB) queryAnswers {
 		if err != nil {
 			t.Fatalf("plan %v: %v", plan, err)
 		}
-		// The streaming cursor must reproduce the legacy eager
-		// executor's rows byte-for-byte, in physical order, at whatever
-		// pool size this helper runs under (the churn matrix calls it
-		// at the pin floor and at 10%).
+		// The streaming cursor must reproduce the serial reference's
+		// rows byte-for-byte, in physical order, at whatever pool size
+		// this helper runs under (the churn matrix calls it at the pin
+		// floor and at 10%).
 		if plan != PlanAuto {
 			eager, err := eagerPolyhedron(db, poly, plan)
 			if err != nil {
@@ -138,7 +146,7 @@ func collectAnswers(t testing.TB, db *SpatialDB) queryAnswers {
 				t.Fatalf("plan %v cursor: %v", plan, err)
 			}
 			if !reflect.DeepEqual(eager, streamed) {
-				t.Fatalf("plan %v: cursor rows diverge from eager executor (%d vs %d rows)",
+				t.Fatalf("plan %v: cursor rows diverge from the serial reference (%d vs %d rows)",
 					plan, len(streamed), len(eager))
 			}
 		}
@@ -349,6 +357,51 @@ func TestCorruptIndexRejected(t *testing.T) {
 	_, err = OpenExisting(Config{Dir: dir})
 	if err == nil || !strings.Contains(err.Error(), "checksum") {
 		t.Fatalf("open with corrupt index: err = %v, want checksum error", err)
+	}
+}
+
+// TestCorruptTablePageFailsKNN overwrites the header of one page of
+// the kd-clustered table: the region-growing leaf scans must validate
+// the page like every other read path, so knn.Searcher.Search and
+// NearestNeighbors fail with an error naming the table instead of
+// returning neighbours decoded from it.
+func TestCorruptTablePageFailsKNN(t *testing.T) {
+	dir := t.TempDir()
+	db := buildFullDB(t, dir, 3000)
+	var first table.Record
+	if err := db.kdTable.Get(0, &first); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Persist(); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	f, err := os.OpenFile(filepath.Join(dir, kdTableName), os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteAt([]byte("JUNK"), 0); err != nil { // page 0's magic
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	re, err := OpenExisting(Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	// The query point is row 0 itself, so its seed leaf lies on page 0.
+	p := first.Point()
+	if nbs, _, err := re.knnS.Search(p, 5); err == nil || !strings.Contains(err.Error(), kdTableName) {
+		t.Errorf("knn.Searcher.Search over a corrupt page: %d neighbours, err = %v; want an error naming %s", len(nbs), err, kdTableName)
+	}
+	if recs, _, err := re.NearestNeighbors(p, 5); err == nil || !strings.Contains(err.Error(), kdTableName) {
+		t.Errorf("NearestNeighbors over a corrupt page: %d records, err = %v; want an error naming %s", len(recs), err, kdTableName)
 	}
 }
 

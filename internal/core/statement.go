@@ -6,9 +6,7 @@ import (
 	"strconv"
 
 	"repro/internal/colorsql"
-	"repro/internal/qcache"
 	"repro/internal/table"
-	"repro/internal/vec"
 )
 
 // This file executes parsed colorsql statements through the
@@ -66,22 +64,17 @@ func (db *SpatialDB) QueryStatement(ctx context.Context, src string, plan Plan) 
 // byte-identical: the entry holds exactly what Collect over the
 // uncached cursor returned, keyed under the store epoch so any
 // persisted mutation or index build invalidates it.
-func (db *SpatialDB) ExecStatement(ctx context.Context, stmt colorsql.Statement, plan Plan) (cur Cursor, err error) {
+func (db *SpatialDB) ExecStatement(ctx context.Context, stmt colorsql.Statement, plan Plan) (Cursor, error) {
 	if err := db.validatePlan(stmt, plan); err != nil {
 		return nil, err
 	}
-	// Log successful statements for next cold open's cache warm-up —
-	// after the cursor exists, so the bookkeeping lock never sits
-	// between the caller and snapshot acquisition.
-	defer func() {
-		if err == nil {
-			db.noteHotStatement(stmt)
-		}
-	}()
 
 	// LIMIT 0 short-circuits before any planning or I/O.
 	if stmt.Limit == 0 {
 		return &sliceCursor{rep: Report{Plan: plan, PlanReason: "LIMIT 0: no rows requested"}}, nil
+	}
+	if !db.ResultCacheEnabled() {
+		return db.execStatementUncached(ctx, stmt, plan)
 	}
 
 	// Negative cache: a WHERE whose every clause the zone maps prove
@@ -91,55 +84,36 @@ func (db *SpatialDB) ExecStatement(ctx context.Context, stmt colorsql.Statement,
 	// compaction invalidates it. Forced index plans skip it — they
 	// promise a specific execution, and an empty kd walk is cheap
 	// anyway.
-	if db.ResultCacheEnabled() && stmt.HasWhere && (plan == PlanAuto || plan == PlanPrunedScan) {
-		v, out, err := db.qc.Do(nsNegative, stmt.Where.String(), db.cacheEpoch(), func() (any, int64, error) {
+	if stmt.HasWhere && (plan == PlanAuto || plan == PlanPrunedScan) {
+		empty, rep, err := do(db, nsNegative, stmt.Where.String(), func(bool) int64 { return 0 }, func() (bool, Report, error) {
 			empty, err := db.provablyEmptyUnion(stmt.Where)
-			if err != nil {
-				return nil, 0, err
-			}
-			return empty, cachedEntryOverheadBytes, nil
-		})
-		if err == nil && v.(bool) {
-			rep := Report{
+			return empty, Report{
 				Plan:       PlanPrunedScan,
 				PlanReason: "negative cache: zone maps prove every clause empty",
-			}
-			if out != qcache.Miss {
-				rep = cachedReport(rep)
-			}
+			}, err
+		})
+		if err == nil && empty {
 			return &sliceCursor{rep: rep}, nil
 		}
 		// A verdict error (no catalog) surfaces on the normal path.
 	}
 
-	if db.ResultCacheEnabled() {
-		if key, ok := db.statementCacheKey(stmt, plan); ok {
-			v, out, err := db.qc.Do(nsQuery, key, db.cacheEpoch(), func() (any, int64, error) {
-				cur, err := db.execStatementUncached(ctx, stmt, plan)
-				if err != nil {
-					return nil, 0, err
-				}
-				recs, rep, err := Collect(cur)
-				if err != nil {
-					return nil, 0, err
-				}
-				res := &cachedResult{recs: recs, rep: rep}
-				return res, res.sizeBytes(), nil
-			})
-			if err != nil {
-				return nil, err
-			}
-			res := v.(*cachedResult)
-			rep := res.rep
-			if out != qcache.Miss {
-				// Hit or shared: this request did no I/O of its own.
-				rep = cachedReport(rep)
-			}
-			return &sliceCursor{recs: res.recs, rep: rep}, nil
-		}
+	key, ok := db.statementCacheKey(stmt, plan)
+	if !ok {
 		db.qc.Bypass(nsQuery)
+		return db.execStatementUncached(ctx, stmt, plan)
 	}
-	return db.execStatementUncached(ctx, stmt, plan)
+	recs, rep, err := do(db, nsQuery, key, rowsBytes, func() ([]table.Record, Report, error) {
+		cur, err := db.execStatementUncached(ctx, stmt, plan)
+		if err != nil {
+			return nil, Report{}, err
+		}
+		return Collect(cur)
+	})
+	if err != nil {
+		return nil, err
+	}
+	return &sliceCursor{recs: recs, rep: rep}, nil
 }
 
 // execStatementUncached is the streaming execution path beneath the
@@ -366,23 +340,4 @@ func appendClass(dst []byte, rec *table.Record, _ int) []byte {
 // compile a RowEncoder once instead.
 func AppendRowJSON(dst []byte, cols []colorsql.Column, rec *table.Record) []byte {
 	return NewRowEncoder(cols).AppendRow(dst, rec)
-}
-
-// QueryPolyhedronCursor streams one convex polyhedron query under
-// the chosen plan with full records, without the union dedup layer.
-// It is QueryPolyhedron's streaming core.
-func (db *SpatialDB) QueryPolyhedronCursor(ctx context.Context, q vec.Polyhedron, plan Plan) (Cursor, error) {
-	return db.polyhedronCursor(ctx, q, plan, cursorOpts{cols: table.ColAll, stopAfter: -1})
-}
-
-// QueryUnionCursor streams an already-parsed DNF union with the
-// object-identity dedup of QueryUnion.
-func (db *SpatialDB) QueryUnionCursor(ctx context.Context, u colorsql.Union, plan Plan) (Cursor, error) {
-	db.mu.RLock()
-	loaded := db.catalog != nil
-	db.mu.RUnlock()
-	if !loaded {
-		return nil, fmt.Errorf("core: no catalog loaded")
-	}
-	return db.newUnionCursor(ctx, u, plan, cursorOpts{cols: table.ColAll, stopAfter: -1}), nil
 }

@@ -1,15 +1,16 @@
 // Package engine is the reproduction's database server: it owns the
-// page store, a catalog of tables, and a registry of named "stored
-// procedures" — the role MS SQL Server 2005 plays in the paper's
-// Figure 3. Queries that do not use a spatial index run here as full
-// table scans ("simple SQL queries"), which is the baseline every
-// index in the paper is measured against.
+// page store and a catalog of tables — the role MS SQL Server 2005
+// plays in the paper's Figure 3. Queries that do not use a spatial
+// index run here as full table scans ("simple SQL queries"), which is
+// the baseline every index in the paper is measured against. The
+// figure's stored procedures are core.SpatialDB's typed methods; the
+// engine keeps no registry of them.
 //
-// The engine is safe for concurrent readers: the catalog and
-// procedure registry are RW-latched, so any number of goroutines may
-// look up tables and call procedures while the maps stay mutable for
-// (serialized) index builds. Access-path selection for spatial
-// queries lives one layer up, in internal/planner.
+// The engine is safe for concurrent readers: the catalog is
+// RW-latched, so any number of goroutines may look up tables while the
+// maps stay mutable for (serialized) index builds. Access-path
+// selection for spatial queries lives one layer up, in
+// internal/planner.
 package engine
 
 import (
@@ -46,14 +47,8 @@ func (q QueryStats) String() string {
 		q.RowsReturned, q.RowsExamined, q.Pages.DiskReads, q.Pages.Hits, q.Duration)
 }
 
-// Proc is a stored procedure: a named server-side routine operating
-// on the catalog. The paper implements its indexes and science
-// applications as CLR stored procedures; here they are Go closures
-// registered on the engine.
-type Proc func(args ...any) (any, error)
-
-// DB is the database engine instance. Catalog and procedure lookups
-// are RW-latched: reads run concurrently, registrations serialize.
+// DB is the database engine instance. Catalog lookups are RW-latched:
+// reads run concurrently, registrations serialize.
 type DB struct {
 	store *pagestore.Store
 
@@ -69,7 +64,6 @@ type DB struct {
 	// generational rebuild moves storage to a name@gen file. Persisted
 	// in the catalog.
 	artifacts map[string]string
-	procs     map[string]Proc
 }
 
 // Open creates an engine over a fresh page store rooted at dir with
@@ -84,7 +78,6 @@ func Open(dir string, poolPages int) (*DB, error) {
 		tables:      make(map[string]*table.Table),
 		clusteredBy: make(map[string]string),
 		artifacts:   make(map[string]string),
-		procs:       make(map[string]Proc),
 	}, nil
 }
 
@@ -206,40 +199,6 @@ func (db *DB) TableNames() []string {
 	defer db.mu.RUnlock()
 	names := make([]string, 0, len(db.tables))
 	for n := range db.tables {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// RegisterProc installs a stored procedure under the given name.
-func (db *DB) RegisterProc(name string, p Proc) error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if _, ok := db.procs[name]; ok {
-		return fmt.Errorf("engine: procedure %q already registered", name)
-	}
-	db.procs[name] = p
-	return nil
-}
-
-// Call invokes a stored procedure by name.
-func (db *DB) Call(name string, args ...any) (any, error) {
-	db.mu.RLock()
-	p, ok := db.procs[name]
-	db.mu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("engine: no procedure %q", name)
-	}
-	return p(args...)
-}
-
-// ProcNames lists registered procedures in sorted order.
-func (db *DB) ProcNames() []string {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	names := make([]string, 0, len(db.procs))
-	for n := range db.procs {
 		names = append(names, n)
 	}
 	sort.Strings(names)

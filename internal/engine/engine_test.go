@@ -49,32 +49,6 @@ func TestCatalog(t *testing.T) {
 	}
 }
 
-func TestProcRegistry(t *testing.T) {
-	db := newDB(t)
-	err := db.RegisterProc("Add", func(args ...any) (any, error) {
-		return args[0].(int) + args[1].(int), nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := db.RegisterProc("Add", nil); err == nil {
-		t.Error("duplicate proc should fail")
-	}
-	out, err := db.Call("Add", 2, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.(int) != 5 {
-		t.Errorf("Call = %v", out)
-	}
-	if _, err := db.Call("Nope"); err == nil {
-		t.Error("missing proc should fail")
-	}
-	if got := db.ProcNames(); len(got) != 1 || got[0] != "Add" {
-		t.Errorf("ProcNames = %v", got)
-	}
-}
-
 func TestFullScanPolyhedronMatchesBruteForce(t *testing.T) {
 	db := newDB(t)
 	tb := loadCatalog(t, db, 3000)

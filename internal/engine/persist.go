@@ -219,7 +219,6 @@ func OpenExisting(dir string, poolPages int) (*DB, error) {
 		tables:      make(map[string]*table.Table),
 		clusteredBy: make(map[string]string),
 		artifacts:   make(map[string]string),
-		procs:       make(map[string]Proc),
 	}
 	// The manifest's artifact generation names the catalog file; a
 	// crash can never desynchronize the two because both commit in the

@@ -101,6 +101,9 @@ func TestOutlierEnrichment(t *testing.T) {
 	if ev.TrueOutliers == 0 {
 		t.Fatal("catalog has no outliers")
 	}
+	if ev.Flagged != len(res.Rows) {
+		t.Errorf("evaluation counts %d flagged, detection flagged %d rows", ev.Flagged, len(res.Rows))
+	}
 	if ev.Enrichment < 5 {
 		t.Errorf("enrichment %.1fx < 5x — density cut is not separating outliers", ev.Enrichment)
 	}

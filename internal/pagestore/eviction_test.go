@@ -362,13 +362,18 @@ func TestConcurrentGetDuringEvictionWriteback(t *testing.T) {
 
 	// Dirty every page once through the tiny pool so the LRU is full
 	// of dirty frames and every eviction carries write-back I/O.
+	// One worker per frame: each pins at most one page at a time, so a
+	// requester always finds a frame no other worker holds. More
+	// workers than frames can pin the whole pool at once, which the
+	// store rightly reports as exhaustion — a failure of the test's
+	// arithmetic, not of the write-back window it is here to hammer.
 	var wg sync.WaitGroup
-	errs := make(chan error, 8)
-	for w := 0; w < 8; w++ {
+	errs := make(chan error, pool)
+	for w := 0; w < pool; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			for iter := 0; iter < 300; iter++ {
+			for iter := 0; iter < 600; iter++ {
 				num := PageNum((w*11 + iter*5) % pages)
 				p, err := s.Get(PageID{File: f, Num: num})
 				if err != nil {

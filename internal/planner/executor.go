@@ -1,25 +1,13 @@
 package planner
 
-import (
-	"sync"
-	"sync/atomic"
-	"time"
-
-	"repro/internal/engine"
-	"repro/internal/kdtree"
-	"repro/internal/table"
-	"repro/internal/vec"
-	"repro/internal/voronoi"
-)
-
 // Executor is the concurrent query executor: candidate row ranges —
 // kd-subtree BETWEEN ranges, Voronoi cell ranges, or full-scan
-// chunks — are fanned across a fixed worker pool. Each worker scans
-// its ranges with the allocation-free magnitude decoder; per-range
-// results are reassembled in range order, so the parallel paths
-// return exactly the row ids, in exactly the physical order, of
-// their serial counterparts. The zero value (and a nil *Executor)
-// executes serially.
+// chunks — are fanned across a fixed worker pool and streamed back in
+// range order (Stream, in stream.go), so a parallel scan yields
+// exactly the rows, in exactly the physical order, of the serial
+// per-index implementations (kdtree.Tree.QueryPolyhedron,
+// voronoi.Index.QueryPolyhedron, engine.FullScanPolyhedron). The zero
+// value (and a nil *Executor) executes serially.
 //
 // Every query runs under its own pagestore accounting scope shared
 // by all its workers, so per-query Pages stats are exact even when
@@ -34,163 +22,4 @@ func (e *Executor) workers() int {
 		return 1
 	}
 	return e.Workers
-}
-
-// task is one candidate range: scan rows [lo, hi), re-testing each
-// row when filter is set, and deposit the matches at out[slot].
-type task struct {
-	lo, hi table.RowID
-	filter bool
-	slot   int
-}
-
-// runTasks executes the tasks over the pool and returns the
-// concatenated row ids (in slot order) plus the examined-row count.
-func (e *Executor) runTasks(tb *table.Table, q vec.Polyhedron, tasks []task) ([]table.RowID, int64, error) {
-	results := make([][]table.RowID, len(tasks))
-	var examined atomic.Int64
-	var errMu sync.Mutex
-	var firstErr error
-
-	scan := func(t task) {
-		var ids []table.RowID
-		var local int64
-		err := tb.ScanMagsRange(t.lo, t.hi, func(id table.RowID, m *[table.Dim]float64) bool {
-			local++
-			if !t.filter || engine.ContainsMags(q, m) {
-				ids = append(ids, id)
-			}
-			return true
-		})
-		examined.Add(local)
-		if err != nil {
-			errMu.Lock()
-			if firstErr == nil {
-				firstErr = err
-			}
-			errMu.Unlock()
-			return
-		}
-		results[t.slot] = ids
-	}
-
-	if w := e.workers(); w > 1 && len(tasks) > 1 {
-		ch := make(chan task)
-		var wg sync.WaitGroup
-		if w > len(tasks) {
-			w = len(tasks)
-		}
-		for i := 0; i < w; i++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for t := range ch {
-					scan(t)
-				}
-			}()
-		}
-		for _, t := range tasks {
-			ch <- t
-		}
-		close(ch)
-		wg.Wait()
-	} else {
-		for _, t := range tasks {
-			scan(t)
-		}
-	}
-
-	if firstErr != nil {
-		return nil, examined.Load(), firstErr
-	}
-	var total int
-	for _, r := range results {
-		total += len(r)
-	}
-	out := make([]table.RowID, 0, total)
-	for _, r := range results {
-		out = append(out, r...)
-	}
-	return out, examined.Load(), nil
-}
-
-// KdQuery answers the polyhedron query through the kd-tree with the
-// candidate subtree ranges fanned across the pool. Results match
-// Tree.QueryPolyhedron exactly, including physical row order.
-func (e *Executor) KdQuery(t *kdtree.Tree, tb *table.Table, q vec.Polyhedron) ([]table.RowID, kdtree.QueryStats, error) {
-	ranges, walk := t.CollectRanges(q, kdtree.PruneTightBounds)
-	return e.KdQueryRanges(tb, q, ranges, walk)
-}
-
-// KdQueryRanges is KdQuery over precomputed candidate ranges: the
-// planner already ran CollectRanges to price the kd path, so an
-// auto-planned query classifies the tree exactly once
-// (Choice.KdRanges carries the result here).
-func (e *Executor) KdQueryRanges(tb *table.Table, q vec.Polyhedron, ranges []kdtree.Range, walk kdtree.Walk) ([]table.RowID, kdtree.QueryStats, error) {
-	start := time.Now()
-	scope := tb.Store().Scoped()
-	tasks := make([]task, len(ranges))
-	for i, r := range ranges {
-		tasks[i] = task{lo: r.Lo, hi: r.Hi, filter: r.Filter, slot: i}
-	}
-	ids, examined, err := e.runTasks(tb.Scoped(scope), q, tasks)
-	stats := kdtree.QueryStats{
-		NodesVisited:  walk.NodesVisited,
-		LeavesInside:  walk.LeavesInside,
-		LeavesPartial: walk.LeavesPartial,
-		RowsExamined:  examined,
-		RowsReturned:  int64(len(ids)),
-		Pages:         scope.Stats(),
-		Duration:      time.Since(start),
-	}
-	return ids, stats, err
-}
-
-// FullScan answers the query by scanning the whole table in
-// page-aligned chunks distributed over the pool. Results match
-// engine.FullScanPolyhedron exactly.
-func (e *Executor) FullScan(tb *table.Table, q vec.Polyhedron) ([]table.RowID, engine.QueryStats, error) {
-	start := time.Now()
-	scope := tb.Store().Scoped()
-	rows := table.RowID(tb.NumRows())
-
-	chunks := e.FullScanTasks(rows)
-	tasks := make([]task, len(chunks))
-	for i, c := range chunks {
-		tasks[i] = task{lo: c.Lo, hi: c.Hi, filter: true, slot: i}
-	}
-	// Full-scan chunks are scan-class: the whole-table pass must not
-	// evict the hot index pages of concurrent queries.
-	ids, examined, err := e.runTasks(tb.Scoped(scope).ScanClassed(), q, tasks)
-	stats := engine.QueryStats{
-		RowsExamined: examined,
-		RowsReturned: int64(len(ids)),
-		Pages:        scope.Stats(),
-		Duration:     time.Since(start),
-	}
-	return ids, stats, err
-}
-
-// VoronoiQuery answers the query through the Voronoi cell index with
-// the candidate cell ranges fanned across the pool. Results match
-// Index.QueryPolyhedron exactly.
-func (e *Executor) VoronoiQuery(ix *voronoi.Index, q vec.Polyhedron) ([]table.RowID, voronoi.QueryStats, error) {
-	start := time.Now()
-	tb := ix.Table()
-	scope := tb.Store().Scoped()
-	var stats voronoi.QueryStats
-	ranges, walk := ix.CollectRanges(q)
-	stats.CellsInside = walk.CellsInside
-	stats.CellsOutside = walk.CellsOutside
-	stats.CellsPartial = walk.CellsPartial
-	tasks := make([]task, len(ranges))
-	for i, r := range ranges {
-		tasks[i] = task{lo: r.Lo, hi: r.Hi, filter: r.Filter, slot: i}
-	}
-	ids, examined, err := e.runTasks(tb.Scoped(scope), q, tasks)
-	stats.RowsExamined = examined
-	stats.RowsReturned = int64(len(ids))
-	stats.Pages = scope.Stats()
-	stats.Duration = time.Since(start)
-	return ids, stats, err
 }

@@ -153,12 +153,11 @@ type Choice struct {
 	// Reason is a one-line human-readable explanation, surfaced
 	// through core.Report.PlanReason.
 	Reason string
-	// KdRanges and KdWalk are the candidate ranges computed while
-	// pricing the kd-tree path (nil when no kd-tree is built).
-	// Executor.KdQueryRanges reuses them so an auto-planned query
-	// classifies the tree exactly once.
+	// KdRanges are the candidate ranges computed while pricing the
+	// kd-tree path (nil when no kd-tree is built). The streaming cursor
+	// scans them as its tasks, so an auto-planned query classifies the
+	// tree exactly once.
 	KdRanges []kdtree.Range
-	KdWalk   kdtree.Walk
 	// PrunedPages and PrunedTotal are the zone-map consultation's
 	// verdict while pricing the pruned-scan path: how many of the
 	// pruned source table's pages the query can possibly touch, out of
@@ -221,7 +220,7 @@ func (p *Planner) Plan(q vec.Polyhedron) Choice {
 	if p.Kd != nil {
 		var walk kdtree.Walk
 		kdRanges, walk = p.Kd.CollectRanges(q, kdtree.PruneTightBounds)
-		c.KdRanges, c.KdWalk = kdRanges, walk
+		c.KdRanges = kdRanges
 		var candRows int64
 		for _, r := range kdRanges {
 			candRows += r.Rows()

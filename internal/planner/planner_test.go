@@ -1,7 +1,6 @@
 package planner
 
 import (
-	"fmt"
 	"math"
 	"os"
 	"sync"
@@ -245,100 +244,6 @@ func TestCalibrate(t *testing.T) {
 	}
 }
 
-// TestExecutorMatchesSerial verifies every parallel path returns
-// exactly the serial answer, ids and order included.
-func TestExecutorMatchesSerial(t *testing.T) {
-	w := sharedWorld(t)
-	for _, half := range []float64{0.8, 3.2, 12.8} {
-		q := centeredBox(w.kdTable, half)
-		for _, workers := range []int{0, 1, 2, 8} {
-			exec := &Executor{Workers: workers}
-			name := fmt.Sprintf("half=%v/workers=%d", half, workers)
-
-			wantKd, _, err := w.tree.QueryPolyhedron(w.kdTable, q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			gotKd, stats, err := exec.KdQuery(w.tree, w.kdTable, q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			assertSameIDs(t, name+"/kd", gotKd, wantKd)
-			if stats.RowsReturned != int64(len(gotKd)) {
-				t.Errorf("%s: stats returned %d, ids %d", name, stats.RowsReturned, len(gotKd))
-			}
-
-			wantScan, _, err := engine.FullScanPolyhedron(w.catalog, q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			gotScan, _, err := exec.FullScan(w.catalog, q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			assertSameIDs(t, name+"/scan", gotScan, wantScan)
-
-			wantVor, _, err := w.vor.QueryPolyhedron(q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			gotVor, _, err := exec.VoronoiQuery(w.vor, q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			assertSameIDs(t, name+"/vor", gotVor, wantVor)
-		}
-	}
-}
-
-// TestExecutorConcurrentCallers runs many queries from many
-// goroutines over one shared executor; run with -race.
-func TestExecutorConcurrentCallers(t *testing.T) {
-	w := sharedWorld(t)
-	exec := &Executor{Workers: 4}
-	q := centeredBox(w.kdTable, 3.2)
-	want, _, err := exec.KdQuery(w.tree, w.kdTable, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	errs := make(chan error, 6)
-	for g := 0; g < 6; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 5; i++ {
-				got, _, err := exec.KdQuery(w.tree, w.kdTable, q)
-				if err != nil {
-					errs <- err
-					return
-				}
-				if len(got) != len(want) {
-					errs <- fmt.Errorf("got %d ids, want %d", len(got), len(want))
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
-}
-
-func assertSameIDs(t *testing.T, name string, got, want []table.RowID) {
-	t.Helper()
-	if len(got) != len(want) {
-		t.Fatalf("%s: got %d ids, want %d", name, len(got), len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("%s: id mismatch at %d: %d != %d", name, i, got[i], want[i])
-		}
-	}
-}
-
 func TestPlanKNNCrossover(t *testing.T) {
 	w := sharedWorld(t)
 	pl := &Planner{Catalog: w.catalog, Kd: w.tree, KdTable: w.kdTable, Domain: sky.Domain()}
@@ -369,47 +274,5 @@ func TestPlanKNNWithoutIndex(t *testing.T) {
 	}
 	if !math.IsInf(c.CostIndex, 1) {
 		t.Errorf("no kd-tree: index cost = %v, want +Inf", c.CostIndex)
-	}
-}
-
-// TestExecutorScopedPagesExactUnderConcurrency: with N callers
-// hammering the same store, each query's Pages must still equal the
-// pages that query alone touches (the pre-scope counters attributed
-// every concurrent neighbour's I/O to the measuring query).
-func TestExecutorScopedPagesExactUnderConcurrency(t *testing.T) {
-	w := sharedWorld(t)
-	ex := &Executor{Workers: 2}
-	q := centeredBox(w.catalog, 0.8)
-
-	// Solo reference: touched pages for this query, cache-warm.
-	_, ref, err := ex.FullScan(w.catalog, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	refTouched := ref.Pages.Hits + ref.Pages.Misses
-
-	var wg sync.WaitGroup
-	errs := make(chan error, 4)
-	for c := 0; c < 4; c++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for iter := 0; iter < 5; iter++ {
-				_, st, err := ex.FullScan(w.catalog, q)
-				if err != nil {
-					errs <- err
-					return
-				}
-				if touched := st.Pages.Hits + st.Pages.Misses; touched != refTouched {
-					errs <- fmt.Errorf("concurrent full scan touched %d pages, solo %d", touched, refTouched)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
 	}
 }

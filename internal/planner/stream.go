@@ -11,11 +11,10 @@ import (
 	"repro/internal/vec"
 )
 
-// This file is the streaming half of the executor: the same
-// candidate ranges the eager paths fan over the pool — kd-subtree
-// BETWEEN ranges, Voronoi cell ranges, full-scan chunks — emitted
-// row by row through a pull cursor instead of materialized into a
-// slice. Two execution modes share one interface:
+// This file is the executor's one execution path: candidate ranges —
+// kd-subtree BETWEEN ranges, Voronoi cell ranges, full-scan chunks —
+// emitted row by row through a pull cursor. Two execution modes share
+// one interface:
 //
 //   - serial: rows are pulled straight off a table.Iter, one range
 //     at a time. This mode supports exact early termination — with
@@ -92,8 +91,7 @@ func (e *Executor) Stream(tb *table.Table, q vec.Polyhedron, tasks []ScanTask, o
 
 // FullScanTasks chunks a whole-table scan into page-aligned tasks:
 // multiples of RecordsPerPage so workers never share a page, several
-// per worker so stragglers balance out. The eager FullScan and the
-// streaming cursor use the same chunking.
+// per worker so stragglers balance out.
 func (e *Executor) FullScanTasks(rows table.RowID) []ScanTask {
 	chunk := table.RowID(table.RecordsPerPage)
 	if w := table.RowID(e.workers()); w > 0 {

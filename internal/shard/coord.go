@@ -125,6 +125,19 @@ func (c *Coordinator) Routing() *RoutingTable { return c.rt }
 
 func (c *Coordinator) now() time.Time { return time.Now() }
 
+// observe runs one sub-request against shard s inside the fan-out
+// telemetry envelope: request count, latency histogram, error count.
+func (c *Coordinator) observe(s int, call func() error) error {
+	start := c.now()
+	c.requests[s].Add(1)
+	err := call()
+	c.hists[s].Record(c.now().Sub(start))
+	if err != nil {
+		c.errors[s].Add(1)
+	}
+	return err
+}
+
 // planStatement resolves (and caches) one statement's routing.
 func (c *Coordinator) planStatement(stmt colorsql.Statement) *subPlan {
 	key := stmt.String()
@@ -297,13 +310,7 @@ func (c *Coordinator) NearestNeighborsBatch(ctx context.Context, qs []vec.Point,
 		wg.Add(1)
 		go func(s int) {
 			defer wg.Done()
-			start := c.now()
-			c.requests[s].Add(1)
-			errs[s] = c.postJSON(cctx, s, "/knn", body, &resps[s])
-			c.hists[s].Record(c.now().Sub(start))
-			if errs[s] != nil {
-				c.errors[s].Add(1)
-			}
+			errs[s] = c.observe(s, func() error { return c.postJSON(cctx, s, "/knn", body, &resps[s]) })
 		}(s)
 	}
 	wg.Wait()
@@ -414,12 +421,7 @@ func (c *Coordinator) EstimateRedshiftBatch(ctx context.Context, qs []vec.Point)
 		RowsExamined   int64     `json:"rowsExamined"`
 		DiskReads      int64     `json:"diskReads"`
 	}
-	start := c.now()
-	c.requests[shard].Add(1)
-	err := c.getJSON(cctx, shard, sb.String(), &resp)
-	c.hists[shard].Record(c.now().Sub(start))
-	if err != nil {
-		c.errors[shard].Add(1)
+	if err := c.observe(shard, func() error { return c.getJSON(cctx, shard, sb.String(), &resp) }); err != nil {
 		return nil, core.Report{}, err
 	}
 	if len(resp.Redshifts) != len(qs) {
@@ -490,13 +492,7 @@ func (c *Coordinator) SampleRegion(view vec.Box, n int) ([]table.Record, core.Re
 		wg.Add(1)
 		go func(i, t int, path string) {
 			defer wg.Done()
-			start := c.now()
-			c.requests[t].Add(1)
-			errs[i] = c.getJSON(ctx, t, path, &resps[i])
-			c.hists[t].Record(c.now().Sub(start))
-			if errs[i] != nil {
-				c.errors[t].Add(1)
-			}
+			errs[i] = c.observe(t, func() error { return c.getJSON(ctx, t, path, &resps[i]) })
 		}(i, t, path)
 	}
 	wg.Wait()
@@ -511,7 +507,10 @@ func (c *Coordinator) SampleRegion(view vec.Box, n int) ([]table.Record, core.Re
 			if len(recs) >= n {
 				break
 			}
-			cl, _ := table.ParseClass(p.Class)
+			cl, ok := table.ParseClass(p.Class)
+			if !ok {
+				return nil, core.Report{}, c.shardError(targets[i], fmt.Errorf("unknown class %q", p.Class))
+			}
 			rec := table.Record{Class: cl, Redshift: float32(p.Redshift)}
 			rec.Mags[0] = float32(p.X)
 			rec.Mags[1] = float32(p.Y)
@@ -581,13 +580,7 @@ func (c *Coordinator) QuerySkyBox(ctx context.Context, box table.SkyBoxPred, col
 		wg.Add(1)
 		go func(s int) {
 			defer wg.Done()
-			start := c.now()
-			c.requests[s].Add(1)
-			errs[s] = c.getJSON(cctx, s, path, &resps[s])
-			c.hists[s].Record(c.now().Sub(start))
-			if errs[s] != nil {
-				c.errors[s].Add(1)
-			}
+			errs[s] = c.observe(s, func() error { return c.getJSON(cctx, s, path, &resps[s]) })
 		}(s)
 	}
 	wg.Wait()
@@ -677,12 +670,7 @@ func (c *Coordinator) Insert(recs []table.Record) (uint64, error) {
 			Seq     uint64 `json:"seq"`
 			MemRows int64  `json:"memRows"`
 		}
-		start := c.now()
-		c.requests[s].Add(1)
-		err = c.postJSONOnce(ctx, s, "/insert", body, &resp)
-		c.hists[s].Record(c.now().Sub(start))
-		if err != nil {
-			c.errors[s].Add(1)
+		if err := c.observe(s, func() error { return c.postJSONOnce(ctx, s, "/insert", body, &resp) }); err != nil {
 			return 0, err
 		}
 		c.memRows[s].Store(resp.MemRows)

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/table"
 	"repro/internal/vec"
 )
 
@@ -200,5 +201,50 @@ func TestInsertNeverHedges(t *testing.T) {
 	}
 	if got := calls.Load(); got != 1 {
 		t.Errorf("failing insert sent %d requests, want exactly 1 (writes never hedge)", got)
+	}
+}
+
+// TestUnknownClassIsShardError: every path that decodes class names
+// off the wire fails on one it cannot parse, with an error naming the
+// shard — never a record silently filed under the zero class.
+func TestUnknownClassIsShardError(t *testing.T) {
+	q := vec.Point{15, 15, 15, 15, 15}
+	for _, tc := range []struct {
+		name, body string
+		call       func(c *Coordinator) error
+	}{
+		{"points", `{"count":1,"points":[{"x":15,"y":15,"z":15,"class":"bogus","redshift":0}]}`,
+			func(c *Coordinator) error {
+				_, _, err := c.SampleRegion(vec.NewBox(vec.Point{14, 14, 14}, vec.Point{16, 16, 16}), 10)
+				return err
+			}},
+		{"knn", `{"plan":"kdtree","results":[{"neighbors":[{"objId":1,"mags":[15,15,15,15,15],"class":"bogus","redshift":0}]}]}`,
+			func(c *Coordinator) error {
+				_, _, err := c.NearestNeighborsBatch(context.Background(), []vec.Point{q}, 1)
+				return err
+			}},
+		{"sky", `{"points":[{"objId":1,"ra":1,"dec":1,"class":"bogus","redshift":0}]}`,
+			func(c *Coordinator) error {
+				_, err := c.QuerySkyBox(context.Background(), table.SkyBoxPred{RaMax: 2, DecMax: 2}, table.ColAll)
+				return err
+			}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				fmt.Fprint(w, tc.body)
+			}))
+			defer srv.Close()
+			coord, err := NewCoordinator(oneShardTable(1), []string{srv.URL}, Config{HedgeAfter: -1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = tc.call(coord)
+			if err == nil {
+				t.Fatal("answer with an unknown class accepted")
+			}
+			if msg := err.Error(); !strings.Contains(msg, "shard 0") || !strings.Contains(msg, srv.URL) || !strings.Contains(msg, "bogus") {
+				t.Fatalf("error does not name the shard and the class: %v", err)
+			}
+		})
 	}
 }

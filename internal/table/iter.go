@@ -2,7 +2,6 @@ package table
 
 import (
 	"context"
-	"fmt"
 
 	"repro/internal/pagestore"
 	"repro/internal/vec"
@@ -160,14 +159,9 @@ func (it *Iter) loadPage() bool {
 		}
 	}
 
-	p, err := it.t.getPage(pagestore.PageID{File: it.t.file, Num: pagestore.PageNum(pg)})
+	p, err := it.t.readPage(pagestore.PageID{File: it.t.file, Num: pagestore.PageNum(pg)})
 	if err != nil {
 		it.err = err
-		return false
-	}
-	if err := checkColPage(p.Data); err != nil {
-		p.Release()
-		it.err = fmt.Errorf("table %s: %w", it.t.name, err)
 		return false
 	}
 	// Per-page row count from the snapshot bound, not the header: the

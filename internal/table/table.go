@@ -364,13 +364,29 @@ func (t *Table) rowPage(id RowID) (pagestore.PageID, int, error) {
 		int(uint64(id) % RecordsPerPage), nil
 }
 
+// readPage pins one page for decoding and validates its header: every
+// read path — point gets, the range walker, the pull iterator — goes
+// through it, so a page that is not columnar v2 surfaces as an error
+// naming the table, never as decoded garbage.
+func (t *Table) readPage(id pagestore.PageID) (*pagestore.Page, error) {
+	p, err := t.getPage(id)
+	if err != nil {
+		return nil, err
+	}
+	if err := checkColPage(p.Data); err != nil {
+		p.Release()
+		return nil, fmt.Errorf("table %s: %w", t.name, err)
+	}
+	return p, nil
+}
+
 // Get reads one record.
 func (t *Table) Get(id RowID, out *Record) error {
 	pid, slot, err := t.rowPage(id)
 	if err != nil {
 		return err
 	}
-	p, err := t.getPage(pid)
+	p, err := t.readPage(pid)
 	if err != nil {
 		return err
 	}
@@ -400,7 +416,7 @@ func (t *Table) GetMany(ids []RowID, fn func(RowID, *Record) bool) error {
 			if cur != nil {
 				cur.Release()
 			}
-			cur, err = t.getPage(pid)
+			cur, err = t.readPage(pid)
 			if err != nil {
 				return err
 			}
@@ -423,7 +439,7 @@ func (t *Table) Update(id RowID, fn func(*Record)) error {
 	if err != nil {
 		return err
 	}
-	p, err := t.getPage(pid)
+	p, err := t.readPage(pid)
 	if err != nil {
 		return err
 	}
@@ -439,67 +455,55 @@ func (t *Table) Update(id RowID, fn func(*Record)) error {
 	return nil
 }
 
+// walkPages is the one page loop behind the callback scans: it visits
+// the pages holding rows [lo, hi) (hi clamped to the visible bound) in
+// physical order, handing fn each validated page's bytes, the RowID of
+// the first row to visit on it, and that row's slot range [slot, end).
+// Per-page row counts derive from the bound, not the page header (see
+// pageRowCount). fn decodes its own rows — the per-row loop stays in
+// the caller — and returns false to stop the walk.
+func (t *Table) walkPages(lo, hi RowID, fn func(data []byte, row RowID, slot, end int) bool) error {
+	if rows := RowID(t.numRows()); hi > rows {
+		hi = rows
+	}
+	for row := lo; row < hi; {
+		slot := int(uint64(row) % RecordsPerPage)
+		end := min(RecordsPerPage, slot+int(hi-row))
+		p, err := t.readPage(pagestore.PageID{File: t.file, Num: pagestore.PageNum(uint64(row) / RecordsPerPage)})
+		if err != nil {
+			return err
+		}
+		more := fn(p.Data, row, slot, end)
+		p.Release()
+		if !more {
+			return nil
+		}
+		row += RowID(end - slot)
+	}
+	return nil
+}
+
 // Scan iterates every record in physical order. fn receives a
 // record buffer that is reused between calls; copy it to retain.
 // Returning false stops the scan early.
 func (t *Table) Scan(fn func(RowID, *Record) bool) error {
-	var rec Record
-	rows := t.numRows()
-	row := RowID(0)
-	for num := pagestore.PageNum(0); uint64(row) < rows; num++ {
-		p, err := t.getPage(pagestore.PageID{File: t.file, Num: num})
-		if err != nil {
-			return err
-		}
-		if err := checkColPage(p.Data); err != nil {
-			p.Release()
-			return fmt.Errorf("table %s: %w", t.name, err)
-		}
-		n := pageRowCount(rows, uint64(num))
-		for slot := 0; slot < n; slot++ {
-			decodeRecordColsAt(p.Data, slot, ColAll, &rec)
-			if !fn(row, &rec) {
-				p.Release()
-				return nil
-			}
-			row++
-		}
-		p.Release()
-	}
-	return nil
+	return t.ScanRange(0, RowID(t.numRows()), fn)
 }
 
 // ScanRange iterates rows [lo, hi) in physical order — the BETWEEN
 // retrieval the kd-tree uses once leaves are numbered contiguously.
 func (t *Table) ScanRange(lo, hi RowID, fn func(RowID, *Record) bool) error {
-	if rows := RowID(t.numRows()); hi > rows {
-		hi = rows
-	}
-	if lo >= hi {
-		return nil
-	}
 	var rec Record
-	row := lo
-	for row < hi {
-		pid, slot, err := t.rowPage(row)
-		if err != nil {
-			return err
-		}
-		p, err := t.getPage(pid)
-		if err != nil {
-			return err
-		}
-		for ; slot < RecordsPerPage && row < hi; slot++ {
-			decodeRecordColsAt(p.Data, slot, ColAll, &rec)
+	return t.walkPages(lo, hi, func(data []byte, row RowID, slot, end int) bool {
+		for ; slot < end; slot++ {
+			decodeRecordColsAt(data, slot, ColAll, &rec)
 			if !fn(row, &rec) {
-				p.Release()
-				return nil
+				return false
 			}
 			row++
 		}
-		p.Release()
-	}
-	return nil
+		return true
+	})
 }
 
 // ScanMags iterates every record decoding only the magnitude vector
@@ -507,64 +511,16 @@ func (t *Table) ScanRange(lo, hi RowID, fn func(RowID, *Record) bool) error {
 // fn receives a buffer reused between calls.
 func (t *Table) ScanMags(fn func(RowID, *[Dim]float64) bool) error {
 	var mags [Dim]float64
-	rows := t.numRows()
-	row := RowID(0)
-	for num := pagestore.PageNum(0); uint64(row) < rows; num++ {
-		p, err := t.getPage(pagestore.PageID{File: t.file, Num: num})
-		if err != nil {
-			return err
-		}
-		if err := checkColPage(p.Data); err != nil {
-			p.Release()
-			return fmt.Errorf("table %s: %w", t.name, err)
-		}
-		n := pageRowCount(rows, uint64(num))
-		for slot := 0; slot < n; slot++ {
-			decodeMagsAt(p.Data, slot, &mags)
+	return t.walkPages(0, RowID(t.numRows()), func(data []byte, row RowID, slot, end int) bool {
+		for ; slot < end; slot++ {
+			decodeMagsAt(data, slot, &mags)
 			if !fn(row, &mags) {
-				p.Release()
-				return nil
+				return false
 			}
 			row++
 		}
-		p.Release()
-	}
-	return nil
-}
-
-// ScanMagsRange iterates rows [lo, hi) decoding only the magnitude
-// vector — ScanRange's counterpart to ScanMags. The parallel query
-// executor uses it to test candidate ranges without materializing
-// whole records. fn receives a buffer reused between calls.
-func (t *Table) ScanMagsRange(lo, hi RowID, fn func(RowID, *[Dim]float64) bool) error {
-	if rows := RowID(t.numRows()); hi > rows {
-		hi = rows
-	}
-	if lo >= hi {
-		return nil
-	}
-	var mags [Dim]float64
-	row := lo
-	for row < hi {
-		pid, slot, err := t.rowPage(row)
-		if err != nil {
-			return err
-		}
-		p, err := t.getPage(pid)
-		if err != nil {
-			return err
-		}
-		for ; slot < RecordsPerPage && row < hi; slot++ {
-			decodeMagsAt(p.Data, slot, &mags)
-			if !fn(row, &mags) {
-				p.Release()
-				return nil
-			}
-			row++
-		}
-		p.Release()
-	}
-	return nil
+		return true
+	})
 }
 
 // AllPoints materializes every magnitude vector in RowID order.

@@ -179,40 +179,56 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		stmt.Limit = limit
 	}
 
-	// Served-from-cache fast path: no admission slot, no execution.
-	if cur, ok := s.db.ExecStatementCached(stmt, core.PlanAuto); ok {
-		s.cacheServed.Add(1)
-		s.writeQueryResponse(w, r, stmt, cur)
-		return
-	}
-
-	release, ok := s.admit("query", w, r, s.db.EstimateStatementCost(stmt))
-	if !ok {
-		return
-	}
-	defer release()
-
-	cur, err := s.db.ExecStatement(r.Context(), stmt, core.PlanAuto)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	s.writeQueryResponse(w, r, stmt, cur)
+	serve(s, "query", w, r,
+		func() (core.Cursor, bool) { return s.db.ExecStatementCached(stmt, core.PlanAuto) },
+		func() float64 { return s.db.EstimateStatementCost(stmt) },
+		func() (core.Cursor, error) { return s.db.ExecStatement(r.Context(), stmt, core.PlanAuto) },
+		func(cur core.Cursor) { s.writeQueryResponse(w, r, stmt, cur) })
 }
 
-// writeQueryResponse renders one statement's cursor as the /query
-// response (JSON or NDJSON) and closes it. The X-Cache header is
-// derived from the cursor's report: "hit" covers both a direct cache
-// hit and a singleflight-shared answer, since neither did I/O of its
-// own.
-func (s *Server) writeQueryResponse(w http.ResponseWriter, r *http.Request, stmt colorsql.Statement, cur core.Cursor) {
-	defer cur.Close()
+// serve is the lifecycle every cost-aware endpoint runs: probe the
+// result cache — a hit does no I/O and no execution, so it is answered
+// at once, takes no admission slot and is never shed — otherwise admit
+// at the planner's price (on rejection the 429 is already written),
+// execute, and respond. respond sets X-Cache from the answer's own
+// Report (setXCache), not from which branch ran: an execution that
+// shared a concurrent identical one is a hit too.
+func serve[T any](s *Server, endpoint string, w http.ResponseWriter, r *http.Request,
+	probe func() (T, bool), cost func() float64, exec func() (T, error), respond func(T)) {
+	ans, ok := probe()
+	if ok {
+		s.cacheServed.Add(1)
+	} else {
+		release, admitted := s.admit(endpoint, w, r, cost())
+		if !admitted {
+			return
+		}
+		defer release()
+		var err error
+		if ans, err = exec(); err != nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+			return
+		}
+	}
+	respond(ans)
+}
 
-	if cur.Stats().FromCache {
+// setXCache says which path the answer took: "hit" covers both a
+// direct cache hit and a singleflight-shared answer, since neither
+// did I/O of its own.
+func setXCache(w http.ResponseWriter, rep core.Report) {
+	if rep.FromCache {
 		w.Header().Set("X-Cache", "hit")
 	} else {
 		w.Header().Set("X-Cache", "miss")
 	}
+}
+
+// writeQueryResponse renders one statement's cursor as the /query
+// response (JSON or NDJSON) and closes it.
+func (s *Server) writeQueryResponse(w http.ResponseWriter, r *http.Request, stmt colorsql.Statement, cur core.Cursor) {
+	defer cur.Close()
+	setXCache(w, cur.Stats())
 
 	enc := core.NewRowEncoder(stmt.OutputColumns())
 	if r.URL.Query().Get("format") == "ndjson" {
@@ -427,25 +443,24 @@ func (s *Server) handleKnn(w http.ResponseWriter, r *http.Request) {
 		qs[i] = vec.Point(p)
 	}
 
-	// Cached single-point probes skip admission entirely.
-	if recs, reports, ok := s.db.NearestNeighborsBatchCached(qs, in.K); ok {
-		s.cacheServed.Add(1)
-		s.writeKnnResponse(w, in.K, qs, recs, reports)
-		return
-	}
+	serve(s, "knn", w, r,
+		func() (a knnAnswer, ok bool) {
+			a.recs, a.reports, ok = s.db.NearestNeighborsBatchCached(qs, in.K)
+			return a, ok
+		},
+		func() float64 { return s.db.EstimateKNNCost(in.K, len(qs)) },
+		func() (a knnAnswer, err error) {
+			a.recs, a.reports, err = s.db.NearestNeighborsBatch(r.Context(), qs, in.K)
+			return a, err
+		},
+		func(a knnAnswer) { s.writeKnnResponse(w, in.K, qs, a.recs, a.reports) })
+}
 
-	release, ok := s.admit("knn", w, r, s.db.EstimateKNNCost(in.K, len(qs)))
-	if !ok {
-		return
-	}
-	defer release()
-
-	recs, reports, err := s.db.NearestNeighborsBatch(r.Context(), qs, in.K)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	s.writeKnnResponse(w, in.K, qs, recs, reports)
+// knnAnswer is one kNN batch's answer: per query, the neighbours and
+// the exact cost report.
+type knnAnswer struct {
+	recs    [][]table.Record
+	reports []core.Report
 }
 
 // writeKnnResponse renders one kNN batch as the /knn response and
@@ -481,11 +496,7 @@ func (s *Server) writeKnnResponse(w http.ResponseWriter, k int, qs []vec.Point, 
 	s.knnLeaves.Add(leaves)
 	s.knnRows.Add(rows)
 
-	if reports[0].FromCache {
-		w.Header().Set("X-Cache", "hit")
-	} else {
-		w.Header().Set("X-Cache", "miss")
-	}
+	setXCache(w, reports[0])
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(map[string]any{
 		"k":          k,
@@ -521,37 +532,30 @@ func (s *Server) handlePhotoz(w http.ResponseWriter, r *http.Request) {
 		qs[i] = p
 	}
 
-	// Cached small batches skip admission entirely.
-	if zs, rep, ok := s.db.EstimateRedshiftBatchCached(qs); ok {
-		s.cacheServed.Add(1)
-		s.writePhotozResponse(w, zs, rep)
-		return
-	}
+	serve(s, "photoz", w, r,
+		func() (a photozAnswer, ok bool) {
+			a.zs, a.rep, ok = s.db.EstimateRedshiftBatchCached(qs)
+			return a, ok
+		},
+		func() float64 { return s.db.EstimatePhotoZCost(len(qs)) },
+		func() (a photozAnswer, err error) {
+			a.zs, a.rep, err = s.db.EstimateRedshiftBatch(r.Context(), qs)
+			return a, err
+		},
+		func(a photozAnswer) { s.writePhotozResponse(w, a.zs, a.rep) })
+}
 
-	release, ok := s.admit("photoz", w, r, s.db.EstimatePhotoZCost(len(qs)))
-	if !ok {
-		return
-	}
-	defer release()
-
-	zs, rep, err := s.db.EstimateRedshiftBatch(r.Context(), qs)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	s.writePhotozResponse(w, zs, rep)
+// photozAnswer is one photo-z batch's answer.
+type photozAnswer struct {
+	zs  []float64
+	rep core.Report
 }
 
 // writePhotozResponse renders one photo-z batch as the /photoz
 // response.
 func (s *Server) writePhotozResponse(w http.ResponseWriter, zs []float64, rep core.Report) {
 	s.countRequest(int64(len(zs)))
-
-	if rep.FromCache {
-		w.Header().Set("X-Cache", "hit")
-	} else {
-		w.Header().Set("X-Cache", "miss")
-	}
+	setXCache(w, rep)
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(map[string]any{
 		"redshifts":      zs,
