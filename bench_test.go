@@ -662,14 +662,18 @@ func BenchmarkAblationGridStream(b *testing.B) {
 // to every query, which must stay microseconds.
 func BenchmarkPlannerPlan(b *testing.B) {
 	f := sharedFixture(b)
-	pl := &planner.Planner{Catalog: f.catalog, Kd: f.tree, KdTable: f.kdTable, Vor: f.vorIx, Domain: sky.Domain()}
+	pl := &planner.Planner{Catalog: f.catalog, Kd: f.tree, KdTable: f.kdTable, Domain: sky.Domain()}
 	for _, half := range []float64{0.2, 0.8, 3.2, 12.8} {
 		q := fig5Query(f, half)
 		b.Run(fmt.Sprintf("half=%.1f", half), func(b *testing.B) {
 			b.ReportAllocs()
 			var sel float64
 			for i := 0; i < b.N; i++ {
-				sel = pl.Plan(q).Est.Selectivity
+				c, err := pl.Plan(q)
+				if err != nil {
+					b.Fatal(err)
+				}
+				sel = c.Est.Selectivity
 			}
 			b.ReportMetric(sel, "estSel")
 		})

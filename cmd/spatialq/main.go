@@ -48,7 +48,7 @@ func main() {
 	format := flag.String("format", "table", "statement output: table | ndjson")
 	knnPt := flag.String("knn", "", "comma-separated 5-D point for nearest neighbour search")
 	k := flag.Int("k", 10, "neighbours for -knn")
-	plan := flag.String("plan", "auto", "auto | kdtree | voronoi | pruned | fullscan | compare")
+	plan := flag.String("plan", "auto", "auto | kdtree | voronoi | fullscan | compare")
 	build := flag.Bool("build", false, "build and persist missing index structures instead of failing on them")
 	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "query executor worker pool size")
 	limit := flag.Int("limit", 10, "result rows to print")
@@ -191,10 +191,8 @@ func runStatement(db *core.SpatialDB, src, plan, format string) {
 		p = core.PlanKdTree
 	case "voronoi":
 		p = core.PlanVoronoi
-	case "pruned":
-		p = core.PlanPrunedScan
 	default:
-		log.Fatalf("spatialq: -plan %q not supported for SELECT statements (use auto/fullscan/kdtree/voronoi/pruned)", plan)
+		log.Fatalf("spatialq: -plan %q not supported for SELECT statements (use auto/fullscan/kdtree/voronoi)", plan)
 	}
 	stmt, err := colorsql.ParseStatement(src, colorsql.DefaultVars(), table.Dim)
 	if err != nil {
@@ -307,12 +305,9 @@ func runQuery(db *core.SpatialDB, query, plan string, limit int) {
 			run(poly, core.PlanKdTree)
 		case "voronoi":
 			run(poly, core.PlanVoronoi)
-		case "pruned":
-			run(poly, core.PlanPrunedScan)
 		case "compare":
 			run(poly, core.PlanFullScan)
 			run(poly, core.PlanKdTree)
-			run(poly, core.PlanPrunedScan)
 		default:
 			log.Fatalf("spatialq: unknown -plan %q", plan)
 		}

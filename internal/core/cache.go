@@ -16,8 +16,8 @@ import (
 // qcache) into the query paths.
 //
 // Tier 1 (always on) caches planner work keyed on canonical
-// predicate text: per-clause planner.Choice verdicts and compiled
-// zone-map page predicates for DNF unions, and KNNChoice verdicts
+// predicate text: per-clause planner.Choice verdicts (the index
+// scan's ranges included) for DNF unions, and KNNChoice verdicts
 // per k. Admission pricing (EstimateStatementCost) and execution
 // (ExecStatement → unionCursor) share the entries, so a repeated
 // statement is planned exactly once per epoch.
@@ -117,61 +117,50 @@ func (db *SpatialDB) CacheStatsSnapshot() CacheStats {
 	}
 }
 
-// unionPlan is a tier-1 entry: the planner's verdict and the
-// compiled zone-map page predicate for every clause of a DNF union,
-// in clause order. Entries are immutable once cached — cursors read
-// the choices and predicates but never write them.
-type unionPlan struct {
-	choices []planner.Choice
-	preds   []*table.PagePred
-}
-
-// unionPlanFor returns the cached plan for a union, planning every
-// clause and compiling its page predicate on first use. The key is
-// the union's canonical String() — the same property Statement
-// round-trips through — so textually identical predicates share one
-// entry regardless of which statement carries them.
-func (db *SpatialDB) unionPlanFor(u colorsql.Union) (*unionPlan, error) {
+// unionPlanFor returns the cached tier-1 plan for a union — the
+// planner's verdict for every clause, in clause order — planning on
+// first use. Entries are immutable once cached: cursors read the
+// choices but never write them. The key is the union's canonical
+// String() — the same property Statement round-trips through — so
+// textually identical predicates share one entry regardless of which
+// statement carries them.
+func (db *SpatialDB) unionPlanFor(u colorsql.Union) ([]planner.Choice, error) {
 	v, err := db.qc.GetOrBuildPlan(nsPlan, u.String(), db.cacheEpoch(), func() (any, error) {
 		pl, err := db.Planner()
 		if err != nil {
 			return nil, err
 		}
-		up := &unionPlan{choices: make([]planner.Choice, len(u.Polys))}
+		choices := make([]planner.Choice, len(u.Polys))
 		for i, q := range u.Polys {
-			up.choices[i] = pl.Plan(q)
+			if choices[i], err = pl.Plan(q); err != nil {
+				return nil, fmt.Errorf("core: clause %d: %w", i, err)
+			}
 		}
-		// A union that cannot compile page predicates (wrong
-		// dimensionality) just forgoes pruning, exactly like the
-		// uncached path did.
-		if preds, err := u.PagePredicates(); err == nil {
-			up.preds = preds
-		}
-		return up, nil
+		return choices, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	return v.(*unionPlan), nil
+	return v.([]planner.Choice), nil
 }
 
 // provablyEmptyUnion reports whether a WHERE union is proven empty
-// without reading a single page: every clause's zone-map consultation
-// (already cached in tier 1) found no page it could possibly touch,
-// and no acknowledged memtable row — which the zone maps do not cover
-// — satisfies any clause. The verdict is only valid at the epoch it
-// was computed under; any insert bumps the plan generation and
-// invalidates it.
+// without reading a single page: every clause's index walk (already
+// cached in tier 1) emitted no range — the tree's bounds and the page
+// zones rule out every page — and no acknowledged memtable row, which
+// neither covers, satisfies any clause. The verdict is only valid at
+// the epoch it was computed under; any insert bumps the plan
+// generation and invalidates it.
 func (db *SpatialDB) provablyEmptyUnion(u colorsql.Union) (bool, error) {
-	up, err := db.unionPlanFor(u)
+	choices, err := db.unionPlanFor(u)
 	if err != nil {
 		return false, err
 	}
-	if len(up.choices) == 0 {
+	if len(choices) == 0 {
 		return false, nil
 	}
-	for _, ch := range up.choices {
-		if ch.PrunedTotal == 0 || ch.PrunedPages != 0 {
+	for _, ch := range choices {
+		if len(ch.Ranges) != 0 {
 			return false, nil
 		}
 	}

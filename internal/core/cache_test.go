@@ -293,10 +293,10 @@ func TestCachePressureShrink(t *testing.T) {
 	}
 }
 
-// TestOrderByDrainUsesPrunedScan pins the ORDER BY drain path to the
-// zone-map-pruned scan: a selective cut under an ordering must skip
-// pages, not fall back to an unpruned full scan.
-func TestOrderByDrainUsesPrunedScan(t *testing.T) {
+// TestOrderByDrainUsesIndexScan pins the ORDER BY drain path to the
+// index scan: a selective cut under an ordering must skip pages, not
+// fall back to an unpruned full scan.
+func TestOrderByDrainUsesIndexScan(t *testing.T) {
 	db := buildFullDB(t, t.TempDir(), 6000)
 	defer db.Close()
 	_, rep := execRows(t, db, "SELECT objid, g, r WHERE r < 15 ORDER BY g - r LIMIT 10")

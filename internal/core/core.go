@@ -13,10 +13,10 @@
 // cursors the server streams.
 //
 // Access paths are chosen per query by the cost-based planner
-// (internal/planner): PlanAuto estimates the query's selectivity and
-// picks whichever of full scan, kd-tree or Voronoi is predicted
-// cheapest — the paper's Figure 5 observation that the kd-tree wins
-// below ~0.25 selectivity and the sequential scan above it, made
+// (internal/planner): PlanAuto walks the kd-tree once, prices the
+// index scan that walk yields against the full scan, and runs the
+// cheaper — the paper's Figure 5 observation that the index wins while
+// a query stays selective and the sequential scan above that, made
 // operational. Queries execute over a worker pool (Config.Workers)
 // and SpatialDB is safe for any number of concurrent readers once
 // its indexes are built.
@@ -57,10 +57,9 @@ type Config struct {
 	// PoolPages is the buffer pool size in 8 KiB pages (default 4096
 	// = 32 MiB).
 	PoolPages int
-	// Workers sizes the query executor's worker pool: candidate
-	// kd-subtree and Voronoi-cell ranges (and full-scan chunks) are
-	// scanned concurrently. 0 means GOMAXPROCS; 1 forces serial
-	// execution.
+	// Workers sizes the query executor's worker pool: the candidate
+	// ranges of a scan are cut into balanced chunks and scanned
+	// concurrently. 0 means GOMAXPROCS; 1 forces serial execution.
 	Workers int
 	// ResultCacheBytes budgets the tier-2 result cache: bounded-LIMIT
 	// statement answers, single-point kNN probes and small photo-z
@@ -77,23 +76,27 @@ type Config struct {
 type Plan int
 
 // Available query plans. PlanAuto asks the cost-based planner: it
-// estimates the query's selectivity (kd-tree walk, Voronoi spheres,
-// grid layers or bounding-box volume — whichever structure exists),
-// prices every built access path in page reads, and picks the
-// cheapest. The paper's observation that the kd-tree wins below
-// ~0.25 selectivity and the full scan above it falls out of the
-// default cost constants. The remaining plans force one path.
+// walks the kd-tree (zero I/O), prices the resulting index scan and
+// the full scan in page reads, and picks the cheaper. The remaining
+// selectable plans force one path.
 const (
 	PlanAuto Plan = iota
 	PlanFullScan
+	// PlanKdTree is the index scan: the kd walk's row ranges over the
+	// leaf-clustered table — Outside subtrees never read, Inside
+	// subtrees streamed unfiltered, partial leaves and the unindexed
+	// tail filtered behind their page zones. It also labels the kNN
+	// region-growing search.
 	PlanKdTree
+	// PlanVoronoi forces the §3.4 Voronoi cell scan. The planner never
+	// chooses it; the experiment harness does.
 	PlanVoronoi
 	// PlanGrid is reported by grid-served sampling queries
 	// (SampleRegion); it is not selectable for polyhedron retrieval.
 	PlanGrid
-	// PlanPrunedScan forces the zone-map-pruned sequential scan:
-	// pages whose per-column bounds cannot intersect the query are
-	// skipped without a read. Requires a table with zone maps.
+	// PlanPrunedScan is reported by scans that zone maps alone prune —
+	// the sky-box scan, and PlanAuto's index scan on a store with no
+	// kd-tree; it is not selectable either.
 	PlanPrunedScan
 )
 
@@ -126,11 +129,12 @@ type Report struct {
 	DiskReads    int64
 	CacheHits    int64
 
-	// PagesSkipped counts pages the zone maps proved empty of matches
-	// and eliminated without a read; PagesScanned counts pages a
-	// zone-pruned scan did read; StripsDecoded counts the per-column
-	// magnitude strips its vectorized filter decoded. All zero for
-	// plans without zone-map pruning.
+	// PagesSkipped counts pages proven empty of matches and never
+	// read: pages under kd subtrees the walk classified Outside, plus
+	// pages of filter ranges whose own zone is Outside. PagesScanned
+	// counts the page fetches of a polyhedron or sky-box scan — it
+	// equals DiskReads + CacheHits; StripsDecoded counts the per-column
+	// magnitude strips its vectorized filter decoded.
 	PagesSkipped  int64
 	PagesScanned  int64
 	StripsDecoded int64
@@ -148,7 +152,7 @@ type Report struct {
 	// not run).
 	EstimatedSelectivity float64
 	// PlanReason explains the choice, e.g.
-	// "est sel 0.031 (kdtree-walk); kdtree 58.1 beats fullscan 494.0, voronoi n/a".
+	// "est sel 0.031 (kdtree-walk); index 58.1 beats fullscan 494.0".
 	PlanReason string
 
 	// FromCache marks an answer served from the statement result
@@ -604,7 +608,6 @@ func (db *SpatialDB) Planner() (*planner.Planner, error) {
 		Catalog: db.catalog,
 		Kd:      db.kd,
 		KdTable: db.kdTable,
-		Vor:     db.vor,
 		Grid:    db.grid,
 		Domain:  db.domain,
 	}

@@ -127,14 +127,13 @@ func TestAutoPlanSelectiveQueryUsesIndex(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A narrow color cut returns a tiny fraction of the catalog; the
-	// cost-based planner must route it through an index path — the
-	// kd-tree walk or the zone-map-pruned scan over the kd-clustered
-	// table — never the full scan.
+	// cost-based planner must route it through the index scan, never
+	// the full scan.
 	_, rep, err := db.QueryWhere("r < 16", PlanAuto)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Plan != PlanKdTree && rep.Plan != PlanPrunedScan {
+	if rep.Plan != PlanKdTree {
 		t.Errorf("auto plan = %v (reason %q)", rep.Plan, rep.PlanReason)
 	}
 	if rep.PlanReason == "" {

@@ -41,12 +41,12 @@ func (db *SpatialDB) EstimateStatementCost(stmt colorsql.Statement) float64 {
 	// verdicts come from the tier-1 plan cache, shared with the
 	// execution path: a repeated statement is estimated once per
 	// epoch, not once per request.
-	up, err := db.unionPlanFor(stmt.Where)
+	choices, err := db.unionPlanFor(stmt.Where)
 	if err != nil {
 		return 0
 	}
 	var cost, rows float64
-	for _, c := range up.choices {
+	for _, c := range choices {
 		cost += c.BestCost()
 		rows += c.Est.Rows
 	}

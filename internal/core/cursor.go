@@ -7,7 +7,6 @@ import (
 	"sort"
 
 	"repro/internal/colorsql"
-	"repro/internal/kdtree"
 	"repro/internal/pagestore"
 	"repro/internal/planner"
 	"repro/internal/table"
@@ -60,11 +59,8 @@ type cursorOpts struct {
 	// stream runs serially and stops reading pages at the one holding
 	// the last emitted row. -1 means unbounded.
 	stopAfter int64
-	// pred is a pre-compiled zone-map page predicate for the query's
-	// halfspaces; nil makes the pruned-scan path compile its own.
-	pred *table.PagePred
 	// choice is a pre-computed planner verdict for the query (from
-	// the tier-1 plan cache); nil makes PlanAuto consult the planner.
+	// the tier-1 plan cache); nil makes the cursor consult the planner.
 	// Read-only: the cached entry is shared across requests.
 	choice *planner.Choice
 }
@@ -73,8 +69,10 @@ type cursorOpts struct {
 // RowStream over the chosen access path's candidate ranges, plus the
 // per-cursor accounting scope and the planner's verdict.
 type polyCursor struct {
-	stream  *planner.RowStream
-	scope   *pagestore.Scope
+	stream *planner.RowStream
+	scope  *pagestore.Scope
+	// base carries the plan's identity and its share of PagesSkipped:
+	// pages no range of the index scan covers.
 	base    Report
 	emitted int64
 }
@@ -99,7 +97,8 @@ func (c *polyCursor) Stats() Report {
 	r := c.base
 	r.RowsReturned = c.emitted
 	r.RowsExamined = c.stream.RowsExamined()
-	r.PagesSkipped, r.PagesScanned, r.StripsDecoded = c.stream.ZoneStats()
+	skipped, scanned, strips := c.stream.ZoneStats()
+	r.PagesSkipped, r.PagesScanned, r.StripsDecoded = r.PagesSkipped+skipped, scanned, strips
 	st := c.scope.Stats()
 	r.DiskReads = st.DiskReads
 	r.CacheHits = st.Hits
@@ -124,128 +123,90 @@ func (db *SpatialDB) polyhedronCursor(ctx context.Context, q vec.Polyhedron, pla
 
 // polyhedronCursorSnap builds the streaming plan for one convex
 // polyhedron against an already-captured snapshot: resolve the access
-// path (PlanAuto consults the cost-based planner, reusing its kd
-// classification), collect the candidate ranges without table I/O,
-// open a RowStream over them under a fresh accounting scope, and
-// chain the snapshot's memtable rows after the paged rows — the same
-// physical order a compaction would produce. The caller owns the
-// snapshot's release.
+// path (the index scan's ranges come from the planner, a cached choice
+// being reused only when it was planned over the snapshot's own
+// kd-tree), open a RowStream over the ranges under a fresh accounting
+// scope, and chain the snapshot's memtable rows after the paged rows —
+// the same physical order a compaction would produce. The caller owns
+// the snapshot's release.
 func (db *SpatialDB) polyhedronCursorSnap(ctx context.Context, sn *dbSnap, q vec.Polyhedron, plan Plan, opts cursorOpts) (Cursor, error) {
+	pred, err := table.CompilePagePred(q.Planes)
+	if err != nil {
+		return nil, fmt.Errorf("core: %w", err)
+	}
 	pl := sn.planner()
-	catalog, kd, kdTable, vor := pl.Catalog, pl.Kd, pl.KdTable, pl.Vor
 	resolved := plan
-	var est float64
-	var why string
-	choice := opts.choice
-	if plan == PlanAuto {
-		if choice == nil {
-			ch := pl.Plan(q)
+	base := Report{}
+	var choice *planner.Choice
+	if plan == PlanAuto || plan == PlanKdTree {
+		if plan == PlanKdTree && sn.kd == nil {
+			return nil, fmt.Errorf("core: kd-tree index not built")
+		}
+		choice = opts.choice
+		if choice == nil || choice.Tree != sn.kd {
+			// No cached verdict, or one whose ranges address another
+			// clustering (an index build or full compaction swapped the
+			// tree since it was planned): plan against the snapshot.
+			ch, err := pl.Plan(q)
+			if err != nil {
+				return nil, fmt.Errorf("core: %w", err)
+			}
 			choice = &ch
 		}
-		est, why = choice.Est.Selectivity, choice.Reason
-		switch choice.Path {
-		case planner.PathKdTree:
-			resolved = PlanKdTree
-		case planner.PathVoronoi:
-			resolved = PlanVoronoi
-		case planner.PathPrunedScan:
-			resolved = PlanPrunedScan
-		default:
+		if plan == PlanAuto {
+			base.EstimatedSelectivity, base.PlanReason = choice.Est.Selectivity, choice.Reason
 			resolved = PlanFullScan
+			if choice.Path == planner.PathIndex {
+				resolved = PlanKdTree
+			}
 		}
 	}
 
 	var tb *table.Table
 	var tasks []planner.ScanTask
-	var pred *table.PagePred
 	scope := db.eng.Store().Scoped()
 	switch resolved {
 	case PlanKdTree:
-		if kd == nil {
-			return nil, fmt.Errorf("core: kd-tree index not built")
+		// The cached ranges are shared read-only. One ascending pass
+		// over one file, mostly skipped: scan-class, so it cannot evict
+		// the pool's hot set.
+		tasks, base.PagesSkipped = choice.Ranges, int64(choice.PagesPruned)
+		tb = pl.IndexTable().Scoped(scope).ScanClassed()
+		if sn.kd == nil {
+			// Auto on a store without a tree: the index scan is zone
+			// pruning alone, and is reported as such.
+			resolved = PlanPrunedScan
 		}
-		var ranges []kdtree.Range
-		if choice != nil && choice.KdRanges != nil {
-			// Reuse the classification the planner already ran. The
-			// cached ranges cover the indexed prefix only and are shared
-			// read-only, so the unindexed tail goes into tasks, never
-			// appended onto the cached slice.
-			ranges = choice.KdRanges
-		} else {
-			ranges, _ = kd.CollectRanges(q, kdtree.PruneTightBounds)
-		}
-		rows := kdTable.NumRows()
-		tasks = make([]planner.ScanTask, 0, len(ranges)+1)
-		for _, r := range ranges {
-			tasks = append(tasks, planner.ScanTask{Lo: r.Lo, Hi: r.Hi, Filter: r.Filter})
-		}
-		if rows > kd.NumRows {
-			// Minor compactions appended rows past the tree's coverage;
-			// they are unclassified, so filter them like a partial leaf.
-			tasks = append(tasks, planner.ScanTask{Lo: table.RowID(kd.NumRows), Hi: table.RowID(rows), Filter: true})
-		}
-		tb = kdTable.Scoped(scope)
 	case PlanVoronoi:
-		if vor == nil {
+		if sn.vor == nil {
 			return nil, fmt.Errorf("core: voronoi index not built")
 		}
 		// Bound by the snapshot view, not the live directory table: the
 		// bounded collector covers the compaction-appended tail.
-		ranges, _ := vor.CollectRangesBounded(q, sn.vorTable.NumRows())
+		ranges, _ := sn.vor.CollectRangesBounded(q, sn.vorTable.NumRows())
 		tasks = make([]planner.ScanTask, len(ranges))
 		for i, r := range ranges {
 			tasks[i] = planner.ScanTask{Lo: r.Lo, Hi: r.Hi, Filter: r.Filter}
 		}
 		tb = sn.vorTable.Scoped(scope)
 	case PlanFullScan:
-		rows := table.RowID(catalog.NumRows())
-		if opts.stopAfter >= 0 {
-			// The serial fast path walks one contiguous range and stops
-			// exactly at the n-th match; chunking would buy nothing.
-			tasks = []planner.ScanTask{{Lo: 0, Hi: rows, Filter: true}}
-		} else {
-			tasks = db.exec.FullScanTasks(rows)
-		}
-		// Scan-class, like the eager full scan: an unselective stream
-		// must not flush the pool's hot set.
-		tb = catalog.Scoped(scope).ScanClassed()
-	case PlanPrunedScan:
-		src := pl.PrunedScanSource()
-		if src == nil {
-			return nil, fmt.Errorf("core: pruned scan requires a table with zone maps (rebuild or reingest the catalog)")
-		}
-		pred = opts.pred
-		if pred == nil {
-			p, err := table.CompilePagePred(q.Planes)
-			if err != nil {
-				return nil, fmt.Errorf("core: pruned scan: %w", err)
-			}
-			pred = p
-		}
-		rows := table.RowID(src.NumRows())
-		if opts.stopAfter >= 0 {
-			// Single contiguous range keeps the stop exact; the iterator
-			// still zone-skips page by page inside it.
-			tasks = []planner.ScanTask{{Lo: 0, Hi: rows, Filter: true}}
-		} else {
-			tasks = db.exec.FullScanTasks(rows)
-		}
-		// Sequential like a full scan, so it takes the scan class too:
-		// a mostly-pruned pass must not evict the hot set either.
-		tb = src.Scoped(scope).ScanClassed()
+		tasks = []planner.ScanTask{{Lo: 0, Hi: table.RowID(sn.catalog.NumRows()), Filter: true}}
+		// Every page, zones unconsulted; scan-class so an unselective
+		// stream does not flush the pool's hot set.
+		tb = sn.catalog.Scoped(scope).ScanClassed().WithoutZones()
 	default:
-		return nil, fmt.Errorf("core: unknown plan %v", plan)
+		return nil, fmt.Errorf("core: plan %v cannot be selected for a polyhedron query", plan)
 	}
-	stream := db.exec.Stream(tb, q, tasks, planner.StreamOpts{
-		Ctx:       ctx,
-		Cols:      opts.cols,
-		StopAfter: opts.stopAfter,
-		Pred:      pred,
-	})
+	base.Plan = resolved
 	paged := &polyCursor{
-		stream: stream,
-		scope:  scope,
-		base:   Report{Plan: resolved, EstimatedSelectivity: est, PlanReason: why},
+		stream: db.exec.Stream(tb, tasks, planner.StreamOpts{
+			Ctx:       ctx,
+			Cols:      opts.cols,
+			StopAfter: opts.stopAfter,
+			Pred:      pred,
+		}),
+		scope: scope,
+		base:  base,
 	}
 	if len(sn.mem) == 0 {
 		return paged, nil
@@ -272,11 +233,9 @@ type unionCursor struct {
 	ctx   context.Context
 	sn    *dbSnap
 	polys []vec.Polyhedron
-	// preds, when non-nil, holds one pre-compiled page predicate per
-	// clause (same indexing as polys) for zone-map pruning; choices,
-	// when non-nil, the cached planner verdict per clause. Both come
-	// from the tier-1 plan cache and are shared read-only.
-	preds   []*table.PagePred
+	// choices, when non-nil, holds the cached planner verdict per
+	// clause (same indexing as polys), from the tier-1 plan cache and
+	// shared read-only.
 	choices []planner.Choice
 	plan    Plan
 	opts    cursorOpts
@@ -298,22 +257,21 @@ func (db *SpatialDB) newUnionCursor(ctx context.Context, u colorsql.Union, plan 
 		opts.cols |= table.ColObjID
 		seen = make(map[int64]bool)
 	}
-	// The tier-1 plan cache holds (or builds) the per-clause planner
-	// verdicts and pre-compiled zone-map predicates for this union's
-	// canonical text. A union that cannot plan (no catalog) just
-	// carries nothing — the clause cursor surfaces the real error.
-	var preds []*table.PagePred
-	var choices []planner.Choice
-	if up, err := db.unionPlanFor(u); err == nil {
-		preds, choices = up.preds, up.choices
-	}
-	c := &unionCursor{
-		db: db, ctx: ctx, polys: u.Polys, preds: preds, choices: choices,
-		plan: plan, opts: opts, seen: seen,
-	}
-	// One snapshot for every clause; a snapshot failure (no catalog)
+	c := &unionCursor{db: db, ctx: ctx, polys: u.Polys, plan: plan, opts: opts, seen: seen}
+	// One snapshot for every clause, captured before the plan lookup:
+	// a cached choice is then never older than the snapshot it runs
+	// against, and one planned over a newer clustering is recognised by
+	// its tree (polyhedronCursorSnap). A snapshot failure (no catalog)
 	// surfaces on the first Next like any clause error would.
-	c.sn, c.err = db.snapshot()
+	if c.sn, c.err = db.snapshot(); c.err != nil {
+		return c
+	}
+	// The tier-1 plan cache holds (or builds) the per-clause planner
+	// verdicts for this union's canonical text; forced scans that never
+	// consult the planner skip it.
+	if plan == PlanAuto || plan == PlanKdTree {
+		c.choices, c.err = db.unionPlanFor(u)
+	}
 	return c
 }
 
@@ -327,9 +285,6 @@ func (c *unionCursor) Next() bool {
 				return false
 			}
 			opts := c.opts
-			if c.preds != nil {
-				opts.pred = c.preds[c.idx]
-			}
 			if c.choices != nil {
 				opts.choice = &c.choices[c.idx]
 			}
@@ -658,17 +613,8 @@ func (db *SpatialDB) fullCatalogCursor(ctx context.Context, opts cursorOpts) (Cu
 		return nil, err
 	}
 	scope := db.eng.Store().Scoped()
-	rows := table.RowID(sn.catalog.NumRows())
-	var tasks []planner.ScanTask
-	if opts.stopAfter >= 0 {
-		tasks = []planner.ScanTask{{Lo: 0, Hi: rows}}
-	} else {
-		tasks = db.exec.FullScanTasks(rows)
-		for i := range tasks {
-			tasks[i].Filter = false
-		}
-	}
-	stream := db.exec.Stream(sn.catalog.Scoped(scope).ScanClassed(), vec.Polyhedron{}, tasks, planner.StreamOpts{
+	tasks := []planner.ScanTask{{Lo: 0, Hi: table.RowID(sn.catalog.NumRows())}}
+	stream := db.exec.Stream(sn.catalog.Scoped(scope).ScanClassed(), tasks, planner.StreamOpts{
 		Ctx:       ctx,
 		Cols:      opts.cols,
 		StopAfter: opts.stopAfter,

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -66,8 +65,8 @@ var stmtQueries = []string{
 	"SELECT objid, g, r WHERE g - r > 0.2 AND r < 20 LIMIT 40",
 	"SELECT * WHERE r < 15 OR r > 22",
 	"SELECT g, r ORDER BY g - r DESC LIMIT 25",
-	// LIMIT-free selective cut: the auto plan may serve this through
-	// the zone-map-pruned scan, whose rows must match everywhere.
+	// LIMIT-free selective cut: the auto plan serves this through the
+	// index scan, whose rows must match everywhere.
 	"SELECT objid, g, r WHERE g - r > 0.2 AND r < 18",
 }
 
@@ -76,9 +75,10 @@ var stmtQueries = []string{
 // engine.FullScanPolyhedron, which share nothing with Executor.Stream
 // but the page decoder — and returns the matching row ids, the table
 // they address and the page requests the reference made (exact only
-// when nothing else touches the store meanwhile). The reference for
-// the pruned scan is an unpruned full scan over the same zone-mapped
-// source table: pruning must be invisible in the answer.
+// when nothing else touches the store meanwhile). PlanPrunedScan is
+// what PlanAuto reports for its index scan on a store without a
+// kd-tree: a scan of the catalog itself, so the full scan is its
+// reference too.
 func serialReference(db *SpatialDB, q vec.Polyhedron, plan Plan) ([]table.RowID, *table.Table, pagestore.Stats, error) {
 	switch plan {
 	case PlanKdTree:
@@ -88,18 +88,8 @@ func serialReference(db *SpatialDB, q vec.Polyhedron, plan Plan) ([]table.RowID,
 		ids, st, err := db.vor.QueryPolyhedron(q)
 		return ids, db.vor.Table(), st.Pages, err
 	}
-	src := db.catalog
-	if plan == PlanPrunedScan {
-		pl, err := db.Planner()
-		if err != nil {
-			return nil, nil, pagestore.Stats{}, err
-		}
-		if src = pl.PrunedScanSource(); src == nil {
-			return nil, nil, pagestore.Stats{}, fmt.Errorf("no zone-mapped table for pruned scan")
-		}
-	}
-	ids, st, err := engine.FullScanPolyhedron(src, q)
-	return ids, src.ScanClassed(), st.Pages, err
+	ids, st, err := engine.FullScanPolyhedron(db.catalog, q)
+	return ids, db.catalog.ScanClassed(), st.Pages, err
 }
 
 // eagerPolyhedron is the byte-equivalence reference for the streaming
@@ -127,7 +117,7 @@ func collectAnswers(t testing.TB, db *SpatialDB) queryAnswers {
 	const where = "g - r > 0.2 AND r < 20"
 	ans := queryAnswers{poly: make(map[Plan][]table.Record)}
 	poly := colorsql.MustParse(where, colorsql.DefaultVars(), table.Dim).Single()
-	for _, plan := range []Plan{PlanFullScan, PlanKdTree, PlanVoronoi, PlanPrunedScan, PlanAuto} {
+	for _, plan := range []Plan{PlanFullScan, PlanKdTree, PlanVoronoi, PlanAuto} {
 		recs, _, err := db.QueryWhere(where, plan)
 		if err != nil {
 			t.Fatalf("plan %v: %v", plan, err)

@@ -90,7 +90,6 @@ func (sn *dbSnap) planner() *planner.Planner {
 		Catalog: sn.catalog,
 		Kd:      sn.kd,
 		KdTable: sn.kdTable,
-		Vor:     sn.vor,
 		Grid:    sn.grid,
 		Domain:  sn.db.domain,
 		MemRows: int64(len(sn.mem)),

@@ -18,8 +18,7 @@ import (
 //
 //   - LIMIT with no ORDER BY over a convex predicate (or none) is
 //     pushed into the scan itself: the stream runs serially and the
-//     index walk / scan stops at the page holding the n-th matching
-//     row. Pages read are bounded by the limit, not the selection.
+//     scan stops at the page holding the n-th matching row. Pages read are bounded by the limit, not the selection.
 //   - LIMIT under a DNF union cannot cross the dedup boundary (a
 //     clause cannot know which of its rows earlier clauses already
 //     emitted), so it truncates above the union — but reaching the
@@ -77,18 +76,17 @@ func (db *SpatialDB) ExecStatement(ctx context.Context, stmt colorsql.Statement,
 		return db.execStatementUncached(ctx, stmt, plan)
 	}
 
-	// Negative cache: a WHERE whose every clause the zone maps prove
-	// page-disjoint (and that no acknowledged memtable row satisfies)
-	// short-circuits to an empty answer without opening a stream. The
-	// verdict caches under the current epoch, so any insert or
-	// compaction invalidates it. Forced index plans skip it — they
-	// promise a specific execution, and an empty kd walk is cheap
-	// anyway.
-	if stmt.HasWhere && (plan == PlanAuto || plan == PlanPrunedScan) {
+	// Negative cache: a WHERE whose every clause's index walk emits no
+	// range — the tree's bounds and the page zones rule out every page
+	// — and that no acknowledged memtable row satisfies short-circuits
+	// to an empty answer without opening a stream. The verdict caches
+	// under the current epoch, so any insert or compaction invalidates
+	// it. Forced plans skip it — they promise a specific execution.
+	if stmt.HasWhere && plan == PlanAuto {
 		empty, rep, err := do(db, nsNegative, stmt.Where.String(), func(bool) int64 { return 0 }, func() (bool, Report, error) {
 			empty, err := db.provablyEmptyUnion(stmt.Where)
 			return empty, Report{
-				Plan:       PlanPrunedScan,
+				Plan:       PlanKdTree,
 				PlanReason: "negative cache: zone maps prove every clause empty",
 			}, err
 		})
@@ -198,30 +196,11 @@ func (db *SpatialDB) validatePlan(stmt colorsql.Statement, plan Plan) error {
 			if db.vor == nil {
 				return fmt.Errorf("core: voronoi index not built")
 			}
-		case PlanPrunedScan:
-			if !db.hasZoneSourceLocked() {
-				return fmt.Errorf("core: pruned scan requires a table with zone maps (rebuild or reingest the catalog)")
-			}
+		case PlanGrid, PlanPrunedScan:
+			return fmt.Errorf("core: plan %v reports how a query ran; it cannot be selected", plan)
 		}
 	}
 	return nil
-}
-
-// hasZoneSourceLocked reports whether some queryable table carries
-// zone maps covering it exactly — the same eligibility rule as
-// planner.PrunedScanSource. Caller holds db.mu.
-func (db *SpatialDB) hasZoneSourceLocked() bool {
-	for _, t := range []*table.Table{db.kdTable, db.catalog} {
-		if t == nil || t.NumRows() == 0 {
-			continue
-		}
-		// >= not ==: ingest widens zones before publishing rows, so the
-		// sidecar may momentarily cover more pages than readers see.
-		if zm := t.ZoneMaps(); zm != nil && zm.NumPages() >= t.NumPages() {
-			return true
-		}
-	}
-	return false
 }
 
 // orderKey compiles the ORDER BY expression into a per-record key.

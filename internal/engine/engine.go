@@ -229,31 +229,9 @@ func FullScanPolyhedron(t *table.Table, q vec.Polyhedron) ([]table.RowID, QueryS
 	return ids, stats, err
 }
 
-// CountScanPolyhedron is FullScanPolyhedron without materializing
-// ids, for benchmarks that only need the count.
-func CountScanPolyhedron(t *table.Table, q vec.Polyhedron) (int64, QueryStats, error) {
-	start := time.Now()
-	before := t.Store().Stats()
-	var count, examined int64
-	err := t.ScanClassed().ScanMags(func(id table.RowID, m *[table.Dim]float64) bool {
-		examined++
-		if ContainsMags(q, m) {
-			count++
-		}
-		return true
-	})
-	stats := QueryStats{
-		RowsExamined: examined,
-		RowsReturned: count,
-		Pages:        t.Store().Stats().Sub(before),
-		Duration:     time.Since(start),
-	}
-	return count, stats, err
-}
-
 // ContainsMags tests a raw magnitude array against the polyhedron
-// without allocating a vec.Point. Exported so the parallel executor
-// in internal/planner can filter candidate ranges the same way.
+// without allocating a vec.Point. Exported so core filters memtable
+// rows exactly the way the scan reference filters paged ones.
 func ContainsMags(q vec.Polyhedron, m *[table.Dim]float64) bool {
 	for _, h := range q.Planes {
 		var s float64
@@ -265,27 +243,4 @@ func ContainsMags(q vec.Polyhedron, m *[table.Dim]float64) bool {
 		}
 	}
 	return true
-}
-
-// FilterRows re-tests candidate rows against the polyhedron,
-// fetching them page-efficiently. Index query paths use it on
-// "partial" cells (Figure 4's red cells).
-func FilterRows(t *table.Table, candidates []table.RowID, q vec.Polyhedron) ([]table.RowID, error) {
-	out := make([]table.RowID, 0, len(candidates))
-	err := t.GetMany(candidates, func(id table.RowID, r *table.Record) bool {
-		m := magsOf(r)
-		if ContainsMags(q, &m) {
-			out = append(out, id)
-		}
-		return true
-	})
-	return out, err
-}
-
-func magsOf(r *table.Record) [table.Dim]float64 {
-	var m [table.Dim]float64
-	for i, v := range r.Mags {
-		m[i] = float64(v)
-	}
-	return m
 }

@@ -90,28 +90,6 @@ func TestFullScanPolyhedronMatchesBruteForce(t *testing.T) {
 	}
 }
 
-func TestCountMatchesFullScan(t *testing.T) {
-	db := newDB(t)
-	tb := loadCatalog(t, db, 2000)
-	q := vec.NewPolyhedron(
-		vec.NewHalfspace(vec.Point{1, -1, 0, 0, 0}, 1.2), // u-g <= 1.2
-	)
-	ids, _, err := FullScanPolyhedron(tb, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	count, stats, err := CountScanPolyhedron(tb, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if count != int64(len(ids)) {
-		t.Errorf("count = %d, full scan = %d", count, len(ids))
-	}
-	if stats.Selectivity() <= 0 || stats.Selectivity() > 1 {
-		t.Errorf("selectivity = %v", stats.Selectivity())
-	}
-}
-
 func TestFullScanReadsEveryPageOnce(t *testing.T) {
 	db := newDB(t)
 	tb := loadCatalog(t, db, 5000)
@@ -125,35 +103,6 @@ func TestFullScanReadsEveryPageOnce(t *testing.T) {
 	}
 	if stats.RowsReturned != int64(tb.NumRows()) {
 		t.Errorf("empty polyhedron should return all rows")
-	}
-}
-
-func TestFilterRows(t *testing.T) {
-	db := newDB(t)
-	tb := loadCatalog(t, db, 1000)
-	q := vec.NewPolyhedron(
-		vec.NewHalfspace(vec.Point{0, 0, 1, 0, 0}, 18), // r <= 18
-	)
-	all, _, err := FullScanPolyhedron(tb, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Feed every row as candidate: filter must reproduce the scan.
-	candidates := make([]table.RowID, tb.NumRows())
-	for i := range candidates {
-		candidates[i] = table.RowID(i)
-	}
-	got, err := FilterRows(tb, candidates, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(all) {
-		t.Fatalf("filter returned %d, scan %d", len(got), len(all))
-	}
-	for i := range got {
-		if got[i] != all[i] {
-			t.Fatalf("filter/scan order mismatch at %d", i)
-		}
 	}
 }
 

@@ -160,33 +160,11 @@ func TestQueryMatchesFullScan(t *testing.T) {
 	}
 }
 
-func TestCountMatchesQuery(t *testing.T) {
-	tree, tb := buildFixture(t, 3000, 0)
-	q := vec.NewPolyhedron(
-		vec.NewHalfspace(vec.Point{0, 1, -1, 0, 0}, 0.9),
-		vec.NewHalfspace(vec.Point{0, -1, 1, 0, 0}, -0.3),
-	)
-	ids, _, err := tree.QueryPolyhedron(tb, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	count, stats, err := tree.CountPolyhedron(tb, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if count != int64(len(ids)) {
-		t.Errorf("count = %d, query = %d", count, len(ids))
-	}
-	if stats.RowsReturned != count {
-		t.Errorf("stats.RowsReturned = %d", stats.RowsReturned)
-	}
-}
-
 func TestWholeDomainQueryIsBulk(t *testing.T) {
 	tree, tb := buildFixture(t, 2000, 0)
 	// The whole domain box contains every tight bound: the root is
 	// classified Inside and no leaf needs filtering.
-	got, stats, err := tree.QueryBox(tb, sky.Domain())
+	got, stats, err := tree.QueryPolyhedron(tb, vec.BoxPolyhedron(sky.Domain()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +207,7 @@ func TestSelectiveQueryIOSmall(t *testing.T) {
 	for d := 0; d < 5; d++ {
 		min[d], max[d] = c[d]-0.25, c[d]+0.25
 	}
-	got, stats, err := tree.QueryBox(tb, vec.NewBox(min, max))
+	got, stats, err := tree.QueryPolyhedron(tb, vec.BoxPolyhedron(vec.NewBox(min, max)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -106,62 +106,6 @@ func (t *Tree) QueryPolyhedronPruned(tb *table.Table, q vec.Polyhedron, pr Pruni
 	return out, stats, err
 }
 
-// CountPolyhedron is QueryPolyhedron without materializing ids.
-// Inside subtrees are counted from row ranges alone, touching no
-// pages at all — the best case of the paper's BETWEEN trick.
-func (t *Tree) CountPolyhedron(tb *table.Table, q vec.Polyhedron) (int64, QueryStats, error) {
-	start := time.Now()
-	before := tb.Store().Stats()
-	var stats QueryStats
-	var count int64
-
-	stack := []int32{0}
-	var err error
-	for len(stack) > 0 && err == nil {
-		idx := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		n := &t.Nodes[idx]
-		if n.RowLo == n.RowHi {
-			continue
-		}
-		stats.NodesVisited++
-		switch q.ClassifyBox(n.Bounds) {
-		case vec.Outside:
-			continue
-		case vec.Inside:
-			count += int64(n.RowHi - n.RowLo)
-			if n.IsLeaf() {
-				stats.LeavesInside++
-			} else {
-				stats.LeavesInside += countLeaves(t, idx)
-			}
-		case vec.Partial:
-			if n.IsLeaf() {
-				stats.LeavesPartial++
-				err = tb.ScanRange(n.RowLo, n.RowHi, func(id table.RowID, r *table.Record) bool {
-					stats.RowsExamined++
-					if q.Contains(r.Point()) {
-						count++
-					}
-					return true
-				})
-			} else {
-				stack = append(stack, n.Right, n.Left)
-			}
-		}
-	}
-	stats.RowsReturned = count
-	stats.Pages = tb.Store().Stats().Sub(before)
-	stats.Duration = time.Since(start)
-	return count, stats, err
-}
-
-// QueryBox answers an axis-aligned box query through the polyhedron
-// path.
-func (t *Tree) QueryBox(tb *table.Table, b vec.Box) ([]table.RowID, QueryStats, error) {
-	return t.QueryPolyhedron(tb, vec.BoxPolyhedron(b))
-}
-
 // countLeaves returns the number of leaves under the node.
 func countLeaves(t *Tree, idx int32) int {
 	n := &t.Nodes[idx]
@@ -188,22 +132,15 @@ type Range struct {
 // Rows returns the number of rows in the range.
 func (r Range) Rows() int64 { return int64(r.Hi - r.Lo) }
 
-// Walk summarizes the in-memory classification pass behind
-// CollectRanges.
-type Walk struct {
-	NodesVisited  int
-	LeavesInside  int
-	LeavesPartial int
-}
-
-// CollectRanges classifies the tree against the polyhedron entirely
-// in memory and returns the candidate row ranges: Inside subtrees as
-// bulk ranges, partial leaves as filter ranges. It performs no table
-// I/O — the cost-based planner prices plans with it, and the
-// parallel executor fans the ranges across its worker pool.
-func (t *Tree) CollectRanges(q vec.Polyhedron, pr Pruning) ([]Range, Walk) {
-	var out []Range
-	var walk Walk
+// CollectRanges classifies the tree's tight bounds against the
+// polyhedron entirely in memory — the hierarchical zone map of the
+// leaf-clustered table. An Outside node prunes its whole subtree of
+// pages in one test; an Inside node becomes one bulk range; only
+// Partial recursion reaches the leaves, which become filter ranges.
+// It returns the ranges in ascending row order and the number of
+// nodes classified, and performs no table I/O: the cost-based planner
+// prices and the executor scans exactly these ranges.
+func (t *Tree) CollectRanges(q vec.Polyhedron) (ranges []Range, nodes int) {
 	stack := []int32{0}
 	for len(stack) > 0 {
 		idx := stack[len(stack)-1]
@@ -212,50 +149,19 @@ func (t *Tree) CollectRanges(q vec.Polyhedron, pr Pruning) ([]Range, Walk) {
 		if n.RowLo == n.RowHi {
 			continue
 		}
-		walk.NodesVisited++
-		box := n.Bounds
-		if pr == PrunePartitionCells {
-			box = n.Cell
-		}
-		switch q.ClassifyBox(box) {
-		case vec.Outside:
-			continue
+		nodes++
+		switch q.ClassifyBox(n.Bounds) {
 		case vec.Inside:
-			if n.IsLeaf() {
-				walk.LeavesInside++
-			} else {
-				walk.LeavesInside += countLeaves(t, idx)
-			}
-			out = append(out, Range{Lo: n.RowLo, Hi: n.RowHi, Bounds: n.Bounds})
+			ranges = append(ranges, Range{Lo: n.RowLo, Hi: n.RowHi, Bounds: n.Bounds})
 		case vec.Partial:
 			if n.IsLeaf() {
-				walk.LeavesPartial++
-				out = append(out, Range{Lo: n.RowLo, Hi: n.RowHi, Filter: true, Bounds: n.Bounds})
+				ranges = append(ranges, Range{Lo: n.RowLo, Hi: n.RowHi, Filter: true, Bounds: n.Bounds})
 			} else {
 				stack = append(stack, n.Right, n.Left)
 			}
 		}
 	}
-	return out, walk
-}
-
-// CollectRangesBounded is CollectRanges plus the unindexed tail:
-// when the clustered table has grown past the rows the tree was
-// built over (minor compactions append ingested rows at the end
-// without rebuilding the tree), the extra rows [t.NumRows, tableRows)
-// are returned as one trailing filter range. The tree's own ranges
-// are exact as ever; the tail pays a per-point test until the next
-// full compaction rebuilds the tree over the enlarged table.
-func (t *Tree) CollectRangesBounded(q vec.Polyhedron, pr Pruning, tableRows uint64) ([]Range, Walk) {
-	out, walk := t.CollectRanges(q, pr)
-	if tableRows > t.NumRows {
-		out = append(out, Range{
-			Lo:     table.RowID(t.NumRows),
-			Hi:     table.RowID(tableRows),
-			Filter: true,
-		})
-	}
-	return out, walk
+	return ranges, nodes
 }
 
 // ClassifyLeaves returns, for a query polyhedron, how many leaf

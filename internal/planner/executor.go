@@ -1,8 +1,8 @@
 package planner
 
 // Executor is the concurrent query executor: candidate row ranges —
-// kd-subtree BETWEEN ranges, Voronoi cell ranges, or full-scan
-// chunks — are fanned across a fixed worker pool and streamed back in
+// the index scan's ranges, Voronoi cell ranges, or the full scan —
+// are chunked across a fixed worker pool and streamed back in
 // range order (Stream, in stream.go), so a parallel scan yields
 // exactly the rows, in exactly the physical order, of the serial
 // per-index implementations (kdtree.Tree.QueryPolyhedron,

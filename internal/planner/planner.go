@@ -1,25 +1,33 @@
 // Package planner implements cost-based access-path selection for
 // polyhedron queries — the component that turns the paper's central
 // observation into a decision procedure. Figure 5 shows that no
-// single access path wins everywhere: the kd-tree beats the full
-// scan only while query selectivity stays below ~0.25, above which
-// the sequential scan's cheap pages overtake the index's scattered
-// range reads. The seed system hard-coded "kd-tree first"; this
-// package instead estimates each query's selectivity cheaply, prices
-// every available path in page reads, and picks the winner per
+// single access path wins everywhere: the index beats the full scan
+// only while the query stays selective, above which reading every
+// page sequentially is cheaper than classifying and filtering. This
+// package estimates each query's selectivity cheaply, prices the index
+// scan and the full scan in page reads, and picks the winner per
 // query.
+//
+// There is one index scan. The kd-leaf-clustered table is one file
+// read in ascending page order; the kd-tree's tight bounding boxes
+// (§3.2) and the per-page zone maps over that same file are the
+// coarse and the fine level of one zone hierarchy. Plan walks the tree
+// once: an Outside node prunes its whole subtree of pages, an Inside
+// node becomes one unfiltered contiguous range, and Partial leaves —
+// together with the unindexed tail minor compactions append past the
+// tree, or the whole catalog when no tree is built — become filter
+// ranges whose pages are classified against their zones. Adjacent
+// ranges of one kind coalesce and every range is cut at page
+// boundaries (the ragged first and last page of an unfiltered run join
+// the filter ranges), so no page is fetched twice. The executor scans
+// exactly the ranges the plan priced.
 //
 // Selectivity estimation never touches the table. In order of
 // preference:
 //
-//   - kd-tree walk: classify the tree's tight bounding boxes against
-//     the polyhedron entirely in memory — the same walk the executor
-//     runs, touching at most the tree's ~2√N nodes. Inside subtrees
-//     contribute their exact row counts; partial leaves are
-//     apportioned by the volume overlap of the query's bounding box
-//     with the leaf's tight bounds.
-//   - Voronoi spheres: classify every cell's bounding sphere; inside
-//     cells count exactly, partial cells count half.
+//   - kd-tree walk: Inside subtrees contribute their exact row
+//     counts; partial leaves are apportioned by the volume overlap of
+//     the query's bounding box with the leaf's tight bounds.
 //   - grid layers: each complete layer of the §3.1 layered grid is a
 //     uniform random subsample, so the fraction of a layer's rows in
 //     cells overlapping the query box estimates the query's mass.
@@ -27,11 +35,11 @@
 //     the domain — the last resort when no index exists.
 //
 // Costs are denominated in sequential-page-read units, the currency
-// pagestore.Stats counts: a full scan pays SeqPage per catalog page,
-// index paths pay RandPage per page of candidate ranges (scattered
-// BETWEEN reads), and every path pays per-node and per-row CPU
-// surcharges. The default constants place the fullscan/kd-tree
-// crossover near the paper's ~0.25.
+// pagestore.Stats counts. Both polyhedron paths read one file in
+// ascending order, so both pay SeqPage per page they fetch, plus
+// per-node, per-zone and per-row CPU surcharges; RandPage prices only
+// the kNN region-growing search, whose visiting order is not page
+// order.
 package planner
 
 import (
@@ -40,10 +48,8 @@ import (
 
 	"repro/internal/grid"
 	"repro/internal/kdtree"
-	"repro/internal/pagestore"
 	"repro/internal/table"
 	"repro/internal/vec"
-	"repro/internal/voronoi"
 )
 
 // Path is an executable access path for a polyhedron query.
@@ -51,18 +57,14 @@ type Path int
 
 // Available access paths. The layered grid is an estimation source,
 // not an execution path: it answers sampling queries, not exact
-// polyhedron retrieval.
+// polyhedron retrieval. The Voronoi index is never priced — no
+// workload in the ledger ever chose it (EXPERIMENTS.md "One index
+// scan") — and runs only when a caller forces it.
 const (
 	PathFullScan Path = iota
-	PathKdTree
-	PathVoronoi
-	// PathPrunedScan is a sequential scan that consults the per-page
-	// zone maps: pages whose magnitude bounds cannot intersect the
-	// query are never read. It runs over the most color-clustered
-	// table available (the kd-leaf-ordered copy when built, whose
-	// zones are tight), paying SeqPage for overlap pages instead of
-	// the kd path's RandPage for scattered ranges.
-	PathPrunedScan
+	// PathIndex is the index scan: the kd walk's ranges over the
+	// leaf-clustered table, filter ranges zone-pruned page by page.
+	PathIndex
 	numPaths
 )
 
@@ -71,12 +73,8 @@ func (p Path) String() string {
 	switch p {
 	case PathFullScan:
 		return "fullscan"
-	case PathKdTree:
-		return "kdtree"
-	case PathVoronoi:
-		return "voronoi"
-	case PathPrunedScan:
-		return "pruned-scan"
+	case PathIndex:
+		return "index"
 	}
 	return fmt.Sprintf("Path(%d)", int(p))
 }
@@ -84,15 +82,15 @@ func (p Path) String() string {
 // CostModel holds the constants the cost formulas combine, all
 // denominated in sequential-page-read units.
 type CostModel struct {
-	// SeqPage is the cost of one sequentially read page (full scan).
+	// SeqPage is the cost of one page read in ascending file order:
+	// every page of a full scan, every fetched page of the index scan.
 	SeqPage float64
-	// RandPage is the cost of one page read through scattered index
-	// range reads. The default ratio RandPage/SeqPage = 4 places the
-	// fullscan/kd-tree crossover at selectivity ~0.25, the paper's
-	// Figure 5 observation.
+	// RandPage is the cost of one page read out of file order — the
+	// kNN region-growing search hops between leaves by distance, not
+	// by page number.
 	RandPage float64
-	// Node is the CPU cost of classifying one tree node or Voronoi
-	// cell against the polyhedron.
+	// Node is the CPU cost of classifying one tree node or one page
+	// zone against the polyhedron.
 	Node float64
 	// Row is the CPU cost of decoding and testing one row.
 	Row float64
@@ -104,30 +102,11 @@ type CostModel struct {
 	KNNGrowth float64
 }
 
-// DefaultCostModel returns the constants used throughout: crossover
-// at ~0.25 selectivity, CPU terms small but non-zero so degenerate
-// plans (classifying thousands of cells to read ten rows) still pay.
+// DefaultCostModel returns the constants used throughout; CPU terms
+// are small but non-zero so degenerate plans (classifying thousands
+// of nodes to read ten rows) still pay.
 func DefaultCostModel() CostModel {
 	return CostModel{SeqPage: 1, RandPage: 4, Node: 0.02, Row: 0.002, KNNGrowth: 4}
-}
-
-// Calibrate returns a copy of the model with RandPage interpolated
-// toward SeqPage by the buffer pool's observed hit ratio: on a hot
-// pool a "random" page is a map lookup, not a seek, and the index
-// paths should be charged accordingly. Stats are cumulative store
-// counters (pagestore.Store.Stats).
-func (m CostModel) Calibrate(st pagestore.Stats) CostModel {
-	total := st.Hits + st.Misses
-	if total == 0 {
-		return m
-	}
-	miss := float64(st.Misses) / float64(total)
-	out := m
-	out.RandPage = m.SeqPage + (m.RandPage-m.SeqPage)*miss
-	if out.RandPage < m.SeqPage {
-		out.RandPage = m.SeqPage
-	}
-	return out
 }
 
 // Estimate is a cheap prediction of a query's selectivity.
@@ -138,8 +117,7 @@ type Estimate struct {
 	// Rows is Selectivity scaled to the catalog size.
 	Rows float64
 	// Method names the estimator that produced the prediction:
-	// "kdtree-walk", "voronoi-spheres", "grid-layers" or
-	// "bbox-volume".
+	// "kdtree-walk", "grid-layers" or "bbox-volume".
 	Method string
 }
 
@@ -148,21 +126,30 @@ type Choice struct {
 	Path Path
 	Est  Estimate
 	// Cost holds the predicted cost per path in sequential-page
-	// units; +Inf marks paths whose index is not built.
+	// units.
 	Cost [numPaths]float64
 	// Reason is a one-line human-readable explanation, surfaced
 	// through core.Report.PlanReason.
 	Reason string
-	// KdRanges are the candidate ranges computed while pricing the
-	// kd-tree path (nil when no kd-tree is built). The streaming cursor
-	// scans them as its tasks, so an auto-planned query classifies the
-	// tree exactly once.
-	KdRanges []kdtree.Range
-	// PrunedPages and PrunedTotal are the zone-map consultation's
-	// verdict while pricing the pruned-scan path: how many of the
-	// pruned source table's pages the query can possibly touch, out of
-	// how many. Computed entirely in memory — no page I/O.
-	PrunedPages, PrunedTotal int
+	// Tree is the kd-tree Ranges were derived from (nil when none was
+	// built). Ranges address rows of that tree's clustered table, so a
+	// cached Choice may only run against a snapshot holding the same
+	// tree.
+	Tree *kdtree.Tree
+	// Ranges is the index scan, priced and ready to run whichever path
+	// won: ascending, non-overlapping, page-aligned, adjacent ranges of
+	// one kind coalesced. Filter ranges none of whose pages can hold a
+	// match are already dropped, so an empty slice proves the paged
+	// answer empty without a read.
+	Ranges []ScanTask
+	// NodesVisited and ZonesClassified count the classification work
+	// behind Ranges: kd-tree nodes and page zones tested.
+	NodesVisited, ZonesClassified int
+	// PagesPruned counts the index table's pages no range covers —
+	// pages under Outside subtrees or dropped filter ranges. The
+	// executor's own PagesSkipped (Outside page zones inside kept
+	// filter ranges) adds to it.
+	PagesPruned int
 }
 
 // BestCost returns the chosen path's predicted cost in sequential-
@@ -171,13 +158,13 @@ type Choice struct {
 func (c Choice) BestCost() float64 { return c.Cost[c.Path] }
 
 // Planner prices polyhedron queries against the indexes it is given.
-// Nil index fields simply exclude the corresponding paths. The zero
-// Model is replaced by DefaultCostModel.
+// Kd and KdTable come as a pair; without them the index scan
+// degenerates to one zone-pruned filter range over the catalog. The
+// zero Model is replaced by DefaultCostModel.
 type Planner struct {
 	Catalog *table.Table
 	Kd      *kdtree.Tree
 	KdTable *table.Table
-	Vor     *voronoi.Index
 	Grid    *grid.Index
 	Domain  vec.Box
 	Model   CostModel
@@ -189,112 +176,188 @@ type Planner struct {
 	MemRows int64
 }
 
-// Plan estimates the query's selectivity, prices every available
-// access path, and returns the cheapest. Catalog must be non-nil.
-func (p *Planner) Plan(q vec.Polyhedron) Choice {
+// IndexTable returns the table the index scan reads: the kd-leaf-
+// clustered copy when a tree is built (clustering in color space
+// makes every zone tight), otherwise the catalog. The executor must
+// scan the same table the plan's Ranges were priced over.
+func (p *Planner) IndexTable() *table.Table {
+	if p.Kd != nil {
+		return p.KdTable
+	}
+	return p.Catalog
+}
+
+// Plan estimates the query's selectivity, builds and prices the index
+// scan, prices the full scan, and returns the cheaper. Catalog must be
+// non-nil. The only error is a plane of the wrong dimension.
+func (p *Planner) Plan(q vec.Polyhedron) (Choice, error) {
+	pred, err := table.CompilePagePred(q.Planes)
+	if err != nil {
+		return Choice{}, err
+	}
 	m := p.Model
 	if m == (CostModel{}) {
 		m = DefaultCostModel()
 	}
 	n := float64(p.Catalog.NumRows())
-	catPages := float64(p.Catalog.NumPages())
-
-	var c Choice
-	for i := range c.Cost {
-		c.Cost[i] = math.Inf(1)
-	}
 
 	// Every path additionally merges the memtable rows (pure CPU —
 	// they are already in memory). Common to all paths, so it never
 	// flips the choice, but BestCost stays honest under ingest.
 	memCost := float64(p.MemRows) * m.Row
 
+	c := Choice{Tree: p.Kd}
 	// Full scan: every catalog page sequentially, every row tested.
-	c.Cost[PathFullScan] = catPages*m.SeqPage + n*m.Row + memCost
+	c.Cost[PathFullScan] = float64(p.Catalog.NumPages())*m.SeqPage + n*m.Row + memCost
 
-	// kd-tree: price from the same range classification the executor
-	// will run — inside + partial rows as scattered pages, plus the
-	// unindexed tail (rows minor compactions appended past the tree)
-	// as one sequential filter range.
+	// Index scan: one walk classifies the tree, then the ranges fold
+	// into page-aligned tasks. Rows past the tree's coverage — the
+	// tail minor compactions appended, or the whole table when no tree
+	// is built — are one more filter range.
+	src := p.IndexTable()
+	b := scanBuilder{pred: pred, zones: src.ZoneMaps(), rows: table.RowID(src.NumRows())}
 	var kdRanges []kdtree.Range
+	var indexed table.RowID
 	if p.Kd != nil {
-		var walk kdtree.Walk
-		kdRanges, walk = p.Kd.CollectRanges(q, kdtree.PruneTightBounds)
-		c.KdRanges = kdRanges
-		var candRows int64
-		for _, r := range kdRanges {
-			candRows += r.Rows()
-		}
-		var tailRows int64
-		if p.KdTable != nil && p.KdTable.NumRows() > p.Kd.NumRows {
-			tailRows = int64(p.KdTable.NumRows() - p.Kd.NumRows)
-		}
-		pages := pagesFor(candRows)
-		c.Cost[PathKdTree] = pages*m.RandPage + float64(walk.NodesVisited)*m.Node + float64(candRows)*m.Row +
-			pagesFor(tailRows)*m.SeqPage + float64(tailRows)*m.Row + memCost
+		kdRanges, c.NodesVisited = p.Kd.CollectRanges(q)
+		indexed = table.RowID(p.Kd.NumRows)
 	}
+	for _, r := range kdRanges {
+		b.add(r.Lo, r.Hi, r.Filter)
+	}
+	if b.rows > indexed {
+		b.add(indexed, b.rows, true)
+	}
+	b.flushRun()
+	b.flushSpan()
+	c.Ranges, c.ZonesClassified = b.tasks, b.classified
+	c.PagesPruned = src.NumPages() - b.spanned
+	c.Cost[PathIndex] = float64(b.fetched)*m.SeqPage + float64(c.NodesVisited+b.classified)*m.Node +
+		float64(b.fetchedRows)*m.Row + memCost
 
-	// Voronoi: classify every cell's bounding sphere in memory.
-	var vorInsideRows, vorPartialRows int64
-	if p.Vor != nil {
-		cells := 0
-		for cell := range p.Vor.Seeds {
-			cells++
-			lo, hi := p.Vor.CellRows(cell)
-			rows := int64(hi - lo)
-			if rows == 0 {
+	c.Est = p.estimate(q, kdRanges, n)
+	if c.Cost[PathIndex] < c.Cost[PathFullScan] {
+		c.Path = PathIndex
+	}
+	c.Reason = reason(c)
+	return c, nil
+}
+
+// scanBuilder folds the walk's ascending row ranges into the index
+// scan's tasks and prices them as it goes. Tasks are page-aligned, so
+// every page belongs to at most one of them and is fetched at most
+// once: an unfiltered run keeps the pages it covers whole, and its
+// ragged first and last pages — shared with rows that may not match —
+// join the filter ranges, whose predicate is exact on any row. Filter
+// tasks cost only the pages whose zone the predicate cannot rule out,
+// and vanish when no page survives.
+type scanBuilder struct {
+	pred  *table.PagePred
+	zones *table.ZoneMaps // nil: no page can be ruled out
+	rows  table.RowID     // the table's row bound
+
+	run   ScanTask // rows: the run of one kind being coalesced; empty when none
+	span  pageSpan // pages: the span of one kind being coalesced; empty when none
+	tasks []ScanTask
+
+	spanned     int   // pages the emitted tasks cover
+	fetched     int   // pages of those the scan will fetch
+	fetchedRows int64 // rows on the fetched pages
+	classified  int   // page zones tested
+}
+
+// pageSpan is pages [first, end) of one kind.
+type pageSpan struct {
+	first, end int
+	filter     bool
+}
+
+// add appends rows [lo, hi), extending the current run when it
+// continues it with the same kind.
+func (b *scanBuilder) add(lo, hi table.RowID, filter bool) {
+	if b.run.Filter == filter && b.run.Hi == lo && b.run.Lo < lo {
+		b.run.Hi = hi
+		return
+	}
+	b.flushRun()
+	b.run = ScanTask{Lo: lo, Hi: hi, Filter: filter}
+}
+
+// flushRun turns the current run into page spans.
+func (b *scanBuilder) flushRun() {
+	r := b.run
+	if r.Lo == r.Hi {
+		return
+	}
+	b.run = ScanTask{}
+	const rpp = table.RecordsPerPage
+	first, end := int(r.Lo/rpp), int((r.Hi-1)/rpp)+1 // pages the run touches
+	if !r.Filter {
+		whole, wholeEnd := int((r.Lo+rpp-1)/rpp), int(r.Hi/rpp) // pages it covers
+		if r.Hi == b.rows {
+			wholeEnd = end // the table's last page ends where the run does
+		}
+		if whole < wholeEnd {
+			b.addSpan(first, whole, true)
+			b.addSpan(whole, wholeEnd, false)
+			b.addSpan(wholeEnd, end, true)
+			return
+		}
+	}
+	b.addSpan(first, end, true)
+}
+
+// addSpan appends pages [first, end), extending the current span when
+// it touches or overlaps it with the same kind. Only filter spans can
+// overlap: two runs' ragged edges on one page.
+func (b *scanBuilder) addSpan(first, end int, filter bool) {
+	if first >= end {
+		return
+	}
+	if b.span.first < b.span.end && b.span.filter == filter && first <= b.span.end {
+		b.span.end = max(b.span.end, end)
+		return
+	}
+	b.flushSpan()
+	b.span = pageSpan{first, end, filter}
+}
+
+// flushSpan prices the current span and emits it as a task unless its
+// zones prove it empty.
+func (b *scanBuilder) flushSpan() {
+	sp := b.span
+	if sp.first == sp.end {
+		return
+	}
+	b.span = pageSpan{}
+	const rpp = table.RecordsPerPage
+	t := ScanTask{Lo: table.RowID(sp.first) * rpp, Hi: min(table.RowID(sp.end)*rpp, b.rows), Filter: sp.filter}
+	fetched, rows := sp.end-sp.first, int64(t.Hi-t.Lo)
+	if sp.filter && b.zones != nil {
+		for pg := sp.first; pg < sp.end; pg++ {
+			z, ok := b.zones.Page(pg)
+			if !ok {
 				continue
 			}
-			switch q.ClassifySphere(p.Vor.Seeds[cell], p.Vor.Radius[cell]) {
-			case vec.Inside:
-				vorInsideRows += rows
-			case vec.Partial:
-				vorPartialRows += rows
+			b.classified++
+			if b.pred.Classify(&z) == vec.Outside {
+				fetched--
+				rows -= int64(min(table.RowID(pg+1)*rpp, b.rows) - table.RowID(pg)*rpp)
 			}
 		}
-		cand := vorInsideRows + vorPartialRows
-		var tailRows int64
-		if t := p.Vor.Table().NumRows(); t > p.Vor.CoveredRows() {
-			tailRows = int64(t - p.Vor.CoveredRows())
-		}
-		c.Cost[PathVoronoi] = pagesFor(cand)*m.RandPage + float64(cells)*m.Node + float64(cand)*m.Row +
-			pagesFor(tailRows)*m.SeqPage + float64(tailRows)*m.Row + memCost
-	}
-
-	// Pruned scan: classify every page's zone map against the query —
-	// pure CPU, no I/O — then price the surviving pages sequentially.
-	// On the kd-clustered table the zones are tight, so a selective
-	// cut's overlap set is a small fraction of the file read at
-	// SeqPage, versus the kd path's scattered ranges at RandPage.
-	if src := p.PrunedScanSource(); src != nil && len(q.Planes) > 0 {
-		if pred, err := table.CompilePagePred(q.Planes); err == nil {
-			zm := src.ZoneMaps()
-			pages, rows := prunedOverlap(zm, src.NumRows(), pred)
-			// Totals derive from the published row bound, not
-			// zm.NumPages(): an in-flight staged append may already have
-			// widened zones for pages no reader can see yet.
-			total := src.NumPages()
-			c.PrunedPages, c.PrunedTotal = pages, total
-			c.Cost[PathPrunedScan] = float64(pages)*m.SeqPage + float64(total)*m.Node + float64(rows)*m.Row + memCost
+		if fetched == 0 {
+			return
 		}
 	}
-
-	c.Est = p.estimate(q, kdRanges, vorInsideRows, vorPartialRows, n)
-
-	best := PathFullScan
-	for path := PathFullScan; path < numPaths; path++ {
-		if c.Cost[path] < c.Cost[best] {
-			best = path
-		}
-	}
-	c.Path = best
-	c.Reason = reason(c)
-	return c
+	b.tasks = append(b.tasks, t)
+	b.spanned += sp.end - sp.first
+	b.fetched += fetched
+	b.fetchedRows += rows
 }
 
 // estimate produces the selectivity prediction, preferring the
 // estimator backed by the most structure.
-func (p *Planner) estimate(q vec.Polyhedron, kdRanges []kdtree.Range, vorInside, vorPartial int64, n float64) Estimate {
+func (p *Planner) estimate(q vec.Polyhedron, kdRanges []kdtree.Range, n float64) Estimate {
 	if n == 0 {
 		return Estimate{Method: "empty"}
 	}
@@ -310,8 +373,6 @@ func (p *Planner) estimate(q vec.Polyhedron, kdRanges []kdtree.Range, vorInside,
 			rows += float64(r.Rows()) * overlapFraction(bb, r.Bounds)
 		}
 		return mkEstimate(rows, n, "kdtree-walk")
-	case p.Vor != nil:
-		return mkEstimate(float64(vorInside)+0.5*float64(vorPartial), n, "voronoi-spheres")
 	case p.Grid != nil:
 		if frac, ok := gridBoxMass(p.Grid, bb); ok {
 			return mkEstimate(frac*n, n, "grid-layers")
@@ -453,51 +514,6 @@ func (p *Planner) PlanKNN(k int) KNNChoice {
 	return c
 }
 
-// PrunedScanSource returns the table a pruned scan would run over:
-// the kd-leaf-clustered copy when it is built and carries complete
-// zone maps (clustering in color space makes zones tight), otherwise
-// the catalog itself, otherwise nil (no zone maps available — e.g. a
-// database persisted without sidecars). The executor must use the
-// same selection so the plan's pricing matches what runs.
-func (p *Planner) PrunedScanSource() *table.Table {
-	for _, t := range []*table.Table{p.KdTable, p.Catalog} {
-		if t == nil || t.NumRows() == 0 {
-			continue
-		}
-		// Zones widen before rows publish on the ingest path, so the
-		// sidecar may momentarily cover more pages than readers can
-		// see; covering at least the published pages is what soundness
-		// requires.
-		if zm := t.ZoneMaps(); zm != nil && zm.NumPages() >= t.NumPages() {
-			return t
-		}
-	}
-	return nil
-}
-
-// prunedOverlap classifies every page zone against the predicate and
-// returns how many pages survive and how many rows they hold. The
-// page total derives from the published row count, never from the
-// sidecar (which may already cover staged-but-unpublished pages).
-func prunedOverlap(zm *table.ZoneMaps, rows uint64, pred *table.PagePred) (pages int, overlapRows int64) {
-	total := int((rows + table.RecordsPerPage - 1) / table.RecordsPerPage)
-	for pg := 0; pg < total; pg++ {
-		z, ok := zm.Page(pg)
-		if !ok || pred.Classify(&z) == vec.Outside {
-			continue
-		}
-		pages++
-		inPage := int64(table.RecordsPerPage)
-		if pg == total-1 {
-			if last := int64(rows) - int64(pg)*table.RecordsPerPage; last < inPage {
-				inPage = last
-			}
-		}
-		overlapRows += inPage
-	}
-	return pages, overlapRows
-}
-
 // pagesFor converts a row count to page reads, rounding up.
 func pagesFor(rows int64) float64 {
 	if rows <= 0 {
@@ -507,25 +523,12 @@ func pagesFor(rows int64) float64 {
 }
 
 // reason renders the verdict as one line, e.g.
-// "est sel 0.62 (kdtree-walk); fullscan 494.0 beats kdtree 1676.3, voronoi 1821.0".
+// "est sel 0.031 (kdtree-walk); index 58.1 beats fullscan 494.0".
 func reason(c Choice) string {
-	s := fmt.Sprintf("est sel %.3f (%s); %s %.1f", c.Est.Selectivity, c.Est.Method, c.Path, c.Cost[c.Path])
-	losers := ""
-	for path := PathFullScan; path < numPaths; path++ {
-		if path == c.Path {
-			continue
-		}
-		if losers != "" {
-			losers += ", "
-		}
-		if math.IsInf(c.Cost[path], 1) {
-			losers += fmt.Sprintf("%s n/a", path)
-		} else {
-			losers += fmt.Sprintf("%s %.1f", path, c.Cost[path])
-		}
+	loser := PathFullScan
+	if c.Path == PathFullScan {
+		loser = PathIndex
 	}
-	if losers != "" {
-		s += " beats " + losers
-	}
-	return s
+	return fmt.Sprintf("est sel %.3f (%s); %s %.1f beats %s %.1f",
+		c.Est.Selectivity, c.Est.Method, c.Path, c.Cost[c.Path], loser, c.Cost[loser])
 }

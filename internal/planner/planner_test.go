@@ -13,7 +13,6 @@ import (
 	"repro/internal/sky"
 	"repro/internal/table"
 	"repro/internal/vec"
-	"repro/internal/voronoi"
 )
 
 // world is the shared test fixture: a synthetic catalog with every
@@ -23,7 +22,6 @@ type world struct {
 	catalog *table.Table
 	tree    *kdtree.Tree
 	kdTable *table.Table
-	vor     *voronoi.Index
 	gridIx  *grid.Index
 }
 
@@ -72,11 +70,6 @@ func make20kDir() (*world, error) {
 	if err != nil {
 		return nil, err
 	}
-	vp := voronoi.DefaultParams(w.catalog.NumRows(), 7)
-	w.vor, err = voronoi.Build(w.catalog, "mag.vor.tbl", sky.Domain(), vp)
-	if err != nil {
-		return nil, err
-	}
 	dom3 := vec.NewBox(sky.Domain().Min[:3], sky.Domain().Max[:3])
 	w.gridIx, err = grid.Build(w.catalog, "mag.grid.tbl", grid.DefaultParams(dom3, 7))
 	if err != nil {
@@ -101,11 +94,20 @@ func centeredBox(tb *table.Table, half float64) vec.Polyhedron {
 // trueSelectivity counts the exact answer by full scan.
 func trueSelectivity(t *testing.T, tb *table.Table, q vec.Polyhedron) float64 {
 	t.Helper()
-	count, _, err := engine.CountScanPolyhedron(tb, q)
+	ids, _, err := engine.FullScanPolyhedron(tb, q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return float64(count) / float64(tb.NumRows())
+	return float64(len(ids)) / float64(tb.NumRows())
+}
+
+func mustPlan(t *testing.T, pl *Planner, q vec.Polyhedron) Choice {
+	t.Helper()
+	c, err := pl.Plan(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
 }
 
 // TestKdEstimateErrorBound checks the kd-walk estimator across the
@@ -120,7 +122,7 @@ func TestKdEstimateErrorBound(t *testing.T) {
 	for _, half := range []float64{0.2, 0.8, 1.6, 3.2, 6.4, 12.8} {
 		q := centeredBox(w.kdTable, half)
 		actual := trueSelectivity(t, w.catalog, q)
-		choice := pl.Plan(q)
+		choice := mustPlan(t, pl, q)
 		got := choice.Est.Selectivity
 		if choice.Est.Method != "kdtree-walk" {
 			t.Fatalf("half=%v: method %q", half, choice.Est.Method)
@@ -137,25 +139,16 @@ func TestKdEstimateErrorBound(t *testing.T) {
 	}
 }
 
-// TestVoronoiAndGridEstimators degrades the planner index by index
-// and checks the fallback estimators stay sane (within 0.2 absolute
-// for a mid-size box, correct method label).
-func TestVoronoiAndGridEstimators(t *testing.T) {
+// TestGridAndVolumeEstimators degrades the planner index by index
+// and checks the fallback estimators stay sane (right ballpark for a
+// mid-size box, correct method label).
+func TestGridAndVolumeEstimators(t *testing.T) {
 	w := sharedWorld(t)
 	q := centeredBox(w.kdTable, 3.2)
 	actual := trueSelectivity(t, w.catalog, q)
 
-	vorOnly := &Planner{Catalog: w.catalog, Vor: w.vor, Domain: sky.Domain()}
-	c := vorOnly.Plan(q)
-	if c.Est.Method != "voronoi-spheres" {
-		t.Fatalf("method %q", c.Est.Method)
-	}
-	if err := math.Abs(c.Est.Selectivity - actual); err > 0.2 {
-		t.Errorf("voronoi estimate %0.4f vs actual %0.4f", c.Est.Selectivity, actual)
-	}
-
 	gridOnly := &Planner{Catalog: w.catalog, Grid: w.gridIx, Domain: sky.Domain()}
-	c = gridOnly.Plan(q)
+	c := mustPlan(t, gridOnly, q)
 	if c.Est.Method != "grid-layers" {
 		t.Fatalf("method %q", c.Est.Method)
 	}
@@ -167,40 +160,14 @@ func TestVoronoiAndGridEstimators(t *testing.T) {
 	}
 
 	bare := &Planner{Catalog: w.catalog, Domain: sky.Domain()}
-	c = bare.Plan(q)
+	c = mustPlan(t, bare, q)
 	if c.Est.Method != "bbox-volume" {
 		t.Fatalf("method %q", c.Est.Method)
 	}
+	// The heap catalog's zones are loose in colour space: classifying
+	// them prunes nothing and the plain full scan must win.
 	if c.Path != PathFullScan {
-		t.Errorf("no indexes built but path = %v", c.Path)
-	}
-}
-
-// TestPlanCrossover pins the acceptance criterion: a >0.5-selectivity
-// query must run as a full scan, a <0.05-selectivity query through an
-// index, with the flip consistent around the paper's ~0.25 boundary.
-func TestPlanCrossover(t *testing.T) {
-	w := sharedWorld(t)
-	pl := &Planner{Catalog: w.catalog, Kd: w.tree, KdTable: w.kdTable, Domain: sky.Domain()}
-
-	wide := centeredBox(w.kdTable, 12.8)
-	if s := trueSelectivity(t, w.catalog, wide); s < 0.5 {
-		t.Fatalf("wide query selectivity %0.3f, want > 0.5", s)
-	}
-	if c := pl.Plan(wide); c.Path != PathFullScan {
-		t.Errorf("wide query path = %v (%s)", c.Path, c.Reason)
-	}
-
-	narrow := centeredBox(w.kdTable, 0.4)
-	if s := trueSelectivity(t, w.catalog, narrow); s > 0.05 {
-		t.Fatalf("narrow query selectivity %0.3f, want < 0.05", s)
-	}
-	// Either index-style path is acceptable for the selective query —
-	// with zone maps attached, a pruned sequential scan over the
-	// kd-clustered table can legitimately underprice the kd walk. The
-	// pinned behavior is "not a full scan".
-	if c := pl.Plan(narrow); c.Path != PathKdTree && c.Path != PathPrunedScan {
-		t.Errorf("narrow query path = %v (%s), want an index path", c.Path, c.Reason)
+		t.Errorf("no indexes built but path = %v (%s)", c.Path, c.Reason)
 	}
 }
 
@@ -212,7 +179,7 @@ func TestPlanMonotoneInSelectivity(t *testing.T) {
 	pl := &Planner{Catalog: w.catalog, Kd: w.tree, KdTable: w.kdTable, Domain: sky.Domain()}
 	sawFullScan := false
 	for _, half := range []float64{0.2, 0.4, 0.8, 1.6, 3.2, 6.4, 12.8, 25.6} {
-		c := pl.Plan(centeredBox(w.kdTable, half))
+		c := mustPlan(t, pl, centeredBox(w.kdTable, half))
 		if c.Path == PathFullScan {
 			sawFullScan = true
 		} else if sawFullScan {
@@ -221,26 +188,6 @@ func TestPlanMonotoneInSelectivity(t *testing.T) {
 	}
 	if !sawFullScan {
 		t.Error("full scan never chosen across the sweep")
-	}
-}
-
-// TestCalibrate checks that a hot buffer pool pulls RandPage toward
-// SeqPage and an all-miss history leaves the model cold.
-func TestCalibrate(t *testing.T) {
-	m := DefaultCostModel()
-	hot := m.Calibrate(pagestore.Stats{Hits: 99, Misses: 1})
-	if hot.RandPage >= m.RandPage {
-		t.Errorf("hot pool RandPage %v not reduced from %v", hot.RandPage, m.RandPage)
-	}
-	if hot.RandPage < m.SeqPage {
-		t.Errorf("RandPage %v fell below SeqPage", hot.RandPage)
-	}
-	cold := m.Calibrate(pagestore.Stats{Misses: 50})
-	if cold.RandPage != m.RandPage {
-		t.Errorf("all-miss history changed RandPage to %v", cold.RandPage)
-	}
-	if none := m.Calibrate(pagestore.Stats{}); none != m {
-		t.Errorf("empty stats changed the model: %+v", none)
 	}
 }
 

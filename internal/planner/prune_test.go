@@ -1,90 +1,231 @@
 package planner
 
 import (
+	"context"
+	"math/rand"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/sky"
 	"repro/internal/table"
 	"repro/internal/vec"
 )
 
-// TestPlanPrunedScanCrossover pins the pruned scan's place in the
-// cost model across the selectivity sweep:
-//
-//   - selective-but-not-tiny queries: the zone-map-pruned sequential
-//     scan over the kd-clustered table reads only the few overlapping
-//     leaf pages without the kd walk's random-page penalty, so the
-//     planner must pick it and price it under the kd walk;
-//   - wide queries: pruning excludes almost nothing, the per-page
-//     classification is pure overhead, and the plain full scan must
-//     both win and price under the pruned scan.
-func TestPlanPrunedScanCrossover(t *testing.T) {
+// TestPlanCrossover pins where index-vs-fullscan flips. Both paths
+// read one file in ascending order at SeqPage, so the index scan wins
+// for as long as the walk prunes anything worth its classification
+// cost: a selective cut runs through the index at a fraction of the
+// full scan's price, a cut over half the catalog still does, and the
+// full scan takes over only when the walk ends up touching every page
+// anyway — there the node tests are pure overhead and the index must
+// price strictly above the scan.
+func TestPlanCrossover(t *testing.T) {
 	w := sharedWorld(t)
 	pl := &Planner{Catalog: w.catalog, Kd: w.tree, KdTable: w.kdTable, Domain: sky.Domain()}
+	if pl.IndexTable() != w.kdTable {
+		t.Fatal("index scan should read the kd-clustered table (tight zones in color space)")
+	}
+	pages := w.kdTable.NumPages()
 
-	src := pl.PrunedScanSource()
-	if src == nil {
-		t.Fatal("no zone-mapped pruned-scan source")
+	narrow := centeredBox(w.kdTable, 0.4)
+	if s := trueSelectivity(t, w.catalog, narrow); s > 0.05 {
+		t.Fatalf("narrow query selectivity %0.3f, want < 0.05", s)
 	}
-	if src != w.kdTable {
-		t.Error("pruned-scan source should prefer the kd-clustered table (tight zones in color space)")
+	c := mustPlan(t, pl, narrow)
+	if c.Path != PathIndex {
+		t.Fatalf("narrow query path = %v (%s), want the index scan", c.Path, c.Reason)
 	}
-
-	q := centeredBox(w.kdTable, 0.4)
-	c := pl.Plan(q)
-	if c.Path != PathPrunedScan {
-		t.Fatalf("selective query path = %v (%s), want pruned-scan", c.Path, c.Reason)
+	if c.Cost[PathIndex] > c.Cost[PathFullScan]/4 {
+		t.Errorf("narrow query: index priced %.1f, not well under fullscan %.1f", c.Cost[PathIndex], c.Cost[PathFullScan])
 	}
-	if c.Cost[PathPrunedScan] >= c.Cost[PathKdTree] {
-		t.Errorf("pruned scan chosen but priced %.1f >= kd %.1f", c.Cost[PathPrunedScan], c.Cost[PathKdTree])
-	}
-	if c.PrunedPages <= 0 || c.PrunedPages >= c.PrunedTotal {
-		t.Errorf("pruning ineffective: %d of %d pages overlap", c.PrunedPages, c.PrunedTotal)
+	if c.PagesPruned <= pages/2 || c.PagesPruned >= pages {
+		t.Errorf("narrow query pruned %d of %d pages", c.PagesPruned, pages)
 	}
 
-	// The planner's pruned-page count is a zero-I/O consultation of
-	// the zone maps; it must equal a direct classification.
-	pred, err := table.CompilePagePred(q.Planes)
-	if err != nil {
-		t.Fatal(err)
+	half := centeredBox(w.kdTable, 3.2)
+	if s := trueSelectivity(t, w.catalog, half); s < 0.3 || s > 0.9 {
+		t.Fatalf("mid query selectivity %0.3f, want a cut of roughly half the catalog", s)
 	}
-	zm := src.ZoneMaps()
-	overlap := 0
-	for pg := 0; pg < zm.NumPages(); pg++ {
-		z, ok := zm.Page(pg)
-		if !ok {
-			t.Fatalf("no zone for page %d", pg)
-		}
-		if pred.Classify(&z) != vec.Outside {
-			overlap++
-		}
-	}
-	if c.PrunedPages != overlap {
-		t.Errorf("planner counted %d overlapping pages, direct classification %d", c.PrunedPages, overlap)
+	if c := mustPlan(t, pl, half); c.Path != PathIndex || c.PagesPruned == 0 {
+		t.Errorf("mid query path = %v, %d pages pruned (%s): pruning pages at sequential prices must beat reading them all",
+			c.Path, c.PagesPruned, c.Reason)
 	}
 
 	wide := centeredBox(w.kdTable, 12.8)
-	cw := pl.Plan(wide)
+	if s := trueSelectivity(t, w.catalog, wide); s < 0.99 {
+		t.Fatalf("wide query selectivity %0.3f, want ~1", s)
+	}
+	cw := mustPlan(t, pl, wide)
 	if cw.Path != PathFullScan {
 		t.Errorf("wide query path = %v (%s), want fullscan", cw.Path, cw.Reason)
 	}
-	if cw.Cost[PathPrunedScan] <= cw.Cost[PathFullScan] {
-		t.Errorf("wide query: pruned scan priced %.1f <= fullscan %.1f; the classification overhead should make it strictly worse",
-			cw.Cost[PathPrunedScan], cw.Cost[PathFullScan])
+	if cw.PagesPruned != 0 || cw.Cost[PathIndex] <= cw.Cost[PathFullScan] {
+		t.Errorf("wide query: %d pages pruned, index priced %.2f <= fullscan %.2f; with nothing to prune the classification overhead should make it strictly worse",
+			cw.PagesPruned, cw.Cost[PathIndex], cw.Cost[PathFullScan])
 	}
 }
 
-// TestPrunedScanSourceRequiresCoverage: a table whose zone maps do
-// not cover it exactly is not eligible — mispruning a partially
-// covered table would drop rows.
-func TestPrunedScanSourceRequiresCoverage(t *testing.T) {
+// TestWalkStopsAtRoot: a cut outside the root's tight bounds is proven
+// empty by one node test — no page zone is consulted, no range
+// emitted, every page pruned.
+func TestWalkStopsAtRoot(t *testing.T) {
 	w := sharedWorld(t)
-	pl := &Planner{Catalog: w.catalog, Domain: sky.Domain()}
-	if src := pl.PrunedScanSource(); src != w.catalog {
-		t.Fatalf("heap catalog with zones should be eligible, got %v", src)
+	pl := &Planner{Catalog: w.catalog, Kd: w.tree, KdTable: w.kdTable, Domain: sky.Domain()}
+	// Every synthetic magnitude is above 10.
+	q := vec.NewPolyhedron(vec.NewHalfspace(vec.Point{0, 0, 1, 0, 0}, 5))
+	c := mustPlan(t, pl, q)
+	if c.NodesVisited != 1 || c.ZonesClassified != 0 {
+		t.Errorf("walk visited %d nodes and %d page zones, want 1 and 0", c.NodesVisited, c.ZonesClassified)
 	}
-	none := &Planner{Domain: sky.Domain()}
-	if src := none.PrunedScanSource(); src != nil {
-		t.Error("planner with no tables returned a pruned-scan source")
+	if len(c.Ranges) != 0 || c.PagesPruned != w.kdTable.NumPages() {
+		t.Errorf("%d ranges emitted, %d of %d pages pruned", len(c.Ranges), c.PagesPruned, w.kdTable.NumPages())
+	}
+	if c.Path != PathIndex {
+		t.Errorf("path = %v (%s)", c.Path, c.Reason)
+	}
+}
+
+// TestIndexScanWithoutTree: with no kd-tree the index scan is one
+// filter range over the catalog, priced by classifying its page zones
+// — and dropped altogether when they rule every page out.
+func TestIndexScanWithoutTree(t *testing.T) {
+	w := sharedWorld(t)
+	// The kd-clustered copy stands in for a catalog whose physical
+	// order happens to make zones tight.
+	pl := &Planner{Catalog: w.kdTable, Domain: sky.Domain()}
+	if pl.IndexTable() != w.kdTable {
+		t.Fatal("without a tree the index scan reads the catalog")
+	}
+	c := mustPlan(t, pl, centeredBox(w.kdTable, 0.4))
+	rows := table.RowID(w.kdTable.NumRows())
+	if len(c.Ranges) != 1 || c.Ranges[0] != (ScanTask{Lo: 0, Hi: rows, Filter: true}) {
+		t.Fatalf("ranges = %v, want one filter range over the table", c.Ranges)
+	}
+	if c.Tree != nil || c.NodesVisited != 0 || c.ZonesClassified != w.kdTable.NumPages() {
+		t.Errorf("tree %v, %d nodes, %d zones classified of %d pages", c.Tree, c.NodesVisited, c.ZonesClassified, w.kdTable.NumPages())
+	}
+	if c.Path != PathIndex {
+		t.Errorf("path = %v (%s): tight zones should carry the scan", c.Path, c.Reason)
+	}
+	empty := mustPlan(t, pl, vec.NewPolyhedron(vec.NewHalfspace(vec.Point{0, 0, 1, 0, 0}, 5)))
+	if len(empty.Ranges) != 0 {
+		t.Errorf("provably empty cut kept ranges %v", empty.Ranges)
+	}
+}
+
+// TestPlanRejectsWrongDimension: a plane of the wrong dimension is an
+// error, not a silently unpruned plan.
+func TestPlanRejectsWrongDimension(t *testing.T) {
+	w := sharedWorld(t)
+	pl := &Planner{Catalog: w.catalog, Kd: w.tree, KdTable: w.kdTable, Domain: sky.Domain()}
+	if _, err := pl.Plan(vec.NewPolyhedron(vec.NewHalfspace(vec.Point{1, 0, 0}, 18))); err == nil {
+		t.Fatal("3-D plane planned against a 5-D catalog")
+	}
+}
+
+// TestIndexScanReadsSubsetOfBothLevels is the one-path property: for
+// random cuts, the pages the index scan fetches are a subset of what
+// either level of the zone hierarchy would read on its own — the flat
+// per-page classification of the whole file, and the kd walk's ranges
+// — and the rows it streams are exactly the per-row reference's.
+func TestIndexScanReadsSubsetOfBothLevels(t *testing.T) {
+	w := sharedWorld(t)
+	pl := &Planner{Catalog: w.catalog, Kd: w.tree, KdTable: w.kdTable, Domain: sky.Domain()}
+	zm := w.kdTable.ZoneMaps()
+	rng := rand.New(rand.NewSource(24))
+	var exec Executor
+	for iter := 0; iter < 40; iter++ {
+		// A colour cut and a magnitude cut through the populated region.
+		a, b := rng.Intn(table.Dim), rng.Intn(table.Dim)
+		colour := vec.Halfspace{A: make(vec.Point, table.Dim), B: rng.Float64()*2 - 0.5}
+		colour.A[a]++
+		colour.A[b]--
+		mag := vec.Halfspace{A: make(vec.Point, table.Dim), B: 15 + rng.Float64()*8}
+		mag.A[rng.Intn(table.Dim)] = 1
+		q := vec.NewPolyhedron(colour, mag)
+		pred, err := table.CompilePagePred(q.Planes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := mustPlan(t, pl, q)
+
+		flat := map[int]bool{}
+		for pg := 0; pg < w.kdTable.NumPages(); pg++ {
+			if z, ok := zm.Page(pg); !ok || pred.Classify(&z) != vec.Outside {
+				flat[pg] = true
+			}
+		}
+		walk := map[int]bool{}
+		kdRanges, _ := w.tree.CollectRanges(q)
+		for _, r := range kdRanges {
+			for pg := int(r.Lo / table.RecordsPerPage); pg <= int((r.Hi-1)/table.RecordsPerPage); pg++ {
+				walk[pg] = true
+			}
+		}
+		fetched := map[int]bool{}
+		var prev table.RowID
+		for i, task := range c.Ranges {
+			if task.Lo >= task.Hi || (i > 0 && task.Lo < prev) {
+				t.Fatalf("iter %d: ranges not ascending and non-empty: %v", iter, c.Ranges)
+			}
+			if task.Lo%table.RecordsPerPage != 0 || (task.Hi%table.RecordsPerPage != 0 && uint64(task.Hi) != w.kdTable.NumRows()) {
+				t.Fatalf("iter %d: range [%d, %d) is not page-aligned", iter, task.Lo, task.Hi)
+			}
+			if i > 0 && task.Lo == prev && task.Filter == c.Ranges[i-1].Filter {
+				t.Fatalf("iter %d: adjacent ranges of one kind not coalesced: %v", iter, c.Ranges)
+			}
+			prev = task.Hi
+			for pg := int(task.Lo / table.RecordsPerPage); pg <= int((task.Hi-1)/table.RecordsPerPage); pg++ {
+				if z, ok := zm.Page(pg); task.Filter && ok && pred.Classify(&z) == vec.Outside {
+					continue
+				}
+				fetched[pg] = true
+			}
+		}
+		for pg := range fetched {
+			if !flat[pg] || !walk[pg] {
+				t.Fatalf("iter %d: index scan fetches page %d (flat %v, kd walk %v)", iter, pg, flat[pg], walk[pg])
+			}
+		}
+
+		// Execute it cold: ranges are page-aligned, so every fetched
+		// page is exactly one disk read and nothing is fetched twice,
+		// and the rows are the reference's.
+		w.store.DropCache()
+		scope := w.store.Scoped()
+		s := exec.Stream(w.kdTable.Scoped(scope), c.Ranges, StreamOpts{Ctx: context.Background(), Cols: table.ColObjID, StopAfter: -1, Pred: pred})
+		var got []int64
+		for s.Next() {
+			got = append(got, s.Record().ObjID)
+		}
+		s.Close()
+		if err := s.Err(); err != nil {
+			t.Fatal(err)
+		}
+		ids, _, err := engine.FullScanPolyhedron(w.kdTable, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(ids) {
+			t.Fatalf("iter %d: index scan streamed %d rows, reference %d", iter, len(got), len(ids))
+		}
+		var rec table.Record
+		for i, id := range ids {
+			if err := w.kdTable.Get(id, &rec); err != nil {
+				t.Fatal(err)
+			}
+			if rec.ObjID != got[i] {
+				t.Fatalf("iter %d: row %d is object %d, reference %d", iter, i, got[i], rec.ObjID)
+			}
+		}
+		st := scope.Stats()
+		_, scanned, _ := s.ZoneStats()
+		if st.DiskReads != int64(len(fetched)) || st.Hits != 0 || scanned != st.DiskReads {
+			t.Fatalf("iter %d: %d disk reads + %d hits, PagesScanned %d, plan fetches %d distinct pages",
+				iter, st.DiskReads, st.Hits, scanned, len(fetched))
+		}
+	}
+	if n := w.store.PinnedPages(); n != 0 {
+		t.Errorf("%d pages left pinned", n)
 	}
 }

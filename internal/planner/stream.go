@@ -4,17 +4,16 @@ import (
 	"context"
 	"errors"
 	"sync"
-	"sync/atomic"
 
-	"repro/internal/engine"
 	"repro/internal/table"
-	"repro/internal/vec"
 )
 
 // This file is the executor's one execution path: candidate ranges —
-// kd-subtree BETWEEN ranges, Voronoi cell ranges, full-scan chunks —
-// emitted row by row through a pull cursor. Two execution modes share
-// one interface:
+// the index scan's ranges, Voronoi cell ranges, full-scan chunks —
+// emitted row by row through a pull cursor. Every range reads through
+// one table iterator: filter ranges push the page predicate down (zone
+// skip, then the vectorized strip filter), unfiltered ranges emit
+// every row. Two execution modes share one interface:
 //
 //   - serial: rows are pulled straight off a table.Iter, one range
 //     at a time. This mode supports exact early termination — with
@@ -33,8 +32,8 @@ import (
 // table.Iter), making every query on this path cancellable.
 
 // ScanTask is one candidate row range of a streaming scan. Filter
-// marks ranges whose rows need the per-point polyhedron test
-// (partial kd leaves and Voronoi cells; full-scan chunks always
+// marks ranges whose rows need the predicate (partial kd leaves, the
+// unindexed tail, partial Voronoi cells; full-scan chunks always
 // filter).
 type ScanTask struct {
 	Lo, Hi table.RowID
@@ -45,20 +44,19 @@ type ScanTask struct {
 type StreamOpts struct {
 	// Ctx cancels the scan; nil means no cancellation.
 	Ctx context.Context
-	// Cols selects the columns decoded into emitted records. Ranges
-	// that filter additionally decode the magnitudes (the predicate
-	// needs them).
+	// Cols selects the columns decoded into emitted records; the
+	// filter reads the magnitude strips on its own.
 	Cols table.ColumnSet
 	// StopAfter, when >= 0, ends the stream after that many matching
 	// rows and forces serial execution so the stop is exact: no page
 	// beyond the one holding the last emitted row is read. -1 means
 	// unbounded.
 	StopAfter int64
-	// Pred, when non-nil, pushes the filter of Filter-marked tasks
-	// down into the table iterator: pages proven empty by their zone
-	// maps are skipped without a read, and surviving pages run the
-	// vectorized strip filter instead of the per-row test. The emitted
-	// row set is identical to the per-row path's.
+	// Pred is the filter of Filter-marked tasks, pushed down into the
+	// table iterator: pages their zone proves empty are skipped without
+	// a read (unless tb is a WithoutZones view), pages it proves full
+	// emit every row, and the rest run the vectorized strip filter.
+	// Required when any task filters.
 	Pred *table.PagePred
 }
 
@@ -68,46 +66,58 @@ type StreamOpts struct {
 const batchRows = 256
 
 // Stream starts a streaming scan of the tasks against tb (which
-// carries the caller's accounting scope and access class). The
-// polyhedron q filters rows of tasks with Filter set. Parallel
-// execution is used when the pool has more than one worker, several
-// tasks exist, and no StopAfter bound was requested.
-func (e *Executor) Stream(tb *table.Table, q vec.Polyhedron, tasks []ScanTask, opts StreamOpts) *RowStream {
+// carries the caller's accounting scope and access class). With more
+// than one worker and no StopAfter bound the tasks are split into
+// balanced chunks and scanned in parallel.
+func (e *Executor) Stream(tb *table.Table, tasks []ScanTask, opts StreamOpts) *RowStream {
 	s := &RowStream{
 		tb:        tb,
-		q:         q,
 		tasks:     tasks,
 		ctx:       opts.Ctx,
 		cols:      opts.Cols,
-		keepMags:  opts.Cols&table.ColMags != 0,
 		remaining: opts.StopAfter,
 		pred:      opts.Pred,
 	}
-	if w := e.workers(); w > 1 && len(tasks) > 1 && opts.StopAfter < 0 {
-		s.startParallel(w)
+	if opts.Pred == nil {
+		for _, t := range tasks {
+			if t.Filter {
+				// Without its predicate a filter range would emit every row.
+				s.err = errors.New("planner: filter task without a page predicate")
+				return s
+			}
+		}
+	}
+	if w := e.workers(); w > 1 && opts.StopAfter < 0 {
+		if s.tasks = splitTasks(tasks, w); len(s.tasks) > 1 {
+			s.startParallel(w)
+		}
 	}
 	return s
 }
 
-// FullScanTasks chunks a whole-table scan into page-aligned tasks:
-// multiples of RecordsPerPage so workers never share a page, several
-// per worker so stragglers balance out.
-func (e *Executor) FullScanTasks(rows table.RowID) []ScanTask {
+// splitTasks cuts ranges longer than a fair share of the scan into
+// chunks so the workers balance: several chunks per worker, cut at
+// absolute multiples of RecordsPerPage so no two chunks of a range
+// share a page.
+func splitTasks(tasks []ScanTask, workers int) []ScanTask {
+	var rows table.RowID
+	for _, t := range tasks {
+		rows += t.Hi - t.Lo
+	}
 	chunk := table.RowID(table.RecordsPerPage)
-	if w := table.RowID(e.workers()); w > 0 {
-		if per := (rows + w*4 - 1) / (w * 4); per > chunk {
-			chunk = (per + chunk - 1) / chunk * chunk
+	w := table.RowID(workers)
+	if per := (rows + w*4 - 1) / (w * 4); per > chunk {
+		chunk = (per + chunk - 1) / chunk * chunk
+	}
+	out := make([]ScanTask, 0, len(tasks))
+	for _, t := range tasks {
+		for lo := t.Lo; lo < t.Hi; {
+			hi := min((lo/chunk+1)*chunk, t.Hi)
+			out = append(out, ScanTask{Lo: lo, Hi: hi, Filter: t.Filter})
+			lo = hi
 		}
 	}
-	var tasks []ScanTask
-	for lo := table.RowID(0); lo < rows; lo += chunk {
-		hi := lo + chunk
-		if hi > rows {
-			hi = rows
-		}
-		tasks = append(tasks, ScanTask{Lo: lo, Hi: hi, Filter: true})
-	}
-	return tasks
+	return out
 }
 
 // RowStream is the pull iterator over a streaming scan. It is
@@ -115,33 +125,21 @@ func (e *Executor) FullScanTasks(rows table.RowID) []ScanTask {
 // returned false after a full drain (calling it then is still safe).
 type RowStream struct {
 	tb    *table.Table
-	q     vec.Polyhedron
 	tasks []ScanTask
 	ctx   context.Context
 	cols  table.ColumnSet
-	// keepMags records whether the caller asked for the magnitudes;
-	// filter ranges decode them regardless (the predicate needs
-	// them), and this flag says whether to zero them again before
-	// emitting, so a projected query's records look the same whether
-	// a row came from an inside or a partial range.
-	keepMags bool
-	// pred is the pushed-down page predicate; when set, Filter tasks
-	// scan through zone-map-aware iterators that count into zc.
+	// pred filters the Filter tasks; zc accumulates every task's
+	// iterator counters, filtered or not.
 	pred *table.PagePred
 	zc   table.ScanCounters
 
-	examined atomic.Int64
-	rec      *table.Record
-	closed   bool
-	err      error
+	rec    *table.Record
+	closed bool
+	err    error
 
 	// Serial state.
-	ti       int
-	it       *table.Iter
-	itFilter bool
-	// itPred marks the current iterator as predicate-pushed: it has
-	// already filtered and counted its rows.
-	itPred    bool
+	ti        int
+	it        *table.Iter
 	buf       table.Record
 	remaining int64 // StopAfter countdown; -1 = unbounded
 
@@ -158,15 +156,15 @@ type RowStream struct {
 	bi       int
 }
 
-// RowsExamined returns the rows decoded and tested so far (for
-// predicate-pushed scans: rows of pages the zone maps could not
-// prune). It is exact once the stream is drained or closed.
-func (s *RowStream) RowsExamined() int64 { return s.examined.Load() + s.zc.Examined.Load() }
+// RowsExamined returns the in-range rows of the pages fetched so far:
+// filtered pages test them all in the strip loop, unfiltered and
+// zone-Inside pages emit them without a test. It is exact once the
+// stream is drained or closed.
+func (s *RowStream) RowsExamined() int64 { return s.zc.Examined.Load() }
 
-// ZoneStats returns the zone-map pruning counters of a
-// predicate-pushed scan: pages skipped without a read, pages
-// scanned, and magnitude strips decoded by the filter loop. All zero
-// when no page predicate was pushed down.
+// ZoneStats returns the scan's page counters: pages of filter ranges
+// skipped on their zone without a read, pages fetched (every range
+// kind), and magnitude strips decoded by the filter loop.
 func (s *RowStream) ZoneStats() (pagesSkipped, pagesScanned, stripsDecoded int64) {
 	return s.zc.PagesSkipped.Load(), s.zc.PagesScanned.Load(), s.zc.StripsDecoded.Load()
 }
@@ -227,13 +225,14 @@ func (s *RowStream) Close() {
 	}
 }
 
-// matches applies the per-point polyhedron test to a decoded row.
-func (s *RowStream) matches(r *table.Record) bool {
-	var m [table.Dim]float64
-	for i, v := range r.Mags {
-		m[i] = float64(v)
+// open starts the iterator of one task: filter ranges carry the
+// predicate, unfiltered ranges emit every row; both count into zc.
+func (s *RowStream) open(ctx context.Context, t ScanTask) *table.Iter {
+	var pred *table.PagePred
+	if t.Filter {
+		pred = s.pred
 	}
-	return engine.ContainsMags(s.q, &m)
+	return s.tb.IterRangePred(ctx, t.Lo, t.Hi, s.cols, pred, &s.zc)
 }
 
 func (s *RowStream) nextSerial() bool {
@@ -245,49 +244,23 @@ func (s *RowStream) nextSerial() bool {
 			if s.ti >= len(s.tasks) {
 				return false
 			}
-			t := s.tasks[s.ti]
+			s.it = s.open(s.ctx, s.tasks[s.ti])
 			s.ti++
-			if t.Filter && s.pred != nil {
-				// Predicate pushdown: the iterator zone-skips pages and
-				// runs the vectorized strip filter; emitted rows are
-				// already matches with exactly the requested columns.
-				s.it = s.tb.IterRangePred(s.ctx, t.Lo, t.Hi, s.cols, s.pred, &s.zc)
-				s.itFilter, s.itPred = false, true
-			} else {
-				cols := s.cols
-				if t.Filter {
-					cols |= table.ColMags
-				}
-				s.it = s.tb.IterRange(s.ctx, t.Lo, t.Hi, cols)
-				s.itFilter, s.itPred = t.Filter, false
-			}
 		}
-		for s.it.Next(&s.buf) {
-			if !s.itPred {
-				s.examined.Add(1)
-			}
-			if s.itFilter {
-				if !s.matches(&s.buf) {
-					continue
-				}
-				if !s.keepMags {
-					s.buf.Mags = [table.Dim]float32{}
-				}
-			}
+		if s.it.Next(&s.buf) {
 			if s.remaining > 0 {
 				s.remaining--
 			}
 			s.rec = &s.buf
 			return true
 		}
-		if err := s.it.Err(); err != nil {
-			s.err = err
-			s.it.Close()
-			s.it = nil
-			return false
-		}
+		err := s.it.Err()
 		s.it.Close()
 		s.it = nil
+		if err != nil {
+			s.err = err
+			return false
+		}
 	}
 }
 
@@ -351,18 +324,7 @@ func (s *RowStream) startParallel(workers int) {
 // abort, so the consumer never blocks on a dead task.
 func (s *RowStream) scanTask(ctx context.Context, i int) {
 	defer close(s.slots[i])
-	t := s.tasks[i]
-	var it *table.Iter
-	pred := t.Filter && s.pred != nil
-	if pred {
-		it = s.tb.IterRangePred(ctx, t.Lo, t.Hi, s.cols, s.pred, &s.zc)
-	} else {
-		cols := s.cols
-		if t.Filter {
-			cols |= table.ColMags
-		}
-		it = s.tb.IterRange(ctx, t.Lo, t.Hi, cols)
-	}
+	it := s.open(ctx, s.tasks[i])
 	defer it.Close()
 	batch := make([]table.Record, 0, batchRows)
 	flush := func() bool {
@@ -379,17 +341,6 @@ func (s *RowStream) scanTask(ctx context.Context, i int) {
 	}
 	var rec table.Record
 	for it.Next(&rec) {
-		if !pred {
-			s.examined.Add(1)
-			if t.Filter {
-				if !s.matches(&rec) {
-					continue
-				}
-				if !s.keepMags {
-					rec.Mags = [table.Dim]float32{}
-				}
-			}
-		}
 		batch = append(batch, rec)
 		if len(batch) == batchRows && !flush() {
 			return

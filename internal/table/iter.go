@@ -56,9 +56,11 @@ func (t *Table) IterRange(ctx context.Context, lo, hi RowID, cols ColumnSet) *It
 
 // IterRangePred is IterRange with a compiled page predicate: only
 // rows satisfying pred are emitted, pages whose zone map proves them
-// empty are never read, and the pruning counters accumulate into
+// empty are never read, and the scan counters accumulate into
 // counters (which may be shared across iterators and goroutines; nil
-// means don't count). A nil pred degrades to the plain IterRange.
+// means don't count). A nil pred emits every row like IterRange and
+// still counts the pages it fetches and the rows on them — how the
+// executor accounts its unfiltered Inside ranges.
 func (t *Table) IterRangePred(ctx context.Context, lo, hi RowID, cols ColumnSet, pred *PagePred, counters *ScanCounters) *Iter {
 	rows := t.numRows()
 	if hi > RowID(rows) {

@@ -10,17 +10,32 @@ import (
 	"repro/internal/vec"
 )
 
-// prunedVsUnpruned runs the same range scan with and without the
-// page predicate pushed down and reports both ObjID sets plus the
-// pruned path's counters. The unpruned reference applies the exact
-// same inequality per row in the same coefficient order.
+// prunedVsUnpruned runs the same range scan three ways — unfiltered
+// with a per-row reference test, predicate pushed down over the zone
+// maps, and predicate pushed down through a WithoutZones view (the
+// full scan) — checks the three agree, and reports the reference
+// ObjIDs, the pruned ones and the pruned pass's counters. The reference
+// applies the exact same inequality per row in the same coefficient
+// order. Every pass counts: an unfiltered range accounts its pages and
+// rows exactly like a filtered one.
 func prunedVsUnpruned(t *testing.T, tb *Table, planes []vec.Halfspace) (ref, pruned []int64, skipped, scanned int64) {
 	t.Helper()
-	var sc ScanCounters
+	var plain, sc, blind ScanCounters
 	var rec Record
-	it := tb.IterRange(context.Background(), 0, RowID(tb.NumRows()), ColObjID|ColMags)
-	for it.Next(&rec) {
-		match := true
+	drain := func(it *Iter, keep func() bool) (ids []int64) {
+		for it.Next(&rec) {
+			if keep() {
+				ids = append(ids, rec.ObjID)
+			}
+		}
+		if err := it.Err(); err != nil {
+			t.Fatal(err)
+		}
+		it.Close()
+		return ids
+	}
+	all := func() bool { return true }
+	ref = drain(tb.IterRangePred(context.Background(), 0, RowID(tb.NumRows()), ColObjID|ColMags, nil, &plain), func() bool {
 		for _, h := range planes {
 			s := 0.0
 			for d := 0; d < Dim; d++ {
@@ -28,29 +43,35 @@ func prunedVsUnpruned(t *testing.T, tb *Table, planes []vec.Halfspace) (ref, pru
 					s += h.A[d] * float64(rec.Mags[d])
 				}
 			}
-			match = match && s <= h.B
+			if s > h.B {
+				return false
+			}
 		}
-		if match {
-			ref = append(ref, rec.ObjID)
-		}
+		return true
+	})
+	pages, rows := int64(tb.NumPages()), int64(tb.NumRows())
+	if plain.PagesScanned.Load() != pages || plain.Examined.Load() != rows || plain.PagesSkipped.Load() != 0 {
+		t.Fatalf("unfiltered scan counted %d pages, %d rows, %d skipped; table has %d pages, %d rows",
+			plain.PagesScanned.Load(), plain.Examined.Load(), plain.PagesSkipped.Load(), pages, rows)
 	}
-	if err := it.Err(); err != nil {
-		t.Fatal(err)
-	}
-	it.Close()
 
 	pred, err := CompilePagePred(planes)
 	if err != nil {
 		t.Fatal(err)
 	}
-	it = tb.IterRangePred(context.Background(), 0, RowID(tb.NumRows()), ColObjID, pred, &sc)
-	for it.Next(&rec) {
-		pruned = append(pruned, rec.ObjID)
+	pruned = drain(tb.IterRangePred(context.Background(), 0, RowID(tb.NumRows()), ColObjID, pred, &sc), all)
+	full := drain(tb.WithoutZones().IterRangePred(context.Background(), 0, RowID(tb.NumRows()), ColObjID, pred, &blind), all)
+	if len(full) != len(pruned) {
+		t.Fatalf("zone-blind scan returned %d rows, pruned scan %d (planes %v)", len(full), len(pruned), planes)
 	}
-	if err := it.Err(); err != nil {
-		t.Fatal(err)
+	for i := range full {
+		if full[i] != pruned[i] {
+			t.Fatalf("row %d: zone-blind ObjID %d != pruned %d", i, full[i], pruned[i])
+		}
 	}
-	it.Close()
+	if blind.PagesScanned.Load() != pages || blind.PagesSkipped.Load() != 0 {
+		t.Fatalf("zone-blind scan fetched %d and skipped %d of %d pages", blind.PagesScanned.Load(), blind.PagesSkipped.Load(), pages)
+	}
 	return ref, pruned, sc.PagesSkipped.Load(), sc.PagesScanned.Load()
 }
 

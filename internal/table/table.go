@@ -208,6 +208,16 @@ func (t *Table) ScanClassed() *Table {
 	return &cp
 }
 
+// WithoutZones returns a view of the table that consults no zone
+// maps: a predicate scan through it fetches and filters every page.
+// This is the full scan — the baseline the index scan is priced
+// against must not quietly prune.
+func (t *Table) WithoutZones() *Table {
+	cp := *t
+	cp.zones = nil
+	return &cp
+}
+
 // pageBackend is the page-access surface shared by *pagestore.Store
 // and *pagestore.Scope; the table resolves one backend (its scope if
 // set) and then branches only on access class.

@@ -306,7 +306,7 @@ type stripScratch struct {
 	acc  [RecordsPerPage]float64
 }
 
-// ScanCounters aggregates the zone-map effect of one streaming scan.
+// ScanCounters aggregates the page work of one streaming scan.
 // All fields are atomics: the parallel executor's workers share one
 // counter set across their per-task iterators.
 type ScanCounters struct {
@@ -316,7 +316,7 @@ type ScanCounters struct {
 	Examined atomic.Int64
 	// PagesSkipped counts pages pruned by their zone without a read.
 	PagesSkipped atomic.Int64
-	// PagesScanned counts pages actually fetched by predicate scans.
+	// PagesScanned counts page fetches, filtered range or not.
 	PagesScanned atomic.Int64
 	// StripsDecoded counts magnitude strips materialized by the
 	// filter loop (inside pages decode none).

@@ -71,9 +71,9 @@ type Server struct {
 	// admission control entirely (a hit costs no I/O and no slot).
 	cacheServed atomic.Int64
 
-	// Zone-map pruning totals across served queries: pages skipped
-	// without a read, pages the pruned scans did read, and magnitude
-	// strips their vectorized filters decoded.
+	// Scan totals across served queries: pages skipped without a read
+	// (kd subtrees and page zones proven empty), pages the scans
+	// fetched, and magnitude strips their vectorized filters decoded.
 	zonePagesSkipped  atomic.Int64
 	zonePagesScanned  atomic.Int64
 	zoneStripsDecoded atomic.Int64
