@@ -188,6 +188,15 @@ func (c *Coordinator) ExecStatement(ctx context.Context, stmt colorsql.Statement
 	if stmt.Limit == 0 {
 		return &emptyCursor{rep: core.Report{Plan: plan, PlanReason: "LIMIT 0: no rows requested"}}, nil
 	}
+	// ORDER BY dist LIMIT k with no predicate is a nearest-neighbour
+	// search, here as on the single store.
+	if isKNNStatement(stmt) {
+		recs, reps, err := c.boundedKNN(ctx, []vec.Point{stmt.Order.Dist}, stmt.Limit, true)
+		if err != nil {
+			return nil, err
+		}
+		return &recsCursor{recs: recs[0], rep: reps[0]}, nil
+	}
 	sp := c.planStatement(stmt)
 	if len(sp.targets) == 0 {
 		return &emptyCursor{rep: core.Report{
@@ -226,10 +235,14 @@ func (c *Coordinator) ExecStatementCached(colorsql.Statement, core.Plan) (core.C
 
 // EstimateStatementCost prices the statement with zero I/O from the
 // routing table alone: the targeted shards' row counts scaled by the
-// predicate's bounding-box volume fraction.
+// predicate's bounding-box volume fraction — or, for the statement
+// that runs as a nearest-neighbour search, that search's price.
 func (c *Coordinator) EstimateStatementCost(stmt colorsql.Statement) float64 {
 	if stmt.Limit == 0 {
 		return 0
+	}
+	if isKNNStatement(stmt) {
+		return c.EstimateKNNCost(stmt.Limit, 1)
 	}
 	sp := c.planStatement(stmt)
 	var rows float64
@@ -264,119 +277,11 @@ func (c *Coordinator) DefaultExpensiveCost() float64 {
 	return 8 * (rows*m.Row + (rows/128+1)*m.SeqPage)
 }
 
-// knn wire shapes (the /knn response).
-type knnWireNeighbor struct {
-	ObjID    int64      `json:"objId"`
-	Mags     [5]float64 `json:"mags"`
-	Class    string     `json:"class"`
-	Redshift float64    `json:"redshift"`
-}
-
-type knnWireResult struct {
-	Neighbors      []knnWireNeighbor `json:"neighbors"`
-	LeavesExamined int64             `json:"leavesExamined"`
-	RowsExamined   int64             `json:"rowsExamined"`
-	DiskReads      int64             `json:"diskReads"`
-}
-
-type knnWireResponse struct {
-	Plan       string          `json:"plan"`
-	PlanReason string          `json:"planReason"`
-	Results    []knnWireResult `json:"results"`
-}
-
-// NearestNeighborsBatch fans the whole batch to every shard (kNN has
-// no safe routing prune: the k nearest may straddle any partition
-// boundary) and merges each query's neighbour lists by recomputed
-// squared distance. Because every shard returns its local top k
-// sorted, the global top k is contained in the union.
+// NearestNeighborsBatch answers the batch by bounded scatter-gather
+// (knn.go): each probe's owning shard first, another shard only when
+// one of its cells is nearer than the owner's k-th neighbour.
 func (c *Coordinator) NearestNeighborsBatch(ctx context.Context, qs []vec.Point, k int) ([][]table.Record, []core.Report, error) {
-	cctx, cancel := context.WithTimeout(ctx, c.cfg.ShardTimeout)
-	defer cancel()
-
-	points := make([][]float64, len(qs))
-	for i, q := range qs {
-		points[i] = []float64(q)
-	}
-	body, err := json.Marshal(map[string]any{"points": points, "k": k})
-	if err != nil {
-		return nil, nil, err
-	}
-
-	resps := make([]knnWireResponse, c.rt.NumShards())
-	errs := make([]error, c.rt.NumShards())
-	var wg sync.WaitGroup
-	for s := range c.targets {
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			errs[s] = c.observe(s, func() error { return c.postJSON(cctx, s, "/knn", body, &resps[s]) })
-		}(s)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, nil, err
-		}
-	}
-	for s := range resps {
-		if len(resps[s].Results) != len(qs) {
-			return nil, nil, c.shardError(s, fmt.Errorf("knn returned %d results for %d queries", len(resps[s].Results), len(qs)))
-		}
-	}
-
-	recs := make([][]table.Record, len(qs))
-	reports := make([]core.Report, len(qs))
-	for i := range qs {
-		type cand struct {
-			rec   table.Record
-			dist2 float64
-		}
-		var cands []cand
-		rep := core.Report{
-			Plan:       parsePlan(resps[0].Plan),
-			PlanReason: scatterReason(c.rt.NumShards(), c.rt.NumShards()),
-		}
-		for s := range resps {
-			res := &resps[s].Results[i]
-			rep.LeavesExamined += res.LeavesExamined
-			rep.RowsExamined += res.RowsExamined
-			rep.DiskReads += res.DiskReads
-			c.diskReads.Add(res.DiskReads)
-			for _, nb := range res.Neighbors {
-				rec := table.Record{ObjID: nb.ObjID, Redshift: float32(nb.Redshift)}
-				for d := 0; d < 5; d++ {
-					rec.Mags[d] = float32(nb.Mags[d])
-				}
-				cl, ok := table.ParseClass(nb.Class)
-				if !ok {
-					return nil, nil, c.shardError(s, fmt.Errorf("unknown class %q", nb.Class))
-				}
-				rec.Class = cl
-				var d2 float64
-				for d := 0; d < 5; d++ {
-					diff := float64(rec.Mags[d]) - qs[i][d]
-					d2 += diff * diff
-				}
-				cands = append(cands, cand{rec: rec, dist2: d2})
-			}
-		}
-		sort.SliceStable(cands, func(a, b int) bool { return cands[a].dist2 < cands[b].dist2 })
-		seen := make(map[int64]bool, k)
-		for _, cd := range cands {
-			if len(recs[i]) >= k {
-				break
-			}
-			if seen[cd.rec.ObjID] {
-				continue
-			}
-			seen[cd.rec.ObjID] = true
-			recs[i] = append(recs[i], cd.rec)
-		}
-		rep.RowsReturned = int64(len(recs[i]))
-		reports[i] = rep
-	}
-	return recs, reports, nil
+	return c.boundedKNN(ctx, qs, k, false)
 }
 
 // NearestNeighborsBatchCached always misses (shards own the caches).
@@ -384,11 +289,13 @@ func (c *Coordinator) NearestNeighborsBatchCached([]vec.Point, int) ([][]table.R
 	return nil, nil, false
 }
 
-// EstimateKNNCost scales the per-shard estimate by the fan-out: every
-// shard runs the full batch.
+// EstimateKNNCost prices one owner visit per point — what a bounded
+// search does for every probe. The second-phase visits are not priced:
+// they happen for the few probes whose k-th distance crosses a shard
+// boundary, and each is a few-page index scan.
 func (c *Coordinator) EstimateKNNCost(k, numPoints int) float64 {
 	m := planner.DefaultCostModel()
-	return float64(numPoints) * float64(k) * float64(c.rt.NumShards()) * (m.Row + m.Node)
+	return float64(numPoints) * float64(k) * (m.Row + m.Node)
 }
 
 // EstimateRedshiftBatch routes the whole batch to one shard, round

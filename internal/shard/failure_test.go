@@ -3,8 +3,10 @@ package shard
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -246,5 +248,169 @@ func TestUnknownClassIsShardError(t *testing.T) {
 				t.Fatalf("error does not name the shard and the class: %v", err)
 			}
 		})
+	}
+}
+
+// crossingProbe finds a probe of the benchmark's recipe whose bounded
+// search must visit at least one shard besides its owner.
+func crossingProbe(t *testing.T, cl *cluster, k int) (q vec.Point, owner int, others []int) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(99))
+	for i := 0; i < 2000; i++ {
+		q = benchProbe(rng, fixtureRecs)
+		if owner, others = expectedVisits(t, cl, q, k); len(others) > 0 {
+			return q, owner, others
+		}
+	}
+	t.Fatal("no crossing probe in 2000 draws")
+	return nil, 0, nil
+}
+
+// TestKnnShardDownIsLoud: a bounded search that cannot reach a shard
+// it needs — the owner, or a shard its bound crosses into — fails with
+// an error naming that shard, through /knn batches and through the
+// ORDER BY dist statement; it never answers with the neighbours it
+// could still find.
+func TestKnnShardDownIsLoud(t *testing.T) {
+	const k = 10
+	for _, which := range []string{"owner", "phase-2"} {
+		t.Run(which, func(t *testing.T) {
+			cl := startCluster(t, Config{HedgeAfter: -1})
+			q, owner, others := crossingProbe(t, cl, k)
+			down := owner
+			if which == "phase-2" {
+				down = others[0]
+			}
+			cl.servers[down].Close()
+
+			recs, _, err := cl.coord.NearestNeighborsBatch(context.Background(), []vec.Point{q}, k)
+			requireShardError(t, err, down, cl.targets[down])
+			if recs != nil {
+				t.Fatalf("failed search still returned %d neighbour lists", len(recs))
+			}
+			cur, err := cl.coord.ExecStatement(context.Background(), mustParse(t, distStatement(q, k)), core.PlanAuto)
+			requireShardError(t, err, down, cl.targets[down])
+			if cur != nil {
+				t.Fatal("failed statement still returned a cursor")
+			}
+		})
+	}
+}
+
+// requireShardError asserts err names the shard and its URL.
+func requireShardError(t *testing.T, err error, shard int, target string) {
+	t.Helper()
+	if err == nil {
+		t.Fatalf("search succeeded with shard %d down", shard)
+	}
+	if msg := err.Error(); !strings.Contains(msg, fmt.Sprintf("shard %d", shard)) || !strings.Contains(msg, target) {
+		t.Fatalf("error does not identify shard %d (%s): %v", shard, target, err)
+	}
+}
+
+// TestKnnPhase2CutMidStream: the owner answers, one second-phase shard
+// drops its connection after the first row and the other stalls. The
+// search fails naming the cut shard, the stalled shard's handler sees
+// its request cancelled (no sub-request outlives the search), and the
+// goroutines the search started are gone.
+func TestKnnPhase2CutMidStream(t *testing.T) {
+	rt, err := LoadRoutingTable(clusterDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := vec.Point{15, 15, 15, 15, 15}
+	owner := rt.RouteMags(q)
+	cut, stalled := (owner+1)%rt.NumShards(), (owner+2)%rt.NumShards()
+	// The owner's only neighbour is far away, so the bound reaches
+	// every other shard's cells.
+	const ownerRow = `{"objid":7,"u":90,"g":90,"r":90,"i":90,"z":90,"ra":1,"dec":1,"redshift":0,"class":"star"}` + "\n"
+	const ownerKnn = `{"plan":"kdtree","results":[{"neighbors":[{"objId":7,"mags":[90,90,90,90,90],"class":"star","redshift":0}]}]}`
+
+	// The cut waits until the stalled shard holds its sub-request, so
+	// every search has a live sub-request to cancel.
+	stalledArrived := make(chan struct{}, 2)
+	stalledCancelled := make(chan struct{}, 2)
+	var servers []*httptest.Server
+	var targets []string
+	for i := 0; i < rt.NumShards(); i++ {
+		i := i
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			switch i {
+			case owner:
+				if r.URL.Path == "/knn" {
+					fmt.Fprint(w, ownerKnn)
+					return
+				}
+				fmt.Fprint(w, ownerRow, stubSummary)
+			case cut:
+				// One row, then the connection dies: no summary, no clean
+				// chunked terminator.
+				fmt.Fprintf(w, stubRow, 1, 15.0, 15.0)
+				w.(http.Flusher).Flush()
+				<-stalledArrived
+				conn, _, err := w.(http.Hijacker).Hijack()
+				if err == nil {
+					conn.Close()
+				}
+			case stalled:
+				fmt.Fprintf(w, stubRow, 2, 15.0, 15.0)
+				w.(http.Flusher).Flush()
+				stalledArrived <- struct{}{}
+				<-r.Context().Done()
+				stalledCancelled <- struct{}{}
+			}
+		}))
+		servers = append(servers, srv)
+		targets = append(targets, srv.URL)
+	}
+	t.Cleanup(func() {
+		for _, srv := range servers {
+			srv.Close()
+		}
+	})
+	coord, err := NewCoordinator(rt, targets, Config{HedgeAfter: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	before := runtime.NumGoroutine()
+	for _, search := range []func() error{
+		func() error {
+			recs, _, err := coord.NearestNeighborsBatch(context.Background(), []vec.Point{q}, 1)
+			if recs != nil {
+				t.Errorf("failed search still returned %d neighbour lists", len(recs))
+			}
+			return err
+		},
+		func() error {
+			_, err := coord.ExecStatement(context.Background(), mustParse(t, distStatement(q, 1)), core.PlanAuto)
+			return err
+		},
+	} {
+		done := make(chan error, 1)
+		go func() { done <- search() }()
+		select {
+		case err := <-done:
+			requireShardError(t, err, cut, targets[cut])
+		case <-time.After(5 * time.Second):
+			t.Fatal("search hung on the stalled shard instead of failing on the cut one")
+		}
+		select {
+		case <-stalledCancelled:
+		case <-time.After(5 * time.Second):
+			t.Fatal("stalled shard handler never saw its request context cancelled")
+		}
+	}
+
+	// Nothing the searches started is still running: once the idle
+	// connections are dropped, the goroutine count returns to where it
+	// was (polling, since connection teardown is asynchronous).
+	coord.client.CloseIdleConnections()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if now := runtime.NumGoroutine(); now > before {
+		t.Errorf("%d goroutines before the searches, %d after", before, now)
 	}
 }

@@ -198,42 +198,6 @@ func TestScatterPrunesShards(t *testing.T) {
 	}
 }
 
-// TestKnnEquivalence: the coordinator's global rerank of per-shard
-// top-k lists equals the single store's exact kNN, query by query.
-func TestKnnEquivalence(t *testing.T) {
-	cl := startCluster(t, Config{})
-	single := openSingle(t)
-
-	qs := []vec.Point{
-		{16.0, 15.8, 15.6, 15.5, 15.4},
-		{20.1, 19.8, 19.5, 19.4, 19.2},
-		{14.2, 14.0, 13.9, 13.8, 13.7},
-	}
-	const k = 8
-	wantRecs, _, err := single.NearestNeighborsBatch(qs, k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotRecs, gotReps, err := cl.coord.NearestNeighborsBatch(context.Background(), qs, k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range qs {
-		if len(gotRecs[i]) != len(wantRecs[i]) {
-			t.Fatalf("query %d: %d neighbours, want %d", i, len(gotRecs[i]), len(wantRecs[i]))
-		}
-		for j := range wantRecs[i] {
-			g, w := gotRecs[i][j], wantRecs[i][j]
-			if g.ObjID != w.ObjID || g.Mags != w.Mags || g.Class != w.Class {
-				t.Fatalf("query %d neighbour %d: got %+v, want %+v", i, j, g, w)
-			}
-		}
-		if gotReps[i].RowsReturned != int64(len(wantRecs[i])) {
-			t.Errorf("query %d: report rowsReturned %d, want %d", i, gotReps[i].RowsReturned, len(wantRecs[i]))
-		}
-	}
-}
-
 // TestPhotoZEquivalence: the replicated reference set makes any
 // shard's estimator answer exactly — float64-exact — like the single
 // store's.

@@ -18,6 +18,7 @@ package shard
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 
@@ -126,6 +127,19 @@ func (rt *RoutingTable) TargetsFor(polys []vec.Polyhedron) []int {
 		}
 	}
 	return targets
+}
+
+// CellDist2 returns the squared distance from p to the nearest cell of
+// the shard: a lower bound on the squared distance from p to any row
+// the shard holds, 0 for the shard that owns p. It is the kNN
+// counterpart of TargetsFor — a shard whose cells all lie farther than
+// the current k-th neighbour cannot contribute.
+func (rt *RoutingTable) CellDist2(shard int, p vec.Point) float64 {
+	best := math.Inf(1)
+	for _, cell := range rt.Shards[shard].Cells {
+		best = min(best, cell.Dist2(p))
+	}
+	return best
 }
 
 // AllShards returns every shard ID in order.
