@@ -117,6 +117,13 @@ func (s *Statement) OutputColumns() []Column {
 	return s.Cols
 }
 
+// IsKNN reports whether the statement is a nearest-neighbour search:
+// an ascending distance ordering with a row budget and no predicate.
+func (s *Statement) IsKNN() bool {
+	o := s.Order
+	return o != nil && o.Dist != nil && !o.Desc && !s.HasWhere && s.Limit > 0
+}
+
 // ParseStatement parses a full SELECT statement, or — preserving the
 // original entry point's contract — a bare WHERE-clause predicate,
 // which is treated as SELECT * WHERE <pred>.

@@ -637,9 +637,9 @@ func (db *SpatialDB) fullCatalogCursor(ctx context.Context, opts cursorOpts) (Cu
 	return &snapCursor{Cursor: cur, sn: sn}, nil
 }
 
-// columnSet maps a statement's projection onto the table's partial
+// ColumnSet maps a statement's projection onto the table's partial
 // decode bitmask.
-func columnSet(cols []colorsql.Column) table.ColumnSet {
+func ColumnSet(cols []colorsql.Column) table.ColumnSet {
 	var s table.ColumnSet
 	for _, c := range cols {
 		switch c.Kind {

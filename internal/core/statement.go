@@ -117,19 +117,18 @@ func (db *SpatialDB) ExecStatement(ctx context.Context, stmt colorsql.Statement,
 // execStatementUncached is the streaming execution path beneath the
 // result cache.
 func (db *SpatialDB) execStatementUncached(ctx context.Context, stmt colorsql.Statement, plan Plan) (Cursor, error) {
-	// kNN reuse: an ascending distance ordering with a row budget and
-	// no predicate is a nearest-neighbour query. This path is the one
-	// exception to mid-scan cancellation: the region-growing search
-	// is not context-aware, but its I/O is bounded by the k-point
+	// kNN reuse (Statement.IsKNN). This path is the one exception to
+	// mid-scan cancellation: the region-growing search is not
+	// context-aware, but its I/O is bounded by the k-point
 	// neighbourhood rather than the catalog, so the exposure a
 	// cancelled caller can leave behind is O(k), not O(N).
-	if o := stmt.Order; o != nil && o.Dist != nil && !o.Desc && !stmt.HasWhere && stmt.Limit > 0 {
+	if stmt.IsKNN() {
 		if ctx != nil {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
 		}
-		recs, rep, err := db.NearestNeighbors(o.Dist, stmt.Limit)
+		recs, rep, err := db.NearestNeighbors(stmt.Order.Dist, stmt.Limit)
 		if err != nil {
 			return nil, err
 		}
@@ -170,7 +169,7 @@ func (db *SpatialDB) statementCols(stmt colorsql.Statement) table.ColumnSet {
 	if stmt.Star {
 		return table.ColAll
 	}
-	cols := columnSet(stmt.Cols)
+	cols := ColumnSet(stmt.Cols)
 	if stmt.Order != nil {
 		cols |= table.ColMags
 	}

@@ -973,16 +973,14 @@ func (s *Store) Capacity() int { return s.capacity }
 // write-back. It is the pool-pressure signal auxiliary memory users
 // (the statement cache) shrink against — when most of the pool is
 // pinned or dirty, the scan-resistant pool must win over stale
-// cached results.
+// cached results. The reading costs one latch per pool shard, not a
+// walk of the frames: a resident frame is off both replacement lists
+// exactly while it is pinned or being written back.
 func (s *Store) PressurePages() int {
 	n := 0
 	for _, sh := range s.shards {
 		sh.mu.Lock()
-		for _, fr := range sh.frames {
-			if fr.pins > 0 || fr.dirty.Load() {
-				n++
-			}
-		}
+		n += len(sh.frames) - sh.old.Len() - sh.young.Len() + sh.parkedDirty
 		sh.mu.Unlock()
 	}
 	return n

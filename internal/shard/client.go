@@ -1,7 +1,6 @@
 package shard
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -14,45 +13,15 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/table"
+	"repro/internal/vizhttp"
 )
 
 // This file is the coordinator's HTTP plumbing: hedged sub-requests
-// against shard vizservers and the wire decoding back into
-// table.Record. All magnitude/position/redshift values cross the wire
-// as the shortest float64 rendering of the underlying float32, so
-// parse → float32 recast is lossless and re-serialization on the
-// coordinator is byte-identical to what the shard would have written.
-
-// wireSummary is the trailing {"summary": ...} line of a /query
-// NDJSON stream.
-type wireSummary struct {
-	Plan                 string  `json:"plan"`
-	PlanReason           string  `json:"planReason"`
-	EstimatedSelectivity float64 `json:"estimatedSelectivity"`
-	RowsReturned         int64   `json:"rowsReturned"`
-	RowsExamined         int64   `json:"rowsExamined"`
-	DiskReads            int64   `json:"diskReads"`
-	CacheHits            int64   `json:"cacheHits"`
-	PagesSkipped         int64   `json:"pagesSkipped"`
-	PagesScanned         int64   `json:"pagesScanned"`
-	StripsDecoded        int64   `json:"stripsDecoded"`
-}
-
-// toReport converts a shard's summary into a Report for merging.
-func (ws *wireSummary) toReport() core.Report {
-	return core.Report{
-		Plan:                 parsePlan(ws.Plan),
-		PlanReason:           ws.PlanReason,
-		EstimatedSelectivity: ws.EstimatedSelectivity,
-		RowsReturned:         ws.RowsReturned,
-		RowsExamined:         ws.RowsExamined,
-		DiskReads:            ws.DiskReads,
-		CacheHits:            ws.CacheHits,
-		PagesSkipped:         ws.PagesSkipped,
-		PagesScanned:         ws.PagesScanned,
-		StripsDecoded:        ws.StripsDecoded,
-	}
-}
+// against shard vizservers. Statement rows come back as binary frames
+// holding the table's own record bytes, so re-serialization on the
+// coordinator is byte-identical to what the shard would have written;
+// the JSON endpoints (/knn, /sky, /points) carry the shortest float64
+// rendering of each float32, which a float32 recast recovers exactly.
 
 // parsePlan inverts core.Plan.String.
 func parsePlan(s string) core.Plan {
@@ -62,45 +31,6 @@ func parsePlan(s string) core.Plan {
 		}
 	}
 	return core.PlanAuto
-}
-
-// wireLine is one NDJSON line: a SELECT * row, a summary, or an
-// error. Pointer fields distinguish the three.
-type wireLine struct {
-	ObjID    *int64       `json:"objid"`
-	U        *float64     `json:"u"`
-	G        *float64     `json:"g"`
-	R        *float64     `json:"r"`
-	I        *float64     `json:"i"`
-	Z        *float64     `json:"z"`
-	Ra       *float64     `json:"ra"`
-	Dec      *float64     `json:"dec"`
-	Redshift *float64     `json:"redshift"`
-	Class    *string      `json:"class"`
-	Summary  *wireSummary `json:"summary"`
-	Error    *string      `json:"error"`
-}
-
-// toRecord decodes a SELECT * wire row.
-func (w *wireLine) toRecord() (table.Record, error) {
-	var rec table.Record
-	if w.ObjID == nil || w.U == nil || w.G == nil || w.R == nil || w.I == nil ||
-		w.Z == nil || w.Ra == nil || w.Dec == nil || w.Redshift == nil || w.Class == nil {
-		return rec, fmt.Errorf("row is missing SELECT * columns")
-	}
-	rec.ObjID = *w.ObjID
-	rec.Mags = [5]float32{
-		float32(*w.U), float32(*w.G), float32(*w.R), float32(*w.I), float32(*w.Z),
-	}
-	rec.Ra = float32(*w.Ra)
-	rec.Dec = float32(*w.Dec)
-	rec.Redshift = float32(*w.Redshift)
-	c, ok := table.ParseClass(*w.Class)
-	if !ok {
-		return rec, fmt.Errorf("unknown class %q", *w.Class)
-	}
-	rec.Class = c
-	return rec, nil
 }
 
 // shardError wraps a sub-request failure with the shard's identity,
@@ -202,56 +132,42 @@ func (c *Coordinator) doHedged(ctx context.Context, shard int, build func(ctx co
 	}
 }
 
-// fetchQueryNDJSON streams one shard's /query?format=ndjson answer,
-// invoking emit per row. The summary line is written to *sum; a
-// stream that ends without one (mid-stream shard death) is an error,
-// never a truncated success.
-func (c *Coordinator) fetchQueryNDJSON(ctx context.Context, shard int, query string, emit func(table.Record) error, sum *core.Report) error {
+// fetchQuery runs one statement on one shard, hands emit the answer a
+// frame's block of rows at a time (vizhttp/frame.go) and returns the
+// shard's summary. A stream cut before it, an error or damaged frame and
+// a non-frame answer are errors naming the shard, never a short success.
+func (c *Coordinator) fetchQuery(ctx context.Context, shard int, query string, emit func([]table.Record) error) (core.Report, error) {
 	resp, release, err := c.doHedged(ctx, shard, func(actx context.Context) (*http.Request, error) {
-		u := c.targets[shard] + "/query?format=ndjson&q=" + url.QueryEscape(query)
-		return http.NewRequestWithContext(actx, http.MethodGet, u, nil)
+		req, err := http.NewRequestWithContext(actx, http.MethodGet, c.targets[shard]+"/query?q="+url.QueryEscape(query), nil)
+		if err == nil {
+			req.Header.Set("Accept", vizhttp.FrameContentType)
+		}
+		return req, err
 	})
 	if err != nil {
-		return c.shardError(shard, err)
+		return core.Report{}, c.shardError(shard, err)
 	}
 	defer release()
 	defer resp.Body.Close()
 
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
-	sawSummary := false
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(bytes.TrimSpace(line)) == 0 {
-			continue
+	if ct := resp.Header.Get("Content-Type"); ct != vizhttp.FrameContentType {
+		return core.Report{}, c.shardError(shard, fmt.Errorf("answered %q, not a frame stream", ct))
+	}
+	fr, err := vizhttp.NewFrameReader(resp.Body)
+	for err == nil {
+		var recs []table.Record
+		var rep *core.Report
+		if recs, rep, err = fr.Next(); err != nil {
+			break
 		}
-		var wl wireLine
-		if err := json.Unmarshal(line, &wl); err != nil {
-			return c.shardError(shard, fmt.Errorf("bad stream line: %w", err))
+		if rep != nil {
+			return *rep, nil
 		}
-		switch {
-		case wl.Error != nil:
-			return c.shardError(shard, fmt.Errorf("%s", *wl.Error))
-		case wl.Summary != nil:
-			*sum = wl.Summary.toReport()
-			sawSummary = true
-		default:
-			rec, err := wl.toRecord()
-			if err != nil {
-				return c.shardError(shard, err)
-			}
-			if err := emit(rec); err != nil {
-				return err
-			}
+		if err := emit(recs); err != nil {
+			return core.Report{}, err
 		}
 	}
-	if err := sc.Err(); err != nil {
-		return c.shardError(shard, err)
-	}
-	if !sawSummary {
-		return c.shardError(shard, fmt.Errorf("stream truncated before summary"))
-	}
-	return nil
+	return core.Report{}, c.shardError(shard, err)
 }
 
 // getJSON issues a hedged GET and decodes the JSON response into out.

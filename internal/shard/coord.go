@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -37,7 +38,7 @@ type Config struct {
 // vizservers. It cold-opens from the routing table alone — no store
 // I/O — plans each statement once with zero-I/O estimates (which
 // shards to target, which merge discipline), fans sub-statements over
-// the shards' own HTTP/NDJSON endpoints, and merges the streams.
+// the shards' own HTTP endpoints, and merges the streams.
 // It implements vizhttp.Backend, so the coordinator serves the exact
 // same HTTP surface as a single-store vizserver.
 type Coordinator struct {
@@ -69,13 +70,12 @@ type Coordinator struct {
 	plans  map[string]*subPlan
 }
 
-// subPlan is one statement's cached routing decision.
+// subPlan is one statement's cached routing decision: what the shards
+// are asked, and which of them.
 type subPlan struct {
-	query   string
+	sub     colorsql.Statement
 	targets []int
-	order   *colorsql.OrderBy
 	hasDed  bool // dedup across shards (WHERE is a multi-clause union)
-	limit   int
 }
 
 const maxPlanCache = 4096
@@ -123,17 +123,19 @@ func NewCoordinator(rt *RoutingTable, targets []string, cfg Config) (*Coordinato
 // Routing returns the coordinator's routing table.
 func (c *Coordinator) Routing() *RoutingTable { return c.rt }
 
-func (c *Coordinator) now() time.Time { return time.Now() }
-
 // observe runs one sub-request against shard s inside the fan-out
-// telemetry envelope: request count, latency histogram, error count.
-func (c *Coordinator) observe(s int, call func() error) error {
-	start := c.now()
+// telemetry envelope: request count, latency histogram, error count. A
+// cancellation we caused ourselves (LIMIT early stop, caller disconnect)
+// is not a shard failure and records neither; a fired ShardTimeout is.
+func (c *Coordinator) observe(ctx context.Context, s int, call func() error) error {
+	start := time.Now()
 	c.requests[s].Add(1)
 	err := call()
-	c.hists[s].Record(c.now().Sub(start))
-	if err != nil {
-		c.errors[s].Add(1)
+	if ctx.Err() != context.Canceled {
+		c.hists[s].Record(time.Since(start))
+		if err != nil {
+			c.errors[s].Add(1)
+		}
 	}
 	return err
 }
@@ -148,18 +150,25 @@ func (c *Coordinator) planStatement(stmt colorsql.Statement) *subPlan {
 	}
 	c.planMu.Unlock()
 
-	sub := colorsql.Statement{
-		Star:     true,
-		Where:    stmt.Where,
-		HasWhere: stmt.HasWhere,
-		Order:    stmt.Order,
-		Limit:    stmt.Limit,
-	}
-	sp := &subPlan{
-		query:  sub.String(),
-		order:  stmt.Order,
-		hasDed: stmt.HasWhere && len(stmt.Where.Polys) > 1,
-		limit:  stmt.Limit,
+	sp := &subPlan{sub: stmt, hasDed: stmt.HasWhere && len(stmt.Where.Polys) > 1}
+	if !stmt.Star {
+		// The shards are asked for the caller's projection plus what the
+		// merge reads: the identity under a dedup, and the magnitudes an
+		// ordering key is computed from.
+		star := colorsql.StarColumns()
+		cols := slices.Clone(stmt.Cols)
+		need := func(c colorsql.Column) {
+			if !slices.ContainsFunc(cols, func(h colorsql.Column) bool { return h.Kind == c.Kind && h.Axis == c.Axis }) {
+				cols = append(cols, c)
+			}
+		}
+		if sp.hasDed {
+			need(star[0])
+		}
+		for axis := 0; stmt.Order != nil && axis < table.Dim; axis++ {
+			need(star[1+axis])
+		}
+		sp.sub.Cols = cols
 	}
 	if stmt.HasWhere {
 		sp.targets = c.rt.TargetsFor(stmt.Where.Polys)
@@ -177,20 +186,21 @@ func (c *Coordinator) planStatement(stmt colorsql.Statement) *subPlan {
 }
 
 // ExecStatement fans the statement to the targeted shards and merges
-// the streams. The projection stays on the coordinator: shards always
-// run the SELECT * variant, and the caller's column list is applied
-// at serialization time, exactly like the single store's execution
-// (decode everything the plan needs, project at the edge).
+// the streams (merge.go). Unbounded scans and ORDER BY merges open
+// every target at once; an unordered statement with a LIMIT visits the
+// targets one after another, as far as the LIMIT needs. The caller's
+// column list is applied at serialization time, so the columns the
+// merge asked for on its own account never reach the client.
 func (c *Coordinator) ExecStatement(ctx context.Context, stmt colorsql.Statement, plan core.Plan) (core.Cursor, error) {
 	if plan != core.PlanAuto {
 		return nil, fmt.Errorf("shard: the coordinator only routes auto plans (shards plan locally); got %v", plan)
 	}
 	if stmt.Limit == 0 {
-		return &emptyCursor{rep: core.Report{Plan: plan, PlanReason: "LIMIT 0: no rows requested"}}, nil
+		return &recsCursor{rep: core.Report{Plan: plan, PlanReason: "LIMIT 0: no rows requested"}}, nil
 	}
 	// ORDER BY dist LIMIT k with no predicate is a nearest-neighbour
 	// search, here as on the single store.
-	if isKNNStatement(stmt) {
+	if stmt.IsKNN() {
 		recs, reps, err := c.boundedKNN(ctx, []vec.Point{stmt.Order.Dist}, stmt.Limit, true)
 		if err != nil {
 			return nil, err
@@ -199,29 +209,34 @@ func (c *Coordinator) ExecStatement(ctx context.Context, stmt colorsql.Statement
 	}
 	sp := c.planStatement(stmt)
 	if len(sp.targets) == 0 {
-		return &emptyCursor{rep: core.Report{
+		return &recsCursor{rep: core.Report{
 			Plan:       plan,
 			PlanReason: "scatter-gather: routing table proves every shard disjoint from the predicate",
 		}}, nil
 	}
 
 	cctx, cancel := context.WithTimeout(ctx, c.cfg.ShardTimeout)
-	streams := make([]*shardStream, len(sp.targets))
-	for i, t := range sp.targets {
-		streams[i] = c.startQueryStream(cctx, t, sp.query)
-	}
 	base := scatterCursor{
+		ctx:     cctx,
 		cancel:  cancel,
-		streams: streams,
+		sub:     sp.sub,
+		targets: sp.targets,
+		streams: make([]*shardStream, len(sp.targets)),
 		c:       c,
-		limit:   int64(sp.limit),
+		limit:   int64(stmt.Limit),
 	}
 	base.agg.PlanReason = scatterReason(len(sp.targets), c.rt.NumShards())
 	if sp.hasDed {
 		base.dedup = make(map[int64]bool)
 	}
-	if sp.order != nil {
-		return &orderMergeCursor{scatterCursor: base, order: sp.order}, nil
+	if stmt.Order != nil || stmt.Limit < 0 {
+		query := sp.sub.String()
+		for i, t := range sp.targets {
+			base.streams[i] = c.startQueryStream(cctx, t, query)
+		}
+	}
+	if stmt.Order != nil {
+		return &orderMergeCursor{scatterCursor: base, order: stmt.Order}, nil
 	}
 	return &scanMergeCursor{scatterCursor: base}, nil
 }
@@ -241,7 +256,7 @@ func (c *Coordinator) EstimateStatementCost(stmt colorsql.Statement) float64 {
 	if stmt.Limit == 0 {
 		return 0
 	}
-	if isKNNStatement(stmt) {
+	if stmt.IsKNN() {
 		return c.EstimateKNNCost(stmt.Limit, 1)
 	}
 	sp := c.planStatement(stmt)
@@ -328,7 +343,7 @@ func (c *Coordinator) EstimateRedshiftBatch(ctx context.Context, qs []vec.Point)
 		RowsExamined   int64     `json:"rowsExamined"`
 		DiskReads      int64     `json:"diskReads"`
 	}
-	if err := c.observe(shard, func() error { return c.getJSON(cctx, shard, sb.String(), &resp) }); err != nil {
+	if err := c.observe(cctx, shard, func() error { return c.getJSON(cctx, shard, sb.String(), &resp) }); err != nil {
 		return nil, core.Report{}, err
 	}
 	if len(resp.Redshifts) != len(qs) {
@@ -399,7 +414,7 @@ func (c *Coordinator) SampleRegion(view vec.Box, n int) ([]table.Record, core.Re
 		wg.Add(1)
 		go func(i, t int, path string) {
 			defer wg.Done()
-			errs[i] = c.observe(t, func() error { return c.getJSON(ctx, t, path, &resps[i]) })
+			errs[i] = c.observe(ctx, t, func() error { return c.getJSON(ctx, t, path, &resps[i]) })
 		}(i, t, path)
 	}
 	wg.Wait()
@@ -487,7 +502,7 @@ func (c *Coordinator) QuerySkyBox(ctx context.Context, box table.SkyBoxPred, col
 		wg.Add(1)
 		go func(s int) {
 			defer wg.Done()
-			errs[s] = c.observe(s, func() error { return c.getJSON(cctx, s, path, &resps[s]) })
+			errs[s] = c.observe(cctx, s, func() error { return c.getJSON(cctx, s, path, &resps[s]) })
 		}(s)
 	}
 	wg.Wait()
@@ -577,7 +592,7 @@ func (c *Coordinator) Insert(recs []table.Record) (uint64, error) {
 			Seq     uint64 `json:"seq"`
 			MemRows int64  `json:"memRows"`
 		}
-		if err := c.observe(s, func() error { return c.postJSONOnce(ctx, s, "/insert", body, &resp) }); err != nil {
+		if err := c.observe(ctx, s, func() error { return c.postJSONOnce(ctx, s, "/insert", body, &resp) }); err != nil {
 			return 0, err
 		}
 		c.memRows[s].Store(resp.MemRows)

@@ -1,7 +1,9 @@
 package shard
 
 import (
+	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"net/http"
@@ -12,9 +14,11 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/colorsql"
 	"repro/internal/core"
 	"repro/internal/table"
 	"repro/internal/vec"
+	"repro/internal/vizhttp"
 )
 
 // TestShardDownDescriptiveError: a dead shard surfaces as an error
@@ -43,10 +47,36 @@ func TestShardDownDescriptiveError(t *testing.T) {
 	}
 }
 
-// stubRow is a syntactically valid SELECT * NDJSON row.
-const stubRow = `{"objid":%d,"u":%g,"g":15,"r":%g,"i":15,"z":15,"ra":1,"dec":1,"redshift":0,"class":"star"}` + "\n"
+// starCols is what a SELECT * frame stream carries.
+var starCols = core.ColumnSet(colorsql.StarColumns())
 
-const stubSummary = `{"summary":{"plan":"fullscan","planReason":"stub","rowsReturned":1}}` + "\n"
+// stubRec is a valid SELECT * row at magnitudes (mag, …, mag).
+func stubRec(objid int64, mag float32) table.Record {
+	return table.Record{ObjID: objid, Mags: [5]float32{mag, mag, mag, mag, mag}, Ra: 1, Dec: 1}
+}
+
+// writeFrames starts a stub shard's frame-stream answer: the header
+// and one rows frame, flushed.
+func writeFrames(w http.ResponseWriter, recs ...table.Record) {
+	w.Header().Set("Content-Type", vizhttp.FrameContentType)
+	w.Write(frameStream(starCols, recs))
+	w.(http.Flusher).Flush()
+}
+
+// frameStream renders a header and recs as one rows frame.
+func frameStream(cols table.ColumnSet, recs []table.Record) []byte {
+	fw := vizhttp.FrameWriter{Cols: cols}
+	b := fw.Begin(nil)
+	for i := range recs {
+		b = fw.Row(b, &recs[i])
+	}
+	return fw.Seal(b)
+}
+
+// writeSummary ends a stub shard's answer cleanly.
+func writeSummary(w http.ResponseWriter) {
+	w.Write(new(vizhttp.FrameWriter).End(nil, core.Report{Plan: core.PlanFullScan, RowsReturned: 1}, nil))
+}
 
 // TestCancellationPropagates: cancelling the coordinator's context
 // reaches every in-flight shard sub-request — a stalled shard's
@@ -65,14 +95,13 @@ func TestCancellationPropagates(t *testing.T) {
 		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			if i == 0 {
 				// One row, then stall until the client gives up.
-				fmt.Fprintf(w, stubRow, 1, 15.0, 15.0)
-				w.(http.Flusher).Flush()
+				writeFrames(w, stubRec(1, 15))
 				<-r.Context().Done()
 				close(stalledCancelled)
 				return
 			}
-			fmt.Fprintf(w, stubRow, 100+i, 15.0, 15.0)
-			fmt.Fprint(w, stubSummary)
+			writeFrames(w, stubRec(int64(100+i), 15))
+			writeSummary(w)
 		}))
 		servers = append(servers, srv)
 		targets = append(targets, srv.URL)
@@ -149,8 +178,8 @@ func TestHedgeRetriesFastFailure(t *testing.T) {
 			http.Error(w, "transient", http.StatusServiceUnavailable)
 			return
 		}
-		fmt.Fprintf(w, stubRow, 1, 15.0, 15.0)
-		fmt.Fprint(w, stubSummary)
+		writeFrames(w, stubRec(1, 15))
+		writeSummary(w)
 	}))
 	defer srv.Close()
 
@@ -225,6 +254,18 @@ func TestUnknownClassIsShardError(t *testing.T) {
 				_, _, err := c.NearestNeighborsBatch(context.Background(), []vec.Point{q}, 1)
 				return err
 			}},
+		{"query", string(frameStream(starCols, []table.Record{{ObjID: 1, Class: 200}})),
+			func(c *Coordinator) error {
+				cur, err := c.ExecStatement(context.Background(), mustParse(t, "SELECT * WHERE r < 20"), core.PlanAuto)
+				if err != nil {
+					return err
+				}
+				defer cur.Close()
+				for cur.Next() {
+					t.Error("a row of a frame holding an unknown class was emitted")
+				}
+				return cur.Err()
+			}},
 		{"sky", `{"points":[{"objId":1,"ra":1,"dec":1,"class":"bogus","redshift":0}]}`,
 			func(c *Coordinator) error {
 				_, err := c.QuerySkyBox(context.Background(), table.SkyBoxPred{RaMax: 2, DecMax: 2}, table.ColAll)
@@ -233,6 +274,9 @@ func TestUnknownClassIsShardError(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if tc.name == "query" {
+					w.Header().Set("Content-Type", vizhttp.FrameContentType)
+				}
 				fmt.Fprint(w, tc.body)
 			}))
 			defer srv.Close()
@@ -244,10 +288,88 @@ func TestUnknownClassIsShardError(t *testing.T) {
 			if err == nil {
 				t.Fatal("answer with an unknown class accepted")
 			}
-			if msg := err.Error(); !strings.Contains(msg, "shard 0") || !strings.Contains(msg, srv.URL) || !strings.Contains(msg, "bogus") {
+			if msg := err.Error(); !strings.Contains(msg, "shard 0") || !strings.Contains(msg, srv.URL) ||
+				!strings.Contains(msg, "bogus") && !strings.Contains(msg, "unknown class 200") {
 				t.Fatalf("error does not name the shard and the class: %v", err)
 			}
 		})
+	}
+}
+
+// TestDamagedStreamNamesTheShard: whatever is wrong with a shard's
+// answer to a statement — cut at any byte of a multi-block stream, one
+// bit flipped anywhere in it, no summary, an error frame after rows, or
+// not a frame stream at all — the cursor ends in an error naming the
+// shard and its URL, after at most the rows of the frames before the
+// damage. It never ends cleanly on a short answer.
+func TestDamagedStreamNamesTheShard(t *testing.T) {
+	sent := []table.Record{stubRec(1, 15), stubRec(2, 16), stubRec(3, 17), stubRec(4, 18), stubRec(5, 19)}
+	fw := vizhttp.FrameWriter{Cols: starCols}
+	rows := fw.Begin(nil)
+	for i := range sent {
+		rows = fw.Row(rows, &sent[i])
+		if i%2 == 1 {
+			rows = fw.Seal(rows)
+		}
+	}
+	rows = fw.Seal(rows)
+	whole := fw.End(bytes.Clone(rows), core.Report{RowsReturned: int64(len(sent))}, nil)
+
+	type answer struct {
+		name, contentType string
+		body              []byte
+		errHas            string
+	}
+	answers := []answer{
+		{"no summary", vizhttp.FrameContentType, rows, "truncated"},
+		{"error frame after rows", vizhttp.FrameContentType, fw.End(bytes.Clone(rows), core.Report{}, errors.New("page 7 unreadable")), "page 7 unreadable"},
+		{"ndjson", "application/x-ndjson", []byte(`{"objid":1,"u":15,"g":15,"r":15,"i":15,"z":15,"ra":1,"dec":1,"redshift":0,"class":"star"}` + "\n" + `{"summary":{"rowsReturned":1}}` + "\n"), "not a frame stream"},
+		{"text/plain", "text/plain", whole, "not a frame stream"},
+	}
+	for cut := 0; cut < len(whole); cut++ {
+		answers = append(answers, answer{fmt.Sprintf("cut at %d", cut), vizhttp.FrameContentType, whole[:cut], "truncated"})
+	}
+	for i := range whole {
+		damaged := bytes.Clone(whole)
+		damaged[i] ^= 1 << (i % 8)
+		answers = append(answers, answer{fmt.Sprintf("bit flipped in byte %d", i), vizhttp.FrameContentType, damaged, ""})
+	}
+
+	var current atomic.Pointer[answer]
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		a := current.Load()
+		w.Header().Set("Content-Type", a.contentType)
+		w.Write(a.body)
+	}))
+	defer srv.Close()
+	coord, err := NewCoordinator(oneShardTable(int64(len(sent))), []string{srv.URL}, Config{HedgeAfter: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stmt := mustParse(t, "SELECT *")
+	for i := range answers {
+		a := &answers[i]
+		current.Store(a)
+		cur, err := coord.ExecStatement(context.Background(), stmt, core.PlanAuto)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := 0
+		for cur.Next() {
+			if n >= len(sent) || *cur.Record() != sent[n] {
+				t.Fatalf("%s: row %d is not the row sent", a.name, n)
+			}
+			n++
+		}
+		err = cur.Err()
+		cur.Close()
+		if err == nil {
+			t.Fatalf("%s: ended cleanly after %d of %d rows", a.name, n, len(sent))
+		}
+		requireShardError(t, err, 0, srv.URL)
+		if !strings.Contains(err.Error(), a.errHas) {
+			t.Fatalf("%s: %v", a.name, err)
+		}
 	}
 }
 
@@ -323,7 +445,6 @@ func TestKnnPhase2CutMidStream(t *testing.T) {
 	cut, stalled := (owner+1)%rt.NumShards(), (owner+2)%rt.NumShards()
 	// The owner's only neighbour is far away, so the bound reaches
 	// every other shard's cells.
-	const ownerRow = `{"objid":7,"u":90,"g":90,"r":90,"i":90,"z":90,"ra":1,"dec":1,"redshift":0,"class":"star"}` + "\n"
 	const ownerKnn = `{"plan":"kdtree","results":[{"neighbors":[{"objId":7,"mags":[90,90,90,90,90],"class":"star","redshift":0}]}]}`
 
 	// The cut waits until the stalled shard holds its sub-request, so
@@ -341,20 +462,19 @@ func TestKnnPhase2CutMidStream(t *testing.T) {
 					fmt.Fprint(w, ownerKnn)
 					return
 				}
-				fmt.Fprint(w, ownerRow, stubSummary)
+				writeFrames(w, stubRec(7, 90))
+				writeSummary(w)
 			case cut:
 				// One row, then the connection dies: no summary, no clean
 				// chunked terminator.
-				fmt.Fprintf(w, stubRow, 1, 15.0, 15.0)
-				w.(http.Flusher).Flush()
+				writeFrames(w, stubRec(1, 15))
 				<-stalledArrived
 				conn, _, err := w.(http.Hijacker).Hijack()
 				if err == nil {
 					conn.Close()
 				}
 			case stalled:
-				fmt.Fprintf(w, stubRow, 2, 15.0, 15.0)
-				w.(http.Flusher).Flush()
+				writeFrames(w, stubRec(2, 15))
 				stalledArrived <- struct{}{}
 				<-r.Context().Done()
 				stalledCancelled <- struct{}{}

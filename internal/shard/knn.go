@@ -81,14 +81,6 @@ func recDist2(rec *table.Record, q vec.Point) float64 {
 	return s
 }
 
-// isKNNStatement reports whether the statement is the one the single
-// store serves as a nearest-neighbour search: an ascending distance
-// ordering with a row budget and no predicate.
-func isKNNStatement(stmt colorsql.Statement) bool {
-	o := stmt.Order
-	return o != nil && o.Dist != nil && !o.Desc && !stmt.HasWhere && stmt.Limit > 0
-}
-
 // boundedKNN answers a batch of probes with the two-phase protocol
 // described at the top of this file, results and reports in input
 // order. wholeRows selects how an unbounded visit is asked: a /knn
@@ -232,11 +224,12 @@ func (c *Coordinator) visitKNN(ctx context.Context, v *knnVisit, qs []vec.Point,
 	v.parts = make([]knnPart, len(v.idx))
 	for t, i := range v.idx {
 		part := &v.parts[t]
-		err := c.observe(v.shard, func() error {
-			return c.fetchQueryNDJSON(ctx, v.shard, knnStatement(qs[i], k, v.bound), func(rec table.Record) error {
-				part.recs = append(part.recs, rec)
+		err := c.observe(ctx, v.shard, func() (err error) {
+			part.rep, err = c.fetchQuery(ctx, v.shard, knnStatement(qs[i], k, v.bound), func(block []table.Record) error {
+				part.recs = append(part.recs, block...)
 				return nil
-			}, &part.rep)
+			})
+			return err
 		})
 		if err != nil {
 			return err
@@ -304,7 +297,7 @@ func (c *Coordinator) knnPost(ctx context.Context, shard int, qs []vec.Point, id
 		return nil, err
 	}
 	var resp knnWireResponse
-	if err := c.observe(shard, func() error { return c.postJSON(ctx, shard, "/knn", body, &resp) }); err != nil {
+	if err := c.observe(ctx, shard, func() error { return c.postJSON(ctx, shard, "/knn", body, &resp) }); err != nil {
 		return nil, err
 	}
 	if len(resp.Results) != len(idx) {

@@ -133,6 +133,36 @@ func distStatement(q vec.Point, k int) string {
 	return fmt.Sprintf("SELECT * ORDER BY dist(%s) LIMIT %d", strings.Join(parts, ", "), k)
 }
 
+// clientLine is one line of the client-facing NDJSON wire (or one
+// element of the JSON body's rows): a SELECT * row, a summary, or an
+// error.
+type clientLine struct {
+	ObjID                            *int64
+	U, G, R, I, Z, Ra, Dec, Redshift *float64
+	Class                            *string
+	Summary                          *json.RawMessage
+	Error                            *string
+}
+
+// toRecord decodes a SELECT * row; the float32 recast of each shortest
+// float64 rendering is exact.
+func (w *clientLine) toRecord() (table.Record, error) {
+	var rec table.Record
+	if w.ObjID == nil || w.U == nil || w.G == nil || w.R == nil || w.I == nil ||
+		w.Z == nil || w.Ra == nil || w.Dec == nil || w.Redshift == nil || w.Class == nil {
+		return rec, fmt.Errorf("row is missing SELECT * columns")
+	}
+	rec.ObjID = *w.ObjID
+	rec.Mags = [5]float32{float32(*w.U), float32(*w.G), float32(*w.R), float32(*w.I), float32(*w.Z)}
+	rec.Ra, rec.Dec, rec.Redshift = float32(*w.Ra), float32(*w.Dec), float32(*w.Redshift)
+	c, ok := table.ParseClass(*w.Class)
+	if !ok {
+		return rec, fmt.Errorf("unknown class %q", *w.Class)
+	}
+	rec.Class = c
+	return rec, nil
+}
+
 // queryRows fetches one statement over HTTP and returns its SELECT *
 // rows decoded, in either wire format.
 func queryRows(t *testing.T, base, stmt, format string) []table.Record {
@@ -153,10 +183,10 @@ func queryRows(t *testing.T, base, stmt, format string) []table.Record {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("%s: status %d: %s", stmt, resp.StatusCode, body)
 	}
-	var lines []wireLine
+	var lines []clientLine
 	if format == "ndjson" {
 		for _, raw := range bytes.Split(bytes.TrimSpace(body), []byte("\n")) {
-			var wl wireLine
+			var wl clientLine
 			if err := json.Unmarshal(raw, &wl); err != nil {
 				t.Fatalf("bad line %q: %v", raw, err)
 			}
@@ -169,7 +199,7 @@ func queryRows(t *testing.T, base, stmt, format string) []table.Record {
 		}
 	} else {
 		var doc struct {
-			Rows []wireLine `json:"rows"`
+			Rows []clientLine `json:"rows"`
 		}
 		if err := json.Unmarshal(body, &doc); err != nil {
 			t.Fatalf("bad body: %v", err)

@@ -9,9 +9,9 @@ import (
 	"repro/internal/table"
 )
 
-// This file is the merge layer: per-shard NDJSON streams come in,
-// one core.Cursor goes out. Two merge disciplines mirror the
-// single-store execution exactly:
+// This file is the merge layer: per-shard frame streams come in, one
+// core.Cursor goes out. Two merge disciplines mirror the single-store
+// execution exactly:
 //
 //   - scan merge: unordered statements concatenate the shard streams
 //     in shard order. Under a multi-clause WHERE the single store
@@ -19,61 +19,76 @@ import (
 //     ObjID across shard boundaries too; a single clause or a
 //     no-WHERE full-catalog scan visits each physical row once and
 //     does not dedup in the single store, so neither does the merge.
+//     With a LIMIT a target is opened only when the one before it
+//     ended short, and asked only for the rows still missing.
 //   - order merge: ORDER BY statements arrive locally sorted from
 //     each shard (each with the LIMIT pushed down), and a k-way merge
 //     on the recomputed ordering key — the same float64 key the
 //     single store's top-k heap uses — reassembles the global order.
 //
-// Failure semantics: any shard error (transport, HTTP status,
-// mid-stream {"error": ...} line, stream truncated before its
-// summary) surfaces through Err() naming the shard and its URL. A
-// merge never reports clean completion unless every targeted stream
-// closed cleanly; the only early stop is an exact LIMIT, where the
-// unread remainder is provably not part of the answer.
+// Failure semantics: any shard error (transport, HTTP status, error
+// frame, damaged frame, stream cut before its summary) surfaces through
+// Err() naming the shard and its URL. A merge never reports clean
+// completion unless every stream it opened and read to the end closed
+// cleanly; the only early stop is an exact LIMIT, where the unread
+// remainder is provably not part of the answer.
 
 // shardStream is one shard's in-flight sub-query. The fetch goroutine
-// fills rows and sets err/summary before closing the channel, so a
-// reader that observes the close also observes both.
+// sends decoded blocks and sets err/summary before closing the
+// channel, so a reader that observes the close also observes both.
+// Blocks, not rows, cross the channel: one send per frame. Four slots
+// let a small answer (two frames) finish without the fetch blocking and
+// bound how far a shard the merge has not reached can run ahead.
 type shardStream struct {
-	shard   int
-	rows    chan table.Record
+	blocks  chan []table.Record
 	summary core.Report
 	err     error
+
+	block []table.Record // the block being read, and the position in it
+	pos   int
 }
 
 // startQueryStream launches one shard's /query fetch.
 func (c *Coordinator) startQueryStream(ctx context.Context, shard int, query string) *shardStream {
-	s := &shardStream{shard: shard, rows: make(chan table.Record, 128)}
-	c.requests[shard].Add(1)
+	s := &shardStream{blocks: make(chan []table.Record, 4)}
 	go func() {
-		start := c.now()
-		err := c.fetchQueryNDJSON(ctx, shard, query, func(rec table.Record) error {
-			select {
-			case s.rows <- rec:
-				return nil
-			case <-ctx.Done():
-				return ctx.Err()
-			}
-		}, &s.summary)
-		// A cancellation we caused ourselves (LIMIT early stop, caller
-		// disconnect) is not a shard failure: keep it out of the error
-		// counter and the fan-out latency histogram.
-		if ctx.Err() == nil {
-			c.hists[shard].Record(c.now().Sub(start))
-			if err != nil {
-				c.errors[shard].Add(1)
-			}
-		}
-		s.err = err
-		close(s.rows)
+		s.err = c.observe(ctx, shard, func() (err error) {
+			s.summary, err = c.fetchQuery(ctx, shard, query, func(block []table.Record) error {
+				select {
+				case s.blocks <- block:
+					return nil
+				case <-ctx.Done():
+					return ctx.Err()
+				}
+			})
+			return err
+		})
+		close(s.blocks)
 	}()
 	return s
 }
 
+// next returns the stream's next row, or nil once it has ended — err
+// and summary are then set.
+func (s *shardStream) next() *table.Record {
+	for s.pos == len(s.block) {
+		block, ok := <-s.blocks
+		if !ok {
+			return nil
+		}
+		s.block, s.pos = block, 0
+	}
+	s.pos++
+	return &s.block[s.pos-1]
+}
+
 // scatterCursor is the shared state of both merge disciplines.
 type scatterCursor struct {
+	ctx     context.Context
 	cancel  context.CancelFunc
-	streams []*shardStream
+	sub     colorsql.Statement // what the shards are asked
+	targets []int
+	streams []*shardStream // one per target; nil until opened
 	c       *Coordinator
 
 	// dedup is non-nil for multi-clause WHERE statements (mirrors the
@@ -81,14 +96,14 @@ type scatterCursor struct {
 	dedup map[int64]bool
 	limit int64
 
-	cur     table.Record
+	cur     *table.Record
 	emitted int64
 	agg     core.Report
 	err     error
 	done    bool
 }
 
-func (sc *scatterCursor) Record() *table.Record { return &sc.cur }
+func (sc *scatterCursor) Record() *table.Record { return sc.cur }
 func (sc *scatterCursor) Err() error            { return sc.err }
 
 func (sc *scatterCursor) Stats() core.Report {
@@ -124,8 +139,7 @@ func (sc *scatterCursor) fail(err error) {
 	if sc.err == nil {
 		sc.err = err
 	}
-	sc.done = true
-	sc.cancel()
+	sc.Close()
 }
 
 // admits reports whether a row passes the cross-shard dedup.
@@ -140,27 +154,36 @@ func (sc *scatterCursor) admits(rec *table.Record) bool {
 	return true
 }
 
-// scanMergeCursor concatenates shard streams in shard order.
+// scanMergeCursor concatenates shard streams in shard order. Without
+// a LIMIT every stream is open from the start; with one, target idx is
+// opened when the cursor reaches it, for the rows the LIMIT still lacks
+// (under a dedup for the whole LIMIT: a target may repeat rows already
+// emitted) — the rows of asking every target for the LIMIT at once.
 type scanMergeCursor struct {
 	scatterCursor
 	idx int
 }
 
 func (sc *scanMergeCursor) Next() bool {
-	if sc.done {
-		return false
-	}
-	if sc.limit >= 0 && sc.emitted >= sc.limit {
-		// Exact LIMIT reached: the unread remainder is not part of the
-		// answer, so stopping here is not truncation.
-		sc.done = true
-		sc.cancel()
-		return false
-	}
-	for sc.idx < len(sc.streams) {
+	for !sc.done {
+		// At an exact LIMIT the unread remainder is not part of the
+		// answer, so stopping is not truncation. A stream asked for just
+		// the missing rows is at its own end then: read on to its summary.
+		full := sc.limit >= 0 && sc.emitted >= sc.limit
+		if sc.idx == len(sc.streams) || full && (sc.streams[sc.idx] == nil || sc.dedup != nil) {
+			break
+		}
 		s := sc.streams[sc.idx]
-		rec, ok := <-s.rows
-		if !ok {
+		if s == nil {
+			sub := sc.sub
+			if sc.dedup == nil {
+				sub.Limit = int(sc.limit - sc.emitted)
+			}
+			s = sc.c.startQueryStream(sc.ctx, sc.targets[sc.idx], sub.String())
+			sc.streams[sc.idx] = s
+		}
+		rec := s.next()
+		if rec == nil {
 			if s.err != nil {
 				sc.fail(s.err)
 				return false
@@ -169,15 +192,16 @@ func (sc *scanMergeCursor) Next() bool {
 			sc.idx++
 			continue
 		}
-		if !sc.admits(&rec) {
-			continue
+		if full {
+			break
 		}
-		sc.cur = rec
-		sc.emitted++
-		return true
+		if sc.admits(rec) {
+			sc.cur = rec
+			sc.emitted++
+			return true
+		}
 	}
-	sc.done = true
-	sc.cancel()
+	sc.Close()
 	return false
 }
 
@@ -190,40 +214,33 @@ type orderMergeCursor struct {
 	scatterCursor
 	order *colorsql.OrderBy
 	heads []mergeHead
-	ready bool
 }
 
 type mergeHead struct {
-	rec table.Record
+	rec *table.Record // nil once the stream has ended
 	key float64
-	ok  bool
 }
 
 // advance refills stream i's head. Returns false on stream failure.
 func (oc *orderMergeCursor) advance(i int) bool {
 	s := oc.streams[i]
-	rec, ok := <-s.rows
-	if !ok {
+	rec := s.next()
+	if rec == nil {
 		if s.err != nil {
 			oc.fail(s.err)
 			return false
 		}
 		oc.foldSummary(s.summary)
-		oc.heads[i].ok = false
+		oc.heads[i].rec = nil
 		return true
 	}
-	oc.heads[i] = mergeHead{rec: rec, key: oc.key(&rec), ok: true}
-	return true
-}
-
-// key computes the ordering key for one record — the exact
-// counterpart of the single store's orderKey.
-func (oc *orderMergeCursor) key(rec *table.Record) float64 {
-	m := make([]float64, len(rec.Mags))
-	for i := range rec.Mags {
-		m[i] = float64(rec.Mags[i])
+	// The exact counterpart of the single store's orderKey.
+	var m [table.Dim]float64
+	for d, v := range rec.Mags {
+		m[d] = float64(v)
 	}
-	return oc.order.Key(m)
+	oc.heads[i] = mergeHead{rec: rec, key: oc.order.Key(m[:])}
+	return true
 }
 
 func (oc *orderMergeCursor) Next() bool {
@@ -231,23 +248,21 @@ func (oc *orderMergeCursor) Next() bool {
 		return false
 	}
 	if oc.limit >= 0 && oc.emitted >= oc.limit {
-		oc.done = true
-		oc.cancel()
+		oc.Close()
 		return false
 	}
-	if !oc.ready {
+	if oc.heads == nil {
 		oc.heads = make([]mergeHead, len(oc.streams))
 		for i := range oc.streams {
 			if !oc.advance(i) {
 				return false
 			}
 		}
-		oc.ready = true
 	}
 	for {
 		best := -1
 		for i := range oc.heads {
-			if !oc.heads[i].ok {
+			if oc.heads[i].rec == nil {
 				continue
 			}
 			if best < 0 {
@@ -263,15 +278,14 @@ func (oc *orderMergeCursor) Next() bool {
 			}
 		}
 		if best < 0 {
-			oc.done = true
-			oc.cancel()
+			oc.Close()
 			return false
 		}
 		rec := oc.heads[best].rec
 		if !oc.advance(best) {
 			return false
 		}
-		if !oc.admits(&rec) {
+		if !oc.admits(rec) {
 			continue
 		}
 		oc.cur = rec
@@ -280,19 +294,9 @@ func (oc *orderMergeCursor) Next() bool {
 	}
 }
 
-// emptyCursor answers statements that short-circuit before any
-// fan-out (LIMIT 0, routing-proven-empty).
-type emptyCursor struct {
-	rep core.Report
-}
-
-func (e *emptyCursor) Next() bool            { return false }
-func (e *emptyCursor) Record() *table.Record { return nil }
-func (e *emptyCursor) Err() error            { return nil }
-func (e *emptyCursor) Close() error          { return nil }
-func (e *emptyCursor) Stats() core.Report    { return e.rep }
-
-// recsCursor replays an eagerly merged answer (/sky fan-out).
+// recsCursor replays an eagerly merged answer (/sky fan-out, kNN), or
+// with no rows one that short-circuited before any fan-out (LIMIT 0,
+// routing-proven-empty).
 type recsCursor struct {
 	recs []table.Record
 	rep  core.Report

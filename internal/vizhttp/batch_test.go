@@ -165,7 +165,7 @@ func TestStreamFirstRowBeforeSecondNext(t *testing.T) {
 			flushesAtSecond, bytesAtSecond = w.flushes, w.body.Len()
 		}
 	}}
-	streamServer().streamNDJSON(w, cur, core.NewRowEncoder(cols))
+	streamServer().streamRows(w, cur, ndjsonRows{core.NewRowEncoder(cols)})
 	first := genRecord(0)
 	if want := len(core.AppendRowJSON(nil, cols, &first)) + 1; flushesAtSecond != 1 || bytesAtSecond != want {
 		t.Errorf("at the second Next: %d flushes, %d body bytes; want 1 flush of the %d-byte first row",
@@ -183,7 +183,7 @@ func TestStreamBatchesWrites(t *testing.T) {
 	cols := colorsql.StarColumns()
 	cur := &genCursor{n: n, failAt: -1}
 	s := streamServer()
-	s.streamNDJSON(w, cur, core.NewRowEncoder(cols))
+	s.streamRows(w, cur, ndjsonRows{core.NewRowEncoder(cols)})
 
 	want := refBody(t, cols, n, cur.Stats())
 	if !bytes.Equal(w.body.Bytes(), want) {
@@ -220,7 +220,7 @@ func TestStreamSmallAnswerFlushes(t *testing.T) {
 		w := newRecordingWriter()
 		cols := colorsql.StarColumns()
 		cur := &genCursor{n: n, failAt: -1}
-		streamServer().streamNDJSON(w, cur, core.NewRowEncoder(cols))
+		streamServer().streamRows(w, cur, ndjsonRows{core.NewRowEncoder(cols)})
 		if w.flushes > 2 || w.writes > 2 {
 			t.Errorf("%d rows: %d flushes, %d writes; want <= 2 each", n, w.flushes, w.writes)
 		}
@@ -244,7 +244,7 @@ func TestStreamSlowCursorFlushesOnAge(t *testing.T) {
 			writesAfterCheck = w.writes
 		}
 	}}
-	streamServer().streamNDJSON(w, cur, core.NewRowEncoder(colorsql.StarColumns()))
+	streamServer().streamRows(w, cur, ndjsonRows{core.NewRowEncoder(colorsql.StarColumns())})
 	if writesAfterCheck != 2 {
 		t.Errorf("%d Writes by the row after the clock check, want 2 (first row, aged batch)", writesAfterCheck)
 	}
@@ -260,7 +260,7 @@ func TestStreamErrorLine(t *testing.T) {
 	cols := colorsql.StarColumns()
 	cur := &genCursor{n: 100, failAt: 40, err: errors.New(msg)}
 	s := streamServer()
-	s.streamNDJSON(w, cur, core.NewRowEncoder(cols))
+	s.streamRows(w, cur, ndjsonRows{core.NewRowEncoder(cols)})
 
 	lines := strings.Split(strings.TrimRight(w.body.String(), "\n"), "\n")
 	if len(lines) != 41 {
@@ -293,7 +293,7 @@ func TestStreamWriteFailureStops(t *testing.T) {
 	pulled := 0
 	cur := &genCursor{n: 100000, failAt: -1, onNext: func(handedOut int) { pulled = handedOut }}
 	w := &failingWriter{recordingWriter: newRecordingWriter(), failOn: 2}
-	streamServer().streamNDJSON(w, cur, core.NewRowEncoder(colorsql.StarColumns()))
+	streamServer().streamRows(w, cur, ndjsonRows{core.NewRowEncoder(colorsql.StarColumns())})
 	if w.writes != 2 {
 		t.Errorf("%d Writes after the failing one", w.writes-2)
 	}
@@ -323,7 +323,7 @@ func TestStreamSteadyStateAllocs(t *testing.T) {
 	enc := core.NewRowEncoder(colorsql.StarColumns())
 	w := &discardWriter{hdr: http.Header{}}
 	run := func(n int) func() {
-		return func() { s.streamNDJSON(w, &genCursor{n: n, failAt: -1}, enc) }
+		return func() { s.streamRows(w, &genCursor{n: n, failAt: -1}, ndjsonRows{enc}) }
 	}
 	run(30000)() // grow the pooled buffer
 	small, large := testing.AllocsPerRun(5, run(10000)), testing.AllocsPerRun(5, run(30000))

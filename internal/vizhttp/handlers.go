@@ -138,7 +138,8 @@ func (s *Server) handleRender(w http.ResponseWriter, r *http.Request) {
 // request context — followed by a final {"summary": ...} line.
 // The default JSON response collects the rows first but still
 // executes through the cursor, so a LIMIT bounds the pages read,
-// not just the rows encoded.
+// not just the rows encoded. A request that Accepts FrameContentType —
+// a coordinator's — streams the same rows as binary frames (frame.go).
 //
 // Admission happens after parsing (rejecting malformed input must not
 // consume a slot) and is priced by the planner's zero-I/O estimate of
@@ -230,9 +231,13 @@ func (s *Server) writeQueryResponse(w http.ResponseWriter, r *http.Request, stmt
 	defer cur.Close()
 	setXCache(w, cur.Stats())
 
+	if r.Header.Get("Accept") == FrameContentType {
+		s.streamRows(w, cur, &FrameWriter{Cols: core.ColumnSet(stmt.OutputColumns())})
+		return
+	}
 	enc := core.NewRowEncoder(stmt.OutputColumns())
 	if r.URL.Query().Get("format") == "ndjson" {
-		s.streamNDJSON(w, cur, enc)
+		s.streamRows(w, cur, ndjsonRows{enc})
 		return
 	}
 
@@ -277,7 +282,7 @@ func (s *Server) writeQueryResponse(w http.ResponseWriter, r *http.Request, stmt
 	w.Write(append(body, '\n'))
 }
 
-// The NDJSON flush policy. The first row goes out at once (first-row
+// The streaming flush policy. The first row goes out at once (first-row
 // latency is independent of result cardinality); later rows when
 // streamFlushBytes are pending or the oldest pending row has waited
 // streamFlushInterval — the clock is read every streamClockRows-th
@@ -289,14 +294,43 @@ const (
 	streamClockRows     = 16
 )
 
-// streamBufs recycles streamNDJSON's pending-rows buffers: a buffer
+// streamBufs recycles streamRows' pending-rows buffers: a buffer
 // grows on demand to about streamFlushBytes, so a small answer
 // neither allocates a batch-sized buffer nor regrows a pooled one.
 var streamBufs = sync.Pool{New: func() any { return new([]byte) }}
 
-// streamNDJSON writes one JSON object per row, batched per the flush
-// policy above, then a final summary line with the cursor's exact
-// stats (or an error line, after the rows that preceded the failure).
+// rowFormat is one wire rendering of a row stream: NDJSON for clients,
+// binary frames (FrameWriter) for the coordinator.
+type rowFormat interface {
+	ContentType() string
+	Begin(dst []byte) []byte
+	Row(dst []byte, rec *table.Record) []byte
+	Seal(dst []byte) []byte // completes the pending rows before a write
+	// End closes the stream: the cursor's exact stats, or err after the
+	// rows that preceded the failure.
+	End(dst []byte, rep core.Report, err error) []byte
+}
+
+// ndjsonRows is one JSON object per row, then a summary or error line.
+type ndjsonRows struct{ enc *core.RowEncoder }
+
+func (ndjsonRows) ContentType() string     { return "application/x-ndjson" }
+func (ndjsonRows) Begin(dst []byte) []byte { return dst }
+func (ndjsonRows) Seal(dst []byte) []byte  { return dst }
+func (f ndjsonRows) Row(dst []byte, rec *table.Record) []byte {
+	return append(f.enc.AppendRow(dst, rec), '\n')
+}
+func (ndjsonRows) End(dst []byte, rep core.Report, err error) []byte {
+	if err != nil {
+		dst = appendJSONString(append(dst, `{"error":`...), err.Error())
+	} else {
+		dst = appendSummary(append(dst, `{"summary":`...), rep, true)
+	}
+	return append(dst, "}\n"...)
+}
+
+// streamRows writes the cursor's rows in format f, batched per the
+// flush policy above, then the stream's end.
 //
 // Backpressure contract: the rolling deadline Config.StreamWriteTimeout
 // is armed before every call that can block — each batch's Write and
@@ -310,13 +344,13 @@ var streamBufs = sync.Pool{New: func() any { return new([]byte) }}
 // response, killing legitimate long streams, while saying nothing
 // about per-write progress). Recorders and exotic writers may not
 // support deadlines; the stream then simply runs without them.
-func (s *Server) streamNDJSON(w http.ResponseWriter, cur core.Cursor, enc *core.RowEncoder) {
-	w.Header().Set("Content-Type", "application/x-ndjson")
+func (s *Server) streamRows(w http.ResponseWriter, cur core.Cursor, f rowFormat) {
+	w.Header().Set("Content-Type", f.ContentType())
 	w.Header().Set("X-Content-Type-Options", "nosniff")
 	flusher, _ := w.(http.Flusher)
 	rc := http.NewResponseController(w)
 	bp := streamBufs.Get().(*[]byte)
-	buf := (*bp)[:0]
+	buf := f.Begin((*bp)[:0])
 	defer func() {
 		*bp = buf
 		streamBufs.Put(bp)
@@ -325,14 +359,14 @@ func (s *Server) streamNDJSON(w http.ResponseWriter, cur core.Cursor, enc *core.
 		if s.cfg.StreamWriteTimeout > 0 {
 			rc.SetWriteDeadline(time.Now().Add(s.cfg.StreamWriteTimeout))
 		}
-		_, err := w.Write(buf)
+		_, err := w.Write(f.Seal(buf))
 		buf = buf[:0]
 		return err
 	}
 
 	var flushed time.Time
 	for n := 0; cur.Next(); n++ {
-		buf = append(enc.AppendRow(buf, cur.Record()), '\n')
+		buf = f.Row(buf, cur.Record())
 		if n == 0 || len(buf) >= streamFlushBytes ||
 			n%streamClockRows == 0 && time.Since(flushed) >= streamFlushInterval {
 			if write() != nil {
@@ -346,17 +380,12 @@ func (s *Server) streamNDJSON(w http.ResponseWriter, cur core.Cursor, enc *core.
 			flushed = time.Now()
 		}
 	}
-	rep := cur.Stats()
-	if err := cur.Err(); err != nil {
-		buf = appendJSONString(append(buf, `{"error":`...), err.Error())
-		buf = append(buf, "}\n"...)
-		write()
-		return
+	rep, err := cur.Stats(), cur.Err()
+	if err == nil {
+		s.countRequest(rep.RowsReturned)
+		s.countZoneStats(rep)
 	}
-	s.countRequest(rep.RowsReturned)
-	s.countZoneStats(rep)
-	buf = appendSummary(append(buf, `{"summary":`...), rep, true)
-	buf = append(buf, "}\n"...)
+	buf = f.End(buf, rep, err)
 	write()
 }
 

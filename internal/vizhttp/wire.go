@@ -11,8 +11,8 @@ import (
 // Append-style JSON for the /query summary and error lines. The bytes
 // are exactly what encoding/json produced for the map[string]any
 // values these replace — alphabetical keys, HTML-escaped strings,
-// ES6-style floats — so shard.wireSummary, the bench client and the
-// byte-identity tests read what they always read.
+// ES6-style floats — so the bench client and the byte-identity tests
+// read what they always read.
 
 // appendSummary appends rep as a JSON object. The NDJSON summary line
 // carries cacheHits; the JSON response never did, and has members
