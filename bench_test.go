@@ -664,7 +664,7 @@ func BenchmarkPlannerPlan(b *testing.B) {
 	f := sharedFixture(b)
 	pl := &planner.Planner{Catalog: f.catalog, Kd: f.tree, KdTable: f.kdTable, Domain: sky.Domain()}
 	for _, half := range []float64{0.2, 0.8, 3.2, 12.8} {
-		q := fig5Query(f, half)
+		q := []vec.Polyhedron{fig5Query(f, half)}
 		b.Run(fmt.Sprintf("half=%.1f", half), func(b *testing.B) {
 			b.ReportAllocs()
 			var sel float64

@@ -270,14 +270,13 @@ func runQuery(db *core.SpatialDB, query, plan string, limit int) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if !u.IsConvex() {
-		fmt.Printf("query compiles to a union of %d polyhedra; running each clause\n", len(u.Polys))
-	}
 	store := db.Engine().Store()
-	run := func(poly vec.Polyhedron, p core.Plan) {
+	// The WHERE runs whole, however many clauses it compiles to: one
+	// walk, every matching row once.
+	run := func(p core.Plan) {
 		// Cold-cache execution so the printed page counts mean disk I/O.
 		store.DropCache()
-		recs, rep, err := db.QueryPolyhedron(poly, p)
+		recs, rep, err := db.QueryUnion(u, p)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -292,25 +291,20 @@ func runQuery(db *core.SpatialDB, query, plan string, limit int) {
 		}
 		printRows(recs, limit)
 	}
-	for ci, poly := range u.Polys {
-		if len(u.Polys) > 1 {
-			fmt.Printf("-- clause %d\n", ci+1)
-		}
-		switch plan {
-		case "auto":
-			run(poly, core.PlanAuto)
-		case "fullscan":
-			run(poly, core.PlanFullScan)
-		case "kdtree":
-			run(poly, core.PlanKdTree)
-		case "voronoi":
-			run(poly, core.PlanVoronoi)
-		case "compare":
-			run(poly, core.PlanFullScan)
-			run(poly, core.PlanKdTree)
-		default:
-			log.Fatalf("spatialq: unknown -plan %q", plan)
-		}
+	switch plan {
+	case "auto":
+		run(core.PlanAuto)
+	case "fullscan":
+		run(core.PlanFullScan)
+	case "kdtree":
+		run(core.PlanKdTree)
+	case "voronoi":
+		run(core.PlanVoronoi)
+	case "compare":
+		run(core.PlanFullScan)
+		run(core.PlanKdTree)
+	default:
+		log.Fatalf("spatialq: unknown -plan %q", plan)
 	}
 }
 

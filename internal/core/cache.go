@@ -5,7 +5,6 @@ import (
 	"strconv"
 
 	"repro/internal/colorsql"
-	"repro/internal/engine"
 	"repro/internal/planner"
 	"repro/internal/qcache"
 	"repro/internal/table"
@@ -16,18 +15,19 @@ import (
 // qcache) into the query paths.
 //
 // Tier 1 (always on) caches planner work keyed on canonical
-// predicate text: per-clause planner.Choice verdicts (the index
-// scan's ranges included) for DNF unions, and KNNChoice verdicts
-// per k. Admission pricing (EstimateStatementCost) and execution
-// (ExecStatement → unionCursor) share the entries, so a repeated
-// statement is planned exactly once per epoch.
+// predicate text: one planner.Choice per WHERE (the index scan's
+// ranges included), however many clauses its DNF has, and KNNChoice
+// verdicts per k. Admission pricing (EstimateStatementCost) and
+// execution (ExecStatement → whereCursor) share the entries, so a
+// repeated statement is planned exactly once per epoch.
 //
 // Tier 2 (opt-in via Config.ResultCacheBytes) caches materialized
 // small answers — bounded-LIMIT statements, single-point kNN probes,
-// small photo-z batches — with singleflight dedup. It is opt-in
-// because a cached answer deliberately skips execution: callers that
-// rely on per-request execution cost (admission-control tests, cost
-// benchmarks) must not silently change behaviour.
+// small photo-z batches — concurrent identical requests sharing one
+// execution (singleflight). It is opt-in because a cached answer
+// deliberately skips execution: callers that rely on per-request
+// execution cost (admission-control tests, cost benchmarks) must not
+// silently change behaviour.
 //
 // Every entry is keyed under the current cache epoch; see cacheEpoch.
 
@@ -117,62 +117,46 @@ func (db *SpatialDB) CacheStatsSnapshot() CacheStats {
 	}
 }
 
-// unionPlanFor returns the cached tier-1 plan for a union — the
-// planner's verdict for every clause, in clause order — planning on
-// first use. Entries are immutable once cached: cursors read the
-// choices but never write them. The key is the union's canonical
-// String() — the same property Statement round-trips through — so
-// textually identical predicates share one entry regardless of which
-// statement carries them.
-func (db *SpatialDB) unionPlanFor(u colorsql.Union) ([]planner.Choice, error) {
+// planFor returns the cached tier-1 plan for a WHERE — the planner's
+// one verdict for all its clauses — planning on first use. Entries are
+// immutable once cached: cursors read the choice but never write it.
+// The key is the union's canonical String() — the same property
+// Statement round-trips through — so textually identical predicates
+// share one entry regardless of which statement carries them.
+func (db *SpatialDB) planFor(u colorsql.Union) (*planner.Choice, error) {
 	v, err := db.qc.GetOrBuildPlan(nsPlan, u.String(), db.cacheEpoch(), func() (any, error) {
 		pl, err := db.Planner()
 		if err != nil {
 			return nil, err
 		}
-		choices := make([]planner.Choice, len(u.Polys))
-		for i, q := range u.Polys {
-			if choices[i], err = pl.Plan(q); err != nil {
-				return nil, fmt.Errorf("core: clause %d: %w", i, err)
-			}
+		choice, err := pl.Plan(u.Polys)
+		if err != nil {
+			return nil, fmt.Errorf("core: %w", err)
 		}
-		return choices, nil
+		return &choice, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	return v.([]planner.Choice), nil
+	return v.(*planner.Choice), nil
 }
 
-// provablyEmptyUnion reports whether a WHERE union is proven empty
-// without reading a single page: every clause's index walk (already
-// cached in tier 1) emitted no range — the tree's bounds and the page
-// zones rule out every page — and no acknowledged memtable row, which
-// neither covers, satisfies any clause. The verdict is only valid at
-// the epoch it was computed under; any insert bumps the plan
-// generation and invalidates it.
-func (db *SpatialDB) provablyEmptyUnion(u colorsql.Union) (bool, error) {
-	choices, err := db.unionPlanFor(u)
-	if err != nil {
+// provablyEmpty reports whether a WHERE is proven empty without
+// reading a single page: its index walk (already cached in tier 1)
+// emitted no range — the tree's bounds and the page zones rule out
+// every page — and no acknowledged memtable row, which the walk does
+// not cover, satisfies it. The verdict is only valid at the epoch it
+// was computed under; any insert bumps the plan generation and
+// invalidates it.
+func (db *SpatialDB) provablyEmpty(u colorsql.Union) (bool, error) {
+	choice, err := db.planFor(u)
+	if err != nil || len(choice.Ranges) != 0 {
 		return false, err
 	}
-	if len(choices) == 0 {
-		return false, nil
-	}
-	for _, ch := range choices {
-		if len(ch.Ranges) != 0 {
-			return false, nil
-		}
-	}
+	matches := whereMemFilter(u.Polys) // Union.Contains, as the scan tests a memtable row
 	for _, row := range db.memSnapshot() {
-		var m [table.Dim]float64
-		for i, v := range row.Rec.Mags {
-			m[i] = float64(v)
-		}
-		for _, q := range u.Polys {
-			if engine.ContainsMags(q, &m) {
-				return false, nil
-			}
+		if matches(&row.Rec) {
+			return false, nil
 		}
 	}
 	return true, nil

@@ -63,12 +63,13 @@ type Config struct {
 	Workers int
 	// ResultCacheBytes budgets the tier-2 result cache: bounded-LIMIT
 	// statement answers, single-point kNN probes and small photo-z
-	// batches are materialized and served from memory with
-	// singleflight dedup. 0 (the default) disables result caching —
-	// every request executes — because a cached answer deliberately
-	// skips execution and callers relying on per-request cost must
-	// opt in. The tier-1 plan cache is always on. The effective
-	// budget shrinks under buffer-pool pressure; see internal/qcache.
+	// batches are materialized and served from memory, concurrent
+	// identical requests sharing one execution (singleflight). 0 (the
+	// default) disables result caching — every request executes —
+	// because a cached answer deliberately skips execution and callers
+	// relying on per-request cost must opt in. The tier-1 plan cache
+	// is always on. The effective budget shrinks under buffer-pool
+	// pressure; see internal/qcache.
 	ResultCacheBytes int64
 }
 
@@ -582,18 +583,22 @@ func (db *SpatialDB) QueryWhere(where string, plan Plan) ([]table.Record, Report
 }
 
 // QueryUnion executes an already-parsed DNF union of convex
-// polyhedra — one polyhedron query per clause, results unioned by
-// object identity. Callers that parsed the WHERE clause themselves
-// (vizserver validates queries before accepting them) pass the union
-// here instead of paying a second parse through QueryWhere.
+// polyhedra as one query: one walk classifies the index against every
+// clause at once, and each physical row that satisfies any clause
+// comes back exactly once, in table order — rows are never merged,
+// whatever their ObjIDs. Callers that parsed the WHERE clause
+// themselves (vizserver validates queries before accepting them) pass
+// the union here instead of paying a second parse through QueryWhere.
 //
-// It is collect-all over the union cursor statements stream through.
-// The Report describes the union: row and page counters sum over
-// clauses, EstimatedSelectivity is the clamped sum of per-clause
-// estimates (an upper bound ignoring overlap), Plan is the last
-// clause's plan, and PlanReason joins the per-clause reasons.
+// It is collect-all over the cursor statements stream through, and the
+// Report is that one stream's: one plan, one selectivity estimate, one
+// PlanReason, exact page counters.
 func (db *SpatialDB) QueryUnion(u colorsql.Union, plan Plan) ([]table.Record, Report, error) {
-	return Collect(db.newUnionCursor(context.Background(), u, plan, cursorOpts{cols: table.ColAll, stopAfter: -1}))
+	cur, err := db.whereCursor(context.Background(), u, true, plan, cursorOpts{cols: table.ColAll, stopAfter: -1})
+	if err != nil {
+		return nil, Report{}, err
+	}
+	return Collect(cur)
 }
 
 // Planner returns a cost-based planner over the currently built
@@ -618,8 +623,8 @@ func (db *SpatialDB) Planner() (*planner.Planner, error) {
 }
 
 // QueryPolyhedron executes one convex polyhedron query under the
-// chosen plan and returns the matching records with full columns and
-// no union dedup layer — collect-all over the polyhedron cursor.
+// chosen plan and returns the matching records with full columns —
+// QueryUnion's path for a set of one clause, planned afresh.
 // PlanAuto consults the cost-based planner; every path streams
 // through the executor's exchange sized by Config.Workers, emitting
 // records in a single pass over the candidate ranges.

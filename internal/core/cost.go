@@ -36,32 +36,23 @@ func (db *SpatialDB) EstimateStatementCost(stmt colorsql.Statement) float64 {
 		cost := float64(pl.Catalog.NumPages())*m.SeqPage + float64(pl.Catalog.NumRows())*m.Row
 		return boundByLimit(cost, float64(pl.Catalog.NumRows()), stmt)
 	}
-	// A DNF union runs one polyhedron query per clause; the union's
-	// price is their sum (dedup is in-memory). The per-clause
-	// verdicts come from the tier-1 plan cache, shared with the
+	// One Choice prices the whole WHERE, overlap between clauses paid
+	// once. It comes from the tier-1 plan cache, shared with the
 	// execution path: a repeated statement is estimated once per
 	// epoch, not once per request.
-	choices, err := db.unionPlanFor(stmt.Where)
+	choice, err := db.planFor(stmt.Where)
 	if err != nil {
 		return 0
 	}
-	var cost, rows float64
-	for _, c := range choices {
-		cost += c.BestCost()
-		rows += c.Est.Rows
-	}
-	return boundByLimit(cost, rows, stmt)
+	return boundByLimit(choice.BestCost(), choice.Est.Rows, stmt)
 }
 
 // boundByLimit scales a statement's scan cost by the fraction of the
-// predicted rows a pushed-down LIMIT lets it stop at. Only statements
-// the executor actually bounds qualify (no ORDER BY, at most one
-// clause — the pushdown rules in statement.go); an ORDER BY must see
-// every row regardless of LIMIT.
+// predicted rows a pushed-down LIMIT lets it stop at. Every unordered
+// LIMIT is pushed down (the pushdown rules in statement.go); an ORDER
+// BY must see every row regardless of LIMIT.
 func boundByLimit(cost, estRows float64, stmt colorsql.Statement) float64 {
-	pushdown := stmt.Order == nil && stmt.Limit > 0 &&
-		(!stmt.HasWhere || len(stmt.Where.Polys) == 1)
-	if !pushdown || estRows <= 0 {
+	if stmt.Order != nil || stmt.Limit <= 0 || estRows <= 0 {
 		return cost
 	}
 	if frac := float64(stmt.Limit) / estRows; frac < 1 {

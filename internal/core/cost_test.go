@@ -46,6 +46,17 @@ func TestEstimateStatementCost(t *testing.T) {
 	if limited <= 0 || limited >= full {
 		t.Errorf("LIMIT 10 cost = %v, want in (0, %v)", limited, full)
 	}
+	// A union is one walk with one price: two heavily overlapping
+	// clauses cost what the single clause enclosing both does, not the
+	// sum of two scans, and an unordered LIMIT bounds it like any other.
+	enclosing := cost("SELECT * WHERE g - r > 0.2 AND r < 18.1")
+	union := cost("SELECT * WHERE g - r > 0.2 AND r < 18 OR g - r > 0.25 AND r < 18.1")
+	if union <= 0 || union > 1.05*enclosing {
+		t.Errorf("overlapping union cost = %v, the enclosing clause %v: the overlap is charged twice", union, enclosing)
+	}
+	if got := cost("SELECT * WHERE g - r > 0.2 AND r < 18 OR g - r > 0.25 AND r < 18.1 LIMIT 10"); got <= 0 || got >= union {
+		t.Errorf("union LIMIT 10 cost = %v, want in (0, %v)", got, union)
+	}
 	// ORDER BY defeats the limit pushdown: every row must be seen.
 	ordered := cost("SELECT * ORDER BY u LIMIT 10")
 	if ordered < full {

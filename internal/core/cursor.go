@@ -65,9 +65,10 @@ type cursorOpts struct {
 	choice *planner.Choice
 }
 
-// polyCursor streams one convex polyhedron query: an executor
-// RowStream over the chosen access path's candidate ranges, plus the
-// per-cursor accounting scope and the planner's verdict.
+// polyCursor streams one statement's paged rows — the polyhedra of its
+// WHERE, or the whole catalog: an executor RowStream over the chosen
+// access path's candidate ranges, plus the per-cursor accounting scope
+// and the planner's verdict.
 type polyCursor struct {
 	stream *planner.RowStream
 	scope  *pagestore.Scope
@@ -105,15 +106,33 @@ func (c *polyCursor) Stats() Report {
 	return r
 }
 
-// polyhedronCursor builds the streaming plan for one convex
-// polyhedron over a fresh store snapshot, releasing the snapshot's
-// file pin when the cursor closes.
+// polyhedronCursor streams one convex polyhedron: the one-clause call
+// of whereCursor, planned against the snapshot (a bare polyhedron has
+// no canonical text to key a cached plan on).
 func (db *SpatialDB) polyhedronCursor(ctx context.Context, q vec.Polyhedron, plan Plan, opts cursorOpts) (Cursor, error) {
+	return db.whereCursor(ctx, colorsql.Union{Polys: []vec.Polyhedron{q}}, false, plan, opts)
+}
+
+// whereCursor opens the one stream that answers a WHERE — every clause
+// of its DNF at once — over a fresh store snapshot, releasing the
+// snapshot's file pin when the cursor closes. With cachePlan the
+// planner's verdict comes from the tier-1 plan cache, looked up after
+// the snapshot is taken: a cached choice is then never older than the
+// snapshot it runs against, and one planned over a newer clustering is
+// recognised by its tree (whereCursorSnap).
+func (db *SpatialDB) whereCursor(ctx context.Context, u colorsql.Union, cachePlan bool, plan Plan, opts cursorOpts) (Cursor, error) {
 	sn, err := db.snapshot()
 	if err != nil {
 		return nil, err
 	}
-	cur, err := db.polyhedronCursorSnap(ctx, sn, q, plan, opts)
+	// Forced scans that never consult the planner skip the cache.
+	if cachePlan && (plan == PlanAuto || plan == PlanKdTree) {
+		if opts.choice, err = db.planFor(u); err != nil {
+			sn.release()
+			return nil, err
+		}
+	}
+	cur, err := db.whereCursorSnap(ctx, sn, u.Polys, plan, opts)
 	if err != nil {
 		sn.release()
 		return nil, err
@@ -121,16 +140,20 @@ func (db *SpatialDB) polyhedronCursor(ctx context.Context, q vec.Polyhedron, pla
 	return &snapCursor{Cursor: cur, sn: sn}, nil
 }
 
-// polyhedronCursorSnap builds the streaming plan for one convex
-// polyhedron against an already-captured snapshot: resolve the access
-// path (the index scan's ranges come from the planner, a cached choice
-// being reused only when it was planned over the snapshot's own
-// kd-tree), open a RowStream over the ranges under a fresh accounting
-// scope, and chain the snapshot's memtable rows after the paged rows —
-// the same physical order a compaction would produce. The caller owns
-// the snapshot's release.
-func (db *SpatialDB) polyhedronCursorSnap(ctx context.Context, sn *dbSnap, q vec.Polyhedron, plan Plan, opts cursorOpts) (Cursor, error) {
-	pred, err := table.CompilePagePred(q.Planes)
+// whereCursorSnap builds the streaming plan for a WHERE's clauses
+// against an already-captured snapshot: resolve the access path (the
+// index scan's ranges come from the planner, a cached choice being
+// reused only when it was planned over the snapshot's own kd-tree),
+// open one RowStream over the ranges under one accounting scope, and
+// chain the snapshot's memtable rows after the paged rows — the same
+// physical order a compaction would produce. Every path classifies the
+// clause set as a whole (Outside every clause prunes, Inside any clause
+// streams unfiltered, the rest is filtered against the disjunction), so
+// the ranges are disjoint and ascending and each physical row is met
+// once, in table order: rows are never merged, whatever their ObjIDs.
+// The caller owns the snapshot's release.
+func (db *SpatialDB) whereCursorSnap(ctx context.Context, sn *dbSnap, clauses []vec.Polyhedron, plan Plan, opts cursorOpts) (Cursor, error) {
+	pred, err := table.CompilePagePred(clauses)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
@@ -147,7 +170,7 @@ func (db *SpatialDB) polyhedronCursorSnap(ctx context.Context, sn *dbSnap, q vec
 			// No cached verdict, or one whose ranges address another
 			// clustering (an index build or full compaction swapped the
 			// tree since it was planned): plan against the snapshot.
-			ch, err := pl.Plan(q)
+			ch, err := pl.Plan(clauses)
 			if err != nil {
 				return nil, fmt.Errorf("core: %w", err)
 			}
@@ -182,8 +205,8 @@ func (db *SpatialDB) polyhedronCursorSnap(ctx context.Context, sn *dbSnap, q vec
 			return nil, fmt.Errorf("core: voronoi index not built")
 		}
 		// Bound by the snapshot view, not the live directory table: the
-		// bounded collector covers the compaction-appended tail.
-		ranges, _ := sn.vor.CollectRangesBounded(q, sn.vorTable.NumRows())
+		// collector covers the compaction-appended tail.
+		ranges := sn.vor.CollectRanges(clauses, sn.vorTable.NumRows())
 		tasks = make([]planner.ScanTask, len(ranges))
 		for i, r := range ranges {
 			tasks[i] = planner.ScanTask{Lo: r.Lo, Hi: r.Hi, Filter: r.Filter}
@@ -213,181 +236,15 @@ func (db *SpatialDB) polyhedronCursorSnap(ctx context.Context, sn *dbSnap, q vec
 	}
 	return &chainCursor{
 		base: paged,
-		mem:  &memCursor{rows: sn.mem, filter: polyMemFilter(q), cols: opts.cols},
+		mem:  &memCursor{rows: sn.mem, filter: whereMemFilter(clauses), cols: opts.cols},
 	}, nil
-}
-
-// unionCursor streams a DNF union clause by clause, deduplicating
-// across clauses by object identity exactly like the eager
-// QueryUnion: a row is emitted the first time its ObjID appears. A
-// single clause visits each physical row once and nothing can repeat,
-// so it keeps no seen set and emits every matching row — rows are
-// never merged, two rows sharing an ObjID both come back. Clause
-// cursors are built lazily, so an early Close never plans or scans
-// the remaining clauses. All clauses share one store snapshot,
-// captured at construction — a compaction between clauses cannot
-// make the union see a row twice (paged in one clause, memtable in
-// another) or miss it.
-type unionCursor struct {
-	db    *SpatialDB
-	ctx   context.Context
-	sn    *dbSnap
-	polys []vec.Polyhedron
-	// choices, when non-nil, holds the cached planner verdict per
-	// clause (same indexing as polys), from the tier-1 plan cache and
-	// shared read-only.
-	choices []planner.Choice
-	plan    Plan
-	opts    cursorOpts
-
-	idx     int
-	cur     Cursor
-	seen    map[int64]bool // nil for a single clause: nothing to dedup
-	agg     Report
-	emitted int64
-	err     error
-	closed  bool
-}
-
-func (db *SpatialDB) newUnionCursor(ctx context.Context, u colorsql.Union, plan Plan, opts cursorOpts) *unionCursor {
-	var seen map[int64]bool
-	if len(u.Polys) > 1 {
-		// Dedup needs the object identity decoded whatever the
-		// projection asked for.
-		opts.cols |= table.ColObjID
-		seen = make(map[int64]bool)
-	}
-	c := &unionCursor{db: db, ctx: ctx, polys: u.Polys, plan: plan, opts: opts, seen: seen}
-	// One snapshot for every clause, captured before the plan lookup:
-	// a cached choice is then never older than the snapshot it runs
-	// against, and one planned over a newer clustering is recognised by
-	// its tree (polyhedronCursorSnap). A snapshot failure (no catalog)
-	// surfaces on the first Next like any clause error would.
-	if c.sn, c.err = db.snapshot(); c.err != nil {
-		return c
-	}
-	// The tier-1 plan cache holds (or builds) the per-clause planner
-	// verdicts for this union's canonical text; forced scans that never
-	// consult the planner skip it.
-	if plan == PlanAuto || plan == PlanKdTree {
-		c.choices, c.err = db.unionPlanFor(u)
-	}
-	return c
-}
-
-func (c *unionCursor) Next() bool {
-	if c.closed || c.err != nil {
-		return false
-	}
-	for {
-		if c.cur == nil {
-			if c.idx >= len(c.polys) {
-				return false
-			}
-			opts := c.opts
-			if c.choices != nil {
-				opts.choice = &c.choices[c.idx]
-			}
-			cur, err := c.db.polyhedronCursorSnap(c.ctx, c.sn, c.polys[c.idx], c.plan, opts)
-			if err != nil {
-				c.err = err
-				return false
-			}
-			c.idx++
-			c.cur = cur
-		}
-		for c.cur.Next() {
-			if c.seen != nil {
-				id := c.cur.Record().ObjID
-				if c.seen[id] {
-					continue
-				}
-				c.seen[id] = true
-			}
-			c.emitted++
-			return true
-		}
-		if err := c.cur.Err(); err != nil {
-			c.err = err
-			c.foldCurrent()
-			return false
-		}
-		c.foldCurrent()
-	}
-}
-
-// foldCurrent closes the current clause cursor and merges its final
-// stats into the union aggregate (legacy QueryUnion semantics).
-// Close-before-Stats matters: an early-terminated parallel stream
-// still has workers moving the scope counters until Close reaps
-// them, and the cursor contract keeps Stats readable after Close.
-func (c *unionCursor) foldCurrent() {
-	c.cur.Close()
-	mergeReport(&c.agg, c.cur.Stats())
-	c.cur = nil
-}
-
-func (c *unionCursor) Record() *table.Record {
-	if c.cur == nil {
-		return nil
-	}
-	return c.cur.Record()
-}
-
-func (c *unionCursor) Err() error { return c.err }
-
-func (c *unionCursor) Close() error {
-	if c.closed {
-		return nil
-	}
-	c.closed = true
-	if c.cur != nil {
-		c.foldCurrent()
-	}
-	if c.sn != nil {
-		c.sn.release()
-	}
-	return nil
-}
-
-func (c *unionCursor) Stats() Report {
-	r := c.agg
-	if c.cur != nil {
-		mergeReport(&r, c.cur.Stats())
-	}
-	r.RowsReturned = c.emitted
-	return r
-}
-
-// mergeReport folds one clause report into a union total: row and
-// page counters sum, EstimatedSelectivity is the clamped sum (an
-// upper bound ignoring overlap), Plan is the last clause's, and
-// PlanReason joins the per-clause reasons.
-func mergeReport(total *Report, rep Report) {
-	total.Plan = rep.Plan
-	total.EstimatedSelectivity += rep.EstimatedSelectivity
-	if total.EstimatedSelectivity > 1 {
-		total.EstimatedSelectivity = 1
-	}
-	if total.PlanReason == "" {
-		total.PlanReason = rep.PlanReason
-	} else if rep.PlanReason != "" {
-		total.PlanReason += " | " + rep.PlanReason
-	}
-	total.RowsExamined += rep.RowsExamined
-	total.DiskReads += rep.DiskReads
-	total.CacheHits += rep.CacheHits
-	total.PagesSkipped += rep.PagesSkipped
-	total.PagesScanned += rep.PagesScanned
-	total.StripsDecoded += rep.StripsDecoded
-	total.LeavesExamined += rep.LeavesExamined
-	total.FitFallbacks += rep.FitFallbacks
 }
 
 // limitCursor truncates its child after n rows, closing it as soon
 // as the bound is reached so any remaining page I/O stops. When the
-// bound was also pushed into the scan (convex fast path) the child
-// simply runs dry first and the wrapper never truncates.
+// bound was also pushed into the scan the paged child simply runs dry
+// first, and the wrapper truncates only the memtable rows chained after
+// it.
 type limitCursor struct {
 	child   Cursor
 	n       int64
@@ -437,8 +294,12 @@ func (c *limitCursor) Stats() Report {
 	return r
 }
 
-// topkItem carries the ordering key plus the arrival sequence that
-// breaks ties, making the output deterministic across worker counts.
+// topkItem carries the ordering key plus the arrival sequence, the
+// last of the tie-breakers: key, then ObjID, then arrival. The first
+// two are properties of the row, so the order of an answer does not
+// depend on the physical order its rows arrived in — a differently
+// clustered store, or a cluster's merge (shard/merge.go breaks ties the
+// same way), emits the same bytes.
 type topkItem struct {
 	key float64
 	seq int64
@@ -456,6 +317,10 @@ type topkCursor struct {
 	key   func(*table.Record) float64
 	desc  bool
 	limit int // -1 = keep everything
+	// hideID clears the ObjID of emitted rows: the statement did not
+	// project it, it was decoded for the tie-break alone, and an answer
+	// carries no column it was not asked for.
+	hideID bool
 
 	drained bool
 	items   []topkItem
@@ -465,8 +330,8 @@ type topkCursor struct {
 	err     error
 }
 
-func newTopKCursor(child Cursor, key func(*table.Record) float64, desc bool, limit int) *topkCursor {
-	return &topkCursor{child: child, key: key, desc: desc, limit: limit}
+func newTopKCursor(child Cursor, key func(*table.Record) float64, desc bool, limit int, hideID bool) *topkCursor {
+	return &topkCursor{child: child, key: key, desc: desc, limit: limit, hideID: hideID}
 }
 
 // worse reports whether a ranks after b in the output order.
@@ -476,6 +341,9 @@ func (c *topkCursor) worse(a, b *topkItem) bool {
 			return a.key < b.key
 		}
 		return a.key > b.key
+	}
+	if a.rec.ObjID != b.rec.ObjID {
+		return a.rec.ObjID > b.rec.ObjID
 	}
 	return a.seq > b.seq
 }
@@ -529,6 +397,11 @@ func (c *topkCursor) drain() {
 		return
 	}
 	sort.Slice(c.items, func(i, j int) bool { return c.worse(&c.items[j], &c.items[i]) })
+	if c.hideID {
+		for i := range c.items {
+			c.items[i].rec.ObjID = 0
+		}
+	}
 }
 
 func (c *topkCursor) Next() bool {

@@ -279,23 +279,25 @@ func TestProjectionPushdown(t *testing.T) {
 	if r0.ObjID != 0 || r0.Ra != 0 || r0.Dec != 0 || r0.Class != 0 || r0.LeafID != 0 {
 		t.Errorf("unprojected columns were decoded: %+v", r0)
 	}
-	// A single-clause WHERE has no dedup layer, so it decodes nothing
-	// beyond the projection either.
-	recs, _ = collectStatement(t, db, "SELECT g WHERE r < 30 LIMIT 5", PlanAuto)
+	// A WHERE, of one clause or several, decodes nothing beyond the
+	// projection either: no layer above the scan reads an identity.
+	for _, src := range []string{"SELECT g WHERE r < 30 LIMIT 5", "SELECT g WHERE r < 30 OR g < 30 LIMIT 5"} {
+		recs, _ = collectStatement(t, db, src, PlanAuto)
+		if len(recs) != 5 {
+			t.Fatalf("%q returned %d rows", src, len(recs))
+		}
+		if recs[0].ObjID != 0 || recs[1].ObjID != 0 {
+			t.Errorf("%q decoded object ids it has no use for: %+v", src, recs[:2])
+		}
+	}
+	// An ordering reads the ObjID its ties break on, and hides it again
+	// — and still reads nothing of the rest.
+	recs, _ = collectStatement(t, db, "SELECT g WHERE r < 30 ORDER BY r LIMIT 5", PlanAuto)
 	if len(recs) != 5 {
 		t.Fatalf("returned %d rows", len(recs))
 	}
 	if recs[0].ObjID != 0 || recs[1].ObjID != 0 {
-		t.Errorf("single clause decoded object ids it has no use for: %+v", recs[:2])
-	}
-	// Under a multi-clause WHERE the dedup layer decodes ObjID as well
-	// — but still not the rest.
-	recs, _ = collectStatement(t, db, "SELECT g WHERE r < 30 OR g < 30 LIMIT 5", PlanAuto)
-	if len(recs) != 5 {
-		t.Fatalf("returned %d rows", len(recs))
-	}
-	if recs[0].ObjID == 0 && recs[1].ObjID == 0 {
-		t.Error("dedup layer did not decode object ids")
+		t.Errorf("the ordering's tie-break leaked object ids into the answer: %+v", recs[:2])
 	}
 	if recs[0].Ra != 0 || recs[0].Class != 0 {
 		t.Errorf("unprojected columns were decoded: %+v", recs[0])
@@ -325,28 +327,47 @@ func TestProjectionPushdown(t *testing.T) {
 	}
 }
 
-// TestUnionLimitTruncation: LIMIT over a DNF union truncates the
-// deduplicated stream at exactly the legacy prefix and stops the
-// remaining clauses early.
-func TestUnionLimitTruncation(t *testing.T) {
+// TestStatementOpensOneStream: a three-clause WHERE is one statement to
+// every layer — one cached Choice shared by pricing and execution, one
+// snapshot, one RowStream under one accounting scope — not three
+// queries behind a merge.
+func TestStatementOpensOneStream(t *testing.T) {
 	db := openDB(t, 3000)
 	if err := db.BuildKdIndex(0); err != nil {
 		t.Fatal(err)
 	}
-	const where = "r < 16 OR r > 22"
-	all, _, err := db.QueryWhere(where, PlanKdTree)
+	stmt := mustStatement(t, "SELECT objid WHERE r < 16 OR g - r > 0.9 OR u > 23")
+	if cost := db.EstimateStatementCost(stmt); cost <= 0 {
+		t.Fatalf("cost = %v", cost)
+	}
+	cur, err := db.ExecStatement(context.Background(), stmt, PlanAuto)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(all) < 30 {
-		t.Fatalf("only %d rows matched", len(all))
+	defer cur.Close()
+	if c := db.Cache().StatsFor(nsPlan); c.PlanBuilds != 1 || c.PlanHits != 1 {
+		t.Errorf("plan tier built %d and reused %d entries for one statement, want 1 and 1", c.PlanBuilds, c.PlanHits)
 	}
-	got, rep := collectStatement(t, db, "SELECT * WHERE "+where+" LIMIT 12", PlanKdTree)
-	if !reflect.DeepEqual(got, all[:12]) {
-		t.Error("union LIMIT is not the prefix of the unlimited union")
+	sc, ok := cur.(*snapCursor)
+	if !ok {
+		t.Fatalf("statement cursor is a %T, want the snapshot holder over one stream", cur)
 	}
-	if rep.RowsReturned != 12 {
-		t.Errorf("report says %d rows", rep.RowsReturned)
+	if _, ok := sc.Cursor.(*polyCursor); !ok {
+		t.Fatalf("the snapshot holds a %T, want one scan stream", sc.Cursor)
+	}
+	if n := db.snapRefs.Load(); n != 1 {
+		t.Errorf("%d snapshots open under one statement", n)
+	}
+	rows := 0
+	for cur.Next() {
+		rows++
+	}
+	if err := cur.Err(); err != nil || rows == 0 {
+		t.Fatalf("%d rows, err %v", rows, err)
+	}
+	cur.Close()
+	if n := db.snapRefs.Load(); n != 0 {
+		t.Errorf("%d snapshots open after Close", n)
 	}
 }
 

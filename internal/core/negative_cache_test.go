@@ -7,15 +7,24 @@ import (
 )
 
 // TestNegativeCacheProvablyEmpty: a statement whose every clause the
-// zone maps prove empty short-circuits to a cached empty answer, and
-// an insert that could satisfy the predicate invalidates the verdict.
+// zone maps prove empty — its one walk emits no range — short-circuits
+// to a cached empty answer, and an insert that could satisfy the
+// predicate invalidates the verdict.
 func TestNegativeCacheProvablyEmpty(t *testing.T) {
+	// The synthetic catalog populates magnitudes ~14–24; r < 5 is
+	// provably empty on every page, and so is u < 4.
+	for _, src := range []string{
+		"SELECT objid, g, r WHERE r < 5",
+		"SELECT objid, g, r WHERE u < 4 OR r < 5",
+	} {
+		t.Run(src, func(t *testing.T) { negativeCacheProvablyEmpty(t, src) })
+	}
+}
+
+func negativeCacheProvablyEmpty(t *testing.T, src string) {
 	dir := t.TempDir()
 	db := buildFullDBWithCache(t, dir, 3000)
 	defer db.Close()
-	// The synthetic catalog populates magnitudes ~14–24; r < 5 is
-	// provably empty on every page.
-	const src = "SELECT objid, g, r WHERE r < 5"
 
 	recs, rep := execRows(t, db, src)
 	if len(recs) != 0 {
@@ -55,8 +64,9 @@ func TestNegativeCacheProvablyEmpty(t *testing.T) {
 }
 
 // TestNegativeCacheMemtableBlocksVerdict: when a memtable row
-// satisfies the predicate at fill time, no negative verdict may be
-// recorded even though the zone maps prune every page.
+// satisfies the predicate — any one clause of it — at fill time, no
+// negative verdict may be recorded even though the zone maps prune
+// every page.
 func TestNegativeCacheMemtableBlocksVerdict(t *testing.T) {
 	dir := t.TempDir()
 	db := buildFullDBWithCache(t, dir, 2000)
@@ -68,14 +78,18 @@ func TestNegativeCacheMemtableBlocksVerdict(t *testing.T) {
 	if _, err := db.Insert([]table.Record{bright}); err != nil {
 		t.Fatal(err)
 	}
-	const src = "SELECT objid, g, r WHERE r < 5"
-	for i := 0; i < 2; i++ {
-		recs, rep := execRows(t, db, src)
-		if len(recs) != 1 || recs[0].ObjID != bright.ObjID {
-			t.Fatalf("run %d: expected the memtable row, got %d rows", i, len(recs))
-		}
-		if rep.PlanReason == "negative cache: zone maps prove every clause empty" {
-			t.Fatalf("run %d: negative verdict recorded despite a matching memtable row", i)
+	for _, src := range []string{
+		"SELECT objid, g, r WHERE r < 5",
+		"SELECT objid, g, r WHERE r < 3 OR u < 5", // the row is in the second clause only
+	} {
+		for i := 0; i < 2; i++ {
+			recs, rep := execRows(t, db, src)
+			if len(recs) != 1 || recs[0].ObjID != bright.ObjID {
+				t.Fatalf("%q run %d: expected the memtable row, got %d rows", src, i, len(recs))
+			}
+			if rep.PlanReason == "negative cache: zone maps prove every clause empty" {
+				t.Fatalf("%q run %d: negative verdict recorded despite a matching memtable row", src, i)
+			}
 		}
 	}
 }

@@ -24,8 +24,8 @@ func TestIndexScanExactPageStats(t *testing.T) {
 	defer db.Close()
 
 	const stmt = "SELECT objid, g, r WHERE g - r > 0.2 AND r < 18"
-	q := colorsql.MustParse("g - r > 0.2 AND r < 18", colorsql.DefaultVars(), table.Dim).Single()
-	pred, err := table.CompilePagePred(q.Planes)
+	where := colorsql.MustParse("g - r > 0.2 AND r < 18", colorsql.DefaultVars(), table.Dim)
+	pred, err := table.CompilePagePred(where.Polys)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func TestIndexScanExactPageStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	choice, err := pl.Plan(q)
+	choice, err := pl.Plan(where.Polys)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,12 +174,12 @@ func TestStaleChoiceReplanned(t *testing.T) {
 	u := colorsql.MustParse(where, colorsql.DefaultVars(), table.Dim)
 	q := u.Single()
 
-	stale, err := db.unionPlanFor(u)
+	stale, err := db.planFor(u)
 	if err != nil {
 		t.Fatal(err)
 	}
 	inside := false
-	for _, r := range stale[0].Ranges {
+	for _, r := range stale.Ranges {
 		inside = inside || !r.Filter
 	}
 	if !inside {
@@ -198,7 +198,7 @@ func TestStaleChoiceReplanned(t *testing.T) {
 	if err := db.CompactFull(); err != nil {
 		t.Fatal(err)
 	}
-	if stale[0].Tree == db.KdTree() {
+	if stale.Tree == db.KdTree() {
 		t.Fatal("full compaction did not swap the kd-tree")
 	}
 
@@ -208,7 +208,7 @@ func TestStaleChoiceReplanned(t *testing.T) {
 	}
 	defer sn.release()
 	for _, plan := range []Plan{PlanAuto, PlanKdTree} {
-		cur, err := db.polyhedronCursorSnap(context.Background(), sn, q, plan, cursorOpts{cols: table.ColAll, stopAfter: -1, choice: &stale[0]})
+		cur, err := db.whereCursorSnap(context.Background(), sn, u.Polys, plan, cursorOpts{cols: table.ColAll, stopAfter: -1, choice: stale})
 		if err != nil {
 			t.Fatal(err)
 		}

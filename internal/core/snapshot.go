@@ -111,16 +111,21 @@ type memCursor struct {
 	emitted  int64
 }
 
-// polyMemFilter builds the memtable-side predicate matching a convex
-// polyhedron scan: exact containment of the magnitudes, the same test
-// the paged stream's filtering ranges apply.
-func polyMemFilter(q vec.Polyhedron) func(*table.Record) bool {
+// whereMemFilter builds the memtable-side predicate matching a WHERE's
+// scan: exact containment of the magnitudes in any clause, the same
+// test the paged stream's filtering ranges apply.
+func whereMemFilter(clauses []vec.Polyhedron) func(*table.Record) bool {
 	return func(r *table.Record) bool {
 		var m [table.Dim]float64
 		for i, v := range r.Mags {
 			m[i] = float64(v)
 		}
-		return engine.ContainsMags(q, &m)
+		for _, q := range clauses {
+			if engine.ContainsMags(q, &m) {
+				return true
+			}
+		}
+		return false
 	}
 }
 

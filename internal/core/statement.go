@@ -16,25 +16,23 @@ import (
 //
 // Pushdown rules:
 //
-//   - LIMIT with no ORDER BY over a convex predicate (or none) is
-//     pushed into the scan itself: the stream runs serially and the
-//     scan stops at the page holding the n-th matching row. Pages read are bounded by the limit, not the selection.
-//   - LIMIT under a DNF union cannot cross the dedup boundary (a
-//     clause cannot know which of its rows earlier clauses already
-//     emitted), so it truncates above the union — but reaching the
-//     bound closes the union early, which stops the remaining
-//     clauses before they are even planned.
+//   - LIMIT with no ORDER BY is pushed into the scan itself, whatever
+//     the WHERE — none, one clause or a DNF union, which is one walk
+//     over disjoint ranges like any other (DESIGN.md "A WHERE is one
+//     walk"): the stream runs serially and the scan stops at the page
+//     holding the n-th matching row. Pages read are bounded by the
+//     limit, not the selection.
 //   - ORDER BY must see every matching row, so no scan bound exists;
 //     LIMIT instead bounds the sort's memory to a k-row heap.
 //   - ORDER BY dist(p) LIMIT k with no WHERE is exactly kNN: it is
 //     served by the §3.3 region-growing searcher (planner-priced
 //     against brute force) instead of a catalog-wide sort.
 //   - Projection is pushed to the page bytes: only the selected
-//     columns are decoded (plus magnitudes when a filter or ordering
-//     needs them, and the object id under a multi-clause union's
-//     dedup).
+//     columns are decoded (plus, under an ordering, the magnitudes its
+//     key evaluates and the object id that breaks its ties — cleared
+//     again before emission when not projected).
 //
-// A convex (single-clause) statement passes through no dedup, so the
+// Every physical row is met once and rows are never merged, so the
 // pushed-down LIMIT is exact whether or not ObjIDs are unique.
 
 // QueryStatement parses and executes a full colorsql statement,
@@ -76,15 +74,15 @@ func (db *SpatialDB) ExecStatement(ctx context.Context, stmt colorsql.Statement,
 		return db.execStatementUncached(ctx, stmt, plan)
 	}
 
-	// Negative cache: a WHERE whose every clause's index walk emits no
-	// range — the tree's bounds and the page zones rule out every page
-	// — and that no acknowledged memtable row satisfies short-circuits
-	// to an empty answer without opening a stream. The verdict caches
+	// Negative cache: a WHERE whose index walk emits no range — the
+	// tree's bounds and the page zones rule out every page — and that
+	// no acknowledged memtable row satisfies short-circuits to an
+	// empty answer without opening a stream. The verdict caches
 	// under the current epoch, so any insert or compaction invalidates
 	// it. Forced plans skip it — they promise a specific execution.
 	if stmt.HasWhere && plan == PlanAuto {
 		empty, rep, err := do(db, nsNegative, stmt.Where.String(), func(bool) int64 { return 0 }, func() (bool, Report, error) {
-			empty, err := db.provablyEmptyUnion(stmt.Where)
+			empty, err := db.provablyEmpty(stmt.Where)
 			return empty, Report{
 				Plan:       PlanKdTree,
 				PlanReason: "negative cache: zone maps prove every clause empty",
@@ -137,25 +135,24 @@ func (db *SpatialDB) execStatementUncached(ctx context.Context, stmt colorsql.St
 	}
 
 	opts := cursorOpts{cols: db.statementCols(stmt), stopAfter: -1}
-	pushdown := stmt.Order == nil && stmt.Limit > 0 &&
-		(!stmt.HasWhere || len(stmt.Where.Polys) == 1)
-	if pushdown {
+	if stmt.Order == nil && stmt.Limit > 0 {
 		opts.stopAfter = int64(stmt.Limit)
 	}
 
 	var cur Cursor
 	var err error
 	if stmt.HasWhere {
-		cur = db.newUnionCursor(ctx, stmt.Where, plan, opts)
+		cur, err = db.whereCursor(ctx, stmt.Where, true, plan, opts)
 	} else {
 		cur, err = db.fullCatalogCursor(ctx, opts)
-		if err != nil {
-			return nil, err
-		}
+	}
+	if err != nil {
+		return nil, err
 	}
 
 	if stmt.Order != nil {
-		cur = newTopKCursor(cur, orderKey(stmt.Order), stmt.Order.Desc, stmt.Limit)
+		hideID := ColumnSet(stmt.OutputColumns())&table.ColObjID == 0
+		cur = newTopKCursor(cur, orderKey(stmt.Order), stmt.Order.Desc, stmt.Limit, hideID)
 	} else if stmt.Limit > 0 {
 		cur = &limitCursor{child: cur, n: int64(stmt.Limit)}
 	}
@@ -163,15 +160,15 @@ func (db *SpatialDB) execStatementUncached(ctx context.Context, stmt colorsql.St
 }
 
 // statementCols resolves the decode set for a statement's emitted
-// records: the projection, plus the magnitudes when an ordering
-// evaluates them.
+// records: the projection, plus what an ordering reads — the
+// magnitudes of its key and the object id that breaks its ties.
 func (db *SpatialDB) statementCols(stmt colorsql.Statement) table.ColumnSet {
 	if stmt.Star {
 		return table.ColAll
 	}
 	cols := ColumnSet(stmt.Cols)
 	if stmt.Order != nil {
-		cols |= table.ColMags
+		cols |= table.ColMags | table.ColObjID
 	}
 	return cols
 }

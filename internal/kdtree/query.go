@@ -114,7 +114,7 @@ func countLeaves(t *Tree, idx int32) int {
 }
 
 // Range is one candidate row interval produced by classifying the
-// tree against a query polyhedron without touching the table. Ranges
+// tree against a query's clauses without touching the table. Ranges
 // are emitted in ascending row order, so concatenating their rows
 // reproduces the physical-order answer of QueryPolyhedron.
 type Range struct {
@@ -132,15 +132,17 @@ type Range struct {
 // Rows returns the number of rows in the range.
 func (r Range) Rows() int64 { return int64(r.Hi - r.Lo) }
 
-// CollectRanges classifies the tree's tight bounds against the
-// polyhedron entirely in memory — the hierarchical zone map of the
-// leaf-clustered table. An Outside node prunes its whole subtree of
-// pages in one test; an Inside node becomes one bulk range; only
-// Partial recursion reaches the leaves, which become filter ranges.
-// It returns the ranges in ascending row order and the number of
-// nodes classified, and performs no table I/O: the cost-based planner
-// prices and the executor scans exactly these ranges.
-func (t *Tree) CollectRanges(q vec.Polyhedron) (ranges []Range, nodes int) {
+// CollectRanges classifies the tree's tight bounds against the clauses
+// of a WHERE — a DNF union; one polyhedron is a set of one — entirely
+// in memory: the hierarchical zone map of the leaf-clustered table. A
+// node Outside every clause prunes its whole subtree of pages in one
+// test; a node Inside any clause becomes one bulk range; only Partial
+// recursion reaches the leaves, which become filter ranges whose rows
+// are tested against the disjunction. The ranges come back disjoint,
+// in ascending row order, with the number of nodes classified, and no
+// table I/O is performed: the cost-based planner prices and the
+// executor scans exactly these ranges.
+func (t *Tree) CollectRanges(clauses []vec.Polyhedron) (ranges []Range, nodes int) {
 	stack := []int32{0}
 	for len(stack) > 0 {
 		idx := stack[len(stack)-1]
@@ -150,7 +152,7 @@ func (t *Tree) CollectRanges(q vec.Polyhedron) (ranges []Range, nodes int) {
 			continue
 		}
 		nodes++
-		switch q.ClassifyBox(n.Bounds) {
+		switch vec.ClassifyBoxUnion(clauses, n.Bounds) {
 		case vec.Inside:
 			ranges = append(ranges, Range{Lo: n.RowLo, Hi: n.RowHi, Bounds: n.Bounds})
 		case vec.Partial:

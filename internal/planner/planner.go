@@ -1,5 +1,7 @@
 // Package planner implements cost-based access-path selection for
-// polyhedron queries — the component that turns the paper's central
+// polyhedron queries — a WHERE is a set of convex clauses, and the set
+// is the unit planned: one walk, one range list, one price however
+// many clauses — the component that turns the paper's central
 // observation into a decision procedure. Figure 5 shows that no
 // single access path wins everywhere: the index beats the full scan
 // only while the query stays selective, above which reading every
@@ -12,8 +14,9 @@
 // read in ascending page order; the kd-tree's tight bounding boxes
 // (§3.2) and the per-page zone maps over that same file are the
 // coarse and the fine level of one zone hierarchy. Plan walks the tree
-// once: an Outside node prunes its whole subtree of pages, an Inside
-// node becomes one unfiltered contiguous range, and Partial leaves —
+// once: a node Outside every clause prunes its whole subtree of pages,
+// a node Inside any clause becomes one unfiltered contiguous range, and
+// Partial leaves —
 // together with the unindexed tail minor compactions append past the
 // tree, or the whole catalog when no tree is built — become filter
 // ranges whose pages are classified against their zones. Adjacent
@@ -27,7 +30,8 @@
 //
 //   - kd-tree walk: Inside subtrees contribute their exact row
 //     counts; partial leaves are apportioned by the volume overlap of
-//     the query's bounding box with the leaf's tight bounds.
+//     each clause's bounding box with the leaf's tight bounds (summed
+//     over the clauses, at most the whole leaf).
 //   - grid layers: each complete layer of the §3.1 layered grid is a
 //     uniform random subsample, so the fraction of a layer's rows in
 //     cells overlapping the query box estimates the query's mass.
@@ -121,7 +125,8 @@ type Estimate struct {
 	Method string
 }
 
-// Choice is the planner's verdict for one query.
+// Choice is the planner's verdict for one query: all the clauses of
+// its WHERE together.
 type Choice struct {
 	Path Path
 	Est  Estimate
@@ -187,11 +192,12 @@ func (p *Planner) IndexTable() *table.Table {
 	return p.Catalog
 }
 
-// Plan estimates the query's selectivity, builds and prices the index
-// scan, prices the full scan, and returns the cheaper. Catalog must be
-// non-nil. The only error is a plane of the wrong dimension.
-func (p *Planner) Plan(q vec.Polyhedron) (Choice, error) {
-	pred, err := table.CompilePagePred(q.Planes)
+// Plan estimates the selectivity of a WHERE — its DNF clauses; a convex
+// query is a set of one — builds and prices the index scan, prices the
+// full scan, and returns the cheaper. Catalog must be non-nil. The only
+// error is a plane of the wrong dimension.
+func (p *Planner) Plan(clauses []vec.Polyhedron) (Choice, error) {
+	pred, err := table.CompilePagePred(clauses)
 	if err != nil {
 		return Choice{}, err
 	}
@@ -219,7 +225,7 @@ func (p *Planner) Plan(q vec.Polyhedron) (Choice, error) {
 	var kdRanges []kdtree.Range
 	var indexed table.RowID
 	if p.Kd != nil {
-		kdRanges, c.NodesVisited = p.Kd.CollectRanges(q)
+		kdRanges, c.NodesVisited = p.Kd.CollectRanges(clauses)
 		indexed = table.RowID(p.Kd.NumRows)
 	}
 	for _, r := range kdRanges {
@@ -235,7 +241,7 @@ func (p *Planner) Plan(q vec.Polyhedron) (Choice, error) {
 	c.Cost[PathIndex] = float64(b.fetched)*m.SeqPage + float64(c.NodesVisited+b.classified)*m.Node +
 		float64(b.fetchedRows)*m.Row + memCost
 
-	c.Est = p.estimate(q, kdRanges, n)
+	c.Est = p.estimate(clauses, kdRanges, n)
 	if c.Cost[PathIndex] < c.Cost[PathFullScan] {
 		c.Path = PathIndex
 	}
@@ -356,12 +362,25 @@ func (b *scanBuilder) flushSpan() {
 }
 
 // estimate produces the selectivity prediction, preferring the
-// estimator backed by the most structure.
-func (p *Planner) estimate(q vec.Polyhedron, kdRanges []kdtree.Range, n float64) Estimate {
+// estimator backed by the most structure. Each clause contributes its
+// bounding box; where boxes overlap the sum counts the overlap once per
+// clause, so every sum is capped at the whole it is a fraction of.
+func (p *Planner) estimate(clauses []vec.Polyhedron, kdRanges []kdtree.Range, n float64) Estimate {
 	if n == 0 {
 		return Estimate{Method: "empty"}
 	}
-	bb := q.BoundingBox(p.Domain)
+	boxes := make([]vec.Box, 0, 4) // stays on the stack for the usual few clauses
+	for _, q := range clauses {
+		boxes = append(boxes, q.BoundingBox(p.Domain))
+	}
+	// mass sums one per-clause fraction over the clauses.
+	mass := func(frac func(bb vec.Box) float64) float64 {
+		var f float64
+		for _, bb := range boxes {
+			f += frac(bb)
+		}
+		return min(f, 1)
+	}
 	switch {
 	case p.Kd != nil:
 		var rows float64
@@ -370,18 +389,25 @@ func (p *Planner) estimate(q vec.Polyhedron, kdRanges []kdtree.Range, n float64)
 				rows += float64(r.Rows())
 				continue
 			}
-			rows += float64(r.Rows()) * overlapFraction(bb, r.Bounds)
+			rows += float64(r.Rows()) * mass(func(bb vec.Box) float64 { return overlapFraction(bb, r.Bounds) })
 		}
 		return mkEstimate(rows, n, "kdtree-walk")
 	case p.Grid != nil:
-		if frac, ok := gridBoxMass(p.Grid, bb); ok {
+		ok := true
+		frac := mass(func(bb vec.Box) float64 {
+			f, used := gridBoxMass(p.Grid, bb)
+			ok = ok && used
+			return f
+		})
+		if ok {
 			return mkEstimate(frac*n, n, "grid-layers")
 		}
 	}
-	frac := 0.0
-	if dv := p.Domain.Volume(); dv > 0 {
-		frac = bb.Intersect(p.Domain).Volume() / dv
+	dv := p.Domain.Volume()
+	if dv <= 0 {
+		return mkEstimate(0, n, "bbox-volume")
 	}
+	frac := mass(func(bb vec.Box) float64 { return bb.Intersect(p.Domain).Volume() / dv })
 	return mkEstimate(frac*n, n, "bbox-volume")
 }
 

@@ -101,9 +101,9 @@ func trueSelectivity(t *testing.T, tb *table.Table, q vec.Polyhedron) float64 {
 	return float64(len(ids)) / float64(tb.NumRows())
 }
 
-func mustPlan(t *testing.T, pl *Planner, q vec.Polyhedron) Choice {
+func mustPlan(t *testing.T, pl *Planner, clauses ...vec.Polyhedron) Choice {
 	t.Helper()
-	c, err := pl.Plan(q)
+	c, err := pl.Plan(clauses)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -75,7 +75,6 @@ type Coordinator struct {
 type subPlan struct {
 	sub     colorsql.Statement
 	targets []int
-	hasDed  bool // dedup across shards (WHERE is a multi-clause union)
 }
 
 const maxPlanCache = 4096
@@ -150,23 +149,16 @@ func (c *Coordinator) planStatement(stmt colorsql.Statement) *subPlan {
 	}
 	c.planMu.Unlock()
 
-	sp := &subPlan{sub: stmt, hasDed: stmt.HasWhere && len(stmt.Where.Polys) > 1}
-	if !stmt.Star {
-		// The shards are asked for the caller's projection plus what the
-		// merge reads: the identity under a dedup, and the magnitudes an
-		// ordering key is computed from.
-		star := colorsql.StarColumns()
+	sp := &subPlan{sub: stmt}
+	if !stmt.Star && stmt.Order != nil {
+		// The shards are asked for the caller's projection plus what an
+		// order merge reads: the magnitudes the ordering key is computed
+		// from and the identity that breaks its ties.
 		cols := slices.Clone(stmt.Cols)
-		need := func(c colorsql.Column) {
-			if !slices.ContainsFunc(cols, func(h colorsql.Column) bool { return h.Kind == c.Kind && h.Axis == c.Axis }) {
-				cols = append(cols, c)
+		for _, need := range colorsql.StarColumns()[:1+table.Dim] { // objid, u..z
+			if !slices.ContainsFunc(cols, func(h colorsql.Column) bool { return h.Kind == need.Kind && h.Axis == need.Axis }) {
+				cols = append(cols, need)
 			}
-		}
-		if sp.hasDed {
-			need(star[0])
-		}
-		for axis := 0; stmt.Order != nil && axis < table.Dim; axis++ {
-			need(star[1+axis])
 		}
 		sp.sub.Cols = cols
 	}
@@ -187,8 +179,9 @@ func (c *Coordinator) planStatement(stmt colorsql.Statement) *subPlan {
 
 // ExecStatement fans the statement to the targeted shards and merges
 // the streams (merge.go). Unbounded scans and ORDER BY merges open
-// every target at once; an unordered statement with a LIMIT visits the
-// targets one after another, as far as the LIMIT needs. The caller's
+// every target at once; an unordered statement with a LIMIT — under
+// any WHERE — visits the targets one after another, as far as the
+// LIMIT needs. The caller's
 // column list is applied at serialization time, so the columns the
 // merge asked for on its own account never reach the client.
 func (c *Coordinator) ExecStatement(ctx context.Context, stmt colorsql.Statement, plan core.Plan) (core.Cursor, error) {
@@ -226,9 +219,6 @@ func (c *Coordinator) ExecStatement(ctx context.Context, stmt colorsql.Statement
 		limit:   int64(stmt.Limit),
 	}
 	base.agg.PlanReason = scatterReason(len(sp.targets), c.rt.NumShards())
-	if sp.hasDed {
-		base.dedup = make(map[int64]bool)
-	}
 	if stmt.Order != nil || stmt.Limit < 0 {
 		query := sp.sub.String()
 		for i, t := range sp.targets {

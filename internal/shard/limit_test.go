@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"net/http"
-	"path/filepath"
 	"slices"
 	"strings"
 	"sync"
@@ -12,7 +11,6 @@ import (
 
 	"repro/internal/colorsql"
 	"repro/internal/core"
-	"repro/internal/sky"
 	"repro/internal/table"
 )
 
@@ -82,21 +80,16 @@ func shardAnswers(t *testing.T, cl *cluster, stmt colorsql.Statement, limit int)
 }
 
 // eagerReference is the merge this one replaced: every target's answer
-// to the whole LIMIT, concatenated in shard order, deduplicated by
-// ObjID under a multi-clause WHERE, cut at the LIMIT.
+// to the whole LIMIT, concatenated in shard order, cut at the LIMIT.
 func eagerReference(t *testing.T, cl *cluster, stmt colorsql.Statement) []string {
 	t.Helper()
 	_, answers := shardAnswers(t, cl, stmt, stmt.Limit)
-	dedup := stmt.HasWhere && len(stmt.Where.Polys) > 1
-	seen := make(map[int64]bool)
 	var rows []string
 	for _, recs := range answers {
 		for i := range recs {
-			if len(rows) == stmt.Limit || dedup && seen[recs[i].ObjID] {
-				continue
+			if len(rows) < stmt.Limit {
+				rows = append(rows, string(core.AppendRowJSON(nil, stmt.OutputColumns(), &recs[i])))
 			}
-			seen[recs[i].ObjID] = true
-			rows = append(rows, string(core.AppendRowJSON(nil, stmt.OutputColumns(), &recs[i])))
 		}
 	}
 	return rows
@@ -120,12 +113,20 @@ func runLimit(t *testing.T, cl *cluster, stmt colorsql.Statement) (rows []string
 	return rows, delta, rep
 }
 
-// TestLimitVisitsOnlyWhatItNeeds walks one colour cut through the three
-// regimes of a LIMIT: filled by the first target, spanning two, and
-// larger than every match.
+// TestLimitVisitsOnlyWhatItNeeds walks a colour cut, of one clause and
+// of two, through the three regimes of a LIMIT: filled by the first
+// target, spanning two, and larger than every match.
 func TestLimitVisitsOnlyWhatItNeeds(t *testing.T) {
+	for _, cut := range []string{
+		"SELECT objid, g WHERE g - r > 0.2 AND r < 19.0",
+		"SELECT g WHERE g - r > 0.2 AND r < 19.0 OR u - g > 1.5 AND r < 19.5",
+	} {
+		t.Run(cut, func(t *testing.T) { limitVisits(t, cut) })
+	}
+}
+
+func limitVisits(t *testing.T, cut string) {
 	cl, log := loggedCluster(t, clusterDir)
-	const cut = "SELECT objid, g WHERE g - r > 0.2 AND r < 19.0"
 	targets, all := shardAnswers(t, cl, mustParse(t, cut), -1)
 	if len(targets) != 3 || len(all[0]) < 2 || len(all[1]) < 2 || len(all[2]) < 1 {
 		t.Fatalf("fixture: the cut matches %d/%d/%d rows on targets %v; the test needs all three shards", len(all[0]), len(all[1]), len(all[2]), targets)
@@ -236,60 +237,5 @@ func TestLimitMidSequenceFailure(t *testing.T) {
 	stmt.Limit = len(all[0])
 	if got, _, _ := runLimit(t, cl, stmt); len(got) != len(all[0]) {
 		t.Errorf("%d rows, want %d", len(got), len(all[0]))
-	}
-}
-
-// TestLimitUnderDedup: a multi-clause WHERE dedups across shards, and a
-// row a later target sends may repeat one already emitted, so later
-// targets are asked for the whole LIMIT. Every LIMIT over a catalog
-// holding one identity on two shards gives the eager merge's rows.
-func TestLimitUnderDedup(t *testing.T) {
-	recs, err := sky.Generate(sky.DefaultParams(300, 23))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Copies of twenty rows, mirrored across magnitude space so that
-	// they land in other routing units than their originals.
-	for i := 0; i < 20; i++ {
-		far := recs[i*7]
-		for d := range far.Mags {
-			far.Mags[d] = 40 - far.Mags[d]
-		}
-		recs = append(recs, far)
-	}
-	dir := filepath.Join(t.TempDir(), "cluster")
-	if _, err := BuildCluster(dir, recs, BuildParams{Shards: fixtureShards, Seed: 23}); err != nil {
-		t.Fatal(err)
-	}
-	cl, log := loggedCluster(t, dir)
-
-	const union = "SELECT g WHERE r < 90 OR g < 90"
-	whole, _, _ := runLimit(t, cl, mustParse(t, union))
-	if len(whole) != 300 {
-		t.Fatalf("the union returns %d rows, want the 300 identities", len(whole))
-	}
-	dropped := false
-	for limit := 1; limit <= len(recs)+5; limit += 3 {
-		stmt := mustParse(t, fmt.Sprintf("%s LIMIT %d", union, limit))
-		want := eagerReference(t, cl, stmt)
-		log.reset()
-		got, _, _ := runLimit(t, cl, stmt)
-		if !slices.Equal(got, want) {
-			t.Fatalf("LIMIT %d: %d rows, eager reference %d; or an order differs", limit, len(got), len(want))
-		}
-		if len(got) != min(limit, 300) {
-			t.Fatalf("LIMIT %d returned %d rows", limit, len(got))
-		}
-		for s, asked := range log.asked {
-			for _, q := range asked {
-				if !strings.HasSuffix(q, fmt.Sprintf(" LIMIT %d", limit)) || !strings.HasPrefix(q, "SELECT g, objid ") {
-					t.Fatalf("LIMIT %d: shard %d asked %q", limit, s, q)
-				}
-				dropped = true
-			}
-		}
-	}
-	if !dropped {
-		t.Fatal("no sub-request was logged")
 	}
 }

@@ -14,17 +14,18 @@ import (
 // execution exactly:
 //
 //   - scan merge: unordered statements concatenate the shard streams
-//     in shard order. Under a multi-clause WHERE the single store
-//     dedups by ObjID across union clauses, so the merge dedups by
-//     ObjID across shard boundaries too; a single clause or a
-//     no-WHERE full-catalog scan visits each physical row once and
-//     does not dedup in the single store, so neither does the merge.
-//     With a LIMIT a target is opened only when the one before it
-//     ended short, and asked only for the rows still missing.
+//     in shard order. Shards partition the catalog's physical rows, and
+//     a shard — like the single store — emits each of its rows at most
+//     once whatever the WHERE, so the concatenation holds every
+//     matching row exactly once: rows are never merged, and the merge
+//     keeps no memory of what it emitted. With a LIMIT a target is
+//     opened only when the one before it ended short, and asked only
+//     for the rows still missing.
 //   - order merge: ORDER BY statements arrive locally sorted from
 //     each shard (each with the LIMIT pushed down), and a k-way merge
 //     on the recomputed ordering key — the same float64 key the
-//     single store's top-k heap uses — reassembles the global order.
+//     single store's top-k heap uses, ties broken on ObjID as it breaks
+//     them — reassembles the global order.
 //
 // Failure semantics: any shard error (transport, HTTP status, error
 // frame, damaged frame, stream cut before its summary) surfaces through
@@ -91,10 +92,7 @@ type scatterCursor struct {
 	streams []*shardStream // one per target; nil until opened
 	c       *Coordinator
 
-	// dedup is non-nil for multi-clause WHERE statements (mirrors the
-	// single store's union dedup); limit < 0 means unbounded.
-	dedup map[int64]bool
-	limit int64
+	limit int64 // < 0 means unbounded
 
 	cur     *table.Record
 	emitted int64
@@ -142,23 +140,10 @@ func (sc *scatterCursor) fail(err error) {
 	sc.Close()
 }
 
-// admits reports whether a row passes the cross-shard dedup.
-func (sc *scatterCursor) admits(rec *table.Record) bool {
-	if sc.dedup == nil {
-		return true
-	}
-	if sc.dedup[rec.ObjID] {
-		return false
-	}
-	sc.dedup[rec.ObjID] = true
-	return true
-}
-
 // scanMergeCursor concatenates shard streams in shard order. Without
 // a LIMIT every stream is open from the start; with one, target idx is
 // opened when the cursor reaches it, for the rows the LIMIT still lacks
-// (under a dedup for the whole LIMIT: a target may repeat rows already
-// emitted) — the rows of asking every target for the LIMIT at once.
+// — the rows of asking every target for the LIMIT at once.
 type scanMergeCursor struct {
 	scatterCursor
 	idx int
@@ -167,18 +152,17 @@ type scanMergeCursor struct {
 func (sc *scanMergeCursor) Next() bool {
 	for !sc.done {
 		// At an exact LIMIT the unread remainder is not part of the
-		// answer, so stopping is not truncation. A stream asked for just
-		// the missing rows is at its own end then: read on to its summary.
+		// answer, so stopping is not truncation. The open stream was
+		// asked for just the missing rows and is at its own end: read on
+		// to its summary.
 		full := sc.limit >= 0 && sc.emitted >= sc.limit
-		if sc.idx == len(sc.streams) || full && (sc.streams[sc.idx] == nil || sc.dedup != nil) {
+		if sc.idx == len(sc.streams) || full && sc.streams[sc.idx] == nil {
 			break
 		}
 		s := sc.streams[sc.idx]
 		if s == nil {
 			sub := sc.sub
-			if sc.dedup == nil {
-				sub.Limit = int(sc.limit - sc.emitted)
-			}
+			sub.Limit = int(sc.limit - sc.emitted)
 			s = sc.c.startQueryStream(sc.ctx, sc.targets[sc.idx], sub.String())
 			sc.streams[sc.idx] = s
 		}
@@ -195,11 +179,9 @@ func (sc *scanMergeCursor) Next() bool {
 		if full {
 			break
 		}
-		if sc.admits(rec) {
-			sc.cur = rec
-			sc.emitted++
-			return true
-		}
+		sc.cur = rec
+		sc.emitted++
+		return true
 	}
 	sc.Close()
 	return false
@@ -207,9 +189,9 @@ func (sc *scanMergeCursor) Next() bool {
 
 // orderMergeCursor k-way merges locally sorted shard streams on the
 // statement's ordering key, recomputed exactly as the single store
-// computes it (float64 over the float32 magnitudes). Ties break by
-// shard index, then by per-shard arrival order (which each shard's
-// own top-k already fixed).
+// computes it (float64 over the float32 magnitudes). Ties break on
+// ObjID — as each shard's own top-k, and the single store's, break them
+// — then by shard index.
 type orderMergeCursor struct {
 	scatterCursor
 	order *colorsql.OrderBy
@@ -259,39 +241,34 @@ func (oc *orderMergeCursor) Next() bool {
 			}
 		}
 	}
-	for {
-		best := -1
-		for i := range oc.heads {
-			if oc.heads[i].rec == nil {
-				continue
-			}
-			if best < 0 {
-				best = i
-				continue
-			}
-			if oc.order.Desc {
-				if oc.heads[i].key > oc.heads[best].key {
-					best = i
-				}
-			} else if oc.heads[i].key < oc.heads[best].key {
-				best = i
-			}
+	best := -1
+	for i := range oc.heads {
+		if oc.heads[i].rec != nil && (best < 0 || oc.before(&oc.heads[i], &oc.heads[best])) {
+			best = i
 		}
-		if best < 0 {
-			oc.Close()
-			return false
-		}
-		rec := oc.heads[best].rec
-		if !oc.advance(best) {
-			return false
-		}
-		if !oc.admits(rec) {
-			continue
-		}
-		oc.cur = rec
-		oc.emitted++
-		return true
 	}
+	if best < 0 {
+		oc.Close()
+		return false
+	}
+	oc.cur = oc.heads[best].rec
+	if !oc.advance(best) {
+		return false
+	}
+	oc.emitted++
+	return true
+}
+
+// before reports whether head a is emitted ahead of head b of a later
+// shard: strictly better key, or an equal key and a smaller ObjID.
+func (oc *orderMergeCursor) before(a, b *mergeHead) bool {
+	if a.key != b.key {
+		if oc.order.Desc {
+			return a.key > b.key
+		}
+		return a.key < b.key
+	}
+	return a.rec.ObjID < b.rec.ObjID
 }
 
 // recsCursor replays an eagerly merged answer (/sky fan-out, kNN), or

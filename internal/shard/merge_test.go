@@ -78,12 +78,11 @@ func TestScatterEquivalence(t *testing.T) {
 	}
 }
 
-// TestScatterDuplicateObjID pins the one place the merge's dedup rule
-// is observable: a catalog holding two physical rows with one ObjID.
-// Rows are never merged — with no WHERE or a single-clause WHERE the
-// single store returns both and so must the coordinator, whichever
-// shards the copies landed on; only a multi-clause union dedups by
-// ObjID, on both sides.
+// TestScatterDuplicateObjID pins the merge's rule where it is
+// observable: a catalog holding two physical rows with one ObjID. Rows
+// are never merged — whatever the WHERE, a multi-clause union
+// included, the single store returns both copies and so must the
+// coordinator, whichever shards they landed on.
 func TestScatterDuplicateObjID(t *testing.T) {
 	p := sky.DefaultParams(900, 23)
 	recs, err := sky.Generate(p)
@@ -125,9 +124,7 @@ func TestScatterDuplicateObjID(t *testing.T) {
 		{"SELECT *", 902},
 		{"SELECT * WHERE r < 90", 902},
 		{"SELECT objid, r WHERE r < 90 ORDER BY r", 902},
-		// Which copy a union keeps depends on physical order, so compare
-		// identities only.
-		{"SELECT objid WHERE r < 90 OR g < 90", 900},
+		{"SELECT * WHERE r < 90 OR g < 90", 902},
 	} {
 		stmt := mustParse(t, tc.src)
 		render := func(cur core.Cursor, err error) []string {

@@ -21,6 +21,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"repro/internal/vec"
 )
@@ -110,19 +111,9 @@ func (rt *RoutingTable) TargetsFor(polys []vec.Polyhedron) []int {
 	targets := make([]int, 0, len(rt.Shards))
 	for i := range rt.Shards {
 		sh := &rt.Shards[i]
-		hit := false
-		for _, q := range polys {
-			for _, cell := range sh.Cells {
-				if q.IntersectsBox(cell) {
-					hit = true
-					break
-				}
-			}
-			if hit {
-				break
-			}
-		}
-		if hit {
+		if slices.ContainsFunc(sh.Cells, func(cell vec.Box) bool {
+			return vec.ClassifyBoxUnion(polys, cell) != vec.Outside
+		}) {
 			targets = append(targets, sh.ID)
 		}
 	}

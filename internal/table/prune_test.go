@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/pagestore"
@@ -15,10 +16,11 @@ import (
 // maps, and predicate pushed down through a WithoutZones view (the
 // full scan) — checks the three agree, and reports the reference
 // ObjIDs, the pruned ones and the pruned pass's counters. The reference
-// applies the exact same inequality per row in the same coefficient
-// order. Every pass counts: an unfiltered range accounts its pages and
-// rows exactly like a filtered one.
-func prunedVsUnpruned(t *testing.T, tb *Table, planes []vec.Halfspace) (ref, pruned []int64, skipped, scanned int64) {
+// applies the exact same inequalities per row in the same coefficient
+// order, keeping a row any clause keeps. Every pass counts: an
+// unfiltered range accounts its pages and rows exactly like a filtered
+// one.
+func prunedVsUnpruned(t *testing.T, tb *Table, clauses []vec.Polyhedron) (ref, pruned []int64, skipped, scanned int64) {
 	t.Helper()
 	var plain, sc, blind ScanCounters
 	var rec Record
@@ -35,8 +37,8 @@ func prunedVsUnpruned(t *testing.T, tb *Table, planes []vec.Halfspace) (ref, pru
 		return ids
 	}
 	all := func() bool { return true }
-	ref = drain(tb.IterRangePred(context.Background(), 0, RowID(tb.NumRows()), ColObjID|ColMags, nil, &plain), func() bool {
-		for _, h := range planes {
+	inClause := func(q vec.Polyhedron) bool {
+		for _, h := range q.Planes {
 			s := 0.0
 			for d := 0; d < Dim; d++ {
 				if h.A[d] != 0 {
@@ -48,6 +50,9 @@ func prunedVsUnpruned(t *testing.T, tb *Table, planes []vec.Halfspace) (ref, pru
 			}
 		}
 		return true
+	}
+	ref = drain(tb.IterRangePred(context.Background(), 0, RowID(tb.NumRows()), ColObjID|ColMags, nil, &plain), func() bool {
+		return slices.ContainsFunc(clauses, inClause)
 	})
 	pages, rows := int64(tb.NumPages()), int64(tb.NumRows())
 	if plain.PagesScanned.Load() != pages || plain.Examined.Load() != rows || plain.PagesSkipped.Load() != 0 {
@@ -55,14 +60,14 @@ func prunedVsUnpruned(t *testing.T, tb *Table, planes []vec.Halfspace) (ref, pru
 			plain.PagesScanned.Load(), plain.Examined.Load(), plain.PagesSkipped.Load(), pages, rows)
 	}
 
-	pred, err := CompilePagePred(planes)
+	pred, err := CompilePagePred(clauses)
 	if err != nil {
 		t.Fatal(err)
 	}
 	pruned = drain(tb.IterRangePred(context.Background(), 0, RowID(tb.NumRows()), ColObjID, pred, &sc), all)
 	full := drain(tb.WithoutZones().IterRangePred(context.Background(), 0, RowID(tb.NumRows()), ColObjID, pred, &blind), all)
 	if len(full) != len(pruned) {
-		t.Fatalf("zone-blind scan returned %d rows, pruned scan %d (planes %v)", len(full), len(pruned), planes)
+		t.Fatalf("zone-blind scan returned %d rows, pruned scan %d (clauses %v)", len(full), len(pruned), clauses)
 	}
 	for i := range full {
 		if full[i] != pruned[i] {
@@ -76,9 +81,10 @@ func prunedVsUnpruned(t *testing.T, tb *Table, planes []vec.Halfspace) (ref, pru
 }
 
 // FuzzZonePrunedScan is the pruning-equivalence fuzz: for arbitrary
-// finite linear inequalities, the zone-map-pruned scan must return
-// exactly the rows the per-row evaluation keeps, in the same order,
-// and its page counters must add up.
+// finite linear inequalities, alone or OR-ed with a second clause, the
+// zone-map-pruned scan must return exactly the rows the per-row
+// evaluation keeps, each once, in the same order, and its page counters
+// must add up.
 func FuzzZonePrunedScan(f *testing.F) {
 	s, err := pagestore.Open(f.TempDir(), 256)
 	if err != nil {
@@ -99,24 +105,31 @@ func FuzzZonePrunedScan(f *testing.F) {
 		f.Fatal(err)
 	}
 
-	f.Add(1.0, -1.0, 0.0, 0.0, 0.0, -0.2, uint8(2), 18.0) // g - r > 0.2 AND r < 18 (negated form)
-	f.Add(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, uint8(0), 50.0)   // degenerate plane keeps everything
-	f.Add(0.5, 0.5, 0.5, 0.5, 0.5, 1.0, uint8(4), 14.0)
-	f.Fuzz(func(t *testing.T, a0, a1, a2, a3, a4, b float64, axis uint8, cut float64) {
-		for _, v := range []float64{a0, a1, a2, a3, a4, b, cut} {
+	f.Add(1.0, -1.0, 0.0, 0.0, 0.0, -0.2, uint8(2), 18.0, 0.0)  // g - r > 0.2 AND r < 18 (negated form)
+	f.Add(1.0, -1.0, 0.0, 0.0, 0.0, -0.2, uint8(2), 18.0, 23.5) // ... OR i > 23.5, overlapping it
+	f.Add(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, uint8(0), 50.0, 0.0)    // degenerate plane keeps everything
+	f.Add(0.5, 0.5, 0.5, 0.5, 0.5, 1.0, uint8(4), 14.0, 14.5)   // an empty clause OR a thin one
+	f.Fuzz(func(t *testing.T, a0, a1, a2, a3, a4, b float64, axis uint8, cut, orAbove float64) {
+		for _, v := range []float64{a0, a1, a2, a3, a4, b, cut, orAbove} {
 			if math.IsNaN(v) || math.IsInf(v, 0) || math.Abs(v) > 1e12 {
 				t.Skip("non-finite or overflow-prone coefficient")
 			}
 		}
 		cutPlane := vec.Halfspace{A: make(vec.Point, Dim), B: cut}
 		cutPlane.A[int(axis)%Dim] = 1
-		planes := []vec.Halfspace{
+		clauses := []vec.Polyhedron{{Planes: []vec.Halfspace{
 			{A: vec.Point{a0, a1, a2, a3, a4}, B: b},
 			cutPlane,
+		}}}
+		if orAbove != 0 {
+			// A second clause, on the next axis: x > orAbove.
+			above := vec.Halfspace{A: make(vec.Point, Dim), B: -orAbove}
+			above.A[(int(axis)+1)%Dim] = -1
+			clauses = append(clauses, vec.Polyhedron{Planes: []vec.Halfspace{above}})
 		}
-		ref, pruned, skipped, scanned := prunedVsUnpruned(t, tb, planes)
+		ref, pruned, skipped, scanned := prunedVsUnpruned(t, tb, clauses)
 		if len(ref) != len(pruned) {
-			t.Fatalf("pruned scan returned %d rows, per-row reference %d (planes %v)", len(pruned), len(ref), planes)
+			t.Fatalf("pruned scan returned %d rows, per-row reference %d (clauses %v)", len(pruned), len(ref), clauses)
 		}
 		for i := range ref {
 			if ref[i] != pruned[i] {
@@ -159,7 +172,7 @@ func BenchmarkZoneMapScan(b *testing.B) {
 	}
 	// r < 15: with mags uniform in [14, 24), ~10% of the sorted table.
 	planes := []vec.Halfspace{{A: vec.Point{0, 0, 1, 0, 0}, B: 15}}
-	pred, err := CompilePagePred(planes)
+	pred, err := CompilePagePred([]vec.Polyhedron{{Planes: planes}})
 	if err != nil {
 		b.Fatal(err)
 	}

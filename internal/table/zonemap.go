@@ -162,71 +162,79 @@ func (z *ZoneMaps) Validate(pages int) error {
 	return nil
 }
 
-// PagePred is a compiled conjunction of halfspaces ready for page
-// classification and strip evaluation: one DNF clause of a colorsql
-// WHERE, lowered to the storage layer.
+// PagePred is a WHERE lowered to the storage layer, ready for page
+// classification and strip evaluation: the convex clauses of its DNF,
+// matching a row that satisfies any of them. A single polyhedron is a
+// set of one clause; an empty set matches nothing.
 type PagePred struct {
-	planes []vec.Halfspace
+	clauses []vec.Polyhedron
 }
 
-// CompilePagePred compiles a clause's halfspaces. Every plane must be
+// CompilePagePred compiles a WHERE's clauses. Every plane must be
 // Dim-dimensional (the parser guarantees this for colorsql input).
-func CompilePagePred(planes []vec.Halfspace) (*PagePred, error) {
-	for i := range planes {
-		if len(planes[i].A) != Dim {
-			return nil, fmt.Errorf("table: page predicate plane %d has dimension %d, want %d", i, len(planes[i].A), Dim)
+func CompilePagePred(clauses []vec.Polyhedron) (*PagePred, error) {
+	for c, q := range clauses {
+		for i := range q.Planes {
+			if len(q.Planes[i].A) != Dim {
+				return nil, fmt.Errorf("table: page predicate clause %d plane %d has dimension %d, want %d", c, i, len(q.Planes[i].A), Dim)
+			}
 		}
 	}
-	return &PagePred{planes: planes}, nil
+	return &PagePred{clauses: clauses}, nil
 }
 
 // Classify returns the three-way verdict of the zone box against the
-// predicate. The accumulation order per plane matches the per-row
-// strip loop (ascending axis), and float multiply/add are monotone,
-// so a page classified Outside provably contains no matching row and
-// an Inside page contains only matching rows — pruning is exact, not
-// approximate.
+// predicate: Outside every clause, Inside any clause, else Partial —
+// the rule the kd walk applies to a node's bounds. The accumulation
+// order per plane matches the per-row strip loop (ascending axis), and
+// float multiply/add are monotone, so a page classified Outside
+// provably contains no matching row and an Inside page contains only
+// matching rows — pruning is exact, not approximate.
 func (p *PagePred) Classify(z *PageZone) vec.Relation {
-	inside := true
-	for i := range p.planes {
-		h := &p.planes[i]
-		var lo, hi float64
-		for d, a := range h.A {
-			if a >= 0 {
-				lo += a * z.Min[d]
-				hi += a * z.Max[d]
-			} else {
-				lo += a * z.Max[d]
-				hi += a * z.Min[d]
-			}
-		}
-		if lo > h.B {
-			return vec.Outside
-		}
-		if hi > h.B {
-			inside = false
-		}
-	}
-	if inside {
-		return vec.Inside
-	}
-	return vec.Partial
+	return vec.ClassifyBoxUnion(p.clauses, vec.Box{Min: z.Min[:], Max: z.Max[:]})
 }
 
 // evalStrips evaluates the predicate over a page's magnitude strips:
-// for each plane, accumulate a·x across the referenced strips into
-// acc, then AND the comparison into the match mask. The inner loops
-// are simple index-free range loops over contiguous float64 slices —
-// no per-row branching until the mask is consumed. Returns the number
-// of strips decoded. match and the scratch must hold n entries.
+// each clause fills a match mask (evalClause) and the masks OR
+// together, so a row is tested against the disjunction once however
+// many clauses it satisfies; the first clause writes match directly, so
+// a convex predicate pays for no second mask. A strip is decoded once
+// for all clauses. Returns the number of strips decoded. match and the
+// scratch must hold n entries.
 func (p *PagePred) evalStrips(data []byte, n int, sc *stripScratch, match []bool) int {
-	for j := range match {
-		match[j] = true
+	if len(p.clauses) == 0 {
+		clear(match)
 	}
 	var loaded [Dim]bool
 	decoded := 0
-	for i := range p.planes {
-		h := &p.planes[i]
+	for c, q := range p.clauses {
+		if c == 0 {
+			decoded += evalClause(q.Planes, data, &loaded, sc, match)
+			continue
+		}
+		mask := sc.mask[:n]
+		decoded += evalClause(q.Planes, data, &loaded, sc, mask)
+		for j, m := range mask {
+			match[j] = match[j] || m
+		}
+	}
+	return decoded
+}
+
+// evalClause evaluates one convex clause over the strips: for each
+// plane, accumulate a·x across the referenced strips into acc, then
+// AND the comparison into the match mask. The inner loops are simple
+// index-free range loops over contiguous float64 slices — no per-row
+// branching until the mask is consumed. Strips not yet in loaded are
+// decoded into the scratch; their number is returned.
+func evalClause(planes []vec.Halfspace, data []byte, loaded *[Dim]bool, sc *stripScratch, match []bool) int {
+	n := len(match)
+	for j := range match {
+		match[j] = true
+	}
+	decoded := 0
+	for i := range planes {
+		h := &planes[i]
 		acc := sc.acc[:n]
 		for j := range acc {
 			acc[j] = 0
@@ -300,10 +308,12 @@ func (p *SkyBoxPred) evalSky(data []byte, n int, match []bool) int {
 }
 
 // stripScratch is the per-iterator working set of the strip filter:
-// decoded magnitude strips and the accumulator, sized to one page.
+// decoded magnitude strips, the accumulator and a clause mask, sized
+// to one page.
 type stripScratch struct {
 	mags [Dim][RecordsPerPage]float64
 	acc  [RecordsPerPage]float64
+	mask [RecordsPerPage]bool // one clause's matches, second clause on
 }
 
 // ScanCounters aggregates the page work of one streaming scan.

@@ -159,9 +159,37 @@ func (q Polyhedron) ClassifyBox(b Box) Relation {
 	return Partial
 }
 
-// IntersectsBox reports whether the box may intersect the polyhedron
-// (conservatively true for Partial verdicts).
-func (q Polyhedron) IntersectsBox(b Box) bool { return q.ClassifyBox(b) != Outside }
+// classifyUnion folds per-clause verdicts into the verdict of a clause
+// set — a DNF WHERE, matching where any clause matches: Inside any
+// clause is Inside, Outside every clause is Outside (an empty set
+// matches nothing), anything else is Partial. A set of one classifies
+// exactly as its clause does.
+func classifyUnion(clauses []Polyhedron, classify func(Polyhedron) Relation) Relation {
+	rel := Outside
+	for _, q := range clauses {
+		switch classify(q) {
+		case Inside:
+			return Inside
+		case Partial:
+			rel = Partial
+		}
+	}
+	return rel
+}
+
+// ClassifyBoxUnion returns the relation of box b to the union of the
+// clauses, each classified as ClassifyBox does. The verdict is
+// conservative the same way: a box the clauses cover only jointly is
+// Partial, and its rows are tested one by one.
+func ClassifyBoxUnion(clauses []Polyhedron, b Box) Relation {
+	return classifyUnion(clauses, func(q Polyhedron) Relation { return q.ClassifyBox(b) })
+}
+
+// ClassifySphereUnion is ClassifyBoxUnion for the ball of radius r
+// around c (ClassifySphere per clause).
+func ClassifySphereUnion(clauses []Polyhedron, c Point, r float64) Relation {
+	return classifyUnion(clauses, func(q Polyhedron) Relation { return q.ClassifySphere(c, r) })
+}
 
 // ClassifySphere classifies the ball of radius r around center c:
 // Inside when the whole ball satisfies every plane, Outside when

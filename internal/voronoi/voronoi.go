@@ -316,40 +316,33 @@ type Range struct {
 	Filter bool
 }
 
-// Walk summarizes the in-memory classification pass behind
-// CollectRanges. Empty cells are skipped before classification and
-// counted nowhere, matching the executor's historical behavior.
-type Walk struct {
-	CellsInside  int
-	CellsOutside int
-	CellsPartial int
-}
-
 // CollectRanges classifies every cell's bounding sphere against the
-// polyhedron entirely in memory and returns the candidate clustered
-// row ranges — the Voronoi counterpart of kdtree.CollectRanges. The
-// parallel executor fans the ranges across its pool; the streaming
-// cursor pulls rows from them in order.
-func (ix *Index) CollectRanges(q vec.Polyhedron) ([]Range, Walk) {
+// clauses of a WHERE entirely in memory and returns the candidate
+// clustered row ranges, disjoint and ascending — the Voronoi
+// counterpart of kdtree.CollectRanges, under the same rule: a cell
+// Outside every clause is dropped, a cell Inside any clause is an
+// unfiltered range, the rest are filter ranges. Rows [CoveredRows,
+// tableRows) appended by compaction after the directory was built are
+// one trailing filter range, paying a per-point test until the next
+// full compaction re-clusters them.
+func (ix *Index) CollectRanges(clauses []vec.Polyhedron, tableRows uint64) []Range {
 	var out []Range
-	var w Walk
 	for cell := range ix.Seeds {
 		lo, hi := ix.CellRows(cell)
 		if lo == hi {
 			continue
 		}
-		switch q.ClassifySphere(ix.Seeds[cell], ix.Radius[cell]) {
-		case vec.Outside:
-			w.CellsOutside++
+		switch vec.ClassifySphereUnion(clauses, ix.Seeds[cell], ix.Radius[cell]) {
 		case vec.Inside:
-			w.CellsInside++
 			out = append(out, Range{Lo: lo, Hi: hi})
 		case vec.Partial:
-			w.CellsPartial++
 			out = append(out, Range{Lo: lo, Hi: hi, Filter: true})
 		}
 	}
-	return out, w
+	if covered := ix.CoveredRows(); tableRows > covered {
+		out = append(out, Range{Lo: table.RowID(covered), Hi: table.RowID(tableRows), Filter: true})
+	}
+	return out
 }
 
 // CoveredRows returns how many clustered rows the cell directory
@@ -361,22 +354,6 @@ func (ix *Index) CoveredRows() uint64 {
 		covered += uint64(r.count)
 	}
 	return covered
-}
-
-// CollectRangesBounded is CollectRanges plus the unindexed tail: rows
-// [CoveredRows, tableRows) appended by compaction after the directory
-// was built are returned as one trailing filter range, paying a
-// per-point test until the next full compaction re-clusters them.
-func (ix *Index) CollectRangesBounded(q vec.Polyhedron, tableRows uint64) ([]Range, Walk) {
-	out, w := ix.CollectRanges(q)
-	if covered := ix.CoveredRows(); tableRows > covered {
-		out = append(out, Range{
-			Lo:     table.RowID(covered),
-			Hi:     table.RowID(tableRows),
-			Filter: true,
-		})
-	}
-	return out, w
 }
 
 // DirectedWalk locates the cell containing p by walking the Delaunay
