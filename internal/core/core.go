@@ -130,12 +130,16 @@ type Report struct {
 	DiskReads    int64
 	CacheHits    int64
 
-	// PagesSkipped counts pages proven empty of matches and never
-	// read: pages under kd subtrees the walk classified Outside, plus
-	// pages of filter ranges whose own zone is Outside. PagesScanned
-	// counts the page fetches of a polyhedron or sky-box scan — it
-	// equals DiskReads + CacheHits; StripsDecoded counts the per-column
-	// magnitude strips its vectorized filter decoded.
+	// PagesSkipped counts pages proven to hold no row of the answer and
+	// never read: pages under kd subtrees the walk classified Outside,
+	// pages of filter ranges whose own zone is Outside, and — under an
+	// ordered LIMIT — pages no row of which could enter the top k, their
+	// zone's best key ranking strictly after the k-th key at the moment
+	// the scan reached them. PagesScanned counts the page fetches of a
+	// polyhedron or sky-box scan — it equals DiskReads + CacheHits;
+	// RowsExamined (above) the in-range rows of those fetched pages,
+	// tested or not; StripsDecoded the per-column magnitude strips its
+	// vectorized filter — predicate and key bound — decoded.
 	PagesSkipped  int64
 	PagesScanned  int64
 	StripsDecoded int64

@@ -49,8 +49,11 @@ func (db *SpatialDB) EstimateStatementCost(stmt colorsql.Statement) float64 {
 
 // boundByLimit scales a statement's scan cost by the fraction of the
 // predicted rows a pushed-down LIMIT lets it stop at. Every unordered
-// LIMIT is pushed down (the pushdown rules in statement.go); an ORDER
-// BY must see every row regardless of LIMIT.
+// LIMIT is pushed down (the pushdown rules in statement.go). An ordered
+// LIMIT prunes by its k-th key too, but by how much depends on how the
+// key lies across the clustering, which no zero-I/O walk knows: it is
+// priced as the whole selection — an upper bound, which is what an
+// admission estimate may be.
 func boundByLimit(cost, estRows float64, stmt colorsql.Statement) float64 {
 	if stmt.Order != nil || stmt.Limit <= 0 || estRows <= 0 {
 		return cost

@@ -1,10 +1,9 @@
 package core
 
 import (
-	"container/heap"
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/colorsql"
 	"repro/internal/pagestore"
@@ -63,6 +62,9 @@ type cursorOpts struct {
 	// the tier-1 plan cache); nil makes the cursor consult the planner.
 	// Read-only: the cached entry is shared across requests.
 	choice *planner.Choice
+	// bound, when non-nil, is the key bound of an ordered LIMIT: the
+	// topkCursor above the scan tightens it, the scan prunes by it.
+	bound *table.KeyBound
 }
 
 // polyCursor streams one statement's paged rows — the polyhedra of its
@@ -227,6 +229,7 @@ func (db *SpatialDB) whereCursorSnap(ctx context.Context, sn *dbSnap, clauses []
 			Cols:      opts.cols,
 			StopAfter: opts.stopAfter,
 			Pred:      pred,
+			Bound:     opts.bound,
 		}),
 		scope: scope,
 		base:  base,
@@ -294,12 +297,13 @@ func (c *limitCursor) Stats() Report {
 	return r
 }
 
-// topkItem carries the ordering key plus the arrival sequence, the
-// last of the tie-breakers: key, then ObjID, then arrival. The first
-// two are properties of the row, so the order of an answer does not
-// depend on the physical order its rows arrived in — a differently
-// clustered store, or a cluster's merge (shard/merge.go breaks ties the
-// same way), emits the same bytes.
+// topkItem carries the ordering key — negated under DESC, so that a
+// smaller key always ranks first — plus the arrival sequence, the last
+// of the tie-breakers: key, then ObjID, then arrival. The first two are
+// properties of the row, so the order of an answer does not depend on
+// the physical order its rows arrived in — a differently clustered
+// store, or a cluster's merge (shard/merge.go breaks ties the same
+// way), emits the same bytes.
 type topkItem struct {
 	key float64
 	seq int64
@@ -309,37 +313,37 @@ type topkItem struct {
 // topkCursor implements ORDER BY: it drains its child on the first
 // Next, keeping either everything (no LIMIT: sort-all) or a bounded
 // heap of the best k rows (LIMIT k: top-k, O(k) memory however many
-// rows match), then emits in order. The scan cost is unavoidable —
-// an ordering must see every matching row — but the memory bound is
-// not, which is the point of pushing LIMIT beneath the sort.
+// rows match), then emits in order. Once the heap is full its root key
+// is a proven bound — a row keying strictly after it can never be
+// emitted — and every change of it is published to bound, which the
+// scan beneath prunes pages and rows by (table.KeyBound): an ordered
+// LIMIT stops reading what cannot enter it.
 type topkCursor struct {
 	child Cursor
 	key   func(*table.Record) float64
-	desc  bool
 	limit int // -1 = keep everything
+	// bound is nil when nothing is pushed down (no LIMIT, a dist key).
+	bound *table.KeyBound
 	// hideID clears the ObjID of emitted rows: the statement did not
 	// project it, it was decoded for the tie-break alone, and an answer
 	// carries no column it was not asked for.
 	hideID bool
 
 	drained bool
-	items   []topkItem
+	items   []topkItem // LIMIT k: a heap, worst kept row at the root
 	pos     int
 	started bool
 	final   Report
 	err     error
 }
 
-func newTopKCursor(child Cursor, key func(*table.Record) float64, desc bool, limit int, hideID bool) *topkCursor {
-	return &topkCursor{child: child, key: key, desc: desc, limit: limit, hideID: hideID}
+func newTopKCursor(child Cursor, key func(*table.Record) float64, limit int, hideID bool, bound *table.KeyBound) *topkCursor {
+	return &topkCursor{child: child, key: key, limit: limit, hideID: hideID, bound: bound}
 }
 
 // worse reports whether a ranks after b in the output order.
 func (c *topkCursor) worse(a, b *topkItem) bool {
 	if a.key != b.key {
-		if c.desc {
-			return a.key < b.key
-		}
 		return a.key > b.key
 	}
 	if a.rec.ObjID != b.rec.ObjID {
@@ -348,18 +352,60 @@ func (c *topkCursor) worse(a, b *topkItem) bool {
 	return a.seq > b.seq
 }
 
-// topkHeap orders the kept set worst-first so the root is the
-// eviction candidate.
-type topkHeap struct {
-	c     *topkCursor
-	items []topkItem
+// siftUp and siftDown keep c.items a heap ordered worst-first, so the
+// root is the eviction candidate.
+func (c *topkCursor) siftUp(i int) {
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !c.worse(&c.items[i], &c.items[parent]) {
+			return
+		}
+		c.items[i], c.items[parent] = c.items[parent], c.items[i]
+		i = parent
+	}
 }
 
-func (h *topkHeap) Len() int           { return len(h.items) }
-func (h *topkHeap) Less(i, j int) bool { return h.c.worse(&h.items[i], &h.items[j]) }
-func (h *topkHeap) Swap(i, j int)      { h.items[i], h.items[j] = h.items[j], h.items[i] }
-func (h *topkHeap) Push(x any)         { h.items = append(h.items, x.(topkItem)) }
-func (h *topkHeap) Pop() any           { n := len(h.items); x := h.items[n-1]; h.items = h.items[:n-1]; return x }
+func (c *topkCursor) siftDown(i int) {
+	for {
+		worst := i
+		for child := 2*i + 1; child <= 2*i+2 && child < len(c.items); child++ {
+			if c.worse(&c.items[child], &c.items[worst]) {
+				worst = child
+			}
+		}
+		if worst == i {
+			return
+		}
+		c.items[i], c.items[worst] = c.items[worst], c.items[i]
+		i = worst
+	}
+}
+
+// offer ranks one row against the kept k: a row keying strictly after
+// the full heap's root is dropped before its record is copied.
+func (c *topkCursor) offer(rec *table.Record, seq int64) {
+	key := c.key(rec)
+	if len(c.items) < c.limit {
+		c.items = append(c.items, topkItem{key: key, seq: seq, rec: *rec})
+		c.siftUp(len(c.items) - 1)
+		if len(c.items) < c.limit {
+			return
+		}
+	} else {
+		if key > c.items[0].key {
+			return
+		}
+		it := topkItem{key: key, seq: seq, rec: *rec}
+		if !c.worse(&c.items[0], &it) {
+			return
+		}
+		c.items[0] = it
+		c.siftDown(0)
+	}
+	if c.bound != nil {
+		c.bound.Tighten(c.items[0].key)
+	}
+}
 
 func (c *topkCursor) drain() {
 	c.drained = true
@@ -369,34 +415,27 @@ func (c *topkCursor) drain() {
 		c.child.Close()
 		c.final = c.child.Stats()
 	}()
-	var seq int64
-	if c.limit < 0 {
-		for c.child.Next() {
-			rec := c.child.Record()
+	for seq := int64(0); c.child.Next(); seq++ {
+		if rec := c.child.Record(); c.limit < 0 {
 			c.items = append(c.items, topkItem{key: c.key(rec), seq: seq, rec: *rec})
-			seq++
+		} else {
+			c.offer(rec, seq)
 		}
-	} else {
-		h := &topkHeap{c: c}
-		for c.child.Next() {
-			rec := c.child.Record()
-			it := topkItem{key: c.key(rec), seq: seq, rec: *rec}
-			seq++
-			if len(h.items) < c.limit {
-				heap.Push(h, it)
-			} else if c.worse(&h.items[0], &it) {
-				h.items[0] = it
-				heap.Fix(h, 0)
-			}
-		}
-		c.items = h.items
 	}
 	if err := c.child.Err(); err != nil {
 		c.err = err
 		c.items = nil
 		return
 	}
-	sort.Slice(c.items, func(i, j int) bool { return c.worse(&c.items[j], &c.items[i]) })
+	slices.SortFunc(c.items, func(a, b topkItem) int {
+		if c.worse(&b, &a) {
+			return -1
+		}
+		if c.worse(&a, &b) {
+			return 1
+		}
+		return 0
+	})
 	if c.hideID {
 		for i := range c.items {
 			c.items[i].rec.ObjID = 0
@@ -491,6 +530,7 @@ func (db *SpatialDB) fullCatalogCursor(ctx context.Context, opts cursorOpts) (Cu
 		Ctx:       ctx,
 		Cols:      opts.cols,
 		StopAfter: opts.stopAfter,
+		Bound:     opts.bound,
 	})
 	var cur Cursor = &polyCursor{
 		stream: stream,

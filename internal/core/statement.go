@@ -22,8 +22,15 @@ import (
 //     walk"): the stream runs serially and the scan stops at the page
 //     holding the n-th matching row. Pages read are bounded by the
 //     limit, not the selection.
-//   - ORDER BY must see every matching row, so no scan bound exists;
-//     LIMIT instead bounds the sort's memory to a k-row heap.
+//   - ORDER BY <linear expr> LIMIT k bounds the scan by the k-th key:
+//     once the k-row heap is full its root key is one more half-space
+//     of the predicate, tightened as the scan runs — pages whose zone
+//     cannot beat it are skipped unread, rows that cannot are dropped
+//     from the strips undecoded (table.KeyBound; DESIGN.md
+//     "Pushdown rules"). Only strictly worse keys are dropped, so the
+//     answer is the unbounded scan's. With no LIMIT, a LIMIT above the
+//     matches or a dist key nothing is published and the sort sees
+//     every matching row; LIMIT still bounds its memory to the heap.
 //   - ORDER BY dist(p) LIMIT k with no WHERE is exactly kNN: it is
 //     served by the §3.3 region-growing searcher (planner-priced
 //     against brute force) instead of a catalog-wide sort.
@@ -135,8 +142,10 @@ func (db *SpatialDB) execStatementUncached(ctx context.Context, stmt colorsql.St
 	}
 
 	opts := cursorOpts{cols: db.statementCols(stmt), stopAfter: -1}
-	if stmt.Order == nil && stmt.Limit > 0 {
+	if o := stmt.Order; stmt.Limit > 0 && o == nil {
 		opts.stopAfter = int64(stmt.Limit)
+	} else if stmt.Limit > 0 && o.Dist == nil {
+		opts.bound = table.NewKeyBound(o.Coeffs, o.K, o.Desc)
 	}
 
 	var cur Cursor
@@ -152,7 +161,7 @@ func (db *SpatialDB) execStatementUncached(ctx context.Context, stmt colorsql.St
 
 	if stmt.Order != nil {
 		hideID := ColumnSet(stmt.OutputColumns())&table.ColObjID == 0
-		cur = newTopKCursor(cur, orderKey(stmt.Order), stmt.Order.Desc, stmt.Limit, hideID)
+		cur = newTopKCursor(cur, orderKey(stmt.Order), stmt.Limit, hideID, opts.bound)
 	} else if stmt.Limit > 0 {
 		cur = &limitCursor{child: cur, n: int64(stmt.Limit)}
 	}
@@ -199,12 +208,16 @@ func (db *SpatialDB) validatePlan(stmt colorsql.Statement, plan Plan) error {
 	return nil
 }
 
-// orderKey compiles the ORDER BY expression into a per-record key.
+// orderKey compiles the ORDER BY expression into a per-record key that
+// ranks ascending: a DESC key is negated.
 func orderKey(o *colorsql.OrderBy) func(*table.Record) float64 {
 	return func(r *table.Record) float64 {
 		var m [table.Dim]float64
 		for i, v := range r.Mags {
 			m[i] = float64(v)
+		}
+		if o.Desc {
+			return -o.Key(m[:])
 		}
 		return o.Key(m[:])
 	}

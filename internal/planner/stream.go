@@ -58,6 +58,10 @@ type StreamOpts struct {
 	// emit every row, and the rest run the vectorized strip filter.
 	// Required when any task filters.
 	Pred *table.PagePred
+	// Bound, when non-nil, is the k-th-key bound of an ordered LIMIT,
+	// applied to every task, filtered or not: whoever ranks the rows
+	// tightens it while the stream runs (table.KeyBound).
+	Bound *table.KeyBound
 }
 
 // batchRows is the parallel mode's handoff granularity; small enough
@@ -77,6 +81,7 @@ func (e *Executor) Stream(tb *table.Table, tasks []ScanTask, opts StreamOpts) *R
 		cols:      opts.Cols,
 		remaining: opts.StopAfter,
 		pred:      opts.Pred,
+		bound:     opts.Bound,
 	}
 	if opts.Pred == nil {
 		for _, t := range tasks {
@@ -130,8 +135,9 @@ type RowStream struct {
 	cols  table.ColumnSet
 	// pred filters the Filter tasks; zc accumulates every task's
 	// iterator counters, filtered or not.
-	pred *table.PagePred
-	zc   table.ScanCounters
+	pred  *table.PagePred
+	bound *table.KeyBound
+	zc    table.ScanCounters
 
 	rec    *table.Record
 	closed bool
@@ -162,9 +168,10 @@ type RowStream struct {
 // stream is drained or closed.
 func (s *RowStream) RowsExamined() int64 { return s.zc.Examined.Load() }
 
-// ZoneStats returns the scan's page counters: pages of filter ranges
-// skipped on their zone without a read, pages fetched (every range
-// kind), and magnitude strips decoded by the filter loop.
+// ZoneStats returns the scan's page counters: pages skipped on their
+// zone without a read (filter ranges by the predicate, any range by a
+// published key bound), pages fetched (every range kind), and
+// magnitude strips decoded by the filter loop.
 func (s *RowStream) ZoneStats() (pagesSkipped, pagesScanned, stripsDecoded int64) {
 	return s.zc.PagesSkipped.Load(), s.zc.PagesScanned.Load(), s.zc.StripsDecoded.Load()
 }
@@ -232,7 +239,7 @@ func (s *RowStream) open(ctx context.Context, t ScanTask) *table.Iter {
 	if t.Filter {
 		pred = s.pred
 	}
-	return s.tb.IterRangePred(ctx, t.Lo, t.Hi, s.cols, pred, &s.zc)
+	return s.tb.IterRangePred(ctx, t.Lo, t.Hi, s.cols, pred, s.bound, &s.zc)
 }
 
 func (s *RowStream) nextSerial() bool {

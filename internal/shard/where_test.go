@@ -54,7 +54,11 @@ type statementRunner interface {
 // disjunct never shrinks an answer; and a LIMIT under a union is pushed
 // into the scan (pages read bounded by where the n-th match sits) and,
 // on the cluster, into the visits (one sub-request when the first
-// target can fill it).
+// target can fill it). An ordered LIMIT pushes its k-th key into the
+// same walk: its answer is the head of the reference sorted on (key,
+// ObjID, arrival), byte for byte, on a serial store, a 4-worker one, one
+// with no tree and through the coordinator, wherever the LIMIT cuts a
+// tie group.
 func TestWhereOneWalk(t *testing.T) {
 	recs, err := sky.Generate(sky.DefaultParams(2400, 31))
 	if err != nil {
@@ -67,18 +71,35 @@ func TestWhereOneWalk(t *testing.T) {
 	for d := range far.Mags {
 		far.Mags[d] = 40 - far.Mags[d]
 	}
-	recs = append(recs, near, far)
+	// A tie group for the ordered arms: 320 rows share r = 17 exactly,
+	// one of them twice under one ObjID (the copies differ in u alone).
+	for i := 100; i < 420; i++ {
+		recs[i].Mags[2] = 17
+	}
+	twin := recs[100]
+	twin.Mags[0] += 0.5
+	recs = append(recs, near, far, twin)
 
 	root := t.TempDir()
-	single, err := core.Open(core.Config{Dir: filepath.Join(root, "single")})
-	if err != nil {
-		t.Fatal(err)
+	open := func(name string, workers int) *core.SpatialDB {
+		db, err := core.Open(core.Config{Dir: filepath.Join(root, name), Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { db.Close() })
+		return db
 	}
-	t.Cleanup(func() { single.Close() })
+	// single carries every index and scans in parallel; serial is the
+	// one-worker store and bare the one with no tree at all.
+	single, serial, bare := open("single", 4), open("serial", 1), open("bare", 4)
+	locals := []*core.SpatialDB{single, serial, bare}
 	for _, build := range []func() error{
 		func() error { return single.IngestRecords(recs) },
 		func() error { return single.BuildKdIndex(0) },
 		func() error { return single.BuildVoronoiIndex(0, 31) },
+		func() error { return serial.IngestRecords(recs) },
+		func() error { return serial.BuildKdIndex(0) },
+		func() error { return bare.IngestRecords(recs) },
 	} {
 		if err := build(); err != nil {
 			t.Fatal(err)
@@ -121,14 +142,16 @@ func TestWhereOneWalk(t *testing.T) {
 			third.Redshift, third.HasZ = 0, false // the insert wire carries only measured redshifts
 			fresh = append(fresh, third)
 			all = append(all, fresh...)
-			if _, err := single.Insert(fresh); err != nil {
-				return err
+			for _, db := range locals {
+				if _, err := db.Insert(fresh); err != nil {
+					return err
+				}
 			}
 			_, err := cl.coord.Insert(fresh)
 			return err
 		}},
 		{"tail", func() error {
-			for _, db := range append([]*core.SpatialDB{single}, cl.dbs...) {
+			for _, db := range append(slices.Clone(locals), cl.dbs...) {
 				if err := db.Compact(); err != nil {
 					return err
 				}
@@ -269,15 +292,24 @@ func TestWhereOneWalk(t *testing.T) {
 
 		// One total order: key ties break on ObjID on both topologies,
 		// so an ordered answer is the same bytes under every plan and
-		// through the coordinator, whatever order the rows were met in
-		// and wherever the LIMIT cuts a tie group. (The inserted rows sit
-		// on a 0.1 mag grid and tie in pairs.)
+		// through the coordinator, whatever order the rows were met in,
+		// however many the k-th key let the scan skip, and wherever the
+		// LIMIT cuts a tie group. (The r = 17 group is 321 rows, so LIMIT
+		// 150 cuts inside it with more than k ties left over; the inserted
+		// rows sit on a 0.1 mag grid and tie in pairs.)
 		for _, src := range []string{
-			"SELECT objid, r WHERE u > 12 OR g > 12 ORDER BY r LIMIT 150",
-			"SELECT r WHERE u > 12 ORDER BY r DESC LIMIT 150",
+			"SELECT objid, r WHERE u > 12 OR g > 12 ORDER BY r",
+			"SELECT r WHERE u > 12 ORDER BY r DESC",
+			"SELECT objid, g, r WHERE g - r > 0.3 AND r < 21 ORDER BY g - r DESC",
+			"SELECT objid, r WHERE r >= 17 ORDER BY r",
+			"SELECT objid, r WHERE r <= 17 ORDER BY r DESC",
+			"SELECT objid, u ORDER BY 2*u - g",
 		} {
 			stmt := mustParse(t, src)
-			ranked := slices.DeleteFunc(slices.Clone(all), func(r table.Record) bool { return !stmt.Where.Contains(r.Point()) })
+			ranked := slices.Clone(all)
+			if stmt.HasWhere {
+				ranked = slices.DeleteFunc(ranked, func(r table.Record) bool { return !stmt.Where.Contains(r.Point()) })
+			}
 			slices.SortStableFunc(ranked, func(a, b table.Record) int {
 				ka, kb := stmt.Order.Key(a.Point()), stmt.Order.Key(b.Point())
 				if stmt.Order.Desc {
@@ -285,17 +317,28 @@ func TestWhereOneWalk(t *testing.T) {
 				}
 				return cmp.Or(cmp.Compare(ka, kb), cmp.Compare(a.ObjID, b.ObjID))
 			})
-			var want []string
-			for i := range ranked[:stmt.Limit] {
-				want = append(want, string(core.AppendRowJSON(nil, stmt.OutputColumns(), &ranked[i])))
+			if len(ranked) <= 150 {
+				t.Fatalf("%s: %s matches %d rows, the LIMITs want more", st.name, src, len(ranked))
 			}
-			for _, plan := range plans {
-				if got, _ := run(single, stmt, plan); !slices.Equal(got, want) {
-					t.Fatalf("%s: %s, plan %v: not the reference's order", st.name, src, plan)
+			for _, limit := range []int{1, 150, len(ranked) + 5} {
+				stmt.Limit = limit
+				var want []string
+				for i := range ranked[:min(limit, len(ranked))] {
+					want = append(want, string(core.AppendRowJSON(nil, stmt.OutputColumns(), &ranked[i])))
 				}
-			}
-			if got, _ := run(cl.coord, stmt, core.PlanAuto); !slices.Equal(got, want) {
-				t.Fatalf("%s: %s, coordinator: not the single store's bytes", st.name, src)
+				label := fmt.Sprintf("%s: %s LIMIT %d", st.name, src, limit)
+				for i, db := range locals {
+					// Voronoi cells exist on single alone, and bare has no
+					// index scan to force.
+					for _, plan := range plans[:len(plans)-i] {
+						if got, _ := run(db, stmt, plan); !slices.Equal(got, want) {
+							t.Fatalf("%s, store %d, plan %v: not the reference's order", label, i, plan)
+						}
+					}
+				}
+				if got, _ := run(cl.coord, stmt, core.PlanAuto); !slices.Equal(got, want) {
+					t.Fatalf("%s, coordinator: not the single store's bytes", label)
+				}
 			}
 		}
 	}

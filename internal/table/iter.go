@@ -23,6 +23,10 @@ import (
 // consumes. The emitted row set is exactly the predicate's — pruning
 // trades I/O, never answers.
 //
+// With a KeyBound attached, the k-th key of an ordered LIMIT is one
+// more half-space once published: read afresh at every page boundary,
+// it joins the zone skip and the match mask on every range kind.
+//
 // An Iter is single-goroutine; Close releases the pinned page and is
 // required unless Next has already returned false (exhaustion
 // releases it too, and Close stays safe to call either way).
@@ -33,6 +37,7 @@ type Iter struct {
 
 	pred     *PagePred
 	sky      *SkyBoxPred
+	keyBound *KeyBound
 	counters *ScanCounters
 	scratch  *stripScratch
 
@@ -51,7 +56,7 @@ type Iter struct {
 // decoding only cols into the caller's record. A nil ctx means no
 // cancellation. hi is clamped to the row count, mirroring ScanRange.
 func (t *Table) IterRange(ctx context.Context, lo, hi RowID, cols ColumnSet) *Iter {
-	return t.IterRangePred(ctx, lo, hi, cols, nil, nil)
+	return t.IterRangePred(ctx, lo, hi, cols, nil, nil, nil)
 }
 
 // IterRangePred is IterRange with a compiled page predicate: only
@@ -60,8 +65,10 @@ func (t *Table) IterRange(ctx context.Context, lo, hi RowID, cols ColumnSet) *It
 // counters (which may be shared across iterators and goroutines; nil
 // means don't count). A nil pred emits every row like IterRange and
 // still counts the pages it fetches and the rows on them — how the
-// executor accounts its unfiltered Inside ranges.
-func (t *Table) IterRangePred(ctx context.Context, lo, hi RowID, cols ColumnSet, pred *PagePred, counters *ScanCounters) *Iter {
+// executor accounts its unfiltered Inside ranges. A non-nil bound
+// additionally drops, once published, the pages and rows whose ordering
+// key ranks strictly after it (KeyBound).
+func (t *Table) IterRangePred(ctx context.Context, lo, hi RowID, cols ColumnSet, pred *PagePred, bound *KeyBound, counters *ScanCounters) *Iter {
 	rows := t.numRows()
 	if hi > RowID(rows) {
 		hi = RowID(rows)
@@ -69,7 +76,7 @@ func (t *Table) IterRangePred(ctx context.Context, lo, hi RowID, cols ColumnSet,
 	if lo > hi {
 		lo = hi
 	}
-	it := &Iter{t: t, ctx: ctx, cols: cols, bound: rows, row: lo, hi: hi, pred: pred, counters: counters}
+	it := &Iter{t: t, ctx: ctx, cols: cols, bound: rows, row: lo, hi: hi, pred: pred, keyBound: bound, counters: counters}
 	if pred != nil {
 		it.scratch = &stripScratch{}
 	}
@@ -140,16 +147,27 @@ func (it *Iter) loadPage() bool {
 		pageEnd = it.hi
 	}
 
+	var tau float64
+	bounded := false
+	if it.keyBound != nil {
+		tau, bounded = it.keyBound.load()
+	}
+
 	// Zone classification: one verdict drives both the skip and the
 	// inside-page fast path. Partial is the conservative default for
-	// tables without zone maps.
+	// tables without zone maps. A published key bound skips the pages
+	// whose zone holds no key that could still enter the top k.
 	rel := vec.Partial
-	if it.pred != nil || it.sky != nil {
+	if it.pred != nil || it.sky != nil || bounded {
 		if z, ok := it.t.zoneOf(int(pg)); ok {
-			if it.pred != nil {
+			switch {
+			case it.pred != nil:
 				rel = it.pred.Classify(&z)
-			} else {
+			case it.sky != nil:
 				rel = it.sky.Classify(&z)
+			}
+			if bounded && it.keyBound.excludes(&z, tau) {
+				rel = vec.Outside
 			}
 		}
 		if rel == vec.Outside {
@@ -176,23 +194,29 @@ func (it *Iter) loadPage() bool {
 		it.counters.PagesScanned.Add(1)
 		it.counters.Examined.Add(int64(pageEnd - it.row))
 	}
+	strips := 0
+	var loaded [Dim]bool
 	if rel != vec.Inside {
 		switch {
 		case it.pred != nil:
 			// Partial overlap (or no zone to consult): vectorized strip
 			// filter over the page's rows.
-			strips := it.pred.evalStrips(p.Data, n, it.scratch, it.match[:n])
-			if it.counters != nil {
-				it.counters.StripsDecoded.Add(int64(strips))
-			}
+			strips = it.pred.evalStrips(p.Data, n, &loaded, it.scratch, it.match[:n])
 			it.filtered = true
 		case it.sky != nil:
-			strips := it.sky.evalSky(p.Data, n, it.match[:n])
-			if it.counters != nil {
-				it.counters.StripsDecoded.Add(int64(strips))
-			}
+			strips = it.sky.evalSky(p.Data, n, it.match[:n])
 			it.filtered = true
 		}
+	}
+	if bounded {
+		if it.scratch == nil {
+			it.scratch = &stripScratch{}
+		}
+		strips += it.keyBound.evalStrips(p.Data, &loaded, it.scratch, it.match[:n], tau, it.filtered)
+		it.filtered = true
+	}
+	if it.counters != nil && strips > 0 {
+		it.counters.StripsDecoded.Add(int64(strips))
 	}
 	return true
 }

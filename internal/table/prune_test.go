@@ -1,6 +1,7 @@
 package table
 
 import (
+	"cmp"
 	"context"
 	"math"
 	"math/rand"
@@ -51,7 +52,7 @@ func prunedVsUnpruned(t *testing.T, tb *Table, clauses []vec.Polyhedron) (ref, p
 		}
 		return true
 	}
-	ref = drain(tb.IterRangePred(context.Background(), 0, RowID(tb.NumRows()), ColObjID|ColMags, nil, &plain), func() bool {
+	ref = drain(tb.IterRangePred(context.Background(), 0, RowID(tb.NumRows()), ColObjID|ColMags, nil, nil, &plain), func() bool {
 		return slices.ContainsFunc(clauses, inClause)
 	})
 	pages, rows := int64(tb.NumPages()), int64(tb.NumRows())
@@ -64,8 +65,8 @@ func prunedVsUnpruned(t *testing.T, tb *Table, clauses []vec.Polyhedron) (ref, p
 	if err != nil {
 		t.Fatal(err)
 	}
-	pruned = drain(tb.IterRangePred(context.Background(), 0, RowID(tb.NumRows()), ColObjID, pred, &sc), all)
-	full := drain(tb.WithoutZones().IterRangePred(context.Background(), 0, RowID(tb.NumRows()), ColObjID, pred, &blind), all)
+	pruned = drain(tb.IterRangePred(context.Background(), 0, RowID(tb.NumRows()), ColObjID, pred, nil, &sc), all)
+	full := drain(tb.WithoutZones().IterRangePred(context.Background(), 0, RowID(tb.NumRows()), ColObjID, pred, nil, &blind), all)
 	if len(full) != len(pruned) {
 		t.Fatalf("zone-blind scan returned %d rows, pruned scan %d (clauses %v)", len(full), len(pruned), clauses)
 	}
@@ -80,11 +81,74 @@ func prunedVsUnpruned(t *testing.T, tb *Table, clauses []vec.Polyhedron) (ref, p
 	return ref, pruned, sc.PagesSkipped.Load(), sc.PagesScanned.Load()
 }
 
+// ranked is one row of a top-k: its ordering key, and the ObjID and
+// arrival sequence that break key ties, in that order.
+type ranked struct {
+	key     float64
+	id, seq int64
+}
+
+func (a ranked) compare(b ranked, desc bool) int {
+	ka, kb := a.key, b.key
+	if desc {
+		ka, kb = kb, ka
+	}
+	return cmp.Or(cmp.Compare(ka, kb), cmp.Compare(a.id, b.id), cmp.Compare(a.seq, b.seq))
+}
+
+// boundedTopK scans the whole table under pred (nil: unfiltered) with a
+// KeyBound pushed down and plays the consumer: it keeps the best k rows
+// met, publishing the k-th key whenever it changes. Returns the kept
+// ObjIDs in rank order and the scan's counters.
+func boundedTopK(t *testing.T, tb *Table, pred *PagePred, coeffs []float64, kConst float64, desc bool, k int, sc *ScanCounters) []int64 {
+	t.Helper()
+	bound := NewKeyBound(coeffs, kConst, desc)
+	it := tb.IterRangePred(context.Background(), 0, RowID(tb.NumRows()), ColObjID|ColMags, pred, bound, sc)
+	defer it.Close()
+	var kept []ranked
+	var rec Record
+	for seq := int64(0); it.Next(&rec); seq++ {
+		kept = append(kept, ranked{orderingKey(coeffs, kConst, &rec), rec.ObjID, seq})
+		slices.SortFunc(kept, func(a, b ranked) int { return a.compare(b, desc) })
+		if len(kept) > k {
+			kept = kept[:k]
+		}
+		if len(kept) == k {
+			kth := kept[k-1].key
+			if desc {
+				kth = -kth // the bound ranks ascending
+			}
+			bound.Tighten(kth)
+		}
+	}
+	if err := it.Err(); err != nil {
+		t.Fatal(err)
+	}
+	ids := make([]int64, len(kept))
+	for i, r := range kept {
+		ids[i] = r.id
+	}
+	return ids
+}
+
+// orderingKey is colorsql.OrderBy.Key's arithmetic: start at K, add
+// c·m by ascending axis.
+func orderingKey(coeffs []float64, k float64, rec *Record) float64 {
+	s := k
+	for i, c := range coeffs {
+		s += c * float64(rec.Mags[i])
+	}
+	return s
+}
+
 // FuzzZonePrunedScan is the pruning-equivalence fuzz: for arbitrary
 // finite linear inequalities, alone or OR-ed with a second clause, the
 // zone-map-pruned scan must return exactly the rows the per-row
 // evaluation keeps, each once, in the same order, and its page counters
-// must add up.
+// must add up. With k > 0 the same WHERE also runs as a top-k under the
+// ordering o0·m[axis] + o1·m[axis+1] + b, its k-th key pushed into the
+// scan: the kept rows must be the first k of the reference sorted on
+// (key, ObjID), with the filter and without it.
 func FuzzZonePrunedScan(f *testing.F) {
 	s, err := pagestore.Open(f.TempDir(), 256)
 	if err != nil {
@@ -99,18 +163,22 @@ func FuzzZonePrunedScan(f *testing.F) {
 	const rows = 5*RecordsPerPage + 17 // several full pages plus a tail
 	recs := make([]Record, rows)
 	for i := range recs {
-		recs[i] = randomRecord(rng, int64(i))
+		// Descending ObjIDs: under a key tie the later row ranks first.
+		recs[i] = randomRecord(rng, int64(rows-1-i))
 	}
 	if err := tb.AppendAll(recs); err != nil {
 		f.Fatal(err)
 	}
 
-	f.Add(1.0, -1.0, 0.0, 0.0, 0.0, -0.2, uint8(2), 18.0, 0.0)  // g - r > 0.2 AND r < 18 (negated form)
-	f.Add(1.0, -1.0, 0.0, 0.0, 0.0, -0.2, uint8(2), 18.0, 23.5) // ... OR i > 23.5, overlapping it
-	f.Add(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, uint8(0), 50.0, 0.0)    // degenerate plane keeps everything
-	f.Add(0.5, 0.5, 0.5, 0.5, 0.5, 1.0, uint8(4), 14.0, 14.5)   // an empty clause OR a thin one
-	f.Fuzz(func(t *testing.T, a0, a1, a2, a3, a4, b float64, axis uint8, cut, orAbove float64) {
-		for _, v := range []float64{a0, a1, a2, a3, a4, b, cut, orAbove} {
+	f.Add(1.0, -1.0, 0.0, 0.0, 0.0, -0.2, uint8(2), 18.0, 0.0, 0.0, 0.0, uint8(0), false)   // g - r > 0.2 AND r < 18 (negated form)
+	f.Add(1.0, -1.0, 0.0, 0.0, 0.0, -0.2, uint8(2), 18.0, 23.5, 0.0, 0.0, uint8(0), false)  // ... OR i > 23.5, overlapping it
+	f.Add(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, uint8(0), 50.0, 0.0, 0.0, 0.0, uint8(0), false)     // degenerate plane keeps everything
+	f.Add(0.5, 0.5, 0.5, 0.5, 0.5, 1.0, uint8(4), 14.0, 14.5, 0.0, 0.0, uint8(0), false)    // an empty clause OR a thin one
+	f.Add(1.0, -1.0, 0.0, 0.0, 0.0, -0.2, uint8(2), 21.0, 0.0, 1.0, 0.0, uint8(20), false)  // ... ORDER BY r LIMIT 20
+	f.Add(1.0, -1.0, 0.0, 0.0, 0.0, -0.2, uint8(1), 23.0, 23.5, 1.0, -1.0, uint8(50), true) // ... ORDER BY g - r DESC LIMIT 50
+	f.Add(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, uint8(0), 50.0, 0.0, 0.0, 0.0, uint8(7), false)     // every key ties: ObjID decides
+	f.Fuzz(func(t *testing.T, a0, a1, a2, a3, a4, b float64, axis uint8, cut, orAbove, o0, o1 float64, k uint8, desc bool) {
+		for _, v := range []float64{a0, a1, a2, a3, a4, b, cut, orAbove, o0, o1} {
 			if math.IsNaN(v) || math.IsInf(v, 0) || math.Abs(v) > 1e12 {
 				t.Skip("non-finite or overflow-prone coefficient")
 			}
@@ -136,8 +204,47 @@ func FuzzZonePrunedScan(f *testing.F) {
 				t.Fatalf("row %d: pruned ObjID %d != reference %d", i, pruned[i], ref[i])
 			}
 		}
-		if totalPages := int64(tb.NumPages()); skipped+scanned != totalPages {
+		totalPages := int64(tb.NumPages())
+		if skipped+scanned != totalPages {
 			t.Fatalf("skipped %d + scanned %d != %d pages", skipped, scanned, totalPages)
+		}
+		if k == 0 {
+			return
+		}
+
+		coeffs := make([]float64, Dim)
+		coeffs[int(axis)%Dim] += o0
+		coeffs[(int(axis)+1)%Dim] += o1
+		pred, err := CompilePagePred(clauses)
+		if err != nil {
+			t.Fatal(err)
+		}
+		matches := make(map[int64]bool, len(ref))
+		for _, id := range ref {
+			matches[id] = true
+		}
+		for _, pred := range []*PagePred{pred, nil} {
+			var want []ranked
+			for i := range recs {
+				if pred == nil || matches[recs[i].ObjID] {
+					want = append(want, ranked{orderingKey(coeffs, b, &recs[i]), recs[i].ObjID, int64(i)})
+				}
+			}
+			slices.SortFunc(want, func(x, y ranked) int { return x.compare(y, desc) })
+			want = want[:min(int(k), len(want))]
+			var sc ScanCounters
+			got := boundedTopK(t, tb, pred, coeffs, b, desc, int(k), &sc)
+			if len(got) != len(want) {
+				t.Fatalf("top-%d (filtered %v) kept %d rows, reference %d", k, pred != nil, len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i].id {
+					t.Fatalf("top-%d (filtered %v) rank %d: ObjID %d, reference %d (key %v)", k, pred != nil, i, got[i], want[i].id, want[i].key)
+				}
+			}
+			if sk, scn := sc.PagesSkipped.Load(), sc.PagesScanned.Load(); sk+scn != totalPages {
+				t.Fatalf("top-%d (filtered %v): skipped %d + scanned %d != %d pages", k, pred != nil, sk, scn, totalPages)
+			}
 		}
 	})
 }
@@ -182,7 +289,7 @@ func BenchmarkZoneMapScan(b *testing.B) {
 		var sc ScanCounters
 		n := 0
 		for i := 0; i < b.N; i++ {
-			it := tb.IterRangePred(context.Background(), 0, rows, ColObjID, pred, &sc)
+			it := tb.IterRangePred(context.Background(), 0, rows, ColObjID, pred, nil, &sc)
 			n = 0
 			for it.Next(&rec) {
 				n++

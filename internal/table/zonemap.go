@@ -199,21 +199,21 @@ func (p *PagePred) Classify(z *PageZone) vec.Relation {
 // together, so a row is tested against the disjunction once however
 // many clauses it satisfies; the first clause writes match directly, so
 // a convex predicate pays for no second mask. A strip is decoded once
-// for all clauses. Returns the number of strips decoded. match and the
-// scratch must hold n entries.
-func (p *PagePred) evalStrips(data []byte, n int, sc *stripScratch, match []bool) int {
+// for all clauses (and for a KeyBound evaluated after them: loaded
+// marks the strips already in the scratch). Returns the number of
+// strips decoded. match and the scratch must hold n entries.
+func (p *PagePred) evalStrips(data []byte, n int, loaded *[Dim]bool, sc *stripScratch, match []bool) int {
 	if len(p.clauses) == 0 {
 		clear(match)
 	}
-	var loaded [Dim]bool
 	decoded := 0
 	for c, q := range p.clauses {
 		if c == 0 {
-			decoded += evalClause(q.Planes, data, &loaded, sc, match)
+			decoded += evalClause(q.Planes, data, loaded, sc, match)
 			continue
 		}
 		mask := sc.mask[:n]
-		decoded += evalClause(q.Planes, data, &loaded, sc, mask)
+		decoded += evalClause(q.Planes, data, loaded, sc, mask)
 		for j, m := range mask {
 			match[j] = match[j] || m
 		}
@@ -244,13 +244,8 @@ func evalClause(planes []vec.Halfspace, data []byte, loaded *[Dim]bool, sc *stri
 			if a == 0 {
 				continue
 			}
-			if !loaded[axis] {
-				decodeMagStrip(data, axis, sc.mags[axis][:n])
-				loaded[axis] = true
-				decoded++
-			}
-			strip := sc.mags[axis][:n]
-			for j, v := range strip {
+			decoded += sc.load(data, axis, n, loaded)
+			for j, v := range sc.mags[axis][:n] {
 				acc[j] += a * v
 			}
 		}
@@ -316,6 +311,17 @@ type stripScratch struct {
 	mask [RecordsPerPage]bool // one clause's matches, second clause on
 }
 
+// load decodes one axis' strip into the scratch unless loaded says it
+// is already there; it returns the number of strips decoded (0 or 1).
+func (sc *stripScratch) load(data []byte, axis, n int, loaded *[Dim]bool) int {
+	if loaded[axis] {
+		return 0
+	}
+	decodeMagStrip(data, axis, sc.mags[axis][:n])
+	loaded[axis] = true
+	return 1
+}
+
 // ScanCounters aggregates the page work of one streaming scan.
 // All fields are atomics: the parallel executor's workers share one
 // counter set across their per-task iterators.
@@ -324,7 +330,8 @@ type ScanCounters struct {
 	// requested ranges: partial pages test them all in the strip loop,
 	// inside pages emit them without a test.
 	Examined atomic.Int64
-	// PagesSkipped counts pages pruned by their zone without a read.
+	// PagesSkipped counts pages pruned by their zone without a read:
+	// Outside the predicate, or ruled out by a published KeyBound.
 	PagesSkipped atomic.Int64
 	// PagesScanned counts page fetches, filtered range or not.
 	PagesScanned atomic.Int64
