@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"net/url"
 	"path/filepath"
+	"regexp"
 	"sort"
 	"strings"
 	"testing"
@@ -156,9 +157,9 @@ func buildPersistedDB(t *testing.T, dir string, rows int) {
 // serveColdOpen cold-opens the persisted directory and mounts the
 // real vizhttp mux on an httptest server, exactly what `vizserver
 // -dir` serves.
-func serveColdOpen(t *testing.T, dir string) *httptest.Server {
+func serveColdOpen(t *testing.T, cfg core.Config) *httptest.Server {
 	t.Helper()
-	db, err := core.OpenExisting(core.Config{Dir: dir})
+	db, err := core.OpenExisting(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +194,7 @@ func httpGet(t *testing.T, url string) string {
 func TestServingNDJSONAgainstColdOpen(t *testing.T) {
 	dir := t.TempDir()
 	buildPersistedDB(t, dir, 20_000)
-	ts := serveColdOpen(t, dir)
+	ts := serveColdOpen(t, core.Config{Dir: dir})
 
 	var legacy struct {
 		RowsReturned int64 `json:"rowsReturned"`
@@ -235,15 +236,20 @@ func TestServingNDJSONAgainstColdOpen(t *testing.T) {
 // TestServingColdOpenDeterministic: two fresh cold opens of the same
 // persisted directory serve byte-identical query responses — the
 // serve-many half of the lifecycle, formerly asserted by diffing
-// spatialq output in CI shell.
+// spatialq output in CI shell. The query is an ordered LIMIT, whose scan
+// is pruned by the k-th key while it tightens: with one worker the whole
+// body, summary included, is reproducible; with several, how far each
+// had got when another tightened the bound is timing, so the page-work
+// counters may differ between runs — those alone, and never the number
+// of pages the scan accounted for.
 func TestServingColdOpenDeterministic(t *testing.T) {
 	dir := t.TempDir()
 	buildPersistedDB(t, dir, 20_000)
 
 	query := "/query?q=" + url.QueryEscape("SELECT objid, g, r WHERE g - r > 0.4 AND r < 19 ORDER BY r LIMIT 500")
 	knnBody := `{"points": [[19.5,18.9,18.2,17.9,17.7]], "k": 5}`
-	serve := func() (string, string) {
-		ts := serveColdOpen(t, dir)
+	serve := func(workers int) (string, string) {
+		ts := serveColdOpen(t, core.Config{Dir: dir, Workers: workers})
 		resp, err := http.Post(ts.URL+"/knn", "application/json", strings.NewReader(knnBody))
 		if err != nil {
 			t.Fatal(err)
@@ -258,25 +264,36 @@ func TestServingColdOpenDeterministic(t *testing.T) {
 		}
 		return httpGet(t, ts.URL+query), string(knnOut)
 	}
-	// An ordered LIMIT prunes its scan by the k-th key, which parallel
-	// workers read while it tightens: the page counters of the summary
-	// depend on timing, the rows never do.
-	rows := func(body string) string {
-		var resp struct {
-			Rows json.RawMessage `json:"rows"`
+	pageWork := regexp.MustCompile(`"(diskReads|pagesScanned|pagesSkipped|rowsExamined|stripsDecoded)":\d+`)
+	pagesCovered := func(body string) int64 {
+		var sum struct {
+			PagesScanned int64 `json:"pagesScanned"`
+			PagesSkipped int64 `json:"pagesSkipped"`
 		}
-		if err := json.Unmarshal([]byte(body), &resp); err != nil || len(resp.Rows) == 0 {
-			t.Fatalf("query response has no rows (%v): %.200s", err, body)
+		if err := json.Unmarshal([]byte(body), &sum); err != nil {
+			t.Fatalf("query response: %v: %.200s", err, body)
 		}
-		return string(resp.Rows)
+		return sum.PagesScanned + sum.PagesSkipped
 	}
-	q1, k1 := serve()
-	q2, k2 := serve()
-	if rows(q1) != rows(q2) {
-		t.Error("two cold opens served different query rows")
+
+	q1, k1 := serve(1)
+	q2, k2 := serve(1)
+	if q1 != q2 {
+		t.Error("two serial cold opens served different query responses")
 	}
 	if k1 != k2 {
 		t.Error("two cold opens served different knn responses")
+	}
+
+	p1, _ := serve(4)
+	p2, _ := serve(4)
+	if a, b := pageWork.ReplaceAllString(p1, `"$1":0`), pageWork.ReplaceAllString(p2, `"$1":0`); a != b {
+		t.Error("two parallel cold opens served responses differing beyond the page-work counters")
+	} else if a != pageWork.ReplaceAllString(q1, `"$1":0`) {
+		t.Error("parallel and serial cold opens served responses differing beyond the page-work counters")
+	}
+	if c1, c2, cs := pagesCovered(p1), pagesCovered(p2), pagesCovered(q1); c1 != c2 || c1 != cs {
+		t.Errorf("pagesScanned+pagesSkipped not reproducible: parallel %d and %d, serial %d", c1, c2, cs)
 	}
 }
 
@@ -287,7 +304,7 @@ func TestServingColdOpenDeterministic(t *testing.T) {
 func TestServingUnderLoadgenBurst(t *testing.T) {
 	dir := t.TempDir()
 	buildPersistedDB(t, dir, 20_000)
-	ts := serveColdOpen(t, dir)
+	ts := serveColdOpen(t, core.Config{Dir: dir})
 
 	mix, ok := loadgen.MixByName("t5")
 	if !ok {

@@ -337,10 +337,6 @@ type topkCursor struct {
 	err     error
 }
 
-func newTopKCursor(child Cursor, key func(*table.Record) float64, limit int, hideID bool, bound *table.KeyBound) *topkCursor {
-	return &topkCursor{child: child, key: key, limit: limit, hideID: hideID, bound: bound}
-}
-
 // worse reports whether a ranks after b in the output order.
 func (c *topkCursor) worse(a, b *topkItem) bool {
 	if a.key != b.key {

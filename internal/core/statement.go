@@ -161,7 +161,11 @@ func (db *SpatialDB) execStatementUncached(ctx context.Context, stmt colorsql.St
 
 	if stmt.Order != nil {
 		hideID := ColumnSet(stmt.OutputColumns())&table.ColObjID == 0
-		cur = newTopKCursor(cur, orderKey(stmt.Order), stmt.Limit, hideID, opts.bound)
+		key := orderKey(stmt.Order)
+		if b := opts.bound; b != nil {
+			key = func(r *table.Record) float64 { return b.Key(&r.Mags) }
+		}
+		cur = &topkCursor{child: cur, key: key, limit: stmt.Limit, hideID: hideID, bound: opts.bound}
 	} else if stmt.Limit > 0 {
 		cur = &limitCursor{child: cur, n: int64(stmt.Limit)}
 	}
@@ -209,7 +213,7 @@ func (db *SpatialDB) validatePlan(stmt colorsql.Statement, plan Plan) error {
 }
 
 // orderKey compiles the ORDER BY expression into a per-record key that
-// ranks ascending: a DESC key is negated.
+// ranks ascending: DESC negates it. A pushed-down bound ranks by its Key.
 func orderKey(o *colorsql.OrderBy) func(*table.Record) float64 {
 	return func(r *table.Record) float64 {
 		var m [table.Dim]float64

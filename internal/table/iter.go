@@ -23,10 +23,6 @@ import (
 // consumes. The emitted row set is exactly the predicate's — pruning
 // trades I/O, never answers.
 //
-// With a KeyBound attached, the k-th key of an ordered LIMIT is one
-// more half-space once published: read afresh at every page boundary,
-// it joins the zone skip and the match mask on every range kind.
-//
 // An Iter is single-goroutine; Close releases the pinned page and is
 // required unless Next has already returned false (exhaustion
 // releases it too, and Close stays safe to call either way).
@@ -147,11 +143,7 @@ func (it *Iter) loadPage() bool {
 		pageEnd = it.hi
 	}
 
-	var tau float64
-	bounded := false
-	if it.keyBound != nil {
-		tau, bounded = it.keyBound.load()
-	}
+	tau, bounded := it.keyBound.load()
 
 	// Zone classification: one verdict drives both the skip and the
 	// inside-page fast path. Partial is the conservative default for

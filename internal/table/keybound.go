@@ -13,14 +13,14 @@ import (
 // reads τ once per page: a page whose zone proves every key strictly
 // worse is skipped unread, and on a page it does read the test is ANDed
 // into the match mask from the strips, so a losing row is never
-// decoded. Rows tying τ pass — the consumer's (key, ObjID, arrival)
-// comparator decides those — so the answer is the unbounded scan's
-// (DESIGN.md "Pushdown rules" has the argument). τ is one atomic:
-// a parallel worker may read a stale value, a looser bound.
+// decoded. Rows tying τ pass to the consumer's (key, ObjID, arrival)
+// comparator, so the answer is the unbounded scan's (DESIGN.md
+// "Pushdown rules"). A parallel worker may read a stale τ: a looser bound.
 //
 // Keys rank ascending: under DESC the coefficients and K are negated,
-// which negates every key exactly (rounding is symmetric), and the
-// consumer publishes its τ negated likewise.
+// which negates every key exactly (rounding is symmetric). Key is the
+// one definition: the consumer ranks by it, τ is a value it returned,
+// and the zone and strip tests repeat its operations in its order.
 type KeyBound struct {
 	coeffs [Dim]float64
 	k      float64
@@ -42,12 +42,24 @@ func NewKeyBound(coeffs []float64, k float64, desc bool) *KeyBound {
 	return b
 }
 
-// Tighten publishes the consumer's current k-th key (negated under
-// DESC).
+// Key returns the row's ranking key: start at K, add c·m by ascending
+// axis — colorsql.OrderBy.Key's arithmetic, negated under DESC.
+func (b *KeyBound) Key(mags *[Dim]float32) float64 {
+	s := b.k
+	for i, c := range b.coeffs {
+		s += c * float64(mags[i])
+	}
+	return s
+}
+
+// Tighten publishes the consumer's current k-th Key.
 func (b *KeyBound) Tighten(key float64) { b.tau.Store(math.Float64bits(key)) }
 
 // load returns τ and whether one that can prune has been published.
 func (b *KeyBound) load() (tau float64, ok bool) {
+	if b == nil {
+		return 0, false
+	}
 	tau = math.Float64frombits(b.tau.Load())
 	return tau, tau < math.Inf(1)
 }
@@ -55,9 +67,8 @@ func (b *KeyBound) load() (tau float64, ok bool) {
 // excludes reports whether every row of the zone box keys strictly
 // after tau. The best key the box allows sits at the corner taking each
 // axis' minimum where the coefficient is positive and its maximum where
-// negative; it is accumulated as colorsql.OrderBy.Key accumulates a
-// row's (start at K, add c·m by ascending axis), and float multiply and
-// add are monotone, so no row of the box keys below it.
+// negative; it is accumulated as Key accumulates a row's, and float
+// multiply and add are monotone, so no row of the box keys below it.
 func (b *KeyBound) excludes(z *PageZone, tau float64) bool {
 	s := b.k
 	for i, c := range b.coeffs {
@@ -71,10 +82,10 @@ func (b *KeyBound) excludes(z *PageZone, tau float64) bool {
 }
 
 // evalStrips tests the page's rows against tau from their magnitude
-// strips, in OrderBy.Key's arithmetic (a zero coefficient adds a zero
-// there and is skipped here): match[j] stays (and) or becomes (!and)
-// true only where row j's key is not strictly after tau. Returns the
-// number of strips it decoded beyond those loaded marks.
+// strips, in Key's arithmetic (a zero coefficient adds a zero there and
+// is skipped here): match[j] stays (and) or becomes (!and) true only
+// where row j's key is not strictly after tau. Returns the number of
+// strips it decoded beyond those loaded marks.
 func (b *KeyBound) evalStrips(data []byte, loaded *[Dim]bool, sc *stripScratch, match []bool, tau float64, and bool) int {
 	n := len(match)
 	acc := sc.acc[:n]

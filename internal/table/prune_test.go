@@ -97,9 +97,11 @@ func (a ranked) compare(b ranked, desc bool) int {
 }
 
 // boundedTopK scans the whole table under pred (nil: unfiltered) with a
-// KeyBound pushed down and plays the consumer: it keeps the best k rows
-// met, publishing the k-th key whenever it changes. Returns the kept
-// ObjIDs in rank order and the scan's counters.
+// KeyBound pushed down and plays the consumer: it ranks by the bound's
+// own Key (ascending, whatever desc), keeps the best k rows met and
+// publishes the k-th key whenever it changes. Returns the kept ObjIDs
+// in rank order — the callers' reference ranks independently, by
+// orderingKey and desc.
 func boundedTopK(t *testing.T, tb *Table, pred *PagePred, coeffs []float64, kConst float64, desc bool, k int, sc *ScanCounters) []int64 {
 	t.Helper()
 	bound := NewKeyBound(coeffs, kConst, desc)
@@ -108,17 +110,13 @@ func boundedTopK(t *testing.T, tb *Table, pred *PagePred, coeffs []float64, kCon
 	var kept []ranked
 	var rec Record
 	for seq := int64(0); it.Next(&rec); seq++ {
-		kept = append(kept, ranked{orderingKey(coeffs, kConst, &rec), rec.ObjID, seq})
-		slices.SortFunc(kept, func(a, b ranked) int { return a.compare(b, desc) })
+		kept = append(kept, ranked{bound.Key(&rec.Mags), rec.ObjID, seq})
+		slices.SortFunc(kept, func(a, b ranked) int { return a.compare(b, false) })
 		if len(kept) > k {
 			kept = kept[:k]
 		}
 		if len(kept) == k {
-			kth := kept[k-1].key
-			if desc {
-				kth = -kth // the bound ranks ascending
-			}
-			bound.Tighten(kth)
+			bound.Tighten(kept[k-1].key)
 		}
 	}
 	if err := it.Err(); err != nil {
