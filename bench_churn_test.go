@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/sky"
+	"repro/internal/table"
 	"repro/internal/vec"
 )
 
@@ -110,6 +111,52 @@ func BenchmarkEvictionChurn(b *testing.B) {
 			d := db.Engine().Store().Stats().Sub(before)
 			b.ReportMetric(float64(d.DiskReads)/float64(b.N), "diskreads/op")
 			b.ReportMetric(float64(d.Evictions)/float64(b.N), "evictions/op")
+		})
+	}
+}
+
+// BenchmarkKnnMemtable is a k = 10 probe on an ingesting store: a
+// 20 000-row indexed catalog with 1 000 / 4 000 / 16 000 acknowledged
+// rows waiting in the memtable. The probe's paged half is the same at
+// every size, so the growth in ns/op and B/op from one size to the next
+// is what folding the memtable into the answer costs.
+func BenchmarkKnnMemtable(b *testing.B) {
+	db, err := core.Open(core.Config{Dir: b.TempDir(), Workers: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer db.Close()
+	if err := db.IngestSynthetic(sky.DefaultParams(20_000, 42)); err != nil {
+		b.Fatal(err)
+	}
+	if err := db.BuildKdIndex(0); err != nil {
+		b.Fatal(err)
+	}
+	fresh, err := sky.Generate(sky.DefaultParams(16_000, 43))
+	if err != nil {
+		b.Fatal(err)
+	}
+	probes := make([]vec.Point, 64)
+	for i := range probes {
+		probes[i] = fresh[i*97].Point()
+	}
+	for i := range fresh {
+		fresh[i] = table.Record{ObjID: 900_000_000 + int64(i), Mags: fresh[i].Mags, Ra: fresh[i].Ra, Dec: fresh[i].Dec}
+	}
+	for _, n := range []int{1000, 4000, 16000} {
+		b.Run(fmt.Sprint(n), func(b *testing.B) {
+			for have := db.MemRows(); have < n; have = db.MemRows() {
+				if _, err := db.Insert(fresh[have:min(have+1000, n)]); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := db.NearestNeighbors(probes[i%len(probes)], 10); err != nil {
+					b.Fatal(err)
+				}
+			}
 		})
 	}
 }

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/engine"
@@ -24,13 +26,22 @@ import (
 // flips every table's row bound and trims the memtable atomically, so
 // a concurrently opened cursor snapshot sees the rows either all in
 // the memtable or all in the tables, never both and never neither.
+//
 // The indexes are maintained incrementally: appended rows land past
-// each index's covered prefix as a query-time-merged tail (kd range
-// collection, kNN tail scan, photo-z tail merge) rather than forcing
-// a rebuild; the grid samples from its indexed prefix until the next
-// full compaction (documented bounded staleness). Zone maps widen as
-// the appenders run, before publication, so a pruned scan can never
-// skip a page holding a new row.
+// each index's covered prefix as an unindexed tail rather than forcing
+// a rebuild. The catalog, grid and Voronoi copies take a batch in
+// arrival order. The kd-clustered table (and the photo-z reference's)
+// takes it as a kd-ordered run — the batch stable-sorted by the leaf
+// each row routes to (appendKdRun) — so a run's pages each cover a
+// small piece of colour space. Zone maps widen as the appenders run,
+// before publication, so a page's zone always covers every row on it;
+// on a kd-ordered run those zones come out tight, and both readers of
+// the tail prune by them: the index scan classifies each tail page's
+// zone like a leaf's (kd range collection), and the kNN search, once
+// its region-grow halts, reads a tail page only if its zone lies
+// within the current k-th distance (knn.Searcher). The grid samples
+// from its indexed prefix until the next full compaction (documented
+// bounded staleness).
 //
 // Durability order matters: rows are published and persisted (catalog
 // + zone sidecars + manifest with the new DurableSeq) BEFORE the WAL
@@ -57,6 +68,7 @@ func (db *SpatialDB) Compact() error {
 // compactTargets snapshots everything a minor compaction appends to.
 type compactTargets struct {
 	catalog *table.Table
+	kd      *kdtree.Tree
 	kdTable *table.Table
 	grid    *grid.Index
 	vor     *voronoi.Index
@@ -70,6 +82,7 @@ func (db *SpatialDB) compactLocked() error {
 	db.mu.RLock()
 	tg := compactTargets{
 		catalog: db.catalog,
+		kd:      db.kd,
 		kdTable: db.kdTable,
 		grid:    db.grid,
 		vor:     db.vor,
@@ -88,7 +101,7 @@ func (db *SpatialDB) compactLocked() error {
 	maxSeq := rows[len(rows)-1].Seq
 	if tg.photoZ != nil {
 		// The reference heap table rides along so its cataloged row
-		// count matches the rows the estimator's tail merge serves.
+		// count matches the rows the estimator's searcher serves.
 		if ref, err := db.eng.Table(refTableName); err == nil {
 			tg.ref = ref
 		}
@@ -109,21 +122,15 @@ func (db *SpatialDB) compactLocked() error {
 		return ap
 	}
 	catAp := stage(tg.catalog)
-	var kdAp, gridAp, vorAp, refAp, refKdAp *table.Appender
-	if tg.kdTable != nil {
-		kdAp = stage(tg.kdTable)
-	}
+	var gridAp, vorAp, refAp *table.Appender
 	if tg.grid != nil {
 		gridAp = stage(tg.grid.Table())
 	}
 	if tg.vor != nil {
 		vorAp = stage(tg.vor.Table())
 	}
-	if tg.photoZ != nil {
-		if tg.ref != nil {
-			refAp = stage(tg.ref)
-		}
-		refKdAp = stage(tg.photoZ.Searcher().Tb)
+	if tg.ref != nil {
+		refAp = stage(tg.ref)
 	}
 	defer func() {
 		for _, s := range apps {
@@ -135,11 +142,6 @@ func (db *SpatialDB) compactLocked() error {
 		rec := rows[i].Rec
 		if err := catAp.Append(&rec); err != nil {
 			return fmt.Errorf("core: compact catalog: %w", err)
-		}
-		if kdAp != nil {
-			if err := kdAp.Append(&rec); err != nil {
-				return fmt.Errorf("core: compact kd table: %w", err)
-			}
 		}
 		if gridAp != nil {
 			if err := gridAp.Append(&rec); err != nil {
@@ -156,17 +158,22 @@ func (db *SpatialDB) compactLocked() error {
 				return fmt.Errorf("core: compact voronoi table: %w", err)
 			}
 		}
-		if rec.HasZ {
-			if refAp != nil {
-				if err := refAp.Append(&rec); err != nil {
-					return fmt.Errorf("core: compact reference table: %w", err)
-				}
+		if rec.HasZ && refAp != nil {
+			if err := refAp.Append(&rec); err != nil {
+				return fmt.Errorf("core: compact reference table: %w", err)
 			}
-			if refKdAp != nil {
-				if err := refKdAp.Append(&rec); err != nil {
-					return fmt.Errorf("core: compact reference kd table: %w", err)
-				}
-			}
+		}
+	}
+	// The kd-clustered copies take the batch as a kd-ordered run.
+	if tg.kdTable != nil {
+		if err := appendKdRun(stage(tg.kdTable), tg.kd, rows, false); err != nil {
+			return fmt.Errorf("core: compact kd table: %w", err)
+		}
+	}
+	if tg.photoZ != nil {
+		s := tg.photoZ.Searcher()
+		if err := appendKdRun(stage(s.Tb), s.Tree, rows, true); err != nil {
+			return fmt.Errorf("core: compact reference kd table: %w", err)
 		}
 	}
 
@@ -204,6 +211,32 @@ func (db *SpatialDB) compactLocked() error {
 	}
 	db.compactions.Add(1)
 	db.compactedRows.Add(int64(len(rows)))
+	return nil
+}
+
+// appendKdRun appends the batch (only its spectroscopic rows when
+// hasZOnly) to a kd-clustered table as one run ordered by the tree leaf
+// whose cell contains each row — clamped into the domain, the routing a
+// kNN probe's seed leaf uses — and by arrival within a leaf. Rows that
+// are neighbours in colour space land on the same pages, so the page
+// zones the appender widens come out tight, and the index scan and the
+// kNN tail pass skip most of a run unread.
+func appendKdRun(ap *table.Appender, tree *kdtree.Tree, rows []memtable.Row, hasZOnly bool) error {
+	type routed struct{ leaf, row int }
+	root := tree.Root().Cell
+	run := make([]routed, 0, len(rows))
+	for i := range rows {
+		if rec := &rows[i].Rec; rec.HasZ || !hasZOnly {
+			run = append(run, routed{tree.LeafContaining(root.ClosestPoint(rec.Point())), i})
+		}
+	}
+	slices.SortStableFunc(run, func(a, b routed) int { return cmp.Compare(a.leaf, b.leaf) })
+	for _, r := range run {
+		rec := rows[r.row].Rec
+		if err := ap.Append(&rec); err != nil {
+			return err
+		}
+	}
 	return nil
 }
 

@@ -29,7 +29,6 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -670,54 +669,74 @@ func (db *SpatialDB) knnPlan(k int) (*knn.Searcher, *table.Table, []memtable.Row
 	return searcher, catalog, mem, choice, nil
 }
 
-// memNeighbors distance-stamps the memtable rows as kNN candidates —
-// the write-path analogue of the unindexed-tail scan — keeping the
-// best k. The sentinel row id marks them as not resident in any
-// paged table.
-func memNeighbors(mem []memtable.Row, p vec.Point, k int) []knn.Neighbor {
+// memCand is one memtable kNN candidate: a row's squared distance to
+// the query and its index in the memtable snapshot.
+type memCand struct {
+	d2 float64
+	i  int
+}
+
+// memNeighbors returns the (at most) k memtable rows nearest p in one
+// pass, ascending by distance with ties in arrival (seq) order — what a
+// stable sort of every row would keep — holding only (distance, index)
+// pairs: nothing is allocated or copied in proportion to len(mem).
+func memNeighbors(mem []memtable.Row, p vec.Point, k int) []memCand {
 	if len(mem) == 0 || k <= 0 {
 		return nil
 	}
-	out := make([]knn.Neighbor, 0, len(mem))
+	best := make([]memCand, 0, min(k, len(mem)))
 	for i := range mem {
-		rec := &mem[i].Rec
 		var d2 float64
-		for j, v := range rec.Mags {
+		for j, v := range mem[i].Rec.Mags {
 			dv := float64(v) - p[j]
 			d2 += dv * dv
 		}
-		out = append(out, knn.Neighbor{Row: ^table.RowID(0), Dist2: d2, Rec: *rec})
+		if len(best) == k {
+			if d2 >= best[k-1].d2 {
+				continue // a later row never displaces an equal earlier one
+			}
+			best = best[:k-1]
+		}
+		at := len(best)
+		best = append(best, memCand{})
+		for ; at > 0 && best[at-1].d2 > d2; at-- {
+			best[at] = best[at-1]
+		}
+		best[at] = memCand{d2, i}
 	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Dist2 < out[j].Dist2 })
-	if len(out) > k {
-		out = out[:k]
-	}
-	return out
+	return best
 }
 
 // mergeMemNeighbors folds the memtable candidates into a search's
-// result set. The paged search reads live table bounds, so a row a
-// concurrent compaction just published can surface both from the
-// table tail and from the mem snapshot; merging with headroom and
-// deduplicating by object identity (paged occurrence first — the
-// merge sort is stable) keeps the answer exact.
+// ascending result set: a linear merge of two sorted lists of at most k
+// entries each, the paged entry first on a distance tie, and a Record
+// copied out of the memtable only for a candidate that survives. The
+// paged search reads live table bounds, so a row a concurrent
+// compaction just published can surface both from the table tail and
+// from the mem snapshot; deduplicating by object identity (first
+// occurrence wins) keeps the answer exact. The sentinel row id marks a
+// memtable row as not resident in any paged table.
 func mergeMemNeighbors(nbs []knn.Neighbor, mem []memtable.Row, p vec.Point, k int) []knn.Neighbor {
 	cand := memNeighbors(mem, p, k)
 	if len(cand) == 0 {
 		return nbs
 	}
-	merged := knn.MergeCandidates(nbs, cand, k+len(cand))
-	seen := make(map[int64]bool, len(merged))
-	out := merged[:0]
-	for _, nb := range merged {
-		if seen[nb.Rec.ObjID] {
-			continue
+	out := make([]knn.Neighbor, 0, min(k, len(nbs)+len(cand)))
+	for len(out) < k && (len(nbs) > 0 || len(cand) > 0) {
+		var nb knn.Neighbor
+		if len(cand) == 0 || (len(nbs) > 0 && nbs[0].Dist2 <= cand[0].d2) {
+			nb, nbs = nbs[0], nbs[1:]
+		} else {
+			nb = knn.Neighbor{Row: ^table.RowID(0), Dist2: cand[0].d2, Rec: mem[cand[0].i].Rec}
+			cand = cand[1:]
 		}
-		seen[nb.Rec.ObjID] = true
-		out = append(out, nb)
-	}
-	if len(out) > k {
-		out = out[:k]
+		dup := false
+		for j := range out {
+			dup = dup || out[j].Rec.ObjID == nb.Rec.ObjID
+		}
+		if !dup {
+			out = append(out, nb)
+		}
 	}
 	return out
 }

@@ -26,6 +26,13 @@
 // neighbourhoods; the paper's TOP(k−f) refinement falls out for free
 // because leaves are admitted in distance order.
 //
+// Rows appended after the tree was built (online ingest's minor
+// compactions) sit past the tree's row prefix and belong to no leaf.
+// Once the region growth halts, the search passes over those tail
+// pages' zone maps and scans a page only if its zone lies within m —
+// the same "cannot replace the farthest point" test, with page zones
+// standing in for kd-boxes — so every search covers the whole table.
+//
 // Every query runs under its own pagestore accounting scope, so
 // Stats.Pages is exactly the pages that query touched even while
 // other queries run concurrently against the same store. SearchBatch
@@ -37,7 +44,6 @@ import (
 	"container/heap"
 	"fmt"
 	"math"
-	"sort"
 	"time"
 
 	"repro/internal/kdtree"
@@ -200,10 +206,30 @@ func (s *Searcher) run(tb *table.Table, p vec.Point, k, seed int, scr *scratch, 
 		if e.dist2 > m2() {
 			break // index list exhausted within radius m: done
 		}
-		if err := s.examineLeaf(tb, e.leaf, p, k, result, stats); err != nil {
+		stats.LeavesExamined++
+		lo, hi := s.Tree.LeafRows(e.leaf)
+		if err := examineRows(tb, lo, hi, p, k, result, stats); err != nil {
 			return nil, err
 		}
 		s.growAcrossFaces(e.leaf, p, m2(), scr, frontier)
+	}
+
+	// The tail: rows minor compactions appended past the tree's prefix
+	// belong to no leaf, so the region-grow cannot reach them. Their
+	// pages' zones stand in for the kd-boxes — a zone is a superset of
+	// its page's rows and m only shrinks, so a page whose zone lies
+	// farther than m can never displace a result. Compaction writes each
+	// batch as a kd-ordered run, which keeps those zones tight. The
+	// first tail page may start mid-page, after the last leaf's rows.
+	for lo, hi := table.RowID(s.Tree.NumRows), table.RowID(tb.NumRows()); lo < hi; {
+		pg := uint64(lo) / table.RecordsPerPage
+		end := min(hi, table.RowID((pg+1)*table.RecordsPerPage))
+		if tb.ZoneMaps().Dist2(int(pg), p) <= m2() {
+			if err := examineRows(tb, lo, end, p, k, result, stats); err != nil {
+				return nil, err
+			}
+		}
+		lo = end
 	}
 
 	out := make([]Neighbor, len(*result))
@@ -213,10 +239,9 @@ func (s *Searcher) run(tb *table.Table, p vec.Point, k, seed int, scr *scratch, 
 	return out, nil
 }
 
-// examineLeaf scans one leaf's row range, refining the result list.
-func (s *Searcher) examineLeaf(tb *table.Table, leaf int, p vec.Point, k int, result *resultHeap, stats *Stats) error {
-	stats.LeavesExamined++
-	lo, hi := s.Tree.LeafRows(leaf)
+// examineRows scans rows [lo, hi) — one leaf, or one tail page —
+// refining the result list.
+func examineRows(tb *table.Table, lo, hi table.RowID, p vec.Point, k int, result *resultHeap, stats *Stats) error {
 	return tb.ScanRange(lo, hi, func(id table.RowID, r *table.Record) bool {
 		stats.RowsExamined++
 		d2 := dist2Mags(p, r)
@@ -318,64 +343,6 @@ func dist2Mags(p vec.Point, r *table.Record) float64 {
 	return s
 }
 
-// MergeCandidates folds extra candidates into an ascending-distance
-// neighbour list, keeping the k best. The sort is stable, so existing
-// entries win distance ties and merging an empty candidate set is the
-// identity — results stay deterministic across merges.
-func MergeCandidates(nbs []Neighbor, cand []Neighbor, k int) []Neighbor {
-	if len(cand) == 0 {
-		return nbs
-	}
-	merged := make([]Neighbor, 0, len(nbs)+len(cand))
-	merged = append(merged, nbs...)
-	merged = append(merged, cand...)
-	sort.SliceStable(merged, func(i, j int) bool { return merged[i].Dist2 < merged[j].Dist2 })
-	if len(merged) > k {
-		merged = merged[:k]
-	}
-	return merged
-}
-
-// TailCandidates brute-scans the unindexed tail of the clustered
-// table — rows [Tree.NumRows, Tb.NumRows) appended by minor
-// compactions after the tree was built — and returns them all as
-// distance-stamped candidates for MergeCandidates. Row and page
-// counters accumulate into stats.
-func (s *Searcher) TailCandidates(p vec.Point, stats *Stats) ([]Neighbor, error) {
-	lo, hi := table.RowID(s.Tree.NumRows), table.RowID(s.Tb.NumRows())
-	if hi <= lo {
-		return nil, nil
-	}
-	scope := s.Tb.Store().Scoped()
-	tb := s.Tb.Scoped(scope)
-	var cand []Neighbor
-	err := tb.ScanRange(lo, hi, func(id table.RowID, r *table.Record) bool {
-		stats.RowsExamined++
-		cand = append(cand, Neighbor{Row: id, Dist2: dist2Mags(p, r), Rec: *r})
-		return true
-	})
-	stats.Pages = stats.Pages.Add(scope.Stats())
-	return cand, err
-}
-
-// SearchTailMerged returns the k nearest neighbours over the whole
-// clustered table: the region-growing answer over the indexed prefix
-// merged with a brute pass over the unindexed tail. Between full
-// compactions the tail is small by construction, so the extra scan is
-// a few pages; the next full compaction rebuilds the tree over the
-// enlarged table and the tail disappears.
-func (s *Searcher) SearchTailMerged(p vec.Point, k int) ([]Neighbor, Stats, error) {
-	nbs, stats, err := s.Search(p, k)
-	if err != nil {
-		return nil, stats, err
-	}
-	cand, err := s.TailCandidates(p, &stats)
-	if err != nil {
-		return nil, stats, err
-	}
-	return MergeCandidates(nbs, cand, k), stats, nil
-}
-
 // BruteForce returns the exact k nearest neighbours by scanning the
 // whole table — the reference the index-assisted search is verified
 // against and the baseline of the kNN benchmarks. Pages stats are
@@ -392,18 +359,7 @@ func BruteForce(tb *table.Table, p vec.Point, k int) ([]Neighbor, Stats, error) 
 	stb := tb.Scoped(scope).ScanClassed()
 	var stats Stats
 	result := make(resultHeap, 0, k+1)
-	err := stb.Scan(func(id table.RowID, r *table.Record) bool {
-		stats.RowsExamined++
-		d2 := dist2Mags(p, r)
-		if len(result) < k {
-			heap.Push(&result, Neighbor{Row: id, Dist2: d2, Rec: *r})
-		} else if d2 < result[0].Dist2 {
-			result[0] = Neighbor{Row: id, Dist2: d2, Rec: *r}
-			heap.Fix(&result, 0)
-		}
-		return true
-	})
-	if err != nil {
+	if err := examineRows(stb, 0, table.RowID(stb.NumRows()), p, k, &result, &stats); err != nil {
 		return nil, stats, err
 	}
 	out := make([]Neighbor, len(result))

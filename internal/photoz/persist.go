@@ -62,8 +62,9 @@ func OpenExisting(store *pagestore.Store, metaName, treeName string, refClustere
 		return nil, err
 	}
 	// Spectroscopic rows ingested after the tree was built sit in the
-	// reference table's unindexed tail (searched brute-force), so the
-	// table may exceed the tree's coverage — never the reverse.
+	// reference table's unindexed tail (searched through its page
+	// zones), so the table may exceed the tree's coverage — never the
+	// reverse.
 	if tree.NumRows > refClustered.NumRows() {
 		return nil, fmt.Errorf("photoz: %s indexes %d rows but reference table %s has %d",
 			treeName, tree.NumRows, refClustered.Name(), refClustered.NumRows())

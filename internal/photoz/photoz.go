@@ -131,7 +131,7 @@ func NewEstimator(ref *table.Table, treeName string, k, degree int) (*Estimator,
 // neighbours, fit polynomial over (colors → redshift), evaluate at
 // the query.
 func (e *Estimator) Estimate(mags vec.Point) (float64, error) {
-	nbs, _, err := e.searcher.SearchTailMerged(mags, e.K)
+	nbs, _, err := e.searcher.Search(mags, e.K)
 	if err != nil {
 		return 0, err
 	}
@@ -207,14 +207,6 @@ func (e *Estimator) EstimateBatch(mags []vec.Point, workers int) ([]float64, Bat
 	var fallbacks atomic.Int64
 	var mu sync.Mutex // guards the stats aggregation below
 	err := e.searcher.SearchBatchFunc(mags, e.K, workers, func(i int, nbs []knn.Neighbor, st knn.Stats) error {
-		// Reference rows ingested after the tree was built live in the
-		// table's unindexed tail; merge them so batch results match
-		// Estimate exactly.
-		cand, err := e.searcher.TailCandidates(mags[i], &st)
-		if err != nil {
-			return err
-		}
-		nbs = knn.MergeCandidates(nbs, cand, e.K)
 		z, fellBack, err := e.fitNeighbors(mags[i], nbs)
 		if err != nil {
 			return err

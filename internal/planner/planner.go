@@ -487,8 +487,10 @@ func (c KNNChoice) BestCost() float64 {
 // catalog. The region-growing model: a query must examine enough
 // leaves to hold k points, inflated by the KNNGrowth spill factor;
 // each examined leaf costs its pages at RandPage plus a tree descent
-// (Node per level) plus Row per point examined. Brute force pays one
-// SeqPage per catalog page plus Row per row.
+// (Node per level) plus Row per point examined; each page of the
+// unindexed tail costs a zone test (Node), and the fraction of them the
+// search radius reaches a read. Brute force pays one SeqPage per
+// catalog page plus Row per row.
 func (p *Planner) PlanKNN(k int) KNNChoice {
 	m := p.Model
 	if m == (CostModel{}) {
@@ -508,9 +510,9 @@ func (p *Planner) PlanKNN(k int) KNNChoice {
 		CostBrute: catPages*m.SeqPage + n*m.Row + memCost,
 		CostIndex: math.Inf(1),
 	}
-	if p.Kd != nil && p.Kd.NumLeaves() > 0 && n > 0 {
+	if p.Kd != nil && p.Kd.NumLeaves() > 0 && p.Kd.NumRows > 0 {
 		leaves := float64(p.Kd.NumLeaves())
-		rowsPerLeaf := n / leaves
+		rowsPerLeaf := float64(p.Kd.NumRows) / leaves
 		expLeaves := math.Ceil(m.KNNGrowth * (float64(k)/rowsPerLeaf + 1))
 		if expLeaves > leaves {
 			expLeaves = leaves
@@ -520,12 +522,17 @@ func (p *Planner) PlanKNN(k int) KNNChoice {
 		// node classifications in the thin-slab walk.
 		nodes := expLeaves * float64(p.Kd.Levels+1)
 		c.ExpectedLeaves = expLeaves
-		var tailRows int64
+		// The unindexed tail costs one zone test per page, plus a read of
+		// the pages whose zone lies within the search radius: compaction
+		// writes the tail as kd-ordered runs, so the share of its pages a
+		// probe reaches is the share of leaves the region-grow examines.
+		var tailPages, tailHits float64
 		if p.KdTable != nil && p.KdTable.NumRows() > p.Kd.NumRows {
-			tailRows = int64(p.KdTable.NumRows() - p.Kd.NumRows)
+			tailPages = pagesFor(int64(p.KdTable.NumRows() - p.Kd.NumRows))
+			tailHits = math.Ceil(tailPages * expLeaves / leaves)
 		}
 		c.CostIndex = pagesFor(int64(expRows))*m.RandPage + nodes*m.Node + expRows*m.Row +
-			pagesFor(tailRows)*m.SeqPage + float64(tailRows)*m.Row + memCost
+			tailPages*m.Node + tailHits*(m.RandPage+table.RecordsPerPage*m.Row) + memCost
 	}
 	c.UseIndex = c.CostIndex < c.CostBrute
 	if c.UseIndex {

@@ -223,3 +223,57 @@ func TestPlanKNNWithoutIndex(t *testing.T) {
 		t.Errorf("no kd-tree: index cost = %v, want +Inf", c.CostIndex)
 	}
 }
+
+// TestPlanKNNPricesTailByZones: the unindexed tail is priced as what
+// the search does with it — a zone test per page and a read of the few
+// pages in reach — so the admission price grows with the tail but stays
+// far under a scan of it, and the index keeps winning with a tail as
+// large as the indexed prefix.
+func TestPlanKNNPricesTailByZones(t *testing.T) {
+	s, err := pagestore.Open(t.TempDir(), 4096)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	catalog, err := table.Create(s, "mag.tbl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const indexed = 8000
+	if err := sky.GenerateTable(catalog, sky.DefaultParams(indexed, 42)); err != nil {
+		t.Fatal(err)
+	}
+	tree, kdTable, err := kdtree.Build(catalog, "mag.kd.tbl", kdtree.BuildParams{Domain: sky.Domain()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := sky.Generate(sky.DefaultParams(indexed, 43))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl := &Planner{Catalog: catalog, Kd: tree, KdTable: kdTable, Domain: sky.Domain()}
+	m := DefaultCostModel()
+	base := pl.PlanKNN(10)
+	prev := base
+	for off := 0; off < len(fresh); off += 2000 {
+		batch := fresh[off : off+2000]
+		if err := catalog.AppendAll(batch); err != nil {
+			t.Fatal(err)
+		}
+		if err := kdTable.AppendAll(batch); err != nil {
+			t.Fatal(err)
+		}
+		c := pl.PlanKNN(10)
+		tail := float64(off + 2000)
+		if c.CostIndex <= prev.CostIndex {
+			t.Errorf("tail %v: index price %.2f did not grow from %.2f", tail, c.CostIndex, prev.CostIndex)
+		}
+		if !c.UseIndex || c.CostIndex > c.CostBrute {
+			t.Errorf("tail %v: %s", tail, c.Reason)
+		}
+		if scan := pagesFor(int64(tail))*m.SeqPage + tail*m.Row; c.CostIndex-base.CostIndex >= scan {
+			t.Errorf("tail %v: priced %.2f over the tail-less %.2f — a scan of the tail is %.2f", tail, c.CostIndex, base.CostIndex, scan)
+		}
+		prev = c
+	}
+}

@@ -350,7 +350,8 @@ func TestKnnEquivalenceDuplicateObjID(t *testing.T) {
 // TestKnnEquivalenceMemtables: rows inserted through the coordinator,
 // still in shard memtables, are neighbours exactly as they are on a
 // single store holding the same batch in its own memtable — through
-// the owner's /knn and through a bounded visit's index scan alike.
+// the owner's /knn and through a bounded visit's index scan alike —
+// and stay so once every shard has compacted them into its tail.
 func TestKnnEquivalenceMemtables(t *testing.T) {
 	recs, err := sky.Generate(sky.DefaultParams(900, 29))
 	if err != nil {
@@ -399,6 +400,24 @@ func TestKnnEquivalenceMemtables(t *testing.T) {
 		t.Fatal("no probe crosses a shard boundary — bounded visits never met a memtable")
 	}
 	checkSmallPair(t, "memtable", cl, single, probes)
+
+	// ROADMAP 1(a): a minor compaction moves the rows into each shard's
+	// unindexed tail, and they stay neighbours — against the single
+	// store still answering from its memtable, then against its own
+	// compacted tail.
+	for i, db := range cl.dbs {
+		if err := db.Compact(); err != nil {
+			t.Fatal(err)
+		}
+		if db.MemRows() != 0 {
+			t.Fatalf("shard %d memtable holds %d rows after Compact", i, db.MemRows())
+		}
+	}
+	checkSmallPair(t, "compacted shards", cl, single, probes)
+	if err := single.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	checkSmallPair(t, "compacted shards and single store", cl, single, probes)
 }
 
 // shardRequests sums the per-shard sub-request counters.

@@ -112,6 +112,24 @@ func (z *ZoneMaps) Page(pg int) (PageZone, bool) {
 	return z.zones[pg], true
 }
 
+// Dist2 returns the squared distance from p to page pg's magnitude
+// zone: a lower bound on the distance from p to every row of the page,
+// which is what lets a nearest-neighbour search skip the page unread.
+// A page without a zone (nil maps, or a page past the loaded sidecar)
+// reports 0 — it can never be skipped.
+func (z *ZoneMaps) Dist2(pg int, p vec.Point) float64 {
+	if z == nil {
+		return 0
+	}
+	z.mu.RLock()
+	defer z.mu.RUnlock()
+	if pg < 0 || pg >= len(z.zones) {
+		return 0
+	}
+	zone := &z.zones[pg]
+	return vec.Box{Min: zone.Min[:], Max: zone.Max[:]}.Dist2(p)
+}
+
 // Snapshot copies the zones for persistence.
 func (z *ZoneMaps) Snapshot() []PageZone {
 	z.mu.RLock()
