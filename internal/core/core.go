@@ -26,9 +26,11 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -670,40 +672,63 @@ func (db *SpatialDB) knnPlan(k int) (*knn.Searcher, *table.Table, []memtable.Row
 }
 
 // memCand is one memtable kNN candidate: a row's squared distance to
-// the query and its index in the memtable snapshot.
+// the query and its index in the memtable snapshot. Candidates order by
+// distance, then arrival (seq) order — the order a stable sort of every
+// row would leave them in.
 type memCand struct {
 	d2 float64
 	i  int
 }
 
-// memNeighbors returns the (at most) k memtable rows nearest p in one
-// pass, ascending by distance with ties in arrival (seq) order — what a
-// stable sort of every row would keep — holding only (distance, index)
-// pairs: nothing is allocated or copied in proportion to len(mem).
+func (a memCand) compare(b memCand) int {
+	return cmp.Or(cmp.Compare(a.d2, b.d2), cmp.Compare(a.i, b.i))
+}
+
+// memNeighbors returns the (at most) k memtable rows nearest p,
+// ascending, in one pass over the snapshot: a bounded max-heap of
+// (distance, index) pairs, so the pass costs O(len(mem)·log k) however
+// large a LIMIT asks k to be, and nothing is allocated or copied in
+// proportion to len(mem).
 func memNeighbors(mem []memtable.Row, p vec.Point, k int) []memCand {
-	if len(mem) == 0 || k <= 0 {
+	k = min(k, len(mem))
+	if k <= 0 {
 		return nil
 	}
-	best := make([]memCand, 0, min(k, len(mem)))
+	best := make([]memCand, 0, k)
+	siftDown := func(at int) {
+		for {
+			top := at
+			for c := 2*at + 1; c <= 2*at+2 && c < k; c++ {
+				if best[top].compare(best[c]) < 0 {
+					top = c
+				}
+			}
+			if top == at {
+				return
+			}
+			best[at], best[top] = best[top], best[at]
+			at = top
+		}
+	}
 	for i := range mem {
 		var d2 float64
 		for j, v := range mem[i].Rec.Mags {
 			dv := float64(v) - p[j]
 			d2 += dv * dv
 		}
-		if len(best) == k {
-			if d2 >= best[k-1].d2 {
-				continue // a later row never displaces an equal earlier one
+		switch {
+		case len(best) < k:
+			if best = append(best, memCand{d2, i}); len(best) == k {
+				for at := k/2 - 1; at >= 0; at-- {
+					siftDown(at)
+				}
 			}
-			best = best[:k-1]
+		case d2 < best[0].d2: // a later row never displaces an equal earlier one
+			best[0] = memCand{d2, i}
+			siftDown(0)
 		}
-		at := len(best)
-		best = append(best, memCand{})
-		for ; at > 0 && best[at-1].d2 > d2; at-- {
-			best[at] = best[at-1]
-		}
-		best[at] = memCand{d2, i}
 	}
+	slices.SortFunc(best, memCand.compare)
 	return best
 }
 
@@ -722,6 +747,7 @@ func mergeMemNeighbors(nbs []knn.Neighbor, mem []memtable.Row, p vec.Point, k in
 		return nbs
 	}
 	out := make([]knn.Neighbor, 0, min(k, len(nbs)+len(cand)))
+	seen := make(map[int64]struct{}, cap(out))
 	for len(out) < k && (len(nbs) > 0 || len(cand) > 0) {
 		var nb knn.Neighbor
 		if len(cand) == 0 || (len(nbs) > 0 && nbs[0].Dist2 <= cand[0].d2) {
@@ -730,11 +756,8 @@ func mergeMemNeighbors(nbs []knn.Neighbor, mem []memtable.Row, p vec.Point, k in
 			nb = knn.Neighbor{Row: ^table.RowID(0), Dist2: cand[0].d2, Rec: mem[cand[0].i].Rec}
 			cand = cand[1:]
 		}
-		dup := false
-		for j := range out {
-			dup = dup || out[j].Rec.ObjID == nb.Rec.ObjID
-		}
-		if !dup {
+		if _, dup := seen[nb.Rec.ObjID]; !dup {
+			seen[nb.Rec.ObjID] = struct{}{}
 			out = append(out, nb)
 		}
 	}

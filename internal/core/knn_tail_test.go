@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"sort"
 	"testing"
+	"time"
 
 	"repro/internal/knn"
 	"repro/internal/memtable"
@@ -218,24 +219,31 @@ func TestMemNeighborFoldMatchesReference(t *testing.T) {
 		}
 		return rec
 	}
-	for trial := 0; trial < 2400; trial++ {
-		k := 1 + rng.Intn(12)
+	for trial := 0; trial < 2403; trial++ {
+		k, memRows, ids := 1+rng.Intn(12), rng.Intn(40), 60
+		large := trial >= 2400 // an uncapped LIMIT: k far beyond any probe's
+		if large {
+			k, memRows, ids = 20000<<(trial-2400), []int{1000, 30000, 100000}[trial-2400], 200000
+		}
 		p := vec.Point{17.25, 17.5, 17, 18, 17.75}
 		if trial%3 == 0 {
 			for d := range p {
 				p[d] = 17 + rng.Float64()
 			}
 		}
-		mem := make([]memtable.Row, rng.Intn(40))
+		mem := make([]memtable.Row, memRows)
 		if trial%7 == 0 {
 			mem = mem[:rng.Intn(min(k, len(mem))+1)] // k > len(mem), the empty memtable included
 		}
 		for i := range mem {
-			mem[i] = memtable.Row{Seq: uint64(i + 1), Rec: lattice(int64(rng.Intn(60)))}
+			mem[i] = memtable.Row{Seq: uint64(i + 1), Rec: lattice(int64(rng.Intn(ids)))}
 		}
 		paged := make([]knn.Neighbor, rng.Intn(k+1))
+		if large {
+			paged = make([]knn.Neighbor, k-rng.Intn(100))
+		}
 		for i := range paged {
-			rec := lattice(int64(rng.Intn(60)))
+			rec := lattice(int64(rng.Intn(ids)))
 			if len(mem) > 0 && i%2 == 0 {
 				rec = mem[rng.Intn(len(mem))].Rec // the row a compaction just published
 			}
@@ -243,13 +251,26 @@ func TestMemNeighborFoldMatchesReference(t *testing.T) {
 		}
 		sort.SliceStable(paged, func(i, j int) bool { return paged[i].Dist2 < paged[j].Dist2 })
 
+		start := time.Now()
 		want := refMergeMemNeighbors(paged, mem, p, k)
+		refTook := time.Since(start)
+		start = time.Now()
 		got := mergeMemNeighbors(paged, mem, p, k)
+		took := time.Since(start)
 		if len(got) != len(want) || (len(got) > 0 && !reflect.DeepEqual(got, want)) {
+			if large {
+				t.Fatalf("trial %d (k=%d, %d paged, %d mem): fold differs from the reference", trial, k, len(paged), len(mem))
+			}
 			t.Fatalf("trial %d (k=%d, %d paged, %d mem): fold returned\n%+v\nreference\n%+v", trial, k, len(paged), len(mem), got, want)
 		}
 		if len(mem) == 0 && len(got) > 0 && &got[0] != &paged[0] {
 			t.Fatalf("trial %d: an empty memtable is not the identity", trial)
+		}
+		// Linear in k: the fold runs several times faster than the
+		// copy-and-sort body at these sizes, and a dedup that rescans its
+		// output per neighbour tens of times slower.
+		if large && took > 4*refTook {
+			t.Errorf("trial %d (k=%d, %d mem): fold took %v, the copy-and-sort reference %v", trial, k, len(mem), took, refTook)
 		}
 	}
 
@@ -262,8 +283,8 @@ func TestMemNeighborFoldMatchesReference(t *testing.T) {
 		p := vec.Point{17.3, 17.5, 17.7, 17.9, 18.1}
 		return testing.AllocsPerRun(20, func() { mergeMemNeighbors(nil, mem, p, 10) })
 	}
-	if small, large := allocs(1000), allocs(16000); large > small || small > 2 {
-		t.Fatalf("fold allocates %v times over 1K memtable rows and %v over 16K, want ≤ 2 and no growth", small, large)
+	if small, large := allocs(1000), allocs(16000); large > small || small > 8 {
+		t.Fatalf("fold allocates %v times over 1K memtable rows and %v over 16K, want ≤ 8 and no growth", small, large)
 	}
 }
 

@@ -110,6 +110,7 @@ type scratch struct {
 	gen      uint32
 	result   resultHeap
 	frontier frontierHeap
+	tail     []float64 // squared distance to each tail page's zone
 }
 
 func newScratch(numLeaves int) *scratch {
@@ -219,17 +220,23 @@ func (s *Searcher) run(tb *table.Table, p vec.Point, k, seed int, scr *scratch, 
 	// pages' zones stand in for the kd-boxes — a zone is a superset of
 	// its page's rows and m only shrinks, so a page whose zone lies
 	// farther than m can never displace a result. Compaction writes each
-	// batch as a kd-ordered run, which keeps those zones tight. The
-	// first tail page may start mid-page, after the last leaf's rows.
-	for lo, hi := table.RowID(s.Tree.NumRows), table.RowID(tb.NumRows()); lo < hi; {
-		pg := uint64(lo) / table.RecordsPerPage
-		end := min(hi, table.RowID((pg+1)*table.RecordsPerPage))
-		if tb.ZoneMaps().Dist2(int(pg), p) <= m2() {
-			if err := examineRows(tb, lo, end, p, k, result, stats); err != nil {
+	// batch as a kd-ordered run, which keeps those zones tight. The zone
+	// distances are taken in one locked pass; a page without a zone is at
+	// distance 0. The first tail page may start mid-page, after the last
+	// leaf's rows.
+	if lo, hi := table.RowID(s.Tree.NumRows), table.RowID(tb.NumRows()); lo < hi {
+		const perPage = table.RecordsPerPage
+		first := int(lo / perPage)
+		scr.tail = tb.ZoneMaps().Dist2Range(scr.tail[:0], first, int((hi-1)/perPage)+1, p)
+		for i, d2 := range scr.tail {
+			if d2 > m2() {
+				continue
+			}
+			start := table.RowID(first+i) * perPage
+			if err := examineRows(tb, max(lo, start), min(hi, start+perPage), p, k, result, stats); err != nil {
 				return nil, err
 			}
 		}
-		lo = end
 	}
 
 	out := make([]Neighbor, len(*result))
@@ -359,7 +366,18 @@ func BruteForce(tb *table.Table, p vec.Point, k int) ([]Neighbor, Stats, error) 
 	stb := tb.Scoped(scope).ScanClassed()
 	var stats Stats
 	result := make(resultHeap, 0, k+1)
-	if err := examineRows(stb, 0, table.RowID(stb.NumRows()), p, k, &result, &stats); err != nil {
+	err := stb.Scan(func(id table.RowID, r *table.Record) bool {
+		stats.RowsExamined++
+		d2 := dist2Mags(p, r)
+		if len(result) < k {
+			heap.Push(&result, Neighbor{Row: id, Dist2: d2, Rec: *r})
+		} else if d2 < result[0].Dist2 {
+			result[0] = Neighbor{Row: id, Dist2: d2, Rec: *r}
+			heap.Fix(&result, 0)
+		}
+		return true
+	})
+	if err != nil {
 		return nil, stats, err
 	}
 	out := make([]Neighbor, len(result))

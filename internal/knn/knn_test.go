@@ -3,6 +3,7 @@ package knn
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"repro/internal/kdtree"
@@ -249,5 +250,53 @@ func TestBruteForceAscendingAndExact(t *testing.T) {
 	}
 	if smaller > 6 {
 		t.Errorf("%d points closer than the reported 7th neighbour", smaller)
+	}
+}
+
+// TestSearchCoversUnindexedTail: rows appended to the clustered table
+// after the tree was built belong to no leaf, and Search still returns
+// the k nearest over the whole table — checked against a sort of every
+// row's distance, not against BruteForce's heap. Through a view with no
+// zone maps no tail page can be pruned, and the answer is the same.
+func TestSearchCoversUnindexedTail(t *testing.T) {
+	s := fixture(t, 3000)
+	fresh, err := sky.Generate(sky.DefaultParams(700, 43))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Two runs; the first ends mid-page, so does the indexed prefix.
+	if err := s.Tb.AppendAll(fresh[:333]); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Tb.AppendAll(fresh[333:]); err != nil {
+		t.Fatal(err)
+	}
+	blind := NewSearcher(s.Tree, s.Tb.WithoutZones())
+	const k = 9
+	for i := 0; i < len(fresh); i += 7 {
+		p := fresh[i].Point()
+		var all []float64
+		s.Tb.Scan(func(id table.RowID, r *table.Record) bool {
+			all = append(all, dist2Mags(p, r))
+			return true
+		})
+		sort.Float64s(all)
+		for name, sr := range map[string]*Searcher{"zones": s, "no zones": blind} {
+			got, stats, err := sr.Search(p, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != k || got[0].Dist2 != 0 {
+				t.Fatalf("%s, probe %d: %d neighbours, nearest at %v — the probe is a tail row", name, i, len(got), got[0].Dist2)
+			}
+			for j := range got {
+				if got[j].Dist2 != all[j] {
+					t.Fatalf("%s, probe %d: neighbour %d at %v, the %d-th smallest distance is %v", name, i, j, got[j].Dist2, j, all[j])
+				}
+			}
+			if name == "no zones" && stats.RowsExamined < int64(len(fresh)) {
+				t.Fatalf("probe %d: examined %d rows with no zones to prune by, the tail holds %d", i, stats.RowsExamined, len(fresh))
+			}
+		}
 	}
 }

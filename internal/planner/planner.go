@@ -488,9 +488,10 @@ func (c KNNChoice) BestCost() float64 {
 // leaves to hold k points, inflated by the KNNGrowth spill factor;
 // each examined leaf costs its pages at RandPage plus a tree descent
 // (Node per level) plus Row per point examined; each page of the
-// unindexed tail costs a zone test (Node), and the fraction of them the
-// search radius reaches a read. Brute force pays one SeqPage per
-// catalog page plus Row per row.
+// unindexed tail costs a zone test (Node), and those the search radius
+// reaches a read (priced as if the tail were one kd-ordered run — a
+// lower bound). Brute force pays one SeqPage per catalog page plus Row
+// per row.
 func (p *Planner) PlanKNN(k int) KNNChoice {
 	m := p.Model
 	if m == (CostModel{}) {
@@ -523,13 +524,20 @@ func (p *Planner) PlanKNN(k int) KNNChoice {
 		nodes := expLeaves * float64(p.Kd.Levels+1)
 		c.ExpectedLeaves = expLeaves
 		// The unindexed tail costs one zone test per page, plus a read of
-		// the pages whose zone lies within the search radius: compaction
-		// writes the tail as kd-ordered runs, so the share of its pages a
-		// probe reaches is the share of leaves the region-grow examines.
+		// the pages whose zone lies within the search radius. Compaction
+		// writes the tail as kd-ordered runs: a run's pages each hold a
+		// few adjacent leaves' worth of rows, and the leaves a probe
+		// reaches are rarely adjacent in five dimensions, so a run is read
+		// about one page per expected leaf (more once a leaf's share of
+		// the run outgrows a page). The planner does not know how many
+		// runs the tail is made of and prices it as one: a lower bound —
+		// each further run adds up to as many pages again (EXPERIMENTS.md
+		// "Ingest read tax" measures ≈ 40 pages read over ≈ 8 runs at 5
+		// expected leaves).
 		var tailPages, tailHits float64
 		if p.KdTable != nil && p.KdTable.NumRows() > p.Kd.NumRows {
 			tailPages = pagesFor(int64(p.KdTable.NumRows() - p.Kd.NumRows))
-			tailHits = math.Ceil(tailPages * expLeaves / leaves)
+			tailHits = math.Min(tailPages, math.Ceil(expLeaves*math.Max(1, tailPages/leaves)))
 		}
 		c.CostIndex = pagesFor(int64(expRows))*m.RandPage + nodes*m.Node + expRows*m.Row +
 			tailPages*m.Node + tailHits*(m.RandPage+table.RecordsPerPage*m.Row) + memCost

@@ -274,6 +274,14 @@ func TestPlanKNNPricesTailByZones(t *testing.T) {
 		if scan := pagesFor(int64(tail))*m.SeqPage + tail*m.Row; c.CostIndex-base.CostIndex >= scan {
 			t.Errorf("tail %v: priced %.2f over the tail-less %.2f — a scan of the tail is %.2f", tail, c.CostIndex, base.CostIndex, scan)
 		}
+		// The price itself: a zone test per tail page, and the tail read
+		// as one kd-ordered run — a page per expected leaf until a leaf's
+		// share of the run outgrows a page.
+		pages, leaves := pagesFor(int64(tail)), float64(tree.NumLeaves())
+		hits := math.Min(pages, math.Ceil(c.ExpectedLeaves*math.Max(1, pages/leaves)))
+		if want := pages*m.Node + hits*(m.RandPage+table.RecordsPerPage*m.Row); math.Abs(c.CostIndex-base.CostIndex-want) > 1e-9 {
+			t.Errorf("tail %v: priced %.4f over the tail-less price, want %.4f (%v zone tests, %v pages read)", tail, c.CostIndex-base.CostIndex, want, pages, hits)
+		}
 		prev = c
 	}
 }

@@ -112,22 +112,28 @@ func (z *ZoneMaps) Page(pg int) (PageZone, bool) {
 	return z.zones[pg], true
 }
 
-// Dist2 returns the squared distance from p to page pg's magnitude
-// zone: a lower bound on the distance from p to every row of the page,
-// which is what lets a nearest-neighbour search skip the page unread.
-// A page without a zone (nil maps, or a page past the loaded sidecar)
-// reports 0 — it can never be skipped.
-func (z *ZoneMaps) Dist2(pg int, p vec.Point) float64 {
-	if z == nil {
-		return 0
+// Dist2Range appends to dst, for each page in [lo, hi), the squared
+// distance from p to the page's magnitude zone — a lower bound on the
+// distance from p to every row of the page, which is what lets a
+// nearest-neighbour search skip the page unread — taking the read lock
+// once for the whole range. A page without a zone (nil maps, or a page
+// past the loaded sidecar) reports 0: it can never be skipped.
+func (z *ZoneMaps) Dist2Range(dst []float64, lo, hi int, p vec.Point) []float64 {
+	n := 0
+	if z != nil {
+		z.mu.RLock()
+		defer z.mu.RUnlock()
+		n = len(z.zones)
 	}
-	z.mu.RLock()
-	defer z.mu.RUnlock()
-	if pg < 0 || pg >= len(z.zones) {
-		return 0
+	for pg := lo; pg < hi; pg++ {
+		var d2 float64
+		if pg >= 0 && pg < n {
+			zone := &z.zones[pg]
+			d2 = vec.Box{Min: zone.Min[:], Max: zone.Max[:]}.Dist2(p)
+		}
+		dst = append(dst, d2)
 	}
-	zone := &z.zones[pg]
-	return vec.Box{Min: zone.Min[:], Max: zone.Max[:]}.Dist2(p)
+	return dst
 }
 
 // Snapshot copies the zones for persistence.
