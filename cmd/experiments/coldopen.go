@@ -41,9 +41,6 @@ func expColdOpen(n int, seed int64) error {
 		if err := db.BuildGridIndex(1024, seed); err != nil {
 			return nil, 0, err
 		}
-		if err := db.BuildVoronoiIndex(0, seed); err != nil {
-			return nil, 0, err
-		}
 		if err := db.BuildPhotoZ(16, 1); err != nil {
 			return nil, 0, err
 		}

@@ -172,7 +172,11 @@ func expFig1(n int, seed int64) error {
 }
 
 // expFig2 parses the magnitude-only core of the paper's logged query
-// and runs it under every plan.
+// and runs it down every path: the serving store's full scan and kd
+// index scan, and the §3.4 Voronoi cell index built on demand over the
+// same catalog. The logged query matches a handful of rows, so a broad
+// colour cut runs beside it as a control the comparison bites on.
+// Every path must return the same count.
 func expFig2(n int, seed int64) error {
 	dir, err := os.MkdirTemp("", "repro-exp-*")
 	if err != nil {
@@ -190,26 +194,60 @@ func expFig2(n int, seed int64) error {
 	if err := db.BuildKdIndex(0); err != nil {
 		return err
 	}
-	if err := db.BuildVoronoiIndex(0, seed); err != nil {
+	vor, err := buildVoronoi(db, 0, seed)
+	if err != nil {
 		return err
 	}
-	where := `
-	  (dered_r - dered_i - (dered_g - dered_r)/4 - 0.18 < 0.2)
-	  AND (dered_r - dered_i - (dered_g - dered_r)/4 - 0.18 > -0.2)
-	  AND (dered_g - dered_r > 1.35 + 0.25*(dered_r - dered_i))
-	  AND (dered_r < 19.5)`
-	u := colorsql.MustParse(where, colorsql.DefaultVars(), table.Dim)
-	fmt.Printf("parsed into %d convex clause(s), %d halfspaces\n", len(u.Polys), len(u.Polys[0].Planes))
-	for _, plan := range []core.Plan{core.PlanFullScan, core.PlanKdTree, core.PlanVoronoi} {
+	row := func(name string, returned int, examined, diskReads int64) {
+		fmt.Printf("%-9s returned=%-6d examined=%-7d diskReads=%-5d\n", name, returned, examined, diskReads)
+	}
+	for _, q := range []struct{ name, where string }{
+		{"Figure 2", `
+		  (dered_r - dered_i - (dered_g - dered_r)/4 - 0.18 < 0.2)
+		  AND (dered_r - dered_i - (dered_g - dered_r)/4 - 0.18 > -0.2)
+		  AND (dered_g - dered_r > 1.35 + 0.25*(dered_r - dered_i))
+		  AND (dered_r < 19.5)`},
+		{"control", "g - r < 1.1 AND g - r > 0.3 AND r < 20"},
+	} {
+		u := colorsql.MustParse(q.where, colorsql.DefaultVars(), table.Dim)
+		fmt.Printf("%s: parsed into %d convex clause(s), %d halfspaces\n", q.name, len(u.Polys), len(u.Polys[0].Planes))
+		var counts []int
+		for _, plan := range []core.Plan{core.PlanFullScan, core.PlanKdTree} {
+			db.Engine().Store().DropCache()
+			recs, rep, err := db.QueryWhere(q.where, plan)
+			if err != nil {
+				return err
+			}
+			row(rep.Plan.String(), len(recs), rep.RowsExamined, rep.DiskReads)
+			counts = append(counts, len(recs))
+		}
 		db.Engine().Store().DropCache()
-		recs, rep, err := db.QueryWhere(where, plan)
+		ids, st, err := vor.QueryPolyhedron(u.Single())
 		if err != nil {
 			return err
 		}
-		fmt.Printf("%-9s returned=%-6d examined=%-7d diskReads=%-5d\n",
-			rep.Plan, len(recs), rep.RowsExamined, rep.DiskReads)
+		row("voronoi", len(ids), st.RowsExamined, st.Pages.DiskReads)
+		if counts[0] != counts[1] || counts[0] != len(ids) {
+			return fmt.Errorf("%s: paths disagree: fullscan %d, kdtree %d, voronoi %d rows", q.name, counts[0], counts[1], len(ids))
+		}
 	}
 	return nil
+}
+
+// buildVoronoi builds the §3.4 index over the store's catalog, on
+// demand: its cell-clustered copy lands in the store's directory but
+// is not registered with the engine, so the store neither persists nor
+// compacts it. numSeeds <= 0 applies the √N default.
+func buildVoronoi(db *core.SpatialDB, numSeeds int, seed int64) (*voronoi.Index, error) {
+	cat, err := db.Catalog()
+	if err != nil {
+		return nil, err
+	}
+	p := voronoi.DefaultParams(cat.NumRows(), seed)
+	if numSeeds > 0 {
+		p.NumSeeds = numSeeds
+	}
+	return voronoi.Build(cat, "magnitude.vor.tbl", db.Domain(), p)
 }
 
 // expFig4 reproduces the Figure 4 cell coloring: how many leaf cells
@@ -791,11 +829,11 @@ func expOutlier(n int, seed int64) error {
 	if err := db.IngestSynthetic(sky.DefaultParams(n, seed)); err != nil {
 		return err
 	}
-	if err := db.BuildVoronoiIndex(n/15, seed); err != nil {
+	vor, err := buildVoronoi(db, n/15, seed)
+	if err != nil {
 		return err
 	}
 	fmt.Printf("%9s %9s %10s %8s %12s\n", "fraction", "flagged", "precision", "recall", "enrichment")
-	vor := db.Voronoi()
 	vols := vor.MonteCarloVolumes(20*vor.NumCells(), seed)
 	for _, fraction := range []float64{0.02, 0.05, 0.10, 0.20} {
 		res, err := outlier.Detect(vor, vols, fraction)

@@ -37,7 +37,7 @@ func main() {
 	n := flag.Int("n", 1_000_000, "number of objects")
 	seed := flag.Int64("seed", 42, "generator seed")
 	spectro := flag.Float64("spectro", 0.01, "spectroscopic (reference) fraction")
-	indexes := flag.Bool("indexes", true, "build and persist the kd-tree, grid, Voronoi and photo-z structures")
+	indexes := flag.Bool("indexes", true, "build and persist the kd-tree, grid and photo-z structures")
 	knnK := flag.Int("photoz-k", 24, "photo-z neighbourhood size (with -indexes)")
 	shards := flag.Int("shards", 0, "partition the catalog into this many shard stores plus a routing table (0 = single store)")
 	flag.Parse()
@@ -82,7 +82,6 @@ func main() {
 		}
 		build("kd-tree", func() error { return db.BuildKdIndex(0) })
 		build("grid", func() error { return db.BuildGridIndex(1024, *seed) })
-		build("voronoi", func() error { return db.BuildVoronoiIndex(0, *seed) })
 		build("photo-z", func() error { return db.BuildPhotoZ(*knnK, 1) })
 	}
 

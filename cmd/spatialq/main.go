@@ -48,7 +48,7 @@ func main() {
 	format := flag.String("format", "table", "statement output: table | ndjson")
 	knnPt := flag.String("knn", "", "comma-separated 5-D point for nearest neighbour search")
 	k := flag.Int("k", 10, "neighbours for -knn")
-	plan := flag.String("plan", "auto", "auto | kdtree | voronoi | fullscan | compare")
+	plan := flag.String("plan", "auto", "auto | kdtree | fullscan | compare")
 	build := flag.Bool("build", false, "build and persist missing index structures instead of failing on them")
 	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "query executor worker pool size")
 	limit := flag.Int("limit", 10, "result rows to print")
@@ -72,9 +72,6 @@ func main() {
 	if t := db.KdTree(); t != nil {
 		fmt.Printf("; kd-tree %d levels / %d leaves", t.Levels, t.NumLeaves())
 	}
-	if v := db.Voronoi(); v != nil {
-		fmt.Printf("; voronoi %d cells", v.NumCells())
-	}
 	fmt.Println()
 
 	if *build {
@@ -84,13 +81,6 @@ func main() {
 				log.Fatal(err)
 			}
 			fmt.Println("built kd-tree index")
-			built = true
-		}
-		if db.Voronoi() == nil {
-			if err := db.BuildVoronoiIndex(0, *seed); err != nil {
-				log.Fatal(err)
-			}
-			fmt.Println("built voronoi index")
 			built = true
 		}
 		if db.Grid() == nil {
@@ -189,10 +179,8 @@ func runStatement(db *core.SpatialDB, src, plan, format string) {
 		p = core.PlanFullScan
 	case "kdtree":
 		p = core.PlanKdTree
-	case "voronoi":
-		p = core.PlanVoronoi
 	default:
-		log.Fatalf("spatialq: -plan %q not supported for SELECT statements (use auto/fullscan/kdtree/voronoi)", plan)
+		log.Fatalf("spatialq: -plan %q not supported for SELECT statements (use auto/fullscan/kdtree)", plan)
 	}
 	stmt, err := colorsql.ParseStatement(src, colorsql.DefaultVars(), table.Dim)
 	if err != nil {
@@ -298,8 +286,6 @@ func runQuery(db *core.SpatialDB, query, plan string, limit int) {
 		run(core.PlanFullScan)
 	case "kdtree":
 		run(core.PlanKdTree)
-	case "voronoi":
-		run(core.PlanVoronoi)
 	case "compare":
 		run(core.PlanFullScan)
 		run(core.PlanKdTree)

@@ -155,10 +155,10 @@ func main() {
 			}
 			return name + "(absent)"
 		}
-		log.Printf("catalog: %d rows; indexes: %s %s %s %s",
+		log.Printf("catalog: %d rows; indexes: %s %s %s",
 			db.NumRows(),
 			report("grid", db.Grid() != nil), report("kdtree", db.KdTree() != nil),
-			report("voronoi", db.Voronoi() != nil), report("photoz", db.PhotoZBuilt()))
+			report("photoz", db.PhotoZBuilt()))
 		if mem := db.MemRows(); mem > 0 {
 			log.Printf("recovered %d acknowledged rows from the WAL into the memtable", mem)
 		}
@@ -256,9 +256,6 @@ func openDB(dir string, build bool, n int, seed int64, workers int, resultCacheB
 		return nil, cleanup, err
 	}
 	if build {
-		if err := db.BuildVoronoiIndex(0, seed); err != nil {
-			return nil, cleanup, err
-		}
 		if err := db.Persist(); err != nil {
 			return nil, cleanup, err
 		}

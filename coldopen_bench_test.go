@@ -74,9 +74,6 @@ func buildColdOpenDB(dir string) (*core.SpatialDB, error) {
 	if err := db.BuildGridIndex(512, 42); err != nil {
 		return nil, err
 	}
-	if err := db.BuildVoronoiIndex(0, 42); err != nil {
-		return nil, err
-	}
 	if err := db.BuildPhotoZ(16, 1); err != nil {
 		return nil, err
 	}

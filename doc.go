@@ -1,8 +1,9 @@
 // Package repro is a from-scratch Go reproduction of "Spatial
 // Indexing of Large Multidimensional Databases" (Csabai et al., CIDR
-// 2007): a database engine with layered-grid, kd-tree and Voronoi
-// spatial indexes over a 5-dimensional astronomical color space,
-// the scientific applications built on them (photometric redshifts,
+// 2007): a database engine with layered-grid and kd-tree spatial
+// indexes over a 5-dimensional astronomical color space, the sampled
+// Voronoi tessellation its science callers build on demand, the
+// scientific applications built on them (photometric redshifts,
 // spectral similarity, basin-spanning-tree classification, outlier
 // detection), and the adaptive visualization pipeline.
 //

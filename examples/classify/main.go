@@ -8,6 +8,9 @@
 //     cell densities recover the spectral classes without any labels
 //     (Figure 6's 92%);
 //  3. outlier detection from Voronoi cell volumes (§4).
+//
+// The serving store keeps no Voronoi index; the example builds one over
+// the store's catalog on demand, as every §4 application does.
 package main
 
 import (
@@ -22,6 +25,7 @@ import (
 	"repro/internal/sky"
 	"repro/internal/table"
 	"repro/internal/vec"
+	"repro/internal/voronoi"
 )
 
 func main() {
@@ -45,13 +49,19 @@ func main() {
 	if err := db.BuildKdIndex(0); err != nil {
 		log.Fatal(err)
 	}
-	if err := db.BuildVoronoiIndex(int(db.NumRows())/10, 7); err != nil {
+	cat, err := db.Catalog()
+	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("catalog: %d objects, %d Voronoi cells\n\n", db.NumRows(), db.Voronoi().NumCells())
+	vp := voronoi.DefaultParams(cat.NumRows(), 7)
+	vp.NumSeeds = int(cat.NumRows()) / 10
+	ix, err := voronoi.Build(cat, "magnitude.vor.tbl", db.Domain(), vp)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("catalog: %d objects, %d Voronoi cells\n\n", db.NumRows(), ix.NumCells())
 
 	// --- 1. Classify by example (§2.2) -------------------------------
-	cat, _ := db.Catalog()
 	var training []vec.Point
 	totalQuasars := 0
 	cat.Scan(func(_ table.RowID, r *table.Record) bool {
@@ -85,7 +95,6 @@ func main() {
 		float64(hits)/float64(totalQuasars), 100*float64(totalQuasars)/float64(db.NumRows()))
 
 	// --- 2. Unsupervised basins (§4, Figure 6) ------------------------
-	ix := db.Voronoi()
 	vols := ix.MonteCarloVolumes(20*ix.NumCells(), 11)
 	dens := ix.Densities(vols)
 	adj := make([][]int, ix.NumCells())

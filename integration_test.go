@@ -27,7 +27,7 @@ import (
 )
 
 // TestEndToEndSystem drives the full Figure 3 stack through the
-// public facade: ingest, all three indexes, queries under every
+// public facade: ingest, the serving indexes, queries under every
 // plan, kNN, adaptive sampling, photo-z — one scenario touching
 // every subsystem together.
 func TestEndToEndSystem(t *testing.T) {
@@ -48,9 +48,6 @@ func TestEndToEndSystem(t *testing.T) {
 	if err := db.BuildGridIndex(512, 7); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.BuildVoronoiIndex(150, 7); err != nil {
-		t.Fatal(err)
-	}
 	if err := db.BuildPhotoZ(16, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +58,7 @@ func TestEndToEndSystem(t *testing.T) {
 	  AND (dered_r - dered_i - (dered_g - dered_r)/4 - 0.18 > -0.2)
 	  AND (dered_r < 21)`
 	var results [][]int64
-	for _, plan := range []core.Plan{core.PlanFullScan, core.PlanKdTree, core.PlanVoronoi} {
+	for _, plan := range []core.Plan{core.PlanFullScan, core.PlanKdTree} {
 		recs, rep, err := db.QueryWhere(where, plan)
 		if err != nil {
 			t.Fatal(err)

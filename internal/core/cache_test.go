@@ -55,9 +55,6 @@ func buildFullDBWithCache(t testing.TB, dir string, rows int) *SpatialDB {
 	if err := db.BuildGridIndex(256, 7); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.BuildVoronoiIndex(80, 7); err != nil {
-		t.Fatal(err)
-	}
 	if err := db.BuildPhotoZ(16, 1); err != nil {
 		t.Fatal(err)
 	}

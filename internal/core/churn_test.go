@@ -57,7 +57,7 @@ func batchAnswersOf(db *SpatialDB) (batchAnswers, error) {
 }
 
 // TestEvictionChurnMatrix is the pressure-correctness matrix: every
-// query path — full scan, kd-tree, Voronoi, auto plan, kNN (single
+// query path — full scan, kd-tree, auto plan, kNN (single
 // and batch), photo-z batch, grid sampling — must return answers
 // byte-identical to a RAM-sized pool when served from a cold-opened
 // database through a pool barely above the pin floor (constant

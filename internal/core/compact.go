@@ -14,24 +14,24 @@ import (
 	"repro/internal/photoz"
 	"repro/internal/table"
 	"repro/internal/vec"
-	"repro/internal/voronoi"
 )
 
 // Compaction moves acknowledged rows out of the memtable into the
 // paged clustered tables while the database keeps serving.
 //
 // Minor compaction (Compact) appends the memtable's rows to the
-// catalog and every clustered table copy using staged appenders —
-// written rows stay invisible until one publish step under db.mu
-// flips every table's row bound and trims the memtable atomically, so
-// a concurrently opened cursor snapshot sees the rows either all in
-// the memtable or all in the tables, never both and never neither.
+// catalog and every clustered table copy — kd, grid, and the photo-z
+// reference's — using staged appenders: written rows stay invisible
+// until one publish step under db.mu flips every table's row bound and
+// trims the memtable atomically, so a concurrently opened cursor
+// snapshot sees the rows either all in the memtable or all in the
+// tables, never both and never neither.
 //
 // The indexes are maintained incrementally: appended rows land past
 // each index's covered prefix as an unindexed tail rather than forcing
-// a rebuild. The catalog, grid and Voronoi copies take a batch in
-// arrival order. The kd-clustered table (and the photo-z reference's)
-// takes it as a kd-ordered run — the batch stable-sorted by the leaf
+// a rebuild. The catalog and grid copies take a batch in arrival
+// order. The kd-clustered table (and the photo-z reference's) takes it
+// as a kd-ordered run — the batch stable-sorted by the leaf
 // each row routes to (appendKdRun) — so a run's pages each cover a
 // small piece of colour space. Zone maps widen as the appenders run,
 // before publication, so a page's zone always covers every row on it;
@@ -71,7 +71,6 @@ type compactTargets struct {
 	kd      *kdtree.Tree
 	kdTable *table.Table
 	grid    *grid.Index
-	vor     *voronoi.Index
 	photoZ  *photoz.Estimator
 	ref     *table.Table
 	mem     *memtable.Memtable
@@ -85,7 +84,6 @@ func (db *SpatialDB) compactLocked() error {
 		kd:      db.kd,
 		kdTable: db.kdTable,
 		grid:    db.grid,
-		vor:     db.vor,
 		photoZ:  db.photoZ,
 		mem:     db.mem,
 	}
@@ -122,12 +120,9 @@ func (db *SpatialDB) compactLocked() error {
 		return ap
 	}
 	catAp := stage(tg.catalog)
-	var gridAp, vorAp, refAp *table.Appender
+	var gridAp, refAp *table.Appender
 	if tg.grid != nil {
 		gridAp = stage(tg.grid.Table())
-	}
-	if tg.vor != nil {
-		vorAp = stage(tg.vor.Table())
 	}
 	if tg.ref != nil {
 		refAp = stage(tg.ref)
@@ -146,16 +141,6 @@ func (db *SpatialDB) compactLocked() error {
 		if gridAp != nil {
 			if err := gridAp.Append(&rec); err != nil {
 				return fmt.Errorf("core: compact grid table: %w", err)
-			}
-		}
-		if vorAp != nil {
-			// Tag the row with its Voronoi cell like Build would, even
-			// though it lives in the unindexed tail until the next full
-			// compaction.
-			vrec := rec
-			vrec.CellID = uint32(tg.vor.CellOf(vrec.Point()))
-			if err := vorAp.Append(&vrec); err != nil {
-				return fmt.Errorf("core: compact voronoi table: %w", err)
 			}
 		}
 		if rec.HasZ && refAp != nil {
@@ -241,7 +226,7 @@ func appendKdRun(ap *table.Appender, tree *kdtree.Tree, rows []memtable.Row, has
 }
 
 // CompactFull runs a minor compaction and then rebuilds every built
-// index from the enlarged catalog — kd-tree, grid, Voronoi, photo-z —
+// index from the enlarged catalog — kd-tree, grid, photo-z —
 // producing the same structures a fresh build over the same rows
 // would, at a new artifact generation. Queries keep serving
 // throughout; open cursor snapshots finish on the superseded
@@ -256,7 +241,7 @@ func (db *SpatialDB) CompactFull() error {
 
 	db.mu.RLock()
 	catalog := db.catalog
-	hadKd, hadGrid, hadVor, hadPz := db.kd != nil, db.grid != nil, db.vor != nil, db.photoZ != nil
+	hadKd, hadGrid, hadPz := db.kd != nil, db.grid != nil, db.photoZ != nil
 	bp := db.buildParams
 	if hadGrid {
 		// Grid params round-trip persistence, so prefer the live
@@ -264,14 +249,6 @@ func (db *SpatialDB) CompactFull() error {
 		// exist, and only the former survives a cold open).
 		p := db.grid.Params()
 		bp.gridBase, bp.gridSeed = p.Base, p.Seed
-	}
-	if hadVor && bp.vorSeeds == 0 {
-		// Cold-opened index: the persisted form carries the seed count
-		// but not the sampling seed; rebuild with the same cell count
-		// and a fixed seed (a fresh build of this catalog, not a
-		// replica of the original sampling).
-		bp.vorSeeds = db.vor.NumCells()
-		bp.vorSeed = 1
 	}
 	var pzK, pzDegree int
 	if hadPz {
@@ -282,7 +259,7 @@ func (db *SpatialDB) CompactFull() error {
 	if catalog == nil {
 		return fmt.Errorf("core: no catalog loaded")
 	}
-	if !hadKd && !hadGrid && !hadVor && !hadPz {
+	if !hadKd && !hadGrid && !hadPz {
 		return nil
 	}
 
@@ -296,7 +273,6 @@ func (db *SpatialDB) CompactFull() error {
 		newKd      *kdtree.Tree
 		newKdTable *table.Table
 		newGrid    *grid.Index
-		newVor     *voronoi.Index
 		newRef     *table.Table
 		newPz      *photoz.Estimator
 	)
@@ -327,20 +303,6 @@ func (db *SpatialDB) CompactFull() error {
 			return fmt.Errorf("core: full compact grid: %w", err)
 		}
 		newGrid = ix
-	}
-	if hadVor {
-		p := voronoi.DefaultParams(catalog.NumRows(), bp.vorSeed)
-		if bp.vorSeeds > 0 {
-			p.NumSeeds = bp.vorSeeds
-		}
-		ix, err := voronoi.Build(catalog, engine.GenName(vorTableName, gen), domain, p)
-		if err != nil {
-			return fmt.Errorf("core: full compact voronoi: %w", err)
-		}
-		if err := ix.Persist(engine.GenName(vorIndexFile, gen)); err != nil {
-			return fmt.Errorf("core: full compact voronoi: %w", err)
-		}
-		newVor = ix
 	}
 	if hadPz {
 		ref, err := photoz.ExtractReference(catalog, store, engine.GenName(refTableName, gen))
@@ -394,13 +356,6 @@ func (db *SpatialDB) CompactFull() error {
 		if swapErr == nil {
 			moveArtifact(gridIndexFile)
 			db.grid = newGrid
-		}
-	}
-	if swapErr == nil && newVor != nil {
-		swapErr = replace(vorTableName, newVor.Table(), engine.ClusteredVoronoiCell)
-		if swapErr == nil {
-			moveArtifact(vorIndexFile)
-			db.vor = newVor
 		}
 	}
 	if swapErr == nil && newPz != nil {

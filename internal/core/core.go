@@ -1,12 +1,13 @@
-// Package core assembles the paper's complete system (Figure 3): a
-// magnitude table inside a database engine, the three spatial
-// indexes built over it — layered uniform grid (§3.1), kd-tree
-// (§3.2) and sampled Voronoi tessellation (§3.4) — and the
-// server-side procedures the scientific applications call, as typed
-// methods: polyhedron queries, k-nearest-neighbour search, adaptive
-// region sampling and photometric redshift estimation. Applications
-// built from those (similarity hulls, outlier detection, spectral
-// search) live above this package and call it.
+// Package core assembles the paper's serving system (Figure 3): a
+// magnitude table inside a database engine, the two spatial indexes
+// the server keeps over it — layered uniform grid (§3.1) and kd-tree
+// (§3.2) — and the server-side procedures the scientific applications
+// call, as typed methods: polyhedron queries, k-nearest-neighbour
+// search, adaptive region sampling and photometric redshift
+// estimation. Applications built from those (similarity hulls, the
+// §3.4 Voronoi tessellation and the outlier detection and
+// classification over it, spectral search) live above this package
+// and call it.
 //
 // Every read is snapshot → tier-1 plan → [result tier] → stream,
 // written once: the eager Query* methods are collect-all over the same
@@ -48,7 +49,6 @@ import (
 	"repro/internal/sky"
 	"repro/internal/table"
 	"repro/internal/vec"
-	"repro/internal/voronoi"
 )
 
 // Config configures a SpatialDB instance.
@@ -90,9 +90,9 @@ const (
 	// tail filtered behind their page zones. It also labels the kNN
 	// region-growing search.
 	PlanKdTree
-	// PlanVoronoi forces the §3.4 Voronoi cell scan. The planner never
-	// chooses it; the experiment harness does.
-	PlanVoronoi
+	// 3 was the forced Voronoi cell scan. The number stays retired so
+	// the plans after it keep the values the shard wire carries.
+	_
 	// PlanGrid is reported by grid-served sampling queries
 	// (SampleRegion); it is not selectable for polyhedron retrieval.
 	PlanGrid
@@ -111,8 +111,6 @@ func (p Plan) String() string {
 		return "fullscan"
 	case PlanKdTree:
 		return "kdtree"
-	case PlanVoronoi:
-		return "voronoi"
 	case PlanGrid:
 		return "grid"
 	case PlanPrunedScan:
@@ -184,7 +182,6 @@ type SpatialDB struct {
 	knnS    *knn.Searcher
 
 	grid *grid.Index
-	vor  *voronoi.Index
 
 	photoZ *photoz.Estimator
 
@@ -232,14 +229,12 @@ type SpatialDB struct {
 // buildParams records index build parameters for deterministic
 // rebuilds at full compaction. Cold-opened databases recover what the
 // persisted structures carry (kd levels from the tree, grid params
-// from its gob, voronoi seed count from the directory); fields the
-// serialization does not record fall back to defaults.
+// from its gob); fields the serialization does not record fall back
+// to defaults.
 type buildParams struct {
 	kdLevels int
 	gridBase int
 	gridSeed int64
-	vorSeeds int
-	vorSeed  int64
 }
 
 // Open creates an empty SpatialDB at cfg.Dir.
@@ -408,34 +403,20 @@ func (db *SpatialDB) Grid() *grid.Index {
 	return db.grid
 }
 
-// BuildVoronoiIndex builds the §3.4 sampled Voronoi index. numSeeds
-// <= 0 applies the √N default.
+// BuildVoronoiIndex builds nothing: the §3.4 Voronoi tessellation is
+// not part of the serving store. Callers that need it build it on
+// demand with voronoi.Build over Catalog().
+//
+// Deprecated: kept only so existing build scripts compile; it fails on
+// a store with no catalog, like the index builds, and is otherwise a
+// no-op.
 func (db *SpatialDB) BuildVoronoiIndex(numSeeds int, seed int64) error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
+	db.mu.RLock()
+	defer db.mu.RUnlock()
 	if db.catalog == nil {
 		return fmt.Errorf("core: no catalog loaded")
 	}
-	p := voronoi.DefaultParams(db.catalog.NumRows(), seed)
-	if numSeeds > 0 {
-		p.NumSeeds = numSeeds
-	}
-	ix, err := voronoi.Build(db.catalog, vorTableName, db.domain, p)
-	if err != nil {
-		return err
-	}
-	db.vor = ix
-	db.buildParams.vorSeeds, db.buildParams.vorSeed = p.NumSeeds, p.Seed
-	db.bumpPlanGen()
-	return db.eng.RegisterClusteredTable(ix.Table(), engine.ClusteredVoronoiCell)
-}
-
-// Voronoi exposes the built Voronoi index (nil before
-// BuildVoronoiIndex).
-func (db *SpatialDB) Voronoi() *voronoi.Index {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return db.vor
+	return nil
 }
 
 // BuildPhotoZ prepares the §4.1 redshift estimator from the

@@ -202,18 +202,6 @@ func (db *SpatialDB) whereCursorSnap(ctx context.Context, sn *dbSnap, clauses []
 			// pruning alone, and is reported as such.
 			resolved = PlanPrunedScan
 		}
-	case PlanVoronoi:
-		if sn.vor == nil {
-			return nil, fmt.Errorf("core: voronoi index not built")
-		}
-		// Bound by the snapshot view, not the live directory table: the
-		// collector covers the compaction-appended tail.
-		ranges := sn.vor.CollectRanges(clauses, sn.vorTable.NumRows())
-		tasks = make([]planner.ScanTask, len(ranges))
-		for i, r := range ranges {
-			tasks[i] = planner.ScanTask{Lo: r.Lo, Hi: r.Hi, Filter: r.Filter}
-		}
-		tb = sn.vorTable.Scoped(scope)
 	case PlanFullScan:
 		tasks = []planner.ScanTask{{Lo: 0, Hi: table.RowID(sn.catalog.NumRows()), Filter: true}}
 		// Every page, zones unconsulted; scan-class so an unselective

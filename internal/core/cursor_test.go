@@ -52,11 +52,8 @@ func TestStatementMatchesLegacyAcrossWorkers(t *testing.T) {
 		if err := db.BuildKdIndex(0); err != nil {
 			t.Fatal(err)
 		}
-		if err := db.BuildVoronoiIndex(60, 7); err != nil {
-			t.Fatal(err)
-		}
 		const where = "g - r > 0.3 AND r < 20 OR r < 15"
-		for _, plan := range []Plan{PlanFullScan, PlanKdTree, PlanVoronoi, PlanAuto} {
+		for _, plan := range []Plan{PlanFullScan, PlanKdTree, PlanAuto} {
 			want, wantRep, err := db.QueryWhere(where, plan)
 			if err != nil {
 				t.Fatal(err)
@@ -424,8 +421,8 @@ func TestStatementValidation(t *testing.T) {
 		t.Error("forced kd plan without a kd-tree should fail upfront")
 	}
 	if _, err := db.ExecStatement(context.Background(),
-		mustStatement(t, "SELECT * WHERE r < 19"), PlanVoronoi); err == nil {
-		t.Error("forced voronoi plan without the index should fail upfront")
+		mustStatement(t, "SELECT * WHERE r < 19"), Plan(3)); err == nil {
+		t.Error("the retired Voronoi plan number should fail upfront")
 	}
 	empty, err := Open(Config{Dir: t.TempDir()})
 	if err != nil {

@@ -66,7 +66,7 @@ func referenceRows(t *testing.T, db *SpatialDB, q vec.Polyhedron, plan Plan) ([]
 	if err != nil {
 		t.Fatal(err)
 	}
-	covered := tb.NumRows() // the full scan and the Voronoi reference read the tail themselves
+	covered := tb.NumRows() // the full scan reads the tail itself
 	if plan == PlanKdTree {
 		covered = db.kd.NumRows
 	}
@@ -93,12 +93,12 @@ func referenceRows(t *testing.T, db *SpatialDB, q vec.Polyhedron, plan Plan) ([]
 
 // TestStreamMatchesSerialReference is the executor's identity matrix:
 // {kd built, kd absent} × {no tail, minor-compacted tail, memtable
-// rows} as stores, {auto, kd, voronoi, fullscan} × {1, 4 workers} ×
+// rows} as stores, {auto, kd, fullscan} × {1, 4 workers} ×
 // {RAM pool, pin-floor pool} over each. Collect-all over
 // Executor.Stream (QueryPolyhedron) must return exactly the serial
 // per-index reference's rows, in physical order, and its scoped page
 // stats must be exact: PagesScanned is the scope's own page touches,
-// the index and Voronoi scans touch no more than their serial walks,
+// the index scan touches no more than its serial walk,
 // the full scan exactly what its reference touches, and not one page
 // more when three callers race the same query through the same store
 // (run with -race).
@@ -110,7 +110,7 @@ func TestStreamMatchesSerialReference(t *testing.T) {
 			identityStore(t, dir, indexed, tail)
 			plans := []Plan{PlanAuto, PlanFullScan}
 			if indexed {
-				plans = []Plan{PlanAuto, PlanKdTree, PlanVoronoi, PlanFullScan}
+				plans = []Plan{PlanAuto, PlanKdTree, PlanFullScan}
 			}
 			for _, pool := range []struct {
 				name  string
@@ -193,12 +193,6 @@ func checkStreamIdentity(t *testing.T, re *SpatialDB, name string, q vec.Polyhed
 		}
 	case PlanFullScan:
 		if touched != refTouched {
-			t.Errorf("%s: stream touched %d pages, serial reference %d", name, touched, refTouched)
-		}
-	case PlanVoronoi:
-		// Partial cells and the tail filter behind their page zones;
-		// the serial reference reads every page of both.
-		if touched > refTouched {
 			t.Errorf("%s: stream touched %d pages, serial reference %d", name, touched, refTouched)
 		}
 	}

@@ -370,9 +370,6 @@ func TestFullCompactionMatchesFreshBuild(t *testing.T) {
 		if err := db.BuildGridIndex(256, 7); err != nil {
 			t.Fatal(err)
 		}
-		if err := db.BuildVoronoiIndex(64, 7); err != nil {
-			t.Fatal(err)
-		}
 		if err := db.BuildPhotoZ(16, 1); err != nil {
 			t.Fatal(err)
 		}
@@ -407,7 +404,7 @@ func TestFullCompactionMatchesFreshBuild(t *testing.T) {
 		"SELECT objid, g, r WHERE g - r > 0.1 AND g - r < 0.9 AND r < 20",
 		"SELECT objid",
 	}
-	plans := []Plan{PlanAuto, PlanFullScan, PlanKdTree, PlanVoronoi}
+	plans := []Plan{PlanAuto, PlanFullScan, PlanKdTree}
 	for _, src := range statements {
 		for _, plan := range plans {
 			a := drainProjected(t, dbA, src, plan)

@@ -11,14 +11,13 @@ import (
 	"repro/internal/photoz"
 	"repro/internal/planner"
 	"repro/internal/sky"
-	"repro/internal/voronoi"
 )
 
 // The build-once / serve-many lifecycle. The paper's indexes are
 // persisted inside SQL Server and survive restarts; this file gives
 // the reproduction the same property. Persist writes every built
-// structure — the catalog of tables, the kd-tree, the grid and
-// Voronoi directories, the photo-z estimator — into paged files plus
+// structure — the catalog of tables, the kd-tree, the grid directory,
+// the photo-z estimator — into paged files plus
 // the checksummed store manifest, and OpenExisting reassembles a
 // fully serving SpatialDB from those files alone: no ingest, no
 // index construction, no table scan. Index structures are
@@ -33,8 +32,6 @@ const (
 	kdIndexFile      = "magnitude.kd.idx"
 	gridTableName    = "magnitude.grid.tbl"
 	gridIndexFile    = "magnitude.grid.idx"
-	vorTableName     = "magnitude.vor.tbl"
-	vorIndexFile     = "magnitude.vor.idx"
 	refTableName     = "reference.tbl"
 	refKdTableName   = "reference.kd.tbl"
 	photozTreeFile   = "reference.kd.idx"
@@ -62,11 +59,6 @@ func (db *SpatialDB) Persist() error {
 	}
 	if db.grid != nil {
 		if err := db.grid.Persist(db.eng.ArtifactFile(gridIndexFile)); err != nil {
-			return err
-		}
-	}
-	if db.vor != nil {
-		if err := db.vor.Persist(db.eng.ArtifactFile(vorIndexFile)); err != nil {
 			return err
 		}
 	}
@@ -147,18 +139,6 @@ func OpenExisting(cfg Config) (*SpatialDB, error) {
 			return fail(err)
 		}
 		db.grid = ix
-	}
-
-	if vorFile := eng.ArtifactFile(vorIndexFile); store.HasFile(vorFile) {
-		clustered, err := eng.Table(vorTableName)
-		if err != nil {
-			return fail(fmt.Errorf("core: voronoi index file present but clustered table %q is not cataloged: %w", vorTableName, err))
-		}
-		ix, err := voronoi.OpenExisting(store, vorFile, clustered)
-		if err != nil {
-			return fail(err)
-		}
-		db.vor = ix
 	}
 
 	if pzMeta := eng.ArtifactFile(photozMetaFile); store.HasFile(pzMeta) {

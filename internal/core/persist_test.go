@@ -35,9 +35,6 @@ func buildFullDB(t testing.TB, dir string, rows int) *SpatialDB {
 	if err := db.BuildGridIndex(256, 7); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.BuildVoronoiIndex(80, 7); err != nil {
-		t.Fatal(err)
-	}
 	if err := db.BuildPhotoZ(16, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -71,8 +68,8 @@ var stmtQueries = []string{
 }
 
 // serialReference runs the serial per-index implementation of plan —
-// kdtree.Tree.QueryPolyhedron, voronoi.Index.QueryPolyhedron or
-// engine.FullScanPolyhedron, which share nothing with Executor.Stream
+// kdtree.Tree.QueryPolyhedron or engine.FullScanPolyhedron, which
+// share nothing with Executor.Stream
 // but the page decoder — and returns the matching row ids, the table
 // they address and the page requests the reference made (exact only
 // when nothing else touches the store meanwhile). PlanPrunedScan is
@@ -80,13 +77,9 @@ var stmtQueries = []string{
 // kd-tree: a scan of the catalog itself, so the full scan is its
 // reference too.
 func serialReference(db *SpatialDB, q vec.Polyhedron, plan Plan) ([]table.RowID, *table.Table, pagestore.Stats, error) {
-	switch plan {
-	case PlanKdTree:
+	if plan == PlanKdTree {
 		ids, st, err := db.kd.QueryPolyhedron(db.kdTable, q)
 		return ids, db.kdTable, st.Pages, err
-	case PlanVoronoi:
-		ids, st, err := db.vor.QueryPolyhedron(q)
-		return ids, db.vor.Table(), st.Pages, err
 	}
 	ids, st, err := engine.FullScanPolyhedron(db.catalog, q)
 	return ids, db.catalog.ScanClassed(), st.Pages, err
@@ -117,7 +110,7 @@ func collectAnswers(t testing.TB, db *SpatialDB) queryAnswers {
 	const where = "g - r > 0.2 AND r < 20"
 	ans := queryAnswers{poly: make(map[Plan][]table.Record)}
 	poly := colorsql.MustParse(where, colorsql.DefaultVars(), table.Dim).Single()
-	for _, plan := range []Plan{PlanFullScan, PlanKdTree, PlanVoronoi, PlanAuto} {
+	for _, plan := range []Plan{PlanFullScan, PlanKdTree, PlanAuto} {
 		recs, _, err := db.QueryWhere(where, plan)
 		if err != nil {
 			t.Fatalf("plan %v: %v", plan, err)
@@ -307,9 +300,6 @@ func TestOpenExistingNotBuilt(t *testing.T) {
 	if _, _, err := re.QueryPolyhedron(poly, PlanKdTree); err == nil || !strings.Contains(err.Error(), "kd-tree index not built") {
 		t.Errorf("kdtree plan: err = %v", err)
 	}
-	if _, _, err := re.QueryPolyhedron(poly, PlanVoronoi); err == nil || !strings.Contains(err.Error(), "voronoi index not built") {
-		t.Errorf("voronoi plan: err = %v", err)
-	}
 	if _, _, err := re.SampleRegion(vec.NewBox(vec.Point{14, 14, 14}, vec.Point{24, 24, 24}), 10); err == nil || !strings.Contains(err.Error(), "grid index not built") {
 		t.Errorf("sample: err = %v", err)
 	}
@@ -319,6 +309,38 @@ func TestOpenExistingNotBuilt(t *testing.T) {
 	// The full scan still works: the catalog is there.
 	if _, _, err := re.QueryPolyhedron(poly, PlanFullScan); err != nil {
 		t.Errorf("fullscan after catalog-only reopen: %v", err)
+	}
+}
+
+// TestPersistWritesNoVoronoiCopy pins the serving store's footprint: a
+// store with every index built and persisted holds no Voronoi file, and
+// its cold open registers no Voronoi-clustered table — the §3.4 index
+// is built on demand by its science callers, never stored here.
+func TestPersistWritesNoVoronoiCopy(t *testing.T) {
+	dir := t.TempDir()
+	db := buildFullDB(t, dir, 3000)
+	if err := db.Persist(); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	vor, err := filepath.Glob(filepath.Join(dir, "*.vor.*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(vor) > 0 {
+		t.Errorf("persisted store holds Voronoi files %v", vor)
+	}
+	re, err := OpenExisting(Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	for _, name := range re.Engine().TableNames() {
+		if by := re.Engine().ClusteredBy(name); by == "voronoi-cell" {
+			t.Errorf("cold open registered %s clustered by %s", name, by)
+		}
 	}
 }
 

@@ -12,7 +12,6 @@ import (
 
 	"repro/internal/grid"
 	"repro/internal/kdtree"
-	"repro/internal/voronoi"
 )
 
 // dbSnap is the read view a cursor holds for its whole lifetime: the
@@ -34,9 +33,6 @@ type dbSnap struct {
 	kd      *kdtree.Tree
 	kdTable *table.Table
 
-	vor      *voronoi.Index
-	vorTable *table.Table
-
 	grid *grid.Index
 
 	mem []memtable.Row
@@ -55,14 +51,10 @@ func (db *SpatialDB) snapshot() (*dbSnap, error) {
 		db:      db,
 		catalog: db.catalog.Snapshot(),
 		kd:      db.kd,
-		vor:     db.vor,
 		grid:    db.grid,
 	}
 	if db.kdTable != nil {
 		sn.kdTable = db.kdTable.Snapshot()
-	}
-	if db.vor != nil {
-		sn.vorTable = db.vor.Table().Snapshot()
 	}
 	if db.mem != nil {
 		sn.mem = db.mem.Snapshot()

@@ -201,10 +201,6 @@ func (db *SpatialDB) validatePlan(stmt colorsql.Statement, plan Plan) error {
 			if db.kd == nil {
 				return fmt.Errorf("core: kd-tree index not built")
 			}
-		case PlanVoronoi:
-			if db.vor == nil {
-				return fmt.Errorf("core: voronoi index not built")
-			}
 		case PlanGrid, PlanPrunedScan:
 			return fmt.Errorf("core: plan %v reports how a query ran; it cannot be selected", plan)
 		}

@@ -38,13 +38,15 @@ func GenName(base string, gen uint64) string {
 	return fmt.Sprintf("%s@%d", base, gen)
 }
 
-// catalogFormatVersion 2 is the columnar-page era: table files hold
-// column strips (table/colpage.go) and each table may carry a
-// zone-map sidecar. Version 1 databases hold row-major 64-byte record
-// pages; the formats share nothing below the page store, so opening
-// across the boundary is refused with a descriptive error rather
-// than misreading pages.
-const catalogFormatVersion = 2
+// catalogFormatVersion 3 is the columnar-page era without a Voronoi
+// copy: table files hold column strips (table/colpage.go), each table
+// may carry a zone-map sidecar, and no table is clustered by Voronoi
+// cell. Version 2 databases may carry that fourth copy, which nothing
+// reads, compacts or persists any more; version 1 databases hold
+// row-major 64-byte record pages. Opening across either boundary is
+// refused with a descriptive error rather than misreading pages or
+// dragging a dead table along.
+const catalogFormatVersion = 3
 
 // catalogVersionMeaning names what each known on-disk version stored,
 // for the skew error message.
@@ -53,17 +55,18 @@ func catalogVersionMeaning(v int) string {
 	case 1:
 		return "row-major record pages"
 	case 2:
-		return "columnar strip pages with zone-map sidecars"
+		return "columnar strip pages with zone-map sidecars and a Voronoi cell copy"
+	case 3:
+		return "columnar strip pages with zone-map sidecars, no Voronoi copy"
 	}
 	return "unknown layout"
 }
 
 // Clustered-order identities recorded per table.
 const (
-	ClusteredHeap        = "heap"         // load order (no clustering)
-	ClusteredKdLeaf      = "kdtree-leaf"  // §3.2 post-order leaf ranges
-	ClusteredGridCell    = "grid-cell"    // §3.1 (layer, cell) ranges
-	ClusteredVoronoiCell = "voronoi-cell" // §3.4 cell-tag ranges
+	ClusteredHeap     = "heap"        // load order (no clustering)
+	ClusteredKdLeaf   = "kdtree-leaf" // §3.2 post-order leaf ranges
+	ClusteredGridCell = "grid-cell"   // §3.1 (layer, cell) ranges
 )
 
 // TableMeta is one catalog entry.

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"encoding/gob"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -43,38 +44,49 @@ func buildPersisted(t *testing.T) string {
 }
 
 // TestOpenRejectsRowFormatCatalog is the format-skew regression test:
-// a database whose catalog claims the pre-columnar row format
-// (version 1) must be refused with an error naming both versions —
-// never opened by misreading row pages as column strips.
+// a database whose catalog claims an older format must be refused with
+// an error naming both versions — never opened by misreading row pages
+// as column strips (version 1), nor by carrying a Voronoi cell copy
+// nothing maintains any more (version 2).
 func TestOpenRejectsRowFormatCatalog(t *testing.T) {
-	dir := buildPersisted(t)
+	for _, tc := range []struct {
+		version int
+		wants   []string
+	}{
+		{1, []string{"version 1", "version 3", "row-major", "columnar"}},
+		{2, []string{"version 2", "version 3", "Voronoi", "sdssgen"}},
+	} {
+		t.Run(fmt.Sprintf("v%d", tc.version), func(t *testing.T) {
+			dir := buildPersisted(t)
 
-	// Rewrite the catalog in place claiming format version 1, as a
-	// pre-columnar binary would have written it.
-	s, err := pagestore.OpenExisting(dir, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cat := persistedCatalog{Version: 1, Tables: []TableMeta{{
-		Name: "t.tbl", Rows: 300, RecordSize: table.RecordSize, ClusteredBy: ClusteredHeap,
-	}}}
-	err = pagedio.WriteGob(s, GenName(CatalogFileName, s.ArtifactGen()), func(enc *gob.Encoder) error { return enc.Encode(cat) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
+			// Rewrite the catalog in place claiming the old format, as a
+			// binary of that era would have written it.
+			s, err := pagestore.OpenExisting(dir, 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cat := persistedCatalog{Version: tc.version, Tables: []TableMeta{{
+				Name: "t.tbl", Rows: 300, RecordSize: table.RecordSize, ClusteredBy: ClusteredHeap,
+			}}}
+			err = pagedio.WriteGob(s, GenName(CatalogFileName, s.ArtifactGen()), func(enc *gob.Encoder) error { return enc.Encode(cat) })
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
 
-	_, err = OpenExisting(dir, 64)
-	if err == nil {
-		t.Fatal("open of a version-1 (row-format) catalog succeeded, want refusal")
-	}
-	msg := err.Error()
-	for _, want := range []string{"version 1", "version 2", "row-major", "columnar"} {
-		if !strings.Contains(msg, want) {
-			t.Errorf("version-skew error %q does not mention %q", msg, want)
-		}
+			_, err = OpenExisting(dir, 64)
+			if err == nil {
+				t.Fatalf("open of a version-%d catalog succeeded, want refusal", tc.version)
+			}
+			msg := err.Error()
+			for _, want := range tc.wants {
+				if !strings.Contains(msg, want) {
+					t.Errorf("version-skew error %q does not mention %q", msg, want)
+				}
+			}
+		})
 	}
 }
 

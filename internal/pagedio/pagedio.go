@@ -5,7 +5,7 @@
 // The paper's indexes live inside SQL Server: their node and
 // directory pages flow through the same buffer pool whose reads §3.1
 // counts. Writing index structures through this package reproduces
-// that property — a kd-tree or Voronoi directory deserialized at
+// that property — a kd-tree or grid directory deserialized at
 // cold open is read page by page via Store.Get (or a Scope), so
 // index-structure I/O shows up in pagestore.Stats exactly like table
 // I/O, instead of bypassing the pool through plain files.

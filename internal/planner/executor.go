@@ -1,12 +1,11 @@
 package planner
 
 // Executor is the concurrent query executor: candidate row ranges —
-// the index scan's ranges, Voronoi cell ranges, or the full scan —
-// are chunked across a fixed worker pool and streamed back in
-// range order (Stream, in stream.go), so a parallel scan yields
-// exactly the rows, in exactly the physical order, of the serial
-// per-index implementations (kdtree.Tree.QueryPolyhedron,
-// voronoi.Index.QueryPolyhedron, engine.FullScanPolyhedron). The zero
+// the index scan's ranges or the full scan — are chunked across a
+// fixed worker pool and streamed back in range order (Stream, in
+// stream.go), so a parallel scan yields exactly the rows, in exactly
+// the physical order, of the serial per-index implementations
+// (kdtree.Tree.QueryPolyhedron, engine.FullScanPolyhedron). The zero
 // value (and a nil *Executor) executes serially.
 //
 // Every query runs under its own pagestore accounting scope shared

@@ -61,9 +61,7 @@ type Path int
 
 // Available access paths. The layered grid is an estimation source,
 // not an execution path: it answers sampling queries, not exact
-// polyhedron retrieval. The Voronoi index is never priced — no
-// workload in the ledger ever chose it (EXPERIMENTS.md "One index
-// scan") — and runs only when a caller forces it.
+// polyhedron retrieval.
 const (
 	PathFullScan Path = iota
 	// PathIndex is the index scan: the kd walk's ranges over the

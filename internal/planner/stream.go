@@ -9,7 +9,7 @@ import (
 )
 
 // This file is the executor's one execution path: candidate ranges —
-// the index scan's ranges, Voronoi cell ranges, full-scan chunks —
+// the index scan's ranges, full-scan chunks —
 // emitted row by row through a pull cursor. Every range reads through
 // one table iterator: filter ranges push the page predicate down (zone
 // skip, then the vectorized strip filter), unfiltered ranges emit
@@ -33,8 +33,7 @@ import (
 
 // ScanTask is one candidate row range of a streaming scan. Filter
 // marks ranges whose rows need the predicate (partial kd leaves, the
-// unindexed tail, partial Voronoi cells; full-scan chunks always
-// filter).
+// unindexed tail; full-scan chunks always filter).
 type ScanTask struct {
 	Lo, Hi table.RowID
 	Filter bool

@@ -58,7 +58,6 @@ func TestMain(m *testing.M) {
 			func() error { return db.IngestRecords(fixtureRecs) },
 			func() error { return db.BuildKdIndex(0) },
 			func() error { return db.BuildGridIndex(1024, fixtureSeed) },
-			func() error { return db.BuildVoronoiIndex(0, fixtureSeed) },
 			func() error { return db.BuildPhotoZ(24, 1) },
 			db.Persist,
 			db.Close,

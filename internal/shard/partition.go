@@ -20,7 +20,7 @@ type BuildParams struct {
 	// Index build parameters, applied identically to every shard so
 	// per-shard planning matches what a single store would do on the
 	// same data. Zero values pick the same defaults sdssgen uses.
-	Indexes      bool // build kd/grid/voronoi indexes (photo-z always builds when refs exist)
+	Indexes      bool // build the kd-tree and grid indexes (photo-z always builds when refs exist)
 	GridBase     int
 	PhotoZK      int
 	PhotoZDegree int
@@ -122,9 +122,6 @@ func buildShardStore(dir string, part, refs []table.Record, p BuildParams) error
 			return err
 		}
 		if err := db.BuildGridIndex(p.GridBase, p.Seed); err != nil {
-			return err
-		}
-		if err := db.BuildVoronoiIndex(0, p.Seed); err != nil {
 			return err
 		}
 	}

@@ -90,3 +90,37 @@ func TestRouteMagsMatchesPartition(t *testing.T) {
 		}
 	}
 }
+
+// TestBuildClusterStoresNoVoronoi: a cluster built with every index
+// leaves no Voronoi file in any shard store, and no shard's cold open
+// registers a Voronoi-clustered table — the serving store keeps the
+// kd-tree and grid only.
+func TestBuildClusterStoresNoVoronoi(t *testing.T) {
+	dir := t.TempDir()
+	if _, err := BuildCluster(dir, fixtureRecs, BuildParams{Shards: fixtureShards, Seed: fixtureSeed, Indexes: true}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < fixtureShards; i++ {
+		shardDir := filepath.Join(dir, ShardDir(i))
+		vor, err := filepath.Glob(filepath.Join(shardDir, "*.vor.*"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(vor) > 0 {
+			t.Errorf("shard %d holds Voronoi files %v", i, vor)
+		}
+		db, err := core.OpenExisting(core.Config{Dir: shardDir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if db.KdTree() == nil || db.Grid() == nil {
+			t.Errorf("shard %d: indexes not built", i)
+		}
+		for _, name := range db.Engine().TableNames() {
+			if by := db.Engine().ClusteredBy(name); by == "voronoi-cell" {
+				t.Errorf("shard %d: cold open registered %s clustered by %s", i, name, by)
+			}
+		}
+		db.Close()
+	}
+}

@@ -159,15 +159,17 @@ func (q Polyhedron) ClassifyBox(b Box) Relation {
 	return Partial
 }
 
-// classifyUnion folds per-clause verdicts into the verdict of a clause
-// set — a DNF WHERE, matching where any clause matches: Inside any
+// ClassifyBoxUnion returns the relation of box b to the union of the
+// clauses — a DNF WHERE, matching where any clause matches: Inside any
 // clause is Inside, Outside every clause is Outside (an empty set
 // matches nothing), anything else is Partial. A set of one classifies
-// exactly as its clause does.
-func classifyUnion(clauses []Polyhedron, classify func(Polyhedron) Relation) Relation {
+// exactly as its clause's ClassifyBox does. The verdict is conservative
+// the same way: a box the clauses cover only jointly is Partial, and
+// its rows are tested one by one.
+func ClassifyBoxUnion(clauses []Polyhedron, b Box) Relation {
 	rel := Outside
 	for _, q := range clauses {
-		switch classify(q) {
+		switch q.ClassifyBox(b) {
 		case Inside:
 			return Inside
 		case Partial:
@@ -175,20 +177,6 @@ func classifyUnion(clauses []Polyhedron, classify func(Polyhedron) Relation) Rel
 		}
 	}
 	return rel
-}
-
-// ClassifyBoxUnion returns the relation of box b to the union of the
-// clauses, each classified as ClassifyBox does. The verdict is
-// conservative the same way: a box the clauses cover only jointly is
-// Partial, and its rows are tested one by one.
-func ClassifyBoxUnion(clauses []Polyhedron, b Box) Relation {
-	return classifyUnion(clauses, func(q Polyhedron) Relation { return q.ClassifyBox(b) })
-}
-
-// ClassifySphereUnion is ClassifyBoxUnion for the ball of radius r
-// around c (ClassifySphere per clause).
-func ClassifySphereUnion(clauses []Polyhedron, c Point, r float64) Relation {
-	return classifyUnion(clauses, func(q Polyhedron) Relation { return q.ClassifySphere(c, r) })
 }
 
 // ClassifySphere classifies the ball of radius r around center c:

@@ -71,7 +71,7 @@ func FuzzFrameRoundTrip(f *testing.F) {
 			recs[i].Decode(raw[i*table.RecordSize:])
 			recs[i].Class %= table.NumClasses // an unknown class is an error, tested apart
 		}
-		rep := core.Report{Plan: core.PlanKdTree, EstimatedSelectivity: math.Float64frombits(uint64(counter)),
+		rep := core.Report{Plan: livePlans[uint64(counter)%uint64(len(livePlans))], EstimatedSelectivity: math.Float64frombits(uint64(counter)),
 			RowsReturned: counter, RowsExamined: counter + 1, DiskReads: counter + 2, CacheHits: counter + 3,
 			PagesSkipped: counter + 4, PagesScanned: counter + 5, StripsDecoded: counter + 6}
 

@@ -23,6 +23,12 @@
 // volumes — the paper's density estimator — are computed by Monte
 // Carlo integration instead of exact polytope volume, which is
 // unbiased and dimension-independent.
+//
+// The index is a tool of the science applications (§4: density,
+// classification, outliers), built on demand over a catalog table by
+// the callers that need it. The serving store does not persist,
+// compact or plan it, so a built index never grows: its directory
+// always tiles its clustered table exactly.
 package voronoi
 
 import (
@@ -306,56 +312,6 @@ func (ix *Index) CellRows(cell int) (lo, hi table.RowID) {
 	return r.start, r.start + table.RowID(r.count)
 }
 
-// Range is one candidate clustered row interval produced by
-// classifying the cell bounding spheres against a query polyhedron,
-// with no table I/O. Ranges are emitted in cell (= clustered row)
-// order; Filter marks partially overlapping cells whose rows need
-// the per-point test.
-type Range struct {
-	Lo, Hi table.RowID
-	Filter bool
-}
-
-// CollectRanges classifies every cell's bounding sphere against the
-// clauses of a WHERE entirely in memory and returns the candidate
-// clustered row ranges, disjoint and ascending — the Voronoi
-// counterpart of kdtree.CollectRanges, under the same rule: a cell
-// Outside every clause is dropped, a cell Inside any clause is an
-// unfiltered range, the rest are filter ranges. Rows [CoveredRows,
-// tableRows) appended by compaction after the directory was built are
-// one trailing filter range, paying a per-point test until the next
-// full compaction re-clusters them.
-func (ix *Index) CollectRanges(clauses []vec.Polyhedron, tableRows uint64) []Range {
-	var out []Range
-	for cell := range ix.Seeds {
-		lo, hi := ix.CellRows(cell)
-		if lo == hi {
-			continue
-		}
-		switch vec.ClassifySphereUnion(clauses, ix.Seeds[cell], ix.Radius[cell]) {
-		case vec.Inside:
-			out = append(out, Range{Lo: lo, Hi: hi})
-		case vec.Partial:
-			out = append(out, Range{Lo: lo, Hi: hi, Filter: true})
-		}
-	}
-	if covered := ix.CoveredRows(); tableRows > covered {
-		out = append(out, Range{Lo: table.RowID(covered), Hi: table.RowID(tableRows), Filter: true})
-	}
-	return out
-}
-
-// CoveredRows returns how many clustered rows the cell directory
-// covers — the prefix the index was built over. Rows appended past it
-// by minor compactions are the unindexed tail.
-func (ix *Index) CoveredRows() uint64 {
-	var covered uint64
-	for _, r := range ix.dir {
-		covered += uint64(r.count)
-	}
-	return covered
-}
-
 // DirectedWalk locates the cell containing p by walking the Delaunay
 // graph from the start cell, always moving to the neighbour whose
 // seed is closest to p, halting at a local minimum — the paper's
@@ -429,23 +385,6 @@ func (ix *Index) QueryPolyhedron(q vec.Polyhedron) ([]table.RowID, QueryStats, e
 			}
 		}
 	}
-	// The unindexed tail (rows past the directory) is filter-scanned
-	// after the cells — tail rows sit at the end of the table, so the
-	// answer stays in ascending physical order — keeping the answer
-	// complete between the minor compaction that appended the rows and
-	// the full compaction that re-clusters them.
-	if covered := ix.CoveredRows(); ix.tbl.NumRows() > covered {
-		err := ix.tbl.ScanRange(table.RowID(covered), table.RowID(ix.tbl.NumRows()), func(id table.RowID, r *table.Record) bool {
-			stats.RowsExamined++
-			if q.Contains(r.Point()) {
-				out = append(out, id)
-			}
-			return true
-		})
-		if err != nil {
-			return nil, stats, err
-		}
-	}
 	stats.RowsReturned = int64(len(out))
 	stats.Pages = ix.tbl.Store().Stats().Sub(before)
 	stats.Duration = time.Since(start)
@@ -497,11 +436,12 @@ func ballVolume(d int, r float64) float64 {
 	return math.Pow(math.Pi, float64(d)/2) / math.Gamma(float64(d)/2+1) * math.Pow(r, float64(d))
 }
 
-// ValidateStructure checks the in-memory invariants without table
-// I/O: directory ranges agree with member counts and cover the table
-// exactly, and the seed arrays are mutually consistent. The
-// cold-open path runs it on every load.
-func (ix *Index) ValidateStructure() error {
+// Validate checks the structural invariants: the seed arrays are
+// mutually consistent, the directory tiles the table exactly with
+// ranges that agree with the member counts, every stored cell tag is
+// the row's nearest seed, and every row lies within its cell's
+// bounding sphere.
+func (ix *Index) Validate() error {
 	if len(ix.Members) != len(ix.Seeds) || len(ix.Radius) != len(ix.Seeds) || len(ix.dir) != len(ix.Seeds) || len(ix.adj) != len(ix.Seeds) {
 		return fmt.Errorf("voronoi: inconsistent arrays: %d seeds, %d members, %d radii, %d ranges, %d adjacency rows",
 			len(ix.Seeds), len(ix.Members), len(ix.Radius), len(ix.dir), len(ix.adj))
@@ -513,30 +453,11 @@ func (ix *Index) ValidateStructure() error {
 		}
 		covered += uint64(r.count)
 	}
-	// The directory may cover a prefix of the table — rows past it are
-	// the unindexed tail appended by minor compactions — but can never
-	// cover more rows than the table holds.
-	if covered > ix.tbl.NumRows() {
+	if covered != ix.tbl.NumRows() {
 		return fmt.Errorf("voronoi: directory covers %d of %d rows", covered, ix.tbl.NumRows())
 	}
-	return nil
-}
-
-// Validate checks the structural invariants: directory tiles the
-// table, stored cell tags match nearest seeds, members/radius agree
-// with the directory.
-func (ix *Index) Validate() error {
-	if err := ix.ValidateStructure(); err != nil {
-		return err
-	}
-	covered := table.RowID(ix.CoveredRows())
 	var checkErr error
 	err := ix.tbl.Scan(func(id table.RowID, rec *table.Record) bool {
-		if id >= covered {
-			// Unindexed tail: rows appended after the clustered rewrite
-			// live outside every directory range by construction.
-			return true
-		}
 		c := int(rec.CellID)
 		lo, hi := ix.CellRows(c)
 		if id < lo || id >= hi {
