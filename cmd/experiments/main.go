@@ -194,7 +194,13 @@ func expFig2(n int, seed int64) error {
 	if err := db.BuildKdIndex(0); err != nil {
 		return err
 	}
-	vor, err := buildVoronoi(db, 0, seed)
+	// The cell-clustered copy lands in this throwaway store's directory,
+	// unregistered with the engine: a store that persists would keep it.
+	cat, err := db.Catalog()
+	if err != nil {
+		return err
+	}
+	vor, err := voronoi.Build(cat, "mag.vor", db.Domain(), voronoi.DefaultParams(cat.NumRows(), seed))
 	if err != nil {
 		return err
 	}
@@ -232,22 +238,6 @@ func expFig2(n int, seed int64) error {
 		}
 	}
 	return nil
-}
-
-// buildVoronoi builds the §3.4 index over the store's catalog, on
-// demand: its cell-clustered copy lands in the store's directory but
-// is not registered with the engine, so the store neither persists nor
-// compacts it. numSeeds <= 0 applies the √N default.
-func buildVoronoi(db *core.SpatialDB, numSeeds int, seed int64) (*voronoi.Index, error) {
-	cat, err := db.Catalog()
-	if err != nil {
-		return nil, err
-	}
-	p := voronoi.DefaultParams(cat.NumRows(), seed)
-	if numSeeds > 0 {
-		p.NumSeeds = numSeeds
-	}
-	return voronoi.Build(cat, "magnitude.vor.tbl", db.Domain(), p)
 }
 
 // expFig4 reproduces the Figure 4 cell coloring: how many leaf cells
@@ -816,20 +806,18 @@ func expClass(n int, seed int64) error {
 
 // expOutlier runs the §4 volume-based outlier detection.
 func expOutlier(n int, seed int64) error {
-	dir, err := os.MkdirTemp("", "repro-exp-*")
+	s, cleanup, err := tmpStore(16384)
 	if err != nil {
 		return err
 	}
-	defer os.RemoveAll(dir)
-	db, err := core.Open(core.Config{Dir: dir})
+	defer cleanup()
+	tb, err := catalog(s, n, seed)
 	if err != nil {
 		return err
 	}
-	defer db.Close()
-	if err := db.IngestSynthetic(sky.DefaultParams(n, seed)); err != nil {
-		return err
-	}
-	vor, err := buildVoronoi(db, n/15, seed)
+	p := voronoi.DefaultParams(tb.NumRows(), seed)
+	p.NumSeeds = n / 15
+	vor, err := voronoi.Build(tb, "mag.vor", sky.Domain(), p)
 	if err != nil {
 		return err
 	}

@@ -10,7 +10,8 @@
 //  3. outlier detection from Voronoi cell volumes (§4).
 //
 // The serving store keeps no Voronoi index; the example builds one over
-// the store's catalog on demand, as every §4 application does.
+// the store's catalog on demand, as every §4 application does. Its
+// cell-clustered copy lands in the example's throwaway store directory.
 package main
 
 import (
@@ -55,7 +56,7 @@ func main() {
 	}
 	vp := voronoi.DefaultParams(cat.NumRows(), 7)
 	vp.NumSeeds = int(cat.NumRows()) / 10
-	ix, err := voronoi.Build(cat, "magnitude.vor.tbl", db.Domain(), vp)
+	ix, err := voronoi.Build(cat, "mag.vor", db.Domain(), vp)
 	if err != nil {
 		log.Fatal(err)
 	}

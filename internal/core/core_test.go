@@ -53,6 +53,9 @@ func TestEmptyDBErrors(t *testing.T) {
 	if err := db.BuildGridIndex(0, 1); err == nil {
 		t.Error("grid build on empty db should fail")
 	}
+	if err := db.BuildVoronoiIndex(0, 1); err == nil {
+		t.Error("voronoi build on empty db should fail")
+	}
 	if _, _, err := db.QueryWhere("r < 18", PlanAuto); err == nil {
 		t.Error("query on empty db should fail")
 	}

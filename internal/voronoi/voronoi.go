@@ -112,7 +112,10 @@ type QueryStats struct {
 }
 
 // Build constructs the index over tb, writing the cell-clustered
-// copy under clusteredName. domain must contain all points.
+// copy under clusteredName. domain must contain all points. The copy
+// is a new file in tb's page store, registered with no catalog; a
+// store that later writes its manifest keeps the file, so build over
+// a throwaway store's table, never a persistent serving store's.
 func Build(tb *table.Table, clusteredName string, domain vec.Box, p Params) (*Index, error) {
 	n := int(tb.NumRows())
 	if n == 0 {
