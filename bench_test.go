@@ -60,7 +60,6 @@ type fixture struct {
 	searcher  *knn.Searcher
 	gridIx    *grid.Index
 	vorIx     *voronoi.Index
-	refTable  *table.Table
 	estimator *photoz.Estimator
 	dom3      vec.Box
 }
@@ -115,12 +114,12 @@ func sharedFixture(b *testing.B) *fixture {
 			fixErr = err
 			return
 		}
-		f.refTable, err = photoz.ExtractReference(f.catalog, s, "ref.tbl")
+		refs, err := photoz.ExtractReference(f.catalog)
 		if err != nil {
 			fixErr = err
 			return
 		}
-		f.estimator, err = photoz.NewEstimator(f.refTable, "ref.kd.tbl", 16, 1)
+		f.estimator, err = photoz.NewEstimator(s, refs, "ref.kd.tbl", 16, 1)
 		if err != nil {
 			fixErr = err
 			return
@@ -662,7 +661,7 @@ func BenchmarkAblationGridStream(b *testing.B) {
 // to every query, which must stay microseconds.
 func BenchmarkPlannerPlan(b *testing.B) {
 	f := sharedFixture(b)
-	pl := &planner.Planner{Catalog: f.catalog, Kd: f.tree, KdTable: f.kdTable, Domain: sky.Domain()}
+	pl := &planner.Planner{Catalog: f.kdTable, Kd: f.tree, Domain: sky.Domain()}
 	for _, half := range []float64{0.2, 0.8, 3.2, 12.8} {
 		q := []vec.Polyhedron{fig5Query(f, half)}
 		b.Run(fmt.Sprintf("half=%.1f", half), func(b *testing.B) {

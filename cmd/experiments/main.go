@@ -613,11 +613,11 @@ func expPhotoZ(n int, seed int64) error {
 	if err := sky.GenerateTable(tb, params); err != nil {
 		return err
 	}
-	ref, err := photoz.ExtractReference(tb, s, "ref.tbl")
+	refs, err := photoz.ExtractReference(tb)
 	if err != nil {
 		return err
 	}
-	est, err := photoz.NewEstimator(ref, "ref.kd", 16, 1)
+	est, err := photoz.NewEstimator(s, refs, "ref.kd", 16, 1)
 	if err != nil {
 		return err
 	}
@@ -638,7 +638,7 @@ func expPhotoZ(n int, seed int64) error {
 		return err
 	}
 	km, tm := photoz.ComputeMetrics(knnPairs), photoz.ComputeMetrics(tplPairs)
-	fmt.Printf("reference set: %d spectroscopic galaxies; evaluated %d unknowns\n", ref.NumRows(), km.N)
+	fmt.Printf("reference set: %d spectroscopic galaxies; evaluated %d unknowns\n", len(refs), km.N)
 	fmt.Printf("%-22s %8s %8s %9s\n", "method", "RMS", "MAE", "bias")
 	fmt.Printf("%-22s %8.4f %8.4f %+9.4f\n", "template (Fig. 7)", tm.RMS, tm.MAE, tm.Bias)
 	fmt.Printf("%-22s %8.4f %8.4f %+9.4f\n", "kNN poly (Fig. 8)", km.RMS, km.MAE, km.Bias)

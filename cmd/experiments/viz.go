@@ -36,10 +36,10 @@ func runVizScript(n int, seed int64, lodDetail bool) error {
 	if err := db.IngestSynthetic(sky.DefaultParams(n, seed)); err != nil {
 		return err
 	}
-	if err := db.BuildGridIndex(1024, seed); err != nil {
+	if err := db.BuildKdIndex(0); err != nil {
 		return err
 	}
-	if err := db.BuildKdIndex(0); err != nil {
+	if err := db.BuildGridIndex(1024, seed); err != nil {
 		return err
 	}
 

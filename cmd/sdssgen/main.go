@@ -89,6 +89,11 @@ func main() {
 	if err := db.Persist(); err != nil {
 		log.Fatal(err)
 	}
+	// The kd build replaced the ingested table: what queries read from
+	// here on is the catalog clustered on the tree's leaves.
+	if tb, err = db.Catalog(); err != nil {
+		log.Fatal(err)
+	}
 	files := db.Engine().Store().ManifestFiles()
 	var pages pagestore.PageNum
 	for _, p := range files {
@@ -99,9 +104,10 @@ func main() {
 
 	if zm := tb.ZoneMaps(); zm != nil {
 		// Zone tightness summary: mean per-page span of each magnitude
-		// relative to its full catalog range. Tight zones (small
-		// fractions) are what make pruning effective; the heap catalog's
-		// zones are wide, the kd-clustered copy's tight.
+		// relative to its full catalog range, over the zones queries
+		// read. Tight zones (small fractions) are what make pruning
+		// effective: clustered on the kd-tree's leaves, the catalog's are
+		// tight; in arrival order (-indexes=false) they are wide.
 		var span, lo, hi [table.Dim]float64
 		for d := 0; d < table.Dim; d++ {
 			lo[d], hi[d] = +1e300, -1e300
@@ -120,7 +126,7 @@ func main() {
 			if hi[d] > lo[d] {
 				frac = span[d] / float64(zm.NumPages()) / (hi[d] - lo[d])
 			}
-			fmt.Printf(" %.2f", frac)
+			fmt.Printf(" %.3f", frac)
 		}
 		fmt.Println()
 	}

@@ -246,10 +246,10 @@ func openDB(dir string, build bool, n int, seed int64, workers int, resultCacheB
 	if err := db.IngestSynthetic(sky.DefaultParams(n, seed)); err != nil {
 		return nil, cleanup, err
 	}
-	if err := db.BuildGridIndex(1024, seed); err != nil {
+	if err := db.BuildKdIndex(0); err != nil {
 		return nil, cleanup, err
 	}
-	if err := db.BuildKdIndex(0); err != nil {
+	if err := db.BuildGridIndex(1024, seed); err != nil {
 		return nil, cleanup, err
 	}
 	if err := db.BuildPhotoZ(24, 1); err != nil {

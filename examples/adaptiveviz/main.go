@@ -35,10 +35,10 @@ func main() {
 	if err := db.IngestSynthetic(sky.DefaultParams(120_000, 42)); err != nil {
 		log.Fatal(err)
 	}
-	if err := db.BuildGridIndex(1024, 7); err != nil {
+	if err := db.BuildKdIndex(0); err != nil {
 		log.Fatal(err)
 	}
-	if err := db.BuildKdIndex(0); err != nil {
+	if err := db.BuildGridIndex(1024, 7); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("catalog: %d objects; grid layers: %d; kd leaves: %d\n\n",

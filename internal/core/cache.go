@@ -167,7 +167,7 @@ func (db *SpatialDB) provablyEmpty(u colorsql.Union) (bool, error) {
 func (db *SpatialDB) knnChoiceFor(k int) (planner.KNNChoice, error) {
 	v, err := db.qc.GetOrBuildPlan(nsKNNPlan, "k="+strconv.Itoa(k), db.cacheEpoch(), func() (any, error) {
 		db.mu.RLock()
-		catalog, kd, kdTable := db.catalog, db.kd, db.kdTable
+		catalog, kd := db.catalog, db.kd
 		var memRows int64
 		if db.mem != nil {
 			memRows = int64(db.mem.Len())
@@ -176,7 +176,7 @@ func (db *SpatialDB) knnChoiceFor(k int) (planner.KNNChoice, error) {
 		if catalog == nil {
 			return nil, fmt.Errorf("core: no catalog loaded")
 		}
-		pl := &planner.Planner{Catalog: catalog, Kd: kd, KdTable: kdTable, Domain: db.domain, MemRows: memRows}
+		pl := &planner.Planner{Catalog: catalog, Kd: kd, Domain: db.domain, MemRows: memRows}
 		return pl.PlanKNN(k), nil
 	})
 	if err != nil {
@@ -197,7 +197,7 @@ func (db *SpatialDB) photoZUnitCost() float64 {
 	}
 	v, err := db.qc.GetOrBuildPlan(nsPhotoZPlan, "unit", db.cacheEpoch(), func() (any, error) {
 		s := est.Searcher()
-		pl := &planner.Planner{Catalog: s.Tb, Kd: s.Tree, KdTable: s.Tb, Domain: db.domain}
+		pl := &planner.Planner{Catalog: s.Tb, Kd: s.Tree, Domain: db.domain}
 		return pl.PlanKNN(est.K).BestCost(), nil
 	})
 	if err != nil {

@@ -13,35 +13,35 @@ import (
 	"repro/internal/memtable"
 	"repro/internal/photoz"
 	"repro/internal/table"
-	"repro/internal/vec"
 )
 
 // Compaction moves acknowledged rows out of the memtable into the
-// paged clustered tables while the database keeps serving.
+// paged tables while the database keeps serving.
 //
 // Minor compaction (Compact) appends the memtable's rows to the
-// catalog and every clustered table copy — kd, grid, and the photo-z
-// reference's — using staged appenders: written rows stay invisible
-// until one publish step under db.mu flips every table's row bound and
-// trims the memtable atomically, so a concurrently opened cursor
-// snapshot sees the rows either all in the memtable or all in the
-// tables, never both and never neither.
+// catalog, the grid's clustered copy and the photo-z reference table
+// using staged appenders: written rows stay invisible until one
+// publish step under db.mu flips every table's row bound and trims the
+// memtable atomically, so a concurrently opened cursor snapshot sees
+// the rows either all in the memtable or all in the tables, never both
+// and never neither.
 //
 // The indexes are maintained incrementally: appended rows land past
 // each index's covered prefix as an unindexed tail rather than forcing
-// a rebuild. The catalog and grid copies take a batch in arrival
-// order. The kd-clustered table (and the photo-z reference's) takes it
-// as a kd-ordered run — the batch stable-sorted by the leaf
-// each row routes to (appendKdRun) — so a run's pages each cover a
-// small piece of colour space. Zone maps widen as the appenders run,
-// before publication, so a page's zone always covers every row on it;
-// on a kd-ordered run those zones come out tight, and both readers of
-// the tail prune by them: the index scan classifies each tail page's
-// zone like a leaf's (kd range collection), and the kNN search, once
-// its region-grow halts, reads a tail page only if its zone lies
-// within the current k-th distance (knn.Searcher). The grid samples
-// from its indexed prefix until the next full compaction (documented
-// bounded staleness).
+// a rebuild. A table clustered on a kd-tree — the catalog once the
+// tree is built, and the photo-z reference — takes a batch as one
+// kd-ordered run: the batch stable-sorted by the leaf each row routes
+// to (appendRun), so a run's pages each cover a small piece of colour
+// space. The grid's copy, and a catalog with no tree, take it in
+// arrival order. Zone maps widen as the appenders run, before
+// publication, so a page's zone always covers every row on it; on a
+// kd-ordered run those zones come out tight, and both readers of the
+// tail prune by them: the index scan classifies each tail page's zone
+// like a leaf's (kd range collection), and the kNN search, once its
+// region-grow halts, reads a tail page only if its zone lies within
+// the current k-th distance (knn.Searcher). The grid samples from its
+// indexed prefix until the next full compaction (documented bounded
+// staleness).
 //
 // Durability order matters: rows are published and persisted (catalog
 // + zone sidecars + manifest with the new DurableSeq) BEFORE the WAL
@@ -50,11 +50,14 @@ import (
 // gap.
 //
 // Full compaction (CompactFull) additionally rebuilds every built
-// index from the enlarged catalog at a fresh artifact generation —
-// the same structures a from-scratch build of the same rows would
-// produce — and swaps them in under db.mu. Superseded generation
-// files are deleted once no cursor snapshot can still read them
-// (snapRefs / pendingRetire).
+// index at a fresh artifact generation (rebuildLocked, which
+// BuildKdIndex runs too): the kd-tree over the catalog's rows,
+// rewriting the catalog clustered on it; then the grid from that
+// rewritten catalog, and the photo-z reference from its own rows — the
+// same structures a from-scratch build of the same rows would produce,
+// since the kd build depends on the set of rows and not on their order.
+// Superseded generation files are deleted once no cursor snapshot can
+// still read them (snapRefs / pendingRetire).
 
 // Compact runs one minor compaction. It is a no-op when the memtable
 // is empty. Safe to call concurrently with reads, inserts, and other
@@ -69,10 +72,8 @@ func (db *SpatialDB) Compact() error {
 type compactTargets struct {
 	catalog *table.Table
 	kd      *kdtree.Tree
-	kdTable *table.Table
 	grid    *grid.Index
 	photoZ  *photoz.Estimator
-	ref     *table.Table
 	mem     *memtable.Memtable
 }
 
@@ -82,7 +83,6 @@ func (db *SpatialDB) compactLocked() error {
 	tg := compactTargets{
 		catalog: db.catalog,
 		kd:      db.kd,
-		kdTable: db.kdTable,
 		grid:    db.grid,
 		photoZ:  db.photoZ,
 		mem:     db.mem,
@@ -97,13 +97,6 @@ func (db *SpatialDB) compactLocked() error {
 		return nil
 	}
 	maxSeq := rows[len(rows)-1].Seq
-	if tg.photoZ != nil {
-		// The reference heap table rides along so its cataloged row
-		// count matches the rows the estimator's searcher serves.
-		if ref, err := db.eng.Table(refTableName); err == nil {
-			tg.ref = ref
-		}
-	}
 
 	// Stage the appends. Staged rows advance no published bound:
 	// concurrent readers cannot see them, and the column strips they
@@ -114,51 +107,31 @@ func (db *SpatialDB) compactLocked() error {
 		ap *table.Appender
 	}
 	var apps []staged
-	stage := func(tb *table.Table) *table.Appender {
-		ap := tb.NewStagedAppender()
-		apps = append(apps, staged{tb, ap})
-		return ap
-	}
-	catAp := stage(tg.catalog)
-	var gridAp, refAp *table.Appender
-	if tg.grid != nil {
-		gridAp = stage(tg.grid.Table())
-	}
-	if tg.ref != nil {
-		refAp = stage(tg.ref)
-	}
 	defer func() {
 		for _, s := range apps {
 			s.ap.Close()
 		}
 	}()
-
-	for i := range rows {
-		rec := rows[i].Rec
-		if err := catAp.Append(&rec); err != nil {
-			return fmt.Errorf("core: compact catalog: %w", err)
+	stage := func(what string, tb *table.Table, tree *kdtree.Tree, hasZOnly bool) error {
+		ap := tb.NewStagedAppender()
+		apps = append(apps, staged{tb, ap})
+		if err := appendRun(ap, tree, rows, hasZOnly); err != nil {
+			return fmt.Errorf("core: compact %s: %w", what, err)
 		}
-		if gridAp != nil {
-			if err := gridAp.Append(&rec); err != nil {
-				return fmt.Errorf("core: compact grid table: %w", err)
-			}
-		}
-		if rec.HasZ && refAp != nil {
-			if err := refAp.Append(&rec); err != nil {
-				return fmt.Errorf("core: compact reference table: %w", err)
-			}
-		}
+		return nil
 	}
-	// The kd-clustered copies take the batch as a kd-ordered run.
-	if tg.kdTable != nil {
-		if err := appendKdRun(stage(tg.kdTable), tg.kd, rows, false); err != nil {
-			return fmt.Errorf("core: compact kd table: %w", err)
+	if err := stage("catalog", tg.catalog, tg.kd, false); err != nil {
+		return err
+	}
+	if tg.grid != nil {
+		if err := stage("grid table", tg.grid.Table(), nil, false); err != nil {
+			return err
 		}
 	}
 	if tg.photoZ != nil {
 		s := tg.photoZ.Searcher()
-		if err := appendKdRun(stage(s.Tb), s.Tree, rows, true); err != nil {
-			return fmt.Errorf("core: compact reference kd table: %w", err)
+		if err := stage("reference table", s.Tb, s.Tree, true); err != nil {
+			return err
 		}
 	}
 
@@ -199,23 +172,29 @@ func (db *SpatialDB) compactLocked() error {
 	return nil
 }
 
-// appendKdRun appends the batch (only its spectroscopic rows when
-// hasZOnly) to a kd-clustered table as one run ordered by the tree leaf
-// whose cell contains each row — clamped into the domain, the routing a
-// kNN probe's seed leaf uses — and by arrival within a leaf. Rows that
-// are neighbours in colour space land on the same pages, so the page
-// zones the appender widens come out tight, and the index scan and the
-// kNN tail pass skip most of a run unread.
-func appendKdRun(ap *table.Appender, tree *kdtree.Tree, rows []memtable.Row, hasZOnly bool) error {
+// appendRun appends the batch (only its spectroscopic rows when
+// hasZOnly) as one run. With a tree the run is ordered by the leaf
+// whose cell contains each row — clamped into the domain, the routing
+// a kNN probe's seed leaf uses — and by arrival within a leaf: rows
+// that are neighbours in colour space land on the same pages, so the
+// page zones the appender widens come out tight, and the index scan
+// and the kNN tail pass skip most of a run unread. Without one the run
+// keeps arrival order.
+func appendRun(ap *table.Appender, tree *kdtree.Tree, rows []memtable.Row, hasZOnly bool) error {
 	type routed struct{ leaf, row int }
-	root := tree.Root().Cell
 	run := make([]routed, 0, len(rows))
 	for i := range rows {
 		if rec := &rows[i].Rec; rec.HasZ || !hasZOnly {
-			run = append(run, routed{tree.LeafContaining(root.ClosestPoint(rec.Point())), i})
+			r := routed{row: i}
+			if tree != nil {
+				r.leaf = tree.LeafContaining(tree.Root().Cell.ClosestPoint(rec.Point()))
+			}
+			run = append(run, r)
 		}
 	}
-	slices.SortStableFunc(run, func(a, b routed) int { return cmp.Compare(a.leaf, b.leaf) })
+	if tree != nil {
+		slices.SortStableFunc(run, func(a, b routed) int { return cmp.Compare(a.leaf, b.leaf) })
+	}
 	for _, r := range run {
 		rec := rows[r.row].Rec
 		if err := ap.Append(&rec); err != nil {
@@ -226,10 +205,9 @@ func appendKdRun(ap *table.Appender, tree *kdtree.Tree, rows []memtable.Row, has
 }
 
 // CompactFull runs a minor compaction and then rebuilds every built
-// index from the enlarged catalog — kd-tree, grid, photo-z —
-// producing the same structures a fresh build over the same rows
-// would, at a new artifact generation. Queries keep serving
-// throughout; open cursor snapshots finish on the superseded
+// index (rebuildLocked) — the same structures a fresh build over the
+// same rows would produce, at a new artifact generation. Queries keep
+// serving throughout; open cursor snapshots finish on the superseded
 // structures, whose files are deleted when the last such snapshot
 // closes.
 func (db *SpatialDB) CompactFull() error {
@@ -238,91 +216,97 @@ func (db *SpatialDB) CompactFull() error {
 	if err := db.compactLocked(); err != nil {
 		return err
 	}
-
 	db.mu.RLock()
-	catalog := db.catalog
-	hadKd, hadGrid, hadPz := db.kd != nil, db.grid != nil, db.photoZ != nil
-	bp := db.buildParams
-	if hadGrid {
+	spec := rebuildSpec{kd: db.kd != nil, grid: db.grid != nil, photoZ: db.photoZ != nil, buildParams: db.buildParams}
+	if spec.grid {
 		// Grid params round-trip persistence, so prefer the live
 		// index's over the in-process record (identical when both
 		// exist, and only the former survives a cold open).
 		p := db.grid.Params()
-		bp.gridBase, bp.gridSeed = p.Base, p.Seed
+		spec.gridBase, spec.gridSeed = p.Base, p.Seed
 	}
-	var pzK, pzDegree int
-	if hadPz {
-		pzK, pzDegree = db.photoZ.K, db.photoZ.Degree
+	db.mu.RUnlock()
+	if !spec.kd && !spec.grid && !spec.photoZ {
+		return nil
 	}
-	domain := db.domain
+	if err := db.rebuildLocked(spec); err != nil {
+		return err
+	}
+	db.fullCompactions.Add(1)
+	return nil
+}
+
+// rebuildSpec names the structures a rebuild produces and how.
+type rebuildSpec struct {
+	kd, grid, photoZ bool
+	buildParams
+}
+
+// rebuildLocked builds the structures spec names from the store's
+// current paged rows at a new artifact generation, swaps them in and
+// commits. The kd arm rewrites the catalog clustered on a tree built
+// over its rows, and the rewrite replaces it; the grid is built from
+// the catalog after that; the photo-z reference is rebuilt from its own
+// table — the rows the estimator was built over plus the spectroscopic
+// rows compactions appended since, which on a shard includes the
+// replicated survey reference its catalog does not hold. Everything is
+// built off to the side at generational file names and is invisible
+// until one swap under db.mu; old files are then queued for
+// retirement, not deleted, since a cursor snapshot opened before the
+// swap still reads them. The caller holds compactMu.
+func (db *SpatialDB) rebuildLocked(spec rebuildSpec) error {
+	db.mu.RLock()
+	catalog, oldPz := db.catalog, db.photoZ
 	db.mu.RUnlock()
 	if catalog == nil {
 		return fmt.Errorf("core: no catalog loaded")
 	}
-	if !hadKd && !hadGrid && !hadPz {
-		return nil
-	}
-
 	store := db.eng.Store()
 	gen := store.ArtifactGen() + 1
 
-	// Rebuild off to the side at generational file names. The catalog
-	// is read-shared with concurrent queries; nothing here is visible
-	// until the swap below.
 	var (
-		newKd      *kdtree.Tree
-		newKdTable *table.Table
-		newGrid    *grid.Index
-		newRef     *table.Table
-		newPz      *photoz.Estimator
+		tree *kdtree.Tree
+		ix   *grid.Index
+		pz   *photoz.Estimator
+		err  error
 	)
-	if hadKd {
-		tree, clustered, err := kdtree.Build(catalog, engine.GenName(kdTableName, gen), kdtree.BuildParams{
-			Levels: bp.kdLevels,
-			Domain: domain,
+	if spec.kd {
+		tree, catalog, err = kdtree.Build(catalog, engine.GenName(catalogTableName, gen), kdtree.BuildParams{
+			Levels: spec.kdLevels,
+			Domain: db.domain,
 		})
+		if err == nil {
+			err = tree.SavePaged(store, engine.GenName(kdIndexFile, gen))
+		}
 		if err != nil {
-			return fmt.Errorf("core: full compact kd: %w", err)
+			return fmt.Errorf("core: build kd-tree: %w", err)
 		}
-		if err := tree.SavePaged(store, engine.GenName(kdIndexFile, gen)); err != nil {
-			return fmt.Errorf("core: full compact kd: %w", err)
-		}
-		newKd, newKdTable = tree, clustered
 	}
-	if hadGrid {
-		dom3 := vec.NewBox(domain.Min[:3], domain.Max[:3])
-		p := grid.DefaultParams(dom3, bp.gridSeed)
-		if bp.gridBase > 0 {
-			p.Base = bp.gridBase
+	if spec.grid {
+		ix, err = buildGrid(catalog, engine.GenName(gridTableName, gen), db.domain, spec.gridBase, spec.gridSeed)
+		if err == nil {
+			err = ix.Persist(engine.GenName(gridIndexFile, gen))
 		}
-		ix, err := grid.Build(catalog, engine.GenName(gridTableName, gen), p)
 		if err != nil {
-			return fmt.Errorf("core: full compact grid: %w", err)
+			return fmt.Errorf("core: build grid: %w", err)
 		}
-		if err := ix.Persist(engine.GenName(gridIndexFile, gen)); err != nil {
-			return fmt.Errorf("core: full compact grid: %w", err)
-		}
-		newGrid = ix
 	}
-	if hadPz {
-		ref, err := photoz.ExtractReference(catalog, store, engine.GenName(refTableName, gen))
+	if spec.photoZ {
+		var refs []table.Record
+		refs, err = photoz.ExtractReference(oldPz.Searcher().Tb)
+		if err == nil {
+			pz, err = photoz.NewEstimator(store, refs, engine.GenName(refKdTableName, gen), oldPz.K, oldPz.Degree)
+		}
+		if err == nil {
+			err = pz.Persist(store, engine.GenName(photozMetaFile, gen), engine.GenName(photozTreeFile, gen))
+		}
 		if err != nil {
-			return fmt.Errorf("core: full compact photoz: %w", err)
+			return fmt.Errorf("core: build photoz: %w", err)
 		}
-		est, err := photoz.NewEstimator(ref, engine.GenName(refKdTableName, gen), pzK, pzDegree)
-		if err != nil {
-			return fmt.Errorf("core: full compact photoz: %w", err)
-		}
-		if err := est.Persist(store, engine.GenName(photozMetaFile, gen), engine.GenName(photozTreeFile, gen)); err != nil {
-			return fmt.Errorf("core: full compact photoz: %w", err)
-		}
-		newRef, newPz = ref, est
 	}
 
 	// Swap the live structures and re-point the engine catalog at the
-	// new physical files. Old files are queued for retirement, not
-	// deleted: a cursor snapshot opened before this point still reads
-	// them.
+	// new physical files.
 	var doomed []string
 	replace := func(logical string, t *table.Table, orderedBy string) error {
 		old, err := db.eng.ReplaceTable(logical, t, orderedBy)
@@ -343,54 +327,51 @@ func (db *SpatialDB) CompactFull() error {
 	}
 	db.mu.Lock()
 	var swapErr error
-	if newKd != nil {
-		swapErr = replace(kdTableName, newKdTable, engine.ClusteredKdLeaf)
+	if tree != nil {
+		swapErr = replace(catalogTableName, catalog, engine.ClusteredKdLeaf)
 		if swapErr == nil {
 			moveArtifact(kdIndexFile)
-			db.kd, db.kdTable = newKd, newKdTable
-			db.knnS = knn.NewSearcher(newKd, newKdTable)
+			db.catalog, db.kd = catalog, tree
+			db.knnS = knn.NewSearcher(tree, catalog)
 		}
 	}
-	if swapErr == nil && newGrid != nil {
-		swapErr = replace(gridTableName, newGrid.Table(), engine.ClusteredGridCell)
+	if swapErr == nil && ix != nil {
+		swapErr = replace(gridTableName, ix.Table(), engine.ClusteredGridCell)
 		if swapErr == nil {
 			moveArtifact(gridIndexFile)
-			db.grid = newGrid
+			db.grid = ix
 		}
 	}
-	if swapErr == nil && newPz != nil {
-		swapErr = replace(refTableName, newRef, engine.ClusteredHeap)
-		if swapErr == nil {
-			swapErr = replace(refKdTableName, newPz.Searcher().Tb, engine.ClusteredKdLeaf)
-		}
+	if swapErr == nil && pz != nil {
+		swapErr = replace(refKdTableName, pz.Searcher().Tb, engine.ClusteredKdLeaf)
 		if swapErr == nil {
 			moveArtifact(photozMetaFile)
 			moveArtifact(photozTreeFile)
-			db.photoZ = newPz
+			db.photoZ = pz
 		}
 	}
 	if swapErr == nil {
+		db.buildParams = spec.buildParams
 		db.bumpPlanGen()
 	}
 	db.mu.Unlock()
 	if swapErr != nil {
-		return fmt.Errorf("core: full compact swap: %w", swapErr)
+		return fmt.Errorf("core: rebuild swap: %w", swapErr)
 	}
 
 	// Commit the new generation, then retire the old one's catalog
 	// files immediately (never read by cursors) and the swapped-out
 	// table/index files once no snapshot holds them.
 	if err := db.eng.PersistCatalogAt(gen); err != nil {
-		return fmt.Errorf("core: full compact persist: %w", err)
+		return fmt.Errorf("core: rebuild persist: %w", err)
 	}
 	if err := store.Flush(); err != nil {
-		return fmt.Errorf("core: full compact flush: %w", err)
+		return fmt.Errorf("core: rebuild flush: %w", err)
 	}
 	if err := db.eng.RetireCatalogGen(gen - 1); err != nil {
-		return fmt.Errorf("core: full compact retire: %w", err)
+		return fmt.Errorf("core: rebuild retire: %w", err)
 	}
 	db.queueRetire(doomed)
-	db.fullCompactions.Add(1)
 	return nil
 }
 

@@ -4,10 +4,12 @@
 // (§3.2) — and the server-side procedures the scientific applications
 // call, as typed methods: polyhedron queries, k-nearest-neighbour
 // search, adaptive region sampling and photometric redshift
-// estimation. Applications built from those (similarity hulls, the
-// §3.4 Voronoi tessellation and the outlier detection and
-// classification over it, spectral search) live above this package
-// and call it.
+// estimation. As in the paper, the magnitude table is stored once:
+// building the kd-tree rewrites it clustered on the tree's leaves, and
+// that rewrite is the catalog every read path scans from then on.
+// Applications built from those (similarity hulls, the §3.4 Voronoi
+// tessellation and the outlier detection and classification over it,
+// spectral search) live above this package and call it.
 //
 // Every read is snapshot → tier-1 plan → [result tier] → stream,
 // written once: the eager Query* methods are collect-all over the same
@@ -177,9 +179,8 @@ type SpatialDB struct {
 	catalog *table.Table
 	domain  vec.Box
 
-	kd      *kdtree.Tree
-	kdTable *table.Table
-	knnS    *knn.Searcher
+	kd   *kdtree.Tree
+	knnS *knn.Searcher
 
 	grid *grid.Index
 
@@ -343,27 +344,20 @@ func (db *SpatialDB) Catalog() (*table.Table, error) {
 	return db.catalog, nil
 }
 
-// BuildKdIndex builds the §3.2 kd-tree (and its leaf-clustered table
-// copy). levels <= 0 applies the paper's √N-leaves rule.
+// BuildKdIndex builds the §3.2 kd-tree and rewrites the catalog
+// clustered on its leaves: that rewrite is the catalog from then on,
+// the one copy of the rows. levels <= 0 applies the paper's √N-leaves
+// rule. It is the kd arm of a full compaction — a rebuild committed at
+// a new artifact generation (rebuildLocked) — so the superseded table
+// is deleted once no open cursor reads it.
 func (db *SpatialDB) BuildKdIndex(levels int) error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if db.catalog == nil {
-		return fmt.Errorf("core: no catalog loaded")
-	}
-	tree, clustered, err := kdtree.Build(db.catalog, kdTableName, kdtree.BuildParams{
-		Levels: levels,
-		Domain: db.domain,
-	})
-	if err != nil {
-		return err
-	}
-	db.kd = tree
-	db.kdTable = clustered
-	db.knnS = knn.NewSearcher(tree, clustered)
-	db.buildParams.kdLevels = levels
-	db.bumpPlanGen()
-	return db.eng.RegisterClusteredTable(clustered, engine.ClusteredKdLeaf)
+	db.compactMu.Lock()
+	defer db.compactMu.Unlock()
+	db.mu.RLock()
+	spec := rebuildSpec{kd: true, buildParams: db.buildParams}
+	db.mu.RUnlock()
+	spec.kdLevels = levels
+	return db.rebuildLocked(spec)
 }
 
 // KdTree exposes the built kd-tree (nil before BuildKdIndex).
@@ -381,19 +375,25 @@ func (db *SpatialDB) BuildGridIndex(base int, seed int64) error {
 	if db.catalog == nil {
 		return fmt.Errorf("core: no catalog loaded")
 	}
-	dom3 := vec.NewBox(db.domain.Min[:3], db.domain.Max[:3])
-	p := grid.DefaultParams(dom3, seed)
-	if base > 0 {
-		p.Base = base
-	}
-	ix, err := grid.Build(db.catalog, gridTableName, p)
+	ix, err := buildGrid(db.catalog, gridTableName, db.domain, base, seed)
 	if err != nil {
 		return err
 	}
 	db.grid = ix
+	p := ix.Params()
 	db.buildParams.gridBase, db.buildParams.gridSeed = p.Base, p.Seed
 	db.bumpPlanGen()
 	return db.eng.RegisterClusteredTable(ix.Table(), engine.ClusteredGridCell)
+}
+
+// buildGrid builds the layered grid over the first three magnitude
+// axes of catalog into the table name; base <= 0 keeps the default.
+func buildGrid(catalog *table.Table, name string, domain vec.Box, base int, seed int64) (*grid.Index, error) {
+	p := grid.DefaultParams(vec.NewBox(domain.Min[:3], domain.Max[:3]), seed)
+	if base > 0 {
+		p.Base = base
+	}
+	return grid.Build(catalog, name, p)
 }
 
 // Grid exposes the built grid index (nil before BuildGridIndex).
@@ -427,23 +427,20 @@ func (db *SpatialDB) BuildPhotoZ(k, degree int) error {
 	if db.catalog == nil {
 		return fmt.Errorf("core: no catalog loaded")
 	}
-	ref, err := photoz.ExtractReference(db.catalog, db.eng.Store(), refTableName)
+	refs, err := photoz.ExtractReference(db.catalog)
 	if err != nil {
 		return err
 	}
-	return db.installPhotoZ(ref, k, degree)
+	return db.installPhotoZ(refs, k, degree)
 }
 
-// installPhotoZ builds the estimator over a reference table and
-// registers both reference tables, so the persisted catalog covers
-// them and a reopened process can reassemble the estimator. Caller
-// holds db.mu.
-func (db *SpatialDB) installPhotoZ(ref *table.Table, k, degree int) error {
-	est, err := photoz.NewEstimator(ref, refKdTableName, k, degree)
+// installPhotoZ builds the estimator over the reference rows and
+// registers its kd-clustered reference table — the only stored copy of
+// the reference — so the persisted catalog covers it and a reopened
+// process can reassemble the estimator. Caller holds db.mu.
+func (db *SpatialDB) installPhotoZ(refs []table.Record, k, degree int) error {
+	est, err := photoz.NewEstimator(db.eng.Store(), refs, refKdTableName, k, degree)
 	if err != nil {
-		return err
-	}
-	if err := db.eng.RegisterTable(ref); err != nil {
 		return err
 	}
 	if err := db.eng.RegisterClusteredTable(est.Searcher().Tb, engine.ClusteredKdLeaf); err != nil {
@@ -469,24 +466,12 @@ func (db *SpatialDB) BuildPhotoZFromRecords(refs []table.Record, k, degree int) 
 	if len(refs) == 0 {
 		return fmt.Errorf("core: empty photo-z reference set")
 	}
-	ref, err := table.Create(db.eng.Store(), refTableName)
-	if err != nil {
-		return err
-	}
-	a := ref.NewAppender()
 	for i := range refs {
 		if !refs[i].HasZ {
-			a.Close()
 			return fmt.Errorf("core: photo-z reference row %d has no spectroscopic redshift", i)
 		}
-		rec := refs[i]
-		if err := a.Append(&rec); err != nil {
-			a.Close()
-			return err
-		}
 	}
-	a.Close()
-	return db.installPhotoZ(ref, k, degree)
+	return db.installPhotoZ(refs, k, degree)
 }
 
 // EstimateRedshift runs the kNN polynomial redshift estimator.
@@ -598,7 +583,6 @@ func (db *SpatialDB) Planner() (*planner.Planner, error) {
 	p := &planner.Planner{
 		Catalog: db.catalog,
 		Kd:      db.kd,
-		KdTable: db.kdTable,
 		Grid:    db.grid,
 		Domain:  db.domain,
 	}

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 	"testing"
 
@@ -81,6 +80,8 @@ func TestIngestRecords(t *testing.T) {
 	}
 }
 
+// TestPlansAgree: the full scan and the index scan read the one
+// catalog copy, so they return the same rows in the same order.
 func TestPlansAgree(t *testing.T) {
 	db := openDB(t, 4000)
 	if err := db.BuildKdIndex(0); err != nil {
@@ -99,7 +100,6 @@ func TestPlansAgree(t *testing.T) {
 		for i := range recs {
 			ids[i] = recs[i].ObjID
 		}
-		sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
 		return ids
 	}
 	scan := collect(PlanFullScan)

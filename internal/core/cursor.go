@@ -196,7 +196,7 @@ func (db *SpatialDB) whereCursorSnap(ctx context.Context, sn *dbSnap, clauses []
 		// over one file, mostly skipped: scan-class, so it cannot evict
 		// the pool's hot set.
 		tasks, base.PagesSkipped = choice.Ranges, int64(choice.PagesPruned)
-		tb = pl.IndexTable().Scoped(scope).ScanClassed()
+		tb = sn.catalog.Scoped(scope).ScanClassed()
 		if sn.kd == nil {
 			// Auto on a store without a tree: the index scan is zone
 			// pruning alone, and is reported as such.

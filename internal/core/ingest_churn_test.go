@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -302,24 +303,26 @@ func TestCompactionPreservesOpenCursor(t *testing.T) {
 		t.Fatalf("pre-compaction cursor diverged: %d rows vs %d reference rows", len(got), len(ref))
 	}
 
-	// A fresh catalog-order cursor over the compacted layout answers
-	// byte-identically: compaction appends memtable rows in commit
-	// order, exactly where the merged read placed them. (The pruned
-	// scan runs over the kd-leaf-clustered copy, and index-ordered
-	// plans may legally reorder after the full rebuild — the as-a-set
-	// check below covers those.)
-	post := drainProjected(t, db, stmtSrc, PlanFullScan)
-	if !reflect.DeepEqual(refScan, post) {
-		t.Fatalf("post-compaction scan answer diverged: %d rows vs %d", len(post), len(refScan))
+	// The catalog is the one physical order, so the index scan and the
+	// full scan emit a statement's rows alike — before compaction, with
+	// the ten rows in the memtable after every paged row, and after the
+	// full rebuild has filed them into their kd leaves, where a fresh
+	// cursor returns the same rows in their new places.
+	if !reflect.DeepEqual(ref, refScan) {
+		t.Fatalf("pre-compaction full scan (%d rows) and index scan (%d rows) emit different sequences", len(refScan), len(ref))
 	}
+	post := drainProjected(t, db, stmtSrc, PlanFullScan)
 	auto := drainProjected(t, db, stmtSrc, PlanAuto)
+	if !reflect.DeepEqual(post, auto) {
+		t.Fatalf("post-compaction full scan (%d rows) and index scan (%d rows) emit different sequences", len(post), len(auto))
+	}
 	sorted := func(rows []string) []string {
 		out := append([]string{}, rows...)
 		sort.Strings(out)
 		return out
 	}
-	if !reflect.DeepEqual(sorted(ref), sorted(auto)) {
-		t.Fatalf("post-compaction answer set diverged: %d rows vs %d reference rows", len(auto), len(ref))
+	if !reflect.DeepEqual(sorted(ref), sorted(post)) {
+		t.Fatalf("post-compaction answer set diverged: %d rows vs %d reference rows", len(post), len(ref))
 	}
 	if got := db.Engine().Store().PinnedPages(); got != 0 {
 		t.Fatalf("PinnedPages = %d after all cursors closed", got)
@@ -467,6 +470,71 @@ func TestFullCompactionMatchesFreshBuild(t *testing.T) {
 	}
 	if a, b := skyRows(dbA), skyRows(dbB); !reflect.DeepEqual(a, b) {
 		t.Errorf("sky box diverges: %d vs %d rows", len(a), len(b))
+	}
+}
+
+// TestFullCompactionKeepsPhotoZReference: a full compaction rebuilds
+// the photo-z estimator over its own reference rows — the set it was
+// built over plus the spectroscopic rows compacted since — not over the
+// catalog's spectroscopic rows. A shard's estimator holds the
+// replicated survey reference, which its catalog does not; after the
+// rebuild it must answer like a fresh estimator over that reference.
+func TestFullCompactionKeepsPhotoZReference(t *testing.T) {
+	p := sky.DefaultParams(3000, 42)
+	p.SpectroFrac = 0.3
+	recs, err := sky.Generate(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var catalog, refs []table.Record
+	for _, r := range recs {
+		if r.HasZ {
+			refs = append(refs, r)
+		} else {
+			catalog = append(catalog, r)
+		}
+	}
+	extra := churnRecord(5_100_000_000)
+	extra.Mags = refs[0].Mags
+	extra.Mags[1] += 0.01
+	extra.Redshift, extra.HasZ = 0.45, true
+	build := func(catalog, refs []table.Record) *SpatialDB {
+		db, err := Open(Config{Dir: t.TempDir()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { db.Close() })
+		if err := db.IngestRecords(catalog); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.BuildKdIndex(0); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.BuildPhotoZFromRecords(refs, 16, 1); err != nil {
+			t.Fatal(err)
+		}
+		return db
+	}
+
+	compacted := build(catalog, refs)
+	if _, err := compacted.Insert([]table.Record{extra}); err != nil {
+		t.Fatal(err)
+	}
+	if err := compacted.CompactFull(); err != nil {
+		t.Fatal(err)
+	}
+	fresh := build(append(slices.Clone(catalog), extra), append(slices.Clone(refs), extra))
+	q := refs[0].Point()
+	got, err := compacted.EstimateRedshift(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := fresh.EstimateRedshift(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Errorf("photo-z after a full compaction = %v, a fresh estimator over the same reference says %v", got, want)
 	}
 }
 

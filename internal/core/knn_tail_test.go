@@ -1,9 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -289,10 +291,11 @@ func TestMemNeighborFoldMatchesReference(t *testing.T) {
 }
 
 // TestCompactionWritesKdOrderedRuns: a minor compaction appends its
-// batch to the kd-clustered table as one kd-ordered run — leaf ids
-// never decrease inside a run — while the catalog keeps arrival order;
-// and the tight page zones that buys let a selective cut skip most of a
-// large tail unread, still returning exactly the full scan's rows.
+// batch to the catalog as one kd-ordered run — the catalog's tail is the
+// batch stable-sorted by the leaf each row routes to, leaf ids never
+// decreasing inside a run — and the tight page zones that buys let a
+// selective cut skip most of a large tail unread, still returning
+// exactly the full scan's rows.
 func TestCompactionWritesKdOrderedRuns(t *testing.T) {
 	db := buildFullDB(t, t.TempDir(), 4000)
 	defer db.Close()
@@ -308,13 +311,13 @@ func TestCompactionWritesKdOrderedRuns(t *testing.T) {
 	for i := range fresh {
 		fresh[i] = table.Record{ObjID: 940_000_000 + int64(i), Mags: fresh[i].Mags, Ra: fresh[i].Ra, Dec: fresh[i].Dec}
 	}
-	kd, kdTable := db.kd, db.kdTable
-	catalog, _ := db.Catalog()
+	kd, catalog := db.kd, db.catalog
 	root := kd.Root().Cell
+	leafOf := func(r *table.Record) int { return kd.LeafContaining(root.ClosestPoint(r.Point())) }
 	const cut = "SELECT * WHERE g - r > 0.9 AND r < 17.5"
 	_, before := collectStatement(t, db, cut, PlanKdTree)
 	for run, batch := range [][]table.Record{fresh[:2500], fresh[2500:]} {
-		kdLo, catLo := table.RowID(kdTable.NumRows()), table.RowID(catalog.NumRows())
+		lo := table.RowID(catalog.NumRows())
 		for off := 0; off < len(batch); off += 500 {
 			if _, err := db.Insert(batch[off:min(off+500, len(batch))]); err != nil {
 				t.Fatal(err)
@@ -323,46 +326,34 @@ func TestCompactionWritesKdOrderedRuns(t *testing.T) {
 		if err := db.Compact(); err != nil {
 			t.Fatal(err)
 		}
-		prev, n, leaves := -1, 0, map[int]bool{}
-		err := kdTable.ScanRange(kdLo, table.RowID(kdTable.NumRows()), func(id table.RowID, r *table.Record) bool {
-			leaf := kd.LeafContaining(root.ClosestPoint(r.Point()))
-			if leaf < prev {
-				t.Errorf("run %d: kd table row %d routes to leaf %d after leaf %d", run, id, leaf, prev)
+		want := slices.Clone(batch)
+		slices.SortStableFunc(want, func(a, b table.Record) int { return cmp.Compare(leafOf(&a), leafOf(&b)) })
+		i, leaves := 0, map[int]bool{}
+		err := catalog.ScanRange(lo, table.RowID(catalog.NumRows()), func(id table.RowID, r *table.Record) bool {
+			if i >= len(want) || r.ObjID != want[i].ObjID {
+				t.Errorf("run %d: catalog row %d is not the %d-th row of the batch in run order", run, id, i)
 				return false
 			}
-			prev, n = leaf, n+1
-			leaves[leaf] = true
-			return true
-		})
-		if err != nil || t.Failed() {
-			t.Fatal("kd table run is not kd-ordered: ", err)
-		}
-		if n != len(batch) || len(leaves) < 2 {
-			t.Fatalf("run %d: kd table gained %d rows over %d leaves, want %d rows over several", run, n, len(leaves), len(batch))
-		}
-		i := 0
-		err = catalog.ScanRange(catLo, table.RowID(catalog.NumRows()), func(id table.RowID, r *table.Record) bool {
-			if r.ObjID != batch[i].ObjID {
-				t.Errorf("run %d: catalog row %d is objid %d, arrival order has %d", run, id, r.ObjID, batch[i].ObjID)
-			}
+			leaves[leafOf(r)] = true
 			i++
 			return true
 		})
-		if err != nil || i != len(batch) {
-			t.Fatalf("run %d: catalog gained %d rows (err %v), want %d", run, i, err, len(batch))
+		if err != nil || t.Failed() {
+			t.Fatal("catalog tail is not the batch in run order: ", err)
+		}
+		if i != len(batch) || len(leaves) < 2 {
+			t.Fatalf("run %d: catalog gained %d rows over %d leaves, want %d rows over several", run, i, len(leaves), len(batch))
 		}
 	}
 
-	tail := int64(kdTable.NumRows() - kd.NumRows)
+	tail := int64(catalog.NumRows() - kd.NumRows)
 	if tail < 5000 {
 		t.Fatalf("tail holds %d rows, want ≥ 5000", tail)
 	}
 	got, rep := collectStatement(t, db, cut, PlanKdTree)
 	want, _ := collectStatement(t, db, cut, PlanFullScan)
-	sortRecords(got)
-	sortRecords(want)
-	if len(want) == 0 || !reflect.DeepEqual(projectUser(got), projectUser(want)) {
-		t.Fatalf("index scan over the tail returned %d rows, full scan %d (or contents differ)", len(got), len(want))
+	if len(want) == 0 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("index scan over the tail returned %d rows, full scan %d (or contents or order differ)", len(got), len(want))
 	}
 	if rep.PagesScanned != rep.DiskReads+rep.CacheHits {
 		t.Errorf("PagesScanned %d != DiskReads %d + CacheHits %d", rep.PagesScanned, rep.DiskReads, rep.CacheHits)

@@ -16,32 +16,35 @@ import (
 // The build-once / serve-many lifecycle. The paper's indexes are
 // persisted inside SQL Server and survive restarts; this file gives
 // the reproduction the same property. Persist writes every built
-// structure — the catalog of tables, the kd-tree, the grid directory,
-// the photo-z estimator — into paged files plus
-// the checksummed store manifest, and OpenExisting reassembles a
+// structure — the catalog of tables (the magnitude table once,
+// clustered on the kd-tree's leaves when the tree is built), the
+// kd-tree, the grid directory, the photo-z estimator — into paged
+// files plus the checksummed store manifest, and OpenExisting reassembles a
 // fully serving SpatialDB from those files alone: no ingest, no
 // index construction, no table scan. Index structures are
 // deserialized through the buffer pool, so the cost of opening them
 // is visible in pagestore.Stats exactly like the paper's
 // index-page reads.
 
-// Well-known file names of the persistent layout.
+// Well-known logical names of the persistent layout. A rebuilt table
+// or index keeps its logical name while its storage moves to a
+// generational name@N file (engine.GenName).
 const (
 	catalogTableName = "magnitude.tbl"
-	kdTableName      = "magnitude.kd.tbl"
 	kdIndexFile      = "magnitude.kd.idx"
 	gridTableName    = "magnitude.grid.tbl"
 	gridIndexFile    = "magnitude.grid.idx"
-	refTableName     = "reference.tbl"
 	refKdTableName   = "reference.kd.tbl"
 	photozTreeFile   = "reference.kd.idx"
 	photozMetaFile   = "reference.pz.idx"
 )
 
 // Persist writes every built structure to disk: per-index paged
-// serializations, the engine catalog, and finally the store manifest
-// (via Flush). After Persist returns, OpenExisting on the same
-// directory reassembles the database in a fresh process.
+// serializations, the engine catalog at a new generation, and finally
+// the store manifest (via Flush), after which the previous
+// generation's catalog files are retired. After Persist returns,
+// OpenExisting on the same directory reassembles the database in a
+// fresh process.
 func (db *SpatialDB) Persist() error {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
@@ -51,12 +54,8 @@ func (db *SpatialDB) Persist() error {
 	store := db.eng.Store()
 	// Index gobs are addressed by logical name; full compaction moves
 	// them to generational physical files, so write wherever the
-	// catalog says each one currently lives.
-	if db.kd != nil {
-		if err := db.kd.SavePaged(store, db.eng.ArtifactFile(kdIndexFile)); err != nil {
-			return err
-		}
-	}
+	// catalog says each one currently lives. The kd-tree is not among
+	// them: every build of it is committed with its generation.
 	if db.grid != nil {
 		if err := db.grid.Persist(db.eng.ArtifactFile(gridIndexFile)); err != nil {
 			return err
@@ -67,10 +66,14 @@ func (db *SpatialDB) Persist() error {
 			return err
 		}
 	}
-	if err := db.eng.PersistCatalog(); err != nil {
+	gen := store.ArtifactGen() + 1
+	if err := db.eng.PersistCatalogAt(gen); err != nil {
 		return err
 	}
-	return store.Flush()
+	if err := store.Flush(); err != nil {
+		return err
+	}
+	return db.eng.RetireCatalogGen(gen - 1)
 }
 
 // OpenExisting opens a database previously built and persisted at
@@ -110,23 +113,21 @@ func OpenExisting(cfg Config) (*SpatialDB, error) {
 	store := eng.Store()
 
 	if kdFile := eng.ArtifactFile(kdIndexFile); store.HasFile(kdFile) {
-		clustered, err := eng.Table(kdTableName)
-		if err != nil {
-			return fail(fmt.Errorf("core: kd-tree index file present but clustered table %q is not cataloged: %w", kdTableName, err))
+		if by := eng.ClusteredBy(catalogTableName); by != engine.ClusteredKdLeaf {
+			return fail(fmt.Errorf("core: kd-tree index file present but catalog %q is clustered by %q, not %q", catalogTableName, by, engine.ClusteredKdLeaf))
 		}
 		tree, err := kdtree.LoadPaged(store, kdFile)
 		if err != nil {
 			return fail(err)
 		}
 		// Minor compactions append ingested rows past the indexed
-		// prefix without rebuilding the tree, so the table may be
+		// prefix without rebuilding the tree, so the catalog may be
 		// larger than the tree's coverage — never smaller.
-		if tree.NumRows > clustered.NumRows() {
-			return fail(fmt.Errorf("core: kd-tree indexes %d rows but %s has %d", tree.NumRows, kdTableName, clustered.NumRows()))
+		if tree.NumRows > catalog.NumRows() {
+			return fail(fmt.Errorf("core: kd-tree indexes %d rows but %s has %d", tree.NumRows, catalogTableName, catalog.NumRows()))
 		}
 		db.kd = tree
-		db.kdTable = clustered
-		db.knnS = knn.NewSearcher(tree, clustered)
+		db.knnS = knn.NewSearcher(tree, catalog)
 	}
 
 	if gridFile := eng.ArtifactFile(gridIndexFile); store.HasFile(gridFile) {

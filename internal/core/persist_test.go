@@ -78,8 +78,8 @@ var stmtQueries = []string{
 // reference too.
 func serialReference(db *SpatialDB, q vec.Polyhedron, plan Plan) ([]table.RowID, *table.Table, pagestore.Stats, error) {
 	if plan == PlanKdTree {
-		ids, st, err := db.kd.QueryPolyhedron(db.kdTable, q)
-		return ids, db.kdTable, st.Pages, err
+		ids, st, err := db.kd.QueryPolyhedron(db.catalog, q)
+		return ids, db.catalog, st.Pages, err
 	}
 	ids, st, err := engine.FullScanPolyhedron(db.catalog, q)
 	return ids, db.catalog.ScanClassed(), st.Pages, err
@@ -315,7 +315,10 @@ func TestOpenExistingNotBuilt(t *testing.T) {
 // TestPersistWritesNoVoronoiCopy pins the serving store's footprint: a
 // store with every index built and persisted holds no Voronoi file, and
 // its cold open registers no Voronoi-clustered table — the §3.4 index
-// is built on demand by its science callers, never stored here.
+// is built on demand by its science callers, never stored here. The
+// catalog is stored once, clustered on the kd-tree's leaves: one table
+// file under its name, no kd-clustered copy beside it, and no
+// arrival-order photo-z reference beside the clustered one.
 func TestPersistWritesNoVoronoiCopy(t *testing.T) {
 	dir := t.TempDir()
 	db := buildFullDB(t, dir, 3000)
@@ -332,6 +335,7 @@ func TestPersistWritesNoVoronoiCopy(t *testing.T) {
 	if len(vor) > 0 {
 		t.Errorf("persisted store holds Voronoi files %v", vor)
 	}
+	checkOneCatalogCopy(t, dir)
 	re, err := OpenExisting(Config{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
@@ -341,6 +345,33 @@ func TestPersistWritesNoVoronoiCopy(t *testing.T) {
 		if by := re.Engine().ClusteredBy(name); by == "voronoi-cell" {
 			t.Errorf("cold open registered %s clustered by %s", name, by)
 		}
+	}
+	if by := re.Engine().ClusteredBy(catalogTableName); by != engine.ClusteredKdLeaf {
+		t.Errorf("catalog clustered by %q, want %q", by, engine.ClusteredKdLeaf)
+	}
+}
+
+// checkOneCatalogCopy fails unless the store directory holds exactly
+// one catalog table file and neither a kd-clustered catalog copy nor an
+// arrival-order photo-z reference.
+func checkOneCatalogCopy(t *testing.T, dir string) {
+	t.Helper()
+	files, err := filepath.Glob(filepath.Join(dir, "*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var catalogs []string
+	for _, f := range files {
+		name := filepath.Base(f)
+		if base, _, _ := strings.Cut(name, "@"); base == catalogTableName {
+			catalogs = append(catalogs, name)
+		}
+		if strings.HasPrefix(name, "magnitude.kd.tbl") || strings.HasPrefix(name, "reference.tbl") {
+			t.Errorf("%s holds %s beside the one catalog copy", dir, name)
+		}
+	}
+	if len(catalogs) != 1 {
+		t.Errorf("%s holds catalog table files %v, want one", dir, catalogs)
 	}
 }
 
@@ -353,11 +384,11 @@ func TestCorruptIndexRejected(t *testing.T) {
 	if err := db.Persist(); err != nil {
 		t.Fatal(err)
 	}
+	path := filepath.Join(dir, db.Engine().ArtifactFile(kdIndexFile))
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	path := filepath.Join(dir, "magnitude.kd.idx")
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -373,7 +404,8 @@ func TestCorruptIndexRejected(t *testing.T) {
 }
 
 // TestCorruptTablePageFailsKNN overwrites the header of one page of
-// the kd-clustered table: the region-growing leaf scans must validate
+// the catalog, clustered on the kd-tree's leaves: the region-growing
+// leaf scans must validate
 // the page like every other read path, so knn.Searcher.Search and
 // NearestNeighbors fail with an error naming the table instead of
 // returning neighbours decoded from it.
@@ -381,9 +413,10 @@ func TestCorruptTablePageFailsKNN(t *testing.T) {
 	dir := t.TempDir()
 	db := buildFullDB(t, dir, 3000)
 	var first table.Record
-	if err := db.kdTable.Get(0, &first); err != nil {
+	if err := db.catalog.Get(0, &first); err != nil {
 		t.Fatal(err)
 	}
+	file := db.catalog.Name()
 	if err := db.Persist(); err != nil {
 		t.Fatal(err)
 	}
@@ -391,7 +424,7 @@ func TestCorruptTablePageFailsKNN(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	f, err := os.OpenFile(filepath.Join(dir, kdTableName), os.O_WRONLY, 0)
+	f, err := os.OpenFile(filepath.Join(dir, file), os.O_WRONLY, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -409,11 +442,11 @@ func TestCorruptTablePageFailsKNN(t *testing.T) {
 	defer re.Close()
 	// The query point is row 0 itself, so its seed leaf lies on page 0.
 	p := first.Point()
-	if nbs, _, err := re.knnS.Search(p, 5); err == nil || !strings.Contains(err.Error(), kdTableName) {
-		t.Errorf("knn.Searcher.Search over a corrupt page: %d neighbours, err = %v; want an error naming %s", len(nbs), err, kdTableName)
+	if nbs, _, err := re.knnS.Search(p, 5); err == nil || !strings.Contains(err.Error(), file) {
+		t.Errorf("knn.Searcher.Search over a corrupt page: %d neighbours, err = %v; want an error naming %s", len(nbs), err, file)
 	}
-	if recs, _, err := re.NearestNeighbors(p, 5); err == nil || !strings.Contains(err.Error(), kdTableName) {
-		t.Errorf("NearestNeighbors over a corrupt page: %d records, err = %v; want an error naming %s", len(recs), err, kdTableName)
+	if recs, _, err := re.NearestNeighbors(p, 5); err == nil || !strings.Contains(err.Error(), file) {
+		t.Errorf("NearestNeighbors over a corrupt page: %d records, err = %v; want an error naming %s", len(recs), err, file)
 	}
 }
 

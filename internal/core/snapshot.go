@@ -30,9 +30,7 @@ type dbSnap struct {
 	db      *SpatialDB
 	catalog *table.Table
 
-	kd      *kdtree.Tree
-	kdTable *table.Table
-
+	kd   *kdtree.Tree
 	grid *grid.Index
 
 	mem []memtable.Row
@@ -52,9 +50,6 @@ func (db *SpatialDB) snapshot() (*dbSnap, error) {
 		catalog: db.catalog.Snapshot(),
 		kd:      db.kd,
 		grid:    db.grid,
-	}
-	if db.kdTable != nil {
-		sn.kdTable = db.kdTable.Snapshot()
 	}
 	if db.mem != nil {
 		sn.mem = db.mem.Snapshot()
@@ -81,7 +76,6 @@ func (sn *dbSnap) planner() *planner.Planner {
 	return &planner.Planner{
 		Catalog: sn.catalog,
 		Kd:      sn.kd,
-		KdTable: sn.kdTable,
 		Grid:    sn.grid,
 		Domain:  sn.db.domain,
 		MemRows: int64(len(sn.mem)),
@@ -145,10 +139,11 @@ func (c *memCursor) Stats() Report {
 }
 
 // chainCursor concatenates the paged cursor with the memtable cursor,
-// paged rows first. That order is load-bearing: a minor compaction
-// appends mem rows after the existing paged rows, so a pre-compaction
-// cursor and a post-compaction cursor emit the same physical order —
-// the byte-identity contract for snapshot isolation.
+// paged rows first, memtable rows in commit order — the place a minor
+// compaction moves them to: past every paged row, as one run (in
+// commit order without a kd-tree, by leaf and then commit order with
+// one). A snapshot fixes its own rows and their order, whatever a
+// concurrent compaction publishes.
 type chainCursor struct {
 	base Cursor
 	mem  *memCursor

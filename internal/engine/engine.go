@@ -103,30 +103,18 @@ func (db *DB) CreateTable(name string) (*table.Table, error) {
 	return t, nil
 }
 
-// RegisterTable adopts an externally created table (e.g. the result
-// of a clustered Rewrite) as a heap.
-func (db *DB) RegisterTable(t *table.Table) error {
-	return db.RegisterClusteredTable(t, ClusteredHeap)
-}
-
-// RegisterClusteredTable adopts an externally created table and
-// records the physical ordering it was rewritten clustered on
-// (e.g. ClusteredKdLeaf). The identity is persisted in the catalog.
+// RegisterClusteredTable adopts an externally created table (an index
+// build's clustered rewrite) and records the physical ordering it was
+// rewritten clustered on (e.g. ClusteredKdLeaf). The identity is
+// persisted in the catalog.
 func (db *DB) RegisterClusteredTable(t *table.Table, orderedBy string) error {
-	return db.RegisterClusteredTableAs(t.Name(), t, orderedBy)
-}
-
-// RegisterClusteredTableAs registers a table under an explicit
-// logical name, which may differ from the physical file name when the
-// table's storage lives in a generational name@gen file.
-func (db *DB) RegisterClusteredTableAs(name string, t *table.Table, orderedBy string) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	if _, ok := db.tables[name]; ok {
-		return fmt.Errorf("engine: table %q already exists", name)
+	if _, ok := db.tables[t.Name()]; ok {
+		return fmt.Errorf("engine: table %q already exists", t.Name())
 	}
-	db.tables[name] = t
-	db.clusteredBy[name] = orderedBy
+	db.tables[t.Name()] = t
+	db.clusteredBy[t.Name()] = orderedBy
 	return nil
 }
 

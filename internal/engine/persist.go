@@ -38,15 +38,17 @@ func GenName(base string, gen uint64) string {
 	return fmt.Sprintf("%s@%d", base, gen)
 }
 
-// catalogFormatVersion 3 is the columnar-page era without a Voronoi
-// copy: table files hold column strips (table/colpage.go), each table
-// may carry a zone-map sidecar, and no table is clustered by Voronoi
-// cell. Version 2 databases may carry that fourth copy, which nothing
-// reads, compacts or persists any more; version 1 databases hold
-// row-major 64-byte record pages. Opening across either boundary is
-// refused with a descriptive error rather than misreading pages or
-// dragging a dead table along.
-const catalogFormatVersion = 3
+// catalogFormatVersion 4 is the one-copy catalog: table files hold
+// column strips (table/colpage.go), each table may carry a zone-map
+// sidecar, and once a kd-tree is built the catalog itself is the table
+// clustered on its leaves — no second copy in arrival order beside it.
+// Version 3 databases keep that arrival-order heap under the catalog's
+// name and the clustered copy beside it, so a reopened v3 catalog read
+// through kd row ranges would return the wrong rows; version 2 ones
+// also carry a Voronoi cell copy; version 1 ones hold row-major 64-byte
+// record pages. Opening across any of these boundaries is refused with
+// a descriptive error rather than misreading pages or rows.
+const catalogFormatVersion = 4
 
 // catalogVersionMeaning names what each known on-disk version stored,
 // for the skew error message.
@@ -57,7 +59,9 @@ func catalogVersionMeaning(v int) string {
 	case 2:
 		return "columnar strip pages with zone-map sidecars and a Voronoi cell copy"
 	case 3:
-		return "columnar strip pages with zone-map sidecars, no Voronoi copy"
+		return "columnar strip pages with zone-map sidecars, a heap catalog beside its kd-clustered copy"
+	case 4:
+		return "columnar strip pages with zone-map sidecars, one catalog copy clustered on kd-tree leaves"
 	}
 	return "unknown layout"
 }
@@ -109,23 +113,17 @@ type persistedZones struct {
 // zoneFileName names a table's zone-map sidecar file.
 func zoneFileName(tableName string) string { return tableName + ".zones" }
 
-// PersistCatalog writes the catalog of registered tables into the
-// next generation's catalog file, and each table's zone maps into a
+// PersistCatalogAt writes the catalog of registered tables into the
+// catalog file of generation gen, and each table's zone maps into a
 // checksummed paged sidecar at the same generation, then stamps the
-// store's ArtifactGen. Nothing is overwritten in place: the previous
-// generation's files stay intact until the manifest commits (the
-// caller's Store.Flush/Close), so a crash at any byte leaves a
-// consistent database. Retire the previous generation's files after
-// the flush with RetireCatalogGen.
-func (db *DB) PersistCatalog() error {
-	return db.PersistCatalogAt(db.store.ArtifactGen() + 1)
-}
-
-// PersistCatalogAt is PersistCatalog targeting an explicit
-// generation; callers that also write their own generational
+// store's ArtifactGen with gen. Nothing is overwritten in place: the
+// previous generation's files stay intact until the manifest commits
+// (the caller's Store.Flush/Close), so a crash at any byte leaves a
+// consistent database. Callers that also write their own generational
 // artifacts (core.Persist writes index serializations) pick the
-// generation first, write their artifacts at it, and then call this.
-// Sets the store's ArtifactGen to gen; the caller's Flush commits.
+// generation first — ArtifactGen()+1 — and write their artifacts at it;
+// after the flush they retire the previous generation's files with
+// RetireCatalogGen.
 func (db *DB) PersistCatalogAt(gen uint64) error {
 	db.mu.RLock()
 	cat := persistedCatalog{Version: catalogFormatVersion, Artifacts: make(map[string]string, len(db.artifacts))}
@@ -229,7 +227,7 @@ func OpenExisting(dir string, poolPages int) (*DB, error) {
 	catName := GenName(CatalogFileName, s.ArtifactGen())
 	if !s.HasFile(catName) {
 		s.Close()
-		return nil, fmt.Errorf("engine: %s has no %s: database was never persisted (call PersistCatalog / SpatialDB.Persist after building)", dir, catName)
+		return nil, fmt.Errorf("engine: %s has no %s: database was never persisted (call PersistCatalogAt / SpatialDB.Persist after building)", dir, catName)
 	}
 	var cat persistedCatalog
 	err = pagedio.ReadGob(s, catName, func(dec *gob.Decoder) error {

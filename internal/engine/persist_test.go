@@ -34,7 +34,7 @@ func buildPersisted(t *testing.T) string {
 	if err := tb.AppendAll(recs); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.PersistCatalog(); err != nil {
+	if err := db.PersistCatalogAt(db.Store().ArtifactGen() + 1); err != nil {
 		t.Fatal(err)
 	}
 	if err := db.Close(); err != nil {
@@ -46,15 +46,17 @@ func buildPersisted(t *testing.T) string {
 // TestOpenRejectsRowFormatCatalog is the format-skew regression test:
 // a database whose catalog claims an older format must be refused with
 // an error naming both versions — never opened by misreading row pages
-// as column strips (version 1), nor by carrying a Voronoi cell copy
-// nothing maintains any more (version 2).
+// as column strips (version 1), by carrying a Voronoi cell copy nothing
+// maintains any more (version 2), nor by reading an arrival-order heap
+// catalog through kd-tree row ranges (version 3).
 func TestOpenRejectsRowFormatCatalog(t *testing.T) {
 	for _, tc := range []struct {
 		version int
 		wants   []string
 	}{
-		{1, []string{"version 1", "version 3", "row-major", "columnar"}},
-		{2, []string{"version 2", "version 3", "Voronoi", "sdssgen"}},
+		{1, []string{"version 1", "version 4", "row-major", "columnar"}},
+		{2, []string{"version 2", "version 4", "Voronoi", "sdssgen"}},
+		{3, []string{"version 3", "version 4", "heap catalog", "sdssgen"}},
 	} {
 		t.Run(fmt.Sprintf("v%d", tc.version), func(t *testing.T) {
 			dir := buildPersisted(t)

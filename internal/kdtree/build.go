@@ -1,9 +1,13 @@
 package kdtree
 
 import (
+	"bytes"
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
+	"repro/internal/pagestore"
 	"repro/internal/table"
 	"repro/internal/vec"
 )
@@ -17,122 +21,56 @@ type BuildParams struct {
 	Domain vec.Box
 }
 
-// Build constructs a balanced kd-tree over the magnitude vectors of
-// tb, rewrites the table clustered by leaf under clusteredName, and
-// stores each row's leaf in its LeafID column. The returned table is
-// the clustered copy the tree's row ranges refer to.
+// Build constructs a balanced kd-tree over the rows of tb and writes
+// them clustered by leaf to a new table clusteredName in tb's store:
+// BuildRecords over the table's rows.
 func Build(tb *table.Table, clusteredName string, p BuildParams) (*Tree, *table.Table, error) {
-	pts, err := tb.AllPoints()
+	recs := make([]table.Record, 0, tb.NumRows())
+	// One pass over every page: scan-class, so an offline build does
+	// not flush a serving pool's hot set.
+	err := tb.ScanClassed().Scan(func(_ table.RowID, r *table.Record) bool {
+		recs = append(recs, *r)
+		return true
+	})
 	if err != nil {
 		return nil, nil, err
 	}
-	if len(pts) == 0 {
+	return BuildRecords(tb.Store(), recs, clusteredName, p)
+}
+
+// BuildRecords constructs a balanced kd-tree over the magnitude
+// vectors of recs, writes the records clustered by leaf — each row's
+// leaf in its LeafID column — to a new table clusteredName in store,
+// and returns the tree and that table, the one its row ranges refer
+// to.
+//
+// What it builds is a function of the set of records alone, never of
+// their order: splits partition on a total order over records (the
+// split axis's magnitude, then ObjID, then every other column), and
+// each leaf's rows are sorted along the axis its bounds are widest on,
+// under the same order. A rebuild over a clustered table's own rows
+// therefore writes exactly what a fresh build over the same rows
+// writes, wherever they sat.
+func BuildRecords(store *pagestore.Store, recs []table.Record, clusteredName string, p BuildParams) (*Tree, *table.Table, error) {
+	if len(recs) == 0 {
 		return nil, nil, fmt.Errorf("kdtree: empty table")
 	}
-	dim := len(pts[0])
-	if p.Domain.Dim() != dim {
-		return nil, nil, fmt.Errorf("kdtree: domain dim %d != point dim %d", p.Domain.Dim(), dim)
+	if p.Domain.Dim() != table.Dim {
+		return nil, nil, fmt.Errorf("kdtree: domain dim %d != point dim %d", p.Domain.Dim(), table.Dim)
 	}
-	levels := p.Levels
-	if levels <= 0 {
-		levels = ChooseLevels(uint64(len(pts)))
-	}
-	for (1 << uint(levels)) > len(pts) {
-		levels-- // never more leaves than points
-	}
-	if levels < 0 {
-		levels = 0
-	}
-
-	t := &Tree{Dim: dim, Levels: levels, NumRows: uint64(len(pts))}
-
-	idx := make([]int, len(pts))
-	for i := range idx {
-		idx[i] = i
-	}
-
-	// Recursive build over index slices. Node row ranges refer to
-	// positions in the final clustered order, which is exactly the
-	// left-to-right order of idx after all partitions.
-	var post int32
-	var build func(span []int, cell vec.Box, level int, rowLo table.RowID) int32
-	build = func(span []int, cell vec.Box, level int, rowLo table.RowID) int32 {
-		self := int32(len(t.Nodes))
-		t.Nodes = append(t.Nodes, Node{Left: -1, Right: -1, Leaf: -1})
-
-		bounds := vec.EmptyBox(dim)
-		for _, i := range span {
-			bounds.ExtendPoint(pts[i])
-		}
-
-		if level == levels {
-			leaf := int32(len(t.LeafNodes))
-			t.LeafNodes = append(t.LeafNodes, self)
-			n := &t.Nodes[self]
-			n.Cell = cell
-			n.Bounds = bounds
-			n.RowLo = rowLo
-			n.RowHi = rowLo + table.RowID(len(span))
-			n.Leaf = leaf
-			n.SubtreeSize = 1
-			n.PostOrder = post
-			post++
-			return self
-		}
-
-		// Split axis: the widest extent of the node's points, the
-		// adaptive choice that follows the data's structure. Degenerate
-		// extents fall back to cycling by level.
-		axis := bounds.LongestAxis()
-		if bounds.Side(axis) == 0 {
-			axis = level % dim
-		}
-		mid := len(span) / 2
-		selectNth(span, mid, func(a, b int) bool { return pts[a][axis] < pts[b][axis] })
-		// Cut halfway between the two sides so descent (< cut left,
-		// >= cut right) routes every build point to its own leaf, up to
-		// exact duplicates at the median.
-		maxLeft := pts[span[0]][axis]
-		for _, i := range span[:mid] {
-			if v := pts[i][axis]; v > maxLeft {
-				maxLeft = v
-			}
-		}
-		cut := (maxLeft + pts[span[mid]][axis]) / 2
-
-		loCell, hiCell := cell.Split(axis, cut)
-		left := build(span[:mid], loCell, level+1, rowLo)
-		right := build(span[mid:], hiCell, level+1, rowLo+table.RowID(mid))
-
-		n := &t.Nodes[self]
-		n.Axis = int32(axis)
-		n.Cut = cut
-		n.Left = left
-		n.Right = right
-		n.Cell = cell
-		n.Bounds = bounds
-		n.RowLo = rowLo
-		n.RowHi = rowLo + table.RowID(len(span))
-		n.SubtreeSize = t.Nodes[left].SubtreeSize + t.Nodes[right].SubtreeSize + 1
-		n.PostOrder = post
-		post++
-		return self
-	}
-	build(idx, p.Domain.Clone(), 0, 0)
-
-	// Rewrite the table in leaf order and tag rows with their leaf.
-	perm := make([]table.RowID, len(idx))
-	for newPos, old := range idx {
-		perm[newPos] = table.RowID(old)
-	}
-	clustered, err := tb.Rewrite(clusteredName, perm)
+	t, order := build(records(recs), len(recs), table.Dim, p.Domain, p.Levels)
+	clustered, err := table.Create(store, clusteredName)
 	if err != nil {
 		return nil, nil, err
 	}
+	a := clustered.NewAppender()
+	defer a.Close()
 	for leaf, ni := range t.LeafNodes {
 		n := &t.Nodes[ni]
-		for row := n.RowLo; row < n.RowHi; row++ {
-			if err := clustered.Update(row, func(r *table.Record) { r.LeafID = uint32(leaf) }); err != nil {
+		for _, i := range order[n.RowLo:n.RowHi] {
+			rec := recs[i]
+			rec.LeafID = uint32(leaf)
+			if err := a.Append(&rec); err != nil {
 				return nil, nil, err
 			}
 		}
@@ -148,68 +86,126 @@ func BuildFromPoints(pts []vec.Point, domain vec.Box, levels int) (*Tree, []int,
 	if len(pts) == 0 {
 		return nil, nil, fmt.Errorf("kdtree: no points")
 	}
-	dim := len(pts[0])
+	t, perm := build(points(pts), len(pts), len(pts[0]), domain, levels)
+	return t, perm, nil
+}
+
+// items is what a build partitions: each item's coordinate on an axis,
+// and a total order of the items along an axis.
+type items interface {
+	coord(i, axis int) float64
+	compare(a, b, axis int) int
+}
+
+// records are table rows under the build's total order.
+type records []table.Record
+
+func (r records) coord(i, axis int) float64 { return float64(r[i].Mags[axis]) }
+
+// compare orders two rows by their magnitude on axis, then ObjID, then
+// the encoded bytes of every other column. LeafID is left out — the
+// build assigns it — so rows that tie are interchangeable in what the
+// build writes.
+func (r records) compare(a, b, axis int) int {
+	if c := cmp.Or(cmp.Compare(r[a].Mags[axis], r[b].Mags[axis]), cmp.Compare(r[a].ObjID, r[b].ObjID)); c != 0 {
+		return c
+	}
+	x, y := r[a], r[b]
+	x.LeafID, y.LeafID = 0, 0
+	var ex, ey [table.RecordSize]byte
+	x.Encode(ex[:])
+	y.Encode(ey[:])
+	return bytes.Compare(ex[:], ey[:])
+}
+
+// points are in-memory points; a point has no identity beyond its
+// position in the slice, which breaks coordinate ties.
+type points []vec.Point
+
+func (p points) coord(i, axis int) float64 { return p[i][axis] }
+
+func (p points) compare(a, b, axis int) int {
+	return cmp.Or(cmp.Compare(p[a][axis], p[b][axis]), cmp.Compare(a, b))
+}
+
+// build partitions items [0, n) into a balanced tree of the given
+// depth (0: the √N rule) over domain and returns it with the clustered
+// order: the tree's row r is item order[r].
+func build(it items, n, dim int, domain vec.Box, levels int) (*Tree, []int) {
 	if levels <= 0 {
-		levels = ChooseLevels(uint64(len(pts)))
+		levels = ChooseLevels(uint64(n))
 	}
-	for (1 << uint(levels)) > len(pts) {
-		levels--
+	for levels > 0 && 1<<uint(levels) > n {
+		levels-- // never more leaves than items
 	}
-	if levels < 0 {
-		levels = 0
+	t := &Tree{Dim: dim, Levels: levels, NumRows: uint64(n)}
+	order := make([]int, n)
+	for i := range order {
+		order[i] = i
 	}
-	t := &Tree{Dim: dim, Levels: levels, NumRows: uint64(len(pts))}
-	idx := make([]int, len(pts))
-	for i := range idx {
-		idx[i] = i
-	}
+
+	// Recursive build over index slices. Node row ranges refer to
+	// positions in the final clustered order, which is exactly the
+	// left-to-right order of order after all partitions.
 	var post int32
-	var build func(span []int, cell vec.Box, level int, rowLo table.RowID) int32
-	build = func(span []int, cell vec.Box, level int, rowLo table.RowID) int32 {
+	var grow func(span []int, cell vec.Box, level int, rowLo table.RowID) int32
+	grow = func(span []int, cell vec.Box, level int, rowLo table.RowID) int32 {
 		self := int32(len(t.Nodes))
 		t.Nodes = append(t.Nodes, Node{Left: -1, Right: -1, Leaf: -1})
+
 		bounds := vec.EmptyBox(dim)
 		for _, i := range span {
-			bounds.ExtendPoint(pts[i])
-		}
-		if level == levels {
-			leaf := int32(len(t.LeafNodes))
-			t.LeafNodes = append(t.LeafNodes, self)
-			n := &t.Nodes[self]
-			n.Cell, n.Bounds = cell, bounds
-			n.RowLo, n.RowHi = rowLo, rowLo+table.RowID(len(span))
-			n.Leaf, n.SubtreeSize, n.PostOrder = leaf, 1, post
-			post++
-			return self
-		}
-		axis := bounds.LongestAxis()
-		if bounds.Side(axis) == 0 {
-			axis = level % dim
-		}
-		mid := len(span) / 2
-		selectNth(span, mid, func(a, b int) bool { return pts[a][axis] < pts[b][axis] })
-		maxLeft := pts[span[0]][axis]
-		for _, i := range span[:mid] {
-			if v := pts[i][axis]; v > maxLeft {
-				maxLeft = v
+			for d := 0; d < dim; d++ {
+				v := it.coord(i, d)
+				if v < bounds.Min[d] {
+					bounds.Min[d] = v
+				}
+				if v > bounds.Max[d] {
+					bounds.Max[d] = v
+				}
 			}
 		}
-		cut := (maxLeft + pts[span[mid]][axis]) / 2
-		loCell, hiCell := cell.Split(axis, cut)
-		left := build(span[:mid], loCell, level+1, rowLo)
-		right := build(span[mid:], hiCell, level+1, rowLo+table.RowID(mid))
-		n := &t.Nodes[self]
-		n.Axis, n.Cut = int32(axis), cut
-		n.Left, n.Right = left, right
-		n.Cell, n.Bounds = cell, bounds
-		n.RowLo, n.RowHi = rowLo, rowLo+table.RowID(len(span))
-		n.SubtreeSize = t.Nodes[left].SubtreeSize + t.Nodes[right].SubtreeSize + 1
+		n := Node{Left: -1, Right: -1, Leaf: -1, Cell: cell, Bounds: bounds,
+			RowLo: rowLo, RowHi: rowLo + table.RowID(len(span)), SubtreeSize: 1}
+
+		// Split axis: the widest extent of the node's points, the
+		// adaptive choice that follows the data's structure.
+		axis := bounds.LongestAxis()
+		if level == levels {
+			// A leaf's rows run along that same axis, so each page of a
+			// leaf spans a short stretch of its widest magnitude.
+			slices.SortFunc(span, func(a, b int) int { return it.compare(a, b, axis) })
+			n.Leaf = int32(len(t.LeafNodes))
+			t.LeafNodes = append(t.LeafNodes, self)
+		} else {
+			if bounds.Side(axis) == 0 {
+				axis = level % dim // degenerate extents: cycle by level
+			}
+			mid := len(span) / 2
+			selectNth(span, mid, func(a, b int) bool { return it.compare(a, b, axis) < 0 })
+			// Cut halfway between the two sides so descent (< cut left,
+			// >= cut right) routes every build point to its own leaf, up
+			// to exact duplicates at the median.
+			maxLeft := it.coord(span[0], axis)
+			for _, i := range span[:mid] {
+				if v := it.coord(i, axis); v > maxLeft {
+					maxLeft = v
+				}
+			}
+			cut := (maxLeft + it.coord(span[mid], axis)) / 2
+			loCell, hiCell := cell.Split(axis, cut)
+			n.Axis, n.Cut = int32(axis), cut
+			n.Left = grow(span[:mid], loCell, level+1, rowLo)
+			n.Right = grow(span[mid:], hiCell, level+1, rowLo+table.RowID(mid))
+			n.SubtreeSize += t.Nodes[n.Left].SubtreeSize + t.Nodes[n.Right].SubtreeSize
+		}
 		n.PostOrder = post
 		post++
+		t.Nodes[self] = n
 		return self
 	}
-	build(idx, domain.Clone(), 0, 0)
-	return t, idx, nil
+	grow(order, domain.Clone(), 0, 0)
+	return t, order
 }
 
 // selectNth partially sorts span so span[n] holds the element that

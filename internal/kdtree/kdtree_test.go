@@ -3,6 +3,9 @@ package kdtree
 import (
 	"bytes"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -386,5 +389,75 @@ func TestElongationReflectsClustering(t *testing.T) {
 	s := skyTree.Stats().MeanElongation
 	if s < u {
 		t.Errorf("sky elongation %.2f should exceed uniform %.2f", s, u)
+	}
+}
+
+// TestBuildIsInputOrderFree: what a build writes depends on the set of
+// records, not on their order. Over the same rows in two orders — with
+// a tie group the root's median falls inside, and a duplicated ObjID
+// and a duplicated row among the ties — the trees are equal and the
+// clustered tables byte-identical, so a rebuild over a clustered
+// table's own rows reproduces a fresh build.
+func TestBuildIsInputOrderFree(t *testing.T) {
+	dir := t.TempDir()
+	s, err := pagestore.Open(dir, 4096)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	rng := rand.New(rand.NewSource(7))
+	recs := make([]table.Record, 2000)
+	for i := range recs {
+		r := &recs[i]
+		r.ObjID = int64(i)
+		for d := range r.Mags {
+			r.Mags[d] = float32(15 + 5*rng.Float64())
+		}
+		// r is the widest axis, so the root splits on it, and a fifth of
+		// the rows share r = 20 exactly: the root's median lies among
+		// them, and which of them go left is decided by the tie-break.
+		r.Mags[2] = float32(10 + 20*rng.Float64())
+		if i%5 == 0 {
+			// The ties hold the extremes of u, so which of them go left
+			// shows in both children's bounds.
+			r.Mags[0], r.Mags[2] = float32(12+16*rng.Float64()), 20
+		}
+		r.Ra, r.Dec = float32(rng.Float64()*360), float32(rng.Float64()*180-90)
+	}
+	recs[5].ObjID = recs[0].ObjID // one ObjID twice among the ties
+	recs[15] = recs[10]           // one row twice
+	shuffled := append([]table.Record(nil), recs...)
+	rand.New(rand.NewSource(8)).Shuffle(len(shuffled), func(i, j int) {
+		shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
+	})
+
+	p := BuildParams{Domain: sky.Domain()}
+	treeA, tbA, err := BuildRecords(s, recs, "a.kd", p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	treeB, tbB, err := BuildRecords(s, shuffled, "b.kd", p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if root := treeA.Root(); root.Axis != 2 || root.Cut != 20 {
+		t.Fatalf("root splits axis %d at %v; the case wants the r = 20 tie group at the median", root.Axis, root.Cut)
+	}
+	if !reflect.DeepEqual(treeA, treeB) {
+		t.Error("the trees built over two orders of one row set differ")
+	}
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	a, err := os.ReadFile(filepath.Join(dir, tbA.Name()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(filepath.Join(dir, tbB.Name()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(a) == 0 || !bytes.Equal(a, b) {
+		t.Errorf("the clustered tables differ (%d and %d bytes)", len(a), len(b))
 	}
 }

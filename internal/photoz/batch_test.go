@@ -10,8 +10,8 @@ import (
 )
 
 func TestEstimateBatchMatchesSerial(t *testing.T) {
-	tb, ref := fixture(t, 8000)
-	est, err := NewEstimator(ref, "ref.kd", 24, 1)
+	tb, refs := fixture(t, 8000)
+	est, err := NewEstimator(tb.Store(), refs, "ref.kd", 24, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,8 +48,8 @@ func TestEstimateBatchMatchesSerial(t *testing.T) {
 }
 
 func TestEvaluateGalaxiesBatchMatchesSerial(t *testing.T) {
-	tb, ref := fixture(t, 8000)
-	est, err := NewEstimator(ref, "ref.kd", 16, 1)
+	tb, refs := fixture(t, 8000)
+	est, err := NewEstimator(tb.Store(), refs, "ref.kd", 16, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,8 +79,8 @@ func TestEvaluateGalaxiesBatchMatchesSerial(t *testing.T) {
 // cannot produce a usable prediction, so the estimator must fall
 // back to the neighbour mean and count the degradation.
 func TestFitFallbackCounted(t *testing.T) {
-	_, ref := fixture(t, 3000)
-	est, err := NewEstimator(ref, "ref.kd", 8, 1)
+	tb, refs := fixture(t, 3000)
+	est, err := NewEstimator(tb.Store(), refs, "ref.kd", 8, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,11 +109,7 @@ func TestFitFallbackCounted(t *testing.T) {
 	// counters keep growing.
 	var qs []vec.Point
 	for i := 0; i < 5; i++ {
-		var rec table.Record
-		if err := ref.Get(table.RowID(i*7), &rec); err != nil {
-			t.Fatal(err)
-		}
-		qs = append(qs, rec.Point())
+		qs = append(qs, refs[i*7].Point())
 	}
 	_, bs, err := est.EstimateBatch(qs, 2)
 	if err != nil {

@@ -40,37 +40,24 @@ import (
 	"repro/internal/vec"
 )
 
-// ExtractReference copies the spectroscopic rows (HasZ) of the
-// catalog into a new table — the paper's 1M-galaxy reference set
-// drawn from the 270M-object archive.
-func ExtractReference(tb *table.Table, store *pagestore.Store, name string) (*table.Table, error) {
-	ref, err := table.Create(store, name)
-	if err != nil {
-		return nil, err
-	}
-	a := ref.NewAppender()
-	defer a.Close()
-	var appendErr error
-	err = tb.ScanClassed().Scan(func(id table.RowID, r *table.Record) bool {
-		if !r.HasZ {
-			return true
-		}
-		rec := *r
-		if appendErr = a.Append(&rec); appendErr != nil {
-			return false
+// ExtractReference returns the spectroscopic rows (HasZ) of the
+// catalog in table order — the paper's 1M-galaxy reference set drawn
+// from the 270M-object archive.
+func ExtractReference(tb *table.Table) ([]table.Record, error) {
+	var refs []table.Record
+	err := tb.ScanClassed().Scan(func(_ table.RowID, r *table.Record) bool {
+		if r.HasZ {
+			refs = append(refs, *r)
 		}
 		return true
 	})
 	if err != nil {
 		return nil, err
 	}
-	if appendErr != nil {
-		return nil, appendErr
-	}
-	if ref.NumRows() == 0 {
+	if len(refs) == 0 {
 		return nil, fmt.Errorf("photoz: catalog has no spectroscopic rows")
 	}
-	return ref, nil
+	return refs, nil
 }
 
 // Estimator is the kNN + local polynomial fit redshift estimator.
@@ -109,17 +96,18 @@ func (e *Estimator) Stats() EstimatorStats {
 // Searcher exposes the underlying kNN searcher (for cost planning).
 func (e *Estimator) Searcher() *knn.Searcher { return e.searcher }
 
-// NewEstimator builds an estimator over the reference table. The
+// NewEstimator builds an estimator over the reference rows. Their
 // kd-tree index is built on the spot (an offline step, as in the
-// paper) under treeName.
-func NewEstimator(ref *table.Table, treeName string, k, degree int) (*Estimator, error) {
+// paper), and the rows are written clustered on its leaves to the
+// table treeName in store: the one stored copy of the reference.
+func NewEstimator(store *pagestore.Store, refs []table.Record, treeName string, k, degree int) (*Estimator, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("photoz: k must be >= 1, got %d", k)
 	}
 	if degree < 0 || degree > 2 {
 		return nil, fmt.Errorf("photoz: degree %d out of [0,2]", degree)
 	}
-	tree, clustered, err := kdtree.Build(ref, treeName, kdtree.BuildParams{Domain: sky.Domain()})
+	tree, clustered, err := kdtree.BuildRecords(store, refs, treeName, kdtree.BuildParams{Domain: sky.Domain()})
 	if err != nil {
 		return nil, err
 	}

@@ -13,7 +13,7 @@ import (
 // fixture returns a catalog with an elevated spectroscopic fraction
 // so the reference set is usable at test scale, plus its reference
 // table.
-func fixture(t *testing.T, n int) (*table.Table, *table.Table) {
+func fixture(t *testing.T, n int) (*table.Table, []table.Record) {
 	t.Helper()
 	s, err := pagestore.Open(t.TempDir(), 8192)
 	if err != nil {
@@ -29,22 +29,21 @@ func fixture(t *testing.T, n int) (*table.Table, *table.Table) {
 	if err := sky.GenerateTable(tb, p); err != nil {
 		t.Fatal(err)
 	}
-	ref, err := ExtractReference(tb, s, "ref.tbl")
+	refs, err := ExtractReference(tb)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return tb, ref
+	return tb, refs
 }
 
 func TestExtractReference(t *testing.T) {
-	tb, ref := fixture(t, 5000)
+	tb, refs := fixture(t, 5000)
 	// Every reference row must have HasZ.
-	ref.Scan(func(id table.RowID, r *table.Record) bool {
-		if !r.HasZ {
-			t.Fatalf("reference row %d lacks redshift", id)
+	for i := range refs {
+		if !refs[i].HasZ {
+			t.Fatalf("reference row %d lacks redshift", i)
 		}
-		return true
-	})
+	}
 	// Count must match the catalog's spectroscopic rows.
 	want := 0
 	tb.Scan(func(id table.RowID, r *table.Record) bool {
@@ -53,8 +52,8 @@ func TestExtractReference(t *testing.T) {
 		}
 		return true
 	})
-	if int(ref.NumRows()) != want {
-		t.Errorf("reference has %d rows, catalog has %d spectroscopic", ref.NumRows(), want)
+	if len(refs) != want {
+		t.Errorf("reference has %d rows, catalog has %d spectroscopic", len(refs), want)
 	}
 }
 
@@ -65,14 +64,14 @@ func TestExtractReferenceEmptyFails(t *testing.T) {
 	p := sky.DefaultParams(100, 1)
 	p.SpectroFrac = 0
 	sky.GenerateTable(tb, p)
-	if _, err := ExtractReference(tb, s, "ref"); err == nil {
+	if _, err := ExtractReference(tb); err == nil {
 		t.Error("no spectroscopic rows should fail")
 	}
 }
 
 func TestEstimatorRecoversGalaxyRedshift(t *testing.T) {
-	_, ref := fixture(t, 10000)
-	est, err := NewEstimator(ref, "ref.kd", 24, 1)
+	tb, refs := fixture(t, 10000)
+	est, err := NewEstimator(tb.Store(), refs, "ref.kd", 24, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,11 +92,11 @@ func TestEstimatorRecoversGalaxyRedshift(t *testing.T) {
 }
 
 func TestEstimatorValidation(t *testing.T) {
-	_, ref := fixture(t, 1000)
-	if _, err := NewEstimator(ref, "a.kd", 0, 1); err == nil {
+	tb, refs := fixture(t, 1000)
+	if _, err := NewEstimator(tb.Store(), refs, "a.kd", 0, 1); err == nil {
 		t.Error("k=0 should fail")
 	}
-	if _, err := NewEstimator(ref, "b.kd", 5, 3); err == nil {
+	if _, err := NewEstimator(tb.Store(), refs, "b.kd", 5, 3); err == nil {
 		t.Error("degree 3 should fail")
 	}
 }
@@ -158,8 +157,8 @@ func TestCalibrationErrorBiasesTemplates(t *testing.T) {
 // the kNN polynomial estimator's error is less than half the
 // miscalibrated template fitter's.
 func TestKNNHalvesTemplateError(t *testing.T) {
-	tb, ref := fixture(t, 20000)
-	est, err := NewEstimator(ref, "ref.kd", 16, 1)
+	tb, refs := fixture(t, 20000)
+	est, err := NewEstimator(tb.Store(), refs, "ref.kd", 16, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,8 +209,8 @@ func TestComputeMetrics(t *testing.T) {
 }
 
 func TestEvaluateGalaxiesSkipsReferenceAndNonGalaxies(t *testing.T) {
-	tb, ref := fixture(t, 3000)
-	est, err := NewEstimator(ref, "ref.kd", 8, 1)
+	tb, refs := fixture(t, 3000)
+	est, err := NewEstimator(tb.Store(), refs, "ref.kd", 8, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,8 +10,9 @@
 // scan and the full scan in page reads, and picks the winner per
 // query.
 //
-// There is one index scan. The kd-leaf-clustered table is one file
-// read in ascending page order; the kd-tree's tight bounding boxes
+// There is one index scan. The catalog, clustered on the kd-tree's
+// leaves, is one file read in ascending page order — by the full scan
+// too, which reads every page of it; the kd-tree's tight bounding boxes
 // (§3.2) and the per-page zone maps over that same file are the
 // coarse and the fine level of one zone hierarchy. Plan walks the tree
 // once: a node Outside every clause prunes its whole subtree of pages,
@@ -161,13 +162,13 @@ type Choice struct {
 func (c Choice) BestCost() float64 { return c.Cost[c.Path] }
 
 // Planner prices polyhedron queries against the indexes it is given.
-// Kd and KdTable come as a pair; without them the index scan
-// degenerates to one zone-pruned filter range over the catalog. The
-// zero Model is replaced by DefaultCostModel.
+// With a kd-tree, Catalog is the table clustered on its leaves (rows
+// past the tree's coverage form the unindexed tail); without one the
+// index scan degenerates to one zone-pruned filter range over the
+// catalog. The zero Model is replaced by DefaultCostModel.
 type Planner struct {
 	Catalog *table.Table
 	Kd      *kdtree.Tree
-	KdTable *table.Table
 	Grid    *grid.Index
 	Domain  vec.Box
 	Model   CostModel
@@ -177,17 +178,6 @@ type Planner struct {
 	// so it never flips the argmin but keeps BestCost honest for
 	// admission control under ingest.
 	MemRows int64
-}
-
-// IndexTable returns the table the index scan reads: the kd-leaf-
-// clustered copy when a tree is built (clustering in color space
-// makes every zone tight), otherwise the catalog. The executor must
-// scan the same table the plan's Ranges were priced over.
-func (p *Planner) IndexTable() *table.Table {
-	if p.Kd != nil {
-		return p.KdTable
-	}
-	return p.Catalog
 }
 
 // Plan estimates the selectivity of a WHERE — its DNF clauses; a convex
@@ -218,8 +208,7 @@ func (p *Planner) Plan(clauses []vec.Polyhedron) (Choice, error) {
 	// into page-aligned tasks. Rows past the tree's coverage — the
 	// tail minor compactions appended, or the whole table when no tree
 	// is built — are one more filter range.
-	src := p.IndexTable()
-	b := scanBuilder{pred: pred, zones: src.ZoneMaps(), rows: table.RowID(src.NumRows())}
+	b := scanBuilder{pred: pred, zones: p.Catalog.ZoneMaps(), rows: table.RowID(p.Catalog.NumRows())}
 	var kdRanges []kdtree.Range
 	var indexed table.RowID
 	if p.Kd != nil {
@@ -235,7 +224,7 @@ func (p *Planner) Plan(clauses []vec.Polyhedron) (Choice, error) {
 	b.flushRun()
 	b.flushSpan()
 	c.Ranges, c.ZonesClassified = b.tasks, b.classified
-	c.PagesPruned = src.NumPages() - b.spanned
+	c.PagesPruned = p.Catalog.NumPages() - b.spanned
 	c.Cost[PathIndex] = float64(b.fetched)*m.SeqPage + float64(c.NodesVisited+b.classified)*m.Node +
 		float64(b.fetchedRows)*m.Row + memCost
 
@@ -533,8 +522,8 @@ func (p *Planner) PlanKNN(k int) KNNChoice {
 		// "Ingest read tax" measures ≈ 40 pages read over ≈ 8 runs at 5
 		// expected leaves).
 		var tailPages, tailHits float64
-		if p.KdTable != nil && p.KdTable.NumRows() > p.Kd.NumRows {
-			tailPages = pagesFor(int64(p.KdTable.NumRows() - p.Kd.NumRows))
+		if p.Catalog.NumRows() > p.Kd.NumRows {
+			tailPages = pagesFor(int64(p.Catalog.NumRows() - p.Kd.NumRows))
 			tailHits = math.Min(tailPages, math.Ceil(expLeaves*math.Max(1, tailPages/leaves)))
 		}
 		c.CostIndex = pagesFor(int64(expRows))*m.RandPage + nodes*m.Node + expRows*m.Row +

@@ -118,7 +118,7 @@ func mustPlan(t *testing.T, pl *Planner, clauses ...vec.Polyhedron) Choice {
 // where the plan choice is clear-cut — are much tighter).
 func TestKdEstimateErrorBound(t *testing.T) {
 	w := sharedWorld(t)
-	pl := &Planner{Catalog: w.catalog, Kd: w.tree, KdTable: w.kdTable, Domain: sky.Domain()}
+	pl := &Planner{Catalog: w.kdTable, Kd: w.tree, Domain: sky.Domain()}
 	for _, half := range []float64{0.2, 0.8, 1.6, 3.2, 6.4, 12.8} {
 		q := centeredBox(w.kdTable, half)
 		actual := trueSelectivity(t, w.catalog, q)
@@ -176,7 +176,7 @@ func TestGridAndVolumeEstimators(t *testing.T) {
 // has won — the decision should be monotone in selectivity.
 func TestPlanMonotoneInSelectivity(t *testing.T) {
 	w := sharedWorld(t)
-	pl := &Planner{Catalog: w.catalog, Kd: w.tree, KdTable: w.kdTable, Domain: sky.Domain()}
+	pl := &Planner{Catalog: w.kdTable, Kd: w.tree, Domain: sky.Domain()}
 	sawFullScan := false
 	for _, half := range []float64{0.2, 0.4, 0.8, 1.6, 3.2, 6.4, 12.8, 25.6} {
 		c := mustPlan(t, pl, centeredBox(w.kdTable, half))
@@ -193,7 +193,7 @@ func TestPlanMonotoneInSelectivity(t *testing.T) {
 
 func TestPlanKNNCrossover(t *testing.T) {
 	w := sharedWorld(t)
-	pl := &Planner{Catalog: w.catalog, Kd: w.tree, KdTable: w.kdTable, Domain: sky.Domain()}
+	pl := &Planner{Catalog: w.kdTable, Kd: w.tree, Domain: sky.Domain()}
 
 	small := pl.PlanKNN(10)
 	if !small.UseIndex {
@@ -251,15 +251,12 @@ func TestPlanKNNPricesTailByZones(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pl := &Planner{Catalog: catalog, Kd: tree, KdTable: kdTable, Domain: sky.Domain()}
+	pl := &Planner{Catalog: kdTable, Kd: tree, Domain: sky.Domain()}
 	m := DefaultCostModel()
 	base := pl.PlanKNN(10)
 	prev := base
 	for off := 0; off < len(fresh); off += 2000 {
 		batch := fresh[off : off+2000]
-		if err := catalog.AppendAll(batch); err != nil {
-			t.Fatal(err)
-		}
 		if err := kdTable.AppendAll(batch); err != nil {
 			t.Fatal(err)
 		}

@@ -22,10 +22,7 @@ import (
 // price strictly above the scan.
 func TestPlanCrossover(t *testing.T) {
 	w := sharedWorld(t)
-	pl := &Planner{Catalog: w.catalog, Kd: w.tree, KdTable: w.kdTable, Domain: sky.Domain()}
-	if pl.IndexTable() != w.kdTable {
-		t.Fatal("index scan should read the kd-clustered table (tight zones in color space)")
-	}
+	pl := &Planner{Catalog: w.kdTable, Kd: w.tree, Domain: sky.Domain()}
 	pages := w.kdTable.NumPages()
 
 	narrow := centeredBox(w.kdTable, 0.4)
@@ -71,7 +68,7 @@ func TestPlanCrossover(t *testing.T) {
 // emitted, every page pruned.
 func TestWalkStopsAtRoot(t *testing.T) {
 	w := sharedWorld(t)
-	pl := &Planner{Catalog: w.catalog, Kd: w.tree, KdTable: w.kdTable, Domain: sky.Domain()}
+	pl := &Planner{Catalog: w.kdTable, Kd: w.tree, Domain: sky.Domain()}
 	// Every synthetic magnitude is above 10.
 	q := vec.NewPolyhedron(vec.NewHalfspace(vec.Point{0, 0, 1, 0, 0}, 5))
 	c := mustPlan(t, pl, q)
@@ -94,9 +91,6 @@ func TestIndexScanWithoutTree(t *testing.T) {
 	// The kd-clustered copy stands in for a catalog whose physical
 	// order happens to make zones tight.
 	pl := &Planner{Catalog: w.kdTable, Domain: sky.Domain()}
-	if pl.IndexTable() != w.kdTable {
-		t.Fatal("without a tree the index scan reads the catalog")
-	}
 	c := mustPlan(t, pl, centeredBox(w.kdTable, 0.4))
 	rows := table.RowID(w.kdTable.NumRows())
 	if len(c.Ranges) != 1 || c.Ranges[0] != (ScanTask{Lo: 0, Hi: rows, Filter: true}) {
@@ -118,7 +112,7 @@ func TestIndexScanWithoutTree(t *testing.T) {
 // error, not a silently unpruned plan.
 func TestPlanRejectsWrongDimension(t *testing.T) {
 	w := sharedWorld(t)
-	pl := &Planner{Catalog: w.catalog, Kd: w.tree, KdTable: w.kdTable, Domain: sky.Domain()}
+	pl := &Planner{Catalog: w.kdTable, Kd: w.tree, Domain: sky.Domain()}
 	if _, err := pl.Plan([]vec.Polyhedron{vec.NewPolyhedron(vec.NewHalfspace(vec.Point{1, 0, 0}, 18))}); err == nil {
 		t.Fatal("3-D plane planned against a 5-D catalog")
 	}
@@ -132,7 +126,7 @@ func TestPlanRejectsWrongDimension(t *testing.T) {
 // per-row reference's, each once, in table order.
 func TestIndexScanReadsSubsetOfBothLevels(t *testing.T) {
 	w := sharedWorld(t)
-	pl := &Planner{Catalog: w.catalog, Kd: w.tree, KdTable: w.kdTable, Domain: sky.Domain()}
+	pl := &Planner{Catalog: w.kdTable, Kd: w.tree, Domain: sky.Domain()}
 	zm := w.kdTable.ZoneMaps()
 	rng := rand.New(rand.NewSource(24))
 	var exec Executor

@@ -2,9 +2,11 @@ package shard
 
 import (
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/table"
 )
 
@@ -94,7 +96,9 @@ func TestRouteMagsMatchesPartition(t *testing.T) {
 // TestBuildClusterStoresNoVoronoi: a cluster built with every index
 // leaves no Voronoi file in any shard store, and no shard's cold open
 // registers a Voronoi-clustered table — the serving store keeps the
-// kd-tree and grid only.
+// kd-tree and grid only. Each shard stores its catalog once, clustered
+// on its kd-tree's leaves: one catalog table file, no kd-clustered copy
+// and no arrival-order photo-z reference beside it.
 func TestBuildClusterStoresNoVoronoi(t *testing.T) {
 	dir := t.TempDir()
 	if _, err := BuildCluster(dir, fixtureRecs, BuildParams{Shards: fixtureShards, Seed: fixtureSeed, Indexes: true}); err != nil {
@@ -109,6 +113,23 @@ func TestBuildClusterStoresNoVoronoi(t *testing.T) {
 		if len(vor) > 0 {
 			t.Errorf("shard %d holds Voronoi files %v", i, vor)
 		}
+		files, err := filepath.Glob(filepath.Join(shardDir, "*"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		catalogs := 0
+		for _, f := range files {
+			name := filepath.Base(f)
+			if base, _, _ := strings.Cut(name, "@"); base == "magnitude.tbl" {
+				catalogs++
+			}
+			if strings.HasPrefix(name, "magnitude.kd.tbl") || strings.HasPrefix(name, "reference.tbl") {
+				t.Errorf("shard %d holds %s beside the one catalog copy", i, name)
+			}
+		}
+		if catalogs != 1 {
+			t.Errorf("shard %d holds %d catalog table files, want one", i, catalogs)
+		}
 		db, err := core.OpenExisting(core.Config{Dir: shardDir})
 		if err != nil {
 			t.Fatal(err)
@@ -120,6 +141,9 @@ func TestBuildClusterStoresNoVoronoi(t *testing.T) {
 			if by := db.Engine().ClusteredBy(name); by == "voronoi-cell" {
 				t.Errorf("shard %d: cold open registered %s clustered by %s", i, name, by)
 			}
+		}
+		if by := db.Engine().ClusteredBy("magnitude.tbl"); by != engine.ClusteredKdLeaf {
+			t.Errorf("shard %d: catalog clustered by %q, want %q", i, by, engine.ClusteredKdLeaf)
 		}
 		db.Close()
 	}

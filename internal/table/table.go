@@ -5,7 +5,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/pagestore"
-	"repro/internal/vec"
 )
 
 // RowID addresses a record within a Table by dense position: page =
@@ -531,23 +530,6 @@ func (t *Table) ScanMags(fn func(RowID, *[Dim]float64) bool) error {
 		}
 		return true
 	})
-}
-
-// AllPoints materializes every magnitude vector in RowID order.
-// Index builders use it when they can afford N×Dim float64 in memory
-// (the in-memory build mirrors the paper's index construction, which
-// is an offline batch step).
-func (t *Table) AllPoints() ([]vec.Point, error) {
-	pts := make([]vec.Point, 0, t.numRows())
-	// One pass over every page: scan-class, so an offline build does
-	// not flush a serving pool's hot set.
-	err := t.ScanClassed().ScanMags(func(_ RowID, m *[Dim]float64) bool {
-		p := make(vec.Point, Dim)
-		copy(p, m[:])
-		pts = append(pts, p)
-		return true
-	})
-	return pts, err
 }
 
 // Rewrite writes a new table under newName containing this table's
