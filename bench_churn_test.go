@@ -41,7 +41,7 @@ func BenchmarkEvictionChurn(b *testing.B) {
 		{"pool=ram", int(churnPages) + 64},
 	} {
 		b.Run(cfg.name, func(b *testing.B) {
-			db, err := core.OpenExisting(core.Config{Dir: churnDir, PoolPages: cfg.pool, Workers: 4})
+			db, err := core.OpenExisting(core.Config{Dir: churnDir, PoolPages: cfg.pool})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -121,7 +121,7 @@ func BenchmarkEvictionChurn(b *testing.B) {
 // every size, so the growth in ns/op and B/op from one size to the next
 // is what folding the memtable into the answer costs.
 func BenchmarkKnnMemtable(b *testing.B) {
-	db, err := core.Open(core.Config{Dir: b.TempDir(), Workers: 1})
+	db, err := core.Open(core.Config{Dir: b.TempDir()})
 	if err != nil {
 		b.Fatal(err)
 	}

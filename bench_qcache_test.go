@@ -35,7 +35,7 @@ func BenchmarkStatementCache(b *testing.B) {
 
 	b.Run("miss", func(b *testing.B) {
 		// Cache disabled: every iteration is the uncached pipeline.
-		db, err := core.OpenExisting(core.Config{Dir: churnDir, Workers: 4})
+		db, err := core.OpenExisting(core.Config{Dir: churnDir})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -48,7 +48,7 @@ func BenchmarkStatementCache(b *testing.B) {
 	})
 
 	b.Run("hit", func(b *testing.B) {
-		db, err := core.OpenExisting(core.Config{Dir: churnDir, Workers: 4, ResultCacheBytes: 8 << 20})
+		db, err := core.OpenExisting(core.Config{Dir: churnDir, ResultCacheBytes: 8 << 20})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -28,7 +28,7 @@ func BenchmarkTopKQuery(b *testing.B) {
 	if churnErr != nil {
 		b.Fatal(churnErr)
 	}
-	db, err := core.OpenExisting(core.Config{Dir: churnDir, Workers: 4})
+	db, err := core.OpenExisting(core.Config{Dir: churnDir})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func BenchmarkLimitPushdown(b *testing.B) {
 	if churnErr != nil {
 		b.Fatal(churnErr)
 	}
-	db, err := core.OpenExisting(core.Config{Dir: churnDir, Workers: 4})
+	db, err := core.OpenExisting(core.Config{Dir: churnDir})
 	if err != nil {
 		b.Fatal(err)
 	}

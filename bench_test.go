@@ -715,11 +715,9 @@ func BenchmarkVectorCodec(b *testing.B) {
 
 // --- batched kNN / photo-z serving engine ------------------------------
 
-// BenchmarkKnnBatch measures SearchBatch throughput as the worker
-// pool grows: the per-worker reusable scratch and seed-leaf locality
-// ordering should make even workers=1 beat a loop over Search, and
-// workers=4 should scale further (the benchmark host's core count
-// caps the speedup).
+// BenchmarkKnnBatch compares a loop over Search against SearchBatch:
+// the batch's reusable scratch and seed-leaf locality ordering should
+// make it the faster of the two.
 func BenchmarkKnnBatch(b *testing.B) {
 	f := sharedFixture(b)
 	rng := rand.New(rand.NewSource(17))
@@ -730,21 +728,28 @@ func BenchmarkKnnBatch(b *testing.B) {
 		f.kdTable.Get(table.RowID(rng.Intn(int(f.kdTable.NumRows()))), &rec)
 		queries[i] = rec.Point()
 	}
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, _, err := f.searcher.SearchBatch(queries, 10, workers); err != nil {
+	b.Run("search", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			for _, q := range queries {
+				if _, _, err := f.searcher.Search(q, 10); err != nil {
 					b.Fatal(err)
 				}
 			}
-			b.ReportMetric(float64(batch)*float64(b.N)/b.Elapsed().Seconds(), "queries/s")
-		})
-	}
+		}
+		b.ReportMetric(float64(batch)*float64(b.N)/b.Elapsed().Seconds(), "queries/s")
+	})
+	b.Run("batch", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, _, err := f.searcher.SearchBatch(queries, 10); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(batch)*float64(b.N)/b.Elapsed().Seconds(), "queries/s")
+	})
 }
 
 // BenchmarkPhotozBatch compares serial EvaluateGalaxies against the
-// batched engine at several worker counts over the standard
-// synthetic catalog — the §4.1 workload the batch engine exists for.
+// batched engine over the standard synthetic catalog — the §4.1 workload the batch engine exists for.
 func BenchmarkPhotozBatch(b *testing.B) {
 	f := sharedFixture(b)
 	const limit = 512
@@ -756,14 +761,12 @@ func BenchmarkPhotozBatch(b *testing.B) {
 		}
 		b.ReportMetric(float64(limit)*float64(b.N)/b.Elapsed().Seconds(), "estimates/s")
 	})
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, _, err := photoz.EvaluateGalaxiesBatch(f.catalog, f.estimator, limit, workers); err != nil {
-					b.Fatal(err)
-				}
+	b.Run("batch", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, _, err := photoz.EvaluateGalaxiesBatch(f.catalog, f.estimator, limit); err != nil {
+				b.Fatal(err)
 			}
-			b.ReportMetric(float64(limit)*float64(b.N)/b.Elapsed().Seconds(), "estimates/s")
-		})
-	}
+		}
+		b.ReportMetric(float64(limit)*float64(b.N)/b.Elapsed().Seconds(), "estimates/s")
+	})
 }

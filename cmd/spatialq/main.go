@@ -14,7 +14,7 @@
 // the scan mid-flight. -format ndjson emits one JSON object per row.
 //
 //	spatialq -dir /tmp/sdss -q "g - r > 0.4 AND g - r < 1.0 AND r < 19"
-//	spatialq -dir /tmp/sdss -q "r < 22" -plan compare -workers 8
+//	spatialq -dir /tmp/sdss -q "r < 22" -plan compare
 //	spatialq -dir /tmp/sdss -q "SELECT objid,g,r WHERE g-r>0.4 ORDER BY r LIMIT 20"
 //	spatialq -dir /tmp/sdss -q "SELECT * ORDER BY dist(19.5,18.9,18.2,17.9,17.7) LIMIT 5" -format ndjson
 //	spatialq -dir /tmp/sdss -q "INSERT INTO catalog VALUES (9000000001, 19.1, 18.5, 18.2, 18.0, 17.9)"
@@ -31,7 +31,6 @@ import (
 	"math"
 	"os"
 	"os/signal"
-	"runtime"
 	"strconv"
 	"strings"
 
@@ -50,7 +49,6 @@ func main() {
 	k := flag.Int("k", 10, "neighbours for -knn")
 	plan := flag.String("plan", "auto", "auto | kdtree | fullscan | compare")
 	build := flag.Bool("build", false, "build and persist missing index structures instead of failing on them")
-	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "query executor worker pool size")
 	limit := flag.Int("limit", 10, "result rows to print")
 	seed := flag.Int64("seed", 42, "seed for -build index construction")
 	resultCacheMB := flag.Int64("result-cache-mb", 0, "statement result cache budget in MiB (0 = plan cache only)")
@@ -63,7 +61,7 @@ func main() {
 		log.Fatal("spatialq: exactly one of -q or -knn is required")
 	}
 
-	db, err := core.OpenExisting(core.Config{Dir: *dir, Workers: *workers, ResultCacheBytes: *resultCacheMB << 20})
+	db, err := core.OpenExisting(core.Config{Dir: *dir, ResultCacheBytes: *resultCacheMB << 20})
 	if err != nil {
 		log.Fatalf("spatialq: %v\n(generate the database first: sdssgen -dir %s)", err, *dir)
 	}

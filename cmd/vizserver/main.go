@@ -12,9 +12,9 @@
 // scan mid-flight through the request context.
 //
 // The /knn and /photoz endpoints serve the §3.3 and §4.1
-// applications from the batched concurrent kNN engine: a POST /knn
-// body carries many query points at once, fanned over the worker
-// pool with per-query exact page accounting.
+// applications from the batched kNN engine: a POST /knn body carries
+// many query points at once, run in seed-leaf order on one reused
+// scratch with per-query exact page accounting.
 //
 // The handlers live in internal/vizhttp, wired through per-endpoint
 // QoS admission control: a bounded concurrent-query semaphore with a
@@ -41,7 +41,7 @@
 // (flushing the store manifest).
 //
 //	sdssgen   -dir /srv/sdss -n 1000000
-//	vizserver -dir /srv/sdss -addr :8080 -workers 8
+//	vizserver -dir /srv/sdss -addr :8080
 //	vizserver -dir /srv/sdss -build -n 200000   # build once, then serve
 //	curl 'localhost:8080/points?min=14,14,14&max=24,24,24&n=1000'
 //	curl 'localhost:8080/render?min=10,10,10&max=30,30,30&n=5000'
@@ -83,7 +83,6 @@ func main() {
 	build := flag.Bool("build", false, "with -dir: ingest a synthetic catalog, build every index, persist, then serve")
 	n := flag.Int("n", 200_000, "synthetic catalog size (ephemeral or -build mode)")
 	seed := flag.Int64("seed", 42, "generator seed")
-	workers := flag.Int("workers", 0, "query executor pool size (0 = GOMAXPROCS)")
 	qosConcurrent := flag.Int("qos-concurrent", 0, "max concurrently executing requests per endpoint (0 = 2×GOMAXPROCS, negative = no admission control)")
 	qosQueue := flag.Int("qos-queue", 0, "max queued requests per endpoint (0 = 8×concurrent)")
 	qosTimeout := flag.Duration("qos-timeout", 0, "max time a request waits in the admission queue (0 = 2s)")
@@ -143,7 +142,7 @@ func main() {
 	} else {
 		var cleanup func()
 		var err error
-		db, cleanup, err = openDB(*dir, *build, *n, *seed, *workers, *resultCacheMB<<20)
+		db, cleanup, err = openDB(*dir, *build, *n, *seed, *resultCacheMB<<20)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -221,11 +220,11 @@ func main() {
 // directory (default with -dir), build-once into -dir, or an
 // ephemeral in-memory build. The returned cleanup removes the
 // ephemeral directory.
-func openDB(dir string, build bool, n int, seed int64, workers int, resultCacheBytes int64) (*core.SpatialDB, func(), error) {
+func openDB(dir string, build bool, n int, seed int64, resultCacheBytes int64) (*core.SpatialDB, func(), error) {
 	cleanup := func() {}
 	switch {
 	case dir != "" && !build:
-		db, err := core.OpenExisting(core.Config{Dir: dir, Workers: workers, ResultCacheBytes: resultCacheBytes})
+		db, err := core.OpenExisting(core.Config{Dir: dir, ResultCacheBytes: resultCacheBytes})
 		if err != nil {
 			return nil, cleanup, fmt.Errorf("%w\n(build it first: sdssgen -dir %s, or vizserver -dir %s -build)", err, dir, dir)
 		}
@@ -239,7 +238,7 @@ func openDB(dir string, build bool, n int, seed int64, workers int, resultCacheB
 		cleanup = func() { os.RemoveAll(tmp) }
 		dir = tmp
 	}
-	db, err := core.Open(core.Config{Dir: dir, Workers: workers, ResultCacheBytes: resultCacheBytes})
+	db, err := core.Open(core.Config{Dir: dir, ResultCacheBytes: resultCacheBytes})
 	if err != nil {
 		return nil, cleanup, err
 	}

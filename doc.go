@@ -11,8 +11,9 @@
 // internal/planner estimates each query's selectivity, prices the
 // full scan and every built index in page reads, and picks the
 // cheapest — the paper's Figure 5 crossover (~0.25 selectivity)
-// made operational — then executes the winner over a concurrent
-// worker pool.
+// made operational — then executes the winner on the request's own
+// goroutine, so every statement's counters are exact and repeatable;
+// requests run concurrently.
 //
 // Execution is streaming end to end: every path emits rows through
 // a Volcano-style pull cursor (core.Cursor) with exact per-cursor

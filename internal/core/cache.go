@@ -280,18 +280,15 @@ func cachedReport(rep Report) Report {
 }
 
 // statementCacheKey builds the tier-2 identity of a statement:
-// canonical statement text plus the plan-relevant config that could
-// change the answer's provenance (forced plan, worker count — worker
-// counts never change answers, but they are part of the execution
-// config the entry was observed under, and keying on them is free).
-// ok is false for statements tier 2 must not materialize: unbounded
-// (no LIMIT), LIMIT 0 (answered before any cache), or wider than
-// maxCacheableLimit.
-func (db *SpatialDB) statementCacheKey(stmt colorsql.Statement, plan Plan) (string, bool) {
+// canonical statement text plus the forced plan, which could change
+// the answer's provenance. ok is false for statements tier 2 must not
+// materialize: unbounded (no LIMIT), LIMIT 0 (answered before any
+// cache), or wider than maxCacheableLimit.
+func statementCacheKey(stmt colorsql.Statement, plan Plan) (string, bool) {
 	if stmt.Limit <= 0 || stmt.Limit > maxCacheableLimit {
 		return "", false
 	}
-	return "w" + strconv.Itoa(db.exec.Workers) + "|" + plan.String() + "|" + stmt.String(), true
+	return plan.String() + "|" + stmt.String(), true
 }
 
 // ExecStatementCached serves a statement from the result cache if an
@@ -301,7 +298,7 @@ func (db *SpatialDB) ExecStatementCached(stmt colorsql.Statement, plan Plan) (Cu
 	if !db.ResultCacheEnabled() {
 		return nil, false
 	}
-	key, ok := db.statementCacheKey(stmt, plan)
+	key, ok := statementCacheKey(stmt, plan)
 	if !ok {
 		return nil, false
 	}

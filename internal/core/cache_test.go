@@ -40,7 +40,7 @@ func execRows(t testing.TB, db *SpatialDB, src string) ([]table.Record, Report) 
 // enabled.
 func buildFullDBWithCache(t testing.TB, dir string, rows int) *SpatialDB {
 	t.Helper()
-	db, err := Open(Config{Dir: dir, Workers: 4, ResultCacheBytes: 8 << 20})
+	db, err := Open(Config{Dir: dir, ResultCacheBytes: 8 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +191,7 @@ func TestEpochInvalidationOnMutation(t *testing.T) {
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
-	re, err := OpenExisting(Config{Dir: dir, Workers: 4, ResultCacheBytes: 8 << 20})
+	re, err := OpenExisting(Config{Dir: dir, ResultCacheBytes: 8 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +221,7 @@ func TestCachePressureShrink(t *testing.T) {
 	// A small budget makes the shrink observable: at rest all three
 	// warmed entries (~3 KiB each) fit; at ~90% pool pressure the
 	// effective budget collapses below one entry.
-	re, err := OpenExisting(Config{Dir: dir, PoolPages: 64, Workers: 2, ResultCacheBytes: 32 << 10})
+	re, err := OpenExisting(Config{Dir: dir, PoolPages: 64, ResultCacheBytes: 32 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}

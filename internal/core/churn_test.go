@@ -75,7 +75,7 @@ func TestEvictionChurnMatrix(t *testing.T) {
 	// Reference answers from a RAM-sized pool (the whole database
 	// resident), itself cold-opened so the comparison spans identical
 	// code paths.
-	ref, err := OpenExisting(Config{Dir: dir, Workers: 4})
+	ref, err := OpenExisting(Config{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestEvictionChurnMatrix(t *testing.T) {
 			if int64(pool.pages) >= totalPages {
 				t.Fatalf("pool %d does not undersize the %d-page database; the test would not churn", pool.pages, totalPages)
 			}
-			re, err := OpenExisting(Config{Dir: dir, PoolPages: pool.pages, Workers: 4})
+			re, err := OpenExisting(Config{Dir: dir, PoolPages: pool.pages})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -215,7 +215,7 @@ func TestEvictionChurnMatrixWithResultCache(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ref, err := OpenExisting(Config{Dir: dir, Workers: 4})
+	ref, err := OpenExisting(Config{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +238,7 @@ func TestEvictionChurnMatrixWithResultCache(t *testing.T) {
 	}
 	for _, pool := range pools {
 		t.Run(fmt.Sprintf("pool=%s", pool.name), func(t *testing.T) {
-			re, err := OpenExisting(Config{Dir: dir, PoolPages: pool.pages, Workers: 4, ResultCacheBytes: 8 << 20})
+			re, err := OpenExisting(Config{Dir: dir, PoolPages: pool.pages, ResultCacheBytes: 8 << 20})
 			if err != nil {
 				t.Fatal(err)
 			}

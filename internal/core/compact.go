@@ -19,8 +19,7 @@ import (
 // paged tables while the database keeps serving.
 //
 // Minor compaction (Compact) appends the memtable's rows to the
-// catalog, the grid's clustered copy and the photo-z reference table
-// using staged appenders: written rows stay invisible until one
+// catalog and the photo-z reference table using staged appenders: written rows stay invisible until one
 // publish step under db.mu flips every table's row bound and trims the
 // memtable atomically, so a concurrently opened cursor snapshot sees
 // the rows either all in the memtable or all in the tables, never both
@@ -32,15 +31,16 @@ import (
 // tree is built, and the photo-z reference — takes a batch as one
 // kd-ordered run: the batch stable-sorted by the leaf each row routes
 // to (appendRun), so a run's pages each cover a small piece of colour
-// space. The grid's copy, and a catalog with no tree, take it in
-// arrival order. Zone maps widen as the appenders run, before
+// space. A catalog with no tree takes it in arrival order. Zone maps
+// widen as the appenders run, before
 // publication, so a page's zone always covers every row on it; on a
 // kd-ordered run those zones come out tight, and both readers of the
 // tail prune by them: the index scan classifies each tail page's zone
 // like a leaf's (kd range collection), and the kNN search, once its
 // region-grow halts, reads a tail page only if its zone lies within
-// the current k-th distance (knn.Searcher). The grid samples from its
-// indexed prefix until the next full compaction (documented bounded
+// the current k-th distance (knn.Searcher). The grid's clustered copy
+// is not appended to: it samples the rows it was built over until the
+// next full compaction rebuilds it from the catalog (documented bounded
 // staleness).
 //
 // Durability order matters: rows are published and persisted (catalog
@@ -72,7 +72,6 @@ func (db *SpatialDB) Compact() error {
 type compactTargets struct {
 	catalog *table.Table
 	kd      *kdtree.Tree
-	grid    *grid.Index
 	photoZ  *photoz.Estimator
 	mem     *memtable.Memtable
 }
@@ -83,7 +82,6 @@ func (db *SpatialDB) compactLocked() error {
 	tg := compactTargets{
 		catalog: db.catalog,
 		kd:      db.kd,
-		grid:    db.grid,
 		photoZ:  db.photoZ,
 		mem:     db.mem,
 	}
@@ -122,11 +120,6 @@ func (db *SpatialDB) compactLocked() error {
 	}
 	if err := stage("catalog", tg.catalog, tg.kd, false); err != nil {
 		return err
-	}
-	if tg.grid != nil {
-		if err := stage("grid table", tg.grid.Table(), nil, false); err != nil {
-			return err
-		}
 	}
 	if tg.photoZ != nil {
 		s := tg.photoZ.Searcher()

@@ -20,9 +20,11 @@
 // index scan that walk yields against the full scan, and runs the
 // cheaper — the paper's Figure 5 observation that the index wins while
 // a query stays selective and the sequential scan above that, made
-// operational. Queries execute over a worker pool (Config.Workers)
-// and SpatialDB is safe for any number of concurrent readers once
-// its indexes are built.
+// operational. Every statement, kNN batch and photo-z batch runs on
+// its caller's goroutine, so its counters are facts about the statement
+// and the data; concurrency comes from serving requests concurrently,
+// and SpatialDB is safe for any number of concurrent readers once its
+// indexes are built.
 //
 // SpatialDB is the public API of the reproduction; the examples and
 // the experiment harness drive everything through it.
@@ -32,7 +34,6 @@ import (
 	"cmp"
 	"context"
 	"fmt"
-	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -44,7 +45,6 @@ import (
 	"repro/internal/knn"
 	"repro/internal/memtable"
 	"repro/internal/pagestore"
-	"repro/internal/parallel"
 	"repro/internal/photoz"
 	"repro/internal/planner"
 	"repro/internal/qcache"
@@ -60,10 +60,6 @@ type Config struct {
 	// PoolPages is the buffer pool size in 8 KiB pages (default 4096
 	// = 32 MiB).
 	PoolPages int
-	// Workers sizes the query executor's worker pool: the candidate
-	// ranges of a scan are cut into balanced chunks and scanned
-	// concurrently. 0 means GOMAXPROCS; 1 forces serial execution.
-	Workers int
 	// ResultCacheBytes budgets the tier-2 result cache: bounded-LIMIT
 	// statement answers, single-point kNN probes and small photo-z
 	// batches are materialized and served from memory, concurrent
@@ -172,8 +168,7 @@ type Report struct {
 // an RW-latch; queries of every kind run concurrently against the
 // built state.
 type SpatialDB struct {
-	eng  *engine.DB
-	exec *planner.Executor
+	eng *engine.DB
 
 	mu      sync.RWMutex
 	catalog *table.Table
@@ -243,16 +238,12 @@ func Open(cfg Config) (*SpatialDB, error) {
 	if cfg.PoolPages <= 0 {
 		cfg.PoolPages = 4096
 	}
-	if cfg.Workers <= 0 {
-		cfg.Workers = runtime.GOMAXPROCS(0)
-	}
 	eng, err := engine.Open(cfg.Dir, cfg.PoolPages)
 	if err != nil {
 		return nil, err
 	}
 	db := &SpatialDB{
 		eng:    eng,
-		exec:   &planner.Executor{Workers: cfg.Workers},
 		domain: sky.Domain(),
 		dir:    cfg.Dir,
 	}
@@ -486,9 +477,9 @@ func (db *SpatialDB) EstimateRedshift(mags vec.Point) (float64, error) {
 }
 
 // EstimateRedshiftBatch estimates many objects on the batched kNN
-// engine (Config.Workers sizes the pool) and reports the batch's
-// exact aggregate cost, including how many local polynomial fits
-// degenerated to the neighbour-mean fallback.
+// engine and reports the batch's exact aggregate cost, including how
+// many local polynomial fits degenerated to the neighbour-mean
+// fallback.
 func (db *SpatialDB) EstimateRedshiftBatch(mags []vec.Point) ([]float64, Report, error) {
 	// Small interactive batches cache like point probes; bulk
 	// estimation always executes.
@@ -507,7 +498,7 @@ func (db *SpatialDB) estimateRedshiftBatchUncached(mags []vec.Point) ([]float64,
 	if est == nil {
 		return nil, Report{}, fmt.Errorf("core: BuildPhotoZ has not been called")
 	}
-	zs, stats, err := est.EstimateBatch(mags, db.exec.Workers)
+	zs, stats, err := est.EstimateBatch(mags)
 	if err != nil {
 		return nil, Report{}, err
 	}
@@ -595,9 +586,8 @@ func (db *SpatialDB) Planner() (*planner.Planner, error) {
 // QueryPolyhedron executes one convex polyhedron query under the
 // chosen plan and returns the matching records with full columns —
 // QueryUnion's path for a set of one clause, planned afresh.
-// PlanAuto consults the cost-based planner; every path streams
-// through the executor's exchange sized by Config.Workers, emitting
-// records in a single pass over the candidate ranges.
+// PlanAuto consults the cost-based planner; every path streams records
+// in a single pass over the candidate ranges.
 func (db *SpatialDB) QueryPolyhedron(q vec.Polyhedron, plan Plan) ([]table.Record, Report, error) {
 	cur, err := db.polyhedronCursor(context.Background(), q, plan, cursorOpts{cols: table.ColAll, stopAfter: -1})
 	if err != nil {
@@ -745,11 +735,11 @@ func (db *SpatialDB) NearestNeighbors(p vec.Point, k int) ([]table.Record, Repor
 }
 
 // NearestNeighborsBatch answers many kNN queries on the batched
-// engine (knn.SearchBatch over Config.Workers workers, per-worker
-// scratch, seed-leaf locality ordering), returning results in input
-// order with an exact per-query Report each. If the planner predicts
-// brute force cheaper (k approaching N, or no kd-tree built), the
-// queries run as brute-force scans fanned over the same worker pool.
+// engine (knn.SearchBatchFunc: one reused scratch, seed-leaf locality
+// ordering), returning results in input order with an exact per-query
+// Report each. If the planner predicts brute force cheaper (k
+// approaching N, or no kd-tree built), the queries run as brute-force
+// scans, one after another.
 func (db *SpatialDB) NearestNeighborsBatch(ps []vec.Point, k int) ([][]table.Record, []Report, error) {
 	// A single-point batch is the interactive point-probe shape; with
 	// tier 2 enabled it is cached (and singleflighted) like a repeated
@@ -774,8 +764,7 @@ func (db *SpatialDB) nearestNeighborsBatchUncached(ps []vec.Point, k int) ([][]t
 	recs := make([][]table.Record, len(ps))
 	reports := make([]Report, len(ps))
 	// finish folds the memtable candidates into query i's paged answer
-	// and files its records and Report. Workers call it concurrently,
-	// each for its own i.
+	// and files its records and Report.
 	finish := func(plan Plan) func(int, []knn.Neighbor, knn.Stats) error {
 		return func(i int, nbs []knn.Neighbor, stats knn.Stats) error {
 			nbs = mergeMemNeighbors(nbs, mem, ps[i], k)
@@ -796,11 +785,11 @@ func (db *SpatialDB) nearestNeighborsBatchUncached(ps []vec.Point, k int) ([][]t
 		}
 	}
 	if choice.UseIndex && searcher != nil {
-		err = searcher.SearchBatchFunc(ps, k, db.exec.Workers, finish(PlanKdTree))
+		err = searcher.SearchBatchFunc(ps, k, finish(PlanKdTree))
 	} else {
 		// No kd-tree, or the planner priced the scan cheaper: serve the
 		// queries anyway through the brute-force path.
-		err = db.bruteForceBatch(catalog, ps, k, finish(PlanFullScan))
+		err = bruteForceBatch(catalog, ps, k, finish(PlanFullScan))
 	}
 	if err != nil {
 		return nil, nil, err
@@ -808,22 +797,20 @@ func (db *SpatialDB) nearestNeighborsBatchUncached(ps []vec.Point, k int) ([][]t
 	return recs, reports, nil
 }
 
-// bruteForceBatch answers the queries by whole-table scans fanned
-// over the worker pool, handing each query's answer to fn — the same
-// contract as knn.Searcher.SearchBatchFunc.
-func (db *SpatialDB) bruteForceBatch(catalog *table.Table, ps []vec.Point, k int, fn func(i int, nbs []knn.Neighbor, stats knn.Stats) error) error {
-	return parallel.ForChunks(len(ps), db.exec.Workers, func(lo, hi int, stopped func() bool) error {
-		for i := lo; i < hi && !stopped(); i++ {
-			nbs, stats, err := knn.BruteForce(catalog, ps[i], k)
-			if err != nil {
-				return err
-			}
-			if err := fn(i, nbs, stats); err != nil {
-				return err
-			}
+// bruteForceBatch answers the queries by whole-table scans, one after
+// another, handing each query's answer to fn — the same contract as
+// knn.Searcher.SearchBatchFunc.
+func bruteForceBatch(catalog *table.Table, ps []vec.Point, k int, fn func(i int, nbs []knn.Neighbor, stats knn.Stats) error) error {
+	for i, p := range ps {
+		nbs, stats, err := knn.BruteForce(catalog, p, k)
+		if err != nil {
+			return err
 		}
-		return nil
-	})
+		if err := fn(i, nbs, stats); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // SampleRegion returns at least n points of the catalog whose first

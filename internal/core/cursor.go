@@ -40,8 +40,6 @@ func Collect(c Cursor) ([]table.Record, Report, error) {
 	for c.Next() {
 		out = append(out, *c.Record())
 	}
-	// Close before reading Stats: on a failed parallel stream the
-	// workers keep moving the scope counters until Close reaps them.
 	c.Close()
 	if err := c.Err(); err != nil {
 		return nil, c.Stats(), err
@@ -55,8 +53,8 @@ type cursorOpts struct {
 	// order requirements are OR-ed in by the layers that need them).
 	cols table.ColumnSet
 	// stopAfter >= 0 pushes a row bound into the scan itself: the
-	// stream runs serially and stops reading pages at the one holding
-	// the last emitted row. -1 means unbounded.
+	// stream stops reading pages at the one holding the last emitted
+	// row. -1 means unbounded.
 	stopAfter int64
 	// choice is a pre-computed planner verdict for the query (from
 	// the tier-1 plan cache); nil makes the cursor consult the planner.
@@ -212,7 +210,7 @@ func (db *SpatialDB) whereCursorSnap(ctx context.Context, sn *dbSnap, clauses []
 	}
 	base.Plan = resolved
 	paged := &polyCursor{
-		stream: db.exec.Stream(tb, tasks, planner.StreamOpts{
+		stream: planner.Stream(tb, tasks, planner.StreamOpts{
 			Ctx:       ctx,
 			Cols:      opts.cols,
 			StopAfter: opts.stopAfter,
@@ -247,9 +245,7 @@ type limitCursor struct {
 func (c *limitCursor) finish() {
 	if !c.done {
 		c.done = true
-		// Close first: a truncated parallel scan's workers keep moving
-		// the scope counters until Close reaps them, and Stats must be
-		// exact and final.
+		// Close first so no page I/O follows the bound.
 		c.child.Close()
 		c.final = c.child.Stats()
 		c.final.RowsReturned = c.emitted
@@ -394,8 +390,6 @@ func (c *topkCursor) offer(rec *table.Record, seq int64) {
 func (c *topkCursor) drain() {
 	c.drained = true
 	defer func() {
-		// Close before Stats: on the error/cancellation path the
-		// child's workers may still be live until Close reaps them.
 		c.child.Close()
 		c.final = c.child.Stats()
 	}()
@@ -510,7 +504,7 @@ func (db *SpatialDB) fullCatalogCursor(ctx context.Context, opts cursorOpts) (Cu
 	}
 	scope := db.eng.Store().Scoped()
 	tasks := []planner.ScanTask{{Lo: 0, Hi: table.RowID(sn.catalog.NumRows())}}
-	stream := db.exec.Stream(sn.catalog.Scoped(scope).ScanClassed(), tasks, planner.StreamOpts{
+	stream := planner.Stream(sn.catalog.Scoped(scope).ScanClassed(), tasks, planner.StreamOpts{
 		Ctx:       ctx,
 		Cols:      opts.cols,
 		StopAfter: opts.stopAfter,

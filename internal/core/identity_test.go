@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -93,15 +94,16 @@ func referenceRows(t *testing.T, db *SpatialDB, q vec.Polyhedron, plan Plan) ([]
 
 // TestStreamMatchesSerialReference is the executor's identity matrix:
 // {kd built, kd absent} × {no tail, minor-compacted tail, memtable
-// rows} as stores, {auto, kd, fullscan} × {1, 4 workers} ×
-// {RAM pool, pin-floor pool} over each. Collect-all over
-// Executor.Stream (QueryPolyhedron) must return exactly the serial
-// per-index reference's rows, in physical order, and its scoped page
-// stats must be exact: PagesScanned is the scope's own page touches,
-// the index scan touches no more than its serial walk,
-// the full scan exactly what its reference touches, and not one page
-// more when three callers race the same query through the same store
-// (run with -race).
+// rows} as stores, {auto, kd, fullscan} × {RAM pool, pin-floor pool}
+// × {GOMAXPROCS 1, 4} over each. Collect-all over planner.Stream
+// (QueryPolyhedron) must return exactly the per-index reference's rows,
+// in physical order, and its scoped page stats must be exact:
+// PagesScanned is the scope's own page touches, the index scan touches
+// no more than its walk, the full scan exactly what its reference
+// touches, and not one page more when three callers race the same
+// query through the same store (run with -race). A statement runs on
+// its caller's goroutine, so none of this may depend on how many cores
+// the process may use.
 func TestStreamMatchesSerialReference(t *testing.T) {
 	queries := []string{"g - r > 0.2 AND r < 20", "r < 16.5"}
 	for _, indexed := range []bool{true, false} {
@@ -116,9 +118,10 @@ func TestStreamMatchesSerialReference(t *testing.T) {
 				name  string
 				pages int
 			}{{"ram", 0}, {"pin-floor", 16}} {
-				for _, workers := range []int{1, 4} {
-					t.Run(fmt.Sprintf("indexed=%v/tail=%s/pool=%s/workers=%d", indexed, tail, pool.name, workers), func(t *testing.T) {
-						re, err := OpenExisting(Config{Dir: dir, PoolPages: pool.pages, Workers: workers})
+				for _, procs := range []int{1, 4} {
+					t.Run(fmt.Sprintf("indexed=%v/tail=%s/pool=%s/procs=%d", indexed, tail, pool.name, procs), func(t *testing.T) {
+						defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+						re, err := OpenExisting(Config{Dir: dir, PoolPages: pool.pages})
 						if err != nil {
 							t.Fatal(err)
 						}

@@ -246,9 +246,7 @@ func TestInsertWhileServingChurn(t *testing.T) {
 // the snapshot pins the superseded generation's files until release.
 func TestCompactionPreservesOpenCursor(t *testing.T) {
 	dir := t.TempDir()
-	// Workers: 1 — parallel range execution interleaves emission
-	// order, and this test asserts byte-level stream identity.
-	db, err := Open(Config{Dir: dir, Workers: 1})
+	db, err := Open(Config{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -356,10 +354,7 @@ func TestFullCompactionMatchesFreshBuild(t *testing.T) {
 	}
 
 	build := func(dir string, recs []table.Record) *SpatialDB {
-		// Workers: 1 keeps scan emission in physical order, so the
-		// compacted and fresh-built databases can be compared byte for
-		// byte rather than as sets.
-		db, err := Open(Config{Dir: dir, Workers: 1})
+		db, err := Open(Config{Dir: dir})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -578,5 +573,57 @@ func TestBackgroundCompactorDrainsMemtable(t *testing.T) {
 	time.Sleep(20 * time.Millisecond)
 	if db.MemRows() != 1 {
 		t.Fatalf("memtable = %d rows after StopCompactor, want 1", db.MemRows())
+	}
+}
+
+// TestMinorCompactionLeavesGridCopy: a minor compaction appends nothing
+// to the grid's clustered copy — sampling reads only the rows its cell
+// directory covers, so rows written there would be dead weight — and a
+// sample answers exactly as before. A full compaction then rebuilds the
+// grid over every catalog row.
+func TestMinorCompactionLeavesGridCopy(t *testing.T) {
+	db := openDB(t, 3000)
+	if err := db.BuildKdIndex(0); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.BuildGridIndex(256, 7); err != nil {
+		t.Fatal(err)
+	}
+	dom3 := vec.NewBox(db.Domain().Min[:3], db.Domain().Max[:3])
+	sample := func() []table.Record {
+		recs, _, err := db.SampleRegion(dom3, 300)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return recs
+	}
+	gridRows := db.Grid().Table().NumRows()
+	before := sample()
+
+	var fresh []table.Record
+	for i := int64(0); i < 200; i++ {
+		fresh = append(fresh, churnRecord(6_000_000_000+i))
+	}
+	if _, err := db.Insert(fresh); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if got := db.Grid().Table().NumRows(); got != gridRows {
+		t.Errorf("grid copy holds %d rows after a minor compaction, %d before", got, gridRows)
+	}
+	if after := sample(); !reflect.DeepEqual(before, after) {
+		t.Errorf("sample changed across a minor compaction: %d rows vs %d", len(after), len(before))
+	}
+	if err := db.Grid().Validate(); err != nil {
+		t.Fatal(err)
+	}
+
+	if err := db.CompactFull(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := db.Grid().Table().NumRows(), db.NumRows(); got != want || got != gridRows+200 {
+		t.Errorf("full compaction: grid copy holds %d rows, catalog %d, want %d", got, want, gridRows+200)
 	}
 }

@@ -2,14 +2,12 @@ package core
 
 import (
 	"fmt"
-	"runtime"
 
 	"repro/internal/engine"
 	"repro/internal/grid"
 	"repro/internal/kdtree"
 	"repro/internal/knn"
 	"repro/internal/photoz"
-	"repro/internal/planner"
 	"repro/internal/sky"
 )
 
@@ -87,16 +85,12 @@ func OpenExisting(cfg Config) (*SpatialDB, error) {
 	if cfg.PoolPages <= 0 {
 		cfg.PoolPages = 4096
 	}
-	if cfg.Workers <= 0 {
-		cfg.Workers = runtime.GOMAXPROCS(0)
-	}
 	eng, err := engine.OpenExisting(cfg.Dir, cfg.PoolPages)
 	if err != nil {
 		return nil, err
 	}
 	db := &SpatialDB{
 		eng:    eng,
-		exec:   &planner.Executor{Workers: cfg.Workers},
 		domain: sky.Domain(),
 		dir:    cfg.Dir,
 	}

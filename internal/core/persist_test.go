@@ -69,8 +69,7 @@ var stmtQueries = []string{
 
 // serialReference runs the serial per-index implementation of plan —
 // kdtree.Tree.QueryPolyhedron or engine.FullScanPolyhedron, which
-// share nothing with Executor.Stream
-// but the page decoder — and returns the matching row ids, the table
+// share nothing with planner.Stream but the page decoder — and returns the matching row ids, the table
 // they address and the page requests the reference made (exact only
 // when nothing else touches the store meanwhile). PlanPrunedScan is
 // what PlanAuto reports for its index scan on a store without a

@@ -170,9 +170,7 @@ func (c *chainCursor) Next() bool {
 	return c.mem.Next()
 }
 
-// foldBase closes the paged child and freezes its final stats:
-// Close-before-Stats so a parallel stream's workers stop moving the
-// scope counters first.
+// foldBase closes the paged child and freezes its final stats.
 func (c *chainCursor) foldBase() {
 	if c.inMem {
 		return

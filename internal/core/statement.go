@@ -101,7 +101,7 @@ func (db *SpatialDB) ExecStatement(ctx context.Context, stmt colorsql.Statement,
 		// A verdict error (no catalog) surfaces on the normal path.
 	}
 
-	key, ok := db.statementCacheKey(stmt, plan)
+	key, ok := statementCacheKey(stmt, plan)
 	if !ok {
 		db.qc.Bypass(nsQuery)
 		return db.execStatementUncached(ctx, stmt, plan)

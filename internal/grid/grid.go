@@ -590,10 +590,10 @@ func (ix *Index) ValidateStructure() error {
 	for _, l := range ix.layers {
 		total += l.points
 	}
-	// The plan and directory may cover a prefix of the table — rows
-	// past it are the unindexed tail appended by minor compactions,
-	// invisible to sampling until a full compaction re-layers them —
-	// but can never cover more rows than the table holds.
+	// The plan and directory may cover a prefix of the table — a store
+	// written while minor compactions still appended to the grid copy
+	// carries such an unindexed tail, invisible to sampling — but can
+	// never cover more rows than the table holds.
 	if total > int(ix.tbl.NumRows()) {
 		return fmt.Errorf("grid: layer plan covers %d rows, table has %d", total, ix.tbl.NumRows())
 	}
@@ -614,9 +614,9 @@ func (ix *Index) ValidateStructure() error {
 }
 
 // CoveredRows returns how many clustered rows the layer directory
-// covers — the prefix the index was built over. Rows appended past it
-// by minor compactions are excluded from sampling (a documented,
-// bounded staleness) until a full compaction re-layers the table.
+// covers — the prefix the index was built over. Nothing appends past
+// it now; a tail left by a store whose minor compactions did is
+// excluded from sampling until a full compaction rebuilds the grid.
 func (ix *Index) CoveredRows() uint64 {
 	var covered uint64
 	for _, r := range ix.dir {
@@ -638,8 +638,8 @@ func (ix *Index) Validate() error {
 	var checkErr error
 	err := ix.tbl.Scan(func(id table.RowID, r *table.Record) bool {
 		if id >= covered {
-			// Unindexed tail: rows appended after the layered rewrite
-			// carry no layer/cell codes yet.
+			// Unindexed tail (see ValidateStructure): its rows carry
+			// no layer/cell codes.
 			return true
 		}
 		layer := int(r.Layer)

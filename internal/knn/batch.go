@@ -3,34 +3,31 @@ package knn
 import (
 	"sort"
 
-	"repro/internal/parallel"
 	"repro/internal/vec"
 )
 
-// SearchBatch answers many kNN queries over a worker pool and
+// SearchBatch answers many kNN queries on the caller's goroutine and
 // returns, in input order, each query's neighbours and scope-exact
 // Stats — results are identical to calling Search per query.
 //
 // Two batch-level optimizations make it faster than a loop over
 // Search:
 //
-//   - per-worker reusable scratch: the visited set (generation-
-//     stamped, no per-query NumLeaves allocation) and both heaps are
-//     shared across a worker's queries;
-//   - seed-leaf locality ordering: queries are sorted by the leaf
-//     their point routes to and split into contiguous chunks, so a
-//     worker's consecutive queries grow regions over neighbouring
-//     kd-cells and hit pages its previous query just pulled into the
-//     buffer pool, instead of striding randomly across the file.
+//   - one reusable scratch: the visited set (generation-stamped, no
+//     per-query NumLeaves allocation) and both heaps are shared across
+//     the batch's queries;
+//   - seed-leaf locality ordering: queries run in the order of the
+//     leaf their point routes to, so consecutive queries grow regions
+//     over neighbouring kd-cells and hit pages the previous query just
+//     pulled into the buffer pool, instead of striding randomly across
+//     the file.
 //
-// workers <= 0 means GOMAXPROCS; workers == 1 runs serially (still
-// with reusable scratch and locality ordering). Per-query page Stats
-// remain exact under any concurrency because every query runs under
-// its own pagestore.Scope.
-func (s *Searcher) SearchBatch(queries []vec.Point, k, workers int) ([][]Neighbor, []Stats, error) {
+// Per-query page Stats are exact under concurrent batches because
+// every query runs under its own pagestore.Scope.
+func (s *Searcher) SearchBatch(queries []vec.Point, k int) ([][]Neighbor, []Stats, error) {
 	results := make([][]Neighbor, len(queries))
 	stats := make([]Stats, len(queries))
-	err := s.SearchBatchFunc(queries, k, workers, func(i int, nbs []Neighbor, st Stats) error {
+	err := s.SearchBatchFunc(queries, k, func(i int, nbs []Neighbor, st Stats) error {
 		results[i], stats[i] = nbs, st
 		return nil
 	})
@@ -44,13 +41,12 @@ func (s *Searcher) SearchBatch(queries []vec.Point, k, workers int) ([][]Neighbo
 }
 
 // SearchBatchFunc is SearchBatch's streaming form: fn is invoked
-// once per query — concurrently, from the worker that ran it — with
-// the query's input index, its neighbours and its scope-exact Stats.
-// Consumers that reduce each result on the spot (the photo-z batch
-// estimator fits and discards) hold only one neighbour set per
-// worker instead of the whole batch's. fn returning an error stops
-// the remaining work.
-func (s *Searcher) SearchBatchFunc(queries []vec.Point, k, workers int, fn func(i int, nbs []Neighbor, st Stats) error) error {
+// once per query, in seed-leaf order, with the query's input index,
+// its neighbours and its scope-exact Stats. Consumers that reduce each
+// result on the spot (the photo-z batch estimator fits and discards)
+// hold only one neighbour set at a time instead of the whole batch's.
+// fn returning an error stops the remaining work.
+func (s *Searcher) SearchBatchFunc(queries []vec.Point, k int, fn func(i int, nbs []Neighbor, st Stats) error) error {
 	for _, p := range queries {
 		if err := s.validate(p, k); err != nil {
 			return err
@@ -79,20 +75,15 @@ func (s *Searcher) SearchBatchFunc(queries []vec.Point, k, workers int, fn func(
 		return order[a] < order[b]
 	})
 
-	return parallel.ForChunks(n, workers, func(lo, hi int, stopped func() bool) error {
-		scr := newScratch(s.Tree.NumLeaves())
-		for _, qi := range order[lo:hi] {
-			if stopped() {
-				return nil
-			}
-			r, st, err := s.searchScoped(queries[qi], k, seeds[qi], scr)
-			if err != nil {
-				return err
-			}
-			if err := fn(qi, r, st); err != nil {
-				return err
-			}
+	scr := newScratch(s.Tree.NumLeaves())
+	for _, qi := range order {
+		r, st, err := s.searchScoped(queries[qi], k, seeds[qi], scr)
+		if err != nil {
+			return err
 		}
-		return nil
-	})
+		if err := fn(qi, r, st); err != nil {
+			return err
+		}
+	}
+	return nil
 }

@@ -49,38 +49,38 @@ func TestSearchBatchMatchesSerialAllOrderings(t *testing.T) {
 	}
 
 	rng := rand.New(rand.NewSource(99))
-	for _, workers := range []int{1, 2, 4, 8, 0} {
-		// Also permute the input each round: results must come back in
-		// the (new) input order regardless of the internal locality sort.
+	for round := 0; round < 3; round++ {
+		// Permute the input each round: results must come back in the
+		// (new) input order regardless of the internal locality sort.
 		perm := rng.Perm(len(qs))
 		pq := make([]vec.Point, len(qs))
 		for i, j := range perm {
 			pq[i] = qs[j]
 		}
-		gotRes, gotStats, err := s.SearchBatch(pq, k, workers)
+		gotRes, gotStats, err := s.SearchBatch(pq, k)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(gotRes) != len(pq) || len(gotStats) != len(pq) {
-			t.Fatalf("workers=%d: got %d results, %d stats", workers, len(gotRes), len(gotStats))
+			t.Fatalf("round %d: got %d results, %d stats", round, len(gotRes), len(gotStats))
 		}
 		for i, j := range perm {
 			if !reflect.DeepEqual(gotRes[i], wantRes[j]) {
-				t.Fatalf("workers=%d query %d: batch result differs from serial Search", workers, i)
+				t.Fatalf("round %d query %d: batch result differs from serial Search", round, i)
 			}
 			// The examination trace is deterministic; the hit/miss split
 			// depends on cache state, but the pages touched do not.
 			if gotStats[i].LeavesExamined != wantStats[j].LeavesExamined ||
 				gotStats[i].RowsExamined != wantStats[j].RowsExamined {
-				t.Fatalf("workers=%d query %d: examined %d leaves/%d rows, serial %d/%d",
-					workers, i, gotStats[i].LeavesExamined, gotStats[i].RowsExamined,
+				t.Fatalf("round %d query %d: examined %d leaves/%d rows, serial %d/%d",
+					round, i, gotStats[i].LeavesExamined, gotStats[i].RowsExamined,
 					wantStats[j].LeavesExamined, wantStats[j].RowsExamined)
 			}
 			gotTouched := gotStats[i].Pages.Hits + gotStats[i].Pages.Misses
 			wantTouched := wantStats[j].Pages.Hits + wantStats[j].Pages.Misses
 			if gotTouched != wantTouched {
-				t.Fatalf("workers=%d query %d: touched %d pages, serial touched %d",
-					workers, i, gotTouched, wantTouched)
+				t.Fatalf("round %d query %d: touched %d pages, serial touched %d",
+					round, i, gotTouched, wantTouched)
 			}
 		}
 	}
@@ -93,7 +93,7 @@ func TestSearchBatchStatsSumToGlobalDelta(t *testing.T) {
 	s := fixture(t, 8000)
 	qs := batchQueries(t, s, 30, 11)
 	before := s.Tb.Store().Stats()
-	_, stats, err := s.SearchBatch(qs, 10, 4)
+	_, stats, err := s.SearchBatch(qs, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,14 +162,14 @@ func TestConcurrentQueriesSeeOnlyOwnPages(t *testing.T) {
 
 func TestSearchBatchEmptyAndInvalid(t *testing.T) {
 	s := fixture(t, 200)
-	res, stats, err := s.SearchBatch(nil, 5, 4)
+	res, stats, err := s.SearchBatch(nil, 5)
 	if err != nil || res != nil || stats != nil {
 		t.Errorf("empty batch: res=%v stats=%v err=%v", res, stats, err)
 	}
-	if _, _, err := s.SearchBatch([]vec.Point{{1, 2}}, 5, 4); err == nil {
-		t.Error("dim mismatch should fail before spawning workers")
+	if _, _, err := s.SearchBatch([]vec.Point{{1, 2}}, 5); err == nil {
+		t.Error("dim mismatch should fail before any search")
 	}
-	if _, _, err := s.SearchBatch([]vec.Point{{1, 2, 3, 4, 5}}, 0, 4); err == nil {
+	if _, _, err := s.SearchBatch([]vec.Point{{1, 2, 3, 4, 5}}, 0); err == nil {
 		t.Error("k=0 should fail")
 	}
 }

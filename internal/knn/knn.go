@@ -36,8 +36,8 @@
 // Every query runs under its own pagestore accounting scope, so
 // Stats.Pages is exactly the pages that query touched even while
 // other queries run concurrently against the same store. SearchBatch
-// fans many queries over a worker pool with per-worker reusable
-// scratch and seed-leaf locality ordering.
+// runs many queries on one reusable scratch in seed-leaf locality
+// order.
 package knn
 
 import (
@@ -101,7 +101,7 @@ func (h *frontierHeap) Pop() any {
 	return x
 }
 
-// scratch is reusable per-worker search state. The visited set is a
+// scratch is reusable per-batch search state. The visited set is a
 // generation-stamped array, so resetting between queries is O(1)
 // instead of allocating a NumLeaves-sized bitmap per call, and the
 // two heaps keep their backing arrays across queries.

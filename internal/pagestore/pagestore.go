@@ -153,9 +153,8 @@ func (c *statCounters) snapshot() Stats {
 // Operations on the bare Store are unscoped: they count only
 // globally.
 //
-// A Scope may be shared by several goroutines (the batch executor
-// hands one query's scope to all its workers); the counters are
-// atomic.
+// The counters are atomic, so a Scope may be shared by several
+// goroutines.
 type Scope struct {
 	store *Store
 

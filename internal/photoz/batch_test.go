@@ -30,20 +30,18 @@ func TestEstimateBatchMatchesSerial(t *testing.T) {
 		}
 		want[i] = z
 	}
-	for _, workers := range []int{1, 3, 4, 0} {
-		got, stats, err := est.EstimateBatch(mags, workers)
-		if err != nil {
-			t.Fatal(err)
+	got, stats, err := est.EstimateBatch(mags)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("query %d: batch z=%v, serial z=%v", i, got[i], want[i])
 		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("workers=%d query %d: batch z=%v, serial z=%v", workers, i, got[i], want[i])
-			}
-		}
-		if stats.Queries != len(mags) || stats.RowsExamined == 0 ||
-			stats.Pages.Hits+stats.Pages.Misses == 0 {
-			t.Errorf("workers=%d: implausible batch stats %+v", workers, stats)
-		}
+	}
+	if stats.Queries != len(mags) || stats.RowsExamined == 0 ||
+		stats.Pages.Hits+stats.Pages.Misses == 0 {
+		t.Errorf("implausible batch stats %+v", stats)
 	}
 }
 
@@ -57,7 +55,7 @@ func TestEvaluateGalaxiesBatchMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	batch, stats, err := EvaluateGalaxiesBatch(tb, est, 120, 4)
+	batch, stats, err := EvaluateGalaxiesBatch(tb, est, 120)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +109,7 @@ func TestFitFallbackCounted(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		qs = append(qs, refs[i*7].Point())
 	}
-	_, bs, err := est.EstimateBatch(qs, 2)
+	_, bs, err := est.EstimateBatch(qs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,7 +27,6 @@ package photoz
 import (
 	"fmt"
 	"math"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -179,41 +178,35 @@ type BatchStats struct {
 }
 
 // EstimateBatch estimates many objects at once on the batched kNN
-// engine (knn.SearchBatchFunc — worker pool, per-worker scratch,
-// seed-leaf locality): each query's local polynomial is fitted by
-// the worker that fetched its neighbours, so only one neighbour set
-// per worker is live at a time, however large the batch. Results
-// are in input order and identical to calling Estimate per point.
-// workers <= 0 means GOMAXPROCS.
-func (e *Estimator) EstimateBatch(mags []vec.Point, workers int) ([]float64, BatchStats, error) {
+// engine (knn.SearchBatchFunc — one reused scratch, seed-leaf
+// locality): each query's local polynomial is fitted as soon as its
+// neighbours are fetched, so only one neighbour set is live at a
+// time, however large the batch. Results are in input order and
+// identical to calling Estimate per point.
+func (e *Estimator) EstimateBatch(mags []vec.Point) ([]float64, BatchStats, error) {
 	start := time.Now()
 	stats := BatchStats{Queries: len(mags)}
 	if len(mags) == 0 {
 		return nil, stats, nil
 	}
 	out := make([]float64, len(mags))
-	var fallbacks atomic.Int64
-	var mu sync.Mutex // guards the stats aggregation below
-	err := e.searcher.SearchBatchFunc(mags, e.K, workers, func(i int, nbs []knn.Neighbor, st knn.Stats) error {
+	err := e.searcher.SearchBatchFunc(mags, e.K, func(i int, nbs []knn.Neighbor, st knn.Stats) error {
 		z, fellBack, err := e.fitNeighbors(mags[i], nbs)
 		if err != nil {
 			return err
 		}
 		if fellBack {
-			fallbacks.Add(1)
+			stats.FitFallbacks++
 		}
 		out[i] = z
-		mu.Lock()
 		stats.LeavesExamined += int64(st.LeavesExamined)
 		stats.RowsExamined += st.RowsExamined
 		stats.Pages = stats.Pages.Add(st.Pages)
-		mu.Unlock()
 		return nil
 	})
 	if err != nil {
 		return nil, BatchStats{Queries: len(mags)}, err
 	}
-	stats.FitFallbacks = fallbacks.Load()
 	stats.Duration = time.Since(start)
 	return out, stats, nil
 }
@@ -346,11 +339,11 @@ func EvaluateGalaxies(tb *table.Table, estimate func(vec.Point) (float64, error)
 
 // EvaluateGalaxiesBatch is EvaluateGalaxies on the batched engine:
 // the unknown set is collected in one scan, then estimated through
-// Estimator.EstimateBatch over the worker pool. Pairs are identical
+// Estimator.EstimateBatch. Pairs are identical
 // to the serial EvaluateGalaxies(tb, est.Estimate, limit); the
 // returned BatchStats carries the batch's exact search cost and fit
 // fallback count.
-func EvaluateGalaxiesBatch(tb *table.Table, est *Estimator, limit, workers int) ([]Pair, BatchStats, error) {
+func EvaluateGalaxiesBatch(tb *table.Table, est *Estimator, limit int) ([]Pair, BatchStats, error) {
 	var mags []vec.Point
 	var truths []float64
 	err := tb.ScanClassed().Scan(func(id table.RowID, r *table.Record) bool {
@@ -364,7 +357,7 @@ func EvaluateGalaxiesBatch(tb *table.Table, est *Estimator, limit, workers int) 
 	if err != nil {
 		return nil, BatchStats{}, err
 	}
-	ests, stats, err := est.EstimateBatch(mags, workers)
+	ests, stats, err := est.EstimateBatch(mags)
 	if err != nil {
 		return nil, stats, err
 	}

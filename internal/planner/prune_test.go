@@ -129,7 +129,6 @@ func TestIndexScanReadsSubsetOfBothLevels(t *testing.T) {
 	pl := &Planner{Catalog: w.kdTable, Kd: w.tree, Domain: sky.Domain()}
 	zm := w.kdTable.ZoneMaps()
 	rng := rand.New(rand.NewSource(24))
-	var exec Executor
 	for iter := 0; iter < 40; iter++ {
 		// Each clause: a colour cut and a magnitude cut through the
 		// populated region. Clauses overlap freely.
@@ -193,7 +192,7 @@ func TestIndexScanReadsSubsetOfBothLevels(t *testing.T) {
 		// and the rows are the reference's.
 		w.store.DropCache()
 		scope := w.store.Scoped()
-		s := exec.Stream(w.kdTable.Scoped(scope), c.Ranges, StreamOpts{Ctx: context.Background(), Cols: table.ColObjID, StopAfter: -1, Pred: pred})
+		s := Stream(w.kdTable.Scoped(scope), c.Ranges, StreamOpts{Ctx: context.Background(), Cols: table.ColObjID, StopAfter: -1, Pred: pred})
 		var got []int64
 		for s.Next() {
 			got = append(got, s.Record().ObjID)

@@ -4,8 +4,8 @@
 // and the same color cuts, kNN probes and photo-z requests are issued
 // over and over. colorsql's Statement.String() is a canonical form —
 // two statements with the same normalized text are the same query —
-// so it is the cache identity (plus plan-relevant config such as the
-// worker count, folded into the key by the caller).
+// so it is the cache identity (plus plan-relevant config such as a
+// forced plan, folded into the key by the caller).
 //
 // Tier 1 (plans) caches planner verdicts and compiled page
 // predicates: small, always safe, always on. A repeated statement

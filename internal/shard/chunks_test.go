@@ -1,4 +1,4 @@
-package parallel
+package shard
 
 import (
 	"errors"
@@ -7,10 +7,9 @@ import (
 )
 
 func TestForChunksCoversAllItems(t *testing.T) {
-	for _, workers := range []int{0, 1, 3, 8, 100} {
-		const n = 57
-		var hit [n]atomic.Int32
-		err := ForChunks(n, workers, func(lo, hi int, stopped func() bool) error {
+	for _, n := range []int{1, 3, 57, maxKNNVisits, 100} {
+		hit := make([]atomic.Int32, n)
+		err := forChunks(n, func(lo, hi int, stopped func() bool) error {
 			for i := lo; i < hi; i++ {
 				hit[i].Add(1)
 			}
@@ -21,7 +20,7 @@ func TestForChunksCoversAllItems(t *testing.T) {
 		}
 		for i := range hit {
 			if hit[i].Load() != 1 {
-				t.Fatalf("workers=%d: item %d visited %d times", workers, i, hit[i].Load())
+				t.Fatalf("n=%d: item %d visited %d times", n, i, hit[i].Load())
 			}
 		}
 	}
@@ -29,11 +28,9 @@ func TestForChunksCoversAllItems(t *testing.T) {
 
 func TestForChunksFirstErrorStopsWork(t *testing.T) {
 	boom := errors.New("boom")
-	var after atomic.Int64
-	err := ForChunks(1000, 4, func(lo, hi int, stopped func() bool) error {
+	err := forChunks(1000, func(lo, hi int, stopped func() bool) error {
 		for i := lo; i < hi; i++ {
 			if stopped() {
-				after.Add(1)
 				return nil
 			}
 			if i == lo { // every chunk fails immediately
@@ -49,7 +46,7 @@ func TestForChunksFirstErrorStopsWork(t *testing.T) {
 
 func TestForChunksEmpty(t *testing.T) {
 	called := false
-	if err := ForChunks(0, 4, func(lo, hi int, stopped func() bool) error {
+	if err := forChunks(0, func(lo, hi int, stopped func() bool) error {
 		called = true
 		return nil
 	}); err != nil || called {

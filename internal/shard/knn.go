@@ -6,10 +6,11 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/colorsql"
 	"repro/internal/core"
-	"repro/internal/parallel"
 	"repro/internal/table"
 	"repro/internal/vec"
 )
@@ -43,6 +44,43 @@ import (
 
 // maxKNNVisits caps the sub-requests one search keeps in flight.
 const maxKNNVisits = 32
+
+// forChunks splits [0, n) into at most maxKNNVisits contiguous chunks
+// and runs fn on each concurrently, the first on the caller's
+// goroutine. fn polls stopped between items and returns early once it
+// reports true; the first error stops the remaining work and is
+// returned.
+func forChunks(n int, fn func(lo, hi int, stopped func() bool) error) error {
+	var (
+		failed   atomic.Bool
+		errMu    sync.Mutex
+		firstErr error
+		wg       sync.WaitGroup
+	)
+	runChunk := func(lo, hi int) {
+		if err := fn(lo, hi, failed.Load); err != nil {
+			errMu.Lock()
+			if firstErr == nil {
+				firstErr = err
+			}
+			errMu.Unlock()
+			failed.Store(true)
+		}
+	}
+	w := min(n, maxKNNVisits)
+	for c := 1; c < w; c++ {
+		wg.Add(1)
+		go func(lo, hi int) {
+			defer wg.Done()
+			runChunk(lo, hi)
+		}(c*n/w, (c+1)*n/w)
+	}
+	if w > 0 {
+		runChunk(0, n/w)
+	}
+	wg.Wait()
+	return firstErr
+}
 
 // knnPart is one shard's answer to one probe: its local neighbours,
 // nearest first, and the exact counters of finding them.
@@ -103,7 +141,7 @@ func (c *Coordinator) boundedKNN(ctx context.Context, qs []vec.Point, k int, who
 	// cancels the rest: an error names its shard, and a search never
 	// returns a short list in its place.
 	run := func(visits []knnVisit) error {
-		err := parallel.ForChunks(len(visits), maxKNNVisits, func(lo, hi int, stopped func() bool) error {
+		err := forChunks(len(visits), func(lo, hi int, stopped func() bool) error {
 			for v := lo; v < hi && !stopped(); v++ {
 				if err := c.visitKNN(cctx, &visits[v], qs, k, wholeRows); err != nil {
 					cancel()

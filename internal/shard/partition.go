@@ -25,9 +25,8 @@ type BuildParams struct {
 	PhotoZK      int
 	PhotoZDegree int
 
-	// PoolPages/Workers for the per-shard builds (0 = core defaults).
+	// PoolPages for the per-shard builds (0 = the core default).
 	PoolPages int
-	Workers   int
 }
 
 func (p *BuildParams) setDefaults() {
@@ -109,7 +108,7 @@ func BuildCluster(dir string, recs []table.Record, p BuildParams) (*RoutingTable
 
 // buildShardStore builds and persists one shard store.
 func buildShardStore(dir string, part, refs []table.Record, p BuildParams) error {
-	db, err := core.Open(core.Config{Dir: dir, PoolPages: p.PoolPages, Workers: p.Workers})
+	db, err := core.Open(core.Config{Dir: dir, PoolPages: p.PoolPages})
 	if err != nil {
 		return err
 	}
@@ -138,7 +137,7 @@ func buildShardStore(dir string, part, refs []table.Record, p BuildParams) error
 func buildRoutingTable(dir string, recs []table.Record, p BuildParams) (*RoutingTable, error) {
 	tmp := filepath.Join(dir, ".routing-build")
 	defer os.RemoveAll(tmp)
-	db, err := core.Open(core.Config{Dir: tmp, PoolPages: p.PoolPages, Workers: p.Workers})
+	db, err := core.Open(core.Config{Dir: tmp, PoolPages: p.PoolPages})
 	if err != nil {
 		return nil, err
 	}

@@ -58,9 +58,9 @@ type statementRunner interface {
 // on the cluster, into the visits (one sub-request when the first
 // target can fill it). An ordered LIMIT pushes its k-th key into the
 // same walk: its answer is the head of the reference sorted on (key,
-// ObjID, arrival), byte for byte, on a serial store, a 4-worker one, one
-// with no tree and through the coordinator, wherever the LIMIT cuts a
-// tie group.
+// ObjID, arrival), byte for byte, on a store with a tree, one with
+// none and through the coordinator, wherever the LIMIT cuts a tie
+// group.
 func TestWhereOneWalk(t *testing.T) {
 	recs, err := sky.Generate(sky.DefaultParams(2400, 31))
 	if err != nil {
@@ -83,23 +83,20 @@ func TestWhereOneWalk(t *testing.T) {
 	recs = append(recs, near, far, twin)
 
 	root := t.TempDir()
-	open := func(name string, workers int) *core.SpatialDB {
-		db, err := core.Open(core.Config{Dir: filepath.Join(root, name), Workers: workers})
+	open := func(name string) *core.SpatialDB {
+		db, err := core.Open(core.Config{Dir: filepath.Join(root, name)})
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { db.Close() })
 		return db
 	}
-	// single carries every index and scans in parallel; serial is the
-	// one-worker store and bare the one with no tree at all.
-	single, serial, bare := open("single", 4), open("serial", 1), open("bare", 4)
-	locals := []*core.SpatialDB{single, serial, bare}
+	// single carries every index; bare has no tree at all.
+	single, bare := open("single"), open("bare")
+	locals := []*core.SpatialDB{single, bare}
 	for _, build := range []func() error{
 		func() error { return single.IngestRecords(recs) },
 		func() error { return single.BuildKdIndex(0) },
-		func() error { return serial.IngestRecords(recs) },
-		func() error { return serial.BuildKdIndex(0) },
 		func() error { return bare.IngestRecords(recs) },
 	} {
 		if err := build(); err != nil {

@@ -15,7 +15,7 @@ import (
 // into the match mask from the strips, so a losing row is never
 // decoded. Rows tying τ pass to the consumer's (key, ObjID, arrival)
 // comparator, so the answer is the unbounded scan's (DESIGN.md
-// "Pushdown rules"). A parallel worker may read a stale τ: a looser bound.
+// "Pushdown rules").
 //
 // Keys rank ascending: under DESC the coefficients and K are negated,
 // which negates every key exactly (rounding is symmetric). Key is the

@@ -346,9 +346,8 @@ func (sc *stripScratch) load(data []byte, axis, n int, loaded *[Dim]bool) int {
 	return 1
 }
 
-// ScanCounters aggregates the page work of one streaming scan.
-// All fields are atomics: the parallel executor's workers share one
-// counter set across their per-task iterators.
+// ScanCounters aggregates the page work of one streaming scan: every
+// range iterator of the scan adds into one set.
 type ScanCounters struct {
 	// Examined counts rows of scanned (non-skipped) pages within the
 	// requested ranges: partial pages test them all in the strip loop,

@@ -149,9 +149,7 @@ func (w *cancelingRecorder) Write(b []byte) (int, error) {
 }
 
 func TestNDJSONClientDisconnectStopsPageReads(t *testing.T) {
-	// Workers: 1 keeps the stream serial, so the page-boundary
-	// cancellation check is deterministic.
-	db, err := core.Open(core.Config{Dir: t.TempDir(), Workers: 1})
+	db, err := core.Open(core.Config{Dir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
