@@ -24,10 +24,14 @@ import (
 // Tier 2 (opt-in via Config.ResultCacheBytes) caches materialized
 // small answers — bounded-LIMIT statements, single-point kNN probes,
 // small photo-z batches — concurrent identical requests sharing one
-// execution (singleflight). It is opt-in because a cached answer
-// deliberately skips execution: callers that rely on per-request
-// execution cost (admission-control tests, cost benchmarks) must not
-// silently change behaviour.
+// execution (singleflight). It is one LRU under one fixed budget, and
+// a statement has at most one entry in it: an empty cut with a LIMIT
+// is an ordinary entry with no rows, and one without a LIMIT is not
+// cached at all — its tier-1 plan already holds the proof (no range to
+// scan). It is opt-in because a cached answer deliberately skips
+// execution: callers that rely on per-request execution cost
+// (admission-control tests, cost benchmarks) must not silently change
+// behaviour.
 //
 // Every entry is keyed under the current cache epoch; see cacheEpoch.
 
@@ -53,7 +57,6 @@ const (
 	nsQuery      = "query"
 	nsKNN        = "knn"
 	nsPhotoZ     = "photoz"
-	nsNegative   = "negative"
 	nsPlan       = "plan"
 	nsKNNPlan    = "knn-plan"
 	nsPhotoZPlan = "photoz-plan"
@@ -62,16 +65,7 @@ const (
 // initCache constructs the db's cache from its config. Called by
 // Open and OpenExisting before the db is shared.
 func (db *SpatialDB) initCache(cfg Config) {
-	store := db.eng.Store()
-	pressure := func() float64 {
-		cap := store.Capacity()
-		if cap <= 0 {
-			return 0
-		}
-		return float64(store.PressurePages()) / float64(cap)
-	}
-	db.resultCacheBytes = cfg.ResultCacheBytes
-	db.qc = qcache.New(cfg.ResultCacheBytes, 0, pressure)
+	db.qc = qcache.New(cfg.ResultCacheBytes, 0)
 }
 
 // cacheEpoch snapshots the world every cache entry is keyed under:
@@ -91,12 +85,7 @@ func (db *SpatialDB) bumpPlanGen() { db.planGen.Add(1) }
 func (db *SpatialDB) Cache() *qcache.Cache { return db.qc }
 
 // ResultCacheEnabled reports whether tier 2 is on.
-func (db *SpatialDB) ResultCacheEnabled() bool { return db.resultCacheBytes > 0 }
-
-// MaintainCache re-applies the pool-pressure budget, releasing
-// cached results if the pool got busier. Serving loops call it
-// opportunistically (vizhttp does from /stats).
-func (db *SpatialDB) MaintainCache() { db.qc.Maintain() }
+func (db *SpatialDB) ResultCacheEnabled() bool { return db.qc.Budget() > 0 }
 
 // CacheStats snapshots the cache counters per namespace plus the
 // resident tier-2 footprint.
@@ -112,7 +101,7 @@ func (db *SpatialDB) CacheStatsSnapshot() CacheStats {
 	return CacheStats{
 		ResultBytes:   db.qc.ResultBytes(),
 		ResultEntries: db.qc.ResultEntries(),
-		BudgetBytes:   db.qc.BaseBudget(),
+		BudgetBytes:   db.qc.Budget(),
 		Namespaces:    db.qc.Stats(),
 	}
 }
@@ -139,27 +128,6 @@ func (db *SpatialDB) planFor(u colorsql.Union) (*planner.Choice, error) {
 		return nil, err
 	}
 	return v.(*planner.Choice), nil
-}
-
-// provablyEmpty reports whether a WHERE is proven empty without
-// reading a single page: its index walk (already cached in tier 1)
-// emitted no range — the tree's bounds and the page zones rule out
-// every page — and no acknowledged memtable row, which the walk does
-// not cover, satisfies it. The verdict is only valid at the epoch it
-// was computed under; any insert bumps the plan generation and
-// invalidates it.
-func (db *SpatialDB) provablyEmpty(u colorsql.Union) (bool, error) {
-	choice, err := db.planFor(u)
-	if err != nil || len(choice.Ranges) != 0 {
-		return false, err
-	}
-	matches := whereMemFilter(u.Polys) // Union.Contains, as the scan tests a memtable row
-	for _, row := range db.memSnapshot() {
-		if matches(&row.Rec) {
-			return false, nil
-		}
-	}
-	return true, nil
 }
 
 // knnChoiceFor returns the cached kNN plan verdict for neighbourhood

@@ -205,11 +205,42 @@ func TestEpochInvalidationOnMutation(t *testing.T) {
 	}
 }
 
-// TestCachePressureShrink: pinning most of a small pool raises the
-// pressure signal; MaintainCache then sheds cached bytes, and no
-// cached entry holds a page pin (releasing the pins leaves
-// PinnedPages at zero).
-func TestCachePressureShrink(t *testing.T) {
+// TestOneCacheEntryPerStatement: each distinct bounded statement costs
+// the result tier one entry — an empty cut included — and its repeat is
+// found by the pre-admission probe.
+func TestOneCacheEntryPerStatement(t *testing.T) {
+	db := buildFullDBWithCache(t, t.TempDir(), 3000)
+	defer db.Close()
+	srcs := []string{
+		"SELECT objid, g, r WHERE g - r > 0.2 AND r < 20 LIMIT 40",
+		"SELECT objid WHERE r < 16 LIMIT 30",
+		"SELECT objid WHERE u < 4 OR r < 5 LIMIT 10", // provably empty
+		"SELECT objid, u WHERE u - g > 1 LIMIT 25",
+		"SELECT objid, g, r WHERE r < 5 LIMIT 100", // provably empty
+	}
+	for i, src := range srcs {
+		execRows(t, db, src)
+		if got := db.Cache().ResultEntries(); got != i+1 {
+			t.Fatalf("after %d distinct statements: %d result entries, want %d", i+1, got, i+1)
+		}
+	}
+	for _, src := range srcs {
+		cur, ok := db.ExecStatementCached(parseStmt(t, src), PlanAuto)
+		if !ok {
+			t.Fatalf("%q: repeat not found by the cache probe", src)
+		}
+		cur.Close()
+	}
+	if got := db.Cache().ResultEntries(); got != len(srcs) {
+		t.Errorf("%d result entries after the repeats, want %d", got, len(srcs))
+	}
+}
+
+// TestResultBudgetIgnoresPoolPins: the result budget is fixed — pinning
+// most of a small pool neither shrinks it nor evicts cached answers,
+// including while a new answer is inserted, and no cached entry holds
+// a page pin (releasing the test's pins leaves PinnedPages at zero).
+func TestResultBudgetIgnoresPoolPins(t *testing.T) {
 	dir := t.TempDir()
 	db := buildFullDB(t, dir, 3000)
 	if err := db.Persist(); err != nil {
@@ -218,25 +249,24 @@ func TestCachePressureShrink(t *testing.T) {
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// A small budget makes the shrink observable: at rest all three
-	// warmed entries (~3 KiB each) fit; at ~90% pool pressure the
-	// effective budget collapses below one entry.
-	re, err := OpenExisting(Config{Dir: dir, PoolPages: 64, ResultCacheBytes: 32 << 10})
+	const budget = 32 << 10 // three ~3 KiB entries fit with room to spare
+	re, err := OpenExisting(Config{Dir: dir, PoolPages: 64, ResultCacheBytes: budget})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer re.Close()
 
-	// Warm several entries.
-	for _, src := range []string{
+	warm := []string{
 		"SELECT objid, g, r WHERE g - r > 0.2 AND r < 20 LIMIT 40",
 		"SELECT objid, g, r WHERE g - r > 0.3 AND r < 19 LIMIT 40",
 		"SELECT objid WHERE r < 16 LIMIT 30",
-	} {
+	}
+	for _, src := range warm {
 		execRows(t, re, src)
 	}
-	if re.Cache().ResultEntries() == 0 {
-		t.Fatal("nothing cached before pressure")
+	before := re.Cache().ResultEntries()
+	if before < len(warm) {
+		t.Fatalf("%d entries cached, want at least %d", before, len(warm))
 	}
 
 	// Pin ~90% of the pool, drawing pages from every persisted file.
@@ -265,13 +295,24 @@ func TestCachePressureShrink(t *testing.T) {
 		t.Fatalf("only %d pages available to pin, want %d", len(pinned), nPin)
 	}
 
-	before := re.Cache().ResultEntries()
-	re.MaintainCache()
-	if got := re.Cache().ResultEntries(); got >= before {
-		t.Errorf("%d entries survive ~90%% pool pressure, want < %d", got, before)
+	// A provably empty cut reads no page, so it runs under the pins and
+	// inserts a fourth entry.
+	if recs, _ := execRows(t, re, "SELECT objid WHERE r < 5 LIMIT 10"); len(recs) != 0 {
+		t.Fatalf("empty cut returned %d rows", len(recs))
 	}
-	if c := re.Cache().StatsFor("query"); c.Evictions < 2 {
-		t.Errorf("evictions = %d, want >= 2", c.Evictions)
+	if got := re.Cache().ResultEntries(); got <= before {
+		t.Errorf("%d entries after an insert with ~90%% of the pool pinned, %d before", got, before)
+	}
+	if c := re.Cache().StatsFor("query"); c.Evictions != 0 {
+		t.Errorf("evictions = %d, want 0", c.Evictions)
+	}
+	if got := re.CacheStatsSnapshot().BudgetBytes; got != budget {
+		t.Errorf("BudgetBytes = %d with the pool pinned, want %d", got, budget)
+	}
+	for _, src := range warm {
+		if _, rep := execRows(t, re, src); !rep.FromCache {
+			t.Errorf("%q not served from the cache with the pool pinned", src)
+		}
 	}
 
 	// The cache held no pins of its own.
@@ -280,13 +321,6 @@ func TestCachePressureShrink(t *testing.T) {
 	}
 	if n := store.PinnedPages(); n != 0 {
 		t.Errorf("%d pages still pinned after release", n)
-	}
-
-	// With pressure gone the cache refills.
-	execRows(t, re, "SELECT objid WHERE r < 16 LIMIT 30")
-	re.MaintainCache()
-	if re.Cache().ResultEntries() == 0 {
-		t.Error("cache does not refill after pressure releases")
 	}
 }
 

@@ -67,8 +67,8 @@ type Config struct {
 	// default) disables result caching — every request executes —
 	// because a cached answer deliberately skips execution and callers
 	// relying on per-request cost must opt in. The tier-1 plan cache
-	// is always on. The effective budget shrinks under buffer-pool
-	// pressure; see internal/qcache.
+	// is always on. The budget is fixed for the life of the db and is
+	// independent of the buffer pool: cached answers hold no pins.
 	ResultCacheBytes int64
 }
 
@@ -184,9 +184,8 @@ type SpatialDB struct {
 	// qc is the statement-keyed two-tier cache (see cache.go);
 	// planGen counts in-process plan-relevant changes (ingest, index
 	// builds) and joins the pagestore epoch in every cache key.
-	qc               *qcache.Cache
-	resultCacheBytes int64
-	planGen          atomic.Uint64
+	qc      *qcache.Cache
+	planGen atomic.Uint64
 
 	// The online-ingest write path (ingest.go, compact.go). dir is the
 	// store directory (where the WAL lives); wal acknowledges insert

@@ -39,6 +39,12 @@ import (
 //     key evaluates and the object id that breaks its ties — cleared
 //     again before emission when not projected).
 //
+//   - A WHERE the kd walk proves empty — no range survives the tree's
+//     bounds and the page zones — streams over the cached plan's zero
+//     ranges: no page is read, and only memtable rows are tested. It is
+//     not special-cased anywhere else; with a LIMIT its empty answer is
+//     one ordinary result-cache entry.
+//
 // Every physical row is met once and rows are never merged, so the
 // pushed-down LIMIT is exact whether or not ObjIDs are unique.
 
@@ -63,8 +69,9 @@ func (db *SpatialDB) QueryStatement(ctx context.Context, src string, plan Plan) 
 // memory: a repeated statement returns a cursor over the cached rows
 // with Report.FromCache set and zero I/O counters, and N concurrent
 // identical statements trigger one execution (singleflight) whose
-// answer they all share. Statements with no LIMIT (or one above the
-// cacheable cap) always stream. Cached and uncached answers are
+// answer they all share — one entry per statement, an empty answer
+// included. Statements with no LIMIT (or one above the cacheable cap)
+// always stream. Cached and uncached answers are
 // byte-identical: the entry holds exactly what Collect over the
 // uncached cursor returned, keyed under the store epoch so any
 // persisted mutation or index build invalidates it.
@@ -79,26 +86,6 @@ func (db *SpatialDB) ExecStatement(ctx context.Context, stmt colorsql.Statement,
 	}
 	if !db.ResultCacheEnabled() {
 		return db.execStatementUncached(ctx, stmt, plan)
-	}
-
-	// Negative cache: a WHERE whose index walk emits no range — the
-	// tree's bounds and the page zones rule out every page — and that
-	// no acknowledged memtable row satisfies short-circuits to an
-	// empty answer without opening a stream. The verdict caches
-	// under the current epoch, so any insert or compaction invalidates
-	// it. Forced plans skip it — they promise a specific execution.
-	if stmt.HasWhere && plan == PlanAuto {
-		empty, rep, err := do(db, nsNegative, stmt.Where.String(), func(bool) int64 { return 0 }, func() (bool, Report, error) {
-			empty, err := db.provablyEmpty(stmt.Where)
-			return empty, Report{
-				Plan:       PlanKdTree,
-				PlanReason: "negative cache: zone maps prove every clause empty",
-			}, err
-		})
-		if err == nil && empty {
-			return &sliceCursor{rep: rep}, nil
-		}
-		// A verdict error (no catalog) surfaces on the normal path.
 	}
 
 	key, ok := statementCacheKey(stmt, plan)

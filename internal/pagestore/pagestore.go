@@ -964,27 +964,6 @@ func (s *Store) DeleteFiles(names ...string) error {
 	return nil
 }
 
-// Capacity returns the pool's total frame capacity in pages.
-func (s *Store) Capacity() int { return s.capacity }
-
-// PressurePages counts frames that the replacement policy cannot
-// freely reclaim right now: pinned by a caller, or dirty and awaiting
-// write-back. It is the pool-pressure signal auxiliary memory users
-// (the statement cache) shrink against — when most of the pool is
-// pinned or dirty, the scan-resistant pool must win over stale
-// cached results. The reading costs one latch per pool shard, not a
-// walk of the frames: a resident frame is off both replacement lists
-// exactly while it is pinned or being written back.
-func (s *Store) PressurePages() int {
-	n := 0
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		n += len(sh.frames) - sh.old.Len() - sh.young.Len() + sh.parkedDirty
-		sh.mu.Unlock()
-	}
-	return n
-}
-
 // PinnedPages counts the frames currently pinned by some caller. At
 // any quiescent point — no query in flight, every cursor closed — it
 // must read zero; leak tests assert exactly that around every error,

@@ -1,34 +1,54 @@
 package pagestore
 
 import (
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
 )
 
-// walkedPressure is the reading PressurePages used to take: every frame
-// of every pool shard under its latch, counting the pinned and the
-// dirty.
-func walkedPressure(s *Store) int {
-	n := 0
-	for _, sh := range s.shards {
+// checkReplacementLists walks every pool shard under its latch and
+// checks the frame-state invariant the replacement policy rests on: a
+// resident frame is on a replacement list — the one its class names,
+// found where it says — iff it is unpinned and not being written back.
+// It also checks the lists hold nothing else, and returns the pinned
+// frame count.
+func checkReplacementLists(t *testing.T, s *Store, when string) (pinned int) {
+	t.Helper()
+	for i, sh := range s.shards {
 		sh.mu.Lock()
+		parked := 0
 		for _, fr := range sh.frames {
-			if fr.pins > 0 || fr.dirty.Load() {
-				n++
+			if fr.pins > 0 {
+				pinned++
 			}
+			evictable := fr.pins == 0 && fr.writing == nil
+			switch {
+			case (fr.lruElem != nil) != evictable:
+				t.Errorf("%s: shard %d page %v: pins %d, writing %v, on a list %v",
+					when, i, fr.id, fr.pins, fr.writing != nil, fr.lruElem != nil)
+			case fr.lruElem != nil:
+				parked++
+				if fr.lruElem.Value != fr || (fr.lruList != sh.old && fr.lruList != sh.young) {
+					t.Errorf("%s: shard %d page %v: list element does not point back at its frame", when, i, fr.id)
+				}
+			}
+		}
+		if n := sh.old.Len() + sh.young.Len(); n != parked {
+			t.Errorf("%s: shard %d: %d frames on the lists, %d resident frames parked", when, i, n, parked)
 		}
 		sh.mu.Unlock()
 	}
-	return n
+	return pinned
 }
 
-// TestPressurePagesMatchesWalk churns a small pool from several
+// TestReplacementListsUnderChurn churns a small pool from several
 // goroutines — pins held across other accesses, pages dirtied, dirty
 // victims written back by eviction, flushes, cache drops, a truncate —
-// and checks, whenever the workers are quiescent, that the maintained
-// pressure reading equals the walked one. Run under -race.
-func TestPressurePagesMatchesWalk(t *testing.T) {
+// and checks at every quiescent point that exactly the unpinned frames
+// are on the replacement lists and that PinnedPages counts exactly the
+// pins the test holds. Run under -race.
+func TestReplacementListsUnderChurn(t *testing.T) {
 	for _, pool := range []int{8, 512} { // one pool shard, and several
 		s := newStore(t, pool)
 		hot, err := s.CreateFile("hot.dat")
@@ -50,10 +70,13 @@ func TestPressurePagesMatchesWalk(t *testing.T) {
 				p.Release()
 			}
 		}
+		var held []*Page // the pins the test holds at a quiescent point
 		check := func(when string) {
 			t.Helper()
-			if got, want := s.PressurePages(), walkedPressure(s); got != want {
-				t.Fatalf("pool %d, %s: PressurePages %d, walked %d (pinned %d)", pool, when, got, want, s.PinnedPages())
+			when = fmt.Sprintf("pool %d, %s", pool, when)
+			walked := checkReplacementLists(t, s, when)
+			if got := s.PinnedPages(); got != len(held) || walked != len(held) {
+				t.Fatalf("%s: PinnedPages %d, walked %d, test holds %d", when, got, walked, len(held))
 			}
 		}
 		check("after load")
@@ -96,12 +119,8 @@ func TestPressurePagesMatchesWalk(t *testing.T) {
 			}
 			wg.Wait()
 			check("after churn")
-			if s.PinnedPages() != 0 {
-				t.Fatalf("pool %d: %d pages still pinned", pool, s.PinnedPages())
-			}
 
 			// Hold pins, some dirtied, across the quiescent-point operations.
-			var held []*Page
 			for i := 0; i < 3; i++ {
 				p, err := s.Get(PageID{File: hot, Num: PageNum(i)})
 				if err != nil {
@@ -133,13 +152,12 @@ func TestPressurePagesMatchesWalk(t *testing.T) {
 			for _, p := range held {
 				p.Release()
 			}
+			held = held[:0]
 			check("after release")
 		}
 		if err := s.Flush(); err != nil {
 			t.Fatal(err)
 		}
-		if got := s.PressurePages(); got != 0 || walkedPressure(s) != 0 {
-			t.Fatalf("pool %d: pressure %d (walked %d) on a flushed, unpinned pool", pool, got, walkedPressure(s))
-		}
+		check("after the final flush")
 	}
 }

@@ -88,10 +88,6 @@ type shard struct {
 	frames map[PageID]*frame
 	young  *list.List // re-referenced / normal-class frames; front = LRU
 	old    *list.List // probationary scan-class frames; front = next victim
-	// parkedDirty counts the dirty frames on the two lists, for
-	// Store.PressurePages. A page is marked dirty only while pinned, so
-	// it moves in park, in unpark and where a flush cleans a parked frame.
-	parkedDirty int
 }
 
 func newShard(s *Store, capacity int) *shard {
@@ -112,9 +108,6 @@ func (sh *shard) park(fr *frame) {
 	}
 	fr.lruList = l
 	fr.lruElem = l.PushBack(fr)
-	if fr.dirty.Load() {
-		sh.parkedDirty++
-	}
 }
 
 // unpark removes the frame from whichever list holds it, if any.
@@ -123,9 +116,6 @@ func (sh *shard) unpark(fr *frame) {
 	if fr.lruElem != nil {
 		fr.lruList.Remove(fr.lruElem)
 		fr.lruElem, fr.lruList = nil, nil
-		if fr.dirty.Load() {
-			sh.parkedDirty--
-		}
 	}
 }
 
@@ -289,9 +279,6 @@ func (sh *shard) flushDirty() error {
 					return err
 				}
 				fr.dirty.Store(false)
-				if fr.lruElem != nil {
-					sh.parkedDirty--
-				}
 			}
 		}
 		sh.mu.Unlock()
@@ -316,7 +303,7 @@ func (sh *shard) dropUnpinned() error {
 					return err
 				}
 			}
-			sh.unpark(fr) // while still marked dirty: unpark keeps parkedDirty
+			sh.unpark(fr)
 			fr.dirty.Store(false)
 			delete(sh.frames, fr.id)
 			el = next

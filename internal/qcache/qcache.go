@@ -25,13 +25,10 @@
 // re-persisted catalog therefore invalidates wholesale, which is the
 // hook future online ingest will use.
 //
-// Memory contract: the result budget is pool-pressure-aware. The
-// cache is handed a pressure func returning the fraction of buffer
-// pool frames that are pinned or dirty; the effective budget is
-// base × (1 − pressure), re-evaluated on every insert and on
-// Maintain. When the pool is under pressure the scan-resistant pool
-// wins and stale results are released first. Cached values are
-// materialized copies — they hold no page pins, so eviction frees
+// Memory contract: tier 2 is one LRU under one fixed byte budget,
+// the caller's configured size for the life of the cache. Cached
+// values are materialized copies — they hold no page pins, so the
+// buffer pool and the cache never trade memory, and eviction frees
 // memory without touching the pool.
 package qcache
 
@@ -76,17 +73,6 @@ const (
 	Shared
 )
 
-func (o Outcome) String() string {
-	switch o {
-	case Hit:
-		return "hit"
-	case Shared:
-		return "shared"
-	default:
-		return "miss"
-	}
-}
-
 type entry struct {
 	ns, key string
 	ep      Epoch
@@ -106,18 +92,16 @@ type flight struct {
 // Cache is the two-tier statement cache. All methods are safe for
 // concurrent use. The zero value is not usable; construct with New.
 type Cache struct {
-	pressure func() float64 // nil means no pressure signal
-
-	mu         sync.Mutex
-	baseBudget int64 // configured result budget, bytes; 0 disables tier 2
-	resBytes   int64
-	results    map[string]*entry // ns|key → entry
-	resLRU     *list.List        // front = most recent
-	planCap    int
-	plans      map[string]*entry
-	planLRU    *list.List
-	inflight   map[string]*flight
-	counters   map[string]*Counters // per namespace
+	mu       sync.Mutex
+	budget   int64 // result budget, bytes; 0 disables tier 2
+	resBytes int64
+	results  map[string]*entry // ns|key → entry
+	resLRU   *list.List        // front = most recent
+	planCap  int
+	plans    map[string]*entry
+	planLRU  *list.List
+	inflight map[string]*flight
+	counters map[string]*Counters // per namespace
 }
 
 // DefaultPlanEntries bounds tier 1 when the caller passes 0. Plans
@@ -126,25 +110,20 @@ type Cache struct {
 const DefaultPlanEntries = 512
 
 // New builds a cache. resultBudgetBytes ≤ 0 disables tier 2 (Do
-// always executes; plans still cache). pressure, if non-nil, returns
-// the buffer pool pressure in [0,1] used to shrink the effective
-// result budget; it is consulted on inserts and Maintain, never
-// while holding its own locks and ours together — implementations
-// must not call back into the cache.
-func New(resultBudgetBytes int64, planEntries int, pressure func() float64) *Cache {
+// always executes; plans still cache).
+func New(resultBudgetBytes int64, planEntries int) *Cache {
 	if planEntries <= 0 {
 		planEntries = DefaultPlanEntries
 	}
 	return &Cache{
-		pressure:   pressure,
-		baseBudget: max(resultBudgetBytes, 0),
-		results:    make(map[string]*entry),
-		resLRU:     list.New(),
-		planCap:    planEntries,
-		plans:      make(map[string]*entry),
-		planLRU:    list.New(),
-		inflight:   make(map[string]*flight),
-		counters:   make(map[string]*Counters),
+		budget:   max(resultBudgetBytes, 0),
+		results:  make(map[string]*entry),
+		resLRU:   list.New(),
+		planCap:  planEntries,
+		plans:    make(map[string]*entry),
+		planLRU:  list.New(),
+		inflight: make(map[string]*flight),
+		counters: make(map[string]*Counters),
 	}
 }
 
@@ -157,24 +136,10 @@ func (c *Cache) countersLocked(ns string) *Counters {
 	return ct
 }
 
-// effectiveBudgetLocked applies the pressure signal to the base
-// budget. Pressure is clamped to [0,1]; at full pressure the budget
-// is zero and every cached result is released.
-func (c *Cache) effectiveBudgetLocked() int64 {
-	if c.baseBudget == 0 || c.pressure == nil {
-		return c.baseBudget
-	}
-	p := c.pressure()
-	if p < 0 {
-		p = 0
-	} else if p > 1 {
-		p = 1
-	}
-	return int64(float64(c.baseBudget) * (1 - p))
-}
-
-func (c *Cache) evictToLocked(budget int64) {
-	for c.resBytes > budget {
+// evictLocked drops least-recently-used results until tier 2 fits
+// its budget.
+func (c *Cache) evictLocked() {
+	for c.resBytes > c.budget {
 		back := c.resLRU.Back()
 		if back == nil {
 			return
@@ -278,7 +243,7 @@ func (c *Cache) Lookup(ns, key string, ep Epoch) (any, bool) {
 // no flights, no sharing — so the cost is one map-less branch.
 func (c *Cache) Do(ns, key string, ep Epoch, fill func() (any, int64, error)) (any, Outcome, error) {
 	c.mu.Lock()
-	if c.baseBudget == 0 {
+	if c.budget == 0 {
 		c.countersLocked(ns).Bypasses++
 		c.mu.Unlock()
 		v, _, err := fill()
@@ -338,13 +303,12 @@ func (c *Cache) Do(ns, key string, ep Epoch, fill func() (any, int64, error)) (a
 	return v, Miss, nil
 }
 
-// insertResultLocked stores a result under the effective
-// (pressure-shrunk) budget. An entry bigger than a quarter of the
-// effective budget is refused — one jumbo answer must not wipe the
-// whole working set — and counted as a bypass.
+// insertResultLocked stores a result, evicting down to the budget. An
+// entry bigger than a quarter of the budget is refused — one jumbo
+// answer must not wipe the whole working set — and counted as a
+// bypass.
 func (c *Cache) insertResultLocked(ns, key string, ep Epoch, v any, size int64) {
-	budget := c.effectiveBudgetLocked()
-	if size > budget/4 {
+	if size > c.budget/4 {
 		c.countersLocked(ns).Bypasses++
 		return
 	}
@@ -356,7 +320,7 @@ func (c *Cache) insertResultLocked(ns, key string, ep Epoch, v any, size int64) 
 	e.elem = c.resLRU.PushFront(e)
 	c.results[full] = e
 	c.resBytes += size
-	c.evictToLocked(budget)
+	c.evictLocked()
 }
 
 // Bypass records a statically uncacheable request (no LIMIT, LIMIT
@@ -364,36 +328,6 @@ func (c *Cache) insertResultLocked(ns, key string, ep Epoch, v any, size int64) 
 func (c *Cache) Bypass(ns string) {
 	c.mu.Lock()
 	c.countersLocked(ns).Bypasses++
-	c.mu.Unlock()
-}
-
-// Maintain re-evaluates the pressure signal and evicts results down
-// to the effective budget. Serving loops call it opportunistically
-// (e.g. from a stats scrape or a periodic tick); inserts apply the
-// same bound, so Maintain only matters when pressure rises while no
-// inserts are happening.
-func (c *Cache) Maintain() {
-	c.mu.Lock()
-	c.evictToLocked(c.effectiveBudgetLocked())
-	c.mu.Unlock()
-}
-
-// InvalidateAll drops every cached plan and result regardless of
-// epoch. Used when a caller knows the world changed in a way not
-// captured by the epoch it threads (tests, manual admin).
-func (c *Cache) InvalidateAll() {
-	c.mu.Lock()
-	for _, e := range c.results {
-		c.countersLocked(e.ns).Invalidated++
-	}
-	c.results = make(map[string]*entry)
-	c.resLRU.Init()
-	c.resBytes = 0
-	for _, e := range c.plans {
-		c.countersLocked(e.ns).Invalidated++
-	}
-	c.plans = make(map[string]*entry)
-	c.planLRU.Init()
 	c.mu.Unlock()
 }
 
@@ -411,12 +345,9 @@ func (c *Cache) ResultEntries() int {
 	return len(c.results)
 }
 
-// BaseBudget returns the configured (pre-pressure) result budget.
-func (c *Cache) BaseBudget() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.baseBudget
-}
+// Budget returns the result budget, bytes. It is fixed at New, so no
+// lock is needed.
+func (c *Cache) Budget() int64 { return c.budget }
 
 // Stats snapshots every namespace's counters.
 func (c *Cache) Stats() map[string]Counters {

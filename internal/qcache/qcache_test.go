@@ -13,7 +13,7 @@ var ep1 = Epoch{Store: 1, Plan: 0}
 var ep2 = Epoch{Store: 2, Plan: 0}
 
 func TestPlanCacheHitAndInvalidation(t *testing.T) {
-	c := New(0, 4, nil)
+	c := New(0, 4)
 	builds := 0
 	build := func() (any, error) { builds++; return builds, nil }
 
@@ -42,7 +42,7 @@ func TestPlanCacheHitAndInvalidation(t *testing.T) {
 }
 
 func TestPlanCacheBoundedLRU(t *testing.T) {
-	c := New(0, 2, nil)
+	c := New(0, 2)
 	build := func() (any, error) { return "p", nil }
 	for i := 0; i < 3; i++ {
 		if _, err := c.GetOrBuildPlan("stmt", fmt.Sprintf("q%d", i), ep1, build); err != nil {
@@ -66,7 +66,7 @@ func TestPlanCacheBoundedLRU(t *testing.T) {
 }
 
 func TestResultCacheHitMissEviction(t *testing.T) {
-	c := New(1000, 0, nil)
+	c := New(1000, 0)
 	fill := func(v string, size int64) func() (any, int64, error) {
 		return func() (any, int64, error) { return v, size, nil }
 	}
@@ -100,7 +100,7 @@ func TestResultCacheHitMissEviction(t *testing.T) {
 }
 
 func TestEpochInvalidatesResults(t *testing.T) {
-	c := New(1000, 0, nil)
+	c := New(1000, 0)
 	fill := func() (any, int64, error) { return "old", 10, nil }
 	c.Do("query", "a", ep1, fill)
 	if _, ok := c.Lookup("query", "a", ep1); !ok {
@@ -118,7 +118,7 @@ func TestEpochInvalidatesResults(t *testing.T) {
 }
 
 func TestOversizedResultBypasses(t *testing.T) {
-	c := New(1000, 0, nil)
+	c := New(1000, 0)
 	// > budget/4 refuses to cache but still answers.
 	v, out, err := c.Do("query", "big", ep1, func() (any, int64, error) { return "big", 600, nil })
 	if err != nil || out != Miss || v.(string) != "big" {
@@ -138,7 +138,7 @@ func TestOversizedResultBypasses(t *testing.T) {
 }
 
 func TestDisabledTier2AlwaysExecutes(t *testing.T) {
-	c := New(0, 0, nil)
+	c := New(0, 0)
 	execs := 0
 	for i := 0; i < 3; i++ {
 		v, out, err := c.Do("query", "a", ep1, func() (any, int64, error) { execs++; return execs, 1, nil })
@@ -156,7 +156,7 @@ func TestDisabledTier2AlwaysExecutes(t *testing.T) {
 // arrived while the fill was in flight (Shared) or after it landed
 // (Hit). Run under -race in CI.
 func TestSingleflightDedup(t *testing.T) {
-	c := New(1<<20, 0, nil)
+	c := New(1<<20, 0)
 	const N = 32
 	var execs atomic.Int64
 	answers := make([]any, N)
@@ -200,7 +200,7 @@ func TestSingleflightDedup(t *testing.T) {
 // A failed leader must not poison its followers: each falls back to
 // its own uncached execution and nothing is cached.
 func TestSingleflightLeaderFailureFallsBack(t *testing.T) {
-	c := New(1<<20, 0, nil)
+	c := New(1<<20, 0)
 	leaderIn := make(chan struct{})
 	release := make(chan struct{})
 	var leaderDone sync.WaitGroup
@@ -244,45 +244,5 @@ func TestSingleflightLeaderFailureFallsBack(t *testing.T) {
 	}
 	if got := c.ResultEntries(); got != 0 {
 		t.Fatalf("failed fill left %d cached entries", got)
-	}
-}
-
-// Pressure shrink: raising the pool-pressure signal and running
-// Maintain releases entries until the shrunk budget is respected.
-func TestPressureShrinkReleasesEntries(t *testing.T) {
-	var pressure atomic.Int64 // percent
-	c := New(1000, 0, func() float64 { return float64(pressure.Load()) / 100 })
-	for i := 0; i < 10; i++ {
-		c.Do("query", fmt.Sprintf("k%d", i), ep1, func() (any, int64, error) { return "v", 100, nil })
-	}
-	if got := c.ResultBytes(); got != 1000 {
-		t.Fatalf("warm ResultBytes = %d, want 1000", got)
-	}
-	pressure.Store(90)
-	c.Maintain()
-	if got := c.ResultBytes(); got > 100 {
-		t.Fatalf("ResultBytes = %d after 90%% pressure, want ≤ 100", got)
-	}
-	if got := c.StatsFor("query").Evictions; got < 9 {
-		t.Fatalf("Evictions = %d, want ≥ 9", got)
-	}
-	// Pressure released: the cache refills on demand.
-	pressure.Store(0)
-	c.Do("query", "new", ep1, func() (any, int64, error) { return "v", 100, nil })
-	if _, ok := c.Lookup("query", "new", ep1); !ok {
-		t.Fatal("cache did not refill after pressure released")
-	}
-}
-
-func TestInvalidateAll(t *testing.T) {
-	c := New(1000, 0, nil)
-	c.Do("query", "a", ep1, func() (any, int64, error) { return "v", 10, nil })
-	c.GetOrBuildPlan("stmt", "a", ep1, func() (any, error) { return "p", nil })
-	c.InvalidateAll()
-	if c.ResultEntries() != 0 {
-		t.Fatal("results survived InvalidateAll")
-	}
-	if _, ok := c.Lookup("query", "a", ep1); ok {
-		t.Fatal("lookup hit after InvalidateAll")
 	}
 }

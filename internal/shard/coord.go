@@ -62,22 +62,14 @@ type Coordinator struct {
 	// photozNext round-robins photo-z batches: the reference set is
 	// replicated, so any one shard answers exactly.
 	photozNext atomic.Int64
-
-	// plans caches the per-statement routing decision (statement text
-	// → targets + sub-query + merge discipline): planning happens once
-	// per distinct statement, with zero I/O.
-	planMu sync.Mutex
-	plans  map[string]*subPlan
 }
 
-// subPlan is one statement's cached routing decision: what the shards
-// are asked, and which of them.
+// subPlan is one statement's routing decision: what the shards are
+// asked, and which of them.
 type subPlan struct {
 	sub     colorsql.Statement
 	targets []int
 }
-
-const maxPlanCache = 4096
 
 // NewCoordinator assembles a coordinator over the routing table and
 // one base URL per shard (index i serves rt.Shards[i]).
@@ -110,7 +102,6 @@ func NewCoordinator(rt *RoutingTable, targets []string, cfg Config) (*Coordinato
 		hedges:   make([]atomic.Int64, len(targets)),
 		hists:    make([]*qos.Histogram, len(targets)),
 		memRows:  make([]atomic.Int64, len(targets)),
-		plans:    make(map[string]*subPlan),
 	}
 	for i, t := range targets {
 		c.targets[i] = strings.TrimRight(t, "/")
@@ -139,17 +130,11 @@ func (c *Coordinator) observe(ctx context.Context, s int, call func() error) err
 	return err
 }
 
-// planStatement resolves (and caches) one statement's routing.
-func (c *Coordinator) planStatement(stmt colorsql.Statement) *subPlan {
-	key := stmt.String()
-	c.planMu.Lock()
-	if sp, ok := c.plans[key]; ok {
-		c.planMu.Unlock()
-		return sp
-	}
-	c.planMu.Unlock()
-
-	sp := &subPlan{sub: stmt}
+// planStatement resolves one statement's routing from the routing
+// table alone, with zero I/O: a few cells per shard tested against the
+// predicate, cheap enough to redo on every call.
+func (c *Coordinator) planStatement(stmt colorsql.Statement) subPlan {
+	sp := subPlan{sub: stmt}
 	if !stmt.Star && stmt.Order != nil {
 		// The shards are asked for the caller's projection plus what an
 		// order merge reads: the magnitudes the ordering key is computed
@@ -167,13 +152,6 @@ func (c *Coordinator) planStatement(stmt colorsql.Statement) *subPlan {
 	} else {
 		sp.targets = c.rt.AllShards()
 	}
-
-	c.planMu.Lock()
-	if len(c.plans) >= maxPlanCache {
-		c.plans = make(map[string]*subPlan)
-	}
-	c.plans[key] = sp
-	c.planMu.Unlock()
 	return sp
 }
 
@@ -601,9 +579,6 @@ func (c *Coordinator) MemRows() int {
 	}
 	return int(total)
 }
-
-// MaintainCache is a no-op: the caches live on the shards.
-func (c *Coordinator) MaintainCache() {}
 
 // BackendStats surfaces the fan-out telemetry: per-shard request and
 // error counts, hedge count, and the fan-out latency histogram, plus

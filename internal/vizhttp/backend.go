@@ -40,9 +40,8 @@ type Backend interface {
 	Insert(recs []table.Record) (uint64, error)
 	MemRows() int
 
-	// QoS pricing and maintenance.
+	// QoS pricing.
 	DefaultExpensiveCost() float64
-	MaintainCache()
 
 	// BackendStats returns backend-specific /stats keys; the server
 	// merges its own serving counters over them.
@@ -125,8 +124,6 @@ func (b coreBackend) DefaultExpensiveCost() float64 {
 	}
 	return 8 * full
 }
-
-func (b coreBackend) MaintainCache() { b.db.MaintainCache() }
 
 func (b coreBackend) BackendStats() map[string]any {
 	pages := b.db.Engine().Store().Stats()

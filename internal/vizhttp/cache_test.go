@@ -288,3 +288,49 @@ func TestStatsExposesCacheCounters(t *testing.T) {
 		t.Errorf("budgetBytes = %d, want %d", stats.Qcache.BudgetBytes, int64(4<<20))
 	}
 }
+
+// TestEmptyCutRepeatServedBeforeAdmission: a provably empty cut with a
+// LIMIT is one ordinary result-cache entry, so its repeat keeps the
+// probe contract every cached answer keeps — tagged X-Cache: hit,
+// counted in /stats cacheServed, and never admitted.
+func TestEmptyCutRepeatServedBeforeAdmission(t *testing.T) {
+	s := newCacheTestServer(t, Config{})
+	target := "/query?q=" + url.QueryEscape("SELECT objid, g, r WHERE r < 5 LIMIT 100")
+	cacheServed := func() int64 {
+		var stats struct {
+			CacheServed int64 `json:"cacheServed"`
+		}
+		if err := json.Unmarshal(get(t, s, "/stats").Body.Bytes(), &stats); err != nil {
+			t.Fatal(err)
+		}
+		return stats.CacheServed
+	}
+	lim := s.Limiter("query")
+
+	first := get(t, s, target)
+	if first.Code != http.StatusOK || first.Header().Get("X-Cache") != "miss" {
+		t.Fatalf("first: status %d X-Cache %q, want 200 miss", first.Code, first.Header().Get("X-Cache"))
+	}
+	served, admitted := cacheServed(), lim.Counters().Admitted
+
+	repeat := get(t, s, target)
+	if repeat.Code != http.StatusOK || repeat.Header().Get("X-Cache") != "hit" {
+		t.Fatalf("repeat: status %d X-Cache %q, want 200 hit", repeat.Code, repeat.Header().Get("X-Cache"))
+	}
+	if got := cacheServed() - served; got != 1 {
+		t.Errorf("repeat added %d to cacheServed, want 1", got)
+	}
+	if got := lim.Counters().Admitted - admitted; got != 0 {
+		t.Errorf("repeat was admitted %d times, want 0", got)
+	}
+	var body struct {
+		RowsReturned int64             `json:"rowsReturned"`
+		Rows         []json.RawMessage `json:"rows"`
+	}
+	if err := json.Unmarshal(repeat.Body.Bytes(), &body); err != nil {
+		t.Fatal(err)
+	}
+	if body.RowsReturned != 0 || len(body.Rows) != 0 {
+		t.Errorf("repeat returned %d rows (%d in the body), want none", body.RowsReturned, len(body.Rows))
+	}
+}

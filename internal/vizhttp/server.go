@@ -173,10 +173,6 @@ func (s *Server) countZoneStats(rep core.Report) {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	// Opportunistic cache maintenance: each stats poll re-applies the
-	// pool-pressure budget so a pinned-up pool sheds cached bytes even
-	// when no new inserts arrive.
-	s.db.MaintainCache()
 	qosStats := make(map[string]qos.Counters, len(s.limiters))
 	for name, l := range s.limiters {
 		qosStats[name] = l.Counters()
