@@ -324,7 +324,8 @@ func (db *SpatialDB) rebuildLocked(spec rebuildSpec) error {
 		swapErr = replace(catalogTableName, catalog, engine.ClusteredKdLeaf)
 		if swapErr == nil {
 			moveArtifact(kdIndexFile)
-			db.catalog, db.kd = catalog, tree
+			db.setCatalog(catalog)
+			db.kd = tree
 			db.knnS = knn.NewSearcher(tree, catalog)
 		}
 	}

@@ -172,6 +172,7 @@ type SpatialDB struct {
 
 	mu      sync.RWMutex
 	catalog *table.Table
+	sky     *skyIndex // the catalog's sky cell index, built on first use
 	domain  vec.Box
 
 	kd   *kdtree.Tree
@@ -300,7 +301,7 @@ func (db *SpatialDB) IngestSynthetic(p sky.Params) error {
 	if err := sky.GenerateTable(tb, p); err != nil {
 		return err
 	}
-	db.catalog = tb
+	db.setCatalog(tb)
 	db.bumpPlanGen()
 	return nil
 }
@@ -319,9 +320,15 @@ func (db *SpatialDB) IngestRecords(recs []table.Record) error {
 	if err := tb.AppendAll(recs); err != nil {
 		return err
 	}
-	db.catalog = tb
+	db.setCatalog(tb)
 	db.bumpPlanGen()
 	return nil
+}
+
+// setCatalog installs tb as the catalog together with a fresh holder
+// for its sky cell index. Caller holds db.mu.
+func (db *SpatialDB) setCatalog(tb *table.Table) {
+	db.catalog, db.sky = tb, &skyIndex{}
 }
 
 // Catalog exposes the base table.

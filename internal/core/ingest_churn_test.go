@@ -276,6 +276,31 @@ func TestCompactionPreservesOpenCursor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The sky cut's cursor holds its catalog's cell index in the same
+	// snapshot: the full compaction swaps in a new catalog and index, and
+	// the open cursor must drain the old pair.
+	skyBox := table.SkyBoxPred{RaMin: 0, RaMax: 200, DecMin: -40, DecMax: 60}
+	drainSky := func(cur Cursor) []table.Record {
+		defer cur.Close()
+		var rows []table.Record
+		for cur.Next() {
+			rows = append(rows, *cur.Record())
+		}
+		if err := cur.Err(); err != nil {
+			t.Fatal(err)
+		}
+		return rows
+	}
+	openSky := func() Cursor {
+		cur, err := db.QuerySkyBox(context.Background(), skyBox, table.ColAll)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cur
+	}
+	refSky := drainSky(openSky())
+	preSky := openSky()
+
 	pre, err := db.ExecStatement(context.Background(), stmt, PlanAuto)
 	if err != nil {
 		t.Fatal(err)
@@ -287,6 +312,9 @@ func TestCompactionPreservesOpenCursor(t *testing.T) {
 	if err := db.CompactFull(); err != nil {
 		pre.Close()
 		t.Fatal(err)
+	}
+	if got := drainSky(preSky); !reflect.DeepEqual(refSky, got) {
+		t.Fatalf("pre-compaction sky cursor diverged: %d rows vs %d reference rows", len(got), len(refSky))
 	}
 	cols := stmt.OutputColumns()
 	var got []string

@@ -103,7 +103,7 @@ func OpenExisting(cfg Config) (*SpatialDB, error) {
 	if err != nil {
 		return fail(fmt.Errorf("core: %s holds no catalog table %q: database not built (run sdssgen, or build and Persist)", cfg.Dir, catalogTableName))
 	}
-	db.catalog = catalog
+	db.setCatalog(catalog)
 	store := eng.Store()
 
 	if kdFile := eng.ArtifactFile(kdIndexFile); store.HasFile(kdFile) {

@@ -3,17 +3,22 @@ package core
 import (
 	"context"
 	"fmt"
+	"sync"
 
 	"repro/internal/pagestore"
+	"repro/internal/sky"
 	"repro/internal/table"
 )
 
 // QuerySkyBox streams the catalog rows whose (ra, dec) fall inside
-// the rectangular sky cut — the §5.2 sky-view selection — pruned by
-// the per-page sky zones: pages whose ra/dec bounds cannot intersect
-// the box are skipped without a read. Rows stream in physical order,
-// memtable rows after the paged rows, under snapshot isolation like
-// every other cursor. The caller must Close the cursor.
+// the rectangular sky cut — the §5.2 sky-view selection. The catalog's
+// sky cell index (sky.CellIndex) names the rows of its covered prefix
+// that can lie inside the box: only their pages are read and only they
+// are tested. The pages past it, the unindexed tail, are pruned by
+// their ra/dec zones and tested row by row. Every emitted row passed
+// the exact test, so rows stream in physical order exactly as a full
+// scan emits them, memtable rows after the paged rows, under snapshot
+// isolation like every other cursor. The caller must Close the cursor.
 func (db *SpatialDB) QuerySkyBox(ctx context.Context, box table.SkyBoxPred, cols table.ColumnSet) (Cursor, error) {
 	if box.RaMin > box.RaMax || box.DecMin > box.DecMax {
 		return nil, fmt.Errorf("core: empty sky box [%g,%g]x[%g,%g]", box.RaMin, box.RaMax, box.DecMin, box.DecMax)
@@ -22,13 +27,20 @@ func (db *SpatialDB) QuerySkyBox(ctx context.Context, box table.SkyBoxPred, cols
 	if err != nil {
 		return nil, err
 	}
+	ix, err := sn.sky.get(sn.catalog)
+	if err != nil {
+		sn.release()
+		return nil, err
+	}
 	scope := db.eng.Store().Scoped()
 	catalog := sn.catalog.Scoped(scope).ScanClassed()
 	cur := &skyCursor{
 		box:   box,
 		scope: scope,
 	}
-	cur.it = catalog.IterRangeSky(ctx, 0, table.RowID(sn.catalog.NumRows()), cols, &cur.box, &cur.counters)
+	rows := ix.Rows(&cur.box)
+	cur.covered = rows.Covered() / table.RecordsPerPage
+	cur.it = catalog.IterRangeSky(ctx, 0, table.RowID(sn.catalog.NumRows()), cols, &cur.box, rows, &cur.counters)
 	var out Cursor = cur
 	if len(sn.mem) > 0 {
 		b := box
@@ -46,10 +58,39 @@ func (db *SpatialDB) QuerySkyBox(ctx context.Context, box table.SkyBoxPred, cols
 	return &snapCursor{Cursor: out, sn: sn}, nil
 }
 
-// skyCursor adapts the sky-pruned table iterator to the Cursor
-// interface with the usual per-cursor accounting scope.
+// skyIndex holds one catalog's sky cell index, built by the first sky
+// cut that needs it rather than at open — a cold open reads no table
+// page, and a store that serves no sky cut never pays for it. A fresh
+// holder is installed with every catalog (setCatalog) and captured in
+// each snapshot beside that catalog, so a cursor never pairs one
+// catalog's index with another's rows. The build reads the catalog
+// through the pool's scan class and outside any query's accounting
+// scope: it is the index's cost, not the statement's.
+type skyIndex struct {
+	mu sync.Mutex
+	ix *sky.CellIndex
+}
+
+// get returns the index over catalog, building it on first use. A
+// failed build is not remembered; the next cut retries it.
+func (s *skyIndex) get(catalog *table.Table) (*sky.CellIndex, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.ix == nil {
+		ix, err := sky.BuildCellIndex(catalog.ScanClassed())
+		if err != nil {
+			return nil, fmt.Errorf("core: %w", err)
+		}
+		s.ix = ix
+	}
+	return s.ix, nil
+}
+
+// skyCursor adapts the sky table iterator to the Cursor interface with
+// the usual per-cursor accounting scope.
 type skyCursor struct {
 	box      table.SkyBoxPred
+	covered  int // leading pages the cell index covers
 	it       *table.Iter
 	scope    *pagestore.Scope
 	counters table.ScanCounters
@@ -84,7 +125,7 @@ func (c *skyCursor) Stats() Report {
 	st := c.scope.Stats()
 	return Report{
 		Plan:         PlanPrunedScan,
-		PlanReason:   "sky box: ra/dec zone-pruned catalog scan",
+		PlanReason:   fmt.Sprintf("sky box: ra/dec cell index over the first %d pages, zone-pruned tail", c.covered),
 		RowsReturned: c.emitted,
 		RowsExamined: c.counters.Examined.Load(),
 		PagesSkipped: c.counters.PagesSkipped.Load(),

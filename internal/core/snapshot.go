@@ -29,6 +29,7 @@ import (
 type dbSnap struct {
 	db      *SpatialDB
 	catalog *table.Table
+	sky     *skyIndex // the catalog's own, captured with it
 
 	kd   *kdtree.Tree
 	grid *grid.Index
@@ -48,6 +49,7 @@ func (db *SpatialDB) snapshot() (*dbSnap, error) {
 	sn := &dbSnap{
 		db:      db,
 		catalog: db.catalog.Snapshot(),
+		sky:     db.sky,
 		kd:      db.kd,
 		grid:    db.grid,
 	}

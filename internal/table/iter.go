@@ -2,6 +2,7 @@ package table
 
 import (
 	"context"
+	"math/bits"
 
 	"repro/internal/pagestore"
 	"repro/internal/vec"
@@ -33,6 +34,7 @@ type Iter struct {
 
 	pred     *PagePred
 	sky      *SkyBoxPred
+	rows     *RowSet
 	keyBound *KeyBound
 	counters *ScanCounters
 	scratch  *stripScratch
@@ -82,8 +84,11 @@ func (t *Table) IterRangePred(ctx context.Context, lo, hi RowID, cols ColumnSet,
 // IterRangeSky is IterRangePred's spatial counterpart: rows whose
 // (ra, dec) falls in the box are emitted, pages whose sky zone proves
 // them disjoint are never read, and Inside pages skip the per-row
-// test. Pruning counters accumulate into counters as usual.
-func (t *Table) IterRangeSky(ctx context.Context, lo, hi RowID, cols ColumnSet, sky *SkyBoxPred, counters *ScanCounters) *Iter {
+// test. A non-nil row set narrows the pages it covers to its members:
+// a covered page holding none is skipped unread, and only the members
+// of the others are tested against the box (RowSet). Pruning counters
+// accumulate into counters as usual.
+func (t *Table) IterRangeSky(ctx context.Context, lo, hi RowID, cols ColumnSet, sky *SkyBoxPred, set *RowSet, counters *ScanCounters) *Iter {
 	rows := t.numRows()
 	if hi > RowID(rows) {
 		hi = RowID(rows)
@@ -91,7 +96,65 @@ func (t *Table) IterRangeSky(ctx context.Context, lo, hi RowID, cols ColumnSet, 
 	if lo > hi {
 		lo = hi
 	}
-	return &Iter{t: t, ctx: ctx, cols: cols, bound: rows, row: lo, hi: hi, sky: sky, counters: counters}
+	return &Iter{t: t, ctx: ctx, cols: cols, bound: rows, row: lo, hi: hi, sky: sky, rows: set, counters: counters}
+}
+
+// RowSet is what an index proves about a scan before it starts: of the
+// rows [0, Covered), only the members can be in the answer. A scan
+// carrying one skips, unread, every page whose rows are all covered
+// and none a member, and tests only the members of the other covered
+// pages; a page reaching past Covered is scanned as usual. The zero
+// value covers nothing.
+type RowSet struct {
+	covered int
+	words   []uint64
+}
+
+// NewRowSet returns an empty set covering rows [0, covered).
+func NewRowSet(covered int) *RowSet {
+	return &RowSet{covered: covered, words: make([]uint64, (covered+63)/64)}
+}
+
+// Add marks row r as possibly in the answer; a row past the covered
+// prefix is ignored (it is always tested anyway).
+func (s *RowSet) Add(r int) {
+	if r < s.covered {
+		s.words[r>>6] |= 1 << (r & 63)
+	}
+}
+
+// Covered returns how many leading rows the set covers.
+func (s *RowSet) Covered() int { return s.covered }
+
+// Len returns the number of members.
+func (s *RowSet) Len() int {
+	n := 0
+	for _, w := range s.words {
+		n += bits.OnesCount64(w)
+	}
+	return n
+}
+
+// Has reports whether row r is a member.
+func (s *RowSet) Has(r int) bool {
+	return r >= 0 && r < s.covered && s.words[r>>6]&(1<<(r&63)) != 0
+}
+
+// covers reports whether every row of page pg is covered.
+func (s *RowSet) covers(pg uint64) bool {
+	return s != nil && (pg+1)*RecordsPerPage <= uint64(s.covered)
+}
+
+// next returns the first member in [r, end), or end if there is none;
+// end must not pass the covered prefix.
+func (s *RowSet) next(r, end int) int {
+	for r < end {
+		if w := s.words[r>>6] >> (r & 63); w != 0 {
+			return min(r+bits.TrailingZeros64(w), end)
+		}
+		r = (r | 63) + 1
+	}
+	return end
 }
 
 // Next advances to the next (matching) row, decoding it into rec. It
@@ -148,10 +211,14 @@ func (it *Iter) loadPage() bool {
 	// Zone classification: one verdict drives both the skip and the
 	// inside-page fast path. Partial is the conservative default for
 	// tables without zone maps. A published key bound skips the pages
-	// whose zone holds no key that could still enter the top k.
+	// whose zone holds no key that could still enter the top k, and a
+	// row set the covered pages that hold none of its members.
 	rel := vec.Partial
+	covered := it.rows.covers(pg)
 	if it.pred != nil || it.sky != nil || bounded {
-		if z, ok := it.t.zoneOf(int(pg)); ok {
+		if covered && it.rows.next(int(it.row), int(pageEnd)) == int(pageEnd) {
+			rel = vec.Outside
+		} else if z, ok := it.t.zoneOf(int(pg)); ok {
 			switch {
 			case it.pred != nil:
 				rel = it.pred.Classify(&z)
@@ -194,6 +261,9 @@ func (it *Iter) loadPage() bool {
 			// Partial overlap (or no zone to consult): vectorized strip
 			// filter over the page's rows.
 			strips = it.pred.evalStrips(p.Data, n, &loaded, it.scratch, it.match[:n])
+			it.filtered = true
+		case it.sky != nil && covered:
+			strips = it.sky.evalSkyRows(p.Data, it.rows, int(pg*RecordsPerPage), it.match[:n])
 			it.filtered = true
 		case it.sky != nil:
 			strips = it.sky.evalSky(p.Data, n, it.match[:n])

@@ -326,6 +326,19 @@ func (p *SkyBoxPred) evalSky(data []byte, n int, match []bool) int {
 	return 2
 }
 
+// evalSkyRows is evalSky over a page whose rows (from RowID first on)
+// a RowSet covers: only its members are tested, the rest are proven
+// outside the box and stay unmatched.
+func (p *SkyBoxPred) evalSkyRows(data []byte, set *RowSet, first int, match []bool) int {
+	clear(match)
+	end := first + len(match)
+	for r := set.next(first, end); r < end; r = set.next(r+1, end) {
+		ra, dec := decodeSkyAt(data, r-first)
+		match[r-first] = p.Contains(ra, dec)
+	}
+	return 2
+}
+
 // stripScratch is the per-iterator working set of the strip filter:
 // decoded magnitude strips, the accumulator and a clause mask, sized
 // to one page.

@@ -177,8 +177,9 @@ type skyPointJSON struct {
 }
 
 // handleSky serves GET /sky?ra=lo,hi&dec=lo,hi[&limit=n]: catalog
-// rows inside the rectangular sky cut, served by the ra/dec
-// zone-pruned scan under snapshot isolation (memtable rows included).
+// rows inside the rectangular sky cut, read through the catalog's sky
+// cell index (core.QuerySkyBox) under snapshot isolation, memtable rows
+// included. The counters say how many pages the cut read and skipped.
 func (s *Server) handleSky(w http.ResponseWriter, r *http.Request) {
 	raLo, raHi, err := parseSkyRange("ra", r.URL.Query().Get("ra"))
 	if err != nil {
