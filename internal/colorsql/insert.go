@@ -232,7 +232,8 @@ func appendInsertTuple(b *strings.Builder, r *table.Record) {
 }
 
 // formatFloat32 prints v in the shortest form that parses back to
-// exactly v at float32 precision.
+// exactly v at float32 precision — the row encoder's layout.
 func formatFloat32(v float32) string {
-	return strconv.FormatFloat(float64(v), 'g', -1, 32)
+	var buf [16]byte
+	return string(table.AppendFloat32(buf[:0], v))
 }

@@ -217,8 +217,8 @@ func orderKey(o *colorsql.OrderBy) func(*table.Record) float64 {
 // column list, and it is the only row serialiser: vizserver's NDJSON
 // and JSON rows and spatialq's statement output all go through it, so
 // the CLI and HTTP answers for one statement can never disagree per
-// column. Float32 fields format at float32 precision (shortest
-// round-tripping decimal).
+// column. Float32 fields format at float32 precision: the shortest
+// round-tripping decimal, table.AppendFloat32.
 type RowEncoder struct {
 	cols []encColumn
 }
@@ -269,20 +269,16 @@ func (e *RowEncoder) AppendValue(dst []byte, i int, rec *table.Record) []byte {
 	return e.cols[i].val(dst, rec, e.cols[i].axis)
 }
 
-func appendFloat32(dst []byte, v float32) []byte {
-	return strconv.AppendFloat(dst, float64(v), 'g', -1, 32)
-}
-
 func appendMag(dst []byte, rec *table.Record, axis int) []byte {
-	return appendFloat32(dst, rec.Mags[axis])
+	return table.AppendFloat32(dst, rec.Mags[axis])
 }
 func appendObjID(dst []byte, rec *table.Record, _ int) []byte {
 	return strconv.AppendInt(dst, rec.ObjID, 10)
 }
-func appendRa(dst []byte, rec *table.Record, _ int) []byte  { return appendFloat32(dst, rec.Ra) }
-func appendDec(dst []byte, rec *table.Record, _ int) []byte { return appendFloat32(dst, rec.Dec) }
+func appendRa(dst []byte, rec *table.Record, _ int) []byte  { return table.AppendFloat32(dst, rec.Ra) }
+func appendDec(dst []byte, rec *table.Record, _ int) []byte { return table.AppendFloat32(dst, rec.Dec) }
 func appendRedshift(dst []byte, rec *table.Record, _ int) []byte {
-	return appendFloat32(dst, rec.Redshift)
+	return table.AppendFloat32(dst, rec.Redshift)
 }
 
 // columnAppenders maps each colorsql.ColumnKind to its value

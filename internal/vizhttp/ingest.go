@@ -10,6 +10,7 @@ import (
 	"strings"
 
 	"repro/internal/colorsql"
+	"repro/internal/core"
 	"repro/internal/table"
 )
 
@@ -167,15 +168,6 @@ func parseSkyRange(name, raw string) (float64, float64, error) {
 	return out[0], out[1], nil
 }
 
-// skyPointJSON is one /sky result row.
-type skyPointJSON struct {
-	ObjID    int64   `json:"objId"`
-	Ra       float32 `json:"ra"`
-	Dec      float32 `json:"dec"`
-	Class    string  `json:"class"`
-	Redshift float32 `json:"redshift"`
-}
-
 // handleSky serves GET /sky?ra=lo,hi&dec=lo,hi[&limit=n]: catalog
 // rows inside the rectangular sky cut, read through the catalog's sky
 // cell index (core.QuerySkyBox) under snapshot isolation, memtable rows
@@ -215,16 +207,13 @@ func (s *Server) handleSky(w http.ResponseWriter, r *http.Request) {
 	}
 	defer cur.Close()
 
-	points := make([]skyPointJSON, 0, 64)
-	for len(points) < limit && cur.Next() {
-		rec := cur.Record()
-		points = append(points, skyPointJSON{
-			ObjID:    rec.ObjID,
-			Ra:       rec.Ra,
-			Dec:      rec.Dec,
-			Class:    rec.Class.String(),
-			Redshift: rec.Redshift,
-		})
+	var points []byte
+	n := 0
+	for ; n < limit && cur.Next(); n++ {
+		if n > 0 {
+			points = append(points, ',')
+		}
+		points = appendSkyPoint(points, cur.Record())
 	}
 	rep := cur.Stats()
 	if err := cur.Err(); err != nil {
@@ -235,16 +224,35 @@ func (s *Server) handleSky(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), status)
 		return
 	}
-	s.countRequest(int64(len(points)))
+	s.countRequest(int64(n))
 	s.countZoneStats(rep)
 
 	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(map[string]any{
-		"count":        len(points),
-		"pagesSkipped": rep.PagesSkipped,
-		"pagesScanned": rep.PagesScanned,
-		"rowsExamined": rep.RowsExamined,
-		"diskReads":    rep.DiskReads,
-		"points":       points,
-	})
+	w.Write(appendSkyBody(make([]byte, 0, len(points)+128), n, rep, points))
+}
+
+// appendSkyBody appends the /sky response: count points, given as
+// their comma-separated objects, and the cut's page counters. Its bytes
+// are what json.NewEncoder writes for the same map: keys sorted, a
+// trailing newline (TestSkyBodyMatchesEncodingJSON).
+func appendSkyBody(dst []byte, count int, rep core.Report, points []byte) []byte {
+	dst = strconv.AppendInt(append(dst, `{"count":`...), int64(count), 10)
+	dst = strconv.AppendInt(append(dst, `,"diskReads":`...), rep.DiskReads, 10)
+	dst = strconv.AppendInt(append(dst, `,"pagesScanned":`...), rep.PagesScanned, 10)
+	dst = strconv.AppendInt(append(dst, `,"pagesSkipped":`...), rep.PagesSkipped, 10)
+	dst = append(append(append(dst, `,"points":[`...), points...), ']')
+	dst = strconv.AppendInt(append(dst, `,"rowsExamined":`...), rep.RowsExamined, 10)
+	return append(dst, "}\n"...)
+}
+
+// appendSkyPoint appends one /sky point: its keys in the order objId,
+// ra, dec, class, redshift; its floats as encoding/json writes a
+// float32.
+func appendSkyPoint(dst []byte, rec *table.Record) []byte {
+	dst = strconv.AppendInt(append(dst, `{"objId":`...), rec.ObjID, 10)
+	dst = table.AppendJSONFloat32(append(dst, `,"ra":`...), rec.Ra)
+	dst = table.AppendJSONFloat32(append(dst, `,"dec":`...), rec.Dec)
+	dst = appendJSONString(append(dst, `,"class":`...), rec.Class.String())
+	dst = table.AppendJSONFloat32(append(dst, `,"redshift":`...), rec.Redshift)
+	return append(dst, '}')
 }

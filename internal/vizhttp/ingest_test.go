@@ -1,11 +1,18 @@
 package vizhttp
 
 import (
+	"bytes"
 	"encoding/json"
+	"math"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/sky"
+	"repro/internal/table"
 )
 
 func postInsert(t *testing.T, s *Server, contentType, body string) *httptest.ResponseRecorder {
@@ -131,6 +138,61 @@ func TestHandleSky(t *testing.T) {
 	}
 	if out.Count != 7 {
 		t.Errorf("limited count = %d, want 7", out.Count)
+	}
+}
+
+// TestSkyBodyMatchesEncodingJSON pins the /sky body to what
+// json.NewEncoder wrote for it over a map holding a slice of structs:
+// sorted map keys, struct-ordered point keys, encoding/json's float32
+// layout, "points":[] when the cut is empty, a trailing newline.
+func TestSkyBodyMatchesEncodingJSON(t *testing.T) {
+	type skyPointJSON struct {
+		ObjID    int64   `json:"objId"`
+		Ra       float32 `json:"ra"`
+		Dec      float32 `json:"dec"`
+		Class    string  `json:"class"`
+		Redshift float32 `json:"redshift"`
+	}
+	recs, err := sky.Generate(sky.DefaultParams(500, 7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	edges := []float32{
+		float32(math.Copysign(0, -1)), math.SmallestNonzeroFloat32, 1e-40, -1.1754942e-38,
+		1e-7, 9.99999e-7, 1e-6, 1e21, -9.999999e20, math.MaxFloat32, 359.99997, -90,
+	}
+	rng := rand.New(rand.NewSource(7))
+	for i, f := range edges {
+		recs = append(recs, table.Record{
+			ObjID: -int64(i), Ra: f, Dec: -f, Redshift: edges[rng.Intn(len(edges))],
+			Class: table.Class(i % (int(table.NumClasses) + 2)), // an unnamed class too
+		})
+	}
+	for _, n := range []int{0, 1, 7, len(recs)} {
+		rep := core.Report{DiskReads: rng.Int63n(1000), PagesScanned: rng.Int63n(1000), PagesSkipped: rng.Int63n(1000), RowsExamined: rng.Int63()}
+		rows := recs[len(recs)-n:]
+		points := make([]skyPointJSON, 0, n)
+		var body []byte
+		for i := range rows {
+			rec := &rows[i]
+			points = append(points, skyPointJSON{ObjID: rec.ObjID, Ra: rec.Ra, Dec: rec.Dec, Class: rec.Class.String(), Redshift: rec.Redshift})
+			if i > 0 {
+				body = append(body, ',')
+			}
+			body = appendSkyPoint(body, rec)
+		}
+		var want bytes.Buffer
+		json.NewEncoder(&want).Encode(map[string]any{
+			"count":        len(points),
+			"pagesSkipped": rep.PagesSkipped,
+			"pagesScanned": rep.PagesScanned,
+			"rowsExamined": rep.RowsExamined,
+			"diskReads":    rep.DiskReads,
+			"points":       points,
+		})
+		if got := appendSkyBody([]byte("x"), n, rep, body); !bytes.Equal(got[1:], want.Bytes()) || got[0] != 'x' {
+			t.Fatalf("%d points:\n got  %s\n want %s", n, got, want.Bytes())
+		}
 	}
 }
 
