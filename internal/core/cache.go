@@ -274,7 +274,7 @@ func (db *SpatialDB) ExecStatementCached(stmt colorsql.Statement, plan Plan) (Cu
 	if !ok {
 		return nil, false
 	}
-	return &sliceCursor{recs: recs, rep: rep}, true
+	return SliceCursor(recs, rep), true
 }
 
 // knnCacheKey is the tier-2 identity of a kNN batch. Only the

@@ -462,8 +462,17 @@ func (c *topkCursor) Stats() Report {
 	return r
 }
 
-// sliceCursor serves pre-materialized rows (the kNN reuse path and
-// the LIMIT 0 short-circuit) through the Cursor interface.
+// SliceCursor serves pre-materialized rows through the Cursor
+// interface, rep's RowsReturned replaced by the rows emitted: the kNN
+// path, cached answers, the LIMIT 0 short-circuit, and a cluster's
+// eagerly merged answers.
+func SliceCursor(recs []table.Record, rep Report) Cursor {
+	return &sliceCursor{recs: recs, rep: rep}
+}
+
+// Limit truncates cur after n rows (limitCursor).
+func Limit(cur Cursor, n int) Cursor { return &limitCursor{child: cur, n: int64(n)} }
+
 type sliceCursor struct {
 	recs []table.Record
 	rep  Report

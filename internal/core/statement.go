@@ -82,7 +82,7 @@ func (db *SpatialDB) ExecStatement(ctx context.Context, stmt colorsql.Statement,
 
 	// LIMIT 0 short-circuits before any planning or I/O.
 	if stmt.Limit == 0 {
-		return &sliceCursor{rep: Report{Plan: plan, PlanReason: "LIMIT 0: no rows requested"}}, nil
+		return SliceCursor(nil, Report{Plan: plan, PlanReason: "LIMIT 0: no rows requested"}), nil
 	}
 	if !db.ResultCacheEnabled() {
 		return db.execStatementUncached(ctx, stmt, plan)
@@ -103,7 +103,7 @@ func (db *SpatialDB) ExecStatement(ctx context.Context, stmt colorsql.Statement,
 	if err != nil {
 		return nil, err
 	}
-	return &sliceCursor{recs: recs, rep: rep}, nil
+	return SliceCursor(recs, rep), nil
 }
 
 // execStatementUncached is the streaming execution path beneath the
@@ -125,7 +125,7 @@ func (db *SpatialDB) execStatementUncached(ctx context.Context, stmt colorsql.St
 			return nil, err
 		}
 		rep.PlanReason = "ORDER BY dist LIMIT k served as kNN: " + rep.PlanReason
-		return &sliceCursor{recs: recs, rep: rep}, nil
+		return SliceCursor(recs, rep), nil
 	}
 
 	opts := cursorOpts{cols: db.statementCols(stmt), stopAfter: -1}
@@ -154,7 +154,7 @@ func (db *SpatialDB) execStatementUncached(ctx context.Context, stmt colorsql.St
 		}
 		cur = &topkCursor{child: cur, key: key, limit: stmt.Limit, hideID: hideID, bound: opts.bound}
 	} else if stmt.Limit > 0 {
-		cur = &limitCursor{child: cur, n: int64(stmt.Limit)}
+		cur = Limit(cur, stmt.Limit)
 	}
 	return cur, nil
 }

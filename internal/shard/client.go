@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/url"
 	"strconv"
+	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -17,21 +18,11 @@ import (
 )
 
 // This file is the coordinator's HTTP plumbing: hedged sub-requests
-// against shard vizservers. Statement rows come back as binary frames
-// holding the table's own record bytes, so re-serialization on the
-// coordinator is byte-identical to what the shard would have written;
-// the JSON endpoints (/knn, /sky, /points) carry the shortest float64
-// rendering of each float32, which a float32 recast recovers exactly.
-
-// parsePlan inverts core.Plan.String.
-func parsePlan(s string) core.Plan {
-	for p := core.PlanAuto; p <= core.PlanPrunedScan; p++ {
-		if p.String() == s {
-			return p
-		}
-	}
-	return core.PlanAuto
-}
+// against shard vizservers. Every row a shard sends comes back through
+// fetch as binary frames holding the table's own record bytes, so
+// re-serialization on the coordinator is byte-identical to what the
+// shard would have written. Only /photoz, which returns redshifts and
+// no rows, answers in JSON (getJSON); /insert is the one write.
 
 // shardError wraps a sub-request failure with the shard's identity,
 // so a partial failure surfaces as a descriptive error and never as a
@@ -132,13 +123,17 @@ func (c *Coordinator) doHedged(ctx context.Context, shard int, build func(ctx co
 	}
 }
 
-// fetchQuery runs one statement on one shard, hands emit the answer a
-// frame's block of rows at a time (vizhttp/frame.go) and returns the
-// shard's summary. A stream cut before it, an error or damaged frame and
-// a non-frame answer are errors naming the shard, never a short success.
-func (c *Coordinator) fetchQuery(ctx context.Context, shard int, query string, emit func([]table.Record) error) (core.Report, error) {
+// queryPath renders the /query request for one statement.
+func queryPath(query string) string { return "/query?q=" + url.QueryEscape(query) }
+
+// fetch asks one shard for the rows at path (/query, /sky or /points),
+// hands emit the answer a frame's block of rows at a time
+// (vizhttp/frame.go) and returns the shard's summary. A stream cut
+// before it, an error or damaged frame and a non-frame answer are
+// errors naming the shard, never a short success.
+func (c *Coordinator) fetch(ctx context.Context, shard int, path string, emit func([]table.Record) error) (core.Report, error) {
 	resp, release, err := c.doHedged(ctx, shard, func(actx context.Context) (*http.Request, error) {
-		req, err := http.NewRequestWithContext(actx, http.MethodGet, c.targets[shard]+"/query?q="+url.QueryEscape(query), nil)
+		req, err := http.NewRequestWithContext(actx, http.MethodGet, c.targets[shard]+path, nil)
 		if err == nil {
 			req.Header.Set("Accept", vizhttp.FrameContentType)
 		}
@@ -170,7 +165,45 @@ func (c *Coordinator) fetchQuery(ctx context.Context, shard int, query string, e
 	return core.Report{}, c.shardError(shard, err)
 }
 
-// getJSON issues a hedged GET and decodes the JSON response into out.
+// fetchAll is fetch collecting the whole answer.
+func (c *Coordinator) fetchAll(ctx context.Context, shard int, path string) ([]table.Record, core.Report, error) {
+	var recs []table.Record
+	rep, err := c.fetch(ctx, shard, path, func(block []table.Record) error {
+		recs = append(recs, block...)
+		return nil
+	})
+	return recs, rep, err
+}
+
+// fetchEach fetches path(t) from every target t at once, answers and
+// summaries in target order. Any failure fails the whole fan-out: the
+// first in target order is returned.
+func (c *Coordinator) fetchEach(ctx context.Context, targets []int, path func(t int) string) ([][]table.Record, []core.Report, error) {
+	recs := make([][]table.Record, len(targets))
+	reps := make([]core.Report, len(targets))
+	errs := make([]error, len(targets))
+	var wg sync.WaitGroup
+	for i, t := range targets {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = c.observe(ctx, t, func() (err error) {
+				recs[i], reps[i], err = c.fetchAll(ctx, t, path(t))
+				return err
+			})
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return nil, nil, err
+		}
+	}
+	return recs, reps, nil
+}
+
+// getJSON issues a hedged GET and decodes the JSON response into out:
+// the /photoz answer.
 func (c *Coordinator) getJSON(ctx context.Context, shard int, path string, out any) error {
 	resp, release, err := c.doHedged(ctx, shard, func(actx context.Context) (*http.Request, error) {
 		return http.NewRequestWithContext(actx, http.MethodGet, c.targets[shard]+path, nil)
@@ -186,33 +219,10 @@ func (c *Coordinator) getJSON(ctx context.Context, shard int, path string, out a
 	return nil
 }
 
-// postJSON issues a hedged POST (idempotent endpoints only — /knn)
-// and decodes the JSON response into out. The body is rebuilt per
-// attempt.
-func (c *Coordinator) postJSON(ctx context.Context, shard int, path string, body []byte, out any) error {
-	resp, release, err := c.doHedged(ctx, shard, func(actx context.Context) (*http.Request, error) {
-		req, err := http.NewRequestWithContext(actx, http.MethodPost, c.targets[shard]+path, bytes.NewReader(body))
-		if err != nil {
-			return nil, err
-		}
-		req.Header.Set("Content-Type", "application/json")
-		return req, nil
-	})
-	if err != nil {
-		return c.shardError(shard, err)
-	}
-	defer release()
-	defer resp.Body.Close()
-	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-		return c.shardError(shard, err)
-	}
-	return nil
-}
-
-// postJSONOnce issues a single non-hedged POST — the write path.
+// postOnce issues a single non-hedged POST — the write path.
 // Duplicating an /insert would double-apply the batch, so writes
 // never hedge.
-func (c *Coordinator) postJSONOnce(ctx context.Context, shard int, path string, body []byte, out any) error {
+func (c *Coordinator) postOnce(ctx context.Context, shard int, path string, body []byte, out any) error {
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.targets[shard]+path, bytes.NewReader(body))
 	if err != nil {
 		return c.shardError(shard, err)

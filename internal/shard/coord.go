@@ -8,7 +8,6 @@ import (
 	"slices"
 	"sort"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -167,23 +166,23 @@ func (c *Coordinator) ExecStatement(ctx context.Context, stmt colorsql.Statement
 		return nil, fmt.Errorf("shard: the coordinator only routes auto plans (shards plan locally); got %v", plan)
 	}
 	if stmt.Limit == 0 {
-		return &recsCursor{rep: core.Report{Plan: plan, PlanReason: "LIMIT 0: no rows requested"}}, nil
+		return core.SliceCursor(nil, core.Report{Plan: plan, PlanReason: "LIMIT 0: no rows requested"}), nil
 	}
 	// ORDER BY dist LIMIT k with no predicate is a nearest-neighbour
 	// search, here as on the single store.
 	if stmt.IsKNN() {
-		recs, reps, err := c.boundedKNN(ctx, []vec.Point{stmt.Order.Dist}, stmt.Limit, true)
+		recs, reps, err := c.boundedKNN(ctx, []vec.Point{stmt.Order.Dist}, stmt.Limit)
 		if err != nil {
 			return nil, err
 		}
-		return &recsCursor{recs: recs[0], rep: reps[0]}, nil
+		return core.SliceCursor(recs[0], reps[0]), nil
 	}
 	sp := c.planStatement(stmt)
 	if len(sp.targets) == 0 {
-		return &recsCursor{rep: core.Report{
+		return core.SliceCursor(nil, core.Report{
 			Plan:       plan,
 			PlanReason: "scatter-gather: routing table proves every shard disjoint from the predicate",
-		}}, nil
+		}), nil
 	}
 
 	cctx, cancel := context.WithTimeout(ctx, c.cfg.ShardTimeout)
@@ -264,7 +263,7 @@ func (c *Coordinator) DefaultExpensiveCost() float64 {
 // (knn.go): each probe's owning shard first, another shard only when
 // one of its cells is nearer than the owner's k-th neighbour.
 func (c *Coordinator) NearestNeighborsBatch(ctx context.Context, qs []vec.Point, k int) ([][]table.Record, []core.Report, error) {
-	return c.boundedKNN(ctx, qs, k, false)
+	return c.boundedKNN(ctx, qs, k)
 }
 
 // NearestNeighborsBatchCached always misses (shards own the caches).
@@ -359,54 +358,18 @@ func (c *Coordinator) SampleRegion(view vec.Box, n int) ([]table.Record, core.Re
 		targetRows += c.rt.Shards[t].Rows
 	}
 
-	type pointsResp struct {
-		Points []struct {
-			X        float64 `json:"x"`
-			Y        float64 `json:"y"`
-			Z        float64 `json:"z"`
-			Class    string  `json:"class"`
-			Redshift float64 `json:"redshift"`
-		} `json:"points"`
-	}
-	resps := make([]pointsResp, len(targets))
-	errs := make([]error, len(targets))
-	var wg sync.WaitGroup
-	for i, t := range targets {
-		share := int(int64(n) * c.rt.Shards[t].Rows / max(targetRows, 1))
-		if share < 1 {
-			share = 1
-		}
-		path := fmt.Sprintf("/points?min=%s,%s,%s&max=%s,%s,%s&n=%d",
+	answers, _, err := c.fetchEach(ctx, targets, func(t int) string {
+		share := max(int(int64(n)*c.rt.Shards[t].Rows/max(targetRows, 1)), 1)
+		return fmt.Sprintf("/points?min=%s,%s,%s&max=%s,%s,%s&n=%d",
 			formatFloat(view.Min[0]), formatFloat(view.Min[1]), formatFloat(view.Min[2]),
 			formatFloat(view.Max[0]), formatFloat(view.Max[1]), formatFloat(view.Max[2]), share)
-		wg.Add(1)
-		go func(i, t int, path string) {
-			defer wg.Done()
-			errs[i] = c.observe(ctx, t, func() error { return c.getJSON(ctx, t, path, &resps[i]) })
-		}(i, t, path)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, core.Report{}, err
-		}
+	})
+	if err != nil {
+		return nil, core.Report{}, err
 	}
 	var recs []table.Record
-	for i := range resps {
-		for _, p := range resps[i].Points {
-			if len(recs) >= n {
-				break
-			}
-			cl, ok := table.ParseClass(p.Class)
-			if !ok {
-				return nil, core.Report{}, c.shardError(targets[i], fmt.Errorf("unknown class %q", p.Class))
-			}
-			rec := table.Record{Class: cl, Redshift: float32(p.Redshift)}
-			rec.Mags[0] = float32(p.X)
-			rec.Mags[1] = float32(p.Y)
-			rec.Mags[2] = float32(p.Z)
-			recs = append(recs, rec)
-		}
+	for _, a := range answers {
+		recs = append(recs, a[:min(len(a), n-len(recs))]...)
 	}
 	rep := core.Report{
 		Plan:         core.PlanGrid,
@@ -449,59 +412,22 @@ func (c *Coordinator) QuerySkyBox(ctx context.Context, box table.SkyBoxPred, col
 	cctx, cancel := context.WithTimeout(ctx, c.cfg.ShardTimeout)
 	defer cancel()
 
-	type skyResp struct {
-		PagesSkipped int64 `json:"pagesSkipped"`
-		PagesScanned int64 `json:"pagesScanned"`
-		RowsExamined int64 `json:"rowsExamined"`
-		DiskReads    int64 `json:"diskReads"`
-		Points       []struct {
-			ObjID    int64   `json:"objId"`
-			Ra       float64 `json:"ra"`
-			Dec      float64 `json:"dec"`
-			Class    string  `json:"class"`
-			Redshift float64 `json:"redshift"`
-		} `json:"points"`
-	}
 	path := skyQueryPath(box.RaMin, box.RaMax, box.DecMin, box.DecMax, 1_000_000)
-	resps := make([]skyResp, c.rt.NumShards())
-	errs := make([]error, c.rt.NumShards())
-	var wg sync.WaitGroup
-	for s := range c.targets {
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			errs[s] = c.observe(cctx, s, func() error { return c.getJSON(cctx, s, path, &resps[s]) })
-		}(s)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	answers, reps, err := c.fetchEach(cctx, c.rt.AllShards(), func(int) string { return path })
+	if err != nil {
+		return nil, err
 	}
 	var recs []table.Record
 	rep := core.Report{PlanReason: scatterReason(c.rt.NumShards(), c.rt.NumShards())}
-	for s := range resps {
-		rep.PagesSkipped += resps[s].PagesSkipped
-		rep.PagesScanned += resps[s].PagesScanned
-		rep.RowsExamined += resps[s].RowsExamined
-		rep.DiskReads += resps[s].DiskReads
-		c.diskReads.Add(resps[s].DiskReads)
-		for _, p := range resps[s].Points {
-			cl, ok := table.ParseClass(p.Class)
-			if !ok {
-				return nil, c.shardError(s, fmt.Errorf("unknown class %q", p.Class))
-			}
-			recs = append(recs, table.Record{
-				ObjID:    p.ObjID,
-				Ra:       float32(p.Ra),
-				Dec:      float32(p.Dec),
-				Class:    cl,
-				Redshift: float32(p.Redshift),
-			})
-		}
+	for s := range reps {
+		rep.PagesSkipped += reps[s].PagesSkipped
+		rep.PagesScanned += reps[s].PagesScanned
+		rep.RowsExamined += reps[s].RowsExamined
+		rep.DiskReads += reps[s].DiskReads
+		c.diskReads.Add(reps[s].DiskReads)
+		recs = append(recs, answers[s]...)
 	}
-	return &recsCursor{recs: recs, rep: rep}, nil
+	return core.SliceCursor(recs, rep), nil
 }
 
 // Insert routes the batch by partition key: rows are grouped by
@@ -560,7 +486,7 @@ func (c *Coordinator) Insert(recs []table.Record) (uint64, error) {
 			Seq     uint64 `json:"seq"`
 			MemRows int64  `json:"memRows"`
 		}
-		if err := c.observe(ctx, s, func() error { return c.postJSONOnce(ctx, s, "/insert", body, &resp) }); err != nil {
+		if err := c.observe(ctx, s, func() error { return c.postOnce(ctx, s, "/insert", body, &resp) }); err != nil {
 			return 0, err
 		}
 		c.memRows[s].Store(resp.MemRows)

@@ -235,26 +235,28 @@ func TestInsertNeverHedges(t *testing.T) {
 	}
 }
 
-// TestUnknownClassIsShardError: every path that decodes class names
-// off the wire fails on one it cannot parse, with an error naming the
-// shard — never a record silently filed under the zero class.
+// TestUnknownClassIsShardError: every path that reads rows off the
+// wire — statements, kNN visits, /sky and /points — reads them through
+// the one FrameReader check, so a class the table does not know fails
+// with an error naming the shard, never a record silently filed under
+// the zero class.
 func TestUnknownClassIsShardError(t *testing.T) {
 	q := vec.Point{15, 15, 15, 15, 15}
 	for _, tc := range []struct {
-		name, body string
+		name, path string
 		call       func(c *Coordinator) error
 	}{
-		{"points", `{"count":1,"points":[{"x":15,"y":15,"z":15,"class":"bogus","redshift":0}]}`,
+		{"points", "/points",
 			func(c *Coordinator) error {
 				_, _, err := c.SampleRegion(vec.NewBox(vec.Point{14, 14, 14}, vec.Point{16, 16, 16}), 10)
 				return err
 			}},
-		{"knn", `{"plan":"kdtree","results":[{"neighbors":[{"objId":1,"mags":[15,15,15,15,15],"class":"bogus","redshift":0}]}]}`,
+		{"knn", "/query",
 			func(c *Coordinator) error {
 				_, _, err := c.NearestNeighborsBatch(context.Background(), []vec.Point{q}, 1)
 				return err
 			}},
-		{"query", string(frameStream(starCols, []table.Record{{ObjID: 1, Class: 200}})),
+		{"query", "/query",
 			func(c *Coordinator) error {
 				cur, err := c.ExecStatement(context.Background(), mustParse(t, "SELECT * WHERE r < 20"), core.PlanAuto)
 				if err != nil {
@@ -266,7 +268,7 @@ func TestUnknownClassIsShardError(t *testing.T) {
 				}
 				return cur.Err()
 			}},
-		{"sky", `{"points":[{"objId":1,"ra":1,"dec":1,"class":"bogus","redshift":0}]}`,
+		{"sky", "/sky",
 			func(c *Coordinator) error {
 				_, err := c.QuerySkyBox(context.Background(), table.SkyBoxPred{RaMax: 2, DecMax: 2}, table.ColAll)
 				return err
@@ -274,10 +276,12 @@ func TestUnknownClassIsShardError(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-				if tc.name == "query" {
-					w.Header().Set("Content-Type", vizhttp.FrameContentType)
+				if r.URL.Path != tc.path {
+					http.NotFound(w, r)
+					return
 				}
-				fmt.Fprint(w, tc.body)
+				writeFrames(w, table.Record{ObjID: 1, Class: 200})
+				writeSummary(w)
 			}))
 			defer srv.Close()
 			coord, err := NewCoordinator(oneShardTable(1), []string{srv.URL}, Config{HedgeAfter: -1})
@@ -289,7 +293,7 @@ func TestUnknownClassIsShardError(t *testing.T) {
 				t.Fatal("answer with an unknown class accepted")
 			}
 			if msg := err.Error(); !strings.Contains(msg, "shard 0") || !strings.Contains(msg, srv.URL) ||
-				!strings.Contains(msg, "bogus") && !strings.Contains(msg, "unknown class 200") {
+				!strings.Contains(msg, "unknown class 200") {
 				t.Fatalf("error does not name the shard and the class: %v", err)
 			}
 		})
@@ -445,7 +449,6 @@ func TestKnnPhase2CutMidStream(t *testing.T) {
 	cut, stalled := (owner+1)%rt.NumShards(), (owner+2)%rt.NumShards()
 	// The owner's only neighbour is far away, so the bound reaches
 	// every other shard's cells.
-	const ownerKnn = `{"plan":"kdtree","results":[{"neighbors":[{"objId":7,"mags":[90,90,90,90,90],"class":"star","redshift":0}]}]}`
 
 	// The cut waits until the stalled shard holds its sub-request, so
 	// every search has a live sub-request to cancel.
@@ -458,10 +461,6 @@ func TestKnnPhase2CutMidStream(t *testing.T) {
 		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			switch i {
 			case owner:
-				if r.URL.Path == "/knn" {
-					fmt.Fprint(w, ownerKnn)
-					return
-				}
 				writeFrames(w, stubRec(7, 90))
 				writeSummary(w)
 			case cut:

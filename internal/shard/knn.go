@@ -2,7 +2,6 @@ package shard
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"math"
 	"sort"
@@ -21,14 +20,18 @@ import (
 //
 //   - phase 1: every probe goes to the shard that owns its magnitudes
 //     (RouteMags) — the one place a region can grow from inside its
-//     own cell. The owner's k-th neighbour fixes a squared radius, the
-//     bound: no row farther than it can be in the answer.
+//     own cell — as the statement ORDER BY dist(p) LIMIT k, which the
+//     shard serves as its own kNN search. The owner's k-th neighbour
+//     fixes a squared radius, the bound: no row farther than it can be
+//     in the answer.
 //   - phase 2: another shard is visited for a probe only if one of its
-//     cells is nearer than the bound (CellDist2). The visit is a
-//     statement the shards already serve — the bound's box as a WHERE
-//     clause under ORDER BY dist(p) LIMIT k — so the shard answers
-//     with a few-page index scan and the top-k cursor instead of
-//     growing a region from outside its cell.
+//     cells is nearer than the bound (CellDist2). The visit is the same
+//     statement with the bound's box as its WHERE clause, so the shard
+//     answers with a few-page index scan and the top-k cursor instead
+//     of growing a region from outside its cell.
+//
+// Every visit is one statement for one probe (knnStatement), read
+// through fetch like any other statement's rows.
 //
 // Exactness rests on three facts. The cells of all shards tile
 // magnitude space out to ±routingInf, and rows placed by BuildCluster
@@ -82,22 +85,15 @@ func forChunks(n int, fn func(lo, hi int, stopped func() bool) error) error {
 	return firstErr
 }
 
-// knnPart is one shard's answer to one probe: its local neighbours,
-// nearest first, and the exact counters of finding them.
-type knnPart struct {
-	recs []table.Record
-	rep  core.Report
-}
-
-// knnVisit is one sub-request of a search: shard answers the probes at
-// batch positions idx with the rows nearer than bound (a squared
-// distance; +Inf for an unbounded visit). parts is filled by the
-// visit, aligned with idx.
+// knnVisit is one sub-request of a search: shard answers probe i with
+// its k nearest rows nearer than bound (a squared distance; +Inf for an
+// unbounded visit). The visit fills recs, nearest first, and the exact
+// counters of finding them.
 type knnVisit struct {
-	shard int
-	idx   []int
-	bound float64
-	parts []knnPart
+	shard, i int
+	bound    float64
+	recs     []table.Record
+	rep      core.Report
 }
 
 // knnCand is one candidate neighbour of one probe.
@@ -121,12 +117,8 @@ func recDist2(rec *table.Record, q vec.Point) float64 {
 
 // boundedKNN answers a batch of probes with the two-phase protocol
 // described at the top of this file, results and reports in input
-// order. wholeRows selects how an unbounded visit is asked: a /knn
-// neighbour carries no sky position, so the ORDER BY dist(p) LIMIT k
-// statement (whose rows may project ra and dec) asks in statements
-// throughout, while /knn batches go out as one /knn POST per shard
-// and keep the per-query leaf counts only that endpoint reports.
-func (c *Coordinator) boundedKNN(ctx context.Context, qs []vec.Point, k int, wholeRows bool) ([][]table.Record, []core.Report, error) {
+// order.
+func (c *Coordinator) boundedKNN(ctx context.Context, qs []vec.Point, k int) ([][]table.Record, []core.Report, error) {
 	cctx, cancel := context.WithTimeout(ctx, c.cfg.ShardTimeout)
 	defer cancel()
 
@@ -136,14 +128,19 @@ func (c *Coordinator) boundedKNN(ctx context.Context, qs []vec.Point, k int, who
 	reports := make([]core.Report, len(qs))
 	visited := make([]int, len(qs))
 
-	// run executes the visits concurrently and folds their parts into
-	// the per-probe candidate lists and reports. The first failure
-	// cancels the rest: an error names its shard, and a search never
-	// returns a short list in its place.
+	// run executes the visits concurrently and folds them into the
+	// per-probe candidate lists and reports. The first failure cancels
+	// the rest: an error names its shard, and a search never returns a
+	// short list in its place.
 	run := func(visits []knnVisit) error {
 		err := forChunks(len(visits), func(lo, hi int, stopped func() bool) error {
-			for v := lo; v < hi && !stopped(); v++ {
-				if err := c.visitKNN(cctx, &visits[v], qs, k, wholeRows); err != nil {
+			for j := lo; j < hi && !stopped(); j++ {
+				v := &visits[j]
+				err := c.observe(cctx, v.shard, func() (err error) {
+					v.recs, v.rep, err = c.fetchAll(cctx, v.shard, queryPath(knnStatement(qs[v.i], k, v.bound)))
+					return err
+				})
+				if err != nil {
 					cancel()
 					return err
 				}
@@ -154,45 +151,41 @@ func (c *Coordinator) boundedKNN(ctx context.Context, qs []vec.Point, k int, who
 			return err
 		}
 		for _, v := range visits {
-			for t, i := range v.idx {
-				part := &v.parts[t]
-				for j := range part.recs {
-					rec := &part.recs[j]
-					cands[i] = append(cands[i], knnCand{rec: *rec, dist2: recDist2(rec, qs[i]), shard: v.shard})
-				}
-				rep := &reports[i]
-				if v.shard == owner[i] {
-					rep.Plan = part.rep.Plan
-				}
-				rep.LeavesExamined += part.rep.LeavesExamined
-				rep.RowsExamined += part.rep.RowsExamined
-				rep.DiskReads += part.rep.DiskReads
-				rep.CacheHits += part.rep.CacheHits
-				rep.PagesSkipped += part.rep.PagesSkipped
-				rep.PagesScanned += part.rep.PagesScanned
-				rep.StripsDecoded += part.rep.StripsDecoded
-				c.diskReads.Add(part.rep.DiskReads)
-				visited[i]++
+			i := v.i
+			for j := range v.recs {
+				rec := &v.recs[j]
+				cands[i] = append(cands[i], knnCand{rec: *rec, dist2: recDist2(rec, qs[i]), shard: v.shard})
 			}
+			rep := &reports[i]
+			if v.shard == owner[i] {
+				rep.Plan = v.rep.Plan
+			}
+			rep.LeavesExamined += v.rep.LeavesExamined
+			rep.RowsExamined += v.rep.RowsExamined
+			rep.DiskReads += v.rep.DiskReads
+			rep.CacheHits += v.rep.CacheHits
+			rep.PagesSkipped += v.rep.PagesSkipped
+			rep.PagesScanned += v.rep.PagesScanned
+			rep.StripsDecoded += v.rep.StripsDecoded
+			c.diskReads.Add(v.rep.DiskReads)
+			visited[i]++
 		}
 		return nil
 	}
 
-	// Phase 1: each probe's owner, one visit per owning shard.
-	byOwner := make([][]int, n)
+	// Phase 1: each probe's owner.
+	phase1 := make([]knnVisit, len(qs))
 	for i, q := range qs {
 		owner[i] = c.rt.RouteMags(q)
-		byOwner[owner[i]] = append(byOwner[owner[i]], i)
+		phase1[i] = knnVisit{shard: owner[i], i: i, bound: math.Inf(1)}
 	}
-	if err := run(unboundedVisits(byOwner)); err != nil {
+	if err := run(phase1); err != nil {
 		return nil, nil, err
 	}
 
-	// Phase 2: the shards whose cells reach inside a probe's bound. A
-	// bound belongs to one probe, so a bounded visit carries one probe;
-	// probes still without a bound share one unbounded visit per shard.
+	// Phase 2: the shards whose cells reach inside a probe's bound —
+	// every other shard, unbounded, when the owner held fewer than k.
 	var phase2 []knnVisit
-	unbounded := make([][]int, n)
 	for i, q := range qs {
 		bound := math.Inf(1)
 		if len(cands[i]) >= k {
@@ -202,17 +195,12 @@ func (c *Coordinator) boundedKNN(ctx context.Context, qs []vec.Point, k int, who
 			}
 		}
 		for s := 0; s < n; s++ {
-			if s == owner[i] || c.rt.CellDist2(s, q) >= bound {
-				continue
-			}
-			if math.IsInf(bound, 1) {
-				unbounded[s] = append(unbounded[s], i)
-			} else {
-				phase2 = append(phase2, knnVisit{shard: s, idx: []int{i}, bound: bound})
+			if s != owner[i] && c.rt.CellDist2(s, q) < bound {
+				phase2 = append(phase2, knnVisit{shard: s, i: i, bound: bound})
 			}
 		}
 	}
-	if err := run(append(phase2, unboundedVisits(unbounded)...)); err != nil {
+	if err := run(phase2); err != nil {
 		return nil, nil, err
 	}
 
@@ -240,42 +228,6 @@ func (c *Coordinator) boundedKNN(ctx context.Context, qs []vec.Point, k int, who
 	return recs, reports, nil
 }
 
-// unboundedVisits turns per-shard probe lists into unbounded visits,
-// skipping shards with nothing to answer.
-func unboundedVisits(byShard [][]int) []knnVisit {
-	var visits []knnVisit
-	for s, idx := range byShard {
-		if len(idx) > 0 {
-			visits = append(visits, knnVisit{shard: s, idx: idx, bound: math.Inf(1)})
-		}
-	}
-	return visits
-}
-
-// visitKNN performs one visit and fills v.parts.
-func (c *Coordinator) visitKNN(ctx context.Context, v *knnVisit, qs []vec.Point, k int, wholeRows bool) error {
-	if !wholeRows && math.IsInf(v.bound, 1) {
-		var err error
-		v.parts, err = c.knnPost(ctx, v.shard, qs, v.idx, k)
-		return err
-	}
-	v.parts = make([]knnPart, len(v.idx))
-	for t, i := range v.idx {
-		part := &v.parts[t]
-		err := c.observe(ctx, v.shard, func() (err error) {
-			part.rep, err = c.fetchQuery(ctx, v.shard, knnStatement(qs[i], k, v.bound), func(block []table.Record) error {
-				part.recs = append(part.recs, block...)
-				return nil
-			})
-			return err
-		})
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // knnStatement renders a visit as a statement: the shard's k nearest
 // rows to q, restricted to the bound's box when there is a bound.
 func knnStatement(q vec.Point, k int, bound2 float64) string {
@@ -300,70 +252,4 @@ func boundBox(q vec.Point, bound2 float64) vec.Box {
 		hi[d] = math.Nextafter(v+r, math.Inf(1))
 	}
 	return vec.Box{Min: lo, Max: hi}
-}
-
-// knn wire shapes (the /knn response).
-type knnWireNeighbor struct {
-	ObjID    int64      `json:"objId"`
-	Mags     [5]float64 `json:"mags"`
-	Class    string     `json:"class"`
-	Redshift float64    `json:"redshift"`
-}
-
-type knnWireResult struct {
-	Neighbors      []knnWireNeighbor `json:"neighbors"`
-	LeavesExamined int64             `json:"leavesExamined"`
-	RowsExamined   int64             `json:"rowsExamined"`
-	DiskReads      int64             `json:"diskReads"`
-}
-
-type knnWireResponse struct {
-	Plan       string          `json:"plan"`
-	PlanReason string          `json:"planReason"`
-	Results    []knnWireResult `json:"results"`
-}
-
-// knnPost asks one shard for the k nearest rows to each of the probes
-// at idx with a single /knn POST.
-func (c *Coordinator) knnPost(ctx context.Context, shard int, qs []vec.Point, idx []int, k int) ([]knnPart, error) {
-	points := make([][]float64, len(idx))
-	for t, i := range idx {
-		points[t] = qs[i]
-	}
-	body, err := json.Marshal(map[string]any{"points": points, "k": k})
-	if err != nil {
-		return nil, err
-	}
-	var resp knnWireResponse
-	if err := c.observe(ctx, shard, func() error { return c.postJSON(ctx, shard, "/knn", body, &resp) }); err != nil {
-		return nil, err
-	}
-	if len(resp.Results) != len(idx) {
-		return nil, c.shardError(shard, fmt.Errorf("knn returned %d results for %d queries", len(resp.Results), len(idx)))
-	}
-	plan := parsePlan(resp.Plan)
-	parts := make([]knnPart, len(idx))
-	for t := range parts {
-		res := &resp.Results[t]
-		part := &parts[t]
-		part.rep = core.Report{
-			Plan:           plan,
-			LeavesExamined: res.LeavesExamined,
-			RowsExamined:   res.RowsExamined,
-			DiskReads:      res.DiskReads,
-		}
-		part.recs = make([]table.Record, len(res.Neighbors))
-		for j, nb := range res.Neighbors {
-			cl, ok := table.ParseClass(nb.Class)
-			if !ok {
-				return nil, c.shardError(shard, fmt.Errorf("unknown class %q", nb.Class))
-			}
-			rec := &part.recs[j]
-			rec.ObjID, rec.Class, rec.Redshift = nb.ObjID, cl, float32(nb.Redshift)
-			for d := range rec.Mags {
-				rec.Mags[d] = float32(nb.Mags[d])
-			}
-		}
-	}
-	return parts, nil
 }

@@ -71,9 +71,10 @@ func adversarialProbes(rt *RoutingTable, recs []table.Record) []vec.Point {
 
 // sameNeighbours requires the exactness contract of a cluster search
 // against the single store: equal squared-distance sequences always,
-// and the same row wherever its distance is distinct (rows at equal
-// distance may come back in either order — ROADMAP 1(b)).
-func sameNeighbours(t *testing.T, label string, q vec.Point, got, want []table.Record, wholeRows bool) {
+// and the same row — sky position included — wherever its distance is
+// distinct (rows at equal distance may come back in either order —
+// ROADMAP 1(b)).
+func sameNeighbours(t *testing.T, label string, q vec.Point, got, want []table.Record) {
 	t.Helper()
 	if len(got) != len(want) {
 		t.Fatalf("%s: %d neighbours, single store %d", label, len(got), len(want))
@@ -87,13 +88,9 @@ func sameNeighbours(t *testing.T, label string, q vec.Point, got, want []table.R
 		if tied {
 			continue
 		}
-		// The wire's view of a row; /knn neighbours carry no sky position.
+		// The wire's view of a row.
 		wire := func(r *table.Record) table.Record {
-			out := table.Record{ObjID: r.ObjID, Mags: r.Mags, Class: r.Class, Redshift: r.Redshift}
-			if wholeRows {
-				out.Ra, out.Dec = r.Ra, r.Dec
-			}
-			return out
+			return table.Record{ObjID: r.ObjID, Mags: r.Mags, Ra: r.Ra, Dec: r.Dec, Class: r.Class, Redshift: r.Redshift}
 		}
 		if g, w := wire(&got[j]), wire(&want[j]); g != w {
 			t.Fatalf("%s: neighbour %d is %+v, single store %+v", label, j, g, w)
@@ -117,7 +114,7 @@ func checkKNNBatch(t *testing.T, label string, coord *Coordinator, single *core.
 		t.Fatalf("%s: %d results and %d reports for %d probes", label, len(got), len(reps), len(qs))
 	}
 	for i, q := range qs {
-		sameNeighbours(t, fmt.Sprintf("%s probe %d %v k=%d", label, i, q, k), q, got[i], want[i], false)
+		sameNeighbours(t, fmt.Sprintf("%s probe %d %v k=%d", label, i, q, k), q, got[i], want[i])
 		if reps[i].RowsReturned != int64(len(want[i])) {
 			t.Errorf("%s probe %d: report rowsReturned %d, want %d", label, i, reps[i].RowsReturned, len(want[i]))
 		}
@@ -224,7 +221,7 @@ func checkDistStatement(t *testing.T, label, coordURL, singleURL string, q vec.P
 	for _, format := range []string{"ndjson", ""} {
 		want := queryRows(t, singleURL, stmt, format)
 		got := queryRows(t, coordURL, stmt, format)
-		sameNeighbours(t, fmt.Sprintf("%s %q format=%q", label, stmt, format), q, got, want, true)
+		sameNeighbours(t, fmt.Sprintf("%s %q format=%q", label, stmt, format), q, got, want)
 	}
 }
 
@@ -350,7 +347,7 @@ func TestKnnEquivalenceDuplicateObjID(t *testing.T) {
 // TestKnnEquivalenceMemtables: rows inserted through the coordinator,
 // still in shard memtables, are neighbours exactly as they are on a
 // single store holding the same batch in its own memtable — through
-// the owner's /knn and through a bounded visit's index scan alike —
+// the owner's kNN search and through a bounded visit's index scan alike —
 // and stay so once every shard has compacted them into its tail.
 func TestKnnEquivalenceMemtables(t *testing.T) {
 	recs, err := sky.Generate(sky.DefaultParams(900, 29))
@@ -507,6 +504,72 @@ func TestKnnBoundBounds(t *testing.T) {
 	t.Logf("%d probes: %d interior, %d crossing, %.3f shard visits per probe", probes, interior, crossing, mean)
 	if mean > 1.2 {
 		t.Errorf("mean shard visits per probe %.3f, want <= 1.2", mean)
+	}
+}
+
+// knnResults posts one /knn batch and returns each probe's counters.
+func knnResults(t *testing.T, base string, qs []vec.Point, k int) []struct{ LeavesExamined, RowsExamined int64 } {
+	t.Helper()
+	body, err := json.Marshal(map[string]any{"points": qs, "k": k})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(base+"/knn", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var out struct {
+		Results []struct{ LeavesExamined, RowsExamined int64 }
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/knn: status %d", resp.StatusCode)
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+		t.Fatal(err)
+	}
+	if len(out.Results) != len(qs) {
+		t.Fatalf("/knn: %d results for %d probes", len(out.Results), len(qs))
+	}
+	return out.Results
+}
+
+// TestKnnLeavesFromOwner: the coordinator's /knn reports, for a probe
+// its owner answers alone, the leaves and rows the owner's own /knn
+// examines for the same (p, k) — carried home by the statement's
+// summary frame — one probe at a time and in a mixed-owner batch. The
+// shards carry kd-trees here, so the owner's search examines leaves.
+func TestKnnLeavesFromOwner(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "cluster")
+	if _, err := BuildCluster(dir, fixtureRecs, BuildParams{Shards: fixtureShards, Seed: fixtureSeed, Indexes: true}); err != nil {
+		t.Fatal(err)
+	}
+	cl := startClusterAt(t, dir, Config{})
+	cs := httptest.NewServer(vizhttp.NewBackend(cl.coord, vizhttp.Config{}).Handler())
+	t.Cleanup(cs.Close)
+	rng := rand.New(rand.NewSource(41))
+	const k = 5
+
+	var qs []vec.Point
+	var owners []int
+	for len(qs) < 12 {
+		q := benchProbe(rng, fixtureRecs)
+		if owner, others := expectedVisits(t, cl, q, k); len(others) == 0 {
+			qs, owners = append(qs, q), append(owners, owner)
+		}
+	}
+	batch := knnResults(t, cs.URL, qs, k)
+	for i, q := range qs {
+		want := knnResults(t, cl.targets[owners[i]], qs[i:i+1], k)[0]
+		if want.LeavesExamined == 0 {
+			t.Fatalf("probe %v: the owner examined no leaves", q)
+		}
+		if got := knnResults(t, cs.URL, qs[i:i+1], k)[0]; got != want {
+			t.Errorf("probe %v: coordinator reports %+v, owner shard %d %+v", q, got, owners[i], want)
+		}
+		if batch[i] != want {
+			t.Errorf("probe %v in a batch: coordinator reports %+v, owner shard %d %+v", q, batch[i], owners[i], want)
+		}
 	}
 }
 

@@ -59,7 +59,7 @@ func loggedCluster(t *testing.T, dir string) (*cluster, *askedLog) {
 }
 
 // shardAnswers asks every target of stmt for the shard-side statement
-// under the given LIMIT, straight through fetchQuery (no request is
+// under the given LIMIT, straight through fetchAll (no request is
 // counted), and returns the answers in target order.
 func shardAnswers(t *testing.T, cl *cluster, stmt colorsql.Statement, limit int) (targets []int, answers [][]table.Record) {
 	t.Helper()
@@ -67,11 +67,8 @@ func shardAnswers(t *testing.T, cl *cluster, stmt colorsql.Statement, limit int)
 	sub := sp.sub
 	sub.Limit = limit
 	for _, target := range sp.targets {
-		var recs []table.Record
-		if _, err := cl.coord.fetchQuery(context.Background(), target, sub.String(), func(block []table.Record) error {
-			recs = append(recs, block...)
-			return nil
-		}); err != nil {
+		recs, _, err := cl.coord.fetchAll(context.Background(), target, queryPath(sub.String()))
+		if err != nil {
 			t.Fatal(err)
 		}
 		answers = append(answers, recs)

@@ -54,7 +54,7 @@ func (c *Coordinator) startQueryStream(ctx context.Context, shard int, query str
 	s := &shardStream{blocks: make(chan []table.Record, 4)}
 	go func() {
 		s.err = c.observe(ctx, shard, func() (err error) {
-			s.summary, err = c.fetchQuery(ctx, shard, query, func(block []table.Record) error {
+			s.summary, err = c.fetch(ctx, shard, queryPath(query), func(block []table.Record) error {
 				select {
 				case s.blocks <- block:
 					return nil
@@ -269,33 +269,6 @@ func (oc *orderMergeCursor) before(a, b *mergeHead) bool {
 		return a.key < b.key
 	}
 	return a.rec.ObjID < b.rec.ObjID
-}
-
-// recsCursor replays an eagerly merged answer (/sky fan-out, kNN), or
-// with no rows one that short-circuited before any fan-out (LIMIT 0,
-// routing-proven-empty).
-type recsCursor struct {
-	recs []table.Record
-	rep  core.Report
-	pos  int
-}
-
-func (rc *recsCursor) Next() bool {
-	if rc.pos >= len(rc.recs) {
-		return false
-	}
-	rc.pos++
-	return true
-}
-
-func (rc *recsCursor) Record() *table.Record { return &rc.recs[rc.pos-1] }
-func (rc *recsCursor) Err() error            { return nil }
-func (rc *recsCursor) Close() error          { return nil }
-
-func (rc *recsCursor) Stats() core.Report {
-	rep := rc.rep
-	rep.RowsReturned = int64(rc.pos)
-	return rep
 }
 
 // scatterReason renders the merged PlanReason, e.g.

@@ -12,23 +12,26 @@ import (
 	"repro/internal/table"
 )
 
-// The binary rendering of a /query answer, served to a request whose
-// Accept header is FrameContentType — the coordinator's sub-requests.
-// A stream is a header and a sequence of frames, all little endian
-// (DESIGN.md "Shard wire" has the failure semantics and versioning):
+// The binary rendering of a row answer — /query, /sky and /points —
+// served to a request whose Accept header is FrameContentType: every
+// row a shard sends the coordinator. A stream is a header and a
+// sequence of frames, all little endian (DESIGN.md "Shard wire" has
+// the failure semantics and versioning):
 //
-//	header  "RQF" version(1)  u16 table.ColumnSet  u32 CRC-32 of the six bytes
+//	header  "RQF" version(2)  u16 table.ColumnSet  u32 CRC-32 of the six bytes
 //	frame   kind(1)  u32 payload length  payload  u32 CRC-32 (IEEE) of kind, length and payload
 //
 //	'R' rows     n × table.RecordSize bytes, the table's own record layout
-//	'S' summary  9 × u64: plan, estimatedSelectivity (float64 bits),
+//	'S' summary  10 × u64: plan, estimatedSelectivity (float64 bits),
 //	             rowsReturned rowsExamined diskReads cacheHits
-//	             pagesSkipped pagesScanned stripsDecoded; ends the stream
+//	             pagesSkipped pagesScanned stripsDecoded leavesExamined;
+//	             ends the stream
 //	'E' error    the message; ends the stream after the rows before it
 const FrameContentType = "application/x-repro-frames"
 
 const (
-	frameMagic  = "RQF\x01"
+	frameMagic  = "RQF\x02"
+	summaryLen  = 10
 	kindRows    = 'R'
 	kindSummary = 'S'
 	kindError   = 'E'
@@ -85,7 +88,7 @@ func (f *FrameWriter) End(dst []byte, rep core.Report, err error) []byte {
 	dst = append(dst, kindSummary, 0, 0, 0, 0)
 	for _, v := range [...]uint64{uint64(rep.Plan), math.Float64bits(rep.EstimatedSelectivity),
 		uint64(rep.RowsReturned), uint64(rep.RowsExamined), uint64(rep.DiskReads), uint64(rep.CacheHits),
-		uint64(rep.PagesSkipped), uint64(rep.PagesScanned), uint64(rep.StripsDecoded)} {
+		uint64(rep.PagesSkipped), uint64(rep.PagesScanned), uint64(rep.StripsDecoded), uint64(rep.LeavesExamined)} {
 		dst = binary.LittleEndian.AppendUint64(dst, v)
 	}
 	return f.Seal(dst)
@@ -106,7 +109,9 @@ func NewFrameReader(r io.Reader) (*FrameReader, error) {
 		return nil, err
 	}
 	if string(head[:len(frameMagic)]) != frameMagic || crc32.ChecksumIEEE(head[:len(head)-4]) != binary.LittleEndian.Uint32(head[len(head)-4:]) {
-		return nil, fmt.Errorf("not a frame stream this reader knows (starts %q)", head[:])
+		// An older writer's stream is refused whole: its summary frame has
+		// fewer fields than this reader's.
+		return nil, fmt.Errorf("not a frame stream this reader knows (starts %q, want %q)", head[:], frameMagic)
 	}
 	fr.cols = table.ColumnSet(binary.LittleEndian.Uint16(head[len(frameMagic):]))
 	return fr, nil
@@ -155,19 +160,19 @@ func (fr *FrameReader) Next() (recs []table.Record, rep *core.Report, err error)
 			}
 		}
 		return recs, nil, nil
-	case head[0] == kindSummary && n == 9*8:
+	case head[0] == kindSummary && n == summaryLen*8:
 		// Reading the end of the body is also what lets the transport
 		// reuse the connection.
 		if extra, _ := fr.r.Read(head[:1]); extra != 0 {
 			return nil, nil, errors.New("bytes after the summary frame")
 		}
-		var v [9]int64
+		var v [summaryLen]int64
 		for i := range v {
 			v[i] = int64(binary.LittleEndian.Uint64(p[8*i:]))
 		}
 		return nil, &core.Report{Plan: core.Plan(v[0]), EstimatedSelectivity: math.Float64frombits(uint64(v[1])),
 			RowsReturned: v[2], RowsExamined: v[3], DiskReads: v[4], CacheHits: v[5],
-			PagesSkipped: v[6], PagesScanned: v[7], StripsDecoded: v[8]}, nil
+			PagesSkipped: v[6], PagesScanned: v[7], StripsDecoded: v[8], LeavesExamined: v[9]}, nil
 	case head[0] == kindError:
 		return nil, nil, errors.New(string(p))
 	}

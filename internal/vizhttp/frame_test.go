@@ -2,8 +2,14 @@ package vizhttp
 
 import (
 	"bytes"
+	"encoding/binary"
+	"encoding/json"
 	"errors"
+	"hash/crc32"
 	"math"
+	"net/http"
+	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -73,7 +79,7 @@ func FuzzFrameRoundTrip(f *testing.F) {
 		}
 		rep := core.Report{Plan: livePlans[uint64(counter)%uint64(len(livePlans))], EstimatedSelectivity: math.Float64frombits(uint64(counter)),
 			RowsReturned: counter, RowsExamined: counter + 1, DiskReads: counter + 2, CacheHits: counter + 3,
-			PagesSkipped: counter + 4, PagesScanned: counter + 5, StripsDecoded: counter + 6}
+			PagesSkipped: counter + 4, PagesScanned: counter + 5, StripsDecoded: counter + 6, LeavesExamined: counter + 7}
 
 		got, gotRep, err := decodeStream(encodeStream(cols, recs, int(per), rep))
 		if err != nil {
@@ -181,5 +187,98 @@ func TestFrameStreamEndings(t *testing.T) {
 	bad := []table.Record{{ObjID: 1, Class: table.NumClasses}}
 	if got, _, err := decodeStream(encodeStream(table.ColAll, bad, 0, core.Report{})); err == nil || len(got) != 0 {
 		t.Fatalf("unknown class: %d rows, err %v", len(got), err)
+	}
+}
+
+// TestFrameStreamRejectsOlderVersion: a stream whose header is intact
+// but names version 1 — whose summary frame had nine fields — is
+// refused before any frame is read, and the error says which header
+// the reader wanted.
+func TestFrameStreamRejectsOlderVersion(t *testing.T) {
+	stream := encodeStream(table.ColAll, faultRecs(2), 0, core.Report{RowsReturned: 2})
+	stream[3] = 1
+	binary.LittleEndian.PutUint32(stream[6:], crc32.ChecksumIEEE(stream[:6]))
+	_, err := NewFrameReader(bytes.NewReader(stream))
+	if err == nil || !strings.Contains(err.Error(), "not a frame stream this reader knows") || !strings.Contains(err.Error(), `want "RQF\x02"`) {
+		t.Fatalf("version 1 header: %v", err)
+	}
+}
+
+// TestSkyAndPointsFramesMatchJSON: the frame answer of /sky and of
+// /points holds the rows and counters of the endpoint's JSON answer —
+// /sky under and over its limit — which is what lets the coordinator
+// read them as frames and still write its clients the same bytes.
+func TestSkyAndPointsFramesMatchJSON(t *testing.T) {
+	s := newTestServer(t)
+	get := func(path string, frames bool) *httptest.ResponseRecorder {
+		t.Helper()
+		req := httptest.NewRequest("GET", path, nil)
+		if frames {
+			req.Header.Set("Accept", FrameContentType)
+		}
+		w := httptest.NewRecorder()
+		s.Handler().ServeHTTP(w, req)
+		if w.Code != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", path, w.Code, w.Body)
+		}
+		return w
+	}
+	framed := func(path string) ([]table.Record, core.Report) {
+		t.Helper()
+		w := get(path, true)
+		if ct := w.Header().Get("Content-Type"); ct != FrameContentType {
+			t.Fatalf("%s: content type %q", path, ct)
+		}
+		recs, rep, err := decodeStream(w.Body.Bytes())
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		return recs, *rep
+	}
+
+	for _, path := range []string{
+		"/sky?ra=0,360&dec=-90,90&limit=7",
+		"/sky?ra=100,140&dec=-20,20",
+		"/sky?ra=100,140&dec=-20,20&limit=1000000",
+		"/sky?ra=1,1&dec=1,1",
+	} {
+		get(path, false) // the first cut builds the sky index; compare warm answers
+		want := get(path, false).Body.Bytes()
+		recs, rep := framed(path)
+		var points []byte
+		for i := range recs {
+			if i > 0 {
+				points = append(points, ',')
+			}
+			points = appendSkyPoint(points, &recs[i])
+		}
+		if got := appendSkyBody(nil, len(recs), rep, points); !bytes.Equal(got, want) {
+			t.Fatalf("%s: frames render as\n%s\nJSON answer is\n%s", path, got, want)
+		}
+		if rep.RowsReturned != int64(len(recs)) {
+			t.Fatalf("%s: summary rowsReturned %d for %d rows", path, rep.RowsReturned, len(recs))
+		}
+	}
+
+	for _, path := range []string{"/points?min=10,10,10&max=30,30,30&n=100", "/points?min=14,14,14&max=16,16,16&n=5000"} {
+		var want struct {
+			Count  int         `json:"count"`
+			Points []pointJSON `json:"points"`
+		}
+		if err := json.Unmarshal(get(path, false).Body.Bytes(), &want); err != nil {
+			t.Fatal(err)
+		}
+		recs, rep := framed(path)
+		got := make([]pointJSON, len(recs))
+		for i, rec := range recs {
+			got[i] = pointJSON{X: float64(rec.Mags[0]), Y: float64(rec.Mags[1]), Z: float64(rec.Mags[2]),
+				Class: rec.Class.String(), Redshift: rec.Redshift}
+		}
+		if want.Count == 0 || len(got) != want.Count || !reflect.DeepEqual(got, want.Points) {
+			t.Fatalf("%s: %d framed points, JSON has %d, or they differ", path, len(got), want.Count)
+		}
+		if rep.Plan != core.PlanGrid || rep.RowsReturned != int64(len(recs)) {
+			t.Fatalf("%s: summary %+v", path, rep)
+		}
 	}
 }

@@ -82,9 +82,14 @@ func (s *Server) handlePoints(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	recs, _, err := s.db.SampleRegion(view, n)
+	recs, rep, err := s.db.SampleRegion(view, n)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
+	}
+	if r.Header.Get("Accept") == FrameContentType {
+		// The coordinator's sub-request: the columns the JSON writes.
+		s.streamRows(w, core.SliceCursor(recs, rep), &FrameWriter{Cols: table.ColMags | table.ColClass | table.ColRedshift})
 		return
 	}
 	s.countRequest(int64(len(recs)))

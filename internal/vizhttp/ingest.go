@@ -172,6 +172,8 @@ func parseSkyRange(name, raw string) (float64, float64, error) {
 // rows inside the rectangular sky cut, read through the catalog's sky
 // cell index (core.QuerySkyBox) under snapshot isolation, memtable rows
 // included. The counters say how many pages the cut read and skipped.
+// A request that Accepts FrameContentType — a coordinator's — gets the
+// same rows and counters as binary frames (frame.go).
 func (s *Server) handleSky(w http.ResponseWriter, r *http.Request) {
 	raLo, raHi, err := parseSkyRange("ra", r.URL.Query().Get("ra"))
 	if err != nil {
@@ -200,16 +202,22 @@ func (s *Server) handleSky(w http.ResponseWriter, r *http.Request) {
 	defer release()
 
 	box := table.SkyBoxPred{RaMin: raLo, RaMax: raHi, DecMin: decLo, DecMax: decHi}
-	cur, err := s.db.QuerySkyBox(r.Context(), box, table.ColObjID|table.ColRa|table.ColDec|table.ColClass|table.ColRedshift)
+	const cols = table.ColObjID | table.ColRa | table.ColDec | table.ColClass | table.ColRedshift
+	cur, err := s.db.QuerySkyBox(r.Context(), box, cols)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
+	cur = core.Limit(cur, limit)
 	defer cur.Close()
+	if r.Header.Get("Accept") == FrameContentType {
+		s.streamRows(w, cur, &FrameWriter{Cols: cols})
+		return
+	}
 
 	var points []byte
 	n := 0
-	for ; n < limit && cur.Next(); n++ {
+	for ; cur.Next(); n++ {
 		if n > 0 {
 			points = append(points, ',')
 		}
