@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"sync"
@@ -74,7 +75,7 @@ func BenchmarkEvictionChurn(b *testing.B) {
 			if _, _, err := db.QueryPolyhedron(scanPoly, core.PlanFullScan); err != nil {
 				b.Fatal(err)
 			}
-			if _, _, err := db.NearestNeighborsBatch(knnQueries, 10); err != nil {
+			if _, _, err := db.NearestNeighborsBatch(context.Background(), knnQueries, 10); err != nil {
 				b.Fatal(err)
 			}
 
@@ -94,7 +95,7 @@ func BenchmarkEvictionChurn(b *testing.B) {
 				go func() {
 					defer wg.Done()
 					for j := 0; j < 6; j++ {
-						if _, _, knnErr = db.NearestNeighborsBatch(knnQueries, 10); knnErr != nil {
+						if _, _, knnErr = db.NearestNeighborsBatch(context.Background(), knnQueries, 10); knnErr != nil {
 							return
 						}
 					}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/sky"
@@ -22,7 +23,7 @@ func TestNearestNeighborsBatchMatchesSerial(t *testing.T) {
 		}
 		qs = append(qs, rec.Point())
 	}
-	batch, reports, err := db.NearestNeighborsBatch(qs, 7)
+	batch, reports, err := db.NearestNeighborsBatch(context.Background(), qs, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +69,7 @@ func TestNearestNeighborsPlannerFallsBackToBruteForce(t *testing.T) {
 		t.Errorf("k=N used plan %v (%s), want fullscan", rep.Plan, rep.PlanReason)
 	}
 
-	batch, reports, err := db.NearestNeighborsBatch([]vec.Point{sky.GalaxyColors(0.2, 18)}, 2000)
+	batch, reports, err := db.NearestNeighborsBatch(context.Background(), []vec.Point{sky.GalaxyColors(0.2, 18)}, 2000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +95,7 @@ func TestEstimateRedshiftBatchMatchesSerial(t *testing.T) {
 		}
 		want[i] = z
 	}
-	got, rep, err := db.EstimateRedshiftBatch(qs)
+	got, rep, err := db.EstimateRedshiftBatch(context.Background(), qs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +131,7 @@ func TestNearestNeighborsWithoutKdIndexFallsBackToBruteForce(t *testing.T) {
 	if rep.Plan != PlanFullScan || rep.RowsExamined != 1500 {
 		t.Errorf("fallback report %+v, want fullscan over 1500 rows", rep)
 	}
-	batch, reports, err := db.NearestNeighborsBatch([]vec.Point{rec.Point(), rec.Point()}, 3)
+	batch, reports, err := db.NearestNeighborsBatch(context.Background(), []vec.Point{rec.Point(), rec.Point()}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,10 +16,11 @@ import (
 //
 // Tier 1 (always on) caches planner work keyed on canonical
 // predicate text: one planner.Choice per WHERE (the index scan's
-// ranges included), however many clauses its DNF has, and KNNChoice
-// verdicts per k. Admission pricing (EstimateStatementCost) and
-// execution (ExecStatement → whereCursor) share the entries, so a
-// repeated statement is planned exactly once per epoch.
+// ranges included), however many clauses its DNF has. Admission
+// pricing (EstimateStatementCost) and execution (ExecStatement →
+// whereCursor) share the entries, so a repeated statement is planned
+// exactly once per epoch. A kNN verdict (planner.PlanKNN) is a dozen
+// float operations and is computed where it is needed, not cached.
 //
 // Tier 2 (opt-in via Config.ResultCacheBytes) caches materialized
 // small answers — bounded-LIMIT statements, single-point kNN probes,
@@ -54,12 +55,10 @@ const cachedEntryOverheadBytes = 256
 // Cache namespaces. Tier-1 (plan) and tier-2 (result) namespaces are
 // reported separately by CacheStats.
 const (
-	nsQuery      = "query"
-	nsKNN        = "knn"
-	nsPhotoZ     = "photoz"
-	nsPlan       = "plan"
-	nsKNNPlan    = "knn-plan"
-	nsPhotoZPlan = "photoz-plan"
+	nsQuery  = "query"
+	nsKNN    = "knn"
+	nsPhotoZ = "photoz"
+	nsPlan   = "plan"
 )
 
 // initCache constructs the db's cache from its config. Called by
@@ -128,50 +127,6 @@ func (db *SpatialDB) planFor(u colorsql.Union) (*planner.Choice, error) {
 		return nil, err
 	}
 	return v.(*planner.Choice), nil
-}
-
-// knnChoiceFor returns the cached kNN plan verdict for neighbourhood
-// size k against the main catalog.
-func (db *SpatialDB) knnChoiceFor(k int) (planner.KNNChoice, error) {
-	v, err := db.qc.GetOrBuildPlan(nsKNNPlan, "k="+strconv.Itoa(k), db.cacheEpoch(), func() (any, error) {
-		db.mu.RLock()
-		catalog, kd := db.catalog, db.kd
-		var memRows int64
-		if db.mem != nil {
-			memRows = int64(db.mem.Len())
-		}
-		db.mu.RUnlock()
-		if catalog == nil {
-			return nil, fmt.Errorf("core: no catalog loaded")
-		}
-		pl := &planner.Planner{Catalog: catalog, Kd: kd, Domain: db.domain, MemRows: memRows}
-		return pl.PlanKNN(k), nil
-	})
-	if err != nil {
-		return planner.KNNChoice{}, err
-	}
-	return v.(planner.KNNChoice), nil
-}
-
-// photoZUnitCost returns the cached per-point photo-z cost estimate
-// (the reference-table kNN plan's best cost). 0 when no estimator is
-// built.
-func (db *SpatialDB) photoZUnitCost() float64 {
-	db.mu.RLock()
-	est := db.photoZ
-	db.mu.RUnlock()
-	if est == nil {
-		return 0
-	}
-	v, err := db.qc.GetOrBuildPlan(nsPhotoZPlan, "unit", db.cacheEpoch(), func() (any, error) {
-		s := est.Searcher()
-		pl := &planner.Planner{Catalog: s.Tb, Kd: s.Tree, Domain: db.domain}
-		return pl.PlanKNN(est.K).BestCost(), nil
-	})
-	if err != nil {
-		return 0
-	}
-	return v.(float64)
 }
 
 // cached is a tier-2 entry: a materialized answer and the Report of

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"sync"
@@ -36,7 +37,7 @@ func batchAnswersOf(db *SpatialDB) (batchAnswers, error) {
 		{17.4, 17.1, 16.9, 16.8, 16.7},
 		{21.2, 20.8, 20.5, 20.2, 20.1},
 	}
-	recs, _, err := db.NearestNeighborsBatch(qs, 8)
+	recs, _, err := db.NearestNeighborsBatch(context.Background(), qs, 8)
 	if err != nil {
 		return batchAnswers{}, err
 	}
@@ -48,7 +49,7 @@ func batchAnswersOf(db *SpatialDB) (batchAnswers, error) {
 		}
 		ans.knn = append(ans.knn, ids)
 	}
-	zs, _, err := db.EstimateRedshiftBatch(qs)
+	zs, _, err := db.EstimateRedshiftBatch(context.Background(), qs)
 	if err != nil {
 		return batchAnswers{}, err
 	}

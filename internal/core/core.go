@@ -485,26 +485,28 @@ func (db *SpatialDB) EstimateRedshift(mags vec.Point) (float64, error) {
 // EstimateRedshiftBatch estimates many objects on the batched kNN
 // engine and reports the batch's exact aggregate cost, including how
 // many local polynomial fits degenerated to the neighbour-mean
-// fallback.
-func (db *SpatialDB) EstimateRedshiftBatch(mags []vec.Point) ([]float64, Report, error) {
+// fallback. The batch stops between objects once ctx is done and
+// returns its error.
+func (db *SpatialDB) EstimateRedshiftBatch(ctx context.Context, mags []vec.Point) ([]float64, Report, error) {
 	// Small interactive batches cache like point probes; bulk
-	// estimation always executes.
+	// estimation always executes. A cached batch's answer is shared by
+	// concurrent identical requests, so no one caller's ctx stops it.
 	if key, ok := photoZCacheKey(mags); ok && db.ResultCacheEnabled() {
 		return do(db, nsPhotoZ, key, func(zs []float64) int64 { return int64(len(zs)) * 8 }, func() ([]float64, Report, error) {
-			return db.estimateRedshiftBatchUncached(mags)
+			return db.estimateRedshiftBatchUncached(context.Background(), mags)
 		})
 	}
-	return db.estimateRedshiftBatchUncached(mags)
+	return db.estimateRedshiftBatchUncached(ctx, mags)
 }
 
-func (db *SpatialDB) estimateRedshiftBatchUncached(mags []vec.Point) ([]float64, Report, error) {
+func (db *SpatialDB) estimateRedshiftBatchUncached(ctx context.Context, mags []vec.Point) ([]float64, Report, error) {
 	db.mu.RLock()
 	est := db.photoZ
 	db.mu.RUnlock()
 	if est == nil {
 		return nil, Report{}, fmt.Errorf("core: BuildPhotoZ has not been called")
 	}
-	zs, stats, err := est.EstimateBatch(mags)
+	zs, stats, err := est.EstimateBatch(ctx, mags)
 	if err != nil {
 		return nil, Report{}, err
 	}
@@ -609,14 +611,14 @@ func (db *SpatialDB) QueryPolyhedron(q vec.Polyhedron, plan Plan) ([]table.Recor
 	return recs, rep, nil
 }
 
-// knnPlan prices the kNN query (through the tier-1 plan cache) and
-// snapshots the structures it needs, including the memtable rows the
-// search must consider alongside the paged candidates. The searcher
-// may be nil (kd-tree not built), in which case brute force is the
-// only path.
+// knnPlan snapshots the structures a kNN query needs, including the
+// memtable rows the search must consider alongside the paged
+// candidates, and prices the query over that same snapshot. The
+// searcher may be nil (kd-tree not built), in which case brute force
+// is the only path.
 func (db *SpatialDB) knnPlan(k int) (*knn.Searcher, *table.Table, []memtable.Row, planner.KNNChoice, error) {
 	db.mu.RLock()
-	searcher, catalog := db.knnS, db.catalog
+	searcher, catalog, kd := db.knnS, db.catalog, db.kd
 	var mem []memtable.Row
 	if db.mem != nil {
 		mem = db.mem.Snapshot()
@@ -625,11 +627,8 @@ func (db *SpatialDB) knnPlan(k int) (*knn.Searcher, *table.Table, []memtable.Row
 	if catalog == nil {
 		return nil, nil, nil, planner.KNNChoice{}, fmt.Errorf("core: no catalog loaded")
 	}
-	choice, err := db.knnChoiceFor(k)
-	if err != nil {
-		return nil, nil, nil, planner.KNNChoice{}, err
-	}
-	return searcher, catalog, mem, choice, nil
+	pl := &planner.Planner{Catalog: catalog, Kd: kd, Domain: db.domain, MemRows: int64(len(mem))}
+	return searcher, catalog, mem, pl.PlanKNN(k), nil
 }
 
 // memCand is one memtable kNN candidate: a row's squared distance to
@@ -733,7 +732,7 @@ func mergeMemNeighbors(nbs []knn.Neighbor, mem []memtable.Row, p vec.Point, k in
 // covers most leaves at scattered-page prices and the sequential scan
 // wins, mirroring the Figure 5 crossover.
 func (db *SpatialDB) NearestNeighbors(p vec.Point, k int) ([]table.Record, Report, error) {
-	recs, reports, err := db.nearestNeighborsBatchUncached([]vec.Point{p}, k)
+	recs, reports, err := db.nearestNeighborsBatchUncached(context.Background(), []vec.Point{p}, k)
 	if err != nil {
 		return nil, Report{}, err
 	}
@@ -745,8 +744,9 @@ func (db *SpatialDB) NearestNeighbors(p vec.Point, k int) ([]table.Record, Repor
 // ordering), returning results in input order with an exact per-query
 // Report each. If the planner predicts brute force cheaper (k
 // approaching N, or no kd-tree built), the queries run as brute-force
-// scans, one after another.
-func (db *SpatialDB) NearestNeighborsBatch(ps []vec.Point, k int) ([][]table.Record, []Report, error) {
+// scans, one after another. The batch stops between queries once ctx
+// is done and returns its error.
+func (db *SpatialDB) NearestNeighborsBatch(ctx context.Context, ps []vec.Point, k int) ([][]table.Record, []Report, error) {
 	// A single-point batch is the interactive point-probe shape; with
 	// tier 2 enabled it is cached (and singleflighted) like a repeated
 	// statement. The cached record slice is shared read-only.
@@ -759,10 +759,10 @@ func (db *SpatialDB) NearestNeighborsBatch(ps []vec.Point, k int) ([][]table.Rec
 		}
 		return [][]table.Record{recs}, []Report{rep}, nil
 	}
-	return db.nearestNeighborsBatchUncached(ps, k)
+	return db.nearestNeighborsBatchUncached(ctx, ps, k)
 }
 
-func (db *SpatialDB) nearestNeighborsBatchUncached(ps []vec.Point, k int) ([][]table.Record, []Report, error) {
+func (db *SpatialDB) nearestNeighborsBatchUncached(ctx context.Context, ps []vec.Point, k int) ([][]table.Record, []Report, error) {
 	searcher, catalog, mem, choice, err := db.knnPlan(k)
 	if err != nil {
 		return nil, nil, err
@@ -770,7 +770,7 @@ func (db *SpatialDB) nearestNeighborsBatchUncached(ps []vec.Point, k int) ([][]t
 	recs := make([][]table.Record, len(ps))
 	reports := make([]Report, len(ps))
 	// finish folds the memtable candidates into query i's paged answer
-	// and files its records and Report.
+	// and files its records and Report; a done ctx stops the batch.
 	finish := func(plan Plan) func(int, []knn.Neighbor, knn.Stats) error {
 		return func(i int, nbs []knn.Neighbor, stats knn.Stats) error {
 			nbs = mergeMemNeighbors(nbs, mem, ps[i], k)
@@ -787,7 +787,7 @@ func (db *SpatialDB) nearestNeighborsBatchUncached(ps []vec.Point, k int) ([][]t
 				CacheHits:      stats.Pages.Hits,
 				PlanReason:     choice.Reason,
 			}
-			return nil
+			return ctx.Err()
 		}
 	}
 	if choice.UseIndex && searcher != nil {

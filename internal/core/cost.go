@@ -31,10 +31,9 @@ func (db *SpatialDB) EstimateStatementCost(stmt colorsql.Statement) float64 {
 		if err != nil {
 			return 0
 		}
-		// Full-catalog scan: priced like the planner's fullscan path.
-		m := planner.DefaultCostModel()
-		cost := float64(pl.Catalog.NumPages())*m.SeqPage + float64(pl.Catalog.NumRows())*m.Row
-		return boundByLimit(cost, float64(pl.Catalog.NumRows()), stmt)
+		rows := pl.Catalog.NumRows()
+		cost := planner.DefaultCostModel().FullScanCost(int64(rows))
+		return boundByLimit(cost, float64(rows), stmt)
 	}
 	// One Choice prices the whole WHERE, overlap between clauses paid
 	// once. It comes from the tier-1 plan cache, shared with the
@@ -65,26 +64,28 @@ func boundByLimit(cost, estRows float64, stmt colorsql.Statement) float64 {
 }
 
 // EstimateKNNCost predicts the cost of numPoints k-nearest-neighbour
-// queries in sequential-page units, zero-I/O. The per-k verdict
-// comes from the tier-1 plan cache shared with execution.
+// queries in sequential-page units, zero-I/O: the planner's kNN
+// verdict over the current catalog, kd-tree and memtable.
 func (db *SpatialDB) EstimateKNNCost(k, numPoints int) float64 {
-	if numPoints < 1 {
-		numPoints = 1
-	}
-	choice, err := db.knnChoiceFor(k)
+	pl, err := db.Planner()
 	if err != nil {
 		return 0
 	}
-	return choice.BestCost() * float64(numPoints)
+	return pl.PlanKNN(k).BestCost() * float64(max(numPoints, 1))
 }
 
 // EstimatePhotoZCost predicts the cost of a photometric-redshift
 // batch of numPoints objects: each is a k-neighbour search on the
-// spectroscopic reference table, priced by the same kNN model. The
-// per-point unit cost comes from the tier-1 plan cache.
+// spectroscopic reference table, priced by the same kNN model. 0 when
+// no estimator is built.
 func (db *SpatialDB) EstimatePhotoZCost(numPoints int) float64 {
-	if numPoints < 1 {
-		numPoints = 1
+	db.mu.RLock()
+	est := db.photoZ
+	db.mu.RUnlock()
+	if est == nil {
+		return 0
 	}
-	return db.photoZUnitCost() * float64(numPoints)
+	s := est.Searcher()
+	pl := &planner.Planner{Catalog: s.Tb, Kd: s.Tree, Domain: db.domain}
+	return pl.PlanKNN(est.K).BestCost() * float64(max(numPoints, 1))
 }

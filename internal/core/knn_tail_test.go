@@ -2,6 +2,7 @@ package core
 
 import (
 	"cmp"
+	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -82,7 +83,7 @@ func TestKnnSeesCompactedTail(t *testing.T) {
 		for i := range inserted {
 			ps = append(ps, inserted[i].Point())
 		}
-		batch, _, err := db.NearestNeighborsBatch(ps, 1)
+		batch, _, err := db.NearestNeighborsBatch(context.Background(), ps, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

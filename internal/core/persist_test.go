@@ -152,7 +152,7 @@ func collectAnswers(t testing.TB, db *SpatialDB) queryAnswers {
 		t.Fatal(err)
 	}
 	ans.knn = nbs
-	zs, _, err := db.EstimateRedshiftBatch([]vec.Point{q, {20.5, 20.0, 19.6, 19.4, 19.3}})
+	zs, _, err := db.EstimateRedshiftBatch(context.Background(), []vec.Point{q, {20.5, 20.0, 19.6, 19.4, 19.3}})
 	if err != nil {
 		t.Fatal(err)
 	}

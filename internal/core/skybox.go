@@ -14,8 +14,8 @@ import (
 // the rectangular sky cut — the §5.2 sky-view selection. The catalog's
 // sky cell index (sky.CellIndex) names the rows of its covered prefix
 // that can lie inside the box: only their pages are read and only they
-// are tested. The pages past it, the unindexed tail, are pruned by
-// their ra/dec zones and tested row by row. Every emitted row passed
+// are tested. The pages past it, the unindexed tail, are read and
+// tested row by row. Every emitted row passed
 // the exact test, so rows stream in physical order exactly as a full
 // scan emits them, memtable rows after the paged rows, under snapshot
 // isolation like every other cursor. The caller must Close the cursor.
@@ -125,7 +125,7 @@ func (c *skyCursor) Stats() Report {
 	st := c.scope.Stats()
 	return Report{
 		Plan:         PlanPrunedScan,
-		PlanReason:   fmt.Sprintf("sky box: ra/dec cell index over the first %d pages, zone-pruned tail", c.covered),
+		PlanReason:   fmt.Sprintf("sky box: ra/dec cell index over the first %d pages, row-tested tail", c.covered),
 		RowsReturned: c.emitted,
 		RowsExamined: c.counters.Examined.Load(),
 		PagesSkipped: c.counters.PagesSkipped.Load(),

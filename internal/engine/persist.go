@@ -103,7 +103,13 @@ type persistedCatalog struct {
 	Artifacts map[string]string
 }
 
-// persistedZones is the gob payload of one zone-map sidecar.
+// persistedZones is the gob payload of one zone-map sidecar. Gob
+// matches struct fields by name, so a sidecar written when PageZone
+// also held ra/dec bounds decodes here with those fields dropped, and
+// a binary of that time reads this one's zones with no sky bounds —
+// for reading only: its widen took that for an empty page, so a row it
+// appended would shrink the page's sky box to that row
+// (TestNewSidecarIsReadOnlyForLegacyBinary).
 type persistedZones struct {
 	Table string
 	Rows  uint64

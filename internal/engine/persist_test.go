@@ -9,6 +9,7 @@ import (
 	"repro/internal/pagedio"
 	"repro/internal/pagestore"
 	"repro/internal/table"
+	"repro/internal/vec"
 )
 
 // buildPersisted creates a small persisted engine directory and
@@ -27,9 +28,12 @@ func buildPersisted(t *testing.T) string {
 	recs := make([]table.Record, 300)
 	for i := range recs {
 		recs[i].ObjID = int64(i)
+		// Each page sits 3 mag higher than the one before, so a
+		// magnitude cut prunes some pages and not others.
 		for d := 0; d < table.Dim; d++ {
-			recs[i].Mags[d] = float32(15 + i%7 + d)
+			recs[i].Mags[d] = float32(15 + i%7 + 3*(i/table.RecordsPerPage) + d)
 		}
+		recs[i].Ra, recs[i].Dec = float32(i), float32(i%90)
 	}
 	if err := tb.AppendAll(recs); err != nil {
 		t.Fatal(err)
@@ -147,11 +151,133 @@ func TestOpenRejectsRowFormatPages(t *testing.T) {
 	}
 }
 
+// legacyPageZone and legacyZones are the zone sidecar's gob payload
+// as written when a page zone also held an ra/dec box. Gob matches
+// fields by name, so the two layouts must read each other.
+type legacyPageZone struct {
+	Min, Max       [table.Dim]float64
+	SkyMin, SkyMax [2]float64
+	Sky            bool
+}
+
+type legacyZones struct {
+	Table string
+	Rows  uint64
+	Zones []legacyPageZone
+}
+
 // TestZoneSidecarRoundTrip checks that zone maps survive persist +
-// reopen and still cover the table exactly.
+// reopen and still cover the table exactly, and that the sidecar
+// reads across the layout change that dropped the ra/dec box: a
+// sidecar in the old layout opens, validates and prunes magnitude
+// cuts exactly like the new one, and an old binary reads a new
+// sidecar with no sky bounds (Sky false) — safe for its reads only,
+// see TestNewSidecarIsReadOnlyForLegacyBinary.
 func TestZoneSidecarRoundTrip(t *testing.T) {
 	dir := buildPersisted(t)
 
+	zones, profile := openZones(t, dir)
+	if len(zones) != 3 {
+		t.Fatalf("zone maps cover %d pages, want 3", len(zones))
+	}
+
+	// The new layout, read by a binary that still has sky bounds.
+	s, err := pagestore.OpenExisting(dir, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	name := GenName(zoneFileName("t.tbl"), s.ArtifactGen())
+	var legacy legacyZones
+	if err := pagedio.ReadGob(s, name, func(dec *gob.Decoder) error { return dec.Decode(&legacy) }); err != nil {
+		t.Fatal(err)
+	}
+	if legacy.Table != "t.tbl" || legacy.Rows != 300 || len(legacy.Zones) != len(zones) {
+		t.Fatalf("legacy decode: table %q rows %d zones %d", legacy.Table, legacy.Rows, len(legacy.Zones))
+	}
+	for pg, lz := range legacy.Zones {
+		if lz.Sky {
+			t.Errorf("page %d: legacy decode of a new sidecar has Sky true", pg)
+		}
+		if lz.Min != zones[pg].Min || lz.Max != zones[pg].Max {
+			t.Errorf("page %d: legacy decode has box %v..%v, want %v..%v", pg, lz.Min, lz.Max, zones[pg].Min, zones[pg].Max)
+		}
+	}
+
+	// Rewrite the sidecar in the old layout, sky bounds included.
+	for pg := range legacy.Zones {
+		lo := float64(pg * table.RecordsPerPage)
+		legacy.Zones[pg].SkyMin = [2]float64{lo, 0}
+		legacy.Zones[pg].SkyMax = [2]float64{lo + table.RecordsPerPage - 1, 89}
+		legacy.Zones[pg].Sky = true
+	}
+	if err := pagedio.WriteGob(s, name, func(enc *gob.Encoder) error { return enc.Encode(legacy) }); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	oldZones, oldProfile := openZones(t, dir)
+	if fmt.Sprint(oldZones) != fmt.Sprint(zones) {
+		t.Errorf("old-layout sidecar opens as %v, want %v", oldZones, zones)
+	}
+	if oldProfile != profile {
+		t.Errorf("old-layout sidecar prunes as %s, want %s", oldProfile, profile)
+	}
+}
+
+// TestNewSidecarIsReadOnlyForLegacyBinary pins why a binary from
+// before the sky bounds went may only read a directory this one wrote.
+// It decodes a new sidecar with Sky false, and its widen took Sky false
+// to mean "no rows yet": the first row appended to the partial last page
+// (minor compaction resumes appending there) reset that page's sky box
+// to the new row alone. Its sky cut then judged the page Outside for a
+// box holding the page's older rows and dropped them, and saved the
+// shrunk box in its next sidecar.
+func TestNewSidecarIsReadOnlyForLegacyBinary(t *testing.T) {
+	dir := buildPersisted(t)
+	s, err := pagestore.OpenExisting(dir, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	var legacy legacyZones
+	name := GenName(zoneFileName("t.tbl"), s.ArtifactGen())
+	if err := pagedio.ReadGob(s, name, func(dec *gob.Decoder) error { return dec.Decode(&legacy) }); err != nil {
+		t.Fatal(err)
+	}
+	last := len(legacy.Zones) - 1
+	first := last * table.RecordsPerPage
+	if int(legacy.Rows) >= first+table.RecordsPerPage {
+		t.Fatalf("fixture's last page is full (%d rows): nothing would append to it", legacy.Rows)
+	}
+
+	// The sky half of that binary's widen, for one appended row.
+	z := &legacy.Zones[last]
+	ra, dec := float64(legacy.Rows), 30.0
+	if !z.Sky {
+		z.SkyMin = [2]float64{ra, dec}
+		z.SkyMax = [2]float64{ra, dec}
+		z.Sky = true
+	}
+
+	// buildPersisted puts row i at (ra, dec) = (i, i%90).
+	lost := 0
+	for i := first; i < int(legacy.Rows); i++ {
+		ra, dec := float64(i), float64(i%90)
+		if ra < z.SkyMin[0] || ra > z.SkyMax[0] || dec < z.SkyMin[1] || dec > z.SkyMax[1] {
+			lost++
+		}
+	}
+	if lost != int(legacy.Rows)-first {
+		t.Errorf("after one append the last page's sky box misses %d of its %d older rows, want all", lost, int(legacy.Rows)-first)
+	}
+}
+
+// openZones opens the persisted directory, checks the reopened zone
+// maps against the table, and returns them with the rows and page
+// counters of a few magnitude cuts over the table.
+func openZones(t *testing.T, dir string) ([]table.PageZone, string) {
+	t.Helper()
 	db, err := OpenExisting(dir, 64)
 	if err != nil {
 		t.Fatal(err)
@@ -165,24 +291,51 @@ func TestZoneSidecarRoundTrip(t *testing.T) {
 	if zm == nil {
 		t.Fatal("reopened table has no zone maps")
 	}
-	if got, want := zm.NumPages(), tb.NumPages(); got != want {
-		t.Fatalf("zone maps cover %d pages, table has %d", got, want)
-	}
-	// Spot-check a zone against the rows it covers.
-	var rec table.Record
-	if err := tb.Get(0, &rec); err != nil {
+	if err := zm.Validate(tb.NumPages()); err != nil {
 		t.Fatal(err)
 	}
-	z, ok := zm.Page(0)
-	if !ok {
-		t.Fatal("no zone for page 0")
-	}
-	for d := 0; d < table.Dim; d++ {
-		v := float64(rec.Mags[d])
-		if v < z.Min[d] || v > z.Max[d] {
-			t.Errorf("axis %d: row value %g outside zone [%g, %g]", d, v, z.Min[d], z.Max[d])
+	// Spot-check each zone against the first row it covers.
+	zones := zm.Snapshot()
+	for pg, z := range zones {
+		var rec table.Record
+		if err := tb.Get(table.RowID(pg*table.RecordsPerPage), &rec); err != nil {
+			t.Fatal(err)
+		}
+		for d := 0; d < table.Dim; d++ {
+			v := float64(rec.Mags[d])
+			if v < z.Min[d] || v > z.Max[d] {
+				t.Errorf("page %d axis %d: row value %g outside zone [%g, %g]", pg, d, v, z.Min[d], z.Max[d])
+			}
 		}
 	}
+	var profile strings.Builder
+	r := func(sign, b float64) vec.Halfspace {
+		return vec.Halfspace{A: vec.Point{0, 0, sign, 0, 0}, B: b}
+	}
+	for _, cut := range []vec.Polyhedron{
+		vec.NewPolyhedron(r(1, 19)),             // r <= 19: page 0 only
+		vec.NewPolyhedron(r(-1, -25)),           // r >= 25: pages 1 and 2
+		vec.NewPolyhedron(r(1, 30)),             // every page inside
+		vec.NewPolyhedron(r(-1, -20), r(1, 22)), // a band across pages 0 and 1
+		vec.NewPolyhedron(r(1, 10)),             // no page
+	} {
+		pred, err := table.CompilePagePred([]vec.Polyhedron{cut})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var c table.ScanCounters
+		it := tb.IterRangePred(nil, 0, table.RowID(tb.NumRows()), table.ColAll, pred, nil, &c)
+		var rec table.Record
+		n := 0
+		for it.Next(&rec) {
+			n++
+		}
+		if err := it.Err(); err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(&profile, "rows=%d skipped=%d scanned=%d strips=%d; ", n, c.PagesSkipped.Load(), c.PagesScanned.Load(), c.StripsDecoded.Load())
+	}
+	return zones, profile.String()
 }
 
 // TestZoneSidecarStaleRejected: a sidecar describing different rows

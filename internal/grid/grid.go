@@ -448,20 +448,41 @@ func (ix *Index) Table() *table.Table { return ix.tbl }
 // chosen so the sample follows the underlying density: complete
 // layers are uniform subsamples, and the final partial layer
 // contributes a randomly chosen set of cells with rank-prefix rows.
+// It collects what SampleStream delivers.
 func (ix *Index) Sample(q vec.Box, n int) ([]table.Record, SampleStats, error) {
+	var out []table.Record
+	stats, err := ix.SampleStream(q, n, func(r *table.Record) bool {
+		out = append(out, *r)
+		return true
+	})
+	if err != nil {
+		return nil, stats, err
+	}
+	return out, stats, nil
+}
+
+// SampleStream is the streaming form of Sample the paper sketches
+// ("when points from the first layer are available, start sending them
+// back to the client as we fetch more points from layer 2"): records
+// are delivered through yield as each cell is read, layer by layer, so
+// a client can start rendering before the request completes. yield
+// returning false cancels the stream. The record pointer passed to
+// yield is reused; copy to retain.
+func (ix *Index) SampleStream(q vec.Box, n int, yield func(*table.Record) bool) (SampleStats, error) {
 	if q.Dim() != ix.params.ProjDim {
-		return nil, SampleStats{}, fmt.Errorf("grid: query box dim %d != ProjDim %d", q.Dim(), ix.params.ProjDim)
+		return SampleStats{}, fmt.Errorf("grid: query box dim %d != ProjDim %d", q.Dim(), ix.params.ProjDim)
 	}
 	start := time.Now()
 	// Per-call accounting scope: the reported pages are exactly this
 	// sample's, not a diff of store-global counters that concurrent
-	// queries also move.
+	// queries also move, and exact under a cancelled stream.
 	scope := ix.tbl.Store().Scoped()
 	tbl := ix.tbl.Scoped(scope)
-	var out []table.Record
 	var stats SampleStats
+	delivered := 0
+	cancelled := false
 
-	for l := 1; l <= len(ix.layers); l++ {
+	for l := 1; l <= len(ix.layers) && !cancelled; l++ {
 		res := ix.layers[l-1].res
 		codes := intersectingCells(q, ix.params.Domain, res, ix.params.ProjDim)
 		// Visit cells in a deterministic shuffled order so that when
@@ -483,73 +504,15 @@ func (ix *Index) Sample(q vec.Box, n int) ([]table.Record, SampleStats, error) {
 			err := tbl.ScanRange(rng.start, rng.start+table.RowID(rng.count), func(id table.RowID, r *table.Record) bool {
 				stats.RowsExamined++
 				if wholeCell || ix.inBox(r, q) {
-					out = append(out, *r)
-				}
-				// Rows within a cell are ordered by RandomID rank, so a
-				// prefix is itself a uniform subsample: stopping exactly
-				// at n keeps the sample fair.
-				return len(out) < n
-			})
-			if err != nil {
-				return nil, stats, err
-			}
-			if len(out) >= n {
-				break
-			}
-		}
-		stats.LayersUsed = l
-		if len(out) >= n {
-			break
-		}
-	}
-
-	stats.Returned = len(out)
-	stats.Pages = scope.Stats()
-	stats.Duration = time.Since(start)
-	return out, stats, nil
-}
-
-// SampleStream is the streaming variant the paper sketches ("when
-// points from the first layer are available, start sending them back
-// to the client as we fetch more points from layer 2"): records are
-// delivered through yield as each cell is read, layer by layer, so a
-// client can start rendering before the request completes. yield
-// returning false cancels the stream. The record pointer passed to
-// yield is reused; copy to retain.
-func (ix *Index) SampleStream(q vec.Box, n int, yield func(*table.Record) bool) (SampleStats, error) {
-	if q.Dim() != ix.params.ProjDim {
-		return SampleStats{}, fmt.Errorf("grid: query box dim %d != ProjDim %d", q.Dim(), ix.params.ProjDim)
-	}
-	start := time.Now()
-	// Same per-call scope as Sample: exact pages even when other
-	// queries run concurrently, and exact under a cancelled stream.
-	scope := ix.tbl.Store().Scoped()
-	tbl := ix.tbl.Scoped(scope)
-	var stats SampleStats
-	delivered := 0
-	cancelled := false
-
-	for l := 1; l <= len(ix.layers) && !cancelled; l++ {
-		res := ix.layers[l-1].res
-		codes := intersectingCells(q, ix.params.Domain, res, ix.params.ProjDim)
-		shuffleCodes(codes, ix.params.Seed+int64(l))
-		for _, code := range codes {
-			rng, ok := ix.dir[cellKey{layer: l, code: code}]
-			if !ok {
-				continue
-			}
-			cb := cellBox(code, ix.params.Domain, res, ix.params.ProjDim)
-			wholeCell := q.ContainsBox(cb)
-			stats.CellsScanned++
-			err := tbl.ScanRange(rng.start, rng.start+table.RowID(rng.count), func(id table.RowID, r *table.Record) bool {
-				stats.RowsExamined++
-				if wholeCell || ix.inBox(r, q) {
 					if !yield(r) {
 						cancelled = true
 						return false
 					}
 					delivered++
 				}
+				// Rows within a cell are ordered by RandomID rank, so a
+				// prefix is itself a uniform subsample: stopping exactly
+				// at n keeps the sample fair.
 				return delivered < n
 			})
 			if err != nil {

@@ -8,10 +8,49 @@ import (
 	"repro/internal/vec"
 )
 
+// TestSampleStreamMatchesSample checks Sample and SampleStream against
+// a reference walk written out plainly: layer by layer, the layer's
+// intersecting cells in their shuffled order, each cell's rows read one
+// by one from the directory range and tested against the box, stopping
+// at the n-th row.
 func TestSampleStreamMatchesSample(t *testing.T) {
 	ix, _ := buildIndex(t, 10000, 256)
 	q := vec.NewBox(vec.Point{15, 15, 14}, vec.Point{23, 22, 21})
 	const n = 500
+
+	var want []int64
+walk:
+	for l := 1; l <= len(ix.layers); l++ {
+		res := ix.layers[l-1].res
+		codes := intersectingCells(q, ix.params.Domain, res, ix.params.ProjDim)
+		shuffleCodes(codes, ix.params.Seed+int64(l))
+		for _, code := range codes {
+			rng, ok := ix.dir[cellKey{layer: l, code: code}]
+			if !ok {
+				continue
+			}
+			for id := rng.start; id < rng.start+table.RowID(rng.count); id++ {
+				var r table.Record
+				if err := ix.tbl.Get(id, &r); err != nil {
+					t.Fatal(err)
+				}
+				var m [table.Dim]float64
+				for i, v := range r.Mags {
+					m[i] = float64(v)
+				}
+				if !q.Contains(ix.params.Proj(&m)) {
+					continue
+				}
+				want = append(want, r.ObjID)
+				if len(want) == n {
+					break walk
+				}
+			}
+		}
+	}
+	if len(want) != n {
+		t.Fatalf("reference walk found %d rows, want the box to hold at least %d", len(want), n)
+	}
 
 	recs, _, err := ix.Sample(q, n)
 	if err != nil {
@@ -25,12 +64,14 @@ func TestSampleStreamMatchesSample(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(streamed) != len(recs) {
-		t.Fatalf("stream delivered %d, sample %d", len(streamed), len(recs))
-	}
-	for i := range streamed {
-		if streamed[i].ObjID != recs[i].ObjID {
-			t.Fatalf("stream order differs from sample at %d", i)
+	for name, got := range map[string][]table.Record{"Sample": recs, "SampleStream": streamed} {
+		if len(got) != len(want) {
+			t.Fatalf("%s delivered %d rows, reference %d", name, len(got), len(want))
+		}
+		for i := range got {
+			if got[i].ObjID != want[i] {
+				t.Fatalf("%s row %d is objid %d, reference %d", name, i, got[i].ObjID, want[i])
+			}
 		}
 	}
 	if stats.Returned != len(streamed) {

@@ -1,6 +1,7 @@
 package photoz
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -30,7 +31,7 @@ func TestEstimateBatchMatchesSerial(t *testing.T) {
 		}
 		want[i] = z
 	}
-	got, stats, err := est.EstimateBatch(mags)
+	got, stats, err := est.EstimateBatch(context.Background(), mags)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +110,7 @@ func TestFitFallbackCounted(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		qs = append(qs, refs[i*7].Point())
 	}
-	_, bs, err := est.EstimateBatch(qs)
+	_, bs, err := est.EstimateBatch(context.Background(), qs)
 	if err != nil {
 		t.Fatal(err)
 	}

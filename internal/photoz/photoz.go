@@ -25,6 +25,7 @@
 package photoz
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sync/atomic"
@@ -182,8 +183,9 @@ type BatchStats struct {
 // locality): each query's local polynomial is fitted as soon as its
 // neighbours are fetched, so only one neighbour set is live at a
 // time, however large the batch. Results are in input order and
-// identical to calling Estimate per point.
-func (e *Estimator) EstimateBatch(mags []vec.Point) ([]float64, BatchStats, error) {
+// identical to calling Estimate per point. The batch stops between
+// objects once ctx is done and returns its error.
+func (e *Estimator) EstimateBatch(ctx context.Context, mags []vec.Point) ([]float64, BatchStats, error) {
 	start := time.Now()
 	stats := BatchStats{Queries: len(mags)}
 	if len(mags) == 0 {
@@ -202,7 +204,7 @@ func (e *Estimator) EstimateBatch(mags []vec.Point) ([]float64, BatchStats, erro
 		stats.LeavesExamined += int64(st.LeavesExamined)
 		stats.RowsExamined += st.RowsExamined
 		stats.Pages = stats.Pages.Add(st.Pages)
-		return nil
+		return ctx.Err()
 	})
 	if err != nil {
 		return nil, BatchStats{Queries: len(mags)}, err
@@ -357,7 +359,7 @@ func EvaluateGalaxiesBatch(tb *table.Table, est *Estimator, limit int) ([]Pair, 
 	if err != nil {
 		return nil, BatchStats{}, err
 	}
-	ests, stats, err := est.EstimateBatch(mags)
+	ests, stats, err := est.EstimateBatch(context.Background(), mags)
 	if err != nil {
 		return nil, stats, err
 	}

@@ -105,6 +105,14 @@ type CostModel struct {
 	KNNGrowth float64
 }
 
+// FullScanCost prices a scan of rows rows in file order: ⌈rows /
+// RecordsPerPage⌉ sequential page reads, every row decoded and tested.
+// The fullscan path, kNN brute force, admission estimates and the shard
+// coordinator all price a whole-table read with it.
+func (m CostModel) FullScanCost(rows int64) float64 {
+	return pagesFor(rows)*m.SeqPage + float64(rows)*m.Row
+}
+
 // DefaultCostModel returns the constants used throughout; CPU terms
 // are small but non-zero so degenerate plans (classifying thousands
 // of nodes to read ten rows) still pay.
@@ -201,8 +209,7 @@ func (p *Planner) Plan(clauses []vec.Polyhedron) (Choice, error) {
 	memCost := float64(p.MemRows) * m.Row
 
 	c := Choice{Tree: p.Kd}
-	// Full scan: every catalog page sequentially, every row tested.
-	c.Cost[PathFullScan] = float64(p.Catalog.NumPages())*m.SeqPage + n*m.Row + memCost
+	c.Cost[PathFullScan] = m.FullScanCost(int64(p.Catalog.NumRows())) + memCost
 
 	// Index scan: one walk classifies the tree, then the ranges fold
 	// into page-aligned tasks. Rows past the tree's coverage — the
@@ -490,12 +497,9 @@ func (p *Planner) PlanKNN(k int) KNNChoice {
 	if k < 1 {
 		k = 1
 	}
-	n := float64(p.Catalog.NumRows())
-	catPages := float64(p.Catalog.NumPages())
-
 	memCost := float64(p.MemRows) * m.Row
 	c := KNNChoice{
-		CostBrute: catPages*m.SeqPage + n*m.Row + memCost,
+		CostBrute: m.FullScanCost(int64(p.Catalog.NumRows())) + memCost,
 		CostIndex: math.Inf(1),
 	}
 	if p.Kd != nil && p.Kd.NumLeaves() > 0 && p.Kd.NumRows > 0 {

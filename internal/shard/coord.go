@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"slices"
 	"sort"
@@ -242,21 +243,17 @@ func (c *Coordinator) EstimateStatementCost(stmt colorsql.Statement) float64 {
 			frac = min(frac, 1)
 		}
 	}
-	m := planner.DefaultCostModel()
-	scanRows := frac * rows
-	return scanRows*m.Row + (scanRows/128+1)*m.SeqPage
+	return planner.DefaultCostModel().FullScanCost(int64(math.Ceil(frac * rows)))
 }
 
 // DefaultExpensiveCost mirrors the single-store default — eight full
 // scans of the whole (cluster-wide) catalog — computed from the
 // routing table with zero I/O.
 func (c *Coordinator) DefaultExpensiveCost() float64 {
-	rows := float64(c.rt.TotalRows)
-	if rows <= 0 {
+	if c.rt.TotalRows <= 0 {
 		return 1 << 20
 	}
-	m := planner.DefaultCostModel()
-	return 8 * (rows*m.Row + (rows/128+1)*m.SeqPage)
+	return 8 * planner.DefaultCostModel().FullScanCost(int64(c.rt.TotalRows))
 }
 
 // NearestNeighborsBatch answers the batch by bounded scatter-gather

@@ -102,7 +102,7 @@ func sameNeighbours(t *testing.T, label string, q vec.Point, got, want []table.R
 // single store, neighbour list by neighbour list in input order.
 func checkKNNBatch(t *testing.T, label string, coord *Coordinator, single *core.SpatialDB, qs []vec.Point, k int) {
 	t.Helper()
-	want, _, err := single.NearestNeighborsBatch(qs, k)
+	want, _, err := single.NearestNeighborsBatch(context.Background(), qs, k)
 	if err != nil {
 		t.Fatal(err)
 	}

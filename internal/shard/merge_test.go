@@ -207,7 +207,7 @@ func TestPhotoZEquivalence(t *testing.T) {
 		{17.0, 16.8, 16.6, 16.5, 16.4},
 		{19.4, 19.1, 18.9, 18.8, 18.6},
 	}
-	want, _, err := single.EstimateRedshiftBatch(qs)
+	want, _, err := single.EstimateRedshiftBatch(context.Background(), qs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,9 +12,8 @@ import (
 // table's full pages that lists, for every cell, the rows whose
 // position falls in it. The catalog is clustered on colour (the
 // kd-tree's leaves), so each page's rows are spread over the whole sky
-// and its ra/dec zone proves almost nothing; the grid answers the
-// question the zones cannot — which rows can lie inside a box — without
-// touching a page.
+// and a per-page ra/dec box would prove almost nothing; the grid
+// answers which rows can lie inside a box without touching a page.
 //
 // It covers the rows of the pages that were full when it was built.
 // Published rows never change in place (minor compactions only append),

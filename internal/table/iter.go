@@ -82,12 +82,11 @@ func (t *Table) IterRangePred(ctx context.Context, lo, hi RowID, cols ColumnSet,
 }
 
 // IterRangeSky is IterRangePred's spatial counterpart: rows whose
-// (ra, dec) falls in the box are emitted, pages whose sky zone proves
-// them disjoint are never read, and Inside pages skip the per-row
-// test. A non-nil row set narrows the pages it covers to its members:
-// a covered page holding none is skipped unread, and only the members
-// of the others are tested against the box (RowSet). Pruning counters
-// accumulate into counters as usual.
+// (ra, dec) falls in the box are emitted. A non-nil row set narrows
+// the pages it covers to its members: a covered page holding none is
+// skipped unread, and only the members of the others are tested
+// against the box (RowSet). Every other page is read and each of its
+// rows tested. Pruning counters accumulate into counters as usual.
 func (t *Table) IterRangeSky(ctx context.Context, lo, hi RowID, cols ColumnSet, sky *SkyBoxPred, set *RowSet, counters *ScanCounters) *Iter {
 	rows := t.numRows()
 	if hi > RowID(rows) {
@@ -208,34 +207,33 @@ func (it *Iter) loadPage() bool {
 
 	tau, bounded := it.keyBound.load()
 
-	// Zone classification: one verdict drives both the skip and the
-	// inside-page fast path. Partial is the conservative default for
-	// tables without zone maps. A published key bound skips the pages
-	// whose zone holds no key that could still enter the top k, and a
-	// row set the covered pages that hold none of its members.
+	// Page verdict: one verdict drives both the skip and the
+	// inside-page fast path. A row set skips the covered pages that
+	// hold none of its members. Otherwise the magnitude zone decides:
+	// the predicate classifies it, and a published key bound skips the
+	// pages whose zone holds no key that could still enter the top k.
+	// Partial is the conservative default for tables without zone maps
+	// and for sky scans, whose zones hold no ra/dec bounds.
 	rel := vec.Partial
 	covered := it.rows.covers(pg)
-	if it.pred != nil || it.sky != nil || bounded {
-		if covered && it.rows.next(int(it.row), int(pageEnd)) == int(pageEnd) {
-			rel = vec.Outside
-		} else if z, ok := it.t.zoneOf(int(pg)); ok {
-			switch {
-			case it.pred != nil:
+	if covered && it.rows.next(int(it.row), int(pageEnd)) == int(pageEnd) {
+		rel = vec.Outside
+	} else if it.pred != nil || bounded {
+		if z, ok := it.t.zoneOf(int(pg)); ok {
+			if it.pred != nil {
 				rel = it.pred.Classify(&z)
-			case it.sky != nil:
-				rel = it.sky.Classify(&z)
 			}
 			if bounded && it.keyBound.excludes(&z, tau) {
 				rel = vec.Outside
 			}
 		}
-		if rel == vec.Outside {
-			if it.counters != nil {
-				it.counters.PagesSkipped.Add(1)
-			}
-			it.row = pageEnd
-			return false
+	}
+	if rel == vec.Outside {
+		if it.counters != nil {
+			it.counters.PagesSkipped.Add(1)
 		}
+		it.row = pageEnd
+		return false
 	}
 
 	p, err := it.t.readPage(pagestore.PageID{File: it.t.file, Num: pagestore.PageNum(pg)})

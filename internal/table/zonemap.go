@@ -19,19 +19,12 @@ import (
 // clustered in color space (the kd-leaf ordering) zones are tight and
 // most pages of a selective cut fall in the first bucket.
 
-// PageZone is the per-page bounding box over the magnitude columns,
-// plus a sky (ra, dec) bounding box for spatial pruning. Sky reports
-// whether the sky bounds are valid: zones loaded from a sidecar
-// persisted before sky zones existed decode with Sky false, which
-// degrades sky pruning to Partial everywhere — never wrong.
+// PageZone is the per-page bounding box over the magnitude columns.
 type PageZone struct {
-	Min, Max       [Dim]float64
-	SkyMin, SkyMax [2]float64 // ra, dec
-	Sky            bool
+	Min, Max [Dim]float64
 }
 
-// widen grows the zone to cover one record's magnitudes and sky
-// position.
+// widen grows the zone to cover one record's magnitudes.
 func (z *PageZone) widen(r *Record) {
 	for i, v := range r.Mags {
 		f := float64(v)
@@ -41,25 +34,6 @@ func (z *PageZone) widen(r *Record) {
 		if f > z.Max[i] {
 			z.Max[i] = f
 		}
-	}
-	ra, dec := float64(r.Ra), float64(r.Dec)
-	if !z.Sky {
-		z.SkyMin = [2]float64{ra, dec}
-		z.SkyMax = [2]float64{ra, dec}
-		z.Sky = true
-		return
-	}
-	if ra < z.SkyMin[0] {
-		z.SkyMin[0] = ra
-	}
-	if ra > z.SkyMax[0] {
-		z.SkyMax[0] = ra
-	}
-	if dec < z.SkyMin[1] {
-		z.SkyMin[1] = dec
-	}
-	if dec > z.SkyMax[1] {
-		z.SkyMax[1] = dec
 	}
 }
 
@@ -173,15 +147,6 @@ func (z *ZoneMaps) Validate(pages int) error {
 				return fmt.Errorf("zone maps: page %d axis %d has invalid bounds [%g, %g]", pg, i, lo, hi)
 			}
 		}
-		if z.zones[pg].Sky {
-			s := &z.zones[pg]
-			for i := 0; i < 2; i++ {
-				lo, hi := s.SkyMin[i], s.SkyMax[i]
-				if math.IsNaN(lo) || math.IsNaN(hi) || math.IsInf(lo, 0) || math.IsInf(hi, 0) || lo > hi {
-					return fmt.Errorf("zone maps: page %d sky axis %d has invalid bounds [%g, %g]", pg, i, lo, hi)
-				}
-			}
-		}
 	}
 	return nil
 }
@@ -284,8 +249,8 @@ func evalClause(planes []vec.Halfspace, data []byte, loaded *[Dim]bool, sc *stri
 // SkyBoxPred is a rectangular cut on the sky: ra in [RaMin, RaMax]
 // and dec in [DecMin, DecMax], both inclusive. The box does not wrap
 // through ra = 0/360 — a caller with a wrapping box splits it into
-// two. It classifies pages against the sky half of their zone exactly
-// as PagePred does against the magnitude half.
+// two. Page zones hold no sky bounds: a sky scan prunes through a
+// RowSet (sky.CellIndex) and tests every other row with Contains.
 type SkyBoxPred struct {
 	RaMin, RaMax   float64
 	DecMin, DecMax float64
@@ -294,24 +259,6 @@ type SkyBoxPred struct {
 // Contains reports whether one position falls in the box.
 func (p *SkyBoxPred) Contains(ra, dec float64) bool {
 	return ra >= p.RaMin && ra <= p.RaMax && dec >= p.DecMin && dec <= p.DecMax
-}
-
-// Classify returns the three-way verdict of the zone's sky box
-// against the cut. Zones without valid sky bounds (pre-sky sidecars)
-// classify Partial: every row is tested, none is lost.
-func (p *SkyBoxPred) Classify(z *PageZone) vec.Relation {
-	if !z.Sky {
-		return vec.Partial
-	}
-	if z.SkyMin[0] > p.RaMax || z.SkyMax[0] < p.RaMin ||
-		z.SkyMin[1] > p.DecMax || z.SkyMax[1] < p.DecMin {
-		return vec.Outside
-	}
-	if z.SkyMin[0] >= p.RaMin && z.SkyMax[0] <= p.RaMax &&
-		z.SkyMin[1] >= p.DecMin && z.SkyMax[1] <= p.DecMax {
-		return vec.Inside
-	}
-	return vec.Partial
 }
 
 // evalSky fills the match mask for one page's rows by testing each

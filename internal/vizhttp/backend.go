@@ -48,10 +48,7 @@ type Backend interface {
 	BackendStats() map[string]any
 }
 
-// coreBackend adapts a *core.SpatialDB to the Backend interface. The
-// context parameters on the batched kNN/photo-z calls are dropped:
-// those core paths run bounded in-memory work per query and have no
-// cancellation points.
+// coreBackend adapts a *core.SpatialDB to the Backend interface.
 type coreBackend struct {
 	db *core.SpatialDB
 }
@@ -72,8 +69,8 @@ func (b coreBackend) EstimateStatementCost(stmt colorsql.Statement) float64 {
 	return b.db.EstimateStatementCost(stmt)
 }
 
-func (b coreBackend) NearestNeighborsBatch(_ context.Context, qs []vec.Point, k int) ([][]table.Record, []core.Report, error) {
-	return b.db.NearestNeighborsBatch(qs, k)
+func (b coreBackend) NearestNeighborsBatch(ctx context.Context, qs []vec.Point, k int) ([][]table.Record, []core.Report, error) {
+	return b.db.NearestNeighborsBatch(ctx, qs, k)
 }
 
 func (b coreBackend) NearestNeighborsBatchCached(qs []vec.Point, k int) ([][]table.Record, []core.Report, bool) {
@@ -84,8 +81,8 @@ func (b coreBackend) EstimateKNNCost(k, numPoints int) float64 {
 	return b.db.EstimateKNNCost(k, numPoints)
 }
 
-func (b coreBackend) EstimateRedshiftBatch(_ context.Context, qs []vec.Point) ([]float64, core.Report, error) {
-	return b.db.EstimateRedshiftBatch(qs)
+func (b coreBackend) EstimateRedshiftBatch(ctx context.Context, qs []vec.Point) ([]float64, core.Report, error) {
+	return b.db.EstimateRedshiftBatch(ctx, qs)
 }
 
 func (b coreBackend) EstimateRedshiftBatchCached(qs []vec.Point) ([]float64, core.Report, bool) {
@@ -117,8 +114,7 @@ func (b coreBackend) DefaultExpensiveCost() float64 {
 	if err != nil {
 		return 1 << 20
 	}
-	m := planner.DefaultCostModel()
-	full := float64(pl.Catalog.NumPages())*m.SeqPage + float64(pl.Catalog.NumRows())*m.Row
+	full := planner.DefaultCostModel().FullScanCost(int64(pl.Catalog.NumRows()))
 	if full <= 0 {
 		return 1 << 20
 	}

@@ -17,7 +17,7 @@ import (
 // This file is the serving half of the online-ingest write path:
 // POST /insert acknowledges durable insert batches (WAL-backed; rows
 // are queryable immediately from the memtable), and GET /sky serves
-// the §5.2 rectangular sky cut through the ra/dec zone-pruned scan.
+// the §5.2 rectangular sky cut through the ra/dec cell index.
 
 // insertRowJSON is one record of the JSON insert body.
 type insertRowJSON struct {

@@ -3,6 +3,7 @@ package vizhttp
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http/httptest"
 	"net/url"
 	"strings"
@@ -10,6 +11,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/sky"
+	"repro/internal/vec"
 )
 
 // ndjsonLines splits an NDJSON body into its row lines and the final
@@ -190,5 +192,76 @@ func TestNDJSONClientDisconnectStopsPageReads(t *testing.T) {
 	// client vanished.
 	if len(lines) > 300 {
 		t.Errorf("%d lines streamed after a first-line disconnect", len(lines))
+	}
+}
+
+// countdownCtx reports Canceled from its (n+1)-th Err call on, as if
+// the client went away after n probes: a batch that checks its context
+// between probes stops at a deterministic point.
+type countdownCtx struct {
+	context.Context
+	left  int
+	calls int
+}
+
+func (c *countdownCtx) Err() error {
+	c.calls++
+	if c.calls > c.left {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestBatchCancellationStopsBetweenProbes: a /knn or /photoz batch
+// whose request context is cancelled part-way stops before the next
+// probe, returns the context error and leaves no page pinned, so a
+// dropped 10 000-probe batch frees its admission slot at once. The
+// same batch with a live context runs to completion.
+func TestBatchCancellationStopsBetweenProbes(t *testing.T) {
+	db, err := core.Open(core.Config{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { db.Close() })
+	if err := db.IngestSynthetic(sky.DefaultParams(5000, 42)); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.BuildKdIndex(0); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.BuildPhotoZ(16, 1); err != nil {
+		t.Fatal(err)
+	}
+	b := CoreBackend(db)
+	const probes, stopAfter = 40, 7
+	qs := make([]vec.Point, probes)
+	for i := range qs {
+		qs[i] = sky.GalaxyColors(0.01*float64(i), 17+0.05*float64(i))
+	}
+	batches := map[string]func(ctx context.Context) (int, error){
+		"knn": func(ctx context.Context) (int, error) {
+			recs, _, err := b.NearestNeighborsBatch(ctx, qs, 10)
+			return len(recs), err
+		},
+		"photoz": func(ctx context.Context) (int, error) {
+			zs, _, err := b.EstimateRedshiftBatch(ctx, qs)
+			return len(zs), err
+		},
+	}
+	for name, run := range batches {
+		if n, err := run(context.Background()); err != nil || n != probes {
+			t.Fatalf("%s: live batch answered %d of %d probes, err %v", name, n, probes, err)
+		}
+		ctx := &countdownCtx{Context: context.Background(), left: stopAfter}
+		n, err := run(ctx)
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("%s: cancelled batch answered %d probes, err %v, want context.Canceled", name, n, err)
+		}
+		if ctx.calls != stopAfter+1 {
+			t.Errorf("%s: batch checked its context %d times, want %d (stop before probe %d)", name, ctx.calls, stopAfter+1, stopAfter+2)
+		}
+		if pinned := db.Engine().Store().PinnedPages(); pinned != 0 {
+			t.Errorf("%s: %d pages pinned after a cancelled batch", name, pinned)
+		}
 	}
 }
