@@ -43,11 +43,11 @@ import (
 // next full compaction rebuilds it from the catalog (documented bounded
 // staleness).
 //
-// Durability order matters: rows are published and persisted (catalog
-// + zone sidecars + manifest with the new DurableSeq) BEFORE the WAL
-// rotates the covered records away. A crash anywhere leaves either
-// the WAL covering the rows or the manifest owning them — never a
-// gap.
+// Durability order matters: rows are published and committed (catalog
+// + zone sidecars + manifest with the new DurableSeq, through the one
+// commit point, commitLocked) BEFORE the WAL rotates the covered
+// records away. A crash anywhere leaves either the WAL covering the
+// rows or the manifest owning them — never a gap.
 //
 // Full compaction (CompactFull) additionally rebuilds every built
 // index at a fresh artifact generation (rebuildLocked, which
@@ -56,8 +56,8 @@ import (
 // rewritten catalog, and the photo-z reference from its own rows — the
 // same structures a from-scratch build of the same rows would produce,
 // since the kd build depends on the set of rows and not on their order.
-// Superseded generation files are deleted once no cursor snapshot can
-// still read them (snapRefs / pendingRetire).
+// A superseded file is unlinked by the first commit at which neither
+// the catalog nor an open snapshot names it.
 
 // Compact runs one minor compaction. It is a no-op when the memtable
 // is empty. Safe to call concurrently with reads, inserts, and other
@@ -138,22 +138,13 @@ func (db *SpatialDB) compactLocked() error {
 	db.bumpPlanGen()
 	db.mu.Unlock()
 
-	// Commit: persist the catalog (row counts + widened zone sidecars)
-	// and the durable sequence in one manifest rename, then let the
-	// WAL drop the covered records. Crash before the flush: the old
-	// manifest still owns the old counts and the WAL still holds the
-	// rows. Crash after: the rows are table-owned and replay skips them.
-	store := db.eng.Store()
-	gen := store.ArtifactGen() + 1
-	if err := db.eng.PersistCatalogAt(gen); err != nil {
-		return fmt.Errorf("core: compact persist: %w", err)
-	}
-	store.SetDurableSeq(maxSeq)
-	if err := store.Flush(); err != nil {
-		return fmt.Errorf("core: compact flush: %w", err)
-	}
-	if err := db.eng.RetireCatalogGen(gen - 1); err != nil {
-		return fmt.Errorf("core: compact retire: %w", err)
+	// Commit the catalog (row counts + widened zone sidecars) and the
+	// durable sequence in one manifest rename, then let the WAL drop
+	// the covered records. Crash before the rename: the old manifest
+	// still owns the old counts and the WAL still holds the rows. Crash
+	// after: the rows are table-owned and replay skips them.
+	if err := db.commitLocked(db.nextGenLocked(), maxSeq); err != nil {
+		return fmt.Errorf("core: compact: %w", err)
 	}
 	if wal != nil {
 		if err := wal.Rotate(maxSeq); err != nil {
@@ -200,9 +191,9 @@ func appendRun(ap *table.Appender, tree *kdtree.Tree, rows []memtable.Row, hasZO
 // CompactFull runs a minor compaction and then rebuilds every built
 // index (rebuildLocked) — the same structures a fresh build over the
 // same rows would produce, at a new artifact generation. Queries keep
-// serving throughout; open cursor snapshots finish on the superseded
-// structures, whose files are deleted when the last such snapshot
-// closes.
+// serving throughout; open snapshots finish on the superseded
+// structures, whose files go at the first commit after the last such
+// snapshot releases.
 func (db *SpatialDB) CompactFull() error {
 	db.compactMu.Lock()
 	defer db.compactMu.Unlock()
@@ -244,9 +235,9 @@ type rebuildSpec struct {
 // rows compactions appended since, which on a shard includes the
 // replicated survey reference its catalog does not hold. Everything is
 // built off to the side at generational file names and is invisible
-// until one swap under db.mu; old files are then queued for
-// retirement, not deleted, since a cursor snapshot opened before the
-// swap still reads them. The caller holds compactMu.
+// until one swap under db.mu; the commit then drops the old files from
+// the manifest, and unlinks each once no snapshot opened before the
+// swap still names it. The caller holds compactMu.
 func (db *SpatialDB) rebuildLocked(spec rebuildSpec) error {
 	db.mu.RLock()
 	catalog, oldPz := db.catalog, db.photoZ
@@ -255,7 +246,7 @@ func (db *SpatialDB) rebuildLocked(spec rebuildSpec) error {
 		return fmt.Errorf("core: no catalog loaded")
 	}
 	store := db.eng.Store()
-	gen := store.ArtifactGen() + 1
+	gen := db.nextGenLocked()
 
 	var (
 		tree *kdtree.Tree
@@ -300,47 +291,30 @@ func (db *SpatialDB) rebuildLocked(spec rebuildSpec) error {
 
 	// Swap the live structures and re-point the engine catalog at the
 	// new physical files.
-	var doomed []string
-	replace := func(logical string, t *table.Table, orderedBy string) error {
-		old, err := db.eng.ReplaceTable(logical, t, orderedBy)
-		if err != nil {
-			return err
-		}
-		if old.Name() != t.Name() {
-			doomed = append(doomed, old.Name())
-		}
-		return nil
-	}
-	moveArtifact := func(logical string) {
-		old := db.eng.ArtifactFile(logical)
-		db.eng.SetArtifact(logical, engine.GenName(logical, gen))
-		if old != engine.GenName(logical, gen) {
-			doomed = append(doomed, old)
-		}
-	}
+	setArtifact := func(logical string) { db.eng.SetArtifact(logical, engine.GenName(logical, gen)) }
 	db.mu.Lock()
 	var swapErr error
 	if tree != nil {
-		swapErr = replace(catalogTableName, catalog, engine.ClusteredKdLeaf)
+		swapErr = db.eng.ReplaceTable(catalogTableName, catalog, engine.ClusteredKdLeaf)
 		if swapErr == nil {
-			moveArtifact(kdIndexFile)
+			setArtifact(kdIndexFile)
 			db.setCatalog(catalog)
 			db.kd = tree
 			db.knnS = knn.NewSearcher(tree, catalog)
 		}
 	}
 	if swapErr == nil && ix != nil {
-		swapErr = replace(gridTableName, ix.Table(), engine.ClusteredGridCell)
+		swapErr = db.eng.ReplaceTable(gridTableName, ix.Table(), engine.ClusteredGridCell)
 		if swapErr == nil {
-			moveArtifact(gridIndexFile)
+			setArtifact(gridIndexFile)
 			db.grid = ix
 		}
 	}
 	if swapErr == nil && pz != nil {
-		swapErr = replace(refKdTableName, pz.Searcher().Tb, engine.ClusteredKdLeaf)
+		swapErr = db.eng.ReplaceTable(refKdTableName, pz.Searcher().Tb, engine.ClusteredKdLeaf)
 		if swapErr == nil {
-			moveArtifact(photozMetaFile)
-			moveArtifact(photozTreeFile)
+			setArtifact(photozMetaFile)
+			setArtifact(photozTreeFile)
 			db.photoZ = pz
 		}
 	}
@@ -352,64 +326,10 @@ func (db *SpatialDB) rebuildLocked(spec rebuildSpec) error {
 	if swapErr != nil {
 		return fmt.Errorf("core: rebuild swap: %w", swapErr)
 	}
-
-	// Commit the new generation, then retire the old one's catalog
-	// files immediately (never read by cursors) and the swapped-out
-	// table/index files once no snapshot holds them.
-	if err := db.eng.PersistCatalogAt(gen); err != nil {
-		return fmt.Errorf("core: rebuild persist: %w", err)
+	if err := db.commitLocked(gen, store.DurableSeq()); err != nil {
+		return fmt.Errorf("core: rebuild: %w", err)
 	}
-	if err := store.Flush(); err != nil {
-		return fmt.Errorf("core: rebuild flush: %w", err)
-	}
-	if err := db.eng.RetireCatalogGen(gen - 1); err != nil {
-		return fmt.Errorf("core: rebuild retire: %w", err)
-	}
-	db.queueRetire(doomed)
 	return nil
-}
-
-// queueRetire schedules superseded physical files for deletion. They
-// go immediately when no cursor snapshot is open, otherwise when the
-// last open snapshot releases.
-func (db *SpatialDB) queueRetire(names []string) {
-	if len(names) == 0 {
-		return
-	}
-	db.retireMu.Lock()
-	db.pendingRetire = append(db.pendingRetire, names...)
-	db.retireMu.Unlock()
-	if db.snapRefs.Load() == 0 {
-		db.drainRetired()
-	}
-}
-
-// drainRetired deletes every queued superseded file still present.
-func (db *SpatialDB) drainRetired() {
-	db.retireMu.Lock()
-	doomed := db.pendingRetire
-	db.pendingRetire = nil
-	db.retireMu.Unlock()
-	if len(doomed) == 0 {
-		return
-	}
-	store := db.eng.Store()
-	var present []string
-	for _, n := range doomed {
-		if store.HasFile(n) {
-			present = append(present, n)
-		}
-	}
-	if len(present) == 0 {
-		return
-	}
-	// Deletion failures are not fatal to serving; the files are
-	// unreferenced and a later drain (or the next open) retries.
-	if err := store.DeleteFiles(present...); err != nil {
-		db.retireMu.Lock()
-		db.pendingRetire = append(db.pendingRetire, present...)
-		db.retireMu.Unlock()
-	}
 }
 
 // StartCompactor launches a background loop that runs a minor

@@ -192,25 +192,26 @@ type SpatialDB struct {
 	// store directory (where the WAL lives); wal acknowledges insert
 	// batches durably; mem holds acknowledged rows until a compaction
 	// moves them into the paged tables. compactMu serializes
-	// compactions (minor and full) against each other; the publish
-	// step additionally takes db.mu so readers snapshot atomically.
+	// compactions, index builds and Persist, which all end in the one
+	// commit point (commitLocked); the publish and swap steps
+	// additionally take db.mu so readers snapshot atomically.
 	dir string
 	wal *pagestore.WAL
 	mem *memtable.Memtable
 
 	compactMu sync.Mutex
+	// gen is the last artifact generation this session wrote files at
+	// (nextGenLocked). Guarded by compactMu.
+	gen uint64
 	// buildParams remembers how each index was built so a full
 	// compaction can rebuild it identically (same structure a fresh
 	// build of the enlarged catalog would produce).
 	buildParams buildParams
 
-	// snapRefs counts open cursor snapshots; pendingRetire holds
-	// superseded generation files a full compaction could not delete
-	// while snapshots might still read them. The last snapshot to
-	// close drains the list.
-	snapRefs      atomic.Int64
-	retireMu      sync.Mutex
-	pendingRetire []string
+	// pins counts, per physical file, the open snapshots that name it
+	// (snapshot.go); the commit point unlinks no pinned file.
+	pinMu sync.Mutex
+	pins  map[string]int
 
 	// compactor background loop lifecycle (StartCompactor).
 	compactStop chan struct{}
@@ -346,7 +347,7 @@ func (db *SpatialDB) Catalog() (*table.Table, error) {
 // the one copy of the rows. levels <= 0 applies the paper's √N-leaves
 // rule. It is the kd arm of a full compaction — a rebuild committed at
 // a new artifact generation (rebuildLocked) — so the superseded table
-// is deleted once no open cursor reads it.
+// is unlinked by the first commit at which no open snapshot names it.
 func (db *SpatialDB) BuildKdIndex(levels int) error {
 	db.compactMu.Lock()
 	defer db.compactMu.Unlock()
@@ -367,6 +368,8 @@ func (db *SpatialDB) KdTree() *kdtree.Tree {
 // BuildGridIndex builds the §3.1 layered uniform grid over the first
 // three magnitude axes (the visualization projection).
 func (db *SpatialDB) BuildGridIndex(base int, seed int64) error {
+	db.compactMu.Lock()
+	defer db.compactMu.Unlock()
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	if db.catalog == nil {
@@ -419,6 +422,8 @@ func (db *SpatialDB) BuildVoronoiIndex(numSeeds int, seed int64) error {
 // BuildPhotoZ prepares the §4.1 redshift estimator from the
 // catalog's spectroscopic rows.
 func (db *SpatialDB) BuildPhotoZ(k, degree int) error {
+	db.compactMu.Lock()
+	defer db.compactMu.Unlock()
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	if db.catalog == nil {
@@ -455,6 +460,8 @@ func (db *SpatialDB) installPhotoZ(refs []table.Record, k, degree int) error {
 // answers exactly like the single-store one regardless of which rows
 // the shard happens to hold.
 func (db *SpatialDB) BuildPhotoZFromRecords(refs []table.Record, k, degree int) error {
+	db.compactMu.Lock()
+	defer db.compactMu.Unlock()
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	if db.catalog == nil {
@@ -473,13 +480,15 @@ func (db *SpatialDB) BuildPhotoZFromRecords(refs []table.Record, k, degree int) 
 
 // EstimateRedshift runs the kNN polynomial redshift estimator.
 func (db *SpatialDB) EstimateRedshift(mags vec.Point) (float64, error) {
-	db.mu.RLock()
-	est := db.photoZ
-	db.mu.RUnlock()
-	if est == nil {
+	sn, err := db.snapshot()
+	if err != nil {
+		return 0, err
+	}
+	defer sn.release()
+	if sn.photoZ == nil {
 		return 0, fmt.Errorf("core: BuildPhotoZ has not been called")
 	}
-	return est.Estimate(mags)
+	return sn.photoZ.Estimate(mags)
 }
 
 // EstimateRedshiftBatch estimates many objects on the batched kNN
@@ -500,13 +509,15 @@ func (db *SpatialDB) EstimateRedshiftBatch(ctx context.Context, mags []vec.Point
 }
 
 func (db *SpatialDB) estimateRedshiftBatchUncached(ctx context.Context, mags []vec.Point) ([]float64, Report, error) {
-	db.mu.RLock()
-	est := db.photoZ
-	db.mu.RUnlock()
-	if est == nil {
+	sn, err := db.snapshot()
+	if err != nil {
+		return nil, Report{}, err
+	}
+	defer sn.release()
+	if sn.photoZ == nil {
 		return nil, Report{}, fmt.Errorf("core: BuildPhotoZ has not been called")
 	}
-	zs, stats, err := est.EstimateBatch(ctx, mags)
+	zs, stats, err := sn.photoZ.EstimateBatch(ctx, mags)
 	if err != nil {
 		return nil, Report{}, err
 	}
@@ -609,26 +620,6 @@ func (db *SpatialDB) QueryPolyhedron(q vec.Polyhedron, plan Plan) ([]table.Recor
 		recs = []table.Record{}
 	}
 	return recs, rep, nil
-}
-
-// knnPlan snapshots the structures a kNN query needs, including the
-// memtable rows the search must consider alongside the paged
-// candidates, and prices the query over that same snapshot. The
-// searcher may be nil (kd-tree not built), in which case brute force
-// is the only path.
-func (db *SpatialDB) knnPlan(k int) (*knn.Searcher, *table.Table, []memtable.Row, planner.KNNChoice, error) {
-	db.mu.RLock()
-	searcher, catalog, kd := db.knnS, db.catalog, db.kd
-	var mem []memtable.Row
-	if db.mem != nil {
-		mem = db.mem.Snapshot()
-	}
-	db.mu.RUnlock()
-	if catalog == nil {
-		return nil, nil, nil, planner.KNNChoice{}, fmt.Errorf("core: no catalog loaded")
-	}
-	pl := &planner.Planner{Catalog: catalog, Kd: kd, Domain: db.domain, MemRows: int64(len(mem))}
-	return searcher, catalog, mem, pl.PlanKNN(k), nil
 }
 
 // memCand is one memtable kNN candidate: a row's squared distance to
@@ -763,10 +754,16 @@ func (db *SpatialDB) NearestNeighborsBatch(ctx context.Context, ps []vec.Point, 
 }
 
 func (db *SpatialDB) nearestNeighborsBatchUncached(ctx context.Context, ps []vec.Point, k int) ([][]table.Record, []Report, error) {
-	searcher, catalog, mem, choice, err := db.knnPlan(k)
+	// The snapshot holds the searcher (nil without a kd-tree: brute
+	// force is the only path), the catalog and the memtable rows the
+	// search must consider alongside the paged candidates; the query is
+	// priced over it.
+	sn, err := db.snapshot()
 	if err != nil {
 		return nil, nil, err
 	}
+	defer sn.release()
+	mem, choice := sn.mem, sn.planner().PlanKNN(k)
 	recs := make([][]table.Record, len(ps))
 	reports := make([]Report, len(ps))
 	// finish folds the memtable candidates into query i's paged answer
@@ -790,12 +787,12 @@ func (db *SpatialDB) nearestNeighborsBatchUncached(ctx context.Context, ps []vec
 			return ctx.Err()
 		}
 	}
-	if choice.UseIndex && searcher != nil {
-		err = searcher.SearchBatchFunc(ps, k, finish(PlanKdTree))
+	if choice.UseIndex && sn.knnS != nil {
+		err = sn.knnS.SearchBatchFunc(ps, k, finish(PlanKdTree))
 	} else {
 		// No kd-tree, or the planner priced the scan cheaper: serve the
 		// queries anyway through the brute-force path.
-		err = bruteForceBatch(catalog, ps, k, finish(PlanFullScan))
+		err = bruteForceBatch(sn.catalog, ps, k, finish(PlanFullScan))
 	}
 	if err != nil {
 		return nil, nil, err
@@ -825,13 +822,15 @@ func bruteForceBatch(catalog *table.Table, ps []vec.Point, k int, fn func(i int,
 // exact cost under its own accounting scope — the same visibility
 // every other query path has.
 func (db *SpatialDB) SampleRegion(view vec.Box, n int) ([]table.Record, Report, error) {
-	db.mu.RLock()
-	g := db.grid
-	db.mu.RUnlock()
-	if g == nil {
+	sn, err := db.snapshot()
+	if err != nil {
+		return nil, Report{}, err
+	}
+	defer sn.release()
+	if sn.grid == nil {
 		return nil, Report{}, fmt.Errorf("core: grid index not built")
 	}
-	recs, st, err := g.Sample(view, n)
+	recs, st, err := sn.grid.Sample(view, n)
 	rep := Report{
 		Plan:         PlanGrid,
 		RowsReturned: int64(st.Returned),

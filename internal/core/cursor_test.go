@@ -392,8 +392,8 @@ func TestStatementOpensOneStream(t *testing.T) {
 	if _, ok := sc.Cursor.(*polyCursor); !ok {
 		t.Fatalf("the snapshot holds a %T, want one scan stream", sc.Cursor)
 	}
-	if n := db.snapRefs.Load(); n != 1 {
-		t.Errorf("%d snapshots open under one statement", n)
+	if n := catalogPins(db); n != 1 {
+		t.Errorf("%d snapshots pin the catalog under one statement", n)
 	}
 	rows := 0
 	for cur.Next() {
@@ -403,9 +403,19 @@ func TestStatementOpensOneStream(t *testing.T) {
 		t.Fatalf("%d rows, err %v", rows, err)
 	}
 	cur.Close()
-	if n := db.snapRefs.Load(); n != 0 {
-		t.Errorf("%d snapshots open after Close", n)
+	if n := catalogPins(db); n != 0 {
+		t.Errorf("%d snapshots pin the catalog after Close", n)
 	}
+}
+
+// catalogPins counts the open snapshots that name the catalog's file.
+func catalogPins(db *SpatialDB) int {
+	db.mu.RLock()
+	name := db.catalog.Name()
+	db.mu.RUnlock()
+	db.pinMu.Lock()
+	defer db.pinMu.Unlock()
+	return db.pins[name]
 }
 
 // TestStatementValidation: execution-time errors surface at

@@ -37,41 +37,86 @@ const (
 	photozMetaFile   = "reference.pz.idx"
 )
 
-// Persist writes every built structure to disk: per-index paged
-// serializations, the engine catalog at a new generation, and finally
-// the store manifest (via Flush), after which the previous
-// generation's catalog files are retired. After Persist returns,
+// Persist writes every built structure to disk and commits it: the
+// grid directory and the photo-z estimator at a new artifact
+// generation, then the engine catalog at that generation through the
+// one commit point (commitLocked). The kd-tree is not among them: every
+// build of it is committed with its generation. After Persist returns,
 // OpenExisting on the same directory reassembles the database in a
 // fresh process.
 func (db *SpatialDB) Persist() error {
+	db.compactMu.Lock()
+	defer db.compactMu.Unlock()
 	db.mu.RLock()
-	defer db.mu.RUnlock()
-	if db.catalog == nil {
+	catalog, ix, pz := db.catalog, db.grid, db.photoZ
+	db.mu.RUnlock()
+	if catalog == nil {
 		return fmt.Errorf("core: nothing to persist: no catalog loaded")
 	}
 	store := db.eng.Store()
-	// Index gobs are addressed by logical name; full compaction moves
-	// them to generational physical files, so write wherever the
-	// catalog says each one currently lives. The kd-tree is not among
-	// them: every build of it is committed with its generation.
-	if db.grid != nil {
-		if err := db.grid.Persist(db.eng.ArtifactFile(gridIndexFile)); err != nil {
+	gen := db.nextGenLocked()
+	if ix != nil {
+		name := engine.GenName(gridIndexFile, gen)
+		if err := ix.Persist(name); err != nil {
 			return err
 		}
+		db.eng.SetArtifact(gridIndexFile, name)
 	}
-	if db.photoZ != nil {
-		if err := db.photoZ.Persist(store, db.eng.ArtifactFile(photozMetaFile), db.eng.ArtifactFile(photozTreeFile)); err != nil {
+	if pz != nil {
+		meta, tree := engine.GenName(photozMetaFile, gen), engine.GenName(photozTreeFile, gen)
+		if err := pz.Persist(store, meta, tree); err != nil {
 			return err
 		}
+		db.eng.SetArtifact(photozMetaFile, meta)
+		db.eng.SetArtifact(photozTreeFile, tree)
 	}
-	gen := store.ArtifactGen() + 1
-	if err := db.eng.PersistCatalogAt(gen); err != nil {
+	return db.commitLocked(gen, store.DurableSeq())
+}
+
+// commitGap, when set, runs inside every commit between the writes of
+// its generation and the manifest rename: the window a test takes a
+// crash image in, or closes a cursor in.
+var commitGap func()
+
+// commitLocked is the one commit point: the only path by which a
+// database writes its manifest. The caller has written every rebuilt
+// artifact of generation gen; commitLocked writes the catalog at gen
+// beside them, stages durableSeq, and commits (pagestore.Store.Commit:
+// drain allocs, flush dirty pages, sync, rename in a manifest listing
+// exactly the files that catalog names, then unlink). Liveness is a set
+// difference: a file lives while the committed catalog or an open
+// snapshot names it, and every other file of a base the catalog names a
+// generation of goes — one this commit dropped, one a release left
+// since the last commit, or debris a crash or an earlier session left
+// on disk. The caller holds compactMu.
+func (db *SpatialDB) commitLocked(gen, durableSeq uint64) error {
+	named, err := db.eng.PersistCatalogAt(gen)
+	if err != nil {
 		return err
 	}
-	if err := store.Flush(); err != nil {
-		return err
+	store := db.eng.Store()
+	store.SetDurableSeq(durableSeq)
+	if commitGap != nil {
+		commitGap()
 	}
-	return db.eng.RetireCatalogGen(gen - 1)
+	bases := make(map[string]bool, len(named))
+	for _, n := range named {
+		bases[engine.GenBase(n)] = true
+	}
+	return store.Commit(named, func(name string) bool {
+		db.pinMu.Lock()
+		defer db.pinMu.Unlock()
+		return bases[engine.GenBase(name)] && db.pins[name] == 0
+	})
+}
+
+// nextGenLocked picks the generation the next commit writes at: past
+// the committed one, and past any a failed attempt in this session
+// already created files for, since a name once created is never
+// written again. The caller holds compactMu.
+func (db *SpatialDB) nextGenLocked() uint64 {
+	db.gen = max(db.gen, db.eng.Store().ArtifactGen()) + 1
+	return db.gen
 }
 
 // OpenExisting opens a database previously built and persisted at
@@ -105,8 +150,20 @@ func OpenExisting(cfg Config) (*SpatialDB, error) {
 	}
 	db.setCatalog(catalog)
 	store := eng.Store()
+	// artifact resolves a logical artifact name to its committed file
+	// and records the pair, so every later commit names the file: an
+	// older binary wrote some artifacts under their bare logical name
+	// and recorded nothing.
+	artifact := func(logical string) (string, bool) {
+		file := eng.ArtifactFile(logical)
+		ok := store.HasFile(file)
+		if ok {
+			eng.SetArtifact(logical, file)
+		}
+		return file, ok
+	}
 
-	if kdFile := eng.ArtifactFile(kdIndexFile); store.HasFile(kdFile) {
+	if kdFile, ok := artifact(kdIndexFile); ok {
 		if by := eng.ClusteredBy(catalogTableName); by != engine.ClusteredKdLeaf {
 			return fail(fmt.Errorf("core: kd-tree index file present but catalog %q is clustered by %q, not %q", catalogTableName, by, engine.ClusteredKdLeaf))
 		}
@@ -124,7 +181,7 @@ func OpenExisting(cfg Config) (*SpatialDB, error) {
 		db.knnS = knn.NewSearcher(tree, catalog)
 	}
 
-	if gridFile := eng.ArtifactFile(gridIndexFile); store.HasFile(gridFile) {
+	if gridFile, ok := artifact(gridIndexFile); ok {
 		clustered, err := eng.Table(gridTableName)
 		if err != nil {
 			return fail(fmt.Errorf("core: grid index file present but clustered table %q is not cataloged: %w", gridTableName, err))
@@ -136,12 +193,13 @@ func OpenExisting(cfg Config) (*SpatialDB, error) {
 		db.grid = ix
 	}
 
-	if pzMeta := eng.ArtifactFile(photozMetaFile); store.HasFile(pzMeta) {
+	if pzMeta, ok := artifact(photozMetaFile); ok {
 		refClustered, err := eng.Table(refKdTableName)
 		if err != nil {
 			return fail(fmt.Errorf("core: photo-z estimator present but reference table %q is not cataloged: %w", refKdTableName, err))
 		}
-		est, err := photoz.OpenExisting(store, pzMeta, eng.ArtifactFile(photozTreeFile), refClustered)
+		pzTree, _ := artifact(photozTreeFile)
+		est, err := photoz.OpenExisting(store, pzMeta, pzTree, refClustered)
 		if err != nil {
 			return fail(err)
 		}

@@ -450,7 +450,7 @@ func TestCorruptTablePageFailsKNN(t *testing.T) {
 }
 
 // TestPersistTwice: persisting again (e.g. after building another
-// index) rewrites the artifacts in place.
+// index) commits the artifacts at a new generation.
 func TestPersistTwice(t *testing.T) {
 	dir := t.TempDir()
 	db, err := Open(Config{Dir: dir})

@@ -12,34 +12,43 @@ import (
 
 	"repro/internal/grid"
 	"repro/internal/kdtree"
+	"repro/internal/knn"
+	"repro/internal/photoz"
 )
 
-// dbSnap is the read view a cursor holds for its whole lifetime: the
-// index structures and fixed-bound table views that were current when
-// the cursor opened, plus the memtable rows acknowledged by then.
-// Compactions publish rows and swap rebuilt indexes under db.mu, and
-// the snapshot is captured under one RLock of the same mutex, so a
-// snapshot never observes a torn merge: a row is either in mem or
-// within the paged bound, never both, never neither.
+// dbSnap is the read view every reader holds for its whole lifetime —
+// a cursor, a kNN or photo-z batch, a grid sample: the index structures
+// and fixed-bound table views that were current when it opened, plus
+// the memtable rows acknowledged by then. Compactions publish rows and
+// swap rebuilt indexes under db.mu, and the snapshot is captured under
+// one RLock of the same mutex, so a snapshot never observes a torn
+// merge: a row is either in mem or within the paged bound, never both,
+// never neither.
 //
-// Snapshots also pin superseded generation files: a full compaction
-// that replaces physical tables defers deleting the old ones while
-// any snapshot is open (snapRefs), and the last release drains the
-// retire queue.
+// A snapshot also names the physical table files it reads (files): the
+// catalog's, the grid's and the photo-z reference's. A file lives while
+// the committed catalog or an open snapshot names it, so the one commit
+// point (commitLocked) unlinks only what neither names; a file a full
+// compaction superseded under an open snapshot goes at the first commit
+// after its last release. Releasing writes nothing.
 type dbSnap struct {
 	db      *SpatialDB
 	catalog *table.Table
 	sky     *skyIndex // the catalog's own, captured with it
 
-	kd   *kdtree.Tree
-	grid *grid.Index
+	kd     *kdtree.Tree
+	knnS   *knn.Searcher
+	grid   *grid.Index
+	photoZ *photoz.Estimator
 
 	mem []memtable.Row
 
+	files    []string
 	released atomic.Bool
 }
 
-// snapshot captures the store's read view under one RLock.
+// snapshot captures the store's read view under one RLock and pins the
+// files it names.
 func (db *SpatialDB) snapshot() (*dbSnap, error) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
@@ -51,25 +60,45 @@ func (db *SpatialDB) snapshot() (*dbSnap, error) {
 		catalog: db.catalog.Snapshot(),
 		sky:     db.sky,
 		kd:      db.kd,
+		knnS:    db.knnS,
 		grid:    db.grid,
+		photoZ:  db.photoZ,
+		files:   []string{db.catalog.Name()},
 	}
 	if db.mem != nil {
 		sn.mem = db.mem.Snapshot()
 	}
-	db.snapRefs.Add(1)
+	if db.grid != nil {
+		sn.files = append(sn.files, db.grid.Table().Name())
+	}
+	if db.photoZ != nil {
+		sn.files = append(sn.files, db.photoZ.Searcher().Tb.Name())
+	}
+	db.pinMu.Lock()
+	if db.pins == nil {
+		db.pins = make(map[string]int)
+	}
+	for _, f := range sn.files {
+		db.pins[f]++
+	}
+	db.pinMu.Unlock()
 	return sn, nil
 }
 
-// release drops the snapshot's pin on superseded generation files.
-// Idempotent; the last open snapshot to release drains the retire
-// queue.
+// release drops the snapshot's pins. Idempotent, and it does no I/O:
+// the next commit unlinks whatever the release left unnamed.
 func (sn *dbSnap) release() {
 	if sn.released.Swap(true) {
 		return
 	}
-	if sn.db.snapRefs.Add(-1) == 0 {
-		sn.db.drainRetired()
+	db := sn.db
+	db.pinMu.Lock()
+	for _, f := range sn.files {
+		if db.pins[f]--; db.pins[f] == 0 {
+			delete(db.pins, f)
+		}
 	}
+	db.pinMu.Unlock()
 }
 
 // planner builds a cost-based planner over the snapshot's view, so

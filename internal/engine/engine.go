@@ -60,9 +60,8 @@ type DB struct {
 	// knows which tables are which without re-deriving them.
 	clusteredBy map[string]string
 	// artifacts maps logical artifact names (index serializations) to
-	// the physical file currently backing them — identical until a
-	// generational rebuild moves storage to a name@gen file. Persisted
-	// in the catalog.
+	// the physical file currently backing them, a name@gen file for
+	// every artifact this binary writes. Persisted in the catalog.
 	artifacts map[string]string
 }
 
@@ -119,31 +118,27 @@ func (db *DB) RegisterClusteredTable(t *table.Table, orderedBy string) error {
 }
 
 // ReplaceTable swaps the table registered under a logical name for a
-// rebuilt copy (typically backed by a fresh generational file) and
-// returns the previous table. The caller retires the old table's
-// storage once no snapshot references it.
-func (db *DB) ReplaceTable(name string, t *table.Table, orderedBy string) (*table.Table, error) {
+// rebuilt copy backed by a fresh generational file. The old table's
+// file leaves with the next commit, since the catalog no longer names
+// it.
+func (db *DB) ReplaceTable(name string, t *table.Table, orderedBy string) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	old, ok := db.tables[name]
-	if !ok {
-		return nil, fmt.Errorf("engine: no table %q to replace", name)
+	if _, ok := db.tables[name]; !ok {
+		return fmt.Errorf("engine: no table %q to replace", name)
 	}
 	db.tables[name] = t
 	db.clusteredBy[name] = orderedBy
-	return old, nil
+	return nil
 }
 
 // SetArtifact records the physical file backing a logical artifact
-// name (an index serialization moved to a generational file). The
-// mapping is persisted in the catalog.
+// name (an index serialization, written at a generational file). The
+// mapping is persisted in the catalog, and the catalog names every
+// recorded file, so each commit keeps it.
 func (db *DB) SetArtifact(logical, physical string) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	if logical == physical {
-		delete(db.artifacts, logical)
-		return
-	}
 	db.artifacts[logical] = physical
 }
 

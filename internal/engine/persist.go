@@ -4,6 +4,7 @@ import (
 	"encoding/gob"
 	"fmt"
 	"sort"
+	"strings"
 
 	"repro/internal/pagedio"
 	"repro/internal/pagestore"
@@ -36,6 +37,13 @@ func GenName(base string, gen uint64) string {
 		return base
 	}
 	return fmt.Sprintf("%s@%d", base, gen)
+}
+
+// GenBase returns the base name of a physical file name: GenName's
+// inverse with the generation dropped.
+func GenBase(name string) string {
+	base, _, _ := strings.Cut(name, "@")
+	return base
 }
 
 // catalogFormatVersion 4 is the one-copy catalog: table files hold
@@ -122,19 +130,19 @@ func zoneFileName(tableName string) string { return tableName + ".zones" }
 // PersistCatalogAt writes the catalog of registered tables into the
 // catalog file of generation gen, and each table's zone maps into a
 // checksummed paged sidecar at the same generation, then stamps the
-// store's ArtifactGen with gen. Nothing is overwritten in place: the
-// previous generation's files stay intact until the manifest commits
-// (the caller's Store.Flush/Close), so a crash at any byte leaves a
-// consistent database. Callers that also write their own generational
-// artifacts (core.Persist writes index serializations) pick the
-// generation first — ArtifactGen()+1 — and write their artifacts at it;
-// after the flush they retire the previous generation's files with
-// RetireCatalogGen.
-func (db *DB) PersistCatalogAt(gen uint64) error {
+// store's ArtifactGen with gen. It returns every file that catalog
+// names: itself, each table's file and sidecar, each artifact. Nothing
+// is overwritten in place and nothing is committed yet: the caller
+// commits exactly those files with Store.Commit, after writing its own
+// artifacts at the same generation (core's one commit point), so a
+// crash at any byte leaves the previous generation intact.
+func (db *DB) PersistCatalogAt(gen uint64) ([]string, error) {
 	db.mu.RLock()
 	cat := persistedCatalog{Version: catalogFormatVersion, Artifacts: make(map[string]string, len(db.artifacts))}
+	named := []string{GenName(CatalogFileName, gen)}
 	for k, v := range db.artifacts {
 		cat.Artifacts[k] = v
+		named = append(named, v)
 	}
 	tables := make(map[string]*table.Table, len(db.tables))
 	for name, t := range db.tables {
@@ -158,55 +166,32 @@ func (db *DB) PersistCatalogAt(gen uint64) error {
 
 	for i := range cat.Tables {
 		m := &cat.Tables[i]
+		named = append(named, m.File)
 		if !m.HasZones {
 			m.ZoneFile = ""
 			continue
 		}
+		named = append(named, m.ZoneFile)
 		t := tables[m.Name]
 		zm := t.ZoneMaps()
 		// A sidecar that does not cover the table exactly would misprune
 		// queries after reopen; refuse to persist it.
 		if err := zm.Validate(t.NumPages()); err != nil {
-			return fmt.Errorf("engine: persist zone maps for %q: %w", m.Name, err)
+			return nil, fmt.Errorf("engine: persist zone maps for %q: %w", m.Name, err)
 		}
 		pz := persistedZones{Table: m.Name, Rows: m.Rows, Zones: zm.Snapshot()}
 		err := pagedio.WriteGob(db.store, m.ZoneFile, func(enc *gob.Encoder) error { return enc.Encode(pz) })
 		if err != nil {
-			return fmt.Errorf("engine: persist zone maps for %q: %w", m.Name, err)
+			return nil, fmt.Errorf("engine: persist zone maps for %q: %w", m.Name, err)
 		}
 	}
 
-	err := pagedio.WriteGob(db.store, GenName(CatalogFileName, gen), func(enc *gob.Encoder) error { return enc.Encode(cat) })
+	err := pagedio.WriteGob(db.store, named[0], func(enc *gob.Encoder) error { return enc.Encode(cat) })
 	if err != nil {
-		return fmt.Errorf("engine: persist catalog: %w", err)
+		return nil, fmt.Errorf("engine: persist catalog: %w", err)
 	}
 	db.store.SetArtifactGen(gen)
-	return nil
-}
-
-// RetireCatalogGen deletes the catalog and zone-sidecar files of a
-// superseded generation. Call it only after the manifest committed
-// the replacement (Store.Flush returned): these files are loaded at
-// open and never referenced by live cursors, so they can go the
-// moment the new generation is durable. Missing files are skipped —
-// retirement is idempotent.
-func (db *DB) RetireCatalogGen(oldGen uint64) error {
-	doomed := []string{GenName(CatalogFileName, oldGen)}
-	db.mu.RLock()
-	for name := range db.tables {
-		doomed = append(doomed, GenName(zoneFileName(name), oldGen))
-	}
-	db.mu.RUnlock()
-	var present []string
-	for _, name := range doomed {
-		if db.store.HasFile(name) {
-			present = append(present, name)
-		}
-	}
-	if len(present) == 0 {
-		return nil
-	}
-	return db.store.DeleteFiles(present...)
+	return named, nil
 }
 
 // OpenExisting opens a previously persisted engine at dir: the page

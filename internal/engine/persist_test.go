@@ -38,7 +38,7 @@ func buildPersisted(t *testing.T) string {
 	if err := tb.AppendAll(recs); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.PersistCatalogAt(db.Store().ArtifactGen() + 1); err != nil {
+	if _, err := db.PersistCatalogAt(db.Store().ArtifactGen() + 1); err != nil {
 		t.Fatal(err)
 	}
 	if err := db.Close(); err != nil {
@@ -203,7 +203,14 @@ func TestZoneSidecarRoundTrip(t *testing.T) {
 		}
 	}
 
-	// Rewrite the sidecar in the old layout, sky bounds included.
+	// Rewrite the sidecar in the old layout, sky bounds included, from
+	// a fresh session: a store never rewrites a file it has open.
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if s, err = pagestore.OpenExisting(dir, 64); err != nil {
+		t.Fatal(err)
+	}
 	for pg := range legacy.Zones {
 		lo := float64(pg * table.RecordsPerPage)
 		legacy.Zones[pg].SkyMin = [2]float64{lo, 0}

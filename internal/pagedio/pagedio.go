@@ -262,16 +262,11 @@ func (r *Reader) Verify(decodeErr error) error {
 	return decodeErr
 }
 
-// Create prepares the named file for a fresh stream — creating it,
-// or truncating it if it already exists — and returns a Writer on
-// it.
+// Create creates the named file for a fresh stream and returns a
+// Writer on it. A file the store has open is an error: persisted
+// structures are written to a new generation's file, never over one
+// in use.
 func Create(store *pagestore.Store, name string) (*Writer, error) {
-	if id, ok := store.FileIDOf(name); ok {
-		if err := store.TruncateFile(id); err != nil {
-			return nil, err
-		}
-		return NewWriter(store, id)
-	}
 	id, err := store.CreateFile(name)
 	if err != nil {
 		return nil, err
@@ -288,8 +283,8 @@ func Open(store *pagestore.Store, name string) (*Reader, error) {
 	return NewReader(store, id, name)
 }
 
-// WriteGob writes one gob stream into the named paged file: create
-// or truncate, encode through encode(), finalize the header. On any
+// WriteGob writes one gob stream into a new paged file of the given
+// name: create, encode through encode(), finalize the header. On any
 // error the half-written stream is aborted (pins released, header
 // left unreadable). This is the one write path every persisted
 // structure shares.

@@ -181,10 +181,16 @@ func TestTruncatedStream(t *testing.T) {
 	}
 }
 
-func TestCreateTruncatesExisting(t *testing.T) {
+// TestCreateRefusesOpenFile: a stream is never rewritten over a file
+// the store has open — persisted structures move to a new generation's
+// file instead — and the refusal leaves the first stream intact.
+func TestCreateRefusesOpenFile(t *testing.T) {
 	s := newStore(t, 8)
-	writeStream(t, s, "stream", bytes.Repeat([]byte{1}, 5*pagestore.PageSize))
-	writeStream(t, s, "stream", []byte("short"))
+	payload := bytes.Repeat([]byte{1}, 5*pagestore.PageSize)
+	writeStream(t, s, "stream", payload)
+	if _, err := Create(s, "stream"); err == nil || !strings.Contains(err.Error(), "already open") {
+		t.Fatalf("Create over an open stream: err = %v, want already-open error", err)
+	}
 
 	r, err := Open(s, "stream")
 	if err != nil {
@@ -197,8 +203,8 @@ func TestCreateTruncatesExisting(t *testing.T) {
 	if err := r.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if string(got) != "short" {
-		t.Fatalf("rewritten stream = %q", got)
+	if !bytes.Equal(got, payload) {
+		t.Fatalf("stream after refused rewrite: %d bytes, want the original %d", len(got), len(payload))
 	}
 }
 

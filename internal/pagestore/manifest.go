@@ -13,10 +13,15 @@ import (
 // (named MANIFEST, not itself paged) recording the format version and
 // the directory of paged files with their exact page counts. It is
 // the paper's "indexes are persisted with the database" made
-// explicit: Flush and Close rewrite it, OpenExisting validates it,
-// and any mismatch — version skew, checksum corruption, a truncated
-// or torn paged file — is a descriptive error instead of a silent
-// rebuild or a panic deeper in the stack.
+// explicit. One function writes it (writeManifestLocked), reached
+// only through Flush, Commit and Close, each after every in-flight
+// alloc has landed and every dirty page is on disk; a database commits
+// through Commit, whose manifest lists exactly the files its catalog
+// names and which unlinks what that manifest dropped only after the
+// rename. OpenExisting validates it, and any mismatch — version skew,
+// checksum corruption, a truncated or torn paged file — is a
+// descriptive error instead of a silent rebuild or a panic deeper in
+// the stack.
 //
 // Layout (little endian), all covered by the trailing CRC-32 (IEEE):
 //
@@ -285,7 +290,8 @@ func (s *Store) HasFile(name string) bool {
 
 // ManifestFiles returns the persisted file directory (name → pages)
 // recorded by the manifest the store was opened from, or written by
-// its last Flush/Close. Nil for a fresh store that has never flushed.
+// its last Flush/Commit/Close. Nil for a fresh store that has never
+// flushed.
 func (s *Store) ManifestFiles() map[string]PageNum {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -294,12 +300,4 @@ func (s *Store) ManifestFiles() map[string]PageNum {
 		out[n] = p
 	}
 	return out
-}
-
-// FileIDOf returns the id of an open file by name.
-func (s *Store) FileIDOf(name string) (FileID, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	id, ok := s.names[name]
-	return id, ok
 }

@@ -211,47 +211,8 @@ func TestUnknownFileIDIsErrorNotPanic(t *testing.T) {
 	if _, err := s.Alloc(FileID(99)); err == nil || !strings.Contains(err.Error(), "unknown file") {
 		t.Errorf("Alloc(99): err = %v, want unknown-file error", err)
 	}
-	if err := s.TruncateFile(FileID(99)); err == nil || !strings.Contains(err.Error(), "unknown file") {
-		t.Errorf("TruncateFile(99): err = %v, want unknown-file error", err)
-	}
 	sc := s.Scoped()
 	if _, err := sc.Alloc(FileID(99)); err == nil {
 		t.Error("scoped Alloc(99) did not error")
 	}
-}
-
-func TestTruncateFileDropsFramesAndPages(t *testing.T) {
-	s, err := Open(t.TempDir(), 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	f, err := s.CreateFile("x")
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := s.Alloc(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A pinned page blocks truncation.
-	if err := s.TruncateFile(f); err == nil || !strings.Contains(err.Error(), "pinned") {
-		t.Fatalf("truncate with pinned page: err = %v", err)
-	}
-	p.Release()
-	if err := s.TruncateFile(f); err != nil {
-		t.Fatal(err)
-	}
-	if n, err := s.NumPages(f); err != nil || n != 0 {
-		t.Fatalf("after truncate: pages=%d err=%v", n, err)
-	}
-	// The file is reusable.
-	p2, err := s.Alloc(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p2.ID.Num != 0 {
-		t.Errorf("first page after truncate is %d", p2.ID.Num)
-	}
-	p2.Release()
 }

@@ -237,16 +237,20 @@ type Store struct {
 	dir      string
 	capacity int
 
-	// mu guards the file metadata: files, names, sizes, manifest.
-	// Frame state lives in the shards, each under its own latch.
-	// The hot Get path takes only the read lock (a bounds check and
-	// a handle fetch), so metadata never serializes readers. Lock
+	// mu guards the file metadata: files, names, unlisted, sizes,
+	// manifest. Frame state lives in the shards, each under its own
+	// latch. The hot Get path takes only the read lock (a bounds check
+	// and a handle fetch), so metadata never serializes readers. Lock
 	// order: mu before any shard latch; eviction write-back holds
 	// neither (frames capture their backing *os.File).
 	mu    sync.RWMutex
 	files []*os.File
 	names map[string]FileID
-	sizes []PageNum // logical pages per file (grows on Alloc)
+	// unlisted holds the files Commit took out of the directory while
+	// they were open: still readable through their FileID, listed by no
+	// manifest, closed and unlinked by a later Commit's sweep.
+	unlisted map[string]FileID
+	sizes    []PageNum // logical pages per file (grows on Alloc)
 	// diskSizes tracks each file's physical high-water mark: pages
 	// known to exist on disk (present at open, or reached by a
 	// write-back, which updates latch-free — hence atomic). A short
@@ -274,13 +278,14 @@ type Store struct {
 	quiescing  atomic.Int64
 
 	// manifest is the persisted file directory (name → pages): loaded
-	// by OpenExisting, rewritten by Flush/Close. Nil until the store
-	// first persists. Guarded by mu.
+	// by OpenExisting, rewritten by Flush/Commit/Close. Nil until the
+	// store first persists. Guarded by mu.
 	manifest map[string]PageNum
-	// mutated is set by any write (file creation/truncation, page
-	// alloc, frame write-back) and cleared when the manifest is
-	// rewritten: read-only sessions never rewrite the superblock.
-	// Atomic because eviction write-back sets it outside every latch.
+	// mutated is set by any write (file creation, page alloc, frame
+	// write-back, a Commit that narrows the directory) and cleared
+	// when the manifest is rewritten: read-only sessions never rewrite
+	// the superblock. Atomic because eviction write-back sets it
+	// outside every latch.
 	mutated atomic.Bool
 	// epoch is the store's persisted change counter: loaded from the
 	// manifest by OpenExisting, advanced by every manifest rewrite
@@ -332,6 +337,7 @@ func newStoreState(dir string, poolPages int, manifest map[string]PageNum) *Stor
 		dir:      dir,
 		capacity: poolPages,
 		names:    make(map[string]FileID),
+		unlisted: make(map[string]FileID),
 		manifest: manifest,
 	}
 	n := shardCountFor(poolPages)
@@ -369,11 +375,13 @@ func Open(dir string, poolPages int) (*Store, error) {
 }
 
 // CreateFile creates (or truncates) a paged file with the given name
-// and returns its id.
+// and returns its id. A file the store has open is an error.
 func (s *Store) CreateFile(name string) (FileID, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, exists := s.names[name]; exists {
+	_, open := s.names[name]
+	_, unlisted := s.unlisted[name]
+	if open || unlisted {
 		return 0, fmt.Errorf("pagestore: file %q already open", name)
 	}
 	f, err := os.OpenFile(filepath.Join(s.dir, name), os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
@@ -387,49 +395,6 @@ func (s *Store) CreateFile(name string) (FileID, error) {
 	s.names[name] = id
 	s.mutated.Store(true)
 	return id, nil
-}
-
-// TruncateFile discards every page of an open file: resident frames
-// are dropped from the pool (an error if any is pinned or mid
-// write-back) and the OS file is truncated to zero. Persisting code
-// uses it to rewrite an index artifact in place; like all writes, it
-// must not race with concurrent access to the same file.
-func (s *Store) TruncateFile(f FileID) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if int(f) >= len(s.files) {
-		return fmt.Errorf("pagestore: unknown file %d", f)
-	}
-	// Check and drop under one latch hold per shard, so a frame can
-	// never be pinned between its check and its removal (a dropped
-	// pinned frame would re-park as an orphan on unpin and corrupt
-	// the map). A pinned page in a later shard still refuses the
-	// truncate after earlier shards dropped — like the pre-shard
-	// code's partial iteration, acceptable because persisting must
-	// not race with access to the file it rewrites.
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		for id, fr := range sh.frames {
-			if id.File == f && (fr.pins > 0 || fr.writing != nil) {
-				sh.mu.Unlock()
-				return fmt.Errorf("pagestore: cannot truncate file %d: page %v is pinned", f, id)
-			}
-		}
-		for id, fr := range sh.frames {
-			if id.File == f {
-				sh.unpark(fr)
-				delete(sh.frames, id)
-			}
-		}
-		sh.mu.Unlock()
-	}
-	if err := s.files[f].Truncate(0); err != nil {
-		return fmt.Errorf("pagestore: truncate file %d: %w", f, err)
-	}
-	s.sizes[f] = 0
-	s.diskSizes[f].Store(0)
-	s.mutated.Store(true)
-	return nil
 }
 
 // OpenFile opens an existing paged file and returns its id and page
@@ -787,6 +752,10 @@ func (s *Store) unpin(fr *frame) {
 func (s *Store) Flush() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	return s.flushLocked()
+}
+
+func (s *Store) flushLocked() error {
 	s.drainAllocsLocked()
 	for _, sh := range s.shards {
 		if err := sh.flushDirty(); err != nil {
@@ -794,6 +763,93 @@ func (s *Store) Flush() error {
 		}
 	}
 	return s.writeManifestLocked()
+}
+
+// Commit is Flush with the directory narrowed to named, followed by a
+// sweep. Every file the store has open or its manifest lists that
+// named leaves out is taken out of the directory first, so the
+// manifest renamed in lists exactly named; naming a file the directory
+// does not hold is an error, and commits nothing. Only after the
+// rename, the sweep closes and unlinks every file outside the directory
+// that doomed accepts: one taken out now or by an earlier Commit, or
+// debris on disk the store never opened, never the manifest or the
+// WAL. A taken-out file doomed rejects, or with a page still pinned,
+// stays open and readable through its FileID; a later Commit retries
+// it. An unlink that fails is left for the same retry: the manifest no
+// longer names the file.
+func (s *Store) Commit(named []string, doomed func(name string) bool) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	keep := make(map[string]bool, len(named))
+	for _, n := range named {
+		_, open := s.names[n]
+		if _, listed := s.manifest[n]; !open && !listed {
+			return fmt.Errorf("pagestore: commit names %q, which the store does not hold", n)
+		}
+		keep[n] = true
+	}
+	for n, id := range s.names {
+		if !keep[n] {
+			delete(s.names, n)
+			s.unlisted[n] = id
+			s.mutated.Store(true)
+		}
+	}
+	for n := range s.manifest {
+		if !keep[n] {
+			delete(s.manifest, n)
+			s.mutated.Store(true)
+		}
+	}
+	if err := s.flushLocked(); err != nil {
+		return err
+	}
+	for n, id := range s.unlisted {
+		if doomed(n) && s.dropFramesLocked(id) {
+			s.files[id].Close() // read and written only through the pool, whose frames are gone
+			s.files[id] = nil
+			s.sizes[id] = 0
+			delete(s.unlisted, n)
+			os.Remove(filepath.Join(s.dir, n))
+		}
+	}
+	if entries, err := os.ReadDir(s.dir); err == nil {
+		for _, e := range entries {
+			n := e.Name()
+			_, open := s.names[n]
+			_, unlisted := s.unlisted[n]
+			own := n == ManifestName || n == WALName || keep[n] || open || unlisted
+			if e.Type().IsRegular() && !own && doomed(n) {
+				os.Remove(filepath.Join(s.dir, n))
+			}
+		}
+	}
+	return nil
+}
+
+// dropFramesLocked drops file f's resident frames from the pool and
+// reports whether it could: it refuses at a frame that is pinned or
+// being written back. Each shard is checked and dropped under one latch
+// hold, so a frame is never pinned between its check and its removal.
+// Caller holds s.mu.
+func (s *Store) dropFramesLocked(f FileID) bool {
+	for _, sh := range s.shards {
+		sh.mu.Lock()
+		for id, fr := range sh.frames {
+			if id.File == f && (fr.pins > 0 || fr.writing != nil) {
+				sh.mu.Unlock()
+				return false
+			}
+		}
+		for id, fr := range sh.frames {
+			if id.File == f {
+				sh.unpark(fr)
+				delete(sh.frames, id)
+			}
+		}
+		sh.mu.Unlock()
+	}
+	return true
 }
 
 // drainAllocsLocked waits until every in-flight Alloc has either
@@ -903,65 +959,6 @@ func (s *Store) ArtifactGen() uint64 { return s.artifactGen.Load() }
 func (s *Store) SetArtifactGen(g uint64) {
 	s.artifactGen.Store(g)
 	s.mutated.Store(true)
-}
-
-// DeleteFiles removes paged files from the store and from disk: the
-// frames are dropped (an error if any is pinned), the manifest is
-// rewritten WITHOUT the files first, and only then are the OS files
-// unlinked — a crash between the two leaves harmless orphans the
-// manifest no longer references, never a manifest listing a missing
-// file. Compaction uses it to retire superseded artifact generations.
-// Names not known to the store are ignored.
-func (s *Store) DeleteFiles(names ...string) error {
-	s.mu.Lock()
-	var doomed []string
-	for _, name := range names {
-		id, open := s.names[name]
-		_, listed := s.manifest[name]
-		if !open && !listed {
-			continue
-		}
-		if open {
-			for _, sh := range s.shards {
-				sh.mu.Lock()
-				for pid, fr := range sh.frames {
-					if pid.File == id && (fr.pins > 0 || fr.writing != nil) {
-						sh.mu.Unlock()
-						s.mu.Unlock()
-						return fmt.Errorf("pagestore: cannot delete %q: page %v is pinned", name, pid)
-					}
-				}
-				for pid, fr := range sh.frames {
-					if pid.File == id {
-						sh.unpark(fr)
-						delete(sh.frames, pid)
-					}
-				}
-				sh.mu.Unlock()
-			}
-			s.files[id].Close()
-			s.files[id] = nil
-			s.sizes[id] = 0
-			s.diskSizes[id].Store(0)
-			delete(s.names, name)
-		}
-		delete(s.manifest, name)
-		doomed = append(doomed, name)
-	}
-	if len(doomed) == 0 {
-		s.mu.Unlock()
-		return nil
-	}
-	s.mutated.Store(true)
-	err := s.writeManifestLocked()
-	s.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	for _, name := range doomed {
-		os.Remove(filepath.Join(s.dir, name))
-	}
-	return nil
 }
 
 // PinnedPages counts the frames currently pinned by some caller. At

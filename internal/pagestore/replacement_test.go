@@ -44,10 +44,10 @@ func checkReplacementLists(t *testing.T, s *Store, when string) (pinned int) {
 
 // TestReplacementListsUnderChurn churns a small pool from several
 // goroutines — pins held across other accesses, pages dirtied, dirty
-// victims written back by eviction, flushes, cache drops, a truncate —
-// and checks at every quiescent point that exactly the unpinned frames
-// are on the replacement lists and that PinnedPages counts exactly the
-// pins the test holds. Run under -race.
+// victims written back by eviction, flushes, cache drops, a commit that
+// unlinks a file — and checks at every quiescent point that exactly the
+// unpinned frames are on the replacement lists and that PinnedPages
+// counts exactly the pins the test holds. Run under -race.
 func TestReplacementListsUnderChurn(t *testing.T) {
 	for _, pool := range []int{8, 512} { // one pool shard, and several
 		s := newStore(t, pool)
@@ -144,10 +144,26 @@ func TestReplacementListsUnderChurn(t *testing.T) {
 				}
 				check("after drop")
 			case 2:
-				if err := s.TruncateFile(scratch); err != nil {
+				// Commit without the scratch file, whose resident frames
+				// (dirty ones among them) the commit then drops; the next
+				// such round drops a fresh one.
+				if err := s.Commit([]string{"hot.dat"}, func(string) bool { return true }); err != nil {
 					t.Fatal(err)
 				}
-				check("after truncate")
+				check("after commit")
+				name := fmt.Sprintf("scratch-%d.dat", round)
+				if scratch, err = s.CreateFile(name); err != nil {
+					t.Fatal(err)
+				}
+				for i := 0; i < pool; i++ {
+					p, err := s.Alloc(scratch)
+					if err != nil {
+						t.Fatal(err)
+					}
+					p.MarkDirty()
+					p.Release()
+				}
+				check("after refill")
 			}
 			for _, p := range held {
 				p.Release()

@@ -218,9 +218,14 @@ func TestWALGroupCommit(t *testing.T) {
 	}
 }
 
-// TestDeleteFiles retires paged files: frames dropped, manifest
-// rewritten without them before the unlink, reopen clean.
-func TestDeleteFiles(t *testing.T) {
+// TestCommitNarrowsThenUnlinks retires a paged file through Commit:
+// the manifest it renames in no longer lists the file, which stays
+// readable while the doomed predicate spares it; a later Commit whose
+// predicate accepts it drops its frames and unlinks it, together with
+// debris on disk the store never opened. Commit spares what its
+// predicate rejects, every file the directory holds, the manifest and
+// the WAL; the reopened store is clean.
+func TestCommitNarrowsThenUnlinks(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir, 8)
 	if err != nil {
@@ -245,20 +250,50 @@ func TestDeleteFiles(t *testing.T) {
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.DeleteFiles("doomed.tbl", "never-existed"); err != nil {
+	for _, name := range []string{"debris.tbl", "notes.txt", WALName} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte("x"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	all := func(name string) bool { return name != "notes.txt" }
+	if err := s.Commit([]string{"keep.tbl", "never-existed"}, all); err == nil {
+		t.Fatal("Commit naming a file the store does not hold succeeded")
+	}
+	if !s.HasFile("doomed.tbl") {
+		t.Fatal("a refused Commit changed the directory")
+	}
+	if err := s.Commit([]string{"keep.tbl"}, func(string) bool { return false }); err != nil {
 		t.Fatal(err)
 	}
 	if s.HasFile("doomed.tbl") {
-		t.Fatal("deleted file still known")
+		t.Fatal("doomed.tbl still in the directory after Commit")
 	}
-	if _, err := os.Stat(filepath.Join(dir, "doomed.tbl")); !os.IsNotExist(err) {
-		t.Fatalf("doomed.tbl still on disk: %v", err)
+	if _, listed := s.ManifestFiles()["doomed.tbl"]; listed {
+		t.Fatal("the manifest still lists doomed.tbl")
+	}
+	if p, err := s.Get(PageID{File: doomed, Num: 0}); err != nil || p.Data[0] != byte(doomed)+1 {
+		t.Fatalf("a spared file taken out of the directory is unreadable: %v", err)
+	} else {
+		p.Release()
+	}
+	if err := s.Commit([]string{"keep.tbl"}, all); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"doomed.tbl", "debris.tbl"} {
+		if _, err := os.Stat(filepath.Join(dir, name)); !os.IsNotExist(err) {
+			t.Fatalf("%s still on disk after Commit: %v", name, err)
+		}
+	}
+	for _, name := range []string{"keep.tbl", "notes.txt", ManifestName, WALName} {
+		if _, err := os.Stat(filepath.Join(dir, name)); err != nil {
+			t.Fatalf("Commit removed %s: %v", name, err)
+		}
 	}
 	if _, err := s.Get(PageID{File: doomed, Num: 0}); err == nil {
-		t.Fatal("Get on deleted file succeeded")
+		t.Fatal("Get on an unlinked file succeeded")
 	}
 	if _, err := s.Alloc(doomed); err == nil {
-		t.Fatal("Alloc on deleted file succeeded")
+		t.Fatal("Alloc on an unlinked file succeeded")
 	}
 	if p, err := s.Get(PageID{File: keep, Num: 0}); err != nil || p.Data[0] != byte(keep)+1 {
 		t.Fatalf("surviving file unreadable: %v", err)
@@ -274,13 +309,13 @@ func TestDeleteFiles(t *testing.T) {
 	}
 	defer s2.Close()
 	if s2.HasFile("doomed.tbl") {
-		t.Fatal("deleted file resurrected by reopen")
+		t.Fatal("unlinked file resurrected by reopen")
 	}
 }
 
-// TestDeleteFilesPinnedRefused refuses to delete a file with a pinned
-// page.
-func TestDeleteFilesPinnedRefused(t *testing.T) {
+// TestCommitKeepsPinnedFile: Commit never drops a file with a pinned
+// page; the first Commit after the release unlinks it.
+func TestCommitKeepsPinnedFile(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir, 8)
 	if err != nil {
@@ -295,12 +330,22 @@ func TestDeleteFilesPinnedRefused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.DeleteFiles("t.tbl"); err == nil {
-		t.Fatal("delete with pinned page succeeded")
+	all := func(string) bool { return true }
+	if err := s.Commit(nil, all); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "t.tbl")); err != nil {
+		t.Fatalf("a file with a pinned page was unlinked: %v", err)
 	}
 	p.Release()
-	if err := s.DeleteFiles("t.tbl"); err != nil {
+	if err := s.Commit(nil, all); err != nil {
 		t.Fatal(err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "t.tbl")); !os.IsNotExist(err) {
+		t.Fatalf("t.tbl still on disk after its release and a commit: %v", err)
+	}
+	if got := s.PinnedPages(); got != 0 {
+		t.Fatalf("PinnedPages = %d", got)
 	}
 }
 
