@@ -9,7 +9,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/grid"
 	"repro/internal/kdtree"
-	"repro/internal/knn"
 	"repro/internal/memtable"
 	"repro/internal/photoz"
 	"repro/internal/table"
@@ -300,7 +299,6 @@ func (db *SpatialDB) rebuildLocked(spec rebuildSpec) error {
 			setArtifact(kdIndexFile)
 			db.setCatalog(catalog)
 			db.kd = tree
-			db.knnS = knn.NewSearcher(tree, catalog)
 		}
 	}
 	if swapErr == nil && ix != nil {

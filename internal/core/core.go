@@ -175,8 +175,7 @@ type SpatialDB struct {
 	sky     *skyIndex // the catalog's sky cell index, built on first use
 	domain  vec.Box
 
-	kd   *kdtree.Tree
-	knnS *knn.Searcher
+	kd *kdtree.Tree
 
 	grid *grid.Index
 
@@ -687,29 +686,22 @@ func memNeighbors(mem []memtable.Row, p vec.Point, k int) []memCand {
 // ascending result set: a linear merge of two sorted lists of at most k
 // entries each, the paged entry first on a distance tie, and a Record
 // copied out of the memtable only for a candidate that survives. The
-// paged search reads live table bounds, so a row a concurrent
-// compaction just published can surface both from the table tail and
-// from the mem snapshot; deduplicating by object identity (first
-// occurrence wins) keeps the answer exact. The sentinel row id marks a
-// memtable row as not resident in any paged table.
+// paged search reads the snapshot's bounded catalog, so the two lists
+// hold disjoint rows; rows are never merged by ObjID, as no other path
+// merges them. The sentinel row id marks a memtable row as not resident
+// in any paged table.
 func mergeMemNeighbors(nbs []knn.Neighbor, mem []memtable.Row, p vec.Point, k int) []knn.Neighbor {
 	cand := memNeighbors(mem, p, k)
 	if len(cand) == 0 {
 		return nbs
 	}
 	out := make([]knn.Neighbor, 0, min(k, len(nbs)+len(cand)))
-	seen := make(map[int64]struct{}, cap(out))
 	for len(out) < k && (len(nbs) > 0 || len(cand) > 0) {
-		var nb knn.Neighbor
 		if len(cand) == 0 || (len(nbs) > 0 && nbs[0].Dist2 <= cand[0].d2) {
-			nb, nbs = nbs[0], nbs[1:]
+			out, nbs = append(out, nbs[0]), nbs[1:]
 		} else {
-			nb = knn.Neighbor{Row: ^table.RowID(0), Dist2: cand[0].d2, Rec: mem[cand[0].i].Rec}
+			out = append(out, knn.Neighbor{Row: ^table.RowID(0), Dist2: cand[0].d2, Rec: mem[cand[0].i].Rec})
 			cand = cand[1:]
-		}
-		if _, dup := seen[nb.Rec.ObjID]; !dup {
-			seen[nb.Rec.ObjID] = struct{}{}
-			out = append(out, nb)
 		}
 	}
 	return out
@@ -787,8 +779,10 @@ func (db *SpatialDB) nearestNeighborsBatchUncached(ctx context.Context, ps []vec
 			return ctx.Err()
 		}
 	}
-	if choice.UseIndex && sn.knnS != nil {
-		err = sn.knnS.SearchBatchFunc(ps, k, finish(PlanKdTree))
+	if choice.UseIndex && sn.kd != nil {
+		// The search reads the snapshot's bounded catalog, so each row is
+		// in its paged answer or in mem, never both.
+		err = knn.NewSearcher(sn.kd, sn.catalog).SearchBatchFunc(ps, k, finish(PlanKdTree))
 	} else {
 		// No kd-tree, or the planner priced the scan cheaper: serve the
 		// queries anyway through the brute-force path.

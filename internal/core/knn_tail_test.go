@@ -2,8 +2,6 @@ package core
 
 import (
 	"cmp"
-	"context"
-	"fmt"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -29,161 +27,10 @@ func magsDist2(p vec.Point, r *table.Record) float64 {
 	return s
 }
 
-// bruteNearest is the reference: every visible row (paged and
-// memtable) through the unindexed scan, sorted by distance.
-func bruteNearest(t *testing.T, db *SpatialDB, p vec.Point, k int) []float64 {
-	t.Helper()
-	all, _ := collectStatement(t, db, "SELECT *", PlanFullScan)
-	ds := make([]float64, len(all))
-	for i := range all {
-		ds[i] = magsDist2(p, &all[i])
-	}
-	sort.Float64s(ds)
-	return ds[:min(k, len(ds))]
-}
-
-// TestKnnSeesCompactedTail pins ROADMAP 1(a): a row a minor compaction
-// moved out of the memtable into the clustered table's unindexed tail
-// is still its own nearest neighbour — through NearestNeighbors, the
-// batch engine, the ORDER BY dist statement and photo-z's neighbour
-// set — after one run, after two, and after a cold reopen; and every
-// k-nearest answer equals brute force over all visible rows.
-func TestKnnSeesCompactedTail(t *testing.T) {
-	dir := t.TempDir()
-	db := buildFullDB(t, dir, 3000)
-	if err := db.Persist(); err != nil {
-		t.Fatal(err)
-	}
-	base, err := sky.Generate(sky.DefaultParams(3000, 42))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(30))
-	fresh := func(firstID int64, n int) []table.Record {
-		recs := make([]table.Record, n)
-		for i := range recs {
-			recs[i] = insertTestRecord(firstID + int64(i))
-			src := &base[rng.Intn(len(base))]
-			for d := range recs[i].Mags {
-				recs[i].Mags[d] = src.Mags[d] + float32(rng.NormFloat64()*0.02)
-			}
-			recs[i].Redshift, recs[i].HasZ = 0.05+float32(i%11)*0.03, true
-		}
-		return recs
-	}
-
-	// compacted counts the inserted rows already moved into the paged
-	// tables: the photo-z reference set gains a row at its compaction,
-	// not at its insert.
-	var inserted []table.Record
-	compacted := 0
-	check := func(db *SpatialDB, state string) {
-		t.Helper()
-		var ps []vec.Point
-		for i := range inserted {
-			ps = append(ps, inserted[i].Point())
-		}
-		batch, _, err := db.NearestNeighborsBatch(context.Background(), ps, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, p := range ps {
-			want := inserted[i].ObjID
-			one, _, err := db.NearestNeighbors(p, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			stmt, _ := collectStatement(t, db, fmt.Sprintf(
-				"SELECT * ORDER BY dist(%v, %v, %v, %v, %v) LIMIT 1", p[0], p[1], p[2], p[3], p[4]), PlanAuto)
-			paths := map[string][]table.Record{
-				"NearestNeighbors": one, "NearestNeighborsBatch": batch[i], "ORDER BY dist": stmt,
-			}
-			if i < compacted {
-				ref, _, err := db.photoZ.Searcher().Search(p, 1)
-				if err != nil {
-					t.Fatal(err)
-				}
-				paths["photo-z reference"] = []table.Record{ref[0].Rec}
-			}
-			for path, got := range paths {
-				// Two inserted rows may share a position; the row's own
-				// distance (zero) is what every path must find.
-				if len(got) != 1 || magsDist2(p, &got[0]) != 0 {
-					t.Fatalf("%s: %s at row %d's magnitudes returned %+v, want objid %d", state, path, want, got, want)
-				}
-			}
-		}
-		// Exactness beyond k = 1: probes near inserted and catalog rows
-		// alike equal brute force over every visible row.
-		for i := 0; i < 24; i++ {
-			p := base[rng.Intn(len(base))].Point()
-			if i%2 == 0 {
-				p = inserted[rng.Intn(len(inserted))].Point()
-			}
-			for d := range p {
-				p[d] += rng.NormFloat64() * 0.05
-			}
-			got, _, err := db.NearestNeighbors(p, 10)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := bruteNearest(t, db, p, 10)
-			if len(got) != len(want) {
-				t.Fatalf("%s: %d neighbours, brute force %d", state, len(got), len(want))
-			}
-			for j := range got {
-				if d := magsDist2(p, &got[j]); d != want[j] {
-					t.Fatalf("%s: probe %v neighbour %d at dist² %v, brute force %v", state, p, j, d, want[j])
-				}
-			}
-		}
-	}
-
-	for run, firstID := range []int64{910_000_000, 920_000_000} {
-		batch := fresh(firstID, 300)
-		if _, err := db.Insert(batch); err != nil {
-			t.Fatal(err)
-		}
-		inserted = append(inserted, batch...)
-		check(db, fmt.Sprintf("run %d in the memtable", run+1))
-		if err := db.Compact(); err != nil {
-			t.Fatal(err)
-		}
-		if db.MemRows() != 0 {
-			t.Fatalf("memtable holds %d rows after Compact", db.MemRows())
-		}
-		compacted = len(inserted)
-		check(db, fmt.Sprintf("%d compacted run(s)", run+1))
-	}
-	// A third batch stays in the memtable beside the two runs.
-	batch := fresh(930_000_000, 100)
-	if _, err := db.Insert(batch); err != nil {
-		t.Fatal(err)
-	}
-	inserted = append(inserted, batch...)
-	check(db, "two runs + memtable")
-	if n := db.Engine().Store().PinnedPages(); n != 0 {
-		t.Fatalf("%d pages left pinned", n)
-	}
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	re, err := OpenExisting(Config{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer re.Close()
-	check(re, "cold reopen")
-	if n := re.Engine().Store().PinnedPages(); n != 0 {
-		t.Fatalf("%d pages left pinned after reopen", n)
-	}
-}
-
 // refMergeMemNeighbors is the copy-and-sort merge the one-pass fold
 // replaced, kept as its reference: distance-stamp every memtable row,
-// stable-sort, keep k, stable-sort those behind the paged answer,
-// deduplicate by ObjID, keep k.
+// stable-sort, keep k, stable-sort those behind the paged answer, keep
+// k. Rows sharing an ObjID are all kept.
 func refMergeMemNeighbors(nbs []knn.Neighbor, mem []memtable.Row, p vec.Point, k int) []knn.Neighbor {
 	if len(mem) == 0 || k <= 0 {
 		return nbs
@@ -196,15 +43,7 @@ func refMergeMemNeighbors(nbs []knn.Neighbor, mem []memtable.Row, p vec.Point, k
 	cand = cand[:min(k, len(cand))]
 	merged := append(append([]knn.Neighbor{}, nbs...), cand...)
 	sort.SliceStable(merged, func(i, j int) bool { return merged[i].Dist2 < merged[j].Dist2 })
-	seen := make(map[int64]bool, len(merged))
-	out := merged[:0]
-	for _, nb := range merged {
-		if !seen[nb.Rec.ObjID] {
-			seen[nb.Rec.ObjID] = true
-			out = append(out, nb)
-		}
-	}
-	return out[:min(k, len(out))]
+	return merged[:min(k, len(merged))]
 }
 
 // TestMemNeighborFoldMatchesReference: the one-pass fold returns the
@@ -248,7 +87,7 @@ func TestMemNeighborFoldMatchesReference(t *testing.T) {
 		for i := range paged {
 			rec := lattice(int64(rng.Intn(ids)))
 			if len(mem) > 0 && i%2 == 0 {
-				rec = mem[rng.Intn(len(mem))].Rec // the row a compaction just published
+				rec = mem[rng.Intn(len(mem))].Rec // a paged row sharing a memtable row's ObjID
 			}
 			paged[i] = knn.Neighbor{Row: table.RowID(i), Dist2: magsDist2(p, &rec), Rec: rec}
 		}

@@ -6,7 +6,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/grid"
 	"repro/internal/kdtree"
-	"repro/internal/knn"
 	"repro/internal/photoz"
 	"repro/internal/sky"
 )
@@ -178,7 +177,6 @@ func OpenExisting(cfg Config) (*SpatialDB, error) {
 			return fail(fmt.Errorf("core: kd-tree indexes %d rows but %s has %d", tree.NumRows, catalogTableName, catalog.NumRows()))
 		}
 		db.kd = tree
-		db.knnS = knn.NewSearcher(tree, catalog)
 	}
 
 	if gridFile, ok := artifact(gridIndexFile); ok {

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/colorsql"
 	"repro/internal/engine"
+	"repro/internal/knn"
 	"repro/internal/pagestore"
 	"repro/internal/sky"
 	"repro/internal/table"
@@ -441,7 +442,7 @@ func TestCorruptTablePageFailsKNN(t *testing.T) {
 	defer re.Close()
 	// The query point is row 0 itself, so its seed leaf lies on page 0.
 	p := first.Point()
-	if nbs, _, err := re.knnS.Search(p, 5); err == nil || !strings.Contains(err.Error(), file) {
+	if nbs, _, err := knn.NewSearcher(re.kd, re.catalog).Search(p, 5); err == nil || !strings.Contains(err.Error(), file) {
 		t.Errorf("knn.Searcher.Search over a corrupt page: %d neighbours, err = %v; want an error naming %s", len(nbs), err, file)
 	}
 	if recs, _, err := re.NearestNeighbors(p, 5); err == nil || !strings.Contains(err.Error(), file) {

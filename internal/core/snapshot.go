@@ -12,7 +12,6 @@ import (
 
 	"repro/internal/grid"
 	"repro/internal/kdtree"
-	"repro/internal/knn"
 	"repro/internal/photoz"
 )
 
@@ -37,7 +36,6 @@ type dbSnap struct {
 	sky     *skyIndex // the catalog's own, captured with it
 
 	kd     *kdtree.Tree
-	knnS   *knn.Searcher
 	grid   *grid.Index
 	photoZ *photoz.Estimator
 
@@ -60,7 +58,6 @@ func (db *SpatialDB) snapshot() (*dbSnap, error) {
 		catalog: db.catalog.Snapshot(),
 		sky:     db.sky,
 		kd:      db.kd,
-		knnS:    db.knnS,
 		grid:    db.grid,
 		photoZ:  db.photoZ,
 		files:   []string{db.catalog.Name()},

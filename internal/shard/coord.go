@@ -420,7 +420,9 @@ func (c *Coordinator) QuerySkyBox(ctx context.Context, box table.SkyBoxPred, col
 		rep.PagesSkipped += reps[s].PagesSkipped
 		rep.PagesScanned += reps[s].PagesScanned
 		rep.RowsExamined += reps[s].RowsExamined
+		rep.StripsDecoded += reps[s].StripsDecoded
 		rep.DiskReads += reps[s].DiskReads
+		rep.CacheHits += reps[s].CacheHits
 		c.diskReads.Add(reps[s].DiskReads)
 		recs = append(recs, answers[s]...)
 	}

@@ -88,6 +88,7 @@ type cluster struct {
 	targets []string
 	servers []*httptest.Server
 	dbs     []*core.SpatialDB
+	closed  bool
 }
 
 // startCluster opens the fixture's shard stores, serves each through
@@ -95,19 +96,22 @@ type cluster struct {
 // Everything is torn down via t.Cleanup.
 func startCluster(t *testing.T, cfg Config) *cluster {
 	t.Helper()
-	return startClusterAt(t, clusterDir, cfg)
+	return startClusterAt(t, clusterDir, cfg, core.Config{})
 }
 
-// startClusterAt is startCluster over any BuildCluster output.
-func startClusterAt(t *testing.T, clusterDir string, cfg Config) *cluster {
+// startClusterAt is startCluster over any BuildCluster output, its
+// shards opened under dbCfg (Dir is each shard's own).
+func startClusterAt(t *testing.T, clusterDir string, cfg Config, dbCfg core.Config) *cluster {
 	t.Helper()
 	rt, err := LoadRoutingTable(clusterDir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	c := &cluster{rt: rt}
+	t.Cleanup(c.close)
 	for i := 0; i < rt.NumShards(); i++ {
-		db, err := core.OpenExisting(core.Config{Dir: filepath.Join(clusterDir, ShardDir(i))})
+		dbCfg.Dir = filepath.Join(clusterDir, ShardDir(i))
+		db, err := core.OpenExisting(dbCfg)
 		if err != nil {
 			t.Fatalf("open shard %d: %v", i, err)
 		}
@@ -116,20 +120,32 @@ func startClusterAt(t *testing.T, clusterDir string, cfg Config) *cluster {
 		c.servers = append(c.servers, srv)
 		c.targets = append(c.targets, srv.URL)
 	}
-	t.Cleanup(func() {
-		for _, srv := range c.servers {
-			srv.Close()
-		}
-		for _, db := range c.dbs {
-			db.Close()
-		}
-	})
 	coord, err := NewCoordinator(rt, c.targets, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	c.coord = coord
 	return c
+}
+
+// closeServers stops the shard servers once every request in flight
+// has finished; the stores stay open.
+func (c *cluster) closeServers() {
+	for _, srv := range c.servers {
+		srv.Close()
+	}
+}
+
+// close stops the servers and closes the stores, once.
+func (c *cluster) close() {
+	if c.closed {
+		return
+	}
+	c.closed = true
+	c.closeServers()
+	for _, db := range c.dbs {
+		db.Close()
+	}
 }
 
 // openSingle cold-opens the single-store fixture.

@@ -300,7 +300,7 @@ func smallPair(t *testing.T, recs []table.Record) (*cluster, *core.SpatialDB) {
 	if _, err := BuildCluster(dir, recs, BuildParams{Shards: fixtureShards, Seed: 23}); err != nil {
 		t.Fatal(err)
 	}
-	return startClusterAt(t, dir, Config{}), single
+	return startClusterAt(t, dir, Config{}, core.Config{}), single
 }
 
 // checkSmallPair runs probes at k below, around and beyond a shard's
@@ -544,7 +544,7 @@ func TestKnnLeavesFromOwner(t *testing.T) {
 	if _, err := BuildCluster(dir, fixtureRecs, BuildParams{Shards: fixtureShards, Seed: fixtureSeed, Indexes: true}); err != nil {
 		t.Fatal(err)
 	}
-	cl := startClusterAt(t, dir, Config{})
+	cl := startClusterAt(t, dir, Config{}, core.Config{})
 	cs := httptest.NewServer(vizhttp.NewBackend(cl.coord, vizhttp.Config{}).Handler())
 	t.Cleanup(cs.Close)
 	rng := rand.New(rand.NewSource(41))

@@ -52,7 +52,7 @@ func (l *askedLog) reset() {
 func loggedCluster(t *testing.T, dir string) (*cluster, *askedLog) {
 	t.Helper()
 	log := &askedLog{}
-	cl := startClusterAt(t, dir, Config{HedgeAfter: -1, Client: &http.Client{Transport: log}})
+	cl := startClusterAt(t, dir, Config{HedgeAfter: -1, Client: &http.Client{Transport: log}}, core.Config{})
 	log.targets = cl.targets
 	log.reset()
 	return cl, log

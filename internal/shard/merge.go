@@ -27,12 +27,14 @@ import (
 //     single store's top-k heap uses, ties broken on ObjID as it breaks
 //     them — reassembles the global order.
 //
+// Either merge reads every stream it opened on to its summary and
+// folds it, at an exact LIMIT too, so the merged counters are the sum
+// of the shards' own.
+//
 // Failure semantics: any shard error (transport, HTTP status, error
 // frame, damaged frame, stream cut before its summary) surfaces through
 // Err() naming the shard and its URL. A merge never reports clean
-// completion unless every stream it opened and read to the end closed
-// cleanly; the only early stop is an exact LIMIT, where the unread
-// remainder is provably not part of the answer.
+// completion unless every stream it opened closed cleanly.
 
 // shardStream is one shard's in-flight sub-query. The fetch goroutine
 // sends decoded blocks and sets err/summary before closing the
@@ -230,7 +232,7 @@ func (oc *orderMergeCursor) Next() bool {
 		return false
 	}
 	if oc.limit >= 0 && oc.emitted >= oc.limit {
-		oc.Close()
+		oc.finish()
 		return false
 	}
 	if oc.heads == nil {
@@ -257,6 +259,22 @@ func (oc *orderMergeCursor) Next() bool {
 	}
 	oc.emitted++
 	return true
+}
+
+// finish ends a merge at its LIMIT: it reads every stream still open
+// to its summary and folds it, then closes. Each stream was asked for
+// at most the LIMIT's rows, and a shard's top-k has done all its page
+// I/O before its first row leaves, so the rest costs no shard work and
+// the merged counters are the shards' sum.
+func (oc *orderMergeCursor) finish() {
+	for i := range oc.heads {
+		for oc.heads[i].rec != nil {
+			if !oc.advance(i) {
+				return
+			}
+		}
+	}
+	oc.Close()
 }
 
 // before reports whether head a is emitted ahead of head b of a later

@@ -115,7 +115,7 @@ func TestScatterDuplicateObjID(t *testing.T) {
 	if _, err := BuildCluster(dir, recs, BuildParams{Shards: fixtureShards, Seed: 23}); err != nil {
 		t.Fatal(err)
 	}
-	cl := startClusterAt(t, dir, Config{})
+	cl := startClusterAt(t, dir, Config{}, core.Config{})
 
 	ctx := context.Background()
 	for _, tc := range []struct {
