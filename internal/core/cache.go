@@ -23,8 +23,9 @@ import (
 // float operations and is computed where it is needed, not cached.
 //
 // Tier 2 (opt-in via Config.ResultCacheBytes) caches materialized
-// small answers — bounded-LIMIT statements, single-point kNN probes,
-// small photo-z batches — concurrent identical requests sharing one
+// small answers — bounded-LIMIT statements (a single-point kNN probe
+// runs as its statement, ORDER BY dist(p) LIMIT k), small photo-z
+// batches — concurrent identical requests sharing one
 // execution (singleflight). It is one LRU under one fixed budget, and
 // a statement has at most one entry in it: an empty cut with a LIMIT
 // is an ordinary entry with no rows, and one without a LIMIT is not
@@ -56,7 +57,6 @@ const cachedEntryOverheadBytes = 256
 // reported separately by CacheStats.
 const (
 	nsQuery  = "query"
-	nsKNN    = "knn"
 	nsPhotoZ = "photoz"
 	nsPlan   = "plan"
 )
@@ -232,22 +232,6 @@ func (db *SpatialDB) ExecStatementCached(stmt colorsql.Statement, plan Plan) (Cu
 	return SliceCursor(recs, rep), true
 }
 
-// knnCacheKey is the tier-2 identity of a kNN batch. Only the
-// interactive point-probe shape — one point, bounded k — is cacheable.
-func knnCacheKey(ps []vec.Point, k int) (string, bool) {
-	if len(ps) != 1 || k <= 0 || k > maxCacheableLimit {
-		return "", false
-	}
-	buf := make([]byte, 0, 96)
-	buf = append(buf, 'k')
-	buf = strconv.AppendInt(buf, int64(k), 10)
-	for _, v := range ps[0] {
-		buf = append(buf, '|')
-		buf = strconv.AppendFloat(buf, v, 'g', -1, 64)
-	}
-	return string(buf), true
-}
-
 // maxCacheablePhotoZBatch bounds which photo-z batches tier 2
 // materializes: interactive point probes, not bulk estimation.
 const maxCacheablePhotoZBatch = 8
@@ -271,17 +255,17 @@ func photoZCacheKey(mags []vec.Point) (string, bool) {
 }
 
 // NearestNeighborsBatchCached serves a single-point kNN probe from
-// the result cache if an entry exists; see lookup for the probe
-// contract.
+// its statement's result-cache entry (ExecStatementCached) if one
+// exists; see lookup for the probe contract.
 func (db *SpatialDB) NearestNeighborsBatchCached(ps []vec.Point, k int) ([][]table.Record, []Report, bool) {
-	key, ok := knnCacheKey(ps, k)
-	if !ok || !db.ResultCacheEnabled() {
+	if len(ps) != 1 || k <= 0 {
 		return nil, nil, false
 	}
-	recs, rep, ok := lookup[[]table.Record](db, nsKNN, key)
+	cur, ok := db.ExecStatementCached(knnStatement(ps[0], k), PlanAuto)
 	if !ok {
 		return nil, nil, false
 	}
+	recs, rep, _ := Collect(cur) // a cache hit is a slice cursor, which cannot fail
 	return [][]table.Record{recs}, []Report{rep}, true
 }
 

@@ -7,8 +7,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/colorsql"
-	"repro/internal/table"
 	"repro/internal/vec"
 )
 
@@ -261,33 +259,5 @@ func TestEvictionChurnMatrixWithResultCache(t *testing.T) {
 				t.Errorf("%d pages pinned after cached replay", n)
 			}
 		})
-	}
-}
-
-// TestQueryUnionMatchesQueryWhere pins the single-parse refactor:
-// executing a pre-parsed union must be exactly QueryWhere minus the
-// parse.
-func TestQueryUnionMatchesQueryWhere(t *testing.T) {
-	db := buildFullDB(t, t.TempDir(), 3000)
-	defer db.Close()
-	const where = "g - r > 0.3 AND r < 20 OR r < 15"
-	fromWhere, repWhere, err := db.QueryWhere(where, PlanAuto)
-	if err != nil {
-		t.Fatal(err)
-	}
-	u, err := colorsql.Parse(where, colorsql.DefaultVars(), table.Dim)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fromUnion, repUnion, err := db.QueryUnion(u, PlanAuto)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(fromWhere, fromUnion) {
-		t.Errorf("QueryUnion returned %d rows, QueryWhere %d", len(fromUnion), len(fromWhere))
-	}
-	if repWhere.RowsReturned != repUnion.RowsReturned || repWhere.Plan != repUnion.Plan ||
-		repWhere.EstimatedSelectivity != repUnion.EstimatedSelectivity {
-		t.Errorf("reports differ: %+v vs %+v", repUnion, repWhere)
 	}
 }

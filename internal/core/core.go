@@ -61,8 +61,8 @@ type Config struct {
 	// = 32 MiB).
 	PoolPages int
 	// ResultCacheBytes budgets the tier-2 result cache: bounded-LIMIT
-	// statement answers, single-point kNN probes and small photo-z
-	// batches are materialized and served from memory, concurrent
+	// statement answers (a single-point kNN probe is one) and small
+	// photo-z batches are materialized and served from memory, concurrent
 	// identical requests sharing one execution (singleflight). 0 (the
 	// default) disables result caching — every request executes —
 	// because a cached answer deliberately skips execution and callers
@@ -552,6 +552,23 @@ func (db *SpatialDB) PhotoZStats() photoz.EstimatorStats {
 	return est.Stats()
 }
 
+// BackendStats returns the single store's /stats keys (the serving
+// layer merges its own counters over them): page-pool and photo-z
+// counters, the statement cache and the ingest state.
+func (db *SpatialDB) BackendStats() map[string]any {
+	pages := db.eng.Store().Stats()
+	pz := db.PhotoZStats()
+	return map[string]any{
+		"diskReads":          pages.DiskReads,
+		"poolHits":           pages.Hits,
+		"pinnedPages":        db.eng.Store().PinnedPages(),
+		"photozEstimates":    pz.Estimates,
+		"photozFitFallbacks": pz.FitFallbacks,
+		"qcache":             db.CacheStatsSnapshot(),
+		"ingest":             db.IngestStatsSnapshot(),
+	}
+}
+
 // QueryWhere parses a Figure 2-style WHERE clause and executes it
 // via QueryUnion, returning matching records.
 func (db *SpatialDB) QueryWhere(where string, plan Plan) ([]table.Record, Report, error) {
@@ -730,19 +747,25 @@ func (db *SpatialDB) NearestNeighbors(p vec.Point, k int) ([]table.Record, Repor
 // scans, one after another. The batch stops between queries once ctx
 // is done and returns its error.
 func (db *SpatialDB) NearestNeighborsBatch(ctx context.Context, ps []vec.Point, k int) ([][]table.Record, []Report, error) {
-	// A single-point batch is the interactive point-probe shape; with
-	// tier 2 enabled it is cached (and singleflighted) like a repeated
-	// statement. The cached record slice is shared read-only.
-	if key, ok := knnCacheKey(ps, k); ok && db.ResultCacheEnabled() {
-		recs, rep, err := do(db, nsKNN, key, rowsBytes, func() ([]table.Record, Report, error) {
-			return db.NearestNeighbors(ps[0], k)
-		})
+	// One point is the statement SELECT * ORDER BY dist(p) LIMIT k
+	// (Statement.IsKNN): it runs, and is cached, as that statement.
+	if len(ps) == 1 && k > 0 {
+		cur, err := db.ExecStatement(ctx, knnStatement(ps[0], k), PlanAuto)
+		if err != nil {
+			return nil, nil, err
+		}
+		recs, rep, err := Collect(cur)
 		if err != nil {
 			return nil, nil, err
 		}
 		return [][]table.Record{recs}, []Report{rep}, nil
 	}
 	return db.nearestNeighborsBatchUncached(ctx, ps, k)
+}
+
+// knnStatement is the statement a one-point kNN batch equals.
+func knnStatement(p vec.Point, k int) colorsql.Statement {
+	return colorsql.Statement{Star: true, Order: &colorsql.OrderBy{Dist: p}, Limit: k}
 }
 
 func (db *SpatialDB) nearestNeighborsBatchUncached(ctx context.Context, ps []vec.Point, k int) ([][]table.Record, []Report, error) {

@@ -80,43 +80,6 @@ func TestIngestRecords(t *testing.T) {
 	}
 }
 
-// TestPlansAgree: the full scan and the index scan read the one
-// catalog copy, so they return the same rows in the same order.
-func TestPlansAgree(t *testing.T) {
-	db := openDB(t, 4000)
-	if err := db.BuildKdIndex(0); err != nil {
-		t.Fatal(err)
-	}
-	where := "g - r < 1.1 AND g - r > 0.3 AND r < 20"
-	collect := func(plan Plan) []int64 {
-		recs, rep, err := db.QueryWhere(where, plan)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rep.RowsReturned != int64(len(recs)) {
-			t.Fatalf("%v: report says %d, got %d", plan, rep.RowsReturned, len(recs))
-		}
-		ids := make([]int64, len(recs))
-		for i := range recs {
-			ids[i] = recs[i].ObjID
-		}
-		return ids
-	}
-	scan := collect(PlanFullScan)
-	kd := collect(PlanKdTree)
-	if len(scan) == 0 {
-		t.Fatal("test query returned nothing")
-	}
-	if len(kd) != len(scan) {
-		t.Fatalf("plan disagreement: scan %d, kd %d", len(scan), len(kd))
-	}
-	for i := range scan {
-		if kd[i] != scan[i] {
-			t.Fatalf("plan results differ at %d", i)
-		}
-	}
-}
-
 func TestAutoPlanSelectiveQueryUsesIndex(t *testing.T) {
 	db := openDB(t, 4000)
 	if err := db.BuildKdIndex(0); err != nil {

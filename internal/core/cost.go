@@ -23,7 +23,7 @@ func (db *SpatialDB) EstimateStatementCost(stmt colorsql.Statement) float64 {
 		return 0
 	}
 	// ORDER BY dist LIMIT k with no predicate executes as kNN.
-	if o := stmt.Order; o != nil && o.Dist != nil && !o.Desc && !stmt.HasWhere && stmt.Limit > 0 {
+	if stmt.IsKNN() {
 		return db.EstimateKNNCost(stmt.Limit, 1)
 	}
 	if !stmt.HasWhere {

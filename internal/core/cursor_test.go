@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"repro/internal/colorsql"
-	"repro/internal/sky"
 	"repro/internal/table"
 	"repro/internal/vec"
 )
@@ -33,37 +32,6 @@ func collectStatement(t *testing.T, db *SpatialDB, src string, plan Plan) ([]tab
 		t.Fatal(err)
 	}
 	return recs, rep
-}
-
-// TestStatementMatchesLegacy pins the statement pipeline to the
-// legacy slice API: SELECT * over a predicate must reproduce QueryWhere
-// byte-for-byte, for every plan.
-func TestStatementMatchesLegacy(t *testing.T) {
-	db, err := Open(Config{Dir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	if err := db.IngestSynthetic(sky.DefaultParams(4000, 42)); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.BuildKdIndex(0); err != nil {
-		t.Fatal(err)
-	}
-	const where = "g - r > 0.3 AND r < 20 OR r < 15"
-	for _, plan := range []Plan{PlanFullScan, PlanKdTree, PlanAuto} {
-		want, wantRep, err := db.QueryWhere(where, plan)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, gotRep := collectStatement(t, db, where, plan)
-		if !reflect.DeepEqual(want, got) {
-			t.Errorf("plan=%v: statement rows diverge from QueryWhere (%d vs %d)", plan, len(got), len(want))
-		}
-		if wantRep.RowsReturned != gotRep.RowsReturned || wantRep.Plan != gotRep.Plan {
-			t.Errorf("plan=%v: reports differ: %+v vs %+v", plan, gotRep, wantRep)
-		}
-	}
 }
 
 // TestLimitPushdownBoundsPages is the acceptance criterion: a LIMIT

@@ -33,7 +33,9 @@ import (
 //     every matching row; LIMIT still bounds its memory to the heap.
 //   - ORDER BY dist(p) LIMIT k with no WHERE is exactly kNN: it is
 //     served by the §3.3 region-growing searcher (planner-priced
-//     against brute force) instead of a catalog-wide sort.
+//     against brute force) instead of a catalog-wide sort. A
+//     one-point kNN batch runs as this statement, so the two share
+//     one result-cache entry.
 //   - Projection is pushed to the page bytes: only the selected
 //     columns are decoded (plus, under an ordering, the magnitudes its
 //     key evaluates and the object id that breaks its ties — cleared
@@ -124,7 +126,6 @@ func (db *SpatialDB) execStatementUncached(ctx context.Context, stmt colorsql.St
 		if err != nil {
 			return nil, err
 		}
-		rep.PlanReason = "ORDER BY dist LIMIT k served as kNN: " + rep.PlanReason
 		return SliceCursor(recs, rep), nil
 	}
 

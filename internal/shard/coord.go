@@ -18,6 +18,7 @@ import (
 	"repro/internal/qos"
 	"repro/internal/table"
 	"repro/internal/vec"
+	"repro/internal/vizhttp"
 )
 
 // Config tunes the coordinator's fan-out behaviour.
@@ -52,7 +53,6 @@ type Coordinator struct {
 	errors   []atomic.Int64
 	hedges   []atomic.Int64
 	hists    []*qos.Histogram
-	memRows  []atomic.Int64
 
 	// diskReads sums the exact per-shard page counters returned in
 	// sub-query summaries — the cluster-wide analogue of the single
@@ -63,6 +63,8 @@ type Coordinator struct {
 	// replicated, so any one shard answers exactly.
 	photozNext atomic.Int64
 }
+
+var _ vizhttp.Backend = (*Coordinator)(nil)
 
 // subPlan is one statement's routing decision: what the shards are
 // asked, and which of them.
@@ -101,7 +103,6 @@ func NewCoordinator(rt *RoutingTable, targets []string, cfg Config) (*Coordinato
 		errors:   make([]atomic.Int64, len(targets)),
 		hedges:   make([]atomic.Int64, len(targets)),
 		hists:    make([]*qos.Histogram, len(targets)),
-		memRows:  make([]atomic.Int64, len(targets)),
 	}
 	for i, t := range targets {
 		c.targets[i] = strings.TrimRight(t, "/")
@@ -244,16 +245,6 @@ func (c *Coordinator) EstimateStatementCost(stmt colorsql.Statement) float64 {
 		}
 	}
 	return planner.DefaultCostModel().FullScanCost(int64(math.Ceil(frac * rows)))
-}
-
-// DefaultExpensiveCost mirrors the single-store default — eight full
-// scans of the whole (cluster-wide) catalog — computed from the
-// routing table with zero I/O.
-func (c *Coordinator) DefaultExpensiveCost() float64 {
-	if c.rt.TotalRows <= 0 {
-		return 1 << 20
-	}
-	return 8 * planner.DefaultCostModel().FullScanCost(int64(c.rt.TotalRows))
 }
 
 // NearestNeighborsBatch answers the batch by bounded scatter-gather
@@ -482,27 +473,16 @@ func (c *Coordinator) Insert(recs []table.Record) (uint64, error) {
 			return 0, err
 		}
 		var resp struct {
-			Seq     uint64 `json:"seq"`
-			MemRows int64  `json:"memRows"`
+			Seq uint64 `json:"seq"`
 		}
 		if err := c.observe(ctx, s, func() error { return c.postOnce(ctx, s, "/insert", body, &resp) }); err != nil {
 			return 0, err
 		}
-		c.memRows[s].Store(resp.MemRows)
 		if resp.Seq > maxSeq {
 			maxSeq = resp.Seq
 		}
 	}
 	return maxSeq, nil
-}
-
-// MemRows sums the last acknowledged per-shard memtable sizes.
-func (c *Coordinator) MemRows() int {
-	var total int64
-	for i := range c.memRows {
-		total += c.memRows[i].Load()
-	}
-	return int(total)
 }
 
 // BackendStats surfaces the fan-out telemetry: per-shard request and
@@ -530,6 +510,5 @@ func (c *Coordinator) BackendStats() map[string]any {
 			"units":     len(c.rt.UnitShard),
 			"totalRows": c.rt.TotalRows,
 		},
-		"ingest": map[string]any{"memRows": c.MemRows()},
 	}
 }

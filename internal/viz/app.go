@@ -15,8 +15,15 @@ type App struct {
 	regs      map[Plugin]*Registry
 	pending   map[Producer]bool
 	current   map[Producer]*GeometrySet
-	produced  map[Producer]int // productions observed per producer
 	started   bool
+
+	// Camera generations: camGen numbers the latest SetCamera;
+	// signaled and shown hold, per producer, the generation of the
+	// camera behind its latest signaled production and behind the
+	// geometry the composite currently holds.
+	camGen   uint64
+	signaled map[Producer]uint64
+	shown    map[Producer]uint64
 
 	// FrameStats counters.
 	frames        int
@@ -36,7 +43,8 @@ func NewApp() *App {
 		regs:     make(map[Plugin]*Registry),
 		pending:  make(map[Producer]bool),
 		current:  make(map[Producer]*GeometrySet),
-		produced: make(map[Producer]int),
+		signaled: make(map[Producer]uint64),
+		shown:    make(map[Producer]uint64),
 	}
 }
 
@@ -65,10 +73,8 @@ func (a *App) Start() error {
 		plugins := append([]Plugin{pl.producer}, pipesAsPlugins(pl.pipes)...)
 		for _, p := range plugins {
 			reg := &Registry{}
-			prod, isProd := p.(Producer)
-			if isProd {
-				reg.setSignal(func(sp Producer) { a.signalProduction(sp) })
-				_ = prod
+			if _, isProd := p.(Producer); isProd {
+				reg.setSignal(a.signalProduction)
 			}
 			a.mu.Lock()
 			a.regs[p] = reg
@@ -92,19 +98,22 @@ func pipesAsPlugins(pipes []Pipe) []Plugin {
 	return out
 }
 
-// signalProduction marks a producer as having fresh output; the next
-// Frame call will attempt GetOutput.
-func (a *App) signalProduction(p Producer) {
+// signalProduction marks a producer as having fresh output computed
+// for camera c; the next Frame call will attempt GetOutput.
+func (a *App) signalProduction(p Producer, c Camera) {
 	a.mu.Lock()
 	a.pending[p] = true
+	a.signaled[p] = c.gen
 	a.productionSig++
-	a.produced[p]++
 	a.mu.Unlock()
 }
 
-// SetCamera broadcasts a camera change to every plugin.
+// SetCamera broadcasts a camera change to every plugin, stamped with
+// the next camera generation.
 func (a *App) SetCamera(c Camera) {
 	a.mu.Lock()
+	a.camGen++
+	c.gen = a.camGen
 	regs := make([]*Registry, 0, len(a.regs))
 	for _, r := range a.regs {
 		regs = append(regs, r)
@@ -127,8 +136,12 @@ func (a *App) Frame() *GeometrySet {
 	a.mu.Unlock()
 
 	for _, pl := range pls {
+		// The flag is cleared before the handoff, so a production
+		// signaled during it sets the flag again instead of being lost;
+		// the output read is at least as new as generation gen.
 		a.mu.Lock()
-		pending := a.pending[pl.producer]
+		pending, gen := a.pending[pl.producer], a.signaled[pl.producer]
+		a.pending[pl.producer] = false
 		a.mu.Unlock()
 		if !pending {
 			continue
@@ -137,6 +150,7 @@ func (a *App) Frame() *GeometrySet {
 		if out == nil {
 			a.mu.Lock()
 			a.nilHandoffs++
+			a.pending[pl.producer] = true
 			a.mu.Unlock()
 			continue // retry next frame
 		}
@@ -145,7 +159,7 @@ func (a *App) Frame() *GeometrySet {
 		}
 		a.mu.Lock()
 		a.current[pl.producer] = out
-		a.pending[pl.producer] = false
+		a.shown[pl.producer] = gen
 		a.mu.Unlock()
 	}
 
@@ -158,37 +172,25 @@ func (a *App) Frame() *GeometrySet {
 	return composite
 }
 
-// WaitFrame runs frames until every producer has produced at least
-// once since the call began and all productions have been consumed,
-// then returns the settled composite. Drivers (examples, tests,
+// WaitFrame runs frames until every producer's composited geometry
+// was computed from the latest camera (SetCamera), then returns the
+// settled composite. A production that finished before the call is
+// counted like one that finishes during it. Drivers (examples, tests,
 // benchmarks) use it to emulate the render loop without a real-time
-// clock; it must be called after an event (SetCamera) that triggers
-// production, or it times out.
+// clock; it must be called after a SetCamera, or it times out.
 func (a *App) WaitFrame(timeout time.Duration) (*GeometrySet, error) {
-	a.mu.Lock()
-	base := make(map[Producer]int, len(a.pipelines))
-	for _, pl := range a.pipelines {
-		base[pl.producer] = a.produced[pl.producer]
-	}
-	a.mu.Unlock()
 	deadline := time.Now().Add(timeout)
 	for {
 		g := a.Frame()
 		a.mu.Lock()
-		fresh := true
+		settled := true
 		for _, pl := range a.pipelines {
-			if a.produced[pl.producer] <= base[pl.producer] {
-				fresh = false
-			}
-		}
-		quiet := true
-		for _, pend := range a.pending {
-			if pend {
-				quiet = false
+			if a.shown[pl.producer] != a.camGen {
+				settled = false
 			}
 		}
 		a.mu.Unlock()
-		if fresh && quiet && g.Size() > 0 {
+		if settled && g.Size() > 0 {
 			return g, nil
 		}
 		if time.Now().After(deadline) {

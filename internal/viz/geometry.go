@@ -76,6 +76,10 @@ func (g *GeometrySet) Size() int {
 type Camera struct {
 	View vec.Box
 	N    int
+	// gen is the App.SetCamera broadcast that carried this camera;
+	// productions report it back so a frame knows which camera its
+	// geometry answers.
+	gen uint64
 }
 
 // NewCamera builds a camera over a 3-D view box.

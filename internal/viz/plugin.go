@@ -38,7 +38,7 @@ type Pipe interface {
 type Registry struct {
 	mu          sync.Mutex
 	cameraSubs  []func(Camera)
-	signal      func(Producer)
+	signal      func(Producer, Camera)
 	lastCam     Camera
 	haveLastCam bool
 }
@@ -57,15 +57,16 @@ func (r *Registry) OnCameraChanged(fn func(Camera)) {
 }
 
 // SignalProduction tells the application that the producer has new
-// geometry ready. It is called from the plugin's worker goroutine
-// and only sets a flag — the application extracts the geometry on
-// its own thread in the next frame cycle (Figure 13).
-func (r *Registry) SignalProduction(p Producer) {
+// geometry ready, computed for camera c (as its camera-change
+// subscriber received it). It is called from the plugin's worker
+// goroutine and only sets a flag — the application extracts the
+// geometry on its own thread in the next frame cycle (Figure 13).
+func (r *Registry) SignalProduction(p Producer, c Camera) {
 	r.mu.Lock()
 	sig := r.signal
 	r.mu.Unlock()
 	if sig != nil {
-		sig(p)
+		sig(p, c)
 	}
 }
 
@@ -83,7 +84,7 @@ func (r *Registry) fireCamera(c Camera) {
 }
 
 // setSignal wires the application's production-signal sink.
-func (r *Registry) setSignal(fn func(Producer)) {
+func (r *Registry) setSignal(fn func(Producer, Camera)) {
 	r.mu.Lock()
 	r.signal = fn
 	r.mu.Unlock()

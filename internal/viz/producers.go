@@ -85,7 +85,7 @@ func (p *asyncProducer) Start() bool {
 				p.out = g
 				p.outMu.Unlock()
 				if p.reg != nil {
-					p.reg.SignalProduction(p.self())
+					p.reg.SignalProduction(p.self(), cam)
 				}
 			}
 		}

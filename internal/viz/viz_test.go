@@ -62,6 +62,32 @@ func TestAppLifecycleAndFrame(t *testing.T) {
 	}
 }
 
+// TestWaitFrameAfterProductionFinished: a production that finishes
+// before WaitFrame starts — a fast producer, a geometry-cache hit —
+// still settles the frame, and a second camera waits for its own
+// geometry rather than settling on the first camera's.
+func TestWaitFrameAfterProductionFinished(t *testing.T) {
+	app := NewApp()
+	tp := newTestProducer(7)
+	app.AddPipeline(tp)
+	if err := app.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer app.Stop()
+
+	for _, n := range []int{7, 9} {
+		app.SetCamera(NewCamera(vec.UnitBox(3), n))
+		time.Sleep(50 * time.Millisecond)
+		g, err := app.WaitFrame(2 * time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(g.Points) != n {
+			t.Errorf("frame has %d points, want %d", len(g.Points), n)
+		}
+	}
+}
+
 func TestDoubleStartFails(t *testing.T) {
 	app := NewApp()
 	app.AddPipeline(newTestProducer(1))

@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -218,6 +219,72 @@ func TestKnnAndPhotozCachedRepeat(t *testing.T) {
 	for i := range za.Redshifts {
 		if za.Redshifts[i] != zb.Redshifts[i] {
 			t.Errorf("redshift %d differs: %v vs %v", i, za.Redshifts[i], zb.Redshifts[i])
+		}
+	}
+}
+
+// TestKnnProbeIsItsStatement: a one-point /knn is the statement
+// SELECT * ORDER BY dist(p) LIMIT k, so in either order the second
+// request is served from the first's result-cache entry: one entry,
+// the same neighbours, counted under the query namespace.
+func TestKnnProbeIsItsStatement(t *testing.T) {
+	const stmt = "SELECT * ORDER BY dist(18, 17.5, 17, 16.5, 16) LIMIT 5"
+	knn := func(s *Server) ([]int64, *httptest.ResponseRecorder) {
+		w := httptest.NewRecorder()
+		s.Handler().ServeHTTP(w, httptest.NewRequest("POST", "/knn", strings.NewReader(`{"points": [[18,17.5,17,16.5,16]], "k": 5}`)))
+		var out struct {
+			Results []struct {
+				Neighbors []struct {
+					ObjID int64 `json:"objId"`
+				} `json:"neighbors"`
+			} `json:"results"`
+		}
+		var ids []int64
+		if json.Unmarshal(w.Body.Bytes(), &out) == nil && len(out.Results) == 1 {
+			for _, n := range out.Results[0].Neighbors {
+				ids = append(ids, n.ObjID)
+			}
+		}
+		return ids, w
+	}
+	query := func(s *Server) ([]int64, *httptest.ResponseRecorder) {
+		w := get(t, s, "/query?q="+url.QueryEscape(stmt))
+		var out struct {
+			Rows []struct {
+				ObjID int64 `json:"objid"`
+			} `json:"rows"`
+		}
+		var ids []int64
+		if json.Unmarshal(w.Body.Bytes(), &out) == nil {
+			for _, r := range out.Rows {
+				ids = append(ids, r.ObjID)
+			}
+		}
+		return ids, w
+	}
+	type request func(*Server) ([]int64, *httptest.ResponseRecorder)
+	for _, order := range []struct {
+		name          string
+		first, second request
+	}{{"knn then query", knn, query}, {"query then knn", query, knn}} {
+		s := newCacheTestServer(t, Config{})
+		idsA, a := order.first(s)
+		idsB, b := order.second(s)
+		if a.Code != http.StatusOK || b.Code != http.StatusOK {
+			t.Fatalf("%s: statuses %d, %d", order.name, a.Code, b.Code)
+		}
+		if xa, xb := a.Header().Get("X-Cache"), b.Header().Get("X-Cache"); xa != "miss" || xb != "hit" {
+			t.Errorf("%s: X-Cache %q then %q, want miss then hit", order.name, xa, xb)
+		}
+		if len(idsA) != 5 || !slices.Equal(idsA, idsB) {
+			t.Errorf("%s: neighbours %v then %v", order.name, idsA, idsB)
+		}
+		st := s.coreDB().CacheStatsSnapshot()
+		if st.ResultEntries != 1 {
+			t.Errorf("%s: %d result-cache entries, want 1", order.name, st.ResultEntries)
+		}
+		if q := st.Namespaces["query"]; q.Hits != 1 || q.Misses != 1 {
+			t.Errorf("%s: query namespace %+v, want 1 hit 1 miss", order.name, q)
 		}
 	}
 }

@@ -78,7 +78,6 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 	json.NewEncoder(w).Encode(map[string]any{
 		"inserted": len(recs),
 		"seq":      seq,
-		"memRows":  s.db.MemRows(),
 	})
 }
 

@@ -23,6 +23,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/colorsql"
 	"repro/internal/core"
 	"repro/internal/qos"
 )
@@ -96,7 +97,7 @@ var limitedEndpoints = []string{"points", "render", "query", "knn", "photoz", "i
 // New assembles a Server over a single-store db. See Config for the
 // QoS defaults.
 func New(db *core.SpatialDB, cfg Config) *Server {
-	return NewBackend(CoreBackend(db), cfg)
+	return NewBackend(db, cfg)
 }
 
 // NewBackend assembles a Server over any Backend — the shard
@@ -112,7 +113,13 @@ func NewBackend(db Backend, cfg Config) *Server {
 		cfg.QueueTimeout = 2 * time.Second
 	}
 	if cfg.ExpensiveCost == 0 {
-		cfg.ExpensiveCost = db.DefaultExpensiveCost()
+		// Eight full scans: every sane T1–T5 request prices far below
+		// it, a 10k-point k=1000 kNN batch far above. A backend with no
+		// rows to price gets a large constant.
+		cfg.ExpensiveCost = 1 << 20
+		if full := db.EstimateStatementCost(colorsql.Statement{Star: true, Limit: -1}); full > 0 {
+			cfg.ExpensiveCost = 8 * full
+		}
 	}
 	if cfg.StreamWriteTimeout == 0 {
 		cfg.StreamWriteTimeout = 30 * time.Second
