@@ -678,11 +678,7 @@ func memNeighbors(mem []memtable.Row, p vec.Point, k int) []memCand {
 		}
 	}
 	for i := range mem {
-		var d2 float64
-		for j, v := range mem[i].Rec.Mags {
-			dv := float64(v) - p[j]
-			d2 += dv * dv
-		}
+		d2 := table.Dist2(&mem[i].Rec.Mags, p)
 		switch {
 		case len(best) < k:
 			if best = append(best, memCand{d2, i}); len(best) == k {

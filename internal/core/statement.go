@@ -22,20 +22,21 @@ import (
 //     walk"): the stream runs serially and the scan stops at the page
 //     holding the n-th matching row. Pages read are bounded by the
 //     limit, not the selection.
-//   - ORDER BY <linear expr> LIMIT k bounds the scan by the k-th key:
-//     once the k-row heap is full its root key is one more half-space
-//     of the predicate, tightened as the scan runs — pages whose zone
-//     cannot beat it are skipped unread, rows that cannot are dropped
-//     from the strips undecoded (table.KeyBound; DESIGN.md
-//     "Pushdown rules"). Only strictly worse keys are dropped, so the
-//     answer is the unbounded scan's. With no LIMIT, a LIMIT above the
-//     matches or a dist key nothing is published and the sort sees
-//     every matching row; LIMIT still bounds its memory to the heap.
+//   - ORDER BY <linear expr | dist(p)> LIMIT k bounds the scan by the
+//     k-th key: once the k-row heap is full its root key is one more
+//     constraint of the predicate — a half-space, or for dist(p) a
+//     ball — tightened as the scan runs: pages whose zone cannot beat
+//     it are skipped unread, rows that cannot are dropped from the
+//     strips undecoded (table.KeyBound; DESIGN.md "Pushdown rules").
+//     Only strictly worse keys are dropped, so the answer is the
+//     unbounded scan's. With no LIMIT or a LIMIT above the matches
+//     nothing is published and the sort sees every matching row;
+//     LIMIT still bounds its memory to the heap.
 //   - ORDER BY dist(p) LIMIT k with no WHERE is exactly kNN: it is
 //     served by the §3.3 region-growing searcher (planner-priced
-//     against brute force) instead of a catalog-wide sort. A
-//     one-point kNN batch runs as this statement, so the two share
-//     one result-cache entry.
+//     against brute force), whose leaf scans run under the same bound,
+//     instead of a catalog-wide sort. A one-point kNN batch runs as
+//     this statement, so the two share one result-cache entry.
 //   - Projection is pushed to the page bytes: only the selected
 //     columns are decoded (plus, under an ordering, the magnitudes its
 //     key evaluates and the object id that breaks its ties — cleared
@@ -132,7 +133,9 @@ func (db *SpatialDB) execStatementUncached(ctx context.Context, stmt colorsql.St
 	opts := cursorOpts{cols: db.statementCols(stmt), stopAfter: -1}
 	if o := stmt.Order; stmt.Limit > 0 && o == nil {
 		opts.stopAfter = int64(stmt.Limit)
-	} else if stmt.Limit > 0 && o.Dist == nil {
+	} else if stmt.Limit > 0 && o.Dist != nil {
+		opts.bound = table.NewDistBound(o.Dist, o.Desc)
+	} else if stmt.Limit > 0 {
 		opts.bound = table.NewKeyBound(o.Coeffs, o.K, o.Desc)
 	}
 

@@ -75,7 +75,7 @@ func (s *Searcher) SearchBatchFunc(queries []vec.Point, k int, fn func(i int, nb
 		return order[a] < order[b]
 	})
 
-	scr := newScratch(s.Tree.NumLeaves())
+	scr := newScratch(s.Tree.NumLeaves(), s.Tree.Dim)
 	for _, qi := range order {
 		r, st, err := s.searchScoped(queries[qi], k, seeds[qi], scr)
 		if err != nil {

@@ -26,12 +26,21 @@
 // neighbourhoods; the paper's TOP(k−f) refinement falls out for free
 // because leaves are admitted in distance order.
 //
+// Each leaf's rows, like any ordered LIMIT's, are read as one scan
+// under the query's dist(p) key bound (table.KeyBound), tightened to m²
+// on every admission: a page whose zone lies strictly farther than m is
+// skipped unread, the rows of a page read are ranked by their distance
+// from the magnitude strips, and only a row that enters the result list
+// is decoded. Admission is d² < m² in visit order, as in a full-record
+// scan, so the answer — ties and their order included — is the one that
+// scan gives.
+//
 // Rows appended after the tree was built (online ingest's minor
 // compactions) sit past the tree's row prefix and belong to no leaf.
-// Once the region growth halts, the search passes over those tail
-// pages' zone maps and scans a page only if its zone lies within m —
-// the same "cannot replace the farthest point" test, with page zones
-// standing in for kd-boxes — so every search covers the whole table.
+// Once the region growth halts, the search scans that tail under the
+// same bound — page zones standing in for kd-boxes in the same "cannot
+// replace the farthest point" test — so every search covers the whole
+// table.
 //
 // Every query runs under its own pagestore accounting scope, so
 // Stats.Pages is exactly the pages that query touched even while
@@ -60,24 +69,16 @@ type Neighbor struct {
 }
 
 // Stats reports the cost of one search — the §3.3 evaluation is
-// that LeavesExamined ≪ total leaves. Pages is scope-exact: it
-// counts only this query's page traffic, regardless of what other
-// queries do concurrently.
+// that LeavesExamined ≪ total leaves. RowsExamined counts the rows, in
+// the ranges searched, of the pages read; a page skipped by its zone
+// counts none. Pages is scope-exact: it counts only this query's page
+// traffic, regardless of what other queries do concurrently.
 type Stats struct {
 	LeavesExamined int
 	RowsExamined   int64
 	Pages          pagestore.Stats
 	Duration       time.Duration
 }
-
-// resultHeap is a bounded max-heap over Dist2: the "result list".
-type resultHeap []Neighbor
-
-func (h resultHeap) Len() int           { return len(h) }
-func (h resultHeap) Less(i, j int) bool { return h[i].Dist2 > h[j].Dist2 }
-func (h resultHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *resultHeap) Push(x any)        { *h = append(*h, x.(Neighbor)) }
-func (h *resultHeap) Pop() any          { old := *h; n := len(old); x := old[n-1]; *h = old[:n-1]; return x }
 
 // frontierEntry is one index-list element: a leaf and the squared
 // distance from the query to its cell.
@@ -86,35 +87,80 @@ type frontierEntry struct {
 	dist2 float64
 }
 
-// frontierHeap is a min-heap over dist2: the "index list".
-type frontierHeap []frontierEntry
+// farther orders the result list, a max-heap over Dist2, and nearer the
+// index list, a min-heap over dist2. Both are typed slices kept by push,
+// pop, siftUp and siftDown — container/heap's Push, Pop, up and down,
+// comparison for comparison and swap for swap — so ties settle exactly
+// as they would there, without boxing an element per push or pop.
+func farther(a, b *Neighbor) bool     { return a.Dist2 > b.Dist2 }
+func nearer(a, b *frontierEntry) bool { return a.dist2 < b.dist2 }
 
-func (h frontierHeap) Len() int           { return len(h) }
-func (h frontierHeap) Less(i, j int) bool { return h[i].dist2 < h[j].dist2 }
-func (h frontierHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *frontierHeap) Push(x any)        { *h = append(*h, x.(frontierEntry)) }
-func (h *frontierHeap) Pop() any {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
+// push appends x and restores the heap, as heap.Push does.
+func push[T any](h []T, x T, less func(a, b *T) bool) []T {
+	h = append(h, x)
+	siftUp(h, len(h)-1, less)
+	return h
+}
+
+// pop removes and returns the root, as heap.Pop does.
+func pop[T any](h []T, less func(a, b *T) bool) ([]T, T) {
+	n := len(h) - 1
+	h[0], h[n] = h[n], h[0]
+	siftDown(h, 0, n, less)
+	return h[:n], h[n]
+}
+
+func siftUp[T any](h []T, j int, less func(a, b *T) bool) {
+	for {
+		i := (j - 1) / 2 // parent
+		if i == j || !less(&h[j], &h[i]) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		j = i
+	}
+}
+
+func siftDown[T any](h []T, i, n int, less func(a, b *T) bool) {
+	for {
+		j1 := 2*i + 1
+		if j1 >= n || j1 < 0 {
+			break
+		}
+		j := j1 // left child
+		if j2 := j1 + 1; j2 < n && less(&h[j2], &h[j1]) {
+			j = j2
+		}
+		if !less(&h[j], &h[i]) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
 }
 
 // scratch is reusable per-batch search state. The visited set is a
 // generation-stamped array, so resetting between queries is O(1)
-// instead of allocating a NumLeaves-sized bitmap per call, and the
-// two heaps keep their backing arrays across queries.
+// instead of allocating a NumLeaves-sized bitmap per call; the two
+// heaps, the face-crossing buffers and the scan counters keep their
+// storage across leaves and queries.
 type scratch struct {
 	visited  []uint32
 	gen      uint32
-	result   resultHeap
-	frontier frontierHeap
-	tail     []float64 // squared distance to each tail page's zone
+	result   []Neighbor
+	frontier []frontierEntry
+	counters table.ScanCounters
+	closest  vec.Point // a leaf cell's point nearest the query
+	slab     vec.Box   // the slab just beyond one face
+	stack    []int32   // the slab walk's pending nodes
 }
 
-func newScratch(numLeaves int) *scratch {
-	return &scratch{visited: make([]uint32, numLeaves)}
+func newScratch(numLeaves, dim int) *scratch {
+	return &scratch{
+		visited: make([]uint32, numLeaves),
+		closest: make(vec.Point, dim),
+		slab:    vec.Box{Min: make(vec.Point, dim), Max: make(vec.Point, dim)},
+	}
 }
 
 // reset prepares the scratch for the next query.
@@ -128,6 +174,7 @@ func (scr *scratch) reset() {
 	}
 	scr.result = scr.result[:0]
 	scr.frontier = scr.frontier[:0]
+	scr.counters.Examined.Store(0)
 }
 
 func (scr *scratch) seen(leaf int) bool { return scr.visited[leaf] == scr.gen }
@@ -152,7 +199,7 @@ func (s *Searcher) Search(p vec.Point, k int) ([]Neighbor, Stats, error) {
 	if err := s.validate(p, k); err != nil {
 		return nil, Stats{}, err
 	}
-	return s.searchScoped(p, k, s.seedLeaf(p), newScratch(s.Tree.NumLeaves()))
+	return s.searchScoped(p, k, s.seedLeaf(p), newScratch(s.Tree.NumLeaves(), s.Tree.Dim))
 }
 
 // seedLeaf routes p (clamped into the domain, so off-data queries
@@ -187,79 +234,91 @@ func (s *Searcher) searchScoped(p vec.Point, k, seed int, scr *scratch) ([]Neigh
 	return out, stats, err
 }
 
-// run is the region-growing loop over an already-scoped table.
+// run is the region-growing loop over an already-scoped table. Every
+// range it reads — a leaf, then the unindexed tail — is one scan under
+// the query's dist(p) bound, tightened to the k-th d² on each
+// admission: a page whose zone lies strictly farther is skipped unread,
+// rows are ranked from the magnitude strips, and only a row that enters
+// the result list is decoded.
 func (s *Searcher) run(tb *table.Table, p vec.Point, k, seed int, scr *scratch, stats *Stats) ([]Neighbor, error) {
 	scr.reset()
-	result, frontier := &scr.result, &scr.frontier
+	bound := table.NewDistBound(p, false)
+	it := tb.IterRangePred(nil, 0, 0, table.ColAll, nil, bound, &scr.counters)
+	defer it.Close()
 
-	heap.Push(frontier, frontierEntry{leaf: seed, dist2: s.Tree.LeafBox(seed).Dist2(p)})
+	scr.frontier = push(scr.frontier, frontierEntry{leaf: seed, dist2: s.Tree.LeafBox(seed).Dist2(p)}, nearer)
 	scr.visit(seed)
 
-	m2 := func() float64 {
-		if len(*result) < k {
-			return math.Inf(1)
-		}
-		return (*result)[0].Dist2
-	}
-
-	for frontier.Len() > 0 {
-		e := heap.Pop(frontier).(frontierEntry)
-		if e.dist2 > m2() {
+	for len(scr.frontier) > 0 {
+		var e frontierEntry
+		scr.frontier, e = pop(scr.frontier, nearer)
+		if e.dist2 > scr.radius2(k) {
 			break // index list exhausted within radius m: done
 		}
 		stats.LeavesExamined++
 		lo, hi := s.Tree.LeafRows(e.leaf)
-		if err := examineRows(tb, lo, hi, p, k, result, stats); err != nil {
+		if err := scr.scan(it, lo, hi, k, bound); err != nil {
 			return nil, err
 		}
-		s.growAcrossFaces(e.leaf, p, m2(), scr, frontier)
+		s.growAcrossFaces(e.leaf, p, scr.radius2(k), scr)
 	}
 
 	// The tail: rows minor compactions appended past the tree's prefix
 	// belong to no leaf, so the region-grow cannot reach them. Their
-	// pages' zones stand in for the kd-boxes — a zone is a superset of
-	// its page's rows and m only shrinks, so a page whose zone lies
-	// farther than m can never displace a result. Compaction writes each
-	// batch as a kd-ordered run, which keeps those zones tight. The zone
-	// distances are taken in one locked pass; a page without a zone is at
-	// distance 0. The first tail page may start mid-page, after the last
-	// leaf's rows.
-	if lo, hi := table.RowID(s.Tree.NumRows), table.RowID(tb.NumRows()); lo < hi {
-		const perPage = table.RecordsPerPage
-		first := int(lo / perPage)
-		scr.tail = tb.ZoneMaps().Dist2Range(scr.tail[:0], first, int((hi-1)/perPage)+1, p)
-		for i, d2 := range scr.tail {
-			if d2 > m2() {
-				continue
-			}
-			start := table.RowID(first+i) * perPage
-			if err := examineRows(tb, max(lo, start), min(hi, start+perPage), p, k, result, stats); err != nil {
-				return nil, err
-			}
-		}
+	// pages' zones stand in for the kd-boxes: the scan skips a page whose
+	// zone lies strictly farther than m, which only shrinks — a zone is a
+	// superset of its page's rows, so such a page can never displace a
+	// result. Compaction writes each batch as a kd-ordered run, which
+	// keeps those zones tight; a page without a zone is always read.
+	if err := scr.scan(it, table.RowID(s.Tree.NumRows), table.RowID(tb.NumRows()), k, bound); err != nil {
+		return nil, err
 	}
+	stats.RowsExamined = scr.counters.Examined.Load()
 
-	out := make([]Neighbor, len(*result))
+	out := make([]Neighbor, len(scr.result))
 	for i := len(out) - 1; i >= 0; i-- {
-		out[i] = heap.Pop(result).(Neighbor)
+		scr.result, out[i] = pop(scr.result, farther)
 	}
 	return out, nil
 }
 
-// examineRows scans rows [lo, hi) — one leaf, or one tail page —
-// refining the result list.
-func examineRows(tb *table.Table, lo, hi table.RowID, p vec.Point, k int, result *resultHeap, stats *Stats) error {
-	return tb.ScanRange(lo, hi, func(id table.RowID, r *table.Record) bool {
-		stats.RowsExamined++
-		d2 := dist2Mags(p, r)
-		if len(*result) < k {
-			heap.Push(result, Neighbor{Row: id, Dist2: d2, Rec: *r})
-		} else if d2 < (*result)[0].Dist2 {
-			(*result)[0] = Neighbor{Row: id, Dist2: d2, Rec: *r}
-			heap.Fix(result, 0)
+// radius2 is m², the current k-th neighbour's squared distance: +Inf
+// until the result list holds k rows.
+func (scr *scratch) radius2(k int) float64 {
+	if len(scr.result) < k {
+		return math.Inf(1)
+	}
+	return scr.result[0].Dist2
+}
+
+// scan reads rows [lo, hi) — one leaf, or the tail — into the result
+// list. Admission is d² < m² in visit order, so a row the bound passes
+// with d² tying m² is still turned away here; a full list publishes its
+// new m² to the bound.
+func (scr *scratch) scan(it *table.Iter, lo, hi table.RowID, k int, bound *table.KeyBound) error {
+	it.Reset(lo, hi)
+	for {
+		row, d2, ok := it.NextKey()
+		if !ok {
+			return it.Err()
 		}
-		return true
-	})
+		switch h := scr.result; {
+		case len(h) < k:
+			h = append(h, Neighbor{Row: row, Dist2: d2})
+			it.Decode(&h[len(h)-1].Rec)
+			siftUp(h, len(h)-1, farther)
+			scr.result = h
+		case d2 < h[0].Dist2:
+			h[0].Row, h[0].Dist2 = row, d2
+			it.Decode(&h[0].Rec)
+			siftDown(h, 0, len(h), farther)
+		default:
+			continue
+		}
+		if len(scr.result) == k {
+			bound.Tighten(scr.result[0].Dist2)
+		}
+	}
 }
 
 // growAcrossFaces admits the unvisited leaves adjacent to the given
@@ -267,15 +326,19 @@ func examineRows(tb *table.Table, lo, hi table.RowID, p vec.Point, k int, result
 // each face the crossing is a thin slab just beyond the face plane,
 // intersected with the tree to enumerate every neighbouring cell —
 // the multi-neighbour generalization of the paper's boundary points.
-func (s *Searcher) growAcrossFaces(leaf int, p vec.Point, m2 float64, scr *scratch, frontier *frontierHeap) {
+func (s *Searcher) growAcrossFaces(leaf int, p vec.Point, m2 float64, scr *scratch) {
 	cell := s.Tree.LeafBox(leaf)
 	dim := cell.Dim()
 	root := s.Tree.Root().Cell
+	// b is p clamped into the cell (vec.Box.ClosestPoint); with one
+	// coordinate moved onto a face it is the face's point nearest p (the
+	// paper's projection, exact on faces).
+	b := scr.closest
+	for i := range b {
+		b[i] = math.Max(cell.Min[i], math.Min(cell.Max[i], p[i]))
+	}
 	for axis := 0; axis < dim; axis++ {
 		for side := 0; side < 2; side++ {
-			// Boundary point: p clamped onto the face — the nearest point
-			// of the face to p (the paper's projection, exact on faces).
-			b := cell.ClosestPoint(p)
 			var faceCoord float64
 			if side == 0 {
 				faceCoord = cell.Min[axis]
@@ -288,19 +351,24 @@ func (s *Searcher) growAcrossFaces(leaf int, p vec.Point, m2 float64, scr *scrat
 					continue
 				}
 			}
+			inside := b[axis]
 			b[axis] = faceCoord
-			if d2 := p.Dist2(b); d2 > m2 {
+			d2 := p.Dist2(b)
+			b[axis] = inside
+			if d2 > m2 {
 				continue // boundary point farther than m: skip this face
 			}
 			// Slab just beyond the face, clipped to the face rectangle.
-			slab := cell.Clone()
+			slab := scr.slab
+			copy(slab.Min, cell.Min)
+			copy(slab.Max, cell.Max)
 			eps := faceEps(root, axis)
 			if side == 0 {
 				slab.Min[axis], slab.Max[axis] = faceCoord-eps, faceCoord
 			} else {
 				slab.Min[axis], slab.Max[axis] = faceCoord, faceCoord+eps
 			}
-			s.collectLeavesIntersecting(slab, p, m2, scr, frontier)
+			s.collectLeavesIntersecting(slab, p, m2, scr)
 		}
 	}
 }
@@ -316,8 +384,8 @@ func faceEps(root vec.Box, axis int) float64 {
 
 // collectLeavesIntersecting walks the tree pushing every unvisited
 // leaf whose cell intersects box and lies within radius² m2 of p.
-func (s *Searcher) collectLeavesIntersecting(box vec.Box, p vec.Point, m2 float64, scr *scratch, frontier *frontierHeap) {
-	stack := []int32{0}
+func (s *Searcher) collectLeavesIntersecting(box vec.Box, p vec.Point, m2 float64, scr *scratch) {
+	stack := append(scr.stack[:0], 0)
 	for len(stack) > 0 {
 		idx := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
@@ -332,12 +400,13 @@ func (s *Searcher) collectLeavesIntersecting(box vec.Box, p vec.Point, m2 float6
 			leaf := int(n.Leaf)
 			if !scr.seen(leaf) {
 				scr.visit(leaf)
-				heap.Push(frontier, frontierEntry{leaf: leaf, dist2: n.Cell.Dist2(p)})
+				scr.frontier = push(scr.frontier, frontierEntry{leaf: leaf, dist2: n.Cell.Dist2(p)}, nearer)
 			}
 			continue
 		}
 		stack = append(stack, n.Left, n.Right)
 	}
+	scr.stack = stack
 }
 
 // dist2Mags computes |p - record.Mags|² without allocating.
@@ -349,6 +418,16 @@ func dist2Mags(p vec.Point, r *table.Record) float64 {
 	}
 	return s
 }
+
+// bruteHeap is BruteForce's bounded max-heap over Dist2, kept by
+// container/heap.
+type bruteHeap []Neighbor
+
+func (h bruteHeap) Len() int           { return len(h) }
+func (h bruteHeap) Less(i, j int) bool { return h[i].Dist2 > h[j].Dist2 }
+func (h bruteHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *bruteHeap) Push(x any)        { *h = append(*h, x.(Neighbor)) }
+func (h *bruteHeap) Pop() any          { old := *h; n := len(old); x := old[n-1]; *h = old[:n-1]; return x }
 
 // BruteForce returns the exact k nearest neighbours by scanning the
 // whole table — the reference the index-assisted search is verified
@@ -365,7 +444,7 @@ func BruteForce(tb *table.Table, p vec.Point, k int) ([]Neighbor, Stats, error) 
 	scope := tb.Store().Scoped()
 	stb := tb.Scoped(scope).ScanClassed()
 	var stats Stats
-	result := make(resultHeap, 0, k+1)
+	result := make(bruteHeap, 0, k+1)
 	err := stb.Scan(func(id table.RowID, r *table.Record) bool {
 		stats.RowsExamined++
 		d2 := dist2Mags(p, r)

@@ -1,8 +1,10 @@
 package knn
 
 import (
+	"container/heap"
 	"math"
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -186,14 +188,15 @@ func TestSearchIOSmallerThanScan(t *testing.T) {
 	}
 }
 
-func TestDuplicatePoints(t *testing.T) {
-	// Many identical points must not break the search: build a tiny
-	// table with heavy duplication.
+// duplicateFixture is a tiny table with heavy duplication: 64 rows on
+// only 4 distinct positions.
+func duplicateFixture(t *testing.T) *Searcher {
+	t.Helper()
 	s, err := pagestore.Open(t.TempDir(), 256)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
+	t.Cleanup(func() { s.Close() })
 	tb, _ := table.Create(s, "dup.tbl")
 	recs := make([]table.Record, 64)
 	for i := range recs {
@@ -208,7 +211,13 @@ func TestDuplicatePoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	searcher := NewSearcher(tree, clustered)
+	return NewSearcher(tree, clustered)
+}
+
+func TestDuplicatePoints(t *testing.T) {
+	// Many identical points must not break the search.
+	searcher := duplicateFixture(t)
+	clustered := searcher.Tb
 	got, _, err := searcher.Search(vec.Point{15, 15, 15, 15, 15}, 20)
 	if err != nil {
 		t.Fatal(err)
@@ -259,18 +268,7 @@ func TestBruteForceAscendingAndExact(t *testing.T) {
 // row's distance, not against BruteForce's heap. Through a view with no
 // zone maps no tail page can be pruned, and the answer is the same.
 func TestSearchCoversUnindexedTail(t *testing.T) {
-	s := fixture(t, 3000)
-	fresh, err := sky.Generate(sky.DefaultParams(700, 43))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Two runs; the first ends mid-page, so does the indexed prefix.
-	if err := s.Tb.AppendAll(fresh[:333]); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Tb.AppendAll(fresh[333:]); err != nil {
-		t.Fatal(err)
-	}
+	s, fresh := tailFixture(t)
 	blind := NewSearcher(s.Tree, s.Tb.WithoutZones())
 	const k = 9
 	for i := 0; i < len(fresh); i += 7 {
@@ -299,4 +297,216 @@ func TestSearchCoversUnindexedTail(t *testing.T) {
 			}
 		}
 	}
+}
+
+// tailFixture is a 3000-row searcher whose table then takes 700 rows
+// the tree does not cover, appended as two runs; the first ends
+// mid-page, so does the indexed prefix.
+func tailFixture(t *testing.T) (*Searcher, []table.Record) {
+	t.Helper()
+	s := fixture(t, 3000)
+	fresh, err := sky.Generate(sky.DefaultParams(700, 43))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Tb.AppendAll(fresh[:333]); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Tb.AppendAll(fresh[333:]); err != nil {
+		t.Fatal(err)
+	}
+	return s, fresh
+}
+
+// TestSearchTieOrderIdentity: Search and SearchBatch return exactly the
+// neighbours — Row, Dist2, Rec and order, ties included — of the search
+// as it ran when every range was read as full records
+// (leafScanReference), and examine exactly the rows of the pages whose
+// zone lies within the current k-th distance. On the duplicate table
+// nearly every distance ties; on the tail table the region grows
+// through leaves and then the two-run tail, with zones and without.
+func TestSearchTieOrderIdentity(t *testing.T) {
+	dup := duplicateFixture(t)
+	tail, fresh := tailFixture(t)
+	cases := []struct {
+		name   string
+		s      *Searcher
+		probes []vec.Point
+	}{
+		{"duplicates", dup, []vec.Point{
+			{15, 15, 15, 15, 15}, {16, 16, 16, 16, 16}, {18, 18, 18, 18, 18},
+			{15.5, 15.5, 15.5, 15.5, 15.5}, {5, 5, 5, 5, 5}, {16.5, 16, 17, 16.5, 16},
+		}},
+		{"tail", tail, nil},
+		{"tail, no zones", NewSearcher(tail.Tree, tail.Tb.WithoutZones()), nil},
+	}
+	var tailProbes []vec.Point
+	for i := 0; i < len(fresh); i += 61 {
+		tailProbes = append(tailProbes, fresh[i].Point())
+	}
+	tailProbes = append(tailProbes, batchQueries(t, tail, 8, 5)...)
+	cases[1].probes, cases[2].probes = tailProbes, tailProbes
+
+	ks := []int{64}
+	for k := 1; k <= 12; k++ {
+		ks = append(ks, k)
+	}
+	for _, c := range cases {
+		for _, k := range ks {
+			want := make([][]Neighbor, len(c.probes))
+			rows := make([]int64, len(c.probes))
+			for i, p := range c.probes {
+				want[i], rows[i] = leafScanReference(t, c.s, p, k)
+				got, st, err := c.s.Search(p, k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, want[i]) {
+					t.Fatalf("%s, k=%d, probe %v: Search %v, reference %v", c.name, k, p, rowsOf(got), rowsOf(want[i]))
+				}
+				if st.RowsExamined != rows[i] {
+					t.Fatalf("%s, k=%d, probe %v: examined %d rows, the reference's pages hold %d", c.name, k, p, st.RowsExamined, rows[i])
+				}
+			}
+			got, _, err := c.s.SearchBatch(c.probes, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s, k=%d: SearchBatch differs from the reference", c.name, k)
+			}
+		}
+	}
+}
+
+func rowsOf(nbs []Neighbor) []table.RowID {
+	out := make([]table.RowID, len(nbs))
+	for i := range nbs {
+		out[i] = nbs[i].Row
+	}
+	return out
+}
+
+// refResults and refFrontier are the reference's result and index
+// lists, kept by container/heap.
+type refResults []Neighbor
+
+func (h refResults) Len() int           { return len(h) }
+func (h refResults) Less(i, j int) bool { return h[i].Dist2 > h[j].Dist2 }
+func (h refResults) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *refResults) Push(x any)        { *h = append(*h, x.(Neighbor)) }
+func (h *refResults) Pop() any          { old := *h; n := len(old); x := old[n-1]; *h = old[:n-1]; return x }
+
+type refFrontier []frontierEntry
+
+func (h refFrontier) Len() int           { return len(h) }
+func (h refFrontier) Less(i, j int) bool { return h[i].dist2 < h[j].dist2 }
+func (h refFrontier) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *refFrontier) Push(x any)        { *h = append(*h, x.(frontierEntry)) }
+func (h *refFrontier) Pop() any          { old := *h; n := len(old); x := old[n-1]; *h = old[:n-1]; return x }
+
+// leafScanReference is the region-growing search over container/heap
+// lists with every range — each leaf, then the unindexed tail — read a
+// page at a time as full records (ScanRange) ranked by dist2Mags. A page
+// is read unless the heap is full and the page's zone lies strictly
+// farther than its root; the rows of the pages read are returned beside
+// the neighbours.
+func leafScanReference(t *testing.T, s *Searcher, p vec.Point, k int) ([]Neighbor, int64) {
+	t.Helper()
+	var result refResults
+	var frontier refFrontier
+	var examined int64
+	m2 := func() float64 {
+		if len(result) < k {
+			return math.Inf(1)
+		}
+		return result[0].Dist2
+	}
+	scan := func(lo, hi table.RowID) {
+		hi = min(hi, table.RowID(s.Tb.NumRows()))
+		for lo < hi {
+			pg := uint64(lo) / table.RecordsPerPage
+			end := min(hi, table.RowID((pg+1)*table.RecordsPerPage))
+			if zm := s.Tb.ZoneMaps(); zm != nil {
+				if z, ok := zm.Page(int(pg)); ok && (vec.Box{Min: z.Min[:], Max: z.Max[:]}).Dist2(p) > m2() {
+					lo = end
+					continue
+				}
+			}
+			examined += int64(end - lo)
+			err := s.Tb.ScanRange(lo, end, func(id table.RowID, r *table.Record) bool {
+				d2 := dist2Mags(p, r)
+				if len(result) < k {
+					heap.Push(&result, Neighbor{Row: id, Dist2: d2, Rec: *r})
+				} else if d2 < result[0].Dist2 {
+					result[0] = Neighbor{Row: id, Dist2: d2, Rec: *r}
+					heap.Fix(&result, 0)
+				}
+				return true
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			lo = end
+		}
+	}
+
+	seed := s.seedLeaf(p)
+	visited := map[int]bool{seed: true}
+	heap.Push(&frontier, frontierEntry{leaf: seed, dist2: s.Tree.LeafBox(seed).Dist2(p)})
+	root := s.Tree.Root().Cell
+	for frontier.Len() > 0 {
+		e := heap.Pop(&frontier).(frontierEntry)
+		if e.dist2 > m2() {
+			break
+		}
+		scan(s.Tree.LeafRows(e.leaf))
+		// Grow across every face nearer than m: each unvisited leaf
+		// whose cell meets the thin slab beyond the face within m.
+		cell := s.Tree.LeafBox(e.leaf)
+		for axis := 0; axis < cell.Dim(); axis++ {
+			for side := 0; side < 2; side++ {
+				b := cell.ClosestPoint(p)
+				faceCoord := cell.Max[axis]
+				if side == 0 {
+					faceCoord = cell.Min[axis]
+				}
+				if side == 0 && faceCoord <= root.Min[axis] || side == 1 && faceCoord >= root.Max[axis] {
+					continue
+				}
+				b[axis] = faceCoord
+				if p.Dist2(b) > m2() {
+					continue
+				}
+				slab := cell.Clone()
+				eps := faceEps(root, axis)
+				if side == 0 {
+					slab.Min[axis], slab.Max[axis] = faceCoord-eps, faceCoord
+				} else {
+					slab.Min[axis], slab.Max[axis] = faceCoord, faceCoord+eps
+				}
+				stack := []int32{0}
+				for len(stack) > 0 {
+					n := &s.Tree.Nodes[stack[len(stack)-1]]
+					stack = stack[:len(stack)-1]
+					if !n.Cell.Intersects(slab) || n.Cell.Dist2(p) > m2() {
+						continue
+					}
+					if !n.IsLeaf() {
+						stack = append(stack, n.Left, n.Right)
+					} else if leaf := int(n.Leaf); !visited[leaf] {
+						visited[leaf] = true
+						heap.Push(&frontier, frontierEntry{leaf: leaf, dist2: n.Cell.Dist2(p)})
+					}
+				}
+			}
+		}
+	}
+	scan(table.RowID(s.Tree.NumRows), table.RowID(s.Tb.NumRows()))
+
+	out := make([]Neighbor, len(result))
+	for i := len(out) - 1; i >= 0; i-- {
+		out[i] = heap.Pop(&result).(Neighbor)
+	}
+	return out, examined
 }

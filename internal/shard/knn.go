@@ -103,18 +103,6 @@ type knnCand struct {
 	shard int
 }
 
-// recDist2 is the squared distance from a row to a probe, computed the
-// way every layer ranks neighbours: float32 magnitudes widened to
-// float64, terms summed in band order.
-func recDist2(rec *table.Record, q vec.Point) float64 {
-	var s float64
-	for d, v := range rec.Mags {
-		diff := float64(v) - q[d]
-		s += diff * diff
-	}
-	return s
-}
-
 // boundedKNN answers a batch of probes with the two-phase protocol
 // described at the top of this file, results and reports in input
 // order.
@@ -154,7 +142,7 @@ func (c *Coordinator) boundedKNN(ctx context.Context, qs []vec.Point, k int) ([]
 			i := v.i
 			for j := range v.recs {
 				rec := &v.recs[j]
-				cands[i] = append(cands[i], knnCand{rec: *rec, dist2: recDist2(rec, qs[i]), shard: v.shard})
+				cands[i] = append(cands[i], knnCand{rec: *rec, dist2: table.Dist2(&rec.Mags, qs[i]), shard: v.shard})
 			}
 			rep := &reports[i]
 			if v.shard == owner[i] {

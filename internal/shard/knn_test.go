@@ -80,11 +80,11 @@ func sameNeighbours(t *testing.T, label string, q vec.Point, got, want []table.R
 		t.Fatalf("%s: %d neighbours, single store %d", label, len(got), len(want))
 	}
 	for j := range want {
-		dg, dw := recDist2(&got[j], q), recDist2(&want[j], q)
+		dg, dw := table.Dist2(&got[j].Mags, q), table.Dist2(&want[j].Mags, q)
 		if dg != dw {
 			t.Fatalf("%s: neighbour %d at dist² %v, single store %v", label, j, dg, dw)
 		}
-		tied := j > 0 && recDist2(&want[j-1], q) == dw || j+1 < len(want) && recDist2(&want[j+1], q) == dw
+		tied := j > 0 && table.Dist2(&want[j-1].Mags, q) == dw || j+1 < len(want) && table.Dist2(&want[j+1].Mags, q) == dw
 		if tied {
 			continue
 		}
@@ -438,7 +438,7 @@ func expectedVisits(t *testing.T, cl *cluster, q vec.Point, k int) (owner int, o
 	}
 	bound := math.Inf(1)
 	if len(recs) >= k {
-		bound = recDist2(&recs[len(recs)-1], q)
+		bound = table.Dist2(&recs[len(recs)-1].Mags, q)
 	}
 	for s := 0; s < cl.rt.NumShards(); s++ {
 		if s != owner && cl.rt.CellDist2(s, q) < bound {
@@ -595,7 +595,7 @@ func TestCellDist2(t *testing.T) {
 			nearest[s] = math.Inf(1)
 		}
 		for i := range fixtureRecs {
-			nearest[owner[i]] = min(nearest[owner[i]], recDist2(&fixtureRecs[i], q))
+			nearest[owner[i]] = min(nearest[owner[i]], table.Dist2(&fixtureRecs[i].Mags, q))
 		}
 		for s := range nearest {
 			if lb := rt.CellDist2(s, q); lb > nearest[s] {

@@ -30,8 +30,9 @@ import (
 // with the result cache off and on, with a kd-tree and without one,
 // under every plan it offers, and a 3-shard coordinator over the same
 // rows. Between checks the seed interleaves the events that move rows
-// between layers — inserts, minor and full compaction, a persist and
-// a cold reopen — and holds a cursor open across some of them.
+// between layers — inserts, minor and full compaction, a kd rebuild, a
+// persist and a cold reopen — and holds a cursor open across some of
+// them.
 
 // oracleSeed is one fixed run of the oracle. The named seeds carry the
 // regression shapes the hand-built equivalence tests used to pin.
@@ -242,8 +243,11 @@ func runOracle(t *testing.T, sd oracleSeed) {
 	o.check("built")
 	// The seed places the full compaction anywhere after the minor one and
 	// the reopen anywhere, so every seed meets rows in the memtable, in a
-	// compacted tail and in a rebuilt tree.
+	// compacted tail and in a rebuilt tree. A kd rebuild follows the minor
+	// compaction: it folds that tail into leaves and moves their
+	// boundaries between the two inserts.
 	events := slices.Insert([]string{"insert", "compact", "insert"}, 2+o.rng.Intn(2), "full")
+	events = slices.Insert(events, 2, "rebuild")
 	events = slices.Insert(events, o.rng.Intn(len(events)+1), "reopen")
 	for _, ev := range events {
 		// A cursor opened before the event and drained after it answers
@@ -372,6 +376,21 @@ func (o *oracle) apply(ev string) {
 			}
 		}
 		o.paged = len(o.model)
+	case "rebuild":
+		// Every store that has a kd-tree builds it afresh over its pages.
+		for _, c := range o.configs {
+			for _, db := range c.dbs {
+				if db.KdTree() == nil {
+					continue
+				}
+				o.must(db.BuildKdIndex(0), c.name, ev)
+				cat, err := db.Catalog()
+				o.must(err, c.name, ev)
+				if tree := db.KdTree(); tree.NumRows != cat.NumRows() {
+					o.t.Fatalf("%s: the rebuilt tree indexes %d of %d paged rows", c.name, tree.NumRows, cat.NumRows())
+				}
+			}
+		}
 	case "reopen":
 		for _, c := range o.configs {
 			c.reopen()
@@ -653,8 +672,8 @@ func (o *oracle) exec(c *oracleConfig, label string, stmt colorsql.Statement, pl
 	o.must(err, label)
 	recs, rep, err := core.Collect(cur)
 	o.must(err, label)
-	// A dist key is served by the kNN search, not a scan.
-	scan := stmt.Order == nil || stmt.Order.Dist == nil
+	// A kNN statement (Statement.IsKNN) is served by the search, not a scan.
+	scan := !stmt.IsKNN()
 	o.checkCounters(c, label, rep, len(recs), scan)
 	if c.single && scan && stmt.HasWhere && stmt.Limit != 0 && !ranAs(plan, rep.Plan, c.dbs[0].KdTree() != nil) {
 		o.t.Fatalf("%s: ran as %v", label, rep.Plan)
@@ -874,15 +893,26 @@ func (o *oracle) nearestErr(p vec.Point, want []float64, got []table.Record) err
 }
 
 // dist: ORDER BY dist(p) LIMIT k, with or without a WHERE, is brute
-// force over the rows the WHERE keeps.
+// force over the rows the WHERE keeps. Under a WHERE it is a scan
+// bounded by the k-th distance, and accounts for the same pages as its
+// WHERE alone: each one scanned or skipped.
 func (o *oracle) dist(state string, stmt colorsql.Statement) {
 	p := vec.Point(stmt.Order.Dist)
 	want := bruteForce(p, stmt.Limit, o.filter(stmt))
+	unordered := stmt
+	unordered.Order, unordered.Limit = nil, -1
 	for _, c := range o.configs {
 		label := state + " " + c.name
 		for _, plan := range c.plans {
-			recs, _ := o.exec(c, label, stmt, plan)
+			recs, rep := o.exec(c, label, stmt, plan)
 			o.must(o.nearestErr(p, want, recs), fmt.Sprintf("%s: %s, plan %v", label, stmt.String(), plan))
+			if !stmt.HasWhere || rep.FromCache {
+				continue
+			}
+			_, all := o.exec(c, label, unordered, plan)
+			if rep.PagesScanned+rep.PagesSkipped != all.PagesScanned+all.PagesSkipped {
+				o.t.Fatalf("%s: %s, plan %v: scanned %d + skipped %d pages, its WHERE alone %d + %d", label, stmt.String(), plan, rep.PagesScanned, rep.PagesSkipped, all.PagesScanned, all.PagesSkipped)
+			}
 		}
 	}
 }

@@ -216,11 +216,11 @@ func decodeSkyAt(data []byte, slot int) (ra, dec float64) {
 	return ra, dec
 }
 
-// decodeMagStrip copies one axis' strip for slots [0, len(dst)) into
-// dst as a contiguous float64 slice — what the strip predicate loop
+// decodeMagStrip copies one axis' strip for slots [lo, lo+len(dst))
+// into dst as a contiguous float64 slice — what the strip predicate loop
 // iterates.
-func decodeMagStrip(data []byte, axis int, dst []float64) {
-	base := magStripOff(axis)
+func decodeMagStrip(data []byte, axis, lo int, dst []float64) {
+	base := magStripOff(axis) + 8*lo
 	for j := range dst {
 		dst[j] = math.Float64frombits(binary.LittleEndian.Uint64(data[base+8*j:]))
 	}

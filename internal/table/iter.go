@@ -48,6 +48,9 @@ type Iter struct {
 	filtered bool
 	match    [RecordsPerPage]bool
 	err      error
+	// keyed: NextKey is the consumer, so every page read is keyed.
+	// emitted: NextKey returned it.row, which the next call steps past.
+	keyed, emitted bool
 }
 
 // IterRange starts a pull scan of rows [lo, hi) in physical order,
@@ -160,6 +163,65 @@ func (s *RowSet) next(r, end int) int {
 // returns false at the end of the range, on error, or when the
 // context is cancelled; check Err to distinguish.
 func (it *Iter) Next(rec *Record) bool {
+	if !it.seek() {
+		return false
+	}
+	decodeRecordColsAt(it.page.Data, it.slot(), it.cols, rec)
+	it.step()
+	return true
+}
+
+// NextKey is Next for a consumer that ranks before it decodes: it
+// advances to the next row the bound admits and returns the row's id
+// and its key under the iterator's KeyBound, taken from the magnitude
+// strips — every row of a page it reads is keyed, τ published or not —
+// and decodes nothing. Decode reads the row's columns until the next
+// call. The iterator must carry a bound.
+func (it *Iter) NextKey() (RowID, float64, bool) {
+	if it.emitted {
+		it.emitted = false
+		it.step()
+	}
+	it.keyed = true
+	if !it.seek() {
+		return 0, 0, false
+	}
+	it.emitted = true
+	return it.row, it.scratch.acc[it.slot()], true
+}
+
+// Decode decodes the row NextKey last returned into rec.
+func (it *Iter) Decode(rec *Record) {
+	decodeRecordColsAt(it.page.Data, it.slot(), it.cols, rec)
+}
+
+// Reset repositions the iterator on rows [lo, hi) of the same view,
+// keeping its columns, predicate, bound, counters and strip scratch, so
+// a consumer scanning many ranges under one bound allocates nothing per
+// range. The pinned page is released, and hi is clamped to the row count
+// the iterator was opened with.
+func (it *Iter) Reset(lo, hi RowID) {
+	it.release()
+	hi = min(hi, RowID(it.bound))
+	it.row, it.hi = min(lo, hi), hi
+	it.err, it.emitted = nil, false
+}
+
+// seek positions the iterator on the next matching row, its page
+// pinned. It returns false at the end of the range, on error, or when
+// the context is cancelled. A matching row on the pinned page — the
+// common case — is decided here, small enough to inline into Next: a
+// page stays pinned only while it.row is inside the range.
+func (it *Iter) seek() bool {
+	if it.page != nil && (!it.filtered || it.match[uint64(it.row)%RecordsPerPage]) {
+		return true
+	}
+	return it.seekPage()
+}
+
+// seekPage is seek's loop: it skips unmatched rows and loads (or prunes)
+// pages until a matching row is pinned or the range ends.
+func (it *Iter) seekPage() bool {
 	for {
 		if it.err != nil || it.row >= it.hi {
 			it.release()
@@ -171,20 +233,23 @@ func (it *Iter) Next(rec *Record) bool {
 			}
 			continue // page pruned by its zone; row advanced past it
 		}
-		slot := int(uint64(it.row) % RecordsPerPage)
-		if it.filtered && !it.match[slot] {
-			it.row++
-			if uint64(it.row)%RecordsPerPage == 0 {
-				it.release()
-			}
+		if it.filtered && !it.match[it.slot()] {
+			it.step()
 			continue
 		}
-		decodeRecordColsAt(it.page.Data, slot, it.cols, rec)
-		it.row++
-		if uint64(it.row)%RecordsPerPage == 0 || it.row >= it.hi {
-			it.release()
-		}
 		return true
+	}
+}
+
+// slot is the current row's position on its page.
+func (it *Iter) slot() int { return int(uint64(it.row) % RecordsPerPage) }
+
+// step moves past the current row, releasing its page after the last
+// row of the page or of the range.
+func (it *Iter) step() {
+	it.row++
+	if uint64(it.row)%RecordsPerPage == 0 || it.row >= it.hi {
+		it.release()
 	}
 }
 
@@ -251,6 +316,8 @@ func (it *Iter) loadPage() bool {
 		it.counters.PagesScanned.Add(1)
 		it.counters.Examined.Add(int64(pageEnd - it.row))
 	}
+	// The strip filters decode and test only the range's slots [lo, end).
+	lo, end := it.slot(), int(uint64(pageEnd)-pg*RecordsPerPage)
 	strips := 0
 	var loaded [Dim]bool
 	if rel != vec.Inside {
@@ -258,7 +325,7 @@ func (it *Iter) loadPage() bool {
 		case it.pred != nil:
 			// Partial overlap (or no zone to consult): vectorized strip
 			// filter over the page's rows.
-			strips = it.pred.evalStrips(p.Data, n, &loaded, it.scratch, it.match[:n])
+			strips = it.pred.evalStrips(p.Data, lo, &loaded, it.scratch, it.match[lo:end])
 			it.filtered = true
 		case it.sky != nil && covered:
 			strips = it.sky.evalSkyRows(p.Data, it.rows, int(pg*RecordsPerPage), it.match[:n])
@@ -268,11 +335,11 @@ func (it *Iter) loadPage() bool {
 			it.filtered = true
 		}
 	}
-	if bounded {
+	if bounded || it.keyed {
 		if it.scratch == nil {
 			it.scratch = &stripScratch{}
 		}
-		strips += it.keyBound.evalStrips(p.Data, &loaded, it.scratch, it.match[:n], tau, it.filtered)
+		strips += it.keyBound.evalStrips(p.Data, lo, &loaded, it.scratch, it.match[lo:end], tau, it.filtered)
 		it.filtered = true
 	}
 	if it.counters != nil && strips > 0 {

@@ -3,13 +3,15 @@ package table
 import (
 	"math"
 	"sync/atomic"
+
+	"repro/internal/vec"
 )
 
-// KeyBound is what an ordered LIMIT pushes into the scan: the linear
-// ordering key K + Σ cᵢ·mᵢ and, once the consumer's k-row heap is full,
-// its k-th key τ. A row keying strictly after τ can never be emitted,
-// so `key ≤ τ` is one more half-space of the scan's predicate, whose
-// constant the consumer tightens while the scan runs. The iterator
+// KeyBound is what an ordered LIMIT pushes into the scan: the ordering
+// key and, once the consumer's k-row heap is full, its k-th key τ. A
+// row keying strictly after τ can never be emitted, so `key ≤ τ` is one
+// more constraint of the scan's predicate, whose constant the consumer
+// tightens while the scan runs. The iterator
 // reads τ once per page: a page whose zone proves every key strictly
 // worse is skipped unread, and on a page it does read the test is ANDed
 // into the match mask from the strips, so a losing row is never
@@ -17,13 +19,19 @@ import (
 // comparator, so the answer is the unbounded scan's (DESIGN.md
 // "Pushdown rules").
 //
-// Keys rank ascending: under DESC the coefficients and K are negated,
-// which negates every key exactly (rounding is symmetric). Key is the
-// one definition: the consumer ranks by it, τ is a value it returned,
-// and the zone and strip tests repeat its operations in its order.
+// The key is linear or, for ORDER BY dist(p), quadratic: Σ(mᵢ−pᵢ)²
+// (Dist2). Keys rank ascending: under DESC a linear bound negates its
+// coefficients and K, a quadratic one its sum, which negates every key
+// exactly (rounding is symmetric). Key is the one definition: the
+// consumer ranks by it, τ is a value it returned, and the zone and
+// strip tests repeat its operations in its order.
 type KeyBound struct {
 	coeffs [Dim]float64
 	k      float64
+	// dist makes the key quadratic about center; neg negates it (DESC).
+	dist   bool
+	neg    bool
+	center [Dim]float64
 	tau    atomic.Uint64 // float64 bits; +Inf until the first Tighten
 }
 
@@ -42,9 +50,40 @@ func NewKeyBound(coeffs []float64, k float64, desc bool) *KeyBound {
 	return b
 }
 
-// Key returns the row's ranking key: start at K, add c·m by ascending
-// axis — colorsql.OrderBy.Key's arithmetic, negated under DESC.
+// NewDistBound returns the unpublished bound of ORDER BY dist(p): the
+// key is Dist2(mags, p), negated under DESC.
+func NewDistBound(p []float64, desc bool) *KeyBound {
+	b := &KeyBound{dist: true, neg: desc}
+	copy(b.center[:], p)
+	b.tau.Store(math.Float64bits(math.Inf(1)))
+	return b
+}
+
+// Dist2 is the squared distance from a row's magnitudes to p: each
+// magnitude widened to float64, its difference from p squared, the
+// squares summed by ascending axis — colorsql.OrderBy.Key's arithmetic
+// for dist(p), and the one row distance every layer ranks neighbours
+// by.
+func Dist2(mags *[Dim]float32, p []float64) float64 {
+	var s float64
+	for i, v := range mags {
+		d := float64(v) - p[i]
+		s += d * d
+	}
+	return s
+}
+
+// Key returns the row's ranking key: Dist2 about the center for a
+// quadratic bound; otherwise start at K and add c·m by ascending axis —
+// colorsql.OrderBy.Key's arithmetic. Either is negated under DESC.
 func (b *KeyBound) Key(mags *[Dim]float32) float64 {
+	if b.dist {
+		s := Dist2(mags, b.center[:])
+		if b.neg {
+			return -s
+		}
+		return s
+	}
 	s := b.k
 	for i, c := range b.coeffs {
 		s += c * float64(mags[i])
@@ -65,11 +104,23 @@ func (b *KeyBound) load() (tau float64, ok bool) {
 }
 
 // excludes reports whether every row of the zone box keys strictly
-// after tau. The best key the box allows sits at the corner taking each
-// axis' minimum where the coefficient is positive and its maximum where
-// negative; it is accumulated as Key accumulates a row's, and float
-// multiply and add are monotone, so no row of the box keys below it.
+// after tau. For a linear key the best key the box allows sits at the
+// corner taking each axis' minimum where the coefficient is positive
+// and its maximum where negative; it is accumulated as Key accumulates
+// a row's, and float multiply and add are monotone, so no row of the
+// box keys below it. For a quadratic key it is mindist²(box, p)
+// (vec.Box.Dist2), or under DESC minus maxdist²(box, p)
+// (vec.Box.MaxDist2): per axis the box's term is the square of a
+// difference rounded no nearer (farther) than any row's, and the terms
+// are summed in Dist2's order, so no row of the box keys below it.
 func (b *KeyBound) excludes(z *PageZone, tau float64) bool {
+	if b.dist {
+		box := vec.Box{Min: z.Min[:], Max: z.Max[:]}
+		if b.neg {
+			return -box.MaxDist2(b.center[:]) > tau
+		}
+		return box.Dist2(b.center[:]) > tau
+	}
 	s := b.k
 	for i, c := range b.coeffs {
 		if c < 0 {
@@ -81,25 +132,42 @@ func (b *KeyBound) excludes(z *PageZone, tau float64) bool {
 	return s > tau
 }
 
-// evalStrips tests the page's rows against tau from their magnitude
-// strips, in Key's arithmetic (a zero coefficient adds a zero there and
-// is skipped here): match[j] stays (and) or becomes (!and) true only
-// where row j's key is not strictly after tau. Returns the number of
-// strips it decoded beyond those loaded marks.
-func (b *KeyBound) evalStrips(data []byte, loaded *[Dim]bool, sc *stripScratch, match []bool, tau float64, and bool) int {
-	n := len(match)
-	acc := sc.acc[:n]
-	for j := range acc {
-		acc[j] = b.k
-	}
+// evalStrips keys the page's slots [lo, lo+len(match)) from their
+// magnitude strips into sc.acc, in Key's arithmetic (a zero coefficient
+// adds a zero there and is skipped here), and tests them against tau:
+// match[j] stays (and) or becomes (!and) true only where the row's key
+// is not strictly after tau. Returns the number of strips it decoded
+// beyond those loaded marks.
+func (b *KeyBound) evalStrips(data []byte, lo int, loaded *[Dim]bool, sc *stripScratch, match []bool, tau float64, and bool) int {
+	hi := lo + len(match)
+	acc := sc.acc[lo:hi]
 	decoded := 0
-	for axis, c := range b.coeffs {
-		if c == 0 {
-			continue
+	if b.dist {
+		clear(acc)
+		for axis, c := range b.center {
+			decoded += sc.load(data, axis, lo, hi, loaded)
+			for j, v := range sc.mags[axis][lo:hi] {
+				d := v - c
+				acc[j] += d * d
+			}
 		}
-		decoded += sc.load(data, axis, n, loaded)
-		for j, v := range sc.mags[axis][:n] {
-			acc[j] += c * v
+		if b.neg {
+			for j := range acc {
+				acc[j] = -acc[j]
+			}
+		}
+	} else {
+		for j := range acc {
+			acc[j] = b.k
+		}
+		for axis, c := range b.coeffs {
+			if c == 0 {
+				continue
+			}
+			decoded += sc.load(data, axis, lo, hi, loaded)
+			for j, v := range sc.mags[axis][lo:hi] {
+				acc[j] += c * v
+			}
 		}
 	}
 	for j, s := range acc {

@@ -96,15 +96,14 @@ func (a ranked) compare(b ranked, desc bool) int {
 	return cmp.Or(cmp.Compare(ka, kb), cmp.Compare(a.id, b.id), cmp.Compare(a.seq, b.seq))
 }
 
-// boundedTopK scans the whole table under pred (nil: unfiltered) with a
-// KeyBound pushed down and plays the consumer: it ranks by the bound's
-// own Key (ascending, whatever desc), keeps the best k rows met and
-// publishes the k-th key whenever it changes. Returns the kept ObjIDs
-// in rank order — the callers' reference ranks independently, by
-// orderingKey and desc.
-func boundedTopK(t *testing.T, tb *Table, pred *PagePred, coeffs []float64, kConst float64, desc bool, k int, sc *ScanCounters) []int64 {
+// boundedTopK scans the whole table under pred (nil: unfiltered) with
+// the bound pushed down and plays the consumer: it ranks by the bound's
+// own Key (ascending, whatever the direction), keeps the best k rows met
+// and publishes the k-th key whenever it changes. Returns the kept
+// ObjIDs in rank order — the callers' reference ranks independently, by
+// orderingKey or distKey and the direction.
+func boundedTopK(t *testing.T, tb *Table, pred *PagePred, bound *KeyBound, k int, sc *ScanCounters) []int64 {
 	t.Helper()
-	bound := NewKeyBound(coeffs, kConst, desc)
 	it := tb.IterRangePred(context.Background(), 0, RowID(tb.NumRows()), ColObjID|ColMags, pred, bound, sc)
 	defer it.Close()
 	var kept []ranked
@@ -139,14 +138,27 @@ func orderingKey(coeffs []float64, k float64, rec *Record) float64 {
 	return s
 }
 
+// distKey is colorsql.OrderBy.Key's arithmetic for dist(p): square each
+// magnitude's difference from p, sum by ascending axis.
+func distKey(p []float64, rec *Record) float64 {
+	var s float64
+	for i, v := range p {
+		d := float64(rec.Mags[i]) - v
+		s += d * d
+	}
+	return s
+}
+
 // FuzzZonePrunedScan is the pruning-equivalence fuzz: for arbitrary
 // finite linear inequalities, alone or OR-ed with a second clause, the
 // zone-map-pruned scan must return exactly the rows the per-row
 // evaluation keeps, each once, in the same order, and its page counters
 // must add up. With k > 0 the same WHERE also runs as a top-k under the
-// ordering o0·m[axis] + o1·m[axis+1] + b, its k-th key pushed into the
-// scan: the kept rows must be the first k of the reference sorted on
-// (key, ObjID), with the filter and without it.
+// ordering o0·m[axis] + o1·m[axis+1] + b — or, with dist, under
+// dist(p) for p the magnitudes of row at moved by o0 and o1 along the
+// same two axes — its k-th key pushed into the scan: the kept rows must
+// be the first k of the reference sorted on (key, ObjID), with the
+// filter and without it.
 func FuzzZonePrunedScan(f *testing.F) {
 	s, err := pagestore.Open(f.TempDir(), 256)
 	if err != nil {
@@ -161,21 +173,36 @@ func FuzzZonePrunedScan(f *testing.F) {
 	const rows = 5*RecordsPerPage + 17 // several full pages plus a tail
 	recs := make([]Record, rows)
 	for i := range recs {
+		recs[i] = randomRecord(rng, 0)
+	}
+	// Clustered on u, so page zones are tight on one axis and a bound,
+	// linear or dist, has pages to skip.
+	slices.SortFunc(recs, func(a, b Record) int { return cmp.Compare(a.Mags[0], b.Mags[0]) })
+	for i := range recs {
 		// Descending ObjIDs: under a key tie the later row ranks first.
-		recs[i] = randomRecord(rng, int64(rows-1-i))
+		recs[i].ObjID = int64(rows - 1 - i)
+		// Every third row of the tail repeats the magnitudes of a row on
+		// an earlier page: distance ties across pages.
+		if i >= 5*RecordsPerPage && i%3 == 0 {
+			recs[i].Mags = recs[i*37%(5*RecordsPerPage)].Mags
+		}
 	}
 	if err := tb.AppendAll(recs); err != nil {
 		f.Fatal(err)
 	}
 
-	f.Add(1.0, -1.0, 0.0, 0.0, 0.0, -0.2, uint8(2), 18.0, 0.0, 0.0, 0.0, uint8(0), false)   // g - r > 0.2 AND r < 18 (negated form)
-	f.Add(1.0, -1.0, 0.0, 0.0, 0.0, -0.2, uint8(2), 18.0, 23.5, 0.0, 0.0, uint8(0), false)  // ... OR i > 23.5, overlapping it
-	f.Add(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, uint8(0), 50.0, 0.0, 0.0, 0.0, uint8(0), false)     // degenerate plane keeps everything
-	f.Add(0.5, 0.5, 0.5, 0.5, 0.5, 1.0, uint8(4), 14.0, 14.5, 0.0, 0.0, uint8(0), false)    // an empty clause OR a thin one
-	f.Add(1.0, -1.0, 0.0, 0.0, 0.0, -0.2, uint8(2), 21.0, 0.0, 1.0, 0.0, uint8(20), false)  // ... ORDER BY r LIMIT 20
-	f.Add(1.0, -1.0, 0.0, 0.0, 0.0, -0.2, uint8(1), 23.0, 23.5, 1.0, -1.0, uint8(50), true) // ... ORDER BY g - r DESC LIMIT 50
-	f.Add(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, uint8(0), 50.0, 0.0, 0.0, 0.0, uint8(7), false)     // every key ties: ObjID decides
-	f.Fuzz(func(t *testing.T, a0, a1, a2, a3, a4, b float64, axis uint8, cut, orAbove, o0, o1 float64, k uint8, desc bool) {
+	f.Add(1.0, -1.0, 0.0, 0.0, 0.0, -0.2, uint8(2), 18.0, 0.0, 0.0, 0.0, uint8(0), false, false, uint16(0))    // g - r > 0.2 AND r < 18 (negated form)
+	f.Add(1.0, -1.0, 0.0, 0.0, 0.0, -0.2, uint8(2), 18.0, 23.5, 0.0, 0.0, uint8(0), false, false, uint16(0))   // ... OR i > 23.5, overlapping it
+	f.Add(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, uint8(0), 50.0, 0.0, 0.0, 0.0, uint8(0), false, false, uint16(0))      // degenerate plane keeps everything
+	f.Add(0.5, 0.5, 0.5, 0.5, 0.5, 1.0, uint8(4), 14.0, 14.5, 0.0, 0.0, uint8(0), false, false, uint16(0))     // an empty clause OR a thin one
+	f.Add(1.0, -1.0, 0.0, 0.0, 0.0, -0.2, uint8(2), 21.0, 0.0, 1.0, 0.0, uint8(20), false, false, uint16(0))   // ... ORDER BY r LIMIT 20
+	f.Add(1.0, -1.0, 0.0, 0.0, 0.0, -0.2, uint8(1), 23.0, 23.5, 1.0, -1.0, uint8(50), true, false, uint16(0))  // ... ORDER BY g - r DESC LIMIT 50
+	f.Add(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, uint8(0), 50.0, 0.0, 0.0, 0.0, uint8(7), false, false, uint16(0))      // every key ties: ObjID decides
+	f.Add(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, uint8(0), 50.0, 0.0, 0.0, 0.0, uint8(1), false, true, uint16(513))     // ORDER BY dist(a row repeated on an earlier page) LIMIT 1: a tie at 0
+	f.Add(1.0, -1.0, 0.0, 0.0, 0.0, -0.2, uint8(2), 21.0, 0.0, 0.3, -0.2, uint8(20), false, true, uint16(200)) // g - r > 0.2 AND r < 21 ORDER BY dist(p) LIMIT 20
+	f.Add(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, uint8(0), 50.0, 23.0, -8.0, 0.0, uint8(30), false, true, uint16(0))    // dist(p) below the data in u: far pages skipped
+	f.Add(1.0, -1.0, 0.0, 0.0, 0.0, -0.2, uint8(0), 23.0, 0.0, 0.5, 0.5, uint8(10), true, true, uint16(505))   // ... ORDER BY dist(p) DESC LIMIT 10
+	f.Fuzz(func(t *testing.T, a0, a1, a2, a3, a4, b float64, axis uint8, cut, orAbove, o0, o1 float64, k uint8, desc, dist bool, at uint16) {
 		for _, v := range []float64{a0, a1, a2, a3, a4, b, cut, orAbove, o0, o1} {
 			if math.IsNaN(v) || math.IsInf(v, 0) || math.Abs(v) > 1e12 {
 				t.Skip("non-finite or overflow-prone coefficient")
@@ -210,9 +237,21 @@ func FuzzZonePrunedScan(f *testing.F) {
 			return
 		}
 
-		coeffs := make([]float64, Dim)
-		coeffs[int(axis)%Dim] += o0
-		coeffs[(int(axis)+1)%Dim] += o1
+		// The ordering: its bound, and the reference's own key.
+		v := make([]float64, Dim)
+		if dist {
+			for i, m := range recs[int(at)%rows].Mags {
+				v[i] = float64(m)
+			}
+		}
+		v[int(axis)%Dim] += o0
+		v[(int(axis)+1)%Dim] += o1
+		newBound := func() *KeyBound { return NewKeyBound(v, b, desc) }
+		refKey := func(r *Record) float64 { return orderingKey(v, b, r) }
+		if dist {
+			newBound = func() *KeyBound { return NewDistBound(v, desc) }
+			refKey = func(r *Record) float64 { return distKey(v, r) }
+		}
 		pred, err := CompilePagePred(clauses)
 		if err != nil {
 			t.Fatal(err)
@@ -225,13 +264,13 @@ func FuzzZonePrunedScan(f *testing.F) {
 			var want []ranked
 			for i := range recs {
 				if pred == nil || matches[recs[i].ObjID] {
-					want = append(want, ranked{orderingKey(coeffs, b, &recs[i]), recs[i].ObjID, int64(i)})
+					want = append(want, ranked{refKey(&recs[i]), recs[i].ObjID, int64(i)})
 				}
 			}
 			slices.SortFunc(want, func(x, y ranked) int { return x.compare(y, desc) })
 			want = want[:min(int(k), len(want))]
 			var sc ScanCounters
-			got := boundedTopK(t, tb, pred, coeffs, b, desc, int(k), &sc)
+			got := boundedTopK(t, tb, pred, newBound(), int(k), &sc)
 			if len(got) != len(want) {
 				t.Fatalf("top-%d (filtered %v) kept %d rows, reference %d", k, pred != nil, len(got), len(want))
 			}

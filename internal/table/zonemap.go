@@ -86,30 +86,6 @@ func (z *ZoneMaps) Page(pg int) (PageZone, bool) {
 	return z.zones[pg], true
 }
 
-// Dist2Range appends to dst, for each page in [lo, hi), the squared
-// distance from p to the page's magnitude zone — a lower bound on the
-// distance from p to every row of the page, which is what lets a
-// nearest-neighbour search skip the page unread — taking the read lock
-// once for the whole range. A page without a zone (nil maps, or a page
-// past the loaded sidecar) reports 0: it can never be skipped.
-func (z *ZoneMaps) Dist2Range(dst []float64, lo, hi int, p vec.Point) []float64 {
-	n := 0
-	if z != nil {
-		z.mu.RLock()
-		defer z.mu.RUnlock()
-		n = len(z.zones)
-	}
-	for pg := lo; pg < hi; pg++ {
-		var d2 float64
-		if pg >= 0 && pg < n {
-			zone := &z.zones[pg]
-			d2 = vec.Box{Min: zone.Min[:], Max: zone.Max[:]}.Dist2(p)
-		}
-		dst = append(dst, d2)
-	}
-	return dst
-}
-
 // Snapshot copies the zones for persistence.
 func (z *ZoneMaps) Snapshot() []PageZone {
 	z.mu.RLock()
@@ -190,19 +166,20 @@ func (p *PagePred) Classify(z *PageZone) vec.Relation {
 // a convex predicate pays for no second mask. A strip is decoded once
 // for all clauses (and for a KeyBound evaluated after them: loaded
 // marks the strips already in the scratch). Returns the number of
-// strips decoded. match and the scratch must hold n entries.
-func (p *PagePred) evalStrips(data []byte, n int, loaded *[Dim]bool, sc *stripScratch, match []bool) int {
+// strips decoded. match holds the page's slots [lo, lo+len(match)), the
+// rows in the scan's range; only those are decoded and tested.
+func (p *PagePred) evalStrips(data []byte, lo int, loaded *[Dim]bool, sc *stripScratch, match []bool) int {
 	if len(p.clauses) == 0 {
 		clear(match)
 	}
 	decoded := 0
 	for c, q := range p.clauses {
 		if c == 0 {
-			decoded += evalClause(q.Planes, data, loaded, sc, match)
+			decoded += evalClause(q.Planes, data, lo, loaded, sc, match)
 			continue
 		}
-		mask := sc.mask[:n]
-		decoded += evalClause(q.Planes, data, loaded, sc, mask)
+		mask := sc.mask[lo : lo+len(match)]
+		decoded += evalClause(q.Planes, data, lo, loaded, sc, mask)
 		for j, m := range mask {
 			match[j] = match[j] || m
 		}
@@ -215,16 +192,17 @@ func (p *PagePred) evalStrips(data []byte, n int, loaded *[Dim]bool, sc *stripSc
 // AND the comparison into the match mask. The inner loops are simple
 // index-free range loops over contiguous float64 slices — no per-row
 // branching until the mask is consumed. Strips not yet in loaded are
-// decoded into the scratch; their number is returned.
-func evalClause(planes []vec.Halfspace, data []byte, loaded *[Dim]bool, sc *stripScratch, match []bool) int {
-	n := len(match)
+// decoded into the scratch; their number is returned. match holds slots
+// [lo, lo+len(match)).
+func evalClause(planes []vec.Halfspace, data []byte, lo int, loaded *[Dim]bool, sc *stripScratch, match []bool) int {
+	hi := lo + len(match)
 	for j := range match {
 		match[j] = true
 	}
 	decoded := 0
 	for i := range planes {
 		h := &planes[i]
-		acc := sc.acc[:n]
+		acc := sc.acc[lo:hi]
 		for j := range acc {
 			acc[j] = 0
 		}
@@ -233,8 +211,8 @@ func evalClause(planes []vec.Halfspace, data []byte, loaded *[Dim]bool, sc *stri
 			if a == 0 {
 				continue
 			}
-			decoded += sc.load(data, axis, n, loaded)
-			for j, v := range sc.mags[axis][:n] {
+			decoded += sc.load(data, axis, lo, hi, loaded)
+			for j, v := range sc.mags[axis][lo:hi] {
 				acc[j] += a * v
 			}
 		}
@@ -295,13 +273,14 @@ type stripScratch struct {
 	mask [RecordsPerPage]bool // one clause's matches, second clause on
 }
 
-// load decodes one axis' strip into the scratch unless loaded says it
-// is already there; it returns the number of strips decoded (0 or 1).
-func (sc *stripScratch) load(data []byte, axis, n int, loaded *[Dim]bool) int {
+// load decodes one axis' strip, slots [lo, hi), into the scratch unless
+// loaded says it is already there; it returns the number of strips
+// decoded (0 or 1).
+func (sc *stripScratch) load(data []byte, axis, lo, hi int, loaded *[Dim]bool) int {
 	if loaded[axis] {
 		return 0
 	}
-	decodeMagStrip(data, axis, sc.mags[axis][:n])
+	decodeMagStrip(data, axis, lo, sc.mags[axis][lo:hi])
 	loaded[axis] = true
 	return 1
 }
