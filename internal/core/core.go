@@ -130,9 +130,9 @@ type Report struct {
 	// PagesSkipped counts pages proven to hold no row of the answer and
 	// never read: pages under kd subtrees the walk classified Outside,
 	// pages of filter ranges whose own zone is Outside, and — under an
-	// ordered LIMIT — pages no row of which could enter the top k, their
-	// zone's best key ranking strictly after the k-th key at the moment
-	// the scan reached them. PagesScanned counts the page fetches of a
+	// ordered LIMIT, which visits pages best zone key first and stops at
+	// the first whose best key ranks strictly after the k-th key — that
+	// page and every page not yet visited. PagesScanned counts the page fetches of a
 	// polyhedron or sky-box scan — it equals DiskReads + CacheHits;
 	// RowsExamined (above) the in-range rows of those fetched pages,
 	// tested or not; StripsDecoded the per-column magnitude strips its

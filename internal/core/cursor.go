@@ -88,6 +88,7 @@ func (c *polyCursor) Next() bool {
 
 func (c *polyCursor) Record() *table.Record { return c.stream.Record() }
 func (c *polyCursor) Err() error            { return c.stream.Err() }
+func (c *polyCursor) rowPos() int64         { return int64(c.stream.RowID()) }
 
 func (c *polyCursor) Close() error {
 	c.stream.Close()
@@ -225,7 +226,7 @@ func (db *SpatialDB) whereCursorSnap(ctx context.Context, sn *dbSnap, clauses []
 	}
 	return &chainCursor{
 		base: paged,
-		mem:  &memCursor{rows: sn.mem, filter: whereMemFilter(clauses), cols: opts.cols},
+		mem:  &memCursor{rows: sn.mem, filter: whereMemFilter(clauses), cols: opts.cols, first: int64(sn.catalog.NumRows())},
 	}, nil
 }
 
@@ -281,32 +282,46 @@ func (c *limitCursor) Stats() Report {
 	return r
 }
 
-// topkItem carries the ordering key — negated under DESC, so that a
-// smaller key always ranks first — plus the arrival sequence, the last
-// of the tie-breakers: key, then ObjID, then arrival. The first two are
-// properties of the row, so the order of an answer does not depend on
-// the physical order its rows arrived in — a differently clustered
+// rowCursor is a cursor that knows where its current row sits in the
+// store's one physical order: a paged row at its RowID, a memtable row
+// past every paged row in commit order — where a compaction moves it.
+// An ordered statement ranks rows tied on key and ObjID by it, so its
+// answer does not depend on the order the scan visits pages in.
+type rowCursor interface {
+	Cursor
+	rowPos() int64
+}
+
+// topkEntry ranks one kept row: the ordering key — negated under DESC,
+// so that a smaller key always ranks first — then the ObjID, then the
+// row's physical position, and the slab slot holding its record. The
+// first two are properties of the row, so the order of an answer does
+// not depend on how its rows are clustered: a differently clustered
 // store, or a cluster's merge (shard/merge.go breaks ties the same
 // way), emits the same bytes.
-type topkItem struct {
-	key float64
-	seq int64
-	rec table.Record
+type topkEntry struct {
+	key   float64
+	objID int64
+	pos   int64
+	slot  int
 }
 
 // topkCursor implements ORDER BY: it drains its child on the first
 // Next, keeping either everything (no LIMIT: sort-all) or a bounded
 // heap of the best k rows (LIMIT k: top-k, O(k) memory however many
-// rows match), then emits in order. Once the heap is full its root key
-// is a proven bound — a row keying strictly after it can never be
-// emitted — and every change of it is published to bound, which the
-// scan beneath prunes pages and rows by (table.KeyBound): an ordered
-// LIMIT stops reading what cannot enter it.
+// rows match), then emits in order. Records live in a slab, one slot
+// per kept row, and the heap orders compact entries naming the slots:
+// an admission copies its record once, into the slot of the row it
+// evicts. Once the heap is full its root key is a proven bound — a row
+// keying strictly after it can never be emitted — and every change of
+// it is published to bound, which the scan beneath visits pages by and
+// prunes pages and rows by (table.KeyBound): an ordered LIMIT stops
+// reading what cannot enter it.
 type topkCursor struct {
-	child Cursor
+	child rowCursor
 	key   func(*table.Record) float64
 	limit int // -1 = keep everything
-	// bound is nil when nothing is pushed down (no LIMIT, a dist key).
+	// bound is nil when nothing is pushed down (no LIMIT).
 	bound *table.KeyBound
 	// hideID clears the ObjID of emitted rows: the statement did not
 	// project it, it was decoded for the tie-break alone, and an answer
@@ -314,7 +329,8 @@ type topkCursor struct {
 	hideID bool
 
 	drained bool
-	items   []topkItem // LIMIT k: a heap, worst kept row at the root
+	slab    []table.Record
+	heap    []topkEntry // LIMIT k: worst kept row at the root
 	pos     int
 	started bool
 	final   Report
@@ -322,68 +338,79 @@ type topkCursor struct {
 }
 
 // worse reports whether a ranks after b in the output order.
-func (c *topkCursor) worse(a, b *topkItem) bool {
+func worse(a, b *topkEntry) bool {
 	if a.key != b.key {
 		return a.key > b.key
 	}
-	if a.rec.ObjID != b.rec.ObjID {
-		return a.rec.ObjID > b.rec.ObjID
+	if a.objID != b.objID {
+		return a.objID > b.objID
 	}
-	return a.seq > b.seq
+	return a.pos > b.pos
 }
 
-// siftUp and siftDown keep c.items a heap ordered worst-first, so the
-// root is the eviction candidate.
+// siftUp and siftDown keep c.heap ordered worst-first, so the root is
+// the eviction candidate.
 func (c *topkCursor) siftUp(i int) {
+	h := c.heap
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !c.worse(&c.items[i], &c.items[parent]) {
+		if !worse(&h[i], &h[parent]) {
 			return
 		}
-		c.items[i], c.items[parent] = c.items[parent], c.items[i]
+		h[i], h[parent] = h[parent], h[i]
 		i = parent
 	}
 }
 
 func (c *topkCursor) siftDown(i int) {
+	h := c.heap
 	for {
 		worst := i
-		for child := 2*i + 1; child <= 2*i+2 && child < len(c.items); child++ {
-			if c.worse(&c.items[child], &c.items[worst]) {
+		for child := 2*i + 1; child <= 2*i+2 && child < len(h); child++ {
+			if worse(&h[child], &h[worst]) {
 				worst = child
 			}
 		}
 		if worst == i {
 			return
 		}
-		c.items[i], c.items[worst] = c.items[worst], c.items[i]
+		h[i], h[worst] = h[worst], h[i]
 		i = worst
 	}
 }
 
-// offer ranks one row against the kept k: a row keying strictly after
-// the full heap's root is dropped before its record is copied.
-func (c *topkCursor) offer(rec *table.Record, seq int64) {
+// keep appends the current row to the slab and its entry to the heap.
+func (c *topkCursor) keep(rec *table.Record, key float64) {
+	c.heap = append(c.heap, topkEntry{key: key, objID: rec.ObjID, pos: c.child.rowPos(), slot: len(c.slab)})
+	c.slab = append(c.slab, *rec)
+}
+
+// offer ranks the current row against the kept k: a row keying
+// strictly after the full heap's root is dropped before its position
+// is asked or its record copied.
+func (c *topkCursor) offer(rec *table.Record) {
 	key := c.key(rec)
-	if len(c.items) < c.limit {
-		c.items = append(c.items, topkItem{key: key, seq: seq, rec: *rec})
-		c.siftUp(len(c.items) - 1)
-		if len(c.items) < c.limit {
+	if len(c.heap) < c.limit {
+		c.keep(rec, key)
+		c.siftUp(len(c.heap) - 1)
+		if len(c.heap) < c.limit {
 			return
 		}
 	} else {
-		if key > c.items[0].key {
+		root := &c.heap[0]
+		if key > root.key {
 			return
 		}
-		it := topkItem{key: key, seq: seq, rec: *rec}
-		if !c.worse(&c.items[0], &it) {
+		e := topkEntry{key: key, objID: rec.ObjID, pos: c.child.rowPos(), slot: root.slot}
+		if !worse(root, &e) {
 			return
 		}
-		c.items[0] = it
+		c.slab[e.slot] = *rec
+		*root = e
 		c.siftDown(0)
 	}
 	if c.bound != nil {
-		c.bound.Tighten(c.items[0].key)
+		c.bound.Tighten(c.heap[0].key)
 	}
 }
 
@@ -393,30 +420,30 @@ func (c *topkCursor) drain() {
 		c.child.Close()
 		c.final = c.child.Stats()
 	}()
-	for seq := int64(0); c.child.Next(); seq++ {
+	for c.child.Next() {
 		if rec := c.child.Record(); c.limit < 0 {
-			c.items = append(c.items, topkItem{key: c.key(rec), seq: seq, rec: *rec})
+			c.keep(rec, c.key(rec))
 		} else {
-			c.offer(rec, seq)
+			c.offer(rec)
 		}
 	}
 	if err := c.child.Err(); err != nil {
 		c.err = err
-		c.items = nil
+		c.heap, c.slab = nil, nil
 		return
 	}
-	slices.SortFunc(c.items, func(a, b topkItem) int {
-		if c.worse(&b, &a) {
+	slices.SortFunc(c.heap, func(a, b topkEntry) int {
+		if worse(&b, &a) {
 			return -1
 		}
-		if c.worse(&a, &b) {
+		if worse(&a, &b) {
 			return 1
 		}
 		return 0
 	})
 	if c.hideID {
-		for i := range c.items {
-			c.items[i].rec.ObjID = 0
+		for i := range c.slab {
+			c.slab[i].ObjID = 0
 		}
 	}
 }
@@ -426,7 +453,7 @@ func (c *topkCursor) Next() bool {
 		c.started = true
 		c.drain()
 	}
-	if c.err != nil || c.pos >= len(c.items) {
+	if c.err != nil || c.pos >= len(c.heap) {
 		return false
 	}
 	c.pos++
@@ -434,18 +461,18 @@ func (c *topkCursor) Next() bool {
 }
 
 func (c *topkCursor) Record() *table.Record {
-	if c.pos == 0 || c.pos > len(c.items) {
+	if c.pos == 0 || c.pos > len(c.heap) {
 		return nil
 	}
-	return &c.items[c.pos-1].rec
+	return &c.slab[c.heap[c.pos-1].slot]
 }
 
 func (c *topkCursor) Err() error { return c.err }
 
 func (c *topkCursor) Close() error {
 	if !c.started {
-		// Never pulled: release the child before reading its final
-		// stats (its prefetch may already have started).
+		// Never pulled: release the child and freeze its stats, which
+		// Stats reports from then on.
 		c.started, c.drained = true, true
 		c.child.Close()
 		c.final = c.child.Stats()
@@ -531,7 +558,7 @@ func (db *SpatialDB) fullCatalogCursor(ctx context.Context, opts cursorOpts) (Cu
 	if len(sn.mem) > 0 {
 		cur = &chainCursor{
 			base: cur,
-			mem:  &memCursor{rows: sn.mem, cols: opts.cols},
+			mem:  &memCursor{rows: sn.mem, cols: opts.cols, first: int64(sn.catalog.NumRows())},
 		}
 	}
 	return &snapCursor{Cursor: cur, sn: sn}, nil

@@ -118,6 +118,8 @@ type memCursor struct {
 	rows   []memtable.Row
 	filter func(*table.Record) bool // nil emits every row
 	cols   table.ColumnSet
+	// first is the physical position of rows[0]: the paged row bound.
+	first int64
 
 	pos      int
 	cur      table.Record
@@ -159,6 +161,7 @@ func (c *memCursor) Next() bool {
 }
 
 func (c *memCursor) Record() *table.Record { return &c.cur }
+func (c *memCursor) rowPos() int64         { return c.first + int64(c.pos-1) }
 func (c *memCursor) Err() error            { return nil }
 func (c *memCursor) Close() error          { return nil }
 
@@ -215,6 +218,13 @@ func (c *chainCursor) Record() *table.Record {
 	return c.base.Record()
 }
 
+func (c *chainCursor) rowPos() int64 {
+	if c.inMem {
+		return c.mem.rowPos()
+	}
+	return c.base.(rowCursor).rowPos()
+}
+
 func (c *chainCursor) Err() error {
 	if c.err != nil {
 		return c.err
@@ -246,6 +256,8 @@ type snapCursor struct {
 	Cursor
 	sn *dbSnap
 }
+
+func (c *snapCursor) rowPos() int64 { return c.Cursor.(rowCursor).rowPos() }
 
 func (c *snapCursor) Close() error {
 	err := c.Cursor.Close()

@@ -25,13 +25,18 @@ import (
 //   - ORDER BY <linear expr | dist(p)> LIMIT k bounds the scan by the
 //     k-th key: once the k-row heap is full its root key is one more
 //     constraint of the predicate — a half-space, or for dist(p) a
-//     ball — tightened as the scan runs: pages whose zone cannot beat
-//     it are skipped unread, rows that cannot are dropped from the
+//     ball — tightened as the scan runs. The scan visits its candidate
+//     pages best zone key first, so the bound tightens as fast as the
+//     data allows, and it stops at the first page whose zone cannot
+//     beat it: that page and every page left are skipped unread. On
+//     the pages it reads, rows that cannot beat it are dropped from the
 //     strips undecoded (table.KeyBound; DESIGN.md "Pushdown rules").
-//     Only strictly worse keys are dropped, so the answer is the
-//     unbounded scan's. With no LIMIT or a LIMIT above the matches
-//     nothing is published and the sort sees every matching row;
-//     LIMIT still bounds its memory to the heap.
+//     Only strictly worse keys are dropped, and rows tied on key rank
+//     by ObjID and then by their place in the physical order, so the
+//     answer is the unbounded table-order scan's. A forced full scan
+//     consults no zones and reads in table order. With no LIMIT or a
+//     LIMIT above the matches nothing is published and the sort sees
+//     every matching row; LIMIT still bounds its memory to the heap.
 //   - ORDER BY dist(p) LIMIT k with no WHERE is exactly kNN: it is
 //     served by the §3.3 region-growing searcher (planner-priced
 //     against brute force), whose leaf scans run under the same bound,
@@ -156,7 +161,7 @@ func (db *SpatialDB) execStatementUncached(ctx context.Context, stmt colorsql.St
 		if b := opts.bound; b != nil {
 			key = func(r *table.Record) float64 { return b.Key(&r.Mags) }
 		}
-		cur = &topkCursor{child: cur, key: key, limit: stmt.Limit, hideID: hideID, bound: opts.bound}
+		cur = &topkCursor{child: cur.(rowCursor), key: key, limit: stmt.Limit, hideID: hideID, bound: opts.bound}
 	} else if stmt.Limit > 0 {
 		cur = Limit(cur, stmt.Limit)
 	}

@@ -171,6 +171,9 @@ func (it *Iter) Next(rec *Record) bool {
 	return true
 }
 
+// Row returns the id of the row the last successful Next decoded.
+func (it *Iter) Row() RowID { return it.row - 1 }
+
 // NextKey is Next for a consumer that ranks before it decodes: it
 // advances to the next row the bound admits and returns the row's id
 // and its key under the iterator's KeyBound, taken from the magnitude
@@ -270,7 +273,7 @@ func (it *Iter) loadPage() bool {
 		pageEnd = it.hi
 	}
 
-	tau, bounded := it.keyBound.load()
+	tau, bounded := it.keyBound.Tau()
 
 	// Page verdict: one verdict drives both the skip and the
 	// inside-page fast path. A row set skips the covered pages that
@@ -288,7 +291,7 @@ func (it *Iter) loadPage() bool {
 			if it.pred != nil {
 				rel = it.pred.Classify(&z)
 			}
-			if bounded && it.keyBound.excludes(&z, tau) {
+			if bounded && it.keyBound.best(&z) > tau {
 				rel = vec.Outside
 			}
 		}

@@ -15,9 +15,9 @@ import (
 // reads τ once per page: a page whose zone proves every key strictly
 // worse is skipped unread, and on a page it does read the test is ANDed
 // into the match mask from the strips, so a losing row is never
-// decoded. Rows tying τ pass to the consumer's (key, ObjID, arrival)
+// decoded. Rows tying τ pass to the consumer's (key, ObjID, RowID)
 // comparator, so the answer is the unbounded scan's (DESIGN.md
-// "Pushdown rules").
+// "Pushdown rules"), in whatever order its pages are visited.
 //
 // The key is linear or, for ORDER BY dist(p), quadratic: Σ(mᵢ−pᵢ)²
 // (Dist2). Keys rank ascending: under DESC a linear bound negates its
@@ -94,8 +94,8 @@ func (b *KeyBound) Key(mags *[Dim]float32) float64 {
 // Tighten publishes the consumer's current k-th Key.
 func (b *KeyBound) Tighten(key float64) { b.tau.Store(math.Float64bits(key)) }
 
-// load returns τ and whether one that can prune has been published.
-func (b *KeyBound) load() (tau float64, ok bool) {
+// Tau returns τ and whether one that can prune has been published.
+func (b *KeyBound) Tau() (tau float64, ok bool) {
 	if b == nil {
 		return 0, false
 	}
@@ -103,23 +103,23 @@ func (b *KeyBound) load() (tau float64, ok bool) {
 	return tau, tau < math.Inf(1)
 }
 
-// excludes reports whether every row of the zone box keys strictly
-// after tau. For a linear key the best key the box allows sits at the
-// corner taking each axis' minimum where the coefficient is positive
-// and its maximum where negative; it is accumulated as Key accumulates
-// a row's, and float multiply and add are monotone, so no row of the
-// box keys below it. For a quadratic key it is mindist²(box, p)
-// (vec.Box.Dist2), or under DESC minus maxdist²(box, p)
+// best returns the best key any row of the zone box can take: no row
+// of the box keys below it, so the box is excluded by τ exactly when
+// best > τ. For a linear key it sits at the corner taking each axis'
+// minimum where the coefficient is positive and its maximum where
+// negative; it is accumulated as Key accumulates a row's, and float
+// multiply and add are monotone. For a quadratic key it is
+// mindist²(box, p) (vec.Box.Dist2), or under DESC minus maxdist²(box, p)
 // (vec.Box.MaxDist2): per axis the box's term is the square of a
 // difference rounded no nearer (farther) than any row's, and the terms
-// are summed in Dist2's order, so no row of the box keys below it.
-func (b *KeyBound) excludes(z *PageZone, tau float64) bool {
+// are summed in Dist2's order.
+func (b *KeyBound) best(z *PageZone) float64 {
 	if b.dist {
 		box := vec.Box{Min: z.Min[:], Max: z.Max[:]}
 		if b.neg {
-			return -box.MaxDist2(b.center[:]) > tau
+			return -box.MaxDist2(b.center[:])
 		}
-		return box.Dist2(b.center[:]) > tau
+		return box.Dist2(b.center[:])
 	}
 	s := b.k
 	for i, c := range b.coeffs {
@@ -129,7 +129,26 @@ func (b *KeyBound) excludes(z *PageZone, tau float64) bool {
 			s += c * z.Min[i]
 		}
 	}
-	return s > tau
+	return s
+}
+
+// PageBests calls fn with the best key of each page in [first, end)
+// under one read lock of the zones: the value τ is tested against
+// before the page is read, so a page is skipped exactly when its best
+// key is > τ. A page with no zone, or whose best key is NaN, gets −Inf:
+// nothing can exclude it. fn must not call back into zones.
+func (b *KeyBound) PageBests(zones *ZoneMaps, first, end int, fn func(pg int, best float64)) {
+	zones.mu.RLock()
+	defer zones.mu.RUnlock()
+	for pg := first; pg < end; pg++ {
+		best := math.Inf(-1)
+		if pg < len(zones.zones) {
+			if v := b.best(&zones.zones[pg]); !math.IsNaN(v) {
+				best = v
+			}
+		}
+		fn(pg, best)
+	}
 }
 
 // evalStrips keys the page's slots [lo, lo+len(match)) from their
