@@ -10,9 +10,9 @@
 //
 // With -shards N it builds a sharded cluster instead: the catalog is
 // partitioned by kd-subtree ranges into N self-contained shard stores
-// (shard-0/ … shard-N-1/, each with its own indexes and a replicated
-// photo-z reference set) plus a compact ROUTING.json that a
-// vizserver -coordinator cold-opens to route queries:
+// (shard-0/ … shard-N-1/, each with its own indexes and a photo-z
+// reference of its own spectroscopic rows) plus a compact ROUTING.json
+// that a vizserver -coordinator cold-opens to route queries:
 //
 //	sdssgen -dir /tmp/cluster -n 1000000 -shards 3
 package main

@@ -10,8 +10,9 @@
 // Access paths are not hard-coded: the cost-based planner of
 // internal/planner estimates each query's selectivity, prices the
 // full scan and every built index in page reads, and picks the
-// cheapest — the paper's Figure 5 crossover (~0.25 selectivity)
-// made operational — then executes the winner on the request's own
+// cheapest — the paper's Figure 5 trade-off made operational (measured
+// here with no crossover below 0.97 selectivity) — then executes the
+// winner on the request's own
 // goroutine, so every statement's counters are exact and repeatable;
 // requests run concurrently.
 //

@@ -33,6 +33,8 @@ var statementSeeds = []string{
 	"SELECT dered_g, dered_r WHERE dered_g - dered_r > 1.35 LIMIT 50",
 	"select g where r < 19 order by r desc limit 3",
 	"SELECT * WHERE (u < 15 OR z > 20) AND (g < 18 OR r < 17) ORDER BY u LIMIT 9",
+	"SELECT * FROM reference ORDER BY dist(19.5, 18.9, 18.2, 17.9, 17.7) LIMIT 24",
+	"select * from REFERENCE order by dist(1, 2, 3, 4, 5) asc limit 1",
 	// Rejected forms: malformed, unknown columns, non-linear,
 	// variable-free, wrong arity, overflow, blowup.
 	"",
@@ -46,6 +48,14 @@ var statementSeeds = []string{
 	"SELECT * LIMIT -5",
 	"SELECT * LIMIT 1.5",
 	"r < 19 LIMIT 5",
+	"SELECT * FROM catalog",
+	"SELECT * FROM reference",
+	"SELECT * FROM reference LIMIT 5",
+	"SELECT g FROM reference ORDER BY dist(1, 2, 3, 4, 5) LIMIT 5",
+	"SELECT * FROM reference WHERE r < 19 ORDER BY dist(1, 2, 3, 4, 5) LIMIT 5",
+	"SELECT * FROM reference ORDER BY dist(1, 2, 3, 4, 5) DESC LIMIT 5",
+	"SELECT * FROM reference ORDER BY dist(1, 2, 3, 4, 5) LIMIT 0",
+	"SELECT * FROM reference ORDER BY r LIMIT 5",
 	"SELECT * WHERE u < 1e308 + 1e308",
 	"SELECT * WHERE u*1e308*10 - u*1e308*10 < 1",
 	strings.Repeat("(", 300) + "u < 1" + strings.Repeat(")", 300),

@@ -19,7 +19,7 @@ import (
 //	 6: objid + five magnitudes
 //	 8: + ra, dec
 //	 9: + spectroscopic redshift (marks the row HasZ — it joins the
-//	    photo-z reference set at the next full compaction)
+//	    photo-z reference set at the next minor compaction)
 //	10: + spectral class (star | galaxy | quasar | outlier)
 //
 // The canonical String() round-trips exactly like SELECT statements

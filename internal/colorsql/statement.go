@@ -13,6 +13,7 @@ import (
 // user wants the first rows of a selective question fast:
 //
 //	SELECT <cols|*> [WHERE <pred>] [ORDER BY <expr|dist(...)> [ASC|DESC]] [LIMIT n]
+//	SELECT * FROM reference ORDER BY dist(...) LIMIT k
 //
 // The projection list names magnitude columns (through the same
 // variable mapping the predicates use) plus the identity columns
@@ -89,6 +90,10 @@ type Statement struct {
 	// Limit is the row cap, -1 when absent. LIMIT 0 is valid and
 	// returns no rows.
 	Limit int
+	// Reference marks the kNN over the photo-z reference set (its
+	// spectroscopic rows) instead of the catalog; FROM reference parses
+	// in that one shape only.
+	Reference bool
 }
 
 // StarColumns is the canonical expansion of SELECT * in projection
@@ -168,6 +173,13 @@ func ParseStatement(src string, vars map[string]int, dim int) (Statement, error)
 		}
 	}
 
+	from := p.peekKeyword("FROM")
+	if from {
+		p.next()
+		st.Reference = p.peekKeyword("reference")
+		p.next()
+	}
+
 	if p.peekKeyword("WHERE") {
 		p.next()
 		u, err := p.parseUnion()
@@ -214,6 +226,9 @@ func ParseStatement(src string, vars map[string]int, dim int) (Statement, error)
 
 	if p.peek().kind != tokEOF {
 		return Statement{}, fmt.Errorf("colorsql: trailing input at %v", p.peek())
+	}
+	if from && !(st.Reference && st.Star && st.IsKNN()) {
+		return Statement{}, fmt.Errorf("colorsql: FROM takes only SELECT * FROM reference ORDER BY dist(...) LIMIT k")
 	}
 	return st, nil
 }

@@ -61,6 +61,22 @@ func TestParseStatementDistOrder(t *testing.T) {
 	}
 }
 
+func TestParseStatementReference(t *testing.T) {
+	st, err := ParseStatement("SELECT * FROM reference ORDER BY dist(1, -2.5, 3, 4, 5) LIMIT 24", DefaultVars(), 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !st.Reference || !st.IsKNN() || st.Limit != 24 {
+		t.Fatalf("reference=%v isKNN=%v limit=%d", st.Reference, st.IsKNN(), st.Limit)
+	}
+	if got, want := st.String(), "SELECT * FROM reference ORDER BY dist(1, -2.5, 3, 4, 5) LIMIT 24"; got != want {
+		t.Errorf("String() = %q, want %q", got, want)
+	}
+	if cat := MustParseStatement("SELECT * ORDER BY dist(1, -2.5, 3, 4, 5) LIMIT 24", DefaultVars(), 5); cat.Reference {
+		t.Error("a statement without FROM reads the reference")
+	}
+}
+
 func TestParseStatementBarePredicate(t *testing.T) {
 	st, err := ParseStatement("g - r > 0.4 AND r < 19", DefaultVars(), 5)
 	if err != nil {
@@ -133,6 +149,16 @@ func TestParseStatementErrors(t *testing.T) {
 		{"SELECT * WHERE r < 19 LIMIT 5 garbage", "trailing input"},
 		{"SELECT * WHERE r < 19 extra", "trailing input"},
 		{"r < 19 LIMIT 5", "trailing input"}, // bare predicates have no LIMIT clause
+		// FROM names the reference set, in one shape only.
+		{"SELECT * FROM catalog", "FROM takes only SELECT * FROM reference"},
+		{"SELECT * FROM", "FROM takes only SELECT * FROM reference"},
+		{"SELECT * FROM reference", "FROM takes only"},
+		{"SELECT objid FROM reference ORDER BY dist(1,2,3,4,5) LIMIT 3", "takes only"},
+		{"SELECT * FROM reference WHERE r < 19 ORDER BY dist(1,2,3,4,5) LIMIT 3", "takes only"},
+		{"SELECT * FROM reference ORDER BY dist(1,2,3,4,5) DESC LIMIT 3", "takes only"},
+		{"SELECT * FROM reference ORDER BY dist(1,2,3,4,5)", "takes only"},
+		{"SELECT * FROM reference ORDER BY dist(1,2,3,4,5) LIMIT 0", "takes only"},
+		{"SELECT * FROM reference ORDER BY r LIMIT 3", "takes only"},
 	}
 	for _, c := range cases {
 		_, err := ParseStatement(c.src, DefaultVars(), 5)

@@ -121,6 +121,9 @@ func (s Statement) String() string {
 			b.WriteString(c.Name)
 		}
 	}
+	if s.Reference {
+		b.WriteString(" FROM reference")
+	}
 	if s.HasWhere {
 		b.WriteString(" WHERE ")
 		b.WriteString(s.Where.String())

@@ -52,7 +52,7 @@ import (
 // index at a fresh artifact generation (rebuildLocked, which
 // BuildKdIndex runs too): the kd-tree over the catalog's rows,
 // rewriting the catalog clustered on it; then the grid from that
-// rewritten catalog, and the photo-z reference from its own rows — the
+// rewritten catalog, and the photo-z reference from its HasZ rows — the
 // same structures a from-scratch build of the same rows would produce,
 // since the kd build depends on the set of rows and not on their order.
 // A superseded file is unlinked by the first commit at which neither
@@ -229,12 +229,11 @@ type rebuildSpec struct {
 // current paged rows at a new artifact generation, swaps them in and
 // commits. The kd arm rewrites the catalog clustered on a tree built
 // over its rows, and the rewrite replaces it; the grid is built from
-// the catalog after that; the photo-z reference is rebuilt from its own
-// table — the rows the estimator was built over plus the spectroscopic
-// rows compactions appended since, which on a shard includes the
-// replicated survey reference its catalog does not hold. Everything is
-// built off to the side at generational file names and is invisible
-// until one swap under db.mu; the commit then drops the old files from
+// the catalog after that, and the photo-z reference from the catalog's
+// spectroscopic rows (minor compaction appends each to both tables).
+// Each build widens its domain to cover its rows. Everything is built
+// off to the side at generational file names and is invisible until
+// one swap under db.mu; the commit then drops the old files from
 // the manifest, and unlinks each once no snapshot opened before the
 // swap still names it. The caller holds compactMu.
 func (db *SpatialDB) rebuildLocked(spec rebuildSpec) error {
@@ -276,7 +275,7 @@ func (db *SpatialDB) rebuildLocked(spec rebuildSpec) error {
 	}
 	if spec.photoZ {
 		var refs []table.Record
-		refs, err = photoz.ExtractReference(oldPz.Searcher().Tb)
+		refs, err = photoz.ExtractReference(catalog)
 		if err == nil {
 			pz, err = photoz.NewEstimator(store, refs, engine.GenName(refKdTableName, gen), oldPz.K, oldPz.Degree)
 		}

@@ -418,8 +418,9 @@ func (db *SpatialDB) BuildVoronoiIndex(numSeeds int, seed int64) error {
 	return nil
 }
 
-// BuildPhotoZ prepares the §4.1 redshift estimator from the
-// catalog's spectroscopic rows.
+// BuildPhotoZ prepares the §4.1 redshift estimator from the catalog's
+// spectroscopic rows and registers its kd-clustered reference table,
+// the one stored copy of the reference.
 func (db *SpatialDB) BuildPhotoZ(k, degree int) error {
 	db.compactMu.Lock()
 	defer db.compactMu.Unlock()
@@ -432,14 +433,6 @@ func (db *SpatialDB) BuildPhotoZ(k, degree int) error {
 	if err != nil {
 		return err
 	}
-	return db.installPhotoZ(refs, k, degree)
-}
-
-// installPhotoZ builds the estimator over the reference rows and
-// registers its kd-clustered reference table — the only stored copy of
-// the reference — so the persisted catalog covers it and a reopened
-// process can reassemble the estimator. Caller holds db.mu.
-func (db *SpatialDB) installPhotoZ(refs []table.Record, k, degree int) error {
 	est, err := photoz.NewEstimator(db.eng.Store(), refs, refKdTableName, k, degree)
 	if err != nil {
 		return err
@@ -452,42 +445,13 @@ func (db *SpatialDB) installPhotoZ(refs []table.Record, k, degree int) error {
 	return nil
 }
 
-// BuildPhotoZFromRecords builds the photo-z estimator over a
-// caller-provided spectroscopic reference set instead of extracting
-// the catalog's own HasZ rows. Shard stores use this to replicate the
-// full survey reference into every shard, so each shard's estimator
-// answers exactly like the single-store one regardless of which rows
-// the shard happens to hold.
-func (db *SpatialDB) BuildPhotoZFromRecords(refs []table.Record, k, degree int) error {
-	db.compactMu.Lock()
-	defer db.compactMu.Unlock()
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if db.catalog == nil {
-		return fmt.Errorf("core: no catalog loaded")
-	}
-	if len(refs) == 0 {
-		return fmt.Errorf("core: empty photo-z reference set")
-	}
-	for i := range refs {
-		if !refs[i].HasZ {
-			return fmt.Errorf("core: photo-z reference row %d has no spectroscopic redshift", i)
-		}
-	}
-	return db.installPhotoZ(refs, k, degree)
-}
-
 // EstimateRedshift runs the kNN polynomial redshift estimator.
 func (db *SpatialDB) EstimateRedshift(mags vec.Point) (float64, error) {
-	sn, err := db.snapshot()
+	zs, _, err := db.estimateRedshiftBatchUncached(context.Background(), []vec.Point{mags})
 	if err != nil {
 		return 0, err
 	}
-	defer sn.release()
-	if sn.photoZ == nil {
-		return 0, fmt.Errorf("core: BuildPhotoZ has not been called")
-	}
-	return sn.photoZ.Estimate(mags)
+	return zs[0], nil
 }
 
 // EstimateRedshiftBatch estimates many objects on the batched kNN
@@ -728,7 +692,7 @@ func mergeMemNeighbors(nbs []knn.Neighbor, mem []memtable.Row, p vec.Point, k in
 // covers most leaves at scattered-page prices and the sequential scan
 // wins, mirroring the Figure 5 crossover.
 func (db *SpatialDB) NearestNeighbors(p vec.Point, k int) ([]table.Record, Report, error) {
-	recs, reports, err := db.nearestNeighborsBatchUncached(context.Background(), []vec.Point{p}, k)
+	recs, reports, err := db.nearestNeighborsBatchUncached(context.Background(), []vec.Point{p}, k, false)
 	if err != nil {
 		return nil, Report{}, err
 	}
@@ -756,7 +720,7 @@ func (db *SpatialDB) NearestNeighborsBatch(ctx context.Context, ps []vec.Point, 
 		}
 		return [][]table.Record{recs}, []Report{rep}, nil
 	}
-	return db.nearestNeighborsBatchUncached(ctx, ps, k)
+	return db.nearestNeighborsBatchUncached(ctx, ps, k, false)
 }
 
 // knnStatement is the statement a one-point kNN batch equals.
@@ -764,7 +728,9 @@ func knnStatement(p vec.Point, k int) colorsql.Statement {
 	return colorsql.Statement{Star: true, Order: &colorsql.OrderBy{Dist: p}, Limit: k}
 }
 
-func (db *SpatialDB) nearestNeighborsBatchUncached(ctx context.Context, ps []vec.Point, k int) ([][]table.Record, []Report, error) {
+// nearestNeighborsBatchUncached runs the batch; with reference set, on
+// the photo-z estimator's searcher over paged reference rows only.
+func (db *SpatialDB) nearestNeighborsBatchUncached(ctx context.Context, ps []vec.Point, k int, reference bool) ([][]table.Record, []Report, error) {
 	// The snapshot holds the searcher (nil without a kd-tree: brute
 	// force is the only path), the catalog and the memtable rows the
 	// search must consider alongside the paged candidates; the query is
@@ -775,6 +741,12 @@ func (db *SpatialDB) nearestNeighborsBatchUncached(ctx context.Context, ps []vec
 	}
 	defer sn.release()
 	mem, choice := sn.mem, sn.planner().PlanKNN(k)
+	if reference {
+		if sn.photoZ == nil {
+			return nil, nil, fmt.Errorf("core: BuildPhotoZ has not been called")
+		}
+		mem, choice.Reason = nil, "photo-z reference kNN"
+	}
 	recs := make([][]table.Record, len(ps))
 	reports := make([]Report, len(ps))
 	// finish folds the memtable candidates into query i's paged answer
@@ -798,11 +770,14 @@ func (db *SpatialDB) nearestNeighborsBatchUncached(ctx context.Context, ps []vec
 			return ctx.Err()
 		}
 	}
-	if choice.UseIndex && sn.kd != nil {
+	switch {
+	case reference:
+		err = sn.photoZ.Searcher().SearchBatchFunc(ps, k, finish(PlanKdTree))
+	case choice.UseIndex && sn.kd != nil:
 		// The search reads the snapshot's bounded catalog, so each row is
 		// in its paged answer or in mem, never both.
 		err = knn.NewSearcher(sn.kd, sn.catalog).SearchBatchFunc(ps, k, finish(PlanKdTree))
-	} else {
+	default:
 		// No kd-tree, or the planner priced the scan cheaper: serve the
 		// queries anyway through the brute-force path.
 		err = bruteForceBatch(sn.catalog, ps, k, finish(PlanFullScan))

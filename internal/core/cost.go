@@ -23,6 +23,9 @@ func (db *SpatialDB) EstimateStatementCost(stmt colorsql.Statement) float64 {
 		return 0
 	}
 	// ORDER BY dist LIMIT k with no predicate executes as kNN.
+	if stmt.Reference {
+		return db.EstimatePhotoZCost(1)
+	}
 	if stmt.IsKNN() {
 		return db.EstimateKNNCost(stmt.Limit, 1)
 	}

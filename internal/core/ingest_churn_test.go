@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"reflect"
-	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -496,68 +495,66 @@ func TestFullCompactionMatchesFreshBuild(t *testing.T) {
 	}
 }
 
-// TestFullCompactionKeepsPhotoZReference: a full compaction rebuilds
-// the photo-z estimator over its own reference rows — the set it was
-// built over plus the spectroscopic rows compacted since — not over the
-// catalog's spectroscopic rows. A shard's estimator holds the
-// replicated survey reference, which its catalog does not; after the
-// rebuild it must answer like a fresh estimator over that reference.
-func TestFullCompactionKeepsPhotoZReference(t *testing.T) {
+// TestCompactFullWidensDomain: a spectroscopic row inserted outside
+// the generation domain (u = 45, r = 5) is compacted like any other.
+// Every full compaction after it succeeds — the kd-tree, the grid and
+// the photo-z reference each widen their domain to their rows — and
+// each structure files the row in a cell that contains it.
+func TestCompactFullWidensDomain(t *testing.T) {
+	db, err := Open(Config{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
 	p := sky.DefaultParams(3000, 42)
-	p.SpectroFrac = 0.3
-	recs, err := sky.Generate(p)
-	if err != nil {
+	p.SpectroFrac = 0.2
+	if err := db.IngestSynthetic(p); err != nil {
 		t.Fatal(err)
 	}
-	var catalog, refs []table.Record
-	for _, r := range recs {
-		if r.HasZ {
-			refs = append(refs, r)
-		} else {
-			catalog = append(catalog, r)
-		}
-	}
-	extra := churnRecord(5_100_000_000)
-	extra.Mags = refs[0].Mags
-	extra.Mags[1] += 0.01
-	extra.Redshift, extra.HasZ = 0.45, true
-	build := func(catalog, refs []table.Record) *SpatialDB {
-		db, err := Open(Config{Dir: t.TempDir()})
-		if err != nil {
+	for _, build := range []func() error{
+		func() error { return db.BuildKdIndex(0) },
+		func() error { return db.BuildGridIndex(256, 42) },
+		func() error { return db.BuildPhotoZ(16, 1) },
+	} {
+		if err := build(); err != nil {
 			t.Fatal(err)
 		}
-		t.Cleanup(func() { db.Close() })
-		if err := db.IngestRecords(catalog); err != nil {
-			t.Fatal(err)
+	}
+	far := churnRecord(5_100_000_000)
+	far.Mags = [table.Dim]float32{45, 18, 5, 17, 16}
+	far.Redshift, far.HasZ = 0.45, true
+	if _, err := db.Insert([]table.Record{far}); err != nil {
+		t.Fatal(err)
+	}
+	at := far.Point()
+	for round := 0; round < 2; round++ {
+		if err := db.CompactFull(); err != nil {
+			t.Fatalf("full compaction %d: %v", round, err)
 		}
-		if err := db.BuildKdIndex(0); err != nil {
-			t.Fatal(err)
+		tree := db.KdTree()
+		if leaf := tree.LeafContaining(at); !tree.LeafBox(leaf).Contains(at) {
+			t.Fatalf("round %d: the kd-tree files %v in leaf %d, cell %v", round, at, leaf, tree.LeafBox(leaf))
 		}
-		if err := db.BuildPhotoZFromRecords(refs, 16, 1); err != nil {
-			t.Fatal(err)
+		view := vec.NewBox(vec.Point{44, 17, 4}, vec.Point{46, 19, 6})
+		recs, _, err := db.SampleRegion(view, 10)
+		if err != nil || len(recs) != 1 || recs[0].ObjID != far.ObjID {
+			t.Fatalf("round %d: grid sample of %v = %d rows (%v), want the far row", round, view, len(recs), err)
 		}
-		return db
-	}
-
-	compacted := build(catalog, refs)
-	if _, err := compacted.Insert([]table.Record{extra}); err != nil {
-		t.Fatal(err)
-	}
-	if err := compacted.CompactFull(); err != nil {
-		t.Fatal(err)
-	}
-	fresh := build(append(slices.Clone(catalog), extra), append(slices.Clone(refs), extra))
-	q := refs[0].Point()
-	got, err := compacted.EstimateRedshift(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := fresh.EstimateRedshift(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
-		t.Errorf("photo-z after a full compaction = %v, a fresh estimator over the same reference says %v", got, want)
+		for _, src := range []string{
+			"SELECT * ORDER BY dist(45, 18, 5, 17, 16) LIMIT 1",
+			"SELECT * FROM reference ORDER BY dist(45, 18, 5, 17, 16) LIMIT 1",
+			"SELECT * WHERE u > 40",
+		} {
+			stmt := colorsql.MustParseStatement(src, colorsql.DefaultVars(), table.Dim)
+			cur, err := db.ExecStatement(context.Background(), stmt, PlanAuto)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, _, err := Collect(cur)
+			if err != nil || len(got) != 1 || got[0].ObjID != far.ObjID {
+				t.Fatalf("round %d: %s = %d rows (%v), want the far row", round, src, len(got), err)
+			}
+		}
 	}
 }
 

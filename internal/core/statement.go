@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/colorsql"
 	"repro/internal/table"
+	"repro/internal/vec"
 )
 
 // This file executes parsed colorsql statements through the
@@ -41,7 +42,8 @@ import (
 //     served by the §3.3 region-growing searcher (planner-priced
 //     against brute force), whose leaf scans run under the same bound,
 //     instead of a catalog-wide sort. A one-point kNN batch runs as
-//     this statement, so the two share one result-cache entry.
+//     this statement, so the two share one result-cache entry. FROM
+//     reference runs it over the photo-z reference set instead.
 //   - Projection is pushed to the page bytes: only the selected
 //     columns are decoded (plus, under an ordering, the magnitudes its
 //     key evaluates and the object id that breaks its ties — cleared
@@ -128,11 +130,11 @@ func (db *SpatialDB) execStatementUncached(ctx context.Context, stmt colorsql.St
 				return nil, err
 			}
 		}
-		recs, rep, err := db.NearestNeighbors(stmt.Order.Dist, stmt.Limit)
+		recs, reps, err := db.nearestNeighborsBatchUncached(context.Background(), []vec.Point{stmt.Order.Dist}, stmt.Limit, stmt.Reference)
 		if err != nil {
 			return nil, err
 		}
-		return SliceCursor(recs, rep), nil
+		return SliceCursor(recs[0], reps[0]), nil
 	}
 
 	opts := cursorOpts{cols: db.statementCols(stmt), stopAfter: -1}

@@ -159,27 +159,30 @@ func Build(tb *table.Table, clusteredName string, p Params) (*Index, error) {
 		code  uint64
 		rank  uint32
 	}
+	// Cells are assigned once the domain covers every row's projection.
 	tags := make([]rowTag, n)
-	var scanErr error
+	projs := make([]float64, 0, n*p.ProjDim)
+	p.Domain = p.Domain.Clone()
 	i := 0
 	err := tb.ScanClassed().ScanMags(func(id table.RowID, m *[table.Dim]float64) bool {
-		r := rank[i]
-		layer := layerOfRank(r, p.Base, growth, len(layers))
 		proj := p.Proj(m)
-		code, err := cellCode(proj, p.Domain, layers[layer-1].res)
-		if err != nil {
-			scanErr = fmt.Errorf("grid: row %d: %w", id, err)
-			return false
-		}
-		tags[i] = rowTag{row: id, layer: uint16(layer), code: code, rank: uint32(r)}
+		p.Domain.ExtendPoint(proj)
+		projs = append(projs, proj...)
+		tags[i] = rowTag{row: id, rank: uint32(rank[i])}
 		i++
 		return true
 	})
 	if err != nil {
 		return nil, err
 	}
-	if scanErr != nil {
-		return nil, scanErr
+	for i := range tags {
+		t := &tags[i]
+		layer := layerOfRank(int(t.rank), p.Base, growth, len(layers))
+		code, err := cellCode(projs[i*p.ProjDim:(i+1)*p.ProjDim], p.Domain, layers[layer-1].res)
+		if err != nil {
+			return nil, fmt.Errorf("grid: row %d: %w", t.row, err)
+		}
+		t.layer, t.code = uint16(layer), code
 	}
 
 	// Clustered order: by (layer, code), ties by rank so each cell's

@@ -17,7 +17,8 @@ type BuildParams struct {
 	// Levels is the number of split levels; 0 means the paper's
 	// √N-leaves rule via ChooseLevels.
 	Levels int
-	// Domain is the root partition cell. It must contain every point.
+	// Domain is the root partition cell, widened to the rows' bounding
+	// box by BuildRecords.
 	Domain vec.Box
 }
 
@@ -58,7 +59,11 @@ func BuildRecords(store *pagestore.Store, recs []table.Record, clusteredName str
 	if p.Domain.Dim() != table.Dim {
 		return nil, nil, fmt.Errorf("kdtree: domain dim %d != point dim %d", p.Domain.Dim(), table.Dim)
 	}
-	t, order := build(records(recs), len(recs), table.Dim, p.Domain, p.Levels)
+	domain := p.Domain.Clone()
+	for i := range recs {
+		domain.ExtendPoint(recs[i].Point())
+	}
+	t, order := build(records(recs), len(recs), table.Dim, domain, p.Levels)
 	clustered, err := table.Create(store, clusteredName)
 	if err != nil {
 		return nil, nil, err

@@ -173,8 +173,8 @@ func StandardMixes() []Mix {
 		Description: "scatter-gather mix: 30% range cut, 25% top-k order, 25% point kNN, 10% photo-z, 10% sky box",
 		Make: func(base string, rng *rand.Rand) (*http.Request, error) {
 			// Every statement shape the coordinator merges differently:
-			// scan merge, order merge, kNN rerank, replicated photo-z,
-			// and the eager /sky fan-out.
+			// scan merge, order merge, kNN rerank, photo-z (a kNN plus a
+			// fit), and the eager /sky fan-out.
 			switch p := rng.Float64(); {
 			case p < 0.30:
 				return t2.Make(base, rng)

@@ -89,10 +89,7 @@ func TestFitFallbackCounted(t *testing.T) {
 		nbs[i].Rec.Mags = [5]float32{nan, 17, 17, 17, 17}
 		nbs[i].Rec.Redshift = 0.3
 	}
-	z, fellBack, err := est.fitNeighbors(vec.Point{17, 17, 17, 17, 17}, nbs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	z, fellBack := est.fitNeighbors(vec.Point{17, 17, 17, 17, 17}, nbs)
 	if !fellBack {
 		t.Error("non-finite neighbourhood did not trigger the mean fallback")
 	}
@@ -120,5 +117,31 @@ func TestFitFallbackCounted(t *testing.T) {
 	st = est.Stats()
 	if st.Estimates != 6 || st.FitFallbacks != 1 {
 		t.Errorf("cumulative stats = %+v, want 6 estimates / 1 fallback", st)
+	}
+}
+
+// TestFitOverSearchIsEstimate: an estimate is its neighbour search
+// followed by Fit, so Fit over the searcher's neighbours, in the order
+// it returns them, gives the estimator's float64.
+func TestFitOverSearchIsEstimate(t *testing.T) {
+	tb, refs := fixture(t, 3000)
+	est, err := NewEstimator(tb.Store(), refs, "ref.kd", 12, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20; i++ {
+		q := refs[i*11].Point()
+		q[0] += 0.05
+		want, err := est.Estimate(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nbs, _, err := est.Searcher().Search(q, est.K)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, fellBack := Fit(q, nbs, est.Degree); got != want || fellBack {
+			t.Fatalf("probe %d: Fit over the search's neighbours = %v (fell back %v), Estimate %v", i, got, fellBack, want)
+		}
 	}
 }

@@ -123,18 +123,26 @@ func (e *Estimator) Estimate(mags vec.Point) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	z, _, err := e.fitNeighbors(mags, nbs)
-	return z, err
+	z, _ := e.fitNeighbors(mags, nbs)
+	return z, nil
 }
 
-// fitNeighbors runs the local polynomial fit over one query's
-// neighbour set, counting the estimate and any fit fallback. The
-// second return reports whether the fit fell back to the mean.
-func (e *Estimator) fitNeighbors(mags vec.Point, nbs []knn.Neighbor) (float64, bool, error) {
-	if len(nbs) == 0 {
-		return 0, false, fmt.Errorf("photoz: empty reference set")
-	}
+// fitNeighbors runs Fit over one query's neighbours (never none: the
+// reference is never empty), counting the estimate and any fallback.
+func (e *Estimator) fitNeighbors(mags vec.Point, nbs []knn.Neighbor) (float64, bool) {
 	e.estimates.Add(1)
+	z, fellBack := Fit(mags, nbs, e.Degree)
+	if fellBack {
+		e.fitFallbacks.Add(1)
+	}
+	return z, fellBack
+}
+
+// Fit is the §4.1 method's second step: a local polynomial z = P(mags)
+// least-squares fitted over the neighbours (nearest first: the float64
+// depends on their order) and evaluated at the query. fellBack reports
+// a failed or non-finite fit, answered by the neighbour mean instead.
+func Fit(mags vec.Point, nbs []knn.Neighbor, degree int) (z float64, fellBack bool) {
 	xs := make([][]float64, len(nbs))
 	ys := make([]float64, len(nbs))
 	for i, nb := range nbs {
@@ -147,23 +155,18 @@ func (e *Estimator) fitNeighbors(mags vec.Point, nbs []knn.Neighbor) (float64, b
 		xs[i] = f
 		ys[i] = float64(nb.Rec.Redshift)
 	}
-	coeffs, deg, err := linalg.PolyFit(xs, ys, e.Degree)
-	var z float64
+	coeffs, deg, err := linalg.PolyFit(xs, ys, degree)
 	if err == nil {
 		z = linalg.PolyEval(coeffs, make([]float64, len(mags)), deg)
 	}
 	if err != nil || math.IsNaN(z) || math.IsInf(z, 0) {
-		// Degenerate neighbourhood (failed or non-finite fit): fall
-		// back to the neighbour mean, and count the degradation
-		// instead of swallowing it silently.
-		e.fitFallbacks.Add(1)
 		var mean float64
 		for _, y := range ys {
 			mean += y
 		}
-		return mean / float64(len(ys)), true, nil
+		return mean / float64(len(ys)), true
 	}
-	return clampZ(z), false, nil
+	return clampZ(z), false
 }
 
 // BatchStats aggregates the cost and quality of one batched
@@ -193,10 +196,7 @@ func (e *Estimator) EstimateBatch(ctx context.Context, mags []vec.Point) ([]floa
 	}
 	out := make([]float64, len(mags))
 	err := e.searcher.SearchBatchFunc(mags, e.K, func(i int, nbs []knn.Neighbor, st knn.Stats) error {
-		z, fellBack, err := e.fitNeighbors(mags[i], nbs)
-		if err != nil {
-			return err
-		}
+		z, fellBack := e.fitNeighbors(mags[i], nbs)
 		if fellBack {
 			stats.FitFallbacks++
 		}

@@ -18,11 +18,11 @@ import (
 )
 
 // This file is the coordinator's HTTP plumbing: hedged sub-requests
-// against shard vizservers. Every row a shard sends comes back through
-// fetch as binary frames holding the table's own record bytes, so
-// re-serialization on the coordinator is byte-identical to what the
-// shard would have written. Only /photoz, which returns redshifts and
-// no rows, answers in JSON (getJSON); /insert is the one write.
+// against shard vizservers. Every row a shard sends — photo-z
+// neighbours too — comes back through fetch as binary frames holding
+// the table's own record bytes, so re-serialization on the coordinator
+// is byte-identical to what the shard would have written. /insert is
+// the one write, and the one JSON exchange.
 
 // shardError wraps a sub-request failure with the shard's identity,
 // so a partial failure surfaces as a descriptive error and never as a
@@ -200,23 +200,6 @@ func (c *Coordinator) fetchEach(ctx context.Context, targets []int, path func(t 
 		}
 	}
 	return recs, reps, nil
-}
-
-// getJSON issues a hedged GET and decodes the JSON response into out:
-// the /photoz answer.
-func (c *Coordinator) getJSON(ctx context.Context, shard int, path string, out any) error {
-	resp, release, err := c.doHedged(ctx, shard, func(actx context.Context) (*http.Request, error) {
-		return http.NewRequestWithContext(actx, http.MethodGet, c.targets[shard]+path, nil)
-	})
-	if err != nil {
-		return c.shardError(shard, err)
-	}
-	defer release()
-	defer resp.Body.Close()
-	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-		return c.shardError(shard, err)
-	}
-	return nil
 }
 
 // postOnce issues a single non-hedged POST — the write path.

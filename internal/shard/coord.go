@@ -14,6 +14,8 @@ import (
 
 	"repro/internal/colorsql"
 	"repro/internal/core"
+	"repro/internal/knn"
+	"repro/internal/photoz"
 	"repro/internal/planner"
 	"repro/internal/qos"
 	"repro/internal/table"
@@ -58,10 +60,6 @@ type Coordinator struct {
 	// sub-query summaries — the cluster-wide analogue of the single
 	// store's pool counter.
 	diskReads atomic.Int64
-
-	// photozNext round-robins photo-z batches: the reference set is
-	// replicated, so any one shard answers exactly.
-	photozNext atomic.Int64
 }
 
 var _ vizhttp.Backend = (*Coordinator)(nil)
@@ -173,7 +171,10 @@ func (c *Coordinator) ExecStatement(ctx context.Context, stmt colorsql.Statement
 	// ORDER BY dist LIMIT k with no predicate is a nearest-neighbour
 	// search, here as on the single store.
 	if stmt.IsKNN() {
-		recs, reps, err := c.boundedKNN(ctx, []vec.Point{stmt.Order.Dist}, stmt.Limit)
+		if stmt.Reference && c.rt.PhotoZK <= 0 {
+			return nil, errNoPhotoZK
+		}
+		recs, reps, err := c.boundedKNN(ctx, []vec.Point{stmt.Order.Dist}, stmt.Limit, stmt.Reference)
 		if err != nil {
 			return nil, err
 		}
@@ -251,7 +252,7 @@ func (c *Coordinator) EstimateStatementCost(stmt colorsql.Statement) float64 {
 // (knn.go): each probe's owning shard first, another shard only when
 // one of its cells is nearer than the owner's k-th neighbour.
 func (c *Coordinator) NearestNeighborsBatch(ctx context.Context, qs []vec.Point, k int) ([][]table.Record, []core.Report, error) {
-	return c.boundedKNN(ctx, qs, k)
+	return c.boundedKNN(ctx, qs, k, false)
 }
 
 // NearestNeighborsBatchCached always misses (shards own the caches).
@@ -268,65 +269,58 @@ func (c *Coordinator) EstimateKNNCost(k, numPoints int) float64 {
 	return float64(numPoints) * float64(k) * (m.Row + m.Node)
 }
 
-// EstimateRedshiftBatch routes the whole batch to one shard, round
-// robin: the spectroscopic reference set is replicated into every
-// shard at cluster build, so any shard's estimator answers exactly
-// like the single store's.
+// EstimateRedshiftBatch fits each probe's photoZK nearest reference
+// rows, found by the bounded kNN nearest first as a single store's
+// search finds them, so it is float64-identical to a single store over
+// the same rows.
 func (c *Coordinator) EstimateRedshiftBatch(ctx context.Context, qs []vec.Point) ([]float64, core.Report, error) {
-	cctx, cancel := context.WithTimeout(ctx, c.cfg.ShardTimeout)
-	defer cancel()
-
-	shard := int(c.photozNext.Add(1)-1) % c.rt.NumShards()
-	var sb strings.Builder
-	sb.WriteString("/photoz?")
-	for i, q := range qs {
-		if i > 0 {
-			sb.WriteByte('&')
-		}
-		sb.WriteString("mags=")
-		for d, v := range q {
-			if d > 0 {
-				sb.WriteByte(',')
-			}
-			sb.WriteString(formatFloat(v))
-		}
+	if c.rt.PhotoZK <= 0 {
+		return nil, core.Report{}, errNoPhotoZK
 	}
-	var resp struct {
-		Redshifts      []float64 `json:"redshifts"`
-		FitFallbacks   int64     `json:"fitFallbacks"`
-		LeavesExamined int64     `json:"leavesExamined"`
-		RowsExamined   int64     `json:"rowsExamined"`
-		DiskReads      int64     `json:"diskReads"`
-	}
-	if err := c.observe(cctx, shard, func() error { return c.getJSON(cctx, shard, sb.String(), &resp) }); err != nil {
+	nbs, reps, err := c.boundedKNN(ctx, qs, c.rt.PhotoZK, true)
+	if err != nil {
 		return nil, core.Report{}, err
 	}
-	if len(resp.Redshifts) != len(qs) {
-		return nil, core.Report{}, c.shardError(shard, fmt.Errorf("photoz returned %d redshifts for %d queries", len(resp.Redshifts), len(qs)))
+	zs := make([]float64, len(qs))
+	rep := core.Report{Plan: core.PlanKdTree, RowsReturned: int64(len(qs)), PlanReason: "photo-z: bounded kNN over the shards' reference rows, then a local fit"}
+	for i, q := range qs {
+		if len(nbs[i]) == 0 {
+			return nil, core.Report{}, fmt.Errorf("shard: photo-z: the shards returned no reference rows")
+		}
+		fit := make([]knn.Neighbor, len(nbs[i]))
+		for j := range fit {
+			fit[j].Rec = nbs[i][j]
+		}
+		z, fellBack := photoz.Fit(q, fit, photoZDegree)
+		zs[i] = z
+		if fellBack {
+			rep.FitFallbacks++
+		}
+		rep.RowsExamined += reps[i].RowsExamined
+		rep.LeavesExamined += reps[i].LeavesExamined
+		rep.DiskReads += reps[i].DiskReads
+		rep.CacheHits += reps[i].CacheHits
 	}
-	c.diskReads.Add(resp.DiskReads)
-	rep := core.Report{
-		Plan:           core.PlanKdTree,
-		PlanReason:     fmt.Sprintf("photo-z routed to shard %d (replicated reference set)", shard),
-		RowsReturned:   int64(len(resp.Redshifts)),
-		RowsExamined:   resp.RowsExamined,
-		DiskReads:      resp.DiskReads,
-		LeavesExamined: resp.LeavesExamined,
-		FitFallbacks:   resp.FitFallbacks,
-	}
-	return resp.Redshifts, rep, nil
+	return zs, rep, nil
 }
+
+// errNoPhotoZK refuses photo-z without spectroscopic rows, or where
+// every shard holds a whole reference, which the merge would count
+// once per shard.
+var errNoPhotoZK = fmt.Errorf("shard: %s records no photoZK: no photo-z reference, or one replicated into every shard", RoutingFile)
 
 // EstimateRedshiftBatchCached always misses (shards own the caches).
 func (c *Coordinator) EstimateRedshiftBatchCached([]vec.Point) ([]float64, core.Report, bool) {
 	return nil, core.Report{}, false
 }
 
-// EstimatePhotoZCost prices one shard's batch (photo-z does not fan
-// out).
+// EstimatePhotoZCost prices a batch as its kNN searches; 0 without
+// photoZK, where the estimate fails instead.
 func (c *Coordinator) EstimatePhotoZCost(numPoints int) float64 {
-	m := planner.DefaultCostModel()
-	return float64(numPoints) * 64 * (m.Row + m.Node)
+	if c.rt.PhotoZK <= 0 {
+		return 0
+	}
+	return c.EstimateKNNCost(c.rt.PhotoZK, numPoints)
 }
 
 // SampleRegion fans /points across the shards whose cells can

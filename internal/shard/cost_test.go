@@ -4,11 +4,14 @@ import (
 	"context"
 	"errors"
 	"math"
+	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/planner"
 	"repro/internal/qos"
 	"repro/internal/table"
+	"repro/internal/vec"
 	"repro/internal/vizhttp"
 )
 
@@ -60,5 +63,51 @@ func checkExpensiveThreshold(t *testing.T, name string, b vizhttp.Backend, want 
 		if _, err := lim.Admit(context.Background(), c.cost); !errors.As(err, &shed) || shed.Reason != c.reason {
 			t.Errorf("%s: a request priced %g under saturation got %v, want shed %q (threshold %g)", name, c.cost, err, c.reason, want)
 		}
+	}
+}
+
+// TestPhotoZPrice: the coordinator prices a photo-z batch as the kNN
+// searches it makes, photoZK neighbours a point, and a FROM reference
+// statement as one such search. A routing table without photoZK — a
+// cluster with no photo-z, or one built when every shard held a copy
+// of the whole reference — prices nothing and refuses the estimate
+// with a descriptive error, never an answer.
+func TestPhotoZPrice(t *testing.T) {
+	rt, err := LoadRoutingTable(clusterDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rt.PhotoZK != 24 {
+		t.Fatalf("the fixture's routing table records photoZK %d, want the build's 24", rt.PhotoZK)
+	}
+	c, err := NewCoordinator(rt, make([]string, rt.NumShards()), Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{1, 7} {
+		if got, want := c.EstimatePhotoZCost(n), c.EstimateKNNCost(rt.PhotoZK, n); got != want || got <= 0 {
+			t.Errorf("a batch of %d priced %g, want EstimateKNNCost(%d, %d) = %g", n, got, rt.PhotoZK, n, want)
+		}
+	}
+	ref := mustParse(t, "SELECT * FROM reference ORDER BY dist(19, 18, 17, 16, 15) LIMIT 24")
+	if got, want := c.EstimateStatementCost(ref), c.EstimateKNNCost(24, 1); got != want {
+		t.Errorf("%s priced %g, want %g", ref.String(), got, want)
+	}
+
+	bare := *rt
+	bare.PhotoZK = 0
+	c, err = NewCoordinator(&bare, make([]string, rt.NumShards()), Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := c.EstimatePhotoZCost(7); got != 0 {
+		t.Errorf("without photoZK a batch is priced %g, want 0", got)
+	}
+	zs, _, err := c.EstimateRedshiftBatch(context.Background(), []vec.Point{{19, 18, 17, 16, 15}})
+	if err == nil || !strings.Contains(err.Error(), "photoZK") {
+		t.Errorf("without photoZK /photoz answered %v, %v; want an error naming photoZK", zs, err)
+	}
+	if _, err := c.ExecStatement(context.Background(), ref, core.PlanAuto); err == nil || !strings.Contains(err.Error(), "photoZK") {
+		t.Errorf("without photoZK %s answered (err %v); want an error naming photoZK", ref.String(), err)
 	}
 }

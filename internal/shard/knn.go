@@ -33,6 +33,10 @@ import (
 // Every visit is one statement for one probe (knnStatement), read
 // through fetch like any other statement's rows.
 //
+// FROM reference runs the same search over the shards' photo-z
+// references, each its own spectroscopic rows. Its visits take no
+// WHERE: a phase-2 shard returns its k nearest, the merge keeps k.
+//
 // Exactness rests on three facts. The cells of all shards tile
 // magnitude space out to ±routingInf, and rows placed by BuildCluster
 // or routed by Coordinator.Insert lie inside their shard's cells, so
@@ -104,9 +108,9 @@ type knnCand struct {
 }
 
 // boundedKNN answers a batch of probes with the two-phase protocol
-// described at the top of this file, results and reports in input
-// order.
-func (c *Coordinator) boundedKNN(ctx context.Context, qs []vec.Point, k int) ([][]table.Record, []core.Report, error) {
+// described at the top of this file — over the reference rows when
+// reference is set — results and reports in input order.
+func (c *Coordinator) boundedKNN(ctx context.Context, qs []vec.Point, k int, reference bool) ([][]table.Record, []core.Report, error) {
 	cctx, cancel := context.WithTimeout(ctx, c.cfg.ShardTimeout)
 	defer cancel()
 
@@ -125,7 +129,7 @@ func (c *Coordinator) boundedKNN(ctx context.Context, qs []vec.Point, k int) ([]
 			for j := lo; j < hi && !stopped(); j++ {
 				v := &visits[j]
 				err := c.observe(cctx, v.shard, func() (err error) {
-					v.recs, v.rep, err = c.fetchAll(cctx, v.shard, queryPath(knnStatement(qs[v.i], k, v.bound)))
+					v.recs, v.rep, err = c.fetchAll(cctx, v.shard, queryPath(knnStatement(qs[v.i], k, v.bound, reference)))
 					return err
 				})
 				if err != nil {
@@ -217,10 +221,11 @@ func (c *Coordinator) boundedKNN(ctx context.Context, qs []vec.Point, k int) ([]
 }
 
 // knnStatement renders a visit as a statement: the shard's k nearest
-// rows to q, restricted to the bound's box when there is a bound.
-func knnStatement(q vec.Point, k int, bound2 float64) string {
-	st := colorsql.Statement{Star: true, Order: &colorsql.OrderBy{Dist: q}, Limit: k}
-	if !math.IsInf(bound2, 1) {
+// rows (reference rows, with reference set) to q, restricted to the
+// bound's box when there is a bound and the statement takes a WHERE.
+func knnStatement(q vec.Point, k int, bound2 float64, reference bool) string {
+	st := colorsql.Statement{Star: true, Order: &colorsql.OrderBy{Dist: q}, Limit: k, Reference: reference}
+	if !reference && !math.IsInf(bound2, 1) {
 		st.HasWhere = true
 		st.Where = colorsql.Union{Polys: []vec.Polyhedron{vec.BoxPolyhedron(boundBox(q, bound2))}}
 	}

@@ -11,7 +11,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/sky"
 	"repro/internal/table"
-	"repro/internal/vec"
 )
 
 // TestScatterEquivalence is the merge-layer contract: for every plan
@@ -193,42 +192,6 @@ func TestScatterPrunesShards(t *testing.T) {
 	}
 	if !pruned {
 		t.Error("no test predicate pruned any shard — routing-table pruning untested")
-	}
-}
-
-// TestPhotoZEquivalence: the replicated reference set makes any
-// shard's estimator answer exactly — float64-exact — like the single
-// store's.
-func TestPhotoZEquivalence(t *testing.T) {
-	cl := startCluster(t, Config{})
-	single := openSingle(t)
-
-	qs := []vec.Point{
-		{17.0, 16.8, 16.6, 16.5, 16.4},
-		{19.4, 19.1, 18.9, 18.8, 18.6},
-	}
-	want, _, err := single.EstimateRedshiftBatch(context.Background(), qs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Hit every shard at least once (round robin) — each must answer
-	// identically.
-	for round := 0; round < fixtureShards; round++ {
-		got, rep, err := cl.coord.EstimateRedshiftBatch(context.Background(), qs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("round %d: %d redshifts, want %d", round, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("round %d query %d: z = %v, single store %v", round, i, got[i], want[i])
-			}
-		}
-		if rep.RowsReturned != int64(len(qs)) {
-			t.Errorf("round %d: rowsReturned %d, want %d", round, rep.RowsReturned, len(qs))
-		}
 	}
 }
 

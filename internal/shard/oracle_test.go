@@ -31,8 +31,9 @@ import (
 // under every plan it offers, and a 3-shard coordinator over the same
 // rows. Between checks the seed interleaves the events that move rows
 // between layers — inserts, minor and full compaction, a kd rebuild, a
-// persist and a cold reopen — and holds a cursor open across some of
-// them.
+// persist and a cold reopen, and a spectroscopic row far outside the
+// generation domain followed by a full compaction — and holds a cursor
+// open across some of them.
 
 // oracleSeed is one fixed run of the oracle. The named seeds carry the
 // regression shapes the hand-built equivalence tests used to pin.
@@ -204,9 +205,9 @@ type oracle struct {
 
 	baseRows int           // model[:baseRows] were in the stores when built
 	rt       *RoutingTable // the cluster's
-	// photoZ holds a fresh store's estimates at photoZProbes per
-	// answering shard (-1: a single store), over photoZRows paged rows.
-	photoZ     map[int][]float64
+	// photoZ holds a fresh store's estimates at photoZProbes, over the
+	// reference rows of photoZRows paged rows.
+	photoZ     []float64
 	photoZRows int
 
 	members map[string]bool // this state's model rows, rendered SELECT *
@@ -249,6 +250,7 @@ func runOracle(t *testing.T, sd oracleSeed) {
 	events := slices.Insert([]string{"insert", "compact", "insert"}, 2+o.rng.Intn(2), "full")
 	events = slices.Insert(events, 2, "rebuild")
 	events = slices.Insert(events, o.rng.Intn(len(events)+1), "reopen")
+	events = slices.Insert(events, o.rng.Intn(len(events)+1), "far")
 	for _, ev := range events {
 		// A cursor opened before the event and drained after it answers
 		// from the rows acknowledged when it opened.
@@ -362,6 +364,17 @@ func (o *oracle) apply(ev string) {
 			o.must(err, c.name, "insert")
 		}
 		o.model = append(o.model, batch...)
+	case "far":
+		// A spectroscopic row far outside the generation domain, then a
+		// full compaction: every rebuild widens its domain to cover it.
+		far := table.Record{ObjID: o.nextID, Mags: [table.Dim]float32{45, 18, 5, 17, 16}, Ra: 12, Dec: 34, Redshift: 0.45, HasZ: true, Class: table.Galaxy}
+		o.nextID++
+		for _, c := range o.configs {
+			_, err := c.b.Insert([]table.Record{far})
+			o.must(err, c.name, "insert far")
+		}
+		o.model = append(o.model, far)
+		o.apply("full")
 	case "compact", "full":
 		for _, c := range o.configs {
 			for _, db := range c.dbs {
@@ -561,6 +574,7 @@ func (o *oracle) check(state string) {
 		o.dist(state, stmt)
 	}
 	o.knn(state, in.probes, in.k)
+	o.reference(state, in.probes[:2], in.k)
 	if o.sd.selfProbes && len(o.model) > o.baseRows {
 		// Every inserted row is its own nearest neighbour, through /knn
 		// and through ORDER BY dist.
@@ -945,53 +959,55 @@ func (o *oracle) knn(state string, probes []vec.Point, k int) {
 	}
 }
 
-// photoZWant is a fresh store's answer, fitted over the reference rows
-// a photo-z estimate sees: every paged spectroscopic row (a memtable
-// row joins at its compaction) — behind the coordinator the answering
-// shard's, the build's plus only the inserts compacted on that shard,
-// as an inserted reference row is not replicated (ROADMAP 3(f)).
-func (o *oracle) photoZWant(shard int) []float64 {
-	if o.photoZRows != o.paged {
-		o.photoZ, o.photoZRows = map[int][]float64{}, o.paged
-	}
-	if zs, ok := o.photoZ[shard]; ok {
-		return zs
-	}
+// referenceRows is the photo-z reference set: every paged
+// spectroscopic row (a memtable row joins at its compaction).
+func (o *oracle) referenceRows() []table.Record {
 	var refs []table.Record
-	for i, r := range o.model[:o.paged] {
-		if r.HasZ && (shard < 0 || i < o.baseRows || o.rt.RouteMags(r.Point()) == shard) {
+	for _, r := range o.model[:o.paged] {
+		if r.HasZ {
 			refs = append(refs, r)
 		}
+	}
+	return refs
+}
+
+// reference: SELECT * FROM reference ORDER BY dist(p) LIMIT k is brute
+// force over the reference rows — on a single store and through the
+// coordinator, whose shards each hold their own.
+func (o *oracle) reference(state string, probes []vec.Point, k int) {
+	refs := o.referenceRows()
+	for _, p := range probes {
+		stmt := mustParse(o.t, fmt.Sprintf("SELECT * FROM reference ORDER BY dist(%v, %v, %v, %v, %v) LIMIT %d", p[0], p[1], p[2], p[3], p[4], k))
+		want := bruteForce(p, k, refs)
+		for _, c := range o.configs {
+			recs, _ := o.exec(c, state+" "+c.name, stmt, core.PlanAuto)
+			o.must(o.nearestErr(p, want, recs), state, c.name, stmt.String())
+		}
+	}
+}
+
+// photoZWant is a fresh store's answer, fitted over the reference rows
+// a photo-z estimate sees — one answer for every configuration.
+func (o *oracle) photoZWant() []float64 {
+	if o.photoZ != nil && o.photoZRows == o.paged {
+		return o.photoZ
 	}
 	db, err := core.Open(core.Config{Dir: o.t.TempDir()})
 	o.must(err)
 	defer db.Close()
-	o.must(db.IngestRecords(refs))
+	o.must(db.IngestRecords(o.referenceRows()))
 	o.must(db.BuildPhotoZ(oraclePhotoZK, 1))
 	zs, _, err := db.EstimateRedshiftBatch(context.Background(), photoZProbes)
 	o.must(err)
-	o.photoZ[shard] = zs
+	o.photoZ, o.photoZRows = zs, o.paged
 	return zs
-}
-
-// photoZShard is the shard that answered a photo-z batch through the
-// coordinator, -1 on a single store.
-func photoZShard(c *oracleConfig, rep core.Report) (int, error) {
-	shard := -1
-	if c.single {
-		return shard, nil
-	}
-	_, err := fmt.Sscanf(rep.PlanReason, "photo-z routed to shard %d", &shard)
-	return shard, err
 }
 
 func (o *oracle) checkPhotoZ(c *oracleConfig, label string) {
 	label += ": /photoz"
 	got, rep, err := c.b.EstimateRedshiftBatch(context.Background(), photoZProbes)
 	o.must(err, label)
-	shard, err := photoZShard(c, rep)
-	o.must(err, label)
-	want := o.photoZWant(shard)
+	want := o.photoZWant()
 	if !slices.Equal(got, want) || rep.RowsReturned != int64(len(got)) {
 		o.t.Fatalf("%s = %v (%d reported), a fresh build %v", label, got, rep.RowsReturned, want)
 	}
@@ -1110,10 +1126,7 @@ func (o *oracle) checkDeterministic(c *oracleConfig, label string, in stateInput
 	for i, p := range in.probes {
 		want[i] = bruteForce(p, in.k, o.model)
 	}
-	photoZ := map[int][]float64{-1: o.photoZWant(-1)}
-	for s := 0; !c.single && s < o.rt.NumShards(); s++ {
-		photoZ[s] = o.photoZWant(s)
-	}
+	photoZ := o.photoZWant()
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	for _, stmt := range stmts {
 		runtime.GOMAXPROCS(1)
@@ -1143,13 +1156,9 @@ func (o *oracle) checkDeterministic(c *oracleConfig, label string, in stateInput
 			return err
 		})
 		spawn(func() error {
-			got, rep, err := c.b.EstimateRedshiftBatch(context.Background(), photoZProbes)
-			shard := -1
-			if err == nil {
-				shard, err = photoZShard(c, rep)
-			}
-			if err == nil && !slices.Equal(got, photoZ[shard]) {
-				err = fmt.Errorf("a concurrent /photoz = %v, a fresh build %v", got, photoZ[shard])
+			got, _, err := c.b.EstimateRedshiftBatch(context.Background(), photoZProbes)
+			if err == nil && !slices.Equal(got, photoZ) {
+				err = fmt.Errorf("a concurrent /photoz = %v, a fresh build %v", got, photoZ)
 			}
 			return err
 		})

@@ -5,6 +5,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/kdtree"
@@ -20,10 +21,9 @@ type BuildParams struct {
 	// Index build parameters, applied identically to every shard so
 	// per-shard planning matches what a single store would do on the
 	// same data. Zero values pick the same defaults sdssgen uses.
-	Indexes      bool // build the kd-tree and grid indexes (photo-z always builds when refs exist)
-	GridBase     int
-	PhotoZK      int
-	PhotoZDegree int
+	Indexes  bool // build the kd-tree and grid indexes (photo-z always builds when refs exist)
+	GridBase int
+	PhotoZK  int
 
 	// PoolPages for the per-shard builds (0 = the core default).
 	PoolPages int
@@ -36,10 +36,11 @@ func (p *BuildParams) setDefaults() {
 	if p.PhotoZK == 0 {
 		p.PhotoZK = 24
 	}
-	if p.PhotoZDegree == 0 {
-		p.PhotoZDegree = 1
-	}
 }
+
+// photoZDegree is the degree of the local polynomial every shard's
+// estimator is built with and the coordinator fits.
+const photoZDegree = 1
 
 // ShardDir returns the store directory of shard i relative to the
 // cluster root.
@@ -53,9 +54,8 @@ func ShardDir(i int) string { return fmt.Sprintf("shard-%d", i) }
 // first builds the full-catalog tree in a throwaway store, derives
 // the routing table from its top levels, then routes every record
 // through that table — so the router and the partition agree by
-// construction. The spectroscopic reference set (every HasZ row, in
-// catalog order) is replicated into every shard's photo-z estimator,
-// which therefore answers exactly like the single-store one.
+// construction. Each shard's photo-z reference is its own
+// spectroscopic rows, as a single store's is.
 func BuildCluster(dir string, recs []table.Record, p BuildParams) (*RoutingTable, error) {
 	p.setDefaults()
 	if p.Shards < 1 {
@@ -73,10 +73,9 @@ func BuildCluster(dir string, recs []table.Record, p BuildParams) (*RoutingTable
 		return nil, err
 	}
 
-	// Route every record; the reference set is the full catalog's HasZ
-	// rows in catalog order, replicated to all shards.
+	// Route every record.
 	parts := make([][]table.Record, p.Shards)
-	var refs []table.Record
+	refs := make([]int, p.Shards)
 	for _, rec := range recs {
 		s := rt.RouteMags([]float64{
 			float64(rec.Mags[0]), float64(rec.Mags[1]), float64(rec.Mags[2]),
@@ -84,19 +83,25 @@ func BuildCluster(dir string, recs []table.Record, p BuildParams) (*RoutingTable
 		})
 		parts[s] = append(parts[s], rec)
 		if rec.HasZ {
-			refs = append(refs, rec)
+			refs[s]++
 		}
+	}
+	if slices.Max(refs) > 0 {
+		rt.PhotoZK = p.PhotoZK
 	}
 	for i, part := range parts {
 		if len(part) == 0 {
 			return nil, fmt.Errorf("shard: partition left shard %d empty (catalog too small for %d shards)", i, p.Shards)
+		}
+		if rt.PhotoZK > 0 && refs[i] == 0 {
+			return nil, fmt.Errorf("shard: partition left shard %d no spectroscopic rows for its photo-z reference (catalog too small for %d shards)", i, p.Shards)
 		}
 		rt.Shards[i].Rows = int64(len(part))
 	}
 	rt.TotalRows = int64(len(recs))
 
 	for i, part := range parts {
-		if err := buildShardStore(filepath.Join(dir, ShardDir(i)), part, refs, p); err != nil {
+		if err := buildShardStore(filepath.Join(dir, ShardDir(i)), part, rt.PhotoZK, p); err != nil {
 			return nil, fmt.Errorf("shard %d: %w", i, err)
 		}
 	}
@@ -106,8 +111,8 @@ func BuildCluster(dir string, recs []table.Record, p BuildParams) (*RoutingTable
 	return rt, nil
 }
 
-// buildShardStore builds and persists one shard store.
-func buildShardStore(dir string, part, refs []table.Record, p BuildParams) error {
+// buildShardStore builds and persists one shard store (photo-z if k > 0).
+func buildShardStore(dir string, part []table.Record, k int, p BuildParams) error {
 	db, err := core.Open(core.Config{Dir: dir, PoolPages: p.PoolPages})
 	if err != nil {
 		return err
@@ -124,8 +129,8 @@ func buildShardStore(dir string, part, refs []table.Record, p BuildParams) error
 			return err
 		}
 	}
-	if len(refs) > 0 {
-		if err := db.BuildPhotoZFromRecords(refs, p.PhotoZK, p.PhotoZDegree); err != nil {
+	if k > 0 {
+		if err := db.BuildPhotoZ(k, photoZDegree); err != nil {
 			return err
 		}
 	}

@@ -73,6 +73,9 @@ type RoutingTable struct {
 	Splits    []RouteSplit `json:"splits"`
 	UnitShard []int        `json:"unitShard"`
 	Shards    []ShardInfo  `json:"shards"`
+	// PhotoZK is the k of photo-z estimates; 0 (omitted) without
+	// spectroscopic rows, or where every shard holds a whole reference.
+	PhotoZK int `json:"photoZK,omitempty"`
 }
 
 // NumShards returns the number of shards.
