@@ -49,14 +49,15 @@ import (
 // rows or the manifest owning them — never a gap.
 //
 // Full compaction (CompactFull) additionally rebuilds every built
-// index at a fresh artifact generation (rebuildLocked, which
-// BuildKdIndex runs too): the kd-tree over the catalog's rows,
-// rewriting the catalog clustered on it; then the grid from that
-// rewritten catalog, and the photo-z reference from its HasZ rows — the
-// same structures a from-scratch build of the same rows would produce,
-// since the kd build depends on the set of rows and not on their order.
-// A superseded file is unlinked by the first commit at which neither
-// the catalog nor an open snapshot names it.
+// index at a fresh artifact generation (rebuildLocked, which every
+// index build — BuildKdIndex, BuildGridIndex, BuildPhotoZ — runs too)
+// and commits it: the kd-tree over the catalog's rows, rewriting the
+// catalog clustered on it; then the grid from that rewritten catalog,
+// and the photo-z reference from its HasZ rows — the same structures a
+// from-scratch build of the same rows would produce, since the kd
+// build depends on the set of rows and not on their order. A
+// superseded file is unlinked by the first commit at which neither the
+// catalog nor an open snapshot names it.
 
 // Compact runs one minor compaction. It is a no-op when the memtable
 // is empty. Safe to call concurrently with reads, inserts, and other
@@ -142,7 +143,7 @@ func (db *SpatialDB) compactLocked() error {
 	// the covered records. Crash before the rename: the old manifest
 	// still owns the old counts and the WAL still holds the rows. Crash
 	// after: the rows are table-owned and replay skips them.
-	if err := db.commitLocked(db.nextGenLocked(), maxSeq); err != nil {
+	if err := db.commitLocked(maxSeq); err != nil {
 		return fmt.Errorf("core: compact: %w", err)
 	}
 	if wal != nil {
@@ -187,12 +188,12 @@ func appendRun(ap *table.Appender, tree *kdtree.Tree, rows []memtable.Row, hasZO
 	return nil
 }
 
-// CompactFull runs a minor compaction and then rebuilds every built
-// index (rebuildLocked) — the same structures a fresh build over the
-// same rows would produce, at a new artifact generation. Queries keep
-// serving throughout; open snapshots finish on the superseded
-// structures, whose files go at the first commit after the last such
-// snapshot releases.
+// CompactFull runs a minor compaction, then rebuilds every built
+// index (rebuildLocked) under the recorded build parameters — the same
+// structures a fresh build over the same rows would produce, at a new
+// artifact generation — and commits them. Queries keep serving
+// throughout; open snapshots finish on the superseded structures, whose
+// files go at the first commit after the last such snapshot releases.
 func (db *SpatialDB) CompactFull() error {
 	db.compactMu.Lock()
 	defer db.compactMu.Unlock()
@@ -201,19 +202,15 @@ func (db *SpatialDB) CompactFull() error {
 	}
 	db.mu.RLock()
 	spec := rebuildSpec{kd: db.kd != nil, grid: db.grid != nil, photoZ: db.photoZ != nil, buildParams: db.buildParams}
-	if spec.grid {
-		// Grid params round-trip persistence, so prefer the live
-		// index's over the in-process record (identical when both
-		// exist, and only the former survives a cold open).
-		p := db.grid.Params()
-		spec.gridBase, spec.gridSeed = p.Base, p.Seed
-	}
 	db.mu.RUnlock()
 	if !spec.kd && !spec.grid && !spec.photoZ {
 		return nil
 	}
 	if err := db.rebuildLocked(spec); err != nil {
 		return err
+	}
+	if err := db.commitLocked(db.eng.Store().DurableSeq()); err != nil {
+		return fmt.Errorf("core: rebuild: %w", err)
 	}
 	db.fullCompactions.Add(1)
 	return nil
@@ -226,19 +223,23 @@ type rebuildSpec struct {
 }
 
 // rebuildLocked builds the structures spec names from the store's
-// current paged rows at a new artifact generation, swaps them in and
-// commits. The kd arm rewrites the catalog clustered on a tree built
+// current paged rows at a new artifact generation and swaps them in;
+// it is the only code that builds the kd-tree, the grid or the photo-z
+// reference. The kd arm rewrites the catalog clustered on a tree built
 // over its rows, and the rewrite replaces it; the grid is built from
 // the catalog after that, and the photo-z reference from the catalog's
 // spectroscopic rows (minor compaction appends each to both tables).
 // Each build widens its domain to cover its rows. Everything is built
 // off to the side at generational file names and is invisible until
-// one swap under db.mu; the commit then drops the old files from
-// the manifest, and unlinks each once no snapshot opened before the
-// swap still names it. The caller holds compactMu.
+// one swap under db.mu. It commits nothing: the next commit
+// (commitLocked) names the new files and drops the old ones from the
+// manifest, and unlinks each once no snapshot opened before the swap
+// still names it; a crash before then reopens at the previous commit,
+// whose next commit sweeps the files built here. The caller holds
+// compactMu.
 func (db *SpatialDB) rebuildLocked(spec rebuildSpec) error {
 	db.mu.RLock()
-	catalog, oldPz := db.catalog, db.photoZ
+	catalog := db.catalog
 	db.mu.RUnlock()
 	if catalog == nil {
 		return fmt.Errorf("core: no catalog loaded")
@@ -272,12 +273,14 @@ func (db *SpatialDB) rebuildLocked(spec rebuildSpec) error {
 		if err != nil {
 			return fmt.Errorf("core: build grid: %w", err)
 		}
+		p := ix.Params()
+		spec.gridBase, spec.gridSeed = p.Base, p.Seed
 	}
 	if spec.photoZ {
 		var refs []table.Record
 		refs, err = photoz.ExtractReference(catalog)
 		if err == nil {
-			pz, err = photoz.NewEstimator(store, refs, engine.GenName(refKdTableName, gen), oldPz.K, oldPz.Degree)
+			pz, err = photoz.NewEstimator(store, refs, engine.GenName(refKdTableName, gen), spec.photoZK, spec.photoZDegree)
 		}
 		if err == nil {
 			err = pz.Persist(store, engine.GenName(photozMetaFile, gen), engine.GenName(photozTreeFile, gen))
@@ -291,41 +294,26 @@ func (db *SpatialDB) rebuildLocked(spec rebuildSpec) error {
 	// new physical files.
 	setArtifact := func(logical string) { db.eng.SetArtifact(logical, engine.GenName(logical, gen)) }
 	db.mu.Lock()
-	var swapErr error
+	defer db.mu.Unlock()
 	if tree != nil {
-		swapErr = db.eng.ReplaceTable(catalogTableName, catalog, engine.ClusteredKdLeaf)
-		if swapErr == nil {
-			setArtifact(kdIndexFile)
-			db.setCatalog(catalog)
-			db.kd = tree
-		}
+		db.eng.SetTable(catalogTableName, catalog, engine.ClusteredKdLeaf)
+		setArtifact(kdIndexFile)
+		db.setCatalog(catalog)
+		db.kd = tree
 	}
-	if swapErr == nil && ix != nil {
-		swapErr = db.eng.ReplaceTable(gridTableName, ix.Table(), engine.ClusteredGridCell)
-		if swapErr == nil {
-			setArtifact(gridIndexFile)
-			db.grid = ix
-		}
+	if ix != nil {
+		db.eng.SetTable(gridTableName, ix.Table(), engine.ClusteredGridCell)
+		setArtifact(gridIndexFile)
+		db.grid = ix
 	}
-	if swapErr == nil && pz != nil {
-		swapErr = db.eng.ReplaceTable(refKdTableName, pz.Searcher().Tb, engine.ClusteredKdLeaf)
-		if swapErr == nil {
-			setArtifact(photozMetaFile)
-			setArtifact(photozTreeFile)
-			db.photoZ = pz
-		}
+	if pz != nil {
+		db.eng.SetTable(refKdTableName, pz.Searcher().Tb, engine.ClusteredKdLeaf)
+		setArtifact(photozMetaFile)
+		setArtifact(photozTreeFile)
+		db.photoZ = pz
 	}
-	if swapErr == nil {
-		db.buildParams = spec.buildParams
-		db.bumpPlanGen()
-	}
-	db.mu.Unlock()
-	if swapErr != nil {
-		return fmt.Errorf("core: rebuild swap: %w", swapErr)
-	}
-	if err := db.commitLocked(gen, store.DurableSeq()); err != nil {
-		return fmt.Errorf("core: rebuild: %w", err)
-	}
+	db.buildParams = spec.buildParams
+	db.bumpPlanGen()
 	return nil
 }
 

@@ -191,9 +191,10 @@ type SpatialDB struct {
 	// store directory (where the WAL lives); wal acknowledges insert
 	// batches durably; mem holds acknowledged rows until a compaction
 	// moves them into the paged tables. compactMu serializes
-	// compactions, index builds and Persist, which all end in the one
-	// commit point (commitLocked); the publish and swap steps
-	// additionally take db.mu so readers snapshot atomically.
+	// compactions, index builds (rebuildLocked) and Persist; of these,
+	// Compact, CompactFull and Persist end in the one commit point
+	// (commitLocked). The publish and swap steps additionally take
+	// db.mu so readers snapshot atomically.
 	dir string
 	wal *pagestore.WAL
 	mem *memtable.Memtable
@@ -204,7 +205,8 @@ type SpatialDB struct {
 	gen uint64
 	// buildParams remembers how each index was built so a full
 	// compaction can rebuild it identically (same structure a fresh
-	// build of the enlarged catalog would produce).
+	// build of the enlarged catalog would produce). Written only under
+	// compactMu.
 	buildParams buildParams
 
 	// pins counts, per physical file, the open snapshots that name it
@@ -220,17 +222,25 @@ type SpatialDB struct {
 	compactions     atomic.Int64
 	fullCompactions atomic.Int64
 	compactedRows   atomic.Int64
+
+	// photo-z counters surfaced by PhotoZStats. They live on the store,
+	// not on the estimator, so a rebuild that replaces the estimator
+	// keeps them.
+	photoZEstimates    atomic.Int64
+	photoZFitFallbacks atomic.Int64
 }
 
 // buildParams records index build parameters for deterministic
 // rebuilds at full compaction. Cold-opened databases recover what the
-// persisted structures carry (kd levels from the tree, grid params
-// from its gob); fields the serialization does not record fall back
-// to defaults.
+// persisted structures carry (the grid's base and seed, the
+// estimator's k and degree); the kd levels asked for are not recorded,
+// so a reopened store rebuilds its tree by the √N-leaves rule.
 type buildParams struct {
-	kdLevels int
-	gridBase int
-	gridSeed int64
+	kdLevels     int
+	gridBase     int
+	gridSeed     int64
+	photoZK      int
+	photoZDegree int
 }
 
 // Open creates an empty SpatialDB at cfg.Dir.
@@ -344,16 +354,21 @@ func (db *SpatialDB) Catalog() (*table.Table, error) {
 // BuildKdIndex builds the §3.2 kd-tree and rewrites the catalog
 // clustered on its leaves: that rewrite is the catalog from then on,
 // the one copy of the rows. levels <= 0 applies the paper's √N-leaves
-// rule. It is the kd arm of a full compaction — a rebuild committed at
-// a new artifact generation (rebuildLocked) — so the superseded table
-// is unlinked by the first commit at which no open snapshot names it.
+// rule. Like every index build it is a rebuild (rebuildLocked): it
+// writes at a new artifact generation and swaps the result in, and the
+// next commit (Compact, CompactFull or Persist) makes it durable and
+// unlinks the superseded table once no open snapshot names it.
 func (db *SpatialDB) BuildKdIndex(levels int) error {
+	return db.build(func(s *rebuildSpec) { s.kd, s.kdLevels = true, levels })
+}
+
+// build runs one index build: a rebuild under the store's recorded
+// build parameters, as set changes them.
+func (db *SpatialDB) build(set func(*rebuildSpec)) error {
 	db.compactMu.Lock()
 	defer db.compactMu.Unlock()
-	db.mu.RLock()
-	spec := rebuildSpec{kd: true, buildParams: db.buildParams}
-	db.mu.RUnlock()
-	spec.kdLevels = levels
+	spec := rebuildSpec{buildParams: db.buildParams}
+	set(&spec)
 	return db.rebuildLocked(spec)
 }
 
@@ -365,24 +380,10 @@ func (db *SpatialDB) KdTree() *kdtree.Tree {
 }
 
 // BuildGridIndex builds the §3.1 layered uniform grid over the first
-// three magnitude axes (the visualization projection).
+// three magnitude axes (the visualization projection) — the grid arm
+// of a rebuild, durable at the next commit like BuildKdIndex.
 func (db *SpatialDB) BuildGridIndex(base int, seed int64) error {
-	db.compactMu.Lock()
-	defer db.compactMu.Unlock()
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if db.catalog == nil {
-		return fmt.Errorf("core: no catalog loaded")
-	}
-	ix, err := buildGrid(db.catalog, gridTableName, db.domain, base, seed)
-	if err != nil {
-		return err
-	}
-	db.grid = ix
-	p := ix.Params()
-	db.buildParams.gridBase, db.buildParams.gridSeed = p.Base, p.Seed
-	db.bumpPlanGen()
-	return db.eng.RegisterClusteredTable(ix.Table(), engine.ClusteredGridCell)
+	return db.build(func(s *rebuildSpec) { s.grid, s.gridBase, s.gridSeed = true, base, seed })
 }
 
 // buildGrid builds the layered grid over the first three magnitude
@@ -419,30 +420,11 @@ func (db *SpatialDB) BuildVoronoiIndex(numSeeds int, seed int64) error {
 }
 
 // BuildPhotoZ prepares the §4.1 redshift estimator from the catalog's
-// spectroscopic rows and registers its kd-clustered reference table,
-// the one stored copy of the reference.
+// spectroscopic rows and their kd-clustered reference table, the one
+// stored copy of the reference — the photo-z arm of a rebuild, durable
+// at the next commit like BuildKdIndex.
 func (db *SpatialDB) BuildPhotoZ(k, degree int) error {
-	db.compactMu.Lock()
-	defer db.compactMu.Unlock()
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if db.catalog == nil {
-		return fmt.Errorf("core: no catalog loaded")
-	}
-	refs, err := photoz.ExtractReference(db.catalog)
-	if err != nil {
-		return err
-	}
-	est, err := photoz.NewEstimator(db.eng.Store(), refs, refKdTableName, k, degree)
-	if err != nil {
-		return err
-	}
-	if err := db.eng.RegisterClusteredTable(est.Searcher().Tb, engine.ClusteredKdLeaf); err != nil {
-		return err
-	}
-	db.photoZ = est
-	db.bumpPlanGen()
-	return nil
+	return db.build(func(s *rebuildSpec) { s.photoZ, s.photoZK, s.photoZDegree = true, k, degree })
 }
 
 // EstimateRedshift runs the kNN polynomial redshift estimator.
@@ -484,6 +466,8 @@ func (db *SpatialDB) estimateRedshiftBatchUncached(ctx context.Context, mags []v
 	if err != nil {
 		return nil, Report{}, err
 	}
+	db.photoZEstimates.Add(int64(len(zs)))
+	db.photoZFitFallbacks.Add(stats.FitFallbacks)
 	return zs, Report{
 		Plan:           PlanKdTree,
 		RowsReturned:   int64(len(zs)),
@@ -504,16 +488,14 @@ func (db *SpatialDB) PhotoZBuilt() bool {
 	return db.photoZ != nil
 }
 
-// PhotoZStats returns the estimator's cumulative counters (zero
-// before BuildPhotoZ).
-func (db *SpatialDB) PhotoZStats() photoz.EstimatorStats {
-	db.mu.RLock()
-	est := db.photoZ
-	db.mu.RUnlock()
-	if est == nil {
-		return photoz.EstimatorStats{}
-	}
-	return est.Stats()
+// PhotoZStats returns the store's cumulative photo-z counters: the
+// estimates it computed, and how many of them fell back to the
+// neighbour mean because their local polynomial fit degenerated — a
+// rising ratio flags regions where the §4.1 method quietly degrades.
+// Answers served from the result cache compute nothing and count
+// nothing.
+func (db *SpatialDB) PhotoZStats() (estimates, fitFallbacks int64) {
+	return db.photoZEstimates.Load(), db.photoZFitFallbacks.Load()
 }
 
 // BackendStats returns the single store's /stats keys (the serving
@@ -521,13 +503,13 @@ func (db *SpatialDB) PhotoZStats() photoz.EstimatorStats {
 // counters, the statement cache and the ingest state.
 func (db *SpatialDB) BackendStats() map[string]any {
 	pages := db.eng.Store().Stats()
-	pz := db.PhotoZStats()
+	estimates, fitFallbacks := db.PhotoZStats()
 	return map[string]any{
 		"diskReads":          pages.DiskReads,
 		"poolHits":           pages.Hits,
 		"pinnedPages":        db.eng.Store().PinnedPages(),
-		"photozEstimates":    pz.Estimates,
-		"photozFitFallbacks": pz.FitFallbacks,
+		"photozEstimates":    estimates,
+		"photozFitFallbacks": fitFallbacks,
 		"qcache":             db.CacheStatsSnapshot(),
 		"ingest":             db.IngestStatsSnapshot(),
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/engine"
 	"repro/internal/grid"
@@ -12,13 +13,15 @@ import (
 
 // The build-once / serve-many lifecycle. The paper's indexes are
 // persisted inside SQL Server and survive restarts; this file gives
-// the reproduction the same property. Persist writes every built
-// structure — the catalog of tables (the magnitude table once,
-// clustered on the kd-tree's leaves when the tree is built), the
-// kd-tree, the grid directory, the photo-z estimator — into paged
-// files plus the checksummed store manifest, and OpenExisting reassembles a
-// fully serving SpatialDB from those files alone: no ingest, no
-// index construction, no table scan. Index structures are
+// the reproduction the same property. Every index build writes its
+// structures — the magnitude table once, clustered on the kd-tree's
+// leaves when the tree is built, the kd-tree, the grid and its
+// directory, the photo-z reference and estimator — into paged files at
+// its own generation (rebuildLocked). Persist commits them with the
+// engine catalog and the checksummed store manifest, as every
+// compaction does, and OpenExisting reassembles a fully serving
+// SpatialDB from those files alone: no ingest, no index construction,
+// no table scan. Index structures are
 // deserialized through the buffer pool, so the cost of opening them
 // is visible in pagestore.Stats exactly like the paper's
 // index-page reads.
@@ -36,40 +39,31 @@ const (
 	photozMetaFile   = "reference.pz.idx"
 )
 
-// Persist writes every built structure to disk and commits it: the
-// grid directory and the photo-z estimator at a new artifact
-// generation, then the engine catalog at that generation through the
-// one commit point (commitLocked). The kd-tree is not among them: every
-// build of it is committed with its generation. After Persist returns,
-// OpenExisting on the same directory reassembles the database in a
-// fresh process.
+// layoutFiles are the logical names of the files a store writes beside
+// its catalog file. Every generation of one, and of a table's zone
+// sidecar, is the store's own: a commit sweeps those it does not name,
+// even of an index the committed catalog does not hold, as a build's
+// files are when a crash comes before the commit that would name them.
+var layoutFiles = []string{
+	catalogTableName, kdIndexFile, gridTableName, gridIndexFile, refKdTableName, photozTreeFile, photozMetaFile,
+	engine.ZoneFileName(catalogTableName), engine.ZoneFileName(gridTableName), engine.ZoneFileName(refKdTableName),
+}
+
+// Persist commits every built structure through the one commit point
+// (commitLocked). Each build already wrote its files at its own
+// generation; the commit writes the engine catalog that names them.
+// After Persist returns, OpenExisting on the same directory reassembles
+// the database in a fresh process.
 func (db *SpatialDB) Persist() error {
 	db.compactMu.Lock()
 	defer db.compactMu.Unlock()
 	db.mu.RLock()
-	catalog, ix, pz := db.catalog, db.grid, db.photoZ
+	catalog := db.catalog
 	db.mu.RUnlock()
 	if catalog == nil {
 		return fmt.Errorf("core: nothing to persist: no catalog loaded")
 	}
-	store := db.eng.Store()
-	gen := db.nextGenLocked()
-	if ix != nil {
-		name := engine.GenName(gridIndexFile, gen)
-		if err := ix.Persist(name); err != nil {
-			return err
-		}
-		db.eng.SetArtifact(gridIndexFile, name)
-	}
-	if pz != nil {
-		meta, tree := engine.GenName(photozMetaFile, gen), engine.GenName(photozTreeFile, gen)
-		if err := pz.Persist(store, meta, tree); err != nil {
-			return err
-		}
-		db.eng.SetArtifact(photozMetaFile, meta)
-		db.eng.SetArtifact(photozTreeFile, tree)
-	}
-	return db.commitLocked(gen, store.DurableSeq())
+	return db.commitLocked(db.eng.Store().DurableSeq())
 }
 
 // commitGap, when set, runs inside every commit between the writes of
@@ -78,18 +72,20 @@ func (db *SpatialDB) Persist() error {
 var commitGap func()
 
 // commitLocked is the one commit point: the only path by which a
-// database writes its manifest. The caller has written every rebuilt
-// artifact of generation gen; commitLocked writes the catalog at gen
-// beside them, stages durableSeq, and commits (pagestore.Store.Commit:
-// drain allocs, flush dirty pages, sync, rename in a manifest listing
-// exactly the files that catalog names, then unlink). Liveness is a set
-// difference: a file lives while the committed catalog or an open
-// snapshot names it, and every other file of a base the catalog names a
-// generation of goes — one this commit dropped, one a release left
-// since the last commit, or debris a crash or an earlier session left
-// on disk. The caller holds compactMu.
-func (db *SpatialDB) commitLocked(gen, durableSeq uint64) error {
-	named, err := db.eng.PersistCatalogAt(gen)
+// database writes its manifest, reached from Compact, CompactFull and
+// Persist. Every build since the last commit has written its artifacts
+// at its own generation and recorded them in the engine catalog;
+// commitLocked writes the catalog at a new generation beside them,
+// stages durableSeq, and commits (pagestore.Store.Commit: drain allocs,
+// flush dirty pages, sync, rename in a manifest listing exactly the
+// files that catalog names, then unlink). Liveness is a set difference:
+// a file lives while the committed catalog or an open snapshot names
+// it, and every other file of a base the catalog names a generation of,
+// or of a layout file, goes — one this commit dropped, one a release
+// left since the last commit, or debris a crash or an earlier session
+// left on disk. The caller holds compactMu.
+func (db *SpatialDB) commitLocked(durableSeq uint64) error {
+	named, err := db.eng.PersistCatalogAt(db.nextGenLocked())
 	if err != nil {
 		return err
 	}
@@ -98,8 +94,8 @@ func (db *SpatialDB) commitLocked(gen, durableSeq uint64) error {
 	if commitGap != nil {
 		commitGap()
 	}
-	bases := make(map[string]bool, len(named))
-	for _, n := range named {
+	bases := make(map[string]bool, len(named)+len(layoutFiles))
+	for _, n := range slices.Concat(named, layoutFiles) {
 		bases[engine.GenBase(n)] = true
 	}
 	return store.Commit(named, func(name string) bool {
@@ -109,10 +105,10 @@ func (db *SpatialDB) commitLocked(gen, durableSeq uint64) error {
 	})
 }
 
-// nextGenLocked picks the generation the next commit writes at: past
-// the committed one, and past any a failed attempt in this session
-// already created files for, since a name once created is never
-// written again. The caller holds compactMu.
+// nextGenLocked picks the generation the next build or commit writes
+// at: past the committed one, and past any a build or a failed attempt
+// in this session already created files for, since a name once created
+// is never written again. The caller holds compactMu.
 func (db *SpatialDB) nextGenLocked() uint64 {
 	db.gen = max(db.gen, db.eng.Store().ArtifactGen()) + 1
 	return db.gen
@@ -189,6 +185,8 @@ func OpenExisting(cfg Config) (*SpatialDB, error) {
 			return fail(err)
 		}
 		db.grid = ix
+		p := ix.Params()
+		db.buildParams.gridBase, db.buildParams.gridSeed = p.Base, p.Seed
 	}
 
 	if pzMeta, ok := artifact(photozMetaFile); ok {
@@ -202,6 +200,7 @@ func OpenExisting(cfg Config) (*SpatialDB, error) {
 			return fail(err)
 		}
 		db.photoZ = est
+		db.buildParams.photoZK, db.buildParams.photoZDegree = est.K, est.Degree
 	}
 	if err := db.openIngest(); err != nil {
 		return fail(err)

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -450,18 +451,22 @@ func TestCorruptTablePageFailsKNN(t *testing.T) {
 	}
 }
 
-// TestPersistTwice: persisting again (e.g. after building another
-// index) commits the artifacts at a new generation.
+// TestPersistTwice: an index build is durable at the next commit, and
+// only then. A store persisted with its kd-tree builds the grid and the
+// photo-z reference twice — the second build of each a rebuild at a
+// new generation — then takes an insert and a minor compaction, whose
+// commit makes the builds durable: a reopen keeps them and answers as
+// the store did. A crash image taken before that commit reopens at the
+// kd-only commit, and its next commit sweeps the builds' files.
 func TestPersistTwice(t *testing.T) {
 	dir := t.TempDir()
 	db, err := Open(Config{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := db.IngestSynthetic(sky.DefaultParams(3000, 3)); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.Persist(); err != nil {
+	params := sky.DefaultParams(3000, 3)
+	params.SpectroFrac = 0.15
+	if err := db.IngestSynthetic(params); err != nil {
 		t.Fatal(err)
 	}
 	if err := db.BuildKdIndex(0); err != nil {
@@ -470,15 +475,57 @@ func TestPersistTwice(t *testing.T) {
 	if err := db.Persist(); err != nil {
 		t.Fatal(err)
 	}
+	var files []string
+	for i := 0; i < 2; i++ {
+		if err := db.BuildGridIndex(256, 7); err != nil {
+			t.Fatalf("build %d of the grid: %v", i+1, err)
+		}
+		if err := db.BuildPhotoZ(16, 1); err != nil {
+			t.Fatalf("build %d of the photo-z reference: %v", i+1, err)
+		}
+		for _, name := range []string{gridTableName, refKdTableName} {
+			tb, err := db.Engine().Table(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if slices.Contains(files, tb.Name()) {
+				t.Fatalf("build %d of %s reuses %s", i+1, name, tb.Name())
+			}
+			files = append(files, tb.Name())
+		}
+	}
+	img := copyDir(t, dir)
+	insertAcked(t, db, gapMarker, 5)
+	if err := db.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	want := collectAnswers(t, db)
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
+
 	re, err := OpenExisting(Config{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer re.Close()
-	if re.KdTree() == nil {
-		t.Fatal("second persist lost the kd-tree")
+	if re.KdTree() == nil || re.Grid() == nil || !re.PhotoZBuilt() {
+		t.Fatalf("a minor compaction's commit lost a build: kd %v, grid %v, photo-z %v", re.KdTree() != nil, re.Grid() != nil, re.PhotoZBuilt())
 	}
+	if got := collectAnswers(t, re); !reflect.DeepEqual(got, want) {
+		t.Error("the reopened store answers unlike the store that built it")
+	}
+
+	crashed, err := OpenExisting(Config{Dir: img})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer crashed.Close()
+	if crashed.KdTree() == nil || crashed.Grid() != nil || crashed.PhotoZBuilt() {
+		t.Fatalf("a crash before the commit reopens with kd %v, grid %v, photo-z %v; want the kd-only commit", crashed.KdTree() != nil, crashed.Grid() != nil, crashed.PhotoZBuilt())
+	}
+	if err := crashed.Persist(); err != nil {
+		t.Fatal(err)
+	}
+	checkCommittedDir(t, img, catalogNamed(t, crashed))
 }

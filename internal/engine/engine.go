@@ -102,34 +102,17 @@ func (db *DB) CreateTable(name string) (*table.Table, error) {
 	return t, nil
 }
 
-// RegisterClusteredTable adopts an externally created table (an index
-// build's clustered rewrite) and records the physical ordering it was
-// rewritten clustered on (e.g. ClusteredKdLeaf). The identity is
+// SetTable registers t under a logical name, clustered on orderedBy
+// (e.g. ClusteredKdLeaf), in place of any table registered under it
+// before: an index build's clustered copy, or its rebuild backed by a
+// fresh generational file. A replaced table's file leaves with the
+// next commit, since the catalog no longer names it. The identity is
 // persisted in the catalog.
-func (db *DB) RegisterClusteredTable(t *table.Table, orderedBy string) error {
+func (db *DB) SetTable(name string, t *table.Table, orderedBy string) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	if _, ok := db.tables[t.Name()]; ok {
-		return fmt.Errorf("engine: table %q already exists", t.Name())
-	}
-	db.tables[t.Name()] = t
-	db.clusteredBy[t.Name()] = orderedBy
-	return nil
-}
-
-// ReplaceTable swaps the table registered under a logical name for a
-// rebuilt copy backed by a fresh generational file. The old table's
-// file leaves with the next commit, since the catalog no longer names
-// it.
-func (db *DB) ReplaceTable(name string, t *table.Table, orderedBy string) error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if _, ok := db.tables[name]; !ok {
-		return fmt.Errorf("engine: no table %q to replace", name)
-	}
 	db.tables[name] = t
 	db.clusteredBy[name] = orderedBy
-	return nil
 }
 
 // SetArtifact records the physical file backing a logical artifact

@@ -124,8 +124,8 @@ type persistedZones struct {
 	Zones []table.PageZone
 }
 
-// zoneFileName names a table's zone-map sidecar file.
-func zoneFileName(tableName string) string { return tableName + ".zones" }
+// ZoneFileName names a table's zone-map sidecar file.
+func ZoneFileName(tableName string) string { return tableName + ".zones" }
 
 // PersistCatalogAt writes the catalog of registered tables into the
 // catalog file of generation gen, and each table's zone maps into a
@@ -158,7 +158,7 @@ func (db *DB) PersistCatalogAt(gen uint64) ([]string, error) {
 			ClusteredBy: clustered,
 			HasZones:    t.ZoneMaps() != nil,
 			File:        t.Name(),
-			ZoneFile:    GenName(zoneFileName(name), gen),
+			ZoneFile:    GenName(ZoneFileName(name), gen),
 		})
 	}
 	db.mu.RUnlock()
@@ -272,7 +272,7 @@ func OpenExisting(dir string, poolPages int) (*DB, error) {
 func loadZoneSidecar(s *pagestore.Store, t *table.Table, m TableMeta) error {
 	name := m.ZoneFile
 	if name == "" {
-		name = zoneFileName(m.Name)
+		name = ZoneFileName(m.Name)
 	}
 	if !s.HasFile(name) {
 		return fmt.Errorf("engine: table %q: catalog records a zone-map sidecar but %s is missing", m.Name, name)

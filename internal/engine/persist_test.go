@@ -186,7 +186,7 @@ func TestZoneSidecarRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	name := GenName(zoneFileName("t.tbl"), s.ArtifactGen())
+	name := GenName(ZoneFileName("t.tbl"), s.ArtifactGen())
 	var legacy legacyZones
 	if err := pagedio.ReadGob(s, name, func(dec *gob.Decoder) error { return dec.Decode(&legacy) }); err != nil {
 		t.Fatal(err)
@@ -248,7 +248,7 @@ func TestNewSidecarIsReadOnlyForLegacyBinary(t *testing.T) {
 	}
 	defer s.Close()
 	var legacy legacyZones
-	name := GenName(zoneFileName("t.tbl"), s.ArtifactGen())
+	name := GenName(ZoneFileName("t.tbl"), s.ArtifactGen())
 	if err := pagedio.ReadGob(s, name, func(dec *gob.Decoder) error { return dec.Decode(&legacy) }); err != nil {
 		t.Fatal(err)
 	}
@@ -355,7 +355,7 @@ func TestZoneSidecarStaleRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	pz := persistedZones{Table: "t.tbl", Rows: 123, Zones: nil}
-	err = pagedio.WriteGob(s, GenName(zoneFileName("t.tbl"), s.ArtifactGen()), func(enc *gob.Encoder) error { return enc.Encode(pz) })
+	err = pagedio.WriteGob(s, GenName(ZoneFileName("t.tbl"), s.ArtifactGen()), func(enc *gob.Encoder) error { return enc.Encode(pz) })
 	if err != nil {
 		t.Fatal(err)
 	}

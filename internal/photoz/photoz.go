@@ -28,7 +28,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/kdtree"
@@ -69,28 +68,6 @@ type Estimator struct {
 	// Degree is the local polynomial degree (0, 1 or 2; the paper
 	// uses a "local low order polynomial fit").
 	Degree int
-
-	// Cumulative activity counters; see Stats.
-	estimates    atomic.Int64
-	fitFallbacks atomic.Int64
-}
-
-// EstimatorStats counts the estimator's cumulative activity.
-// FitFallbacks is the number of estimates whose local polynomial fit
-// failed (a numerically degenerate neighbourhood — e.g. all k
-// neighbours at one point) and fell back to the neighbour mean; a
-// rising ratio flags regions where the §4.1 method quietly degrades.
-type EstimatorStats struct {
-	Estimates    int64
-	FitFallbacks int64
-}
-
-// Stats returns a snapshot of the cumulative counters.
-func (e *Estimator) Stats() EstimatorStats {
-	return EstimatorStats{
-		Estimates:    e.estimates.Load(),
-		FitFallbacks: e.fitFallbacks.Load(),
-	}
 }
 
 // Searcher exposes the underlying kNN searcher (for cost planning).
@@ -123,25 +100,16 @@ func (e *Estimator) Estimate(mags vec.Point) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	z, _ := e.fitNeighbors(mags, nbs)
+	z, _ := Fit(mags, nbs, e.Degree)
 	return z, nil
-}
-
-// fitNeighbors runs Fit over one query's neighbours (never none: the
-// reference is never empty), counting the estimate and any fallback.
-func (e *Estimator) fitNeighbors(mags vec.Point, nbs []knn.Neighbor) (float64, bool) {
-	e.estimates.Add(1)
-	z, fellBack := Fit(mags, nbs, e.Degree)
-	if fellBack {
-		e.fitFallbacks.Add(1)
-	}
-	return z, fellBack
 }
 
 // Fit is the §4.1 method's second step: a local polynomial z = P(mags)
 // least-squares fitted over the neighbours (nearest first: the float64
-// depends on their order) and evaluated at the query. fellBack reports
-// a failed or non-finite fit, answered by the neighbour mean instead.
+// depends on their order; never none) and evaluated at the query.
+// fellBack reports a failed or non-finite fit — a numerically
+// degenerate neighbourhood, e.g. all k neighbours at one point —
+// answered by the neighbour mean instead.
 func Fit(mags vec.Point, nbs []knn.Neighbor, degree int) (z float64, fellBack bool) {
 	xs := make([][]float64, len(nbs))
 	ys := make([]float64, len(nbs))
@@ -196,7 +164,7 @@ func (e *Estimator) EstimateBatch(ctx context.Context, mags []vec.Point) ([]floa
 	}
 	out := make([]float64, len(mags))
 	err := e.searcher.SearchBatchFunc(mags, e.K, func(i int, nbs []knn.Neighbor, st knn.Stats) error {
-		z, fellBack := e.fitNeighbors(mags[i], nbs)
+		z, fellBack := Fit(mags[i], nbs, e.Degree)
 		if fellBack {
 			stats.FitFallbacks++
 		}

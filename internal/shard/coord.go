@@ -325,8 +325,9 @@ func (c *Coordinator) EstimatePhotoZCost(numPoints int) float64 {
 
 // SampleRegion fans /points across the shards whose cells can
 // intersect the 3-D view, asking each for a share proportional to its
-// row count. Sampling endpoints are best-effort by design (they serve
-// the viz, not the exact query surface), but failures still surface.
+// row count, and sums the shards' exact counters. Sampling endpoints
+// are best-effort by design (they serve the viz, not the exact query
+// surface), but failures still surface.
 func (c *Coordinator) SampleRegion(view vec.Box, n int) ([]table.Record, core.Report, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), c.cfg.ShardTimeout)
 	defer cancel()
@@ -340,7 +341,7 @@ func (c *Coordinator) SampleRegion(view vec.Box, n int) ([]table.Record, core.Re
 		targetRows += c.rt.Shards[t].Rows
 	}
 
-	answers, _, err := c.fetchEach(ctx, targets, func(t int) string {
+	answers, reps, err := c.fetchEach(ctx, targets, func(t int) string {
 		share := max(int(int64(n)*c.rt.Shards[t].Rows/max(targetRows, 1)), 1)
 		return fmt.Sprintf("/points?min=%s,%s,%s&max=%s,%s,%s&n=%d",
 			formatFloat(view.Min[0]), formatFloat(view.Min[1]), formatFloat(view.Min[2]),
@@ -350,14 +351,15 @@ func (c *Coordinator) SampleRegion(view vec.Box, n int) ([]table.Record, core.Re
 		return nil, core.Report{}, err
 	}
 	var recs []table.Record
-	for _, a := range answers {
+	rep := core.Report{Plan: core.PlanGrid, PlanReason: scatterReason(len(targets), c.rt.NumShards())}
+	for s, a := range answers {
 		recs = append(recs, a[:min(len(a), n-len(recs))]...)
+		rep.RowsExamined += reps[s].RowsExamined
+		rep.DiskReads += reps[s].DiskReads
+		rep.CacheHits += reps[s].CacheHits
+		c.diskReads.Add(reps[s].DiskReads)
 	}
-	rep := core.Report{
-		Plan:         core.PlanGrid,
-		PlanReason:   scatterReason(len(targets), c.rt.NumShards()),
-		RowsReturned: int64(len(recs)),
-	}
+	rep.RowsReturned = int64(len(recs))
 	return recs, rep, nil
 }
 

@@ -17,6 +17,7 @@ import (
 
 	"repro/internal/colorsql"
 	"repro/internal/core"
+	"repro/internal/pagestore"
 	"repro/internal/sky"
 	"repro/internal/table"
 	"repro/internal/vec"
@@ -1075,7 +1076,8 @@ func (o *oracle) disorder(c *oracleConfig, rows []string) int {
 
 // points: a sample holds model rows inside the view only, as far as
 // the columns a sample carries tell, and the configurations of one
-// store layout (kd=…) sample alike.
+// store layout (kd=…) sample alike. Its page counters are its stores'
+// page touches — through a coordinator, the sum of its shards'.
 func (o *oracle) points(state string, views []vec.Box) {
 	cols := slices.DeleteFunc(colorsql.StarColumns(), func(c colorsql.Column) bool {
 		return c.Kind == colorsql.ColObjID || c.Kind == colorsql.ColRa || c.Kind == colorsql.ColDec
@@ -1090,8 +1092,12 @@ func (o *oracle) points(state string, views []vec.Box) {
 		c.samples = map[string]int{}
 		for _, view := range views {
 			label := fmt.Sprintf("%s %s: /points %v", state, c.name, view)
+			before := pageStats(c.dbs)
 			recs, rep, err := c.b.SampleRegion(view, 200)
 			o.must(err, label)
+			if d := pageStats(c.dbs).Sub(before); rep.DiskReads != d.DiskReads || rep.CacheHits != d.Hits || rep.RowsExamined < int64(len(recs)) {
+				o.t.Fatalf("%s: reports %d disk reads, %d cache hits, %d rows examined for %d rows; its stores read %d pages, found %d", label, rep.DiskReads, rep.CacheHits, rep.RowsExamined, len(recs), d.DiskReads, d.Hits)
+			}
 			outside := slices.ContainsFunc(recs, func(r table.Record) bool { return !view.Contains(r.Point()[:3]) })
 			key, n := fmt.Sprint(view), len(recs)
 			c.samples[key] = n
@@ -1100,6 +1106,15 @@ func (o *oracle) points(state string, views []vec.Box) {
 			}
 		}
 	}
+}
+
+// pageStats sums the page counters of a configuration's stores.
+func pageStats(dbs []*core.SpatialDB) pagestore.Stats {
+	var sum pagestore.Stats
+	for _, db := range dbs {
+		sum = sum.Add(db.Engine().Store().Stats())
+	}
+	return sum
 }
 
 // checkDeterministic: a statement runs on one goroutine, so neither
