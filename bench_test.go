@@ -747,26 +747,3 @@ func BenchmarkKnnBatch(b *testing.B) {
 		b.ReportMetric(float64(batch)*float64(b.N)/b.Elapsed().Seconds(), "queries/s")
 	})
 }
-
-// BenchmarkPhotozBatch compares serial EvaluateGalaxies against the
-// batched engine over the standard synthetic catalog — the §4.1 workload the batch engine exists for.
-func BenchmarkPhotozBatch(b *testing.B) {
-	f := sharedFixture(b)
-	const limit = 512
-	b.Run("serial", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := photoz.EvaluateGalaxies(f.catalog, f.estimator.Estimate, limit); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(float64(limit)*float64(b.N)/b.Elapsed().Seconds(), "estimates/s")
-	})
-	b.Run("batch", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, _, err := photoz.EvaluateGalaxiesBatch(f.catalog, f.estimator, limit); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(float64(limit)*float64(b.N)/b.Elapsed().Seconds(), "estimates/s")
-	})
-}

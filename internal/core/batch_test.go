@@ -107,14 +107,6 @@ func TestEstimateRedshiftBatchMatchesSerial(t *testing.T) {
 	if rep.RowsReturned != int64(len(qs)) || rep.RowsExamined == 0 || rep.LeavesExamined == 0 {
 		t.Errorf("batch report not populated: %+v", rep)
 	}
-	// The counters are the store's: a full compaction, which rebuilds
-	// the estimator, keeps them.
-	if err := db.CompactFull(); err != nil {
-		t.Fatal(err)
-	}
-	if estimates, _ := db.PhotoZStats(); estimates != int64(2*len(qs)) {
-		t.Errorf("cumulative photo-z estimates = %d, want %d", estimates, 2*len(qs))
-	}
 }
 
 func TestNearestNeighborsWithoutKdIndexFallsBackToBruteForce(t *testing.T) {

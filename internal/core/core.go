@@ -33,6 +33,7 @@ package core
 import (
 	"cmp"
 	"context"
+	"errors"
 	"fmt"
 	"slices"
 	"sync"
@@ -164,6 +165,20 @@ type Report struct {
 	FromCache bool
 }
 
+// Add sums o's work counters into r: the one fold of the reports of an
+// answer's parts — a batch's probes, a coordinator's sub-requests.
+// RowsReturned and the plan's identity are left to the caller.
+func (r *Report) Add(o Report) {
+	r.RowsExamined += o.RowsExamined
+	r.DiskReads += o.DiskReads
+	r.CacheHits += o.CacheHits
+	r.PagesSkipped += o.PagesSkipped
+	r.PagesScanned += o.PagesScanned
+	r.StripsDecoded += o.StripsDecoded
+	r.LeavesExamined += o.LeavesExamined
+	r.FitFallbacks += o.FitFallbacks
+}
+
 // SpatialDB is the assembled system. Index builds serialize behind
 // an RW-latch; queries of every kind run concurrently against the
 // built state.
@@ -222,12 +237,6 @@ type SpatialDB struct {
 	compactions     atomic.Int64
 	fullCompactions atomic.Int64
 	compactedRows   atomic.Int64
-
-	// photo-z counters surfaced by PhotoZStats. They live on the store,
-	// not on the estimator, so a rebuild that replaces the estimator
-	// keeps them.
-	photoZEstimates    atomic.Int64
-	photoZFitFallbacks atomic.Int64
 }
 
 // buildParams records index build parameters for deterministic
@@ -453,32 +462,43 @@ func (db *SpatialDB) EstimateRedshiftBatch(ctx context.Context, mags []vec.Point
 	return db.estimateRedshiftBatchUncached(ctx, mags)
 }
 
+// estimateRedshiftBatchUncached is the §4.1 estimator over the one kNN
+// batch driver: each probe's K nearest reference rows, fitted as soon
+// as they are found, so one neighbour set is live at a time however
+// large the batch.
 func (db *SpatialDB) estimateRedshiftBatchUncached(ctx context.Context, mags []vec.Point) ([]float64, Report, error) {
 	sn, err := db.snapshot()
 	if err != nil {
 		return nil, Report{}, err
 	}
 	defer sn.release()
-	if sn.photoZ == nil {
-		return nil, Report{}, fmt.Errorf("core: BuildPhotoZ has not been called")
+	est := sn.photoZ
+	if est == nil {
+		return nil, Report{}, errNoPhotoZ
 	}
-	zs, stats, err := sn.photoZ.EstimateBatch(ctx, mags)
+	zs := make([]float64, len(mags))
+	rep := Report{
+		Plan:         PlanKdTree,
+		RowsReturned: int64(len(mags)),
+		PlanReason:   fmt.Sprintf("photoz batch: %d queries over kNN batch engine", len(mags)),
+	}
+	err = sn.nearestNeighborsBatchUncached(ctx, mags, est.K, true, func(i int, nbs []knn.Neighbor, r Report) error {
+		z, fellBack := photoz.Fit(mags[i], nbs, est.Degree)
+		if fellBack {
+			r.FitFallbacks = 1
+		}
+		zs[i] = z
+		rep.Add(r)
+		return nil
+	})
 	if err != nil {
 		return nil, Report{}, err
 	}
-	db.photoZEstimates.Add(int64(len(zs)))
-	db.photoZFitFallbacks.Add(stats.FitFallbacks)
-	return zs, Report{
-		Plan:           PlanKdTree,
-		RowsReturned:   int64(len(zs)),
-		RowsExamined:   stats.RowsExamined,
-		LeavesExamined: stats.LeavesExamined,
-		FitFallbacks:   stats.FitFallbacks,
-		DiskReads:      stats.Pages.DiskReads,
-		CacheHits:      stats.Pages.Hits,
-		PlanReason:     fmt.Sprintf("photoz batch: %d queries over kNN batch engine", stats.Queries),
-	}, nil
+	return zs, rep, nil
 }
+
+// errNoPhotoZ refuses photo-z and FROM reference before BuildPhotoZ.
+var errNoPhotoZ = errors.New("core: BuildPhotoZ has not been called")
 
 // PhotoZBuilt reports whether the photo-z estimator is available
 // (built in this process or loaded from a persisted database).
@@ -488,30 +508,17 @@ func (db *SpatialDB) PhotoZBuilt() bool {
 	return db.photoZ != nil
 }
 
-// PhotoZStats returns the store's cumulative photo-z counters: the
-// estimates it computed, and how many of them fell back to the
-// neighbour mean because their local polynomial fit degenerated — a
-// rising ratio flags regions where the §4.1 method quietly degrades.
-// Answers served from the result cache compute nothing and count
-// nothing.
-func (db *SpatialDB) PhotoZStats() (estimates, fitFallbacks int64) {
-	return db.photoZEstimates.Load(), db.photoZFitFallbacks.Load()
-}
-
 // BackendStats returns the single store's /stats keys (the serving
-// layer merges its own counters over them): page-pool and photo-z
-// counters, the statement cache and the ingest state.
+// layer merges its own counters over them): page-pool counters, the
+// statement cache and the ingest state.
 func (db *SpatialDB) BackendStats() map[string]any {
 	pages := db.eng.Store().Stats()
-	estimates, fitFallbacks := db.PhotoZStats()
 	return map[string]any{
-		"diskReads":          pages.DiskReads,
-		"poolHits":           pages.Hits,
-		"pinnedPages":        db.eng.Store().PinnedPages(),
-		"photozEstimates":    estimates,
-		"photozFitFallbacks": fitFallbacks,
-		"qcache":             db.CacheStatsSnapshot(),
-		"ingest":             db.IngestStatsSnapshot(),
+		"diskReads":   pages.DiskReads,
+		"poolHits":    pages.Hits,
+		"pinnedPages": db.eng.Store().PinnedPages(),
+		"qcache":      db.CacheStatsSnapshot(),
+		"ingest":      db.IngestStatsSnapshot(),
 	}
 }
 
@@ -674,7 +681,7 @@ func mergeMemNeighbors(nbs []knn.Neighbor, mem []memtable.Row, p vec.Point, k in
 // covers most leaves at scattered-page prices and the sequential scan
 // wins, mirroring the Figure 5 crossover.
 func (db *SpatialDB) NearestNeighbors(p vec.Point, k int) ([]table.Record, Report, error) {
-	recs, reports, err := db.nearestNeighborsBatchUncached(context.Background(), []vec.Point{p}, k, false)
+	recs, reports, err := db.collectNeighbors(context.Background(), []vec.Point{p}, k, false)
 	if err != nil {
 		return nil, Report{}, err
 	}
@@ -702,7 +709,7 @@ func (db *SpatialDB) NearestNeighborsBatch(ctx context.Context, ps []vec.Point, 
 		}
 		return [][]table.Record{recs}, []Report{rep}, nil
 	}
-	return db.nearestNeighborsBatchUncached(ctx, ps, k, false)
+	return db.collectNeighbors(ctx, ps, k, false)
 }
 
 // knnStatement is the statement a one-point kNN batch equals.
@@ -710,37 +717,60 @@ func knnStatement(p vec.Point, k int) colorsql.Statement {
 	return colorsql.Statement{Star: true, Order: &colorsql.OrderBy{Dist: p}, Limit: k}
 }
 
-// nearestNeighborsBatchUncached runs the batch; with reference set, on
-// the photo-z estimator's searcher over paged reference rows only.
-func (db *SpatialDB) nearestNeighborsBatchUncached(ctx context.Context, ps []vec.Point, k int, reference bool) ([][]table.Record, []Report, error) {
-	// The snapshot holds the searcher (nil without a kd-tree: brute
-	// force is the only path), the catalog and the memtable rows the
-	// search must consider alongside the paged candidates; the query is
-	// priced over it.
+// collectNeighbors runs the batch on a snapshot of its own and keeps
+// every probe's records and Report, in input order — the /knn answer
+// and a kNN statement's rows.
+func (db *SpatialDB) collectNeighbors(ctx context.Context, ps []vec.Point, k int, reference bool) ([][]table.Record, []Report, error) {
 	sn, err := db.snapshot()
 	if err != nil {
 		return nil, nil, err
 	}
 	defer sn.release()
-	mem, choice := sn.mem, sn.planner().PlanKNN(k)
-	if reference {
-		if sn.photoZ == nil {
-			return nil, nil, fmt.Errorf("core: BuildPhotoZ has not been called")
-		}
-		mem, choice.Reason = nil, "photo-z reference kNN"
-	}
 	recs := make([][]table.Record, len(ps))
 	reports := make([]Report, len(ps))
-	// finish folds the memtable candidates into query i's paged answer
-	// and files its records and Report; a done ctx stops the batch.
-	finish := func(plan Plan) func(int, []knn.Neighbor, knn.Stats) error {
+	err = sn.nearestNeighborsBatchUncached(ctx, ps, k, reference, func(i int, nbs []knn.Neighbor, rep Report) error {
+		recs[i] = make([]table.Record, len(nbs))
+		for j, nb := range nbs {
+			recs[i][j] = nb.Rec
+		}
+		reports[i] = rep
+		return nil
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	return recs, reports, nil
+}
+
+// nearestNeighborsBatchUncached is the one kNN batch driver: it finds
+// each probe's k nearest rows of the snapshot — with reference set, of
+// the photo-z estimator's paged reference rows only — and hands fn the
+// probe's input index, its neighbours nearest first (valid only during
+// the call) and its exact Report. The catalog arm is priced by the
+// planner: the region-growing search, or brute force when the planner
+// prices the scan cheaper or no kd-tree is built. A done ctx, or an
+// error from fn, stops the batch between probes.
+func (sn *dbSnap) nearestNeighborsBatchUncached(ctx context.Context, ps []vec.Point, k int, reference bool, fn func(i int, nbs []knn.Neighbor, rep Report) error) error {
+	// The snapshot holds the searcher (nil without a kd-tree: brute
+	// force is the only path), the catalog and the memtable rows the
+	// search must consider alongside the paged candidates. The reference
+	// has no memtable rows: a spectroscopic row joins it at compaction.
+	var mem []memtable.Row
+	var choice planner.KNNChoice
+	if reference {
+		if sn.photoZ == nil {
+			return errNoPhotoZ
+		}
+		choice.Reason = "photo-z reference kNN"
+	} else {
+		mem, choice = sn.mem, sn.planner().PlanKNN(k)
+	}
+	// visit folds the memtable candidates into probe i's paged answer
+	// and hands it to fn.
+	visit := func(plan Plan) func(int, []knn.Neighbor, knn.Stats) error {
 		return func(i int, nbs []knn.Neighbor, stats knn.Stats) error {
 			nbs = mergeMemNeighbors(nbs, mem, ps[i], k)
-			recs[i] = make([]table.Record, len(nbs))
-			for j, nb := range nbs {
-				recs[i][j] = nb.Rec
-			}
-			reports[i] = Report{
+			err := fn(i, nbs, Report{
 				Plan:           plan,
 				RowsReturned:   int64(len(nbs)),
 				RowsExamined:   stats.RowsExamined + int64(len(mem)),
@@ -748,26 +778,25 @@ func (db *SpatialDB) nearestNeighborsBatchUncached(ctx context.Context, ps []vec
 				DiskReads:      stats.Pages.DiskReads,
 				CacheHits:      stats.Pages.Hits,
 				PlanReason:     choice.Reason,
+			})
+			if err != nil {
+				return err
 			}
 			return ctx.Err()
 		}
 	}
 	switch {
 	case reference:
-		err = sn.photoZ.Searcher().SearchBatchFunc(ps, k, finish(PlanKdTree))
+		return sn.photoZ.Searcher().SearchBatchFunc(ps, k, visit(PlanKdTree))
 	case choice.UseIndex && sn.kd != nil:
 		// The search reads the snapshot's bounded catalog, so each row is
 		// in its paged answer or in mem, never both.
-		err = knn.NewSearcher(sn.kd, sn.catalog).SearchBatchFunc(ps, k, finish(PlanKdTree))
+		return knn.NewSearcher(sn.kd, sn.catalog).SearchBatchFunc(ps, k, visit(PlanKdTree))
 	default:
 		// No kd-tree, or the planner priced the scan cheaper: serve the
 		// queries anyway through the brute-force path.
-		err = bruteForceBatch(sn.catalog, ps, k, finish(PlanFullScan))
+		return bruteForceBatch(sn.catalog, ps, k, visit(PlanFullScan))
 	}
-	if err != nil {
-		return nil, nil, err
-	}
-	return recs, reports, nil
 }
 
 // bruteForceBatch answers the queries by whole-table scans, one after

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -340,5 +341,36 @@ func TestPlanString(t *testing.T) {
 	}
 	if got := Plan(3).String(); got != "Plan(3)" {
 		t.Errorf("retired plan 3 named %q", got)
+	}
+}
+
+// TestReportAddSumsEveryCounter: Add is the one fold of an answer's
+// parts, so every int64 work counter of Report is in it — RowsReturned
+// excepted, which each fold site sets itself. A counter added to Report
+// but not to Add fails here.
+func TestReportAddSumsEveryCounter(t *testing.T) {
+	var part Report
+	v := reflect.ValueOf(&part).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		if v.Field(i).Kind() == reflect.Int64 {
+			v.Field(i).SetInt(int64(i + 1))
+		}
+	}
+	var sum Report
+	sum.Add(part)
+	sum.Add(part)
+	got := reflect.ValueOf(sum)
+	for i := 0; i < got.NumField(); i++ {
+		name := got.Type().Field(i).Name
+		if got.Field(i).Kind() != reflect.Int64 {
+			continue
+		}
+		want := 2 * int64(i+1)
+		if name == "RowsReturned" {
+			want = 0
+		}
+		if n := got.Field(i).Int(); n != want {
+			t.Errorf("Report.Add folds %s to %d, want %d", name, n, want)
+		}
 	}
 }

@@ -130,7 +130,7 @@ func (db *SpatialDB) execStatementUncached(ctx context.Context, stmt colorsql.St
 				return nil, err
 			}
 		}
-		recs, reps, err := db.nearestNeighborsBatchUncached(context.Background(), []vec.Point{stmt.Order.Dist}, stmt.Limit, stmt.Reference)
+		recs, reps, err := db.collectNeighbors(context.Background(), []vec.Point{stmt.Order.Dist}, stmt.Limit, stmt.Reference)
 		if err != nil {
 			return nil, err
 		}

@@ -43,7 +43,7 @@ func (s *Searcher) SearchBatch(queries []vec.Point, k int) ([][]Neighbor, []Stat
 // SearchBatchFunc is SearchBatch's streaming form: fn is invoked
 // once per query, in seed-leaf order, with the query's input index,
 // its neighbours and its scope-exact Stats. Consumers that reduce each
-// result on the spot (the photo-z batch estimator fits and discards)
+// result on the spot (a photo-z batch fits each set and discards it)
 // hold only one neighbour set at a time instead of the whole batch's.
 // fn returning an error stops the remaining work.
 func (s *Searcher) SearchBatchFunc(queries []vec.Point, k int, fn func(i int, nbs []Neighbor, st Stats) error) error {

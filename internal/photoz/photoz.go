@@ -25,10 +25,8 @@
 package photoz
 
 import (
-	"context"
 	"fmt"
 	"math"
-	"time"
 
 	"repro/internal/kdtree"
 	"repro/internal/knn"
@@ -137,50 +135,6 @@ func Fit(mags vec.Point, nbs []knn.Neighbor, degree int) (z float64, fellBack bo
 	return clampZ(z), false
 }
 
-// BatchStats aggregates the cost and quality of one batched
-// estimation run: the summed kNN search cost (scope-exact pages) and
-// the number of polynomial-fit fallbacks inside the batch.
-type BatchStats struct {
-	Queries        int
-	FitFallbacks   int64
-	LeavesExamined int64
-	RowsExamined   int64
-	Pages          pagestore.Stats
-	Duration       time.Duration
-}
-
-// EstimateBatch estimates many objects at once on the batched kNN
-// engine (knn.SearchBatchFunc — one reused scratch, seed-leaf
-// locality): each query's local polynomial is fitted as soon as its
-// neighbours are fetched, so only one neighbour set is live at a
-// time, however large the batch. Results are in input order and
-// identical to calling Estimate per point. The batch stops between
-// objects once ctx is done and returns its error.
-func (e *Estimator) EstimateBatch(ctx context.Context, mags []vec.Point) ([]float64, BatchStats, error) {
-	start := time.Now()
-	stats := BatchStats{Queries: len(mags)}
-	if len(mags) == 0 {
-		return nil, stats, nil
-	}
-	out := make([]float64, len(mags))
-	err := e.searcher.SearchBatchFunc(mags, e.K, func(i int, nbs []knn.Neighbor, st knn.Stats) error {
-		z, fellBack := Fit(mags[i], nbs, e.Degree)
-		if fellBack {
-			stats.FitFallbacks++
-		}
-		out[i] = z
-		stats.LeavesExamined += int64(st.LeavesExamined)
-		stats.RowsExamined += st.RowsExamined
-		stats.Pages = stats.Pages.Add(st.Pages)
-		return ctx.Err()
-	})
-	if err != nil {
-		return nil, BatchStats{Queries: len(mags)}, err
-	}
-	stats.Duration = time.Since(start)
-	return out, stats, nil
-}
-
 // TemplateFitter is the baseline: grid search over synthetic galaxy
 // templates.
 type TemplateFitter struct {
@@ -284,8 +238,7 @@ func ComputeMetrics(pairs []Pair) Metrics {
 // EvaluateGalaxies runs an estimator function over every non-
 // spectroscopic galaxy in the catalog (the paper's "unknown set"),
 // up to limit objects (0 = all), returning the truth/estimate
-// scatter. For the kNN estimator prefer EvaluateGalaxiesBatch, which
-// runs the same evaluation on the batched engine.
+// scatter.
 func EvaluateGalaxies(tb *table.Table, estimate func(vec.Point) (float64, error), limit int) ([]Pair, error) {
 	var pairs []Pair
 	var evalErr error
@@ -305,35 +258,4 @@ func EvaluateGalaxies(tb *table.Table, estimate func(vec.Point) (float64, error)
 		return nil, err
 	}
 	return pairs, evalErr
-}
-
-// EvaluateGalaxiesBatch is EvaluateGalaxies on the batched engine:
-// the unknown set is collected in one scan, then estimated through
-// Estimator.EstimateBatch. Pairs are identical
-// to the serial EvaluateGalaxies(tb, est.Estimate, limit); the
-// returned BatchStats carries the batch's exact search cost and fit
-// fallback count.
-func EvaluateGalaxiesBatch(tb *table.Table, est *Estimator, limit int) ([]Pair, BatchStats, error) {
-	var mags []vec.Point
-	var truths []float64
-	err := tb.ScanClassed().Scan(func(id table.RowID, r *table.Record) bool {
-		if r.Class != table.Galaxy || r.HasZ {
-			return true
-		}
-		mags = append(mags, r.Point())
-		truths = append(truths, float64(r.Redshift))
-		return limit <= 0 || len(mags) < limit
-	})
-	if err != nil {
-		return nil, BatchStats{}, err
-	}
-	ests, stats, err := est.EstimateBatch(context.Background(), mags)
-	if err != nil {
-		return nil, stats, err
-	}
-	pairs := make([]Pair, len(ests))
-	for i := range ests {
-		pairs[i] = Pair{True: truths[i], Est: ests[i]}
-	}
-	return pairs, stats, nil
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/knn"
 	"repro/internal/pagestore"
 	"repro/internal/sky"
 	"repro/internal/table"
@@ -233,5 +234,52 @@ func TestEvaluateGalaxiesSkipsReferenceAndNonGalaxies(t *testing.T) {
 	few, _ := EvaluateGalaxies(tb, est.Estimate, 10)
 	if len(few) != 10 {
 		t.Errorf("limit ignored: %d pairs", len(few))
+	}
+}
+
+// TestFitFallbackCounted drives Fit directly with a neighbourhood
+// whose features are non-finite: the local polynomial cannot produce a
+// usable prediction, so the fit must fall back to the neighbour mean
+// and report it. (TestFitOverSearchIsEstimate checks that healthy
+// neighbourhoods do not fall back.)
+func TestFitFallbackCounted(t *testing.T) {
+	nan := float32(math.NaN())
+	nbs := make([]knn.Neighbor, 8)
+	for i := range nbs {
+		nbs[i].Rec.Mags = [5]float32{nan, 17, 17, 17, 17}
+		nbs[i].Rec.Redshift = 0.3
+	}
+	z, fellBack := Fit(vec.Point{17, 17, 17, 17, 17}, nbs, 1)
+	if !fellBack {
+		t.Error("non-finite neighbourhood did not trigger the mean fallback")
+	}
+	if math.Abs(z-0.3) > 1e-6 {
+		t.Errorf("fallback mean = %v, want 0.3", z)
+	}
+}
+
+// TestFitOverSearchIsEstimate: an estimate is its neighbour search
+// followed by Fit, so Fit over the searcher's neighbours, in the order
+// it returns them, gives the estimator's float64.
+func TestFitOverSearchIsEstimate(t *testing.T) {
+	tb, refs := fixture(t, 3000)
+	est, err := NewEstimator(tb.Store(), refs, "ref.kd", 12, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20; i++ {
+		q := refs[i*11].Point()
+		q[0] += 0.05
+		want, err := est.Estimate(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nbs, _, err := est.Searcher().Search(q, est.K)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, fellBack := Fit(q, nbs, est.Degree); got != want || fellBack {
+			t.Fatalf("probe %d: Fit over the search's neighbours = %v (fell back %v), Estimate %v", i, got, fellBack, want)
+		}
 	}
 }

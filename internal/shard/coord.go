@@ -296,10 +296,7 @@ func (c *Coordinator) EstimateRedshiftBatch(ctx context.Context, qs []vec.Point)
 		if fellBack {
 			rep.FitFallbacks++
 		}
-		rep.RowsExamined += reps[i].RowsExamined
-		rep.LeavesExamined += reps[i].LeavesExamined
-		rep.DiskReads += reps[i].DiskReads
-		rep.CacheHits += reps[i].CacheHits
+		rep.Add(reps[i])
 	}
 	return zs, rep, nil
 }
@@ -354,9 +351,7 @@ func (c *Coordinator) SampleRegion(view vec.Box, n int) ([]table.Record, core.Re
 	rep := core.Report{Plan: core.PlanGrid, PlanReason: scatterReason(len(targets), c.rt.NumShards())}
 	for s, a := range answers {
 		recs = append(recs, a[:min(len(a), n-len(recs))]...)
-		rep.RowsExamined += reps[s].RowsExamined
-		rep.DiskReads += reps[s].DiskReads
-		rep.CacheHits += reps[s].CacheHits
+		rep.Add(reps[s])
 		c.diskReads.Add(reps[s].DiskReads)
 	}
 	rep.RowsReturned = int64(len(recs))
@@ -404,12 +399,7 @@ func (c *Coordinator) QuerySkyBox(ctx context.Context, box table.SkyBoxPred, col
 	var recs []table.Record
 	rep := core.Report{PlanReason: scatterReason(c.rt.NumShards(), c.rt.NumShards())}
 	for s := range reps {
-		rep.PagesSkipped += reps[s].PagesSkipped
-		rep.PagesScanned += reps[s].PagesScanned
-		rep.RowsExamined += reps[s].RowsExamined
-		rep.StripsDecoded += reps[s].StripsDecoded
-		rep.DiskReads += reps[s].DiskReads
-		rep.CacheHits += reps[s].CacheHits
+		rep.Add(reps[s])
 		c.diskReads.Add(reps[s].DiskReads)
 		recs = append(recs, answers[s]...)
 	}

@@ -152,13 +152,7 @@ func (c *Coordinator) boundedKNN(ctx context.Context, qs []vec.Point, k int, ref
 			if v.shard == owner[i] {
 				rep.Plan = v.rep.Plan
 			}
-			rep.LeavesExamined += v.rep.LeavesExamined
-			rep.RowsExamined += v.rep.RowsExamined
-			rep.DiskReads += v.rep.DiskReads
-			rep.CacheHits += v.rep.CacheHits
-			rep.PagesSkipped += v.rep.PagesSkipped
-			rep.PagesScanned += v.rep.PagesScanned
-			rep.StripsDecoded += v.rep.StripsDecoded
+			rep.Add(v.rep)
 			c.diskReads.Add(v.rep.DiskReads)
 			visited[i]++
 		}

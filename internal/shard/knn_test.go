@@ -604,3 +604,50 @@ func TestCellDist2(t *testing.T) {
 		}
 	}
 }
+
+// TestCoordinatorCountsPhotoZ: the coordinator fits every estimate
+// itself — its shards answer only the FROM reference statements behind
+// them — so its /stats counts the estimates and their fallbacks.
+func TestCoordinatorCountsPhotoZ(t *testing.T) {
+	cl := startCluster(t, Config{})
+	cs := httptest.NewServer(vizhttp.NewBackend(cl.coord, vizhttp.Config{}).Handler())
+	t.Cleanup(cs.Close)
+	rng := rand.New(rand.NewSource(43))
+	const probes = 5
+	q := url.Values{}
+	for i := 0; i < probes; i++ {
+		p := benchProbe(rng, fixtureRecs)
+		q.Add("mags", fmt.Sprintf("%v,%v,%v,%v,%v", p[0], p[1], p[2], p[3], p[4]))
+	}
+	get := func(path string, out any) {
+		t.Helper()
+		resp, err := http.Get(cs.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			body, _ := io.ReadAll(resp.Body)
+			t.Fatalf("%s: status %d: %s", path, resp.StatusCode, body)
+		}
+		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var pz struct {
+		Redshifts    []float64 `json:"redshifts"`
+		FitFallbacks int64     `json:"fitFallbacks"`
+	}
+	get("/photoz?"+q.Encode(), &pz)
+	var stats struct {
+		PhotozEstimates    int64  `json:"photozEstimates"`
+		PhotozFitFallbacks *int64 `json:"photozFitFallbacks"`
+	}
+	get("/stats", &stats)
+	if len(pz.Redshifts) != probes || stats.PhotozEstimates != probes {
+		t.Errorf("a /photoz batch of %d answered %d redshifts; /stats photozEstimates = %d", probes, len(pz.Redshifts), stats.PhotozEstimates)
+	}
+	if stats.PhotozFitFallbacks == nil || *stats.PhotozFitFallbacks != pz.FitFallbacks {
+		t.Errorf("/stats photozFitFallbacks = %v, the answer reported %d", stats.PhotozFitFallbacks, pz.FitFallbacks)
+	}
+}

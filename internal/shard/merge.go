@@ -125,12 +125,7 @@ func (sc *scatterCursor) foldSummary(rep core.Report) {
 	if rep.EstimatedSelectivity != 0 {
 		sc.agg.EstimatedSelectivity = rep.EstimatedSelectivity
 	}
-	sc.agg.RowsExamined += rep.RowsExamined
-	sc.agg.DiskReads += rep.DiskReads
-	sc.agg.CacheHits += rep.CacheHits
-	sc.agg.PagesSkipped += rep.PagesSkipped
-	sc.agg.PagesScanned += rep.PagesScanned
-	sc.agg.StripsDecoded += rep.StripsDecoded
+	sc.agg.Add(rep)
 	sc.c.diskReads.Add(rep.DiskReads)
 }
 

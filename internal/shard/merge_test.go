@@ -2,7 +2,6 @@ package shard
 
 import (
 	"context"
-	"math/rand"
 	"path/filepath"
 	"slices"
 	"sort"
@@ -10,7 +9,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/sky"
-	"repro/internal/table"
 )
 
 // TestScatterEquivalence is the merge-layer contract: for every plan
@@ -192,116 +190,5 @@ func TestScatterPrunesShards(t *testing.T) {
 	}
 	if !pruned {
 		t.Error("no test predicate pruned any shard — routing-table pruning untested")
-	}
-}
-
-// TestSkyBoxEquivalence: the /sky fan-out returns exactly the single
-// store's rows for the same rectangular cut.
-func TestSkyBoxEquivalence(t *testing.T) {
-	cl := startCluster(t, Config{})
-	single := openSingle(t)
-	checkSkyBoxEquivalence(t, "fixture", cl.coord, single, table.SkyBoxPred{RaMin: 40, RaMax: 140, DecMin: -30, DecMax: 45})
-}
-
-// TestSkyBoxEquivalenceCompactedTails: the same equivalence once every
-// shard, and the single store, carries rows past its cell index — two
-// minor-compacted runs in the tail and more rows in the memtable.
-func TestSkyBoxEquivalenceCompactedTails(t *testing.T) {
-	recs, err := sky.Generate(sky.DefaultParams(3000, 31))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cl, single := smallPair(t, recs)
-	boxes := []table.SkyBoxPred{
-		{RaMin: 40, RaMax: 140, DecMin: -30, DecMax: 45},
-		{RaMin: 200, RaMax: 215, DecMin: 0, DecMax: 15},
-		{RaMin: 0, RaMax: 360, DecMin: -90, DecMax: 90},
-	}
-	rng := rand.New(rand.NewSource(37))
-	next := int64(910_000_000)
-	insert := func(n int) {
-		t.Helper()
-		fresh := make([]table.Record, n)
-		for i := range fresh {
-			fresh[i] = recs[rng.Intn(len(recs))]
-			fresh[i].ObjID = next
-			next++
-			fresh[i].Ra = float32(rng.Float64() * 360)
-			fresh[i].Dec = float32(rng.Float64()*180 - 90)
-			if !fresh[i].HasZ {
-				fresh[i].Redshift = 0 // the insert wire carries a redshift only with HasZ
-			}
-		}
-		if _, err := cl.coord.Insert(fresh); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := single.Insert(fresh); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for run := 1; run <= 2; run++ {
-		insert(120)
-		for _, db := range append(cl.dbs, single) {
-			if err := db.Compact(); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	insert(30)
-	for _, box := range boxes {
-		checkSkyBoxEquivalence(t, "compacted tails", cl.coord, single, box)
-	}
-}
-
-// checkSkyBoxEquivalence compares one cut's rows through the
-// coordinator with the single store's, as sets: the coordinator emits
-// shard order, the single store table order.
-func checkSkyBoxEquivalence(t *testing.T, label string, coord *Coordinator, single *core.SpatialDB, box table.SkyBoxPred) {
-	t.Helper()
-	ctx := context.Background()
-	cols := table.ColObjID | table.ColRa | table.ColDec | table.ColClass | table.ColRedshift
-
-	collect := func(cur core.Cursor) map[int64]table.Record {
-		t.Helper()
-		defer cur.Close()
-		out := make(map[int64]table.Record)
-		for cur.Next() {
-			rec := cur.Record()
-			out[rec.ObjID] = table.Record{
-				ObjID: rec.ObjID, Ra: rec.Ra, Dec: rec.Dec,
-				Class: rec.Class, Redshift: rec.Redshift,
-			}
-		}
-		if err := cur.Err(); err != nil {
-			t.Fatal(err)
-		}
-		return out
-	}
-
-	curS, err := single.QuerySkyBox(ctx, box, cols)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := collect(curS)
-	curC, err := coord.QuerySkyBox(ctx, box, cols)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := collect(curC)
-
-	if len(got) != len(want) {
-		t.Fatalf("%s: sky cut %+v returned %d rows, single store %d", label, box, len(got), len(want))
-	}
-	if len(want) == 0 {
-		t.Fatalf("%s: sky cut %+v matched no rows — box too narrow to test anything", label, box)
-	}
-	for id, w := range want {
-		g, ok := got[id]
-		if !ok {
-			t.Fatalf("%s: row %d missing from scatter answer", label, id)
-		}
-		if g != w {
-			t.Fatalf("%s: row %d differs: %+v vs %+v", label, id, g, w)
-		}
 	}
 }

@@ -679,14 +679,16 @@ func subMultiset(got, want []string) bool {
 }
 
 // exec runs one statement on one configuration and checks what every
-// answer must satisfy (checkCounters).
+// answer must satisfy (checkCounters, checkPages).
 func (o *oracle) exec(c *oracleConfig, label string, stmt colorsql.Statement, plan core.Plan) ([]table.Record, core.Report) {
 	o.t.Helper()
 	label = fmt.Sprintf("%s: %s, plan %v", label, stmt.String(), plan)
+	before := pageStats(c.dbs)
 	cur, err := c.b.ExecStatement(context.Background(), stmt, plan)
 	o.must(err, label)
 	recs, rep, err := core.Collect(cur)
 	o.must(err, label)
+	o.checkPages(c, label, before, rep)
 	// A kNN statement (Statement.IsKNN) is served by the search, not a scan.
 	scan := !stmt.IsKNN()
 	o.checkCounters(c, label, rep, len(recs), scan)
@@ -933,7 +935,8 @@ func (o *oracle) dist(state string, stmt colorsql.Statement) {
 }
 
 // knn: /knn is brute force over every row, for a lone probe (the
-// cacheable shape) and for a batch.
+// cacheable shape) and for a batch, and its page counters are its
+// stores' page touches.
 func (o *oracle) knn(state string, probes []vec.Point, k int) {
 	want := make([][]float64, len(probes))
 	for i, p := range probes {
@@ -942,12 +945,14 @@ func (o *oracle) knn(state string, probes []vec.Point, k int) {
 	for _, c := range o.configs {
 		label := state + " " + c.name + ": /knn"
 		for _, at := range [][2]int{{0, 1}, {1, len(probes)}} {
+			before := pageStats(c.dbs)
 			got, reps, err := c.b.NearestNeighborsBatch(context.Background(), probes[at[0]:at[1]], k)
 			o.must(err, label)
 			for i := range got {
 				o.must(o.nearestErr(probes[at[0]+i], want[at[0]+i], got[i]), label)
 				o.checkCounters(c, label, reps[i], len(got[i]), false)
 			}
+			o.checkPages(c, label, before, reps...)
 		}
 		if c.cached {
 			// The lone probe is the cacheable shape.
@@ -1004,10 +1009,14 @@ func (o *oracle) photoZWant() []float64 {
 	return zs
 }
 
+// checkPhotoZ: /photoz is a fresh store's answer, and its page
+// counters are its stores' page touches.
 func (o *oracle) checkPhotoZ(c *oracleConfig, label string) {
 	label += ": /photoz"
+	before := pageStats(c.dbs)
 	got, rep, err := c.b.EstimateRedshiftBatch(context.Background(), photoZProbes)
 	o.must(err, label)
+	o.checkPages(c, label, before, rep)
 	want := o.photoZWant()
 	if !slices.Equal(got, want) || rep.RowsReturned != int64(len(got)) {
 		o.t.Fatalf("%s = %v (%d reported), a fresh build %v", label, got, rep.RowsReturned, want)
@@ -1095,8 +1104,9 @@ func (o *oracle) points(state string, views []vec.Box) {
 			before := pageStats(c.dbs)
 			recs, rep, err := c.b.SampleRegion(view, 200)
 			o.must(err, label)
-			if d := pageStats(c.dbs).Sub(before); rep.DiskReads != d.DiskReads || rep.CacheHits != d.Hits || rep.RowsExamined < int64(len(recs)) {
-				o.t.Fatalf("%s: reports %d disk reads, %d cache hits, %d rows examined for %d rows; its stores read %d pages, found %d", label, rep.DiskReads, rep.CacheHits, rep.RowsExamined, len(recs), d.DiskReads, d.Hits)
+			o.checkPages(c, label, before, rep)
+			if rep.RowsExamined < int64(len(recs)) {
+				o.t.Fatalf("%s: reports %d rows examined for %d rows", label, rep.RowsExamined, len(recs))
 			}
 			outside := slices.ContainsFunc(recs, func(r table.Record) bool { return !view.Contains(r.Point()[:3]) })
 			key, n := fmt.Sprint(view), len(recs)
@@ -1105,6 +1115,26 @@ func (o *oracle) points(state string, views []vec.Box) {
 				o.t.Fatalf("%s: %d rows (%d reported), a row outside %v, all the model's %v; %s sampled %d", label, n, rep.RowsReturned, outside, subMultiset(render(cols, recs), model), first[layout].name, first[layout].samples[key])
 			}
 		}
+	}
+}
+
+// checkPages: the page counters of an answer computed since before —
+// summed over its reports, a batch's probes — are its stores' page
+// touches since then; through a coordinator, the sum of its shards'.
+// An answer served from the result cache read nothing and is not
+// checked.
+func (o *oracle) checkPages(c *oracleConfig, label string, before pagestore.Stats, reps ...core.Report) {
+	o.t.Helper()
+	d := pageStats(c.dbs).Sub(before)
+	var sum core.Report
+	for _, rep := range reps {
+		if rep.FromCache {
+			return
+		}
+		sum.Add(rep)
+	}
+	if sum.DiskReads != d.DiskReads || sum.CacheHits != d.Hits {
+		o.t.Fatalf("%s: reports %d disk reads, %d cache hits; its stores read %d pages, found %d", label, sum.DiskReads, sum.CacheHits, d.DiskReads, d.Hits)
 	}
 }
 

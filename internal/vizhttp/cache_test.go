@@ -221,6 +221,16 @@ func TestKnnAndPhotozCachedRepeat(t *testing.T) {
 			t.Errorf("redshift %d differs: %v vs %v", i, za.Redshifts[i], zb.Redshifts[i])
 		}
 	}
+	// The cache-served repeat computed no estimate.
+	var stats struct {
+		PhotozEstimates int64 `json:"photozEstimates"`
+	}
+	if err := json.Unmarshal(get(t, s, "/stats").Body.Bytes(), &stats); err != nil {
+		t.Fatal(err)
+	}
+	if stats.PhotozEstimates != 1 {
+		t.Errorf("photozEstimates = %d after one computed and one cached answer, want 1", stats.PhotozEstimates)
+	}
 }
 
 // TestKnnProbeIsItsStatement: a one-point /knn is the statement

@@ -586,9 +586,13 @@ type photozAnswer struct {
 }
 
 // writePhotozResponse renders one photo-z batch as the /photoz
-// response.
+// response and counts the estimates it computed.
 func (s *Server) writePhotozResponse(w http.ResponseWriter, zs []float64, rep core.Report) {
 	s.countRequest(int64(len(zs)))
+	if !rep.FromCache {
+		s.photozEstimates.Add(rep.RowsReturned)
+		s.photozFitFallbacks.Add(rep.FitFallbacks)
+	}
 	setXCache(w, rep)
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(map[string]any{

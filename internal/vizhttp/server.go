@@ -68,6 +68,14 @@ type Server struct {
 	knnLeaves  atomic.Int64
 	knnRows    atomic.Int64
 
+	// Photo-z estimates computed for /photoz answers, and how many fell
+	// back to the neighbour mean because their local polynomial fit
+	// degenerated — a rising ratio flags regions where the §4.1 method
+	// quietly degrades. An answer served from a result cache computed
+	// nothing and counts nothing.
+	photozEstimates    atomic.Int64
+	photozFitFallbacks atomic.Int64
+
 	// Requests answered straight from the result cache, which skip
 	// admission control entirely (a hit costs no I/O and no slot).
 	cacheServed atomic.Int64
@@ -189,18 +197,20 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	// the server's own serving counters on top.
 	out := s.db.BackendStats()
 	for k, v := range map[string]any{
-		"requests":          s.requests.Load(),
-		"pointsReturned":    s.returned.Load(),
-		"knnQueries":        s.knnQueries.Load(),
-		"knnLeavesExamined": s.knnLeaves.Load(),
-		"knnRowsExamined":   s.knnRows.Load(),
-		"zonePagesSkipped":  s.zonePagesSkipped.Load(),
-		"zonePagesScanned":  s.zonePagesScanned.Load(),
-		"zoneStripsDecoded": s.zoneStripsDecoded.Load(),
-		"cacheServed":       s.cacheServed.Load(),
-		"qos":               qosStats,
-		"inserts":           s.inserts.Load(),
-		"insertedRows":      s.insertedRows.Load(),
+		"requests":           s.requests.Load(),
+		"pointsReturned":     s.returned.Load(),
+		"knnQueries":         s.knnQueries.Load(),
+		"knnLeavesExamined":  s.knnLeaves.Load(),
+		"knnRowsExamined":    s.knnRows.Load(),
+		"photozEstimates":    s.photozEstimates.Load(),
+		"photozFitFallbacks": s.photozFitFallbacks.Load(),
+		"zonePagesSkipped":   s.zonePagesSkipped.Load(),
+		"zonePagesScanned":   s.zonePagesScanned.Load(),
+		"zoneStripsDecoded":  s.zoneStripsDecoded.Load(),
+		"cacheServed":        s.cacheServed.Load(),
+		"qos":                qosStats,
+		"inserts":            s.inserts.Load(),
+		"insertedRows":       s.insertedRows.Load(),
 	} {
 		out[k] = v
 	}

@@ -292,6 +292,11 @@ func TestHandlePhotoz(t *testing.T) {
 	}
 
 	// The /stats endpoint must surface the photo-z and knn counters.
+	// They are the server's: a full compaction, which rebuilds the
+	// estimator, keeps them.
+	if err := s.coreDB().CompactFull(); err != nil {
+		t.Fatal(err)
+	}
 	sw := httptest.NewRecorder()
 	s.handleStats(sw, httptest.NewRequest("GET", "/stats", nil))
 	var stats map[string]any
