@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
-	"path/filepath"
 	"runtime"
 	"sort"
 	"strings"
@@ -309,13 +308,11 @@ func TestServingUnderLoadgenBurst(t *testing.T) {
 	}
 }
 
-// TestColdRestart verifies the offline-artifact story: catalog and
-// clustered index table persist on disk, the kd-tree serializes to a
-// file, and a fresh process (new store, cold cache) serves identical
-// queries from them.
+// TestColdRestart verifies the offline-artifact story: catalog,
+// clustered index table and kd-tree persist on the store, and a fresh
+// process (new store, cold cache) serves identical queries from them.
 func TestColdRestart(t *testing.T) {
 	dir := t.TempDir()
-	treePath := filepath.Join(dir, "mag.kd.tree")
 
 	var wantIDs []table.RowID
 	q := vec.BoxPolyhedron(vec.NewBox(
@@ -338,7 +335,7 @@ func TestColdRestart(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := tree.SaveFile(treePath); err != nil {
+		if err := tree.SavePaged(s, "mag.kd.tree"); err != nil {
 			t.Fatal(err)
 		}
 		wantIDs, _, err = tree.QueryPolyhedron(clustered, q)
@@ -364,11 +361,8 @@ func TestColdRestart(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tree, err := kdtree.LoadFile(treePath)
+		tree, err := kdtree.LoadPaged(s, "mag.kd.tree")
 		if err != nil {
-			t.Fatal(err)
-		}
-		if err := tree.Validate(); err != nil {
 			t.Fatal(err)
 		}
 		gotIDs, stats, err := tree.QueryPolyhedron(clustered, q)

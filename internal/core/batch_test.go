@@ -2,8 +2,12 @@ package core
 
 import (
 	"context"
+	"slices"
 	"testing"
 
+	"repro/internal/colorsql"
+	"repro/internal/knn"
+	"repro/internal/planner"
 	"repro/internal/sky"
 	"repro/internal/table"
 	"repro/internal/vec"
@@ -51,31 +55,74 @@ func TestNearestNeighborsBatchMatchesSerial(t *testing.T) {
 	}
 }
 
-func TestNearestNeighborsPlannerFallsBackToBruteForce(t *testing.T) {
+// distSeq is the squared distance from p of each record, in order.
+func distSeq(p vec.Point, recs []table.Record) []float64 {
+	out := make([]float64, len(recs))
+	for i := range recs {
+		out[i] = magsDist2(p, &recs[i])
+	}
+	return out
+}
+
+// bruteDists is knn.BruteForce's distance sequence over the catalog,
+// with the memtable rows' distances merged in: the exact answer.
+func bruteDists(t *testing.T, db *SpatialDB, p vec.Point, k int, mem []table.Record) []float64 {
+	t.Helper()
+	cat, err := db.Catalog()
+	if err != nil {
+		t.Fatal(err)
+	}
+	nbs, _, err := knn.BruteForce(cat, p, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []float64
+	for _, nb := range nbs {
+		out = append(out, nb.Dist2)
+	}
+	out = append(out, distSeq(p, mem)...)
+	slices.Sort(out)
+	return out[:min(k, len(out))]
+}
+
+// TestKNNWithTreeRunsOnSearcher: with a kd-tree a kNN runs on the
+// region-growing searcher at every k — k = N included — through the
+// single probe, a one-point batch and its statement alike.
+func TestKNNWithTreeRunsOnSearcher(t *testing.T) {
 	db := openDB(t, 2000)
 	if err := db.BuildKdIndex(0); err != nil {
 		t.Fatal(err)
 	}
-	// k = N: the grown region must cover every leaf, so the planner
-	// should choose the sequential scan.
-	recs, rep, err := db.NearestNeighbors(sky.GalaxyColors(0.2, 18), 2000)
+	p := sky.GalaxyColors(0.2, 18)
+	want := bruteDists(t, db, p, 2000, nil)
+	check := func(path string, recs []table.Record, rep Report) {
+		t.Helper()
+		if rep.Plan != PlanKdTree || rep.LeavesExamined == 0 {
+			t.Errorf("%s: plan %v, %d leaves (%s); want the searcher", path, rep.Plan, rep.LeavesExamined, rep.PlanReason)
+		}
+		if got := distSeq(p, recs); !slices.Equal(got, want) {
+			t.Errorf("%s: %d neighbours, not brute force's %d distances", path, len(got), len(want))
+		}
+	}
+	recs, rep, err := db.NearestNeighbors(p, 2000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) != 2000 {
-		t.Fatalf("k=N returned %d records", len(recs))
-	}
-	if rep.Plan != PlanFullScan {
-		t.Errorf("k=N used plan %v (%s), want fullscan", rep.Plan, rep.PlanReason)
-	}
-
-	batch, reports, err := db.NearestNeighborsBatch(context.Background(), []vec.Point{sky.GalaxyColors(0.2, 18)}, 2000)
+	check("NearestNeighbors", recs, rep)
+	batch, reports, err := db.NearestNeighborsBatch(context.Background(), []vec.Point{p}, 2000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(batch[0]) != 2000 || reports[0].Plan != PlanFullScan {
-		t.Errorf("batch k=N: %d records, plan %v", len(batch[0]), reports[0].Plan)
+	check("one-point batch", batch[0], reports[0])
+	cur, err := db.ExecStatement(context.Background(), knnStatement(p, 2000), PlanAuto)
+	if err != nil {
+		t.Fatal(err)
 	}
+	recs, rep, err = Collect(cur)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("statement", recs, rep)
 }
 
 func TestEstimateRedshiftBatchMatchesSerial(t *testing.T) {
@@ -109,30 +156,74 @@ func TestEstimateRedshiftBatchMatchesSerial(t *testing.T) {
 	}
 }
 
-func TestNearestNeighborsWithoutKdIndexFallsBackToBruteForce(t *testing.T) {
+// TestKNNWithoutTreeIsOrderedLimit: with no kd-tree a kNN is the
+// WHERE-less ORDER BY dist(p) LIMIT k — the memtable included, pages
+// accounted like any scan — through a one-point and a two-point batch
+// and the statement, and it is priced as that statement. The photo-z
+// price is the reference searcher's at every k.
+func TestKNNWithoutTreeIsOrderedLimit(t *testing.T) {
 	db := openDB(t, 1500)
-	// No BuildKdIndex: the planner must route to brute force instead
-	// of erroring, serving the query from the catalog.
 	cat, _ := db.Catalog()
 	var rec table.Record
 	if err := cat.Get(42, &rec); err != nil {
 		t.Fatal(err)
 	}
-	nbs, rep, err := db.NearestNeighbors(rec.Point(), 3)
+	fresh := rec
+	fresh.ObjID, fresh.Mags[0] = 9_000_000, fresh.Mags[0]+0.01
+	if _, err := db.Insert([]table.Record{fresh}); err != nil {
+		t.Fatal(err)
+	}
+	p, q := rec.Point(), sky.GalaxyColors(0.2, 18)
+	const k = 5
+	check := func(path string, pt vec.Point, recs []table.Record, rep Report) {
+		t.Helper()
+		if got, want := distSeq(pt, recs), bruteDists(t, db, pt, k, []table.Record{fresh}); !slices.Equal(got, want) {
+			t.Errorf("%s: distances %v, brute force over catalog and memtable %v", path, got, want)
+		}
+		if rep.PagesScanned == 0 || rep.PagesScanned != rep.DiskReads+rep.CacheHits {
+			t.Errorf("%s: pagesScanned %d, diskReads %d + cacheHits %d", path, rep.PagesScanned, rep.DiskReads, rep.CacheHits)
+		}
+	}
+	one, reports, err := db.NearestNeighborsBatch(context.Background(), []vec.Point{p}, k)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(nbs) != 3 || nbs[0].ObjID != rec.ObjID {
-		t.Fatalf("brute-force fallback returned %d records, first obj %d", len(nbs), nbs[0].ObjID)
+	check("one-point batch", p, one[0], reports[0])
+	if one[0][1].ObjID != fresh.ObjID {
+		t.Errorf("the memtable row is not the second neighbour of its twin: %v", one[0][1].ObjID)
 	}
-	if rep.Plan != PlanFullScan || rep.RowsExamined != 1500 {
-		t.Errorf("fallback report %+v, want fullscan over 1500 rows", rep)
-	}
-	batch, reports, err := db.NearestNeighborsBatch(context.Background(), []vec.Point{rec.Point(), rec.Point()}, 3)
+	two, reports, err := db.NearestNeighborsBatch(context.Background(), []vec.Point{q, p}, k)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(batch) != 2 || reports[0].Plan != PlanFullScan || len(batch[1]) != 3 {
-		t.Errorf("batch fallback: %d results, plan %v", len(batch), reports[0].Plan)
+	check("two-point batch[0]", q, two[0], reports[0])
+	check("two-point batch[1]", p, two[1], reports[1])
+	stmt := knnStatement(q, k)
+	cur, err := db.ExecStatement(context.Background(), stmt, PlanAuto)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, rep, err := Collect(cur)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("statement", q, recs, rep)
+
+	whereless := db.EstimateStatementCost(colorsql.Statement{Star: true, Order: &colorsql.OrderBy{Coeffs: []float64{1, 0, 0, 0, 0}}, Limit: k})
+	if got := db.EstimateKNNCost(k, 1); got != whereless || got <= 0 {
+		t.Errorf("kNN priced %v, the WHERE-less statement %v", got, whereless)
+	}
+	if got := db.EstimateStatementCost(stmt); got != whereless {
+		t.Errorf("kNN statement priced %v, the WHERE-less statement %v", got, whereless)
+	}
+	for _, k := range []int{1, 8, 200, 1500} {
+		if err := db.BuildPhotoZ(k, 1); err != nil {
+			t.Fatal(err)
+		}
+		s := db.photoZ.Searcher()
+		pl := &planner.Planner{Catalog: s.Tb, Kd: s.Tree, Domain: db.domain}
+		if got, want := db.EstimatePhotoZCost(3), 3*pl.PlanKNN(k).CostIndex; got != want {
+			t.Errorf("photo-z k=%d priced %v, the searcher %v", k, got, want)
+		}
 	}
 }

@@ -19,7 +19,7 @@ import (
 // ranges included), however many clauses its DNF has. Admission
 // pricing (EstimateStatementCost) and execution (ExecStatement →
 // whereCursor) share the entries, so a repeated statement is planned
-// exactly once per epoch. A kNN verdict (planner.PlanKNN) is a dozen
+// exactly once per epoch. A kNN price (planner.PlanKNN) is a dozen
 // float operations and is computed where it is needed, not cached.
 //
 // Tier 2 (opt-in via Config.ResultCacheBytes) caches materialized

@@ -562,7 +562,6 @@ func (db *SpatialDB) Planner() (*planner.Planner, error) {
 	p := &planner.Planner{
 		Catalog: db.catalog,
 		Kd:      db.kd,
-		Grid:    db.grid,
 		Domain:  db.domain,
 	}
 	if db.mem != nil {
@@ -675,11 +674,9 @@ func mergeMemNeighbors(nbs []knn.Neighbor, mem []memtable.Row, p vec.Point, k in
 
 // NearestNeighbors returns the k catalog records closest to p in
 // color space (§3.3), with a Report of the query's exact cost — the
-// batch of one, executed on the caller's goroutine. The access path —
-// region-growing through the kd-tree versus brute force — is chosen
-// by the cost-based planner: for k approaching N the grown region
-// covers most leaves at scattered-page prices and the sequential scan
-// wins, mirroring the Figure 5 crossover.
+// batch of one, executed on the caller's goroutine: on the
+// region-growing searcher whenever a kd-tree is built, whatever k is,
+// and as the WHERE-less ordered LIMIT otherwise.
 func (db *SpatialDB) NearestNeighbors(p vec.Point, k int) ([]table.Record, Report, error) {
 	recs, reports, err := db.collectNeighbors(context.Background(), []vec.Point{p}, k, false)
 	if err != nil {
@@ -691,10 +688,9 @@ func (db *SpatialDB) NearestNeighbors(p vec.Point, k int) ([]table.Record, Repor
 // NearestNeighborsBatch answers many kNN queries on the batched
 // engine (knn.SearchBatchFunc: one reused scratch, seed-leaf locality
 // ordering), returning results in input order with an exact per-query
-// Report each. If the planner predicts brute force cheaper (k
-// approaching N, or no kd-tree built), the queries run as brute-force
-// scans, one after another. The batch stops between queries once ctx
-// is done and returns its error.
+// Report each. With no kd-tree built each query runs as the WHERE-less
+// ordered LIMIT, one after another. The batch stops between queries
+// once ctx is done and returns its error.
 func (db *SpatialDB) NearestNeighborsBatch(ctx context.Context, ps []vec.Point, k int) ([][]table.Record, []Report, error) {
 	// One point is the statement SELECT * ORDER BY dist(p) LIMIT k
 	// (Statement.IsKNN): it runs, and is cached, as that statement.
@@ -719,7 +715,9 @@ func knnStatement(p vec.Point, k int) colorsql.Statement {
 
 // collectNeighbors runs the batch on a snapshot of its own and keeps
 // every probe's records and Report, in input order — the /knn answer
-// and a kNN statement's rows.
+// and a kNN statement's rows. On a snapshot without a kd-tree each
+// catalog probe is its statement's ordered LIMIT: the whole catalog and
+// the memtable, pruned by the k-th distance.
 func (db *SpatialDB) collectNeighbors(ctx context.Context, ps []vec.Point, k int, reference bool) ([][]table.Record, []Report, error) {
 	sn, err := db.snapshot()
 	if err != nil {
@@ -728,6 +726,16 @@ func (db *SpatialDB) collectNeighbors(ctx context.Context, ps []vec.Point, k int
 	defer sn.release()
 	recs := make([][]table.Record, len(ps))
 	reports := make([]Report, len(ps))
+	if !reference && sn.kd == nil {
+		for i, p := range ps {
+			stmt := knnStatement(p, k)
+			opts := db.statementOpts(stmt)
+			if recs[i], reports[i], err = Collect(rankOrLimit(stmt, opts, sn.catalogCursor(ctx, opts))); err != nil {
+				return nil, nil, err
+			}
+		}
+		return recs, reports, nil
+	}
 	err = sn.nearestNeighborsBatchUncached(ctx, ps, k, reference, func(i int, nbs []knn.Neighbor, rep Report) error {
 		recs[i] = make([]table.Record, len(nbs))
 		for j, nb := range nbs {
@@ -742,77 +750,45 @@ func (db *SpatialDB) collectNeighbors(ctx context.Context, ps []vec.Point, k int
 	return recs, reports, nil
 }
 
-// nearestNeighborsBatchUncached is the one kNN batch driver: it finds
-// each probe's k nearest rows of the snapshot — with reference set, of
-// the photo-z estimator's paged reference rows only — and hands fn the
-// probe's input index, its neighbours nearest first (valid only during
-// the call) and its exact Report. The catalog arm is priced by the
-// planner: the region-growing search, or brute force when the planner
-// prices the scan cheaper or no kd-tree is built. A done ctx, or an
-// error from fn, stops the batch between probes.
+// nearestNeighborsBatchUncached is the one driver of the §3.3
+// region-growing searcher: it finds each probe's k nearest rows of the
+// snapshot's kd-clustered catalog, which must have a tree — with
+// reference set, of the photo-z estimator's paged reference rows
+// instead — and hands fn the probe's input index, its neighbours
+// nearest first (valid only during the call) and its exact Report. A
+// done ctx, or an error from fn, stops the batch between probes.
 func (sn *dbSnap) nearestNeighborsBatchUncached(ctx context.Context, ps []vec.Point, k int, reference bool, fn func(i int, nbs []knn.Neighbor, rep Report) error) error {
-	// The snapshot holds the searcher (nil without a kd-tree: brute
-	// force is the only path), the catalog and the memtable rows the
-	// search must consider alongside the paged candidates. The reference
+	// The catalog search also considers the memtable rows alongside the
+	// paged candidates. It reads the snapshot's bounded catalog, so each
+	// row is in its paged answer or in mem, never both. The reference
 	// has no memtable rows: a spectroscopic row joins it at compaction.
+	var s *knn.Searcher
 	var mem []memtable.Row
-	var choice planner.KNNChoice
+	var reason string
 	if reference {
 		if sn.photoZ == nil {
 			return errNoPhotoZ
 		}
-		choice.Reason = "photo-z reference kNN"
+		s, reason = sn.photoZ.Searcher(), "photo-z reference kNN"
 	} else {
-		mem, choice = sn.mem, sn.planner().PlanKNN(k)
+		s, mem, reason = knn.NewSearcher(sn.kd, sn.catalog), sn.mem, sn.planner().PlanKNN(k).Reason
 	}
-	// visit folds the memtable candidates into probe i's paged answer
-	// and hands it to fn.
-	visit := func(plan Plan) func(int, []knn.Neighbor, knn.Stats) error {
-		return func(i int, nbs []knn.Neighbor, stats knn.Stats) error {
-			nbs = mergeMemNeighbors(nbs, mem, ps[i], k)
-			err := fn(i, nbs, Report{
-				Plan:           plan,
-				RowsReturned:   int64(len(nbs)),
-				RowsExamined:   stats.RowsExamined + int64(len(mem)),
-				LeavesExamined: int64(stats.LeavesExamined),
-				DiskReads:      stats.Pages.DiskReads,
-				CacheHits:      stats.Pages.Hits,
-				PlanReason:     choice.Reason,
-			})
-			if err != nil {
-				return err
-			}
-			return ctx.Err()
-		}
-	}
-	switch {
-	case reference:
-		return sn.photoZ.Searcher().SearchBatchFunc(ps, k, visit(PlanKdTree))
-	case choice.UseIndex && sn.kd != nil:
-		// The search reads the snapshot's bounded catalog, so each row is
-		// in its paged answer or in mem, never both.
-		return knn.NewSearcher(sn.kd, sn.catalog).SearchBatchFunc(ps, k, visit(PlanKdTree))
-	default:
-		// No kd-tree, or the planner priced the scan cheaper: serve the
-		// queries anyway through the brute-force path.
-		return bruteForceBatch(sn.catalog, ps, k, visit(PlanFullScan))
-	}
-}
-
-// bruteForceBatch answers the queries by whole-table scans, one after
-// another, handing each query's answer to fn — the same contract as
-// knn.Searcher.SearchBatchFunc.
-func bruteForceBatch(catalog *table.Table, ps []vec.Point, k int, fn func(i int, nbs []knn.Neighbor, stats knn.Stats) error) error {
-	for i, p := range ps {
-		nbs, stats, err := knn.BruteForce(catalog, p, k)
+	return s.SearchBatchFunc(ps, k, func(i int, nbs []knn.Neighbor, stats knn.Stats) error {
+		nbs = mergeMemNeighbors(nbs, mem, ps[i], k)
+		err := fn(i, nbs, Report{
+			Plan:           PlanKdTree,
+			RowsReturned:   int64(len(nbs)),
+			RowsExamined:   stats.RowsExamined + int64(len(mem)),
+			LeavesExamined: int64(stats.LeavesExamined),
+			DiskReads:      stats.Pages.DiskReads,
+			CacheHits:      stats.Pages.Hits,
+			PlanReason:     reason,
+		})
 		if err != nil {
 			return err
 		}
-		if err := fn(i, nbs, stats); err != nil {
-			return err
-		}
-	}
-	return nil
+		return ctx.Err()
+	})
 }
 
 // SampleRegion returns at least n points of the catalog whose first

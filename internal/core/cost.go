@@ -3,6 +3,7 @@ package core
 import (
 	"repro/internal/colorsql"
 	"repro/internal/planner"
+	"repro/internal/table"
 )
 
 // This file prices requests BEFORE they execute, for admission
@@ -34,9 +35,7 @@ func (db *SpatialDB) EstimateStatementCost(stmt colorsql.Statement) float64 {
 		if err != nil {
 			return 0
 		}
-		rows := pl.Catalog.NumRows()
-		cost := planner.DefaultCostModel().FullScanCost(int64(rows))
-		return boundByLimit(cost, float64(rows), stmt)
+		return boundByLimit(wherelessCost(pl.Catalog), float64(pl.Catalog.NumRows()), stmt)
 	}
 	// One Choice prices the whole WHERE, overlap between clauses paid
 	// once. It comes from the tier-1 plan cache, shared with the
@@ -66,21 +65,32 @@ func boundByLimit(cost, estRows float64, stmt colorsql.Statement) float64 {
 	return cost
 }
 
+// wherelessCost is the price of a WHERE-less statement before its
+// LIMIT: a read of the whole catalog.
+func wherelessCost(catalog *table.Table) float64 {
+	return planner.DefaultCostModel().FullScanCost(int64(catalog.NumRows()))
+}
+
 // EstimateKNNCost predicts the cost of numPoints k-nearest-neighbour
-// queries in sequential-page units, zero-I/O: the planner's kNN
-// verdict over the current catalog, kd-tree and memtable.
+// queries in sequential-page units, zero-I/O, for the engine each runs
+// on: the region-growing searcher's price over the current catalog,
+// kd-tree and memtable, or with no tree the WHERE-less ordered LIMIT's.
 func (db *SpatialDB) EstimateKNNCost(k, numPoints int) float64 {
 	pl, err := db.Planner()
 	if err != nil {
 		return 0
 	}
-	return pl.PlanKNN(k).BestCost() * float64(max(numPoints, 1))
+	cost := wherelessCost(pl.Catalog)
+	if pl.Kd != nil {
+		cost = pl.PlanKNN(k).CostIndex
+	}
+	return cost * float64(max(numPoints, 1))
 }
 
 // EstimatePhotoZCost predicts the cost of a photometric-redshift
 // batch of numPoints objects: each is a k-neighbour search on the
-// spectroscopic reference table, priced by the same kNN model. 0 when
-// no estimator is built.
+// spectroscopic reference rows, priced as the searcher it runs on. 0
+// when no estimator is built.
 func (db *SpatialDB) EstimatePhotoZCost(numPoints int) float64 {
 	db.mu.RLock()
 	est := db.photoZ
@@ -90,5 +100,5 @@ func (db *SpatialDB) EstimatePhotoZCost(numPoints int) float64 {
 	}
 	s := est.Searcher()
 	pl := &planner.Planner{Catalog: s.Tb, Kd: s.Tree, Domain: db.domain}
-	return pl.PlanKNN(est.K).BestCost() * float64(max(numPoints, 1))
+	return pl.PlanKNN(est.K).CostIndex * float64(max(numPoints, 1))
 }

@@ -531,14 +531,21 @@ func (c *sliceCursor) Stats() Report {
 }
 
 // fullCatalogCursor streams the whole catalog in physical order with
-// no predicate — the WHERE-less statement path. Memtable rows follow
-// the paged rows unfiltered, in commit order.
+// no predicate — the WHERE-less statement path — on a snapshot of its
+// own.
 func (db *SpatialDB) fullCatalogCursor(ctx context.Context, opts cursorOpts) (Cursor, error) {
 	sn, err := db.snapshot()
 	if err != nil {
 		return nil, err
 	}
-	scope := db.eng.Store().Scoped()
+	return &snapCursor{Cursor: sn.catalogCursor(ctx, opts), sn: sn}, nil
+}
+
+// catalogCursor streams the snapshot's catalog in physical order, the
+// memtable rows after the paged rows unfiltered, in commit order. The
+// caller keeps the snapshot until the cursor is closed.
+func (sn *dbSnap) catalogCursor(ctx context.Context, opts cursorOpts) Cursor {
+	scope := sn.db.eng.Store().Scoped()
 	tasks := []planner.ScanTask{{Lo: 0, Hi: table.RowID(sn.catalog.NumRows())}}
 	stream := planner.Stream(sn.catalog.Scoped(scope).ScanClassed(), tasks, planner.StreamOpts{
 		Ctx:       ctx,
@@ -561,7 +568,7 @@ func (db *SpatialDB) fullCatalogCursor(ctx context.Context, opts cursorOpts) (Cu
 			mem:  &memCursor{rows: sn.mem, cols: opts.cols, first: int64(sn.catalog.NumRows())},
 		}
 	}
-	return &snapCursor{Cursor: cur, sn: sn}, nil
+	return cur
 }
 
 // ColumnSet maps a statement's projection onto the table's partial

@@ -27,19 +27,22 @@ func (db *SpatialDB) QuerySkyBox(ctx context.Context, box table.SkyBoxPred, cols
 	if err != nil {
 		return nil, err
 	}
-	ix, err := sn.sky.get(sn.catalog)
+	scope := db.eng.Store().Scoped()
+	catalog := sn.catalog.Scoped(scope).ScanClassed()
+	ix, built, err := sn.sky.get(catalog)
 	if err != nil {
 		sn.release()
 		return nil, err
 	}
-	scope := db.eng.Store().Scoped()
-	catalog := sn.catalog.Scoped(scope).ScanClassed()
 	cur := &skyCursor{
 		box:   box,
 		scope: scope,
 	}
 	rows := ix.Rows(&cur.box)
 	cur.covered = rows.Covered() / table.RecordsPerPage
+	if built {
+		cur.built = cur.covered
+	}
 	cur.it = catalog.IterRangeSky(ctx, 0, table.RowID(sn.catalog.NumRows()), cols, &cur.box, rows, &cur.counters)
 	var out Cursor = cur
 	if len(sn.mem) > 0 {
@@ -63,27 +66,30 @@ func (db *SpatialDB) QuerySkyBox(ctx context.Context, box table.SkyBoxPred, cols
 // page, and a store that serves no sky cut never pays for it. A fresh
 // holder is installed with every catalog (setCatalog) and captured in
 // each snapshot beside that catalog, so a cursor never pairs one
-// catalog's index with another's rows. The build reads the catalog
-// through the pool's scan class and outside any query's accounting
-// scope: it is the index's cost, not the statement's.
+// catalog's index with another's rows. The build reads the catalog's
+// covered pages through the pool's scan class, under the accounting
+// scope of the cut that triggered it: that cut's Report counts them
+// among its scanned pages, disk reads and cache hits.
 type skyIndex struct {
 	mu sync.Mutex
 	ix *sky.CellIndex
 }
 
-// get returns the index over catalog, building it on first use. A
-// failed build is not remembered; the next cut retries it.
-func (s *skyIndex) get(catalog *table.Table) (*sky.CellIndex, error) {
+// get returns the index over catalog, building it on first use, and
+// whether this call built it. A failed build is not remembered; the
+// next cut retries it.
+func (s *skyIndex) get(catalog *table.Table) (*sky.CellIndex, bool, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.ix == nil {
-		ix, err := sky.BuildCellIndex(catalog.ScanClassed())
-		if err != nil {
-			return nil, fmt.Errorf("core: %w", err)
-		}
-		s.ix = ix
+	if s.ix != nil {
+		return s.ix, false, nil
 	}
-	return s.ix, nil
+	ix, err := sky.BuildCellIndex(catalog)
+	if err != nil {
+		return nil, false, fmt.Errorf("core: %w", err)
+	}
+	s.ix = ix
+	return ix, true, nil
 }
 
 // skyCursor adapts the sky table iterator to the Cursor interface with
@@ -91,6 +97,7 @@ func (s *skyIndex) get(catalog *table.Table) (*sky.CellIndex, error) {
 type skyCursor struct {
 	box      table.SkyBoxPred
 	covered  int // leading pages the cell index covers
+	built    int // pages this cut read to build the cell index
 	it       *table.Iter
 	scope    *pagestore.Scope
 	counters table.ScanCounters
@@ -129,7 +136,7 @@ func (c *skyCursor) Stats() Report {
 		RowsReturned: c.emitted,
 		RowsExamined: c.counters.Examined.Load(),
 		PagesSkipped: c.counters.PagesSkipped.Load(),
-		PagesScanned: c.counters.PagesScanned.Load(),
+		PagesScanned: c.counters.PagesScanned.Load() + int64(c.built),
 		DiskReads:    st.DiskReads,
 		CacheHits:    st.Hits,
 	}

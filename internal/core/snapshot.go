@@ -104,7 +104,6 @@ func (sn *dbSnap) planner() *planner.Planner {
 	return &planner.Planner{
 		Catalog: sn.catalog,
 		Kd:      sn.kd,
-		Grid:    sn.grid,
 		Domain:  sn.db.domain,
 		MemRows: int64(len(sn.mem)),
 	}

@@ -38,12 +38,14 @@ import (
 //     consults no zones and reads in table order. With no LIMIT or a
 //     LIMIT above the matches nothing is published and the sort sees
 //     every matching row; LIMIT still bounds its memory to the heap.
-//   - ORDER BY dist(p) LIMIT k with no WHERE is exactly kNN: it is
-//     served by the §3.3 region-growing searcher (planner-priced
-//     against brute force), whose leaf scans run under the same bound,
-//     instead of a catalog-wide sort. A one-point kNN batch runs as
-//     this statement, so the two share one result-cache entry. FROM
-//     reference runs it over the photo-z reference set instead.
+//   - ORDER BY dist(p) LIMIT k with no WHERE is exactly kNN: whenever
+//     a kd-tree is built, at every k, it is served by the §3.3
+//     region-growing searcher, whose leaf scans run under the same
+//     bound, instead of a catalog-wide sort; with no tree it is the
+//     ordered LIMIT above. A one-point kNN batch runs as this
+//     statement, so the two share one result-cache entry. FROM
+//     reference runs it on the searcher over the photo-z reference set,
+//     which always has a tree.
 //   - Projection is pushed to the page bytes: only the selected
 //     columns are decoded (plus, under an ordering, the magnitudes its
 //     key evaluates and the object id that breaks its ties — cleared
@@ -119,12 +121,14 @@ func (db *SpatialDB) ExecStatement(ctx context.Context, stmt colorsql.Statement,
 // execStatementUncached is the streaming execution path beneath the
 // result cache.
 func (db *SpatialDB) execStatementUncached(ctx context.Context, stmt colorsql.Statement, plan Plan) (Cursor, error) {
-	// kNN reuse (Statement.IsKNN). This path is the one exception to
-	// mid-scan cancellation: the region-growing search is not
-	// context-aware, but its I/O is bounded by the k-point
+	// kNN reuse (Statement.IsKNN) on the region-growing searcher,
+	// whenever a kd-tree is built; FROM reference always has one. This
+	// path is the one exception to mid-scan cancellation: the search is
+	// not context-aware, but its I/O is bounded by the k-point
 	// neighbourhood rather than the catalog, so the exposure a
-	// cancelled caller can leave behind is O(k), not O(N).
-	if stmt.IsKNN() {
+	// cancelled caller can leave behind is O(k), not O(N). Without a
+	// tree the statement is the ordered LIMIT below.
+	if stmt.IsKNN() && (stmt.Reference || db.KdTree() != nil) {
 		if ctx != nil {
 			if err := ctx.Err(); err != nil {
 				return nil, err
@@ -137,15 +141,7 @@ func (db *SpatialDB) execStatementUncached(ctx context.Context, stmt colorsql.St
 		return SliceCursor(recs[0], reps[0]), nil
 	}
 
-	opts := cursorOpts{cols: db.statementCols(stmt), stopAfter: -1}
-	if o := stmt.Order; stmt.Limit > 0 && o == nil {
-		opts.stopAfter = int64(stmt.Limit)
-	} else if stmt.Limit > 0 && o.Dist != nil {
-		opts.bound = table.NewDistBound(o.Dist, o.Desc)
-	} else if stmt.Limit > 0 {
-		opts.bound = table.NewKeyBound(o.Coeffs, o.K, o.Desc)
-	}
-
+	opts := db.statementOpts(stmt)
 	var cur Cursor
 	var err error
 	if stmt.HasWhere {
@@ -156,18 +152,40 @@ func (db *SpatialDB) execStatementUncached(ctx context.Context, stmt colorsql.St
 	if err != nil {
 		return nil, err
 	}
+	return rankOrLimit(stmt, opts, cur), nil
+}
 
+// statementOpts resolves a statement's decode set and pushdown: an
+// unordered LIMIT stops the scan, an ordered one bounds it by its k-th
+// key.
+func (db *SpatialDB) statementOpts(stmt colorsql.Statement) cursorOpts {
+	opts := cursorOpts{cols: db.statementCols(stmt), stopAfter: -1}
+	if o := stmt.Order; stmt.Limit > 0 && o == nil {
+		opts.stopAfter = int64(stmt.Limit)
+	} else if stmt.Limit > 0 && o.Dist != nil {
+		opts.bound = table.NewDistBound(o.Dist, o.Desc)
+	} else if stmt.Limit > 0 {
+		opts.bound = table.NewKeyBound(o.Coeffs, o.K, o.Desc)
+	}
+	return opts
+}
+
+// rankOrLimit puts a statement's ORDER BY or LIMIT over its scan,
+// opened under statementOpts: a topkCursor tightening the scan's key
+// bound, or a plain truncation.
+func rankOrLimit(stmt colorsql.Statement, opts cursorOpts, cur Cursor) Cursor {
 	if stmt.Order != nil {
 		hideID := ColumnSet(stmt.OutputColumns())&table.ColObjID == 0
 		key := orderKey(stmt.Order)
 		if b := opts.bound; b != nil {
 			key = func(r *table.Record) float64 { return b.Key(&r.Mags) }
 		}
-		cur = &topkCursor{child: cur.(rowCursor), key: key, limit: stmt.Limit, hideID: hideID, bound: opts.bound}
-	} else if stmt.Limit > 0 {
-		cur = Limit(cur, stmt.Limit)
+		return &topkCursor{child: cur.(rowCursor), key: key, limit: stmt.Limit, hideID: hideID, bound: opts.bound}
 	}
-	return cur, nil
+	if stmt.Limit > 0 {
+		return Limit(cur, stmt.Limit)
+	}
+	return cur
 }
 
 // statementCols resolves the decode set for a statement's emitted

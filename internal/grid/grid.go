@@ -101,8 +101,7 @@ type rowRange struct {
 type Index struct {
 	params Params
 	// axisProj records that the projection is the default leading-axes
-	// selection, making the grid usable as a selectivity estimator
-	// for axis-aligned query boxes.
+	// selection, the only one Persist can write.
 	axisProj bool
 	// tbl is the clustered copy ordered by (Layer, ContainedBy).
 	tbl    *table.Table
@@ -374,71 +373,6 @@ func (ix *Index) NumLayers() int { return len(ix.layers) }
 // rebuild the index over the enlarged table with identical geometry
 // (they round-trip through persistence, unlike most index params).
 func (ix *Index) Params() Params { return ix.params }
-
-// ProjDim returns the dimensionality of the visualization space the
-// grid lives in.
-func (ix *Index) ProjDim() int { return ix.params.ProjDim }
-
-// AxisProjected reports whether the grid uses the default
-// leading-axes projection. Only then can an axis-aligned box over
-// the full magnitude space be projected onto the grid, which the
-// cost-based planner's EstimateBoxMass consumer requires; a custom
-// ProjFunc (e.g. a PCA projection) returns false.
-func (ix *Index) AxisProjected() bool { return ix.axisProj }
-
-// EstimateBoxMass predicts the fraction of all rows whose projection
-// falls inside the box q, reading nothing from disk: every complete
-// layer is a uniform random subsample, so the share of a layer's
-// rows living in cells that overlap q (partial cells discounted by
-// volume overlap) is an unbiased estimate of the box's mass. Layers
-// are consulted coarse-to-fine until the enumerated cells would
-// exceed maxCells; the estimate averages the consulted layers
-// weighted by their row counts. It returns the estimated fraction
-// and the number of cells consulted (0 when q misses the domain
-// entirely, in which case the fraction is 0). The cost-based planner
-// uses this as its selectivity estimator when no kd-tree exists.
-func (ix *Index) EstimateBoxMass(q vec.Box, maxCells int) (float64, int) {
-	if maxCells <= 0 {
-		maxCells = 4096
-	}
-	var massWeighted float64
-	var weight float64
-	cellsUsed := 0
-	for l := 1; l <= len(ix.layers); l++ {
-		res := ix.layers[l-1].res
-		codes := intersectingCells(q, ix.params.Domain, res, ix.params.ProjDim)
-		if cellsUsed > 0 && cellsUsed+len(codes) > maxCells {
-			break
-		}
-		cellsUsed += len(codes)
-		var inBox float64
-		for _, code := range codes {
-			r, ok := ix.dir[cellKey{layer: l, code: code}]
-			if !ok {
-				continue
-			}
-			cb := cellBox(code, ix.params.Domain, res, ix.params.ProjDim)
-			frac := 1.0
-			if !q.ContainsBox(cb) {
-				if v := cb.Volume(); v > 0 {
-					frac = q.Intersect(cb).Volume() / v
-				}
-			}
-			inBox += float64(r.count) * frac
-		}
-		pts := float64(ix.layers[l-1].points)
-		massWeighted += inBox // already in rows of this layer
-		weight += pts
-	}
-	if weight == 0 {
-		return 0, cellsUsed
-	}
-	frac := massWeighted / weight
-	if frac > 1 {
-		frac = 1
-	}
-	return frac, cellsUsed
-}
 
 // LayerPoints returns the number of rows on the given 1-based layer.
 func (ix *Index) LayerPoints(layer int) int { return ix.layers[layer-1].points }

@@ -9,6 +9,7 @@ import (
 	"sort"
 	"testing"
 
+	"repro/internal/pagedio"
 	"repro/internal/pagestore"
 	"repro/internal/sky"
 	"repro/internal/table"
@@ -279,11 +280,10 @@ func TestBuildErrors(t *testing.T) {
 
 func TestSerializationRoundTrip(t *testing.T) {
 	tree, tb := buildFixture(t, 2000, 0)
-	var buf bytes.Buffer
-	if err := tree.Save(&buf); err != nil {
+	if err := tree.SavePaged(tb.Store(), "mag.tree"); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := Load(&buf)
+	loaded, err := LoadPaged(tb.Store(), "mag.tree")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,7 +309,22 @@ func TestSerializationRoundTrip(t *testing.T) {
 }
 
 func TestLoadRejectsGarbage(t *testing.T) {
-	if _, err := Load(bytes.NewReader([]byte("not a tree"))); err == nil {
+	s, err := pagestore.Open(t.TempDir(), 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	w, err := pagedio.Create(s, "garbage.tree")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.Write([]byte("not a tree")); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadPaged(s, "garbage.tree"); err == nil {
 		t.Error("garbage should fail to load")
 	}
 }

@@ -33,11 +33,8 @@
 //     counts; partial leaves are apportioned by the volume overlap of
 //     each clause's bounding box with the leaf's tight bounds (summed
 //     over the clauses, at most the whole leaf).
-//   - grid layers: each complete layer of the §3.1 layered grid is a
-//     uniform random subsample, so the fraction of a layer's rows in
-//     cells overlapping the query box estimates the query's mass.
 //   - geometric: the volume of the query's bounding box relative to
-//     the domain — the last resort when no index exists.
+//     the domain — the estimate when no kd-tree is built.
 //
 // Costs are denominated in sequential-page-read units, the currency
 // pagestore.Stats counts. Both polyhedron paths read one file in
@@ -51,7 +48,6 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/grid"
 	"repro/internal/kdtree"
 	"repro/internal/table"
 	"repro/internal/vec"
@@ -60,9 +56,8 @@ import (
 // Path is an executable access path for a polyhedron query.
 type Path int
 
-// Available access paths. The layered grid is an estimation source,
-// not an execution path: it answers sampling queries, not exact
-// polyhedron retrieval.
+// Available access paths. The layered grid is not one: it answers
+// sampling queries, not exact polyhedron retrieval.
 const (
 	PathFullScan Path = iota
 	// PathIndex is the index scan: the kd walk's ranges over the
@@ -101,20 +96,19 @@ type CostModel struct {
 	// PlanKNN: the expected number of leaves a kNN query examines is
 	// about KNNGrowth times the leaves needed to hold k points (the
 	// grown region spills across faces into neighbouring cells).
-	// Zero means the default.
 	KNNGrowth float64
 }
 
 // FullScanCost prices a scan of rows rows in file order: ⌈rows /
 // RecordsPerPage⌉ sequential page reads, every row decoded and tested.
-// The fullscan path, kNN brute force, admission estimates and the shard
-// coordinator all price a whole-table read with it.
+// The fullscan path, the WHERE-less statement, admission estimates and
+// the shard coordinator all price a whole-table read with it.
 func (m CostModel) FullScanCost(rows int64) float64 {
 	return pagesFor(rows)*m.SeqPage + float64(rows)*m.Row
 }
 
-// DefaultCostModel returns the constants used throughout; CPU terms
-// are small but non-zero so degenerate plans (classifying thousands
+// DefaultCostModel returns the constants every price is made of; CPU
+// terms are small but non-zero so degenerate plans (classifying thousands
 // of nodes to read ten rows) still pay.
 func DefaultCostModel() CostModel {
 	return CostModel{SeqPage: 1, RandPage: 4, Node: 0.02, Row: 0.002, KNNGrowth: 4}
@@ -128,7 +122,7 @@ type Estimate struct {
 	// Rows is Selectivity scaled to the catalog size.
 	Rows float64
 	// Method names the estimator that produced the prediction:
-	// "kdtree-walk", "grid-layers" or "bbox-volume".
+	// "kdtree-walk" or "bbox-volume".
 	Method string
 }
 
@@ -173,13 +167,11 @@ func (c Choice) BestCost() float64 { return c.Cost[c.Path] }
 // With a kd-tree, Catalog is the table clustered on its leaves (rows
 // past the tree's coverage form the unindexed tail); without one the
 // index scan degenerates to one zone-pruned filter range over the
-// catalog. The zero Model is replaced by DefaultCostModel.
+// catalog. Every price is made of DefaultCostModel's constants.
 type Planner struct {
 	Catalog *table.Table
 	Kd      *kdtree.Tree
-	Grid    *grid.Index
 	Domain  vec.Box
-	Model   CostModel
 	// MemRows is the number of memtable rows every access path must
 	// additionally merge (freshly ingested, not yet compacted into the
 	// paged tables). It is a per-row CPU surcharge common to all paths,
@@ -197,10 +189,7 @@ func (p *Planner) Plan(clauses []vec.Polyhedron) (Choice, error) {
 	if err != nil {
 		return Choice{}, err
 	}
-	m := p.Model
-	if m == (CostModel{}) {
-		m = DefaultCostModel()
-	}
+	m := DefaultCostModel()
 	n := float64(p.Catalog.NumRows())
 
 	// Every path additionally merges the memtable rows (pure CPU —
@@ -375,8 +364,7 @@ func (p *Planner) estimate(clauses []vec.Polyhedron, kdRanges []kdtree.Range, n 
 		}
 		return min(f, 1)
 	}
-	switch {
-	case p.Kd != nil:
+	if p.Kd != nil {
 		var rows float64
 		for _, r := range kdRanges {
 			if !r.Filter {
@@ -386,16 +374,6 @@ func (p *Planner) estimate(clauses []vec.Polyhedron, kdRanges []kdtree.Range, n 
 			rows += float64(r.Rows()) * mass(func(bb vec.Box) float64 { return overlapFraction(bb, r.Bounds) })
 		}
 		return mkEstimate(rows, n, "kdtree-walk")
-	case p.Grid != nil:
-		ok := true
-		frac := mass(func(bb vec.Box) float64 {
-			f, used := gridBoxMass(p.Grid, bb)
-			ok = ok && used
-			return f
-		})
-		if ok {
-			return mkEstimate(frac*n, n, "grid-layers")
-		}
 	}
 	dv := p.Domain.Volume()
 	if dv <= 0 {
@@ -431,84 +409,36 @@ func overlapFraction(bb, b vec.Box) float64 {
 	return f
 }
 
-// gridBoxMass estimates the fraction of all rows whose projection
-// falls in the (full-dimensional) box bb, by consulting the layered
-// grid's cell directory. Returns ok=false when the grid's projection
-// is not known to select the leading axes (a custom ProjFunc, e.g. a
-// PCA projection), since bb cannot then be projected onto the grid's
-// space.
-func gridBoxMass(ix *grid.Index, bb vec.Box) (float64, bool) {
-	d := ix.ProjDim()
-	if !ix.AxisProjected() || d > bb.Dim() {
-		return 0, false
-	}
-	box := vec.Box{Min: bb.Min[:d], Max: bb.Max[:d]}
-	frac, used := ix.EstimateBoxMass(box, 4096)
-	return frac, used > 0
-}
-
-// KNNChoice is the planner's verdict for a k-nearest-neighbour
-// query: region-growing through the kd-tree versus a brute-force
-// scan of the whole table. Mirroring the polyhedron planner's ~0.25
-// selectivity crossover, the index wins while the expected grown
-// region stays a small fraction of the table and loses once k
-// approaches N (the region covers most leaves, paid at scattered-
-// page prices plus per-leaf tree work).
+// KNNChoice is the planner's price for a k-nearest-neighbour query on
+// the §3.3 region-growing searcher, the engine every kNN runs on when
+// a kd-tree is built.
 type KNNChoice struct {
-	// UseIndex is true when region-growing is predicted cheaper.
-	UseIndex bool
-	// CostIndex and CostBrute are the predicted costs in sequential-
-	// page units; CostIndex is +Inf when no kd-tree is built.
-	CostIndex, CostBrute float64
-	// ExpectedLeaves is the model's leaf-examination estimate for the
-	// region-growing path (0 when no kd-tree is built).
+	// CostIndex is the search's predicted cost in sequential-page
+	// units, the pre-admission price of the query.
+	CostIndex float64
+	// ExpectedLeaves is the model's leaf-examination estimate.
 	ExpectedLeaves float64
 	// Reason is a one-line human-readable explanation, surfaced
 	// through core.Report.PlanReason.
 	Reason string
 }
 
-// BestCost returns the chosen path's predicted cost in sequential-
-// page units, the pre-admission price of the query.
-func (c KNNChoice) BestCost() float64 {
-	if c.UseIndex {
-		return c.CostIndex
-	}
-	return c.CostBrute
-}
-
-// PlanKNN prices a kNN query with neighbourhood size k against the
-// catalog. The region-growing model: a query must examine enough
-// leaves to hold k points, inflated by the KNNGrowth spill factor;
-// each examined leaf costs its pages at RandPage plus a tree descent
-// (Node per level) plus Row per point examined; each page of the
-// unindexed tail costs a zone test (Node), and those the search radius
-// reaches a read (priced as if the tail were one kd-ordered run — a
-// lower bound). Brute force pays one SeqPage per catalog page plus Row
-// per row.
+// PlanKNN prices a kNN query with neighbourhood size k on the
+// region-growing searcher over p.Kd, which must be non-nil. The model:
+// a query must examine enough leaves to hold k points, inflated by the
+// KNNGrowth spill factor; each examined leaf costs its pages at
+// RandPage plus a tree descent (Node per level) plus Row per point
+// examined; each page of the unindexed tail costs a zone test (Node),
+// and those the search radius reaches a read (priced as if the tail
+// were one kd-ordered run — a lower bound).
 func (p *Planner) PlanKNN(k int) KNNChoice {
-	m := p.Model
-	if m == (CostModel{}) {
-		m = DefaultCostModel()
-	}
-	if m.KNNGrowth <= 0 {
-		m.KNNGrowth = DefaultCostModel().KNNGrowth
-	}
-	if k < 1 {
-		k = 1
-	}
-	memCost := float64(p.MemRows) * m.Row
-	c := KNNChoice{
-		CostBrute: m.FullScanCost(int64(p.Catalog.NumRows())) + memCost,
-		CostIndex: math.Inf(1),
-	}
-	if p.Kd != nil && p.Kd.NumLeaves() > 0 && p.Kd.NumRows > 0 {
+	m := DefaultCostModel()
+	k = max(k, 1)
+	var c KNNChoice
+	if p.Kd.NumLeaves() > 0 && p.Kd.NumRows > 0 {
 		leaves := float64(p.Kd.NumLeaves())
 		rowsPerLeaf := float64(p.Kd.NumRows) / leaves
-		expLeaves := math.Ceil(m.KNNGrowth * (float64(k)/rowsPerLeaf + 1))
-		if expLeaves > leaves {
-			expLeaves = leaves
-		}
+		expLeaves := math.Min(leaves, math.Ceil(m.KNNGrowth*(float64(k)/rowsPerLeaf+1)))
 		expRows := expLeaves * rowsPerLeaf
 		// Each admitted leaf costs a root-to-leaf descent worth of
 		// node classifications in the thin-slab walk.
@@ -531,18 +461,10 @@ func (p *Planner) PlanKNN(k int) KNNChoice {
 			tailHits = math.Min(tailPages, math.Ceil(expLeaves*math.Max(1, tailPages/leaves)))
 		}
 		c.CostIndex = pagesFor(int64(expRows))*m.RandPage + nodes*m.Node + expRows*m.Row +
-			tailPages*m.Node + tailHits*(m.RandPage+table.RecordsPerPage*m.Row) + memCost
+			tailPages*m.Node + tailHits*(m.RandPage+table.RecordsPerPage*m.Row)
 	}
-	c.UseIndex = c.CostIndex < c.CostBrute
-	if c.UseIndex {
-		c.Reason = fmt.Sprintf("knn k=%d: region-grow %.1f (≈%.0f leaves) beats bruteforce %.1f",
-			k, c.CostIndex, c.ExpectedLeaves, c.CostBrute)
-	} else if math.IsInf(c.CostIndex, 1) {
-		c.Reason = fmt.Sprintf("knn k=%d: bruteforce %.1f (kd-tree n/a)", k, c.CostBrute)
-	} else {
-		c.Reason = fmt.Sprintf("knn k=%d: bruteforce %.1f beats region-grow %.1f (≈%.0f leaves)",
-			k, c.CostBrute, c.CostIndex, c.ExpectedLeaves)
-	}
+	c.CostIndex += float64(p.MemRows) * m.Row
+	c.Reason = fmt.Sprintf("knn k=%d: region-grow %.1f (≈%.0f leaves)", k, c.CostIndex, c.ExpectedLeaves)
 	return c
 }
 

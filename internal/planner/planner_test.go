@@ -1,13 +1,14 @@
 package planner
 
 import (
+	"fmt"
 	"math"
 	"os"
+	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/engine"
-	"repro/internal/grid"
 	"repro/internal/kdtree"
 	"repro/internal/pagestore"
 	"repro/internal/sky"
@@ -22,7 +23,6 @@ type world struct {
 	catalog *table.Table
 	tree    *kdtree.Tree
 	kdTable *table.Table
-	gridIx  *grid.Index
 }
 
 var (
@@ -67,11 +67,6 @@ func make20kDir() (*world, error) {
 		return nil, err
 	}
 	w.tree, w.kdTable, err = kdtree.Build(w.catalog, "mag.kd.tbl", kdtree.BuildParams{Domain: sky.Domain()})
-	if err != nil {
-		return nil, err
-	}
-	dom3 := vec.NewBox(sky.Domain().Min[:3], sky.Domain().Max[:3])
-	w.gridIx, err = grid.Build(w.catalog, "mag.grid.tbl", grid.DefaultParams(dom3, 7))
 	if err != nil {
 		return nil, err
 	}
@@ -139,30 +134,19 @@ func TestKdEstimateErrorBound(t *testing.T) {
 	}
 }
 
-// TestGridAndVolumeEstimators degrades the planner index by index
-// and checks the fallback estimators stay sane (right ballpark for a
-// mid-size box, correct method label).
-func TestGridAndVolumeEstimators(t *testing.T) {
+// TestVolumeEstimator: with no kd-tree the estimate is the query
+// box's share of the domain, and the loose heap zones leave the full
+// scan the winner.
+func TestVolumeEstimator(t *testing.T) {
 	w := sharedWorld(t)
 	q := centeredBox(w.kdTable, 3.2)
-	actual := trueSelectivity(t, w.catalog, q)
-
-	gridOnly := &Planner{Catalog: w.catalog, Grid: w.gridIx, Domain: sky.Domain()}
-	c := mustPlan(t, gridOnly, q)
-	if c.Est.Method != "grid-layers" {
-		t.Fatalf("method %q", c.Est.Method)
-	}
-	// The grid estimator sees only the 3-D projection of the box and
-	// assumes uniform mass within cells, so it is the crudest of the
-	// fallbacks; it must still land in the right ballpark.
-	if err := math.Abs(c.Est.Selectivity - actual); err > 0.35 {
-		t.Errorf("grid estimate %0.4f vs actual %0.4f (err %0.4f)", c.Est.Selectivity, actual, err)
-	}
-
 	bare := &Planner{Catalog: w.catalog, Domain: sky.Domain()}
-	c = mustPlan(t, bare, q)
+	c := mustPlan(t, bare, q)
 	if c.Est.Method != "bbox-volume" {
 		t.Fatalf("method %q", c.Est.Method)
+	}
+	if c.Est.Selectivity <= 0 || c.Est.Selectivity > 1 {
+		t.Errorf("volume estimate %v, want in (0, 1]", c.Est.Selectivity)
 	}
 	// The heap catalog's zones are loose in colour space: classifying
 	// them prunes nothing and the plain full scan must win.
@@ -191,44 +175,32 @@ func TestPlanMonotoneInSelectivity(t *testing.T) {
 	}
 }
 
-func TestPlanKNNCrossover(t *testing.T) {
+// TestPlanKNNGrowsWithK: the searcher's price grows with k, up to
+// every leaf at k = N, and names its leaf estimate.
+func TestPlanKNNGrowsWithK(t *testing.T) {
 	w := sharedWorld(t)
 	pl := &Planner{Catalog: w.kdTable, Kd: w.tree, Domain: sky.Domain()}
-
-	small := pl.PlanKNN(10)
-	if !small.UseIndex {
-		t.Errorf("k=10 over %d rows should use the index: %s", worldRows, small.Reason)
+	prev := pl.PlanKNN(1)
+	for _, k := range []int{10, 100, 1000, worldRows} {
+		c := pl.PlanKNN(k)
+		if c.CostIndex < prev.CostIndex || c.ExpectedLeaves < prev.ExpectedLeaves {
+			t.Errorf("k=%d: cost %.1f over %.0f leaves, below the smaller k's %.1f over %.0f", k, c.CostIndex, c.ExpectedLeaves, prev.CostIndex, prev.ExpectedLeaves)
+		}
+		if !strings.HasPrefix(c.Reason, fmt.Sprintf("knn k=%d: region-grow ", k)) {
+			t.Errorf("k=%d: reason %q", k, c.Reason)
+		}
+		prev = c
 	}
-	huge := pl.PlanKNN(worldRows)
-	if huge.UseIndex {
-		t.Errorf("k=N should fall back to brute force: %s", huge.Reason)
-	}
-	if small.CostIndex >= huge.CostIndex {
-		t.Errorf("index cost must grow with k: k=10 cost %.1f, k=N cost %.1f",
-			small.CostIndex, huge.CostIndex)
-	}
-	if small.Reason == "" || huge.Reason == "" {
-		t.Error("PlanKNN must explain its verdict")
-	}
-}
-
-func TestPlanKNNWithoutIndex(t *testing.T) {
-	w := sharedWorld(t)
-	pl := &Planner{Catalog: w.catalog, Domain: sky.Domain()}
-	c := pl.PlanKNN(5)
-	if c.UseIndex {
-		t.Error("no kd-tree: index path must not win")
-	}
-	if !math.IsInf(c.CostIndex, 1) {
-		t.Errorf("no kd-tree: index cost = %v, want +Inf", c.CostIndex)
+	if got, all := prev.ExpectedLeaves, float64(w.tree.NumLeaves()); got != all {
+		t.Errorf("k=N expects %v leaves, want all %v", got, all)
 	}
 }
 
 // TestPlanKNNPricesTailByZones: the unindexed tail is priced as what
 // the search does with it — a zone test per page and a read of the few
 // pages in reach — so the admission price grows with the tail but stays
-// far under a scan of it, and the index keeps winning with a tail as
-// large as the indexed prefix.
+// far under a scan of it, with a tail as large as the indexed prefix
+// too.
 func TestPlanKNNPricesTailByZones(t *testing.T) {
 	s, err := pagestore.Open(t.TempDir(), 4096)
 	if err != nil {
@@ -263,10 +235,7 @@ func TestPlanKNNPricesTailByZones(t *testing.T) {
 		c := pl.PlanKNN(10)
 		tail := float64(off + 2000)
 		if c.CostIndex <= prev.CostIndex {
-			t.Errorf("tail %v: index price %.2f did not grow from %.2f", tail, c.CostIndex, prev.CostIndex)
-		}
-		if !c.UseIndex || c.CostIndex > c.CostBrute {
-			t.Errorf("tail %v: %s", tail, c.Reason)
+			t.Errorf("tail %v: price %.2f did not grow from %.2f", tail, c.CostIndex, prev.CostIndex)
 		}
 		if scan := pagesFor(int64(tail))*m.SeqPage + tail*m.Row; c.CostIndex-base.CostIndex >= scan {
 			t.Errorf("tail %v: priced %.2f over the tail-less %.2f — a scan of the tail is %.2f", tail, c.CostIndex, base.CostIndex, scan)

@@ -326,7 +326,7 @@ func TestKnnEquivalenceDuplicateObjID(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// TestScatterDuplicateObjID's catalog: one copy next to its
+	// Two copies of catalog rows under their ObjIDs: one next to its
 	// original, one far across magnitude space.
 	near, far := recs[10], recs[20]
 	near.Mags[2] += 0.01

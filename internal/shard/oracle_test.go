@@ -936,7 +936,8 @@ func (o *oracle) dist(state string, stmt colorsql.Statement) {
 
 // knn: /knn is brute force over every row, for a lone probe (the
 // cacheable shape) and for a batch, and its page counters are its
-// stores' page touches.
+// stores' page touches. With no kd-tree each probe is its ordered
+// LIMIT, a scan whose scanned pages are those touches.
 func (o *oracle) knn(state string, probes []vec.Point, k int) {
 	want := make([][]float64, len(probes))
 	for i, p := range probes {
@@ -950,7 +951,7 @@ func (o *oracle) knn(state string, probes []vec.Point, k int) {
 			o.must(err, label)
 			for i := range got {
 				o.must(o.nearestErr(probes[at[0]+i], want[at[0]+i], got[i]), label)
-				o.checkCounters(c, label, reps[i], len(got[i]), false)
+				o.checkCounters(c, label, reps[i], len(got[i]), c.single && c.dbs[0].KdTree() == nil)
 			}
 			o.checkPages(c, label, before, reps...)
 		}
@@ -1030,7 +1031,9 @@ var skyCols = table.ColObjID | table.ColRa | table.ColDec | table.ColClass | tab
 
 // sky: a box returns the model's rows inside it as a set — on a single
 // store in table order — and a cursor closed before its first row or
-// after two returns a part of them (what a LIMIT keeps).
+// after two returns a part of them (what a LIMIT keeps). Its page
+// counters are its stores' page touches, the cell index's build by the
+// first cut of a catalog included.
 func (o *oracle) sky(state string, box table.SkyBoxPred) {
 	cols := slices.DeleteFunc(colorsql.StarColumns(), func(c colorsql.Column) bool { return c.Kind == colorsql.ColMag })
 	in := slices.DeleteFunc(slices.Clone(o.model), func(r table.Record) bool { return !box.Contains(float64(r.Ra), float64(r.Dec)) })
@@ -1043,11 +1046,13 @@ func (o *oracle) sky(state string, box table.SkyBoxPred) {
 			asks = append(asks, table.ColAll) // every column, to place each row in table order
 		}
 		for _, ask := range asks {
+			before := pageStats(c.dbs)
 			cur, err := c.b.QuerySkyBox(context.Background(), box, ask)
 			o.must(err, label)
 			recs, rep, err := core.Collect(cur)
 			o.must(err, label)
 			o.checkCounters(c, label, rep, len(recs), true)
+			o.checkPages(c, label, before, rep)
 			if got := render(cols, recs); !slices.Equal(sortedCopy(got), wantSorted) {
 				o.t.Fatalf("%s: %d rows, the model %d; or they differ", label, len(got), len(want))
 			}
@@ -1056,6 +1061,7 @@ func (o *oracle) sky(state string, box table.SkyBoxPred) {
 			}
 		}
 		for _, stop := range []int{0, 2} {
+			before := pageStats(c.dbs)
 			cur, err := c.b.QuerySkyBox(context.Background(), box, skyCols)
 			o.must(err, label)
 			var head []table.Record
@@ -1068,6 +1074,7 @@ func (o *oracle) sky(state string, box table.SkyBoxPred) {
 				o.t.Fatalf("%s: stopped after %d rows, not a part of the model's %d", label, len(head), len(want))
 			}
 			o.checkCounters(c, label+" stopped early", cur.Stats(), len(head), true)
+			o.checkPages(c, label+" stopped early", before, cur.Stats())
 		}
 	}
 }
