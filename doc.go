@@ -7,14 +7,15 @@
 // spectral similarity, basin-spanning-tree classification, outlier
 // detection), and the adaptive visualization pipeline.
 //
-// Access paths are not hard-coded: the cost-based planner of
-// internal/planner estimates each query's selectivity, prices the
-// full scan and every built index in page reads, and picks the
-// cheapest — the paper's Figure 5 trade-off made operational (measured
-// here with no crossover below 0.97 selectivity) — then executes the
-// winner on the request's own
-// goroutine, so every statement's counters are exact and repeatable;
-// requests run concurrently.
+// A WHERE runs one access path: the planner of internal/planner walks
+// the kd-tree once, estimates the query's selectivity, and prices the
+// index scan that walk yields over the leaf-clustered catalog. The
+// paper's Figure 5 trade-off does not arise here: the index scan reads
+// a subset of the full scan's pages in the same ascending order, so it
+// never reads more (Figure 5's experiment measures the two converging
+// to 1x at full selectivity, with no crossover). Every statement
+// executes on the request's own goroutine, so its counters are exact
+// and repeatable; requests run concurrently.
 //
 // Execution is streaming end to end: every path emits rows through
 // a Volcano-style pull cursor (core.Cursor) with exact per-cursor

@@ -46,9 +46,11 @@ func zoneBestKey(o *colorsql.OrderBy, z *table.PageZone) float64 {
 // whose best key is no worse than the final k-th key — the lower bound
 // of any scan that skips a page only when no row on it can win. The
 // candidate pages are those of the plan's ranges that the WHERE's own
-// zone test does not rule out (every page without a WHERE). Runs on a
-// kd-clustered store and on a tree-less one (zone pruning alone), whose
-// rows are clustered on r so that its zones can prune a WHERE.
+// zone test does not rule out (every page without a WHERE). A
+// near-total WHERE, whose candidates are every page, is bounded like
+// any other: it runs the index scan, never a scan without zones. Runs
+// on a kd-clustered store and on a tree-less one (zone pruning alone),
+// whose rows are clustered on r so that its zones can prune a WHERE.
 func TestOrderedLimitReadsOnlyWinningPages(t *testing.T) {
 	recs, err := sky.Generate(sky.DefaultParams(30000, 42))
 	if err != nil {
@@ -64,6 +66,14 @@ func TestOrderedLimitReadsOnlyWinningPages(t *testing.T) {
 		"SELECT * ORDER BY g - r LIMIT 30",
 		"SELECT * ORDER BY u - 2 * g + r DESC LIMIT 10",
 	}
+	// Near-total WHEREs: every row matches, so no zone rules a page out.
+	nearTotal := []string{
+		"SELECT * WHERE g - r > -5 ORDER BY dist(19.5, 18.6, 18.1, 17.9, 17.8) LIMIT 10",
+		"SELECT * WHERE g - r > -5 ORDER BY r LIMIT 20",
+		"SELECT * WHERE r < 40 ORDER BY g - r DESC LIMIT 50",
+		"SELECT * WHERE r < 40 ORDER BY dist(19.5, 18.6, 18.1, 17.9, 17.8) DESC LIMIT 5",
+	}
+	stmts = append(stmts, nearTotal...)
 	for _, kd := range []bool{true, false} {
 		db := openDB(t, 0)
 		if err := db.IngestRecords(recs); err != nil {
@@ -106,6 +116,9 @@ func TestOrderedLimitReadsOnlyWinningPages(t *testing.T) {
 				for pg := range db.catalog.NumPages() {
 					pages = append(pages, pg)
 				}
+			}
+			if slices.Contains(nearTotal, src) && len(pages) != db.catalog.NumPages() {
+				t.Fatalf("%s: %s: %d of %d pages are candidates; the WHERE is not near-total", name, src, len(pages), db.catalog.NumPages())
 			}
 
 			got, rep := collectStatement(t, db, src, PlanAuto)
@@ -180,8 +193,7 @@ func TestOrderedLimitTiesRankByRowID(t *testing.T) {
 	for i := 2; i < rpp; i++ {
 		recs = append(recs, row(int64(2000+i), 30, 0))
 	}
-	// Page 2: nothing that can win. Page 3: nothing the WHERE keeps,
-	// which lets the planner prefer the zone-pruned scan.
+	// Page 2: nothing that can win. Page 3: nothing the WHERE keeps.
 	for i := 0; i < rpp; i++ {
 		recs = append(recs, row(int64(3000+i), 28, 0))
 	}

@@ -15,14 +15,16 @@
 // written once: the eager Query* methods are collect-all over the same
 // cursors the server streams.
 //
-// Access paths are chosen per query by the cost-based planner
-// (internal/planner): PlanAuto walks the kd-tree once, prices the
-// index scan that walk yields against the full scan, and runs the
-// cheaper — the paper's Figure 5 observation that the index wins while
-// a query stays selective and the sequential scan above that, made
-// operational. Every statement, kNN batch and photo-z batch runs on
-// its caller's goroutine, so its counters are facts about the statement
-// and the data; concurrency comes from serving requests concurrently,
+// A WHERE runs one access path, the index scan of internal/planner:
+// PlanAuto walks the kd-tree once (zero I/O) and streams the ranges
+// that walk yields over the leaf-clustered catalog, each filter range
+// pruned page by page by its zones. The paper's Figure 5 trade-off
+// (the sequential scan winning once a query is unselective) does not
+// arise: the index scan reads a subset of the full scan's pages in the
+// same order, so a forced PlanFullScan only ever reads more. Every
+// statement, kNN batch and photo-z batch runs on its caller's
+// goroutine, so its counters are facts about the statement and the
+// data; concurrency comes from serving requests concurrently,
 // and SpatialDB is safe for any number of concurrent readers once its
 // indexes are built.
 //
@@ -76,12 +78,15 @@ type Config struct {
 // Plan selects the access path of a polyhedron query.
 type Plan int
 
-// Available query plans. PlanAuto asks the cost-based planner: it
-// walks the kd-tree (zero I/O), prices the resulting index scan and
-// the full scan in page reads, and picks the cheaper. The remaining
-// selectable plans force one path.
+// Available query plans. PlanAuto runs the index scan the planner
+// walks out of the kd-tree (zero I/O) and reports the planner's
+// estimate and price; with no tree the index scan is zone pruning
+// alone. The remaining selectable plans force one path.
 const (
 	PlanAuto Plan = iota
+	// PlanFullScan reads every page of the catalog in table order,
+	// zones unconsulted: the baseline the index scan is measured and
+	// checked against.
 	PlanFullScan
 	// PlanKdTree is the index scan: the kd walk's row ranges over the
 	// leaf-clustered table — Outside subtrees never read, Inside
@@ -154,8 +159,8 @@ type Report struct {
 	// of returned/total rows. Zero for forced plans (the planner did
 	// not run).
 	EstimatedSelectivity float64
-	// PlanReason explains the choice, e.g.
-	// "est sel 0.031 (kdtree-walk); index 58.1 beats fullscan 494.0".
+	// PlanReason explains the plan, e.g.
+	// "est sel 0.031 (kdtree-walk); index 58.1".
 	PlanReason string
 
 	// FromCache marks an answer served from the statement result

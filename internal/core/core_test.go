@@ -104,23 +104,34 @@ func TestAutoPlanSelectiveQueryUsesIndex(t *testing.T) {
 	}
 }
 
-func TestAutoPlanWideQueryUsesFullScan(t *testing.T) {
+// TestAutoPlanWideQueryUsesIndex: nearly the whole catalog matches,
+// and auto still runs the index scan — it reads a subset of the full
+// scan's pages in the same order, so it returns the forced full scan's
+// rows and reads no more pages.
+func TestAutoPlanWideQueryUsesIndex(t *testing.T) {
 	db := openDB(t, 4000)
 	if err := db.BuildKdIndex(0); err != nil {
 		t.Fatal(err)
 	}
-	// Nearly the whole catalog matches; despite the kd-tree being
-	// built, the planner must prefer the sequential scan (Figure 5's
-	// high-selectivity regime).
-	_, rep, err := db.QueryWhere("r < 29", PlanAuto)
+	got, rep, err := db.QueryWhere("r < 29", PlanAuto)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Plan != PlanFullScan {
+	if rep.Plan != PlanKdTree {
 		t.Errorf("auto plan = %v (reason %q)", rep.Plan, rep.PlanReason)
 	}
 	if rep.EstimatedSelectivity < 0.5 {
 		t.Errorf("estimated selectivity %v for a near-total query", rep.EstimatedSelectivity)
+	}
+	want, full, err := db.QueryWhere("r < 29", PlanFullScan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("auto returned %d rows, the full scan %d: the rows differ", len(got), len(want))
+	}
+	if rep.PagesScanned > full.PagesScanned {
+		t.Errorf("auto scanned %d pages, the full scan %d", rep.PagesScanned, full.PagesScanned)
 	}
 }
 
@@ -181,7 +192,7 @@ func TestAutoPlanFallsBackToScan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Plan != PlanFullScan {
+	if rep.Plan != PlanPrunedScan {
 		t.Errorf("auto plan = %v", rep.Plan)
 	}
 }

@@ -10,8 +10,9 @@ import (
 // control: every estimate is the cost-based planner's zero-I/O
 // prediction in sequential-page units, so a server under overload can
 // decide to shed an expensive query without spending anything beyond
-// the estimate itself (an in-memory index walk at worst). The same
-// numbers drive plan selection, so the shed order and the executor
+// the estimate itself (an in-memory index walk at worst). A WHERE is
+// priced as the index scan it runs — the same plan, from the same
+// cache, the executor streams — so the shed order and the executor
 // agree about what "expensive" means.
 
 // EstimateStatementCost predicts the execution cost of a parsed
@@ -45,7 +46,7 @@ func (db *SpatialDB) EstimateStatementCost(stmt colorsql.Statement) float64 {
 	if err != nil {
 		return 0
 	}
-	return boundByLimit(choice.BestCost(), choice.Est.Rows, stmt)
+	return boundByLimit(choice.Cost, choice.Est.Rows, stmt)
 }
 
 // boundByLimit scales a statement's scan cost by the fraction of the

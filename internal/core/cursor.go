@@ -142,36 +142,38 @@ func (db *SpatialDB) whereCursor(ctx context.Context, u colorsql.Union, cachePla
 }
 
 // whereCursorSnap builds the streaming plan for a WHERE's clauses
-// against an already-captured snapshot: resolve the access path (the
-// index scan's ranges come from the planner, a cached choice being
-// reused only when it was planned over the snapshot's own kd-tree),
-// open one RowStream over the ranges under one accounting scope, and
-// chain the snapshot's memtable rows after the paged rows — the same
-// physical order a compaction would produce. Every path classifies the
-// clause set as a whole (Outside every clause prunes, Inside any clause
-// streams unfiltered, the rest is filtered against the disjunction), so
-// the ranges are disjoint and ascending and each physical row is met
-// once, in table order: rows are never merged, whatever their ObjIDs.
+// against an already-captured snapshot: take the index scan's ranges
+// from the planner (a cached plan is reused only when it was planned
+// over the snapshot's own kd-tree) — or, under a forced PlanFullScan,
+// every page in table order — open one RowStream over the ranges
+// under one accounting scope, and chain the snapshot's memtable rows
+// after the paged rows — the same physical order a compaction would
+// produce. Every path classifies the clause set as a whole (Outside
+// every clause prunes, Inside any clause streams unfiltered, the rest
+// is filtered against the disjunction), so the ranges are disjoint and
+// ascending and each physical row is met once, in table order: rows
+// are never merged, whatever their ObjIDs.
 // The caller owns the snapshot's release.
 func (db *SpatialDB) whereCursorSnap(ctx context.Context, sn *dbSnap, clauses []vec.Polyhedron, plan Plan, opts cursorOpts) (Cursor, error) {
 	pred, err := table.CompilePagePred(clauses)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	pl := sn.planner()
-	resolved := plan
-	base := Report{}
-	var choice *planner.Choice
-	if plan == PlanAuto || plan == PlanKdTree {
+	var base Report
+	var tb *table.Table
+	var tasks []planner.ScanTask
+	scope := db.eng.Store().Scoped()
+	switch plan {
+	case PlanAuto, PlanKdTree:
 		if plan == PlanKdTree && sn.kd == nil {
 			return nil, fmt.Errorf("core: kd-tree index not built")
 		}
-		choice = opts.choice
+		choice := opts.choice
 		if choice == nil || choice.Tree != sn.kd {
-			// No cached verdict, or one whose ranges address another
+			// No cached plan, or one whose ranges address another
 			// clustering (an index build or full compaction swapped the
 			// tree since it was planned): plan against the snapshot.
-			ch, err := pl.Plan(clauses)
+			ch, err := sn.planner().Plan(clauses)
 			if err != nil {
 				return nil, fmt.Errorf("core: %w", err)
 			}
@@ -179,37 +181,27 @@ func (db *SpatialDB) whereCursorSnap(ctx context.Context, sn *dbSnap, clauses []
 		}
 		if plan == PlanAuto {
 			base.EstimatedSelectivity, base.PlanReason = choice.Est.Selectivity, choice.Reason
-			resolved = PlanFullScan
-			if choice.Path == planner.PathIndex {
-				resolved = PlanKdTree
-			}
 		}
-	}
-
-	var tb *table.Table
-	var tasks []planner.ScanTask
-	scope := db.eng.Store().Scoped()
-	switch resolved {
-	case PlanKdTree:
 		// The cached ranges are shared read-only. One ascending pass
 		// over one file, mostly skipped: scan-class, so it cannot evict
 		// the pool's hot set.
 		tasks, base.PagesSkipped = choice.Ranges, int64(choice.PagesPruned)
 		tb = sn.catalog.Scoped(scope).ScanClassed()
+		base.Plan = PlanKdTree
 		if sn.kd == nil {
 			// Auto on a store without a tree: the index scan is zone
 			// pruning alone, and is reported as such.
-			resolved = PlanPrunedScan
+			base.Plan = PlanPrunedScan
 		}
 	case PlanFullScan:
 		tasks = []planner.ScanTask{{Lo: 0, Hi: table.RowID(sn.catalog.NumRows()), Filter: true}}
 		// Every page, zones unconsulted; scan-class so an unselective
 		// stream does not flush the pool's hot set.
 		tb = sn.catalog.Scoped(scope).ScanClassed().WithoutZones()
+		base.Plan = PlanFullScan
 	default:
 		return nil, fmt.Errorf("core: plan %v cannot be selected for a polyhedron query", plan)
 	}
-	base.Plan = resolved
 	paged := &polyCursor{
 		stream: planner.Stream(tb, tasks, planner.StreamOpts{
 			Ctx:       ctx,

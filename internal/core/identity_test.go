@@ -157,12 +157,12 @@ func checkStreamIdentity(t *testing.T, re *SpatialDB, name string, q vec.Polyhed
 			t.Fatalf("%s: executed as %v", name, rep.Plan)
 		}
 	case indexed:
-		if rep.Plan != PlanKdTree && rep.Plan != PlanFullScan {
+		if rep.Plan != PlanKdTree {
 			t.Fatalf("%s: auto executed as %v", name, rep.Plan)
 		}
 	default:
 		// Without a tree the index scan is zone pruning alone, and says so.
-		if rep.Plan != PlanPrunedScan && rep.Plan != PlanFullScan {
+		if rep.Plan != PlanPrunedScan {
 			t.Fatalf("%s: auto without a kd-tree executed as %v", name, rep.Plan)
 		}
 	}

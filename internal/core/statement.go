@@ -34,8 +34,10 @@ import (
 //     strips undecoded (table.KeyBound; DESIGN.md "Pushdown rules").
 //     Only strictly worse keys are dropped, and rows tied on key rank
 //     by ObjID and then by their place in the physical order, so the
-//     answer is the unbounded table-order scan's. A forced full scan
-//     consults no zones and reads in table order. With no LIMIT or a
+//     answer is the unbounded table-order scan's. A WHERE always runs
+//     the index scan, so the bound prunes however unselective the
+//     WHERE; only a forced full scan consults no zones and reads in
+//     table order. With no LIMIT or a
 //     LIMIT above the matches nothing is published and the sort sees
 //     every matching row; LIMIT still bounds its memory to the heap.
 //   - ORDER BY dist(p) LIMIT k with no WHERE is exactly kNN: whenever

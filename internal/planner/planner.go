@@ -1,14 +1,12 @@
-// Package planner implements cost-based access-path selection for
-// polyhedron queries — a WHERE is a set of convex clauses, and the set
-// is the unit planned: one walk, one range list, one price however
-// many clauses — the component that turns the paper's central
-// observation into a decision procedure. Figure 5 shows that no
-// single access path wins everywhere: the index beats the full scan
-// only while the query stays selective, above which reading every
-// page sequentially is cheaper than classifying and filtering. This
-// package estimates each query's selectivity cheaply, prices the index
-// scan and the full scan in page reads, and picks the winner per
-// query.
+// Package planner plans and prices polyhedron queries — a WHERE is a
+// set of convex clauses, and the set is the unit planned: one walk, one
+// range list, one price however many clauses. The paper's Figure 5
+// trade-off (the index wins only while a query stays selective) does
+// not survive the clustering below: the index scan reads a subset of
+// the pages the full scan reads, in the same ascending order, so it
+// never reads more and there is no path to choose. A WHERE always runs
+// the index scan; this package estimates its selectivity cheaply and
+// prices it in page reads for admission control.
 //
 // There is one index scan. The catalog, clustered on the kd-tree's
 // leaves, is one file read in ascending page order — by the full scan
@@ -37,11 +35,10 @@
 //     the domain — the estimate when no kd-tree is built.
 //
 // Costs are denominated in sequential-page-read units, the currency
-// pagestore.Stats counts. Both polyhedron paths read one file in
-// ascending order, so both pay SeqPage per page they fetch, plus
-// per-node, per-zone and per-row CPU surcharges; RandPage prices only
-// the kNN region-growing search, whose visiting order is not page
-// order.
+// pagestore.Stats counts. The index scan reads one file in ascending
+// order, so it pays SeqPage per page it fetches, plus per-node,
+// per-zone and per-row CPU surcharges; RandPage prices only the kNN
+// region-growing search, whose visiting order is not page order.
 package planner
 
 import (
@@ -53,35 +50,11 @@ import (
 	"repro/internal/vec"
 )
 
-// Path is an executable access path for a polyhedron query.
-type Path int
-
-// Available access paths. The layered grid is not one: it answers
-// sampling queries, not exact polyhedron retrieval.
-const (
-	PathFullScan Path = iota
-	// PathIndex is the index scan: the kd walk's ranges over the
-	// leaf-clustered table, filter ranges zone-pruned page by page.
-	PathIndex
-	numPaths
-)
-
-// String names the path.
-func (p Path) String() string {
-	switch p {
-	case PathFullScan:
-		return "fullscan"
-	case PathIndex:
-		return "index"
-	}
-	return fmt.Sprintf("Path(%d)", int(p))
-}
-
 // CostModel holds the constants the cost formulas combine, all
 // denominated in sequential-page-read units.
 type CostModel struct {
 	// SeqPage is the cost of one page read in ascending file order:
-	// every page of a full scan, every fetched page of the index scan.
+	// every fetched page of the index scan or of a whole-table read.
 	SeqPage float64
 	// RandPage is the cost of one page read out of file order — the
 	// kNN region-growing search hops between leaves by distance, not
@@ -101,8 +74,8 @@ type CostModel struct {
 
 // FullScanCost prices a scan of rows rows in file order: ⌈rows /
 // RecordsPerPage⌉ sequential page reads, every row decoded and tested.
-// The fullscan path, the WHERE-less statement, admission estimates and
-// the shard coordinator all price a whole-table read with it.
+// The WHERE-less statement, admission estimates and the shard
+// coordinator price a whole-table read with it.
 func (m CostModel) FullScanCost(rows int64) float64 {
 	return pagesFor(rows)*m.SeqPage + float64(rows)*m.Row
 }
@@ -126,14 +99,14 @@ type Estimate struct {
 	Method string
 }
 
-// Choice is the planner's verdict for one query: all the clauses of
-// its WHERE together.
+// Choice is the planner's plan for one query: all the clauses of its
+// WHERE together.
 type Choice struct {
-	Path Path
-	Est  Estimate
-	// Cost holds the predicted cost per path in sequential-page
-	// units.
-	Cost [numPaths]float64
+	Est Estimate
+	// Cost is the index scan's predicted cost in sequential-page units
+	// — the number admission control compares against its degradation
+	// threshold before any execution happens.
+	Cost float64
 	// Reason is a one-line human-readable explanation, surfaced
 	// through core.Report.PlanReason.
 	Reason string
@@ -142,10 +115,10 @@ type Choice struct {
 	// cached Choice may only run against a snapshot holding the same
 	// tree.
 	Tree *kdtree.Tree
-	// Ranges is the index scan, priced and ready to run whichever path
-	// won: ascending, non-overlapping, page-aligned, adjacent ranges of
-	// one kind coalesced. Filter ranges none of whose pages can hold a
-	// match are already dropped, so an empty slice proves the paged
+	// Ranges is the index scan, priced and ready to run: ascending,
+	// non-overlapping, page-aligned, adjacent ranges of one kind
+	// coalesced. Filter ranges none of whose pages can hold a match are
+	// already dropped, so an empty slice proves the paged
 	// answer empty without a read.
 	Ranges []ScanTask
 	// NodesVisited and ZonesClassified count the classification work
@@ -158,11 +131,6 @@ type Choice struct {
 	PagesPruned int
 }
 
-// BestCost returns the chosen path's predicted cost in sequential-
-// page units — the number admission control compares against its
-// degradation threshold before any execution happens.
-func (c Choice) BestCost() float64 { return c.Cost[c.Path] }
-
 // Planner prices polyhedron queries against the indexes it is given.
 // With a kd-tree, Catalog is the table clustered on its leaves (rows
 // past the tree's coverage form the unindexed tail); without one the
@@ -172,35 +140,25 @@ type Planner struct {
 	Catalog *table.Table
 	Kd      *kdtree.Tree
 	Domain  vec.Box
-	// MemRows is the number of memtable rows every access path must
+	// MemRows is the number of memtable rows every scan must
 	// additionally merge (freshly ingested, not yet compacted into the
-	// paged tables). It is a per-row CPU surcharge common to all paths,
-	// so it never flips the argmin but keeps BestCost honest for
-	// admission control under ingest.
+	// paged tables): a per-row CPU surcharge that keeps the price
+	// honest for admission control under ingest.
 	MemRows int64
 }
 
 // Plan estimates the selectivity of a WHERE — its DNF clauses; a convex
-// query is a set of one — builds and prices the index scan, prices the
-// full scan, and returns the cheaper. Catalog must be non-nil. The only
-// error is a plane of the wrong dimension.
+// query is a set of one — and builds and prices its index scan. Catalog
+// must be non-nil. The only error is a plane of the wrong dimension.
 func (p *Planner) Plan(clauses []vec.Polyhedron) (Choice, error) {
 	pred, err := table.CompilePagePred(clauses)
 	if err != nil {
 		return Choice{}, err
 	}
 	m := DefaultCostModel()
-	n := float64(p.Catalog.NumRows())
-
-	// Every path additionally merges the memtable rows (pure CPU —
-	// they are already in memory). Common to all paths, so it never
-	// flips the choice, but BestCost stays honest under ingest.
-	memCost := float64(p.MemRows) * m.Row
-
 	c := Choice{Tree: p.Kd}
-	c.Cost[PathFullScan] = m.FullScanCost(int64(p.Catalog.NumRows())) + memCost
 
-	// Index scan: one walk classifies the tree, then the ranges fold
+	// One walk classifies the tree, then the ranges fold
 	// into page-aligned tasks. Rows past the tree's coverage — the
 	// tail minor compactions appended, or the whole table when no tree
 	// is built — are one more filter range.
@@ -221,14 +179,12 @@ func (p *Planner) Plan(clauses []vec.Polyhedron) (Choice, error) {
 	b.flushSpan()
 	c.Ranges, c.ZonesClassified = b.tasks, b.classified
 	c.PagesPruned = p.Catalog.NumPages() - b.spanned
-	c.Cost[PathIndex] = float64(b.fetched)*m.SeqPage + float64(c.NodesVisited+b.classified)*m.Node +
-		float64(b.fetchedRows)*m.Row + memCost
+	// The memtable rows are merged too: pure CPU, they are in memory.
+	c.Cost = float64(b.fetched)*m.SeqPage + float64(c.NodesVisited+b.classified)*m.Node +
+		float64(b.fetchedRows)*m.Row + float64(p.MemRows)*m.Row
 
-	c.Est = p.estimate(clauses, kdRanges, n)
-	if c.Cost[PathIndex] < c.Cost[PathFullScan] {
-		c.Path = PathIndex
-	}
-	c.Reason = reason(c)
+	c.Est = p.estimate(clauses, kdRanges, float64(p.Catalog.NumRows()))
+	c.Reason = fmt.Sprintf("est sel %.3f (%s); index %.1f", c.Est.Selectivity, c.Est.Method, c.Cost)
 	return c, nil
 }
 
@@ -474,15 +430,4 @@ func pagesFor(rows int64) float64 {
 		return 0
 	}
 	return math.Ceil(float64(rows) / float64(table.RecordsPerPage))
-}
-
-// reason renders the verdict as one line, e.g.
-// "est sel 0.031 (kdtree-walk); index 58.1 beats fullscan 494.0".
-func reason(c Choice) string {
-	loser := PathFullScan
-	if c.Path == PathFullScan {
-		loser = PathIndex
-	}
-	return fmt.Sprintf("est sel %.3f (%s); %s %.1f beats %s %.1f",
-		c.Est.Selectivity, c.Est.Method, c.Path, c.Cost[c.Path], loser, c.Cost[loser])
 }

@@ -710,16 +710,16 @@ func (o *oracle) exec(c *oracleConfig, label string, stmt colorsql.Statement, pl
 }
 
 // ranAs reports whether a WHERE asked for plan may have run as got: a
-// forced plan as itself, auto as the index scan or the full scan —
-// without a tree the index scan is zone pruning alone, and says so.
+// forced plan as itself, auto as the index scan — without a tree the
+// index scan is zone pruning alone, and says so.
 func ranAs(plan, got core.Plan, tree bool) bool {
 	switch {
 	case plan != core.PlanAuto:
 		return got == plan
 	case tree:
-		return got == core.PlanKdTree || got == core.PlanFullScan
+		return got == core.PlanKdTree
 	default:
-		return got == core.PlanPrunedScan || got == core.PlanFullScan
+		return got == core.PlanPrunedScan
 	}
 }
 

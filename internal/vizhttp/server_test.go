@@ -51,7 +51,7 @@ func TestHandleQuery(t *testing.T) {
 	if err := json.Unmarshal(w.Body.Bytes(), &out); err != nil {
 		t.Fatal(err)
 	}
-	if out.Plan != "kdtree" && out.Plan != "fullscan" {
+	if out.Plan != "kdtree" {
 		t.Errorf("plan = %q", out.Plan)
 	}
 	if out.PlanReason == "" {
