@@ -20,6 +20,7 @@
 package repro
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"os"
@@ -29,6 +30,7 @@ import (
 
 	"repro/internal/bst"
 	"repro/internal/colorsql"
+	"repro/internal/core"
 	"repro/internal/delaunay"
 	"repro/internal/engine"
 	"repro/internal/grid"
@@ -713,25 +715,41 @@ func BenchmarkVectorCodec(b *testing.B) {
 	}
 }
 
-// --- batched kNN / photo-z serving engine ------------------------------
+// --- kNN serving ------------------------------------------------------
 
-// BenchmarkKnnBatch compares a loop over Search against SearchBatch:
-// the batch's reusable scratch and seed-leaf locality ordering should
-// make it the faster of the two.
+// BenchmarkKnnBatch runs 256 k = 10 probes on a 50 000-row kd store two
+// ways: a loop over the §3.3 region-growing searcher (knn.Searcher),
+// and core.NearestNeighborsBatch — every probe its statement ORDER BY
+// dist(p) LIMIT k, walked best kd node first — which serves /knn.
 func BenchmarkKnnBatch(b *testing.B) {
-	f := sharedFixture(b)
+	db, err := core.Open(core.Config{Dir: b.TempDir()})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer db.Close()
+	if err := db.IngestSynthetic(sky.DefaultParams(benchRows, 42)); err != nil {
+		b.Fatal(err)
+	}
+	if err := db.BuildKdIndex(0); err != nil {
+		b.Fatal(err)
+	}
+	catalog, err := db.Catalog()
+	if err != nil {
+		b.Fatal(err)
+	}
+	searcher := knn.NewSearcher(db.KdTree(), catalog)
 	rng := rand.New(rand.NewSource(17))
 	const batch = 256
 	queries := make([]vec.Point, batch)
 	for i := range queries {
 		var rec table.Record
-		f.kdTable.Get(table.RowID(rng.Intn(int(f.kdTable.NumRows()))), &rec)
+		catalog.Get(table.RowID(rng.Intn(int(catalog.NumRows()))), &rec)
 		queries[i] = rec.Point()
 	}
-	b.Run("search", func(b *testing.B) {
+	b.Run("searcher", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for _, q := range queries {
-				if _, _, err := f.searcher.Search(q, 10); err != nil {
+				if _, _, err := searcher.Search(q, 10); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -740,7 +758,7 @@ func BenchmarkKnnBatch(b *testing.B) {
 	})
 	b.Run("batch", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, _, err := f.searcher.SearchBatch(queries, 10); err != nil {
+			if _, _, err := db.NearestNeighborsBatch(context.Background(), queries, 10); err != nil {
 				b.Fatal(err)
 			}
 		}

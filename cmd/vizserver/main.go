@@ -12,9 +12,10 @@
 // scan mid-flight through the request context.
 //
 // The /knn and /photoz endpoints serve the §3.3 and §4.1
-// applications from the batched kNN engine: a POST /knn body carries
-// many query points at once, run in seed-leaf order on one reused
-// scratch with per-query exact page accounting.
+// applications: a POST /knn body carries many query points at once,
+// each run as its statement ORDER BY dist(p) LIMIT k with exact
+// per-query page accounting, and a /photoz probe is its reference kNN
+// statement plus a local fit.
 //
 // The handlers live in internal/vizhttp, wired through per-endpoint
 // QoS admission control: a bounded concurrent-query semaphore with a

@@ -2,6 +2,8 @@ package core
 
 import (
 	"context"
+	"fmt"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -85,46 +87,6 @@ func bruteDists(t *testing.T, db *SpatialDB, p vec.Point, k int, mem []table.Rec
 	return out[:min(k, len(out))]
 }
 
-// TestKNNWithTreeRunsOnSearcher: with a kd-tree a kNN runs on the
-// region-growing searcher at every k — k = N included — through the
-// single probe, a one-point batch and its statement alike.
-func TestKNNWithTreeRunsOnSearcher(t *testing.T) {
-	db := openDB(t, 2000)
-	if err := db.BuildKdIndex(0); err != nil {
-		t.Fatal(err)
-	}
-	p := sky.GalaxyColors(0.2, 18)
-	want := bruteDists(t, db, p, 2000, nil)
-	check := func(path string, recs []table.Record, rep Report) {
-		t.Helper()
-		if rep.Plan != PlanKdTree || rep.LeavesExamined == 0 {
-			t.Errorf("%s: plan %v, %d leaves (%s); want the searcher", path, rep.Plan, rep.LeavesExamined, rep.PlanReason)
-		}
-		if got := distSeq(p, recs); !slices.Equal(got, want) {
-			t.Errorf("%s: %d neighbours, not brute force's %d distances", path, len(got), len(want))
-		}
-	}
-	recs, rep, err := db.NearestNeighbors(p, 2000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	check("NearestNeighbors", recs, rep)
-	batch, reports, err := db.NearestNeighborsBatch(context.Background(), []vec.Point{p}, 2000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	check("one-point batch", batch[0], reports[0])
-	cur, err := db.ExecStatement(context.Background(), knnStatement(p, 2000), PlanAuto)
-	if err != nil {
-		t.Fatal(err)
-	}
-	recs, rep, err = Collect(cur)
-	if err != nil {
-		t.Fatal(err)
-	}
-	check("statement", recs, rep)
-}
-
 func TestEstimateRedshiftBatchMatchesSerial(t *testing.T) {
 	db := openDB(t, 6000)
 	if err := db.BuildPhotoZ(16, 1); err != nil {
@@ -156,74 +118,105 @@ func TestEstimateRedshiftBatchMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestKNNWithoutTreeIsOrderedLimit: with no kd-tree a kNN is the
-// WHERE-less ORDER BY dist(p) LIMIT k — the memtable included, pages
-// accounted like any scan — through a one-point and a two-point batch
-// and the statement, and it is priced as that statement. The photo-z
-// price is the reference searcher's at every k.
-func TestKNNWithoutTreeIsOrderedLimit(t *testing.T) {
-	db := openDB(t, 1500)
-	cat, _ := db.Catalog()
-	var rec table.Record
-	if err := cat.Get(42, &rec); err != nil {
-		t.Fatal(err)
-	}
-	fresh := rec
-	fresh.ObjID, fresh.Mags[0] = 9_000_000, fresh.Mags[0]+0.01
-	if _, err := db.Insert([]table.Record{fresh}); err != nil {
-		t.Fatal(err)
-	}
-	p, q := rec.Point(), sky.GalaxyColors(0.2, 18)
-	const k = 5
-	check := func(path string, pt vec.Point, recs []table.Record, rep Report) {
-		t.Helper()
-		if got, want := distSeq(pt, recs), bruteDists(t, db, pt, k, []table.Record{fresh}); !slices.Equal(got, want) {
-			t.Errorf("%s: distances %v, brute force over catalog and memtable %v", path, got, want)
+// TestKNNIsItsStatement: a kNN is the statement SELECT * ORDER BY
+// dist(p) LIMIT k, on a kd store — walked best node first — and on a
+// tree-less one, with a memtable row beside the pages: the single probe
+// and a one- and a two-point batch return the statement's rows and
+// Report (the pool's disk/cache split aside), and the rows are brute
+// force's distances, at k = N + 1 too. On the tree-less store the kNN is
+// priced as the WHERE-less statement; the photo-z price is the
+// reference's PlanKNN at every k.
+func TestKNNIsItsStatement(t *testing.T) {
+	for _, kd := range []bool{true, false} {
+		db := openDB(t, 1500)
+		if kd {
+			if err := db.BuildKdIndex(0); err != nil {
+				t.Fatal(err)
+			}
 		}
-		if rep.PagesScanned == 0 || rep.PagesScanned != rep.DiskReads+rep.CacheHits {
-			t.Errorf("%s: pagesScanned %d, diskReads %d + cacheHits %d", path, rep.PagesScanned, rep.DiskReads, rep.CacheHits)
-		}
-	}
-	one, reports, err := db.NearestNeighborsBatch(context.Background(), []vec.Point{p}, k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	check("one-point batch", p, one[0], reports[0])
-	if one[0][1].ObjID != fresh.ObjID {
-		t.Errorf("the memtable row is not the second neighbour of its twin: %v", one[0][1].ObjID)
-	}
-	two, reports, err := db.NearestNeighborsBatch(context.Background(), []vec.Point{q, p}, k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	check("two-point batch[0]", q, two[0], reports[0])
-	check("two-point batch[1]", p, two[1], reports[1])
-	stmt := knnStatement(q, k)
-	cur, err := db.ExecStatement(context.Background(), stmt, PlanAuto)
-	if err != nil {
-		t.Fatal(err)
-	}
-	recs, rep, err := Collect(cur)
-	if err != nil {
-		t.Fatal(err)
-	}
-	check("statement", q, recs, rep)
-
-	whereless := db.EstimateStatementCost(colorsql.Statement{Star: true, Order: &colorsql.OrderBy{Coeffs: []float64{1, 0, 0, 0, 0}}, Limit: k})
-	if got := db.EstimateKNNCost(k, 1); got != whereless || got <= 0 {
-		t.Errorf("kNN priced %v, the WHERE-less statement %v", got, whereless)
-	}
-	if got := db.EstimateStatementCost(stmt); got != whereless {
-		t.Errorf("kNN statement priced %v, the WHERE-less statement %v", got, whereless)
-	}
-	for _, k := range []int{1, 8, 200, 1500} {
-		if err := db.BuildPhotoZ(k, 1); err != nil {
+		cat, _ := db.Catalog()
+		var rec table.Record
+		if err := cat.Get(42, &rec); err != nil {
 			t.Fatal(err)
 		}
-		s := db.photoZ.Searcher()
-		pl := &planner.Planner{Catalog: s.Tb, Kd: s.Tree, Domain: db.domain}
-		if got, want := db.EstimatePhotoZCost(3), 3*pl.PlanKNN(k).CostIndex; got != want {
-			t.Errorf("photo-z k=%d priced %v, the searcher %v", k, got, want)
+		fresh := rec
+		fresh.ObjID, fresh.Mags[0] = 9_000_000, fresh.Mags[0]+0.01
+		if _, err := db.Insert([]table.Record{fresh}); err != nil {
+			t.Fatal(err)
+		}
+		p, q := rec.Point(), sky.GalaxyColors(0.2, 18)
+		for _, k := range []int{1, 5, 1501} {
+			name := fmt.Sprintf("kd=%v k=%d", kd, k)
+			statement := func(pt vec.Point) ([]table.Record, Report) {
+				cur, err := db.ExecStatement(context.Background(), knnStatement(pt, k), PlanAuto)
+				if err != nil {
+					t.Fatal(err)
+				}
+				recs, rep, err := Collect(cur)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return recs, rep
+			}
+			check := func(path string, pt vec.Point, recs []table.Record, rep Report) {
+				t.Helper()
+				want, wantRep := statement(pt)
+				if !reflect.DeepEqual(recs, want) {
+					t.Errorf("%s: %s: %d rows, not the statement's %d", name, path, len(recs), len(want))
+				}
+				if rep.PagesScanned != rep.DiskReads+rep.CacheHits {
+					t.Errorf("%s: %s: pagesScanned %d, diskReads %d + cacheHits %d", name, path, rep.PagesScanned, rep.DiskReads, rep.CacheHits)
+				}
+				rep.DiskReads, rep.CacheHits, wantRep.DiskReads, wantRep.CacheHits = 0, 0, 0, 0
+				if rep != wantRep {
+					t.Errorf("%s: %s: report %+v, the statement's %+v", name, path, rep, wantRep)
+				}
+				if got, want := distSeq(pt, recs), bruteDists(t, db, pt, k, []table.Record{fresh}); !slices.Equal(got, want) {
+					t.Errorf("%s: %s: distances %v, brute force over catalog and memtable %v", name, path, got, want)
+				}
+				if wantPlan := map[bool]Plan{true: PlanKdTree, false: PlanFullScan}[kd]; rep.Plan != wantPlan || (rep.LeavesExamined > 0) != kd {
+					t.Errorf("%s: %s: plan %v over %d leaves (%s)", name, path, rep.Plan, rep.LeavesExamined, rep.PlanReason)
+				}
+			}
+			recs, rep, err := db.NearestNeighbors(p, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check("NearestNeighbors", p, recs, rep)
+			if k > 1 && recs[1].ObjID != fresh.ObjID {
+				t.Errorf("%s: the memtable row is not the second neighbour of its twin: %v", name, recs[1].ObjID)
+			}
+			one, reports, err := db.NearestNeighborsBatch(context.Background(), []vec.Point{p}, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check("one-point batch", p, one[0], reports[0])
+			two, reports, err := db.NearestNeighborsBatch(context.Background(), []vec.Point{q, p}, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check("two-point batch[0]", q, two[0], reports[0])
+			check("two-point batch[1]", p, two[1], reports[1])
+		}
+		if kd {
+			continue
+		}
+		const k = 5
+		whereless := db.EstimateStatementCost(colorsql.Statement{Star: true, Order: &colorsql.OrderBy{Coeffs: []float64{1, 0, 0, 0, 0}}, Limit: k})
+		if got := db.EstimateKNNCost(k, 1); got != whereless || got <= 0 {
+			t.Errorf("kNN priced %v, the WHERE-less statement %v", got, whereless)
+		}
+		if got := db.EstimateStatementCost(knnStatement(q, k)); got != whereless {
+			t.Errorf("kNN statement priced %v, the WHERE-less statement %v", got, whereless)
+		}
+		for _, k := range []int{1, 8, 200, 1500} {
+			if err := db.BuildPhotoZ(k, 1); err != nil {
+				t.Fatal(err)
+			}
+			pl := &planner.Planner{Catalog: db.photoZ.Table, Kd: db.photoZ.Tree, Domain: db.domain}
+			if got, want := db.EstimatePhotoZCost(3), 3*pl.PlanKNN(k).CostIndex; got != want {
+				t.Errorf("photo-z k=%d priced %v, the reference's PlanKNN %v", k, got, want)
+			}
 		}
 	}
 }

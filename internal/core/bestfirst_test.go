@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/colorsql"
+	"repro/internal/planner"
 	"repro/internal/sky"
 	"repro/internal/table"
 	"repro/internal/vec"
@@ -41,16 +42,20 @@ func zoneBestKey(o *colorsql.OrderBy, z *table.PageZone) float64 {
 }
 
 // TestOrderedLimitReadsOnlyWinningPages: an ordered LIMIT visits its
-// candidate pages best zone key first and stops at the first that
-// cannot beat the k-th key, so it reads exactly the candidate pages
-// whose best key is no worse than the final k-th key — the lower bound
-// of any scan that skips a page only when no row on it can win. The
-// candidate pages are those of the plan's ranges that the WHERE's own
-// zone test does not rule out (every page without a WHERE). A
-// near-total WHERE, whose candidates are every page, is bounded like
-// any other: it runs the index scan, never a scan without zones. Runs
-// on a kd-clustered store and on a tree-less one (zone pruning alone),
-// whose rows are clustered on r so that its zones can prune a WHERE.
+// candidate pages best key first and stops at the first that cannot
+// beat the k-th key τ. The candidate pages are those of the plan's
+// ranges that the WHERE's own zone test does not rule out (every page
+// without a WHERE). On a tree-less store, whose rows are clustered on r
+// so that its zones can prune a WHERE, every page is keyed up front: the
+// scan reads exactly the candidate pages whose zone's best key is no
+// worse than τ — the lower bound of any scan that skips a page only when
+// no row on it can win. On a kd store the pages are found by walking the
+// tree best node first: it expands exactly the leaves meeting the ranges
+// whose tight bounds' best key is no worse than τ, and reads exactly the
+// candidate pages of those leaves whose zone's best key is — never more
+// than the tree-less scan. A near-total WHERE, whose candidates are
+// every page, is bounded like any other: it runs the index scan, never
+// a scan without zones. WHERE-less kNNs run at k up to 1 000.
 func TestOrderedLimitReadsOnlyWinningPages(t *testing.T) {
 	recs, err := sky.Generate(sky.DefaultParams(30000, 42))
 	if err != nil {
@@ -65,6 +70,9 @@ func TestOrderedLimitReadsOnlyWinningPages(t *testing.T) {
 		"SELECT * WHERE " + cut + " ORDER BY dist(19.5, 18.6, 18.1, 17.9, 17.8) DESC LIMIT 5",
 		"SELECT * ORDER BY g - r LIMIT 30",
 		"SELECT * ORDER BY u - 2 * g + r DESC LIMIT 10",
+		"SELECT * ORDER BY dist(19.5, 18.6, 18.1, 17.9, 17.8) LIMIT 1",
+		"SELECT * ORDER BY dist(19.5, 18.6, 18.1, 17.9, 17.8) LIMIT 10",
+		"SELECT * ORDER BY dist(18.2, 17.1, 16.6, 16.4, 16.3) LIMIT 1000",
 	}
 	// Near-total WHEREs: every row matches, so no zone rules a page out.
 	nearTotal := []string{
@@ -92,6 +100,7 @@ func TestOrderedLimitReadsOnlyWinningPages(t *testing.T) {
 			// The pages the statement may read: the plan's ranges less the
 			// pages the WHERE's zone test skips, or every page.
 			var pages []int
+			ranges := []planner.ScanTask{{Lo: 0, Hi: table.RowID(db.catalog.NumRows())}}
 			if stmt.HasWhere {
 				pl, err := db.Planner()
 				if err != nil {
@@ -105,6 +114,7 @@ func TestOrderedLimitReadsOnlyWinningPages(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				ranges = choice.Ranges
 				for _, r := range choice.Ranges {
 					for pg := int(r.Lo / table.RecordsPerPage); pg < int((r.Hi+table.RecordsPerPage-1)/table.RecordsPerPage); pg++ {
 						if z, _ := zones.Page(pg); !r.Filter || pred.Classify(&z) != vec.Outside {
@@ -144,9 +154,32 @@ func TestOrderedLimitReadsOnlyWinningPages(t *testing.T) {
 					winning++
 				}
 			}
-			if rep.PagesScanned != int64(winning) {
-				t.Errorf("%s: %s scanned %d pages; %d of its %d candidate pages can hold a row keying ≤ the k-th key %v",
-					name, src, rep.PagesScanned, winning, len(pages), tau)
+			wantPages, leaves := winning, 0
+			if kd {
+				// The leaves the walk must expand, and of the pages they
+				// touch, the candidates keying no worse than τ.
+				touched := map[int]bool{}
+				for _, ni := range db.kd.LeafNodes {
+					n := &db.kd.Nodes[ni]
+					meets := slices.ContainsFunc(ranges, func(r planner.ScanTask) bool { return r.Lo < n.RowHi && n.RowLo < r.Hi })
+					if !meets || bound.BoxBest(n.Bounds) > tau {
+						continue
+					}
+					leaves++
+					for pg := int(n.RowLo / table.RecordsPerPage); pg <= int((n.RowHi-1)/table.RecordsPerPage); pg++ {
+						touched[pg] = true
+					}
+				}
+				wantPages = 0
+				for _, pg := range pages {
+					if z, _ := zones.Page(pg); touched[pg] && zoneBestKey(o, &z) <= tau {
+						wantPages++
+					}
+				}
+			}
+			if rep.PagesScanned != int64(wantPages) || rep.LeavesExamined != int64(leaves) {
+				t.Errorf("%s: %s scanned %d pages over %d leaves; want %d pages over %d leaves (%d of its %d candidate pages can hold a row keying ≤ the k-th key %v)",
+					name, src, rep.PagesScanned, rep.LeavesExamined, wantPages, leaves, winning, len(pages), tau)
 			}
 			if winning*2 > len(pages) {
 				t.Errorf("%s: %s: %d of %d candidate pages can win; the case does not exercise the bound", name, src, winning, len(pages))

@@ -35,9 +35,9 @@ import (
 // publication, so a page's zone always covers every row on it; on a
 // kd-ordered run those zones come out tight, and both readers of the
 // tail prune by them: the index scan classifies each tail page's zone
-// like a leaf's (kd range collection), and the kNN search, once its
-// region-grow halts, reads a tail page only if its zone lies within
-// the current k-th distance (knn.Searcher). The grid's clustered copy
+// like a leaf's (kd range collection), and an ordered LIMIT — a kNN
+// included — reads a tail page only if its zone's best key is within
+// the current k-th key (planner.Stream). The grid's clustered copy
 // is not appended to: it samples the rows it was built over until the
 // next full compaction rebuilds it from the catalog (documented bounded
 // staleness).
@@ -122,8 +122,7 @@ func (db *SpatialDB) compactLocked() error {
 		return err
 	}
 	if tg.photoZ != nil {
-		s := tg.photoZ.Searcher()
-		if err := stage("reference table", s.Tb, s.Tree, true); err != nil {
+		if err := stage("reference table", tg.photoZ.Table, tg.photoZ.Tree, true); err != nil {
 			return err
 		}
 	}
@@ -307,7 +306,7 @@ func (db *SpatialDB) rebuildLocked(spec rebuildSpec) error {
 		db.grid = ix
 	}
 	if pz != nil {
-		db.eng.SetTable(refKdTableName, pz.Searcher().Tb, engine.ClusteredKdLeaf)
+		db.eng.SetTable(refKdTableName, pz.Table, engine.ClusteredKdLeaf)
 		setArtifact(photozMetaFile)
 		setArtifact(photozTreeFile)
 		db.photoZ = pz

@@ -33,11 +33,9 @@
 package core
 
 import (
-	"cmp"
 	"context"
 	"errors"
 	"fmt"
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -45,7 +43,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/grid"
 	"repro/internal/kdtree"
-	"repro/internal/knn"
 	"repro/internal/memtable"
 	"repro/internal/pagestore"
 	"repro/internal/photoz"
@@ -91,8 +88,9 @@ const (
 	// PlanKdTree is the index scan: the kd walk's row ranges over the
 	// leaf-clustered table — Outside subtrees never read, Inside
 	// subtrees streamed unfiltered, partial leaves and the unindexed
-	// tail filtered behind their page zones. It also labels the kNN
-	// region-growing search.
+	// tail filtered behind their page zones. It also labels an ordered
+	// LIMIT with no WHERE that walks the tree best node first — every
+	// kNN on a kd store — and FROM reference.
 	PlanKdTree
 	// 3 was the forced Voronoi cell scan. The number stays retired so
 	// the plans after it keep the values the shard wire carries.
@@ -136,9 +134,9 @@ type Report struct {
 	// PagesSkipped counts pages proven to hold no row of the answer and
 	// never read: pages under kd subtrees the walk classified Outside,
 	// pages of filter ranges whose own zone is Outside, and — under an
-	// ordered LIMIT, which visits pages best zone key first and stops at
-	// the first whose best key ranks strictly after the k-th key — that
-	// page and every page not yet visited. PagesScanned counts the page fetches of a
+	// ordered LIMIT, which visits pages best key first and stops at the
+	// first page or kd node whose best key ranks strictly after the k-th
+	// key — every candidate page not yet visited. PagesScanned counts the page fetches of a
 	// polyhedron or sky-box scan — it equals DiskReads + CacheHits;
 	// RowsExamined (above) the in-range rows of those fetched pages,
 	// tested or not; StripsDecoded the per-column magnitude strips its
@@ -147,8 +145,9 @@ type Report struct {
 	PagesScanned  int64
 	StripsDecoded int64
 
-	// LeavesExamined counts kd-tree leaves scanned by the §3.3
-	// region-growing kNN (zero for polyhedron queries).
+	// LeavesExamined counts the kd-tree leaves an ordered LIMIT's walk
+	// expanded — a kNN's, best node first (zero for scans run in range
+	// order).
 	LeavesExamined int64
 	// FitFallbacks counts photo-z estimates whose local polynomial
 	// fit degenerated and fell back to the neighbour mean (zero for
@@ -450,10 +449,10 @@ func (db *SpatialDB) EstimateRedshift(mags vec.Point) (float64, error) {
 	return zs[0], nil
 }
 
-// EstimateRedshiftBatch estimates many objects on the batched kNN
-// engine and reports the batch's exact aggregate cost, including how
-// many local polynomial fits degenerated to the neighbour-mean
-// fallback. The batch stops between objects once ctx is done and
+// EstimateRedshiftBatch estimates many objects, each its reference
+// kNN statement plus a local fit, and reports the batch's exact
+// aggregate cost, including how many local polynomial fits degenerated
+// to the neighbour-mean fallback. A done ctx stops the batch and
 // returns its error.
 func (db *SpatialDB) EstimateRedshiftBatch(ctx context.Context, mags []vec.Point) ([]float64, Report, error) {
 	// Small interactive batches cache like point probes; bulk
@@ -467,10 +466,10 @@ func (db *SpatialDB) EstimateRedshiftBatch(ctx context.Context, mags []vec.Point
 	return db.estimateRedshiftBatchUncached(ctx, mags)
 }
 
-// estimateRedshiftBatchUncached is the §4.1 estimator over the one kNN
-// batch driver: each probe's K nearest reference rows, fitted as soon
-// as they are found, so one neighbour set is live at a time however
-// large the batch.
+// estimateRedshiftBatchUncached is the §4.1 estimator: each probe's
+// reference statement — its K nearest reference rows, nearest first —
+// then the local fit, so one neighbour set is live at a time however
+// large the batch. A done ctx stops the batch mid-statement.
 func (db *SpatialDB) estimateRedshiftBatchUncached(ctx context.Context, mags []vec.Point) ([]float64, Report, error) {
 	sn, err := db.snapshot()
 	if err != nil {
@@ -481,23 +480,28 @@ func (db *SpatialDB) estimateRedshiftBatchUncached(ctx context.Context, mags []v
 	if est == nil {
 		return nil, Report{}, errNoPhotoZ
 	}
+	if err := checkProbes(mags, est.K); err != nil {
+		return nil, Report{}, err
+	}
 	zs := make([]float64, len(mags))
 	rep := Report{
 		Plan:         PlanKdTree,
 		RowsReturned: int64(len(mags)),
-		PlanReason:   fmt.Sprintf("photoz batch: %d queries over kNN batch engine", len(mags)),
+		PlanReason:   fmt.Sprintf("photoz batch: %d reference kNN statements, each fitted", len(mags)),
 	}
-	err = sn.nearestNeighborsBatchUncached(ctx, mags, est.K, true, func(i int, nbs []knn.Neighbor, r Report) error {
-		z, fellBack := photoz.Fit(mags[i], nbs, est.Degree)
+	for i, p := range mags {
+		stmt := knnStatement(p, est.K)
+		stmt.Reference = true
+		nbs, r, err := sn.knnRows(ctx, stmt)
+		if err != nil {
+			return nil, Report{}, err
+		}
+		z, fellBack := photoz.Fit(p, nbs, est.Degree)
 		if fellBack {
 			r.FitFallbacks = 1
 		}
 		zs[i] = z
 		rep.Add(r)
-		return nil
-	})
-	if err != nil {
-		return nil, Report{}, err
 	}
 	return zs, rep, nil
 }
@@ -595,135 +599,68 @@ func (db *SpatialDB) QueryPolyhedron(q vec.Polyhedron, plan Plan) ([]table.Recor
 	return recs, rep, nil
 }
 
-// memCand is one memtable kNN candidate: a row's squared distance to
-// the query and its index in the memtable snapshot. Candidates order by
-// distance, then arrival (seq) order — the order a stable sort of every
-// row would leave them in.
-type memCand struct {
-	d2 float64
-	i  int
-}
-
-func (a memCand) compare(b memCand) int {
-	return cmp.Or(cmp.Compare(a.d2, b.d2), cmp.Compare(a.i, b.i))
-}
-
-// memNeighbors returns the (at most) k memtable rows nearest p,
-// ascending, in one pass over the snapshot: a bounded max-heap of
-// (distance, index) pairs, so the pass costs O(len(mem)·log k) however
-// large a LIMIT asks k to be, and nothing is allocated or copied in
-// proportion to len(mem).
-func memNeighbors(mem []memtable.Row, p vec.Point, k int) []memCand {
-	k = min(k, len(mem))
-	if k <= 0 {
-		return nil
-	}
-	best := make([]memCand, 0, k)
-	siftDown := func(at int) {
-		for {
-			top := at
-			for c := 2*at + 1; c <= 2*at+2 && c < k; c++ {
-				if best[top].compare(best[c]) < 0 {
-					top = c
-				}
-			}
-			if top == at {
-				return
-			}
-			best[at], best[top] = best[top], best[at]
-			at = top
-		}
-	}
-	for i := range mem {
-		d2 := table.Dist2(&mem[i].Rec.Mags, p)
-		switch {
-		case len(best) < k:
-			if best = append(best, memCand{d2, i}); len(best) == k {
-				for at := k/2 - 1; at >= 0; at-- {
-					siftDown(at)
-				}
-			}
-		case d2 < best[0].d2: // a later row never displaces an equal earlier one
-			best[0] = memCand{d2, i}
-			siftDown(0)
-		}
-	}
-	slices.SortFunc(best, memCand.compare)
-	return best
-}
-
-// mergeMemNeighbors folds the memtable candidates into a search's
-// ascending result set: a linear merge of two sorted lists of at most k
-// entries each, the paged entry first on a distance tie, and a Record
-// copied out of the memtable only for a candidate that survives. The
-// paged search reads the snapshot's bounded catalog, so the two lists
-// hold disjoint rows; rows are never merged by ObjID, as no other path
-// merges them. The sentinel row id marks a memtable row as not resident
-// in any paged table.
-func mergeMemNeighbors(nbs []knn.Neighbor, mem []memtable.Row, p vec.Point, k int) []knn.Neighbor {
-	cand := memNeighbors(mem, p, k)
-	if len(cand) == 0 {
-		return nbs
-	}
-	out := make([]knn.Neighbor, 0, min(k, len(nbs)+len(cand)))
-	for len(out) < k && (len(nbs) > 0 || len(cand) > 0) {
-		if len(cand) == 0 || (len(nbs) > 0 && nbs[0].Dist2 <= cand[0].d2) {
-			out, nbs = append(out, nbs[0]), nbs[1:]
-		} else {
-			out = append(out, knn.Neighbor{Row: ^table.RowID(0), Dist2: cand[0].d2, Rec: mem[cand[0].i].Rec})
-			cand = cand[1:]
-		}
-	}
-	return out
-}
-
 // NearestNeighbors returns the k catalog records closest to p in
 // color space (§3.3), with a Report of the query's exact cost — the
-// batch of one, executed on the caller's goroutine: on the
-// region-growing searcher whenever a kd-tree is built, whatever k is,
-// and as the WHERE-less ordered LIMIT otherwise.
+// statement SELECT * ORDER BY dist(p) LIMIT k, uncached, on the
+// caller's goroutine.
 func (db *SpatialDB) NearestNeighbors(p vec.Point, k int) ([]table.Record, Report, error) {
-	recs, reports, err := db.collectNeighbors(context.Background(), []vec.Point{p}, k, false)
+	recs, reports, err := db.collectNeighbors(context.Background(), []vec.Point{p}, k)
 	if err != nil {
 		return nil, Report{}, err
 	}
 	return recs[0], reports[0], nil
 }
 
-// NearestNeighborsBatch answers many kNN queries on the batched
-// engine (knn.SearchBatchFunc: one reused scratch, seed-leaf locality
-// ordering), returning results in input order with an exact per-query
-// Report each. With no kd-tree built each query runs as the WHERE-less
-// ordered LIMIT, one after another. The batch stops between queries
-// once ctx is done and returns its error.
+// NearestNeighborsBatch answers many kNN queries, each its statement
+// SELECT * ORDER BY dist(p) LIMIT k, returning results in input order
+// with an exact per-query Report each. A done ctx stops the batch
+// mid-statement and returns its error.
 func (db *SpatialDB) NearestNeighborsBatch(ctx context.Context, ps []vec.Point, k int) ([][]table.Record, []Report, error) {
-	// One point is the statement SELECT * ORDER BY dist(p) LIMIT k
-	// (Statement.IsKNN): it runs, and is cached, as that statement.
-	if len(ps) == 1 && k > 0 {
-		cur, err := db.ExecStatement(ctx, knnStatement(ps[0], k), PlanAuto)
-		if err != nil {
-			return nil, nil, err
-		}
-		recs, rep, err := Collect(cur)
-		if err != nil {
-			return nil, nil, err
-		}
-		return [][]table.Record{recs}, []Report{rep}, nil
+	if len(ps) != 1 {
+		return db.collectNeighbors(ctx, ps, k)
 	}
-	return db.collectNeighbors(ctx, ps, k, false)
+	// One point runs, and is cached, as its statement (Statement.IsKNN).
+	if err := checkProbes(ps, k); err != nil {
+		return nil, nil, err
+	}
+	cur, err := db.ExecStatement(ctx, knnStatement(ps[0], k), PlanAuto)
+	if err != nil {
+		return nil, nil, err
+	}
+	recs, rep, err := Collect(cur)
+	if err != nil {
+		return nil, nil, err
+	}
+	return [][]table.Record{recs}, []Report{rep}, nil
 }
 
-// knnStatement is the statement a one-point kNN batch equals.
+// knnStatement is the statement a kNN probe equals.
 func knnStatement(p vec.Point, k int) colorsql.Statement {
 	return colorsql.Statement{Star: true, Order: &colorsql.OrderBy{Dist: p}, Limit: k}
 }
 
-// collectNeighbors runs the batch on a snapshot of its own and keeps
-// every probe's records and Report, in input order — the /knn answer
-// and a kNN statement's rows. On a snapshot without a kd-tree each
-// catalog probe is its statement's ordered LIMIT: the whole catalog and
-// the memtable, pruned by the k-th distance.
-func (db *SpatialDB) collectNeighbors(ctx context.Context, ps []vec.Point, k int, reference bool) ([][]table.Record, []Report, error) {
+// checkProbes refuses what no kNN statement can express: k < 1, or a
+// probe outside the catalog's dimension.
+func checkProbes(ps []vec.Point, k int) error {
+	if k < 1 {
+		return fmt.Errorf("core: kNN k must be >= 1, got %d", k)
+	}
+	for i, p := range ps {
+		if len(p) != table.Dim {
+			return fmt.Errorf("core: kNN probe %d has %d coordinates, want %d", i, len(p), table.Dim)
+		}
+	}
+	return nil
+}
+
+// collectNeighbors runs each probe's statement, uncached, on one
+// snapshot and keeps every probe's records and Report, in input order:
+// the catalog and the memtable, best kd node first under the k-th
+// distance (or best page first without a tree).
+func (db *SpatialDB) collectNeighbors(ctx context.Context, ps []vec.Point, k int) ([][]table.Record, []Report, error) {
+	if err := checkProbes(ps, k); err != nil {
+		return nil, nil, err
+	}
 	sn, err := db.snapshot()
 	if err != nil {
 		return nil, nil, err
@@ -731,69 +668,25 @@ func (db *SpatialDB) collectNeighbors(ctx context.Context, ps []vec.Point, k int
 	defer sn.release()
 	recs := make([][]table.Record, len(ps))
 	reports := make([]Report, len(ps))
-	if !reference && sn.kd == nil {
-		for i, p := range ps {
-			stmt := knnStatement(p, k)
-			opts := db.statementOpts(stmt)
-			if recs[i], reports[i], err = Collect(rankOrLimit(stmt, opts, sn.catalogCursor(ctx, opts))); err != nil {
-				return nil, nil, err
-			}
+	for i, p := range ps {
+		if recs[i], reports[i], err = sn.knnRows(ctx, knnStatement(p, k)); err != nil {
+			return nil, nil, err
 		}
-		return recs, reports, nil
-	}
-	err = sn.nearestNeighborsBatchUncached(ctx, ps, k, reference, func(i int, nbs []knn.Neighbor, rep Report) error {
-		recs[i] = make([]table.Record, len(nbs))
-		for j, nb := range nbs {
-			recs[i][j] = nb.Rec
-		}
-		reports[i] = rep
-		return nil
-	})
-	if err != nil {
-		return nil, nil, err
 	}
 	return recs, reports, nil
 }
 
-// nearestNeighborsBatchUncached is the one driver of the §3.3
-// region-growing searcher: it finds each probe's k nearest rows of the
-// snapshot's kd-clustered catalog, which must have a tree — with
-// reference set, of the photo-z estimator's paged reference rows
-// instead — and hands fn the probe's input index, its neighbours
-// nearest first (valid only during the call) and its exact Report. A
-// done ctx, or an error from fn, stops the batch between probes.
-func (sn *dbSnap) nearestNeighborsBatchUncached(ctx context.Context, ps []vec.Point, k int, reference bool, fn func(i int, nbs []knn.Neighbor, rep Report) error) error {
-	// The catalog search also considers the memtable rows alongside the
-	// paged candidates. It reads the snapshot's bounded catalog, so each
-	// row is in its paged answer or in mem, never both. The reference
-	// has no memtable rows: a spectroscopic row joins it at compaction.
-	var s *knn.Searcher
-	var mem []memtable.Row
-	var reason string
-	if reference {
-		if sn.photoZ == nil {
-			return errNoPhotoZ
-		}
-		s, reason = sn.photoZ.Searcher(), "photo-z reference kNN"
+// knnRows runs a kNN statement uncached on the snapshot: over its
+// catalog and memtable, or with Reference over the photo-z reference.
+func (sn *dbSnap) knnRows(ctx context.Context, stmt colorsql.Statement) ([]table.Record, Report, error) {
+	opts := sn.db.statementOpts(stmt)
+	var cur Cursor
+	if stmt.Reference {
+		cur = sn.referenceCursor(ctx, opts)
 	} else {
-		s, mem, reason = knn.NewSearcher(sn.kd, sn.catalog), sn.mem, sn.planner().PlanKNN(k).Reason
+		cur = sn.catalogCursor(ctx, opts)
 	}
-	return s.SearchBatchFunc(ps, k, func(i int, nbs []knn.Neighbor, stats knn.Stats) error {
-		nbs = mergeMemNeighbors(nbs, mem, ps[i], k)
-		err := fn(i, nbs, Report{
-			Plan:           PlanKdTree,
-			RowsReturned:   int64(len(nbs)),
-			RowsExamined:   stats.RowsExamined + int64(len(mem)),
-			LeavesExamined: int64(stats.LeavesExamined),
-			DiskReads:      stats.Pages.DiskReads,
-			CacheHits:      stats.Pages.Hits,
-			PlanReason:     reason,
-		})
-		if err != nil {
-			return err
-		}
-		return ctx.Err()
-	})
+	return Collect(rankOrLimit(stmt, opts, cur))
 }
 
 // SampleRegion returns at least n points of the catalog whose first

@@ -24,7 +24,7 @@ func (db *SpatialDB) EstimateStatementCost(stmt colorsql.Statement) float64 {
 	if stmt.Limit == 0 {
 		return 0
 	}
-	// ORDER BY dist LIMIT k with no predicate executes as kNN.
+	// ORDER BY dist LIMIT k with no predicate is a kNN.
 	if stmt.Reference {
 		return db.EstimatePhotoZCost(1)
 	}
@@ -73,9 +73,10 @@ func wherelessCost(catalog *table.Table) float64 {
 }
 
 // EstimateKNNCost predicts the cost of numPoints k-nearest-neighbour
-// queries in sequential-page units, zero-I/O, for the engine each runs
-// on: the region-growing searcher's price over the current catalog,
-// kd-tree and memtable, or with no tree the WHERE-less ordered LIMIT's.
+// queries in sequential-page units, zero-I/O: each is the WHERE-less
+// ordered LIMIT, priced on a kd store as its walk over the current
+// catalog, kd-tree and memtable (PlanKNN — never above a scan of the
+// catalog), and with no tree as that scan.
 func (db *SpatialDB) EstimateKNNCost(k, numPoints int) float64 {
 	pl, err := db.Planner()
 	if err != nil {
@@ -89,9 +90,9 @@ func (db *SpatialDB) EstimateKNNCost(k, numPoints int) float64 {
 }
 
 // EstimatePhotoZCost predicts the cost of a photometric-redshift
-// batch of numPoints objects: each is a k-neighbour search on the
-// spectroscopic reference rows, priced as the searcher it runs on. 0
-// when no estimator is built.
+// batch of numPoints objects: each is a k-neighbour statement on the
+// spectroscopic reference rows, priced as its walk of the reference's
+// tree (PlanKNN). 0 when no estimator is built.
 func (db *SpatialDB) EstimatePhotoZCost(numPoints int) float64 {
 	db.mu.RLock()
 	est := db.photoZ
@@ -99,7 +100,6 @@ func (db *SpatialDB) EstimatePhotoZCost(numPoints int) float64 {
 	if est == nil {
 		return 0
 	}
-	s := est.Searcher()
-	pl := &planner.Planner{Catalog: s.Tb, Kd: s.Tree, Domain: db.domain}
+	pl := &planner.Planner{Catalog: est.Table, Kd: est.Tree, Domain: db.domain}
 	return pl.PlanKNN(est.K).CostIndex * float64(max(numPoints, 1))
 }

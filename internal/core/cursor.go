@@ -6,6 +6,7 @@ import (
 	"slices"
 
 	"repro/internal/colorsql"
+	"repro/internal/kdtree"
 	"repro/internal/pagestore"
 	"repro/internal/planner"
 	"repro/internal/table"
@@ -101,6 +102,7 @@ func (c *polyCursor) Stats() Report {
 	r.RowsExamined = c.stream.RowsExamined()
 	skipped, scanned, strips := c.stream.ZoneStats()
 	r.PagesSkipped, r.PagesScanned, r.StripsDecoded = r.PagesSkipped+skipped, scanned, strips
+	r.LeavesExamined = c.stream.LeavesExpanded()
 	st := c.scope.Stats()
 	r.DiskReads = st.DiskReads
 	r.CacheHits = st.Hits
@@ -209,6 +211,7 @@ func (db *SpatialDB) whereCursorSnap(ctx context.Context, sn *dbSnap, clauses []
 			StopAfter: opts.stopAfter,
 			Pred:      pred,
 			Bound:     opts.bound,
+			Tree:      sn.kd,
 		}),
 		scope: scope,
 		base:  base,
@@ -218,7 +221,7 @@ func (db *SpatialDB) whereCursorSnap(ctx context.Context, sn *dbSnap, clauses []
 	}
 	return &chainCursor{
 		base: paged,
-		mem:  &memCursor{rows: sn.mem, filter: whereMemFilter(clauses), cols: opts.cols, first: int64(sn.catalog.NumRows())},
+		mem:  &memCursor{rows: sn.mem, filter: whereMemFilter(clauses), cols: opts.cols, bound: opts.bound, first: int64(sn.catalog.NumRows())},
 	}, nil
 }
 
@@ -356,19 +359,22 @@ func (c *topkCursor) siftUp(i int) {
 
 func (c *topkCursor) siftDown(i int) {
 	h := c.heap
+	e := h[i]
 	for {
-		worst := i
-		for child := 2*i + 1; child <= 2*i+2 && child < len(h); child++ {
-			if worse(&h[child], &h[worst]) {
-				worst = child
-			}
+		child := 2*i + 1
+		if child >= len(h) {
+			break
 		}
-		if worst == i {
-			return
+		if r := child + 1; r < len(h) && worse(&h[r], &h[child]) {
+			child = r
 		}
-		h[i], h[worst] = h[worst], h[i]
-		i = worst
+		if !worse(&h[child], &e) {
+			break
+		}
+		h[i] = h[child]
+		i = child
 	}
+	h[i] = e
 }
 
 // keep appends the current row to the slab and its entry to the heap.
@@ -406,8 +412,16 @@ func (c *topkCursor) offer(rec *table.Record) {
 	}
 }
 
+// topkPrealloc caps the rows an ordered LIMIT reserves room for before
+// its first row: a kNN's k up to it fills without regrowing.
+const topkPrealloc = 1024
+
 func (c *topkCursor) drain() {
 	c.drained = true
+	if c.limit > 0 {
+		n := min(c.limit, topkPrealloc)
+		c.slab, c.heap = make([]table.Record, 0, n), make([]topkEntry, 0, n)
+	}
 	defer func() {
 		c.child.Close()
 		c.final = c.child.Stats()
@@ -533,34 +547,71 @@ func (db *SpatialDB) fullCatalogCursor(ctx context.Context, opts cursorOpts) (Cu
 	return &snapCursor{Cursor: sn.catalogCursor(ctx, opts), sn: sn}, nil
 }
 
-// catalogCursor streams the snapshot's catalog in physical order, the
-// memtable rows after the paged rows unfiltered, in commit order. The
-// caller keeps the snapshot until the cursor is closed.
+// referenceStatementCursor streams the photo-z reference rows on a
+// snapshot of its own: FROM reference.
+func (db *SpatialDB) referenceStatementCursor(ctx context.Context, opts cursorOpts) (Cursor, error) {
+	sn, err := db.snapshot()
+	if err != nil {
+		return nil, err
+	}
+	if sn.photoZ == nil {
+		sn.release()
+		return nil, errNoPhotoZ
+	}
+	return &snapCursor{Cursor: sn.referenceCursor(ctx, opts), sn: sn}, nil
+}
+
+// catalogCursor streams the snapshot's catalog, the memtable rows after
+// the paged rows unfiltered, in commit order: in physical order, or
+// under an ordered LIMIT's bound best page first — best kd node first
+// when a tree is built (planner.Stream). The caller keeps the snapshot
+// until the cursor is closed.
 func (sn *dbSnap) catalogCursor(ctx context.Context, opts cursorOpts) Cursor {
+	base := Report{Plan: PlanFullScan, EstimatedSelectivity: 1, PlanReason: "no predicate: sequential catalog scan"}
+	if opts.bound != nil && sn.kd != nil {
+		// The walk runs no estimator: it reads what its k-th key admits.
+		base = Report{Plan: PlanKdTree, PlanReason: "no predicate: kd-tree best node first under the k-th key"}
+	}
+	cur := sn.tableCursor(ctx, sn.catalog, sn.kd, opts, base)
+	if len(sn.mem) == 0 {
+		return cur
+	}
+	return &chainCursor{
+		base: cur,
+		mem:  &memCursor{rows: sn.mem, cols: opts.cols, bound: opts.bound, first: int64(sn.catalog.NumRows())},
+	}
+}
+
+// referenceCursor streams the photo-z reference rows — FROM reference,
+// which is always a kNN — best node of the reference's own tree first.
+// The reference has no memtable rows: a spectroscopic row joins it at
+// compaction. The snapshot must hold an estimator.
+func (sn *dbSnap) referenceCursor(ctx context.Context, opts cursorOpts) Cursor {
+	pz := sn.photoZ
+	return sn.tableCursor(ctx, pz.Table, pz.Tree, opts, Report{Plan: PlanKdTree, PlanReason: "photo-z reference kNN"})
+}
+
+// tableCursor streams every row of tb under its own accounting scope,
+// scan-classed so a long stream cannot evict the pool's hot set —
+// unless a key bound walks tb's tree, an index-driven read of the few
+// pages its k-th key admits, which stay in the pool like any index read.
+func (sn *dbSnap) tableCursor(ctx context.Context, tb *table.Table, tree *kdtree.Tree, opts cursorOpts, base Report) *polyCursor {
 	scope := sn.db.eng.Store().Scoped()
-	tasks := []planner.ScanTask{{Lo: 0, Hi: table.RowID(sn.catalog.NumRows())}}
-	stream := planner.Stream(sn.catalog.Scoped(scope).ScanClassed(), tasks, planner.StreamOpts{
-		Ctx:       ctx,
-		Cols:      opts.cols,
-		StopAfter: opts.stopAfter,
-		Bound:     opts.bound,
-	})
-	var cur Cursor = &polyCursor{
-		stream: stream,
-		scope:  scope,
-		base: Report{
-			Plan:                 PlanFullScan,
-			EstimatedSelectivity: 1,
-			PlanReason:           "no predicate: sequential catalog scan",
-		},
+	tasks := []planner.ScanTask{{Lo: 0, Hi: table.RowID(tb.NumRows())}}
+	if tb = tb.Scoped(scope); opts.bound == nil || tree == nil {
+		tb = tb.ScanClassed()
 	}
-	if len(sn.mem) > 0 {
-		cur = &chainCursor{
-			base: cur,
-			mem:  &memCursor{rows: sn.mem, cols: opts.cols, first: int64(sn.catalog.NumRows())},
-		}
+	return &polyCursor{
+		stream: planner.Stream(tb, tasks, planner.StreamOpts{
+			Ctx:       ctx,
+			Cols:      opts.cols,
+			StopAfter: opts.stopAfter,
+			Bound:     opts.bound,
+			Tree:      tree,
+		}),
+		scope: scope,
+		base:  base,
 	}
-	return cur
 }
 
 // ColumnSet maps a statement's projection onto the table's partial

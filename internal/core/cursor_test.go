@@ -2,12 +2,14 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"reflect"
 	"sort"
 	"testing"
 
 	"repro/internal/colorsql"
+	"repro/internal/sky"
 	"repro/internal/table"
 	"repro/internal/vec"
 )
@@ -145,6 +147,35 @@ func TestCursorCancellationStopsPageIO(t *testing.T) {
 	}
 }
 
+// TestKNNStatementCancels: a kNN is cancellable mid-scan like every
+// statement. Opened at k = N on a kd store, its context cancelled before
+// the first pull, the drain ends in context.Canceled with no row emitted
+// and at most one page read.
+func TestKNNStatementCancels(t *testing.T) {
+	const n = 5000
+	db := openDB(t, n)
+	if err := db.BuildKdIndex(0); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cur, err := db.ExecStatement(ctx, knnStatement(sky.GalaxyColors(0.2, 18), n), PlanAuto)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cur.Close()
+	cancel()
+	rows := 0
+	for cur.Next() {
+		rows++
+	}
+	if !errors.Is(cur.Err(), context.Canceled) || rows != 0 {
+		t.Fatalf("cancelled kNN drained %d rows, err %v; want none and context.Canceled", rows, cur.Err())
+	}
+	if rep := cur.Stats(); rep.PagesScanned > 1 || rep.DiskReads+rep.CacheHits > 1 {
+		t.Errorf("cancelled kNN read %d pages (%d disk reads, %d cache hits), want at most one", rep.PagesScanned, rep.DiskReads, rep.CacheHits)
+	}
+}
+
 // TestTopKMatchesSortAll: ORDER BY + LIMIT through the bounded heap
 // must equal sorting the full result and truncating.
 func TestTopKMatchesSortAll(t *testing.T) {
@@ -197,10 +228,15 @@ func TestTopKMatchesSortAll(t *testing.T) {
 	}
 
 	// A heap that never fills publishes no bound: the counters are the
-	// unbounded sort's, exactly.
+	// unbounded sort's, exactly, besides the leaves of the kd walk that
+	// found the bounded scan's pages — every leaf meeting its ranges, as
+	// nothing pruned one.
 	_, sortAll := collectStatement(t, db, "SELECT * WHERE "+where+" ORDER BY g - r", PlanAuto)
 	_, loose := collectStatement(t, db, fmt.Sprintf("SELECT * WHERE %s ORDER BY g - r LIMIT %d", where, len(all)+1), PlanAuto)
-	loose.RowsReturned = sortAll.RowsReturned
+	if loose.LeavesExamined == 0 || sortAll.LeavesExamined != 0 {
+		t.Errorf("LIMIT above the matches walked %d leaves, the unbounded sort %d", loose.LeavesExamined, sortAll.LeavesExamined)
+	}
+	loose.RowsReturned, loose.LeavesExamined = sortAll.RowsReturned, 0
 	if loose != sortAll {
 		t.Errorf("LIMIT above the matches reports %+v, the unbounded sort %+v", loose, sortAll)
 	}
@@ -223,8 +259,8 @@ func TestTopKMatchesSortAll(t *testing.T) {
 }
 
 // TestOrderByDistReusesKnn: an ascending dist() ordering with a
-// LIMIT and no predicate is served by the kNN searcher and must
-// return exactly NearestNeighbors' records, in distance order.
+// LIMIT and no predicate is the kNN — the kd walk — and must return
+// exactly NearestNeighbors' records, in distance order.
 func TestOrderByDistReusesKnn(t *testing.T) {
 	db := openDB(t, 4000)
 	if err := db.BuildKdIndex(0); err != nil {
@@ -241,7 +277,7 @@ func TestOrderByDistReusesKnn(t *testing.T) {
 		t.Errorf("dist cursor returned %d rows, kNN %d (or contents differ)", len(got), len(want))
 	}
 	if rep.Plan != PlanKdTree {
-		t.Errorf("dist cursor plan = %v, want the kNN index path", rep.Plan)
+		t.Errorf("dist cursor plan = %v, want the kd walk", rep.Plan)
 	}
 	// The scan-and-sort fallback (DESC, or with a predicate) must
 	// agree with the brute-force ordering too.

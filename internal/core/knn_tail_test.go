@@ -2,15 +2,10 @@ package core
 
 import (
 	"cmp"
-	"math/rand"
 	"reflect"
 	"slices"
-	"sort"
 	"testing"
-	"time"
 
-	"repro/internal/knn"
-	"repro/internal/memtable"
 	"repro/internal/sky"
 	"repro/internal/table"
 	"repro/internal/vec"
@@ -25,109 +20,6 @@ func magsDist2(p vec.Point, r *table.Record) float64 {
 		s += d * d
 	}
 	return s
-}
-
-// refMergeMemNeighbors is the copy-and-sort merge the one-pass fold
-// replaced, kept as its reference: distance-stamp every memtable row,
-// stable-sort, keep k, stable-sort those behind the paged answer, keep
-// k. Rows sharing an ObjID are all kept.
-func refMergeMemNeighbors(nbs []knn.Neighbor, mem []memtable.Row, p vec.Point, k int) []knn.Neighbor {
-	if len(mem) == 0 || k <= 0 {
-		return nbs
-	}
-	cand := make([]knn.Neighbor, 0, len(mem))
-	for i := range mem {
-		cand = append(cand, knn.Neighbor{Row: ^table.RowID(0), Dist2: magsDist2(p, &mem[i].Rec), Rec: mem[i].Rec})
-	}
-	sort.SliceStable(cand, func(i, j int) bool { return cand[i].Dist2 < cand[j].Dist2 })
-	cand = cand[:min(k, len(cand))]
-	merged := append(append([]knn.Neighbor{}, nbs...), cand...)
-	sort.SliceStable(merged, func(i, j int) bool { return merged[i].Dist2 < merged[j].Dist2 })
-	return merged[:min(k, len(merged))]
-}
-
-// TestMemNeighborFoldMatchesReference: the one-pass fold returns the
-// reference merge's neighbours, row for row, over seeded memtables
-// built to tie — magnitudes on a coarse lattice, ObjIDs repeated inside
-// the memtable and between it and the paged answer, fewer than k paged
-// neighbours, k beyond the memtable — and allocates nothing that grows
-// with the memtable.
-func TestMemNeighborFoldMatchesReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(30))
-	lattice := func(id int64) table.Record {
-		rec := table.Record{ObjID: id}
-		for d := range rec.Mags {
-			rec.Mags[d] = 17 + 0.5*float32(rng.Intn(3))
-		}
-		return rec
-	}
-	for trial := 0; trial < 2403; trial++ {
-		k, memRows, ids := 1+rng.Intn(12), rng.Intn(40), 60
-		large := trial >= 2400 // an uncapped LIMIT: k far beyond any probe's
-		if large {
-			k, memRows, ids = 20000<<(trial-2400), []int{1000, 30000, 100000}[trial-2400], 200000
-		}
-		p := vec.Point{17.25, 17.5, 17, 18, 17.75}
-		if trial%3 == 0 {
-			for d := range p {
-				p[d] = 17 + rng.Float64()
-			}
-		}
-		mem := make([]memtable.Row, memRows)
-		if trial%7 == 0 {
-			mem = mem[:rng.Intn(min(k, len(mem))+1)] // k > len(mem), the empty memtable included
-		}
-		for i := range mem {
-			mem[i] = memtable.Row{Seq: uint64(i + 1), Rec: lattice(int64(rng.Intn(ids)))}
-		}
-		paged := make([]knn.Neighbor, rng.Intn(k+1))
-		if large {
-			paged = make([]knn.Neighbor, k-rng.Intn(100))
-		}
-		for i := range paged {
-			rec := lattice(int64(rng.Intn(ids)))
-			if len(mem) > 0 && i%2 == 0 {
-				rec = mem[rng.Intn(len(mem))].Rec // a paged row sharing a memtable row's ObjID
-			}
-			paged[i] = knn.Neighbor{Row: table.RowID(i), Dist2: magsDist2(p, &rec), Rec: rec}
-		}
-		sort.SliceStable(paged, func(i, j int) bool { return paged[i].Dist2 < paged[j].Dist2 })
-
-		start := time.Now()
-		want := refMergeMemNeighbors(paged, mem, p, k)
-		refTook := time.Since(start)
-		start = time.Now()
-		got := mergeMemNeighbors(paged, mem, p, k)
-		took := time.Since(start)
-		if len(got) != len(want) || (len(got) > 0 && !reflect.DeepEqual(got, want)) {
-			if large {
-				t.Fatalf("trial %d (k=%d, %d paged, %d mem): fold differs from the reference", trial, k, len(paged), len(mem))
-			}
-			t.Fatalf("trial %d (k=%d, %d paged, %d mem): fold returned\n%+v\nreference\n%+v", trial, k, len(paged), len(mem), got, want)
-		}
-		if len(mem) == 0 && len(got) > 0 && &got[0] != &paged[0] {
-			t.Fatalf("trial %d: an empty memtable is not the identity", trial)
-		}
-		// Linear in k: the fold runs several times faster than the
-		// copy-and-sort body at these sizes, and a dedup that rescans its
-		// output per neighbour tens of times slower.
-		if large && took > 4*refTook {
-			t.Errorf("trial %d (k=%d, %d mem): fold took %v, the copy-and-sort reference %v", trial, k, len(mem), took, refTook)
-		}
-	}
-
-	allocs := func(n int) float64 {
-		mem := make([]memtable.Row, n)
-		for i := range mem {
-			mem[i] = memtable.Row{Seq: uint64(i + 1), Rec: insertTestRecord(int64(i))}
-			mem[i].Rec.Mags[0] += float32(rng.NormFloat64())
-		}
-		p := vec.Point{17.3, 17.5, 17.7, 17.9, 18.1}
-		return testing.AllocsPerRun(20, func() { mergeMemNeighbors(nil, mem, p, 10) })
-	}
-	if small, large := allocs(1000), allocs(16000); large > small || small > 8 {
-		t.Fatalf("fold allocates %v times over 1K memtable rows and %v over 16K, want ≤ 8 and no growth", small, large)
-	}
 }
 
 // TestCompactionWritesKdOrderedRuns: a minor compaction appends its

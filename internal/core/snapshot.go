@@ -69,7 +69,7 @@ func (db *SpatialDB) snapshot() (*dbSnap, error) {
 		sn.files = append(sn.files, db.grid.Table().Name())
 	}
 	if db.photoZ != nil {
-		sn.files = append(sn.files, db.photoZ.Searcher().Tb.Name())
+		sn.files = append(sn.files, db.photoZ.Table.Name())
 	}
 	db.pinMu.Lock()
 	if db.pins == nil {
@@ -112,11 +112,14 @@ func (sn *dbSnap) planner() *planner.Planner {
 // memCursor streams the snapshot's memtable rows through the Cursor
 // interface, optionally filtered, projecting each emitted record to
 // the same column set the paged stream decodes so the two sources are
-// byte-identical under any projection.
+// byte-identical under any projection. Under an ordered LIMIT's key
+// bound a row keying strictly after τ is dropped before it is
+// projected, as the paged strips drop it.
 type memCursor struct {
 	rows   []memtable.Row
 	filter func(*table.Record) bool // nil emits every row
 	cols   table.ColumnSet
+	bound  *table.KeyBound
 	// first is the physical position of rows[0]: the paged row bound.
 	first int64
 
@@ -145,10 +148,16 @@ func whereMemFilter(clauses []vec.Polyhedron) func(*table.Record) bool {
 }
 
 func (c *memCursor) Next() bool {
+	// τ tightens only as the consumer ranks an emitted row: between
+	// calls, never within one.
+	tau, bounded := c.bound.Tau()
 	for c.pos < len(c.rows) {
 		r := &c.rows[c.pos].Rec
 		c.pos++
 		c.examined++
+		if bounded && c.bound.Key(&r.Mags) > tau {
+			continue
+		}
 		if c.filter != nil && !c.filter(r) {
 			continue
 		}

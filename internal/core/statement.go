@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/colorsql"
 	"repro/internal/table"
-	"repro/internal/vec"
 )
 
 // This file executes parsed colorsql statements through the
@@ -27,27 +26,32 @@ import (
 //     k-th key: once the k-row heap is full its root key is one more
 //     constraint of the predicate — a half-space, or for dist(p) a
 //     ball — tightened as the scan runs. The scan visits its candidate
-//     pages best zone key first, so the bound tightens as fast as the
-//     data allows, and it stops at the first page whose zone cannot
-//     beat it: that page and every page left are skipped unread. On
-//     the pages it reads, rows that cannot beat it are dropped from the
-//     strips undecoded (table.KeyBound; DESIGN.md "Pushdown rules").
-//     Only strictly worse keys are dropped, and rows tied on key rank
-//     by ObjID and then by their place in the physical order, so the
-//     answer is the unbounded table-order scan's. A WHERE always runs
-//     the index scan, so the bound prunes however unselective the
+//     pages best key first, so the bound tightens as fast as the data
+//     allows, and it stops at the first page whose zone cannot beat it:
+//     that page and every page left are skipped unread. On a
+//     kd-clustered catalog the pages are found lazily, by walking the
+//     tree best node first — a node keyed by its tight bounds, a leaf
+//     yielding its pages — so the scan's CPU grows with what it visits,
+//     not with the catalog. On the pages it reads, rows that cannot
+//     beat the bound are dropped from the strips undecoded, and memtable
+//     rows before they are copied (table.KeyBound; DESIGN.md "Pushdown
+//     rules"). Only strictly worse keys are dropped, and rows tied on
+//     key rank by ObjID and then by their place in the physical order,
+//     so the answer is the unbounded table-order scan's. A WHERE always
+//     runs the index scan, so the bound prunes however unselective the
 //     WHERE; only a forced full scan consults no zones and reads in
-//     table order. With no LIMIT or a
-//     LIMIT above the matches nothing is published and the sort sees
-//     every matching row; LIMIT still bounds its memory to the heap.
-//   - ORDER BY dist(p) LIMIT k with no WHERE is exactly kNN: whenever
-//     a kd-tree is built, at every k, it is served by the §3.3
-//     region-growing searcher, whose leaf scans run under the same
-//     bound, instead of a catalog-wide sort; with no tree it is the
-//     ordered LIMIT above. A one-point kNN batch runs as this
-//     statement, so the two share one result-cache entry. FROM
-//     reference runs it on the searcher over the photo-z reference set,
-//     which always has a tree.
+//     table order. With no LIMIT or a LIMIT above the matches nothing is
+//     published and the sort sees every matching row; LIMIT still
+//     bounds its memory to the heap.
+//   - ORDER BY dist(p) LIMIT k with no WHERE is exactly kNN, and it is
+//     this statement: the walk above over the whole catalog, then the
+//     memtable — the paper's §3.3 search, growing its region around p
+//     in steps of kd-boxes, cancellable at every page like any scan.
+//     Without a tree it visits the catalog's pages best zone first. A
+//     kNN batch runs one such statement per probe (a one-point batch
+//     shares the statement's result-cache entry), and a photo-z batch
+//     one FROM reference statement per probe, which walks the photo-z
+//     reference rows with their own tree.
 //   - Projection is pushed to the page bytes: only the selected
 //     columns are decoded (plus, under an ordering, the magnitudes its
 //     key evaluates and the object id that breaks its ties — cleared
@@ -123,32 +127,15 @@ func (db *SpatialDB) ExecStatement(ctx context.Context, stmt colorsql.Statement,
 // execStatementUncached is the streaming execution path beneath the
 // result cache.
 func (db *SpatialDB) execStatementUncached(ctx context.Context, stmt colorsql.Statement, plan Plan) (Cursor, error) {
-	// kNN reuse (Statement.IsKNN) on the region-growing searcher,
-	// whenever a kd-tree is built; FROM reference always has one. This
-	// path is the one exception to mid-scan cancellation: the search is
-	// not context-aware, but its I/O is bounded by the k-point
-	// neighbourhood rather than the catalog, so the exposure a
-	// cancelled caller can leave behind is O(k), not O(N). Without a
-	// tree the statement is the ordered LIMIT below.
-	if stmt.IsKNN() && (stmt.Reference || db.KdTree() != nil) {
-		if ctx != nil {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-		}
-		recs, reps, err := db.collectNeighbors(context.Background(), []vec.Point{stmt.Order.Dist}, stmt.Limit, stmt.Reference)
-		if err != nil {
-			return nil, err
-		}
-		return SliceCursor(recs[0], reps[0]), nil
-	}
-
 	opts := db.statementOpts(stmt)
 	var cur Cursor
 	var err error
-	if stmt.HasWhere {
+	switch {
+	case stmt.Reference:
+		cur, err = db.referenceStatementCursor(ctx, opts)
+	case stmt.HasWhere:
 		cur, err = db.whereCursor(ctx, stmt.Where, true, plan, opts)
-	} else {
+	default:
 		cur, err = db.fullCatalogCursor(ctx, opts)
 	}
 	if err != nil {

@@ -1,6 +1,10 @@
-// Package knn implements the paper's kd-tree based k-nearest
-// neighbour procedure (§3.3): the primitive behind photometric
-// redshift estimation and spectral similarity search.
+// Package knn reproduces the paper's kd-tree based k-nearest
+// neighbour procedure (§3.3) as the paper describes it: the experiment
+// harness measures it (-exp knn), spectral similarity search and the
+// photo-z estimator's offline Estimate run on it. Serving does not: a
+// served kNN is the statement ORDER BY dist(p) LIMIT k, which walks the
+// same kd-tree best node first under the same key bound
+// (planner.Stream), so there is one exact engine behind every answer.
 //
 // The algorithm is the paper's region-growing scheme. Two lists are
 // maintained: the result list holds the k best candidates found so
@@ -44,9 +48,7 @@
 //
 // Every query runs under its own pagestore accounting scope, so
 // Stats.Pages is exactly the pages that query touched even while
-// other queries run concurrently against the same store. SearchBatch
-// runs many queries on one reusable scratch in seed-leaf locality
-// order.
+// other queries run concurrently against the same store.
 package knn
 
 import (
@@ -139,14 +141,10 @@ func siftDown[T any](h []T, i, n int, less func(a, b *T) bool) {
 	}
 }
 
-// scratch is reusable per-batch search state. The visited set is a
-// generation-stamped array, so resetting between queries is O(1)
-// instead of allocating a NumLeaves-sized bitmap per call; the two
-// heaps, the face-crossing buffers and the scan counters keep their
-// storage across leaves and queries.
+// scratch is one query's search state: the leaves already admitted,
+// both heaps, the face-crossing buffers and the scan counters.
 type scratch struct {
-	visited  []uint32
-	gen      uint32
+	visited  []bool
 	result   []Neighbor
 	frontier []frontierEntry
 	counters table.ScanCounters
@@ -155,34 +153,12 @@ type scratch struct {
 	stack    []int32   // the slab walk's pending nodes
 }
 
-func newScratch(numLeaves, dim int) *scratch {
-	return &scratch{
-		visited: make([]uint32, numLeaves),
-		closest: make(vec.Point, dim),
-		slab:    vec.Box{Min: make(vec.Point, dim), Max: make(vec.Point, dim)},
-	}
-}
-
-// reset prepares the scratch for the next query.
-func (scr *scratch) reset() {
-	scr.gen++
-	if scr.gen == 0 { // stamp wrapped: clear and restart
-		for i := range scr.visited {
-			scr.visited[i] = 0
-		}
-		scr.gen = 1
-	}
-	scr.result = scr.result[:0]
-	scr.frontier = scr.frontier[:0]
-	scr.counters.Examined.Store(0)
-}
-
-func (scr *scratch) seen(leaf int) bool { return scr.visited[leaf] == scr.gen }
-func (scr *scratch) visit(leaf int)     { scr.visited[leaf] = scr.gen }
+func (scr *scratch) seen(leaf int) bool { return scr.visited[leaf] }
+func (scr *scratch) visit(leaf int)     { scr.visited[leaf] = true }
 
 // Searcher runs kNN queries against one kd-tree and its clustered
-// table. It is safe for concurrent use: every query allocates (or,
-// in SearchBatch, reuses) its own scratch state and accounting scope.
+// table. It is safe for concurrent use: every query allocates its own
+// scratch state and accounting scope.
 type Searcher struct {
 	Tree *kdtree.Tree
 	Tb   *table.Table
@@ -194,41 +170,26 @@ func NewSearcher(tree *kdtree.Tree, tb *table.Table) *Searcher {
 }
 
 // Search returns the k nearest neighbours of p in ascending distance
-// order.
+// order, with the query's page traffic under a fresh scope.
 func (s *Searcher) Search(p vec.Point, k int) ([]Neighbor, Stats, error) {
-	if err := s.validate(p, k); err != nil {
-		return nil, Stats{}, err
-	}
-	return s.searchScoped(p, k, s.seedLeaf(p), newScratch(s.Tree.NumLeaves(), s.Tree.Dim))
-}
-
-// seedLeaf routes p (clamped into the domain, so off-data queries
-// still land) to the leaf the region growth starts from.
-func (s *Searcher) seedLeaf(p vec.Point) int {
-	return s.Tree.LeafContaining(s.Tree.Root().Cell.ClosestPoint(p))
-}
-
-// validate checks the query arguments.
-func (s *Searcher) validate(p vec.Point, k int) error {
 	if k < 1 {
-		return fmt.Errorf("knn: k must be >= 1, got %d", k)
+		return nil, Stats{}, fmt.Errorf("knn: k must be >= 1, got %d", k)
 	}
 	if len(p) != s.Tree.Dim {
-		return fmt.Errorf("knn: query dim %d != tree dim %d", len(p), s.Tree.Dim)
+		return nil, Stats{}, fmt.Errorf("knn: query dim %d != tree dim %d", len(p), s.Tree.Dim)
 	}
-	return nil
-}
-
-// searchScoped runs one validated query on the caller's scratch,
-// attributing page traffic to a fresh per-query scope. seed is the
-// query's precomputed seed leaf (SearchBatch routes every query
-// once for its locality ordering and passes the result down).
-func (s *Searcher) searchScoped(p vec.Point, k, seed int, scr *scratch) ([]Neighbor, Stats, error) {
 	start := time.Now()
 	scope := s.Tb.Store().Scoped()
-	tb := s.Tb.Scoped(scope)
+	scr := &scratch{
+		visited: make([]bool, s.Tree.NumLeaves()),
+		closest: make(vec.Point, s.Tree.Dim),
+		slab:    vec.Box{Min: make(vec.Point, s.Tree.Dim), Max: make(vec.Point, s.Tree.Dim)},
+	}
+	// The region growth starts from the leaf p routes to, clamped into
+	// the domain so off-data queries still land.
+	seed := s.Tree.LeafContaining(s.Tree.Root().Cell.ClosestPoint(p))
 	var stats Stats
-	out, err := s.run(tb, p, k, seed, scr, &stats)
+	out, err := s.run(s.Tb.Scoped(scope), p, k, seed, scr, &stats)
 	stats.Pages = scope.Stats()
 	stats.Duration = time.Since(start)
 	return out, stats, err
@@ -241,7 +202,6 @@ func (s *Searcher) searchScoped(p vec.Point, k, seed int, scr *scratch) ([]Neigh
 // rows are ranked from the magnitude strips, and only a row that enters
 // the result list is decoded.
 func (s *Searcher) run(tb *table.Table, p vec.Point, k, seed int, scr *scratch, stats *Stats) ([]Neighbor, error) {
-	scr.reset()
 	bound := table.NewDistBound(p, false)
 	it := tb.IterRangePred(nil, 0, 0, table.ColAll, nil, bound, &scr.counters)
 	defer it.Close()

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"reflect"
 	"sort"
+	"sync"
 	"testing"
 
 	"repro/internal/kdtree"
@@ -318,7 +319,7 @@ func tailFixture(t *testing.T) (*Searcher, []table.Record) {
 	return s, fresh
 }
 
-// TestSearchTieOrderIdentity: Search and SearchBatch return exactly the
+// TestSearchTieOrderIdentity: Search returns exactly the
 // neighbours — Row, Dist2, Rec and order, ties included — of the search
 // as it ran when every range was read as full records
 // (leafScanReference), and examine exactly the rows of the pages whose
@@ -344,7 +345,7 @@ func TestSearchTieOrderIdentity(t *testing.T) {
 	for i := 0; i < len(fresh); i += 61 {
 		tailProbes = append(tailProbes, fresh[i].Point())
 	}
-	tailProbes = append(tailProbes, batchQueries(t, tail, 8, 5)...)
+	tailProbes = append(tailProbes, probes(t, tail, 8, 5)...)
 	cases[1].probes, cases[2].probes = tailProbes, tailProbes
 
 	ks := []int{64}
@@ -353,27 +354,18 @@ func TestSearchTieOrderIdentity(t *testing.T) {
 	}
 	for _, c := range cases {
 		for _, k := range ks {
-			want := make([][]Neighbor, len(c.probes))
-			rows := make([]int64, len(c.probes))
-			for i, p := range c.probes {
-				want[i], rows[i] = leafScanReference(t, c.s, p, k)
+			for _, p := range c.probes {
+				want, rows := leafScanReference(t, c.s, p, k)
 				got, st, err := c.s.Search(p, k)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !reflect.DeepEqual(got, want[i]) {
-					t.Fatalf("%s, k=%d, probe %v: Search %v, reference %v", c.name, k, p, rowsOf(got), rowsOf(want[i]))
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s, k=%d, probe %v: Search %v, reference %v", c.name, k, p, rowsOf(got), rowsOf(want))
 				}
-				if st.RowsExamined != rows[i] {
-					t.Fatalf("%s, k=%d, probe %v: examined %d rows, the reference's pages hold %d", c.name, k, p, st.RowsExamined, rows[i])
+				if st.RowsExamined != rows {
+					t.Fatalf("%s, k=%d, probe %v: examined %d rows, the reference's pages hold %d", c.name, k, p, st.RowsExamined, rows)
 				}
-			}
-			got, _, err := c.s.SearchBatch(c.probes, k)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s, k=%d: SearchBatch differs from the reference", c.name, k)
 			}
 		}
 	}
@@ -451,7 +443,7 @@ func leafScanReference(t *testing.T, s *Searcher, p vec.Point, k int) ([]Neighbo
 		}
 	}
 
-	seed := s.seedLeaf(p)
+	seed := s.Tree.LeafContaining(s.Tree.Root().Cell.ClosestPoint(p))
 	visited := map[int]bool{seed: true}
 	heap.Push(&frontier, frontierEntry{leaf: seed, dist2: s.Tree.LeafBox(seed).Dist2(p)})
 	root := s.Tree.Root().Cell
@@ -509,4 +501,73 @@ func leafScanReference(t *testing.T, s *Searcher, p vec.Point, k int) ([]Neighbo
 		out[i] = heap.Pop(&result).(Neighbor)
 	}
 	return out, examined
+}
+
+// probes builds a mixed on-data/off-data query load.
+func probes(t *testing.T, s *Searcher, n int, seed int64) []vec.Point {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	dom := sky.Domain()
+	qs := make([]vec.Point, n)
+	for i := range qs {
+		if i%2 == 0 {
+			var rec table.Record
+			if err := s.Tb.Get(table.RowID(rng.Intn(int(s.Tb.NumRows()))), &rec); err != nil {
+				t.Fatal(err)
+			}
+			qs[i] = rec.Point()
+		} else {
+			qs[i] = dom.Sample(rng.Float64)
+		}
+	}
+	return qs
+}
+
+// TestConcurrentQueriesSeeOnlyOwnPages is the headline bugfix under
+// -race: two queries running concurrently must each report exactly
+// the page set a solo run reports — not each other's I/O.
+func TestConcurrentQueriesSeeOnlyOwnPages(t *testing.T) {
+	s := fixture(t, 20000)
+	var recA, recB table.Record
+	if err := s.Tb.Get(100, &recA); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Tb.Get(table.RowID(s.Tb.NumRows()-100), &recB); err != nil {
+		t.Fatal(err)
+	}
+	pa, pb := recA.Point(), recB.Point()
+	const k = 15
+
+	touched := func(st Stats) int64 { return st.Pages.Hits + st.Pages.Misses }
+
+	// Solo references (cache-warm, so the touched set is stable).
+	_, refA, err := s.Search(pa, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, refB, err := s.Search(pb, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for round := 0; round < 20; round++ {
+		var wg sync.WaitGroup
+		var stA, stB Stats
+		var errA, errB error
+		wg.Add(2)
+		go func() { defer wg.Done(); _, stA, errA = s.Search(pa, k) }()
+		go func() { defer wg.Done(); _, stB, errB = s.Search(pb, k) }()
+		wg.Wait()
+		if errA != nil || errB != nil {
+			t.Fatal(errA, errB)
+		}
+		if touched(stA) != touched(refA) {
+			t.Fatalf("round %d: concurrent query A touched %d pages, solo %d — cross-query leakage",
+				round, touched(stA), touched(refA))
+		}
+		if touched(stB) != touched(refB) {
+			t.Fatalf("round %d: concurrent query B touched %d pages, solo %d — cross-query leakage",
+				round, touched(stB), touched(refB))
+		}
+	}
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"repro/internal/kdtree"
-	"repro/internal/knn"
 	"repro/internal/pagedio"
 	"repro/internal/pagestore"
 	"repro/internal/table"
@@ -28,7 +27,7 @@ type persistedEstimator struct {
 // Persist writes the estimator's parameters under metaName and its
 // reference kd-tree under treeName on the given store.
 func (e *Estimator) Persist(store *pagestore.Store, metaName, treeName string) error {
-	if err := e.searcher.Tree.SavePaged(store, treeName); err != nil {
+	if err := e.Tree.SavePaged(store, treeName); err != nil {
 		return err
 	}
 	err := pagedio.WriteGob(store, metaName, func(enc *gob.Encoder) error {
@@ -69,5 +68,5 @@ func OpenExisting(store *pagestore.Store, metaName, treeName string, refClustere
 		return nil, fmt.Errorf("photoz: %s indexes %d rows but reference table %s has %d",
 			treeName, tree.NumRows, refClustered.Name(), refClustered.NumRows())
 	}
-	return &Estimator{searcher: knn.NewSearcher(tree, refClustered), K: p.K, Degree: p.Degree}, nil
+	return &Estimator{Tree: tree, Table: refClustered, K: p.K, Degree: p.Degree}, nil
 }

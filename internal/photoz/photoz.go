@@ -60,16 +60,18 @@ func ExtractReference(tb *table.Table) ([]table.Record, error) {
 // Estimator is the kNN + local polynomial fit redshift estimator.
 // It is safe for concurrent use.
 type Estimator struct {
-	searcher *knn.Searcher
+	// Tree indexes the reference rows, and Table holds them clustered on
+	// its leaves: the one stored copy of the reference. Rows appended
+	// after the build sit past Tree.NumRows, in the table's unindexed
+	// tail.
+	Tree  *kdtree.Tree
+	Table *table.Table
 	// K is the neighbourhood size.
 	K int
 	// Degree is the local polynomial degree (0, 1 or 2; the paper
 	// uses a "local low order polynomial fit").
 	Degree int
 }
-
-// Searcher exposes the underlying kNN searcher (for cost planning).
-func (e *Estimator) Searcher() *knn.Searcher { return e.searcher }
 
 // NewEstimator builds an estimator over the reference rows. Their
 // kd-tree index is built on the spot (an offline step, as in the
@@ -86,19 +88,23 @@ func NewEstimator(store *pagestore.Store, refs []table.Record, treeName string, 
 	if err != nil {
 		return nil, err
 	}
-	return &Estimator{searcher: knn.NewSearcher(tree, clustered), K: k, Degree: degree}, nil
+	return &Estimator{Tree: tree, Table: clustered, K: k, Degree: degree}, nil
 }
 
 // Estimate returns the photometric redshift of an object with the
 // given magnitudes, following the paper's pseudo code: fetch
-// neighbours, fit polynomial over (colors → redshift), evaluate at
-// the query.
+// neighbours with the §3.3 search, fit polynomial over (colors →
+// redshift), evaluate at the query.
 func (e *Estimator) Estimate(mags vec.Point) (float64, error) {
-	nbs, _, err := e.searcher.Search(mags, e.K)
+	nbs, _, err := knn.NewSearcher(e.Tree, e.Table).Search(mags, e.K)
 	if err != nil {
 		return 0, err
 	}
-	z, _ := Fit(mags, nbs, e.Degree)
+	recs := make([]table.Record, len(nbs))
+	for i := range nbs {
+		recs[i] = nbs[i].Rec
+	}
+	z, _ := Fit(mags, recs, e.Degree)
 	return z, nil
 }
 
@@ -108,18 +114,19 @@ func (e *Estimator) Estimate(mags vec.Point) (float64, error) {
 // fellBack reports a failed or non-finite fit — a numerically
 // degenerate neighbourhood, e.g. all k neighbours at one point —
 // answered by the neighbour mean instead.
-func Fit(mags vec.Point, nbs []knn.Neighbor, degree int) (z float64, fellBack bool) {
+func Fit(mags vec.Point, nbs []table.Record, degree int) (z float64, fellBack bool) {
 	xs := make([][]float64, len(nbs))
 	ys := make([]float64, len(nbs))
-	for i, nb := range nbs {
+	for i := range nbs {
+		nb := &nbs[i]
 		// Center features on the query point: improves conditioning and
 		// makes the constant coefficient the prediction.
 		f := make([]float64, len(mags))
 		for d := range f {
-			f[d] = float64(nb.Rec.Mags[d]) - mags[d]
+			f[d] = float64(nb.Mags[d]) - mags[d]
 		}
 		xs[i] = f
-		ys[i] = float64(nb.Rec.Redshift)
+		ys[i] = float64(nb.Redshift)
 	}
 	coeffs, deg, err := linalg.PolyFit(xs, ys, degree)
 	if err == nil {

@@ -244,10 +244,10 @@ func TestEvaluateGalaxiesSkipsReferenceAndNonGalaxies(t *testing.T) {
 // neighbourhoods do not fall back.)
 func TestFitFallbackCounted(t *testing.T) {
 	nan := float32(math.NaN())
-	nbs := make([]knn.Neighbor, 8)
+	nbs := make([]table.Record, 8)
 	for i := range nbs {
-		nbs[i].Rec.Mags = [5]float32{nan, 17, 17, 17, 17}
-		nbs[i].Rec.Redshift = 0.3
+		nbs[i].Mags = [5]float32{nan, 17, 17, 17, 17}
+		nbs[i].Redshift = 0.3
 	}
 	z, fellBack := Fit(vec.Point{17, 17, 17, 17, 17}, nbs, 1)
 	if !fellBack {
@@ -274,11 +274,15 @@ func TestFitOverSearchIsEstimate(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		nbs, _, err := est.Searcher().Search(q, est.K)
+		nbs, _, err := knn.NewSearcher(est.Tree, est.Table).Search(q, est.K)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, fellBack := Fit(q, nbs, est.Degree); got != want || fellBack {
+		recs := make([]table.Record, len(nbs))
+		for j := range nbs {
+			recs[j] = nbs[j].Rec
+		}
+		if got, fellBack := Fit(q, recs, est.Degree); got != want || fellBack {
 			t.Fatalf("probe %d: Fit over the search's neighbours = %v (fell back %v), Estimate %v", i, got, fellBack, want)
 		}
 	}

@@ -37,8 +37,8 @@
 // Costs are denominated in sequential-page-read units, the currency
 // pagestore.Stats counts. The index scan reads one file in ascending
 // order, so it pays SeqPage per page it fetches, plus per-node,
-// per-zone and per-row CPU surcharges; RandPage prices only the kNN
-// region-growing search, whose visiting order is not page order.
+// per-zone and per-row CPU surcharges; RandPage prices only the kNN's
+// kd walk, whose visiting order is not page order.
 package planner
 
 import (
@@ -57,18 +57,18 @@ type CostModel struct {
 	// every fetched page of the index scan or of a whole-table read.
 	SeqPage float64
 	// RandPage is the cost of one page read out of file order — the
-	// kNN region-growing search hops between leaves by distance, not
-	// by page number.
+	// kNN's kd walk hops between leaves by distance, not by page
+	// number.
 	RandPage float64
 	// Node is the CPU cost of classifying one tree node or one page
 	// zone against the polyhedron.
 	Node float64
 	// Row is the CPU cost of decoding and testing one row.
 	Row float64
-	// KNNGrowth is the region-growing expansion factor used by
-	// PlanKNN: the expected number of leaves a kNN query examines is
-	// about KNNGrowth times the leaves needed to hold k points (the
-	// grown region spills across faces into neighbouring cells).
+	// KNNGrowth is the spill factor used by PlanKNN: the expected
+	// number of leaves a kNN query expands is about KNNGrowth times the
+	// leaves needed to hold k points (the k-th distance reaches across
+	// faces into neighbouring cells).
 	KNNGrowth float64
 }
 
@@ -365,28 +365,25 @@ func overlapFraction(bb, b vec.Box) float64 {
 	return f
 }
 
-// KNNChoice is the planner's price for a k-nearest-neighbour query on
-// the §3.3 region-growing searcher, the engine every kNN runs on when
-// a kd-tree is built.
+// KNNChoice is the planner's price for a k-nearest-neighbour query:
+// the ordered LIMIT ORDER BY dist(p) LIMIT k walking the kd-tree best
+// node first (Stream).
 type KNNChoice struct {
-	// CostIndex is the search's predicted cost in sequential-page
-	// units, the pre-admission price of the query.
+	// CostIndex is the walk's predicted cost in sequential-page units,
+	// the pre-admission price of the query.
 	CostIndex float64
-	// ExpectedLeaves is the model's leaf-examination estimate.
-	ExpectedLeaves float64
-	// Reason is a one-line human-readable explanation, surfaced
-	// through core.Report.PlanReason.
-	Reason string
 }
 
-// PlanKNN prices a kNN query with neighbourhood size k on the
-// region-growing searcher over p.Kd, which must be non-nil. The model:
-// a query must examine enough leaves to hold k points, inflated by the
-// KNNGrowth spill factor; each examined leaf costs its pages at
-// RandPage plus a tree descent (Node per level) plus Row per point
-// examined; each page of the unindexed tail costs a zone test (Node),
-// and those the search radius reaches a read (priced as if the tail
-// were one kd-ordered run — a lower bound).
+// PlanKNN prices a kNN query with neighbourhood size k on the kd walk
+// over p.Kd, which must be non-nil. The model: a query must expand
+// enough leaves to hold k points, inflated by the KNNGrowth spill factor
+// (the k-th distance reaches across leaf faces); each expanded leaf
+// costs its pages at RandPage — the walk visits them by distance, not
+// by page number — plus a tree descent (Node per level) plus Row per
+// point examined; each page of the unindexed tail costs a zone test
+// (Node), and those the k-th distance reaches a read (priced as if the
+// tail were one kd-ordered run — a lower bound). The walk never reads a
+// page twice, so the price is capped at the whole table's scan price.
 func (p *Planner) PlanKNN(k int) KNNChoice {
 	m := DefaultCostModel()
 	k = max(k, 1)
@@ -396,12 +393,11 @@ func (p *Planner) PlanKNN(k int) KNNChoice {
 		rowsPerLeaf := float64(p.Kd.NumRows) / leaves
 		expLeaves := math.Min(leaves, math.Ceil(m.KNNGrowth*(float64(k)/rowsPerLeaf+1)))
 		expRows := expLeaves * rowsPerLeaf
-		// Each admitted leaf costs a root-to-leaf descent worth of
-		// node classifications in the thin-slab walk.
+		// Each expanded leaf costs a root-to-leaf descent worth of node
+		// keys.
 		nodes := expLeaves * float64(p.Kd.Levels+1)
-		c.ExpectedLeaves = expLeaves
 		// The unindexed tail costs one zone test per page, plus a read of
-		// the pages whose zone lies within the search radius. Compaction
+		// the pages whose zone lies within the k-th distance. Compaction
 		// writes the tail as kd-ordered runs: a run's pages each hold a
 		// few adjacent leaves' worth of rows, and the leaves a probe
 		// reaches are rarely adjacent in five dimensions, so a run is read
@@ -418,9 +414,9 @@ func (p *Planner) PlanKNN(k int) KNNChoice {
 		}
 		c.CostIndex = pagesFor(int64(expRows))*m.RandPage + nodes*m.Node + expRows*m.Row +
 			tailPages*m.Node + tailHits*(m.RandPage+table.RecordsPerPage*m.Row)
+		c.CostIndex = math.Min(c.CostIndex, m.FullScanCost(int64(p.Catalog.NumRows())))
 	}
 	c.CostIndex += float64(p.MemRows) * m.Row
-	c.Reason = fmt.Sprintf("knn k=%d: region-grow %.1f (≈%.0f leaves)", k, c.CostIndex, c.ExpectedLeaves)
 	return c
 }
 

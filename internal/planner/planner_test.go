@@ -1,10 +1,8 @@
 package planner
 
 import (
-	"fmt"
 	"math"
 	"os"
-	"strings"
 	"sync"
 	"testing"
 
@@ -149,24 +147,53 @@ func TestVolumeEstimator(t *testing.T) {
 	}
 }
 
-// TestPlanKNNGrowsWithK: the searcher's price grows with k, up to
-// every leaf at k = N, and names its leaf estimate.
+// TestPlanKNNGrowsWithK: the kNN price grows with k, up to a scan of
+// the table at k = N, where the model expects every leaf.
 func TestPlanKNNGrowsWithK(t *testing.T) {
 	w := sharedWorld(t)
 	pl := &Planner{Catalog: w.kdTable, Kd: w.tree, Domain: sky.Domain()}
 	prev := pl.PlanKNN(1)
 	for _, k := range []int{10, 100, 1000, worldRows} {
 		c := pl.PlanKNN(k)
-		if c.CostIndex < prev.CostIndex || c.ExpectedLeaves < prev.ExpectedLeaves {
-			t.Errorf("k=%d: cost %.1f over %.0f leaves, below the smaller k's %.1f over %.0f", k, c.CostIndex, c.ExpectedLeaves, prev.CostIndex, prev.ExpectedLeaves)
-		}
-		if !strings.HasPrefix(c.Reason, fmt.Sprintf("knn k=%d: region-grow ", k)) {
-			t.Errorf("k=%d: reason %q", k, c.Reason)
+		if c.CostIndex < prev.CostIndex {
+			t.Errorf("k=%d: cost %.1f, below the smaller k's %.1f", k, c.CostIndex, prev.CostIndex)
 		}
 		prev = c
 	}
-	if got, all := prev.ExpectedLeaves, float64(w.tree.NumLeaves()); got != all {
-		t.Errorf("k=N expects %v leaves, want all %v", got, all)
+	if got, scan := prev.CostIndex, DefaultCostModel().FullScanCost(worldRows); got != scan {
+		t.Errorf("k=N priced %.1f, want a scan of the table, %.1f", got, scan)
+	}
+}
+
+// TestPlanKNNCappedAtFullScan: the kd walk never reads a page twice,
+// so at 200 000 rows a kNN with k ≥ 20 000 — whose leaf model alone
+// prices more than the table — costs no more than a scan of it.
+func TestPlanKNNCappedAtFullScan(t *testing.T) {
+	s, err := pagestore.Open(t.TempDir(), 4096)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	catalog, err := table.Create(s, "mag.tbl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const rows = 200_000
+	if err := catalog.AppendAll(make([]table.Record, rows)); err != nil {
+		t.Fatal(err)
+	}
+	// PlanKNN reads the tree's shape only: the paper's √N leaves.
+	levels := kdtree.ChooseLevels(rows)
+	tree := &kdtree.Tree{Levels: levels, LeafNodes: make([]int32, 1<<levels), NumRows: rows}
+	pl := &Planner{Catalog: catalog, Kd: tree, Domain: sky.Domain()}
+	scan := DefaultCostModel().FullScanCost(rows)
+	for _, k := range []int{20_000, 50_000, rows} {
+		if c := pl.PlanKNN(k); c.CostIndex > scan || c.CostIndex <= 0 {
+			t.Errorf("k=%d priced %.1f, a scan of the table %.1f", k, c.CostIndex, scan)
+		}
+	}
+	if c := pl.PlanKNN(10); c.CostIndex >= scan/10 {
+		t.Errorf("k=10 priced %.1f, not far under the scan's %.1f", c.CostIndex, scan)
 	}
 }
 
@@ -218,7 +245,8 @@ func TestPlanKNNPricesTailByZones(t *testing.T) {
 		// as one kd-ordered run — a page per expected leaf until a leaf's
 		// share of the run outgrows a page.
 		pages, leaves := pagesFor(int64(tail)), float64(tree.NumLeaves())
-		hits := math.Min(pages, math.Ceil(c.ExpectedLeaves*math.Max(1, pages/leaves)))
+		expLeaves := math.Min(leaves, math.Ceil(m.KNNGrowth*(10/(indexed/leaves)+1)))
+		hits := math.Min(pages, math.Ceil(expLeaves*math.Max(1, pages/leaves)))
 		if want := pages*m.Node + hits*(m.RandPage+table.RecordsPerPage*m.Row); math.Abs(c.CostIndex-base.CostIndex-want) > 1e-9 {
 			t.Errorf("tail %v: priced %.4f over the tail-less price, want %.4f (%v zone tests, %v pages read)", tail, c.CostIndex-base.CostIndex, want, pages, hits)
 		}

@@ -3,7 +3,10 @@ package planner
 import (
 	"context"
 	"errors"
+	"math"
+	"sort"
 
+	"repro/internal/kdtree"
 	"repro/internal/table"
 )
 
@@ -18,9 +21,16 @@ import (
 // bound pages read and not just rows returned. Under the key bound of
 // an ordered LIMIT the ranges are cut into pages and visited best zone
 // key first, so the k-th key tightens as fast as the data allows, and
-// the scan stops at the first page whose best key is worse than it. The
-// caller's context is checked at page granularity (via table.Iter),
-// making every query on this path cancellable.
+// the scan stops at the first page whose best key is worse than it. On
+// a kd-clustered table the pages are found by incremental best-first
+// browsing of the tree (Hjaltason & Samet, TODS 1999): one min-heap
+// holds kd nodes keyed by their tight bounds and pages keyed by their
+// zones; a popped node pushes its children that meet the ranges, a
+// popped leaf its pages, a popped page is scanned. This is the paper's
+// §3.3 search growing its region in steps of kd-boxes, and every kNN —
+// ORDER BY dist(p) LIMIT k — runs on it. The caller's context is
+// checked at page granularity (via table.Iter), making every query on
+// this path cancellable.
 //
 // A statement runs on one goroutine; concurrency comes from serving
 // statements concurrently. Every counter a stream reports is therefore
@@ -59,6 +69,11 @@ type StreamOpts struct {
 	// worse than τ it and every page after it are skipped unread. A
 	// WithoutZones view has no best keys and runs in range order.
 	Bound *table.KeyBound
+	// Tree, under a Bound, is the kd-tree tb is clustered on, or nil. The
+	// pages then enter the visiting order lazily, best kd node first:
+	// the scan's CPU grows with the pages it visits, not with the
+	// candidate pages (seed).
+	Tree *kdtree.Tree
 }
 
 // Stream starts a streaming scan of the tasks against tb (which
@@ -83,56 +98,136 @@ func Stream(tb *table.Table, tasks []ScanTask, opts StreamOpts) *RowStream {
 		}
 	}
 	if zones := tb.ZoneMaps(); opts.Bound != nil && zones != nil {
-		s.units = pageUnits(tasks, opts.Bound, zones)
-		s.ordered = true
+		s.ordered, s.zones = true, zones
+		s.seed(opts.Tree)
 	}
 	return s
 }
 
-// pageUnit is one page of one task in a bounded scan's visiting order:
-// its zone's best key under the bound, then its position.
-type pageUnit struct {
+// walkEntry is one entry of a bounded scan's visiting heap: a page of
+// one task, or (task < 0) a kd node not yet expanded. Entries order by
+// best key, then by first row, nodes before pages.
+type walkEntry struct {
 	best float64
-	pg   uint32
-	task uint32
+	row  table.RowID // the page's first row, or the node's RowLo
+	idx  uint32      // page number, or node index
+	task int32       // the page's task; -1 for a node
 }
 
-// less orders units by best key, then by RowID.
-func (u *pageUnit) less(v *pageUnit) bool {
-	if u.best != v.best {
-		return u.best < v.best
+func (e *walkEntry) less(f *walkEntry) bool {
+	if e.best != f.best {
+		return e.best < f.best
 	}
-	return u.pg < v.pg
+	if e.row != f.row {
+		return e.row < f.row
+	}
+	return e.task < f.task
 }
 
-// pageUnits cuts the tasks into pages tagged with their best keys and
-// heapifies them in O(n). The tasks are left untouched: a cached plan's
-// ranges are shared between statements.
-func pageUnits(tasks []ScanTask, b *table.KeyBound, zones *table.ZoneMaps) []pageUnit {
+// seed fills the visiting heap. On a kd-clustered table it holds the
+// root node and the pages of the rows past the tree (the tail minor
+// compactions append); every other page enters when the leaf holding
+// it is expanded. Without a tree every page enters up front, heapified
+// in O(n). The tasks are left untouched: a cached plan's ranges are
+// shared between statements.
+func (s *RowStream) seed(tree *kdtree.Tree) {
 	const rpp = table.RecordsPerPage
-	n := 0
-	for _, t := range tasks {
+	for _, t := range s.tasks {
 		if t.Lo < t.Hi {
-			n += int((t.Hi-1)/rpp - t.Lo/rpp + 1)
+			s.left += int64((t.Hi-1)/rpp - t.Lo/rpp + 1)
 		}
 	}
-	units := make([]pageUnit, 0, n)
-	for i, t := range tasks {
-		if t.Lo >= t.Hi {
+	if tree == nil {
+		s.heap = make([]walkEntry, 0, s.left)
+		s.pushPages(0, table.RowID(math.MaxUint64))
+		for i := len(s.heap)/2 - 1; i >= 0; i-- {
+			siftDown(s.heap, i)
+		}
+		return
+	}
+	s.tree = tree
+	if n := len(s.tasks); n > 0 {
+		s.seen = make([]uint64, (s.tasks[n-1].Hi/rpp+64)/64)
+	}
+	if root := &tree.Nodes[0]; s.seen != nil && s.meets(root.RowLo, root.RowHi) {
+		s.push(walkEntry{best: s.bound.BoxBest(root.Bounds), row: root.RowLo, task: -1})
+	}
+	s.pushPages(table.RowID(tree.NumRows), table.RowID(math.MaxUint64))
+}
+
+// firstTask returns the index of the first task ending past row lo.
+func (s *RowStream) firstTask(lo table.RowID) int {
+	return sort.Search(len(s.tasks), func(i int) bool { return s.tasks[i].Hi > lo })
+}
+
+// meets reports whether rows [lo, hi) overlap any task.
+func (s *RowStream) meets(lo, hi table.RowID) bool {
+	i := s.firstTask(lo)
+	return lo < hi && i < len(s.tasks) && s.tasks[i].Lo < hi
+}
+
+// pushPages pushes every page of rows [lo, hi) ∩ tasks not pushed yet,
+// keyed by its zone. Tasks are page-aligned, so a page belongs to one
+// task; a page a leaf shares with another is pushed once, by whichever
+// expands first.
+func (s *RowStream) pushPages(lo, hi table.RowID) {
+	const rpp = table.RecordsPerPage
+	for i := s.firstTask(lo); i < len(s.tasks) && s.tasks[i].Lo < hi; i++ {
+		t := s.tasks[i]
+		plo, phi := max(t.Lo, lo), min(t.Hi, hi)
+		if plo >= phi {
 			continue
 		}
-		b.PageBests(zones, int(t.Lo/rpp), int((t.Hi-1)/rpp)+1, func(pg int, best float64) {
-			units = append(units, pageUnit{best: best, pg: uint32(pg), task: uint32(i)})
+		s.bound.PageBests(s.zones, int(plo/rpp), int((phi-1)/rpp)+1, func(pg int, best float64) {
+			if s.tree != nil {
+				if w, bit := pg/64, uint64(1)<<(pg%64); s.seen[w]&bit == 0 {
+					s.seen[w] |= bit
+				} else {
+					return
+				}
+			}
+			e := walkEntry{best: best, row: table.RowID(pg) * rpp, idx: uint32(pg), task: int32(i)}
+			if s.tree == nil {
+				s.heap = append(s.heap, e) // heapified once seeded
+			} else {
+				s.push(e)
+			}
 		})
 	}
-	for i := len(units)/2 - 1; i >= 0; i-- {
-		siftDown(units, i)
+}
+
+// expand replaces a popped node by its children that meet the tasks,
+// keyed by their tight bounds, or a popped leaf by its pages.
+func (s *RowStream) expand(idx uint32) {
+	n := &s.tree.Nodes[idx]
+	if n.IsLeaf() {
+		s.leaves++
+		s.pushPages(n.RowLo, n.RowHi)
+		return
 	}
-	return units
+	for _, c := range [2]int32{n.Left, n.Right} {
+		if ch := &s.tree.Nodes[c]; s.meets(ch.RowLo, ch.RowHi) {
+			s.push(walkEntry{best: s.bound.BoxBest(ch.Bounds), row: ch.RowLo, idx: uint32(c), task: -1})
+		}
+	}
+}
+
+// push adds e to the visiting heap.
+func (s *RowStream) push(e walkEntry) {
+	s.heap = append(s.heap, e)
+	h := s.heap
+	for i := len(h) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if !h[i].less(&h[parent]) {
+			return
+		}
+		h[i], h[parent] = h[parent], h[i]
+		i = parent
+	}
 }
 
 // siftDown restores the min-heap below i.
-func siftDown(h []pageUnit, i int) {
+func siftDown(h []walkEntry, i int) {
 	for {
 		least := i
 		for c := 2*i + 1; c <= 2*i+2 && c < len(h); c++ {
@@ -166,10 +261,17 @@ type RowStream struct {
 	closed bool
 	err    error
 
-	// ordered marks a bounded scan visiting units, a min-heap of the
-	// pages left; otherwise ti is the next task in range order.
+	// ordered marks a bounded scan visiting heap, a min-heap of the
+	// pages and kd nodes left (seed); otherwise ti is the next task in
+	// range order. left counts the candidate pages not yet popped, seen
+	// the pages pushed, leaves the leaves expanded.
 	ordered bool
-	units   []pageUnit
+	zones   *table.ZoneMaps
+	tree    *kdtree.Tree
+	heap    []walkEntry
+	seen    []uint64
+	left    int64
+	leaves  int64
 	ti      int
 	// it is the open iterator, one of iters (unfiltered, filtered),
 	// each created once and Reset onto every range of its kind.
@@ -179,6 +281,9 @@ type RowStream struct {
 	buf       table.Record
 	remaining int64 // StopAfter countdown; -1 = unbounded
 }
+
+// LeavesExpanded returns the kd leaves a bounded walk has expanded.
+func (s *RowStream) LeavesExpanded() int64 { return s.leaves }
 
 // RowsExamined returns the in-range rows of the pages fetched so far:
 // filtered pages test them all in the strip loop, unfiltered and
@@ -235,28 +340,36 @@ func (s *RowStream) Next() bool {
 }
 
 // open positions an iterator on the next range to scan: the next task,
-// or under a bound the best page left. A bounded scan ends at the first
-// page whose best key is worse than τ: every page left keys no better,
-// so each counts as skipped unread.
+// or under a bound the best page left, expanding the kd nodes popped
+// before it. A bounded scan ends at the first entry whose best key is
+// worse than τ: every page left — in the heap or under a node in it —
+// keys no better, so each counts as skipped unread.
 func (s *RowStream) open() bool {
 	var t ScanTask
 	if s.ordered {
-		if len(s.units) == 0 {
-			return false
+		for {
+			if len(s.heap) == 0 {
+				return false
+			}
+			e := s.heap[0]
+			if tau, ok := s.bound.Tau(); ok && e.best > tau {
+				s.zc.PagesSkipped.Add(s.left)
+				s.left, s.heap = 0, s.heap[:0]
+				return false
+			}
+			last := len(s.heap) - 1
+			s.heap[0] = s.heap[last]
+			s.heap = s.heap[:last]
+			siftDown(s.heap, 0)
+			if e.task < 0 {
+				s.expand(e.idx)
+				continue
+			}
+			s.left--
+			t = s.tasks[e.task]
+			t.Lo, t.Hi = max(t.Lo, e.row), min(t.Hi, e.row+table.RecordsPerPage)
+			break
 		}
-		u := s.units[0]
-		if tau, ok := s.bound.Tau(); ok && u.best > tau {
-			s.zc.PagesSkipped.Add(int64(len(s.units)))
-			s.units = s.units[:0]
-			return false
-		}
-		last := len(s.units) - 1
-		s.units[0] = s.units[last]
-		s.units = s.units[:last]
-		siftDown(s.units, 0)
-		t = s.tasks[u.task]
-		pg := table.RowID(u.pg) * table.RecordsPerPage
-		t.Lo, t.Hi = max(t.Lo, pg), min(t.Hi, pg+table.RecordsPerPage)
 	} else {
 		if s.ti >= len(s.tasks) {
 			return false

@@ -14,7 +14,6 @@ import (
 
 	"repro/internal/colorsql"
 	"repro/internal/core"
-	"repro/internal/knn"
 	"repro/internal/photoz"
 	"repro/internal/planner"
 	"repro/internal/qos"
@@ -287,11 +286,7 @@ func (c *Coordinator) EstimateRedshiftBatch(ctx context.Context, qs []vec.Point)
 		if len(nbs[i]) == 0 {
 			return nil, core.Report{}, fmt.Errorf("shard: photo-z: the shards returned no reference rows")
 		}
-		fit := make([]knn.Neighbor, len(nbs[i]))
-		for j := range fit {
-			fit[j].Rec = nbs[i][j]
-		}
-		z, fellBack := photoz.Fit(q, fit, photoZDegree)
+		z, fellBack := photoz.Fit(q, nbs[i], photoZDegree)
 		zs[i] = z
 		if fellBack {
 			rep.FitFallbacks++

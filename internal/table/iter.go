@@ -291,7 +291,7 @@ func (it *Iter) loadPage() bool {
 			if it.pred != nil {
 				rel = it.pred.Classify(&z)
 			}
-			if bounded && it.keyBound.best(&z) > tau {
+			if bounded && it.keyBound.best(z.Min[:], z.Max[:]) > tau {
 				rel = vec.Outside
 			}
 		}

@@ -103,19 +103,20 @@ func (b *KeyBound) Tau() (tau float64, ok bool) {
 	return tau, tau < math.Inf(1)
 }
 
-// best returns the best key any row of the zone box can take: no row
-// of the box keys below it, so the box is excluded by τ exactly when
-// best > τ. For a linear key it sits at the corner taking each axis'
-// minimum where the coefficient is positive and its maximum where
-// negative; it is accumulated as Key accumulates a row's, and float
-// multiply and add are monotone. For a quadratic key it is
-// mindist²(box, p) (vec.Box.Dist2), or under DESC minus maxdist²(box, p)
-// (vec.Box.MaxDist2): per axis the box's term is the square of a
-// difference rounded no nearer (farther) than any row's, and the terms
-// are summed in Dist2's order.
-func (b *KeyBound) best(z *PageZone) float64 {
+// best returns the best key any row of a box [lo, hi] can take — a page
+// zone's or a kd node's tight bounds: no row of the box keys below it,
+// so the box is excluded by τ exactly when best > τ. For a linear key it
+// sits at the corner taking each axis' minimum where the coefficient is
+// positive and its maximum where negative; it is accumulated as Key
+// accumulates a row's, and float multiply and add are monotone. For a
+// quadratic key it is mindist²(box, p) (vec.Box.Dist2), or under DESC
+// minus maxdist²(box, p) (vec.Box.MaxDist2): per axis the box's term is
+// the square of a difference rounded no nearer (farther) than any row's,
+// and the terms are summed in Dist2's order. A box nested in another
+// keys no better than it, so a kd node's best bounds its subtree's.
+func (b *KeyBound) best(lo, hi []float64) float64 {
 	if b.dist {
-		box := vec.Box{Min: z.Min[:], Max: z.Max[:]}
+		box := vec.Box{Min: lo, Max: hi}
 		if b.neg {
 			return -box.MaxDist2(b.center[:])
 		}
@@ -124,12 +125,21 @@ func (b *KeyBound) best(z *PageZone) float64 {
 	s := b.k
 	for i, c := range b.coeffs {
 		if c < 0 {
-			s += c * z.Max[i]
+			s += c * hi[i]
 		} else {
-			s += c * z.Min[i]
+			s += c * lo[i]
 		}
 	}
 	return s
+}
+
+// BoxBest is best over a box, −Inf where it is NaN: nothing can exclude
+// such a box. The kd walk keys its nodes by it, as PageBests keys pages.
+func (b *KeyBound) BoxBest(box vec.Box) float64 {
+	if v := b.best(box.Min, box.Max); !math.IsNaN(v) {
+		return v
+	}
+	return math.Inf(-1)
 }
 
 // PageBests calls fn with the best key of each page in [first, end)
@@ -143,9 +153,8 @@ func (b *KeyBound) PageBests(zones *ZoneMaps, first, end int, fn func(pg int, be
 	for pg := first; pg < end; pg++ {
 		best := math.Inf(-1)
 		if pg < len(zones.zones) {
-			if v := b.best(&zones.zones[pg]); !math.IsNaN(v) {
-				best = v
-			}
+			z := &zones.zones[pg]
+			best = b.BoxBest(vec.Box{Min: z.Min[:], Max: z.Max[:]})
 		}
 		fn(pg, best)
 	}

@@ -437,8 +437,8 @@ type knnResultJSON struct {
 
 // handleKnn serves batched nearest-neighbour queries: POST a JSON
 // body {"points": [[5 mags]...], "k": n} and get, per query in input
-// order, the k neighbours plus that query's exact cost report from
-// the batch engine. Admission is priced per batch — points × the
+// order, the k neighbours plus that query's exact cost report — each
+// query its statement ORDER BY dist(p) LIMIT k. Admission is priced per batch — points × the
 // planner's per-query kNN estimate — so a 10k-point k=1000 monster
 // sheds under saturation while single-point probes queue.
 func (s *Server) handleKnn(w http.ResponseWriter, r *http.Request) {
@@ -544,8 +544,9 @@ func (s *Server) writeKnnResponse(w http.ResponseWriter, k int, qs []vec.Point, 
 
 // handlePhotoz serves photometric redshift estimates: repeat the
 // mags parameter for a batch, e.g. /photoz?mags=18,17,17,16,16&mags=...
-// The batch runs on the batched kNN engine; the response includes
-// the batch's fit-fallback count (degenerate neighbourhoods).
+// Each estimate is its reference kNN statement plus a local fit; the
+// response includes the batch's fit-fallback count (degenerate
+// neighbourhoods).
 func (s *Server) handlePhotoz(w http.ResponseWriter, r *http.Request) {
 	raws := r.URL.Query()["mags"]
 	if len(raws) == 0 {
