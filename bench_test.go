@@ -7,8 +7,8 @@
 //	Fig2  BenchmarkFig2LoggedQuery*
 //	Fig4  BenchmarkFig4ClassifyLeaves
 //	Fig5  BenchmarkFig5{FullScan,KdTree}/sel=*
-//	§3.1  BenchmarkGrid{Sample,TableSample}
-//	§3.2  BenchmarkKdBuild/N=*
+//	§3.1  BenchmarkGrid{Sample,TableSample,Build}
+//	§3.2  BenchmarkKdBuild
 //	§3.3  BenchmarkKNN{Indexed,BruteForce}/k=*
 //	§3.4  BenchmarkVoronoi{Walk,Query}, BenchmarkDelaunay*
 //	§4    BenchmarkBSTBuild
@@ -284,36 +284,54 @@ func BenchmarkGridTableSample(b *testing.B) {
 	}
 }
 
-// --- §3.2 kd-tree construction ----------------------------------------
+// --- §3.1/§3.2 index construction ------------------------------------
 
-// BenchmarkKdBuild measures index construction (the paper's 12-hour
-// offline step) across table sizes.
-func BenchmarkKdBuild(b *testing.B) {
-	for _, rows := range []int{10_000, 50_000} {
-		b.Run(fmt.Sprintf("N=%d", rows), func(b *testing.B) {
-			dir := b.TempDir()
-			s, err := pagestore.Open(dir, 16384)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer s.Close()
-			tb, err := table.Create(s, "mag.tbl")
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := sky.GenerateTable(tb, sky.DefaultParams(rows, 42)); err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				_, _, err := kdtree.Build(tb, fmt.Sprintf("mag.kd.%d", i), kdtree.BuildParams{Domain: sky.Domain()})
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(rows)*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
-		})
+// buildRows is the build benchmarks' catalog size: the bench harness's
+// 200K rows, where the two builds are most of a set-up.
+const buildRows = 200_000
+
+// benchBuild times build over a fresh buildRows-row catalog in
+// arrival order, the kd build's input; each run writes its clustered
+// copy under a new name.
+func benchBuild(b *testing.B, build func(tb *table.Table, name string) error) {
+	s, err := pagestore.Open(b.TempDir(), 16384)
+	if err != nil {
+		b.Fatal(err)
 	}
+	defer s.Close()
+	tb, err := table.Create(s, "mag.tbl")
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := sky.GenerateTable(tb, sky.DefaultParams(buildRows, 42)); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := build(tb, fmt.Sprintf("copy.%d", i)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(buildRows)*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
+}
+
+// BenchmarkKdBuild measures the §3.2 kd-tree build (the paper's
+// 12-hour offline step): partition, leaf sorts and the clustered copy.
+func BenchmarkKdBuild(b *testing.B) {
+	benchBuild(b, func(tb *table.Table, name string) error {
+		_, _, err := kdtree.Build(tb, name, kdtree.BuildParams{Domain: sky.Domain()})
+		return err
+	})
+}
+
+// BenchmarkGridBuild measures the §3.1 layered grid build: layer and
+// cell tags, the clustered order and the clustered copy.
+func BenchmarkGridBuild(b *testing.B) {
+	dom3 := vec.NewBox(sky.Domain().Min[:3], sky.Domain().Max[:3])
+	benchBuild(b, func(tb *table.Table, name string) error {
+		_, err := grid.Build(tb, name, grid.DefaultParams(dom3, 7))
+		return err
+	})
 }
 
 // --- §3.3 kNN ----------------------------------------------------------

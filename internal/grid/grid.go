@@ -28,9 +28,11 @@
 package grid
 
 import (
+	"cmp"
 	"fmt"
+	"math"
 	"math/rand"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/pagestore"
@@ -123,6 +125,12 @@ type SampleStats struct {
 // Build constructs the index: assigns RandomID/Layer/ContainedBy,
 // writes the clustered copy under clusteredName, and builds the cell
 // directory.
+//
+// It reads the table twice in page order — the magnitudes, to widen
+// the domain, then the rows into memory — and writes the clustered
+// copy in one sequential pass that sets each row's index columns as it
+// is appended. The clustered order is a sort of one packed key per
+// row, cell code above RandomID, within each layer's RandomID range.
 func Build(tb *table.Table, clusteredName string, p Params) (*Index, error) {
 	if p.Base < 1 {
 		return nil, fmt.Errorf("grid: Base must be >= 1, got %d", p.Base)
@@ -137,105 +145,129 @@ func Build(tb *table.Table, clusteredName string, p Params) (*Index, error) {
 	if p.Domain.Dim() != p.ProjDim {
 		return nil, fmt.Errorf("grid: domain dim %d != ProjDim %d", p.Domain.Dim(), p.ProjDim)
 	}
+	tb = tb.Snapshot()
 	n := int(tb.NumRows())
 	if n == 0 {
 		return nil, fmt.Errorf("grid: empty table")
 	}
-
-	// Random permutation: rank[i] is the RandomID of row i.
-	rng := rand.New(rand.NewSource(p.Seed))
-	rank := rng.Perm(n)
-
-	growth := 1 << uint(p.ProjDim)
-	layers := planLayers(n, p.Base, growth, p.MaxLayers)
-
-	// Compute layer + cell code per row and the clustered order. We
-	// hold the per-row index columns in memory (the paper precomputes
-	// them into table columns the same way).
-	type rowTag struct {
-		row   table.RowID
-		layer uint16
-		code  uint64
-		rank  uint32
+	if n > math.MaxInt32 {
+		return nil, fmt.Errorf("grid: %d rows exceed the build's 31-bit RandomIDs", n)
 	}
-	// Cells are assigned once the domain covers every row's projection.
-	tags := make([]rowTag, n)
-	projs := make([]float64, 0, n*p.ProjDim)
+
+	// Random permutation: row i gets RandomID rank[i].
+	rank := make([]uint32, n)
+	for row, r := range rand.New(rand.NewSource(p.Seed)).Perm(n) {
+		rank[row] = uint32(r)
+	}
+
+	// Cells are assigned once the domain covers every row's projection:
+	// a first read widens it; the second copies the rows and packs, in
+	// keys[r], the cell code of the row with RandomID r — in the grid of
+	// the layer r falls in — above r.
 	p.Domain = p.Domain.Clone()
-	i := 0
-	err := tb.ScanClassed().ScanMags(func(id table.RowID, m *[table.Dim]float64) bool {
-		proj := p.Proj(m)
-		p.Domain.ExtendPoint(proj)
-		projs = append(projs, proj...)
-		tags[i] = rowTag{row: id, rank: uint32(rank[i])}
-		i++
+	err := tb.ScanClassed().ScanMags(func(_ table.RowID, m *[table.Dim]float64) bool {
+		p.Domain.ExtendPoint(p.Proj(m))
 		return true
 	})
 	if err != nil {
 		return nil, err
 	}
-	for i := range tags {
-		t := &tags[i]
-		layer := layerOfRank(int(t.rank), p.Base, growth, len(layers))
-		code, err := cellCode(projs[i*p.ProjDim:(i+1)*p.ProjDim], p.Domain, layers[layer-1].res)
+	growth := 1 << uint(p.ProjDim)
+	layers := planLayers(n, p.Base, growth, p.MaxLayers)
+	recs := make([]table.Record, 0, n)
+	keys := make([]uint64, n)
+	var m [table.Dim]float64
+	var cellErr error
+	err = tb.ScanClassed().Scan(func(row table.RowID, rec *table.Record) bool {
+		recs = append(recs, *rec)
+		r := int(rank[row])
+		layer := layerOfRank(r, p.Base, growth, len(layers))
+		m = mags(rec)
+		code, err := cellCode(p.Proj(&m), p.Domain, layers[layer-1].res)
 		if err != nil {
-			return nil, fmt.Errorf("grid: row %d: %w", t.row, err)
+			cellErr = fmt.Errorf("grid: row %d: %w", row, err)
+			return false
 		}
-		t.layer, t.code = uint16(layer), code
-	}
-
-	// Clustered order: by (layer, code), ties by rank so each cell's
-	// prefix is itself a random subsample.
-	order := make([]int, n)
-	for j := range order {
-		order[j] = j
-	}
-	sort.Slice(order, func(a, b int) bool {
-		ta, tb2 := tags[order[a]], tags[order[b]]
-		if ta.layer != tb2.layer {
-			return ta.layer < tb2.layer
+		if code > math.MaxUint32 {
+			cellErr = fmt.Errorf("grid: layer %d cell code %d exceeds the uint32 ContainedBy", layer, code)
+			return false
 		}
-		if ta.code != tb2.code {
-			return ta.code < tb2.code
-		}
-		return ta.rank < tb2.rank
+		keys[r] = code<<32 | uint64(r)
+		return true
 	})
-
-	// Install the index columns while rewriting in clustered order.
-	perm := make([]table.RowID, n)
-	for newPos, j := range order {
-		perm[newPos] = tags[j].row
+	if err = cmp.Or(err, cellErr); err != nil {
+		return nil, err
 	}
-	clustered, err := tb.Rewrite(clusteredName, perm)
+	byRank := invert(rank)
+	// Layer l holds one contiguous RandomID range, so the clustered
+	// order — by (layer, cell code), ties by RandomID so each cell's
+	// prefix is itself a random subsample — sorts each layer's keys on
+	// their own.
+	lo := 0
+	for _, info := range layers {
+		slices.Sort(keys[lo : lo+info.points])
+		lo += info.points
+	}
+
+	// Write the clustered copy with its index columns, and the
+	// directory of contiguous cell ranges.
+	clustered, err := table.Create(tb.Store(), clusteredName)
 	if err != nil {
 		return nil, err
 	}
-	for newPos, j := range order {
-		t := tags[j]
-		if err := clustered.Update(table.RowID(newPos), func(r *table.Record) {
-			r.RandomID = t.rank
-			r.Layer = t.layer
-			r.ContainedBy = uint32(t.code)
-		}); err != nil {
-			return nil, err
-		}
-	}
-
-	// Directory of contiguous cell ranges.
+	a := clustered.NewAppender()
+	defer a.Close()
 	dir := make(map[cellKey]rowRange)
-	for newPos, j := range order {
-		t := tags[j]
-		key := cellKey{layer: int(t.layer), code: t.code}
-		r, ok := dir[key]
-		if !ok {
-			dir[key] = rowRange{start: table.RowID(newPos), count: 1}
-		} else {
-			r.count++
-			dir[key] = r
+	pos, cellStart := 0, 0
+	// Rows are gathered a batch at a time: the tight copy loop keeps
+	// many of its scattered reads in flight at once.
+	var batch [64]table.Record
+	for l, info := range layers {
+		span := keys[pos : pos+info.points]
+		for lo := 0; lo < len(span); lo += len(batch) {
+			chunk := span[lo:min(lo+len(batch), len(span))]
+			for j, key := range chunk {
+				batch[j] = recs[byRank[uint32(key)]]
+			}
+			for j, key := range chunk {
+				rec := &batch[j]
+				rec.RandomID, rec.Layer, rec.ContainedBy = uint32(key), uint16(l+1), uint32(key>>32)
+				if err := a.Append(rec); err != nil {
+					return nil, err
+				}
+				pos++
+				if i := lo + j + 1; i == len(span) || span[i]>>32 != key>>32 {
+					dir[cellKey{layer: l + 1, code: key >> 32}] = rowRange{start: table.RowID(cellStart), count: uint32(pos - cellStart)}
+					cellStart = pos
+				}
+			}
 		}
 	}
-
 	return &Index{params: p, axisProj: axisProj, tbl: clustered, layers: layers, dir: dir}, nil
+}
+
+// invert turns the permutation p, i → p[i], into its inverse in place
+// and returns it: no second n-entry array beside the rows a build
+// holds. Each cycle is walked once, its entries marked done in the top
+// bit, which a permutation of fewer than 2^31 entries leaves free.
+func invert(p []uint32) []uint32 {
+	const done = 1 << 31
+	for start := range p {
+		if p[start]&done != 0 {
+			continue
+		}
+		prev, cur := uint32(start), p[start]
+		for cur != uint32(start) {
+			next := p[cur]
+			p[cur] = prev | done
+			prev, cur = cur, next
+		}
+		p[start] = prev | done
+	}
+	for i := range p {
+		p[i] &^= done
+	}
+	return p
 }
 
 // planLayers returns the layer plan for n rows: layer l holds
@@ -473,11 +505,17 @@ func (ix *Index) SampleStream(q vec.Box, n int, yield func(*table.Record) bool) 
 
 // inBox tests a record's projection against the query box.
 func (ix *Index) inBox(r *table.Record, q vec.Box) bool {
-	var m [table.Dim]float64
+	m := mags(r)
+	return q.Contains(ix.params.Proj(&m))
+}
+
+// mags returns a record's magnitudes as the float64 vector a ProjFunc
+// takes.
+func mags(r *table.Record) (m [table.Dim]float64) {
 	for i, v := range r.Mags {
 		m[i] = float64(v)
 	}
-	return q.Contains(ix.params.Proj(&m))
+	return m
 }
 
 // ValidateStructure checks the in-memory invariants without any
@@ -547,10 +585,7 @@ func (ix *Index) Validate() error {
 			checkErr = fmt.Errorf("grid: row %d has layer %d", id, layer)
 			return false
 		}
-		var m [table.Dim]float64
-		for i, v := range r.Mags {
-			m[i] = float64(v)
-		}
+		m := mags(r)
 		code, err := cellCode(ix.params.Proj(&m), ix.params.Domain, ix.layers[layer-1].res)
 		if err != nil {
 			checkErr = err

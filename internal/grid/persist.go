@@ -1,8 +1,10 @@
 package grid
 
 import (
+	"cmp"
 	"encoding/gob"
 	"fmt"
+	"slices"
 
 	"repro/internal/pagedio"
 	"repro/internal/pagestore"
@@ -71,6 +73,12 @@ func (ix *Index) Persist(name string) error {
 			Start: uint64(r.start), Count: r.count,
 		})
 	}
+	// In (layer, code) order, not the directory map's: one index writes
+	// one byte stream. The reader rebuilds the map, so the order is not
+	// part of the format.
+	slices.SortFunc(p.Cells, func(a, b persistedCell) int {
+		return cmp.Or(cmp.Compare(a.Layer, b.Layer), cmp.Compare(a.Code, b.Code))
+	})
 	err := pagedio.WriteGob(ix.tbl.Store(), name, func(enc *gob.Encoder) error { return enc.Encode(p) })
 	if err != nil {
 		return fmt.Errorf("grid: persist %s: %w", name, err)

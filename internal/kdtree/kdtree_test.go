@@ -334,24 +334,29 @@ func TestSelectNth(t *testing.T) {
 	for iter := 0; iter < 200; iter++ {
 		n := 1 + rng.Intn(200)
 		vals := make([]float64, n)
+		ids := make([]int64, n)
+		pos := make([]int32, n)
 		for i := range vals {
-			vals[i] = rng.NormFloat64()
+			vals[i], ids[i], pos[i] = rng.NormFloat64(), int64(i), int32(i)
 		}
-		span := make([]int, n)
-		for i := range span {
-			span[i] = i
-		}
+		orig := append([]float64(nil), vals...)
 		k := rng.Intn(n)
-		selectNth(span, k, func(a, b int) bool { return vals[a] < vals[b] })
-		kth := vals[span[k]]
+		keys := keys[float64]{cols: [][]float64{vals}, ids: ids, pos: pos}
+		keys.selectNth(0, n, k, vals)
+		kth := vals[k]
 		for i := 0; i < k; i++ {
-			if vals[span[i]] > kth {
+			if vals[i] > kth {
 				t.Fatalf("element %d before position %d exceeds kth", i, k)
 			}
 		}
 		for i := k; i < n; i++ {
-			if vals[span[i]] < kth {
+			if vals[i] < kth {
 				t.Fatalf("element %d after position %d below kth", i, k)
+			}
+		}
+		for i, p := range pos {
+			if orig[p] != vals[i] || ids[i] != int64(p) {
+				t.Fatalf("position %d holds value %v, id %d but item %d", i, vals[i], ids[i], p)
 			}
 		}
 	}
@@ -409,10 +414,11 @@ func TestElongationReflectsClustering(t *testing.T) {
 
 // TestBuildIsInputOrderFree: what a build writes depends on the set of
 // records, not on their order. Over the same rows in two orders — with
-// a tie group the root's median falls inside, and a duplicated ObjID
-// and a duplicated row among the ties — the trees are equal and the
-// clustered tables byte-identical, so a rebuild over a clustered
-// table's own rows reproduces a fresh build.
+// a tie group the root's median falls inside, a duplicated ObjID and a
+// duplicated row among the ties, and rows at the median that tie in
+// every magnitude and ObjID — the trees are equal and the clustered
+// tables byte-identical, from records and from a table alike, so a
+// rebuild over a clustered table's own rows reproduces a fresh build.
 func TestBuildIsInputOrderFree(t *testing.T) {
 	dir := t.TempDir()
 	s, err := pagestore.Open(dir, 4096)
@@ -441,6 +447,22 @@ func TestBuildIsInputOrderFree(t *testing.T) {
 	}
 	recs[5].ObjID = recs[0].ObjID // one ObjID twice among the ties
 	recs[15] = recs[10]           // one row twice
+	// Five rows around the median that tie in every magnitude and
+	// ObjID and differ only in ra, dec and class: only the encoded-
+	// record tail decides which of them go left.
+	below := 0
+	for i := range recs {
+		if recs[i].Mags[2] < 20 {
+			below++
+		}
+	}
+	med := (len(recs)/2 - below) * 5 // the tie row at the median: ObjIDs 0, 5, 10, ... in order
+	group := recs[med]
+	for j := -2; j <= 2; j++ {
+		g := group
+		g.Ra, g.Dec, g.Class = float32(100+j), float32(j), table.Class((j+2)%int(table.NumClasses))
+		recs[med+5*j] = g
+	}
 	shuffled := append([]table.Record(nil), recs...)
 	rand.New(rand.NewSource(8)).Shuffle(len(shuffled), func(i, j int) {
 		shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
@@ -455,10 +477,39 @@ func TestBuildIsInputOrderFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The table path reads the tied rows back for the tail.
+	src, err := table.Create(s, "shuffled.tbl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := src.AppendAll(shuffled); err != nil {
+		t.Fatal(err)
+	}
+	treeC, tbC, err := Build(src, "c.kd", p)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if root := treeA.Root(); root.Axis != 2 || root.Cut != 20 {
 		t.Fatalf("root splits axis %d at %v; the case wants the r = 20 tie group at the median", root.Axis, root.Cut)
 	}
-	if !reflect.DeepEqual(treeA, treeB) {
+	var left, right int
+	err = tbA.Scan(func(id table.RowID, r *table.Record) bool {
+		if r.ObjID == group.ObjID && r.Ra >= 98 {
+			if id < treeA.Root().RowLo+table.RowID(len(recs)/2) {
+				left++
+			} else {
+				right++
+			}
+		}
+		return true
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if left == 0 || right == 0 {
+		t.Fatalf("the full-tie group splits %d left, %d right; the case wants it across the root's median", left, right)
+	}
+	if !reflect.DeepEqual(treeA, treeB) || !reflect.DeepEqual(treeA, treeC) {
 		t.Error("the trees built over two orders of one row set differ")
 	}
 	if err := s.Flush(); err != nil {
@@ -468,11 +519,13 @@ func TestBuildIsInputOrderFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := os.ReadFile(filepath.Join(dir, tbB.Name()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a) == 0 || !bytes.Equal(a, b) {
-		t.Errorf("the clustered tables differ (%d and %d bytes)", len(a), len(b))
+	for _, tb := range []*table.Table{tbB, tbC} {
+		b, err := os.ReadFile(filepath.Join(dir, tb.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(a) == 0 || !bytes.Equal(a, b) {
+			t.Errorf("the clustered tables %s and %s differ (%d and %d bytes)", tbA.Name(), tb.Name(), len(a), len(b))
+		}
 	}
 }

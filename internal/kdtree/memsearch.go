@@ -16,7 +16,7 @@ import (
 type PointSearcher struct {
 	tree *Tree
 	pts  []vec.Point
-	perm []int
+	perm []int32
 }
 
 // NewPointSearcher builds a searcher over pts (which must be
@@ -92,7 +92,7 @@ func (s *PointSearcher) Nearest(p vec.Point, k int) []int {
 		n := &s.tree.Nodes[e.idx]
 		if n.IsLeaf() {
 			for r := n.RowLo; r < n.RowHi; r++ {
-				i := s.perm[r]
+				i := int(s.perm[r])
 				d2 := p.Dist2(s.pts[i])
 				if len(best) < k {
 					heap.Push(&best, memHeapEntry{idx: i, dist2: d2})

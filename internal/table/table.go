@@ -439,31 +439,6 @@ func (t *Table) GetMany(ids []RowID, fn func(RowID, *Record) bool) error {
 	return nil
 }
 
-// Update rewrites one record in place via fn. The page's zone map is
-// widened to cover the new magnitudes — widening is always sound
-// (zones may only overapproximate), and the index builders that call
-// Update only touch index columns anyway.
-func (t *Table) Update(id RowID, fn func(*Record)) error {
-	pid, slot, err := t.rowPage(id)
-	if err != nil {
-		return err
-	}
-	p, err := t.readPage(pid)
-	if err != nil {
-		return err
-	}
-	var rec Record
-	decodeRecordColsAt(p.Data, slot, ColAll, &rec)
-	fn(&rec)
-	encodeRecordAt(p.Data, slot, &rec)
-	p.MarkDirty()
-	p.Release()
-	if t.zones != nil {
-		t.zones.widen(int(pid.Num), &rec)
-	}
-	return nil
-}
-
 // walkPages is the one page loop behind the callback scans: it visits
 // the pages holding rows [lo, hi) (hi clamped to the visible bound) in
 // physical order, handing fn each validated page's bytes, the RowID of
@@ -530,32 +505,4 @@ func (t *Table) ScanMags(fn func(RowID, *[Dim]float64) bool) error {
 		}
 		return true
 	})
-}
-
-// Rewrite writes a new table under newName containing this table's
-// rows permuted so that new row i is old row perm[i]. This is how
-// clustered orderings are installed (sort by LeafID or CellID, then
-// Rewrite). perm must be a permutation of [0, NumRows). The rewritten
-// table gets fresh zone maps from its appender — on a color-clustered
-// ordering they come out much tighter than the source's.
-func (t *Table) Rewrite(newName string, perm []RowID) (*Table, error) {
-	if rows := t.numRows(); uint64(len(perm)) != rows {
-		return nil, fmt.Errorf("table %s: permutation length %d != %d rows", t.name, len(perm), rows)
-	}
-	nt, err := Create(t.store, newName)
-	if err != nil {
-		return nil, err
-	}
-	a := nt.NewAppender()
-	defer a.Close()
-	var rec Record
-	for _, old := range perm {
-		if err := t.Get(old, &rec); err != nil {
-			return nil, err
-		}
-		if err := a.Append(&rec); err != nil {
-			return nil, err
-		}
-	}
-	return nt, nil
 }

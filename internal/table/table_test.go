@@ -212,53 +212,6 @@ func TestGetManySharesPages(t *testing.T) {
 	}
 }
 
-func TestUpdate(t *testing.T) {
-	tb := newTable(t, 8)
-	if err := tb.AppendAll([]Record{{ObjID: 1}, {ObjID: 2}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := tb.Update(1, func(r *Record) { r.Layer = 7; r.CellID = 42 }); err != nil {
-		t.Fatal(err)
-	}
-	var rec Record
-	tb.Get(1, &rec)
-	if rec.Layer != 7 || rec.CellID != 42 || rec.ObjID != 2 {
-		t.Errorf("after update: %+v", rec)
-	}
-}
-
-func TestRewritePermutation(t *testing.T) {
-	tb := newTable(t, 16)
-	n := 50
-	recs := make([]Record, n)
-	for i := range recs {
-		recs[i] = Record{ObjID: int64(i)}
-	}
-	if err := tb.AppendAll(recs); err != nil {
-		t.Fatal(err)
-	}
-	// Reverse order.
-	perm := make([]RowID, n)
-	for i := range perm {
-		perm[i] = RowID(n - 1 - i)
-	}
-	nt, err := tb.Rewrite("rev.tbl", perm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rec Record
-	for i := 0; i < n; i++ {
-		nt.Get(RowID(i), &rec)
-		if rec.ObjID != int64(n-1-i) {
-			t.Fatalf("rewritten row %d = %d", i, rec.ObjID)
-		}
-	}
-	// Bad permutation length.
-	if _, err := tb.Rewrite("bad.tbl", perm[:3]); err == nil {
-		t.Error("expected error for wrong permutation length")
-	}
-}
-
 func TestOpenExisting(t *testing.T) {
 	dir := t.TempDir()
 	s, err := pagestore.Open(dir, 8)

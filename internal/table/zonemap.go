@@ -48,8 +48,8 @@ func emptyZone() PageZone {
 }
 
 // ZoneMaps holds a table's per-page zones. It is maintained by the
-// Appender (and widened, never shrunk, by in-place Updates), shared
-// by all Scoped/ScanClassed views of the table, and persisted as a
+// Appender (widened, never shrunk, as rows are appended), shared by
+// all Scoped/ScanClassed views of the table, and persisted as a
 // paged sidecar by the engine catalog. An RWMutex makes concurrent
 // widening by the ingest compactor safe against serving readers —
 // and widening is always sound for them: a wider zone can only turn

@@ -117,6 +117,7 @@ type QueryStats struct {
 // store that later writes its manifest keeps the file, so build over
 // a throwaway store's table, never a persistent serving store's.
 func Build(tb *table.Table, clusteredName string, domain vec.Box, p Params) (*Index, error) {
+	tb = tb.Snapshot()
 	n := int(tb.NumRows())
 	if n == 0 {
 		return nil, fmt.Errorf("voronoi: empty table")
@@ -176,11 +177,13 @@ func Build(tb *table.Table, clusteredName string, domain vec.Box, p Params) (*In
 		domain:   domain.Clone(),
 	}
 
-	// 3. Tag every row with its nearest seed and gather cell stats.
+	// 3. Tag every row with its nearest seed and gather cell stats,
+	// keeping the rows for the clustered copy.
+	recs := make([]table.Record, 0, n)
 	cellOf := make([]uint32, n)
-	err = tb.ScanClassed().ScanMags(func(id table.RowID, m *[table.Dim]float64) bool {
-		p := make(vec.Point, table.Dim)
-		copy(p, m[:])
+	err = tb.ScanClassed().Scan(func(id table.RowID, r *table.Record) bool {
+		recs = append(recs, *r)
+		p := r.Point()
 		c := searcher.NearestOne(p)
 		cellOf[id] = uint32(c)
 		ix.Members[c]++
@@ -193,29 +196,38 @@ func Build(tb *table.Table, clusteredName string, domain vec.Box, p Params) (*In
 		return nil, err
 	}
 
-	// 4. Clustered rewrite by cell tag (the paper's clustered index).
-	perm := make([]table.RowID, n)
-	for i := range perm {
-		perm[i] = table.RowID(i)
+	// 4. Clustered copy by cell tag (the paper's clustered index): a
+	// counting sort on the tags, each cell's rows in table order,
+	// written in one pass that sets CellID as each row is appended.
+	ix.dir = make([]rowRange, len(seeds))
+	next := make([]int, len(seeds))
+	start := 0
+	for c, m := range ix.Members {
+		if m > 0 {
+			ix.dir[c] = rowRange{start: table.RowID(start), count: uint32(m)}
+		}
+		next[c] = start
+		start += m
 	}
-	sort.SliceStable(perm, func(a, b int) bool { return cellOf[perm[a]] < cellOf[perm[b]] })
-	clustered, err := tb.Rewrite(clusteredName, perm)
+	perm := make([]int32, n)
+	for row, c := range cellOf {
+		perm[next[c]] = int32(row)
+		next[c]++
+	}
+	clustered, err := table.Create(tb.Store(), clusteredName)
 	if err != nil {
 		return nil, err
 	}
-	ix.tbl = clustered
-	ix.dir = make([]rowRange, len(seeds))
-	for newPos, old := range perm {
-		c := cellOf[old]
-		if err := clustered.Update(table.RowID(newPos), func(r *table.Record) { r.CellID = c }); err != nil {
+	a := clustered.NewAppender()
+	defer a.Close()
+	for _, row := range perm {
+		rec := recs[row]
+		rec.CellID = cellOf[row]
+		if err := a.Append(&rec); err != nil {
 			return nil, err
 		}
-		if ix.dir[c].count == 0 {
-			ix.dir[c] = rowRange{start: table.RowID(newPos), count: 1}
-		} else {
-			ix.dir[c].count++
-		}
 	}
+	ix.tbl = clustered
 
 	// 5. Delaunay graph of the seeds.
 	if p.ExactDelaunay {
@@ -233,18 +245,9 @@ func Build(tb *table.Table, clusteredName string, domain vec.Box, p Params) (*In
 		if p.DataWitnesses > 0 && p.DataWitnesses < n {
 			stride = n / p.DataWitnesses
 		}
-		i := 0
-		err = clustered.ScanClassed().ScanMags(func(id table.RowID, m *[table.Dim]float64) bool {
-			if i%stride == 0 {
-				w := make(vec.Point, table.Dim)
-				copy(w, m[:])
-				wg.AddWitness(w)
-			}
-			i++
-			return true
-		})
-		if err != nil {
-			return nil, err
+		// Witnesses in clustered order, every stride-th row.
+		for i := 0; i < n; i += stride {
+			wg.AddWitness(recs[perm[i]].Point())
 		}
 		if p.RandomWitnesses > 0 {
 			wg.AddRandomWitnesses(p.RandomWitnesses, p.Seed+1)
