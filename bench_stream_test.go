@@ -104,19 +104,23 @@ func BenchmarkLimitPushdown(b *testing.B) {
 }
 
 // BenchmarkRowEncoder is the serialisation layer's own number: one
-// SELECT * row encoded into an already-grown buffer by the compiled
-// per-statement encoder. ns/op is ns/row.
+// row encoded into an already-grown buffer by the compiled
+// per-statement encoder. ns/op is ns/row. "objid+g+r" and "cut_half"
+// are the projections the benchmark's scan workload streams.
 func BenchmarkRowEncoder(b *testing.B) {
 	recs, err := sky.Generate(sky.DefaultParams(1024, 42))
 	if err != nil {
 		b.Fatal(err)
 	}
+	star := colorsql.StarColumns()
 	for _, proj := range []struct {
 		name string
 		cols []colorsql.Column
 	}{
-		{"star", colorsql.StarColumns()},
-		{"objid+r", []colorsql.Column{colorsql.StarColumns()[0], colorsql.StarColumns()[3]}},
+		{"star", star},
+		{"objid+r", []colorsql.Column{star[0], star[3]}},
+		{"objid+g+r", []colorsql.Column{star[0], star[2], star[3]}},
+		{"cut_half", star[:8]}, // objid, u, g, r, i, z, ra, dec
 	} {
 		b.Run(proj.name, func(b *testing.B) {
 			enc := core.NewRowEncoder(proj.cols)

@@ -1,9 +1,11 @@
 package table
 
 import (
+	"encoding/binary"
 	"math"
 	"math/big"
 	"math/bits"
+	"slices"
 	"strconv"
 )
 
@@ -16,36 +18,44 @@ import (
 // standard library over all 2³² bit patterns
 // (TestAppendFloat32Exhaustive).
 //
-// The digits come from the Schubfach method (R. Giulietti, "The
-// Schubfach way to render doubles", 2020) at float32 width: the
-// rounding interval's bounds and centre are scaled by a 64-bit power of
-// ten with one round-to-odd 64×32-bit multiply each, which is exact
-// enough to decide which of at most two candidate decimals lies inside.
+// The digits come from Dragonbox (J. Jeon, "Dragonbox: A New
+// Floating-Point Binary-to-Decimal Conversion Algorithm", 2020) at
+// binary32 with κ = 1: one 64×32-bit multiply scales the rounding
+// interval's upper end by a 64-bit power of ten, and a divide by 100
+// of its integer part settles most values; the rest take one more
+// digit, found from the remainder with a multiply by 6554. The writer
+// spreads the digits over one 64-bit word, one byte each, and stores
+// that word straight into the destination.
 
-// pow10Min and pow10Max bound the powers of ten a float32 needs: the
-// decimal exponent k of 2^q runs over [-45, 31], and the scale is 10^-k.
+// cacheMin and cacheMax bound the powers of ten a float32 needs: the
+// scale 10^k for k = κ - ⌊log₁₀ 2^e⌋ over the binary exponents e.
 const (
-	pow10Min = -31
-	pow10Max = 45
+	cacheMin = -31
+	cacheMax = 46
 )
 
-// pow10Table holds, for e in [pow10Min, pow10Max], 10^e scaled into
-// [2^63, 2^64) and rounded up: ⌊10^e · 2^(63-⌊log₂10^e⌋)⌋ + 1.
-var pow10Table = func() (tab [pow10Max - pow10Min + 1]uint64) {
-	one := big.NewInt(1)
-	for e := pow10Min; e <= pow10Max; e++ {
-		p := new(big.Int).Exp(big.NewInt(10), big.NewInt(int64(max(e, -e))), nil)
-		shift := 63 - floorLog2Pow10(e)
-		var g *big.Int
-		switch {
-		case e < 0:
-			g = new(big.Int).Quo(new(big.Int).Lsh(one, uint(shift)), p)
-		case shift >= 0:
-			g = p.Lsh(p, uint(shift))
-		default:
-			g = p.Rsh(p, uint(-shift))
+// pow10Cache holds, for k in [cacheMin, cacheMax], 10^k scaled into
+// [2^63, 2^64) and rounded up: ⌈10^k · 2^(63-⌊log₂10^k⌋)⌉, exact where
+// that is an integer.
+var pow10Cache = func() (tab [cacheMax - cacheMin + 1]uint64) {
+	for k := cacheMin; k <= cacheMax; k++ {
+		num, den := big.NewInt(1), big.NewInt(1)
+		pow := new(big.Int).Exp(big.NewInt(10), big.NewInt(int64(max(k, -k))), nil)
+		if k >= 0 {
+			num.Set(pow)
+		} else {
+			den.Set(pow)
 		}
-		tab[e-pow10Min] = g.Add(g, one).Uint64()
+		if shift := 63 - floorLog2Pow10(k); shift >= 0 {
+			num.Lsh(num, uint(shift))
+		} else {
+			den.Lsh(den, uint(-shift))
+		}
+		q, r := num.QuoRem(num, den, new(big.Int))
+		if r.Sign() != 0 {
+			q.Add(q, big.NewInt(1))
+		}
+		tab[k-cacheMin] = q.Uint64()
 	}
 	return tab
 }()
@@ -53,84 +63,115 @@ var pow10Table = func() (tab [pow10Max - pow10Min + 1]uint64) {
 // floorLog2Pow10 is ⌊log₂ 10^e⌋ for |e| ≤ 1650.
 func floorLog2Pow10(e int) int { return (e * 1741647) >> 19 }
 
-// roundToOdd is ⌊g·cp / 2^64⌋ with its low bit set when the dropped
-// part is inexact. g overestimates its power of ten by less than one
-// unit, so the dropped bits' top word is at most 1 on an exact product.
-func roundToOdd(g uint64, cp uint32) uint32 {
-	hi, lo := bits.Mul64(g, uint64(cp))
-	y1, y0 := uint32(hi), uint32(lo>>32)
-	if y0 > 1 {
-		y1 |= 1
-	}
-	return y1
+// floorLog10Pow2 is ⌊log₁₀ 2^e⌋ for |e| ≤ 1700.
+func floorLog10Pow2(e int) int { return (e * 315653) >> 20 }
+
+// mulParity reports, for the scale 10^k held by cache and β = e +
+// ⌊log₂10^k⌋, the parity of ⌊twoF · 2^(e-1) · 10^k⌋ and whether that
+// product is an integer.
+func mulParity(twoF uint32, cache uint64, beta int) (odd, exact bool) {
+	r := uint64(twoF) * cache // the low 64 of 96 bits
+	return r>>(64-beta)&1 != 0, uint32(r>>(32-beta)) == 0
 }
 
-// shortest32 returns the shortest decimal digits·10^exp10 that rounds
-// to the positive, finite, nonzero float32 with bit pattern b, the one
+// shortest returns the shortest decimal digits·10^exp10 that rounds to
+// the positive, finite, nonzero float32 with bit pattern b, the one
 // nearest the exact value when several are equally short (ties to even
-// digits). digits has no trailing zeros.
-func shortest32(b uint32) (digits uint32, exp10 int) {
+// digits). digits has at most nine digits and no trailing zeros.
+func shortest(b uint32) (digits uint32, exp10 int) {
 	const (
 		mantBits = 23
-		bias     = 127 + mantBits
+		kappa    = 1
 	)
 	mant, biased := b&(1<<mantBits-1), int(b>>mantBits)
-	c, q := mant, 1-bias
+	twoFc, e := mant<<1, 1-127-mantBits
 	if biased != 0 {
-		c, q = mant|1<<mantBits, biased-bias
-		// A whole number below 2^24 is its own shortest decimal.
-		if q <= 0 && q > -mantBits-1 && c&(1<<-q-1) == 0 {
-			return stripZeros(c>>-q, 0)
+		e = biased - 127 - mantBits
+		if mant == 0 {
+			return shorterInterval(e)
 		}
+		twoFc |= 1 << (mantBits + 1)
 	}
-	lowerCloser := mant == 0 && biased > 1
-	cbl := 4*c - 2
-	if lowerCloser {
-		cbl++
+	// Round half to even: an even significand's interval includes its
+	// ends.
+	closed := mant&1 == 0
+	minusK := floorLog10Pow2(e) - kappa
+	cache := pow10Cache[-minusK-cacheMin]
+	beta := e + floorLog2Pow10(-minusK)
+
+	// z is the interval's upper end scaled by 10^-minusK, delta its
+	// width; 10 ≤ delta < 100.
+	hi, lo := bits.Mul64(cache, uint64((twoFc|1)<<beta))
+	z, zExact := uint32(hi), uint32(lo>>32) == 0
+	delta := uint32(cache >> (63 - beta))
+
+	// The largest multiple of 100 not above z is in the interval when
+	// the remainder is below its width.
+	digits = z / 100
+	r := z - 100*digits
+	inside := r < delta
+	switch {
+	case inside && r == 0 && zExact && !closed:
+		// z itself is the excluded upper end: step down a multiple of 100.
+		digits--
+		r = 100
+		inside = false
+	case r == delta:
+		// The multiple sits at the lower end: inside unless the end is
+		// below it, or is it and is excluded.
+		xOdd, xExact := mulParity(twoFc-1, cache, beta)
+		inside = xOdd || xExact && closed
 	}
-	// k = ⌊log₁₀ 2^q⌋, or ⌊log₁₀ (3/4)·2^q⌋ when the interval is lopsided.
-	kq := q * 1262611
-	if lowerCloser {
-		kq -= 524031
-	}
-	k := kq >> 22
-	h := q + floorLog2Pow10(-k) + 1
-	g := pow10Table[-k-pow10Min]
-	vbl := roundToOdd(g, cbl<<h)
-	vb := roundToOdd(g, 4*c<<h)
-	vbr := roundToOdd(g, (4*c+2)<<h)
-	// Round-half-even: an even significand's interval includes its ends.
-	lower, upper := vbl, vbr
-	if c&1 != 0 {
-		lower, upper = vbl+1, vbr-1
+	if inside {
+		return stripZeros(digits, minusK+kappa+1)
 	}
 
-	s := vb / 4
-	if s >= 10 {
-		// At most one multiple of 10^(k+1) fits in the interval.
-		sp := vb / 40
-		upIn, wpIn := lower <= 40*sp, 40*sp+40 <= upper
-		if upIn != wpIn {
-			if wpIn {
-				sp++
-			}
-			return stripZeros(sp, k+1)
+	// One digit more: the multiple of 10 nearest the centre y.
+	// dist ≤ 100, where n·6554 >> 16 is n/10 and its low 16 bits fall
+	// below 6554 exactly when 10 divides n.
+	dist := r - delta/2 + 5
+	approxYOdd := (dist^5)&1 != 0
+	dist *= 6554
+	divisible := dist&0xffff < 6554
+	digits = 10*digits + dist>>16
+	if divisible {
+		// The estimate may be one too high: the parity of ⌊y⌋ tells,
+		// and an integer y is a tie, broken to the even digits.
+		yOdd, yExact := mulParity(twoFc, cache, beta)
+		if yOdd != approxYOdd || yExact && digits&1 != 0 {
+			digits--
 		}
 	}
-	uIn, wIn := lower <= 4*s, 4*s+4 <= upper
-	if uIn != wIn {
-		if wIn {
-			s++
-		}
-		return stripZeros(s, k)
-	}
-	// Both neighbours fit: take the nearer, the even one on a tie.
-	if mid := 4*s + 2; vb > mid || vb == mid && s&1 != 0 {
-		s++
-	}
-	return stripZeros(s, k)
+	return digits, minusK + kappa
 }
 
+// shorterInterval is shortest for the power of two 2^23 · 2^e, whose
+// lower neighbour is half as far as its upper one.
+func shorterInterval(e int) (uint32, int) {
+	minusK := (e*631305 - 261663) >> 21 // ⌊log₁₀ (3/4)·2^e⌋
+	cache := pow10Cache[-minusK-cacheMin]
+	beta := e + floorLog2Pow10(-minusK)
+	xi := uint32((cache - cache>>25) >> (40 - beta))
+	zi := uint32((cache + cache>>24) >> (40 - beta))
+	// The lower end is an integer only for e in [2, 3]; the interval
+	// (an even significand) includes it then.
+	if e < 2 || e > 3 {
+		xi++
+	}
+	if digits := zi / 10; digits*10 >= xi {
+		return stripZeros(digits, minusK+1)
+	}
+	// y rounded up; at e = -35, y lies halfway between two integers.
+	digits := (uint32(cache>>(39-beta)) + 1) / 2
+	if e == -35 && digits&1 != 0 {
+		digits--
+	} else if digits < xi {
+		digits++
+	}
+	return digits, minusK
+}
+
+// stripZeros moves d's trailing zeros into the exponent e.
 func stripZeros(d uint32, e int) (uint32, int) {
 	for d%100 == 0 {
 		d /= 100
@@ -143,142 +184,158 @@ func stripZeros(d uint32, e int) (uint32, int) {
 	return d, e
 }
 
-const digitPairs = "00010203040506070809" +
-	"10111213141516171819" +
-	"20212223242526272829" +
-	"30313233343536373839" +
-	"40414243444546474849" +
-	"50515253545556575859" +
-	"60616263646566676869" +
-	"70717273747576777879" +
-	"80818283848586878889" +
-	"90919293949596979899"
+// spread lays d < 10^8 out as eight decimal digits, one per byte with
+// values 0–9, the most significant in the lowest byte: two 4-digit
+// lanes, each split into two 2-digit lanes, each split into two digits,
+// all in one word.
+func spread(d uint32) uint64 {
+	x := uint64(d/10000) | uint64(d%10000)<<32
+	q := x * 10486 >> 20 & 0x0000007f_0000007f // v/100 for v < 10^4
+	x = q | (x-q*100)<<16
+	q = x * 103 >> 10 & 0x000f000f_000f000f // v/10 for v < 100
+	return q | (x-q*10)<<8
+}
 
-// decimal is a float32's shortest digits as text, with its exponent.
-type decimal struct {
-	buf   [10]byte
-	n     int // digits in buf[:n]; a float32 needs at most 9
-	exp10 int // value = buf[:n] · 10^exp10
+const asciiZeros = 0x30303030_30303030 // "00000000"
+
+// text is a float32's shortest decimal as ASCII digits.
+type text struct {
+	word  uint64 // the last min(n, 8) digits, the earliest in the lowest byte, zero bytes above
+	lead  byte   // the first of nine digits; 0 for fewer
+	n     int    // number of digits, 1 to 9
+	exp10 int    // the value is the digits · 10^exp10
+}
+
+// newText is the shortest decimal of the positive, finite, nonzero
+// float32 with bit pattern b.
+func newText(b uint32) text {
+	d, e := shortest(b)
+	if d >= 1e8 {
+		q := d / 1e8
+		return text{word: spread(d-q*1e8) + asciiZeros, lead: byte('0' + q), n: 9, exp10: e}
+	}
+	w := spread(d)
+	lz := bits.TrailingZeros64(w) &^ 7 // 8 × the leading zero digits
+	return text{word: (w + asciiZeros) >> lz, n: 8 - lz/8, exp10: e}
 }
 
 // sci is the exponent of the value's leading digit.
-func (d *decimal) sci() int { return d.n + d.exp10 - 1 }
+func (t *text) sci() int { return t.n + t.exp10 - 1 }
 
-// set makes d the shortest decimal of the positive, finite, nonzero
-// float32 with bit pattern b.
-func (d *decimal) set(b uint32) {
-	v, e := shortest32(b)
-	d.exp10 = e
-	d.n = decimalLen(v)
-	i := d.n
-	for v >= 100 {
-		r := v % 100
-		v /= 100
-		i -= 2
-		d.buf[i], d.buf[i+1] = digitPairs[2*r], digitPairs[2*r+1]
+// The put methods write at buf's start and return the length written.
+// Their 8-byte stores may write zero bytes past that length, so buf
+// holds floatRoom bytes.
+
+// put writes the digits.
+func (t *text) put(buf []byte) int {
+	if t.lead != 0 {
+		buf[0] = t.lead
+		binary.LittleEndian.PutUint64(buf[1:], t.word)
+		return 9
 	}
-	if v >= 10 {
-		d.buf[0], d.buf[1] = digitPairs[2*v], digitPairs[2*v+1]
-	} else {
-		d.buf[0] = byte('0' + v)
-	}
+	binary.LittleEndian.PutUint64(buf, t.word)
+	return t.n
 }
 
-func decimalLen(v uint32) int {
-	n := 1
-	for ; v >= 10000; v /= 10000 {
-		n += 4
+// putPoint writes the digits with a point after the first dp of them,
+// 0 < dp < n: the word again, shifted past those dp digits, one byte
+// on.
+func (t *text) putPoint(buf []byte, dp int) int {
+	t.put(buf)
+	tail := dp
+	if t.lead != 0 {
+		tail-- // the word starts at the second digit
 	}
-	switch {
-	case v >= 1000:
-		return n + 3
-	case v >= 100:
-		return n + 2
-	case v >= 10:
-		return n + 1
-	}
-	return n
+	binary.LittleEndian.PutUint64(buf[dp+1:], t.word>>(8*tail))
+	buf[dp] = '.'
+	return t.n + 1
 }
 
-// appendFixed writes the digits positionally: 0.000ddd, ddd.ddd or
-// ddd000.
-func (d *decimal) appendFixed(dst []byte) []byte {
-	digs := d.buf[:d.n]
-	switch dp := d.n + d.exp10; {
+// putFixed writes the digits positionally: 0.000ddd, ddd.ddd or
+// ddd000. No layout puts more than five zeros after the point.
+func (t *text) putFixed(buf []byte) int {
+	switch dp := t.n + t.exp10; {
 	case dp <= 0:
-		dst = append(dst, '0', '.')
-		for ; dp < 0; dp++ {
-			dst = append(dst, '0')
+		binary.LittleEndian.PutUint64(buf, 0x30303030_30302e30) // "0.000000"
+		return 2 - dp + t.put(buf[2-dp:])
+	case dp >= t.n:
+		t.put(buf)
+		for i := t.n; i < dp; i += 8 {
+			binary.LittleEndian.PutUint64(buf[i:], asciiZeros)
 		}
-		return append(dst, digs...)
-	case dp >= d.n:
-		dst = append(dst, digs...)
-		for ; dp > d.n; dp-- {
-			dst = append(dst, '0')
-		}
-		return dst
+		return dp
 	default:
-		dst = append(dst, digs[:dp]...)
-		dst = append(dst, '.')
-		return append(dst, digs[dp:]...)
+		return t.putPoint(buf, dp)
 	}
 }
 
-// appendExp writes d.ddde±XX; padExp pads a one-digit exponent to two.
-func (d *decimal) appendExp(dst []byte, padExp bool) []byte {
-	dst = append(dst, d.buf[0])
-	if d.n > 1 {
-		dst = append(dst, '.')
-		dst = append(dst, d.buf[1:d.n]...)
+// putExp writes d.ddde±XX; padExp pads a one-digit exponent to two.
+func (t *text) putExp(buf []byte, padExp bool) int {
+	i := 1
+	if t.n > 1 {
+		i = t.putPoint(buf, 1)
+	} else {
+		buf[0] = byte(t.word)
 	}
-	x, sign := d.sci(), byte('+')
+	x, sign := t.sci(), byte('+')
 	if x < 0 {
 		x, sign = -x, '-'
 	}
-	dst = append(dst, 'e', sign)
-	if x < 10 {
-		if padExp {
-			dst = append(dst, '0')
-		}
-		return append(dst, byte('0'+x))
+	buf[i], buf[i+1] = 'e', sign
+	if x < 10 && !padExp {
+		buf[i+2] = byte('0' + x)
+		return i + 3
 	}
-	return append(dst, digitPairs[2*x], digitPairs[2*x+1])
+	buf[i+2], buf[i+3] = byte('0'+x/10), byte('0'+x%10)
+	return i + 4
 }
+
+// floatRoom bounds one rendering with the slack of its last 8-byte
+// store: a sign and 21 integer digits, the last zeros stored a word at
+// a time, in the JSON layout.
+const floatRoom = 32
 
 // AppendFloat32 appends the shortest decimal that parses back to v at
 // float32 precision, exactly as strconv.AppendFloat(dst, float64(v),
 // 'g', -1, 32) does: positional from 1e-4 up to 1e6, e±XX outside.
-func AppendFloat32(dst []byte, v float32) []byte {
-	b := math.Float32bits(v)
-	if b&(1<<31-1) == 0 || b&0x7f800000 == 0x7f800000 {
-		return strconv.AppendFloat(dst, float64(v), 'g', -1, 32)
-	}
-	if b>>31 != 0 {
-		dst = append(dst, '-')
-	}
-	var d decimal
-	d.set(b &^ (1 << 31))
-	if x := d.sci(); x < -4 || x >= 6 {
-		return d.appendExp(dst, true)
-	}
-	return d.appendFixed(dst)
-}
+func AppendFloat32(dst []byte, v float32) []byte { return appendFloat32(dst, v, false) }
 
 // AppendJSONFloat32 appends v as encoding/json writes a float32 field:
 // the same shortest digits, positional from 1e-6 up to 1e21, e±X with
 // an unpadded exponent outside.
-func AppendJSONFloat32(dst []byte, v float32) []byte {
+func AppendJSONFloat32(dst []byte, v float32) []byte { return appendFloat32(dst, v, true) }
+
+func appendFloat32(dst []byte, v float32, json bool) []byte {
 	b := math.Float32bits(v)
-	if b&(1<<31-1) == 0 || b&0x7f800000 == 0x7f800000 {
-		return strconv.AppendFloat(dst, float64(v), 'f', -1, 32)
+	if b&0x7f800000 == 0x7f800000 {
+		format := byte('g')
+		if json {
+			format = 'f'
+		}
+		return strconv.AppendFloat(dst, float64(v), format, -1, 32)
 	}
+	dst = slices.Grow(dst, floatRoom)
+	buf, i := dst[len(dst):len(dst)+floatRoom], 0
 	if b>>31 != 0 {
-		dst = append(dst, '-')
+		buf[0], i = '-', 1
 	}
-	var d decimal
-	d.set(b &^ (1 << 31))
-	if a := math.Float32frombits(b &^ (1 << 31)); a < 1e-6 || a >= 1e21 {
-		return d.appendExp(dst, false)
+	if b &= 1<<31 - 1; b == 0 {
+		buf[i] = '0'
+		return dst[:len(dst)+i+1]
 	}
-	return d.appendFixed(dst)
+	t := newText(b)
+	var exp bool
+	if json {
+		a := math.Float32frombits(b)
+		exp = a < 1e-6 || a >= 1e21
+	} else {
+		x := t.sci()
+		exp = x < -4 || x >= 6
+	}
+	if exp {
+		i += t.putExp(buf[i:], !json)
+	} else {
+		i += t.putFixed(buf[i:])
+	}
+	return dst[:len(dst)+i]
 }

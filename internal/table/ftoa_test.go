@@ -55,8 +55,9 @@ func checkFloat32(t testing.TB, v float32) {
 
 // TestAppendFloat32MatchesStrconv checks both layouts on the edge
 // values, every power of ten and of two a float32 reaches and their
-// neighbours, each layout's exponent cut-offs, the whole of the densest
-// octave and a prime-stride sweep of the bit space.
+// neighbours, each layout's exponent cut-offs, the whole of the octaves
+// the magnitudes occupy, every seventh subnormal and a prime-stride
+// sweep of the bit space.
 func TestAppendFloat32MatchesStrconv(t *testing.T) {
 	for _, v := range edgeFloats {
 		checkFloat32(t, v)
@@ -81,13 +82,27 @@ func TestAppendFloat32MatchesStrconv(t *testing.T) {
 	for _, v := range []float32{1e-4, 9.9999e-5, 1e6, 999999.94, 999999.9, 1e-6, 9.99999e-7, 1e21, 9.999999e20, 1e-7, 1e-5, 123456.7, 1234567} {
 		neighbours(v)
 	}
-	// [16, 32) holds 2^23 patterns, each with ~8 significant digits.
+	// The octaves the magnitudes occupy, [8, 64), hold 2^23 patterns
+	// each, with ~8 significant digits.
 	var got, want []byte
-	for b := math.Float32bits(16); b < math.Float32bits(32); b++ {
+	for b := math.Float32bits(8); b < math.Float32bits(64); b++ {
 		v := math.Float32frombits(b)
 		got = AppendFloat32(got[:0], v)
 		if want = strconv.AppendFloat(want[:0], float64(v), 'g', -1, 32); !bytes.Equal(got, want) {
 			t.Fatalf("AppendFloat32(%#08x) = %s, strconv %s", b, got, want)
+		}
+	}
+	// Every seventh subnormal, in both layouts: the fewest significant
+	// bits.
+	for b := uint32(1); b < 1<<23; b += 7 {
+		v := math.Float32frombits(b)
+		got = AppendFloat32(got[:0], v)
+		if want = strconv.AppendFloat(want[:0], float64(v), 'g', -1, 32); !bytes.Equal(got, want) {
+			t.Fatalf("AppendFloat32(%#08x) = %s, strconv %s", b, got, want)
+		}
+		got = AppendJSONFloat32(got[:0], v)
+		if want = appendRefJSON(want[:0], v); !bytes.Equal(got, want) {
+			t.Fatalf("AppendJSONFloat32(%#08x) = %s, encoding/json %s", b, got, want)
 		}
 	}
 	for b := uint64(0); b < 1<<32; b += 7919 * 13 {
@@ -95,10 +110,30 @@ func TestAppendFloat32MatchesStrconv(t *testing.T) {
 	}
 }
 
+// branchBits reach each branch of the digit generator, found by
+// instrumenting it.
+var branchBits = []uint32{
+	0x4100000a, // 8.00001: a multiple of 100 inside, trailing zeros to strip
+	0x410000b8, // 8.000175: the remainder equals the width, lower end inside
+	0x4100004c, // 8.0000725: the remainder equals the width, lower end outside
+	0x4c000009, // 33554468: the upper end exact, excluded (odd significand)
+	0x4180001b, // 16.000051: one digit more, divisible, the centre's parity differs
+	0x4180003b, // 16.000113: one digit more, divisible, the parity agrees
+	0x41801000, // 16.007812: the centre an integer, a tie broken down to even
+	0x41803000, // 16.023438: the centre an integer, a tie already even
+	0x41000000, // 8: a power of two, a multiple of 10 inside the shorter interval
+	0x00800000, // 1.1754944e-38: a power of two, the centre rounded up
+	0x0f800000, // 1.2621775e-29: a power of two, rounded up below the lower end
+	0x39800000, // 0.00024414062: a power of two at the shorter interval's tie exponent
+}
+
 // FuzzAppendFloat32 runs the same differential over fuzzed bits.
 func FuzzAppendFloat32(f *testing.F) {
 	for _, v := range edgeFloats {
 		f.Add(math.Float32bits(v))
+	}
+	for _, b := range branchBits {
+		f.Add(b)
 	}
 	f.Fuzz(func(t *testing.T, b uint32) {
 		checkFloat32(t, math.Float32frombits(b))
@@ -198,13 +233,16 @@ func BenchmarkAppendFloat32(b *testing.B) {
 		fn   func([]byte, float32) []byte
 	}{
 		{"table", AppendFloat32},
+		{"json", AppendJSONFloat32},
 		{"strconv", func(dst []byte, v float32) []byte { return strconv.AppendFloat(dst, float64(v), 'g', -1, 32) }},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			buf := make([]byte, 0, 32)
 			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				buf = bc.fn(buf[:0], vals[i%len(vals)])
+			for n := b.N; n > 0; n -= len(vals) {
+				for _, v := range vals[:min(n, len(vals))] {
+					buf = bc.fn(buf[:0], v)
+				}
 			}
 		})
 	}
