@@ -127,8 +127,10 @@ func BenchmarkRowEncoder(b *testing.B) {
 			buf := make([]byte, 0, 512)
 			b.ReportAllocs()
 			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				buf = enc.AppendRow(buf[:0], &recs[i%len(recs)])
+			for n := b.N; n > 0; n -= len(recs) {
+				for i := range recs[:min(n, len(recs))] {
+					buf = enc.AppendRow(buf[:0], &recs[i])
+				}
 			}
 			b.SetBytes(int64(len(buf)))
 		})

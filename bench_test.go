@@ -1,17 +1,20 @@
 // Package repro's root benchmark suite regenerates the performance
 // side of every table and figure in the paper's evaluation (the
 // experiment index is DESIGN.md §3; cmd/experiments prints the
-// corresponding text reports). One benchmark family per experiment:
+// corresponding text reports). One benchmark family per experiment;
+// the query families (Fig2 exec, Fig5, hull) run forced-plan
+// statements on the fixture's core store, the engine that serves:
 //
 //	Fig1  BenchmarkFig1ColorSpaceGen
-//	Fig2  BenchmarkFig2LoggedQuery*
+//	Fig2  BenchmarkFig2LoggedQuery{Parse,Exec}
 //	Fig4  BenchmarkFig4ClassifyLeaves
-//	Fig5  BenchmarkFig5{FullScan,KdTree}/sel=*
-//	§3.1  BenchmarkGrid{Sample,TableSample,Build}
-//	§3.2  BenchmarkKdBuild
+//	Fig5  BenchmarkFig5{FullScan,KdTree}/half=*
+//	§3.1  BenchmarkGrid{Sample,TableSample,Build}, BenchmarkAblationGridStream
+//	§3.2  BenchmarkKdBuild, BenchmarkAblationPruning
 //	§3.3  BenchmarkKNN{Indexed,BruteForce}/k=*
 //	§3.4  BenchmarkVoronoi{Walk,Query}, BenchmarkDelaunay*
-//	§4    BenchmarkBSTBuild
+//	§2.2  BenchmarkHullQuery
+//	§4    BenchmarkBSTBuild, BenchmarkOutlierDetect
 //	§4.1  BenchmarkPhotoZ{KNN,Template}
 //	§4.2  BenchmarkSpectra{PCA,Similarity}
 //	§5    BenchmarkVizPipeline, BenchmarkAdaptiveLOD
@@ -24,6 +27,7 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -32,7 +36,6 @@ import (
 	"repro/internal/colorsql"
 	"repro/internal/core"
 	"repro/internal/delaunay"
-	"repro/internal/engine"
 	"repro/internal/grid"
 	"repro/internal/hull"
 	"repro/internal/kdtree"
@@ -53,12 +56,16 @@ import (
 // behaviour to dominate, small enough for a laptop benchmark run.
 const benchRows = 50_000
 
-// fixture is the lazily built shared world for the benchmarks.
+// fixture is the lazily built shared world for the benchmarks: a core
+// store whose catalog is kd-clustered, and beside it a page store
+// holding the same rows in arrival order, over which the grid,
+// Voronoi and photo-z structures are built.
 type fixture struct {
+	db        *core.SpatialDB
+	tree      *kdtree.Tree // db's kd-tree
+	kdTable   *table.Table // db's leaf-clustered catalog
 	store     *pagestore.Store
 	catalog   *table.Table
-	tree      *kdtree.Tree
-	kdTable   *table.Table
 	searcher  *knn.Searcher
 	gridIx    *grid.Index
 	vorIx     *voronoi.Index
@@ -81,25 +88,37 @@ func sharedFixture(b *testing.B) *fixture {
 			return
 		}
 		registerBenchDir(dir)
-		s, err := pagestore.Open(dir, 16384)
-		if err != nil {
-			fixErr = err
-			return
-		}
-		f := &fixture{store: s}
-		f.catalog, err = table.Create(s, "mag.tbl")
-		if err != nil {
-			fixErr = err
-			return
-		}
 		params := sky.DefaultParams(benchRows, 42)
 		params.SpectroFrac = 0.05
-		if err = sky.GenerateTable(f.catalog, params); err != nil {
+		f := &fixture{}
+		f.db, err = core.Open(core.Config{Dir: filepath.Join(dir, "core"), PoolPages: 16384})
+		if err != nil {
 			fixErr = err
 			return
 		}
-		f.tree, f.kdTable, err = kdtree.Build(f.catalog, "mag.kd.tbl", kdtree.BuildParams{Domain: sky.Domain()})
+		if err = f.db.IngestSynthetic(params); err != nil {
+			fixErr = err
+			return
+		}
+		if err = f.db.BuildKdIndex(0); err != nil {
+			fixErr = err
+			return
+		}
+		f.tree = f.db.KdTree()
+		if f.kdTable, err = f.db.Catalog(); err != nil {
+			fixErr = err
+			return
+		}
+		if f.store, err = pagestore.Open(dir, 16384); err != nil {
+			fixErr = err
+			return
+		}
+		f.catalog, err = table.Create(f.store, "mag.tbl")
 		if err != nil {
+			fixErr = err
+			return
+		}
+		if err = sky.GenerateTable(f.catalog, params); err != nil {
 			fixErr = err
 			return
 		}
@@ -121,7 +140,7 @@ func sharedFixture(b *testing.B) *fixture {
 			fixErr = err
 			return
 		}
-		f.estimator, err = photoz.NewEstimator(s, refs, "ref.kd.tbl", 16, 1)
+		f.estimator, err = photoz.NewEstimator(f.store, refs, "ref.kd.tbl", 16, 1)
 		if err != nil {
 			fixErr = err
 			return
@@ -168,14 +187,14 @@ func BenchmarkFig2LoggedQueryParse(b *testing.B) {
 	}
 }
 
-// BenchmarkFig2LoggedQueryExec measures executing it through the
-// kd-tree index.
+// BenchmarkFig2LoggedQueryExec measures executing it as the kd-tree
+// index scan.
 func BenchmarkFig2LoggedQueryExec(b *testing.B) {
 	f := sharedFixture(b)
 	q := colorsql.MustParse(fig2Where, colorsql.DefaultVars(), table.Dim).Single()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := f.tree.QueryPolyhedron(f.kdTable, q); err != nil {
+		if _, _, err := f.db.QueryPolyhedron(q, core.PlanKdTree); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -210,39 +229,26 @@ func fig5Query(f *fixture, half float64) vec.Polyhedron {
 }
 
 // BenchmarkFig5FullScan is the "simple SQL query" baseline across
-// the Figure 5 selectivity sweep.
-func BenchmarkFig5FullScan(b *testing.B) {
-	f := sharedFixture(b)
-	for _, half := range []float64{0.2, 0.8, 3.2, 12.8} {
-		q := fig5Query(f, half)
-		b.Run(fmt.Sprintf("half=%.1f", half), func(b *testing.B) {
-			var returned int64
-			for i := 0; i < b.N; i++ {
-				ids, _, err := engine.FullScanPolyhedron(f.kdTable, q)
-				if err != nil {
-					b.Fatal(err)
-				}
-				returned = int64(len(ids))
-			}
-			b.ReportMetric(float64(returned), "rows")
-		})
-	}
-}
+// the Figure 5 selectivity sweep: the forced full scan.
+func BenchmarkFig5FullScan(b *testing.B) { benchFig5(b, core.PlanFullScan) }
 
-// BenchmarkFig5KdTree is the kd-tree path across the same sweep; the
-// time ratio against BenchmarkFig5FullScan is the Figure 5 curve.
-func BenchmarkFig5KdTree(b *testing.B) {
+// BenchmarkFig5KdTree is the kd-tree index scan across the same sweep;
+// the time ratio against BenchmarkFig5FullScan is the Figure 5 curve.
+func BenchmarkFig5KdTree(b *testing.B) { benchFig5(b, core.PlanKdTree) }
+
+// benchFig5 runs the Figure 5 sweep under plan, every row materialized.
+func benchFig5(b *testing.B, plan core.Plan) {
 	f := sharedFixture(b)
 	for _, half := range []float64{0.2, 0.8, 3.2, 12.8} {
 		q := fig5Query(f, half)
 		b.Run(fmt.Sprintf("half=%.1f", half), func(b *testing.B) {
-			var returned int64
+			var returned int
 			for i := 0; i < b.N; i++ {
-				ids, _, err := f.tree.QueryPolyhedron(f.kdTable, q)
+				recs, _, err := f.db.QueryPolyhedron(q, plan)
 				if err != nil {
 					b.Fatal(err)
 				}
-				returned = int64(len(ids))
+				returned = len(recs)
 			}
 			b.ReportMetric(float64(returned), "rows")
 		})
@@ -276,9 +282,8 @@ func BenchmarkGridSample(b *testing.B) {
 func BenchmarkGridTableSample(b *testing.B) {
 	f := sharedFixture(b)
 	zoom := vec.NewBox(vec.Point{15, 15, 14}, vec.Point{23, 22, 21})
-	proj := grid.FirstAxes(3)
 	for i := 0; i < b.N; i++ {
-		if _, _, err := grid.TableSample(f.catalog, proj, zoom, 1000, 20, 7); err != nil {
+		if _, _, err := grid.TableSample(f.catalog, zoom, 1000, 20, 7); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -582,7 +587,7 @@ func BenchmarkAdaptiveLOD(b *testing.B) {
 // --- §2.2 / §4 extensions ------------------------------------------------
 
 // BenchmarkHullQuery measures the convex-hull similar-object search
-// of §2.2 (training-set hull → kd-tree polyhedron query).
+// of §2.2 (training-set hull → kd-tree index scan).
 func BenchmarkHullQuery(b *testing.B) {
 	f := sharedFixture(b)
 	var training []vec.Point
@@ -599,7 +604,7 @@ func BenchmarkHullQuery(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := f.tree.QueryPolyhedron(f.kdTable, h); err != nil {
+		if _, _, err := f.db.QueryPolyhedron(h, core.PlanKdTree); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -623,29 +628,34 @@ func BenchmarkOutlierDetect(b *testing.B) {
 
 // BenchmarkAblationPruning compares the kd-tree's tight-bounds
 // pruning (the design DESIGN.md calls out) against pruning on
-// partition cells: same answers, different work.
+// partition cells, in memory: the rows the index scan's ranges cover
+// against the rows of the leaves whose partition cell is not Outside.
 func BenchmarkAblationPruning(b *testing.B) {
 	f := sharedFixture(b)
 	q := fig5Query(f, 0.8)
-	for _, pr := range []struct {
-		name string
-		mode kdtree.Pruning
-	}{
-		{"tightBounds", kdtree.PruneTightBounds},
-		{"partitionCells", kdtree.PrunePartitionCells},
-	} {
-		b.Run(pr.name, func(b *testing.B) {
-			var examined int64
-			for i := 0; i < b.N; i++ {
-				_, st, err := f.tree.QueryPolyhedronPruned(f.kdTable, q, pr.mode)
-				if err != nil {
-					b.Fatal(err)
-				}
-				examined = st.RowsExamined
+	b.Run("tightBounds", func(b *testing.B) {
+		var rows int64
+		for i := 0; i < b.N; i++ {
+			ranges, _ := f.tree.CollectRanges([]vec.Polyhedron{q})
+			rows = 0
+			for _, r := range ranges {
+				rows += r.Rows()
 			}
-			b.ReportMetric(float64(examined), "rowsExamined")
-		})
-	}
+		}
+		b.ReportMetric(float64(rows), "rowsExamined")
+	})
+	b.Run("partitionCells", func(b *testing.B) {
+		var rows int64
+		for i := 0; i < b.N; i++ {
+			rows = 0
+			for _, ni := range f.tree.LeafNodes {
+				if n := &f.tree.Nodes[ni]; q.ClassifyBox(n.Cell) != vec.Outside {
+					rows += int64(n.RowHi - n.RowLo)
+				}
+			}
+		}
+		b.ReportMetric(float64(rows), "rowsExamined")
+	})
 }
 
 // BenchmarkAblationGridStream compares buffered Sample with the

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"reflect"
 	"runtime"
 	"sort"
 	"strings"
@@ -15,10 +16,8 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/kdtree"
 	"repro/internal/knn"
 	"repro/internal/loadgen"
-	"repro/internal/pagestore"
 	"repro/internal/sky"
 	"repro/internal/table"
 	"repro/internal/vec"
@@ -314,74 +313,59 @@ func TestServingUnderLoadgenBurst(t *testing.T) {
 func TestColdRestart(t *testing.T) {
 	dir := t.TempDir()
 
-	var wantIDs []table.RowID
+	var want []table.Record
 	q := vec.BoxPolyhedron(vec.NewBox(
 		vec.Point{16, 16, 15, 15, 14}, vec.Point{21, 20, 19, 19, 18}))
 
 	// Session 1: build everything and persist.
 	{
-		s, err := pagestore.Open(dir, 4096)
+		db, err := core.Open(core.Config{Dir: dir})
 		if err != nil {
 			t.Fatal(err)
 		}
-		tb, err := table.Create(s, "mag.tbl")
-		if err != nil {
+		if err := db.IngestSynthetic(sky.DefaultParams(10_000, 42)); err != nil {
 			t.Fatal(err)
 		}
-		if err := sky.GenerateTable(tb, sky.DefaultParams(10_000, 42)); err != nil {
+		if err := db.BuildKdIndex(0); err != nil {
 			t.Fatal(err)
 		}
-		tree, clustered, err := kdtree.Build(tb, "mag.kd.tbl", kdtree.BuildParams{Domain: sky.Domain()})
-		if err != nil {
+		if want, _, err = db.QueryPolyhedron(q, core.PlanKdTree); err != nil {
 			t.Fatal(err)
 		}
-		if err := tree.SavePaged(s, "mag.kd.tree"); err != nil {
-			t.Fatal(err)
-		}
-		wantIDs, _, err = tree.QueryPolyhedron(clustered, q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(wantIDs) == 0 {
+		if len(want) == 0 {
 			t.Fatal("query returned nothing")
 		}
-		if err := s.Close(); err != nil {
+		if err := db.Persist(); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.Close(); err != nil {
 			t.Fatal(err)
 		}
 	}
 
 	// Session 2: reopen cold and replay.
 	{
-		s, err := pagestore.Open(dir, 4096)
+		db, err := core.OpenExisting(core.Config{Dir: dir})
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer s.Close()
-		clustered, err := table.OpenExisting(s, "mag.kd.tbl")
+		defer db.Close()
+		got, rep, err := db.QueryPolyhedron(q, core.PlanKdTree)
 		if err != nil {
 			t.Fatal(err)
 		}
-		tree, err := kdtree.LoadPaged(s, "mag.kd.tree")
-		if err != nil {
-			t.Fatal(err)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("restart query returned %d rows, want the %d rows before it", len(got), len(want))
 		}
-		gotIDs, stats, err := tree.QueryPolyhedron(clustered, q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(gotIDs) != len(wantIDs) {
-			t.Fatalf("restart query returned %d rows, want %d", len(gotIDs), len(wantIDs))
-		}
-		for i := range gotIDs {
-			if gotIDs[i] != wantIDs[i] {
-				t.Fatalf("restart row mismatch at %d", i)
-			}
-		}
-		if stats.Pages.DiskReads == 0 {
+		if rep.DiskReads == 0 {
 			t.Error("cold restart should have read pages from disk")
 		}
 		// kNN also works against the reloaded pair.
-		searcher := knn.NewSearcher(tree, clustered)
+		clustered, err := db.Catalog()
+		if err != nil {
+			t.Fatal(err)
+		}
+		searcher := knn.NewSearcher(db.KdTree(), clustered)
 		var rec table.Record
 		clustered.Get(5, &rec)
 		nbs, _, err := searcher.Search(rec.Point(), 3)

@@ -69,38 +69,18 @@ var stmtQueries = []string{
 	"SELECT objid, g, r WHERE g - r > 0.2 AND r < 18",
 }
 
-// serialReference runs the serial per-index implementation of plan —
-// kdtree.Tree.QueryPolyhedron or engine.FullScanPolyhedron, which
-// share nothing with planner.Stream but the page decoder — and returns the matching row ids, the table
-// they address and the page requests the reference made (exact only
-// when nothing else touches the store meanwhile). PlanPrunedScan is
-// what PlanAuto reports for its index scan on a store without a
-// kd-tree: a scan of the catalog itself, so the full scan is its
-// reference too.
-func serialReference(db *SpatialDB, q vec.Polyhedron, plan Plan) ([]table.RowID, *table.Table, pagestore.Stats, error) {
-	if plan == PlanKdTree {
-		ids, st, err := db.kd.QueryPolyhedron(db.catalog, q)
-		return ids, db.catalog, st.Pages, err
-	}
-	ids, st, err := engine.FullScanPolyhedron(db.catalog, q)
-	return ids, db.catalog.ScanClassed(), st.Pages, err
-}
-
-// eagerPolyhedron is the byte-equivalence reference for the streaming
-// cursor: the serial reference's row ids, materialized.
-func eagerPolyhedron(db *SpatialDB, q vec.Polyhedron, plan Plan) ([]table.Record, error) {
-	ids, tb, _, err := serialReference(db, q, plan)
-	if err != nil {
-		return nil, err
-	}
-	return materialize(tb, ids)
-}
-
-// materialize fetches the records for a list of row ids.
-func materialize(tb *table.Table, ids []table.RowID) ([]table.Record, error) {
-	out := make([]table.Record, 0, len(ids))
-	err := tb.GetMany(ids, func(_ table.RowID, r *table.Record) bool {
-		out = append(out, *r)
+// serialReference is the brute-force answer to q: the catalog's rows
+// that q contains, in table order, each tested whole. It shares nothing
+// with planner.Stream but the page decoder — no kd walk, no ranges, no
+// zones, no strips. Table order is every plan's order: the index scan
+// emits its ranges ascending and then the unindexed tail, and the full
+// scan reads the pages in order.
+func serialReference(db *SpatialDB, q vec.Polyhedron) ([]table.Record, error) {
+	out := []table.Record{}
+	err := db.catalog.Scan(func(_ table.RowID, r *table.Record) bool {
+		if q.Contains(r.Point()) {
+			out = append(out, *r)
+		}
 		return true
 	})
 	return out, err
@@ -111,6 +91,10 @@ func collectAnswers(t testing.TB, db *SpatialDB) queryAnswers {
 	const where = "g - r > 0.2 AND r < 20"
 	ans := queryAnswers{poly: make(map[Plan][]table.Record)}
 	poly := colorsql.MustParse(where, colorsql.DefaultVars(), table.Dim).Single()
+	want, err := serialReference(db, poly)
+	if err != nil {
+		t.Fatalf("serial reference: %v", err)
+	}
 	for _, plan := range []Plan{PlanFullScan, PlanKdTree, PlanAuto} {
 		recs, _, err := db.QueryWhere(where, plan)
 		if err != nil {
@@ -121,17 +105,13 @@ func collectAnswers(t testing.TB, db *SpatialDB) queryAnswers {
 		// this helper runs under (the churn matrix calls it at the pin
 		// floor and at 10%).
 		if plan != PlanAuto {
-			eager, err := eagerPolyhedron(db, poly, plan)
-			if err != nil {
-				t.Fatalf("plan %v eager reference: %v", plan, err)
-			}
 			streamed, _, err := db.QueryPolyhedron(poly, plan)
 			if err != nil {
 				t.Fatalf("plan %v cursor: %v", plan, err)
 			}
-			if !reflect.DeepEqual(eager, streamed) {
+			if !reflect.DeepEqual(want, streamed) {
 				t.Fatalf("plan %v: cursor rows diverge from the serial reference (%d vs %d rows)",
-					plan, len(streamed), len(eager))
+					plan, len(streamed), len(want))
 			}
 		}
 		sortRecords(recs)

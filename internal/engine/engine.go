@@ -1,10 +1,11 @@
 // Package engine is the reproduction's database server: it owns the
 // page store and a catalog of tables — the role MS SQL Server 2005
-// plays in the paper's Figure 3. Queries that do not use a spatial
-// index run here as full table scans ("simple SQL queries"), which is
-// the baseline every index in the paper is measured against. The
-// figure's stored procedures are core.SpatialDB's typed methods; the
-// engine keeps no registry of them.
+// plays in the paper's Figure 3. Queries run one layer up: the full
+// table scan ("simple SQL query") that every index in the paper is
+// measured against is core's forced PlanFullScan over a table
+// registered here. The figure's stored procedures are
+// core.SpatialDB's typed methods; the engine keeps no registry of
+// them.
 //
 // The engine is safe for concurrent readers: the catalog is
 // RW-latched, so any number of goroutines may look up tables while the
@@ -17,35 +18,11 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"time"
 
 	"repro/internal/pagestore"
 	"repro/internal/table"
 	"repro/internal/vec"
 )
-
-// QueryStats describes the cost of one executed query, the same
-// accounting the paper reads off the SQL Server buffer manager.
-type QueryStats struct {
-	RowsExamined int64 // rows decoded and tested
-	RowsReturned int64 // rows matching the query
-	Pages        pagestore.Stats
-	Duration     time.Duration
-}
-
-// Selectivity returns returned/examined, the x-axis of Figure 5.
-func (q QueryStats) Selectivity() float64 {
-	if q.RowsExamined == 0 {
-		return 0
-	}
-	return float64(q.RowsReturned) / float64(q.RowsExamined)
-}
-
-// String formats the stats compactly for experiment output.
-func (q QueryStats) String() string {
-	return fmt.Sprintf("returned=%d examined=%d diskReads=%d hits=%d dur=%v",
-		q.RowsReturned, q.RowsExamined, q.Pages.DiskReads, q.Pages.Hits, q.Duration)
-}
 
 // DB is the database engine instance. Catalog lookups are RW-latched:
 // reads run concurrently, registrations serialize.
@@ -171,33 +148,9 @@ func (db *DB) TableNames() []string {
 	return names
 }
 
-// FullScanPolyhedron answers a polyhedron query by scanning every
-// row — the paper's "simple SQL query" baseline of Figure 5. It
-// returns the matching row ids in physical order.
-func FullScanPolyhedron(t *table.Table, q vec.Polyhedron) ([]table.RowID, QueryStats, error) {
-	start := time.Now()
-	before := t.Store().Stats()
-	var ids []table.RowID
-	var examined int64
-	err := t.ScanClassed().ScanMags(func(id table.RowID, m *[table.Dim]float64) bool {
-		examined++
-		if ContainsMags(q, m) {
-			ids = append(ids, id)
-		}
-		return true
-	})
-	stats := QueryStats{
-		RowsExamined: examined,
-		RowsReturned: int64(len(ids)),
-		Pages:        t.Store().Stats().Sub(before),
-		Duration:     time.Since(start),
-	}
-	return ids, stats, err
-}
-
 // ContainsMags tests a raw magnitude array against the polyhedron
 // without allocating a vec.Point. Exported so core filters memtable
-// rows exactly the way the scan reference filters paged ones.
+// rows with it.
 func ContainsMags(q vec.Polyhedron, m *[table.Dim]float64) bool {
 	for _, h := range q.Planes {
 		var s float64

@@ -29,7 +29,6 @@ func referenceBuild(t *testing.T, tb *table.Table, name string, p Params) (*tabl
 	rank := rand.New(rand.NewSource(p.Seed)).Perm(n)
 	growth := 1 << uint(p.ProjDim)
 	layers := planLayers(n, p.Base, growth, p.MaxLayers)
-	proj := FirstAxes(p.ProjDim)
 	type rowTag struct {
 		row   table.RowID
 		layer uint16
@@ -41,7 +40,7 @@ func referenceBuild(t *testing.T, tb *table.Table, name string, p Params) (*tabl
 	dom := p.Domain.Clone()
 	i := 0
 	err := tb.ScanMags(func(id table.RowID, m *[table.Dim]float64) bool {
-		pt := proj(m)
+		pt := m[:p.ProjDim]
 		dom.ExtendPoint(pt)
 		projs = append(projs, pt...)
 		tags[i] = rowTag{row: id, rank: uint32(rank[i])}

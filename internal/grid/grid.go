@@ -40,32 +40,14 @@ import (
 	"repro/internal/vec"
 )
 
-// ProjFunc maps a full magnitude vector to the low-dimensional
-// visualization space the grid lives in. The paper projects onto the
-// first three principal components; experiments may also use plain
-// coordinate selections.
-type ProjFunc func(m *[table.Dim]float64) vec.Point
-
-// FirstAxes returns a projector selecting the first k magnitude
-// axes.
-func FirstAxes(k int) ProjFunc {
-	return func(m *[table.Dim]float64) vec.Point {
-		p := make(vec.Point, k)
-		copy(p, m[:k])
-		return p
-	}
-}
-
 // Params configures index construction.
 type Params struct {
 	// Base is the size of layer 1 (the paper uses 1024).
 	Base int
-	// ProjDim is the dimensionality of the visualization space
-	// (the paper uses 3). Layer sizes grow by 2^ProjDim per layer.
+	// ProjDim is the dimensionality of the visualization space, the
+	// leading ProjDim magnitude axes (the paper uses 3). Layer sizes
+	// grow by 2^ProjDim per layer.
 	ProjDim int
-	// Proj maps magnitudes into the visualization space. Defaults to
-	// FirstAxes(ProjDim).
-	Proj ProjFunc
 	// Domain bounds the projected data; the layer grids tile it.
 	Domain vec.Box
 	// Seed drives the random permutation.
@@ -102,9 +84,6 @@ type rowRange struct {
 // base table.
 type Index struct {
 	params Params
-	// axisProj records that the projection is the default leading-axes
-	// selection, the only one Persist can write.
-	axisProj bool
 	// tbl is the clustered copy ordered by (Layer, ContainedBy).
 	tbl    *table.Table
 	layers []layerInfo
@@ -138,10 +117,6 @@ func Build(tb *table.Table, clusteredName string, p Params) (*Index, error) {
 	if p.ProjDim < 1 || p.ProjDim > table.Dim {
 		return nil, fmt.Errorf("grid: ProjDim %d out of [1,%d]", p.ProjDim, table.Dim)
 	}
-	axisProj := p.Proj == nil
-	if p.Proj == nil {
-		p.Proj = FirstAxes(p.ProjDim)
-	}
 	if p.Domain.Dim() != p.ProjDim {
 		return nil, fmt.Errorf("grid: domain dim %d != ProjDim %d", p.Domain.Dim(), p.ProjDim)
 	}
@@ -166,7 +141,7 @@ func Build(tb *table.Table, clusteredName string, p Params) (*Index, error) {
 	// the layer r falls in — above r.
 	p.Domain = p.Domain.Clone()
 	err := tb.ScanClassed().ScanMags(func(_ table.RowID, m *[table.Dim]float64) bool {
-		p.Domain.ExtendPoint(p.Proj(m))
+		p.Domain.ExtendPoint(m[:p.ProjDim])
 		return true
 	})
 	if err != nil {
@@ -183,7 +158,7 @@ func Build(tb *table.Table, clusteredName string, p Params) (*Index, error) {
 		r := int(rank[row])
 		layer := layerOfRank(r, p.Base, growth, len(layers))
 		m = mags(rec)
-		code, err := cellCode(p.Proj(&m), p.Domain, layers[layer-1].res)
+		code, err := cellCode(m[:p.ProjDim], p.Domain, layers[layer-1].res)
 		if err != nil {
 			cellErr = fmt.Errorf("grid: row %d: %w", row, err)
 			return false
@@ -243,7 +218,7 @@ func Build(tb *table.Table, clusteredName string, p Params) (*Index, error) {
 			}
 		}
 	}
-	return &Index{params: p, axisProj: axisProj, tbl: clustered, layers: layers, dir: dir}, nil
+	return &Index{params: p, tbl: clustered, layers: layers, dir: dir}, nil
 }
 
 // invert turns the permutation p, i → p[i], into its inverse in place
@@ -316,7 +291,9 @@ func cellCode(p vec.Point, domain vec.Box, res int) (uint64, error) {
 		}
 		c := int((p[d] - domain.Min[d]) / side * float64(res))
 		if c < 0 || c > res {
-			return 0, fmt.Errorf("point %v outside grid domain %v", p, domain)
+			// A copy, so p itself never escapes: callers pass slices of
+			// arrays on their stacks.
+			return 0, fmt.Errorf("point %v outside grid domain %v", p.Clone(), domain)
 		}
 		if c == res { // exact upper boundary folds into the last cell
 			c = res - 1
@@ -506,11 +483,11 @@ func (ix *Index) SampleStream(q vec.Box, n int, yield func(*table.Record) bool) 
 // inBox tests a record's projection against the query box.
 func (ix *Index) inBox(r *table.Record, q vec.Box) bool {
 	m := mags(r)
-	return q.Contains(ix.params.Proj(&m))
+	return q.Contains(m[:ix.params.ProjDim])
 }
 
-// mags returns a record's magnitudes as the float64 vector a ProjFunc
-// takes.
+// mags returns a record's magnitudes as float64s; the grid projects
+// them by slicing the leading ProjDim axes.
 func mags(r *table.Record) (m [table.Dim]float64) {
 	for i, v := range r.Mags {
 		m[i] = float64(v)
@@ -586,7 +563,7 @@ func (ix *Index) Validate() error {
 			return false
 		}
 		m := mags(r)
-		code, err := cellCode(ix.params.Proj(&m), ix.params.Domain, ix.layers[layer-1].res)
+		code, err := cellCode(m[:ix.params.ProjDim], ix.params.Domain, ix.layers[layer-1].res)
 		if err != nil {
 			checkErr = err
 			return false

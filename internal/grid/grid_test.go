@@ -178,13 +178,9 @@ func TestSamplePointsAreInsideBox(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	proj := FirstAxes(3)
 	for i := range recs {
-		var m [table.Dim]float64
-		for j, v := range recs[i].Mags {
-			m[j] = float64(v)
-		}
-		if !q.Contains(proj(&m)) {
+		m := mags(&recs[i])
+		if !q.Contains(m[:3]) {
 			t.Fatalf("record %d projects outside the query box", i)
 		}
 	}
@@ -200,10 +196,9 @@ func TestSampleExhaustsSmallBoxes(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Count the true population by full scan.
-	proj := FirstAxes(3)
 	truth := 0
 	tb.ScanMags(func(id table.RowID, m *[table.Dim]float64) bool {
-		if q.Contains(proj(m)) {
+		if q.Contains(m[:3]) {
 			truth++
 		}
 		return true
@@ -335,10 +330,9 @@ func TestTableSampleUnderAndOverSampling(t *testing.T) {
 		t.Fatal(err)
 	}
 	dom3 := vec.NewBox(sky.Domain().Min[:3], sky.Domain().Max[:3])
-	proj := FirstAxes(3)
 
 	// Under-sampling: 1% of pages cannot yield 5000 points from 20000 rows.
-	recs, _, err := TableSample(tb, proj, dom3, 5000, 1, 1)
+	recs, _, err := TableSample(tb, dom3, 5000, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,7 +343,7 @@ func TestTableSampleUnderAndOverSampling(t *testing.T) {
 	// Over-sampling: 100% returns n but reads pages in physical order —
 	// TOP(n) bias: returned rows come from a prefix of the table.
 	tb.Store().DropCache()
-	recs2, stats2, err := TableSample(tb, proj, dom3, 1000, 100, 1)
+	recs2, stats2, err := TableSample(tb, dom3, 1000, 100, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,9 +21,7 @@ import (
 const gridFormatVersion = 1
 
 // persistedGrid is the exported wire form of the index (the in-core
-// types carry unexported fields gob cannot see). Only grids using
-// the default leading-axes projection are persistable: a custom
-// ProjFunc is an arbitrary closure with no on-disk representation.
+// types carry unexported fields gob cannot see).
 type persistedGrid struct {
 	Version   int
 	Base      int
@@ -48,12 +46,8 @@ type persistedCell struct {
 }
 
 // Persist writes the index structure into the named paged file on
-// the clustered table's store. Grids built with a custom projection
-// cannot be persisted.
+// the clustered table's store.
 func (ix *Index) Persist(name string) error {
-	if !ix.axisProj {
-		return fmt.Errorf("grid: index with a custom projection is not persistable (only the default leading-axes projection has an on-disk form)")
-	}
 	p := persistedGrid{
 		Version:   gridFormatVersion,
 		Base:      ix.params.Base,
@@ -108,15 +102,13 @@ func OpenExisting(store *pagestore.Store, name string, clustered *table.Table) (
 		params: Params{
 			Base:      p.Base,
 			ProjDim:   p.ProjDim,
-			Proj:      FirstAxes(p.ProjDim),
 			Domain:    p.Domain,
 			Seed:      p.Seed,
 			MaxLayers: p.MaxLayers,
 		},
-		axisProj: true,
-		tbl:      clustered,
-		layers:   make([]layerInfo, len(p.Layers)),
-		dir:      make(map[cellKey]rowRange, len(p.Cells)),
+		tbl:    clustered,
+		layers: make([]layerInfo, len(p.Layers)),
+		dir:    make(map[cellKey]rowRange, len(p.Cells)),
 	}
 	for i, l := range p.Layers {
 		ix.layers[i] = layerInfo{res: l.Res, points: l.Points}

@@ -34,11 +34,8 @@ walk:
 				if err := ix.tbl.Get(id, &r); err != nil {
 					t.Fatal(err)
 				}
-				var m [table.Dim]float64
-				for i, v := range r.Mags {
-					m[i] = float64(v)
-				}
-				if !q.Contains(ix.params.Proj(&m)) {
+				m := mags(&r)
+				if !q.Contains(m[:ix.params.ProjDim]) {
 					continue
 				}
 				want = append(want, r.ObjID)

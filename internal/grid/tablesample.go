@@ -10,7 +10,8 @@ import (
 // TableSample reproduces the baseline the paper first tried (§3.1):
 // SQL Server's TABLESAMPLE picks approximately percent% of the
 // *pages* of the table, runs the box filter over the sampled pages,
-// and a TOP(n) clause cuts the result at n rows.
+// and a TOP(n) clause cuts the result at n rows. The box q bounds the
+// leading q.Dim() magnitude axes, as a grid's query box does.
 //
 // The paper abandoned it for exactly the failure modes this
 // implementation exhibits:
@@ -24,7 +25,7 @@ import (
 //
 // The page-level sampling is driven by a deterministic linear
 // congruential hash of the page number so benchmarks are repeatable.
-func TableSample(tb *table.Table, proj ProjFunc, q vec.Box, n int, percent float64, seed int64) ([]table.Record, SampleStats, error) {
+func TableSample(tb *table.Table, q vec.Box, n int, percent float64, seed int64) ([]table.Record, SampleStats, error) {
 	start := time.Now()
 	before := tb.Store().Stats()
 	var out []table.Record
@@ -40,11 +41,8 @@ func TableSample(tb *table.Table, proj ProjFunc, q vec.Box, n int, percent float
 		hi := lo + table.RecordsPerPage
 		err := tb.ScanRange(lo, hi, func(id table.RowID, r *table.Record) bool {
 			stats.RowsExamined++
-			var m [table.Dim]float64
-			for i, v := range r.Mags {
-				m[i] = float64(v)
-			}
-			if q.Contains(proj(&m)) {
+			m := mags(r)
+			if q.Contains(m[:q.Dim()]) {
 				out = append(out, *r)
 			}
 			return len(out) < n // TOP(n): stop as soon as n rows accumulated

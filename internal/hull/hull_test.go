@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/engine"
 	"repro/internal/pagestore"
 	"repro/internal/sky"
 	"repro/internal/table"
@@ -142,23 +141,22 @@ func TestQuasarRetrieval(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ids, _, err := engine.FullScanPolyhedron(tb, h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ids) < len(training) {
-		t.Fatalf("hull retrieved %d < %d training points", len(ids), len(training))
-	}
-	var hits int
-	tb.GetMany(ids, func(_ table.RowID, r *table.Record) bool {
-		if r.Class == table.Quasar {
-			hits++
+	var candidates, hits int
+	tb.Scan(func(_ table.RowID, r *table.Record) bool {
+		if h.Contains(r.Point()) {
+			candidates++
+			if r.Class == table.Quasar {
+				hits++
+			}
 		}
 		return true
 	})
-	precision := float64(hits) / float64(len(ids))
+	if candidates < len(training) {
+		t.Fatalf("hull retrieved %d < %d training points", candidates, len(training))
+	}
+	precision := float64(hits) / float64(candidates)
 	recall := float64(hits) / float64(totalQuasars)
-	t.Logf("hull retrieval: %d candidates, precision %.2f, recall %.2f", len(ids), precision, recall)
+	t.Logf("hull retrieval: %d candidates, precision %.2f, recall %.2f", candidates, precision, recall)
 	// Quasars are 6.5% of the catalog; the hull must enrich strongly
 	// and catch a sizeable share of the class.
 	if precision < 0.5 {

@@ -6,7 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"sort"
+	"slices"
 	"testing"
 
 	"repro/internal/pagedio"
@@ -119,6 +119,42 @@ func TestLeafCellsTileDomain(t *testing.T) {
 	}
 }
 
+// admitted returns the rows CollectRanges' ranges admit for q, in
+// range order: every row of an unfiltered range — each checked to lie
+// inside q — and the rows of a filter range that q contains.
+func admitted(t *testing.T, tb *table.Table, ranges []Range, q vec.Polyhedron) []table.RowID {
+	t.Helper()
+	var ids []table.RowID
+	for _, r := range ranges {
+		err := tb.ScanRange(r.Lo, r.Hi, func(id table.RowID, rec *table.Record) bool {
+			switch in := q.Contains(rec.Point()); {
+			case in:
+				ids = append(ids, id)
+			case !r.Filter:
+				t.Fatalf("row %d of bulk range [%d,%d) lies outside the query", id, r.Lo, r.Hi)
+			}
+			return true
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	return ids
+}
+
+// pagesSpanned counts the distinct table pages the ranges cover; a
+// page two adjacent ranges share counts once.
+func pagesSpanned(ranges []Range) int64 {
+	var pages int64
+	last := int64(-1)
+	for _, r := range ranges {
+		lo, hi := int64(r.Lo/table.RecordsPerPage), int64((r.Hi-1)/table.RecordsPerPage)
+		pages += hi - max(lo, last+1) + 1
+		last = hi
+	}
+	return pages
+}
+
 func TestQueryMatchesFullScan(t *testing.T) {
 	tree, tb := buildFixture(t, 5000, 0)
 	rng := rand.New(rand.NewSource(7))
@@ -141,10 +177,13 @@ func TestQueryMatchesFullScan(t *testing.T) {
 			q.Planes = append(q.Planes, vec.NewHalfspace(a, a.Dot(c)))
 		}
 
-		got, _, err := tree.QueryPolyhedron(tb, q)
-		if err != nil {
-			t.Fatal(err)
+		ranges, _ := tree.CollectRanges([]vec.Polyhedron{q})
+		for i := 1; i < len(ranges); i++ {
+			if ranges[i].Lo < ranges[i-1].Hi {
+				t.Fatalf("iter %d: ranges %d and %d overlap or are out of order", iter, i-1, i)
+			}
 		}
+		got := admitted(t, tb, ranges, q)
 		var want []table.RowID
 		tb.Scan(func(id table.RowID, r *table.Record) bool {
 			if q.Contains(r.Point()) {
@@ -152,14 +191,8 @@ func TestQueryMatchesFullScan(t *testing.T) {
 			}
 			return true
 		})
-		sort.Slice(got, func(i, j int) bool { return got[i] < got[j] })
-		if len(got) != len(want) {
-			t.Fatalf("iter %d: index %d rows, scan %d rows", iter, len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("iter %d: row mismatch at %d", iter, i)
-			}
+		if !slices.Equal(got, want) {
+			t.Fatalf("iter %d: ranges admit %d rows, scan finds %d", iter, len(got), len(want))
 		}
 	}
 }
@@ -168,41 +201,32 @@ func TestWholeDomainQueryIsBulk(t *testing.T) {
 	tree, tb := buildFixture(t, 2000, 0)
 	// The whole domain box contains every tight bound: the root is
 	// classified Inside and no leaf needs filtering.
-	got, stats, err := tree.QueryPolyhedron(tb, vec.BoxPolyhedron(sky.Domain()))
-	if err != nil {
-		t.Fatal(err)
+	ranges, nodes := tree.CollectRanges([]vec.Polyhedron{vec.BoxPolyhedron(sky.Domain())})
+	if want := []Range{{Lo: 0, Hi: table.RowID(tb.NumRows()), Bounds: tree.Nodes[0].Bounds}}; !reflect.DeepEqual(ranges, want) {
+		t.Errorf("whole-domain query ranges = %+v, want the root's one bulk range", ranges)
 	}
-	if len(got) != int(tb.NumRows()) {
-		t.Errorf("whole-domain query returned %d of %d", len(got), tb.NumRows())
-	}
-	if stats.LeavesPartial != 0 {
-		t.Errorf("whole-domain query filtered %d leaves", stats.LeavesPartial)
-	}
-	if stats.NodesVisited != 1 {
-		t.Errorf("expected 1 node visit (root Inside), got %d", stats.NodesVisited)
+	if nodes != 1 {
+		t.Errorf("expected 1 node visit (root Inside), got %d", nodes)
 	}
 }
 
 func TestEmptyRegionQueryTouchesNothing(t *testing.T) {
 	tree, tb := buildFixture(t, 2000, 0)
 	tb.Store().DropCache()
+	before := tb.Store().Stats()
 	q := vec.BoxPolyhedron(vec.NewBox(
 		vec.Point{10, 10, 10, 10, 10}, vec.Point{10.5, 10.5, 10.5, 10.5, 10.5}))
-	got, stats, err := tree.QueryPolyhedron(tb, q)
-	if err != nil {
-		t.Fatal(err)
+	ranges, _ := tree.CollectRanges([]vec.Polyhedron{q})
+	if len(ranges) != 0 {
+		t.Errorf("empty region produced %d ranges", len(ranges))
 	}
-	if len(got) != 0 {
-		t.Errorf("empty region returned %d rows", len(got))
-	}
-	if stats.Pages.DiskReads != 0 {
-		t.Errorf("empty region read %d pages", stats.Pages.DiskReads)
+	if st := tb.Store().Stats().Sub(before); st.DiskReads+st.Hits != 0 {
+		t.Errorf("classifying the tree touched %d pages", st.DiskReads+st.Hits)
 	}
 }
 
 func TestSelectiveQueryIOSmall(t *testing.T) {
 	tree, tb := buildFixture(t, 50000, 0)
-	tb.Store().DropCache()
 	// A tight box around a populated spot.
 	var first table.Record
 	tb.Get(100, &first)
@@ -211,14 +235,12 @@ func TestSelectiveQueryIOSmall(t *testing.T) {
 	for d := 0; d < 5; d++ {
 		min[d], max[d] = c[d]-0.25, c[d]+0.25
 	}
-	got, stats, err := tree.QueryPolyhedron(tb, vec.BoxPolyhedron(vec.NewBox(min, max)))
-	if err != nil {
-		t.Fatal(err)
-	}
+	q := vec.BoxPolyhedron(vec.NewBox(min, max))
+	ranges, _ := tree.CollectRanges([]vec.Polyhedron{q})
 	tablePages := int64(tb.NumPages())
-	if stats.Pages.DiskReads > tablePages/4 {
-		t.Errorf("selective query read %d of %d pages (returned %d rows)",
-			stats.Pages.DiskReads, tablePages, len(got))
+	if pages := pagesSpanned(ranges); pages > tablePages/4 {
+		t.Errorf("selective query spans %d of %d pages (admits %d rows)",
+			pages, tablePages, len(admitted(t, tb, ranges, q)))
 	}
 }
 
@@ -293,18 +315,15 @@ func TestSerializationRoundTrip(t *testing.T) {
 	if loaded.Levels != tree.Levels || loaded.NumRows != tree.NumRows || len(loaded.Nodes) != len(tree.Nodes) {
 		t.Error("loaded tree differs structurally")
 	}
-	// Queries through the loaded tree must match.
-	q := vec.NewPolyhedron(vec.NewHalfspace(vec.Point{1, -1, 0, 0, 0}, 1.1))
-	a, _, err := tree.QueryPolyhedron(tb, q)
-	if err != nil {
-		t.Fatal(err)
+	// The loaded tree must classify queries exactly as the original.
+	q := []vec.Polyhedron{vec.NewPolyhedron(vec.NewHalfspace(vec.Point{1, -1, 0, 0, 0}, 1.1))}
+	a, an := tree.CollectRanges(q)
+	b, bn := loaded.CollectRanges(q)
+	if !reflect.DeepEqual(a, b) || an != bn {
+		t.Errorf("loaded tree: %d ranges over %d nodes, original %d over %d", len(b), bn, len(a), an)
 	}
-	b, _, err := loaded.QueryPolyhedron(tb, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a) != len(b) {
-		t.Errorf("loaded tree returned %d rows, original %d", len(b), len(a))
+	if len(a) == 0 {
+		t.Error("query admits no range; the check compares nothing")
 	}
 }
 

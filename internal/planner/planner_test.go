@@ -6,7 +6,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/engine"
 	"repro/internal/kdtree"
 	"repro/internal/pagestore"
 	"repro/internal/sky"
@@ -84,14 +83,20 @@ func centeredBox(tb *table.Table, half float64) vec.Polyhedron {
 	return vec.BoxPolyhedron(vec.NewBox(lo, hi))
 }
 
-// trueSelectivity counts the exact answer by full scan.
+// trueSelectivity counts the exact answer by brute force.
 func trueSelectivity(t *testing.T, tb *table.Table, q vec.Polyhedron) float64 {
 	t.Helper()
-	ids, _, err := engine.FullScanPolyhedron(tb, q)
+	matches := 0
+	err := tb.Scan(func(_ table.RowID, r *table.Record) bool {
+		if q.Contains(r.Point()) {
+			matches++
+		}
+		return true
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return float64(len(ids)) / float64(tb.NumRows())
+	return float64(matches) / float64(tb.NumRows())
 }
 
 func mustPlan(t *testing.T, pl *Planner, clauses ...vec.Polyhedron) Choice {
