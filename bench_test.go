@@ -639,7 +639,7 @@ func BenchmarkAblationPruning(b *testing.B) {
 			ranges, _ := f.tree.CollectRanges([]vec.Polyhedron{q})
 			rows = 0
 			for _, r := range ranges {
-				rows += r.Rows()
+				rows += int64(r.Hi - r.Lo)
 			}
 		}
 		b.ReportMetric(float64(rows), "rowsExamined")
@@ -687,18 +687,30 @@ func BenchmarkAblationGridStream(b *testing.B) {
 // --- cost-based planner --------------------------------------------------
 
 // BenchmarkPlannerPlan measures the cost of one planning decision
-// across the Figure 5 selectivity sweep — the overhead PlanAuto adds
-// to every query, which must stay microseconds.
+// across the Figure 5 selectivity sweep and colour cuts whose bounding
+// boxes cover most of the catalog — the overhead PlanAuto adds to every
+// query, which must stay microseconds. The estimate is counted on the
+// grid's layer 1.
 func BenchmarkPlannerPlan(b *testing.B) {
 	f := sharedFixture(b)
-	pl := &planner.Planner{Catalog: f.kdTable, Kd: f.tree, Domain: sky.Domain()}
+	pl := &planner.Planner{Catalog: f.kdTable, Kd: f.tree, Sample: f.gridIx.FirstLayer()}
+	type where struct {
+		name    string
+		clauses []vec.Polyhedron
+	}
+	var wheres []where
 	for _, half := range []float64{0.2, 0.8, 3.2, 12.8} {
-		q := []vec.Polyhedron{fig5Query(f, half)}
-		b.Run(fmt.Sprintf("half=%.1f", half), func(b *testing.B) {
+		wheres = append(wheres, where{fmt.Sprintf("half=%.1f", half), []vec.Polyhedron{fig5Query(f, half)}})
+	}
+	for _, cut := range []string{"g - r > 0.5 AND g - r < 0.55", "g - r > 1.2 AND r - i > 0.6", "u - g < 0.6 AND g - r < 0.3"} {
+		wheres = append(wheres, where{cut, colorsql.MustParse(cut, colorsql.DefaultVars(), table.Dim).Polys})
+	}
+	for _, w := range wheres {
+		b.Run(w.name, func(b *testing.B) {
 			b.ReportAllocs()
 			var sel float64
 			for i := 0; i < b.N; i++ {
-				c, err := pl.Plan(q)
+				c, err := pl.Plan(w.clauses)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -101,6 +101,6 @@ func expColdOpen(n int, seed int64) error {
 		openDur.Round(time.Millisecond), ratio, stats.DiskReads)
 	fmt.Printf("reopened query identical: %v (%d rows); open allocs=%d writes=%d (zero construction)\n",
 		identical, len(got), stats.Allocs, stats.DiskWrites)
-	fmt.Println("expect: cold open orders of magnitude below rebuild; reads = catalog + index structure pages only")
+	fmt.Println("expect: cold open orders of magnitude below rebuild; reads = catalog + index structure pages + the grid's layer 1")
 	return nil
 }

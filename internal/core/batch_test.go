@@ -223,7 +223,7 @@ func checkKNNIsItsStatement(t *testing.T, kd bool) {
 		if err := db.BuildPhotoZ(k, 1); err != nil {
 			t.Fatal(err)
 		}
-		pl := &planner.Planner{Catalog: db.photoZ.Table, Kd: db.photoZ.Tree, Domain: db.domain}
+		pl := &planner.Planner{Catalog: db.photoZ.Table, Kd: db.photoZ.Tree}
 		if got, want := db.EstimatePhotoZCost(3), 3*pl.PlanKNN(k).CostIndex; got != want {
 			t.Errorf("photo-z k=%d priced %v, the reference's PlanKNN %v", k, got, want)
 		}

@@ -159,7 +159,7 @@ type Report struct {
 	// not run).
 	EstimatedSelectivity float64
 	// PlanReason explains the plan, e.g.
-	// "est sel 0.031 (kdtree-walk); index 58.1".
+	// "est sel 0.041 (grid-sample); index 58.1".
 	PlanReason string
 
 	// FromCache marks an answer served from the statement result
@@ -571,7 +571,7 @@ func (db *SpatialDB) Planner() (*planner.Planner, error) {
 	p := &planner.Planner{
 		Catalog: db.catalog,
 		Kd:      db.kd,
-		Domain:  db.domain,
+		Sample:  db.grid.FirstLayer(),
 	}
 	if db.mem != nil {
 		p.MemRows = int64(db.mem.Len())

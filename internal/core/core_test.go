@@ -86,6 +86,10 @@ func TestAutoPlanSelectiveQueryUsesIndex(t *testing.T) {
 	if err := db.BuildKdIndex(0); err != nil {
 		t.Fatal(err)
 	}
+	// The estimate is counted on the grid's layer 1.
+	if err := db.BuildGridIndex(0, 1); err != nil {
+		t.Fatal(err)
+	}
 	// A narrow color cut returns a tiny fraction of the catalog; the
 	// cost-based planner must route it through the index scan, never
 	// the full scan.

@@ -100,6 +100,6 @@ func (db *SpatialDB) EstimatePhotoZCost(numPoints int) float64 {
 	if est == nil {
 		return 0
 	}
-	pl := &planner.Planner{Catalog: est.Table, Kd: est.Tree, Domain: db.domain}
+	pl := &planner.Planner{Catalog: est.Table, Kd: est.Tree}
 	return pl.PlanKNN(est.K).CostIndex * float64(max(numPoints, 1))
 }

@@ -104,7 +104,7 @@ func (sn *dbSnap) planner() *planner.Planner {
 	return &planner.Planner{
 		Catalog: sn.catalog,
 		Kd:      sn.kd,
-		Domain:  sn.db.domain,
+		Sample:  sn.grid.FirstLayer(),
 		MemRows: int64(len(sn.mem)),
 	}
 }

@@ -88,6 +88,8 @@ type Index struct {
 	tbl    *table.Table
 	layers []layerInfo
 	dir    map[cellKey]rowRange
+	// first is layer 1 decoded into memory, read-only (FirstLayer).
+	first *table.Sample
 }
 
 // SampleStats reports the cost of one adaptive sample, the §3.1
@@ -218,7 +220,27 @@ func Build(tb *table.Table, clusteredName string, p Params) (*Index, error) {
 			}
 		}
 	}
-	return &Index{params: p, tbl: clustered, layers: layers, dir: dir}, nil
+	return (&Index{params: p, tbl: clustered, layers: layers, dir: dir}).readFirstLayer()
+}
+
+// readFirstLayer loads layer 1 — its rows lead the clustered table,
+// a few pages — into memory; Build and OpenExisting both end here.
+func (ix *Index) readFirstLayer() (*Index, error) {
+	var err error
+	if ix.first, err = ix.tbl.ReadSample(ix.layers[0].points); err != nil {
+		return nil, fmt.Errorf("grid: read layer 1: %w", err)
+	}
+	return ix, nil
+}
+
+// FirstLayer returns layer 1, a uniform random sample of the rows the
+// index was built over (§3.1): the planner's selectivity sample,
+// shared read-only. Nil on a nil index.
+func (ix *Index) FirstLayer() *table.Sample {
+	if ix == nil {
+		return nil
+	}
+	return ix.first
 }
 
 // invert turns the permutation p, i → p[i], into its inverse in place
@@ -501,6 +523,9 @@ func mags(r *table.Record) (m [table.Dim]float64) {
 // full Validate would scan the whole table, defeating the point of
 // opening without construction I/O).
 func (ix *Index) ValidateStructure() error {
+	if len(ix.layers) == 0 {
+		return fmt.Errorf("grid: no layers")
+	}
 	total := 0
 	for _, l := range ix.layers {
 		total += l.points

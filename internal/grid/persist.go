@@ -83,7 +83,7 @@ func (ix *Index) Persist(name string) error {
 // OpenExisting reads an index written by Persist from the named
 // paged file and attaches it to its already-opened clustered table.
 // The stream checksum and the structural invariants are validated;
-// no table page is read.
+// of the table, only layer 1's pages are read (FirstLayer).
 func OpenExisting(store *pagestore.Store, name string, clustered *table.Table) (*Index, error) {
 	var p persistedGrid
 	err := pagedio.ReadGob(store, name, func(dec *gob.Decoder) error {
@@ -119,5 +119,5 @@ func OpenExisting(store *pagestore.Store, name string, clustered *table.Table) (
 	if err := ix.ValidateStructure(); err != nil {
 		return nil, fmt.Errorf("grid: %s: loaded index is invalid: %w", name, err)
 	}
-	return ix, nil
+	return ix.readFirstLayer()
 }

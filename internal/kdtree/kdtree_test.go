@@ -202,7 +202,7 @@ func TestWholeDomainQueryIsBulk(t *testing.T) {
 	// The whole domain box contains every tight bound: the root is
 	// classified Inside and no leaf needs filtering.
 	ranges, nodes := tree.CollectRanges([]vec.Polyhedron{vec.BoxPolyhedron(sky.Domain())})
-	if want := []Range{{Lo: 0, Hi: table.RowID(tb.NumRows()), Bounds: tree.Nodes[0].Bounds}}; !reflect.DeepEqual(ranges, want) {
+	if want := []Range{{Lo: 0, Hi: table.RowID(tb.NumRows())}}; !reflect.DeepEqual(ranges, want) {
 		t.Errorf("whole-domain query ranges = %+v, want the root's one bulk range", ranges)
 	}
 	if nodes != 1 {

@@ -13,7 +13,7 @@ import (
 func rangeRows(ranges []Range) int64 {
 	var rows int64
 	for _, r := range ranges {
-		rows += r.Rows()
+		rows += int64(r.Hi - r.Lo)
 	}
 	return rows
 }

@@ -15,14 +15,7 @@ type Range struct {
 	// rows need the per-point polyhedron test. Ranges with Filter
 	// false lie entirely inside the query.
 	Filter bool
-	// Bounds is the tight bounding box of the node that produced the
-	// range; the planner uses it to apportion partial leaves by
-	// volume overlap.
-	Bounds vec.Box
 }
-
-// Rows returns the number of rows in the range.
-func (r Range) Rows() int64 { return int64(r.Hi - r.Lo) }
 
 // CollectRanges classifies the tree's tight bounds against the clauses
 // of a WHERE — a DNF union; one polyhedron is a set of one — entirely
@@ -46,10 +39,10 @@ func (t *Tree) CollectRanges(clauses []vec.Polyhedron) (ranges []Range, nodes in
 		nodes++
 		switch vec.ClassifyBoxUnion(clauses, n.Bounds) {
 		case vec.Inside:
-			ranges = append(ranges, Range{Lo: n.RowLo, Hi: n.RowHi, Bounds: n.Bounds})
+			ranges = append(ranges, Range{Lo: n.RowLo, Hi: n.RowHi})
 		case vec.Partial:
 			if n.IsLeaf() {
-				ranges = append(ranges, Range{Lo: n.RowLo, Hi: n.RowHi, Filter: true, Bounds: n.Bounds})
+				ranges = append(ranges, Range{Lo: n.RowLo, Hi: n.RowHi, Filter: true})
 			} else {
 				stack = append(stack, n.Right, n.Left)
 			}

@@ -905,17 +905,6 @@ func (s *Store) DropCache() error {
 // as every caller in this repository does.
 func (s *Store) Stats() Stats { return s.stats.snapshot() }
 
-// ResetStats zeroes the counters (snapshot diffing is usually
-// preferable; this exists for long benchmark loops).
-func (s *Store) ResetStats() {
-	s.stats.diskReads.Store(0)
-	s.stats.diskWrites.Store(0)
-	s.stats.hits.Store(0)
-	s.stats.misses.Store(0)
-	s.stats.evictions.Store(0)
-	s.stats.allocs.Store(0)
-}
-
 // PoolSize returns the number of frames currently resident.
 func (s *Store) PoolSize() int {
 	n := 0

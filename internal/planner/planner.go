@@ -24,15 +24,12 @@
 // the filter ranges), so no page is fetched twice. The executor scans
 // exactly the ranges the plan priced.
 //
-// Selectivity estimation never touches the table. In order of
-// preference:
-//
-//   - kd-tree walk: Inside subtrees contribute their exact row
-//     counts; partial leaves are apportioned by the volume overlap of
-//     each clause's bounding box with the leaf's tight bounds (summed
-//     over the clauses, at most the whole leaf).
-//   - geometric: the volume of the query's bounding box relative to
-//     the domain — the estimate when no kd-tree is built.
+// Selectivity is counted, not guessed: the WHERE is evaluated over the
+// grid's layer 1 (§3.1's uniform random sample of the catalog, held in
+// memory) by the scan's own strip arithmetic, and the count scaled to
+// the catalog is clamped to what the plan proves — every row of an
+// unfiltered range matches, and no match lies off the pages the scan
+// fetches. Without a sample the estimate is that upper bound.
 //
 // Costs are denominated in sequential-page-read units, the currency
 // pagestore.Stats counts. The index scan reads one file in ascending
@@ -95,7 +92,9 @@ type Estimate struct {
 	// Rows is Selectivity scaled to the catalog size.
 	Rows float64
 	// Method names the estimator that produced the prediction:
-	// "kdtree-walk" or "bbox-volume".
+	// "grid-sample" (the count over the sample, clamped to the plan's
+	// bounds), "zone-bound" (no sample: the rows on the pages the scan
+	// fetches, an upper bound) or "empty" (no rows).
 	Method string
 }
 
@@ -139,7 +138,10 @@ type Choice struct {
 type Planner struct {
 	Catalog *table.Table
 	Kd      *kdtree.Tree
-	Domain  vec.Box
+	// Sample is a uniform random sample of Catalog's rows — the grid's
+	// layer 1 — or nil. It describes the rows the grid was built over;
+	// rows appended since are scaled in by the catalog's row count.
+	Sample *table.Sample
 	// MemRows is the number of memtable rows every scan must
 	// additionally merge (freshly ingested, not yet compacted into the
 	// paged tables): a per-row CPU surcharge that keeps the price
@@ -183,7 +185,7 @@ func (p *Planner) Plan(clauses []vec.Polyhedron) (Choice, error) {
 	c.Cost = float64(b.fetched)*m.SeqPage + float64(c.NodesVisited+b.classified)*m.Node +
 		float64(b.fetchedRows)*m.Row + float64(p.MemRows)*m.Row
 
-	c.Est = p.estimate(clauses, kdRanges, float64(p.Catalog.NumRows()))
+	c.Est = p.estimate(pred, b.unfilteredRows, b.fetchedRows, int64(p.Catalog.NumRows()))
 	c.Reason = fmt.Sprintf("est sel %.3f (%s); index %.1f", c.Est.Selectivity, c.Est.Method, c.Cost)
 	return c, nil
 }
@@ -205,10 +207,11 @@ type scanBuilder struct {
 	span  pageSpan // pages: the span of one kind being coalesced; empty when none
 	tasks []ScanTask
 
-	spanned     int   // pages the emitted tasks cover
-	fetched     int   // pages of those the scan will fetch
-	fetchedRows int64 // rows on the fetched pages
-	classified  int   // page zones tested
+	spanned        int   // pages the emitted tasks cover
+	fetched        int   // pages of those the scan will fetch
+	fetchedRows    int64 // rows on the fetched pages
+	unfilteredRows int64 // rows of the unfiltered tasks, every one a match
+	classified     int   // page zones tested
 }
 
 // pageSpan is pages [first, end) of one kind.
@@ -298,71 +301,34 @@ func (b *scanBuilder) flushSpan() {
 	b.spanned += sp.end - sp.first
 	b.fetched += fetched
 	b.fetchedRows += rows
+	if !sp.filter {
+		b.unfilteredRows += rows
+	}
 }
 
-// estimate produces the selectivity prediction, preferring the
-// estimator backed by the most structure. Each clause contributes its
-// bounding box; where boxes overlap the sum counts the overlap once per
-// clause, so every sum is capped at the whole it is a fraction of.
-func (p *Planner) estimate(clauses []vec.Polyhedron, kdRanges []kdtree.Range, n float64) Estimate {
+// estimate predicts how many of the catalog's n rows match pred: n ·
+// hits / |S| over the sample, or the rule of three's 3n / |S| when no
+// sample row matches, clamped to [lo, hi] — the unfiltered tasks' rows,
+// all matches, and the rows on the fetched pages, where every match
+// lies. The clamp only moves the count toward the truth. Without a
+// sample the estimate is hi.
+func (p *Planner) estimate(pred *table.PagePred, lo, hi, n int64) Estimate {
 	if n == 0 {
 		return Estimate{Method: "empty"}
 	}
-	boxes := make([]vec.Box, 0, 4) // stays on the stack for the usual few clauses
-	for _, q := range clauses {
-		boxes = append(boxes, q.BoundingBox(p.Domain))
-	}
-	// mass sums one per-clause fraction over the clauses.
-	mass := func(frac func(bb vec.Box) float64) float64 {
-		var f float64
-		for _, bb := range boxes {
-			f += frac(bb)
-		}
-		return min(f, 1)
-	}
-	if p.Kd != nil {
-		var rows float64
-		for _, r := range kdRanges {
-			if !r.Filter {
-				rows += float64(r.Rows())
-				continue
+	rows, method := float64(hi), "zone-bound"
+	if p.Sample != nil && p.Sample.Len() > 0 {
+		method = "grid-sample"
+		if lo < hi { // else the clamp alone decides
+			hits := float64(pred.Count(p.Sample))
+			if hits == 0 {
+				hits = 3 // the rule of three: a 95 % bound on a share never seen
 			}
-			rows += float64(r.Rows()) * mass(func(bb vec.Box) float64 { return overlapFraction(bb, r.Bounds) })
+			rows = min(max(float64(n)*hits/float64(p.Sample.Len()), float64(lo)), float64(hi))
 		}
-		return mkEstimate(rows, n, "kdtree-walk")
 	}
-	dv := p.Domain.Volume()
-	if dv <= 0 {
-		return mkEstimate(0, n, "bbox-volume")
-	}
-	frac := mass(func(bb vec.Box) float64 { return bb.Intersect(p.Domain).Volume() / dv })
-	return mkEstimate(frac*n, n, "bbox-volume")
-}
-
-func mkEstimate(rows, n float64, method string) Estimate {
-	sel := rows / n
-	if sel > 1 {
-		sel = 1
-	}
-	if sel < 0 {
-		sel = 0
-	}
-	return Estimate{Selectivity: sel, Rows: sel * n, Method: method}
-}
-
-// overlapFraction returns the fraction of box b covered by the query
-// bounding box bb, clamped to [0, 1]. Degenerate boxes count as
-// fully covered — the conservative verdict.
-func overlapFraction(bb, b vec.Box) float64 {
-	vol := b.Volume()
-	if vol <= 0 || b.IsEmpty() {
-		return 1
-	}
-	f := bb.Intersect(b).Volume() / vol
-	if f > 1 {
-		return 1
-	}
-	return f
+	sel := min(rows/float64(n), 1)
+	return Estimate{Selectivity: sel, Rows: sel * float64(n), Method: method}
 }
 
 // KNNChoice is the planner's price for a k-nearest-neighbour query:

@@ -1,11 +1,14 @@
 package planner
 
 import (
+	"fmt"
 	"math"
 	"os"
 	"sync"
 	"testing"
 
+	"repro/internal/colorsql"
+	"repro/internal/grid"
 	"repro/internal/kdtree"
 	"repro/internal/pagestore"
 	"repro/internal/sky"
@@ -20,6 +23,7 @@ type world struct {
 	catalog *table.Table
 	tree    *kdtree.Tree
 	kdTable *table.Table
+	grid    *grid.Index // over kdTable
 }
 
 var (
@@ -67,6 +71,11 @@ func make20kDir() (*world, error) {
 	if err != nil {
 		return nil, err
 	}
+	d := sky.Domain()
+	w.grid, err = grid.Build(w.kdTable, "mag.grid.tbl", grid.DefaultParams(vec.NewBox(d.Min[:3], d.Max[:3]), 7))
+	if err != nil {
+		return nil, err
+	}
 	return w, nil
 }
 
@@ -83,12 +92,13 @@ func centeredBox(tb *table.Table, half float64) vec.Polyhedron {
 	return vec.BoxPolyhedron(vec.NewBox(lo, hi))
 }
 
-// trueSelectivity counts the exact answer by brute force.
-func trueSelectivity(t *testing.T, tb *table.Table, q vec.Polyhedron) float64 {
+// trueSelectivity is the share of tb's rows the WHERE — its clauses —
+// matches, by brute force.
+func trueSelectivity(t *testing.T, tb *table.Table, clauses ...vec.Polyhedron) float64 {
 	t.Helper()
-	matches := 0
+	u, matches := colorsql.Union{Polys: clauses}, 0
 	err := tb.Scan(func(_ table.RowID, r *table.Record) bool {
-		if q.Contains(r.Point()) {
+		if u.Contains(r.Point()) {
 			matches++
 		}
 		return true
@@ -108,55 +118,120 @@ func mustPlan(t *testing.T, pl *Planner, clauses ...vec.Polyhedron) Choice {
 	return c
 }
 
-// TestKdEstimateErrorBound checks the kd-walk estimator across the
-// Figure 5 selectivity sweep: box queries from ~0 to ~1 selectivity
-// must be predicted within an absolute error of 0.2 (the partial-leaf
-// apportionment assumes uniform density inside a leaf's tight bounds,
-// so mid-selectivity queries carry the largest error; the extremes —
-// where the plan choice is clear-cut — are much tighter).
-func TestKdEstimateErrorBound(t *testing.T) {
-	w := sharedWorld(t)
-	pl := &Planner{Catalog: w.kdTable, Kd: w.tree, Domain: sky.Domain()}
-	for _, half := range []float64{0.2, 0.8, 1.6, 3.2, 6.4, 12.8} {
-		q := centeredBox(w.kdTable, half)
-		actual := trueSelectivity(t, w.catalog, q)
-		choice := mustPlan(t, pl, q)
-		got := choice.Est.Selectivity
-		if choice.Est.Method != "kdtree-walk" {
-			t.Fatalf("half=%v: method %q", half, choice.Est.Method)
-		}
-		bound := 0.2
-		if actual < 0.05 {
-			// Low-selectivity queries — the regime where picking the
-			// index matters most — must be predicted tightly.
-			bound = 0.05
-		}
-		if err := math.Abs(got - actual); err > bound {
-			t.Errorf("half=%v: estimated %0.4f, actual %0.4f (err %0.4f > %0.2f)", half, got, actual, err, bound)
-		}
-	}
+// estimateWheres are colour cuts across the selectivity range, each
+// with a bounding box that covers most of the catalog, and one OR.
+var estimateWheres = []string{
+	"g - r > 0.5 AND g - r < 0.55",
+	"g - r > 1.2 AND r - i > 0.6",
+	"u - g < 0.6 AND g - r < 0.3",
+	"u - g > 2.0 AND g - r < 1.0",
+	"g - r > 0.3 AND g - r < 0.9",
+	"r < 20",
+	"r < 17",
+	"r < 16 OR g - r > 1.2",
 }
 
-// TestVolumeEstimator: with no kd-tree the estimate is the query
-// box's share of the domain.
-func TestVolumeEstimator(t *testing.T) {
+// TestEstimateOnSample checks the estimate over Figure 5's box ladder
+// and the colour cuts: it lies inside the bounds the plan proves, and
+// within the binomial 3σ of the true share where the sample holds a
+// match (under the rule of three's 3/|S| where it holds none). Without
+// a sample it is the zone bound, never below the truth. The count
+// allocates nothing, and planners sharing one sample concurrently
+// agree with the serial estimates (run under -race).
+func TestEstimateOnSample(t *testing.T) {
 	w := sharedWorld(t)
-	q := centeredBox(w.kdTable, 3.2)
-	bare := &Planner{Catalog: w.catalog, Domain: sky.Domain()}
-	c := mustPlan(t, bare, q)
-	if c.Est.Method != "bbox-volume" {
-		t.Fatalf("method %q", c.Est.Method)
+	sample := w.grid.FirstLayer()
+	size, n := float64(sample.Len()), float64(w.kdTable.NumRows())
+	type estimateCase struct {
+		name    string
+		clauses []vec.Polyhedron
 	}
-	if c.Est.Selectivity <= 0 || c.Est.Selectivity > 1 {
-		t.Errorf("volume estimate %v, want in (0, 1]", c.Est.Selectivity)
+	var cases []estimateCase
+	for _, half := range []float64{0.1, 0.2, 0.4, 0.8, 1.6, 3.2, 6.4, 12.8} {
+		cases = append(cases, estimateCase{fmt.Sprintf("box %.1f", half), []vec.Polyhedron{centeredBox(w.kdTable, half)}})
 	}
+	for _, where := range estimateWheres {
+		u, err := colorsql.Parse(where, colorsql.DefaultVars(), table.Dim)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cases = append(cases, estimateCase{where, u.Polys})
+	}
+	pl := &Planner{Catalog: w.kdTable, Kd: w.tree, Sample: sample}
+	bare := &Planner{Catalog: w.kdTable, Kd: w.tree}
+	want := make([]Estimate, len(cases))
+	for i, c := range cases {
+		pred, err := table.CompilePagePred(c.clauses)
+		if err != nil {
+			t.Fatal(err)
+		}
+		truth := trueSelectivity(t, w.kdTable, c.clauses...)
+		got := mustPlan(t, pl, c.clauses...)
+		est := got.Est
+		lo, hi := planBounds(w.kdTable, pred, got.Ranges)
+		hits := pred.Count(sample)
+		t.Logf("%s: estimated %.4f, true %.4f, %d sample hits", c.name, est.Selectivity, truth, hits)
+		switch {
+		case est.Method != "grid-sample":
+			t.Errorf("%s: method %q", c.name, est.Method)
+		case est.Rows < lo || est.Rows > hi:
+			t.Errorf("%s: estimated %.1f rows, outside the plan's [%.0f, %.0f]", c.name, est.Rows, lo, hi)
+		case hits > 0 && math.Abs(est.Selectivity-truth) > 3*math.Sqrt(truth*(1-truth)/size):
+			t.Errorf("%s: estimated %.4f, true %.4f: beyond 3σ of a %v-row sample", c.name, est.Selectivity, truth, size)
+		case hits == 0 && est.Selectivity > 3/size:
+			t.Errorf("%s: no sample hit, estimated %.4f above the rule of three's %.4f", c.name, est.Selectivity, 3/size)
+		}
+		if z := mustPlan(t, bare, c.clauses...).Est; z.Method != "zone-bound" || z.Rows < truth*n || math.Abs(z.Rows-hi) > 1e-6 {
+			t.Errorf("%s: without a sample %s %.0f rows, want the zone bound %.0f ≥ the true %.0f", c.name, z.Method, z.Rows, hi, truth*n)
+		}
+		if allocs := testing.AllocsPerRun(10, func() { pred.Count(sample) }); allocs != 0 {
+			t.Errorf("%s: the count allocates %v times", c.name, allocs)
+		}
+		want[i] = est
+	}
+	var wg sync.WaitGroup
+	for range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			pl := &Planner{Catalog: w.kdTable, Kd: w.tree, Sample: sample}
+			for i, c := range cases {
+				if got, err := pl.Plan(c.clauses); err != nil || got.Est != want[i] {
+					t.Errorf("%s: concurrent estimate %+v (%v), serial %+v", c.name, got.Est, err, want[i])
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// planBounds returns what a plan's tasks prove about its matches: the
+// rows of the unfiltered tasks all match, and every match lies on a
+// page the scan fetches — an unfiltered task's, or a filter task's
+// whose zone the predicate does not rule out.
+func planBounds(tb *table.Table, pred *table.PagePred, tasks []ScanTask) (lo, hi float64) {
+	const rpp = table.RecordsPerPage
+	for _, task := range tasks {
+		if !task.Filter {
+			lo += float64(task.Hi - task.Lo)
+			hi += float64(task.Hi - task.Lo)
+			continue
+		}
+		for pg := task.Lo / rpp; pg*rpp < task.Hi; pg++ {
+			if z, ok := tb.ZoneMaps().Page(int(pg)); ok && pred.Classify(&z) == vec.Outside {
+				continue
+			}
+			hi += float64(min(task.Hi, (pg+1)*rpp) - max(task.Lo, pg*rpp))
+		}
+	}
+	return lo, hi
 }
 
 // TestPlanKNNGrowsWithK: the kNN price grows with k, up to a scan of
 // the table at k = N, where the model expects every leaf.
 func TestPlanKNNGrowsWithK(t *testing.T) {
 	w := sharedWorld(t)
-	pl := &Planner{Catalog: w.kdTable, Kd: w.tree, Domain: sky.Domain()}
+	pl := &Planner{Catalog: w.kdTable, Kd: w.tree}
 	prev := pl.PlanKNN(1)
 	for _, k := range []int{10, 100, 1000, worldRows} {
 		c := pl.PlanKNN(k)
@@ -190,7 +265,7 @@ func TestPlanKNNCappedAtFullScan(t *testing.T) {
 	// PlanKNN reads the tree's shape only: the paper's √N leaves.
 	levels := kdtree.ChooseLevels(rows)
 	tree := &kdtree.Tree{Levels: levels, LeafNodes: make([]int32, 1<<levels), NumRows: rows}
-	pl := &Planner{Catalog: catalog, Kd: tree, Domain: sky.Domain()}
+	pl := &Planner{Catalog: catalog, Kd: tree}
 	scan := DefaultCostModel().FullScanCost(rows)
 	for _, k := range []int{20_000, 50_000, rows} {
 		if c := pl.PlanKNN(k); c.CostIndex > scan || c.CostIndex <= 0 {
@@ -229,7 +304,7 @@ func TestPlanKNNPricesTailByZones(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pl := &Planner{Catalog: kdTable, Kd: tree, Domain: sky.Domain()}
+	pl := &Planner{Catalog: kdTable, Kd: tree}
 	m := DefaultCostModel()
 	base := pl.PlanKNN(10)
 	prev := base

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/colorsql"
-	"repro/internal/sky"
 	"repro/internal/table"
 	"repro/internal/vec"
 )
@@ -20,7 +19,7 @@ import (
 // ranges cover every page, so it reads what the full scan reads.
 func TestPlanCrossover(t *testing.T) {
 	w := sharedWorld(t)
-	pl := &Planner{Catalog: w.kdTable, Kd: w.tree, Domain: sky.Domain()}
+	pl := &Planner{Catalog: w.kdTable, Kd: w.tree}
 	pages := w.kdTable.NumPages()
 
 	narrow := centeredBox(w.kdTable, 0.4)
@@ -65,7 +64,7 @@ func TestPlanCrossover(t *testing.T) {
 // emitted, every page pruned.
 func TestWalkStopsAtRoot(t *testing.T) {
 	w := sharedWorld(t)
-	pl := &Planner{Catalog: w.kdTable, Kd: w.tree, Domain: sky.Domain()}
+	pl := &Planner{Catalog: w.kdTable, Kd: w.tree}
 	// Every synthetic magnitude is above 10.
 	q := vec.NewPolyhedron(vec.NewHalfspace(vec.Point{0, 0, 1, 0, 0}, 5))
 	c := mustPlan(t, pl, q)
@@ -84,7 +83,7 @@ func TestIndexScanWithoutTree(t *testing.T) {
 	w := sharedWorld(t)
 	// The kd-clustered copy stands in for a catalog whose physical
 	// order happens to make zones tight.
-	pl := &Planner{Catalog: w.kdTable, Domain: sky.Domain()}
+	pl := &Planner{Catalog: w.kdTable}
 	c := mustPlan(t, pl, centeredBox(w.kdTable, 0.4))
 	rows := table.RowID(w.kdTable.NumRows())
 	if len(c.Ranges) != 1 || c.Ranges[0] != (ScanTask{Lo: 0, Hi: rows, Filter: true}) {
@@ -103,7 +102,7 @@ func TestIndexScanWithoutTree(t *testing.T) {
 // error, not a silently unpruned plan.
 func TestPlanRejectsWrongDimension(t *testing.T) {
 	w := sharedWorld(t)
-	pl := &Planner{Catalog: w.kdTable, Kd: w.tree, Domain: sky.Domain()}
+	pl := &Planner{Catalog: w.kdTable, Kd: w.tree}
 	if _, err := pl.Plan([]vec.Polyhedron{vec.NewPolyhedron(vec.NewHalfspace(vec.Point{1, 0, 0}, 18))}); err == nil {
 		t.Fatal("3-D plane planned against a 5-D catalog")
 	}
@@ -117,7 +116,7 @@ func TestPlanRejectsWrongDimension(t *testing.T) {
 // per-row reference's, each once, in table order.
 func TestIndexScanReadsSubsetOfBothLevels(t *testing.T) {
 	w := sharedWorld(t)
-	pl := &Planner{Catalog: w.kdTable, Kd: w.tree, Domain: sky.Domain()}
+	pl := &Planner{Catalog: w.kdTable, Kd: w.tree}
 	zm := w.kdTable.ZoneMaps()
 	rng := rand.New(rand.NewSource(24))
 	for iter := 0; iter < 40; iter++ {

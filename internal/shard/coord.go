@@ -108,9 +108,6 @@ func NewCoordinator(rt *RoutingTable, targets []string, cfg Config) (*Coordinato
 	return c, nil
 }
 
-// Routing returns the coordinator's routing table.
-func (c *Coordinator) Routing() *RoutingTable { return c.rt }
-
 // observe runs one sub-request against shard s inside the fan-out
 // telemetry envelope: request count, latency histogram, error count. A
 // cancellation we caused ourselves (LIMIT early stop, caller disconnect)

@@ -118,12 +118,16 @@ func (sc *scatterCursor) Close() error {
 	return nil
 }
 
-// foldSummary accumulates one finished shard's exact counters; the
-// coordinator-wide diskReads total feeds /stats.
-func (sc *scatterCursor) foldSummary(rep core.Report) {
+// foldSummary accumulates the exact counters of target i's finished
+// stream; the coordinator-wide diskReads total feeds /stats. The
+// estimated selectivity is the catalog-wide one, Σ sel_i · rows_i /
+// TotalRows with the rows from the routing table, summed over the
+// shards whose summaries arrived: a shard an early LIMIT never opened
+// contributes nothing.
+func (sc *scatterCursor) foldSummary(i int, rep core.Report) {
 	sc.agg.Plan = rep.Plan
-	if rep.EstimatedSelectivity != 0 {
-		sc.agg.EstimatedSelectivity = rep.EstimatedSelectivity
+	if total := sc.c.rt.TotalRows; total > 0 {
+		sc.agg.EstimatedSelectivity += rep.EstimatedSelectivity * float64(sc.c.rt.Shards[sc.targets[i]].Rows) / float64(total)
 	}
 	sc.agg.Add(rep)
 	sc.c.diskReads.Add(rep.DiskReads)
@@ -169,7 +173,7 @@ func (sc *scanMergeCursor) Next() bool {
 				sc.fail(s.err)
 				return false
 			}
-			sc.foldSummary(s.summary)
+			sc.foldSummary(sc.idx, s.summary)
 			sc.idx++
 			continue
 		}
@@ -209,7 +213,7 @@ func (oc *orderMergeCursor) advance(i int) bool {
 			oc.fail(s.err)
 			return false
 		}
-		oc.foldSummary(s.summary)
+		oc.foldSummary(i, s.summary)
 		oc.heads[i].rec = nil
 		return true
 	}

@@ -2,7 +2,6 @@ package spectra
 
 import (
 	"fmt"
-	"math/rand"
 
 	"repro/internal/kdtree"
 	"repro/internal/knn"
@@ -173,14 +172,4 @@ func (s *Service) RecoverParams(spectrum []float64) (Params, error) {
 		return Params{}, fmt.Errorf("spectra: empty archive")
 	}
 	return m[0].Params, nil
-}
-
-// Noisy returns a noisy copy of a spectrum (convenience for tests
-// and examples).
-func Noisy(spectrum []float64, noise float64, rng *rand.Rand) []float64 {
-	out := make([]float64, len(spectrum))
-	for i, v := range spectrum {
-		out[i] = v + rng.NormFloat64()*noise
-	}
-	return out
 }

@@ -224,6 +224,57 @@ func evalClause(planes []vec.Halfspace, data []byte, lo int, loaded *[Dim]bool, 
 	return decoded
 }
 
+// Count returns how many of the sample's rows the predicate matches,
+// each tested by the strip filter's own arithmetic (evalStrips), so a
+// sample row counts exactly when a scan would return it. The scratch
+// lives on the caller's stack: a count allocates nothing, and
+// concurrent counts share one sample.
+func (p *PagePred) Count(s *Sample) int {
+	var sc stripScratch
+	var match [RecordsPerPage]bool
+	loaded := [Dim]bool{true, true, true, true, true} // no strip is decoded from a page
+	hits := 0
+	for b := range s.blocks {
+		sc.mags = s.blocks[b] // the block stands in for a decoded page
+		rows := match[:min(RecordsPerPage, s.n-b*RecordsPerPage)]
+		p.evalStrips(nil, 0, &loaded, &sc, rows)
+		for _, m := range rows {
+			if m {
+				hits++
+			}
+		}
+	}
+	return hits
+}
+
+// Sample is a read-only set of rows held in memory as decoded
+// magnitude strips, one page's slots to a block.
+type Sample struct {
+	blocks [][Dim][RecordsPerPage]float64
+	n      int
+}
+
+// ReadSample decodes the magnitude strips of rows [0, n) (n clamped to
+// the row count) into a Sample, reading each of their pages once.
+func (t *Table) ReadSample(n int) (*Sample, error) {
+	n = min(n, int(t.numRows()))
+	s := &Sample{blocks: make([][Dim][RecordsPerPage]float64, (n+RecordsPerPage-1)/RecordsPerPage), n: n}
+	err := t.walkPages(0, RowID(n), func(data []byte, row RowID, slot, end int) bool {
+		b := &s.blocks[row/RecordsPerPage]
+		for axis := range b {
+			decodeMagStrip(data, axis, slot, b[axis][slot:end])
+		}
+		return true
+	})
+	if err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// Len returns the number of rows in the sample.
+func (s *Sample) Len() int { return s.n }
+
 // SkyBoxPred is a rectangular cut on the sky: ra in [RaMin, RaMax]
 // and dec in [DecMin, DecMax], both inclusive. The box does not wrap
 // through ra = 0/360 — a caller with a wrapping box splits it into

@@ -113,18 +113,6 @@ func (b Box) Intersects(o Box) bool {
 	return true
 }
 
-// Intersect returns the boxwise intersection of b and o. If the
-// boxes are disjoint the result is empty (IsEmpty reports true).
-func (b Box) Intersect(o Box) Box {
-	checkDim(len(b.Min), len(o.Min))
-	r := Box{Min: make(Point, len(b.Min)), Max: make(Point, len(b.Min))}
-	for i := range b.Min {
-		r.Min[i] = math.Max(b.Min[i], o.Min[i])
-		r.Max[i] = math.Min(b.Max[i], o.Max[i])
-	}
-	return r
-}
-
 // ExtendPoint grows the box in place so it contains p.
 func (b *Box) ExtendPoint(p Point) {
 	checkDim(len(b.Min), len(p))

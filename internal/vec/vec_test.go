@@ -101,18 +101,6 @@ func TestBoxIntersects(t *testing.T) {
 	}
 }
 
-func TestBoxIntersect(t *testing.T) {
-	a := NewBox(Point{0, 0}, Point{2, 2})
-	b := NewBox(Point{1, 1}, Point{3, 3})
-	got := a.Intersect(b)
-	if !got.Min.Equal(Point{1, 1}) || !got.Max.Equal(Point{2, 2}) {
-		t.Errorf("Intersect = %v", got)
-	}
-	if !a.Intersect(NewBox(Point{5, 5}, Point{6, 6})).IsEmpty() {
-		t.Error("disjoint intersection should be empty")
-	}
-}
-
 func TestBoxExtendAndBounding(t *testing.T) {
 	b := EmptyBox(2)
 	if !b.IsEmpty() {
