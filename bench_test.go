@@ -194,7 +194,7 @@ func BenchmarkFig2LoggedQueryExec(b *testing.B) {
 	q := colorsql.MustParse(fig2Where, colorsql.DefaultVars(), table.Dim).Single()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := f.db.QueryPolyhedron(q, core.PlanKdTree); err != nil {
+		if _, _, err := f.db.QueryPolyhedron(q, core.PlanAuto); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -232,9 +232,10 @@ func fig5Query(f *fixture, half float64) vec.Polyhedron {
 // the Figure 5 selectivity sweep: the forced full scan.
 func BenchmarkFig5FullScan(b *testing.B) { benchFig5(b, core.PlanFullScan) }
 
-// BenchmarkFig5KdTree is the kd-tree index scan across the same sweep;
-// the time ratio against BenchmarkFig5FullScan is the Figure 5 curve.
-func BenchmarkFig5KdTree(b *testing.B) { benchFig5(b, core.PlanKdTree) }
+// BenchmarkFig5KdTree is the kd-tree index scan PlanAuto runs across
+// the same sweep; the time ratio against BenchmarkFig5FullScan is the
+// Figure 5 curve.
+func BenchmarkFig5KdTree(b *testing.B) { benchFig5(b, core.PlanAuto) }
 
 // benchFig5 runs the Figure 5 sweep under plan, every row materialized.
 func benchFig5(b *testing.B, plan core.Plan) {
@@ -604,7 +605,7 @@ func BenchmarkHullQuery(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := f.db.QueryPolyhedron(h, core.PlanKdTree); err != nil {
+		if _, _, err := f.db.QueryPolyhedron(h, core.PlanAuto); err != nil {
 			b.Fatal(err)
 		}
 	}

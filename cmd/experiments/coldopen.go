@@ -52,7 +52,7 @@ func expColdOpen(n int, seed int64) error {
 		return err
 	}
 	const where = "g - r > 0.3 AND r < 20"
-	want, _, err := db.QueryWhere(where, core.PlanKdTree)
+	want, _, err := db.QueryWhere(where, core.PlanAuto)
 	if err != nil {
 		return err
 	}
@@ -75,7 +75,7 @@ func expColdOpen(n int, seed int64) error {
 	defer re.Close()
 	stats := re.Engine().Store().Stats()
 
-	got, _, err := re.QueryWhere(where, core.PlanKdTree)
+	got, _, err := re.QueryWhere(where, core.PlanAuto)
 	if err != nil {
 		return err
 	}

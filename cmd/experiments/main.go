@@ -218,7 +218,7 @@ func expFig2(n int, seed int64) error {
 		u := colorsql.MustParse(q.where, colorsql.DefaultVars(), table.Dim)
 		fmt.Printf("%s: parsed into %d convex clause(s), %d halfspaces\n", q.name, len(u.Polys), len(u.Polys[0].Planes))
 		var counts []int
-		for _, plan := range []core.Plan{core.PlanFullScan, core.PlanKdTree} {
+		for _, plan := range []core.Plan{core.PlanFullScan, core.PlanAuto} {
 			db.Engine().Store().DropCache()
 			recs, rep, err := db.QueryWhere(q.where, plan)
 			if err != nil {
@@ -352,7 +352,7 @@ func expFig5(n int, seed int64) error {
 		if err != nil {
 			return err
 		}
-		kdRows, kdPages, kdDur, err := run(q, core.PlanKdTree)
+		kdRows, kdPages, kdDur, err := run(q, core.PlanAuto)
 		if err != nil {
 			return err
 		}
@@ -816,7 +816,7 @@ func expClass(n int, seed int64) error {
 		if err != nil {
 			return err
 		}
-		recs, rep, err := db.QueryPolyhedron(h, core.PlanKdTree)
+		recs, rep, err := db.QueryPolyhedron(h, core.PlanAuto)
 		if err != nil {
 			return err
 		}

@@ -33,7 +33,6 @@ import (
 func main() {
 	log.SetFlags(0)
 	dir := flag.String("dir", "", "output directory (required)")
-	out := flag.String("out", "", "alias for -dir (kept for older scripts)")
 	n := flag.Int("n", 1_000_000, "number of objects")
 	seed := flag.Int64("seed", 42, "generator seed")
 	spectro := flag.Float64("spectro", 0.01, "spectroscopic (reference) fraction")
@@ -41,9 +40,6 @@ func main() {
 	knnK := flag.Int("photoz-k", 24, "photo-z neighbourhood size (with -indexes)")
 	shards := flag.Int("shards", 0, "partition the catalog into this many shard stores plus a routing table (0 = single store)")
 	flag.Parse()
-	if *dir == "" {
-		*dir = *out
-	}
 	if *dir == "" {
 		log.Fatal("sdssgen: -dir is required")
 	}

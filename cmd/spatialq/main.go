@@ -47,7 +47,7 @@ func main() {
 	format := flag.String("format", "table", "statement output: table | ndjson")
 	knnPt := flag.String("knn", "", "comma-separated 5-D point for nearest neighbour search")
 	k := flag.Int("k", 10, "neighbours for -knn")
-	plan := flag.String("plan", "auto", "auto | kdtree | fullscan | compare")
+	plan := flag.String("plan", "auto", "auto | fullscan | compare (the full scan, then auto)")
 	build := flag.Bool("build", false, "build and persist missing index structures instead of failing on them")
 	limit := flag.Int("limit", 10, "result rows to print")
 	seed := flag.Int64("seed", 42, "seed for -build index construction")
@@ -60,6 +60,7 @@ func main() {
 	if !*build && (*query == "") == (*knnPt == "") {
 		log.Fatal("spatialq: exactly one of -q or -knn is required")
 	}
+	plans := parsePlans(*plan)
 
 	db, err := core.OpenExisting(core.Config{Dir: *dir, ResultCacheBytes: *resultCacheMB << 20})
 	if err != nil {
@@ -135,14 +136,35 @@ func main() {
 			log.Fatal("spatialq: -limit does not apply to SELECT statements; use a LIMIT clause in the statement")
 		}
 		for i := 0; i < *repeat; i++ {
-			runStatement(db, *query, *plan, *format)
+			for _, p := range plans {
+				if len(plans) > 1 {
+					// compare: each plan from a cold pool, as for a WHERE.
+					db.Engine().Store().DropCache()
+				}
+				runStatement(db, *query, p, *format)
+			}
 		}
 		return
 	}
 	if *repeat != 1 {
 		log.Fatal("spatialq: -repeat applies to SELECT statements only")
 	}
-	runQuery(db, *query, *plan, *limit)
+	runQuery(db, *query, plans, *limit)
+}
+
+// parsePlans maps -plan onto the plans to run, in order: a forced full
+// scan, auto, or both — the full scan first, the paper's baseline.
+func parsePlans(plan string) []core.Plan {
+	switch plan {
+	case "auto":
+		return []core.Plan{core.PlanAuto}
+	case "fullscan":
+		return []core.Plan{core.PlanFullScan}
+	case "compare":
+		return []core.Plan{core.PlanFullScan, core.PlanAuto}
+	}
+	log.Fatalf("spatialq: unknown -plan %q (auto | fullscan | compare)", plan)
+	return nil
 }
 
 // runInsert executes an INSERT statement through the WAL-backed write
@@ -168,18 +190,7 @@ func isStatement(q string) bool {
 // runStatement executes a SELECT through the streaming cursor
 // pipeline, printing rows as the scan produces them. Ctrl-C cancels
 // the query mid-scan.
-func runStatement(db *core.SpatialDB, src, plan, format string) {
-	var p core.Plan
-	switch plan {
-	case "auto":
-		p = core.PlanAuto
-	case "fullscan":
-		p = core.PlanFullScan
-	case "kdtree":
-		p = core.PlanKdTree
-	default:
-		log.Fatalf("spatialq: -plan %q not supported for SELECT statements (use auto/fullscan/kdtree)", plan)
-	}
+func runStatement(db *core.SpatialDB, src string, p core.Plan, format string) {
 	stmt, err := colorsql.ParseStatement(src, colorsql.DefaultVars(), table.Dim)
 	if err != nil {
 		log.Fatal(err)
@@ -251,7 +262,7 @@ func runKnn(db *core.SpatialDB, raw string, k int) {
 	}
 }
 
-func runQuery(db *core.SpatialDB, query, plan string, limit int) {
+func runQuery(db *core.SpatialDB, query string, plans []core.Plan, limit int) {
 	u, err := colorsql.Parse(query, colorsql.DefaultVars(), table.Dim)
 	if err != nil {
 		log.Fatal(err)
@@ -259,7 +270,7 @@ func runQuery(db *core.SpatialDB, query, plan string, limit int) {
 	store := db.Engine().Store()
 	// The WHERE runs whole, however many clauses it compiles to: one
 	// walk, every matching row once.
-	run := func(p core.Plan) {
+	for _, p := range plans {
 		// Cold-cache execution so the printed page counts mean disk I/O.
 		store.DropCache()
 		recs, rep, err := db.QueryUnion(u, p)
@@ -276,19 +287,6 @@ func runQuery(db *core.SpatialDB, query, plan string, limit int) {
 				rep.PagesSkipped, rep.PagesScanned, rep.StripsDecoded)
 		}
 		printRows(recs, limit)
-	}
-	switch plan {
-	case "auto":
-		run(core.PlanAuto)
-	case "fullscan":
-		run(core.PlanFullScan)
-	case "kdtree":
-		run(core.PlanKdTree)
-	case "compare":
-		run(core.PlanFullScan)
-		run(core.PlanKdTree)
-	default:
-		log.Fatalf("spatialq: unknown -plan %q", plan)
 	}
 }
 

@@ -103,7 +103,7 @@ func BenchmarkColdOpenFirstQuery(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, _, err := db.QueryWhere("g - r > 0.3 AND r < 20", core.PlanKdTree); err != nil {
+		if _, _, err := db.QueryWhere("g - r > 0.3 AND r < 20", core.PlanAuto); err != nil {
 			b.Fatal(err)
 		}
 		if _, _, err := db.NearestNeighbors(vec.Point{19.2, 18.8, 18.4, 18.2, 18.1}, 10); err != nil {

@@ -80,7 +80,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	recs, rep, err := db.QueryPolyhedron(h, core.PlanKdTree)
+	recs, rep, err := db.QueryPolyhedron(h, core.PlanAuto)
 	if err != nil {
 		log.Fatal(err)
 	}

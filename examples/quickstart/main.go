@@ -43,7 +43,7 @@ func main() {
 
 	// 3. A color-cut query in the mini-SQL of the SkyServer log.
 	where := "g - r > 0.4 AND g - r < 1.0 AND r < 19.5"
-	for _, plan := range []core.Plan{core.PlanFullScan, core.PlanKdTree} {
+	for _, plan := range []core.Plan{core.PlanFullScan, core.PlanAuto} {
 		recs, rep, err := db.QueryWhere(where, plan)
 		if err != nil {
 			log.Fatal(err)

@@ -56,12 +56,13 @@ func TestEndToEndSystem(t *testing.T) {
 	  AND (dered_r - dered_i - (dered_g - dered_r)/4 - 0.18 > -0.2)
 	  AND (dered_r < 21)`
 	var results [][]int64
-	for _, plan := range []core.Plan{core.PlanFullScan, core.PlanKdTree} {
+	ranAs := map[core.Plan]core.Plan{core.PlanFullScan: core.PlanFullScan, core.PlanAuto: core.PlanKdTree}
+	for _, plan := range []core.Plan{core.PlanFullScan, core.PlanAuto} {
 		recs, rep, err := db.QueryWhere(where, plan)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if rep.Plan != plan {
+		if rep.Plan != ranAs[plan] {
 			t.Errorf("requested %v, report says %v", plan, rep.Plan)
 		}
 		ids := make([]int64, len(recs))
@@ -329,7 +330,7 @@ func TestColdRestart(t *testing.T) {
 		if err := db.BuildKdIndex(0); err != nil {
 			t.Fatal(err)
 		}
-		if want, _, err = db.QueryPolyhedron(q, core.PlanKdTree); err != nil {
+		if want, _, err = db.QueryPolyhedron(q, core.PlanAuto); err != nil {
 			t.Fatal(err)
 		}
 		if len(want) == 0 {
@@ -350,7 +351,7 @@ func TestColdRestart(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer db.Close()
-		got, rep, err := db.QueryPolyhedron(q, core.PlanKdTree)
+		got, rep, err := db.QueryPolyhedron(q, core.PlanAuto)
 		if err != nil {
 			t.Fatal(err)
 		}

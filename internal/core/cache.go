@@ -17,7 +17,7 @@ import (
 // Tier 1 (always on) caches planner work keyed on canonical
 // predicate text: one planner.Choice per WHERE (the index scan's
 // ranges included), however many clauses its DNF has. Admission
-// pricing (EstimateStatementCost) and execution (ExecStatement →
+// pricing (EstimateStatementCost) and execution (every WHERE through
 // whereCursor) share the entries, so a repeated statement is planned
 // exactly once per epoch. A kNN price (planner.PlanKNN) is a dozen
 // float operations and is computed where it is needed, not cached.

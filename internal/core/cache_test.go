@@ -105,6 +105,23 @@ func TestStatementCacheRepeatIsExact(t *testing.T) {
 	if c := db.Cache().StatsFor("query"); c.Bypasses < 2 {
 		t.Errorf("bypasses = %d, want >= 2", c.Bypasses)
 	}
+
+	// A bare polyhedron plans through tier 1 like any WHERE: its repeat,
+	// and a statement with the same predicate, reuse the plan its first
+	// run built.
+	const where = "g - r > 0.5 AND r < 19"
+	poly := colorsql.MustParse(where, colorsql.DefaultVars(), table.Dim).Single()
+	before := db.Cache().StatsFor(nsPlan)
+	for range 2 {
+		if _, _, err := db.QueryPolyhedron(poly, PlanAuto); err != nil {
+			t.Fatal(err)
+		}
+	}
+	execRows(t, db, "SELECT objid WHERE "+where)
+	if after := db.Cache().StatsFor(nsPlan); after.PlanBuilds-before.PlanBuilds != 1 || after.PlanHits-before.PlanHits != 2 {
+		t.Errorf("two polyhedron queries and their statement built %d plans and reused %d, want 1 and 2",
+			after.PlanBuilds-before.PlanBuilds, after.PlanHits-before.PlanHits)
+	}
 }
 
 // TestStatementCacheSingleflight: N concurrent identical statements

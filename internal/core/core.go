@@ -72,21 +72,25 @@ type Config struct {
 	ResultCacheBytes int64
 }
 
-// Plan selects the access path of a polyhedron query.
+// Plan names the access path of a query. A caller requests one of two
+// values: PlanAuto, or the forced PlanFullScan. Every other value is a
+// label a Report carries to say how a query ran; requesting one is an
+// error.
 type Plan int
 
-// Available query plans. PlanAuto runs the index scan the planner
-// walks out of the kd-tree (zero I/O) and reports the planner's
-// estimate and price; with no tree the index scan is zone pruning
-// alone. The remaining selectable plans force one path.
+// The plans. The numbers are fixed: a shard's summary frame carries
+// them.
 const (
+	// PlanAuto (a request) runs the index scan the planner walks out of
+	// the kd-tree (zero I/O) and reports the planner's estimate and
+	// price; with no tree the index scan is zone pruning alone.
 	PlanAuto Plan = iota
-	// PlanFullScan reads every page of the catalog in table order,
-	// zones unconsulted: the baseline the index scan is measured and
-	// checked against.
+	// PlanFullScan (a request and its label) reads every page of the
+	// catalog in table order, zones unconsulted: the baseline the index
+	// scan is measured and checked against.
 	PlanFullScan
-	// PlanKdTree is the index scan: the kd walk's row ranges over the
-	// leaf-clustered table — Outside subtrees never read, Inside
+	// PlanKdTree labels the index scan: the kd walk's row ranges over
+	// the leaf-clustered table — Outside subtrees never read, Inside
 	// subtrees streamed unfiltered, partial leaves and the unindexed
 	// tail filtered behind their page zones. It also labels an ordered
 	// LIMIT with no WHERE that walks the tree best node first — every
@@ -95,12 +99,11 @@ const (
 	// 3 was the forced Voronoi cell scan. The number stays retired so
 	// the plans after it keep the values the shard wire carries.
 	_
-	// PlanGrid is reported by grid-served sampling queries
-	// (SampleRegion); it is not selectable for polyhedron retrieval.
+	// PlanGrid labels grid-served sampling queries (SampleRegion).
 	PlanGrid
-	// PlanPrunedScan is reported by scans that zone maps alone prune —
-	// the sky-box scan, and PlanAuto's index scan on a store with no
-	// kd-tree; it is not selectable either.
+	// PlanPrunedScan labels scans that zone maps alone prune: the
+	// sky-box scan, and PlanAuto's index scan on a store with no
+	// kd-tree.
 	PlanPrunedScan
 )
 
@@ -155,8 +158,8 @@ type Report struct {
 	FitFallbacks int64
 
 	// EstimatedSelectivity is the planner's pre-execution prediction
-	// of returned/total rows. Zero for forced plans (the planner did
-	// not run).
+	// of returned/total rows. Zero for a forced full scan (the planner
+	// did not run).
 	EstimatedSelectivity float64
 	// PlanReason explains the plan, e.g.
 	// "est sel 0.041 (grid-sample); index 58.1".
@@ -553,7 +556,10 @@ func (db *SpatialDB) QueryWhere(where string, plan Plan) ([]table.Record, Report
 // Report is that one stream's: one plan, one selectivity estimate, one
 // PlanReason, exact page counters.
 func (db *SpatialDB) QueryUnion(u colorsql.Union, plan Plan) ([]table.Record, Report, error) {
-	cur, err := db.whereCursor(context.Background(), u, true, plan, cursorOpts{cols: table.ColAll, stopAfter: -1})
+	if err := db.validatePlan(plan); err != nil {
+		return nil, Report{}, err
+	}
+	cur, err := db.whereCursor(context.Background(), u, plan, cursorOpts{cols: table.ColAll, stopAfter: -1})
 	if err != nil {
 		return nil, Report{}, err
 	}
@@ -579,24 +585,11 @@ func (db *SpatialDB) Planner() (*planner.Planner, error) {
 	return p, nil
 }
 
-// QueryPolyhedron executes one convex polyhedron query under the
-// chosen plan and returns the matching records with full columns —
-// QueryUnion's path for a set of one clause, planned afresh.
-// PlanAuto consults the cost-based planner; every path streams records
-// in a single pass over the candidate ranges.
+// QueryPolyhedron executes one convex polyhedron query: QueryUnion
+// over a set of one clause, planned once through the tier-1 plan cache
+// like any WHERE.
 func (db *SpatialDB) QueryPolyhedron(q vec.Polyhedron, plan Plan) ([]table.Record, Report, error) {
-	cur, err := db.polyhedronCursor(context.Background(), q, plan, cursorOpts{cols: table.ColAll, stopAfter: -1})
-	if err != nil {
-		return nil, Report{}, err
-	}
-	recs, rep, err := Collect(cur)
-	if err != nil {
-		return nil, Report{}, err
-	}
-	if recs == nil {
-		recs = []table.Record{}
-	}
-	return recs, rep, nil
+	return db.QueryUnion(colorsql.Union{Polys: []vec.Polyhedron{q}}, plan)
 }
 
 // NearestNeighbors returns the k catalog records closest to p in

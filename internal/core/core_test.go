@@ -201,25 +201,6 @@ func TestAutoPlanFallsBackToScan(t *testing.T) {
 	}
 }
 
-func TestOrQueryUnions(t *testing.T) {
-	db := openDB(t, 2000)
-	if err := db.BuildKdIndex(0); err != nil {
-		t.Fatal(err)
-	}
-	left, _, _ := db.QueryWhere("r < 16", PlanKdTree)
-	right, _, _ := db.QueryWhere("r > 22", PlanKdTree)
-	both, rep, err := db.QueryWhere("r < 16 OR r > 22", PlanKdTree)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if int64(len(both)) != rep.RowsReturned {
-		t.Errorf("report mismatch")
-	}
-	if len(both) != len(left)+len(right) {
-		t.Errorf("union %d != %d + %d", len(both), len(left), len(right))
-	}
-}
-
 func TestNearestNeighborsThroughFacade(t *testing.T) {
 	db := openDB(t, 3000)
 	if err := db.BuildKdIndex(0); err != nil {

@@ -109,27 +109,21 @@ func (c *polyCursor) Stats() Report {
 	return r
 }
 
-// polyhedronCursor streams one convex polyhedron: the one-clause call
-// of whereCursor, planned against the snapshot (a bare polyhedron has
-// no canonical text to key a cached plan on).
-func (db *SpatialDB) polyhedronCursor(ctx context.Context, q vec.Polyhedron, plan Plan, opts cursorOpts) (Cursor, error) {
-	return db.whereCursor(ctx, colorsql.Union{Polys: []vec.Polyhedron{q}}, false, plan, opts)
-}
-
 // whereCursor opens the one stream that answers a WHERE — every clause
 // of its DNF at once — over a fresh store snapshot, releasing the
-// snapshot's file pin when the cursor closes. With cachePlan the
+// snapshot's file pin when the cursor closes. Under PlanAuto the
 // planner's verdict comes from the tier-1 plan cache, looked up after
 // the snapshot is taken: a cached choice is then never older than the
 // snapshot it runs against, and one planned over a newer clustering is
-// recognised by its tree (whereCursorSnap).
-func (db *SpatialDB) whereCursor(ctx context.Context, u colorsql.Union, cachePlan bool, plan Plan, opts cursorOpts) (Cursor, error) {
+// recognised by its tree (whereCursorSnap). The caller has validated
+// plan.
+func (db *SpatialDB) whereCursor(ctx context.Context, u colorsql.Union, plan Plan, opts cursorOpts) (Cursor, error) {
 	sn, err := db.snapshot()
 	if err != nil {
 		return nil, err
 	}
-	// Forced scans that never consult the planner skip the cache.
-	if cachePlan && (plan == PlanAuto || plan == PlanKdTree) {
+	// A forced full scan never consults the planner.
+	if plan == PlanAuto {
 		if opts.choice, err = db.planFor(u); err != nil {
 			sn.release()
 			return nil, err
@@ -165,11 +159,13 @@ func (db *SpatialDB) whereCursorSnap(ctx context.Context, sn *dbSnap, clauses []
 	var tb *table.Table
 	var tasks []planner.ScanTask
 	scope := db.eng.Store().Scoped()
-	switch plan {
-	case PlanAuto, PlanKdTree:
-		if plan == PlanKdTree && sn.kd == nil {
-			return nil, fmt.Errorf("core: kd-tree index not built")
-		}
+	if plan == PlanFullScan {
+		tasks = []planner.ScanTask{{Lo: 0, Hi: table.RowID(sn.catalog.NumRows()), Filter: true}}
+		// Every page, zones unconsulted; scan-class so an unselective
+		// stream does not flush the pool's hot set.
+		tb = sn.catalog.Scoped(scope).ScanClassed().WithoutZones()
+		base.Plan = PlanFullScan
+	} else {
 		choice := opts.choice
 		if choice == nil || choice.Tree != sn.kd {
 			// No cached plan, or one whose ranges address another
@@ -181,9 +177,7 @@ func (db *SpatialDB) whereCursorSnap(ctx context.Context, sn *dbSnap, clauses []
 			}
 			choice = &ch
 		}
-		if plan == PlanAuto {
-			base.EstimatedSelectivity, base.PlanReason = choice.Est.Selectivity, choice.Reason
-		}
+		base.EstimatedSelectivity, base.PlanReason = choice.Est.Selectivity, choice.Reason
 		// The cached ranges are shared read-only. One ascending pass
 		// over one file, mostly skipped: scan-class, so it cannot evict
 		// the pool's hot set.
@@ -191,18 +185,10 @@ func (db *SpatialDB) whereCursorSnap(ctx context.Context, sn *dbSnap, clauses []
 		tb = sn.catalog.Scoped(scope).ScanClassed()
 		base.Plan = PlanKdTree
 		if sn.kd == nil {
-			// Auto on a store without a tree: the index scan is zone
-			// pruning alone, and is reported as such.
+			// On a store without a tree the index scan is zone pruning
+			// alone, and is reported as such.
 			base.Plan = PlanPrunedScan
 		}
-	case PlanFullScan:
-		tasks = []planner.ScanTask{{Lo: 0, Hi: table.RowID(sn.catalog.NumRows()), Filter: true}}
-		// Every page, zones unconsulted; scan-class so an unselective
-		// stream does not flush the pool's hot set.
-		tb = sn.catalog.Scoped(scope).ScanClassed().WithoutZones()
-		base.Plan = PlanFullScan
-	default:
-		return nil, fmt.Errorf("core: plan %v cannot be selected for a polyhedron query", plan)
 	}
 	paged := &polyCursor{
 		stream: planner.Stream(tb, tasks, planner.StreamOpts{

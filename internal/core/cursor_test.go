@@ -349,7 +349,7 @@ func TestProjectionPushdown(t *testing.T) {
 	if err := db.BuildKdIndex(0); err != nil {
 		t.Fatal(err)
 	}
-	for _, plan := range []Plan{PlanFullScan, PlanKdTree} {
+	for _, plan := range []Plan{PlanFullScan, PlanAuto} {
 		cur, err := db.ExecStatement(context.Background(),
 			mustStatement(t, "SELECT objid WHERE r < 22"), plan)
 		if err != nil {
@@ -426,10 +426,6 @@ func catalogPins(db *SpatialDB) int {
 // ExecStatement, before any rows stream.
 func TestStatementValidation(t *testing.T) {
 	db := openDB(t, 500)
-	if _, err := db.ExecStatement(context.Background(),
-		mustStatement(t, "SELECT * WHERE r < 19"), PlanKdTree); err == nil {
-		t.Error("forced kd plan without a kd-tree should fail upfront")
-	}
 	if _, err := db.ExecStatement(context.Background(),
 		mustStatement(t, "SELECT * WHERE r < 19"), Plan(3)); err == nil {
 		t.Error("the retired Voronoi plan number should fail upfront")

@@ -247,15 +247,3 @@ func (db *SpatialDB) IngestStatsSnapshot() IngestStats {
 	}
 	return st
 }
-
-// memSnapshot returns the memtable's visible rows (nil when the
-// ingest path is not open).
-func (db *SpatialDB) memSnapshot() []memtable.Row {
-	db.mu.RLock()
-	mem := db.mem
-	db.mu.RUnlock()
-	if mem == nil {
-		return nil
-	}
-	return mem.Snapshot()
-}

@@ -429,7 +429,7 @@ func TestFullCompactionMatchesFreshBuild(t *testing.T) {
 		"SELECT objid, g, r WHERE g - r > 0.1 AND g - r < 0.9 AND r < 20",
 		"SELECT objid",
 	}
-	plans := []Plan{PlanAuto, PlanFullScan, PlanKdTree}
+	plans := []Plan{PlanAuto, PlanFullScan}
 	for _, src := range statements {
 		for _, plan := range plans {
 			a := drainProjected(t, dbA, src, plan)

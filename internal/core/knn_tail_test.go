@@ -47,7 +47,7 @@ func TestCompactionWritesKdOrderedRuns(t *testing.T) {
 	root := kd.Root().Cell
 	leafOf := func(r *table.Record) int { return kd.LeafContaining(root.ClosestPoint(r.Point())) }
 	const cut = "SELECT * WHERE g - r > 0.9 AND r < 17.5"
-	_, before := collectStatement(t, db, cut, PlanKdTree)
+	_, before := collectStatement(t, db, cut, PlanAuto)
 	for run, batch := range [][]table.Record{fresh[:2500], fresh[2500:]} {
 		lo := table.RowID(catalog.NumRows())
 		for off := 0; off < len(batch); off += 500 {
@@ -82,7 +82,7 @@ func TestCompactionWritesKdOrderedRuns(t *testing.T) {
 	if tail < 5000 {
 		t.Fatalf("tail holds %d rows, want ≥ 5000", tail)
 	}
-	got, rep := collectStatement(t, db, cut, PlanKdTree)
+	got, rep := collectStatement(t, db, cut, PlanAuto)
 	want, _ := collectStatement(t, db, cut, PlanFullScan)
 	if len(want) == 0 || !reflect.DeepEqual(got, want) {
 		t.Fatalf("index scan over the tail returned %d rows, full scan %d (or contents or order differ)", len(got), len(want))

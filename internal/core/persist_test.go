@@ -95,7 +95,7 @@ func collectAnswers(t testing.TB, db *SpatialDB) queryAnswers {
 	if err != nil {
 		t.Fatalf("serial reference: %v", err)
 	}
-	for _, plan := range []Plan{PlanFullScan, PlanKdTree, PlanAuto} {
+	for _, plan := range []Plan{PlanFullScan, PlanAuto} {
 		recs, _, err := db.QueryWhere(where, plan)
 		if err != nil {
 			t.Fatalf("plan %v: %v", plan, err)
@@ -104,15 +104,13 @@ func collectAnswers(t testing.TB, db *SpatialDB) queryAnswers {
 		// rows byte-for-byte, in physical order, at whatever pool size
 		// this helper runs under (the churn matrix calls it at the pin
 		// floor and at 10%).
-		if plan != PlanAuto {
-			streamed, _, err := db.QueryPolyhedron(poly, plan)
-			if err != nil {
-				t.Fatalf("plan %v cursor: %v", plan, err)
-			}
-			if !reflect.DeepEqual(want, streamed) {
-				t.Fatalf("plan %v: cursor rows diverge from the serial reference (%d vs %d rows)",
-					plan, len(streamed), len(want))
-			}
+		streamed, _, err := db.QueryPolyhedron(poly, plan)
+		if err != nil {
+			t.Fatalf("plan %v cursor: %v", plan, err)
+		}
+		if !reflect.DeepEqual(want, streamed) {
+			t.Fatalf("plan %v: cursor rows diverge from the serial reference (%d vs %d rows)",
+				plan, len(streamed), len(want))
 		}
 		sortRecords(recs)
 		ans.poly[plan] = recs
@@ -253,14 +251,14 @@ func TestColdOpenDoesZeroConstruction(t *testing.T) {
 
 // TestOpenExistingNotBuilt covers the "clear errors" requirements:
 // unbuilt directory, catalog-only database, and per-index not-built
-// errors on forced plans.
+// errors; a WHERE still answers without a tree.
 func TestOpenExistingNotBuilt(t *testing.T) {
 	if _, err := OpenExisting(Config{Dir: t.TempDir()}); err == nil || !strings.Contains(err.Error(), "not built") {
 		t.Fatalf("open of empty dir: err = %v, want not-built error", err)
 	}
 
 	// A catalog persisted without indexes opens fine but reports each
-	// index as not built when forced.
+	// index as not built when a query needs it.
 	dir := t.TempDir()
 	db, err := Open(Config{Dir: dir})
 	if err != nil {
@@ -281,18 +279,24 @@ func TestOpenExistingNotBuilt(t *testing.T) {
 	}
 	defer re.Close()
 	poly := vec.BoxPolyhedron(vec.NewBox(vec.Point{14, 14, 14, 14, 14}, vec.Point{22, 22, 22, 22, 22}))
-	if _, _, err := re.QueryPolyhedron(poly, PlanKdTree); err == nil || !strings.Contains(err.Error(), "kd-tree index not built") {
-		t.Errorf("kdtree plan: err = %v", err)
-	}
 	if _, _, err := re.SampleRegion(vec.NewBox(vec.Point{14, 14, 14}, vec.Point{24, 24, 24}), 10); err == nil || !strings.Contains(err.Error(), "grid index not built") {
 		t.Errorf("sample: err = %v", err)
 	}
 	if _, err := re.EstimateRedshift(vec.Point{19, 19, 19, 19, 19}); err == nil || !strings.Contains(err.Error(), "BuildPhotoZ") {
 		t.Errorf("photoz: err = %v", err)
 	}
-	// The full scan still works: the catalog is there.
-	if _, _, err := re.QueryPolyhedron(poly, PlanFullScan); err != nil {
-		t.Errorf("fullscan after catalog-only reopen: %v", err)
+	// The catalog is there: auto runs the index scan as zone pruning
+	// alone, and returns the full scan's rows.
+	full, _, err := re.QueryPolyhedron(poly, PlanFullScan)
+	if err != nil || len(full) == 0 {
+		t.Fatalf("fullscan after catalog-only reopen: %d rows, %v", len(full), err)
+	}
+	auto, rep, err := re.QueryPolyhedron(poly, PlanAuto)
+	if err != nil {
+		t.Fatalf("auto after catalog-only reopen: %v", err)
+	}
+	if rep.Plan != PlanPrunedScan || !reflect.DeepEqual(auto, full) {
+		t.Errorf("auto without a tree ran as %v with %d rows; want %v with the full scan's %d", rep.Plan, len(auto), PlanPrunedScan, len(full))
 	}
 }
 

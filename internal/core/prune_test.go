@@ -63,7 +63,7 @@ func TestIndexScanExactPageStats(t *testing.T) {
 	}
 
 	db.Engine().Store().DropCache()
-	cur, err := db.QueryStatement(context.Background(), stmt, PlanKdTree)
+	cur, err := db.QueryStatement(context.Background(), stmt, PlanAuto)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,10 +122,14 @@ func TestIndexScanExactPageStats(t *testing.T) {
 }
 
 // TestReportOnlyPlansRejected: the plans that only label how a query
-// ran are refused before any rows stream.
+// ran are refused before any rows stream — the index scan's label too,
+// on a store whose tree is built.
 func TestReportOnlyPlansRejected(t *testing.T) {
 	db := openDB(t, 500)
-	for _, plan := range []Plan{PlanGrid, PlanPrunedScan} {
+	if err := db.BuildKdIndex(0); err != nil {
+		t.Fatal(err)
+	}
+	for _, plan := range []Plan{PlanKdTree, PlanGrid, PlanPrunedScan} {
 		if _, err := db.QueryStatement(context.Background(), "SELECT * WHERE r < 16", plan); err == nil {
 			t.Errorf("forced %v accepted", plan)
 		}
@@ -145,7 +149,7 @@ func TestWrongDimensionIsCursorOpenError(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := vec.NewPolyhedron(vec.NewHalfspace(vec.Point{0, 0, 1}, 18))
-	for _, plan := range []Plan{PlanAuto, PlanKdTree, PlanFullScan} {
+	for _, plan := range []Plan{PlanAuto, PlanFullScan} {
 		if _, _, err := db.QueryPolyhedron(q, plan); err == nil {
 			t.Errorf("plan %v: 3-D plane accepted against the 5-D catalog", plan)
 		}
@@ -204,24 +208,22 @@ func TestStaleChoiceReplanned(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sn.release()
-	for _, plan := range []Plan{PlanAuto, PlanKdTree} {
-		cur, err := db.whereCursorSnap(context.Background(), sn, u.Polys, plan, cursorOpts{cols: table.ColAll, stopAfter: -1, choice: stale})
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, _, err := Collect(cur)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := serialReference(db, q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sortRecords(got)
-		sortRecords(want)
-		if len(want) == 0 || !reflect.DeepEqual(projectUser(got), projectUser(want)) {
-			t.Fatalf("plan %v: stale choice streamed %d rows, brute force finds %d", plan, len(got), len(want))
-		}
+	cur, err := db.whereCursorSnap(context.Background(), sn, u.Polys, PlanAuto, cursorOpts{cols: table.ColAll, stopAfter: -1, choice: stale})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _, err := Collect(cur)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := serialReference(db, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sortRecords(got)
+	sortRecords(want)
+	if len(want) == 0 || !reflect.DeepEqual(projectUser(got), projectUser(want)) {
+		t.Fatalf("stale choice streamed %d rows, brute force finds %d", len(got), len(want))
 	}
 	if n := db.Engine().Store().PinnedPages(); n != 0 {
 		t.Errorf("%d pages left pinned", n)

@@ -216,7 +216,7 @@ func TestDuplicateObjIDSemantics(t *testing.T) {
 	}
 	check := func(label string, wantRows, wantDups int) {
 		t.Helper()
-		for _, plan := range []Plan{PlanAuto, PlanFullScan, PlanKdTree} {
+		for _, plan := range []Plan{PlanAuto, PlanFullScan} {
 			for _, tc := range []struct {
 				src         string
 				rows, copys int

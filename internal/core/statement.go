@@ -94,7 +94,7 @@ func (db *SpatialDB) QueryStatement(ctx context.Context, src string, plan Plan) 
 // uncached cursor returned, keyed under the store epoch so any
 // persisted mutation or index build invalidates it.
 func (db *SpatialDB) ExecStatement(ctx context.Context, stmt colorsql.Statement, plan Plan) (Cursor, error) {
-	if err := db.validatePlan(stmt, plan); err != nil {
+	if err := db.validatePlan(plan); err != nil {
 		return nil, err
 	}
 
@@ -134,7 +134,7 @@ func (db *SpatialDB) execStatementUncached(ctx context.Context, stmt colorsql.St
 	case stmt.Reference:
 		cur, err = db.referenceStatementCursor(ctx, opts)
 	case stmt.HasWhere:
-		cur, err = db.whereCursor(ctx, stmt.Where, true, plan, opts)
+		cur, err = db.whereCursor(ctx, stmt.Where, plan, opts)
 	default:
 		cur, err = db.fullCatalogCursor(ctx, opts)
 	}
@@ -191,24 +191,18 @@ func (db *SpatialDB) statementCols(stmt colorsql.Statement) table.ColumnSet {
 	return cols
 }
 
-// validatePlan surfaces a missing index before any rows stream, so
-// servers can turn it into an error response instead of a truncated
-// stream.
-func (db *SpatialDB) validatePlan(stmt colorsql.Statement, plan Plan) error {
+// validatePlan refuses, before any page is read, a store with no
+// catalog and a request for a plan a caller cannot force: a query asks
+// for PlanAuto or the forced PlanFullScan, and the other values only
+// report how it ran.
+func (db *SpatialDB) validatePlan(plan Plan) error {
+	if plan != PlanAuto && plan != PlanFullScan {
+		return fmt.Errorf("core: plan %v reports how a query ran; request auto or fullscan", plan)
+	}
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	if db.catalog == nil {
 		return fmt.Errorf("core: no catalog loaded")
-	}
-	if stmt.HasWhere {
-		switch plan {
-		case PlanKdTree:
-			if db.kd == nil {
-				return fmt.Errorf("core: kd-tree index not built")
-			}
-		case PlanGrid, PlanPrunedScan:
-			return fmt.Errorf("core: plan %v reports how a query ran; it cannot be selected", plan)
-		}
 	}
 	return nil
 }

@@ -29,12 +29,12 @@ import (
 // sort, and every configuration the stores can be served in must give
 // that answer: the single store over a RAM pool and a 16-page pool,
 // with the result cache off and on, with a kd-tree and without one,
-// under every plan it offers, and a 3-shard coordinator over the same
-// rows. Between checks the seed interleaves the events that move rows
-// between layers — inserts, minor and full compaction, a kd rebuild, a
-// persist and a cold reopen, and a spectroscopic row far outside the
-// generation domain followed by a full compaction — and holds a cursor
-// open across some of them.
+// under auto and the forced full scan, and a 3-shard coordinator over
+// the same rows. Between checks the seed interleaves the events that
+// move rows between layers — inserts, minor and full compaction, a kd
+// rebuild, a persist and a cold reopen, and a spectroscopic row far
+// outside the generation domain followed by a full compaction — and
+// holds a cursor open across some of them.
 
 // oracleSeed is one fixed run of the oracle. The named seeds carry the
 // regression shapes the hand-built equivalence tests used to pin.
@@ -283,15 +283,11 @@ func (o *oracle) build(root string) {
 		o.must(db.BuildPhotoZ(oraclePhotoZK, 1))
 		o.must(db.Persist())
 		o.must(db.Close())
-		plans := []core.Plan{core.PlanAuto, core.PlanFullScan}
-		if kd {
-			plans = append(plans, core.PlanKdTree)
-		}
 		for _, pool := range []int{0, 16} {
 			for _, cache := range []int64{0, 2 << 20} {
 				cfg := core.Config{Dir: filepath.Join(root, fmt.Sprintf("kd=%v-pool=%d-cache=%d", kd, pool, cache)), PoolPages: pool, ResultCacheBytes: cache}
 				o.must(os.CopyFS(cfg.Dir, os.DirFS(src)))
-				o.configs = append(o.configs, o.singleConfig(cfg, plans))
+				o.configs = append(o.configs, o.singleConfig(cfg))
 			}
 		}
 	}
@@ -331,10 +327,11 @@ func (o *oracle) build(root string) {
 	o.configs = append(o.configs, c)
 }
 
-func (o *oracle) singleConfig(cfg core.Config, plans []core.Plan) *oracleConfig {
+// singleConfig serves one store under both plans a caller can request.
+func (o *oracle) singleConfig(cfg core.Config) *oracleConfig {
 	c := &oracleConfig{
 		name:    filepath.Base(cfg.Dir),
-		plans:   plans,
+		plans:   []core.Plan{core.PlanAuto, core.PlanFullScan},
 		single:  true,
 		cached:  cfg.ResultCacheBytes > 0,
 		starved: cfg.PoolPages > 0,
@@ -710,11 +707,11 @@ func (o *oracle) exec(c *oracleConfig, label string, stmt colorsql.Statement, pl
 }
 
 // ranAs reports whether a WHERE asked for plan may have run as got: a
-// forced plan as itself, auto as the index scan — without a tree the
-// index scan is zone pruning alone, and says so.
+// forced full scan as itself, auto as the index scan — without a tree
+// the index scan is zone pruning alone, and says so.
 func ranAs(plan, got core.Plan, tree bool) bool {
 	switch {
-	case plan != core.PlanAuto:
+	case plan == core.PlanFullScan:
 		return got == plan
 	case tree:
 		return got == core.PlanKdTree

@@ -191,9 +191,10 @@ func (p *PagePred) evalStrips(data []byte, lo int, loaded *[Dim]bool, sc *stripS
 // plane, accumulate a·x across the referenced strips into acc, then
 // AND the comparison into the match mask. The inner loops are simple
 // index-free range loops over contiguous float64 slices — no per-row
-// branching until the mask is consumed. Strips not yet in loaded are
-// decoded into the scratch; their number is returned. match holds slots
-// [lo, lo+len(match)).
+// branching until the mask is consumed — and the clause stops at the
+// first plane that leaves no slot matching. Strips not yet in loaded
+// are decoded into the scratch; their number is returned. match holds
+// slots [lo, lo+len(match)).
 func evalClause(planes []vec.Halfspace, data []byte, lo int, loaded *[Dim]bool, sc *stripScratch, match []bool) int {
 	hi := lo + len(match)
 	for j := range match {
@@ -217,8 +218,16 @@ func evalClause(planes []vec.Halfspace, data []byte, lo int, loaded *[Dim]bool, 
 			}
 		}
 		b := h.B
+		alive := false
 		for j, s := range acc {
-			match[j] = match[j] && s <= b
+			m := match[j] && s <= b
+			match[j] = m
+			alive = alive || m
+		}
+		if !alive {
+			// No slot can match: the remaining planes would only AND
+			// into an all-false mask.
+			break
 		}
 	}
 	return decoded
