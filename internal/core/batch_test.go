@@ -15,48 +15,6 @@ import (
 	"repro/internal/vec"
 )
 
-func TestNearestNeighborsBatchMatchesSerial(t *testing.T) {
-	db := openDB(t, 5000)
-	if err := db.BuildKdIndex(0); err != nil {
-		t.Fatal(err)
-	}
-	cat, _ := db.Catalog()
-	var qs []vec.Point
-	for i := 0; i < 12; i++ {
-		var rec table.Record
-		if err := cat.Get(table.RowID(i*311), &rec); err != nil {
-			t.Fatal(err)
-		}
-		qs = append(qs, rec.Point())
-	}
-	batch, reports, err := db.NearestNeighborsBatch(context.Background(), qs, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(batch) != len(qs) || len(reports) != len(qs) {
-		t.Fatalf("batch returned %d results / %d reports for %d queries", len(batch), len(reports), len(qs))
-	}
-	for i, q := range qs {
-		serial, srep, err := db.NearestNeighbors(q, 7)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(batch[i]) != len(serial) {
-			t.Fatalf("query %d: batch %d records, serial %d", i, len(batch[i]), len(serial))
-		}
-		for j := range serial {
-			if batch[i][j].ObjID != serial[j].ObjID {
-				t.Fatalf("query %d result %d: batch obj %d, serial obj %d",
-					i, j, batch[i][j].ObjID, serial[j].ObjID)
-			}
-		}
-		if reports[i].Plan != PlanKdTree || reports[i].RowsExamined != srep.RowsExamined ||
-			reports[i].LeavesExamined != srep.LeavesExamined {
-			t.Errorf("query %d report mismatch: batch %+v, serial %+v", i, reports[i], srep)
-		}
-	}
-}
-
 // distSeq is the squared distance from p of each record, in order.
 func distSeq(p vec.Point, recs []table.Record) []float64 {
 	out := make([]float64, len(recs))
@@ -85,37 +43,6 @@ func bruteDists(t *testing.T, db *SpatialDB, p vec.Point, k int, mem []table.Rec
 	out = append(out, distSeq(p, mem)...)
 	slices.Sort(out)
 	return out[:min(k, len(out))]
-}
-
-func TestEstimateRedshiftBatchMatchesSerial(t *testing.T) {
-	db := openDB(t, 6000)
-	if err := db.BuildPhotoZ(16, 1); err != nil {
-		t.Fatal(err)
-	}
-	var qs []vec.Point
-	for _, z := range []float64{0.05, 0.1, 0.2, 0.3, 0.15} {
-		qs = append(qs, sky.GalaxyColors(z, 18))
-	}
-	want := make([]float64, len(qs))
-	for i, q := range qs {
-		z, err := db.EstimateRedshift(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[i] = z
-	}
-	got, rep, err := db.EstimateRedshiftBatch(context.Background(), qs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Errorf("query %d: batch z=%v, serial z=%v", i, got[i], want[i])
-		}
-	}
-	if rep.RowsReturned != int64(len(qs)) || rep.RowsExamined == 0 || rep.LeavesExamined == 0 {
-		t.Errorf("batch report not populated: %+v", rep)
-	}
 }
 
 // TestKNNWithTreeRunsOnSearcher: on a kd store a kNN is the statement

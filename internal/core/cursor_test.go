@@ -3,9 +3,7 @@ package core
 import (
 	"context"
 	"errors"
-	"fmt"
 	"reflect"
-	"sort"
 	"testing"
 
 	"repro/internal/colorsql"
@@ -173,88 +171,6 @@ func TestKNNStatementCancels(t *testing.T) {
 	}
 	if rep := cur.Stats(); rep.PagesScanned > 1 || rep.DiskReads+rep.CacheHits > 1 {
 		t.Errorf("cancelled kNN read %d pages (%d disk reads, %d cache hits), want at most one", rep.PagesScanned, rep.DiskReads, rep.CacheHits)
-	}
-}
-
-// TestTopKMatchesSortAll: ORDER BY + LIMIT through the bounded heap
-// must equal sorting the full result and truncating.
-func TestTopKMatchesSortAll(t *testing.T) {
-	db := openDB(t, 20000)
-	if err := db.BuildKdIndex(0); err != nil {
-		t.Fatal(err)
-	}
-	const where = "g - r > 0.2 AND r < 21"
-	all, _ := collectStatement(t, db, "SELECT * WHERE "+where+" ORDER BY g - r", PlanAuto)
-	if len(all) < 100 {
-		t.Fatalf("only %d rows matched", len(all))
-	}
-	// Sorted ascending by g - r.
-	key := func(r *table.Record) float64 { return float64(r.Mags[1]) - float64(r.Mags[2]) }
-	if !sort.SliceIsSorted(all, func(i, j int) bool { return key(&all[i]) < key(&all[j]) }) {
-		t.Error("ORDER BY output not sorted")
-	}
-	topk, rep := collectStatement(t, db, "SELECT * WHERE "+where+" ORDER BY g - r LIMIT 10", PlanAuto)
-	if !reflect.DeepEqual(topk, all[:10]) {
-		t.Error("top-k differs from sort-all prefix")
-	}
-	if rep.RowsReturned != 10 {
-		t.Errorf("top-k report says %d rows", rep.RowsReturned)
-	}
-	desc, descRep := collectStatement(t, db, "SELECT * WHERE "+where+" ORDER BY g - r DESC LIMIT 10", PlanAuto)
-	rev := make([]table.Record, 10)
-	for i := range rev {
-		rev[i] = all[len(all)-1-i]
-	}
-	if !reflect.DeepEqual(desc, rev) {
-		t.Error("DESC top-k differs from reversed sort-all suffix")
-	}
-
-	// The k-th key bounds the scan: a top-k reads strictly fewer pages
-	// than the same WHERE unordered and unbounded, and accounts every
-	// page of the walk as either fetched or skipped.
-	_, cut := collectStatement(t, db, "SELECT * WHERE "+where, PlanAuto)
-	for _, bounded := range []Report{rep, descRep} {
-		if bounded.PagesScanned >= cut.PagesScanned || bounded.RowsExamined >= cut.RowsExamined {
-			t.Errorf("top-k fetched %d pages (%d rows), the unordered cut %d (%d): the k-th key pruned nothing",
-				bounded.PagesScanned, bounded.RowsExamined, cut.PagesScanned, cut.RowsExamined)
-		}
-		if bounded.PagesScanned != bounded.DiskReads+bounded.CacheHits {
-			t.Errorf("PagesScanned %d != DiskReads %d + CacheHits %d", bounded.PagesScanned, bounded.DiskReads, bounded.CacheHits)
-		}
-		if bounded.PagesScanned+bounded.PagesSkipped != cut.PagesScanned+cut.PagesSkipped {
-			t.Errorf("top-k scanned %d + skipped %d pages, the cut %d + %d",
-				bounded.PagesScanned, bounded.PagesSkipped, cut.PagesScanned, cut.PagesSkipped)
-		}
-	}
-
-	// A heap that never fills publishes no bound: the counters are the
-	// unbounded sort's, exactly, besides the leaves of the kd walk that
-	// found the bounded scan's pages — every leaf meeting its ranges, as
-	// nothing pruned one.
-	_, sortAll := collectStatement(t, db, "SELECT * WHERE "+where+" ORDER BY g - r", PlanAuto)
-	_, loose := collectStatement(t, db, fmt.Sprintf("SELECT * WHERE %s ORDER BY g - r LIMIT %d", where, len(all)+1), PlanAuto)
-	if loose.LeavesExamined == 0 || sortAll.LeavesExamined != 0 {
-		t.Errorf("LIMIT above the matches walked %d leaves, the unbounded sort %d", loose.LeavesExamined, sortAll.LeavesExamined)
-	}
-	loose.RowsReturned, loose.LeavesExamined = sortAll.RowsReturned, 0
-	if loose != sortAll {
-		t.Errorf("LIMIT above the matches reports %+v, the unbounded sort %+v", loose, sortAll)
-	}
-
-	// Closing early — before the first pull, or after it — leaves no
-	// page pinned.
-	for _, pulls := range []int{0, 1} {
-		cur, err := db.ExecStatement(context.Background(), mustStatement(t, "SELECT * WHERE "+where+" ORDER BY g - r LIMIT 10"), PlanAuto)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < pulls; i++ {
-			cur.Next()
-		}
-		cur.Close()
-		if n := db.Engine().Store().PinnedPages(); n != 0 {
-			t.Errorf("closed after %d pulls: %d pages still pinned", pulls, n)
-		}
 	}
 }
 

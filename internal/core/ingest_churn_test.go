@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"reflect"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -26,32 +25,6 @@ func churnRecord(id int64) table.Record {
 		Ra:    float32(id % 360),
 		Dec:   float32(id%120) - 60,
 	}
-}
-
-// drainProjected runs the statement to completion and returns each
-// row's projected columns serialized — the byte-identity currency for
-// snapshot and compaction comparisons (index-internal columns such as
-// grid ranks may legitimately change across a rebuild).
-func drainProjected(t *testing.T, db *SpatialDB, src string, plan Plan) []string {
-	t.Helper()
-	stmt, err := colorsql.ParseStatement(src, colorsql.DefaultVars(), table.Dim)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cur, err := db.ExecStatement(context.Background(), stmt, plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cur.Close()
-	cols := stmt.OutputColumns()
-	var rows []string
-	for cur.Next() {
-		rows = append(rows, string(AppendRowJSON(nil, cols, cur.Record())))
-	}
-	if err := cur.Err(); err != nil {
-		t.Fatal(err)
-	}
-	return rows
 }
 
 // TestInsertWhileServingChurn runs concurrent inserters, readers and
@@ -237,261 +210,6 @@ func TestInsertWhileServingChurn(t *testing.T) {
 	}
 	if got := db.Engine().Store().PinnedPages(); got != 0 {
 		t.Fatalf("PinnedPages = %d after all cursors closed", got)
-	}
-}
-
-// TestCompactionPreservesOpenCursor: a cursor opened before a
-// compaction must drain byte-identically to one drained before it —
-// the snapshot pins the superseded generation's files until release.
-func TestCompactionPreservesOpenCursor(t *testing.T) {
-	dir := t.TempDir()
-	db, err := Open(Config{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	p := sky.DefaultParams(1500, 42)
-	p.SpectroFrac = 0.15
-	if err := db.IngestSynthetic(p); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.BuildKdIndex(0); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.Persist(); err != nil {
-		t.Fatal(err)
-	}
-	for i := int64(0); i < 10; i++ {
-		if _, err := db.Insert([]table.Record{churnRecord(4_000_000_000 + i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	const stmtSrc = "SELECT objid, u, g, r, i, z WHERE g - r > 0.3 AND r < 20"
-	ref := drainProjected(t, db, stmtSrc, PlanAuto)
-	refScan := drainProjected(t, db, stmtSrc, PlanFullScan)
-
-	stmt, err := colorsql.ParseStatement(stmtSrc, colorsql.DefaultVars(), table.Dim)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The sky cut's cursor holds its catalog's cell index in the same
-	// snapshot: the full compaction swaps in a new catalog and index, and
-	// the open cursor must drain the old pair.
-	skyBox := table.SkyBoxPred{RaMin: 0, RaMax: 200, DecMin: -40, DecMax: 60}
-	drainSky := func(cur Cursor) []table.Record {
-		defer cur.Close()
-		var rows []table.Record
-		for cur.Next() {
-			rows = append(rows, *cur.Record())
-		}
-		if err := cur.Err(); err != nil {
-			t.Fatal(err)
-		}
-		return rows
-	}
-	openSky := func() Cursor {
-		cur, err := db.QuerySkyBox(context.Background(), skyBox, table.ColAll)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return cur
-	}
-	refSky := drainSky(openSky())
-	preSky := openSky()
-
-	pre, err := db.ExecStatement(context.Background(), stmt, PlanAuto)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := db.Compact(); err != nil {
-		pre.Close()
-		t.Fatal(err)
-	}
-	if err := db.CompactFull(); err != nil {
-		pre.Close()
-		t.Fatal(err)
-	}
-	if got := drainSky(preSky); !reflect.DeepEqual(refSky, got) {
-		t.Fatalf("pre-compaction sky cursor diverged: %d rows vs %d reference rows", len(got), len(refSky))
-	}
-	cols := stmt.OutputColumns()
-	var got []string
-	for pre.Next() {
-		got = append(got, string(AppendRowJSON(nil, cols, pre.Record())))
-	}
-	if err := pre.Err(); err != nil {
-		t.Fatal(err)
-	}
-	pre.Close()
-	if !reflect.DeepEqual(ref, got) {
-		t.Fatalf("pre-compaction cursor diverged: %d rows vs %d reference rows", len(got), len(ref))
-	}
-
-	// The catalog is the one physical order, so the index scan and the
-	// full scan emit a statement's rows alike — before compaction, with
-	// the ten rows in the memtable after every paged row, and after the
-	// full rebuild has filed them into their kd leaves, where a fresh
-	// cursor returns the same rows in their new places.
-	if !reflect.DeepEqual(ref, refScan) {
-		t.Fatalf("pre-compaction full scan (%d rows) and index scan (%d rows) emit different sequences", len(refScan), len(ref))
-	}
-	post := drainProjected(t, db, stmtSrc, PlanFullScan)
-	auto := drainProjected(t, db, stmtSrc, PlanAuto)
-	if !reflect.DeepEqual(post, auto) {
-		t.Fatalf("post-compaction full scan (%d rows) and index scan (%d rows) emit different sequences", len(post), len(auto))
-	}
-	sorted := func(rows []string) []string {
-		out := append([]string{}, rows...)
-		sort.Strings(out)
-		return out
-	}
-	if !reflect.DeepEqual(sorted(ref), sorted(post)) {
-		t.Fatalf("post-compaction answer set diverged: %d rows vs %d reference rows", len(post), len(ref))
-	}
-	if got := db.Engine().Store().PinnedPages(); got != 0 {
-		t.Fatalf("PinnedPages = %d after all cursors closed", got)
-	}
-}
-
-// TestFullCompactionMatchesFreshBuild is the acceptance check for
-// incremental index maintenance: inserting rows into a served
-// database and fully compacting must answer every plan path
-// byte-identically to a database built fresh over the same rows in
-// the same order.
-func TestFullCompactionMatchesFreshBuild(t *testing.T) {
-	p := sky.DefaultParams(2000, 42)
-	p.SpectroFrac = 0.2
-	base, err := sky.Generate(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var extra []table.Record
-	for i := int64(0); i < 150; i++ {
-		r := churnRecord(5_000_000_000 + i)
-		r.Mags = [table.Dim]float32{
-			16 + float32(i%40)*0.2, 16.2 + float32(i%30)*0.2, 16.1 + float32(i%20)*0.2,
-			16.3 + float32(i%10)*0.2, 16.4 + float32(i%50)*0.1,
-		}
-		if i%5 == 0 {
-			r.Redshift, r.HasZ = float32(i%13)*0.05, true
-		}
-		r.Class = table.Class(i % 3)
-		extra = append(extra, r)
-	}
-
-	build := func(dir string, recs []table.Record) *SpatialDB {
-		db, err := Open(Config{Dir: dir})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { db.Close() })
-		if err := db.IngestRecords(recs); err != nil {
-			t.Fatal(err)
-		}
-		if err := db.BuildKdIndex(0); err != nil {
-			t.Fatal(err)
-		}
-		if err := db.BuildGridIndex(256, 7); err != nil {
-			t.Fatal(err)
-		}
-		if err := db.BuildPhotoZ(16, 1); err != nil {
-			t.Fatal(err)
-		}
-		return db
-	}
-
-	dbA := build(t.TempDir(), base)
-	if err := dbA.Persist(); err != nil {
-		t.Fatal(err)
-	}
-	for off := 0; off < len(extra); off += 40 {
-		end := min(off+40, len(extra))
-		if _, err := dbA.Insert(extra[off:end]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := dbA.CompactFull(); err != nil {
-		t.Fatal(err)
-	}
-	if dbA.MemRows() != 0 {
-		t.Fatalf("memtable holds %d rows after full compaction", dbA.MemRows())
-	}
-
-	dbB := build(t.TempDir(), append(append([]table.Record{}, base...), extra...))
-
-	if a, b := dbA.NumRows(), dbB.NumRows(); a != b {
-		t.Fatalf("row counts diverge: compacted %d, fresh %d", a, b)
-	}
-
-	statements := []string{
-		"SELECT objid, u, g, r, i, z, ra, dec, redshift, class WHERE g - r > 0.3 AND r < 19",
-		"SELECT objid, g, r WHERE g - r > 0.1 AND g - r < 0.9 AND r < 20",
-		"SELECT objid",
-	}
-	plans := []Plan{PlanAuto, PlanFullScan}
-	for _, src := range statements {
-		for _, plan := range plans {
-			a := drainProjected(t, dbA, src, plan)
-			b := drainProjected(t, dbB, src, plan)
-			if !reflect.DeepEqual(a, b) {
-				t.Errorf("plan %v, %q: compacted answer (%d rows) != fresh build (%d rows)", plan, src, len(a), len(b))
-			}
-		}
-	}
-
-	// kNN path.
-	q := vec.Point{17.0, 17.1, 16.9, 17.2, 17.05}
-	nbsA, _, err := dbA.NearestNeighbors(q, 12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nbsB, _, err := dbB.NearestNeighbors(q, 12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(nbsA) != len(nbsB) {
-		t.Fatalf("kNN sizes diverge: %d vs %d", len(nbsA), len(nbsB))
-	}
-	for i := range nbsA {
-		if nbsA[i].ObjID != nbsB[i].ObjID {
-			t.Errorf("kNN[%d]: %d vs %d", i, nbsA[i].ObjID, nbsB[i].ObjID)
-		}
-	}
-
-	// Photo-z path: the compacted reference set includes the inserted
-	// spectroscopic rows.
-	zA, err := dbA.EstimateRedshift(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	zB, err := dbB.EstimateRedshift(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if zA != zB {
-		t.Errorf("photo-z diverges: %v vs %v", zA, zB)
-	}
-
-	// Sky-box path.
-	box := table.SkyBoxPred{RaMin: 0, RaMax: 180, DecMin: -30, DecMax: 30}
-	skyRows := func(db *SpatialDB) []int64 {
-		cur, err := db.QuerySkyBox(context.Background(), box, table.ColObjID|table.ColRa|table.ColDec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer cur.Close()
-		var ids []int64
-		for cur.Next() {
-			ids = append(ids, cur.Record().ObjID)
-		}
-		if err := cur.Err(); err != nil {
-			t.Fatal(err)
-		}
-		return ids
-	}
-	if a, b := skyRows(dbA), skyRows(dbB); !reflect.DeepEqual(a, b) {
-		t.Errorf("sky box diverges: %d vs %d rows", len(a), len(b))
 	}
 }
 

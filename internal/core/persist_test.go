@@ -56,9 +56,8 @@ type queryAnswers struct {
 
 // stmtQueries exercises the streaming statement pipeline across its
 // shapes — top-k ORDER BY, pushed-down LIMIT, DNF union dedup,
-// WHERE-less projection — with deterministic answers, so the churn
-// matrix and the reopen round trip can require byte-identical rows
-// from every pool size.
+// WHERE-less projection — with deterministic answers, so a reopened
+// store can be required to return byte-identical rows.
 var stmtQueries = []string{
 	"SELECT * WHERE g - r > 0.2 AND r < 20 ORDER BY r LIMIT 50",
 	"SELECT objid, g, r WHERE g - r > 0.2 AND r < 20 LIMIT 40",
@@ -101,9 +100,7 @@ func collectAnswers(t testing.TB, db *SpatialDB) queryAnswers {
 			t.Fatalf("plan %v: %v", plan, err)
 		}
 		// The streaming cursor must reproduce the serial reference's
-		// rows byte-for-byte, in physical order, at whatever pool size
-		// this helper runs under (the churn matrix calls it at the pin
-		// floor and at 10%).
+		// rows byte-for-byte, in physical order.
 		streamed, _, err := db.QueryPolyhedron(poly, plan)
 		if err != nil {
 			t.Fatalf("plan %v cursor: %v", plan, err)
@@ -151,51 +148,6 @@ func sortRecords(recs []table.Record) {
 		for j := i; j > 0 && recs[j].ObjID < recs[j-1].ObjID; j-- {
 			recs[j], recs[j-1] = recs[j-1], recs[j]
 		}
-	}
-}
-
-// TestPersistReopenRoundTrip is the acceptance criterion: a database
-// built, persisted, and reopened returns byte-identical results to
-// the in-memory build for polyhedron (all plans), kNN, and photo-z
-// queries.
-func TestPersistReopenRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	db := buildFullDB(t, dir, 6000)
-	want := collectAnswers(t, db)
-	if err := db.Persist(); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	re, err := OpenExisting(Config{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer re.Close()
-	if re.NumRows() != 6000 {
-		t.Fatalf("reopened rows = %d", re.NumRows())
-	}
-	got := collectAnswers(t, re)
-
-	for plan, wrecs := range want.poly {
-		grecs := got.poly[plan]
-		if !reflect.DeepEqual(wrecs, grecs) {
-			t.Errorf("plan %v: reopened results differ (%d vs %d rows)", plan, len(grecs), len(wrecs))
-		}
-	}
-	if !reflect.DeepEqual(want.stmts, got.stmts) {
-		t.Error("statement cursor results differ after reopen")
-	}
-	if !reflect.DeepEqual(want.knn, got.knn) {
-		t.Error("kNN results differ after reopen")
-	}
-	if !reflect.DeepEqual(want.photoz, got.photoz) {
-		t.Errorf("photo-z results differ after reopen: %v vs %v", got.photoz, want.photoz)
-	}
-	if want.sampled != got.sampled {
-		t.Errorf("grid sample returned %d rows, want %d", got.sampled, want.sampled)
 	}
 }
 

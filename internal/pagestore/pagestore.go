@@ -48,6 +48,7 @@
 package pagestore
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -245,7 +246,10 @@ type Store struct {
 	// neither (frames capture their backing *os.File).
 	mu    sync.RWMutex
 	files []*os.File
-	names map[string]FileID
+	// closed is set by Close, under mu: every later page operation
+	// fails with errClosed.
+	closed bool
+	names  map[string]FileID
 	// unlisted holds the files Commit took out of the directory while
 	// they were open: still readable through their FileID, listed by no
 	// manifest, closed and unlinked by a later Commit's sweep.
@@ -438,6 +442,9 @@ func (s *Store) OpenFile(name string) (FileID, PageNum, error) {
 func (s *Store) NumPages(f FileID) (PageNum, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
+	if s.closed {
+		return 0, errClosed
+	}
 	if int(f) >= len(s.sizes) {
 		return 0, fmt.Errorf("pagestore: unknown file %d", f)
 	}
@@ -462,6 +469,10 @@ func (s *Store) alloc(f FileID, sc *Scope, scan bool) (*Page, error) {
 		s.mu.Unlock()
 		time.Sleep(100 * time.Microsecond)
 		s.mu.Lock()
+	}
+	if s.closed {
+		s.mu.Unlock()
+		return nil, errClosed
 	}
 	if int(f) >= len(s.sizes) || s.files[f] == nil {
 		s.mu.Unlock()
@@ -566,7 +577,11 @@ func (s *Store) GetScan(id PageID) (*Page, error) { return s.get(id, nil, true) 
 func (s *Store) get(id PageID, sc *Scope, scan bool) (*Page, error) {
 	s.mu.RLock()
 	if int(id.File) >= len(s.files) {
+		closed := s.closed
 		s.mu.RUnlock()
+		if closed {
+			return nil, errClosed
+		}
 		return nil, fmt.Errorf("pagestore: unknown file %d", id.File)
 	}
 	if id.Num >= s.sizes[id.File] {
@@ -968,9 +983,15 @@ func (s *Store) PinnedPages() int {
 	return n
 }
 
+// errClosed is what Get, Alloc and NumPages answer once the store is
+// closed: a cursor still open on it stops with this error instead of
+// reading through a released file.
+var errClosed = errors.New("pagestore: store closed")
+
 // Close flushes every dirty frame, rewrites the manifest superblock,
 // and closes every file, with the store latch held across flush and
-// manifest like Flush. The Store must not be used afterwards.
+// manifest like Flush. Every page operation afterwards fails with
+// errClosed.
 func (s *Store) Close() error {
 	var firstErr error
 	s.mu.Lock()
@@ -997,7 +1018,7 @@ func (s *Store) Close() error {
 			firstErr = err
 		}
 	}
-	s.files = nil
+	s.files, s.closed = nil, true
 	s.mu.Unlock()
 	for _, sh := range s.shards {
 		sh.mu.Lock()

@@ -1,6 +1,7 @@
 package pagestore
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 )
@@ -37,6 +38,42 @@ func TestAllocGetRoundTrip(t *testing.T) {
 	defer got.Release()
 	if string(got.Data[:11]) != "hello pages" {
 		t.Errorf("page content = %q", got.Data[:11])
+	}
+}
+
+// TestClosedStoreRefusesPages: once Close has run, Get, GetScan, Alloc
+// and NumPages — bare and scoped — name the closed store, where they
+// used to report an unknown file or index past the released files.
+func TestClosedStoreRefusesPages(t *testing.T) {
+	s, err := Open(t.TempDir(), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := s.CreateFile("t.dat")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := s.Alloc(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := p.ID
+	p.Release()
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	sc := s.Scoped()
+	for name, op := range map[string]func() error{
+		"Get":         func() error { _, err := s.Get(id); return err },
+		"GetScan":     func() error { _, err := s.GetScan(id); return err },
+		"Alloc":       func() error { _, err := s.Alloc(f); return err },
+		"NumPages":    func() error { _, err := s.NumPages(f); return err },
+		"Scope.Get":   func() error { _, err := sc.Get(id); return err },
+		"Scope.Alloc": func() error { _, err := sc.Alloc(f); return err },
+	} {
+		if err := op(); !errors.Is(err, errClosed) || err.Error() != "pagestore: store closed" {
+			t.Errorf("%s on a closed store: err = %v", name, err)
+		}
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"math"
 	"net/http"
 	"slices"
 	"sort"
@@ -215,9 +214,10 @@ func (c *Coordinator) ExecStatementCached(colorsql.Statement, core.Plan) (core.C
 }
 
 // EstimateStatementCost prices the statement with zero I/O from the
-// routing table alone: the targeted shards' row counts scaled by the
-// predicate's bounding-box volume fraction — or, for the statement
-// that runs as a nearest-neighbour search, that search's price.
+// routing table alone: a full scan of the targeted shards' rows — the
+// upper bound a store without a sample reports (zone-bound) — or, for
+// the statement that runs as a nearest-neighbour search, that search's
+// price.
 func (c *Coordinator) EstimateStatementCost(stmt colorsql.Statement) float64 {
 	if stmt.Limit == 0 {
 		return 0
@@ -225,23 +225,11 @@ func (c *Coordinator) EstimateStatementCost(stmt colorsql.Statement) float64 {
 	if stmt.IsKNN() {
 		return c.EstimateKNNCost(stmt.Limit, 1)
 	}
-	sp := c.planStatement(stmt)
-	var rows float64
-	for _, t := range sp.targets {
-		rows += float64(c.rt.Shards[t].Rows)
+	var rows int64
+	for _, t := range c.planStatement(stmt).targets {
+		rows += c.rt.Shards[t].Rows
 	}
-	frac := 1.0
-	if stmt.HasWhere {
-		domainVol := c.rt.Domain.Volume()
-		if domainVol > 0 {
-			frac = 0
-			for _, q := range stmt.Where.Polys {
-				frac += q.BoundingBox(c.rt.Domain).Volume() / domainVol
-			}
-			frac = min(frac, 1)
-		}
-	}
-	return planner.DefaultCostModel().FullScanCost(int64(math.Ceil(frac * rows)))
+	return planner.DefaultCostModel().FullScanCost(rows)
 }
 
 // NearestNeighborsBatch answers the batch by bounded scatter-gather

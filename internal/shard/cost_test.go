@@ -3,6 +3,7 @@ package shard
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -18,8 +19,10 @@ import (
 // TestFullScanPrice pins the coordinator's price of a WHERE-less
 // statement to the planner's full scan of the cluster's rows:
 // ⌈rows / RecordsPerPage⌉ sequential pages plus one row test per row,
-// the price a single store gives the same catalog. A server's default
-// expensive threshold is eight such scans, over either backend.
+// the price a single store gives the same catalog. A WHERE is priced as
+// the full scan of the shards the routing table targets: every shard
+// for a colour cut, fewer for a cut below the first split. A server's
+// default expensive threshold is eight full scans, over either backend.
 func TestFullScanPrice(t *testing.T) {
 	rt, err := LoadRoutingTable(clusterDir)
 	if err != nil {
@@ -34,6 +37,22 @@ func TestFullScanPrice(t *testing.T) {
 	want := math.Ceil(rows/table.RecordsPerPage)*m.SeqPage + rows*m.Row
 	if got := c.EstimateStatementCost(mustParse(t, "SELECT objid")); got != want {
 		t.Errorf("WHERE-less statement over %d rows priced %g, want %g", rt.TotalRows, got, want)
+	}
+	split := rt.Splits[0]
+	below := fmt.Sprintf("SELECT * WHERE %s < %g", "ugriz"[split.Axis:split.Axis+1], split.Cut-0.5)
+	for src, shards := range map[string]int{"SELECT * WHERE g - r > 0.2": rt.NumShards(), below: rt.NumShards() - 1} {
+		stmt := mustParse(t, src)
+		targets := rt.TargetsFor(stmt.Where.Polys)
+		var rows int64
+		for _, s := range targets {
+			rows += rt.Shards[s].Rows
+		}
+		if len(targets) != shards {
+			t.Fatalf("%s targets shards %v, want %d of them", src, targets, shards)
+		}
+		if got, want := c.EstimateStatementCost(stmt), m.FullScanCost(rows); got != want {
+			t.Errorf("%s priced %g, the full scan of its %d shards' %d rows %g", src, got, len(targets), rows, want)
+		}
 	}
 	for name, b := range map[string]vizhttp.Backend{"single": openSingle(t), "coordinator": c} {
 		if got := b.EstimateStatementCost(mustParse(t, "SELECT *")); got != want {

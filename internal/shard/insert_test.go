@@ -4,13 +4,11 @@ import (
 	"context"
 	"net/http/httptest"
 	"path/filepath"
-	"slices"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/sky"
 	"repro/internal/table"
-	"repro/internal/vec"
 	"repro/internal/vizhttp"
 )
 
@@ -126,103 +124,5 @@ func TestInsertRoutesByPartitionKey(t *testing.T) {
 	}
 	if len(seen) != len(recs)+batch {
 		t.Errorf("coordinator sees %d rows, want %d", len(seen), len(recs)+batch)
-	}
-}
-
-// TestPhotoZAfterInsertMatchesSingleStore: spectroscopic rows inserted
-// through the coordinator next to photo-z probes owned by different
-// shards join each owner's reference at its next minor compaction, and
-// from then on every coordinator estimate is float64-equal to a single
-// store's over the same rows — whichever shards the neighbours sit on,
-// and whatever order the fit's sums would take them in.
-func TestPhotoZAfterInsertMatchesSingleStore(t *testing.T) {
-	p := sky.DefaultParams(2400, 17)
-	p.SpectroFrac = 0.1
-	recs, err := sky.Generate(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	rt, err := BuildCluster(dir, recs, BuildParams{Shards: fixtureShards, Seed: 17, Indexes: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cl := startClusterAt(t, dir, Config{HedgeAfter: -1}, core.Config{})
-	single, err := core.Open(core.Config{Dir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { single.Close() })
-	for _, build := range []func() error{
-		func() error { return single.IngestRecords(recs) },
-		func() error { return single.BuildKdIndex(0) },
-		func() error { return single.BuildPhotoZ(24, 1) },
-	} {
-		if err := build(); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	// One probe on a catalog row of each shard, and beside each probe
-	// eight spectroscopic rows at a redshift no catalog row has.
-	var probes []vec.Point
-	var batch []table.Record
-	for s := 0; s < rt.NumShards(); s++ {
-		i := slices.IndexFunc(recs, func(r table.Record) bool { return rt.RouteMags(r.Point()) == s })
-		probe := recs[i].Point()
-		probes = append(probes, probe)
-		for j := 0; j < 8; j++ {
-			rec := recs[i]
-			rec.ObjID = 700_000_000 + int64(len(batch))
-			rec.Mags[j%table.Dim] += float32(j+1) * 0.002
-			rec.Redshift, rec.HasZ = 2.5+float32(j)/100, true
-			batch = append(batch, rec)
-		}
-	}
-	// Probes on every eightieth catalog row besides, whose fits are
-	// sensitive to the order the neighbours arrive in.
-	for i := 0; i < len(recs); i += 80 {
-		probe := recs[i].Point()
-		probe[1] += 0.03
-		probes = append(probes, probe)
-	}
-	owners := map[int]bool{}
-	for _, rec := range batch {
-		owners[rt.RouteMags(rec.Point())] = true
-	}
-	if len(owners) != rt.NumShards() {
-		t.Fatalf("the inserted rows route to %d of %d shards", len(owners), rt.NumShards())
-	}
-
-	before, _, err := single.EstimateRedshiftBatch(context.Background(), probes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cl.coord.Insert(batch); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := single.Insert(batch); err != nil {
-		t.Fatal(err)
-	}
-	for _, db := range append(slices.Clone(cl.dbs), single) {
-		if err := db.Compact(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, _, err := single.EstimateRedshiftBatch(context.Background(), probes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if slices.Equal(want, before) {
-		t.Fatalf("the inserted rows move no estimate (%v): the test shows nothing", want)
-	}
-	for call := 0; call < 2*rt.NumShards(); call++ {
-		got, rep, err := cl.coord.EstimateRedshiftBatch(context.Background(), probes)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !slices.Equal(got, want) || rep.RowsReturned != int64(len(probes)) {
-			t.Fatalf("call %d: the coordinator estimates %v (%d reported), the single store %v", call, got, rep.RowsReturned, want)
-		}
 	}
 }

@@ -34,7 +34,9 @@ import (
 // move rows between layers — inserts, minor and full compaction, a kd
 // rebuild, a persist and a cold reopen, and a spectroscopic row far
 // outside the generation domain followed by a full compaction — and
-// holds a cursor open across some of them.
+// holds cursors open across some of them, and across every reopen.
+// It is the one equivalence check: a new read path or configuration
+// joins its lists, not a test of its own.
 
 // oracleSeed is one fixed run of the oracle. The named seeds carry the
 // regression shapes the hand-built equivalence tests used to pin.
@@ -188,9 +190,9 @@ type oracleConfig struct {
 	starved bool   // a 16-page pool: every state must evict
 	reopen  func() // persist, close, cold open
 
-	order   map[string]int // SELECT * row → its place in this state's full scan
-	paged   int            // rows in the store's pages, the rest in its memtable
-	samples map[string]int // /points view → rows returned
+	order   map[string]int      // SELECT * row → its place in this state's full scan
+	paged   int                 // rows in the store's pages, the rest in its memtable
+	samples map[string][]string // /points view → rows returned, rendered
 }
 
 type oracle struct {
@@ -254,12 +256,16 @@ func runOracle(t *testing.T, sd oracleSeed) {
 	events = slices.Insert(events, o.rng.Intn(len(events)+1), "far")
 	for _, ev := range events {
 		// A cursor opened before the event and drained after it answers
-		// from the rows acknowledged when it opened.
+		// from the rows acknowledged when it opened. Every reopen holds
+		// one: its store closes, or its shards stop, under the cursor.
 		var held []*heldCursor
-		if ev != "reopen" && o.rng.Intn(2) == 0 {
+		if ev == "reopen" || o.rng.Intn(2) == 0 {
 			held = o.holdCursors()
 		}
 		o.apply(ev)
+		for _, h := range held {
+			h.rest, h.rep, h.err = core.Collect(h.cur)
+		}
 		for _, h := range held {
 			h.finish(o, ev)
 		}
@@ -316,6 +322,10 @@ func (o *oracle) build(root string) {
 		}
 	}
 	c.reopen = func() {
+		// A held cursor's sub-requests are cut, not waited for.
+		for _, srv := range cl.servers {
+			srv.CloseClientConnections()
+		}
 		o.stopCluster()
 		for _, db := range cl.dbs {
 			o.must(db.Persist())
@@ -475,6 +485,7 @@ type stateInputs struct {
 	ordered   []colorsql.Statement // ORDER BY <linear> [DESC] [LIMIT k]
 	dist      []colorsql.Statement // ORDER BY dist(p) LIMIT k
 	probes    []vec.Point
+	cuts      []vec.Point // probes on the routing splits, asked at k ≤ 10
 	k         int
 	boxes     []table.SkyBoxPred
 	views     []vec.Box
@@ -513,6 +524,13 @@ func (o *oracle) inputs() stateInputs {
 			p[d] += o.rng.NormFloat64() * 0.3
 		}
 		in.probes = append(in.probes, p)
+	}
+	// A probe on every routing split's cut plane, where a shard boundary
+	// runs through the ball.
+	for _, sp := range o.rt.Splits {
+		p := o.model[o.rng.Intn(len(o.model))].Point()
+		p[sp.Axis] = sp.Cut
+		in.cuts = append(in.cuts, p)
 	}
 	for i, where := range []string{"", " WHERE " + o.where()} {
 		p := in.probes[i]
@@ -562,6 +580,9 @@ func (o *oracle) check(state string) {
 			o.tableOrder(c, model)
 		}
 	}
+	if state == "rebuild" || state == "full" || state == "far" {
+		o.freshOrder()
+	}
 	for _, stmt := range in.unordered {
 		o.unordered(state, stmt)
 	}
@@ -572,6 +593,7 @@ func (o *oracle) check(state string) {
 		o.dist(state, stmt)
 	}
 	o.knn(state, in.probes, in.k)
+	o.knn(state, in.cuts, min(in.k, 10))
 	o.reference(state, in.probes[:2], in.k)
 	if o.sd.selfProbes && len(o.model) > o.baseRows {
 		// Every inserted row is its own nearest neighbour, through /knn
@@ -755,6 +777,40 @@ func (o *oracle) tableOrder(c *oracleConfig, model []string) {
 	}
 }
 
+// freshOrder: right after a kd rebuild or a full compaction every row
+// is paged, and a single store's table order is that of a store built
+// fresh over the model's rows — clustered on its own kd-tree where the
+// store has one, in arrival order where it has none.
+func (o *oracle) freshOrder() {
+	want := map[bool][]string{}
+	for _, kd := range []bool{true, false} {
+		db, err := core.Open(core.Config{Dir: o.t.TempDir()})
+		o.must(err)
+		o.must(db.IngestRecords(o.model))
+		if kd {
+			o.must(db.BuildKdIndex(0))
+		}
+		cur, err := db.ExecStatement(context.Background(), mustParse(o.t, "SELECT *"), core.PlanFullScan)
+		o.must(err)
+		recs, _, err := core.Collect(cur)
+		o.must(err)
+		o.must(db.Close())
+		want[kd] = render(colorsql.StarColumns(), recs)
+	}
+	for _, c := range o.configs {
+		if !c.single {
+			continue
+		}
+		got := make([]string, len(c.order))
+		for row, i := range c.order {
+			got[i] = row
+		}
+		if kd := c.dbs[0].KdTree() != nil; !slices.Equal(got, want[kd]) {
+			o.t.Fatalf("%s: the table order is not a fresh build's (kd %v) over the same rows", c.name, kd)
+		}
+	}
+}
+
 // unordered: every plan returns the model's rows as a multiset — on a
 // single store in its table order — and a LIMIT returns a part of
 // them: on a single store the head of the unlimited answer, read from
@@ -857,12 +913,24 @@ func (o *oracle) ordered(state string, stmt colorsql.Statement) {
 					o.t.Fatalf("%s: %s, plan %v: rows %d–%d are not the model's", label, stmt.String(), plan, s, e-1)
 				}
 			}
+			if c.single {
+				// Closed before its first row, it leaves no page pinned.
+				cur, err := c.b.ExecStatement(context.Background(), stmt, plan)
+				o.must(err, label, stmt.String())
+				cur.Close()
+				o.checkCounters(c, label+" closed at once", cur.Stats(), 0, true)
+			}
 			if rep.FromCache || stmt.Limit < 0 {
 				continue
 			}
 			_, all := o.exec(c, label, unordered, plan)
 			if rep.PagesScanned+rep.PagesSkipped != all.PagesScanned+all.PagesSkipped {
 				o.t.Fatalf("%s: %s, plan %v: scanned %d + skipped %d pages, its WHERE alone %d + %d", label, stmt.String(), plan, rep.PagesScanned, rep.PagesSkipped, all.PagesScanned, all.PagesSkipped)
+			}
+			// A heap that never fills publishes no bound: it reads what
+			// its WHERE alone reads.
+			if k < stmt.Limit && (rep.PagesScanned != all.PagesScanned || rep.RowsExamined != all.RowsExamined) {
+				o.t.Fatalf("%s: %s, plan %v: scanned %d pages, examined %d rows; its WHERE alone %d, %d", label, stmt.String(), plan, rep.PagesScanned, rep.RowsExamined, all.PagesScanned, all.RowsExamined)
 			}
 		}
 	}
@@ -1007,14 +1075,18 @@ func (o *oracle) photoZWant() []float64 {
 	return zs
 }
 
-// checkPhotoZ: /photoz is a fresh store's answer, and its page
-// counters are its stores' page touches.
+// checkPhotoZ: /photoz is a fresh store's answer, its page counters
+// are its stores' page touches, and an answer not served from the
+// cache examined rows in the reference tree's leaves.
 func (o *oracle) checkPhotoZ(c *oracleConfig, label string) {
 	label += ": /photoz"
 	before := pageStats(c.dbs)
 	got, rep, err := c.b.EstimateRedshiftBatch(context.Background(), photoZProbes)
 	o.must(err, label)
 	o.checkPages(c, label, before, rep)
+	if !rep.FromCache && (rep.RowsExamined == 0 || rep.LeavesExamined == 0) {
+		o.t.Fatalf("%s: examined %d rows in %d leaves", label, rep.RowsExamined, rep.LeavesExamined)
+	}
 	want := o.photoZWant()
 	if !slices.Equal(got, want) || rep.RowsReturned != int64(len(got)) {
 		o.t.Fatalf("%s = %v (%d reported), a fresh build %v", label, got, rep.RowsReturned, want)
@@ -1026,13 +1098,16 @@ func (o *oracle) checkPhotoZ(c *oracleConfig, label string) {
 
 var skyCols = table.ColObjID | table.ColRa | table.ColDec | table.ColClass | table.ColRedshift
 
+// skyRenderCols are the columns a sky cut under skyCols returns.
+var skyRenderCols = slices.DeleteFunc(colorsql.StarColumns(), func(c colorsql.Column) bool { return c.Kind == colorsql.ColMag })
+
 // sky: a box returns the model's rows inside it as a set — on a single
 // store in table order — and a cursor closed before its first row or
 // after two returns a part of them (what a LIMIT keeps). Its page
 // counters are its stores' page touches, the cell index's build by the
 // first cut of a catalog included.
 func (o *oracle) sky(state string, box table.SkyBoxPred) {
-	cols := slices.DeleteFunc(colorsql.StarColumns(), func(c colorsql.Column) bool { return c.Kind == colorsql.ColMag })
+	cols := skyRenderCols
 	in := slices.DeleteFunc(slices.Clone(o.model), func(r table.Record) bool { return !box.Contains(float64(r.Ra), float64(r.Dec)) })
 	want := render(cols, in)
 	wantSorted := sortedCopy(want)
@@ -1087,22 +1162,25 @@ func (o *oracle) disorder(c *oracleConfig, rows []string) int {
 	return 0
 }
 
+// sampleCols are the columns a /points sample carries.
+var sampleCols = slices.DeleteFunc(colorsql.StarColumns(), func(c colorsql.Column) bool {
+	return c.Kind == colorsql.ColObjID || c.Kind == colorsql.ColRa || c.Kind == colorsql.ColDec
+})
+
 // points: a sample holds model rows inside the view only, as far as
 // the columns a sample carries tell, and the configurations of one
-// store layout (kd=…) sample alike. Its page counters are its stores'
-// page touches — through a coordinator, the sum of its shards'.
+// store layout (kd=…) sample the same rows, byte for byte, in the same
+// order. Its page counters are its stores' page touches — through a
+// coordinator, the sum of its shards'.
 func (o *oracle) points(state string, views []vec.Box) {
-	cols := slices.DeleteFunc(colorsql.StarColumns(), func(c colorsql.Column) bool {
-		return c.Kind == colorsql.ColObjID || c.Kind == colorsql.ColRa || c.Kind == colorsql.ColDec
-	})
-	model := render(cols, o.model)
+	model := render(sampleCols, o.model)
 	first := map[string]*oracleConfig{}
 	for _, c := range o.configs {
 		layout := strings.SplitN(c.name, "-", 2)[0]
 		if first[layout] == nil {
 			first[layout] = c
 		}
-		c.samples = map[string]int{}
+		c.samples = map[string][]string{}
 		for _, view := range views {
 			label := fmt.Sprintf("%s %s: /points %v", state, c.name, view)
 			before := pageStats(c.dbs)
@@ -1113,10 +1191,13 @@ func (o *oracle) points(state string, views []vec.Box) {
 				o.t.Fatalf("%s: reports %d rows examined for %d rows", label, rep.RowsExamined, len(recs))
 			}
 			outside := slices.ContainsFunc(recs, func(r table.Record) bool { return !view.Contains(r.Point()[:3]) })
-			key, n := fmt.Sprint(view), len(recs)
-			c.samples[key] = n
-			if n == 0 || rep.RowsReturned != int64(n) || outside || !subMultiset(render(cols, recs), model) || n != first[layout].samples[key] {
-				o.t.Fatalf("%s: %d rows (%d reported), a row outside %v, all the model's %v; %s sampled %d", label, n, rep.RowsReturned, outside, subMultiset(render(cols, recs), model), first[layout].name, first[layout].samples[key])
+			key, rows := fmt.Sprint(view), render(sampleCols, recs)
+			c.samples[key] = rows
+			if len(rows) == 0 || rep.RowsReturned != int64(len(rows)) || outside || !subMultiset(rows, model) {
+				o.t.Fatalf("%s: %d rows (%d reported), a row outside %v, all the model's %v", label, len(rows), rep.RowsReturned, outside, subMultiset(rows, model))
+			}
+			if want := first[layout].samples[key]; !slices.Equal(rows, want) {
+				o.t.Fatalf("%s: %d rows, not the %d %s sampled", label, len(rows), len(want), first[layout].name)
 			}
 		}
 	}
@@ -1213,8 +1294,8 @@ func (o *oracle) checkDeterministic(c *oracleConfig, label string, in stateInput
 		})
 		spawn(func() error {
 			recs, _, err := c.b.SampleRegion(in.views[0], 200)
-			if n := c.samples[fmt.Sprint(in.views[0])]; err == nil && len(recs) != n {
-				err = fmt.Errorf("a concurrent /points sampled %d rows, alone %d", len(recs), n)
+			if want := c.samples[fmt.Sprint(in.views[0])]; err == nil && !slices.Equal(render(sampleCols, recs), want) {
+				err = fmt.Errorf("a concurrent /points sampled %d rows, alone %d", len(recs), len(want))
 			}
 			return err
 		})
@@ -1232,36 +1313,62 @@ func (o *oracle) checkDeterministic(c *oracleConfig, label string, in stateInput
 // answer at that moment.
 type heldCursor struct {
 	c     *oracleConfig
-	stmt  colorsql.Statement
+	what  string
+	cols  []colorsql.Column
 	cur   core.Cursor
 	first []table.Record
 	want  []string
+
+	// The rest of the cursor, drained after the event.
+	rest []table.Record
+	rep  core.Report
+	err  error
 }
 
+// holdCursors opens, on every configuration, a statement over a random
+// WHERE — and on a single store a sky box across a third of the sky —
+// and reads each one's first row.
 func (o *oracle) holdCursors() []*heldCursor {
 	stmt := mustParse(o.t, "SELECT * WHERE "+o.where())
-	want := sortedCopy(render(stmt.OutputColumns(), o.filter(stmt)))
+	ra := o.rng.Float64() * 240
+	box := table.SkyBoxPred{RaMin: ra, RaMax: ra + 120, DecMin: -60, DecMax: 60}
+	wantRows := sortedCopy(render(stmt.OutputColumns(), o.filter(stmt)))
+	inBox := slices.DeleteFunc(slices.Clone(o.model), func(r table.Record) bool { return !box.Contains(float64(r.Ra), float64(r.Dec)) })
+	wantSky := sortedCopy(render(skyRenderCols, inBox))
 	var held []*heldCursor
-	for _, c := range o.configs {
-		plan := c.plans[o.rng.Intn(len(c.plans))]
-		cur, err := c.b.ExecStatement(context.Background(), stmt, plan)
-		o.must(err, c.name, stmt.String())
-		h := &heldCursor{c: c, stmt: stmt, cur: cur, want: want}
-		if cur.Next() {
-			h.first = append(h.first, *cur.Record())
+	hold := func(h *heldCursor, err error) {
+		o.must(err, h.c.name, h.what)
+		if h.cur.Next() {
+			h.first = append(h.first, *h.cur.Record())
 		}
 		held = append(held, h)
+	}
+	for _, c := range o.configs {
+		cur, err := c.b.ExecStatement(context.Background(), stmt, c.plans[o.rng.Intn(len(c.plans))])
+		hold(&heldCursor{c: c, what: stmt.String(), cols: stmt.OutputColumns(), cur: cur, want: wantRows}, err)
+		if c.single {
+			cur, err = c.b.QuerySkyBox(context.Background(), box, skyCols)
+			hold(&heldCursor{c: c, what: fmt.Sprintf("sky %+v", box), cols: skyRenderCols, cur: cur, want: wantSky}, err)
+		}
 	}
 	return held
 }
 
+// finish checks the drained cursor. Across a reopen it may instead
+// fail, with an error naming the closed store or the stopped shard; it
+// never ends short without one.
 func (h *heldCursor) finish(o *oracle, ev string) {
-	label := fmt.Sprintf("%s: cursor held across %s: %s", h.c.name, ev, h.stmt.String())
-	rest, rep, err := core.Collect(h.cur)
-	o.must(err, label)
-	got := render(h.stmt.OutputColumns(), append(h.first, rest...))
+	label := fmt.Sprintf("%s: cursor held across %s: %s", h.c.name, ev, h.what)
+	if h.err != nil && ev == "reopen" {
+		if msg := h.err.Error(); !strings.Contains(msg, "pagestore: store closed") && (h.c.single || !strings.HasPrefix(msg, "shard ")) {
+			o.t.Fatalf("%s: %d rows, then %v; want the closed store or the stopped shard named", label, len(h.first)+len(h.rest), h.err)
+		}
+		return
+	}
+	o.must(h.err, label)
+	got := render(h.cols, append(h.first, h.rest...))
 	if !slices.Equal(sortedCopy(got), h.want) {
 		o.t.Fatalf("%s: %d rows, the model had %d when it opened; or they differ", label, len(got), len(h.want))
 	}
-	o.checkCounters(h.c, label, rep, len(got), true)
+	o.checkCounters(h.c, label, h.rep, len(got), true)
 }

@@ -15,8 +15,8 @@ import (
 //  2. Native SQL column types — the fixed-layout Encode/Decode in
 //     record.go (NativeCodec).
 //  3. A binary blob decoded with unsafe pointer copies — our analog
-//     is DecodeMags, which lifts just the magnitude floats out of
-//     the raw page bytes without materializing the row (BlobCodec).
+//     lifts just the magnitude floats out of the raw record bytes
+//     without materializing the row (BlobCodec).
 //
 // The paper found the blob+unsafe path within ~20% of native types
 // while UDTs lagged badly; BenchmarkVectorCodec* reproduces the

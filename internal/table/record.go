@@ -159,20 +159,9 @@ func (r *Record) Decode(buf []byte) {
 	r.LeafID = binary.LittleEndian.Uint32(buf[56:])
 }
 
-// DecodeMags extracts only the five magnitudes from an encoded
-// record into dst. This is the hot path of every full scan: the
-// §3.5 "unsafe code" trick of copying a binary blob straight into a
-// typed array without materializing the whole row.
-func DecodeMags(buf []byte, dst *[Dim]float64) {
-	_ = buf[27]
-	for i := 0; i < Dim; i++ {
-		dst[i] = float64(math.Float32frombits(binary.LittleEndian.Uint32(buf[8+4*i:])))
-	}
-}
-
 // ColumnSet selects which record fields a partial decode
-// materializes — the generalization of the DecodeMags trick that
-// projection pushdown rides on: a SELECT naming two columns decodes
+// materializes — the §3.5 blob trick, generalized, that projection
+// pushdown rides on: a SELECT naming two columns decodes
 // two fields per row, not thirteen.
 type ColumnSet uint16
 

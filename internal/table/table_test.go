@@ -58,22 +58,6 @@ func TestRecordEncodeDecodeRoundTrip(t *testing.T) {
 	}
 }
 
-func TestDecodeMagsMatchesFullDecode(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	for i := 0; i < 100; i++ {
-		r := randomRecord(rng, int64(i))
-		var buf [RecordSize]byte
-		r.Encode(buf[:])
-		var mags [Dim]float64
-		DecodeMags(buf[:], &mags)
-		for j := range mags {
-			if float32(mags[j]) != r.Mags[j] {
-				t.Fatalf("mag %d = %v, want %v", j, mags[j], r.Mags[j])
-			}
-		}
-	}
-}
-
 func TestAppendGetScan(t *testing.T) {
 	tb := newTable(t, 16)
 	rng := rand.New(rand.NewSource(3))

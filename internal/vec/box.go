@@ -196,29 +196,6 @@ func (b Box) Split(axis int, v float64) (lo, hi Box) {
 	return lo, hi
 }
 
-// Vertex returns the corner of the box selected by the bit pattern
-// mask: bit i chooses Max (1) or Min (0) along axis i. A d-box has
-// 2^d vertices, mask in [0, 2^d).
-func (b Box) Vertex(mask int) Point {
-	p := make(Point, len(b.Min))
-	for i := range p {
-		if mask&(1<<uint(i)) != 0 {
-			p[i] = b.Max[i]
-		} else {
-			p[i] = b.Min[i]
-		}
-	}
-	return p
-}
-
-// NumVertices returns 2^d, the number of corners of the box — the
-// "32 vertices for 5D hyper-rectangles" statistic of §3.4.
-func (b Box) NumVertices() int { return 1 << uint(len(b.Min)) }
-
-// NumFaces returns 2d, the number of facets of the box — the "10
-// faces for hyper-rectangles" statistic of §3.4.
-func (b Box) NumFaces() int { return 2 * len(b.Min) }
-
 // ClosestPoint returns the point inside the box nearest to p (p
 // itself when contained).
 func (b Box) ClosestPoint(p Point) Point {

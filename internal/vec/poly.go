@@ -2,7 +2,6 @@ package vec
 
 import (
 	"fmt"
-	"math"
 	"strings"
 )
 
@@ -204,47 +203,6 @@ func (q Polyhedron) ClassifySphere(c Point, r float64) Relation {
 		return Inside
 	}
 	return Partial
-}
-
-// BoundingBox returns an axis-aligned box guaranteed to contain the
-// polyhedron clipped to the given domain. For each axis it tightens
-// the domain bound using any halfspace whose normal is parallel to
-// that axis; oblique planes do not tighten the box (a full linear
-// program is unnecessary for index pruning — the box only needs to
-// be a superset).
-func (q Polyhedron) BoundingBox(domain Box) Box {
-	b := domain.Clone()
-	for _, h := range q.Planes {
-		axis, ok := singleAxis(h.A)
-		if !ok {
-			continue
-		}
-		c := h.A[axis]
-		if c > 0 {
-			b.Max[axis] = math.Min(b.Max[axis], h.B/c)
-		} else if c < 0 {
-			b.Min[axis] = math.Max(b.Min[axis], h.B/c)
-		}
-	}
-	for i := range b.Min {
-		if b.Min[i] > b.Max[i] {
-			b.Max[i] = b.Min[i] // empty: collapse to a degenerate slab
-		}
-	}
-	return b
-}
-
-// singleAxis reports whether a has exactly one non-zero coefficient
-// and returns its axis.
-func singleAxis(a Point) (int, bool) {
-	axis, n := -1, 0
-	for i, v := range a {
-		if v != 0 {
-			axis = i
-			n++
-		}
-	}
-	return axis, n == 1
 }
 
 // String formats the polyhedron as the conjunction of its planes.

@@ -51,15 +51,6 @@ func (p Point) Sub(q Point) Point {
 	return r
 }
 
-// Scale returns s*p as a new point.
-func (p Point) Scale(s float64) Point {
-	r := make(Point, len(p))
-	for i := range p {
-		r[i] = s * p[i]
-	}
-	return r
-}
-
 // Dot returns the inner product of p and q.
 func (p Point) Dot(q Point) float64 {
 	checkDim(len(p), len(q))
@@ -101,16 +92,6 @@ func (p Point) Equal(q Point) bool {
 		}
 	}
 	return true
-}
-
-// Lerp returns the point (1-t)*p + t*q.
-func (p Point) Lerp(q Point, t float64) Point {
-	checkDim(len(p), len(q))
-	r := make(Point, len(p))
-	for i := range p {
-		r[i] = (1-t)*p[i] + t*q[i]
-	}
-	return r
 }
 
 // String formats the point as "(x0, x1, ...)" with compact precision.

@@ -16,9 +16,6 @@ func TestPointArithmetic(t *testing.T) {
 	if got := q.Sub(p); !got.Equal(Point{3, 3, 3}) {
 		t.Errorf("Sub = %v", got)
 	}
-	if got := p.Scale(2); !got.Equal(Point{2, 4, 6}) {
-		t.Errorf("Scale = %v", got)
-	}
 	if got := p.Dot(q); got != 32 {
 		t.Errorf("Dot = %v, want 32", got)
 	}
@@ -36,19 +33,6 @@ func TestPointCloneIndependent(t *testing.T) {
 	q[0] = 99
 	if p[0] != 1 {
 		t.Fatal("Clone shares backing array")
-	}
-}
-
-func TestPointLerp(t *testing.T) {
-	p, q := Point{0, 0}, Point{2, 4}
-	if got := p.Lerp(q, 0.5); !got.Equal(Point{1, 2}) {
-		t.Errorf("Lerp = %v", got)
-	}
-	if got := p.Lerp(q, 0); !got.Equal(p) {
-		t.Errorf("Lerp(0) = %v", got)
-	}
-	if got := p.Lerp(q, 1); !got.Equal(q) {
-		t.Errorf("Lerp(1) = %v", got)
 	}
 }
 
@@ -131,12 +115,6 @@ func TestBoxGeometry(t *testing.T) {
 	if got := b.Elongation(); got != 4 {
 		t.Errorf("Elongation = %v", got)
 	}
-	if got := b.NumVertices(); got != 8 {
-		t.Errorf("NumVertices = %v", got)
-	}
-	if got := b.NumFaces(); got != 6 {
-		t.Errorf("NumFaces = %v", got)
-	}
 }
 
 func TestBoxSplit(t *testing.T) {
@@ -148,16 +126,6 @@ func TestBoxSplit(t *testing.T) {
 	lo, hi = b.Split(1, 99) // clamped
 	if lo.Max[1] != 4 || hi.Min[1] != 4 {
 		t.Errorf("clamped Split = %v / %v", lo, hi)
-	}
-}
-
-func TestBoxVertex(t *testing.T) {
-	b := NewBox(Point{0, 0}, Point{1, 2})
-	want := []Point{{0, 0}, {1, 0}, {0, 2}, {1, 2}}
-	for mask, w := range want {
-		if got := b.Vertex(mask); !got.Equal(w) {
-			t.Errorf("Vertex(%d) = %v, want %v", mask, got, w)
-		}
 	}
 }
 
@@ -276,22 +244,6 @@ func TestBoxPolyhedronEquivalence(t *testing.T) {
 		if b.Contains(p) != q.Contains(p) {
 			t.Fatalf("box %v and polyhedron disagree at %v", b, p)
 		}
-	}
-}
-
-func TestPolyhedronBoundingBox(t *testing.T) {
-	dom := NewBox(Point{-10, -10}, Point{10, 10})
-	q := NewPolyhedron(
-		NewHalfspace(Point{1, 0}, 3),   // x <= 3
-		NewHalfspace(Point{-1, 0}, 2),  // x >= -2
-		NewHalfspace(Point{1, 1}, 100), // oblique: no tightening
-	)
-	bb := q.BoundingBox(dom)
-	if bb.Max[0] != 3 || bb.Min[0] != -2 {
-		t.Errorf("axis 0 bounds = [%v, %v]", bb.Min[0], bb.Max[0])
-	}
-	if bb.Min[1] != -10 || bb.Max[1] != 10 {
-		t.Errorf("axis 1 should be untightened: [%v, %v]", bb.Min[1], bb.Max[1])
 	}
 }
 
